@@ -20,58 +20,46 @@
 //!                       With --transport tcp the same workloads run as 4
 //!                       real OS processes over TCP loopback (spawned via
 //!                       the sar-worker binary) and are gated on the same
-//!                       invariants
-//!   kernelbench         single-host SAR kernel micro-benchmarks over a
-//!                       fixed seeded workload matrix; writes/checks the
-//!                       schema-versioned BENCH_kernels.json perf
-//!                       trajectory (own flags: --out PATH, --check PATH,
-//!                       --simd auto|scalar, --threads N, --quick)
+//!                       invariants, from the same gathered report
+//!   kernelbench | servebench | compressbench | outofcorebench
+//!                       the CI-gated benchmarks. Each runs, prints a
+//!                       table, writes its schema-versioned artifact
+//!                       (--out PATH) and/or diffs it against the
+//!                       committed BENCH_*.json (--check PATH; exit 1 on
+//!                       any violation). The gates compare structure,
+//!                       ledgers, digests and invariants — never timing
+//!                       magnitudes. Own flags:
+//!     kernelbench       kernel micro-benchmarks over a fixed seeded
+//!                       matrix, gated on roofline ratios:
+//!                       --simd auto|scalar, --threads N, --quick
+//!     servebench        a real 4-process sar-serve cluster under
+//!                       closed-loop client load (p50/p99 + QPS; every
+//!                       query answered, MFG fetch below the full-graph
+//!                       ceiling): --world N, --nodes N, --archs a,b,
+//!                       --clients N, --requests N, --ids-per-request N,
+//!                       --max-batch N, --max-delay-us N, --cache-rows N,
+//!                       --threads N, --simd auto|scalar, --seed N
+//!     compressbench     the smoke workloads across the {codec ×
+//!                       protocol} grid on sim plus a TCP subset (raw
+//!                       moves wire == logical, lossy codecs clear the
+//!                       payload bar, gradonly/stale skip what they
+//!                       claim, raw/exact digests agree across
+//!                       transports, accuracy floor): --transport
+//!                       sim,tcp, --world N, --nodes N, --epochs N,
+//!                       --seed N, --quick
+//!     outofcorebench    the disk tier: a sweep whose graph grows 8x
+//!                       under a fixed budget (flat peak resident bytes,
+//!                       digests equal to a never-spilling baseline) and
+//!                       --mem-budget on/off training parity across
+//!                       {sim,tcp} x {threads} x {prefetch-depth}:
+//!                       --transport sim,tcp, --nodes N,
+//!                       --train-budget BYTES, --seed N, --quick
 //!   overlap-check       diff a freshly generated BENCH_overlap.json
 //!                       against the committed copy on run-set identity
 //!                       and ledger invariants (timings are not compared);
 //!                       flags: --current PATH --committed PATH
-//!   servebench          closed-loop serving benchmark: spawns a real
-//!                       4-process sar-serve cluster over TCP loopback,
-//!                       drives it with concurrent clients, reports
-//!                       p50/p99 latency + QPS, and writes/checks the
-//!                       schema-versioned BENCH_serve.json artifact
-//!                       (own flags: --out PATH, --check PATH, --world N,
-//!                       --nodes N, --archs a,b, --clients N,
-//!                       --requests N, --ids-per-request N,
-//!                       --max-batch N, --max-delay-us N, --cache-rows N,
-//!                       --threads N, --simd auto|scalar, --seed N).
-//!                       The gate never compares latency magnitudes —
-//!                       only schema/run-set identity and the serving
-//!                       invariants (all queries answered, MFG fetch
-//!                       strictly below the full-graph forward ceiling)
-//!   outofcorebench      out-of-core tiering benchmark: a memory-
-//!                       flatness sweep over the mmap-backed disk tier
-//!                       (graph scale grows 8x under a fixed budget;
-//!                       peak resident tensor bytes must stay flat and
-//!                       the result digest must match a never-spilling
-//!                       baseline bit for bit) plus end-to-end training
-//!                       parity runs with --mem-budget on vs off across
-//!                       {sim,tcp} x {threads} x {prefetch-depth};
-//!                       writes/checks the schema-versioned
-//!                       BENCH_outofcore.json artifact (own flags:
-//!                       --out PATH, --check PATH, --transport sim,tcp,
-//!                       --nodes N, --train-budget BYTES, --seed N,
-//!                       --quick). The gate never compares timings
-//!   compressbench       codec/protocol ablation: trains the smoke
-//!                       workloads across the {codec × protocol} grid
-//!                       (sim in-process, plus a TCP subset as real OS
-//!                       processes) and writes/checks the
-//!                       schema-versioned BENCH_compress.json artifact
-//!                       (own flags: --out PATH, --check PATH,
-//!                       --transport sim,tcp, --world N, --nodes N,
-//!                       --epochs N, --seed N, --quick). The gate never
-//!                       compares epoch-time magnitudes — only the run
-//!                       set, the logical-vs-wire ledger invariants
-//!                       (raw moves wire == logical, lossy codecs clear
-//!                       the 2x payload bar, gradonly/stale skip what
-//!                       they claim to skip), cross-transport raw/exact
-//!                       digest equality, and the accuracy floor
-//!   all                 everything above except smoke/kernelbench
+//!   all                 every table, figure and ablation above (not smoke
+//!                       or the gated benchmarks)
 //!
 //! flags:
 //!   --transport sim|tcp  smoke backend: in-process simulated cluster or
@@ -118,19 +106,24 @@
 //! blocked-vs-wall overlap summary, so the realized comm/compute overlap
 //! is tracked as a CI artifact.
 
+use sar_bench::cli::{Args, GatedBench};
+use sar_bench::compressbench::CompressBenchReport;
 use sar_bench::experiments::{
     ablation_partition, ablation_prefetch, ablation_softmax, exactness, fig2, scaling, table1,
     ExpConfig, Workload,
 };
-use sar_bench::report::RunReport;
-use sar_bench::{compressbench, kernelbench, launcher, outofcorebench, servebench, smoke};
-use sar_core::{train, Arch};
+use sar_bench::harness::{run_workload, Transport};
+use sar_bench::kernelbench::BenchReport;
+use sar_bench::outofcorebench::OocBenchReport;
+use sar_bench::servebench::ServeBenchReport;
+use sar_bench::smoke;
+use sar_core::Arch;
 
 struct Flags {
     cfg: ExpConfig,
     worlds: Option<Vec<usize>>,
     out: Option<String>,
-    transport: String,
+    transport: Transport,
     /// Intra-worker thread counts the smoke gate runs (and cross-checks).
     threads: Vec<usize>,
     /// Fetch-pipeline depths the smoke gate runs (and cross-checks).
@@ -143,403 +136,84 @@ struct Flags {
     mem_budget: u64,
 }
 
-fn parse_flags(args: &[String]) -> Flags {
-    let mut cfg = ExpConfig::default();
-    let mut worlds = None;
-    let mut out = None;
-    let mut transport = "sim".to_string();
-    let mut threads = vec![1usize];
-    let mut depths = vec![0usize];
-    let mut simds = vec!["auto".to_string()];
-    let mut model = "all".to_string();
-    let mut mem_budget = 0u64;
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].as_str();
-        let value = args.get(i + 1).cloned();
-        let mut take = |name: &str| -> Option<String> {
-            if key == name {
-                i += 1;
-                Some(value.clone().unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
-                    std::process::exit(2);
-                }))
-            } else {
-                None
+fn parse_flags(mut args: Args) -> Result<Flags, String> {
+    let mut f = Flags {
+        cfg: ExpConfig::default(),
+        worlds: None,
+        out: None,
+        transport: Transport::Sim,
+        threads: vec![1],
+        depths: vec![0],
+        simds: vec!["auto".to_string()],
+        model: "all".to_string(),
+        mem_budget: 0,
+    };
+    while let Some(flag) = args.next_flag() {
+        let flag = flag.as_str();
+        match flag {
+            "--products-nodes" => f.cfg.products_nodes = args.parsed(flag)?,
+            "--papers-nodes" => f.cfg.papers_nodes = args.parsed(flag)?,
+            "--epochs" => f.cfg.epochs = args.parsed(flag)?,
+            "--timing-epochs" => f.cfg.timing_epochs = args.parsed(flag)?,
+            "--bw-scale" => f.cfg.bandwidth_scale = args.parsed(flag)?,
+            "--mem-budget-products-mib" => f.cfg.mem_budget_products_mib = args.parsed(flag)?,
+            "--mem-budget-papers-mib" => f.cfg.mem_budget_papers_mib = args.parsed(flag)?,
+            "--worlds" => f.worlds = Some(args.parsed_list(flag)?),
+            "--out" => f.out = Some(args.value(flag)?),
+            "--transport" => f.transport = Transport::parse(&args.value(flag)?)?,
+            "--threads" => {
+                f.threads = args.parsed_list(flag)?;
+                if f.threads.contains(&0) {
+                    return Err("--threads takes a comma list of counts >= 1, e.g. 1,4".into());
+                }
             }
-        };
-        if let Some(v) = take("--products-nodes") {
-            cfg.products_nodes = v.parse().expect("--products-nodes");
-        } else if let Some(v) = take("--papers-nodes") {
-            cfg.papers_nodes = v.parse().expect("--papers-nodes");
-        } else if let Some(v) = take("--epochs") {
-            cfg.epochs = v.parse().expect("--epochs");
-        } else if let Some(v) = take("--timing-epochs") {
-            cfg.timing_epochs = v.parse().expect("--timing-epochs");
-        } else if let Some(v) = take("--bw-scale") {
-            cfg.bandwidth_scale = v.parse().expect("--bw-scale");
-        } else if let Some(v) = take("--mem-budget-products-mib") {
-            cfg.mem_budget_products_mib = v.parse().expect("--mem-budget-products-mib");
-        } else if let Some(v) = take("--mem-budget-papers-mib") {
-            cfg.mem_budget_papers_mib = v.parse().expect("--mem-budget-papers-mib");
-        } else if let Some(v) = take("--worlds") {
-            worlds = Some(v.split(',').map(|x| x.parse().expect("--worlds")).collect());
-        } else if let Some(v) = take("--out") {
-            out = Some(v);
-        } else if let Some(v) = take("--transport") {
-            if v != "sim" && v != "tcp" {
-                eprintln!("--transport must be sim or tcp, not {v}");
-                std::process::exit(2);
+            "--prefetch-depth" => f.depths = args.parsed_list(flag)?,
+            "--simd" => {
+                f.simds = args.parsed_list(flag)?;
+                if f.simds
+                    .iter()
+                    .any(|s| sar_tensor::simd::parse_mode(s).is_none())
+                {
+                    return Err("--simd takes a comma list of modes from: auto, scalar".into());
+                }
             }
-            transport = v;
-        } else if let Some(v) = take("--threads") {
-            threads = v
-                .split(',')
-                .map(|x| match x.parse::<usize>() {
-                    Ok(t) if t >= 1 => t,
-                    _ => {
-                        eprintln!("--threads takes a comma list of counts >= 1, e.g. 1,4");
-                        std::process::exit(2);
-                    }
-                })
-                .collect();
-        } else if let Some(v) = take("--prefetch-depth") {
-            depths = v
-                .split(',')
-                .map(|x| match x.parse::<usize>() {
-                    Ok(d) => d,
-                    _ => {
-                        eprintln!("--prefetch-depth takes a comma list of depths, e.g. 0,2");
-                        std::process::exit(2);
-                    }
-                })
-                .collect();
-        } else if let Some(v) = take("--simd") {
-            simds = v
-                .split(',')
-                .map(|x| {
-                    if sar_tensor::simd::parse_mode(x).is_none() {
-                        eprintln!("--simd takes a comma list of modes from: auto, scalar");
-                        std::process::exit(2);
-                    }
-                    x.to_string()
-                })
-                .collect();
-        } else if let Some(v) = take("--model") {
-            if v != "all" && !smoke::MODELS.contains(&v.as_str()) {
-                eprintln!(
-                    "unknown --model {v}; supported models: {}, all",
-                    smoke::MODELS.join(", ")
-                );
-                std::process::exit(2);
+            "--model" => {
+                f.model = args.value(flag)?;
+                if f.model != "all" && !smoke::MODELS.contains(&f.model.as_str()) {
+                    return Err(format!(
+                        "unknown --model {}; supported models: {}, all",
+                        f.model,
+                        smoke::MODELS.join(", ")
+                    ));
+                }
             }
-            model = v;
-        } else if let Some(v) = take("--mem-budget") {
-            mem_budget = v.parse().expect("--mem-budget");
-        } else if let Some(v) = take("--seed") {
-            cfg.seed = v.parse().expect("--seed");
-        } else {
-            eprintln!("unknown flag: {key}");
-            std::process::exit(2);
+            "--mem-budget" => f.mem_budget = args.parsed(flag)?,
+            "--seed" => f.cfg.seed = args.parsed(flag)?,
+            other => return Err(format!("unknown flag: {other}")),
         }
-        i += 1;
     }
-    Flags {
-        cfg,
-        worlds,
-        out,
-        transport,
-        threads,
-        depths,
-        simds,
-        model,
-        mem_budget,
-    }
-}
-
-/// One smoke run's overlap record, destined for `BENCH_overlap.json`.
-struct OverlapRun {
-    experiment: String,
-    transport: &'static str,
-    threads: usize,
-    depth: usize,
-    simd: String,
-    /// Verbatim [`RunReport::overlap_json`] fragment.
-    fragment: String,
-}
-
-/// Assembles `DIR/BENCH_overlap.json` from the collected per-run overlap
-/// fragments (each fragment is already a JSON object, embedded verbatim).
-/// The committed copy at the repository root is diffed against this
-/// output by `repro overlap-check` in CI (run-set identity and ledger
-/// invariants only — timings vary freely).
-fn write_overlap_artifact(dir: &str, runs: &[OverlapRun]) -> Result<String, String> {
-    let mut s = String::from("{\n  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"experiment\": \"{}\", \"transport\": \"{}\", \"threads\": {}, \
-             \"prefetch_depth\": {}, \"simd\": \"{}\", \"overlap\": {}}}{}\n",
-            r.experiment,
-            r.transport,
-            r.threads,
-            r.depth,
-            r.simd,
-            r.fragment.trim(),
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    let path = format!("{dir}/BENCH_overlap.json");
-    std::fs::write(&path, s).map_err(|e| format!("cannot write {path}: {e}"))?;
-    Ok(path)
+    Ok(f)
 }
 
 // ----------------------------------------------------------------------
 // `smoke` — the CI gate
 // ----------------------------------------------------------------------
 
-/// The `(threads, prefetch_depth, simd)` grid a smoke workload runs
-/// over, in a deterministic order with the baseline combination first.
-fn combos(threads: &[usize], depths: &[usize], simds: &[String]) -> Vec<(usize, usize, String)> {
-    simds
-        .iter()
-        .flat_map(|s| {
-            depths
-                .iter()
-                .flat_map(move |&d| threads.iter().map(move |&t| (t, d, s.clone())))
-        })
-        .collect()
-}
-
-/// Report-file name for one combination: the baseline keeps the bare
-/// `{exp}.json` name CI has always archived; variants get suffixes.
-fn report_path(dir: &str, exp: &str, k: usize, t: usize, d: usize, s: &str) -> String {
-    if k == 0 {
-        format!("{dir}/{exp}.json")
-    } else {
-        format!("{dir}/{exp}-t{t}-d{d}-{s}.json")
-    }
-}
-
 /// Scaled-down 4-worker GraphSage and GAT training runs whose
 /// observability ledgers are checked against the paper's communication
-/// claims. The workloads and the invariants live in [`sar_bench::smoke`],
-/// shared verbatim with the TCP backend. With more than one entry in
-/// `threads` or `depths`, the same workload runs once per combination and
-/// the runs' [`RunReport::parity_digest`]s must match exactly — the
-/// parallel kernels' and the pipelined exchange's bitwise-determinism
-/// contracts. Returns the violations found (empty = gate passes) and
-/// appends each run's overlap record to `overlaps`.
-fn smoke_sim(
-    cfg: &ExpConfig,
-    out_dir: Option<&str>,
-    models: &[&str],
-    threads: &[usize],
-    depths: &[usize],
-    simds: &[String],
-    mem_budget: u64,
-    overlaps: &mut Vec<OverlapRun>,
-) -> Vec<String> {
-    let nodes = cfg.products_nodes.min(1500);
-    let mut violations = Vec::new();
-    for arch_name in models {
-        let exp = format!("smoke-{arch_name}");
-        let base = match smoke::workload(arch_name, nodes, cfg.seed) {
-            Ok(w) => w,
-            Err(e) => {
-                violations.push(format!("{exp}: {e}"));
-                continue;
-            }
-        };
-        let mut first_digest: Option<String> = None;
-        for (k, (t, d, s)) in combos(threads, depths, simds).into_iter().enumerate() {
-            let mut wl = base.clone();
-            wl.threads = t;
-            wl.prefetch_depth = d;
-            wl.simd = s.clone();
-            wl.mem_budget = mem_budget;
-            // The combos run sequentially, so flipping the process-global
-            // dispatch mode per combination is race-free here.
-            match sar_tensor::simd::parse_mode(&wl.simd) {
-                Some(mode) => sar_tensor::simd::set_mode(mode),
-                None => {
-                    violations.push(format!("{exp}: unknown --simd {}", wl.simd));
-                    continue;
-                }
-            }
-            let (dataset, part) = match wl.build_data(smoke::WORLD) {
-                Ok(dp) => dp,
-                Err(e) => {
-                    violations.push(format!("{exp}: {e}"));
-                    continue;
-                }
-            };
-            let tcfg = match wl.train_config(&dataset) {
-                Ok(t) => t,
-                Err(e) => {
-                    violations.push(format!("{exp}: {e}"));
-                    continue;
-                }
-            };
-            eprintln!(
-                "[repro] smoke: training {arch_name}/{} on {} workers \
-                 (threads={t}, prefetch-depth={d}, simd={s}) ...",
-                wl.mode,
-                smoke::WORLD
-            );
-            let run = train(&dataset, &part, cfg.cost_model(), &tcfg);
-            let report = RunReport::from_train(&exp, *arch_name, &wl.mode, &run);
-            smoke::ledger_table(&report).print();
-            violations.extend(smoke::violations(&report, wl.epochs));
-            match &first_digest {
-                None => first_digest = Some(report.parity_digest()),
-                Some(d0) => {
-                    if let Some(diff) = smoke::digest_diff(d0, &report.parity_digest()) {
-                        violations.push(format!(
-                            "{exp}: --threads {t} --prefetch-depth {d} --simd {s} diverged \
-                             from the baseline combination — {diff}"
-                        ));
-                    }
-                }
-            }
-            overlaps.push(OverlapRun {
-                experiment: exp.clone(),
-                transport: "sim",
-                threads: t,
-                depth: d,
-                simd: s.clone(),
-                fragment: report.overlap_json(),
-            });
-            if let Some(dir) = out_dir {
-                let path = report_path(dir, &exp, k, t, d, &s);
-                match report.write_json(&path) {
-                    Ok(()) => eprintln!("[repro] wrote {path}"),
-                    Err(e) => violations.push(format!("{exp}: cannot write {path}: {e}")),
-                }
-            }
-        }
-    }
-    // Leave the process in the default dispatch mode for whatever runs next.
-    sar_tensor::simd::set_mode(sar_tensor::simd::SimdMode::Auto);
-    violations
-}
-
-/// The same smoke workloads as real OS processes: one `sar-worker`
-/// process per rank over TCP loopback. Rank 0 of each run gathers the
-/// ledgers, applies the same invariants (`--check smoke`) and writes the
-/// same RunReport JSON; any rank failure or invariant violation surfaces
-/// here as a non-zero child exit. Cross-thread-count parity is checked
-/// through rank 0's `--digest-out` file, since the report itself lives in
-/// the child process.
-fn smoke_tcp(
-    cfg: &ExpConfig,
-    out_dir: Option<&str>,
-    models: &[&str],
-    threads: &[usize],
-    depths: &[usize],
-    simds: &[String],
-    mem_budget: u64,
-    overlaps: &mut Vec<OverlapRun>,
-) -> Vec<String> {
-    let nodes = cfg.products_nodes.min(1500);
-    let exe = match launcher::sibling_binary("sar-worker") {
-        Ok(exe) => exe,
-        Err(e) => return vec![format!("smoke-tcp: {e}")],
-    };
-    let mut violations = Vec::new();
-    for arch_name in models {
-        let exp = format!("smoke-{arch_name}");
-        let base = match smoke::workload(arch_name, nodes, cfg.seed) {
-            Ok(w) => w,
-            Err(e) => {
-                violations.push(format!("{exp}: {e}"));
-                continue;
-            }
-        };
-        let mut first_digest: Option<String> = None;
-        for (k, (t, d, s)) in combos(threads, depths, simds).into_iter().enumerate() {
-            let mut wl = base.clone();
-            wl.threads = t;
-            wl.prefetch_depth = d;
-            wl.simd = s.clone();
-            wl.mem_budget = mem_budget;
-            let mut args = wl.to_args();
-            args.extend([
-                "--check".to_string(),
-                "smoke".to_string(),
-                "--experiment".to_string(),
-                exp.clone(),
-            ]);
-            let digest_path = std::env::temp_dir().join(format!(
-                "sar-{exp}-t{t}-d{d}-{s}-{}.digest",
-                std::process::id()
-            ));
-            let overlap_path = std::env::temp_dir().join(format!(
-                "sar-{exp}-t{t}-d{d}-{s}-{}.overlap",
-                std::process::id()
-            ));
-            args.extend([
-                "--digest-out".to_string(),
-                digest_path.display().to_string(),
-                "--overlap-out".to_string(),
-                overlap_path.display().to_string(),
-            ]);
-            if let Some(dir) = out_dir {
-                args.extend(["--out".to_string(), report_path(dir, &exp, k, t, d, &s)]);
-            }
-            eprintln!(
-                "[repro] smoke: training {arch_name}/{} on {} OS processes over TCP \
-                 (threads={t}, prefetch-depth={d}, simd={s}) ...",
-                wl.mode,
-                smoke::WORLD
-            );
-            if let Err(e) = launcher::spawn_ranks(&exe, smoke::WORLD, &args) {
-                violations.push(format!("{exp}: {e}"));
-                continue;
-            }
-            if let Ok(fragment) = std::fs::read_to_string(&overlap_path) {
-                overlaps.push(OverlapRun {
-                    experiment: exp.clone(),
-                    transport: "tcp",
-                    threads: t,
-                    depth: d,
-                    simd: s.clone(),
-                    fragment,
-                });
-            }
-            let _ = std::fs::remove_file(&overlap_path);
-            let digest = match std::fs::read_to_string(&digest_path) {
-                Ok(d) => d,
-                Err(e) => {
-                    violations.push(format!(
-                        "{exp}: rank 0 wrote no digest at {}: {e}",
-                        digest_path.display()
-                    ));
-                    continue;
-                }
-            };
-            let _ = std::fs::remove_file(&digest_path);
-            match &first_digest {
-                None => first_digest = Some(digest),
-                Some(d0) => {
-                    if let Some(diff) = smoke::digest_diff(d0, &digest) {
-                        violations.push(format!(
-                            "{exp}: --threads {t} --prefetch-depth {d} --simd {s} diverged \
-                             from the baseline combination — {diff}"
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    violations
-}
-
+/// claims. The workloads and the invariants live in [`sar_bench::smoke`]
+/// and every run goes through [`run_workload`], so the simulated and the
+/// TCP backend gate on the same program and the same rules. The
+/// `(simd, prefetch-depth, threads)` grid runs in a deterministic order
+/// with the baseline combination first; every other combination's
+/// `parity_digest` must match it exactly — the parallel kernels' and the
+/// pipelined exchange's bitwise-determinism contracts. Returns the
+/// violations found (empty = gate passes).
 fn smoke(flags: &Flags) -> Vec<String> {
-    if let Some(dir) = flags.out.as_deref() {
+    let out_dir = flags.out.as_deref();
+    if let Some(dir) = out_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("[repro] cannot create {dir}: {e}");
-            std::process::exit(2);
+            return vec![format!("cannot create {dir}: {e}")];
         }
     }
     let models: Vec<&str> = if flags.model == "all" {
@@ -547,33 +221,77 @@ fn smoke(flags: &Flags) -> Vec<String> {
     } else {
         vec![flags.model.as_str()]
     };
+    let nodes = flags.cfg.products_nodes.min(1500);
+    let mut violations = Vec::new();
     let mut overlaps = Vec::new();
-    let mut violations = match flags.transport.as_str() {
-        "tcp" => smoke_tcp(
-            &flags.cfg,
-            flags.out.as_deref(),
-            &models,
-            &flags.threads,
-            &flags.depths,
-            &flags.simds,
-            flags.mem_budget,
-            &mut overlaps,
-        ),
-        _ => smoke_sim(
-            &flags.cfg,
-            flags.out.as_deref(),
-            &models,
-            &flags.threads,
-            &flags.depths,
-            &flags.simds,
-            flags.mem_budget,
-            &mut overlaps,
-        ),
-    };
-    if let Some(dir) = flags.out.as_deref() {
-        match write_overlap_artifact(dir, &overlaps) {
-            Ok(path) => eprintln!("[repro] wrote {path}"),
-            Err(e) => violations.push(format!("smoke: {e}")),
+    for arch_name in models {
+        let exp = format!("smoke-{arch_name}");
+        let mut wl = match smoke::workload(arch_name, nodes, flags.cfg.seed) {
+            Ok(w) => w,
+            Err(e) => {
+                violations.push(format!("{exp}: {e}"));
+                continue;
+            }
+        };
+        wl.mem_budget = flags.mem_budget;
+        let mut first_digest: Option<String> = None;
+        let (threads, depths) = (&flags.threads, &flags.depths);
+        let combos = flags.simds.iter().flat_map(|s| {
+            depths
+                .iter()
+                .flat_map(move |&d| threads.iter().map(move |&t| (t, d, s)))
+        });
+        for (t, d, s) in combos {
+            wl.threads = t;
+            wl.prefetch_depth = d;
+            wl.simd = s.clone();
+            eprintln!(
+                "[repro] smoke: training {arch_name}/{} on {} {} workers \
+                 (threads={t}, prefetch-depth={d}, simd={s}) ...",
+                wl.mode,
+                smoke::WORLD,
+                flags.transport.name()
+            );
+            let report = match run_workload(&wl, smoke::WORLD, flags.transport, &exp) {
+                Ok(r) => r,
+                Err(e) => {
+                    violations.push(format!("{exp}: {e}"));
+                    continue;
+                }
+            };
+            smoke::ledger_table(&report).print();
+            violations.extend(smoke::violations(&report, wl.epochs));
+            let digest = report.parity_digest();
+            // The baseline keeps the bare `{exp}.json` name CI has always
+            // archived; variants get suffixes.
+            let file = match &first_digest {
+                None => format!("{exp}.json"),
+                Some(d0) => {
+                    if let Some(diff) = smoke::digest_diff(d0, &digest) {
+                        violations.push(format!(
+                            "{exp}: --threads {t} --prefetch-depth {d} --simd {s} \
+                             diverged from the baseline combination — {diff}"
+                        ));
+                    }
+                    format!("{exp}-t{t}-d{d}-{s}.json")
+                }
+            };
+            first_digest.get_or_insert(digest);
+            overlaps.push(smoke::overlap_record(&report, flags.transport, t, d, s));
+            if let Some(dir) = out_dir {
+                let path = format!("{dir}/{file}");
+                match report.write_json(&path) {
+                    Ok(()) => eprintln!("[repro] wrote {path}"),
+                    Err(e) => violations.push(format!("{exp}: cannot write {path}: {e}")),
+                }
+            }
+        }
+    }
+    if let Some(dir) = out_dir {
+        let path = format!("{dir}/BENCH_overlap.json");
+        match std::fs::write(&path, smoke::overlap_artifact(overlaps)) {
+            Ok(()) => eprintln!("[repro] wrote {path}"),
+            Err(e) => violations.push(format!("smoke: cannot write {path}: {e}")),
         }
     }
     violations
@@ -630,186 +348,51 @@ fn run(name: &str, cfg: &ExpConfig, worlds: Option<&[usize]>) {
 }
 
 // ----------------------------------------------------------------------
-// `kernelbench` — the committed perf trajectory
+// The gated benchmarks — one driver, one instantiation per artifact
 // ----------------------------------------------------------------------
 
-/// `repro kernelbench [--out PATH] [--check PATH] [--simd auto|scalar]
-/// [--threads N] [--quick]`: run the fixed kernel workload matrix, write
-/// the schema-versioned report, and/or gate against a committed baseline.
-fn kernelbench_cmd(args: &[String]) -> i32 {
+/// `repro <B::NAME> [--out PATH] [--check PATH] [the bench's own flags]`:
+/// run the benchmark, print it, write the schema-versioned artifact
+/// and/or gate it against the committed copy. Exit status 0 = the gate
+/// holds, 1 = the run failed or the gate found violations, 2 = usage.
+fn gated_bench_cmd<B: GatedBench>(mut args: Args) -> i32 {
+    let name = B::NAME;
+    let mut cfg = B::Config::default();
     let mut out: Option<String> = None;
     let mut check: Option<String> = None;
-    let mut threads = 1usize;
-    let mut quick = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" | "--check" | "--simd" | "--threads" => {
-                let key = args[i].clone();
-                i += 1;
-                let Some(v) = args.get(i).cloned() else {
-                    eprintln!("missing value for {key}");
-                    return 2;
-                };
-                match key.as_str() {
-                    "--out" => out = Some(v),
-                    "--check" => check = Some(v),
-                    "--simd" => match sar_tensor::simd::parse_mode(&v) {
-                        Some(mode) => sar_tensor::simd::set_mode(mode),
-                        None => {
-                            eprintln!("--simd must be auto or scalar, not {v}");
-                            return 2;
-                        }
-                    },
-                    _ => match v.parse::<usize>() {
-                        Ok(t) if t >= 1 => threads = t,
-                        _ => {
-                            eprintln!("--threads takes a count >= 1");
-                            return 2;
-                        }
-                    },
-                }
-            }
-            "--quick" => quick = true,
-            other => {
-                eprintln!("unknown kernelbench flag: {other}");
-                return 2;
-            }
-        }
-        i += 1;
-    }
-    sar_tensor::pool::set_threads(threads);
-    eprintln!(
-        "[repro] kernelbench: simd={}, threads={threads}{} ...",
-        sar_tensor::simd::dispatch_label(),
-        if quick { ", quick" } else { "" }
-    );
-    let report = kernelbench::run_bench(quick);
-    kernelbench::print_table(&report);
-    if let Some(path) = &out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("[repro] cannot create {}: {e}", dir.display());
-                    return 2;
-                }
-            }
-        }
-        match report.write_json(path) {
-            Ok(()) => eprintln!("[repro] wrote {path}"),
-            Err(e) => {
-                eprintln!("[repro] {e}");
-                return 2;
-            }
-        }
-    }
-    if let Some(path) = &check {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "[repro] kernelbench FAIL: no baseline at {path}: {e} — \
-                     generate one with `repro kernelbench --out {path}`"
-                );
-                return 1;
-            }
+    while let Some(flag) = args.next_flag() {
+        let applied = match flag.as_str() {
+            "--out" => args.value(&flag).map(|v| out = Some(v)),
+            "--check" => args.value(&flag).map(|v| check = Some(v)),
+            _ => B::apply_flag(&mut cfg, &flag, &mut args).and_then(|known| {
+                known
+                    .then_some(())
+                    .ok_or_else(|| format!("unknown {name} flag: {flag}"))
+            }),
         };
-        let violations = kernelbench::check_against(&report, &baseline);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("[repro] kernelbench REGRESSION: {v}");
-            }
-            return 1;
-        }
-        eprintln!("[repro] kernelbench: all kernels within tolerance of {path}");
-    }
-    0
-}
-
-/// `repro servebench [--out PATH] [--check PATH] [workload flags]`: spawn
-/// a real `sar-serve` cluster per architecture, drive it with the
-/// deterministic closed-loop client load, write the schema-versioned
-/// report, and/or gate against the committed `BENCH_serve.json`.
-fn servebench_cmd(args: &[String]) -> i32 {
-    let mut cfg = servebench::ServeBenchConfig::default();
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].clone();
-        i += 1;
-        let Some(v) = args.get(i).cloned() else {
-            eprintln!("missing value for {key}");
-            return 2;
-        };
-        let parse_usize = |v: &str, key: &str| -> Result<usize, i32> {
-            v.parse::<usize>().map_err(|_| {
-                eprintln!("{key} takes a non-negative integer, not {v}");
-                2
-            })
-        };
-        let r = (|| -> Result<(), i32> {
-            match key.as_str() {
-                "--out" => out = Some(v.clone()),
-                "--check" => check = Some(v.clone()),
-                "--world" => cfg.world = parse_usize(&v, &key)?.max(1),
-                "--nodes" => cfg.nodes = parse_usize(&v, &key)?,
-                "--archs" => cfg.archs = v.split(',').map(str::to_string).collect(),
-                "--clients" => cfg.clients = parse_usize(&v, &key)?.max(1),
-                "--requests" => cfg.requests = parse_usize(&v, &key)?.max(1),
-                "--ids-per-request" => cfg.ids_per_request = parse_usize(&v, &key)?.max(1),
-                "--max-batch" => cfg.max_batch = parse_usize(&v, &key)?.max(1),
-                "--max-delay-us" => cfg.max_delay_us = parse_usize(&v, &key)? as u64,
-                "--cache-rows" => cfg.cache_rows = parse_usize(&v, &key)?,
-                "--threads" => cfg.threads = parse_usize(&v, &key)?.max(1),
-                "--simd" => {
-                    if sar_tensor::simd::parse_mode(&v).is_none() {
-                        eprintln!("--simd must be auto or scalar, not {v}");
-                        return Err(2);
-                    }
-                    cfg.simd = v.clone();
-                }
-                "--seed" => cfg.seed = parse_usize(&v, &key)? as u64,
-                other => {
-                    eprintln!("unknown servebench flag: {other}");
-                    return Err(2);
-                }
-            }
-            Ok(())
-        })();
-        if let Err(code) = r {
-            return code;
-        }
-        i += 1;
-    }
-    let exe = match launcher::sibling_binary("sar-serve") {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("[repro] servebench: {e}");
+        if let Err(e) = applied {
+            eprintln!("{e}");
             return 2;
         }
-    };
-    let report = match servebench::run_servebench(&exe, &cfg) {
+    }
+    let report = match B::run(&cfg) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("[repro] servebench FAIL: {e}");
+            eprintln!("[repro] {name} FAIL: {e}");
             return 1;
         }
     };
-    servebench::print_table(&report);
+    report.print();
     if let Some(path) = &out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("[repro] cannot create {}: {e}", dir.display());
-                    return 2;
-                }
-            }
+        let written = match std::path::Path::new(path).parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
+            _ => Ok(()),
         }
-        match report.write_json(path) {
+        .and_then(|()| std::fs::write(path, report.to_json()));
+        match written {
             Ok(()) => eprintln!("[repro] wrote {path}"),
             Err(e) => {
-                eprintln!("[repro] {e}");
+                eprintln!("[repro] cannot write {path}: {e}");
                 return 2;
             }
         }
@@ -819,226 +402,20 @@ fn servebench_cmd(args: &[String]) -> i32 {
             Ok(c) => c,
             Err(e) => {
                 eprintln!(
-                    "[repro] servebench FAIL: no committed artifact at {path}: {e} — \
-                     generate one with `repro servebench --out {path}`"
+                    "[repro] {name} FAIL: no committed artifact at {path}: {e} — \
+                     generate one with `repro {name} --out {path}`"
                 );
                 return 1;
             }
         };
-        let violations = servebench::check_against(&report, &committed);
+        let violations = report.check_against(&committed);
         if !violations.is_empty() {
             for v in &violations {
-                eprintln!("[repro] servebench VIOLATION: {v}");
+                eprintln!("[repro] {name} VIOLATION: {v}");
             }
             return 1;
         }
-        eprintln!("[repro] servebench: structure and invariants consistent with {path}");
-    }
-    0
-}
-
-/// `repro outofcorebench [--out PATH] [--check PATH] [--transport sim,tcp]
-/// [--nodes N] [--train-budget BYTES] [--seed N] [--quick]`: run the
-/// out-of-core memory-flatness sweep and the --mem-budget training
-/// parity grid, write the schema-versioned report, and/or gate against
-/// the committed `BENCH_outofcore.json`.
-fn outofcorebench_cmd(args: &[String]) -> i32 {
-    let mut cfg = outofcorebench::OocBenchConfig::default();
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].clone();
-        if key == "--quick" {
-            cfg.quick = true;
-            i += 1;
-            continue;
-        }
-        i += 1;
-        let Some(v) = args.get(i).cloned() else {
-            eprintln!("missing value for {key}");
-            return 2;
-        };
-        let r = (|| -> Result<(), i32> {
-            let parse_u64 = |v: &str, key: &str| -> Result<u64, i32> {
-                v.parse::<u64>().map_err(|_| {
-                    eprintln!("{key} takes a non-negative integer, not {v}");
-                    2
-                })
-            };
-            match key.as_str() {
-                "--out" => out = Some(v.clone()),
-                "--check" => check = Some(v.clone()),
-                "--nodes" => cfg.nodes = parse_u64(&v, &key)? as usize,
-                "--train-budget" => cfg.train_budget = parse_u64(&v, &key)?,
-                "--seed" => cfg.seed = parse_u64(&v, &key)?,
-                "--transport" => {
-                    let ts: Vec<String> = v.split(',').map(str::to_string).collect();
-                    if ts.iter().any(|t| t != "sim" && t != "tcp") {
-                        eprintln!("--transport takes a comma list from: sim, tcp");
-                        return Err(2);
-                    }
-                    cfg.transports = ts;
-                }
-                other => {
-                    eprintln!("unknown outofcorebench flag: {other}");
-                    return Err(2);
-                }
-            }
-            Ok(())
-        })();
-        if let Err(code) = r {
-            return code;
-        }
-        i += 1;
-    }
-    let report = match outofcorebench::run_oocbench(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("[repro] outofcorebench FAIL: {e}");
-            return 1;
-        }
-    };
-    outofcorebench::print_table(&report);
-    if let Some(path) = &out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("[repro] cannot create {}: {e}", dir.display());
-                    return 2;
-                }
-            }
-        }
-        match report.write_json(path) {
-            Ok(()) => eprintln!("[repro] wrote {path}"),
-            Err(e) => {
-                eprintln!("[repro] {e}");
-                return 2;
-            }
-        }
-    }
-    if let Some(path) = &check {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!(
-                    "[repro] outofcorebench FAIL: no committed artifact at {path}: {e} — \
-                     generate one with `repro outofcorebench --out {path}`"
-                );
-                return 1;
-            }
-        };
-        let violations = outofcorebench::check_against(&report, &committed);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("[repro] outofcorebench VIOLATION: {v}");
-            }
-            return 1;
-        }
-        eprintln!("[repro] outofcorebench: structure and invariants consistent with {path}");
-    }
-    0
-}
-
-/// `repro compressbench [--out PATH] [--check PATH] [--transport sim,tcp]
-/// [--world N] [--nodes N] [--epochs N] [--seed N] [--quick]`: run the
-/// codec/protocol grid, write the schema-versioned report, and/or gate
-/// against the committed `BENCH_compress.json`.
-fn compressbench_cmd(args: &[String]) -> i32 {
-    let mut cfg = compressbench::CompressBenchConfig::default();
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].clone();
-        if key == "--quick" {
-            cfg.quick = true;
-            i += 1;
-            continue;
-        }
-        i += 1;
-        let Some(v) = args.get(i).cloned() else {
-            eprintln!("missing value for {key}");
-            return 2;
-        };
-        let parse_usize = |v: &str, key: &str| -> Result<usize, i32> {
-            v.parse::<usize>().map_err(|_| {
-                eprintln!("{key} takes a non-negative integer, not {v}");
-                2
-            })
-        };
-        let r = (|| -> Result<(), i32> {
-            match key.as_str() {
-                "--out" => out = Some(v.clone()),
-                "--check" => check = Some(v.clone()),
-                "--world" => cfg.world = parse_usize(&v, &key)?.max(1),
-                "--nodes" => cfg.nodes = parse_usize(&v, &key)?,
-                "--epochs" => cfg.epochs = parse_usize(&v, &key)?.max(1),
-                "--seed" => cfg.seed = parse_usize(&v, &key)? as u64,
-                "--transport" => {
-                    let ts: Vec<String> = v.split(',').map(str::to_string).collect();
-                    if ts.iter().any(|t| t != "sim" && t != "tcp") {
-                        eprintln!("--transport takes a comma list from: sim, tcp");
-                        return Err(2);
-                    }
-                    cfg.transports = ts;
-                }
-                other => {
-                    eprintln!("unknown compressbench flag: {other}");
-                    return Err(2);
-                }
-            }
-            Ok(())
-        })();
-        if let Err(code) = r {
-            return code;
-        }
-        i += 1;
-    }
-    let report = match compressbench::run_compressbench(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("[repro] compressbench FAIL: {e}");
-            return 1;
-        }
-    };
-    compressbench::print_table(&report);
-    if let Some(path) = &out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("[repro] cannot create {}: {e}", dir.display());
-                    return 2;
-                }
-            }
-        }
-        match report.write_json(path) {
-            Ok(()) => eprintln!("[repro] wrote {path}"),
-            Err(e) => {
-                eprintln!("[repro] {e}");
-                return 2;
-            }
-        }
-    }
-    if let Some(path) = &check {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!(
-                    "[repro] compressbench FAIL: no committed artifact at {path}: {e} — \
-                     generate one with `repro compressbench --out {path}`"
-                );
-                return 1;
-            }
-        };
-        let violations = compressbench::check_against(&report, &committed);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("[repro] compressbench VIOLATION: {v}");
-            }
-            return 1;
-        }
-        eprintln!("[repro] compressbench: structure and invariants consistent with {path}");
+        eprintln!("[repro] {name}: structure and invariants consistent with {path}");
     }
     0
 }
@@ -1046,26 +423,25 @@ fn compressbench_cmd(args: &[String]) -> i32 {
 /// `repro overlap-check --current PATH --committed PATH`: diff a fresh
 /// `BENCH_overlap.json` against the committed copy (run-set identity and
 /// ledger invariants; timings are not compared).
-fn overlap_check_cmd(args: &[String]) -> i32 {
+fn overlap_check_cmd(mut args: Args) -> i32 {
     let mut current: Option<String> = None;
     let mut committed: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].clone();
-        i += 1;
-        let Some(v) = args.get(i).cloned() else {
-            eprintln!("missing value for {key}");
-            return 2;
-        };
-        match key.as_str() {
-            "--current" => current = Some(v),
-            "--committed" => committed = Some(v),
+    while let Some(flag) = args.next_flag() {
+        let slot = match flag.as_str() {
+            "--current" => &mut current,
+            "--committed" => &mut committed,
             other => {
                 eprintln!("unknown overlap-check flag: {other}");
                 return 2;
             }
+        };
+        match args.value(&flag) {
+            Ok(v) => *slot = Some(v),
+            Err(e) => {
+                eprintln!("{e}");
+                return 2;
+            }
         }
-        i += 1;
     }
     let (Some(current), Some(committed)) = (current, committed) else {
         eprintln!("overlap-check needs --current PATH and --committed PATH");
@@ -1080,7 +456,7 @@ fn overlap_check_cmd(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let violations = kernelbench::overlap_check(&cur, &base);
+    let violations = smoke::overlap_check(&cur, &base);
     if !violations.is_empty() {
         for v in &violations {
             eprintln!("[repro] overlap-check VIOLATION: {v}");
@@ -1092,36 +468,35 @@ fn overlap_check_cmd(args: &[String]) -> i32 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let mut args = Args::from_env();
+    let Some(experiment) = args.next_flag() else {
         eprintln!("usage: repro <experiment|all> [flags] — see crate docs");
         std::process::exit(2);
+    };
+    match experiment.as_str() {
+        "kernelbench" => std::process::exit(gated_bench_cmd::<BenchReport>(args)),
+        "servebench" => std::process::exit(gated_bench_cmd::<ServeBenchReport>(args)),
+        "compressbench" => std::process::exit(gated_bench_cmd::<CompressBenchReport>(args)),
+        "outofcorebench" => std::process::exit(gated_bench_cmd::<OocBenchReport>(args)),
+        "overlap-check" => std::process::exit(overlap_check_cmd(args)),
+        _ => {}
     }
-    if args[0] == "kernelbench" {
-        std::process::exit(kernelbench_cmd(&args[1..]));
-    }
-    if args[0] == "overlap-check" {
-        std::process::exit(overlap_check_cmd(&args[1..]));
-    }
-    if args[0] == "servebench" {
-        std::process::exit(servebench_cmd(&args[1..]));
-    }
-    if args[0] == "compressbench" {
-        std::process::exit(compressbench_cmd(&args[1..]));
-    }
-    if args[0] == "outofcorebench" {
-        std::process::exit(outofcorebench_cmd(&args[1..]));
-    }
-    let flags = parse_flags(&args[1..]);
-    let (cfg, worlds, transport) = (&flags.cfg, &flags.worlds, &flags.transport);
+    let flags = parse_flags(args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let (cfg, worlds) = (&flags.cfg, &flags.worlds);
     eprintln!(
         "[repro] products-like n={}, papers-like n={}, epochs={}, timing-epochs={}, bw-scale={}",
         cfg.products_nodes, cfg.papers_nodes, cfg.epochs, cfg.timing_epochs, cfg.bandwidth_scale
     );
-    if args[0] == "smoke" {
+    if experiment == "smoke" {
         let violations = smoke(&flags);
         if violations.is_empty() {
-            eprintln!("[repro] smoke ({transport}): all ledger invariants hold");
+            eprintln!(
+                "[repro] smoke ({}): all ledger invariants hold",
+                flags.transport.name()
+            );
         } else {
             for v in &violations {
                 eprintln!("[repro] smoke VIOLATION: {v}");
@@ -1130,7 +505,7 @@ fn main() {
         }
         return;
     }
-    if args[0] == "all" {
+    if experiment == "all" {
         for name in [
             "table1",
             "fig2",
@@ -1147,6 +522,6 @@ fn main() {
             run(name, cfg, worlds.as_deref());
         }
     } else {
-        run(&args[0], cfg, worlds.as_deref());
+        run(&experiment, cfg, worlds.as_deref());
     }
 }

@@ -4,22 +4,11 @@
 //! sar-serve --spawn-local N [flags]                # launcher mode
 //! sar-serve --rank R --world N --rendezvous-file PATH [flags]
 //!
-//! workload flags (identical on every rank — each process rebuilds the
-//! dataset, partitioning and model deterministically from them; the
-//! vocabulary is shared with sar-worker, and training-only flags are
-//! accepted and ignored so one flag list can drive both binaries):
-//!   --dataset products|papers    synthetic stand-in        (products)
-//!   --nodes N                    stand-in size             (1500)
-//!   --arch sage|gcn|gat          model architecture        (sage)
-//!   --hidden N                   hidden size / GAT head dim (64)
-//!   --heads N                    GAT attention heads       (4)
-//!   --mode sar|sar-fak           execution mode            (sar)
-//!   --layers N                   GNN depth                 (3)
-//!   --no-label-aug               disable masked label prediction
-//!   --partitioner ml|random|range|bfs               (ml)
-//!   --seed N                                        (0)
-//!   --threads N                  intra-rank kernel threads (1)
-//!   --simd auto|scalar           SIMD dispatch mode (auto)
+//! workload flags: the shared vocabulary documented on
+//! `sar_bench::distrun::Workload` and tabulated in the README,
+//! identical on every rank. Serving reads the dataset, model and kernel
+//! fields; the training-only ones (`--epochs`, `--lr`, `--codec`, …) are
+//! parsed and ignored, so one flag list can drive both binaries.
 //!
 //! serving flags:
 //!   --checkpoint PATH            parameter checkpoint every rank loads
@@ -45,6 +34,7 @@
 
 use std::time::Duration;
 
+use sar_bench::cli::Args;
 use sar_bench::distrun::Workload;
 use sar_bench::launcher;
 use sar_bench::serverun::{run_serve_rank, ServeRankOpts};
@@ -68,7 +58,7 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_cli() -> Cli {
+fn parse_cli(mut args: Args) -> Result<Cli, String> {
     let mut cli = Cli {
         spawn_local: None,
         rank: None,
@@ -81,76 +71,31 @@ fn parse_cli() -> Cli {
         cache_rows: 4096,
         workload: Workload::default(),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        let mut value = || -> String {
-            i += 1;
-            argv.get(i)
-                .cloned()
-                .unwrap_or_else(|| fail(&format!("missing value for {flag}")))
-        };
-        let w = &mut cli.workload;
+    while let Some(flag) = args.next_flag() {
+        let flag = flag.as_str();
         match flag {
-            "--spawn-local" => {
-                cli.spawn_local = Some(value().parse().unwrap_or_else(|_| fail("--spawn-local")))
-            }
-            "--rank" => cli.rank = Some(value().parse().unwrap_or_else(|_| fail("--rank"))),
-            "--world" => cli.world = Some(value().parse().unwrap_or_else(|_| fail("--world"))),
-            "--rendezvous-file" => cli.rendezvous_file = Some(value().into()),
+            "--spawn-local" => cli.spawn_local = Some(args.parsed(flag)?),
+            "--rank" => cli.rank = Some(args.parsed(flag)?),
+            "--world" => cli.world = Some(args.parsed(flag)?),
+            "--rendezvous-file" => cli.rendezvous_file = Some(args.value(flag)?.into()),
             "--rendezvous-timeout-secs" => {
-                cli.rendezvous_timeout = Duration::from_secs(
-                    value()
-                        .parse()
-                        .unwrap_or_else(|_| fail("--rendezvous-timeout-secs")),
-                )
+                cli.rendezvous_timeout = Duration::from_secs(args.parsed(flag)?);
             }
-            "--checkpoint" => cli.checkpoint = Some(value().into()),
-            "--client-addr-file" => cli.client_addr_file = Some(value().into()),
-            "--max-batch" => {
-                cli.server.max_batch = value().parse().unwrap_or_else(|_| fail("--max-batch"))
-            }
-            "--max-delay-us" => {
-                cli.server.max_delay = Duration::from_micros(
-                    value().parse().unwrap_or_else(|_| fail("--max-delay-us")),
-                )
-            }
-            "--queue-cap" => {
-                cli.server.queue_cap = value().parse().unwrap_or_else(|_| fail("--queue-cap"))
-            }
-            "--cache-rows" => {
-                cli.cache_rows = value().parse().unwrap_or_else(|_| fail("--cache-rows"))
-            }
-            "--dataset" => w.dataset = value(),
-            "--nodes" => w.nodes = value().parse().unwrap_or_else(|_| fail("--nodes")),
-            "--arch" => w.arch = value(),
-            "--hidden" => w.hidden = value().parse().unwrap_or_else(|_| fail("--hidden")),
-            "--heads" => w.heads = value().parse().unwrap_or_else(|_| fail("--heads")),
-            "--mode" => w.mode = value(),
-            "--layers" => w.layers = value().parse().unwrap_or_else(|_| fail("--layers")),
-            "--jk" => w.jk = true,
-            "--no-label-aug" => w.label_aug = false,
-            "--partitioner" => w.partitioner = value(),
-            "--seed" => w.seed = value().parse().unwrap_or_else(|_| fail("--seed")),
-            "--threads" => w.threads = value().parse().unwrap_or_else(|_| fail("--threads")),
-            "--simd" => w.simd = value(),
-            // Training-only workload flags, accepted for vocabulary
-            // parity with sar-worker and ignored by serving.
-            "--epochs" | "--lr" | "--dropout" | "--aug-frac" | "--schedule"
-            | "--prefetch-depth" | "--codec" | "--protocol" | "--mem-budget" => {
-                let _ = value();
-            }
-            "--cs" => {}
+            "--checkpoint" => cli.checkpoint = Some(args.value(flag)?.into()),
+            "--client-addr-file" => cli.client_addr_file = Some(args.value(flag)?.into()),
+            "--max-batch" => cli.server.max_batch = args.parsed(flag)?,
+            "--max-delay-us" => cli.server.max_delay = Duration::from_micros(args.parsed(flag)?),
+            "--queue-cap" => cli.server.queue_cap = args.parsed(flag)?,
+            "--cache-rows" => cli.cache_rows = args.parsed(flag)?,
             "--help" | "-h" => {
                 eprintln!("see the doc comment at the top of crates/bench/src/bin/sar-serve.rs");
                 std::process::exit(0);
             }
-            other => fail(&format!("unknown flag {other}")),
+            _ if cli.workload.apply_flag(flag, &mut args)? => {}
+            other => return Err(format!("unknown flag {other}")),
         }
-        i += 1;
     }
-    cli
+    Ok(cli)
 }
 
 /// `--spawn-local N`: re-exec this binary once per rank and wait. The
@@ -198,7 +143,7 @@ fn spawn_local(n: usize, cli: &Cli) -> ! {
 }
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(Args::from_env()).unwrap_or_else(|e| fail(&e));
     if let Some(n) = cli.spawn_local {
         if cli.rank.is_some() || cli.rendezvous_file.is_some() {
             fail("--spawn-local is exclusive with --rank/--rendezvous-file");

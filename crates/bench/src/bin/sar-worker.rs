@@ -4,40 +4,10 @@
 //! sar-worker --spawn-local N [workload flags]      # launcher mode
 //! sar-worker --rank R --world N --rendezvous-file PATH [workload flags]
 //!
-//! workload flags (identical on every rank — each process rebuilds the
-//! dataset, partitioning and model deterministically from them):
-//!   --dataset products|papers    synthetic stand-in        (products)
-//!   --nodes N                    stand-in size             (1500)
-//!   --arch sage|gcn|gat          model architecture        (sage)
-//!   --hidden N                   hidden size / GAT head dim (64)
-//!   --heads N                    GAT attention heads       (4)
-//!   --mode sar|sar-fak|dp        execution mode            (sar)
-//!   --layers N                   GNN depth                 (3)
-//!   --jk                         jumping-knowledge skips
-//!   --epochs N                   training epochs           (3)
-//!   --lr X                       base learning rate        (0.01)
-//!   --dropout X                  dropout probability       (0.3)
-//!   --no-label-aug               disable masked label prediction
-//!   --aug-frac X                 label-augmentation fraction (0.5)
-//!   --cs                         Correct & Smooth post-processing
-//!   --prefetch-depth K           fetch pipeline depth: (K+2)/N memory,
-//!                                0 = sequential, 1 = paper's 3/N (0)
-//!   --partitioner ml|random|range|bfs               (ml)
-//!   --schedule constant|step     learning-rate schedule (constant)
-//!   --seed N                                        (0)
-//!   --threads N                  intra-worker kernel threads (1);
-//!                                results are bitwise identical
-//!                                across thread counts
-//!   --simd auto|scalar           SIMD dispatch mode (auto); results
-//!                                are bitwise identical across modes
-//!   --codec raw|f16|bf16|int8|delta
-//!                                wire codec for compressible payloads
-//!                                (raw); negotiated at the rendezvous,
-//!                                so every rank must agree
-//!   --protocol exact|gradonly|stale:<r>
-//!                                exchange protocol (exact); approximate
-//!                                protocols trade accuracy for wire
-//!                                volume, evaluation always runs exact
+//! workload flags: the shared vocabulary documented on
+//! `sar_bench::distrun::Workload` and tabulated in the README,
+//! identical on every rank — each process rebuilds the dataset,
+//! partitioning and model deterministically from them.
 //!
 //! rank-0-only outputs:
 //!   --experiment NAME            report label       (<arch>-<mode>)
@@ -45,12 +15,6 @@
 //!   --check smoke                apply the smoke ledger invariants to
 //!                                the gathered report; exit 1 on any
 //!                                violation
-//!   --digest-out PATH            write the run's determinism digest
-//!                                (losses + per-worker byte ledgers) for
-//!                                cross-thread-count parity checks
-//!   --overlap-out PATH           write the per-phase blocked-vs-wall
-//!                                overlap summary JSON (the fragment
-//!                                repro embeds into BENCH_overlap.json)
 //!
 //! other:
 //!   --rendezvous-timeout-secs N  poll budget for the rendezvous file (60)
@@ -65,6 +29,7 @@
 
 use std::time::Duration;
 
+use sar_bench::cli::Args;
 use sar_bench::distrun::{run_rank, RankOpts, Workload};
 use sar_bench::{launcher, smoke};
 
@@ -77,8 +42,6 @@ struct Cli {
     experiment: Option<String>,
     out: Option<String>,
     check: Option<String>,
-    digest_out: Option<String>,
-    overlap_out: Option<String>,
     workload: Workload,
 }
 
@@ -87,7 +50,7 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_cli() -> Cli {
+fn parse_cli(mut args: Args) -> Result<Cli, String> {
     let mut cli = Cli {
         spawn_local: None,
         rank: None,
@@ -97,81 +60,36 @@ fn parse_cli() -> Cli {
         experiment: None,
         out: None,
         check: None,
-        digest_out: None,
-        overlap_out: None,
         workload: Workload::default(),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        let mut value = || -> String {
-            i += 1;
-            argv.get(i)
-                .cloned()
-                .unwrap_or_else(|| fail(&format!("missing value for {flag}")))
-        };
-        let w = &mut cli.workload;
+    while let Some(flag) = args.next_flag() {
+        let flag = flag.as_str();
         match flag {
-            "--spawn-local" => {
-                cli.spawn_local = Some(value().parse().unwrap_or_else(|_| fail("--spawn-local")))
-            }
-            "--rank" => cli.rank = Some(value().parse().unwrap_or_else(|_| fail("--rank"))),
-            "--world" => cli.world = Some(value().parse().unwrap_or_else(|_| fail("--world"))),
-            "--rendezvous-file" => cli.rendezvous_file = Some(value().into()),
+            "--spawn-local" => cli.spawn_local = Some(args.parsed(flag)?),
+            "--rank" => cli.rank = Some(args.parsed(flag)?),
+            "--world" => cli.world = Some(args.parsed(flag)?),
+            "--rendezvous-file" => cli.rendezvous_file = Some(args.value(flag)?.into()),
             "--rendezvous-timeout-secs" => {
-                cli.rendezvous_timeout = Duration::from_secs(
-                    value()
-                        .parse()
-                        .unwrap_or_else(|_| fail("--rendezvous-timeout-secs")),
-                )
+                cli.rendezvous_timeout = Duration::from_secs(args.parsed(flag)?);
             }
-            "--experiment" => cli.experiment = Some(value()),
-            "--out" => cli.out = Some(value()),
-            "--check" => cli.check = Some(value()),
-            "--digest-out" => cli.digest_out = Some(value()),
-            "--overlap-out" => cli.overlap_out = Some(value()),
-            "--dataset" => w.dataset = value(),
-            "--nodes" => w.nodes = value().parse().unwrap_or_else(|_| fail("--nodes")),
-            "--arch" => w.arch = value(),
-            "--hidden" => w.hidden = value().parse().unwrap_or_else(|_| fail("--hidden")),
-            "--heads" => w.heads = value().parse().unwrap_or_else(|_| fail("--heads")),
-            "--mode" => w.mode = value(),
-            "--layers" => w.layers = value().parse().unwrap_or_else(|_| fail("--layers")),
-            "--jk" => w.jk = true,
-            "--epochs" => w.epochs = value().parse().unwrap_or_else(|_| fail("--epochs")),
-            "--lr" => w.lr = value().parse().unwrap_or_else(|_| fail("--lr")),
-            "--dropout" => w.dropout = value().parse().unwrap_or_else(|_| fail("--dropout")),
-            "--no-label-aug" => w.label_aug = false,
-            "--aug-frac" => w.aug_frac = value().parse().unwrap_or_else(|_| fail("--aug-frac")),
-            "--cs" => w.cs = true,
-            "--prefetch-depth" => {
-                w.prefetch_depth = value().parse().unwrap_or_else(|_| fail("--prefetch-depth"))
-            }
-            "--partitioner" => w.partitioner = value(),
-            "--schedule" => w.schedule = value(),
-            "--seed" => w.seed = value().parse().unwrap_or_else(|_| fail("--seed")),
-            "--threads" => w.threads = value().parse().unwrap_or_else(|_| fail("--threads")),
-            "--simd" => w.simd = value(),
-            "--codec" => w.codec = value(),
-            "--protocol" => w.protocol = value(),
-            "--mem-budget" => {
-                w.mem_budget = value().parse().unwrap_or_else(|_| fail("--mem-budget"))
+            "--experiment" => cli.experiment = Some(args.value(flag)?),
+            "--out" => cli.out = Some(args.value(flag)?),
+            "--check" => {
+                let check = args.value(flag)?;
+                if check != "smoke" {
+                    return Err(format!("unknown --check {check} (only: smoke)"));
+                }
+                cli.check = Some(check);
             }
             "--help" | "-h" => {
                 eprintln!("see the doc comment at the top of crates/bench/src/bin/sar-worker.rs");
                 std::process::exit(0);
             }
-            other => fail(&format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-    if let Some(check) = &cli.check {
-        if check != "smoke" {
-            fail(&format!("unknown --check {check} (only: smoke)"));
+            _ if cli.workload.apply_flag(flag, &mut args)? => {}
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    cli
+    Ok(cli)
 }
 
 /// `--spawn-local N`: re-exec this binary once per rank and wait.
@@ -186,20 +104,14 @@ fn spawn_local(n: usize, cli: &Cli) -> ! {
         "--rendezvous-timeout-secs".to_string(),
         cli.rendezvous_timeout.as_secs().to_string(),
     ]);
-    if let Some(exp) = &cli.experiment {
-        args.extend(["--experiment".to_string(), exp.clone()]);
-    }
-    if let Some(out) = &cli.out {
-        args.extend(["--out".to_string(), out.clone()]);
-    }
-    if let Some(check) = &cli.check {
-        args.extend(["--check".to_string(), check.clone()]);
-    }
-    if let Some(digest) = &cli.digest_out {
-        args.extend(["--digest-out".to_string(), digest.clone()]);
-    }
-    if let Some(overlap) = &cli.overlap_out {
-        args.extend(["--overlap-out".to_string(), overlap.clone()]);
+    for (flag, value) in [
+        ("--experiment", &cli.experiment),
+        ("--out", &cli.out),
+        ("--check", &cli.check),
+    ] {
+        if let Some(value) = value {
+            args.extend([flag.to_string(), value.clone()]);
+        }
     }
     eprintln!(
         "[sar-worker] spawning {n} local rank processes ({} / {} on {} nodes) ...",
@@ -218,7 +130,7 @@ fn spawn_local(n: usize, cli: &Cli) -> ! {
 }
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(Args::from_env()).unwrap_or_else(|e| fail(&e));
     if let Some(n) = cli.spawn_local {
         if cli.rank.is_some() || cli.rendezvous_file.is_some() {
             fail("--spawn-local is exclusive with --rank/--rendezvous-file");
@@ -268,16 +180,6 @@ fn main() {
                     .write_json(path)
                     .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
                 eprintln!("[sar-worker] wrote {path}");
-            }
-            if let Some(path) = &cli.digest_out {
-                std::fs::write(path, report.parity_digest())
-                    .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-                eprintln!("[sar-worker] wrote digest {path}");
-            }
-            if let Some(path) = &cli.overlap_out {
-                std::fs::write(path, report.overlap_json())
-                    .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-                eprintln!("[sar-worker] wrote overlap summary {path}");
             }
             if cli.check.as_deref() == Some("smoke") {
                 let violations = smoke::violations(&report, cli.workload.epochs);

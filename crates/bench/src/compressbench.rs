@@ -5,10 +5,9 @@
 //! `{wire codec} × {exchange protocol}` combinations and records, per
 //! run, the accuracy outcome plus the *logical* (raw-f32) and *wire*
 //! (post-codec) byte volumes of the fetch and gradient-routing phases.
-//! Simulated runs train in-process; the TCP subset spawns one
-//! `sar-worker` OS process per rank over loopback and reads back the
-//! gathered `RunReport` JSON, so the negotiated wire path is measured
-//! end to end.
+//! Every cell goes through [`run_workload`]: simulated runs train
+//! in-process, the TCP subset runs one `sar-worker` OS process per rank
+//! over loopback, so the negotiated wire path is measured end to end.
 //!
 //! Following the `BENCH_kernels.json` precedent, the committed artifact
 //! is never compared on timing magnitudes — epoch times are recorded for
@@ -25,14 +24,16 @@
 //!   fetch volume,
 //! * the `raw`/`exact` parity digest agrees between the simulated and
 //!   the TCP transport (the codec layer cannot perturb training),
-//! * every run's final loss is finite and its validation accuracy stays
-//!   within [`ACC_FLOOR`] of the same transport's `raw`/`exact` run.
+//! * every run's final loss is finite, its recorded epoch time is
+//!   positive, and its validation accuracy stays within [`ACC_FLOOR`]
+//!   of the same transport's `raw`/`exact` run.
 
-use std::path::Path;
+use crate::json::{fixed, obj, Value};
 
-use crate::kernelbench::{parse_json, JsonValue};
-use crate::report::RunReport;
-use crate::{launcher, smoke};
+use crate::cli::{parse_committed, Args, GatedBench};
+use crate::distrun::Workload;
+use crate::harness::{run_workload, Transport};
+use crate::smoke;
 
 /// Schema tag written into (and required from) `BENCH_compress.json`.
 /// Bump whenever the grid, the counters or the field layout change; the
@@ -61,8 +62,8 @@ pub struct CompressBenchConfig {
     pub epochs: usize,
     /// Seed for the dataset, the partitioning and the model.
     pub seed: u64,
-    /// Transports to run (`"sim"`, `"tcp"`); the TCP grid is a subset.
-    pub transports: Vec<String>,
+    /// Transports to run; the TCP grid is a subset.
+    pub transports: Vec<Transport>,
     /// Trim the grid for local iteration (the committed artifact is
     /// always generated at full scale).
     pub quick: bool,
@@ -75,7 +76,7 @@ impl Default for CompressBenchConfig {
             nodes: 1200,
             epochs: 8,
             seed: 0,
-            transports: vec!["sim".into(), "tcp".into()],
+            transports: vec![Transport::Sim, Transport::Tcp],
             quick: false,
         }
     }
@@ -187,7 +188,7 @@ pub fn fingerprint(text: &str) -> String {
 fn cell_workload(
     cfg: &CompressBenchConfig,
     (arch, codec, protocol): Cell,
-) -> Result<crate::distrun::Workload, String> {
+) -> Result<Workload, String> {
     let mut wl = smoke::workload(arch, cfg.nodes, cfg.seed)?;
     wl.epochs = cfg.epochs;
     wl.codec = codec.to_string();
@@ -203,254 +204,48 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-// ----------------------------------------------------------------------
-// Simulated runs (in-process)
-// ----------------------------------------------------------------------
-
-fn run_sim(cfg: &CompressBenchConfig, cell: Cell) -> Result<CompressRun, String> {
+/// Runs one grid cell on `transport` and distills its report.
+fn run_cell(
+    cfg: &CompressBenchConfig,
+    cell: Cell,
+    transport: Transport,
+) -> Result<CompressRun, String> {
     let (arch, codec, protocol) = cell;
     let wl = cell_workload(cfg, cell)?;
-    let (dataset, part) = wl.build_data(cfg.world)?;
-    let tcfg = wl.train_config(&dataset)?;
-    eprintln!("[compressbench] sim: {arch} codec={codec} protocol={protocol} ...");
-    let run = sar_core::train(&dataset, &part, sar_comm::CostModel::default(), &tcfg);
-
-    let total = |phase: sar_comm::Phase| {
-        run.worker_comm.iter().fold((0u64, 0u64, 0u64), |acc, c| {
-            let e = c.ledger.phase_total(phase);
-            (
-                acc.0 + e.sent_bytes,
-                acc.1 + e.wire_sent_bytes,
-                acc.2 + e.sent_messages,
-            )
-        })
+    eprintln!(
+        "[compressbench] {}: {arch} codec={codec} protocol={protocol} ...",
+        transport.name()
+    );
+    let experiment = format!("compressbench-{arch}-{codec}-{protocol}");
+    let report = run_workload(&wl, cfg.world, transport, &experiment)
+        .map_err(|e| format!("{}/{arch}/{codec}/{protocol}: {e}", transport.name()))?;
+    let sum = |phases: &[&str], f: fn(&crate::report::PhaseRow) -> u64| -> u64 {
+        report
+            .workers
+            .iter()
+            .flat_map(|w| phases.iter().map(move |p| w.phase_sum(p, f)))
+            .sum()
     };
-    let fwd = total(sar_comm::Phase::ForwardFetch);
-    let refetch = total(sar_comm::Phase::BackwardRefetch);
-    let grad = total(sar_comm::Phase::GradRouting);
-
-    let digest = (codec == "raw" && protocol == "exact").then(|| {
-        let report = RunReport::from_train("compressbench", arch, &wl.mode, &run);
-        fingerprint(&report.parity_digest())
-    });
+    let fetch = ["forward_fetch", "backward_refetch"];
+    let grad = ["grad_routing"];
     Ok(CompressRun {
-        transport: "sim".into(),
+        transport: transport.name().into(),
         arch: arch.into(),
         codec: codec.into(),
         protocol: protocol.into(),
-        final_loss: f64::from(run.losses.last().copied().unwrap_or(f32::NAN)),
-        val_acc: run.val_acc,
-        test_acc: run.test_acc,
-        fetch_logical_bytes: fwd.0 + refetch.0,
-        fetch_wire_bytes: fwd.1 + refetch.1,
-        fetch_messages: fwd.2 + refetch.2,
-        grad_logical_bytes: grad.0,
-        grad_wire_bytes: grad.1,
-        grad_messages: grad.2,
-        epoch_time_s: mean(&run.epoch_times),
-        digest,
+        final_loss: f64::from(report.losses.last().copied().unwrap_or(f32::NAN)),
+        val_acc: report.val_acc,
+        test_acc: report.test_acc,
+        fetch_logical_bytes: sum(&fetch, |p| p.sent_bytes),
+        fetch_wire_bytes: sum(&fetch, |p| p.wire_sent_bytes),
+        fetch_messages: sum(&fetch, |p| p.sent_messages),
+        grad_logical_bytes: sum(&grad, |p| p.sent_bytes),
+        grad_wire_bytes: sum(&grad, |p| p.wire_sent_bytes),
+        grad_messages: sum(&grad, |p| p.sent_messages),
+        epoch_time_s: mean(&report.epoch_times),
+        digest: (codec == "raw" && protocol == "exact")
+            .then(|| fingerprint(&report.parity_digest())),
     })
-}
-
-// ----------------------------------------------------------------------
-// TCP runs (one sar-worker process per rank)
-// ----------------------------------------------------------------------
-
-/// Sums `(sent_bytes, wire_sent_bytes, sent_messages)` over every
-/// worker's ledger rows whose phase is in `phases`, from a gathered
-/// `RunReport` JSON document.
-fn sum_phases(doc: &JsonValue, phases: &[&str]) -> Result<(u64, u64, u64), String> {
-    let workers = doc
-        .get("workers")
-        .and_then(JsonValue::arr)
-        .ok_or("report has no workers array")?;
-    let mut acc = (0u64, 0u64, 0u64);
-    for w in workers {
-        for row in w.get("phases").and_then(JsonValue::arr).unwrap_or_default() {
-            let phase = row.get("phase").and_then(JsonValue::str).unwrap_or("");
-            if !phases.contains(&phase) {
-                continue;
-            }
-            let num = |k: &str| -> Result<u64, String> {
-                row.get(k)
-                    .and_then(JsonValue::num)
-                    .map(|v| v as u64)
-                    .ok_or_else(|| format!("ledger row is missing {k}"))
-            };
-            acc.0 += num("sent_bytes")?;
-            acc.1 += num("wire_sent_bytes")?;
-            acc.2 += num("sent_messages")?;
-        }
-    }
-    Ok(acc)
-}
-
-fn run_tcp(exe: &Path, cfg: &CompressBenchConfig, cell: Cell) -> Result<CompressRun, String> {
-    let (arch, codec, protocol) = cell;
-    let wl = cell_workload(cfg, cell)?;
-    let uniq = format!(
-        "{}-{arch}-{codec}-{}",
-        std::process::id(),
-        protocol.replace(':', "-")
-    );
-    let out = std::env::temp_dir().join(format!("sar-compressbench-{uniq}.json"));
-    let digest_path = std::env::temp_dir().join(format!("sar-compressbench-{uniq}.digest"));
-    let mut args = wl.to_args();
-    args.extend([
-        "--experiment".to_string(),
-        format!("compressbench-{arch}-{codec}-{protocol}"),
-        "--out".to_string(),
-        out.display().to_string(),
-        "--digest-out".to_string(),
-        digest_path.display().to_string(),
-    ]);
-    eprintln!("[compressbench] tcp: {arch} codec={codec} protocol={protocol} ...");
-    let result = (|| -> Result<CompressRun, String> {
-        launcher::spawn_ranks(exe, cfg.world, &args)?;
-        let text = std::fs::read_to_string(&out)
-            .map_err(|e| format!("rank 0 wrote no report at {}: {e}", out.display()))?;
-        let doc = parse_json(&text).map_err(|e| format!("gathered report: {e}"))?;
-        let losses = doc
-            .get("losses")
-            .and_then(JsonValue::arr)
-            .unwrap_or_default();
-        let final_loss = losses
-            .last()
-            .and_then(JsonValue::num)
-            .ok_or("gathered report has no losses")?;
-        let acc = |k: &str| doc.get(k).and_then(JsonValue::num).unwrap_or(f64::NAN);
-        let epoch_times: Vec<f64> = doc
-            .get("epoch_times")
-            .and_then(JsonValue::arr)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(JsonValue::num)
-            .collect();
-        let fetch = sum_phases(&doc, &["forward_fetch", "backward_refetch"])?;
-        let grad = sum_phases(&doc, &["grad_routing"])?;
-        let digest = if codec == "raw" && protocol == "exact" {
-            let d = std::fs::read_to_string(&digest_path)
-                .map_err(|e| format!("rank 0 wrote no digest at {}: {e}", digest_path.display()))?;
-            Some(fingerprint(&d))
-        } else {
-            None
-        };
-        Ok(CompressRun {
-            transport: "tcp".into(),
-            arch: arch.into(),
-            codec: codec.into(),
-            protocol: protocol.into(),
-            final_loss,
-            val_acc: acc("val_acc"),
-            test_acc: acc("test_acc"),
-            fetch_logical_bytes: fetch.0,
-            fetch_wire_bytes: fetch.1,
-            fetch_messages: fetch.2,
-            grad_logical_bytes: grad.0,
-            grad_wire_bytes: grad.1,
-            grad_messages: grad.2,
-            epoch_time_s: mean(&epoch_times),
-            digest,
-        })
-    })();
-    let _ = std::fs::remove_file(&out);
-    let _ = std::fs::remove_file(&digest_path);
-    result.map_err(|e| format!("{arch}/{codec}/{protocol}: {e}"))
-}
-
-/// Runs the configured grid: the sim sweep in-process, then the TCP
-/// subset as real OS processes.
-///
-/// # Errors
-///
-/// Propagates workload, spawn and report-parsing failures, naming the
-/// grid cell.
-pub fn run_compressbench(cfg: &CompressBenchConfig) -> Result<CompressBenchReport, String> {
-    let mut runs = Vec::new();
-    if cfg.transports.iter().any(|t| t == "sim") {
-        for cell in sim_grid(cfg.quick) {
-            runs.push(run_sim(cfg, cell)?);
-        }
-    }
-    if cfg.transports.iter().any(|t| t == "tcp") {
-        let exe = launcher::sibling_binary("sar-worker")?;
-        for cell in tcp_grid(cfg.quick) {
-            runs.push(run_tcp(&exe, cfg, cell)?);
-        }
-    }
-    Ok(CompressBenchReport {
-        world: cfg.world,
-        nodes: cfg.nodes,
-        epochs: cfg.epochs,
-        runs,
-    })
-}
-
-// ----------------------------------------------------------------------
-// JSON report
-// ----------------------------------------------------------------------
-
-fn fmt_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".into()
-    }
-}
-
-impl CompressBenchReport {
-    /// Serializes the report as the schema-versioned
-    /// `BENCH_compress.json` document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(s, "  \"world\": {},", self.world);
-        let _ = writeln!(s, "  \"nodes\": {},", self.nodes);
-        let _ = writeln!(s, "  \"epochs\": {},", self.epochs);
-        s.push_str("  \"runs\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"transport\": \"{}\", \"arch\": \"{}\", \"codec\": \"{}\", \
-                 \"protocol\": \"{}\", \"final_loss\": {}, \"val_acc\": {}, \
-                 \"test_acc\": {}, \"fetch_logical_bytes\": {}, \"fetch_wire_bytes\": {}, \
-                 \"fetch_messages\": {}, \"grad_logical_bytes\": {}, \"grad_wire_bytes\": {}, \
-                 \"grad_messages\": {}, \"epoch_time_s\": {}, \"digest\": {}}}",
-                r.transport,
-                r.arch,
-                r.codec,
-                r.protocol,
-                fmt_num(r.final_loss),
-                fmt_num(r.val_acc),
-                fmt_num(r.test_acc),
-                r.fetch_logical_bytes,
-                r.fetch_wire_bytes,
-                r.fetch_messages,
-                r.grad_logical_bytes,
-                r.grad_wire_bytes,
-                r.grad_messages,
-                fmt_num(r.epoch_time_s),
-                r.digest
-                    .as_ref()
-                    .map_or("null".to_string(), |d| format!("\"{d}\"")),
-            );
-            s.push_str(if i + 1 < self.runs.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Writes [`CompressBenchReport::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors as strings.
-    pub fn write_json(&self, path: &str) -> Result<(), String> {
-        std::fs::write(path, self.to_json()).map_err(|e| format!("cannot write {path}: {e}"))
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -458,8 +253,8 @@ impl CompressBenchReport {
 // ----------------------------------------------------------------------
 
 /// The identity of one run within a report.
-fn run_key(r: &JsonValue) -> String {
-    let s = |k: &str| r.get(k).and_then(JsonValue::str).unwrap_or("?");
+fn run_key(r: &Value) -> String {
+    let s = |k: &str| r.get(k).and_then(Value::str).unwrap_or("?");
     format!(
         "{}/{}/{}/{}",
         s("transport"),
@@ -478,11 +273,11 @@ fn payload(bytes: f64, messages: f64) -> f64 {
 /// Invariants one report's run set must satisfy, fresh or committed.
 /// `label` names the side in violation messages. Epoch times are never
 /// compared.
-fn report_invariants(label: &str, runs: &[&JsonValue]) -> Vec<String> {
+fn report_invariants(label: &str, runs: &[Value]) -> Vec<String> {
     let mut violations = Vec::new();
     let find = |transport: &str, arch: &str, codec: &str, protocol: &str| {
-        runs.iter().copied().find(|r| {
-            let s = |k: &str| r.get(k).and_then(JsonValue::str).unwrap_or("");
+        runs.iter().find(|r| {
+            let s = |k: &str| r.get(k).and_then(Value::str).unwrap_or("");
             s("transport") == transport
                 && s("arch") == arch
                 && s("codec") == codec
@@ -491,12 +286,17 @@ fn report_invariants(label: &str, runs: &[&JsonValue]) -> Vec<String> {
     };
     for r in runs {
         let ctx = format!("{label} run {}", run_key(r));
-        let num = |k: &str| r.get(k).and_then(JsonValue::num);
-        let s = |k: &str| r.get(k).and_then(JsonValue::str).unwrap_or("?");
+        let num = |k: &str| r.get(k).and_then(Value::num);
+        let s = |k: &str| r.get(k).and_then(Value::str).unwrap_or("?");
         let (codec, protocol) = (s("codec"), s("protocol"));
         match num("final_loss") {
             Some(l) if l.is_finite() => {}
             _ => violations.push(format!("{ctx}: final loss is missing or non-finite")),
+        }
+        // The magnitude is never compared, but a run that took no time
+        // was not measured.
+        if !num("epoch_time_s").is_some_and(|t| t > 0.0) {
+            violations.push(format!("{ctx}: epoch_time_s is missing or not positive"));
         }
         let Some([f_log, f_wire, f_msgs, g_log, g_wire, _g_msgs]) = [
             "fetch_logical_bytes",
@@ -558,7 +358,7 @@ fn report_invariants(label: &str, runs: &[&JsonValue]) -> Vec<String> {
         if protocol.starts_with("stale:") {
             if let Some(b) = baseline
                 .and_then(|b| b.get("fetch_logical_bytes"))
-                .and_then(JsonValue::num)
+                .and_then(Value::num)
             {
                 if f_log >= b * 3.0 / 4.0 {
                     violations.push(format!(
@@ -570,9 +370,7 @@ fn report_invariants(label: &str, runs: &[&JsonValue]) -> Vec<String> {
         }
         if let (Some(acc), Some(base_acc)) = (
             num("val_acc"),
-            baseline
-                .and_then(|b| b.get("val_acc"))
-                .and_then(JsonValue::num),
+            baseline.and_then(|b| b.get("val_acc")).and_then(Value::num),
         ) {
             if acc < base_acc - ACC_FLOOR {
                 violations.push(format!(
@@ -588,10 +386,10 @@ fn report_invariants(label: &str, runs: &[&JsonValue]) -> Vec<String> {
     let digests: Vec<(&str, &str, &str)> = runs
         .iter()
         .filter_map(|r| {
-            let d = r.get("digest").and_then(JsonValue::str)?;
+            let d = r.get("digest").and_then(Value::str)?;
             Some((
-                r.get("arch").and_then(JsonValue::str)?,
-                r.get("transport").and_then(JsonValue::str)?,
+                r.get("arch").and_then(Value::str)?,
+                r.get("transport").and_then(Value::str)?,
                 d,
             ))
         })
@@ -610,114 +408,171 @@ fn report_invariants(label: &str, runs: &[&JsonValue]) -> Vec<String> {
     violations
 }
 
-/// Compares a fresh report against the committed `BENCH_compress.json`.
-///
-/// Returns the violations (empty = gate passes). Hard-fails on a schema
-/// or run-set mismatch (the artifact is stale — regenerate it); both the
-/// fresh and the committed run sets must satisfy [`report_invariants`].
-#[must_use]
-pub fn check_against(current: &CompressBenchReport, committed_text: &str) -> Vec<String> {
-    let committed = match parse_json(committed_text) {
-        Ok(c) => c,
-        Err(e) => return vec![format!("committed JSON parse error: {e}")],
-    };
-    match committed.get("schema").and_then(JsonValue::str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => {
-            return vec![format!(
-                "committed schema \"{s}\" does not match this binary's \"{SCHEMA}\" — \
-                 regenerate with `repro compressbench --out BENCH_compress.json`"
-            )]
-        }
-        None => return vec!["committed BENCH_compress.json has no \"schema\" field".into()],
+// ----------------------------------------------------------------------
+// The `repro compressbench` subcommand: flags, artifact and CI gate
+// ----------------------------------------------------------------------
+
+impl CompressBenchReport {
+    /// The run records as they appear in the artifact — the form the
+    /// invariants are checked on, fresh and committed alike.
+    fn run_records(&self) -> Vec<Value> {
+        let record = |r: &CompressRun| {
+            obj([
+                ("transport", r.transport.as_str().into()),
+                ("arch", r.arch.as_str().into()),
+                ("codec", r.codec.as_str().into()),
+                ("protocol", r.protocol.as_str().into()),
+                ("final_loss", fixed(r.final_loss, 6)),
+                ("val_acc", fixed(r.val_acc, 6)),
+                ("test_acc", fixed(r.test_acc, 6)),
+                ("fetch_logical_bytes", r.fetch_logical_bytes.into()),
+                ("fetch_wire_bytes", r.fetch_wire_bytes.into()),
+                ("fetch_messages", r.fetch_messages.into()),
+                ("grad_logical_bytes", r.grad_logical_bytes.into()),
+                ("grad_wire_bytes", r.grad_wire_bytes.into()),
+                ("grad_messages", r.grad_messages.into()),
+                ("epoch_time_s", fixed(r.epoch_time_s, 6)),
+                ("digest", r.digest.as_deref().into()),
+            ])
+        };
+        self.runs.iter().map(record).collect()
     }
-    let mut violations = Vec::new();
-    let committed_runs: Vec<&JsonValue> = committed
-        .get("runs")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default()
-        .iter()
-        .collect();
-    let current_doc = match parse_json(&current.to_json()) {
-        Ok(doc) => doc,
-        Err(e) => return vec![format!("current report does not serialize: {e}")],
-    };
-    let current_runs: Vec<&JsonValue> = current_doc
-        .get("runs")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default()
-        .iter()
-        .collect();
-    let committed_keys: Vec<String> = committed_runs.iter().map(|r| run_key(r)).collect();
-    let current_keys: Vec<String> = current_runs.iter().map(|r| run_key(r)).collect();
-    for k in &committed_keys {
-        if !current_keys.contains(k) {
-            violations.push(format!(
-                "run {k} is committed but was not produced — the grid changed; \
-                 regenerate BENCH_compress.json"
-            ));
-        }
-    }
-    for k in &current_keys {
-        if !committed_keys.contains(k) {
-            violations.push(format!(
-                "run {k} is new (not committed) — regenerate BENCH_compress.json"
-            ));
-        }
-    }
-    violations.extend(report_invariants("committed", &committed_runs));
-    violations.extend(report_invariants("current", &current_runs));
-    violations
 }
 
-/// Pretty-prints the report as an aligned table on stderr.
-pub fn print_table(report: &CompressBenchReport) {
-    eprintln!(
-        "[compressbench] world={} nodes={} epochs={}",
-        report.world, report.nodes, report.epochs
-    );
-    eprintln!(
-        "{:<4} {:<5} {:<6} {:<9} {:>9} {:>7} {:>12} {:>12} {:>8} {:>12} {:>12}",
-        "xprt",
-        "arch",
-        "codec",
-        "protocol",
-        "loss",
-        "val%",
-        "fetch_log_B",
-        "fetch_wire_B",
-        "reduce",
-        "grad_log_B",
-        "grad_wire_B"
-    );
-    for r in &report.runs {
-        let lp = payload(r.fetch_logical_bytes as f64, r.fetch_messages as f64);
-        let wp = payload(r.fetch_wire_bytes as f64, r.fetch_messages as f64);
-        let reduce = if wp > 0.0 { lp / wp } else { f64::NAN };
+impl GatedBench for CompressBenchReport {
+    const NAME: &'static str = "compressbench";
+    type Config = CompressBenchConfig;
+
+    fn apply_flag(cfg: &mut Self::Config, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--world" => cfg.world = args.parsed::<usize>(flag)?.max(1),
+            "--nodes" => cfg.nodes = args.parsed(flag)?,
+            "--epochs" => cfg.epochs = args.parsed::<usize>(flag)?.max(1),
+            "--seed" => cfg.seed = args.parsed(flag)?,
+            "--transport" => cfg.transports = Transport::parse_list(&args.value(flag)?)?,
+            "--quick" => cfg.quick = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Runs the configured grid: the sim sweep, then the TCP subset.
+    fn run(cfg: &Self::Config) -> Result<Self, String> {
+        let mut runs = Vec::new();
+        for (transport, grid) in [
+            (Transport::Sim, sim_grid(cfg.quick)),
+            (Transport::Tcp, tcp_grid(cfg.quick)),
+        ] {
+            if cfg.transports.contains(&transport) {
+                for cell in grid {
+                    runs.push(run_cell(cfg, cell, transport)?);
+                }
+            }
+        }
+        Ok(CompressBenchReport {
+            world: cfg.world,
+            nodes: cfg.nodes,
+            epochs: cfg.epochs,
+            runs,
+        })
+    }
+
+    /// Pretty-prints the report as an aligned table on stderr.
+    fn print(&self) {
         eprintln!(
-            "{:<4} {:<5} {:<6} {:<9} {:>9.4} {:>7.2} {:>12} {:>12} {:>8} {:>12} {:>12}",
-            r.transport,
-            r.arch,
-            r.codec,
-            r.protocol,
-            r.final_loss,
-            100.0 * r.val_acc,
-            r.fetch_logical_bytes,
-            r.fetch_wire_bytes,
-            if reduce.is_finite() {
-                format!("{reduce:.2}x")
-            } else {
-                "-".into()
-            },
-            r.grad_logical_bytes,
-            r.grad_wire_bytes
+            "[compressbench] world={} nodes={} epochs={}",
+            self.world, self.nodes, self.epochs
         );
+        eprintln!(
+            "{:<4} {:<5} {:<6} {:<9} {:>9} {:>7} {:>12} {:>12} {:>8} {:>12} {:>12}",
+            "xprt",
+            "arch",
+            "codec",
+            "protocol",
+            "loss",
+            "val%",
+            "fetch_log_B",
+            "fetch_wire_B",
+            "reduce",
+            "grad_log_B",
+            "grad_wire_B"
+        );
+        for r in &self.runs {
+            let lp = payload(r.fetch_logical_bytes as f64, r.fetch_messages as f64);
+            let wp = payload(r.fetch_wire_bytes as f64, r.fetch_messages as f64);
+            let reduce = if wp > 0.0 { lp / wp } else { f64::NAN };
+            eprintln!(
+                "{:<4} {:<5} {:<6} {:<9} {:>9.4} {:>7.2} {:>12} {:>12} {:>8} {:>12} {:>12}",
+                r.transport,
+                r.arch,
+                r.codec,
+                r.protocol,
+                r.final_loss,
+                100.0 * r.val_acc,
+                r.fetch_logical_bytes,
+                r.fetch_wire_bytes,
+                if reduce.is_finite() {
+                    format!("{reduce:.2}x")
+                } else {
+                    "-".into()
+                },
+                r.grad_logical_bytes,
+                r.grad_wire_bytes
+            );
+        }
+    }
+
+    /// The schema-versioned `BENCH_compress.json` document.
+    fn to_json(&self) -> String {
+        let doc = obj([
+            ("schema", SCHEMA.into()),
+            ("world", self.world.into()),
+            ("nodes", self.nodes.into()),
+            ("epochs", self.epochs.into()),
+            ("runs", Value::Arr(self.run_records())),
+        ]);
+        doc.pretty(2) + "\n"
+    }
+
+    /// Compares a fresh report against the committed
+    /// `BENCH_compress.json`. Hard-fails on a schema or run-set mismatch
+    /// (the artifact is stale — regenerate it); both the fresh and the
+    /// committed run sets must satisfy [`report_invariants`].
+    fn check_against(&self, committed_text: &str) -> Vec<String> {
+        let committed = match parse_committed::<Self>(committed_text, SCHEMA) {
+            Ok(doc) => doc,
+            Err(e) => return vec![e],
+        };
+        let mut violations = Vec::new();
+        let committed_runs = committed.items("runs");
+        let current_runs = self.run_records();
+        let committed_keys: Vec<String> = committed_runs.iter().map(run_key).collect();
+        let current_keys: Vec<String> = current_runs.iter().map(run_key).collect();
+        for k in &committed_keys {
+            if !current_keys.contains(k) {
+                violations.push(format!(
+                    "run {k} is committed but was not produced — the grid changed; \
+                     regenerate BENCH_compress.json"
+                ));
+            }
+        }
+        for k in &current_keys {
+            if !committed_keys.contains(k) {
+                violations.push(format!(
+                    "run {k} is new (not committed) — regenerate BENCH_compress.json"
+                ));
+            }
+        }
+        violations.extend(report_invariants("committed", committed_runs));
+        violations.extend(report_invariants("current", &current_runs));
+        violations
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     fn run(transport: &str, codec: &str, protocol: &str, digest: Option<&str>) -> CompressRun {
         // Logical volumes mimic a real sweep: 1000 fetch messages of
@@ -777,13 +632,13 @@ mod tests {
     #[test]
     fn report_round_trips_and_passes_against_itself() {
         let r = sample_report();
-        let doc = parse_json(&r.to_json()).expect("own JSON must parse");
-        assert_eq!(doc.get("schema").and_then(JsonValue::str), Some(SCHEMA));
+        let doc = json::parse(&r.to_json()).expect("own JSON must parse");
+        assert_eq!(doc.get("schema").and_then(Value::str), Some(SCHEMA));
         assert_eq!(
-            doc.get("runs").and_then(JsonValue::arr).map(<[_]>::len),
+            doc.get("runs").and_then(Value::arr).map(<[_]>::len),
             Some(7)
         );
-        let violations = check_against(&r, &r.to_json());
+        let violations = r.check_against(&r.to_json());
         assert!(violations.is_empty(), "{violations:?}");
     }
 
@@ -796,16 +651,17 @@ mod tests {
         for run in &mut slow.runs {
             run.epoch_time_s *= 100.0;
         }
-        assert!(check_against(&slow, &committed).is_empty());
+        assert!(slow.check_against(&committed).is_empty());
         // A missing run is structural drift.
         let mut fewer = r.clone();
         fewer.runs.pop();
-        assert!(check_against(&fewer, &committed)
+        assert!(fewer
+            .check_against(&committed)
             .iter()
             .any(|v| v.contains("not produced")));
         // Schema identity is hard.
         let stale = committed.replace(SCHEMA, "sar-compressbench/v0");
-        assert!(check_against(&r, &stale)[0].contains("schema"));
+        assert!(r.check_against(&stale)[0].contains("schema"));
     }
 
     #[test]
@@ -815,40 +671,46 @@ mod tests {
         // raw must move exactly its logical volume.
         let mut leaky = r.clone();
         leaky.runs[0].fetch_wire_bytes += 64;
-        assert!(check_against(&leaky, &committed)
+        assert!(leaky
+            .check_against(&committed)
             .iter()
             .any(|v| v.contains("raw codec")));
         // A lossy codec that stops compressing fails the 2x bar.
         let mut bloated = r.clone();
         bloated.runs[1].fetch_wire_bytes = bloated.runs[1].fetch_logical_bytes;
-        assert!(check_against(&bloated, &committed)
+        assert!(bloated
+            .check_against(&committed)
             .iter()
             .any(|v| v.contains("below the")));
         // gradonly moving gradient bytes is a protocol violation.
         let mut routed = r.clone();
         routed.runs[4].grad_wire_bytes = 9000;
         routed.runs[4].grad_logical_bytes = 9000;
-        assert!(check_against(&routed, &committed)
+        assert!(routed
+            .check_against(&committed)
             .iter()
             .any(|v| v.contains("gradonly")));
         // A stale run with the full exact fetch volume skipped nothing.
         let mut eager = r.clone();
         eager.runs[5].fetch_logical_bytes = eager.runs[0].fetch_logical_bytes;
         eager.runs[5].fetch_wire_bytes = eager.runs[0].fetch_wire_bytes;
-        assert!(check_against(&eager, &committed)
+        assert!(eager
+            .check_against(&committed)
             .iter()
             .any(|v| v.contains("stale")));
         // Diverging cross-transport digests mean the codec perturbed
         // training.
         let mut skew = r.clone();
         skew.runs[6].digest = Some("deadbeefdeadbeef".into());
-        assert!(check_against(&skew, &committed)
+        assert!(skew
+            .check_against(&committed)
             .iter()
             .any(|v| v.contains("digest")));
         // Accuracy collapse under an approximate protocol fails the floor.
         let mut collapsed = r.clone();
         collapsed.runs[4].val_acc = 0.1;
-        assert!(check_against(&collapsed, &committed)
+        assert!(collapsed
+            .check_against(&committed)
             .iter()
             .any(|v| v.contains("accuracy")));
     }

@@ -31,7 +31,9 @@ use sar_core::{
 use sar_graph::{datasets, Dataset};
 use sar_nn::{CsConfig, LrSchedule};
 use sar_partition::{partition, Method, Partitioning};
+use sar_tensor::simd::SimdMode;
 
+use crate::cli::Args;
 use crate::report::{RunReport, WorkerProfile};
 
 /// Tag space for the post-training stats gather: above every peer-to-peer
@@ -44,7 +46,15 @@ const RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Everything that defines a training run, expressible as command-line
 /// flags so independent processes can rebuild identical state.
-#[derive(Debug, Clone)]
+///
+/// This is the one workload-flag vocabulary: `sar-worker`, `sar-serve`
+/// and `sar-train` all parse it through [`Workload::apply_flag`] (each
+/// adds only its own extras), and [`Workload::to_args`] writes it back.
+/// Each field below is one flag (`prefetch_depth` ↔ `--prefetch-depth`;
+/// the README's "One flag vocabulary" table lists them with defaults).
+/// `sar-train` starts from different defaults, listed in its own docs;
+/// `sar-serve` ignores the training-only fields.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Synthetic dataset family: `"products"` or `"papers"`.
     pub dataset: String,
@@ -135,12 +145,72 @@ impl Default for Workload {
 }
 
 impl Workload {
-    /// Serializes the workload back into `sar-worker` flags, every field
-    /// explicit so child processes never depend on defaults drifting.
+    /// Applies one workload flag, pulling its value from `args` — the
+    /// inverse of [`Workload::to_args`] and the only parser of the
+    /// workload vocabulary: `sar-worker`, `sar-serve` and `sar-train`
+    /// all route their flags through here, so a new knob is one field,
+    /// one arm here and one entry in `to_args`. Returns `Ok(false)` when
+    /// `flag` is not a workload flag (the binary's own extras).
     ///
-    /// `sar-serve` parses this same vocabulary (ignoring training-only
-    /// flags) — when adding a field here, teach its parser the new flag
-    /// too or servebench's cluster spawn fails with "unknown flag".
+    /// Numeric syntax is validated here; enumerated names (`--arch`,
+    /// `--codec`, …) are validated where they are resolved
+    /// ([`Workload::build_data`], [`Workload::train_config`],
+    /// [`Workload::simd_mode`]), which programmatically built workloads
+    /// pass through as well.
+    ///
+    /// # Errors
+    ///
+    /// A one-line diagnostic naming the flag for a missing or
+    /// unparseable value.
+    pub fn apply_flag(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--dataset" => self.dataset = args.value(flag)?,
+            "--nodes" => self.nodes = args.parsed(flag)?,
+            "--arch" => self.arch = args.value(flag)?,
+            "--hidden" => self.hidden = args.parsed(flag)?,
+            "--heads" => self.heads = args.parsed(flag)?,
+            "--mode" => self.mode = args.value(flag)?,
+            "--layers" => self.layers = args.parsed(flag)?,
+            "--jk" => self.jk = true,
+            "--epochs" => self.epochs = args.parsed(flag)?,
+            "--lr" => self.lr = args.parsed(flag)?,
+            "--dropout" => self.dropout = args.parsed(flag)?,
+            "--no-label-aug" => self.label_aug = false,
+            "--aug-frac" => self.aug_frac = args.parsed(flag)?,
+            "--cs" => self.cs = true,
+            "--prefetch-depth" => self.prefetch_depth = args.parsed(flag)?,
+            "--partitioner" => self.partitioner = args.value(flag)?,
+            "--schedule" => self.schedule = args.value(flag)?,
+            "--seed" => self.seed = args.parsed(flag)?,
+            "--threads" => self.threads = args.parsed(flag)?,
+            "--simd" => self.simd = args.value(flag)?,
+            "--codec" => self.codec = args.value(flag)?,
+            "--protocol" => self.protocol = args.value(flag)?,
+            "--mem-budget" => self.mem_budget = args.parsed(flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Rebuilds a workload from [`Workload::to_args`] output (or any
+    /// list of workload flags over the defaults).
+    ///
+    /// # Errors
+    ///
+    /// The [`Workload::apply_flag`] diagnostics, or `unknown flag`.
+    pub fn from_args(argv: Vec<String>) -> Result<Workload, String> {
+        let mut workload = Workload::default();
+        let mut args = Args::new(argv);
+        while let Some(flag) = args.next_flag() {
+            if !workload.apply_flag(&flag, &mut args)? {
+                return Err(format!("unknown flag {flag}"));
+            }
+        }
+        Ok(workload)
+    }
+
+    /// Serializes the workload back into flags, every field explicit so
+    /// child processes never depend on defaults drifting.
     pub fn to_args(&self) -> Vec<String> {
         let mut a: Vec<String> = [
             ("--dataset", self.dataset.clone()),
@@ -179,6 +249,33 @@ impl Workload {
         a
     }
 
+    /// The SIMD dispatch mode named by `--simd`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects names other than `auto` and `scalar`.
+    pub fn simd_mode(&self) -> Result<SimdMode, String> {
+        sar_tensor::simd::parse_mode(&self.simd)
+            .ok_or_else(|| format!("unknown --simd {} (auto|scalar)", self.simd))
+    }
+
+    /// Partitions `dataset` into `world` parts with the `--partitioner`
+    /// method, seeded by `--seed`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects unknown partitioner names.
+    pub fn partition(&self, dataset: &Dataset, world: usize) -> Result<Partitioning, String> {
+        let method = match self.partitioner.as_str() {
+            "ml" => Method::Multilevel,
+            "random" => Method::Random,
+            "range" => Method::Range,
+            "bfs" => Method::Bfs,
+            other => return Err(format!("unknown partitioner {other}")),
+        };
+        Ok(partition(&dataset.graph, world, method, self.seed))
+    }
+
     /// Rebuilds the dataset and partitioning deterministically from the
     /// flags — identical in every process.
     ///
@@ -191,14 +288,7 @@ impl Workload {
             "papers" => datasets::papers_like(self.nodes, self.seed),
             other => return Err(format!("unknown dataset {other}")),
         };
-        let method = match self.partitioner.as_str() {
-            "ml" => Method::Multilevel,
-            "random" => Method::Random,
-            "range" => Method::Range,
-            "bfs" => Method::Bfs,
-            other => return Err(format!("unknown partitioner {other}")),
-        };
-        let part = partition(&dataset.graph, world, method, self.seed);
+        let part = self.partition(&dataset, world)?;
         Ok((dataset, part))
     }
 
@@ -472,9 +562,7 @@ pub fn run_rank(opts: &RankOpts, workload: &Workload) -> Result<Option<RunReport
             opts.world
         ));
     }
-    let simd_mode = sar_tensor::simd::parse_mode(&workload.simd)
-        .ok_or_else(|| format!("unknown --simd {} (auto|scalar)", workload.simd))?;
-    sar_tensor::simd::set_mode(simd_mode);
+    sar_tensor::simd::set_mode(workload.simd_mode()?);
     let (dataset, part) = workload.build_data(opts.world)?;
     let cfg = workload.train_config(&dataset)?;
     let graph = Arc::new(DistGraph::build_all(&dataset.graph, &part).swap_remove(rank));
@@ -633,6 +721,8 @@ mod tests {
 
     #[test]
     fn workload_flags_round_trip_every_field() {
+        // Every field away from its default, so a field `to_args` or
+        // `apply_flag` forgets shows up as an inequality.
         let wl = Workload {
             dataset: "papers".into(),
             nodes: 777,
@@ -658,24 +748,23 @@ mod tests {
             protocol: "stale:4".into(),
             mem_budget: 1 << 20,
         };
-        let args = wl.to_args();
-        // Spot-check the flags a child would parse back.
-        let find = |k: &str| -> Option<&String> {
-            args.iter()
-                .position(|a| a == k)
-                .and_then(|i| args.get(i + 1))
+        assert_eq!(Workload::from_args(wl.to_args()), Ok(wl));
+    }
+
+    #[test]
+    fn flag_errors_name_the_flag_and_never_panic() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect();
+        let err = Workload::from_args(args(&["--epochs", "x"])).unwrap_err();
+        assert!(err.contains("--epochs") && err.contains("\"x\""), "{err}");
+        let err = Workload::from_args(args(&["--nodes"])).unwrap_err();
+        assert_eq!(err, "missing value for --nodes");
+        let err = Workload::from_args(args(&["--rank", "0"])).unwrap_err();
+        assert_eq!(err, "unknown flag --rank");
+        let wl = Workload {
+            simd: "sse".into(),
+            ..Workload::default()
         };
-        assert_eq!(find("--dataset").unwrap(), "papers");
-        assert_eq!(find("--lr").unwrap().parse::<f32>().unwrap(), 0.025);
-        assert_eq!(find("--threads").unwrap(), "4");
-        assert_eq!(find("--simd").unwrap(), "scalar");
-        assert!(args.contains(&"--jk".to_string()));
-        assert!(args.contains(&"--no-label-aug".to_string()));
-        assert!(args.contains(&"--cs".to_string()));
-        assert_eq!(find("--prefetch-depth").unwrap(), "2");
-        assert_eq!(find("--codec").unwrap(), "int8");
-        assert_eq!(find("--protocol").unwrap(), "stale:4");
-        assert_eq!(find("--mem-budget").unwrap(), "1048576");
+        assert!(wl.simd_mode().unwrap_err().contains("auto|scalar"));
     }
 
     #[test]

@@ -31,11 +31,11 @@
 //! thread.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::rc::Rc;
 use std::time::Instant;
 
+use crate::json::{fixed, obj};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sar_graph::fused::{self, OnlineAttnState};
@@ -43,6 +43,8 @@ use sar_graph::generators::erdos_renyi;
 use sar_graph::ops;
 use sar_tensor::init::randn;
 use sar_tensor::{pool, simd};
+
+use crate::cli::{parse_committed, Args, GatedBench};
 
 /// Schema tag written into (and required from) `BENCH_kernels.json`.
 /// Bump whenever the kernel set, the work models or the field layout
@@ -417,592 +419,180 @@ pub fn run_bench(quick: bool) -> BenchReport {
 }
 
 // ----------------------------------------------------------------------
-// JSON report
+// The `repro kernelbench` subcommand: flags, artifact and CI gate
 // ----------------------------------------------------------------------
 
-fn fmt_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
+/// `repro kernelbench` knobs.
+#[derive(Debug, Clone)]
+pub struct KernelBenchConfig {
+    /// SIMD dispatch mode the kernels (and the calibration) run under.
+    pub simd: simd::SimdMode,
+    /// Kernel-pool thread count.
+    pub threads: usize,
+    /// Shrink sizes and time budgets (for local iteration and tests).
+    pub quick: bool,
+}
+
+impl Default for KernelBenchConfig {
+    fn default() -> Self {
+        KernelBenchConfig {
+            simd: simd::SimdMode::Auto,
+            threads: 1,
+            quick: false,
+        }
     }
 }
 
-impl BenchReport {
-    /// Serializes the report as the schema-versioned
-    /// `BENCH_kernels.json` document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(s, "  \"simd\": \"{}\",", self.simd);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(
-            s,
-            "  \"calibration\": {{\"peak_gflops\": {}, \"stream_gbs\": {}}},",
-            fmt_num(self.peak_gflops),
-            fmt_num(self.stream_gbs)
+impl GatedBench for BenchReport {
+    const NAME: &'static str = "kernelbench";
+    type Config = KernelBenchConfig;
+
+    fn apply_flag(cfg: &mut Self::Config, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--simd" => {
+                cfg.simd =
+                    simd::parse_mode(&args.value(flag)?).ok_or("--simd must be auto or scalar")?;
+            }
+            "--threads" => {
+                cfg.threads = args.parsed(flag)?;
+                if cfg.threads == 0 {
+                    return Err("--threads takes a count >= 1".into());
+                }
+            }
+            "--quick" => cfg.quick = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn run(cfg: &Self::Config) -> Result<Self, String> {
+        simd::set_mode(cfg.simd);
+        pool::set_threads(cfg.threads);
+        eprintln!(
+            "[kernelbench] simd={}, threads={}{} ...",
+            simd::dispatch_label(),
+            cfg.threads,
+            if cfg.quick { ", quick" } else { "" }
         );
-        s.push_str("  \"kernels\": [\n");
-        for (i, k) in self.kernels.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"name\": \"{}\", \"iters\": {}, \"wall_us\": {}, \"cpu_us\": {}, \
-                 \"gflops\": {}, \"ai_flops_per_byte\": {}, \"roofline_gflops\": {}, \
-                 \"roofline_ratio\": {}}}",
+        Ok(run_bench(cfg.quick))
+    }
+
+    /// Pretty-prints the report as an aligned table on stderr.
+    fn print(&self) {
+        eprintln!(
+            "[kernelbench] simd={} threads={} peak={:.2} GFLOP/s stream={:.2} GB/s",
+            self.simd, self.threads, self.peak_gflops, self.stream_gbs
+        );
+        eprintln!(
+            "{:<28} {:>6} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7}",
+            "kernel", "iters", "wall_us", "cpu_us", "GFLOP/s", "AI", "roofline", "ratio"
+        );
+        for k in &self.kernels {
+            eprintln!(
+                "{:<28} {:>6} {:>12.1} {:>12.1} {:>9.3} {:>7.3} {:>9.3} {:>7.3}",
                 k.name,
                 k.iters,
-                fmt_num(k.wall_us),
-                fmt_num(k.cpu_us),
-                fmt_num(k.gflops),
-                fmt_num(k.ai),
-                fmt_num(k.roofline_gflops),
-                fmt_num(k.roofline_ratio)
+                k.wall_us,
+                k.cpu_us,
+                k.gflops,
+                k.ai,
+                k.roofline_gflops,
+                k.roofline_ratio
             );
-            s.push_str(if i + 1 < self.kernels.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Writes [`BenchReport::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors as strings.
-    pub fn write_json(&self, path: &str) -> Result<(), String> {
-        std::fs::write(path, self.to_json()).map_err(|e| format!("cannot write {path}: {e}"))
-    }
-}
-
-// ----------------------------------------------------------------------
-// Minimal JSON parser (the workspace is dependency-free by design)
-// ----------------------------------------------------------------------
-
-mod json {
-    //! A minimal recursive-descent JSON parser — just enough to read the
-    //! workspace's own hand-written benchmark artifacts back.
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any JSON number, as `f64`.
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, insertion-ordered.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// Object field lookup.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-        /// The value as a string, if it is one.
-        pub fn str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        /// The value as a number, if it is one.
-        pub fn num(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-        /// The value as an array slice, if it is one.
-        pub fn arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
-            }
         }
     }
 
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-        depth: usize,
+    /// The schema-versioned `BENCH_kernels.json` document.
+    fn to_json(&self) -> String {
+        let kernel = |k: &KernelResult| {
+            obj([
+                ("name", k.name.as_str().into()),
+                ("iters", k.iters.into()),
+                ("wall_us", fixed(k.wall_us, 4)),
+                ("cpu_us", fixed(k.cpu_us, 4)),
+                ("gflops", fixed(k.gflops, 4)),
+                ("ai_flops_per_byte", fixed(k.ai, 4)),
+                ("roofline_gflops", fixed(k.roofline_gflops, 4)),
+                ("roofline_ratio", fixed(k.roofline_ratio, 4)),
+            ])
+        };
+        let doc = obj([
+            ("schema", SCHEMA.into()),
+            ("simd", self.simd.as_str().into()),
+            ("threads", self.threads.into()),
+            (
+                "calibration",
+                obj([
+                    ("peak_gflops", fixed(self.peak_gflops, 4)),
+                    ("stream_gbs", fixed(self.stream_gbs, 4)),
+                ]),
+            ),
+            ("kernels", self.kernels.iter().map(kernel).collect()),
+        ]);
+        doc.pretty(2) + "\n"
     }
 
-    const MAX_DEPTH: usize = 64;
-
-    impl<'a> Parser<'a> {
-        fn skip_ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
+    /// Compares a fresh run against the committed `BENCH_kernels.json`.
+    /// Hard-fails on a schema or kernel-set mismatch (the baseline is
+    /// stale — regenerate it); per-kernel roofline ratios fail only below
+    /// `baseline × (1 − REL_TOLERANCE) − ABS_TOLERANCE`.
+    fn check_against(&self, committed: &str) -> Vec<String> {
+        let base = match parse_committed::<Self>(committed, SCHEMA) {
+            Ok(doc) => doc,
+            Err(e) => return vec![e],
+        };
+        let mut violations = Vec::new();
+        let mut base_ratios: BTreeMap<String, f64> = BTreeMap::new();
+        for k in base.items("kernels") {
+            if let (Ok(name), Ok(ratio)) = (k.req_str("name"), k.req_num("roofline_ratio")) {
+                base_ratios.insert(name.to_string(), ratio);
             }
         }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.b
-                .get(self.i)
-                .copied()
-                .ok_or_else(|| format!("unexpected end of input at byte {}", self.i))
+        if base_ratios.is_empty() {
+            return vec!["baseline has no kernels — regenerate it".into()];
         }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            let got = self.peek()?;
-            if got != c {
-                return Err(format!(
-                    "expected '{}' at byte {}, found '{}'",
-                    c as char, self.i, got as char
+        let current_names: BTreeMap<&str, f64> = self
+            .kernels
+            .iter()
+            .map(|k| (k.name.as_str(), k.roofline_ratio))
+            .collect();
+        for name in base_ratios.keys() {
+            if !current_names.contains_key(name.as_str()) {
+                violations.push(format!(
+                    "kernel \"{name}\" is in the baseline but not in this run — \
+                     the workload matrix changed; regenerate the baseline"
                 ));
             }
-            self.i += 1;
-            Ok(())
         }
-
-        fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(v)
-            } else {
-                Err(format!("invalid literal at byte {}", self.i))
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let c = *self
-                    .b
-                    .get(self.i)
-                    .ok_or_else(|| "unterminated string".to_string())?;
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let e = *self
-                            .b
-                            .get(self.i)
-                            .ok_or_else(|| "unterminated escape".to_string())?;
-                        self.i += 1;
-                        match e {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self
-                                    .b
-                                    .get(self.i..self.i + 4)
-                                    .ok_or_else(|| "truncated \\u escape".to_string())?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex)
-                                        .map_err(|_| "bad \\u escape".to_string())?,
-                                    16,
-                                )
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                                self.i += 4;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| "bad \\u code point".to_string())?,
-                                );
-                            }
-                            other => {
-                                return Err(format!("unknown escape \\{}", other as char));
-                            }
-                        }
-                    }
-                    _ if c >= 0x80 => {
-                        // Re-assemble the full multi-byte UTF-8 sequence.
-                        let start = self.i - 1;
-                        while self.b.get(self.i).is_some_and(|&b| b & 0xC0 == 0x80) {
-                            self.i += 1;
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&self.b[start..self.i]).unwrap_or("\u{fffd}"),
-                        );
-                    }
-                    _ => out.push(c as char),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.i;
-            while self
-                .b
-                .get(self.i)
-                .is_some_and(|c| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-            {
-                self.i += 1;
-            }
-            std::str::from_utf8(&self.b[start..self.i])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("invalid number at byte {start}"))
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.depth += 1;
-            if self.depth > MAX_DEPTH {
-                return Err("JSON nesting too deep".into());
-            }
-            let v = match self.peek()? {
-                b'{' => {
-                    self.i += 1;
-                    let mut fields = Vec::new();
-                    if self.peek()? == b'}' {
-                        self.i += 1;
-                    } else {
-                        loop {
-                            self.skip_ws();
-                            let key = self.string()?;
-                            self.expect(b':')?;
-                            let val = self.value()?;
-                            fields.push((key, val));
-                            match self.peek()? {
-                                b',' => self.i += 1,
-                                b'}' => {
-                                    self.i += 1;
-                                    break;
-                                }
-                                c => {
-                                    return Err(format!(
-                                        "expected ',' or '}}' at byte {}, found '{}'",
-                                        self.i, c as char
-                                    ))
-                                }
-                            }
-                        }
-                    }
-                    Value::Obj(fields)
-                }
-                b'[' => {
-                    self.i += 1;
-                    let mut items = Vec::new();
-                    if self.peek()? == b']' {
-                        self.i += 1;
-                    } else {
-                        loop {
-                            items.push(self.value()?);
-                            match self.peek()? {
-                                b',' => self.i += 1,
-                                b']' => {
-                                    self.i += 1;
-                                    break;
-                                }
-                                c => {
-                                    return Err(format!(
-                                        "expected ',' or ']' at byte {}, found '{}'",
-                                        self.i, c as char
-                                    ))
-                                }
-                            }
-                        }
-                    }
-                    Value::Arr(items)
-                }
-                b'"' => Value::Str(self.string()?),
-                b't' => self.literal("true", Value::Bool(true))?,
-                b'f' => self.literal("false", Value::Bool(false))?,
-                b'n' => self.literal("null", Value::Null)?,
-                _ => self.number()?,
+        for (name, &ratio) in &current_names {
+            let Some(&base_ratio) = base_ratios.get(*name) else {
+                violations.push(format!(
+                    "kernel \"{name}\" is new (not in the baseline) — regenerate the baseline"
+                ));
+                continue;
             };
-            self.depth -= 1;
-            Ok(v)
-        }
-    }
-
-    /// Parses a complete JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a byte-offset-bearing message on malformed input.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            b: text.as_bytes(),
-            i: 0,
-            depth: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing bytes after JSON value at byte {}", p.i));
-        }
-        Ok(v)
-    }
-}
-
-pub use json::parse as parse_json;
-pub use json::Value as JsonValue;
-
-// ----------------------------------------------------------------------
-// The CI gate
-// ----------------------------------------------------------------------
-
-/// Compares a fresh run against the committed `BENCH_kernels.json`.
-///
-/// Returns the violations (empty = gate passes). Hard-fails on a schema
-/// or kernel-set mismatch (the baseline is stale — regenerate it);
-/// per-kernel roofline ratios fail only below
-/// `baseline × (1 − REL_TOLERANCE) − ABS_TOLERANCE`.
-#[must_use]
-pub fn check_against(current: &BenchReport, baseline_text: &str) -> Vec<String> {
-    let base = match json::parse(baseline_text) {
-        Ok(b) => b,
-        Err(e) => return vec![format!("baseline JSON parse error: {e}")],
-    };
-    match base.get("schema").and_then(JsonValue::str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => {
-            return vec![format!(
-                "baseline schema \"{s}\" does not match this binary's \"{SCHEMA}\" — \
-                 regenerate with `repro kernelbench --out BENCH_kernels.json`"
-            )]
-        }
-        None => return vec!["baseline has no \"schema\" field".into()],
-    }
-    let mut violations = Vec::new();
-    let mut base_ratios: BTreeMap<String, f64> = BTreeMap::new();
-    for k in base
-        .get("kernels")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default()
-    {
-        if let (Some(name), Some(ratio)) = (
-            k.get("name").and_then(JsonValue::str),
-            k.get("roofline_ratio").and_then(JsonValue::num),
-        ) {
-            base_ratios.insert(name.to_string(), ratio);
-        }
-    }
-    if base_ratios.is_empty() {
-        return vec!["baseline has no kernels — regenerate it".into()];
-    }
-    let current_names: BTreeMap<&str, f64> = current
-        .kernels
-        .iter()
-        .map(|k| (k.name.as_str(), k.roofline_ratio))
-        .collect();
-    for name in base_ratios.keys() {
-        if !current_names.contains_key(name.as_str()) {
-            violations.push(format!(
-                "kernel \"{name}\" is in the baseline but not in this run — \
-                 the workload matrix changed; regenerate the baseline"
-            ));
-        }
-    }
-    for (name, &ratio) in &current_names {
-        let Some(&base_ratio) = base_ratios.get(*name) else {
-            violations.push(format!(
-                "kernel \"{name}\" is new (not in the baseline) — regenerate the baseline"
-            ));
-            continue;
-        };
-        if !ratio.is_finite() {
-            violations.push(format!("kernel \"{name}\" produced a non-finite ratio"));
-            continue;
-        }
-        let floor = base_ratio * (1.0 - REL_TOLERANCE) - ABS_TOLERANCE;
-        if ratio < floor {
-            violations.push(format!(
-                "kernel \"{name}\" regressed: roofline ratio {ratio:.4} is below the \
-                 gate floor {floor:.4} (baseline {base_ratio:.4}, tolerance \
-                 −{:.0}% −{ABS_TOLERANCE})",
-                REL_TOLERANCE * 100.0
-            ));
-        }
-    }
-    violations
-}
-
-/// Pretty-prints the report as an aligned table on stderr.
-pub fn print_table(report: &BenchReport) {
-    eprintln!(
-        "[kernelbench] simd={} threads={} peak={:.2} GFLOP/s stream={:.2} GB/s",
-        report.simd, report.threads, report.peak_gflops, report.stream_gbs
-    );
-    eprintln!(
-        "{:<28} {:>6} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7}",
-        "kernel", "iters", "wall_us", "cpu_us", "GFLOP/s", "AI", "roofline", "ratio"
-    );
-    for k in &report.kernels {
-        eprintln!(
-            "{:<28} {:>6} {:>12.1} {:>12.1} {:>9.3} {:>7.3} {:>9.3} {:>7.3}",
-            k.name,
-            k.iters,
-            k.wall_us,
-            k.cpu_us,
-            k.gflops,
-            k.ai,
-            k.roofline_gflops,
-            k.roofline_ratio
-        );
-    }
-}
-
-// ----------------------------------------------------------------------
-// BENCH_overlap.json invariants (the committed-copy CI diff)
-// ----------------------------------------------------------------------
-
-/// Identity of one smoke run inside `BENCH_overlap.json`.
-fn overlap_run_key(run: &JsonValue) -> Result<String, String> {
-    let s = |k: &str| {
-        run.get(k)
-            .and_then(JsonValue::str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("run record is missing string field \"{k}\""))
-    };
-    let n = |k: &str| {
-        run.get(k)
-            .and_then(JsonValue::num)
-            .ok_or_else(|| format!("run record is missing numeric field \"{k}\""))
-    };
-    // `simd` is optional for pre-SIMD artifacts; default matches the
-    // historical behaviour.
-    let simd = run
-        .get("simd")
-        .and_then(JsonValue::str)
-        .unwrap_or("auto")
-        .to_string();
-    Ok(format!(
-        "{}/{}/t{}/d{}/{}",
-        s("experiment")?,
-        s("transport")?,
-        n("threads")?,
-        n("prefetch_depth")?,
-        simd
-    ))
-}
-
-/// Diffs a freshly generated `BENCH_overlap.json` against the committed
-/// copy. Timings legitimately vary run to run, so the comparison covers
-/// only *structure and invariants*:
-///
-/// * the run set (experiment, transport, threads, prefetch-depth, simd)
-///   must be identical in both files,
-/// * each run's phase-name set must match the committed run's,
-/// * every phase must satisfy `0 ≤ blocked_us ≤ wall_us` and
-///   `cpu_us ≥ 0` — blocked time is a measured subset of wall time, so
-///   a violation means the ledger itself is corrupt. Phases the runtime
-///   does not wall-clock (`wall_us == 0`, e.g. `collective`) only need
-///   their entries non-negative.
-///
-/// Returns the violations (empty = the artifact is consistent).
-#[must_use]
-pub fn overlap_check(current_text: &str, committed_text: &str) -> Vec<String> {
-    let mut violations = Vec::new();
-    let parse_runs = |label: &str, text: &str| -> Result<BTreeMap<String, JsonValue>, String> {
-        let doc = json::parse(text).map_err(|e| format!("{label}: JSON parse error: {e}"))?;
-        let runs = doc
-            .get("runs")
-            .and_then(JsonValue::arr)
-            .ok_or_else(|| format!("{label}: no \"runs\" array"))?;
-        let mut out = BTreeMap::new();
-        for run in runs {
-            let key = overlap_run_key(run).map_err(|e| format!("{label}: {e}"))?;
-            out.insert(key, run.clone());
-        }
-        Ok(out)
-    };
-    let current = match parse_runs("current", current_text) {
-        Ok(c) => c,
-        Err(e) => return vec![e],
-    };
-    let committed = match parse_runs("committed", committed_text) {
-        Ok(c) => c,
-        Err(e) => return vec![e],
-    };
-    for key in committed.keys() {
-        if !current.contains_key(key) {
-            violations.push(format!(
-                "run {key} is in the committed BENCH_overlap.json but was not produced \
-                 — the smoke matrix changed; regenerate the committed copy"
-            ));
-        }
-    }
-    let phase_names = |run: &JsonValue| -> Vec<String> {
-        run.get("overlap")
-            .and_then(|o| o.get("phases"))
-            .and_then(JsonValue::arr)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|p| p.get("phase").and_then(JsonValue::str).map(str::to_string))
-            .collect()
-    };
-    for (key, run) in &current {
-        let Some(base) = committed.get(key) else {
-            violations.push(format!(
-                "run {key} is new (not in the committed BENCH_overlap.json) — \
-                 regenerate the committed copy"
-            ));
-            continue;
-        };
-        let (mut cur_phases, mut base_phases) = (phase_names(run), phase_names(base));
-        cur_phases.sort();
-        base_phases.sort();
-        if cur_phases != base_phases {
-            violations.push(format!(
-                "run {key}: phase set {cur_phases:?} differs from committed {base_phases:?}"
-            ));
-        }
-        for p in run
-            .get("overlap")
-            .and_then(|o| o.get("phases"))
-            .and_then(JsonValue::arr)
-            .unwrap_or_default()
-        {
-            let name = p.get("phase").and_then(JsonValue::str).unwrap_or("?");
-            let f = |k: &str| p.get(k).and_then(JsonValue::num);
-            let (wall, blocked, cpu) = (f("wall_us"), f("blocked_us"), f("cpu_us"));
-            match (wall, blocked, cpu) {
-                (Some(w), Some(b), Some(c)) => {
-                    if !(b >= 0.0 && w >= 0.0 && c >= 0.0) {
-                        violations.push(format!(
-                            "run {key} phase {name}: negative ledger entry \
-                             (wall={w}, blocked={b}, cpu={c})"
-                        ));
-                    }
-                    // Blocked time is measured inside the wall interval;
-                    // allow a microscopic slack for summed rounding. A
-                    // zero wall means the runtime never clocks the phase
-                    // (the collective gather) — blocked alone is fine.
-                    if w > 0.0 && b > w * (1.0 + 1e-9) + 1.0 {
-                        violations.push(format!(
-                            "run {key} phase {name}: blocked_us {b} exceeds wall_us {w} \
-                             — the overlap ledger is inconsistent"
-                        ));
-                    }
-                }
-                _ => violations.push(format!(
-                    "run {key} phase {name}: missing wall_us/blocked_us/cpu_us"
-                )),
+            if !ratio.is_finite() {
+                violations.push(format!("kernel \"{name}\" produced a non-finite ratio"));
+                continue;
+            }
+            let floor = base_ratio * (1.0 - REL_TOLERANCE) - ABS_TOLERANCE;
+            if ratio < floor {
+                violations.push(format!(
+                    "kernel \"{name}\" regressed: roofline ratio {ratio:.4} is below the \
+                     gate floor {floor:.4} (baseline {base_ratio:.4}, tolerance \
+                     −{:.0}% −{ABS_TOLERANCE})",
+                    REL_TOLERANCE * 100.0
+                ));
             }
         }
+        violations
     }
-    violations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     fn sample_report() -> BenchReport {
         BenchReport {
@@ -1039,35 +629,18 @@ mod tests {
     fn report_json_round_trips_through_own_parser() {
         let r = sample_report();
         let doc = json::parse(&r.to_json()).expect("own JSON must parse");
-        assert_eq!(doc.get("schema").and_then(JsonValue::str), Some(SCHEMA));
-        assert_eq!(doc.get("threads").and_then(JsonValue::num), Some(1.0));
-        let kernels = doc.get("kernels").and_then(JsonValue::arr).unwrap();
+        assert_eq!(doc.req_str("schema"), Ok(SCHEMA));
+        assert_eq!(doc.req_u64("threads"), Ok(1));
+        let kernels = doc.items("kernels");
         assert_eq!(kernels.len(), 2);
-        assert_eq!(
-            kernels[1].get("name").and_then(JsonValue::str),
-            Some("matmul/384x256x256")
-        );
-        assert_eq!(
-            kernels[0].get("roofline_ratio").and_then(JsonValue::num),
-            Some(0.4)
-        );
-    }
-
-    #[test]
-    fn parser_handles_escapes_literals_and_rejects_garbage() {
-        let v = json::parse(r#"{"a": "x\n\"y\"", "b": [true, false, null, -1.5e2]}"#).unwrap();
-        assert_eq!(v.get("a").and_then(JsonValue::str), Some("x\n\"y\""));
-        let b = v.get("b").and_then(JsonValue::arr).unwrap();
-        assert_eq!(b[3].num(), Some(-150.0));
-        assert!(json::parse("{\"a\": }").is_err());
-        assert!(json::parse("[1, 2").is_err());
-        assert!(json::parse("{} trailing").is_err());
+        assert_eq!(kernels[1].req_str("name"), Ok("matmul/384x256x256"));
+        assert_eq!(kernels[0].req_num("roofline_ratio"), Ok(0.4));
     }
 
     #[test]
     fn check_passes_against_itself() {
         let r = sample_report();
-        assert!(check_against(&r, &r.to_json()).is_empty());
+        assert!(r.check_against(&r.to_json()).is_empty());
     }
 
     #[test]
@@ -1077,10 +650,10 @@ mod tests {
         let mut slow = r.clone();
         // Within tolerance: half the baseline ratio is still allowed.
         slow.kernels[1].roofline_ratio = 0.45;
-        assert!(check_against(&slow, &baseline).is_empty());
+        assert!(slow.check_against(&baseline).is_empty());
         // Beyond tolerance: must fail.
         slow.kernels[1].roofline_ratio = 0.1;
-        let v = check_against(&slow, &baseline);
+        let v = slow.check_against(&baseline);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("matmul"), "{v:?}");
     }
@@ -1089,21 +662,23 @@ mod tests {
     fn check_fails_on_schema_and_kernel_set_mismatch() {
         let r = sample_report();
         let stale = r.to_json().replace(SCHEMA, "sar-kernelbench/v0");
-        assert!(check_against(&r, &stale)[0].contains("schema"));
+        assert!(r.check_against(&stale)[0].contains("schema"));
         let mut extra = r.clone();
         extra.kernels.push(KernelResult {
             name: "brand_new".into(),
             ..r.kernels[0].clone()
         });
-        assert!(check_against(&extra, &r.to_json())
+        assert!(extra
+            .check_against(&r.to_json())
             .iter()
             .any(|v| v.contains("brand_new")));
         let mut fewer = r.clone();
         fewer.kernels.pop();
-        assert!(check_against(&fewer, &r.to_json())
+        assert!(fewer
+            .check_against(&r.to_json())
             .iter()
             .any(|v| v.contains("matmul")));
-        assert!(!check_against(&r, "not json at all").is_empty());
+        assert!(!r.check_against("not json at all").is_empty());
     }
 
     #[test]
@@ -1116,39 +691,6 @@ mod tests {
             assert!(k.roofline_ratio.is_finite(), "{}", k.name);
         }
         assert!(json::parse(&r.to_json()).is_ok());
-        assert!(check_against(&r, &r.to_json()).is_empty());
-    }
-
-    const OVERLAP: &str = r#"{"runs": [
-        {"experiment": "smoke-sage", "transport": "tcp", "threads": 1,
-         "prefetch_depth": 0, "simd": "auto",
-         "overlap": {"phases": [{"phase": "fetch", "wall_us": 10.0,
-          "blocked_us": 4.0, "comm_us": 3.0, "cpu_us": 6.0}]}}
-    ]}"#;
-
-    #[test]
-    fn overlap_check_accepts_consistent_and_flags_drift() {
-        assert!(overlap_check(OVERLAP, OVERLAP).is_empty());
-        // Timings may differ freely.
-        let retimed = OVERLAP.replace("10.0", "99.0");
-        assert!(overlap_check(&retimed, OVERLAP).is_empty());
-        // A missing run is structural drift.
-        let empty = r#"{"runs": []}"#;
-        assert!(overlap_check(empty, OVERLAP)
-            .iter()
-            .any(|v| v.contains("not produced")));
-        assert!(overlap_check(OVERLAP, empty)
-            .iter()
-            .any(|v| v.contains("new")));
-        // blocked > wall is a corrupt ledger.
-        let corrupt = OVERLAP.replace("\"blocked_us\": 4.0", "\"blocked_us\": 40.0");
-        assert!(overlap_check(&corrupt, OVERLAP)
-            .iter()
-            .any(|v| v.contains("exceeds wall_us")));
-        // ... unless the phase is one the runtime never wall-clocks
-        // (wall_us == 0, like the collective gather): blocked alone is
-        // legitimate there.
-        let untimed = OVERLAP.replace("\"wall_us\": 10.0", "\"wall_us\": 0.0");
-        assert!(overlap_check(&untimed, &untimed).is_empty());
+        assert!(r.check_against(&r.to_json()).is_empty());
     }
 }

@@ -75,7 +75,8 @@ pub fn temp_rendezvous_path() -> PathBuf {
 
 /// Locates a sibling binary (e.g. `sar-worker`) in the directory of the
 /// currently running executable — all workspace binaries land in the
-/// same `target/<profile>/` directory.
+/// same `target/<profile>/` directory (test executables one level
+/// below it, in `deps/`).
 ///
 /// # Errors
 ///
@@ -85,6 +86,10 @@ pub fn sibling_binary(name: &str) -> Result<PathBuf, String> {
     let me = std::env::current_exe().map_err(|e| format!("cannot locate own executable: {e}"))?;
     let dir = me
         .parent()
+        .map(|dir| match dir.parent() {
+            Some(profile_dir) if dir.ends_with("deps") => profile_dir,
+            _ => dir,
+        })
         .ok_or_else(|| format!("{} has no parent directory", me.display()))?;
     let exe = dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
     if exe.is_file() {

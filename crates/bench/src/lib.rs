@@ -32,10 +32,12 @@
 //!
 //! Besides the simulated in-process cluster, the harness can run real
 //! multi-process training over TCP loopback: [`launcher`] spawns one
-//! `sar-worker` OS process per rank, [`distrun`] is the per-rank
-//! lifecycle (rebuild state from flags → rendezvous → train → gather),
-//! and [`smoke`] holds the CI gate's workloads and ledger invariants,
-//! shared verbatim between both backends.
+//! `sar-worker` OS process per rank, [`distrun`] is the workload flag
+//! vocabulary plus the per-rank lifecycle (rebuild state from flags →
+//! rendezvous → train → gather), [`harness::run_workload`] is the one
+//! entry point that runs a workload on either backend and hands back the
+//! same typed report, and [`smoke`] holds the CI gate's workloads and
+//! ledger invariants, shared verbatim between both backends.
 //!
 //! The serving tier gets the same treatment: [`serverun`] is the
 //! per-rank lifecycle of a resident `sar-serve` cluster (rebuild state →
@@ -43,10 +45,17 @@
 //! [`servebench`] drives it with a closed-loop client load, writing the
 //! committed, CI-gated `BENCH_serve.json` latency/throughput artifact
 //! (`repro servebench`).
+//!
+//! Every gated benchmark implements [`cli::GatedBench`]; `repro` drives
+//! all of them through one flags → run → print → `--out` → `--check`
+//! routine.
 
+pub mod cli;
 pub mod compressbench;
 pub mod distrun;
 pub mod experiments;
+pub mod harness;
+pub mod json;
 pub mod kernelbench;
 pub mod launcher;
 pub mod outofcorebench;

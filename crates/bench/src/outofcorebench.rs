@@ -29,16 +29,18 @@
 //! spill/fault engagement, memory flatness and digest parity.
 
 use std::collections::VecDeque;
-use std::path::Path;
 
+use crate::json::{fixed, obj, Value};
 use sar_core::plan::{self, FetchStep};
 use sar_tensor::tier::TieredStore;
 use sar_tensor::{MemoryTracker, Tensor};
 
+use crate::cli::{parse_committed, Args, GatedBench};
 use crate::compressbench::fingerprint;
-use crate::kernelbench::{parse_json, JsonValue};
+use crate::distrun::Workload;
+use crate::harness::{run_workload, Transport};
 use crate::report::RunReport;
-use crate::{launcher, smoke};
+use crate::smoke;
 
 /// Schema tag written into (and required from) `BENCH_outofcore.json`.
 /// Bump whenever the sweep shape, the parity grid or the field layout
@@ -78,8 +80,8 @@ pub struct OocBenchConfig {
     pub train_budget: u64,
     /// Seed for the parity workloads.
     pub seed: u64,
-    /// Transports the parity grid runs (`"sim"`, `"tcp"`).
-    pub transports: Vec<String>,
+    /// Transports the parity grid runs.
+    pub transports: Vec<Transport>,
     /// Trim the sweep and skip the TCP parity cells for local iteration
     /// (the committed artifact is always generated at full scale).
     pub quick: bool,
@@ -97,7 +99,7 @@ impl Default for OocBenchConfig {
             nodes: 1200,
             train_budget: 8 * 1024,
             seed: 0,
-            transports: vec!["sim".into(), "tcp".into()],
+            transports: vec![Transport::Sim, Transport::Tcp],
             quick: false,
         }
     }
@@ -329,7 +331,7 @@ fn cell_workload(
     cfg: &OocBenchConfig,
     (protocol, threads, depth): Cell,
     budget: u64,
-) -> Result<crate::distrun::Workload, String> {
+) -> Result<Workload, String> {
     let mut wl = smoke::workload("gat", cfg.nodes, cfg.seed)?;
     wl.protocol = protocol.to_string();
     wl.threads = threads;
@@ -348,21 +350,23 @@ fn report_sum(report: &RunReport, pick: impl Fn(&crate::report::PhaseRow) -> u64
         .sum()
 }
 
-fn run_parity_sim(cfg: &OocBenchConfig, cell: Cell) -> Result<ParityRun, String> {
+/// Runs one parity cell on `transport`: the same training with
+/// `--mem-budget` on, then off.
+fn run_parity(cfg: &OocBenchConfig, cell: Cell, transport: Transport) -> Result<ParityRun, String> {
     let (protocol, threads, depth) = cell;
     let mut digests = Vec::new();
     let mut spill = 0;
     let mut fault = 0;
     for budget in [cfg.train_budget, 0] {
         let wl = cell_workload(cfg, cell, budget)?;
-        let (dataset, part) = wl.build_data(cfg.world)?;
-        let tcfg = wl.train_config(&dataset)?;
         eprintln!(
-            "[outofcorebench] sim parity: gat protocol={protocol} threads={threads} \
-             depth={depth} mem-budget={budget} ..."
+            "[outofcorebench] {} parity: gat protocol={protocol} threads={threads} \
+             depth={depth} mem-budget={budget} ...",
+            transport.name()
         );
-        let run = sar_core::train(&dataset, &part, sar_comm::CostModel::default(), &tcfg);
-        let report = RunReport::from_train("outofcorebench", "gat", &wl.mode, &run);
+        let experiment = format!("outofcorebench-{protocol}-b{budget}");
+        let report = run_workload(&wl, cfg.world, transport, &experiment)
+            .map_err(|e| format!("{}/{protocol}/t{threads}/d{depth}: {e}", transport.name()))?;
         if budget > 0 {
             spill = report_sum(&report, |p| p.spill_bytes);
             fault = report_sum(&report, |p| p.fault_bytes);
@@ -370,7 +374,7 @@ fn run_parity_sim(cfg: &OocBenchConfig, cell: Cell) -> Result<ParityRun, String>
         digests.push(fingerprint(&report.parity_digest()));
     }
     Ok(ParityRun {
-        transport: "sim".into(),
+        transport: transport.name().into(),
         protocol: protocol.into(),
         threads,
         prefetch_depth: depth,
@@ -379,187 +383,12 @@ fn run_parity_sim(cfg: &OocBenchConfig, cell: Cell) -> Result<ParityRun, String>
         digest_unbounded: digests[1].clone(),
         spill_bytes: spill,
         fault_bytes: fault,
-    })
-}
-
-/// Sums one numeric field over every rank's phase rows of a gathered
-/// `RunReport` JSON document.
-fn json_phase_sum(doc: &JsonValue, key: &str) -> u64 {
-    doc.get("workers")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default()
-        .iter()
-        .flat_map(|w| w.get("phases").and_then(JsonValue::arr).unwrap_or_default())
-        .filter_map(|row| row.get(key).and_then(JsonValue::num))
-        .map(|v| v as u64)
-        .sum()
-}
-
-fn run_parity_tcp(exe: &Path, cfg: &OocBenchConfig, cell: Cell) -> Result<ParityRun, String> {
-    let (protocol, threads, depth) = cell;
-    let mut digests = Vec::new();
-    let mut spill = 0;
-    let mut fault = 0;
-    for budget in [cfg.train_budget, 0] {
-        let wl = cell_workload(cfg, cell, budget)?;
-        let uniq = format!(
-            "{}-{}-t{threads}-d{depth}-b{budget}",
-            std::process::id(),
-            protocol.replace(':', "-")
-        );
-        let out = std::env::temp_dir().join(format!("sar-oocbench-{uniq}.json"));
-        let digest_path = std::env::temp_dir().join(format!("sar-oocbench-{uniq}.digest"));
-        let mut args = wl.to_args();
-        args.extend([
-            "--experiment".to_string(),
-            format!("outofcorebench-{protocol}-b{budget}"),
-            "--out".to_string(),
-            out.display().to_string(),
-            "--digest-out".to_string(),
-            digest_path.display().to_string(),
-        ]);
-        eprintln!(
-            "[outofcorebench] tcp parity: gat protocol={protocol} threads={threads} \
-             depth={depth} mem-budget={budget} ..."
-        );
-        let result = (|| -> Result<(), String> {
-            launcher::spawn_ranks(exe, cfg.world, &args)?;
-            let d = std::fs::read_to_string(&digest_path)
-                .map_err(|e| format!("rank 0 wrote no digest at {}: {e}", digest_path.display()))?;
-            digests.push(fingerprint(&d));
-            if budget > 0 {
-                let text = std::fs::read_to_string(&out)
-                    .map_err(|e| format!("rank 0 wrote no report at {}: {e}", out.display()))?;
-                let doc = parse_json(&text).map_err(|e| format!("gathered report: {e}"))?;
-                spill = json_phase_sum(&doc, "spill_bytes");
-                fault = json_phase_sum(&doc, "fault_bytes");
-            }
-            Ok(())
-        })();
-        let _ = std::fs::remove_file(&out);
-        let _ = std::fs::remove_file(&digest_path);
-        result.map_err(|e| format!("{protocol}/t{threads}/d{depth}: {e}"))?;
-    }
-    Ok(ParityRun {
-        transport: "tcp".into(),
-        protocol: protocol.into(),
-        threads,
-        prefetch_depth: depth,
-        budget_bytes: cfg.train_budget,
-        digest_budget: digests[0].clone(),
-        digest_unbounded: digests[1].clone(),
-        spill_bytes: spill,
-        fault_bytes: fault,
-    })
-}
-
-/// Runs the full benchmark: the memory-flatness sweep, then the parity
-/// grid (sim in-process, the TCP subset as real OS processes).
-///
-/// # Errors
-///
-/// Propagates store, workload, spawn and report-parsing failures, naming
-/// the scale or grid cell.
-pub fn run_oocbench(cfg: &OocBenchConfig) -> Result<OocBenchReport, String> {
-    let scales: Vec<usize> = if cfg.quick {
-        cfg.scales
-            .iter()
-            .copied()
-            .filter(|&s| {
-                s == *cfg.scales.first().unwrap_or(&1) || s == *cfg.scales.last().unwrap_or(&1)
-            })
-            .collect()
-    } else {
-        cfg.scales.clone()
-    };
-    let mut sweep = Vec::new();
-    for scale in scales {
-        sweep.push(run_scale(cfg, scale).map_err(|e| format!("sweep scale {scale}: {e}"))?);
-    }
-    let mut parity = Vec::new();
-    if cfg.transports.iter().any(|t| t == "sim") {
-        for cell in sim_grid(cfg.quick) {
-            parity.push(run_parity_sim(cfg, cell)?);
-        }
-    }
-    if cfg.transports.iter().any(|t| t == "tcp") && !cfg.quick {
-        let exe = launcher::sibling_binary("sar-worker")?;
-        for cell in tcp_grid(cfg.quick) {
-            parity.push(run_parity_tcp(&exe, cfg, cell)?);
-        }
-    }
-    Ok(OocBenchReport {
-        base_rows: cfg.base_rows,
-        feat_dim: cfg.feat_dim,
-        budget_bytes: cfg.budget_bytes,
-        prefetch_depth: cfg.prefetch_depth,
-        sweep,
-        parity,
     })
 }
 
 // ----------------------------------------------------------------------
 // Serialization
 // ----------------------------------------------------------------------
-
-impl OocBenchReport {
-    /// The report as the `BENCH_outofcore.json` document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"base_rows\": {},\n  \"feat_dim\": {},\n  \
-             \"budget_bytes\": {},\n  \"prefetch_depth\": {},\n  \"sweep\": [\n",
-            self.base_rows, self.feat_dim, self.budget_bytes, self.prefetch_depth
-        );
-        for (i, r) in self.sweep.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"scale\": {}, \"rows\": {}, \"chunks\": {}, \"chunk_rows\": {}, \
-                 \"peak_resident_bytes\": {}, \"spill_bytes\": {}, \"fault_bytes\": {}, \
-                 \"digest\": \"{}\", \"unbounded_digest\": \"{}\", \"elapsed_ms\": {:.3}}}{}\n",
-                r.scale,
-                r.rows,
-                r.chunks,
-                r.chunk_rows,
-                r.peak_resident_bytes,
-                r.spill_bytes,
-                r.fault_bytes,
-                r.digest,
-                r.unbounded_digest,
-                r.elapsed_ms,
-                if i + 1 < self.sweep.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n  \"parity\": [\n");
-        for (i, r) in self.parity.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"transport\": \"{}\", \"protocol\": \"{}\", \"threads\": {}, \
-                 \"prefetch_depth\": {}, \"budget_bytes\": {}, \"digest_budget\": \"{}\", \
-                 \"digest_unbounded\": \"{}\", \"spill_bytes\": {}, \"fault_bytes\": {}}}{}\n",
-                r.transport,
-                r.protocol,
-                r.threads,
-                r.prefetch_depth,
-                r.budget_bytes,
-                r.digest_budget,
-                r.digest_unbounded,
-                r.spill_bytes,
-                r.fault_bytes,
-                if i + 1 < self.parity.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Writes the JSON document to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the IO failure, naming the path.
-    pub fn write_json(&self, path: &str) -> Result<(), String> {
-        std::fs::write(path, self.to_json()).map_err(|e| format!("cannot write {path}: {e}"))
-    }
-}
 
 /// Parses a `BENCH_outofcore.json` document back into a report.
 ///
@@ -568,68 +397,51 @@ impl OocBenchReport {
 /// Rejects malformed JSON or missing fields with a message naming the
 /// field.
 pub fn parse_report(text: &str) -> Result<OocBenchReport, String> {
-    let doc = parse_json(text)?;
-    let schema = doc.get("schema").and_then(JsonValue::str).unwrap_or("");
-    if schema != SCHEMA {
-        return Err(format!(
-            "schema mismatch: committed \"{schema}\", current \"{SCHEMA}\""
-        ));
-    }
-    let num = |v: &JsonValue, k: &str| -> Result<f64, String> {
-        v.get(k)
-            .and_then(JsonValue::num)
-            .ok_or_else(|| format!("missing field {k}"))
+    let doc = parse_committed::<OocBenchReport>(text, SCHEMA)?;
+    let count = |v: &Value, k: &str| v.req_u64(k).map(|n| n as usize);
+    let text = |v: &Value, k: &str| v.req_str(k).map(str::to_string);
+    let sweep = |r: &Value| -> Result<SweepRun, String> {
+        Ok(SweepRun {
+            scale: count(r, "scale")?,
+            rows: count(r, "rows")?,
+            chunks: count(r, "chunks")?,
+            chunk_rows: count(r, "chunk_rows")?,
+            peak_resident_bytes: r.req_u64("peak_resident_bytes")?,
+            spill_bytes: r.req_u64("spill_bytes")?,
+            fault_bytes: r.req_u64("fault_bytes")?,
+            digest: text(r, "digest")?,
+            unbounded_digest: text(r, "unbounded_digest")?,
+            elapsed_ms: r.req_num("elapsed_ms")?,
+        })
     };
-    let st = |v: &JsonValue, k: &str| -> Result<String, String> {
-        v.get(k)
-            .and_then(JsonValue::str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("missing field {k}"))
+    let parity = |r: &Value| -> Result<ParityRun, String> {
+        Ok(ParityRun {
+            transport: text(r, "transport")?,
+            protocol: text(r, "protocol")?,
+            threads: count(r, "threads")?,
+            prefetch_depth: count(r, "prefetch_depth")?,
+            budget_bytes: r.req_u64("budget_bytes")?,
+            digest_budget: text(r, "digest_budget")?,
+            digest_unbounded: text(r, "digest_unbounded")?,
+            spill_bytes: r.req_u64("spill_bytes")?,
+            fault_bytes: r.req_u64("fault_bytes")?,
+        })
     };
-    let mut sweep = Vec::new();
-    for r in doc
-        .get("sweep")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default()
-    {
-        sweep.push(SweepRun {
-            scale: num(r, "scale")? as usize,
-            rows: num(r, "rows")? as usize,
-            chunks: num(r, "chunks")? as usize,
-            chunk_rows: num(r, "chunk_rows")? as usize,
-            peak_resident_bytes: num(r, "peak_resident_bytes")? as u64,
-            spill_bytes: num(r, "spill_bytes")? as u64,
-            fault_bytes: num(r, "fault_bytes")? as u64,
-            digest: st(r, "digest")?,
-            unbounded_digest: st(r, "unbounded_digest")?,
-            elapsed_ms: num(r, "elapsed_ms")?,
-        });
-    }
-    let mut parity = Vec::new();
-    for r in doc
-        .get("parity")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default()
-    {
-        parity.push(ParityRun {
-            transport: st(r, "transport")?,
-            protocol: st(r, "protocol")?,
-            threads: num(r, "threads")? as usize,
-            prefetch_depth: num(r, "prefetch_depth")? as usize,
-            budget_bytes: num(r, "budget_bytes")? as u64,
-            digest_budget: st(r, "digest_budget")?,
-            digest_unbounded: st(r, "digest_unbounded")?,
-            spill_bytes: num(r, "spill_bytes")? as u64,
-            fault_bytes: num(r, "fault_bytes")? as u64,
-        });
-    }
     Ok(OocBenchReport {
-        base_rows: num(&doc, "base_rows")? as usize,
-        feat_dim: num(&doc, "feat_dim")? as usize,
-        budget_bytes: num(&doc, "budget_bytes")? as u64,
-        prefetch_depth: num(&doc, "prefetch_depth")? as usize,
-        sweep,
-        parity,
+        base_rows: count(&doc, "base_rows")?,
+        feat_dim: count(&doc, "feat_dim")?,
+        budget_bytes: doc.req_u64("budget_bytes")?,
+        prefetch_depth: count(&doc, "prefetch_depth")?,
+        sweep: doc
+            .items("sweep")
+            .iter()
+            .map(sweep)
+            .collect::<Result<_, _>>()?,
+        parity: doc
+            .items("parity")
+            .iter()
+            .map(parity)
+            .collect::<Result<_, _>>()?,
     })
 }
 
@@ -710,138 +522,238 @@ fn self_check(tag: &str, r: &OocBenchReport) -> Vec<String> {
     v
 }
 
-/// Diffs a fresh report against the committed artifact. Returns the
-/// violations found (empty = gate passes). Never compares timings.
-#[must_use]
-pub fn check_against(current: &OocBenchReport, committed_text: &str) -> Vec<String> {
-    let committed = match parse_report(committed_text) {
-        Ok(c) => c,
-        Err(e) => return vec![format!("committed artifact: {e}")],
-    };
-    let mut v = Vec::new();
-    if (
-        current.base_rows,
-        current.feat_dim,
-        current.budget_bytes,
-        current.prefetch_depth,
-    ) != (
-        committed.base_rows,
-        committed.feat_dim,
-        committed.budget_bytes,
-        committed.prefetch_depth,
-    ) {
-        v.push(
-            "sweep configuration differs from the committed artifact — regenerate it with \
-             `repro outofcorebench --out BENCH_outofcore.json`"
-                .into(),
-        );
+// ----------------------------------------------------------------------
+// The `repro outofcorebench` subcommand: flags, artifact and CI gate
+// ----------------------------------------------------------------------
+
+impl GatedBench for OocBenchReport {
+    const NAME: &'static str = "outofcorebench";
+    type Config = OocBenchConfig;
+
+    fn apply_flag(cfg: &mut Self::Config, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--nodes" => cfg.nodes = args.parsed(flag)?,
+            "--train-budget" => cfg.train_budget = args.parsed(flag)?,
+            "--seed" => cfg.seed = args.parsed(flag)?,
+            "--transport" => cfg.transports = Transport::parse_list(&args.value(flag)?)?,
+            "--quick" => cfg.quick = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
-    let cur_set: Vec<_> = current
-        .sweep
-        .iter()
-        .map(|s| (s.scale, s.rows, s.chunks))
-        .collect();
-    let com_set: Vec<_> = committed
-        .sweep
-        .iter()
-        .map(|s| (s.scale, s.rows, s.chunks))
-        .collect();
-    if cur_set != com_set {
-        v.push(format!(
-            "sweep run set differs: current {cur_set:?} vs committed {com_set:?} — \
-             regenerate the artifact"
-        ));
-    } else {
-        // The sweep is pure integer-derived f32 arithmetic in a fixed
-        // order: its digest is machine-independent and must not drift.
-        for (c, k) in current.sweep.iter().zip(&committed.sweep) {
-            if c.digest != k.digest {
-                v.push(format!(
-                    "sweep scale {}: digest {} != committed {} — the accumulation is no \
-                     longer bitwise reproducible",
-                    c.scale, c.digest, k.digest
-                ));
+
+    /// Runs the full benchmark: the memory-flatness sweep, then the
+    /// parity grid (sim in-process, the TCP subset as real OS processes).
+    fn run(cfg: &Self::Config) -> Result<Self, String> {
+        let scales: Vec<usize> = if cfg.quick {
+            cfg.scales
+                .iter()
+                .copied()
+                .filter(|&s| {
+                    s == *cfg.scales.first().unwrap_or(&1) || s == *cfg.scales.last().unwrap_or(&1)
+                })
+                .collect()
+        } else {
+            cfg.scales.clone()
+        };
+        let mut sweep = Vec::new();
+        for scale in scales {
+            sweep.push(run_scale(cfg, scale).map_err(|e| format!("sweep scale {scale}: {e}"))?);
+        }
+        let mut parity = Vec::new();
+        for (transport, grid) in [
+            (Transport::Sim, sim_grid(cfg.quick)),
+            (Transport::Tcp, tcp_grid(cfg.quick)),
+        ] {
+            if cfg.transports.contains(&transport) {
+                for cell in grid {
+                    parity.push(run_parity(cfg, cell, transport)?);
+                }
             }
         }
+        Ok(OocBenchReport {
+            base_rows: cfg.base_rows,
+            feat_dim: cfg.feat_dim,
+            budget_bytes: cfg.budget_bytes,
+            prefetch_depth: cfg.prefetch_depth,
+            sweep,
+            parity,
+        })
     }
-    let cell = |p: &ParityRun| {
-        (
-            p.transport.clone(),
-            p.protocol.clone(),
-            p.threads,
-            p.prefetch_depth,
-        )
-    };
-    let cur_cells: Vec<_> = current.parity.iter().map(cell).collect();
-    let com_cells: Vec<_> = committed.parity.iter().map(cell).collect();
-    if cur_cells != com_cells {
-        v.push(format!(
-            "parity run set differs: current {cur_cells:?} vs committed {com_cells:?} — \
-             regenerate the artifact"
-        ));
-    }
-    v.extend(self_check("current", current));
-    v.extend(self_check("committed", &committed));
-    v
-}
 
-/// Prints the human-readable summary tables.
-pub fn print_table(report: &OocBenchReport) {
-    use crate::report::Table;
-    let mut t = Table::new(
-        format!(
-            "outofcorebench sweep — budget {} KiB, depth {}",
-            report.budget_bytes / 1024,
-            report.prefetch_depth
-        ),
-        &[
-            "scale",
-            "rows",
-            "chunks",
-            "peak KiB",
-            "spill KiB",
-            "fault KiB",
-            "parity",
-            "ms",
-        ],
-    );
-    for s in &report.sweep {
-        t.row(vec![
-            s.scale.to_string(),
-            s.rows.to_string(),
-            s.chunks.to_string(),
-            format!("{:.1}", s.peak_resident_bytes as f64 / 1024.0),
-            format!("{:.1}", s.spill_bytes as f64 / 1024.0),
-            format!("{:.1}", s.fault_bytes as f64 / 1024.0),
-            (s.digest == s.unbounded_digest).to_string(),
-            format!("{:.1}", s.elapsed_ms),
-        ]);
+    /// Prints the human-readable summary tables.
+    fn print(&self) {
+        use crate::report::Table;
+        let mut t = Table::new(
+            format!(
+                "outofcorebench sweep — budget {} KiB, depth {}",
+                self.budget_bytes / 1024,
+                self.prefetch_depth
+            ),
+            &[
+                "scale",
+                "rows",
+                "chunks",
+                "peak KiB",
+                "spill KiB",
+                "fault KiB",
+                "parity",
+                "ms",
+            ],
+        );
+        for s in &self.sweep {
+            t.row(vec![
+                s.scale.to_string(),
+                s.rows.to_string(),
+                s.chunks.to_string(),
+                format!("{:.1}", s.peak_resident_bytes as f64 / 1024.0),
+                format!("{:.1}", s.spill_bytes as f64 / 1024.0),
+                format!("{:.1}", s.fault_bytes as f64 / 1024.0),
+                (s.digest == s.unbounded_digest).to_string(),
+                format!("{:.1}", s.elapsed_ms),
+            ]);
+        }
+        t.print();
+        let mut t = Table::new(
+            "outofcorebench parity — --mem-budget on vs off".to_string(),
+            &[
+                "transport",
+                "protocol",
+                "threads",
+                "depth",
+                "spill KiB",
+                "fault KiB",
+                "parity",
+            ],
+        );
+        for p in &self.parity {
+            t.row(vec![
+                p.transport.clone(),
+                p.protocol.clone(),
+                p.threads.to_string(),
+                p.prefetch_depth.to_string(),
+                format!("{:.1}", p.spill_bytes as f64 / 1024.0),
+                format!("{:.1}", p.fault_bytes as f64 / 1024.0),
+                (p.digest_budget == p.digest_unbounded).to_string(),
+            ]);
+        }
+        t.print();
     }
-    t.print();
-    let mut t = Table::new(
-        "outofcorebench parity — --mem-budget on vs off".to_string(),
-        &[
-            "transport",
-            "protocol",
-            "threads",
-            "depth",
-            "spill KiB",
-            "fault KiB",
-            "parity",
-        ],
-    );
-    for p in &report.parity {
-        t.row(vec![
-            p.transport.clone(),
-            p.protocol.clone(),
-            p.threads.to_string(),
-            p.prefetch_depth.to_string(),
-            format!("{:.1}", p.spill_bytes as f64 / 1024.0),
-            format!("{:.1}", p.fault_bytes as f64 / 1024.0),
-            (p.digest_budget == p.digest_unbounded).to_string(),
+
+    /// The schema-versioned `BENCH_outofcore.json` document.
+    fn to_json(&self) -> String {
+        let sweep = |r: &SweepRun| {
+            obj([
+                ("scale", r.scale.into()),
+                ("rows", r.rows.into()),
+                ("chunks", r.chunks.into()),
+                ("chunk_rows", r.chunk_rows.into()),
+                ("peak_resident_bytes", r.peak_resident_bytes.into()),
+                ("spill_bytes", r.spill_bytes.into()),
+                ("fault_bytes", r.fault_bytes.into()),
+                ("digest", r.digest.as_str().into()),
+                ("unbounded_digest", r.unbounded_digest.as_str().into()),
+                ("elapsed_ms", fixed(r.elapsed_ms, 3)),
+            ])
+        };
+        let parity = |r: &ParityRun| {
+            obj([
+                ("transport", r.transport.as_str().into()),
+                ("protocol", r.protocol.as_str().into()),
+                ("threads", r.threads.into()),
+                ("prefetch_depth", r.prefetch_depth.into()),
+                ("budget_bytes", r.budget_bytes.into()),
+                ("digest_budget", r.digest_budget.as_str().into()),
+                ("digest_unbounded", r.digest_unbounded.as_str().into()),
+                ("spill_bytes", r.spill_bytes.into()),
+                ("fault_bytes", r.fault_bytes.into()),
+            ])
+        };
+        let doc = obj([
+            ("schema", SCHEMA.into()),
+            ("base_rows", self.base_rows.into()),
+            ("feat_dim", self.feat_dim.into()),
+            ("budget_bytes", self.budget_bytes.into()),
+            ("prefetch_depth", self.prefetch_depth.into()),
+            ("sweep", self.sweep.iter().map(sweep).collect()),
+            ("parity", self.parity.iter().map(parity).collect()),
         ]);
+        doc.pretty(2) + "\n"
     }
-    t.print();
+
+    /// Diffs a fresh report against the committed artifact. Never
+    /// compares timings.
+    fn check_against(&self, committed_text: &str) -> Vec<String> {
+        let committed = match parse_report(committed_text) {
+            Ok(c) => c,
+            Err(e) => return vec![format!("committed artifact: {e}")],
+        };
+        let mut v = Vec::new();
+        if (
+            self.base_rows,
+            self.feat_dim,
+            self.budget_bytes,
+            self.prefetch_depth,
+        ) != (
+            committed.base_rows,
+            committed.feat_dim,
+            committed.budget_bytes,
+            committed.prefetch_depth,
+        ) {
+            v.push(
+                "sweep configuration differs from the committed artifact — regenerate it with \
+                 `repro outofcorebench --out BENCH_outofcore.json`"
+                    .into(),
+            );
+        }
+        let cur_set: Vec<_> = self
+            .sweep
+            .iter()
+            .map(|s| (s.scale, s.rows, s.chunks))
+            .collect();
+        let com_set: Vec<_> = committed
+            .sweep
+            .iter()
+            .map(|s| (s.scale, s.rows, s.chunks))
+            .collect();
+        if cur_set != com_set {
+            v.push(format!(
+                "sweep run set differs: current {cur_set:?} vs committed {com_set:?} — \
+                 regenerate the artifact"
+            ));
+        } else {
+            // The sweep is pure integer-derived f32 arithmetic in a fixed
+            // order: its digest is machine-independent and must not drift.
+            for (c, k) in self.sweep.iter().zip(&committed.sweep) {
+                if c.digest != k.digest {
+                    v.push(format!(
+                        "sweep scale {}: digest {} != committed {} — the accumulation is no \
+                         longer bitwise reproducible",
+                        c.scale, c.digest, k.digest
+                    ));
+                }
+            }
+        }
+        let cell = |p: &ParityRun| {
+            (
+                p.transport.clone(),
+                p.protocol.clone(),
+                p.threads,
+                p.prefetch_depth,
+            )
+        };
+        let cur_cells: Vec<_> = self.parity.iter().map(cell).collect();
+        let com_cells: Vec<_> = committed.parity.iter().map(cell).collect();
+        if cur_cells != com_cells {
+            v.push(format!(
+                "parity run set differs: current {cur_cells:?} vs committed {com_cells:?} — \
+                 regenerate the artifact"
+            ));
+        }
+        v.extend(self_check("current", self));
+        v.extend(self_check("committed", &committed));
+        v
+    }
 }
 
 #[cfg(test)]
@@ -907,14 +819,14 @@ mod tests {
     #[test]
     fn clean_report_passes_its_own_gate() {
         let r = sample_report();
-        assert_eq!(check_against(&r, &r.to_json()), Vec::<String>::new());
+        assert_eq!(r.check_against(&r.to_json()), Vec::<String>::new());
     }
 
     #[test]
     fn memory_growth_fails_the_flatness_gate() {
         let mut r = sample_report();
         r.sweep[3].peak_resident_bytes = 200_000;
-        let v = check_against(&r, &r.to_json());
+        let v = r.check_against(&r.to_json());
         assert!(v.iter().any(|m| m.contains("not flat")), "{v:?}");
     }
 
@@ -922,11 +834,11 @@ mod tests {
     fn digest_divergence_fails_the_gate() {
         let mut r = sample_report();
         r.sweep[1].unbounded_digest = "ffffffffffffffff".into();
-        let v = check_against(&r, &sample_report().to_json());
+        let v = r.check_against(&sample_report().to_json());
         assert!(v.iter().any(|m| m.contains("perturbed")), "{v:?}");
         let mut r = sample_report();
         r.parity[0].digest_unbounded = "ffffffffffffffff".into();
-        let v = check_against(&r, &sample_report().to_json());
+        let v = r.check_against(&sample_report().to_json());
         assert!(v.iter().any(|m| m.contains("changed training")), "{v:?}");
     }
 
@@ -934,11 +846,11 @@ mod tests {
     fn idle_tier_fails_the_engagement_gate() {
         let mut r = sample_report();
         r.sweep[0].spill_bytes = 0;
-        let v = check_against(&r, &sample_report().to_json());
+        let v = r.check_against(&sample_report().to_json());
         assert!(v.iter().any(|m| m.contains("never engaged")), "{v:?}");
         let mut r = sample_report();
         r.parity[0].fault_bytes = 0;
-        let v = check_against(&r, &sample_report().to_json());
+        let v = r.check_against(&sample_report().to_json());
         assert!(v.iter().any(|m| m.contains("never engaged")), "{v:?}");
     }
 
@@ -947,17 +859,17 @@ mod tests {
         let r = sample_report();
         let mut fewer = r.clone();
         fewer.sweep.pop();
-        let v = check_against(&fewer, &r.to_json());
+        let v = fewer.check_against(&r.to_json());
         assert!(v.iter().any(|m| m.contains("run set differs")), "{v:?}");
         let stale = r.to_json().replace(SCHEMA, "sar-outofcorebench/v0");
-        assert!(check_against(&r, &stale)[0].contains("schema"));
+        assert!(r.check_against(&stale)[0].contains("schema"));
     }
 
     #[test]
     fn insufficient_scale_growth_fails_the_gate() {
         let mut r = sample_report();
         r.sweep.truncate(2); // 1x..2x only
-        let v = check_against(&r, &r.to_json());
+        let v = r.check_against(&r.to_json());
         assert!(v.iter().any(|m| m.contains("4x growth")), "{v:?}");
     }
 
@@ -966,7 +878,7 @@ mod tests {
         let mut fresh = sample_report();
         fresh.sweep[2].digest = "1111111111111111".into();
         fresh.sweep[2].unbounded_digest = "1111111111111111".into();
-        let v = check_against(&fresh, &sample_report().to_json());
+        let v = fresh.check_against(&sample_report().to_json());
         assert!(
             v.iter()
                 .any(|m| m.contains("no longer bitwise reproducible")),

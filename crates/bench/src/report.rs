@@ -3,14 +3,17 @@
 //! [`Table`] renders the paper's tables/figures for human eyes;
 //! [`RunReport`] serializes a full training run — per-worker, per-layer,
 //! per-phase timings, communication volumes and tensor-memory peaks — to
-//! JSON so CI can archive and gate on it. The JSON is hand-rolled (the
-//! build environment is offline, so no serde); the schema is documented
-//! on [`RunReport::to_json`].
+//! JSON so CI can archive and gate on it, and reads it back
+//! ([`RunReport::from_json`]) so a report gathered by another process
+//! is the same type as one produced in this one. The schema is
+//! documented on [`RunReport::to_json`].
 
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
+use crate::json::{self, obj, Value};
+use sar_comm::buffer::PoolStats;
 use sar_comm::Phase;
 
 /// A printable result table.
@@ -324,97 +327,164 @@ impl RunReport {
     ///
     /// Non-finite floats serialize as `null` (JSON has no NaN).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"experiment\": {},", json_str(&self.experiment));
-        let _ = writeln!(s, "  \"arch\": {},", json_str(&self.arch));
-        let _ = writeln!(s, "  \"mode\": {},", json_str(&self.mode));
-        let _ = writeln!(s, "  \"world\": {},", self.world);
-        let _ = writeln!(
-            s,
-            "  \"losses\": [{}],",
-            join(self.losses.iter().map(|&l| json_f64(l as f64)))
-        );
-        let _ = writeln!(
-            s,
-            "  \"epoch_times_secs\": [{}],",
-            join(self.epoch_times.iter().map(|&t| json_f64(t)))
-        );
-        let _ = writeln!(s, "  \"val_acc\": {},", json_f64(self.val_acc));
-        let _ = writeln!(s, "  \"test_acc\": {},", json_f64(self.test_acc));
-        let _ = writeln!(
-            s,
-            "  \"test_acc_cs\": {},",
-            self.test_acc_cs.map_or("null".into(), json_f64)
-        );
-        match &self.buffer_pool {
-            Some(p) => {
-                let _ = writeln!(
-                    s,
-                    "  \"buffer_pool\": {{\"hits\": {}, \"misses\": {}, \
-                     \"recycles\": {}, \"recycle_drops\": {}}},",
-                    p.hits, p.misses, p.recycles, p.recycle_drops
-                );
-            }
-            None => {
-                let _ = writeln!(s, "  \"buffer_pool\": null,");
-            }
-        }
-        s.push_str("  \"workers\": [\n");
-        for (i, w) in self.workers.iter().enumerate() {
-            s.push_str("    {");
-            let _ = write!(
-                s,
-                "\"rank\": {}, \"steady_peak_bytes\": {}, \"total_sent_bytes\": {}, \
-                 \"total_recv_bytes\": {}, \"comm_us\": {},",
-                w.rank,
-                w.steady_peak_bytes,
-                w.total_sent_bytes,
-                w.total_recv_bytes,
-                json_f64(w.comm_us)
-            );
-            s.push_str("\n     \"phases\": [");
-            for (j, r) in w.phases.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "\n       {{\"phase\": {}, \"layer\": {}, \"sent_bytes\": {}, \
-                     \"recv_bytes\": {}, \"wire_sent_bytes\": {}, \
-                     \"wire_recv_bytes\": {}, \"sent_messages\": {}, \
-                     \"recv_messages\": {}, \
-                     \"comm_us\": {}, \"cpu_us\": {}, \"wall_us\": {}, \
-                     \"blocked_us\": {}, \"peak_tensor_bytes\": {}, \
-                     \"spill_bytes\": {}, \"fault_bytes\": {}, \
-                     \"disk_blocked_us\": {}}}",
-                    json_str(r.phase),
-                    r.layer.map_or("null".to_string(), |l| l.to_string()),
-                    r.sent_bytes,
-                    r.recv_bytes,
-                    r.wire_sent_bytes,
-                    r.wire_recv_bytes,
-                    r.sent_messages,
-                    r.recv_messages,
-                    json_f64(r.comm_us),
-                    json_f64(r.cpu_us),
-                    json_f64(r.wall_us),
-                    json_f64(r.blocked_us),
-                    r.peak_tensor_bytes,
-                    r.spill_bytes,
-                    r.fault_bytes,
-                    json_f64(r.disk_blocked_us),
-                );
-            }
-            s.push_str("]}");
-            s.push_str(if i + 1 < self.workers.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let phase_row = |r: &PhaseRow| {
+            obj([
+                ("phase", r.phase.into()),
+                ("layer", r.layer.map(usize::from).into()),
+                ("sent_bytes", r.sent_bytes.into()),
+                ("recv_bytes", r.recv_bytes.into()),
+                ("wire_sent_bytes", r.wire_sent_bytes.into()),
+                ("wire_recv_bytes", r.wire_recv_bytes.into()),
+                ("sent_messages", r.sent_messages.into()),
+                ("recv_messages", r.recv_messages.into()),
+                ("comm_us", r.comm_us.into()),
+                ("cpu_us", r.cpu_us.into()),
+                ("wall_us", r.wall_us.into()),
+                ("blocked_us", r.blocked_us.into()),
+                ("peak_tensor_bytes", r.peak_tensor_bytes.into()),
+                ("spill_bytes", r.spill_bytes.into()),
+                ("fault_bytes", r.fault_bytes.into()),
+                ("disk_blocked_us", r.disk_blocked_us.into()),
+            ])
+        };
+        let worker = |w: &WorkerProfile| {
+            obj([
+                ("rank", w.rank.into()),
+                ("steady_peak_bytes", w.steady_peak_bytes.into()),
+                ("total_sent_bytes", w.total_sent_bytes.into()),
+                ("total_recv_bytes", w.total_recv_bytes.into()),
+                ("comm_us", w.comm_us.into()),
+                ("phases", w.phases.iter().map(phase_row).collect()),
+            ])
+        };
+        let pool = self.buffer_pool.map(|p| {
+            obj([
+                ("hits", p.hits.into()),
+                ("misses", p.misses.into()),
+                ("recycles", p.recycles.into()),
+                ("recycle_drops", p.recycle_drops.into()),
+            ])
+        });
+        let doc = obj([
+            ("experiment", self.experiment.as_str().into()),
+            ("arch", self.arch.as_str().into()),
+            ("mode", self.mode.as_str().into()),
+            ("world", self.world.into()),
+            ("losses", self.losses.iter().copied().collect()),
+            (
+                "epoch_times_secs",
+                self.epoch_times.iter().copied().collect(),
+            ),
+            ("val_acc", self.val_acc.into()),
+            ("test_acc", self.test_acc.into()),
+            ("test_acc_cs", self.test_acc_cs.into()),
+            ("buffer_pool", pool.into()),
+            ("workers", self.workers.iter().map(worker).collect()),
+        ]);
+        // One ledger row per line: top object, workers, worker, phases.
+        doc.pretty(4) + "\n"
+    }
+
+    /// Reads a report back from [`RunReport::to_json`] output. Floats
+    /// are written in shortest round-trip form, so every field — the
+    /// f32 losses included — comes back bit-identical; a `null` float
+    /// (written for a non-finite value) reads back as NaN.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, a missing or mistyped field (named), or a phase
+    /// name outside [`Phase::ALL`].
+    pub fn from_json(text: &str) -> Result<RunReport, String> {
+        let doc = json::parse(text)?;
+        // `null` is how a non-finite float was written.
+        let nan_or_num = |v: &Value| match v {
+            Value::Null => Some(f64::NAN),
+            v => v.num(),
+        };
+        let float = |v: &Value, key: &str| {
+            v.get(key)
+                .and_then(nan_or_num)
+                .ok_or_else(|| format!("missing numeric field \"{key}\""))
+        };
+        let floats = |key: &str| -> Result<Vec<f64>, String> {
+            doc.req_arr(key)?
+                .iter()
+                .map(|v| nan_or_num(v).ok_or_else(|| format!("non-numeric entry in \"{key}\"")))
+                .collect()
+        };
+        let phase_row = |r: &Value| -> Result<PhaseRow, String> {
+            let name = r.req_str("phase")?;
+            let phase = Phase::ALL
+                .iter()
+                .map(|p| p.name())
+                .find(|&n| n == name)
+                .ok_or_else(|| format!("unknown phase \"{name}\""))?;
+            let layer = match r.get("layer") {
+                None | Some(Value::Null) => None,
+                Some(_) => Some(
+                    u16::try_from(r.req_u64("layer")?)
+                        .map_err(|_| "field \"layer\" out of range".to_string())?,
+                ),
+            };
+            Ok(PhaseRow {
+                phase,
+                layer,
+                sent_bytes: r.req_u64("sent_bytes")?,
+                recv_bytes: r.req_u64("recv_bytes")?,
+                wire_sent_bytes: r.req_u64("wire_sent_bytes")?,
+                wire_recv_bytes: r.req_u64("wire_recv_bytes")?,
+                sent_messages: r.req_u64("sent_messages")?,
+                recv_messages: r.req_u64("recv_messages")?,
+                comm_us: float(r, "comm_us")?,
+                cpu_us: float(r, "cpu_us")?,
+                wall_us: float(r, "wall_us")?,
+                blocked_us: float(r, "blocked_us")?,
+                peak_tensor_bytes: r.req_u64("peak_tensor_bytes")?,
+                spill_bytes: r.req_u64("spill_bytes")?,
+                fault_bytes: r.req_u64("fault_bytes")?,
+                disk_blocked_us: float(r, "disk_blocked_us")?,
+            })
+        };
+        let worker = |w: &Value| -> Result<WorkerProfile, String> {
+            Ok(WorkerProfile {
+                rank: w.req_u64("rank")? as usize,
+                steady_peak_bytes: w.req_u64("steady_peak_bytes")? as usize,
+                total_sent_bytes: w.req_u64("total_sent_bytes")?,
+                total_recv_bytes: w.req_u64("total_recv_bytes")?,
+                comm_us: float(w, "comm_us")?,
+                phases: w
+                    .req_arr("phases")?
+                    .iter()
+                    .map(phase_row)
+                    .collect::<Result<_, _>>()?,
+            })
+        };
+        let buffer_pool = match doc.get("buffer_pool") {
+            None | Some(Value::Null) => None,
+            Some(p) => Some(PoolStats {
+                hits: p.req_u64("hits")?,
+                misses: p.req_u64("misses")?,
+                recycles: p.req_u64("recycles")?,
+                recycle_drops: p.req_u64("recycle_drops")?,
+            }),
+        };
+        Ok(RunReport {
+            experiment: doc.req_str("experiment")?.to_string(),
+            arch: doc.req_str("arch")?.to_string(),
+            mode: doc.req_str("mode")?.to_string(),
+            world: doc.req_u64("world")? as usize,
+            losses: floats("losses")?.into_iter().map(|l| l as f32).collect(),
+            epoch_times: floats("epoch_times_secs")?,
+            val_acc: float(&doc, "val_acc")?,
+            test_acc: float(&doc, "test_acc")?,
+            test_acc_cs: doc.get("test_acc_cs").and_then(Value::num),
+            buffer_pool,
+            workers: doc
+                .req_arr("workers")?
+                .iter()
+                .map(worker)
+                .collect::<Result<_, _>>()?,
+        })
     }
 
     /// Writes the JSON document to `path`.
@@ -465,67 +535,28 @@ impl RunReport {
     /// cluster spent parked in blocking receives — the pipelined rotation
     /// exchange drives it down as `--prefetch-depth` grows. This is the
     /// fragment `repro smoke` embeds into `BENCH_overlap.json`.
-    pub fn overlap_json(&self) -> String {
+    pub fn overlap_json(&self) -> Value {
         use std::collections::BTreeMap;
-        let mut agg: BTreeMap<&'static str, (f64, f64, f64, f64)> = BTreeMap::new();
-        for w in &self.workers {
-            for r in &w.phases {
-                let e = agg.entry(r.phase).or_insert((0.0, 0.0, 0.0, 0.0));
-                e.0 += r.wall_us;
-                e.1 += r.blocked_us;
-                e.2 += r.comm_us;
-                e.3 += r.cpu_us;
+        let mut agg: BTreeMap<&'static str, [f64; 4]> = BTreeMap::new();
+        for r in self.workers.iter().flat_map(|w| &w.phases) {
+            let e = agg.entry(r.phase).or_default();
+            for (sum, x) in e
+                .iter_mut()
+                .zip([r.wall_us, r.blocked_us, r.comm_us, r.cpu_us])
+            {
+                *sum += x;
             }
         }
-        let mut s = String::from("{\"phases\": [");
-        for (i, (phase, (wall, blocked, comm, cpu))) in agg.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(
-                s,
-                "{{\"phase\": {}, \"wall_us\": {}, \"blocked_us\": {}, \
-                 \"comm_us\": {}, \"cpu_us\": {}}}",
-                json_str(phase),
-                json_f64(*wall),
-                json_f64(*blocked),
-                json_f64(*comm),
-                json_f64(*cpu)
-            );
-        }
-        s.push_str("]}");
-        s
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a float as a JSON number (`null` for NaN/infinity — JSON has
-/// no non-finite literals).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
+        let phases = agg.into_iter().map(|(phase, [wall, blocked, comm, cpu])| {
+            obj([
+                ("phase", phase.into()),
+                ("wall_us", wall.into()),
+                ("blocked_us", blocked.into()),
+                ("comm_us", comm.into()),
+                ("cpu_us", cpu.into()),
+            ])
+        });
+        obj([("phases", phases.collect())])
     }
 }
 
@@ -575,7 +606,7 @@ mod tests {
             val_acc: 0.5,
             test_acc: 0.75,
             test_acc_cs: None,
-            buffer_pool: Some(sar_comm::buffer::PoolStats {
+            buffer_pool: Some(PoolStats {
                 hits: 10,
                 misses: 4,
                 recycles: 9,
@@ -623,14 +654,45 @@ mod tests {
         assert!(json.contains(r#""spill_bytes": 256"#));
         assert!(json.contains(r#""fault_bytes": 128"#));
         assert!(json.contains(r#""disk_blocked_us": 0.5"#));
-        assert!(json.contains(
-            r#""buffer_pool": {"hits": 10, "misses": 4, "recycles": 9, "recycle_drops": 1}"#
-        ));
-        // Balanced braces/brackets — cheap structural sanity without a
-        // JSON parser in the dependency set.
-        let count = |c: char| json.chars().filter(|&x| x == c).count();
-        assert_eq!(count('{'), count('}'));
-        assert_eq!(count('['), count(']'));
+        let doc = json::parse(&json).expect("own JSON must parse");
+        let pool = doc.get("buffer_pool").expect("buffer_pool");
+        assert_eq!(pool.req_u64("hits"), Ok(10));
+        assert_eq!(pool.req_u64("recycle_drops"), Ok(1));
+    }
+
+    #[test]
+    fn json_round_trips_as_a_type() {
+        let r = sample_report();
+        let back = RunReport::from_json(&r.to_json()).expect("own JSON reads back");
+        assert_eq!(back.parity_digest(), r.parity_digest());
+        assert_eq!(back.overlap_json(), r.overlap_json());
+        assert_eq!(back.to_json(), r.to_json());
+        assert_eq!(back.experiment, r.experiment);
+        assert_eq!(back.epoch_times, r.epoch_times);
+        assert_eq!(back.buffer_pool, r.buffer_pool);
+        assert!(back.losses[1].is_nan(), "null reads back as NaN");
+        // A `layer: null` row and an absent buffer pool survive too.
+        let mut r = r;
+        r.workers[0].phases[0].layer = None;
+        r.buffer_pool = None;
+        let back = RunReport::from_json(&r.to_json()).unwrap();
+        assert_eq!(back.workers[0].phases[0].layer, None);
+        assert_eq!(back.buffer_pool, None);
+        assert_eq!(back.parity_digest(), r.parity_digest());
+    }
+
+    #[test]
+    fn from_json_names_what_is_wrong() {
+        let good = sample_report().to_json();
+        let err = RunReport::from_json(&good.replace("forward_fetch", "sideways")).unwrap_err();
+        assert!(err.contains("sideways"), "{err}");
+        let err = RunReport::from_json(&good.replace("\"world\"", "\"wrld\"")).unwrap_err();
+        assert!(err.contains("world"), "{err}");
+        // A renamed array is an error, never a silently empty default.
+        let err =
+            RunReport::from_json(&good.replace("epoch_times_secs", "epoch_times")).unwrap_err();
+        assert!(err.contains("epoch_times_secs"), "{err}");
+        assert!(RunReport::from_json("{").is_err());
     }
 
     #[test]
@@ -670,14 +732,14 @@ mod tests {
 
     #[test]
     fn overlap_json_aggregates_blocked_vs_wall() {
-        let r = sample_report();
+        let mut r = sample_report();
+        r.workers.push(r.workers[0].clone());
         let j = r.overlap_json();
-        assert!(j.contains(r#""phase": "forward_fetch""#));
-        assert!(j.contains(r#""wall_us": 4.5"#));
-        assert!(j.contains(r#""blocked_us": 1.5"#));
-        let count = |c: char| j.chars().filter(|&x| x == c).count();
-        assert_eq!(count('{'), count('}'));
-        assert_eq!(count('['), count(']'));
+        let phases = j.items("phases");
+        assert_eq!(phases.len(), 1);
+        assert_eq!(phases[0].req_str("phase"), Ok("forward_fetch"));
+        assert_eq!(phases[0].req_num("wall_us"), Ok(9.0));
+        assert_eq!(phases[0].req_num("blocked_us"), Ok(3.0));
     }
 
     #[test]

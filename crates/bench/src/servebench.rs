@@ -33,7 +33,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sar_serve::ServeClient;
 
-use crate::kernelbench::{parse_json, JsonValue};
+use crate::json::{fixed, obj, Value};
+
+use crate::cli::{parse_committed, Args, GatedBench};
+use crate::distrun::Workload;
 
 /// Schema tag written into (and required from) `BENCH_serve.json`.
 /// Bump whenever the workload, the counters or the field layout change;
@@ -320,10 +323,9 @@ fn bench_arch(exe: &Path, cfg: &ServeBenchConfig, arch: &str) -> Result<ServeRun
             .map_err(|e| format!("cannot write checkpoint {}: {e}", ckpt.display()))?;
     }
 
+    // `sar-serve` parses the whole workload vocabulary and ignores the
+    // training-only fields, so one flag list drives both binaries.
     let mut args = serve_workload(cfg, arch).to_args();
-    // `Workload::to_args` emits training-only flags too; `sar-serve`
-    // accepts and ignores them so one flag vocabulary serves both
-    // binaries.
     args.extend([
         "--checkpoint".to_string(),
         ckpt.display().to_string(),
@@ -381,8 +383,8 @@ fn bench_arch(exe: &Path, cfg: &ServeBenchConfig, arch: &str) -> Result<ServeRun
 
 /// The serving workload for one architecture (reuses the training
 /// workload vocabulary; training-only fields are ignored by serving).
-fn serve_workload(cfg: &ServeBenchConfig, arch: &str) -> crate::distrun::Workload {
-    crate::distrun::Workload {
+fn serve_workload(cfg: &ServeBenchConfig, arch: &str) -> Workload {
+    Workload {
         dataset: "products".into(),
         nodes: cfg.nodes,
         arch: arch.to_string(),
@@ -393,91 +395,7 @@ fn serve_workload(cfg: &ServeBenchConfig, arch: &str) -> crate::distrun::Workloa
         seed: cfg.seed,
         threads: cfg.threads,
         simd: cfg.simd.clone(),
-        ..crate::distrun::Workload::default()
-    }
-}
-
-/// Runs the full benchmark: one cluster per configured architecture.
-///
-/// # Errors
-///
-/// Propagates spawn, protocol and rank-exit failures, naming the
-/// architecture.
-pub fn run_servebench(exe: &Path, cfg: &ServeBenchConfig) -> Result<ServeBenchReport, String> {
-    let mut runs = Vec::with_capacity(cfg.archs.len());
-    for arch in &cfg.archs {
-        runs.push(bench_arch(exe, cfg, arch)?);
-    }
-    Ok(ServeBenchReport {
-        world: cfg.world,
-        nodes: cfg.nodes,
-        threads: cfg.threads,
-        simd: cfg.simd.clone(),
-        runs,
-    })
-}
-
-// ----------------------------------------------------------------------
-// JSON report
-// ----------------------------------------------------------------------
-
-fn fmt_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
-
-impl ServeBenchReport {
-    /// Serializes the report as the schema-versioned `BENCH_serve.json`
-    /// document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(2048);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(s, "  \"world\": {},", self.world);
-        let _ = writeln!(s, "  \"nodes\": {},", self.nodes);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"simd\": \"{}\",", self.simd);
-        s.push_str("  \"runs\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"arch\": \"{}\", \"clients\": {}, \"requests\": {}, \
-                 \"ids_per_request\": {}, \"qps\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-                 \"mean_us\": {}, \"batches\": {}, \"queries\": {}, \"fetch_bytes\": {}, \
-                 \"full_forward_bytes\": {}, \"cache_hits\": {}, \"cache_misses\": {}}}",
-                r.arch,
-                r.clients,
-                r.requests,
-                r.ids_per_request,
-                fmt_num(r.qps),
-                fmt_num(r.p50_us),
-                fmt_num(r.p99_us),
-                fmt_num(r.mean_us),
-                r.batches,
-                r.queries,
-                r.fetch_bytes,
-                r.full_forward_bytes,
-                r.cache_hits,
-                r.cache_misses
-            );
-            s.push_str(if i + 1 < self.runs.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Writes [`ServeBenchReport::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors as strings.
-    pub fn write_json(&self, path: &str) -> Result<(), String> {
-        std::fs::write(path, self.to_json()).map_err(|e| format!("cannot write {path}: {e}"))
+        ..Workload::default()
     }
 }
 
@@ -488,10 +406,10 @@ impl ServeBenchReport {
 /// Invariants one run record must satisfy, fresh or committed. Latency
 /// and QPS magnitudes are machine-dependent and never compared — only
 /// their internal consistency is.
-fn run_invariants(label: &str, run: &JsonValue) -> Vec<String> {
+fn run_invariants(label: &str, run: &Value) -> Vec<String> {
     let mut violations = Vec::new();
-    let num = |k: &str| run.get(k).and_then(JsonValue::num);
-    let arch = run.get("arch").and_then(JsonValue::str).unwrap_or("?");
+    let num = |k: &str| run.get(k).and_then(Value::num);
+    let arch = run.get("arch").and_then(Value::str).unwrap_or("?");
     let ctx = format!("{label} run {arch}");
     let Some(qps) = num("qps") else {
         return vec![format!("{ctx}: missing qps")];
@@ -553,97 +471,176 @@ fn run_invariants(label: &str, run: &JsonValue) -> Vec<String> {
     violations
 }
 
-/// Compares a fresh report against the committed `BENCH_serve.json`.
-///
-/// Returns the violations (empty = gate passes). Hard-fails on a schema
-/// or run-set mismatch (the artifact is stale — regenerate it); both
-/// the fresh and the committed records must satisfy [`run_invariants`].
-#[must_use]
-pub fn check_against(current: &ServeBenchReport, committed_text: &str) -> Vec<String> {
-    let committed = match parse_json(committed_text) {
-        Ok(c) => c,
-        Err(e) => return vec![format!("committed JSON parse error: {e}")],
-    };
-    match committed.get("schema").and_then(JsonValue::str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => {
-            return vec![format!(
-                "committed schema \"{s}\" does not match this binary's \"{SCHEMA}\" — \
-                 regenerate with `repro servebench --out BENCH_serve.json`"
-            )]
-        }
-        None => return vec!["committed BENCH_serve.json has no \"schema\" field".into()],
+// ----------------------------------------------------------------------
+// The `repro servebench` subcommand: flags, artifact and CI gate
+// ----------------------------------------------------------------------
+
+impl ServeBenchReport {
+    /// The run records as they appear in the artifact — the form the
+    /// invariants are checked on, fresh and committed alike.
+    fn run_records(&self) -> Vec<Value> {
+        let record = |r: &ServeRun| {
+            obj([
+                ("arch", r.arch.as_str().into()),
+                ("clients", r.clients.into()),
+                ("requests", r.requests.into()),
+                ("ids_per_request", r.ids_per_request.into()),
+                ("qps", fixed(r.qps, 4)),
+                ("p50_us", fixed(r.p50_us, 4)),
+                ("p99_us", fixed(r.p99_us, 4)),
+                ("mean_us", fixed(r.mean_us, 4)),
+                ("batches", r.batches.into()),
+                ("queries", r.queries.into()),
+                ("fetch_bytes", r.fetch_bytes.into()),
+                ("full_forward_bytes", r.full_forward_bytes.into()),
+                ("cache_hits", r.cache_hits.into()),
+                ("cache_misses", r.cache_misses.into()),
+            ])
+        };
+        self.runs.iter().map(record).collect()
     }
-    let mut violations = Vec::new();
-    let committed_runs = committed
-        .get("runs")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default();
-    let committed_archs: Vec<&str> = committed_runs
-        .iter()
-        .filter_map(|r| r.get("arch").and_then(JsonValue::str))
-        .collect();
-    let current_archs: Vec<&str> = current.runs.iter().map(|r| r.arch.as_str()).collect();
-    for arch in &committed_archs {
-        if !current_archs.contains(arch) {
-            violations.push(format!(
-                "run \"{arch}\" is committed but was not produced — the workload changed; \
-                 regenerate BENCH_serve.json"
-            ));
-        }
-    }
-    for arch in &current_archs {
-        if !committed_archs.contains(arch) {
-            violations.push(format!(
-                "run \"{arch}\" is new (not committed) — regenerate BENCH_serve.json"
-            ));
-        }
-    }
-    for run in committed_runs {
-        violations.extend(run_invariants("committed", run));
-    }
-    // The fresh report is validated through its own JSON so both sides
-    // go through the identical field checks.
-    match parse_json(&current.to_json()) {
-        Ok(doc) => {
-            for run in doc.get("runs").and_then(JsonValue::arr).unwrap_or_default() {
-                violations.extend(run_invariants("current", run));
-            }
-        }
-        Err(e) => violations.push(format!("current report does not serialize: {e}")),
-    }
-    violations
 }
 
-/// Pretty-prints the report as an aligned table on stderr.
-pub fn print_table(report: &ServeBenchReport) {
-    eprintln!(
-        "[servebench] world={} nodes={} threads={} simd={}",
-        report.world, report.nodes, report.threads, report.simd
-    );
-    eprintln!(
-        "{:<6} {:>8} {:>9} {:>11} {:>11} {:>9} {:>12} {:>14} {:>7}",
-        "arch", "requests", "qps", "p50_us", "p99_us", "batches", "fetch_B", "full_fwd_B", "hits"
-    );
-    for r in &report.runs {
+impl GatedBench for ServeBenchReport {
+    const NAME: &'static str = "servebench";
+    type Config = ServeBenchConfig;
+
+    fn apply_flag(cfg: &mut Self::Config, flag: &str, args: &mut Args) -> Result<bool, String> {
+        let at_least_one = |args: &mut Args| args.parsed::<usize>(flag).map(|n| n.max(1));
+        match flag {
+            "--world" => cfg.world = at_least_one(args)?,
+            "--nodes" => cfg.nodes = args.parsed(flag)?,
+            "--archs" => cfg.archs = args.parsed_list(flag)?,
+            "--clients" => cfg.clients = at_least_one(args)?,
+            "--requests" => cfg.requests = at_least_one(args)?,
+            "--ids-per-request" => cfg.ids_per_request = at_least_one(args)?,
+            "--max-batch" => cfg.max_batch = at_least_one(args)?,
+            "--max-delay-us" => cfg.max_delay_us = args.parsed(flag)?,
+            "--cache-rows" => cfg.cache_rows = args.parsed(flag)?,
+            "--threads" => cfg.threads = at_least_one(args)?,
+            "--simd" => {
+                cfg.simd = args.value(flag)?;
+                if sar_tensor::simd::parse_mode(&cfg.simd).is_none() {
+                    return Err(format!("--simd must be auto or scalar, not {}", cfg.simd));
+                }
+            }
+            "--seed" => cfg.seed = args.parsed(flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Runs the full benchmark: one `sar-serve` cluster per configured
+    /// architecture.
+    fn run(cfg: &Self::Config) -> Result<Self, String> {
+        let exe = crate::launcher::sibling_binary("sar-serve")?;
+        let mut runs = Vec::with_capacity(cfg.archs.len());
+        for arch in &cfg.archs {
+            runs.push(bench_arch(&exe, cfg, arch)?);
+        }
+        Ok(ServeBenchReport {
+            world: cfg.world,
+            nodes: cfg.nodes,
+            threads: cfg.threads,
+            simd: cfg.simd.clone(),
+            runs,
+        })
+    }
+
+    /// Pretty-prints the report as an aligned table on stderr.
+    fn print(&self) {
         eprintln!(
-            "{:<6} {:>8} {:>9.1} {:>11.1} {:>11.1} {:>9} {:>12} {:>14} {:>7}",
-            r.arch,
-            r.requests,
-            r.qps,
-            r.p50_us,
-            r.p99_us,
-            r.batches,
-            r.fetch_bytes,
-            r.full_forward_bytes * r.batches,
-            r.cache_hits
+            "[servebench] world={} nodes={} threads={} simd={}",
+            self.world, self.nodes, self.threads, self.simd
         );
+        eprintln!(
+            "{:<6} {:>8} {:>9} {:>11} {:>11} {:>9} {:>12} {:>14} {:>7}",
+            "arch",
+            "requests",
+            "qps",
+            "p50_us",
+            "p99_us",
+            "batches",
+            "fetch_B",
+            "full_fwd_B",
+            "hits"
+        );
+        for r in &self.runs {
+            eprintln!(
+                "{:<6} {:>8} {:>9.1} {:>11.1} {:>11.1} {:>9} {:>12} {:>14} {:>7}",
+                r.arch,
+                r.requests,
+                r.qps,
+                r.p50_us,
+                r.p99_us,
+                r.batches,
+                r.fetch_bytes,
+                r.full_forward_bytes * r.batches,
+                r.cache_hits
+            );
+        }
+    }
+
+    /// The schema-versioned `BENCH_serve.json` document.
+    fn to_json(&self) -> String {
+        let doc = obj([
+            ("schema", SCHEMA.into()),
+            ("world", self.world.into()),
+            ("nodes", self.nodes.into()),
+            ("threads", self.threads.into()),
+            ("simd", self.simd.as_str().into()),
+            ("runs", Value::Arr(self.run_records())),
+        ]);
+        doc.pretty(2) + "\n"
+    }
+
+    /// Compares a fresh report against the committed `BENCH_serve.json`.
+    /// Hard-fails on a schema or run-set mismatch (the artifact is stale
+    /// — regenerate it); both the fresh and the committed records must
+    /// satisfy [`run_invariants`].
+    fn check_against(&self, committed_text: &str) -> Vec<String> {
+        let committed = match parse_committed::<Self>(committed_text, SCHEMA) {
+            Ok(doc) => doc,
+            Err(e) => return vec![e],
+        };
+        let mut violations = Vec::new();
+        let committed_runs = committed.items("runs");
+        let committed_archs: Vec<&str> = committed_runs
+            .iter()
+            .filter_map(|r| r.get("arch").and_then(Value::str))
+            .collect();
+        let current_archs: Vec<&str> = self.runs.iter().map(|r| r.arch.as_str()).collect();
+        for arch in &committed_archs {
+            if !current_archs.contains(arch) {
+                violations.push(format!(
+                    "run \"{arch}\" is committed but was not produced — the workload changed; \
+                     regenerate BENCH_serve.json"
+                ));
+            }
+        }
+        for arch in &current_archs {
+            if !committed_archs.contains(arch) {
+                violations.push(format!(
+                    "run \"{arch}\" is new (not committed) — regenerate BENCH_serve.json"
+                ));
+            }
+        }
+        for run in committed_runs {
+            violations.extend(run_invariants("committed", run));
+        }
+        // The fresh report is validated through its artifact records so
+        // both sides go through the identical field checks.
+        for run in &self.run_records() {
+            violations.extend(run_invariants("current", run));
+        }
+        violations
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     fn sample_report() -> ServeBenchReport {
         ServeBenchReport {
@@ -691,13 +688,10 @@ mod tests {
     #[test]
     fn report_round_trips_and_passes_against_itself() {
         let r = sample_report();
-        let doc = parse_json(&r.to_json()).expect("own JSON must parse");
-        assert_eq!(doc.get("schema").and_then(JsonValue::str), Some(SCHEMA));
-        assert_eq!(
-            doc.get("runs").and_then(JsonValue::arr).map(<[_]>::len),
-            Some(2)
-        );
-        assert!(check_against(&r, &r.to_json()).is_empty());
+        let doc = json::parse(&r.to_json()).expect("own JSON must parse");
+        assert_eq!(doc.req_str("schema"), Ok(SCHEMA));
+        assert_eq!(doc.items("runs").len(), 2);
+        assert!(r.check_against(&r.to_json()).is_empty());
     }
 
     #[test]
@@ -709,11 +703,12 @@ mod tests {
         fast.runs[0].qps *= 50.0;
         fast.runs[0].p50_us /= 30.0;
         fast.runs[0].p99_us /= 30.0;
-        assert!(check_against(&fast, &committed).is_empty());
+        assert!(fast.check_against(&committed).is_empty());
         // A missing run is structural drift.
         let mut fewer = r.clone();
         fewer.runs.pop();
-        assert!(check_against(&fewer, &committed)
+        assert!(fewer
+            .check_against(&committed)
             .iter()
             .any(|v| v.contains("not produced")));
         // A new run needs a regenerated artifact.
@@ -722,12 +717,13 @@ mod tests {
             arch: "gcn".into(),
             ..r.runs[0].clone()
         });
-        assert!(check_against(&extra, &committed)
+        assert!(extra
+            .check_against(&committed)
             .iter()
             .any(|v| v.contains("new")));
         // Schema identity is hard.
         let stale = committed.replace(SCHEMA, "sar-servebench/v0");
-        assert!(check_against(&r, &stale)[0].contains("schema"));
+        assert!(r.check_against(&stale)[0].contains("schema"));
     }
 
     #[test]
@@ -739,18 +735,21 @@ mod tests {
         let mut unrestricted = r.clone();
         unrestricted.runs[0].fetch_bytes =
             unrestricted.runs[0].full_forward_bytes * unrestricted.runs[0].batches;
-        assert!(check_against(&unrestricted, &committed)
+        assert!(unrestricted
+            .check_against(&committed)
             .iter()
             .any(|v| v.contains("not restricted")));
         // Dropped queries are a correctness failure, not noise.
         let mut dropped = r.clone();
         dropped.runs[1].queries -= 8;
-        assert!(check_against(&dropped, &committed)
+        assert!(dropped
+            .check_against(&committed)
             .iter()
             .any(|v| v.contains("inconsistent") || v.contains("dropped")));
         // A corrupt committed artifact must also fail.
         let corrupt = committed.replace("\"batches\": 40", "\"batches\": 0");
-        assert!(check_against(&r, &corrupt)
+        assert!(r
+            .check_against(&corrupt)
             .iter()
             .any(|v| v.contains("coalescing")));
     }

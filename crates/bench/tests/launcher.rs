@@ -121,3 +121,32 @@ fn bad_workload_flags_fail_fast_in_every_rank() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown arch"), "{stderr}");
 }
+
+/// A malformed flag value is a one-line usage error with exit status 2
+/// on every binary of this package — never a panic with a backtrace.
+/// (`sar-train` belongs to the root package; its case lives in the root
+/// `tests/run_workload.rs`.)
+#[test]
+fn bad_flag_values_are_usage_errors_not_panics() {
+    let cases: [(&str, &[&str]); 5] = [
+        (env!("CARGO_BIN_EXE_repro"), &["smoke", "--epochs", "x"]),
+        (env!("CARGO_BIN_EXE_repro"), &["smoke", "--threads", "1,x"]),
+        (
+            env!("CARGO_BIN_EXE_repro"),
+            &["kernelbench", "--threads", "x"],
+        ),
+        (WORKER, &["--spawn-local", "2", "--epochs", "x"]),
+        (env!("CARGO_BIN_EXE_sar-serve"), &["--nodes", "x"]),
+    ];
+    for (exe, args) in cases {
+        let output = Command::new(exe).args(args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{exe} {args:?}:\n{stderr}");
+        let flag = args[args.len() - 2];
+        assert!(
+            stderr.contains(flag) && stderr.contains("invalid value"),
+            "{exe} {args:?} must name the flag:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{exe} {args:?}:\n{stderr}");
+    }
+}

@@ -1,38 +1,31 @@
 //! End-to-end determinism gate for the SIMD dispatch (DESIGN.md §11):
 //! a full 4-worker simulated training run must produce the same
-//! [`RunReport::parity_digest`] with the vector paths forced off
-//! (`SimdMode::ForceScalar`) and with runtime dispatch (`SimdMode::Auto`).
+//! [`RunReport::parity_digest`](sar_bench::report::RunReport::parity_digest)
+//! with the vector paths forced off (`--simd scalar`) and with runtime
+//! dispatch (`--simd auto`).
 //!
-//! The digest pins per-epoch losses, accuracies and every worker's byte
-//! ledgers, so a single differing bit anywhere in the model state would
-//! surface here. Both architectures run so the SpMM family (sage) and
-//! the fused attention family (gat / sar-fak) are each covered.
+//! The digest pins per-epoch losses and every worker's byte ledgers, so
+//! a single differing bit anywhere in the model state would surface
+//! here. Both architectures run so the SpMM family (sage) and the fused
+//! attention family (gat / sar-fak) are each covered.
 //!
 //! The dispatch mode is process-global; everything lives in one test
 //! function so concurrently running tests cannot interleave mode flips.
 
-use sar_bench::distrun::Workload;
-use sar_bench::experiments::ExpConfig;
-use sar_bench::report::RunReport;
+use sar_bench::harness::{run_workload, Transport};
 use sar_bench::smoke;
-use sar_core::train;
-use sar_tensor::simd::{set_mode, SimdMode};
-
-fn digest(wl: &Workload, mode: SimdMode) -> String {
-    set_mode(mode);
-    let (dataset, part) = wl.build_data(smoke::WORLD).expect("build_data");
-    let tcfg = wl.train_config(&dataset).expect("train_config");
-    let run = train(&dataset, &part, ExpConfig::default().cost_model(), &tcfg);
-    RunReport::from_train("simd-parity", &wl.arch, &wl.mode, &run).parity_digest()
-}
 
 #[test]
 fn training_digest_is_identical_with_simd_forced_on_and_off() {
     for arch in smoke::MODELS {
-        let wl = smoke::workload(arch, 400, 0).expect("smoke workload");
-        let scalar = digest(&wl, SimdMode::ForceScalar);
-        let auto = digest(&wl, SimdMode::Auto);
-        set_mode(SimdMode::Auto);
+        let mut wl = smoke::workload(arch, 400, 0).expect("smoke workload");
+        let mut digest = |simd: &str| {
+            wl.simd = simd.into();
+            run_workload(&wl, smoke::WORLD, Transport::Sim, "simd-parity")
+                .expect("sim run")
+                .parity_digest()
+        };
+        let (scalar, auto) = (digest("scalar"), digest("auto"));
         if let Some(diff) = smoke::digest_diff(&scalar, &auto) {
             panic!("{arch}: SIMD on/off digest divergence — {diff}");
         }

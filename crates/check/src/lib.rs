@@ -28,7 +28,9 @@
 //!
 //! Every pass reports through the same [`Finding`]/[`PassReport`] types,
 //! and [`Report`] serializes the combined result as machine-readable JSON
-//! (hand-rolled — the workspace is offline, no serde).
+//! through the workspace's one JSON module ([`sar_bench::json`]).
+
+use sar_bench::json::obj;
 
 pub mod ast;
 pub mod ledgercheck;
@@ -121,72 +123,32 @@ impl Report {
     /// Serializes the report as pretty-printed JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"tool\": \"sar-check\",\n  \"clean\": ");
-        out.push_str(if self.clean() { "true" } else { "false" });
-        out.push_str(",\n  \"passes\": [\n");
-        for (i, pass) in self.passes.iter().enumerate() {
-            out.push_str("    {\n      \"pass\": ");
-            out.push_str(&json_string(&pass.pass));
-            out.push_str(",\n      \"clean\": ");
-            out.push_str(if pass.clean() { "true" } else { "false" });
-            out.push_str(",\n      \"stats\": {");
-            for (j, (name, value)) in pass.stats.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n        ");
-                out.push_str(&json_string(name));
-                out.push_str(": ");
-                out.push_str(&value.to_string());
-            }
-            if !pass.stats.is_empty() {
-                out.push_str("\n      ");
-            }
-            out.push_str("},\n      \"findings\": [");
-            for (j, finding) in pass.findings.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n        {\"rule\": ");
-                out.push_str(&json_string(&finding.rule));
-                out.push_str(", \"location\": ");
-                out.push_str(&json_string(&finding.location));
-                out.push_str(", \"message\": ");
-                out.push_str(&json_string(&finding.message));
-                out.push('}');
-            }
-            if !pass.findings.is_empty() {
-                out.push_str("\n      ");
-            }
-            out.push_str("]\n    }");
-            if i + 1 < self.passes.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let finding = |f: &Finding| {
+            obj([
+                ("rule", f.rule.as_str().into()),
+                ("location", f.location.as_str().into()),
+                ("message", f.message.as_str().into()),
+            ])
+        };
+        let pass = |p: &PassReport| {
+            obj([
+                ("pass", p.pass.as_str().into()),
+                ("clean", p.clean().into()),
+                (
+                    "stats",
+                    obj(p.stats.iter().map(|(name, v)| (name.as_str(), (*v).into()))),
+                ),
+                ("findings", p.findings.iter().map(finding).collect()),
+            ])
+        };
+        let doc = obj([
+            ("tool", "sar-check".into()),
+            ("clean", self.clean().into()),
+            ("passes", self.passes.iter().map(pass).collect()),
+        ]);
+        // One stat and one finding per line: report, passes, pass, stats.
+        doc.pretty(4) + "\n"
     }
-}
-
-/// JSON-escapes `s` and wraps it in quotes.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -208,10 +170,5 @@ mod tests {
         assert!(json.contains("\"files_scanned\": 3"));
         assert!(json.contains("no-panic-path"));
         assert!(!report.clean());
-    }
-
-    #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -1,50 +1,24 @@
 //! `sar-train` — command-line distributed full-batch GNN training.
 //!
 //! ```text
-//! sar-train [flags]
+//! sar-train [workload flags] [flags]
+//!
+//! workload flags: the shared vocabulary documented on
+//! `sar_bench::distrun::Workload` and tabulated in the README, with
+//! training-sized defaults: --nodes 4000, --mode sar-fak, --hidden 128,
+//! --epochs 50, --schedule step, and Correct & Smooth on.
 //!
 //!   --transport sim|tcp           in-process simulated cluster, or one
 //!                                 OS process per rank over TCP loopback
 //!                                 (spawns the sar-worker binary)   (sim)
-//!   --dataset products|papers     synthetic stand-in to generate  (products)
-//!   --dataset-file PATH           or load a binary dataset (sar_graph::io)
-//!   --nodes N                     stand-in size                   (4000)
 //!   --workers N                   cluster size                    (4)
-//!   --arch sage|gat|gcn           model architecture              (sage)
-//!   --mode sar|sar-fak|dp         execution mode                  (sar-fak)
-//!   --layers N                    GNN depth                       (3)
-//!   --hidden N                    hidden size (per head for GAT)  (128)
-//!   --heads N                     GAT attention heads             (4)
-//!   --epochs N                    training epochs                 (50)
-//!   --lr X                        base learning rate              (0.01)
-//!   --dropout X                   dropout probability             (0.3)
-//!   --jk                          jumping-knowledge skip connections
-//!   --no-label-aug                disable masked label prediction
+//!   --dataset-file PATH           load a binary dataset (sar_graph::io)
+//!                                 instead of generating --dataset
 //!   --no-cs                       disable Correct & Smooth
-//!   --prefetch-depth K            fetch pipeline depth: (K+2)/N memory,
-//!                                 0 = sequential, 1 = paper's 3/N   (0)
-//!   --partitioner ml|random|range|bfs                             (ml)
-//!   --threads N                   intra-worker kernel threads     (1)
-//!   --simd auto|scalar            SIMD dispatch mode              (auto)
-//!   --codec raw|f16|bf16|int8|delta
-//!                                 wire codec for remote activation/
-//!                                 gradient payloads; negotiated at the
-//!                                 TCP rendezvous                  (raw)
-//!   --mem-budget BYTES            resident-tensor budget for the disk
-//!                                 tier: blocks past the budget spill to
-//!                                 an mmap-backed store and fault back
-//!                                 on demand, bitwise identical results;
-//!                                 0 disables spilling              (0)
-//!   --protocol exact|gradonly|stale:<r>
-//!                                 exchange protocol; approximate modes
-//!                                 trade accuracy for wire volume, the
-//!                                 final evaluation always runs exact
-//!                                                                 (exact)
 //!   --save-model PATH             checkpoint final parameters
 //!   --report-json PATH            write the per-worker observability
 //!                                 RunReport (phase/layer comm ledger,
 //!                                 memory peaks, timings) as JSON
-//!   --seed N                                                      (0)
 //! ```
 //!
 //! Exits with status 1 if training diverged (non-finite loss) — after
@@ -56,75 +30,21 @@
 //! there (the multi-process path gathers ledgers and metrics to rank 0,
 //! not trained parameters or logits).
 
+use sar::bench::cli::Args;
 use sar::bench::distrun::Workload;
-use sar::bench::launcher;
+use sar::bench::harness::{run_workload, train_in_process, Transport};
 use sar::bench::report::RunReport;
-use sar::comm::CostModel;
-use sar::core::{checkpoint, train, Arch, Mode, ModelConfig, TrainConfig};
-use sar::graph::{datasets, io, Dataset};
-use sar::nn::{ConfusionMatrix, CsConfig, LrSchedule};
-use sar::partition::{partition, Method};
+use sar::core::checkpoint;
+use sar::graph::io;
+use sar::nn::ConfusionMatrix;
 
-struct Args {
-    transport: String,
-    dataset: String,
+struct Cli {
+    transport: Transport,
     dataset_file: Option<String>,
-    nodes: usize,
     workers: usize,
-    arch: String,
-    mode: String,
-    layers: usize,
-    hidden: usize,
-    heads: usize,
-    epochs: usize,
-    lr: f32,
-    dropout: f32,
-    jk: bool,
-    label_aug: bool,
-    cs: bool,
-    prefetch_depth: usize,
-    partitioner: String,
-    threads: usize,
-    simd: String,
-    codec: String,
-    protocol: String,
-    mem_budget: u64,
     save_model: Option<String>,
     report_json: Option<String>,
-    seed: u64,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            transport: "sim".into(),
-            dataset: "products".into(),
-            dataset_file: None,
-            nodes: 4000,
-            workers: 4,
-            arch: "sage".into(),
-            mode: "sar-fak".into(),
-            layers: 3,
-            hidden: 128,
-            heads: 4,
-            epochs: 50,
-            lr: 0.01,
-            dropout: 0.3,
-            jk: false,
-            label_aug: true,
-            cs: true,
-            prefetch_depth: 0,
-            partitioner: "ml".into(),
-            threads: 1,
-            simd: "auto".into(),
-            codec: "raw".into(),
-            protocol: "exact".into(),
-            mem_budget: 0,
-            save_model: None,
-            report_json: None,
-            seed: 0,
-        }
-    }
+    workload: Workload,
 }
 
 fn fail(msg: &str) -> ! {
@@ -132,175 +52,88 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
-    let mut args = Args::default();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        let mut value = || -> String {
-            i += 1;
-            argv.get(i)
-                .cloned()
-                .unwrap_or_else(|| fail(&format!("missing value for {flag}")))
-        };
+fn parse_cli(mut args: Args) -> Result<Cli, String> {
+    let mut cli = Cli {
+        transport: Transport::Sim,
+        dataset_file: None,
+        workers: 4,
+        save_model: None,
+        report_json: None,
+        workload: Workload {
+            nodes: 4000,
+            mode: "sar-fak".into(),
+            hidden: 128,
+            epochs: 50,
+            cs: true,
+            schedule: "step".into(),
+            ..Workload::default()
+        },
+    };
+    while let Some(flag) = args.next_flag() {
+        let flag = flag.as_str();
         match flag {
-            "--transport" => args.transport = value(),
-            "--dataset" => args.dataset = value(),
-            "--dataset-file" => args.dataset_file = Some(value()),
-            "--nodes" => args.nodes = value().parse().unwrap_or_else(|_| fail("--nodes")),
-            "--workers" => args.workers = value().parse().unwrap_or_else(|_| fail("--workers")),
-            "--arch" => args.arch = value(),
-            "--mode" => args.mode = value(),
-            "--layers" => args.layers = value().parse().unwrap_or_else(|_| fail("--layers")),
-            "--hidden" => args.hidden = value().parse().unwrap_or_else(|_| fail("--hidden")),
-            "--heads" => args.heads = value().parse().unwrap_or_else(|_| fail("--heads")),
-            "--epochs" => args.epochs = value().parse().unwrap_or_else(|_| fail("--epochs")),
-            "--lr" => args.lr = value().parse().unwrap_or_else(|_| fail("--lr")),
-            "--dropout" => args.dropout = value().parse().unwrap_or_else(|_| fail("--dropout")),
-            "--jk" => args.jk = true,
-            "--no-label-aug" => args.label_aug = false,
-            "--no-cs" => args.cs = false,
-            "--prefetch-depth" => {
-                args.prefetch_depth = value().parse().unwrap_or_else(|_| fail("--prefetch-depth"))
-            }
-            "--partitioner" => args.partitioner = value(),
-            "--threads" => args.threads = value().parse().unwrap_or_else(|_| fail("--threads")),
-            "--simd" => args.simd = value(),
-            "--codec" => args.codec = value(),
-            "--protocol" => args.protocol = value(),
-            "--mem-budget" => {
-                args.mem_budget = value().parse().unwrap_or_else(|_| fail("--mem-budget"))
-            }
-            "--save-model" => args.save_model = Some(value()),
-            "--report-json" => args.report_json = Some(value()),
-            "--seed" => args.seed = value().parse().unwrap_or_else(|_| fail("--seed")),
+            "--transport" => cli.transport = Transport::parse(&args.value(flag)?)?,
+            "--dataset-file" => cli.dataset_file = Some(args.value(flag)?),
+            "--workers" => cli.workers = args.parsed(flag)?,
+            "--no-cs" => cli.workload.cs = false,
+            "--save-model" => cli.save_model = Some(args.value(flag)?),
+            "--report-json" => cli.report_json = Some(args.value(flag)?),
             "--help" | "-h" => {
                 eprintln!("see the doc comment at the top of src/bin/sar-train.rs");
                 std::process::exit(0);
             }
-            other => fail(&format!("unknown flag {other}")),
+            _ if cli.workload.apply_flag(flag, &mut args)? => {}
+            other => return Err(format!("unknown flag {other}")),
         }
-        i += 1;
     }
-    args
+    Ok(cli)
 }
 
-fn load_dataset(args: &Args) -> Dataset {
-    if let Some(path) = &args.dataset_file {
-        return io::load_dataset(path)
-            .unwrap_or_else(|e| fail(&format!("cannot load {path}: {e}")));
-    }
-    match args.dataset.as_str() {
-        "products" => datasets::products_like(args.nodes, args.seed),
-        "papers" => datasets::papers_like(args.nodes, args.seed),
-        other => fail(&format!("unknown dataset {other}")),
-    }
-}
-
-/// `--transport tcp`: delegate the run to one `sar-worker` OS process
-/// per rank. The workload maps onto `sar-worker` flags one-to-one; the
-/// options that need shared memory or a full parameter/logit gather are
-/// rejected up front with an explanation instead of silently dropped.
-fn run_tcp(args: &Args) -> ! {
-    if args.dataset_file.is_some() {
+/// `--transport tcp`: one `sar-worker` OS process per rank. The options
+/// that need shared memory or a full parameter/logit gather are rejected
+/// up front with an explanation instead of silently dropped.
+fn train_tcp(cli: &Cli) -> RunReport {
+    if cli.dataset_file.is_some() {
         fail(
             "--dataset-file is not supported with --transport tcp: every rank rebuilds \
              the dataset deterministically from flags (use --dataset/--nodes/--seed)",
         );
     }
-    if args.save_model.is_some() {
+    if cli.save_model.is_some() {
         fail(
             "--save-model is not supported with --transport tcp: the multi-process run \
              gathers ledgers and metrics to rank 0, not trained parameters",
         );
     }
-    let workload = Workload {
-        dataset: args.dataset.clone(),
-        nodes: args.nodes,
-        arch: args.arch.clone(),
-        hidden: args.hidden,
-        heads: args.heads,
-        mode: args.mode.clone(),
-        layers: args.layers,
-        jk: args.jk,
-        epochs: args.epochs,
-        lr: args.lr,
-        dropout: args.dropout,
-        label_aug: args.label_aug,
-        aug_frac: 0.5,
-        cs: args.cs,
-        prefetch_depth: args.prefetch_depth,
-        partitioner: args.partitioner.clone(),
-        // Matches the simulated path's StepDecay{epochs/3, 0.5} recipe.
-        schedule: "step".into(),
-        seed: args.seed,
-        threads: args.threads,
-        simd: args.simd.clone(),
-        codec: args.codec.clone(),
-        protocol: args.protocol.clone(),
-        mem_budget: args.mem_budget,
-    };
-    let exe = launcher::sibling_binary("sar-worker").unwrap_or_else(|e| fail(&e));
-    let mut worker_args = workload.to_args();
-    worker_args.extend([
-        "--experiment".to_string(),
-        format!("sar-train/{}", args.dataset),
-    ]);
-    if let Some(path) = &args.report_json {
-        worker_args.extend(["--out".to_string(), path.clone()]);
-    }
+    let wl = &cli.workload;
     println!(
         "training {} / {} for {} epochs on {} OS processes over TCP ...",
-        args.arch, args.mode, args.epochs, args.workers
+        wl.arch, wl.mode, wl.epochs, cli.workers
     );
-    match launcher::spawn_ranks(&exe, args.workers, &worker_args) {
-        Ok(()) => std::process::exit(0),
-        Err(e) => fail(&format!("tcp run failed: {e}")),
-    }
+    let experiment = format!("sar-train/{}", wl.dataset);
+    let report = run_workload(wl, cli.workers, Transport::Tcp, &experiment)
+        .unwrap_or_else(|e| fail(&format!("tcp run failed: {e}")));
+    println!("val  accuracy: {:.2}%", 100.0 * report.val_acc);
+    println!("test accuracy: {:.2}%", 100.0 * report.test_acc);
+    report
 }
 
-fn main() {
-    let args = parse_args();
-    // The tcp path re-validates in each rank process; the sim path
-    // applies the dispatch mode here, before any kernels run.
-    match sar::tensor::simd::parse_mode(&args.simd) {
-        Some(mode) => sar::tensor::simd::set_mode(mode),
-        None => fail(&format!("unknown --simd {} (auto|scalar)", args.simd)),
-    }
-    match args.transport.as_str() {
-        "sim" => {}
-        "tcp" => run_tcp(&args),
-        other => fail(&format!("unknown transport {other} (sim or tcp)")),
-    }
-    let dataset = load_dataset(&args);
-    let mode = match args.mode.as_str() {
-        "sar" => Mode::Sar,
-        "sar-fak" => Mode::SarFused,
-        "dp" => Mode::DomainParallel,
-        other => fail(&format!("unknown mode {other}")),
+/// `--transport sim`: train in this process, which also yields the
+/// logits (for the confusion matrix) and the trained parameters (for
+/// `--save-model`).
+fn train_sim(cli: &Cli) -> RunReport {
+    let wl = &cli.workload;
+    let (dataset, partitioning) = match &cli.dataset_file {
+        Some(path) => {
+            let dataset = io::load_dataset(path)
+                .unwrap_or_else(|e| fail(&format!("cannot load {path}: {e}")));
+            let partitioning = wl
+                .partition(&dataset, cli.workers)
+                .unwrap_or_else(|e| fail(&e));
+            (dataset, partitioning)
+        }
+        None => wl.build_data(cli.workers).unwrap_or_else(|e| fail(&e)),
     };
-    let arch = match args.arch.as_str() {
-        "sage" => Arch::GraphSage {
-            hidden: args.hidden,
-        },
-        "gcn" => Arch::Gcn {
-            hidden: args.hidden,
-        },
-        "gat" => Arch::Gat {
-            head_dim: args.hidden,
-            heads: args.heads,
-        },
-        other => fail(&format!("unknown arch {other}")),
-    };
-    let method = match args.partitioner.as_str() {
-        "ml" => Method::Multilevel,
-        "random" => Method::Random,
-        "range" => Method::Range,
-        "bfs" => Method::Bfs,
-        other => fail(&format!("unknown partitioner {other}")),
-    };
-
     println!(
         "dataset {} | {} nodes, {} edges, {} classes",
         dataset.name,
@@ -308,56 +141,20 @@ fn main() {
         dataset.graph.num_edges(),
         dataset.num_classes
     );
-    let partitioning = partition(&dataset.graph, args.workers, method, args.seed);
     println!(
         "partitioned into {} parts | cut {:.1}% | balance {:.3}",
-        args.workers,
+        cli.workers,
         100.0 * partitioning.cut_fraction(&dataset.graph),
         partitioning.balance()
     );
-
-    let cfg = TrainConfig {
-        model: ModelConfig {
-            arch,
-            mode,
-            layers: args.layers,
-            in_dim: 0,
-            num_classes: dataset.num_classes,
-            dropout: args.dropout,
-            batch_norm: true,
-            jumping_knowledge: args.jk,
-            seed: args.seed,
-        },
-        epochs: args.epochs,
-        lr: args.lr,
-        schedule: LrSchedule::StepDecay {
-            every: (args.epochs / 3).max(1),
-            gamma: 0.5,
-        },
-        label_aug: args.label_aug,
-        aug_frac: 0.5,
-        cs: args.cs.then(CsConfig::default),
-        prefetch_depth: args.prefetch_depth,
-        seed: args.seed,
-        threads: args.threads,
-        protocol: sar::core::Protocol::parse(&args.protocol)
-            .unwrap_or_else(|e| fail(&format!("--protocol: {e}"))),
-        codec: sar::comm::Codec::parse(&args.codec).unwrap_or_else(|| {
-            fail(&format!(
-                "unknown --codec {} (raw|f16|bf16|int8|delta)",
-                args.codec
-            ))
-        }),
-        mem_budget: args.mem_budget,
-    };
     println!(
-        "training {:?} / {:?} for {} epochs on {} workers ...",
-        arch, mode, args.epochs, args.workers
+        "training {} / {} for {} epochs on {} workers ...",
+        wl.arch, wl.mode, wl.epochs, cli.workers
     );
-    let report = train(&dataset, &partitioning, CostModel::default(), &cfg);
+    let report = train_in_process(wl, &dataset, &partitioning).unwrap_or_else(|e| fail(&e));
 
     for (e, loss) in report.losses.iter().enumerate() {
-        if e % (args.epochs / 10).max(1) == 0 || e + 1 == report.losses.len() {
+        if e % (wl.epochs / 10).max(1) == 0 || e + 1 == report.losses.len() {
             println!("epoch {e:>4}  loss {loss:.4}");
         }
     }
@@ -380,27 +177,34 @@ fn main() {
         report.total_sent_bytes as f64 / (1024.0 * 1024.0),
     );
 
-    if let Some(path) = &args.save_model {
+    if let Some(path) = &cli.save_model {
         let file = std::fs::File::create(path)
             .unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")));
         checkpoint::save_raw_params(&report.final_params, file)
             .unwrap_or_else(|e| fail(&format!("cannot save model: {e}")));
         println!("saved trained parameters to {path}");
     }
-
-    let json_report = RunReport::from_train(
+    RunReport::from_train(
         format!("sar-train/{}", dataset.name),
-        &args.arch,
-        &args.mode,
+        &wl.arch,
+        &wl.mode,
         &report,
-    );
-    if let Some(path) = &args.report_json {
-        json_report
+    )
+}
+
+fn main() {
+    let cli = parse_cli(Args::from_env()).unwrap_or_else(|e| fail(&e));
+    let report = match cli.transport {
+        Transport::Sim => train_sim(&cli),
+        Transport::Tcp => train_tcp(&cli),
+    };
+    if let Some(path) = &cli.report_json {
+        report
             .write_json(path)
             .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
         println!("wrote observability report to {path}");
     }
-    if json_report.has_non_finite_loss() {
+    if report.has_non_finite_loss() {
         eprintln!("sar-train: training diverged (non-finite loss)");
         std::process::exit(1);
     }
