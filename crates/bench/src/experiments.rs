@@ -353,6 +353,7 @@ pub fn scaling(arch: Arch, workload: Workload, worlds: &[usize], cfg: &ExpConfig
 /// node is needed) so the fetched blocks dominate the phase's footprint.
 pub fn ablation_prefetch(cfg: &ExpConfig) -> Table {
     use sar_core::{sage_aggregate, DistGraph, Worker};
+    use std::rc::Rc;
     use std::sync::Arc;
 
     let d = datasets::products_like(cfg.products_nodes, cfg.seed);
@@ -377,12 +378,12 @@ pub fn ablation_prefetch(cfg: &ExpConfig) -> Table {
         let graphs = Arc::clone(&graphs);
         let outcomes = sar_comm::Cluster::new(world, cfg.cost_model()).run(move |ctx| {
             let rank = ctx.rank();
-            let w = Worker::with_prefetch_depth(ctx, Arc::clone(&graphs[rank]), depth);
+            let w = Worker::from_shared(Rc::new(ctx), Arc::clone(&graphs[rank]), depth);
             let z = Var::constant(sar_tensor::Tensor::ones(&[w.graph.num_local(), feat]));
             // Measure only the aggregation loop.
             MemoryTracker::reset_peak();
             let base = MemoryTracker::stats().current_bytes;
-            let out = sage_aggregate(&w, &z);
+            let out = sage_aggregate(&w, &w.view(), &z).expect("aggregation exchange");
             let peak = MemoryTracker::stats().peak_bytes - base;
             drop(out);
             peak

@@ -38,8 +38,9 @@ use std::path::Path;
 use crate::ast::{line_of, FileInfo, Workspace};
 use crate::{Finding, PassReport};
 
-/// The comm-context methods whose call sites are phase-audited.
-const CTX_COMM_CALLS: &[&str] = &[
+/// The comm-context methods whose call sites are phase-audited — by this
+/// pass per call site, by the linter's `phase-scope` rule per function.
+pub(crate) const CTX_COMM_CALLS: &[&str] = &[
     "send_nowait",
     "try_send",
     "try_recv",

@@ -6,7 +6,7 @@
 //!
 //! * `no-panic-path` — no `unwrap()`, `expect()`, `assert!`,
 //!   `assert_eq!`, `assert_ne!` in `sar-comm` sources,
-//!   `core/src/worker.rs`, or the spill tier `tensor/src/tier.rs`
+//!   `core/src/{worker,seq_agg}.rs`, or the spill tier `tensor/src/tier.rs`
 //!   (outside `#[cfg(test)]`): hot paths report through typed errors
 //!   (`TransportError`, `TierError`), or `panic!` with a rank-naming
 //!   message at documented panicking entry points. `debug_assert*` is
@@ -440,13 +440,15 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Whether the `no-panic-path` rule applies to this file: all of
-/// `sar-comm`'s sources, the worker hot path in `sar-core`, and the
-/// resident serving tier (a panicking rank strands every peer of the
+/// `sar-comm`'s sources, the worker hot path in `sar-core` (the walker and
+/// router in `worker.rs`, and the aggregation functions in `seq_agg.rs`
+/// that drive them from inside autograd), and the resident serving tier (a panicking rank strands every peer of the
 /// rotation mid-protocol, and a serving cluster must outlive bad
 /// requests by construction).
 fn panic_rule_applies(rel: &str) -> bool {
     rel.starts_with("crates/comm/src/")
         || rel == "crates/core/src/worker.rs"
+        || rel == "crates/core/src/seq_agg.rs"
         || rel.starts_with("crates/serve/src/")
         || rel == "crates/tensor/src/tier.rs"
 }
@@ -458,9 +460,6 @@ fn panic_rule_applies(rel: &str) -> bool {
 fn phase_rule_applies(rel: &str) -> bool {
     rel.starts_with("crates/core/src/") || rel.starts_with("crates/serve/src/")
 }
-
-/// The comm-context methods that must run under a phase scope.
-const CTX_COMM_CALLS: &[&str] = &["send_nowait", "try_recv", "send", "recv_tagged_any"];
 
 fn lint_file(file: &SourceFile, report: &mut PassReport) {
     let raw_lines = file.raw_lines();
@@ -572,7 +571,7 @@ fn lint_file(file: &SourceFile, report: &mut PassReport) {
     if phase_rule_applies(&file.rel) {
         for (name, line, body) in functions(&file.code, &file.line_starts) {
             let normalized: String = body.chars().filter(|c| !c.is_whitespace()).collect();
-            let comm_call = CTX_COMM_CALLS
+            let comm_call = crate::ledgercheck::CTX_COMM_CALLS
                 .iter()
                 .find(|call| normalized.contains(&format!("ctx.{call}(")));
             if let Some(call) = comm_call {
@@ -711,6 +710,16 @@ mod tests {
         assert!(panic_rule_applies("crates/comm/src/codec.rs"));
         assert!(panic_rule_applies("crates/comm/src/transport.rs"));
         assert!(!panic_rule_applies("crates/bench/src/compressbench.rs"));
+    }
+
+    #[test]
+    fn aggregation_functions_are_on_the_no_panic_path() {
+        // seq_agg.rs runs the walker and the gradient router from inside
+        // forward and backward passes: a bare `assert!`/`unwrap` there
+        // kills a rank mid-rotation without naming it.
+        assert!(panic_rule_applies("crates/core/src/worker.rs"));
+        assert!(panic_rule_applies("crates/core/src/seq_agg.rs"));
+        assert!(!panic_rule_applies("crates/core/src/model.rs"));
     }
 
     #[test]

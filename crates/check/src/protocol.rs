@@ -20,8 +20,9 @@
 //!   paper's `(K+2)/N` memory bound.
 //! * **Out-of-core residency** — the communication-free stale-epoch
 //!   replay out of the disk tier ([`build_tiered_program`], mirroring
-//!   `Worker::replay_tiered`) walks the *same* depth-K schedule with
-//!   `Fetch` reinterpreted as a disk fault and `Serve` as a no-op, and
+//!   `Worker::try_fetch_rounds` with the tier as its block source) walks
+//!   the *same* depth-K schedule with `Fetch` bound to a disk fault and
+//!   `Serve` to nothing, and
 //!   keeps at most `min(K, N−1) + 2 ≤ K + 2` blocks in RAM (staged
 //!   blocks plus the accumulator) with the remainder spilled: every
 //!   fault hits a block actually on disk, every faulted block returns to
@@ -97,29 +98,62 @@ pub struct Program {
     pub ops: Vec<Op>,
 }
 
-/// Appends the ops of one pipelined fetch exchange (Algorithm 1) to
-/// `ops`, translating the pure plan one step at a time.
-fn push_fetch_exchange(ops: &mut Vec<Op>, n: usize, p: usize, k: usize, tag: u64) {
+/// Appends the ops of one walk of the pipelined rotation schedule
+/// (Algorithm 1), translating the pure plan one step at a time exactly as
+/// `Worker::try_fetch_rounds` binds it:
+///
+/// * `wire = Some(tag)` — blocks come off the wire: `Serve` sends, `Fetch`
+///   receives and stages. `wire = None` — a stale epoch replaying its
+///   cache (RAM or disk tier): nothing is served, `Fetch` only stages.
+/// * `route = Some(tag)` — a rematerializing refetch (case 2): the
+///   gradient router sends partition `q`'s error block under `tag` right
+///   after `q`'s block is consumed. The local block needs no message.
+fn push_fetch_walk(
+    ops: &mut Vec<Op>,
+    n: usize,
+    p: usize,
+    k: usize,
+    wire: Option<u64>,
+    route: Option<u64>,
+) {
     for step in plan::fetch_steps(n, p, k) {
         match step {
             FetchStep::GatherLocal => ops.push(Op::Stage),
-            FetchStep::Serve { dst, .. } => ops.push(Op::Send { dst, tag }),
+            FetchStep::Serve { dst, .. } => {
+                if let Some(tag) = wire {
+                    ops.push(Op::Send { dst, tag });
+                }
+            }
             FetchStep::Fetch { src, .. } => {
-                ops.push(Op::Recv { src, tag });
+                if let Some(tag) = wire {
+                    ops.push(Op::Recv { src, tag });
+                }
                 ops.push(Op::Stage);
             }
-            FetchStep::Consume { .. } => ops.push(Op::Consume),
+            FetchStep::Consume { q } => {
+                ops.push(Op::Consume);
+                if let (Some(tag), true) = (route, q != p) {
+                    ops.push(Op::Send { dst: q, tag });
+                }
+            }
         }
     }
 }
 
-/// Appends the ops of one gradient-routing exchange (Algorithm 2).
-fn push_grad_exchange(ops: &mut Vec<Op>, n: usize, p: usize, tag: u64) {
+/// Appends the ops of one pipelined fetch exchange over the wire.
+fn push_fetch_exchange(ops: &mut Vec<Op>, n: usize, p: usize, k: usize, tag: u64) {
+    push_fetch_walk(ops, n, p, k, Some(tag), None);
+}
+
+/// Appends the gradient router's ops (Algorithm 2) in
+/// [`plan::grad_steps`] order. `sends = false` is the router's `finish()`
+/// alone — the receives after a refetch walk already pushed every block.
+fn push_grad_exchange(ops: &mut Vec<Op>, n: usize, p: usize, tag: u64, sends: bool) {
     for step in plan::grad_steps(n, p) {
         match step {
-            GradStep::AccumulateLocal => {}
-            GradStep::Send { dst } => ops.push(Op::Send { dst, tag }),
+            GradStep::Send { dst } if sends => ops.push(Op::Send { dst, tag }),
             GradStep::Recv { src } => ops.push(Op::Recv { src, tag }),
+            GradStep::AccumulateLocal | GradStep::Send { .. } => {}
         }
     }
 }
@@ -131,29 +165,7 @@ fn push_grad_exchange(ops: &mut Vec<Op>, n: usize, p: usize, tag: u64) {
 #[must_use]
 pub fn build_programs(n: usize, k: usize, model: CaseModel, layers: usize) -> Vec<Program> {
     (0..n)
-        .map(|p| {
-            let mut ops = Vec::new();
-            let mut tag = 0u64;
-            // Forward: one fetch exchange per layer.
-            for _ in 0..layers {
-                push_fetch_exchange(&mut ops, n, p, k, tag);
-                tag += 1;
-            }
-            // Backward, deepest layer first.
-            for _ in 0..layers {
-                if model == CaseModel::Case2 {
-                    // Rematerialization refetch (runs the same rotation
-                    // exchange under the BackwardRefetch phase).
-                    push_fetch_exchange(&mut ops, n, p, k, tag);
-                    tag += 1;
-                }
-                push_grad_exchange(&mut ops, n, p, tag);
-                tag += 1;
-            }
-            // Epoch boundary.
-            ops.push(Op::Barrier { id: 0 });
-            Program { rank: p, ops }
-        })
+        .map(|p| build_protocol_program(n, p, k, model, layers, ProtoSpec::Exact, 1))
         .collect()
 }
 
@@ -355,8 +367,8 @@ pub fn verify(n: usize, programs: &[Program], staged_bound: usize) -> (ProofStat
 
 /// One symbolic operation of the out-of-core stale replay: the depth-K
 /// fetch schedule run communication-free against the disk tier, exactly
-/// as `Worker::replay_tiered` runs it (`Fetch` → disk fault, `Serve` →
-/// no-op).
+/// as `Worker::try_fetch_rounds` runs it when the tier is its block
+/// source (`Fetch` → disk fault, `Serve` → no-op).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierOp {
     /// Stage the round-0 local gather — RAM +1 (never touches disk).
@@ -558,50 +570,49 @@ impl ProtoSpec {
     }
 }
 
-/// Appends a stale-epoch fetch replay: the rotation consumed from the
-/// cache in order, no messages. Each block passes through the staging
-/// queue transiently (residency 1), mirroring `Worker::fetch_rounds`'
-/// cached-replay path.
-fn push_stale_replay(ops: &mut Vec<Op>, n: usize) {
-    for _ in 0..n {
-        ops.push(Op::Stage);
-        ops.push(Op::Consume);
-    }
-}
-
-/// Appends one fetch call under `proto` — and bumps the tag
+/// Appends one rotation walk under `proto` — and bumps the tag
 /// *unconditionally*, exactly as `Worker::next_tag` does: approximate
 /// protocols skip messages, not tags, so the SPMD tag streams stay
 /// aligned across protocol phases (a stale epoch followed by a refresh).
-fn push_protocol_fetch(
+/// `route` is the gradient tag of a rematerializing refetch (case 2).
+#[allow(clippy::too_many_arguments)]
+fn push_protocol_walk(
     ops: &mut Vec<Op>,
     n: usize,
     p: usize,
     k: usize,
     proto: ProtoSpec,
     fresh: bool,
+    route: Option<u64>,
     tag: &mut u64,
 ) {
     match proto {
-        // Local round only: gather, consume, no traffic.
+        // Local round only: gather, consume, no traffic, nothing routed.
         ProtoSpec::GradOnly => {
             ops.push(Op::Stage);
             ops.push(Op::Consume);
         }
-        ProtoSpec::Exact => push_fetch_exchange(ops, n, p, k, *tag),
-        ProtoSpec::Stale(_) if fresh => push_fetch_exchange(ops, n, p, k, *tag),
-        ProtoSpec::Stale(_) => push_stale_replay(ops, n),
+        // A stale epoch walks the same depth-k schedule out of its cache;
+        // routing stays exact.
+        ProtoSpec::Stale(_) if !fresh => push_fetch_walk(ops, n, p, k, None, route),
+        ProtoSpec::Exact | ProtoSpec::Stale(_) => push_fetch_walk(ops, n, p, k, Some(*tag), route),
     }
     *tag += 1;
 }
 
 /// Builds rank `p`'s program for `epochs` training epochs under an
-/// approximate-exchange protocol, mirroring the trainer's epoch loop:
-/// `Stale(r)` refreshes when `epoch % r == 0` and replays otherwise;
-/// `GradOnly` never exchanges; tags advance unconditionally on every
-/// fetch call and gradient exchange so ranks stay aligned through
-/// skipped phases. Each epoch ends at a barrier carrying the epoch
-/// number, as the trainer's epoch boundary does.
+/// exchange protocol, mirroring the trainer's epoch loop: `Stale(r)`
+/// refreshes when `epoch % r == 0` and replays otherwise; `GradOnly`
+/// never exchanges; tags advance unconditionally on every walk and
+/// gradient exchange so ranks stay aligned through skipped phases. Each
+/// epoch ends at a barrier carrying the epoch number, as the trainer's
+/// epoch boundary does.
+///
+/// The backward pass is what the runtime does, not a summary of it. Case
+/// 1 (`Worker::exchange_grads`): the router pushes every block, then
+/// finishes. Case 2 (`GatAggFn::backward`): the router is opened first
+/// (its tag precedes the refetch's), each consumed block's gradient is
+/// sent from inside the refetch walk, and the receives follow the walk.
 #[must_use]
 pub fn build_protocol_program(
     n: usize,
@@ -614,27 +625,30 @@ pub fn build_protocol_program(
 ) -> Program {
     let mut ops = Vec::new();
     let mut tag = 0u64;
+    let routed = proto != ProtoSpec::GradOnly;
     for epoch in 0..epochs {
         let fresh = match proto {
             ProtoSpec::Stale(r) => r == 0 || epoch % r == 0,
             _ => true,
         };
-        // Forward: one fetch call per layer.
+        // Forward: one walk per layer.
         for _ in 0..layers {
-            push_protocol_fetch(&mut ops, n, p, k, proto, fresh, &mut tag);
+            push_protocol_walk(&mut ops, n, p, k, proto, fresh, None, &mut tag);
         }
-        // Backward, deepest layer first.
+        // Backward, deepest layer first. The router's tag is allocated
+        // unconditionally, like the walk's.
         for _ in 0..layers {
+            let grad_tag = tag;
+            tag += 1;
             if model == CaseModel::Case2 {
                 // Rematerialization refetch — same protocol dispatch (a
                 // stale epoch replays it from cache too).
-                push_protocol_fetch(&mut ops, n, p, k, proto, fresh, &mut tag);
+                let route = Some(grad_tag);
+                push_protocol_walk(&mut ops, n, p, k, proto, fresh, route, &mut tag);
             }
-            if proto != ProtoSpec::GradOnly {
-                push_grad_exchange(&mut ops, n, p, tag);
+            if routed {
+                push_grad_exchange(&mut ops, n, p, grad_tag, model == CaseModel::Case1);
             }
-            // Unconditional, like the fetch tag.
-            tag += 1;
         }
         ops.push(Op::Barrier { id: epoch as u64 });
     }
@@ -654,8 +668,10 @@ fn serve_base(seq: u64) -> u64 {
 const SERVE_OFF_CTRL: u64 = 0;
 /// MFG build-exchange slots (`+ level`).
 const SERVE_OFF_BUILD: u64 = 0x100;
-/// Restricted-rotation forward slots (`+ level`).
-const SERVE_OFF_FWD: u64 = 0x200;
+/// Base of the engine worker's own tag stream (scaled-down mirror of the
+/// rotation's point-to-point tag base): the per-level forward walks draw
+/// their tags from it, one per level, across batches.
+const SERVE_WALK_TAG_BASE: u64 = 1 << 40;
 /// Result-gather position stream to rank 0.
 const SERVE_OFF_RES_POS: u64 = 0x300;
 /// Result-gather value stream to rank 0.
@@ -667,7 +683,10 @@ const SERVE_QUIESCE_ID: u64 = u64::MAX;
 /// by a shutdown, mirroring `sar-serve`'s engine: rank 0 broadcasts a
 /// seq-numbered control message per batch (tag `batch_base(seq) +
 /// OFF_CTRL`); every batch runs `layers` send-all-then-recv-all MFG build
-/// exchanges and `layers` forward exchanges; workers ship results to
+/// exchanges, then `layers` forward walks — the training walker itself at
+/// depth `n − 1` (every serve before the first consume), so serving
+/// inherits the matching, deadlock and residency proofs of the rotation
+/// instead of a hand-written mirror; workers ship results to
 /// rank 0 as a position stream plus a value stream; shutdown is one more
 /// control broadcast followed by the drain barrier (`quiesce`), so no
 /// rank exits while a peer still expects service.
@@ -676,6 +695,7 @@ pub fn build_serve_programs(n: usize, layers: usize, batches: usize) -> Vec<Prog
     (0..n)
         .map(|p| {
             let mut ops = Vec::new();
+            let mut walk_tag = SERVE_WALK_TAG_BASE;
             for seq in 0..batches as u64 {
                 let base = serve_base(seq);
                 // Seq-numbered control broadcast.
@@ -702,15 +722,11 @@ pub fn build_serve_programs(n: usize, layers: usize, batches: usize) -> Vec<Prog
                         ops.push(Op::Recv { src: q, tag });
                     }
                 }
-                // Restricted rotation forward: bottom level up.
-                for k in 1..=layers {
-                    let tag = base + SERVE_OFF_FWD + k as u64;
-                    for q in (0..n).filter(|&q| q != p) {
-                        ops.push(Op::Send { dst: q, tag });
-                    }
-                    for q in (0..n).filter(|&q| q != p) {
-                        ops.push(Op::Recv { src: q, tag });
-                    }
+                // Restricted rotation forward, bottom level up: one walk
+                // of the rotation per level under the worker's next tag.
+                for _ in 0..layers {
+                    push_fetch_exchange(&mut ops, n, p, n - 1, walk_tag);
+                    walk_tag += 1;
                 }
                 // Result gather: two streams per worker to rank 0.
                 if p == 0 {
@@ -895,11 +911,12 @@ pub fn sweep(ns: &[usize], ks: &[usize], layers: usize) -> PassReport {
             }
         }
     }
-    // Serve tier: seq-numbered control broadcasts, MFG build + forward
-    // all-to-alls, result gather, drain-then-ack shutdown.
+    // Serve tier: seq-numbered control broadcasts, MFG build all-to-alls,
+    // depth-(N−1) forward walks (staging all N blocks of a level is the
+    // bound there), result gather, drain-then-ack shutdown.
     for &n in ns {
         let programs = build_serve_programs(n, layers, 3);
-        let (stats, findings) = verify(n, &programs, 0);
+        let (stats, findings) = verify(n, &programs, n);
         report.bump("serve_configs_verified", 1);
         report.bump("sends_matched", stats.sends);
         report.bump("ops_executed", stats.steps);
@@ -1057,17 +1074,65 @@ mod tests {
     }
 
     #[test]
-    fn exact_protocol_program_matches_single_step_builder_per_epoch() {
-        // One Exact epoch is exactly the single-step program (modulo the
-        // barrier id), so the multi-epoch builder proves the same
-        // schedule the original sweep proves.
-        let single = build_programs(4, 1, CaseModel::Case2, 2);
-        let multi: Vec<Program> = (0..4)
-            .map(|p| build_protocol_program(4, p, 1, CaseModel::Case2, 2, ProtoSpec::Exact, 1))
+    fn case2_backward_routes_each_block_from_inside_the_refetch() {
+        // What `GatAggFn::backward` does: the router's tag is allocated
+        // before the refetch's, every remote block's gradient leaves right
+        // after that block is consumed, the local block sends nothing, and
+        // the receives run after the walk.
+        let (n, p) = (4, 1);
+        let prog = &build_programs(n, 0, CaseModel::Case2, 1)[p];
+        let (fwd_tag, grad_tag, refetch_tag) = (0u64, 1u64, 2u64);
+        let backward: Vec<Op> = prog
+            .ops
+            .iter()
+            .copied()
+            .skip_while(
+                |op| !matches!(op, Op::Send { tag, .. } | Op::Recv { tag, .. } if *tag != fwd_tag),
+            )
             .collect();
-        for (s, m) in single.iter().zip(&multi) {
-            assert_eq!(s.ops, m.ops, "rank {}", s.rank);
+        let routed: Vec<usize> = backward
+            .iter()
+            .enumerate()
+            .filter(|(_, op)| matches!(op, Op::Send { tag, .. } if *tag == grad_tag))
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(routed.len(), n - 1, "one routed block per remote partition");
+        for &i in &routed {
+            assert_eq!(backward[i - 1], Op::Consume, "route follows its consume");
+            assert!(
+                !matches!(backward[i], Op::Send { dst, .. } if dst == p),
+                "no self-send"
+            );
         }
+        let last_walk_op = backward
+            .iter()
+            .rposition(|op| matches!(op, Op::Consume | Op::Send { .. }))
+            .expect("walk ops");
+        let first_grad_recv = backward
+            .iter()
+            .position(|op| matches!(op, Op::Recv { tag, .. } if *tag == grad_tag))
+            .expect("grad recvs");
+        assert!(first_grad_recv > last_walk_op, "receives follow the walk");
+        assert!(backward
+            .iter()
+            .any(|op| matches!(op, Op::Recv { tag, .. } if *tag == refetch_tag)));
+    }
+
+    #[test]
+    fn stale_replay_walks_the_depth_k_schedule_without_messages() {
+        // Epoch 1 of stale:2 replays the cache through the same staging
+        // as a wire walk: residency peaks at min(K, N−1) + 1, no fetch
+        // traffic, while case-2 routing stays exact.
+        let (n, k) = (5, 2);
+        let programs: Vec<Program> = (0..n)
+            .map(|p| build_protocol_program(n, p, k, CaseModel::Case2, 1, ProtoSpec::Stale(2), 2))
+            .collect();
+        let (stats, findings) = verify(n, &programs, k + 1);
+        assert!(findings.is_empty(), "{findings:#?}");
+        assert_eq!(stats.peak_staged, k + 1);
+        // Fresh epoch: 2 walks + routing = 3(n−1) sends per rank; stale
+        // epoch: routing only.
+        assert_eq!(stats.sends, (n * (n - 1) * 4) as u64);
     }
 
     #[test]
@@ -1098,8 +1163,11 @@ mod tests {
     fn serve_control_plane_is_matched_and_deadlock_free() {
         for n in 2..=8usize {
             let programs = build_serve_programs(n, 2, 3);
-            let (stats, findings) = verify(n, &programs, 0);
+            let (stats, findings) = verify(n, &programs, n);
             assert!(findings.is_empty(), "n={n}: {findings:#?}");
+            // The forward walks run the rotation at depth n−1: all n
+            // blocks of a level are staged before the first consume.
+            assert_eq!(stats.peak_staged, n, "n={n}");
             // Per batch: ctrl (n−1) + 2·layers all-to-alls (n(n−1)) +
             // results (2(n−1)); shutdown adds one more ctrl broadcast.
             let per_batch = (n - 1) + 4 * n * (n - 1) + 2 * (n - 1);
@@ -1120,7 +1188,7 @@ mod tests {
             .position(|op| matches!(op, Op::Barrier { .. }))
             .expect("serve program ends at the quiesce barrier");
         programs[2].ops.remove(barrier_at);
-        let (_, findings) = verify(4, &programs, 0);
+        let (_, findings) = verify(4, &programs, 4);
         assert!(
             findings
                 .iter()
@@ -1147,7 +1215,7 @@ mod tests {
             }
         }
         assert_eq!(seen, 1, "expected exactly one batch-1 ctrl recv");
-        let (_, findings) = verify(3, &programs, 0);
+        let (_, findings) = verify(3, &programs, 3);
         assert!(
             findings.iter().any(|f| f.rule == "deadlock-free"),
             "expected the stale seq to deadlock, got {findings:#?}"

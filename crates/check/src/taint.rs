@@ -6,8 +6,10 @@
 //! sources on the digest-bearing hot paths. This pass makes that absence
 //! a static property instead of a test matrix. It computes the call-graph
 //! closure (over [`crate::ast`]) of the digest-bearing roots — the graph
-//! kernels, `seq_agg`, the wire codec, the rotation worker, the serve
-//! engine's MFG path, and the tiered store — restricted to the hot-path
+//! kernels, `seq_agg`, the wire codec, the rotation worker (walker and
+//! gradient router), the layer forward the serve engine shares with
+//! training, the engine's MFG path, and the tiered store — restricted to
+//! the hot-path
 //! file set, and rejects three source classes inside that closure:
 //!
 //! * **`taint-unordered-iter`** — iterating a `HashMap`/`HashSet`
@@ -55,13 +57,14 @@ const ROOT_FILES: &[&str] = &[
 /// Digest-bearing functions on mixed files (the rest of those files is
 /// config/reporting surface).
 const ROOT_FNS: &[(&str, &str)] = &[
+    ("crates/core/src/worker.rs", "try_fetch_rounds"),
     ("crates/core/src/worker.rs", "fetch_rounds"),
     ("crates/core/src/worker.rs", "exchange_grads"),
-    ("crates/core/src/worker.rs", "replay_tiered"),
+    ("crates/core/src/worker.rs", "push"),
+    ("crates/core/src/worker.rs", "finish"),
     ("crates/core/src/worker.rs", "serve"),
-    ("crates/core/src/worker.rs", "receive_block"),
     ("crates/core/src/worker.rs", "try_receive_block"),
-    ("crates/core/src/worker.rs", "gather_pooled"),
+    ("crates/core/src/model.rs", "layer_forward"),
     ("crates/serve/src/engine.rs", "run_batch"),
     ("crates/serve/src/engine.rs", "build_mfg"),
     ("crates/serve/src/engine.rs", "forward_mfg"),
@@ -88,6 +91,8 @@ const HOT_FILES: &[&str] = &[
     "crates/tensor/src/tier.rs",
     "crates/core/src/seq_agg.rs",
     "crates/core/src/worker.rs",
+    "crates/core/src/model.rs",
+    "crates/core/src/mfg.rs",
     "crates/serve/src/engine.rs",
     "crates/comm/src/codec.rs",
     "crates/comm/src/ctx.rs",
@@ -121,10 +126,54 @@ fn is_hot(rel: &str) -> bool {
     HOT_FILES.contains(&rel)
 }
 
-/// Runs the pass over a workspace checkout.
+/// Runs the pass over a workspace checkout. On a full checkout every
+/// declared root must resolve: a root naming a file or function that a
+/// refactor renamed or deleted would otherwise silently shrink the
+/// closure while the pass stays green.
 #[must_use]
 pub fn run(root: &Path) -> PassReport {
-    run_ws(&Workspace::load(root))
+    let ws = Workspace::load(root);
+    let mut report = run_ws(&ws);
+    report.findings.extend(unresolved_roots(&ws));
+    report
+}
+
+/// One finding per declared root (`ROOT_FILES`, `ROOT_FNS`) that `ws`
+/// does not contain.
+#[must_use]
+pub fn unresolved_roots(ws: &Workspace) -> Vec<Finding> {
+    let has_file = |rel: &str| ws.files.iter().any(|f| f.rel == rel);
+    let has_fn = |rel: &str, name: &str| {
+        ws.fns_by_name(name)
+            .iter()
+            .any(|&fi| ws.file_of(fi).rel == rel)
+    };
+    let missing_files = ROOT_FILES.iter().filter(|rel| !has_file(rel)).map(|rel| {
+        (
+            rel.to_string(),
+            format!("root file `{rel}` is not in the workspace"),
+        )
+    });
+    let missing_fns = ROOT_FNS
+        .iter()
+        .filter(|(rel, name)| !has_fn(rel, name))
+        .map(|(rel, name)| {
+            (
+                rel.to_string(),
+                format!("root fn `{name}` does not exist in `{rel}`"),
+            )
+        });
+    missing_files
+        .chain(missing_fns)
+        .map(|(location, what)| Finding {
+            rule: "taint-root-unresolved".into(),
+            location,
+            message: format!(
+                "{what} — it was renamed or deleted; update the root set in taint.rs \
+                 or the digest closure silently shrinks"
+            ),
+        })
+        .collect()
 }
 
 /// Identifier tokens (start offset, text) of a blanked body — local copy
@@ -461,7 +510,7 @@ fn encode_block(id: u64) {
     #[test]
     fn metering_annotation_exempts_time_source() {
         let src = "\
-fn replay_tiered() {
+fn try_fetch_rounds() {
     // sar-check: deterministic(metering: feeds disk_blocked_us only, never the digest)
     let begin = Instant::now();
     consume(begin);
@@ -478,6 +527,24 @@ fn replay_tiered() {
             .find(|(n, _)| n == "deterministic_annotations")
             .map(|(_, v)| *v);
         assert_eq!(honored, Some(1));
+    }
+
+    #[test]
+    fn renamed_or_deleted_root_is_an_error_not_a_silent_drop() {
+        // A checkout where `worker.rs` lost `try_fetch_rounds` (renamed,
+        // say) must name that root; the roots that still resolve must not
+        // be reported.
+        let ws = Workspace::from_sources(&[(
+            "crates/core/src/worker.rs",
+            "fn fetch_rounds() {}\nfn exchange_grads() {}\n",
+        )]);
+        let findings = unresolved_roots(&ws);
+        assert!(findings.iter().all(|f| f.rule == "taint-root-unresolved"));
+        let names = |needle: &str| findings.iter().any(|f| f.message.contains(needle));
+        assert!(names("`try_fetch_rounds`"), "{findings:?}");
+        assert!(names("`crates/graph/src/ops.rs`"), "{findings:?}");
+        assert!(!names("`fetch_rounds`"), "{findings:?}");
+        assert!(!names("`exchange_grads`"), "{findings:?}");
     }
 
     #[test]

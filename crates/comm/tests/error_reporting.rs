@@ -5,13 +5,21 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sar_comm::tcp::run_tcp_threads;
 use sar_comm::wire::{encode_frame, read_frame, FrameKind, WIRE_MAX_PAYLOAD};
 use sar_comm::{
-    Cluster, CostModel, Payload, TcpOpts, TcpTransport, Transport, TransportError, WorkerCtx,
+    ChannelTransport, Clock, Cluster, CostModel, Message, Payload, TcpOpts, TcpTransport,
+    Transport, TransportError, WorkerCtx,
 };
+use sar_core::{gat_aggregate, DistGraph, FakMode, Worker};
+use sar_graph::generators::erdos_renyi;
+use sar_tensor::{Tensor, Var};
 
 /// The Display contract: `Corrupt` must name the peer rank and pass the
 /// decoder's byte-size diagnostic through verbatim.
@@ -154,4 +162,126 @@ fn tcp_checksum_mismatch_names_peer_rank_and_checksums() {
         other => panic!("expected a checksum rejection, got {other:?}"),
     }
     evil.join().unwrap();
+}
+
+/// A channel transport that drops the last row's worth of floats from the
+/// `nth` point-to-point `F32` payload it sends (collectives pass through).
+struct TruncatingTransport {
+    inner: ChannelTransport,
+    countdown: AtomicUsize,
+    cut: usize,
+}
+
+impl Transport for TruncatingTransport {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+    fn world_size(&self) -> usize {
+        self.inner.world_size()
+    }
+    fn clock(&self) -> Clock {
+        self.inner.clock()
+    }
+    fn send(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), TransportError> {
+        let payload = match payload {
+            Payload::F32(mut v)
+                if tag < (1 << 62) && self.countdown.fetch_sub(1, Ordering::SeqCst) == 1 =>
+            {
+                v.truncate(v.len() - self.cut);
+                Payload::F32(v)
+            }
+            other => other,
+        };
+        self.inner.send(dst, tag, payload)
+    }
+    fn recv_any(&self, timeout: Duration) -> Result<Message, TransportError> {
+        self.inner.recv_any(timeout)
+    }
+    fn try_recv_any(&self) -> Result<Option<Message>, TransportError> {
+        self.inner.try_recv_any()
+    }
+    fn barrier(&self) -> Result<(), TransportError> {
+        self.inner.barrier()
+    }
+}
+
+/// The rematerializing (GAT) backward pass receives routed gradient
+/// blocks through the same fallible, size-checked path as every other
+/// block of the rotation: a short block is `Corrupt`, reported under a
+/// message naming the receiving rank, the sending peer, and the expected
+/// `rows × cols` next to what arrived — never a bare assertion.
+#[test]
+fn short_gat_gradient_block_names_both_ranks_and_the_expected_shape() {
+    const HEADS: usize = 2;
+    const WIDTH: usize = 4; // HEADS × head_dim
+    let g = erdos_renyi(40, 240, &mut StdRng::seed_from_u64(3)).symmetrize();
+    let part = sar_partition::random(&g, 2, 3);
+    let graphs: Vec<Arc<DistGraph>> = DistGraph::build_all(&g, &part)
+        .into_iter()
+        .map(Arc::new)
+        .collect();
+    let served_rows = graphs[0].serves_to(1).len();
+    assert!(served_rows > 1, "fixture must route a multi-row block");
+
+    let handles: Vec<_> = ChannelTransport::mesh(2)
+        .into_iter()
+        .zip(graphs)
+        .map(|(inner, graph)| {
+            std::thread::spawn(move || {
+                // Rank 1's point-to-point F32 sends, in order: its forward
+                // serve, its refetch serve, then the gradient block for
+                // the rows it fetched from rank 0 — cut that one short.
+                let transport = TruncatingTransport {
+                    countdown: AtomicUsize::new(if inner.rank() == 1 { 3 } else { usize::MAX }),
+                    cut: WIDTH,
+                    inner,
+                };
+                let ctx = WorkerCtx::new(
+                    Box::new(transport),
+                    CostModel::default(),
+                    Duration::from_millis(500),
+                );
+                let w = Worker::new(ctx, graph);
+                let n = w.graph.num_local();
+                let z = Var::parameter(Tensor::full(&[n, WIDTH], 0.5));
+                let s_dst = Var::parameter(Tensor::full(&[n, HEADS], 0.1));
+                let a_src = Var::parameter(Tensor::full(&[WIDTH], 0.2));
+                let agg = gat_aggregate(
+                    &w,
+                    &w.view(),
+                    &z,
+                    &s_dst,
+                    &a_src,
+                    HEADS,
+                    0.2,
+                    FakMode::Fused,
+                )
+                .expect("the forward exchange is intact");
+                agg.sum().backward();
+            })
+        })
+        .collect();
+    let mut outcomes = handles.into_iter().map(std::thread::JoinHandle::join);
+    let rank0 = outcomes
+        .next()
+        .expect("two ranks")
+        .expect_err("rank 0 must fail");
+    // Rank 1 times out in the parameter all-reduce once rank 0 is gone.
+    drop(outcomes.next());
+    let msg = rank0
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert!(
+        msg.contains("worker 0"),
+        "must name the receiving rank: {msg}"
+    );
+    assert!(msg.contains("rank 1"), "must name the peer: {msg}");
+    let expected = format!(
+        "expected {served_rows} rows × {WIDTH} cols = {}",
+        served_rows * WIDTH
+    );
+    assert!(
+        msg.contains(&expected) && msg.contains(&format!("has {} f32", (served_rows - 1) * WIDTH)),
+        "must carry the expected shape and what arrived: {msg}"
+    );
 }

@@ -9,11 +9,11 @@
 
 use std::rc::Rc;
 
-use sar_graph::ops;
 use sar_nn::CsConfig;
 use sar_tensor::Tensor;
 
-use crate::worker::{FetchedBlock, Worker};
+use crate::seq_agg::spmm_block_into;
+use crate::worker::Worker;
 
 /// One distributed step of symmetric-normalized propagation
 /// `D^{-1/2} A D^{-1/2} X` over this worker's rows.
@@ -27,13 +27,8 @@ use crate::worker::{FetchedBlock, Worker};
 pub fn dist_propagate_sym(w: &Rc<Worker>, x: &Tensor, inv_sqrt_deg_local: &Tensor) -> Tensor {
     let scaled = x.mul_col_broadcast(inv_sqrt_deg_local);
     let mut acc = Tensor::zeros(&[w.graph.num_local(), x.cols()]);
-    w.fetch_rounds(&scaled, |q, fetched| match fetched {
-        FetchedBlock::Local { data, rows } => {
-            ops::spmm_sum_into_indexed(w.graph.block(q), data, rows, &mut acc);
-        }
-        FetchedBlock::Remote(block) => {
-            ops::spmm_sum_into(w.graph.block(q), block, &mut acc);
-        }
+    w.fetch_rounds(&*w.graph, &scaled, |q, fetched| {
+        spmm_block_into(w.graph.block(q), &fetched, &mut acc);
     });
     acc.mul_col_broadcast(inv_sqrt_deg_local)
 }

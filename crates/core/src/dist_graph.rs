@@ -27,12 +27,6 @@ pub struct DistGraph {
     blocks: Vec<CsrGraph>,
     needed_from: Vec<Vec<u32>>,
     serves_to: Vec<Vec<u32>>,
-    // Machine-word copies of `needed_from` / `serves_to`, widened once at
-    // build time. The rotation exchange gathers against these tables every
-    // layer × epoch × peer; caching the `usize` form keeps the per-round
-    // gather a straight indexed copy with no per-element conversion.
-    needed_tables: Vec<Arc<[usize]>>,
-    serve_tables: Vec<Arc<[usize]>>,
     global_in_degree: Vec<f32>,
     halo_graph: Arc<CsrGraph>,
     halo_offsets: Vec<usize>,
@@ -122,10 +116,6 @@ impl DistGraph {
                 ));
                 let serves_to: Vec<Vec<u32>> =
                     (0..world).map(|q| needed_from[q][p].clone()).collect();
-                let widen =
-                    |rows: &[u32]| -> Arc<[usize]> { rows.iter().map(|&r| r as usize).collect() };
-                let needed_tables = needed_from[p].iter().map(|r| widen(r)).collect();
-                let serve_tables = serves_to.iter().map(|r| widen(r)).collect();
                 let global_in_degree = members[p]
                     .iter()
                     .map(|&g| graph.in_degree(g as usize) as f32)
@@ -137,8 +127,6 @@ impl DistGraph {
                     blocks,
                     needed_from: needed_from[p].clone(),
                     serves_to,
-                    needed_tables,
-                    serve_tables,
                     global_in_degree,
                     halo_graph,
                     halo_offsets,
@@ -183,33 +171,10 @@ impl DistGraph {
         &self.serves_to[q]
     }
 
-    /// Cached machine-word form of [`needed_from`](DistGraph::needed_from):
-    /// the row-index table driving the round-0 local gather, precomputed so
-    /// hot gather loops index directly instead of widening `u32` indices
-    /// every layer × epoch.
-    pub fn needed_table(&self, q: usize) -> &[usize] {
-        &self.needed_tables[q]
-    }
-
-    /// Cached machine-word form of [`serves_to`](DistGraph::serves_to):
-    /// the row-index table driving the serve-side gather to peer `q`.
-    pub fn serve_table(&self, q: usize) -> &[usize] {
-        &self.serve_tables[q]
-    }
-
     /// In-degree of each local node in the *full* graph — the `|N(i)|`
     /// normalizer of Eq. 2 (block-local degrees would be wrong).
     pub fn global_in_degree(&self) -> &[f32] {
         &self.global_in_degree
-    }
-
-    /// `1 / |N(i)|` per local node (0 for isolated nodes), for mean
-    /// aggregation.
-    pub fn inv_in_degree(&self) -> Vec<f32> {
-        self.global_in_degree
-            .iter()
-            .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
-            .collect()
     }
 
     /// The concatenated halo graph used by domain-parallel training: all
@@ -222,11 +187,6 @@ impl DistGraph {
     /// Column offset of partition `q`'s section in the halo graph.
     pub fn halo_offset(&self, q: usize) -> usize {
         self.halo_offsets[q]
-    }
-
-    /// Total number of halo (fetched + local-referenced) columns.
-    pub fn halo_width(&self) -> usize {
-        self.halo_graph.num_cols()
     }
 
     /// Total features this worker fetches from remote peers per layer (in
@@ -344,7 +304,7 @@ mod tests {
         let (_, _, shards) = setup(50, 300, 4, 4);
         for shard in &shards {
             let total: usize = (0..4).map(|q| shard.needed_from(q).len()).sum();
-            assert_eq!(shard.halo_width(), total);
+            assert_eq!(shard.halo_graph().num_cols(), total);
             let block_edges: usize = (0..4).map(|q| shard.block(q).num_edges()).sum();
             assert_eq!(shard.halo_graph().num_edges(), block_edges);
             // Offsets are cumulative sums.

@@ -36,7 +36,7 @@ impl Function for HaloFetchFn {
         let w = &self.w;
         let _layer = w.ctx.layer_scope_opt(self.layer);
         let cols = grad_output.cols();
-        let grad_z = w.exchange_grads(cols, |q| {
+        let grad_z = w.exchange_grads(&*w.graph, cols, |q| {
             let start = w.graph.halo_offset(q);
             let len = w.graph.needed_from(q).len();
             grad_output.slice_rows(start..start + len)
@@ -49,7 +49,7 @@ impl Function for HaloFetchFn {
 /// variable (`[halo_width, F]`, sections ordered by partition as in
 /// [`DistGraph::halo_graph`](crate::DistGraph::halo_graph)).
 ///
-/// Unlike SAR's [`fetch_rounds`](crate::Worker::fetch_rounds), the fetched
+/// Unlike SAR's [`try_fetch_rounds`](crate::Worker::try_fetch_rounds), the fetched
 /// features become part of the computational graph and stay resident until
 /// the backward pass completes.
 ///

@@ -96,24 +96,7 @@ pub fn validate_params(
     model_cfg: &ModelConfig,
     params: &[(Vec<usize>, Vec<f32>)],
 ) -> Result<(), InferError> {
-    let model = DistModel::new(model_cfg);
-    let model_params = model.params();
-    if model_params.len() != params.len() {
-        return Err(InferError::ParamCount {
-            expected: model_params.len(),
-            got: params.len(),
-        });
-    }
-    for (i, (p, (shape, _))) in model_params.iter().zip(params.iter()).enumerate() {
-        if &p.shape() != shape {
-            return Err(InferError::ParamShape {
-                index: i,
-                expected: p.shape(),
-                got: shape.clone(),
-            });
-        }
-    }
-    Ok(())
+    DistModel::new(model_cfg).set_params(params)
 }
 
 /// Fallible [`infer`]: validates the checkpoint against the model
@@ -161,23 +144,12 @@ pub fn try_infer(
         let w = Worker::new(ctx, Arc::clone(&graphs[rank]));
         let model = DistModel::new(&cfg);
         // Count and shapes were validated above, before any worker ran.
-        for (p, (shape, data)) in model.params().iter().zip(params.iter()) {
-            p.set_value(Tensor::from_vec(shape, data.clone()));
+        if let Err(e) = model.set_params(&params) {
+            panic!("worker {rank}: {e}");
         }
 
         // Inference-time augmentation: every training node sees its label.
-        let feats = shard.features_tensor();
-        let input = if label_aug {
-            let mut aug = Tensor::zeros(&[shard.num_local(), shard.num_classes]);
-            for i in 0..shard.num_local() {
-                if shard.train_mask[i] {
-                    aug.row_mut(i)[shard.labels[i] as usize] = 1.0;
-                }
-            }
-            Tensor::hstack(&[&feats, &aug])
-        } else {
-            feats
-        };
+        let input = shard.input_tensor(label_aug.then_some(&shard.train_mask));
         let mut rng = StdRng::seed_from_u64(0); // dropout is off in eval
         let logits = no_grad(|| model.forward(&w, &Var::constant(input), false, &mut rng));
         (shard.global_ids.clone(), logits.value_clone().into_data())

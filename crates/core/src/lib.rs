@@ -8,10 +8,14 @@
 //!
 //! * [`DistGraph`] — per-worker partition blocks `G_{p,q}` with the fetch
 //!   (`needed_from`) and serve (`serves_to`) index sets (§3.2).
+//! * [`ShardView`] — what one layer's aggregation needs from a partition
+//!   (row sets, blocks, serve lists); implemented by [`DistGraph`] and by
+//!   an MFG level ([`mfg::LevelView`]).
 //! * [`Worker`] — the per-worker runtime handle; its
-//!   [`fetch_rounds`](Worker::fetch_rounds) implements the sequential
-//!   one-partition-at-a-time exchange with optional prefetching (2/N vs
-//!   3/N memory, §3.4).
+//!   [`try_fetch_rounds`](Worker::try_fetch_rounds) is the one walker of
+//!   the sequential one-partition-at-a-time exchange with optional
+//!   prefetching (2/N vs 3/N memory, §3.4), and [`GradRouter`] the one
+//!   error-routing exchange of Algorithm 2.
 //! * [`seq_agg`] — Algorithms 1 and 2: [`sage_aggregate`] (case 1: no
 //!   refetch) and [`gat_aggregate`] (case 2: refetch + recompute, with
 //!   fused or two-step attention kernels).
@@ -43,6 +47,7 @@ pub mod seq_agg;
 mod shard;
 pub mod spatial;
 pub mod trainer;
+mod view;
 mod worker;
 
 pub use dist_bn::DistBatchNorm;
@@ -53,4 +58,5 @@ pub use protocol::Protocol;
 pub use seq_agg::{gat_aggregate, sage_aggregate, FakMode};
 pub use shard::Shard;
 pub use trainer::{run_worker, train, EpochRecord, RunReport, TrainConfig, WorkerReport};
-pub use worker::{FetchedBlock, Worker};
+pub use view::{ShardView, View};
+pub use worker::{FetchedBlock, GradRouter, Worker};

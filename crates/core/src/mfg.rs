@@ -23,7 +23,7 @@
 use sar_comm::WIRE_HEADER_LEN;
 use sar_graph::CsrGraph;
 
-use crate::DistGraph;
+use crate::{DistGraph, ShardView};
 
 /// One layer's local MFG restriction for one worker.
 ///
@@ -138,15 +138,101 @@ pub fn expand_inputs(g: &DistGraph, slice: &LayerSlice, serve_rows: &[Vec<u32>])
     rows
 }
 
-/// Dense-position map for an ascending activation row set: `pos[local] =
-/// index of `local` in `rows`, or `u32::MAX` when absent. Used to gather
-/// sub-matrices out of the packed `[rows.len(), F]` activation tensor.
-pub fn position_map(num_local: usize, rows: &[u32]) -> Vec<u32> {
-    let mut pos = vec![u32::MAX; num_local];
-    for (i, &r) in rows.iter().enumerate() {
-        pos[r as usize] = i as u32;
+/// One MFG level as a [`ShardView`]: a [`LayerSlice`] plus the rows peers
+/// requested of this worker, every local row re-indexed into the level's
+/// packed input activation matrix — so the same walker, router and layer
+/// math that run the full graph run the level.
+#[derive(Debug, Clone)]
+pub struct LevelView {
+    rank: usize,
+    slice: LayerSlice,
+    local_rows: Vec<u32>,
+    serve_rows: Vec<Vec<u32>>,
+    dst_map: Vec<u32>,
+    in_degree: Vec<f32>,
+}
+
+impl LevelView {
+    /// Binds `slice` and the exchanged `serve_rows` to the level's input
+    /// row set: `input_rows` are the ascending local rows whose
+    /// activations the packed input matrix carries (the
+    /// [`expand_inputs`] of this level).
+    ///
+    /// # Errors
+    ///
+    /// The first local row the level references that `input_rows` lacks.
+    pub fn new(
+        g: &DistGraph,
+        slice: LayerSlice,
+        serve_rows: &[Vec<u32>],
+        input_rows: &[u32],
+    ) -> Result<LevelView, u32> {
+        let pos = |rows: &[u32]| -> Result<Vec<u32>, u32> {
+            rows.iter()
+                .map(|r| {
+                    input_rows
+                        .binary_search(r)
+                        .map(|i| i as u32)
+                        .map_err(|_| *r)
+                })
+                .collect()
+        };
+        let degree = g.global_in_degree();
+        Ok(LevelView {
+            rank: g.rank(),
+            local_rows: pos(&slice.req_rows[g.rank()])?,
+            serve_rows: serve_rows
+                .iter()
+                .map(|r| pos(r))
+                .collect::<Result<_, _>>()?,
+            dst_map: pos(&slice.dst_rows)?,
+            in_degree: input_rows.iter().map(|&r| degree[r as usize]).collect(),
+            slice,
+        })
     }
-    pos
+
+    /// The layer restriction this view walks.
+    pub fn slice(&self) -> &LayerSlice {
+        &self.slice
+    }
+}
+
+impl ShardView for LevelView {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn world(&self) -> usize {
+        self.slice.blocks.len()
+    }
+
+    fn num_inputs(&self) -> usize {
+        self.in_degree.len()
+    }
+
+    fn num_dst(&self) -> usize {
+        self.dst_map.len()
+    }
+
+    fn block(&self, q: usize) -> &CsrGraph {
+        &self.slice.blocks[q]
+    }
+
+    fn local_rows(&self) -> &[u32] {
+        &self.local_rows
+    }
+
+    fn serve_rows(&self, q: usize) -> &[u32] {
+        &self.serve_rows[q]
+    }
+
+    fn dst_map(&self) -> Option<&[u32]> {
+        Some(&self.dst_map)
+    }
+
+    fn in_degree(&self) -> &[f32] {
+        &self.in_degree
+    }
 }
 
 #[cfg(test)]
@@ -232,10 +318,6 @@ mod tests {
             assert!(rows.binary_search(d).is_ok());
         }
         assert!(rows.binary_search(&5).is_ok());
-        let pos = position_map(s.num_local(), &rows);
-        for (i, &r) in rows.iter().enumerate() {
-            assert_eq!(pos[r as usize], i as u32);
-        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sar_comm::TransportError;
 use sar_nn::graph_autograd::{
     edge_softmax, gather_dst, gather_src, head_project, mean_heads, spmm_multihead, spmm_sum,
 };
@@ -13,7 +14,9 @@ use sar_tensor::{init, Tensor, Var};
 
 use crate::dist_bn::DistBatchNorm;
 use crate::domain_parallel::halo_fetch;
+use crate::inference::InferError;
 use crate::seq_agg::{gat_aggregate, sage_aggregate, FakMode};
+use crate::view::{ShardView, View};
 use crate::worker::Worker;
 
 /// Model architecture (matching §4.2: 3-layer GraphSage with hidden 256,
@@ -165,56 +168,44 @@ impl DistLayer {
         }
     }
 
-    fn forward(&self, w: &Rc<Worker>, h: &Var, mode: Mode) -> Var {
-        match self {
+    /// One GNN layer over `view`: `h` carries one row per view input, the
+    /// result one row per view destination. Destinations are a subset of
+    /// the inputs; the residual, attention-destination and degree terms
+    /// read their rows through the view's `dst_map` — skipped when it is
+    /// the identity (the full graph), where this is exactly the classic
+    /// square layer. Domain-parallel mode is the full-graph baseline by
+    /// definition and always runs over the worker's own graph.
+    fn forward(
+        &self,
+        w: &Rc<Worker>,
+        view: &View,
+        h: &Var,
+        mode: Mode,
+    ) -> Result<Var, TransportError> {
+        let at_dst = |x: &Var| match view.dst_map() {
+            None => x.clone(),
+            Some(map) => x.gather_rows(map),
+        };
+        // The linear (case 1) aggregation GraphSage and GCN share.
+        let sum_aggregate = |z: &Var| match mode {
+            Mode::DomainParallel => Ok(spmm_sum(w.graph.halo_graph(), &halo_fetch(w, z))),
+            Mode::Sar | Mode::SarFused => sage_aggregate(w, view, z),
+        };
+        let out = match self {
             DistLayer::Sage {
-                lin_neigh,
-                lin_res,
-                activation,
+                lin_neigh, lin_res, ..
             } => {
                 let z = lin_neigh.forward(h);
-                let inv_deg = Var::constant(Tensor::from_vec(
-                    &[w.graph.num_local()],
-                    w.graph.inv_in_degree(),
-                ));
-                let agg_sum = match mode {
-                    Mode::DomainParallel => {
-                        let halo = halo_fetch(w, &z);
-                        spmm_sum(w.graph.halo_graph(), &halo)
-                    }
-                    Mode::Sar | Mode::SarFused => sage_aggregate(w, &z),
-                };
-                let out = agg_sum.mul_col(&inv_deg).add(&lin_res.forward(h));
-                if *activation {
-                    out.relu()
-                } else {
-                    out
-                }
+                let [_, inv_deg] = degree_scales(&**view, |d| 1.0 / d);
+                let agg_sum = sum_aggregate(&z)?;
+                agg_sum.mul_col(&inv_deg).add(&lin_res.forward(&at_dst(h)))
             }
-            DistLayer::Gcn { lin, activation } => {
+            DistLayer::Gcn { lin, .. } => {
                 // Symmetric normalization D^{-1/2} A D^{-1/2} with global
                 // degrees, split around the (linear) aggregation.
-                let inv_sqrt: Vec<f32> = w
-                    .graph
-                    .global_in_degree()
-                    .iter()
-                    .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-                    .collect();
-                let inv_sqrt = Var::constant(Tensor::from_vec(&[w.graph.num_local()], inv_sqrt));
-                let z = lin.forward(h).mul_col(&inv_sqrt);
-                let agg = match mode {
-                    Mode::DomainParallel => {
-                        let halo = halo_fetch(w, &z);
-                        spmm_sum(w.graph.halo_graph(), &halo)
-                    }
-                    Mode::Sar | Mode::SarFused => sage_aggregate(w, &z),
-                };
-                let out = agg.mul_col(&inv_sqrt);
-                if *activation {
-                    out.relu()
-                } else {
-                    out
-                }
+                let [inv_sqrt_in, inv_sqrt_dst] = degree_scales(&**view, |d| 1.0 / d.sqrt());
+                let z = lin.forward(h).mul_col(&inv_sqrt_in);
+                sum_aggregate(&z)?.mul_col(&inv_sqrt_dst)
             }
             DistLayer::Gat {
                 lin,
@@ -223,12 +214,17 @@ impl DistLayer {
                 heads,
                 slope,
                 concat,
-                activation,
+                ..
             } => {
                 let z = lin.forward(h);
-                let s_dst = head_project(&z, a_dst, *heads);
-                let out = match mode {
-                    Mode::DomainParallel => {
+                let s_dst = head_project(&at_dst(&z), a_dst, *heads);
+                let fak = match mode {
+                    Mode::DomainParallel => None,
+                    Mode::Sar => Some(FakMode::TwoStep),
+                    Mode::SarFused => Some(FakMode::Fused),
+                };
+                let out = match fak {
+                    None => {
                         // Vanilla DGL-style pipeline over the halo graph:
                         // every [E, H] intermediate is materialized and
                         // kept on the tape, as in Fig. 1a.
@@ -241,24 +237,39 @@ impl DistLayer {
                         let alpha = edge_softmax(hg, &scores);
                         spmm_multihead(hg, &alpha, &halo)
                     }
-                    Mode::Sar => {
-                        gat_aggregate(w, &z, &s_dst, a_src, *heads, *slope, FakMode::TwoStep)
-                    }
-                    Mode::SarFused => {
-                        gat_aggregate(w, &z, &s_dst, a_src, *heads, *slope, FakMode::Fused)
-                    }
+                    Some(fak) => gat_aggregate(w, view, &z, &s_dst, a_src, *heads, *slope, fak)?,
                 };
-                let out = if *concat {
+                if *concat {
                     out
                 } else {
                     mean_heads(&out, *heads)
-                };
-                if *activation {
-                    out.relu()
-                } else {
-                    out
                 }
             }
+        };
+        let (DistLayer::Sage { activation, .. }
+        | DistLayer::Gcn { activation, .. }
+        | DistLayer::Gat { activation, .. }) = self;
+        Ok(if *activation { out.relu() } else { out })
+    }
+}
+
+/// The per-row degree normalizer `f(|N(i)|)` (0 for isolated nodes) over
+/// `view`, for every input row and for every destination row.
+fn degree_scales(view: &dyn ShardView, f: impl Fn(f32) -> f32) -> [Var; 2] {
+    let col = |v: Vec<f32>| Var::constant(Tensor::from_vec(&[v.len()], v));
+    let inputs: Vec<f32> = view
+        .in_degree()
+        .iter()
+        .map(|&d| if d > 0.0 { f(d) } else { 0.0 })
+        .collect();
+    match view.dst_map() {
+        None => {
+            let all = col(inputs);
+            [all.clone(), all]
+        }
+        Some(map) => {
+            let dst = map.iter().map(|&i| inputs[i as usize]).collect();
+            [col(inputs), col(dst)]
         }
     }
 }
@@ -346,11 +357,6 @@ impl DistModel {
         }
     }
 
-    /// The model configuration.
-    pub fn config(&self) -> &ModelConfig {
-        &self.cfg
-    }
-
     /// All trainable parameters, in a deterministic order shared by every
     /// worker (required for the flat gradient all-reduce).
     pub fn params(&self) -> Vec<Var> {
@@ -364,24 +370,89 @@ impl DistModel {
         p
     }
 
+    /// Width of the projected feature rows layer `l`'s rotation fetches.
+    pub fn fetch_width(&self, l: usize) -> usize {
+        match &self.layers[l] {
+            DistLayer::Sage { lin_neigh: lin, .. }
+            | DistLayer::Gcn { lin, .. }
+            | DistLayer::Gat { lin, .. } => lin.out_dim(),
+        }
+    }
+
+    /// Installs raw `(shape, values)` parameters (a checkpoint, a
+    /// [`RunReport::final_params`](crate::RunReport)) after checking count
+    /// and shapes against this model — all or nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`InferError::ParamCount`] or [`InferError::ParamShape`] naming the
+    /// first mismatch; no parameter is touched in that case.
+    pub fn set_params(&self, params: &[(Vec<usize>, Vec<f32>)]) -> Result<(), InferError> {
+        let own = self.params();
+        if own.len() != params.len() {
+            return Err(InferError::ParamCount {
+                expected: own.len(),
+                got: params.len(),
+            });
+        }
+        for (index, (p, (shape, _))) in own.iter().zip(params).enumerate() {
+            if &p.shape() != shape {
+                return Err(InferError::ParamShape {
+                    index,
+                    expected: p.shape(),
+                    got: shape.clone(),
+                });
+            }
+        }
+        for (p, (shape, data)) in own.iter().zip(params) {
+            p.set_value(Tensor::from_vec(shape, data.clone()));
+        }
+        Ok(())
+    }
+
+    /// Runs GNN layer `l` alone over `view`: `h` holds one row per view
+    /// input, the result one per view destination. No batch norm, dropout,
+    /// classifier or ledger layer scope — this is the unit a
+    /// message-flow-graph executor (the serving tier) chains level by
+    /// level.
+    ///
+    /// Collective: every worker must call it in lockstep.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the layer's forward exchange reports.
+    pub fn layer_forward(
+        &self,
+        l: usize,
+        w: &Rc<Worker>,
+        view: &View,
+        h: &Var,
+    ) -> Result<Var, TransportError> {
+        self.layers[l].forward(w, view, h, self.cfg.mode)
+    }
+
     /// Runs the model on this worker's local features `x`
-    /// (`[n_local, in_dim]`), returning local logits
+    /// (`[n_local, in_dim]`) over its full graph, returning local logits
     /// (`[n_local, num_classes]`).
     ///
     /// Collective: every worker must call `forward` in lockstep.
     ///
     /// # Panics
     ///
-    /// Panics if `x` has the wrong shape.
+    /// Panics if `x` has the wrong shape, or — naming this rank — if a
+    /// peer dies or sends a malformed block mid-exchange.
     pub fn forward(&self, w: &Rc<Worker>, x: &Var, training: bool, rng: &mut impl Rng) -> Var {
+        let view = w.view();
         let mut h = x.clone();
         let mut jk_outputs = Vec::new();
-        for (l, layer) in self.layers.iter().enumerate() {
+        for l in 0..self.layers.len() {
             // Attribute this layer's traffic/CPU to layer `l` in the
             // observability ledger; aggregation Functions recorded here
             // capture the layer and restore it during backward.
             let _layer_scope = w.ctx.layer_scope(l as u16);
-            h = layer.forward(w, &h, self.cfg.mode);
+            h = self
+                .layer_forward(l, w, &view, &h)
+                .unwrap_or_else(|e| panic!("worker {} layer {l} forward: {e}", w.rank()));
             if self.cfg.jumping_knowledge {
                 jk_outputs.push(h.clone());
             }

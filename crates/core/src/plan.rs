@@ -1,8 +1,8 @@
 //! Pure schedule planning for SAR's rotation exchanges.
 //!
-//! [`Worker::fetch_rounds`](crate::Worker::fetch_rounds) and
-//! [`Worker::exchange_grads`](crate::Worker::exchange_grads) execute the
-//! step sequences produced here; the `sar-check` protocol verifier
+//! [`Worker::try_fetch_rounds`](crate::Worker::try_fetch_rounds) and
+//! [`GradRouter`](crate::GradRouter) execute the step sequences produced
+//! here; the `sar-check` protocol verifier
 //! replays the same sequences symbolically for every rank at once and
 //! proves send/recv matching, deadlock-freedom, and the `(K+2)/N`
 //! residency bound. Keeping the planning *pure* (no tensors, no
@@ -68,8 +68,9 @@ pub enum FetchStep {
 /// to `k` rounds ahead of its consumption.
 ///
 /// Properties the `sar-check` protocol verifier proves over the full
-/// `(n, k)` sweep, and that [`Worker::fetch_rounds`](crate::Worker::fetch_rounds)
-/// inherits by construction:
+/// `(n, k)` sweep, and that
+/// [`Worker::try_fetch_rounds`](crate::Worker::try_fetch_rounds) inherits by
+/// construction:
 ///
 /// * every partition `q` is consumed exactly once, in rotation order;
 /// * serve `r` of worker `p` matches fetch `r` of worker

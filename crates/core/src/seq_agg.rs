@@ -21,17 +21,18 @@
 
 use std::rc::Rc;
 
-use sar_comm::Phase;
+use sar_comm::{Phase, TransportError};
 use sar_graph::fused::{
     attn_grad_dot, gat_fused_block_backward, gat_fused_block_backward_indexed,
     gat_fused_block_forward, gat_fused_block_forward_indexed, gat_twostep_block_backward,
     gat_twostep_block_backward_indexed, gat_twostep_block_forward,
-    gat_twostep_block_forward_indexed, OnlineAttnState,
+    gat_twostep_block_forward_indexed, FusedBlockGrads, OnlineAttnState,
 };
-use sar_graph::ops;
+use sar_graph::{ops, CsrGraph};
 use sar_tensor::{Function, Tensor, Var};
 
-use crate::worker::{FetchedBlock, Worker};
+use crate::view::View;
+use crate::worker::{FetchedBlock, GradRouter, Worker};
 
 // ----------------------------------------------------------------------
 // Case 1: GraphSage (linear aggregation, no refetch)
@@ -40,6 +41,7 @@ use crate::worker::{FetchedBlock, Worker};
 struct SageAggFn {
     parents: Vec<Var>, // [z]
     w: Rc<Worker>,
+    view: View,
     // Layer this aggregation was recorded under, restored in backward so
     // error routing is ledgered against the right layer.
     layer: Option<u16>,
@@ -59,10 +61,19 @@ impl Function for SageAggFn {
         // the output error — computed and shipped without refetching z.
         let w = &self.w;
         let _layer = w.ctx.layer_scope_opt(self.layer);
-        let grad_z = w.exchange_grads(grad_output.cols(), |q| {
-            ops::spmm_sum_backward(w.graph.block(q), grad_output)
+        let grad_z = w.exchange_grads(&*self.view, grad_output.cols(), |q| {
+            ops::spmm_sum_backward(self.view.block(q), grad_output)
         });
         vec![Some(grad_z)]
+    }
+}
+
+/// `acc += A_block · x` for one fetched block `x` — the per-block step of
+/// every linear sequential aggregation (GraphSage, GCN, C&S propagation).
+pub(crate) fn spmm_block_into(g: &CsrGraph, fetched: &FetchedBlock<'_>, acc: &mut Tensor) {
+    match parts(fetched) {
+        (x, Some(rows)) => ops::spmm_sum_into_indexed(g, x, rows, acc),
+        (x, None) => ops::spmm_sum_into(g, x, acc),
     }
 }
 
@@ -73,38 +84,42 @@ impl Function for SageAggFn {
 /// accumulator with raw kernels (no tape), and frees each block before the
 /// next. Backward: Algorithm 2, case 1 — no refetch.
 ///
-/// `z` must be this worker's `[n_local, F]` projected features. Returns
-/// the *sum* aggregation; divide by the global in-degree for Eq. 2's mean.
+/// `z` must be this worker's `[num_inputs, F]` projected features over
+/// `view`. Returns the `[num_dst, F]` *sum* aggregation; divide by the
+/// global in-degree for Eq. 2's mean.
+///
+/// # Errors
+///
+/// Whatever the forward exchange reports (dead peer, malformed block).
+/// The recorded backward pass cannot return errors; it panics naming this
+/// rank instead.
 ///
 /// # Panics
 ///
 /// Panics if `z` has the wrong number of rows.
-pub fn sage_aggregate(w: &Rc<Worker>, z: &Var) -> Var {
+pub fn sage_aggregate(w: &Rc<Worker>, view: &View, z: &Var) -> Result<Var, TransportError> {
     let cols = z.value().cols();
-    let mut acc = Tensor::zeros(&[w.graph.num_local(), cols]);
+    let mut acc = Tensor::zeros(&[view.num_dst(), cols]);
     {
         let _phase = w.ctx.phase_scope(Phase::ForwardFetch);
         // Round 0 aggregates straight out of the resident features through
         // the row table (fused gather+aggregate); remote blocks aggregate
         // from the wire buffer. Both paths are bitwise identical to
         // gather-then-aggregate.
-        w.fetch_rounds(&z.value(), |q, fetched| match fetched {
-            FetchedBlock::Local { data, rows } => {
-                ops::spmm_sum_into_indexed(w.graph.block(q), data, rows, &mut acc);
-            }
-            FetchedBlock::Remote(block) => {
-                ops::spmm_sum_into(w.graph.block(q), block, &mut acc);
-            }
-        });
+        w.try_fetch_rounds(&**view, &z.value(), w.next_tag(), |q, fetched| {
+            spmm_block_into(view.block(q), &fetched, &mut acc);
+            Ok(())
+        })?;
     }
-    Var::from_function(
+    Ok(Var::from_function(
         acc,
         SageAggFn {
             parents: vec![z.clone()],
             w: Rc::clone(w),
+            view: View::clone(view),
             layer: w.ctx.current_layer(),
         },
-    )
+    ))
 }
 
 // ----------------------------------------------------------------------
@@ -123,14 +138,90 @@ pub enum FakMode {
     TwoStep,
 }
 
+/// A fetched block as the kernels take it: the feature tensor, plus the
+/// row table when the block is the unmaterialized local round (read
+/// through it by the fused gather+aggregate kernels — bitwise identical
+/// to gathering first).
+fn parts<'a>(block: &FetchedBlock<'a>) -> (&'a Tensor, Option<&'a [u32]>) {
+    match *block {
+        FetchedBlock::Local { data, rows } => (data, Some(rows)),
+        FetchedBlock::Remote(t) => (t, None),
+    }
+}
+
+/// Source attention logits of a fetched block: `head_project(x, a_src)`.
+fn source_logits(x: &Tensor, rows: Option<&[u32]>, a_src: &Tensor, heads: usize) -> Tensor {
+    match rows {
+        Some(rows) => ops::head_project_indexed(x, rows, a_src, heads),
+        None => ops::head_project(x, a_src, heads),
+    }
+}
+
+impl FakMode {
+    /// One block of the online-softmax forward with this kernel family.
+    #[allow(clippy::too_many_arguments)]
+    fn block_forward(
+        self,
+        g: &CsrGraph,
+        s_dst: &Tensor,
+        s_src: &Tensor,
+        x: &Tensor,
+        rows: Option<&[u32]>,
+        slope: f32,
+        st: &mut OnlineAttnState,
+    ) {
+        match (self, rows) {
+            (FakMode::Fused, Some(r)) => {
+                gat_fused_block_forward_indexed(g, s_dst, s_src, x, r, slope, st)
+            }
+            (FakMode::Fused, None) => gat_fused_block_forward(g, s_dst, s_src, x, slope, st),
+            (FakMode::TwoStep, Some(r)) => {
+                gat_twostep_block_forward_indexed(g, s_dst, s_src, x, r, slope, st)
+            }
+            (FakMode::TwoStep, None) => gat_twostep_block_forward(g, s_dst, s_src, x, slope, st),
+        }
+    }
+
+    /// One block of the rematerializing backward with this kernel family.
+    #[allow(clippy::too_many_arguments)]
+    fn block_backward(
+        self,
+        g: &CsrGraph,
+        s_dst: &Tensor,
+        s_src: &Tensor,
+        x: &Tensor,
+        rows: Option<&[u32]>,
+        slope: f32,
+        (max, den): (&Tensor, &Tensor),
+        (grad, dot): (&Tensor, &Tensor),
+        d_s_dst: &mut Tensor,
+    ) -> FusedBlockGrads {
+        match (self, rows) {
+            (FakMode::Fused, Some(r)) => gat_fused_block_backward_indexed(
+                g, s_dst, s_src, x, r, slope, max, den, grad, dot, d_s_dst,
+            ),
+            (FakMode::Fused, None) => {
+                gat_fused_block_backward(g, s_dst, s_src, x, slope, max, den, grad, dot, d_s_dst)
+            }
+            (FakMode::TwoStep, Some(r)) => gat_twostep_block_backward_indexed(
+                g, s_dst, s_src, x, r, slope, max, den, grad, dot, d_s_dst,
+            ),
+            (FakMode::TwoStep, None) => {
+                gat_twostep_block_backward(g, s_dst, s_src, x, slope, max, den, grad, dot, d_s_dst)
+            }
+        }
+    }
+}
+
 struct GatAggFn {
     parents: Vec<Var>, // [z, s_dst, a_src]
     w: Rc<Worker>,
+    view: View,
     heads: usize,
     slope: f32,
     mode: FakMode,
     layer: Option<u16>,
-    // Saved online-softmax statistics ([n_local, H] each) — the only
+    // Saved online-softmax statistics ([num_dst, H] each) — the only
     // state SAR keeps to re-materialize attention in the backward pass.
     // With `--mem-budget` they live in the worker's disk tier between the
     // forward and backward passes instead of RAM.
@@ -189,14 +280,15 @@ impl Function for GatAggFn {
 
     fn backward(&self, grad_output: &Tensor, output: &Tensor) -> Vec<Option<Tensor>> {
         let w = &self.w;
+        let view = &*self.view;
         let _layer = w.ctx.layer_scope_opt(self.layer);
         let (z, s_dst, a_src) = (&self.parents[0], &self.parents[1], &self.parents[2]);
         let heads = self.heads;
         let hd = z.value().cols();
         let grad_dot = attn_grad_dot(grad_output, output, heads);
-        let mut d_s_dst = Tensor::zeros(&[w.graph.num_local(), heads]);
+        let mut d_s_dst = Tensor::zeros(&[view.num_dst(), heads]);
         let mut d_a_src = Tensor::zeros(&[hd]);
-        let grad_tag = w.next_tag();
+        let mut router = GradRouter::new(w, view, hd);
         // Saved softmax statistics first: faulting them back (if they
         // spilled to the disk tier) is part of re-materializing the
         // attention, so ledger the disk traffic as BackwardRefetch.
@@ -206,12 +298,12 @@ impl Function for GatAggFn {
         };
 
         // Case 2: re-fetch every partition's features (the rematerialized
-        // pieces of the computational graph), push gradients per block,
-        // free the block, move on. The rotation fetch is ledgered as
-        // BackwardRefetch — the paper's 50% extra communication — while
-        // the per-block gradient sends nest under GradRouting.
+        // pieces of the computational graph), push each block's gradient
+        // to the router, free the block, move on. The rotation fetch is
+        // ledgered as BackwardRefetch — the paper's 50% extra
+        // communication — while the router's sends nest under GradRouting.
         let a_src_val = a_src.value_clone();
-        {
+        let grad_z = {
             let _refetch = w.ctx.phase_scope(Phase::BackwardRefetch);
             let s_dst_ref = s_dst.value();
             let z_ref = z.value();
@@ -219,119 +311,50 @@ impl Function for GatAggFn {
             // gradients, and the s_src fold-back all read the resident
             // features through the row table (fused gather+aggregate).
             // Gradient outputs are block-shaped either way, so the
-            // routing below is identical for both paths.
-            w.fetch_rounds(&z_ref, |q, z_block| {
-                let block = w.graph.block(q);
-                let (grads, dz_from_s, da) = match z_block {
-                    FetchedBlock::Local { data, rows } => {
-                        let s_src_block = ops::head_project_indexed(data, rows, &a_src_val, heads);
-                        let grads = match self.mode {
-                            FakMode::Fused => gat_fused_block_backward_indexed(
-                                block,
-                                &s_dst_ref,
-                                &s_src_block,
-                                data,
-                                rows,
-                                self.slope,
-                                &max,
-                                &den,
-                                grad_output,
-                                &grad_dot,
-                                &mut d_s_dst,
-                            ),
-                            FakMode::TwoStep => gat_twostep_block_backward_indexed(
-                                block,
-                                &s_dst_ref,
-                                &s_src_block,
-                                data,
-                                rows,
-                                self.slope,
-                                &max,
-                                &den,
-                                grad_output,
-                                &grad_dot,
-                                &mut d_s_dst,
-                            ),
-                        };
-                        // Fold the s_src path back into z and a_src:
-                        // s_src = head_project(z, a_src).
-                        let (dz_from_s, da) = ops::head_project_backward_indexed(
-                            data,
-                            rows,
-                            &a_src_val,
-                            heads,
-                            &grads.d_s_src,
-                        );
-                        (grads, dz_from_s, da)
-                    }
-                    FetchedBlock::Remote(z_block) => {
-                        let s_src_block = ops::head_project(z_block, &a_src_val, heads);
-                        let grads = match self.mode {
-                            FakMode::Fused => gat_fused_block_backward(
-                                block,
-                                &s_dst_ref,
-                                &s_src_block,
-                                z_block,
-                                self.slope,
-                                &max,
-                                &den,
-                                grad_output,
-                                &grad_dot,
-                                &mut d_s_dst,
-                            ),
-                            FakMode::TwoStep => gat_twostep_block_backward(
-                                block,
-                                &s_dst_ref,
-                                &s_src_block,
-                                z_block,
-                                self.slope,
-                                &max,
-                                &den,
-                                grad_output,
-                                &grad_dot,
-                                &mut d_s_dst,
-                            ),
-                        };
-                        let (dz_from_s, da) =
-                            ops::head_project_backward(z_block, &a_src_val, heads, &grads.d_s_src);
-                        (grads, dz_from_s, da)
-                    }
+            // routing is identical for both paths.
+            w.try_fetch_rounds(view, &z_ref, w.next_tag(), |q, z_block| {
+                let (x, rows) = parts(&z_block);
+                let s_src_block = source_logits(x, rows, &a_src_val, heads);
+                let grads = self.mode.block_backward(
+                    view.block(q),
+                    &s_dst_ref,
+                    &s_src_block,
+                    x,
+                    rows,
+                    self.slope,
+                    (&max, &den),
+                    (grad_output, &grad_dot),
+                    &mut d_s_dst,
+                );
+                // Fold the s_src path back into z and a_src:
+                // s_src = head_project(z, a_src).
+                let (dz_from_s, da) = match rows {
+                    Some(rows) => ops::head_project_backward_indexed(
+                        x,
+                        rows,
+                        &a_src_val,
+                        heads,
+                        &grads.d_s_src,
+                    ),
+                    None => ops::head_project_backward(x, &a_src_val, heads, &grads.d_s_src),
                 };
                 d_a_src.add_assign(&da);
                 let mut d_z_block = grads.d_x_src;
                 d_z_block.add_assign(&dz_from_s);
-                let _route = w.ctx.phase_scope(Phase::GradRouting);
-                if q == w.rank() {
-                    // Local contribution: scattered below via a loop-back
-                    // send so all blocks take the same path.
-                    w.ctx.send(
-                        w.rank(),
-                        grad_tag,
-                        sar_comm::Payload::F32(d_z_block.into_data()),
-                    );
-                } else {
-                    w.ctx
-                        .send(q, grad_tag, sar_comm::Payload::F32(d_z_block.into_data()));
-                }
-            });
-        }
-
-        // Accumulate the error blocks routed to this worker (E_p = Σ_q
-        // E_{q→p} in Algorithm 2). The partner list is the full rotation
-        // under the exact and stale protocols, and collapses to this rank
-        // under gradonly — matching the sends above, which only fire for
-        // the blocks the refetch actually consumed.
-        let mut grad_z = Tensor::zeros(&[w.graph.num_local(), hd]);
-        {
-            let _route = w.ctx.phase_scope(Phase::GradRouting);
-            for q in w.grad_route_partners() {
-                let rows = w.graph.serves_to(q);
-                let data = w.ctx.recv(q, grad_tag).into_f32();
-                assert_eq!(data.len(), rows.len() * hd, "grad block size mismatch");
-                let block = Tensor::from_vec(&[rows.len(), hd], data);
-                grad_z.scatter_add_rows(rows, &block);
-            }
-        }
+                router.push(q, d_z_block)
+            })
+            // Accumulate the error blocks routed to this worker (E_p =
+            // Σ_q E_{q→p} in Algorithm 2). The router awaits exactly the
+            // peers whose refetch consumed a block of ours: all of them
+            // under the exact and stale protocols, none under gradonly.
+            .and_then(|()| router.finish())
+            .unwrap_or_else(|e| {
+                panic!(
+                    "worker {} rematerializing attention gradients: {e}",
+                    w.rank()
+                )
+            })
+        };
 
         // "Sum θ^l.grad across all machines" (Algorithm 2): the attention
         // parameter gradient needs contributions from every worker's
@@ -346,8 +369,9 @@ impl Function for GatAggFn {
 
 /// SAR attention-aggregation for GAT layers (case 2).
 ///
-/// * `z` — this worker's projected features `[n_local, H*D]`.
-/// * `s_dst` — destination attention logits `[n_local, H]` (on the tape;
+/// * `z` — this worker's projected features `[num_inputs, H*D]` over
+///   `view`.
+/// * `s_dst` — destination attention logits `[num_dst, H]` (on the tape;
 ///   its gradient flows back through `head_project`).
 /// * `a_src` — the source attention vector `[H*D]`; source logits for
 ///   *fetched* features are recomputed from it on the fly, so only `z`
@@ -357,23 +381,36 @@ impl Function for GatAggFn {
 /// per-block online-softmax accumulation with running-max renormalization.
 /// Backward: Algorithm 2, case 2 — refetch, recompute, route.
 ///
+/// # Errors
+///
+/// Whatever the forward exchange reports (dead peer, malformed block).
+/// The recorded backward pass cannot return errors; it panics naming this
+/// rank instead.
+///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent.
+#[allow(clippy::too_many_arguments)]
 pub fn gat_aggregate(
     w: &Rc<Worker>,
+    view: &View,
     z: &Var,
     s_dst: &Var,
     a_src: &Var,
     heads: usize,
     slope: f32,
     mode: FakMode,
-) -> Var {
+) -> Result<Var, TransportError> {
     let hd = z.value().cols();
-    assert_eq!(hd % heads, 0, "feature width not divisible by heads");
+    if heads == 0 || !hd.is_multiple_of(heads) {
+        panic!(
+            "worker {}: feature width {hd} not divisible by {heads} heads",
+            w.rank()
+        );
+    }
     let head_dim = hd / heads;
     let a_src_val = a_src.value_clone();
-    let mut state = OnlineAttnState::new(w.graph.num_local(), heads, head_dim);
+    let mut state = OnlineAttnState::new(view.num_dst(), heads, head_dim);
     {
         let _phase = w.ctx.phase_scope(Phase::ForwardFetch);
         let s_dst_ref = s_dst.value();
@@ -381,55 +418,20 @@ pub fn gat_aggregate(
         // the resident features through the row table (fused
         // gather+aggregate); remote blocks use the materialized wire
         // buffer. Both paths are bitwise identical.
-        w.fetch_rounds(&z.value(), |q, z_block| {
-            let block = w.graph.block(q);
-            match z_block {
-                FetchedBlock::Local { data, rows } => {
-                    let s_src_block = ops::head_project_indexed(data, rows, &a_src_val, heads);
-                    match mode {
-                        FakMode::Fused => gat_fused_block_forward_indexed(
-                            block,
-                            &s_dst_ref,
-                            &s_src_block,
-                            data,
-                            rows,
-                            slope,
-                            &mut state,
-                        ),
-                        FakMode::TwoStep => gat_twostep_block_forward_indexed(
-                            block,
-                            &s_dst_ref,
-                            &s_src_block,
-                            data,
-                            rows,
-                            slope,
-                            &mut state,
-                        ),
-                    }
-                }
-                FetchedBlock::Remote(z_block) => {
-                    let s_src_block = ops::head_project(z_block, &a_src_val, heads);
-                    match mode {
-                        FakMode::Fused => gat_fused_block_forward(
-                            block,
-                            &s_dst_ref,
-                            &s_src_block,
-                            z_block,
-                            slope,
-                            &mut state,
-                        ),
-                        FakMode::TwoStep => gat_twostep_block_forward(
-                            block,
-                            &s_dst_ref,
-                            &s_src_block,
-                            z_block,
-                            slope,
-                            &mut state,
-                        ),
-                    }
-                }
-            }
-        });
+        w.try_fetch_rounds(&**view, &z.value(), w.next_tag(), |q, z_block| {
+            let (x, rows) = parts(&z_block);
+            let s_src_block = source_logits(x, rows, &a_src_val, heads);
+            mode.block_forward(
+                view.block(q),
+                &s_dst_ref,
+                &s_src_block,
+                x,
+                rows,
+                slope,
+                &mut state,
+            );
+            Ok(())
+        })?;
     }
     let (value, max, den) = state.finalize_into();
     // Under a memory budget the saved statistics go to the disk tier so
@@ -445,16 +447,17 @@ pub fn gat_aggregate(
     } else {
         RematInputs::Ram { max, den }
     };
-    Var::from_function(
+    Ok(Var::from_function(
         value,
         GatAggFn {
             parents: vec![z.clone(), s_dst.clone(), a_src.clone()],
             w: Rc::clone(w),
+            view: View::clone(view),
             heads,
             slope,
             mode,
             layer: w.ctx.current_layer(),
             saved: std::cell::RefCell::new(saved),
         },
-    )
+    ))
 }

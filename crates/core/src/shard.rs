@@ -82,6 +82,23 @@ impl Shard {
     pub fn features_tensor(&self) -> Tensor {
         Tensor::from_vec(&[self.num_local(), self.feat_dim], self.features.clone())
     }
+
+    /// The model input: the features, followed — under label augmentation
+    /// (Shi et al. 2020) — by one-hot label channels for the rows
+    /// `label_mask` selects. Training feeds a random subset of the
+    /// training labels each epoch; inference and serving feed all of them
+    /// (`train_mask`). `None` is the un-augmented input.
+    pub fn input_tensor(&self, label_mask: Option<&[bool]>) -> Tensor {
+        let feats = self.features_tensor();
+        let Some(mask) = label_mask else {
+            return feats;
+        };
+        let mut aug = Tensor::zeros(&[self.num_local(), self.num_classes]);
+        for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
+            aug.row_mut(i)[self.labels[i] as usize] = 1.0;
+        }
+        Tensor::hstack(&[&feats, &aug])
+    }
 }
 
 #[cfg(test)]

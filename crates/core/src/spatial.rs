@@ -26,6 +26,7 @@ use sar_partition::Partitioning;
 use sar_tensor::Var;
 
 use crate::seq_agg::sage_aggregate;
+use crate::view::View;
 use crate::worker::Worker;
 use crate::DistGraph;
 
@@ -81,7 +82,6 @@ pub fn build_conv1d_graphs(
 #[derive(Debug)]
 pub struct DistConv1d {
     taps: Vec<Linear>, // one per offset, index 0 ↔ k = -radius
-    radius: usize,
 }
 
 impl DistConv1d {
@@ -92,12 +92,7 @@ impl DistConv1d {
         let taps = (0..2 * radius + 1)
             .map(|t| Linear::new(in_dim, out_dim, t == radius, rng))
             .collect();
-        DistConv1d { taps, radius }
-    }
-
-    /// Kernel radius.
-    pub fn radius(&self) -> usize {
-        self.radius
+        DistConv1d { taps }
     }
 
     /// Trainable parameters (per-tap weights + center bias).
@@ -107,27 +102,27 @@ impl DistConv1d {
 
     /// Applies the convolution to this worker's strip.
     ///
-    /// `workers[t]` must be this rank's [`Worker`] over the offset-`t`
-    /// shift graph from [`build_conv1d_graphs`]; build one per offset with
-    /// [`Worker::with_shared_ctx`] so all taps share this thread's
-    /// communication context while using disjoint tag spaces.
+    /// `views[t]` must be this rank's offset-`t` shift graph from
+    /// [`build_conv1d_graphs`]; the one worker walks them all, each
+    /// exchange under the next tag of its stream.
     ///
     /// # Panics
     ///
-    /// Panics if `workers` does not have one entry per kernel tap or `x`
-    /// has the wrong shape.
-    pub fn forward(&self, workers: &[Rc<Worker>], x: &Var) -> Var {
+    /// Panics if `views` does not have one entry per kernel tap, `x` has
+    /// the wrong shape, or (naming this rank) a peer fails mid-exchange.
+    pub fn forward(&self, w: &Rc<Worker>, views: &[View], x: &Var) -> Var {
         assert_eq!(
-            workers.len(),
+            views.len(),
             self.taps.len(),
-            "need one worker (offset graph) per kernel tap"
+            "need one view (offset graph) per kernel tap"
         );
         let mut acc: Option<Var> = None;
-        for (w, tap) in workers.iter().zip(&self.taps) {
+        for (view, tap) in views.iter().zip(&self.taps) {
             // z = x W_k, then SAR-aggregate over the shift graph (each
             // node has in-degree ≤ 1, so the sum aggregation IS the shift).
             let z = tap.forward(x);
-            let shifted = sage_aggregate(w, &z);
+            let shifted = sage_aggregate(w, view, &z)
+                .unwrap_or_else(|e| panic!("worker {} conv tap exchange: {e}", w.rank()));
             acc = Some(match acc {
                 Some(a) => a.add(&shifted),
                 None => shifted,

@@ -199,26 +199,6 @@ fn is_augmented(seed: u64, epoch: u64, global_id: u32, frac: f64) -> bool {
     (h as f64 / u64::MAX as f64) < frac
 }
 
-/// Builds the input tensor: raw features, optionally concatenated with
-/// one-hot label channels for the augmented nodes.
-fn build_input(shard: &Shard, label_aug: bool, aug_mask: Option<&[bool]>) -> Tensor {
-    let n = shard.num_local();
-    let feats = shard.features_tensor();
-    if !label_aug {
-        return feats;
-    }
-    let c = shard.num_classes;
-    let mut aug = Tensor::zeros(&[n, c]);
-    if let Some(mask) = aug_mask {
-        for (i, &augmented) in mask.iter().enumerate().take(n) {
-            if augmented {
-                aug.row_mut(i)[shard.labels[i] as usize] = 1.0;
-            }
-        }
-    }
-    Tensor::hstack(&[&feats, &aug])
-}
-
 /// Sums every parameter's gradient across workers with one flat
 /// all-reduce, writing the result back so all replicas step identically.
 fn all_reduce_grads(w: &Worker, params: &[Var]) {
@@ -316,7 +296,7 @@ pub fn run_worker(
         let local_predict = predict_mask.iter().filter(|&&m| m).count();
         let global_predict = w.ctx.all_reduce_sum_scalar(local_predict as f32).max(1.0);
 
-        let x = Var::constant(build_input(shard, cfg.label_aug, aug_mask.as_deref()));
+        let x = Var::constant(shard.input_tensor(aug_mask.as_deref()));
         let logits = model.forward(&w, &x, true, &mut dropout_rng);
         let loss =
             cross_entropy_masked(&logits, &shard.labels, &predict_mask, Some(global_predict));
@@ -348,7 +328,7 @@ pub fn run_worker(
     // accuracies measure the model on the true full graph.
     w.set_protocol(Protocol::Exact);
     let eval_aug = cfg.label_aug.then(|| shard.train_mask.clone());
-    let x = Var::constant(build_input(shard, cfg.label_aug, eval_aug.as_deref()));
+    let x = Var::constant(shard.input_tensor(eval_aug.as_deref()));
     let logits = sar_tensor::no_grad(|| model.forward(&w, &x, false, &mut dropout_rng));
     let logits_t = logits.value_clone();
 

@@ -13,12 +13,13 @@ use sar_tensor::Tensor;
 use crate::dist_graph::DistGraph;
 use crate::plan::{self, FetchStep, GradStep};
 use crate::protocol::Protocol;
+use crate::view::{ShardView, View};
 
 /// Tags below the collective range, reserved for SAR's point-to-point
 /// exchanges.
 const P2P_TAG_BASE: u64 = 1 << 40;
 
-/// One partition block handed to the [`Worker::fetch_rounds`] consumer.
+/// One partition block handed to the [`Worker::try_fetch_rounds`] consumer.
 ///
 /// Remote rounds deliver the materialized block received from the wire.
 /// The round-0 local block is *not* materialized: the consumer gets the
@@ -33,7 +34,7 @@ pub enum FetchedBlock<'a> {
     /// Round 0: the local features, viewed through `rows` (one entry per
     /// block column, each an index into `data`).
     Local {
-        /// The worker's resident `[n_local, F]` feature tensor.
+        /// The worker's resident `[num_inputs, F]` feature tensor.
         data: &'a Tensor,
         /// Row table selecting the block's compacted columns from `data`.
         rows: &'a [u32],
@@ -51,34 +52,23 @@ impl FetchedBlock<'_> {
         }
     }
 
-    /// Feature width of the block.
-    pub fn cols(&self) -> usize {
-        match self {
-            FetchedBlock::Local { data, .. } => data.cols(),
-            FetchedBlock::Remote(t) => t.cols(),
-        }
-    }
-
-    /// Materializes the block as an owned tensor: gathers the local
-    /// round's rows, copies a remote block into a pooled buffer. For cold
-    /// paths and tests — hot paths consume `Local` in place via the
-    /// `*_indexed` kernels.
+    /// Materializes the block as an owned tensor (gathering the local
+    /// round's rows). For cold paths and tests — hot paths consume `Local`
+    /// in place via the `*_indexed` kernels.
     pub fn to_tensor(&self) -> Tensor {
         match self {
             FetchedBlock::Local { data, rows } => data.gather_rows(rows),
-            FetchedBlock::Remote(t) => {
-                // A pooled buffer instead of `Tensor::clone`: steady-state
-                // callers stop allocating once the pool is primed.
-                let mut buf = buffer::take_f32(t.data().len());
-                buf.copy_from_slice(t.data());
-                Tensor::from_vec(t.shape(), buf)
-            }
+            FetchedBlock::Remote(t) => (*t).clone(),
         }
     }
 }
 
 /// A worker's handle during distributed training: the communication
-/// context, this worker's shard, and a tag allocator.
+/// context, this worker's shard, and a tag allocator. The exchanges
+/// themselves ([`Worker::try_fetch_rounds`], [`GradRouter`]) take the
+/// partition as a [`ShardView`] argument, so one worker walks any number
+/// of views — the full graph, an MFG level, a convolution's shift graphs —
+/// over one tag stream.
 ///
 /// `Worker` is shared via `Rc` so autograd [`Function`](sar_tensor::Function)s
 /// recorded during the forward pass can communicate during the backward
@@ -86,7 +76,8 @@ impl FetchedBlock<'_> {
 pub struct Worker {
     /// Communication context.
     pub ctx: Rc<WorkerCtx>,
-    /// This worker's partition-local graph view.
+    /// This worker's partition of the full graph — the view training,
+    /// evaluation and Correct & Smooth walk.
     pub graph: Arc<DistGraph>,
     /// Pipeline depth `k` of the rotation exchange (§3.4 of the paper):
     /// up to `k` fetched blocks are staged ahead of the one being
@@ -102,16 +93,18 @@ pub struct Worker {
     /// Whether the current epoch refreshes remote blocks (always true
     /// outside [`Protocol::Stale`]).
     epoch_fresh: Cell<bool>,
-    /// Within-epoch index of the next [`Worker::fetch_rounds`] call —
+    /// Within-epoch index of the next [`Worker::try_fetch_rounds`] call —
     /// the key into `stale_cache` (every epoch runs the same SPMD call
     /// sequence, so the index identifies the exchange).
     fetch_call: Cell<usize>,
     /// Per-fetch-call cache of the remote blocks received on the last
-    /// refresh epoch, in rotation order `p+1, p+2, …` (the local block is
+    /// refresh epoch, one entry per remote round `1..N` (the local block is
     /// never cached — it is always read fresh from the resident tensor).
-    /// With the disk tier enabled the blocks live in `tier` instead and
-    /// each slot only records its round count.
-    stale_cache: RefCell<Vec<StaleSlot>>,
+    /// An entry is `None` while its block is staged by a replaying walk —
+    /// and always, with the disk tier enabled: the blocks then live in
+    /// `tier` under [`stale_block_id`] keys and the slot only records
+    /// that the call was cached.
+    stale_cache: RefCell<Vec<Vec<Option<Tensor>>>>,
     /// The out-of-core disk tier (`--mem-budget`): cached stale blocks
     /// and rematerialization inputs past the budget spill here and fault
     /// back through the same depth-k staging as network prefetches.
@@ -122,16 +115,16 @@ pub struct Worker {
     remat_ids: Cell<u64>,
 }
 
-/// One fetch call's worth of cached stale-protocol remote blocks.
-enum StaleSlot {
-    /// Blocks held in RAM (tier disabled), rotation order `p+1, p+2, …`.
-    Ram(Vec<Tensor>),
-    /// Blocks held by the worker's [`TieredStore`] under
-    /// [`stale_block_id`] keys; the slot records only the round count.
-    Tiered {
-        /// Number of remote rounds cached (`world − 1`).
-        rounds: usize,
-    },
+/// Where the remote blocks of one rotation walk come from, and where
+/// they go once consumed.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum BlockStore {
+    /// The transport (as a source) / the receive-buffer pool (as a sink).
+    Wire,
+    /// The in-memory stale cache.
+    Ram,
+    /// The disk tier.
+    Tier,
 }
 
 /// Tier key of the stale-cache block fetched in `round` of fetch call
@@ -145,21 +138,6 @@ impl Worker {
     /// (pipeline depth 0 — the strictly sequential exchange).
     pub fn new(ctx: WorkerCtx, graph: Arc<DistGraph>) -> Rc<Worker> {
         Worker::from_shared(Rc::new(ctx), graph, 0)
-    }
-
-    /// Like [`Worker::new`] with the paper's single-block prefetch
-    /// (pipeline depth 1).
-    pub fn with_prefetch(ctx: WorkerCtx, graph: Arc<DistGraph>) -> Rc<Worker> {
-        Worker::from_shared(Rc::new(ctx), graph, 1)
-    }
-
-    /// Like [`Worker::new`] with an arbitrary pipeline depth.
-    pub fn with_prefetch_depth(
-        ctx: WorkerCtx,
-        graph: Arc<DistGraph>,
-        prefetch_depth: usize,
-    ) -> Rc<Worker> {
-        Worker::from_shared(Rc::new(ctx), graph, prefetch_depth)
     }
 
     /// Builds a worker over an already-shared communication context. The
@@ -185,36 +163,15 @@ impl Worker {
         })
     }
 
-    /// Wraps an *already shared* communication context with another graph
-    /// view. Used when one worker thread operates over several distributed
-    /// structures at once (e.g. the per-offset shift graphs of
-    /// [`spatial::DistConv1d`](crate::spatial::DistConv1d)); tag spaces
-    /// start at distinct bases per view so their exchanges cannot collide.
-    ///
-    /// `view_index` must be assigned identically on every rank.
-    pub fn with_shared_ctx(
-        ctx: Rc<WorkerCtx>,
-        graph: Arc<DistGraph>,
-        view_index: u64,
-    ) -> Rc<Worker> {
-        Rc::new(Worker {
-            ctx,
-            graph,
-            prefetch_depth: 0,
-            // Disjoint tag sub-spaces per view (2^20 tags each).
-            tags: Cell::new(view_index << 20),
-            protocol: Cell::new(Protocol::Exact),
-            epoch_fresh: Cell::new(true),
-            fetch_call: Cell::new(0),
-            stale_cache: RefCell::new(Vec::new()),
-            tier: RefCell::new(None),
-            remat_ids: Cell::new(0),
-        })
-    }
-
     /// This worker's rank.
     pub fn rank(&self) -> usize {
         self.ctx.rank()
+    }
+
+    /// The worker's own graph as a shared [`View`] — what the aggregation
+    /// functions take for full-graph training.
+    pub fn view(&self) -> View {
+        self.graph.clone()
     }
 
     /// Cluster size.
@@ -230,23 +187,21 @@ impl Worker {
         P2P_TAG_BASE + t
     }
 
-    /// The exchange protocol this worker currently runs under.
-    pub fn protocol(&self) -> Protocol {
-        self.protocol.get()
-    }
-
     /// Enables the out-of-core disk tier with a resident-byte budget
     /// (`--mem-budget`). Cached stale-protocol blocks and
     /// rematerialization inputs past the budget spill to an mmap-backed
     /// temp file and fault back through the depth-k staging pipeline;
-    /// results are bitwise identical at any budget. `0` disables tiering
-    /// and drops any spilled state.
+    /// results are bitwise identical at any budget. `0` disables tiering.
+    /// Either way any spilled or cached stale state is dropped — call it
+    /// before the first exchange, as [`run_worker`](crate::run_worker)
+    /// does.
     ///
     /// # Panics
     ///
     /// Panics (naming this rank) if the spill arena cannot be created —
     /// a setup-time environment failure, not a training-path error.
     pub fn set_mem_budget(&self, budget_bytes: u64) {
+        self.stale_cache.borrow_mut().clear();
         if budget_bytes == 0 {
             *self.tier.borrow_mut() = None;
             return;
@@ -304,9 +259,9 @@ impl Worker {
         }
     }
 
-    /// Quietly removes a block from the tier if present (cleanup paths:
-    /// a recorded-but-never-run backward, slot overwrite). IO errors are
-    /// ignored — the block is being discarded anyway.
+    /// Quietly removes a block from the tier if present (the cleanup path
+    /// of a recorded-but-never-run backward). IO errors are ignored — the
+    /// block is being discarded anyway.
     pub(crate) fn tier_discard(&self, id: u64) {
         if let Some(store) = self.tier.borrow_mut().as_mut() {
             if store.contains(id) {
@@ -366,54 +321,36 @@ impl Worker {
         }
     }
 
-    /// The ranks this worker exchanges gradient blocks with during error
-    /// routing, in receive order `p, p−1, …` — every rank under the exact
-    /// and stale protocols (error routing stays exact under staleness),
-    /// only this rank under [`Protocol::GradOnly`]. Callers that hand-roll
-    /// a routing loop (the GAT backward pass) iterate this instead of
-    /// `0..world()` so approximate protocols never wait on a gradient
-    /// block no peer will send.
-    pub fn grad_route_partners(&self) -> Vec<usize> {
-        let n = self.world();
-        let p = self.rank();
-        match self.protocol.get() {
-            Protocol::GradOnly => vec![p],
-            Protocol::Exact | Protocol::Stale(_) => (0..n).map(|r| (p + n - r) % n).collect(),
-        }
-    }
-
-    /// Gathers `rows` of `data` into a pooled buffer — the shared gather
-    /// kernel of the serve path and the round-0 local block. The
-    /// destination comes from the process-wide buffer pool, so
-    /// steady-state rounds stop allocating once the pool is primed.
-    fn gather_pooled(data: &Tensor, rows: &[usize], cols: usize) -> Vec<f32> {
-        let src = data.data();
+    /// Serves rows of `data` to worker `dst` under `tag`: gathers the rows
+    /// `dst` needs into a pooled buffer (steady-state rounds stop
+    /// allocating once the pool is primed) and hands it to the transport's
+    /// non-blocking send path — on TCP the frame encode and socket write
+    /// run on the destination's writer thread, which recycles the buffer.
+    /// The staging buffer is never registered with this worker's memory
+    /// tracker: egress in flight is not resident state under the paper's
+    /// accounting.
+    // Helper of try_fetch_rounds, which opens the ForwardFetch/
+    // BackwardRefetch scope before any serve.
+    // sar-check: allow(phase-scope)
+    fn serve(
+        &self,
+        view: &dyn ShardView,
+        data: &Tensor,
+        dst: usize,
+        tag: u64,
+    ) -> Result<(), TransportError> {
+        let (src, cols, rows) = (data.data(), data.cols(), view.serve_rows(dst));
         let mut buf = buffer::take_f32(rows.len() * cols);
         for (out, &r) in buf.chunks_exact_mut(cols).zip(rows) {
-            out.copy_from_slice(&src[r * cols..(r + 1) * cols]);
+            out.copy_from_slice(&src[r as usize * cols..(r as usize + 1) * cols]);
         }
-        buf
+        self.ctx.try_send(dst, tag, Payload::F32(buf))
     }
 
-    /// Serves rows of `data` to worker `dst` under `tag`: gathers the rows
-    /// `dst` needs from this worker into a pooled buffer and hands it to
-    /// the transport's non-blocking send path (on TCP the frame encode and
-    /// socket write run on the destination's writer thread, which recycles
-    /// the buffer afterwards). The staging buffer is never registered with
-    /// this worker's memory tracker — egress in flight is not resident
-    /// state under the paper's accounting.
-    // Helper of fetch_rounds, which opens the ForwardFetch/BackwardRefetch
-    // scope before any serve.
-    // sar-check: allow(phase-scope)
-    fn serve(&self, data: &Tensor, dst: usize, tag: u64) {
-        let buf = Worker::gather_pooled(data, self.graph.serve_table(dst), data.cols());
-        self.ctx.send_nowait(dst, tag, Payload::F32(buf));
-    }
-
-    /// Fallible block receive: `needed_from(src)` rows of width `cols`
-    /// from worker `src`. The received bytes are registered with *this*
-    /// worker's memory tracker — fetched partitions count against this
-    /// worker's peak, as in the paper's accounting.
+    /// Receives the `[rows, cols]` block worker `src` serves under `tag`.
+    /// The received bytes are registered with *this* worker's memory
+    /// tracker — fetched partitions count against this worker's peak, as
+    /// in the paper's accounting.
     ///
     /// # Errors
     ///
@@ -421,22 +358,23 @@ impl Worker {
     /// plus [`TransportError::Corrupt`] naming `src` if the block arrives
     /// with the wrong dtype or element count — a malformed peer frame
     /// becomes a clean nonzero exit instead of a process-poisoning panic.
-    // Helper of fetch_rounds, which opens the ForwardFetch/BackwardRefetch
-    // scope before any receive.
+    // Helper of try_fetch_rounds and GradRouter::finish, which open their
+    // phase scope before any receive.
     // sar-check: allow(phase-scope)
-    pub fn try_receive_block(
+    fn try_receive_block(
         &self,
         src: usize,
         tag: u64,
+        rows: usize,
         cols: usize,
+        what: &str,
     ) -> Result<Tensor, TransportError> {
         let data = self.ctx.try_recv(src, tag)?.try_into_f32()?;
-        let rows = self.graph.needed_from(src).len();
         if data.len() != rows * cols {
             return Err(TransportError::Corrupt {
                 peer: src,
                 detail: format!(
-                    "fetched block has {} f32 elements, expected {rows} rows × {cols} cols = {}",
+                    "{what} block has {} f32 elements, expected {rows} rows × {cols} cols = {}",
                     data.len(),
                     rows * cols
                 ),
@@ -445,359 +383,334 @@ impl Worker {
         Ok(Tensor::from_vec(&[rows, cols], data))
     }
 
-    /// Panicking wrapper over [`Worker::try_receive_block`], naming the
-    /// offending rank.
-    fn receive_block(&self, src: usize, tag: u64, cols: usize) -> Tensor {
-        self.try_receive_block(src, tag, cols).unwrap_or_else(|e| {
-            panic!("worker {} fetching block from rank {src}: {e}", self.rank())
-        })
-    }
-
-    /// The sequential rotation exchange of Algorithm 1, pipelined to depth
-    /// `k = prefetch_depth`: fetches each partition's needed rows of
-    /// `data`, invoking `consume(q, block)` per partition in the fixed
-    /// rank order `p, p+1, …` regardless of arrival order — out-of-order
-    /// frames are staged by the communication context and blocks are
-    /// accumulated deterministically, so results are bitwise identical at
-    /// every depth, thread count, and transport.
+    /// The sequential rotation exchange of Algorithm 1 over `view`,
+    /// pipelined to depth `k = prefetch_depth` — the only code that binds
+    /// [`plan::fetch_steps`] to tensors. Invokes `consume(q, block)` per
+    /// partition in the fixed rank order `p, p+1, …` regardless of arrival
+    /// order, so results are bitwise identical at every depth, thread
+    /// count, and transport.
     ///
-    /// The step sequence — which round serves which peer, how far serves
-    /// and fetches run ahead of consumption, and the consumption order —
-    /// comes verbatim from [`plan::fetch_steps`], the pure schedule the
-    /// `sar-check` protocol verifier proves matched, deadlock-free, and
-    /// within the `(k+2)/N` residency bound for every `(N, k)` it sweeps.
-    /// This function only binds the plan to tensors and the transport.
+    /// Which round serves which peer, how far serves and fetches run ahead
+    /// of consumption, and the consumption order come verbatim from the
+    /// plan — the pure schedule `sar-check` proves matched, deadlock-free,
+    /// and within the `(k+2)/N` residency bound (local partition + block
+    /// being consumed + `k` staged; 2/N at depth 0, the paper's 3/N at
+    /// depth 1). What varies is where a `Fetch` finds its block: the wire,
+    /// or — on a stale epoch of [`Protocol::Stale`], which serves nothing
+    /// — the refresh epoch's cache in RAM or on the disk tier, faulted
+    /// through the same depth-k staging so `--prefetch-depth` hides disk
+    /// latency exactly as it hides network latency. Under
+    /// [`Protocol::GradOnly`] the rotation collapses to round 0 on every
+    /// rank alike.
     ///
-    /// Round `r`: this worker serves partition `(p − r) mod N` and fetches
-    /// from partition `(p + r) mod N`; round 0 is the local block,
-    /// delivered as [`FetchedBlock::Local`] — no communication and no
-    /// gathered copy, the consumer reads the resident features through the
-    /// row table via the fused gather+aggregate kernels. Serves are issued
-    /// eagerly on the non-blocking send path, and up to `k` fetched blocks
-    /// are staged ahead of the one being consumed, so at most `k + 1`
-    /// remote blocks are live alongside the local partition ⇒ the
-    /// `(k+2)/N` memory bound (2/N at depth 0, the paper's 3/N at
-    /// depth 1).
+    /// Round 0 is the local block, delivered as [`FetchedBlock::Local`]:
+    /// no communication and no gathered copy. Remote blocks land in pooled
+    /// buffers and are recycled after consumption.
     ///
-    /// `data` must have one row per local node.
+    /// `tag` must be the same on every rank and unused by any exchange
+    /// still in flight; training allocates it with [`Worker::next_tag`].
+    ///
+    /// # Errors
+    ///
+    /// A transport failure, a malformed block
+    /// ([`TransportError::Corrupt`] naming the peer and both sizes), or
+    /// whatever `consume` returns — the walk stops at the first.
     ///
     /// # Panics
     ///
-    /// Panics if `data` has the wrong number of rows, or if a peer dies or
-    /// sends a malformed block mid-exchange.
-    pub fn fetch_rounds(&self, data: &Tensor, mut consume: impl FnMut(usize, FetchedBlock<'_>)) {
+    /// Panics (naming this rank) if `view` was built for another rank,
+    /// `data` does not have one row per view input, or a stale epoch's
+    /// call sequence diverges from the refresh epoch's — programming
+    /// errors, not cluster-health conditions.
+    pub fn try_fetch_rounds(
+        &self,
+        view: &dyn ShardView,
+        data: &Tensor,
+        tag: u64,
+        mut consume: impl FnMut(usize, FetchedBlock<'_>) -> Result<(), TransportError>,
+    ) -> Result<(), TransportError> {
         let n = self.world();
         let p = self.rank();
-        if data.rows() != self.graph.num_local() {
+        if (view.world(), view.rank()) != (n, p) {
             panic!(
-                "worker {p}: fetch_rounds data has {} rows, expected {} local nodes",
+                "worker {p} of {n}: walking a view built for rank {} of {}",
+                view.rank(),
+                view.world()
+            );
+        }
+        if data.rows() != view.num_inputs() {
+            panic!(
+                "worker {p}: fetch_rounds data has {} rows, expected {} view inputs",
                 data.rows(),
-                self.graph.num_local()
+                view.num_inputs()
             );
         }
         let cols = data.cols();
-        // Tags are allocated unconditionally — approximate protocols skip
-        // messages, not tags, so the SPMD tag streams stay aligned across
-        // protocol phases (e.g. a stale epoch followed by a refresh).
-        let tag = self.next_tag();
         // Ledger the rotation exchange as a forward fetch unless the
         // caller already declared a phase (the GAT backward pass runs this
         // same loop under BackwardRefetch).
         let _phase = (self.ctx.current_phase() == Phase::Other)
             .then(|| self.ctx.phase_scope(Phase::ForwardFetch));
+        let local = || FetchedBlock::Local {
+            data,
+            rows: view.local_rows(),
+        };
 
-        match self.protocol.get() {
-            // Local-subgraph training: the rotation collapses to round 0.
-            // Every rank skips the same serves and fetches, so no peer
-            // waits on a message that will never come.
-            Protocol::GradOnly => {
-                consume(
-                    p,
-                    FetchedBlock::Local {
-                        data,
-                        rows: self.graph.needed_from(p),
-                    },
-                );
-                return;
-            }
-            // Stale epoch: zero fetch-phase traffic. The local block is
-            // read fresh from the resident tensor; remote blocks replay
-            // from the refresh epoch's cache in rotation order — from RAM,
-            // or faulted from the disk tier through the same depth-k
-            // staging as a network fetch.
-            Protocol::Stale(_) if !self.epoch_fresh.get() => {
-                let call = self.fetch_call.get();
-                self.fetch_call.set(call + 1);
-                let tiered = {
-                    let cache = self.stale_cache.borrow();
-                    match cache.get(call) {
-                        Some(StaleSlot::Ram(_)) => false,
-                        Some(StaleSlot::Tiered { .. }) => true,
-                        None => panic!(
-                            "worker {p}: stale epoch fetch call #{call} has no cached \
-                             refresh-epoch blocks ({} cached calls) — the SPMD call \
-                             sequence diverged from the refresh epoch",
-                            cache.len()
-                        ),
-                    }
-                };
-                if tiered {
-                    self.replay_tiered(call, data, &mut consume);
-                    return;
-                }
-                let cache = self.stale_cache.borrow();
-                let Some(StaleSlot::Ram(blocks)) = cache.get(call) else {
-                    panic!("worker {p}: stale cache slot #{call} changed kind mid-replay");
-                };
-                for r in 0..n {
-                    let q = (p + r) % n;
-                    if r == 0 {
-                        consume(
-                            q,
-                            FetchedBlock::Local {
-                                data,
-                                rows: self.graph.needed_from(p),
-                            },
-                        );
-                    } else {
-                        consume(q, FetchedBlock::Remote(&blocks[r - 1]));
-                    }
-                }
-                return;
-            }
-            Protocol::Exact | Protocol::Stale(_) => {}
-        }
         // Refresh epochs keep each remote block after consumption instead
-        // of recycling it, repopulating the cache slot for this call.
-        // With the disk tier active, kept blocks go straight into the
-        // tiered store (spilling past the budget) instead of RAM.
-        let record = matches!(self.protocol.get(), Protocol::Stale(_));
-        let tiered = record && self.tier_enabled();
+        // of recycling it; stale epochs replay what was kept, with zero
+        // fetch-phase traffic.
+        let (source, sink) = match self.protocol.get() {
+            // Local-subgraph training: every rank skips the same serves
+            // and fetches, so no peer waits on a message that never comes.
+            Protocol::GradOnly => return consume(p, local()),
+            Protocol::Exact => (BlockStore::Wire, BlockStore::Wire),
+            Protocol::Stale(_) => {
+                let store = if self.tier_enabled() {
+                    BlockStore::Tier
+                } else {
+                    BlockStore::Ram
+                };
+                if self.epoch_fresh.get() {
+                    (BlockStore::Wire, store)
+                } else {
+                    (store, store)
+                }
+            }
+        };
+        // The within-epoch call index keys the stale cache (every epoch
+        // runs the same SPMD call sequence).
         let call = self.fetch_call.get();
-        let mut recorded: Vec<Tensor> = Vec::new();
-        if tiered {
-            // Re-recording over an existing tiered slot (e.g. a refresh
-            // epoch revisiting a call index): drop the old tier blocks
-            // before the walk puts new ones under the same ids.
-            let old_rounds = match self.stale_cache.borrow().get(call) {
-                Some(StaleSlot::Tiered { rounds }) => *rounds,
-                _ => 0,
-            };
-            for r in 1..=old_rounds {
-                self.tier_discard(stale_block_id(call, r));
+        if sink != BlockStore::Wire {
+            self.fetch_call.set(call + 1);
+            let mut cache = self.stale_cache.borrow_mut();
+            if source == BlockStore::Wire {
+                cache.truncate(call);
+                cache.push((1..n).map(|_| None).collect());
+            } else if call >= cache.len() {
+                panic!(
+                    "worker {p}: stale epoch fetch call #{call} has no cached \
+                     refresh-epoch blocks ({} cached calls) — the SPMD call \
+                     sequence diverged from the refresh epoch",
+                    cache.len()
+                );
             }
         }
 
         // Staged blocks, oldest first; the plan bounds the queue to
         // `min(k, n-1) + 1` entries. The local round stages no tensor —
-        // `None` marks it and consumption reads `data` in place through
-        // the row table. Remote blocks land in pooled buffers and are
-        // recycled after consumption, so allocations are reused across
-        // rounds, layers and epochs.
-        let mut staged: VecDeque<(usize, Option<Tensor>)> = VecDeque::new();
+        // `None` marks it and consumption reads `data` in place.
+        let mut staged: VecDeque<Option<(usize, Tensor)>> = VecDeque::new();
         for step in plan::fetch_steps(n, p, self.prefetch_depth) {
             match step {
-                FetchStep::GatherLocal => staged.push_back((p, None)),
-                FetchStep::Serve { dst, .. } => self.serve(data, dst, tag),
-                FetchStep::Fetch { src, .. } => {
-                    staged.push_back((src, Some(self.receive_block(src, tag, cols))));
-                }
-                FetchStep::Consume { q } => {
-                    let (staged_q, block) = staged.pop_front().unwrap_or_else(|| {
-                        panic!("worker {p}: pipeline underrun consuming partition {q}")
-                    });
-                    debug_assert_eq!(staged_q, q, "plan consumption order diverged");
-                    match block {
-                        None => consume(
-                            q,
-                            FetchedBlock::Local {
-                                data,
-                                rows: self.graph.needed_from(p),
-                            },
-                        ),
-                        Some(block) => {
-                            consume(q, FetchedBlock::Remote(&block));
-                            if tiered {
-                                let round = (q + n - p) % n;
-                                self.tier_put(
-                                    stale_block_id(call, round),
-                                    block,
-                                    "stale cache block",
-                                );
-                            } else if record {
-                                recorded.push(block);
-                            } else {
-                                buffer::recycle_f32(block.into_data());
-                            }
-                        }
+                FetchStep::GatherLocal => staged.push_back(None),
+                FetchStep::Serve { dst, .. } => {
+                    if source == BlockStore::Wire {
+                        self.serve(view, data, dst, tag)?;
                     }
                 }
-            }
-        }
-        if record {
-            self.fetch_call.set(call + 1);
-            let slot = if tiered {
-                StaleSlot::Tiered { rounds: n - 1 }
-            } else {
-                StaleSlot::Ram(recorded)
-            };
-            let mut cache = self.stale_cache.borrow_mut();
-            if call < cache.len() {
-                cache[call] = slot;
-            } else {
-                cache.push(slot);
-            }
-        }
-    }
-
-    /// Replays fetch call `call` of a stale epoch out of the disk tier,
-    /// walking the *same* depth-k schedule as a network exchange
-    /// ([`plan::fetch_steps`]) with `Fetch` reinterpreted as a disk fault
-    /// and `Serve` as a no-op: up to `k` faulted blocks are staged ahead
-    /// of the one being consumed, so `--prefetch-depth` hides disk
-    /// latency exactly as it hides network latency, and at most
-    /// `min(k, n−1) + 1` staged blocks join the local partition in RAM —
-    /// the (K+2)-blocks-in-RAM bound with the remainder on disk that
-    /// `sar-check` proves over the full `(N, K)` sweep.
-    ///
-    /// Consumed blocks return to the tiered store for the next stale
-    /// epoch; consumption order is the same fixed rotation as every other
-    /// path, so results stay bitwise identical to the untiered replay.
-    fn replay_tiered(
-        &self,
-        call: usize,
-        data: &Tensor,
-        consume: &mut impl FnMut(usize, FetchedBlock<'_>),
-    ) {
-        let n = self.world();
-        let p = self.rank();
-        let mut staged: VecDeque<(usize, Option<Tensor>)> = VecDeque::new();
-        for step in plan::fetch_steps(n, p, self.prefetch_depth) {
-            match step {
-                FetchStep::GatherLocal => staged.push_back((p, None)),
-                // A stale epoch is communication-free: nothing to serve.
-                FetchStep::Serve { .. } => {}
                 FetchStep::Fetch { round, src } => {
-                    let block = self.tier_take(stale_block_id(call, round), "stale cache block");
-                    staged.push_back((src, Some(block)));
+                    let block = match source {
+                        BlockStore::Wire => self.try_receive_block(
+                            src,
+                            tag,
+                            view.expected_rows(src),
+                            cols,
+                            "fetched",
+                        )?,
+                        BlockStore::Ram => self.stale_cache.borrow_mut()[call][round - 1]
+                            .take()
+                            .unwrap_or_else(|| {
+                                panic!("worker {p}: stale block {call}/{round} staged twice")
+                            }),
+                        BlockStore::Tier => {
+                            self.tier_take(stale_block_id(call, round), "stale cache block")
+                        }
+                    };
+                    staged.push_back(Some((round, block)));
                 }
-                FetchStep::Consume { q } => {
-                    let (staged_q, block) = staged.pop_front().unwrap_or_else(|| {
-                        panic!("worker {p}: pipeline underrun replaying partition {q}")
-                    });
-                    debug_assert_eq!(staged_q, q, "plan consumption order diverged");
-                    match block {
-                        None => consume(
-                            q,
-                            FetchedBlock::Local {
-                                data,
-                                rows: self.graph.needed_from(p),
-                            },
-                        ),
-                        Some(block) => {
-                            consume(q, FetchedBlock::Remote(&block));
-                            // Back to the store for the next stale epoch.
-                            let round = (q + n - p) % n;
-                            self.tier_put(stale_block_id(call, round), block, "stale cache block");
+                FetchStep::Consume { q } => match staged.pop_front() {
+                    None => panic!("worker {p}: pipeline underrun consuming partition {q}"),
+                    Some(None) => consume(q, local())?,
+                    Some(Some((round, block))) => {
+                        consume(q, FetchedBlock::Remote(&block))?;
+                        match sink {
+                            BlockStore::Wire => buffer::recycle_f32(block.into_data()),
+                            BlockStore::Ram => {
+                                self.stale_cache.borrow_mut()[call][round - 1] = Some(block);
+                            }
+                            BlockStore::Tier => self.tier_put(
+                                stale_block_id(call, round),
+                                block,
+                                "stale cache block",
+                            ),
                         }
                     }
-                }
+                },
             }
+        }
+        Ok(())
+    }
+
+    /// Panicking [`Worker::try_fetch_rounds`] under a freshly allocated tag
+    /// — the training-side entry point.
+    /// Tags are allocated unconditionally: approximate protocols skip
+    /// messages, not tags, so the SPMD tag streams stay aligned across
+    /// protocol phases (e.g. a stale epoch followed by a refresh).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming this rank, if a peer dies or sends a malformed block
+    /// mid-exchange.
+    pub fn fetch_rounds(
+        &self,
+        view: &dyn ShardView,
+        data: &Tensor,
+        mut consume: impl FnMut(usize, FetchedBlock<'_>),
+    ) {
+        let walked = self.try_fetch_rounds(view, data, self.next_tag(), |q, block| {
+            consume(q, block);
+            Ok(())
+        });
+        if let Err(e) = walked {
+            panic!("worker {} fetching blocks: {e}", self.rank());
         }
     }
 
-    /// Scatter-style gradient return: sends one gradient block per peer
-    /// (rows aligned with `needed_from(q)`), then accumulates the blocks
-    /// received from all peers (rows aligned with `serves_to(q)`) into a
-    /// `[num_local, cols]` tensor. This is the error-routing step of
-    /// Algorithm 2 (`send error E_{p→q} to worker q`, then
-    /// `E_p = Σ_q E_{q→p}`).
+    /// Algorithm 2's error routing (`send error E_{p→q} to worker q`, then
+    /// `E_p = Σ_q E_{q→p}`) for aggregations that need no refetch: pushes
+    /// `make_block(q)` (rows aligned with block `q`'s columns) for every
+    /// partition through a [`GradRouter`] in [`plan::grad_steps`] order and
+    /// returns the accumulated `[num_inputs, cols]` gradient.
     ///
-    /// The step sequence comes from [`plan::grad_steps`] — the same pure
-    /// schedule the `sar-check` protocol verifier proves matched and
-    /// deadlock-free: all sends go out on the non-blocking path before any
-    /// receive, so peers' error blocks are in flight while this worker is
-    /// still scattering — but accumulation runs in the fixed rank order
-    /// `q = (p + n − r) mod N`, so the floating-point sum is bitwise
-    /// identical at every pipeline depth and transport.
+    /// # Panics
     ///
-    /// `make_block(q)` must return the gradient for the rows fetched from
-    /// `q` during the forward pass.
+    /// Panics, naming this rank, if a peer dies or routes a malformed
+    /// block.
     pub fn exchange_grads(
         &self,
+        view: &dyn ShardView,
         cols: usize,
         mut make_block: impl FnMut(usize) -> Tensor,
     ) -> Tensor {
-        let n = self.world();
-        let p = self.rank();
-        // Allocated even when gradonly skips the exchange — see
-        // fetch_rounds on tag-stream alignment.
-        let tag = self.next_tag();
+        // One scope around the block construction too, so its CPU time is
+        // ledgered as routing.
         let _phase = self.ctx.phase_scope(Phase::GradRouting);
-        let mut grad = Tensor::zeros(&[self.graph.num_local(), cols]);
+        let mut router = GradRouter::new(self, view, cols);
+        let local_only = self.protocol.get() == Protocol::GradOnly;
+        let routed = plan::grad_steps(self.world(), self.rank())
+            .into_iter()
+            .try_for_each(|step| match step {
+                GradStep::AccumulateLocal => router.push(self.rank(), make_block(self.rank())),
+                GradStep::Send { dst } if !local_only => router.push(dst, make_block(dst)),
+                GradStep::Send { .. } | GradStep::Recv { .. } => Ok(()),
+            })
+            .and_then(|()| router.finish());
+        routed.unwrap_or_else(|e| panic!("worker {} routing gradients: {e}", self.rank()))
+    }
+}
 
-        if self.protocol.get() == Protocol::GradOnly {
-            // Local-subgraph training: only this worker's own error block
-            // is accumulated; nothing is routed. Uniform across ranks, so
-            // no peer blocks on a missing gradient block.
-            let block = make_block(p);
-            grad.scatter_add_rows(self.graph.needed_from(p), &block);
-            buffer::recycle_f32(block.into_data());
-            return grad;
+/// The error-routing exchange of Algorithm 2, decoupled from how the
+/// blocks are produced: [`push`](GradRouter::push) each partition's
+/// gradient block as it becomes available — all at once for linear
+/// aggregations ([`Worker::exchange_grads`]), one per consumed block of
+/// the rematerializing refetch for attention — then
+/// [`finish`](GradRouter::finish). Remote blocks leave on the non-blocking
+/// send path; the local block needs no message and is parked, like any
+/// block in flight outside the tensor tracker, until `finish` accumulates
+/// it first and the peers' blocks after it in the fixed order of
+/// [`plan::grad_steps`] — so the floating-point sum is bitwise identical
+/// at every pipeline depth and transport, and the `[num_inputs, cols]`
+/// accumulator is not resident while the blocks are still being produced.
+pub struct GradRouter<'a> {
+    w: &'a Worker,
+    view: &'a dyn ShardView,
+    tag: u64,
+    cols: usize,
+    local: Option<Vec<f32>>,
+}
+
+impl<'a> GradRouter<'a> {
+    /// Opens a routing exchange for `cols`-wide gradient blocks. Allocates
+    /// its tag even when the protocol will skip the exchange — see
+    /// [`Worker::fetch_rounds`] on tag-stream alignment.
+    pub fn new(w: &'a Worker, view: &'a dyn ShardView, cols: usize) -> Self {
+        GradRouter {
+            w,
+            view,
+            tag: w.next_tag(),
+            cols,
+            local: None,
         }
+    }
 
-        for step in plan::grad_steps(n, p) {
+    /// Routes the gradient of the rows fetched from partition `q`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the transport reports for a remote `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (naming this rank) if the block is not `[expected_rows(q),
+    /// cols]` — a programming error in the caller.
+    pub fn push(&mut self, q: usize, block: Tensor) -> Result<(), TransportError> {
+        let p = self.w.rank();
+        if (block.rows(), block.cols()) != (self.view.expected_rows(q), self.cols) {
+            panic!(
+                "worker {p}: gradient block for rank {q} is {} × {}, expected {} × {}",
+                block.rows(),
+                block.cols(),
+                self.view.expected_rows(q),
+                self.cols
+            );
+        }
+        if q == p {
+            self.local = Some(block.into_data());
+            return Ok(());
+        }
+        let _phase = self.w.ctx.phase_scope(Phase::GradRouting);
+        self.w
+            .ctx
+            .try_send(q, self.tag, Payload::F32(block.into_data()))
+    }
+
+    /// Sums the local block and the blocks every peer routed here (rows
+    /// aligned with `serve_rows(src)`) into the `[num_inputs, cols]`
+    /// gradient. Under [`Protocol::GradOnly`] nothing was routed and
+    /// nothing is awaited — uniformly across ranks.
+    ///
+    /// # Errors
+    ///
+    /// A transport failure, or [`TransportError::Corrupt`] naming the peer
+    /// and both sizes if a block arrives short or with the wrong dtype.
+    pub fn finish(mut self) -> Result<Tensor, TransportError> {
+        let (w, view, cols) = (self.w, self.view, self.cols);
+        let routed = w.protocol.get() != Protocol::GradOnly;
+        let _phase = w.ctx.phase_scope(Phase::GradRouting);
+        let mut grad = Tensor::zeros(&[view.num_inputs(), cols]);
+        let mut add = |rows: &[u32], block: Tensor| {
+            grad.scatter_add_rows(rows, &block);
+            buffer::recycle_f32(block.into_data());
+        };
+        for step in plan::grad_steps(w.world(), w.rank()) {
             match step {
                 GradStep::AccumulateLocal => {
-                    // Local contribution (no communication).
-                    let block = make_block(p);
-                    grad.scatter_add_rows(self.graph.needed_from(p), &block);
-                    buffer::recycle_f32(block.into_data());
-                }
-                GradStep::Send { dst } => {
-                    let block = make_block(dst);
-                    if block.rows() != self.graph.needed_from(dst).len() {
-                        panic!(
-                            "worker {p}: gradient block for rank {dst} has {} rows, \
-                             expected {}",
-                            block.rows(),
-                            self.graph.needed_from(dst).len()
-                        );
+                    if let Some(data) = self.local.take() {
+                        let rows = view.local_rows();
+                        add(rows, Tensor::from_vec(&[rows.len(), cols], data));
                     }
-                    self.ctx
-                        .send_nowait(dst, tag, Payload::F32(block.into_data()));
                 }
-                GradStep::Recv { src } => {
-                    let rows = self.graph.serves_to(src);
-                    let data = self
-                        .ctx
-                        .try_recv(src, tag)
-                        .and_then(Payload::try_into_f32)
-                        .and_then(|data| {
-                            if data.len() == rows.len() * cols {
-                                Ok(data)
-                            } else {
-                                Err(TransportError::Corrupt {
-                                    peer: src,
-                                    detail: format!(
-                                        "gradient block has {} f32 elements, \
-                                         expected {} rows × {cols} cols",
-                                        data.len(),
-                                        rows.len()
-                                    ),
-                                })
-                            }
-                        })
-                        .unwrap_or_else(|e| {
-                            panic!("worker {p} routing gradients from rank {src}: {e}")
-                        });
-                    let block = Tensor::from_vec(&[rows.len(), cols], data);
-                    grad.scatter_add_rows(rows, &block);
-                    buffer::recycle_f32(block.into_data());
+                GradStep::Recv { src } if routed => {
+                    let rows = view.serve_rows(src);
+                    add(
+                        rows,
+                        w.try_receive_block(src, self.tag, rows.len(), cols, "gradient")?,
+                    );
                 }
+                GradStep::Send { .. } | GradStep::Recv { .. } => {}
             }
         }
-        grad
+        Ok(grad)
     }
 }
 

@@ -3,15 +3,18 @@
 //! paper's central claim ("The results of training are exactly the same
 //! regardless of the number of machines").
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sar_comm::{Cluster, CostModel};
+use sar_comm::{Cluster, CommStats, CostModel};
 use sar_core::{
-    domain_parallel::halo_fetch, gat_aggregate, sage_aggregate, DistGraph, FakMode, Worker,
+    domain_parallel::halo_fetch, gat_aggregate, mfg, sage_aggregate, Arch, DistGraph, DistModel,
+    FakMode, Mode, ModelConfig, Shard, View, Worker,
 };
-use sar_graph::{generators::erdos_renyi, ops, CsrGraph};
+use sar_graph::{datasets, generators::erdos_renyi, ops, CsrGraph};
+use sar_nn::loss::cross_entropy_masked;
 use sar_partition::{multilevel, random, Partitioning};
 use sar_tensor::{init, Tensor, Var};
 
@@ -60,7 +63,7 @@ fn sar_sage_aggregation_matches_single_machine() {
             let full_g = Tensor::from_vec(&[N_NODES, FEAT], go.as_ref().clone());
             let z = Var::parameter(full_x.gather_rows(&ids));
             let w = Worker::new(ctx, graph);
-            let agg = sage_aggregate(&w, &z);
+            let agg = sage_aggregate(&w, &w.view(), &z).unwrap();
             let out = agg.value_clone();
             agg.backward_with(&full_g.gather_rows(&ids));
             let grad = z.grad().expect("z grad");
@@ -164,7 +167,7 @@ fn check_sar_gat(mode: FakMode) {
             let asr = Var::parameter(Tensor::from_vec(&[hd], ass.as_ref().clone()));
             let w = Worker::new(ctx, graph);
             let s_dst = sar_nn::graph_autograd::head_project(&z, &ad, heads);
-            let agg = gat_aggregate(&w, &z, &s_dst, &asr, heads, 0.2, mode);
+            let agg = gat_aggregate(&w, &w.view(), &z, &s_dst, &asr, heads, 0.2, mode).unwrap();
             let out = agg.value_clone();
             agg.backward_with(&full_g.gather_rows(&ids));
             (
@@ -327,8 +330,8 @@ fn prefetch_does_not_change_results() {
         let ids = graph.local_nodes().to_vec();
         let full_x = Tensor::from_vec(&[N_NODES, FEAT], xs.as_ref().clone());
         let z = Var::constant(full_x.gather_rows(&ids));
-        let w = Worker::with_prefetch(ctx, graph);
-        let agg = sage_aggregate(&w, &z);
+        let w = Worker::from_shared(Rc::new(ctx), graph, 1);
+        let agg = sage_aggregate(&w, &w.view(), &z).unwrap();
         (ids, agg.value_clone().into_data())
     });
     let outs = assemble(
@@ -369,7 +372,7 @@ fn partitioning_choice_does_not_change_results() {
         let full_x = Tensor::from_vec(&[N_NODES, FEAT], xs.as_ref().clone());
         let z = Var::constant(full_x.gather_rows(&ids));
         let w = Worker::new(ctx, graph);
-        let agg = sage_aggregate(&w, &z);
+        let agg = sage_aggregate(&w, &w.view(), &z).unwrap();
         (ids, agg.value_clone().into_data())
     });
     let outs = assemble(
@@ -386,4 +389,132 @@ fn partitioning_choice_does_not_change_results() {
         FEAT,
     );
     assert!(outs.allclose(&expect, 1e-4));
+}
+
+/// The byte/message half of a parity digest: every ledger cell's traffic
+/// counters, in ledger order.
+fn ledger_digest(stats: &CommStats) -> String {
+    stats
+        .ledger
+        .rows()
+        .map(|(phase, layer, e)| {
+            format!(
+                "{}/{layer:?} sent={} recv={} smsg={} rmsg={}\n",
+                phase.name(),
+                e.sent_bytes,
+                e.recv_bytes,
+                e.sent_messages,
+                e.recv_messages
+            )
+        })
+        .collect()
+}
+
+/// Two epochs of full-batch training at world 3, layer by layer through
+/// [`DistModel::layer_forward`] over whatever view `view_of` builds from
+/// each rank's graph. Returns per-rank `(loss bits, logits bits, ledger
+/// digest)`.
+fn train_through(
+    arch: Arch,
+    view_of: fn(&Arc<DistGraph>) -> View,
+) -> Vec<(Vec<u32>, Vec<u32>, String)> {
+    const WORLD: usize = 3;
+    let d = datasets::products_like(150, 5);
+    let part = multilevel(&d.graph, WORLD, 5);
+    let graphs: Arc<Vec<Arc<DistGraph>>> = Arc::new(
+        DistGraph::build_all(&d.graph, &part)
+            .into_iter()
+            .map(Arc::new)
+            .collect(),
+    );
+    let shards = Arc::new(Shard::build_all(&d, &part));
+    let cfg = ModelConfig {
+        arch,
+        mode: Mode::SarFused,
+        layers: 2,
+        in_dim: d.feat_dim(),
+        num_classes: d.num_classes,
+        dropout: 0.0,
+        batch_norm: false,
+        jumping_knowledge: false,
+        seed: 3,
+    };
+    let outcomes = Cluster::new(WORLD, CostModel::default()).run(move |ctx| {
+        let rank = ctx.rank();
+        let shard = &shards[rank];
+        let w = Worker::from_shared(Rc::new(ctx), Arc::clone(&graphs[rank]), 1);
+        let view = view_of(&graphs[rank]);
+        let model = DistModel::new(&cfg);
+        let params = model.params();
+        let x = Var::constant(shard.features_tensor());
+        let forward = || {
+            (0..cfg.layers).fold(x.clone(), |h, l| {
+                let _layer = w.ctx.layer_scope(l as u16);
+                model.layer_forward(l, &w, &view, &h).unwrap()
+            })
+        };
+        let mut losses = Vec::new();
+        for _epoch in 0..2 {
+            let loss = cross_entropy_masked(
+                &forward(),
+                &shard.labels,
+                &shard.train_mask,
+                Some(shard.global_train_count as f32),
+            );
+            params.iter().for_each(Var::zero_grad);
+            loss.backward();
+            // Replicated SGD step on the summed gradients.
+            for p in &params {
+                let mut g = p
+                    .grad()
+                    .map_or_else(|| vec![0.0; p.shape().iter().product()], Tensor::into_data);
+                w.ctx.all_reduce_sum(&mut g);
+                let step = Tensor::from_vec(&p.shape(), g).scale(-0.05);
+                p.update_value(|v| v.add_assign(&step));
+            }
+            losses.push(w.ctx.all_reduce_sum_scalar(loss.value().item()).to_bits());
+        }
+        let logits = sar_tensor::no_grad(forward).value_clone();
+        let logits = logits.data().iter().map(|v| v.to_bits()).collect();
+        (losses, logits, ledger_digest(&w.ctx.stats()))
+    });
+    outcomes.into_iter().map(|o| o.result).collect()
+}
+
+/// The bipartite layer path in grad mode: an MFG level over *all* local
+/// rows carries an explicit (identity) `dst → input` map, explicit serve
+/// lists and re-sliced blocks, so the residual / attention-destination /
+/// degree gathers and their backward scatters all run — and must train to
+/// exactly the bits the full-graph view trains to, over exactly the same
+/// traffic.
+#[test]
+fn training_through_an_all_rows_mfg_view_matches_the_full_graph_bitwise() {
+    fn full(g: &Arc<DistGraph>) -> View {
+        g.clone()
+    }
+    fn all_rows_level(g: &Arc<DistGraph>) -> View {
+        let all: Vec<u32> = (0..g.num_local() as u32).collect();
+        let serves: Vec<Vec<u32>> = (0..g.world()).map(|q| g.serves_to(q).to_vec()).collect();
+        let level = mfg::LevelView::new(g, mfg::slice_layer(g, &all), &serves, &all);
+        Arc::new(level.expect("every local row is an input"))
+    }
+    for arch in [
+        Arch::GraphSage { hidden: 12 },
+        Arch::Gat {
+            head_dim: 6,
+            heads: 2,
+        },
+    ] {
+        let graph = train_through(arch, full);
+        let level = train_through(arch, all_rows_level);
+        for (rank, (g, l)) in graph.iter().zip(&level).enumerate() {
+            assert_eq!(g.0, l.0, "{arch:?} rank {rank}: losses");
+            assert_eq!(g.1, l.1, "{arch:?} rank {rank}: logits");
+            assert_eq!(g.2, l.2, "{arch:?} rank {rank}: ledger digest");
+        }
+        assert!(
+            graph[0].0[1] != graph[0].0[0],
+            "{arch:?}: training moved the loss"
+        );
+    }
 }

@@ -193,11 +193,10 @@ fn spatial_conv1d_matches_single_machine_reference() {
     use rand::SeedableRng;
     use sar_comm::Cluster;
     use sar_core::spatial::{build_conv1d_graphs, shift_graph, DistConv1d};
-    use sar_core::Worker;
+    use sar_core::{View, Worker};
     use sar_graph::ops;
     use sar_partition::{range, Partitioning};
     use sar_tensor::{init, Tensor, Var};
-    use std::rc::Rc;
     use std::sync::Arc;
 
     let len = 30usize;
@@ -235,19 +234,17 @@ fn spatial_conv1d_matches_single_machine_reference() {
     let outcomes = Cluster::new(3, CostModel::default()).run(move |ctx| {
         let rank = ctx.rank();
         let ids = members[rank].clone();
-        let ctx = Rc::new(ctx);
-        let workers: Vec<Rc<Worker>> = graphs
+        // One worker (it holds the center tap's graph), 2r+1 views.
+        let w = Worker::new(ctx, Arc::clone(&graphs[radius][rank]));
+        let views: Vec<View> = graphs
             .iter()
-            .enumerate()
-            .map(|(t, per_rank)| {
-                Worker::with_shared_ctx(Rc::clone(&ctx), Arc::clone(&per_rank[rank]), t as u64 + 1)
-            })
+            .map(|per_rank| -> View { per_rank[rank].clone() })
             .collect();
         let conv = DistConv1d::new(cin, cout, radius, &mut StdRng::seed_from_u64(42));
         let full_x = Tensor::from_vec(&[len, cin], xs.as_ref().clone());
         let full_g = Tensor::from_vec(&[len, cout], gos.as_ref().clone());
         let h = Var::parameter(full_x.gather_rows(&ids));
-        let out = conv.forward(&workers, &h);
+        let out = conv.forward(&w, &views, &h);
         let value = out.value_clone();
         out.backward_with(&full_g.gather_rows(&ids));
         (ids, value.into_data(), h.grad().unwrap().into_data())

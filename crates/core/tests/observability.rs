@@ -13,6 +13,7 @@
 //! so every fetch/serve set is one full partition and the expected
 //! volumes are exact.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use sar_comm::{Cluster, CommStats, CostModel, Phase};
@@ -61,7 +62,7 @@ fn run_sage() -> Vec<CommStats> {
         ));
         let agg = {
             let _layer = w.ctx.layer_scope(LAYER);
-            sage_aggregate(&w, &z)
+            sage_aggregate(&w, &w.view(), &z).unwrap()
         };
         agg.sum().backward();
     });
@@ -80,7 +81,17 @@ fn run_gat() -> Vec<CommStats> {
         let a_src = Var::parameter(Tensor::full(&[COLS], 0.02));
         let agg = {
             let _layer = w.ctx.layer_scope(LAYER);
-            gat_aggregate(&w, &z, &s_dst, &a_src, HEADS, 0.2, FakMode::Fused)
+            gat_aggregate(
+                &w,
+                &w.view(),
+                &z,
+                &s_dst,
+                &a_src,
+                HEADS,
+                0.2,
+                FakMode::Fused,
+            )
+            .unwrap()
         };
         agg.sum().backward();
     });
@@ -214,9 +225,9 @@ fn prefetch_depth_k_fetch_peak_is_exactly_k_plus_two_blocks() {
         let out = Cluster::new(WORLD, CostModel::default()).run(move |ctx| {
             let rank = ctx.rank();
             let graph = Arc::clone(&graphs[rank]);
-            let w = Worker::with_prefetch_depth(ctx, graph, depth);
+            let w = Worker::from_shared(Rc::new(ctx), graph, depth);
             let z = Tensor::full(&[w.graph.num_local(), COLS], 1.0);
-            w.fetch_rounds(&z, |_q, _block| {});
+            w.fetch_rounds(&*w.graph, &z, |_q, _block| {});
         });
         out.into_iter()
             .map(|o| {
@@ -242,10 +253,10 @@ fn prefetch_depth_k_fetch_peak_is_exactly_k_plus_two_blocks() {
     let graphs = Arc::new(dist_graphs());
     let out = Cluster::new(WORLD, CostModel::default()).run(move |ctx| {
         let rank = ctx.rank();
-        let w = Worker::with_prefetch(ctx, Arc::clone(&graphs[rank]));
+        let w = Worker::from_shared(Rc::new(ctx), Arc::clone(&graphs[rank]), 1);
         assert_eq!(w.prefetch_depth, 1);
         let z = Tensor::full(&[w.graph.num_local(), COLS], 1.0);
-        w.fetch_rounds(&z, |_q, _block| {});
+        w.fetch_rounds(&*w.graph, &z, |_q, _block| {});
     });
     for (rank, o) in out.into_iter().enumerate() {
         let peak = o
@@ -281,7 +292,7 @@ fn run_gat_budget(depth: usize, budget: u64) -> Vec<(CommStats, Vec<u32>)> {
     let graphs = Arc::new(dist_graphs());
     let out = Cluster::new(WORLD, CostModel::default()).run(move |ctx| {
         let rank = ctx.rank();
-        let w = Worker::with_prefetch_depth(ctx, Arc::clone(&graphs[rank]), depth);
+        let w = Worker::from_shared(Rc::new(ctx), Arc::clone(&graphs[rank]), depth);
         if budget > 0 {
             w.set_mem_budget(budget);
         }
@@ -291,7 +302,17 @@ fn run_gat_budget(depth: usize, budget: u64) -> Vec<(CommStats, Vec<u32>)> {
         let a_src = Var::parameter(Tensor::full(&[COLS], 0.02));
         let agg = {
             let _layer = w.ctx.layer_scope(LAYER);
-            gat_aggregate(&w, &z, &s_dst, &a_src, HEADS, 0.2, FakMode::Fused)
+            gat_aggregate(
+                &w,
+                &w.view(),
+                &z,
+                &s_dst,
+                &a_src,
+                HEADS,
+                0.2,
+                FakMode::Fused,
+            )
+            .unwrap()
         };
         agg.sum().backward();
         z.grad()

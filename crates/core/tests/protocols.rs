@@ -171,15 +171,14 @@ fn gat_gradonly_completes_without_deadlock() {
     let report = run(&cfg, &d, 4);
     assert!(report.losses.iter().all(|l| l.is_finite()));
     assert_eq!(phase_sent(&report, Phase::BackwardRefetch), 0);
-    // The GAT backward routes its local error block through a ledgered
-    // loop-back self-send, so gradonly's GradRouting bytes are not zero —
-    // but they must shrink to the self-send share (1/world of exact).
+    // The gradient router accumulates the local error block without a
+    // message, so gradonly — whose refetch consumes only the local block —
+    // routes nothing at all.
     let exact_routing = phase_sent(&exact, Phase::GradRouting);
     let gradonly_routing = phase_sent(&report, Phase::GradRouting);
     assert!(
         gradonly_routing * 2 < exact_routing,
-        "gradonly routing ({gradonly_routing}) must collapse to loop-back \
-         self-sends (exact: {exact_routing})"
+        "gradonly routing ({gradonly_routing}) must collapse (exact: {exact_routing})"
     );
 }
 

@@ -1,12 +1,14 @@
 //! Protocol-level tests of the Worker exchange primitives (fetch rounds,
 //! gradient routing) and of model replication.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sar_comm::{Cluster, CostModel};
-use sar_core::{Arch, DistGraph, DistModel, Mode, ModelConfig, Worker};
+use sar_core::mfg::{expand_inputs, slice_layer, LevelView};
+use sar_core::{Arch, DistGraph, DistModel, Mode, ModelConfig, Protocol, ShardView, Worker};
 use sar_graph::{generators::erdos_renyi, CsrGraph};
 use sar_partition::random;
 use sar_tensor::Tensor;
@@ -34,7 +36,7 @@ fn fetch_rounds_delivers_each_partition_once_in_rotation_order() {
         // Encode each worker's rank into its features.
         let data = Tensor::full(&[w.graph.num_local(), 2], rank as f32);
         let mut seen = Vec::new();
-        w.fetch_rounds(&data, |q, fetched| {
+        w.fetch_rounds(&*w.graph, &data, |q, fetched| {
             seen.push(q);
             assert_eq!(fetched.rows(), w.graph.needed_from(q).len());
             // Every row of a block fetched from q must carry q's value
@@ -49,24 +51,80 @@ fn fetch_rounds_delivers_each_partition_once_in_rotation_order() {
     }
 }
 
+/// One walker, three block sources: at every pipeline depth, a walk off
+/// the wire, a stale-epoch replay out of RAM and a stale-epoch replay out
+/// of the disk tier deliver the same `(q, rows, bits)` sequence.
 #[test]
-fn fetch_rounds_with_prefetch_same_payloads() {
-    let world = 3;
+fn one_walk_delivers_the_same_blocks_from_wire_ram_and_tier() {
+    let world = 4;
     let (_, graphs) = setup(world, 1);
     let graphs = Arc::new(graphs);
     let out = Cluster::new(world, CostModel::default()).run(move |ctx| {
         let rank = ctx.rank();
-        let w = Worker::with_prefetch(ctx, Arc::clone(&graphs[rank]));
-        let data = Tensor::full(&[w.graph.num_local(), 1], rank as f32 + 1.0);
-        let mut sums = 0.0f32;
-        w.fetch_rounds(&data, |q, fetched| {
-            let block = fetched.to_tensor();
-            sums += block.sum();
-            assert!(block.data().iter().all(|&v| v == q as f32 + 1.0));
-        });
-        sums
+        let ctx = Rc::new(ctx);
+        let graph = &graphs[rank];
+        let data = Tensor::from_vec(
+            &[graph.num_local(), 2],
+            (0..2 * graph.num_local())
+                .map(|i| (rank * 1000 + i) as f32)
+                .collect(),
+        );
+        type Delivered = Vec<(usize, usize, Vec<u32>)>;
+        let walk = |w: &Worker| -> Delivered {
+            let mut seen = Vec::new();
+            w.fetch_rounds(&**graph, &data, |q, block| {
+                let bits = block
+                    .to_tensor()
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                seen.push((q, block.rows(), bits));
+            });
+            seen
+        };
+        // A stale-epoch replay: a refresh walk fills the cache, the next
+        // epoch's walk is served from it.
+        let replay = |w: &Worker| -> Delivered {
+            w.set_protocol(Protocol::parse("stale:2").unwrap());
+            w.begin_epoch(true);
+            let fresh = walk(w);
+            w.begin_epoch(false);
+            let stale = walk(w);
+            assert_eq!(
+                fresh, stale,
+                "rank {rank}: replay diverged from its refresh"
+            );
+            stale
+        };
+        let mut runs = Vec::new();
+        for depth in [0usize, 1, 3] {
+            let w = Worker::from_shared(Rc::clone(&ctx), Arc::clone(graph), depth);
+            let sent = || ctx.stats().total_sent();
+            let start = sent();
+            let wire = walk(&w);
+            let one_walk = sent() - start;
+            let ram = replay(&w);
+            w.set_mem_budget(64); // smaller than one block: every cached block spills
+            let tier = replay(&w);
+            // Only the two refresh walks touched the wire; the stale
+            // epochs served nothing.
+            assert_eq!(sent() - start, 3 * one_walk, "rank {rank} depth {depth}");
+            runs.push((wire, ram, tier));
+        }
+        runs
     });
-    assert!(out.iter().all(|o| o.result.is_finite()));
+    for (rank, o) in out.iter().enumerate() {
+        let (reference, _, _) = &o.result[0];
+        let order: Vec<usize> = reference.iter().map(|(q, _, _)| *q).collect();
+        let expect: Vec<usize> = (0..world).map(|r| (rank + r) % world).collect();
+        assert_eq!(order, expect, "rank {rank}: rotation order");
+        for (wire, ram, tier) in &o.result {
+            assert_eq!(wire, reference, "rank {rank}: depth changed the wire walk");
+            assert_eq!(ram, reference, "rank {rank}: RAM replay");
+            assert_eq!(tier, reference, "rank {rank}: tiered replay");
+        }
+    }
 }
 
 #[test]
@@ -81,7 +139,7 @@ fn exchange_grads_routes_to_owners() {
     let out = Cluster::new(world, CostModel::default()).run(move |ctx| {
         let rank = ctx.rank();
         let w = Worker::new(ctx, Arc::clone(&graphs[rank]));
-        let grad = w.exchange_grads(1, |q| {
+        let grad = w.exchange_grads(&*w.graph, 1, |q| {
             Tensor::full(&[w.graph.needed_from(q).len(), 1], rank as f32 + 1.0)
         });
         grad.into_data()
@@ -146,14 +204,43 @@ fn tags_stay_aligned_across_interleaved_protocols() {
         let a = Tensor::full(&[w.graph.num_local(), 1], 1.0);
         let b = Tensor::full(&[w.graph.num_local(), 1], 2.0);
         let mut ok = true;
-        w.fetch_rounds(&a, |_, f| {
+        w.fetch_rounds(&*w.graph, &a, |_, f| {
             ok &= f.to_tensor().data().iter().all(|&v| v == 1.0);
         });
-        w.fetch_rounds(&b, |_, f| {
+        w.fetch_rounds(&*w.graph, &b, |_, f| {
             ok &= f.to_tensor().data().iter().all(|&v| v == 2.0);
         });
-        let g = w.exchange_grads(1, |q| Tensor::full(&[w.graph.needed_from(q).len(), 1], 3.0));
+        let g = w.exchange_grads(&*w.graph, 1, |q| {
+            Tensor::full(&[w.graph.needed_from(q).len(), 1], 3.0)
+        });
         ok && g.data().iter().all(|&v| v == 0.0 || v % 3.0 == 0.0)
     });
     assert!(out.iter().all(|o| o.result));
+}
+
+#[test]
+fn level_view_reindexes_into_the_input_rows() {
+    let (_, graphs) = setup(3, 2);
+    let s = &graphs[0];
+    let slice = slice_layer(s, &[0, 2]);
+    let serve = vec![Vec::new(), vec![1u32, 5], vec![2u32]];
+    let inputs = expand_inputs(s, &slice, &serve);
+    let view = LevelView::new(s, slice.clone(), &serve, &inputs).unwrap();
+    assert_eq!((view.num_dst(), view.num_inputs()), (2, inputs.len()));
+    let at = |rows: &[u32]| -> Vec<u32> { rows.iter().map(|&i| inputs[i as usize]).collect() };
+    assert_eq!(at(view.dst_map().unwrap()), slice.dst_rows);
+    assert_eq!(at(view.local_rows()), slice.req_rows[0]);
+    assert_eq!(at(view.serve_rows(1)), serve[1]);
+    for q in 0..s.world() {
+        assert_eq!(view.expected_rows(q), slice.req_rows[q].len());
+    }
+    for (i, &r) in inputs.iter().enumerate() {
+        assert_eq!(view.in_degree()[i], s.global_in_degree()[r as usize]);
+    }
+    // A row outside the input set is named, not silently dropped.
+    let short: Vec<u32> = inputs[1..].to_vec();
+    assert_eq!(
+        LevelView::new(s, slice, &serve, &short).unwrap_err(),
+        inputs[0]
+    );
 }

@@ -16,15 +16,15 @@
 //!    (`serve_rows`), and expands to the next-shallower activation row
 //!    set ([`mfg::expand_inputs`]). Rows found in the [`EmbedCache`] are
 //!    pruned before slicing, shrinking every level below them.
-//! 2. **Restricted rotation forward** — per level, the projected
-//!    features `z` are computed over exactly the planned activation
-//!    rows; every peer's requested rows are gathered and sent first,
-//!    then blocks are consumed in the training rotation's order
-//!    (`q = p, p+1, …`): the local block through the fused
-//!    indexed kernels, remote blocks straight from the wire buffer —
-//!    the same kernels, in the same per-row ascending-column order, as
-//!    full-batch training, which is what makes served logits bitwise
-//!    equal to [`infer`](sar_core::infer) rows.
+//! 2. **Restricted rotation forward** — per level, the *training* layer
+//!    ([`DistModel::layer_forward`]) runs under `no_grad` over the
+//!    level's [`LevelView`]: the same layer math, the same rotation
+//!    walker ([`Worker::try_fetch_rounds`](sar_core::Worker)) and the
+//!    same kernels in the same per-row ascending-column order as
+//!    full-batch training — served logits are bitwise equal to
+//!    [`infer`](sar_core::infer) rows because they are computed by the
+//!    same code. The walk runs at depth `world − 1`: every peer's
+//!    requested rows are served before the first block is consumed.
 //! 3. **Result gather** — each rank ships `(query position, logits row)`
 //!    pairs to rank 0, which assembles the `[Q, C]` response without
 //!    needing any partitioning knowledge.
@@ -39,21 +39,18 @@
 use std::fs::File;
 use std::io::BufReader;
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use sar_comm::{Payload, Phase, TransportError, WorkerCtx};
-use sar_core::mfg::{self, LayerSlice};
-use sar_core::{checkpoint, DistGraph, DistModel, Mode, ModelConfig, Shard};
-use sar_graph::fused::{
-    gat_fused_block_forward, gat_fused_block_forward_indexed, gat_twostep_block_forward,
-    gat_twostep_block_forward_indexed, OnlineAttnState,
+use sar_core::mfg::{self, LevelView};
+use sar_core::{
+    checkpoint, validate_params, DistGraph, DistModel, Mode, ModelConfig, Shard, View, Worker,
 };
-use sar_graph::ops;
-use sar_tensor::Tensor;
+use sar_tensor::{no_grad, Tensor, Var};
 
 use crate::cache::EmbedCache;
 use crate::error::ServeError;
-use crate::params::{check_servable, LayerParams, ServeModel};
 use crate::proto::{self, Ctrl};
 
 /// Raw model parameters as `(shape, row-major values)` pairs — the form
@@ -70,8 +67,6 @@ const SEQ_SPAN: u64 = 1 << 20;
 const OFF_CTRL: u64 = 0;
 /// MFG build request lists, plus the level number.
 const OFF_BUILD: u64 = 0x100;
-/// Rotation feature blocks, plus the level number.
-const OFF_FWD: u64 = 0x200;
 /// Result-gather query positions.
 const OFF_RES_POS: u64 = 0x300;
 /// Result-gather logits rows.
@@ -79,6 +74,36 @@ const OFF_RES_VAL: u64 = 0x301;
 
 fn batch_base(seq: u64) -> u64 {
     SERVE_TAG_BASE + (seq % SEQ_SPAN) * SEQ_SPAN
+}
+
+/// Rejects configurations the serving tier cannot run: domain-parallel
+/// mode (serving exists to exercise the SAR rotation), batch normalization
+/// (no eval-mode statistics) and jumping knowledge (every layer over every
+/// node — the opposite of an MFG).
+///
+/// # Errors
+///
+/// [`ServeError::Unsupported`] naming the offending option.
+fn check_servable(cfg: &ModelConfig) -> Result<(), ServeError> {
+    if cfg.mode == Mode::DomainParallel {
+        return Err(ServeError::Unsupported(
+            "domain-parallel mode (serving runs the SAR rotation)".into(),
+        ));
+    }
+    if cfg.batch_norm {
+        return Err(ServeError::Unsupported(
+            "batch normalization (DistBatchNorm has no eval-mode statistics)".into(),
+        ));
+    }
+    if cfg.jumping_knowledge {
+        return Err(ServeError::Unsupported(
+            "jumping knowledge (needs all layers over all nodes, defeating the MFG)".into(),
+        ));
+    }
+    if cfg.layers == 0 {
+        return Err(ServeError::Unsupported("a zero-layer model".into()));
+    }
+    Ok(())
 }
 
 /// Static engine configuration, identical on every rank.
@@ -193,15 +218,20 @@ pub enum WorkerStep {
 
 /// One level of a batch's MFG plan.
 struct LevelPlan {
-    /// Rows computed at this level, ascending. The rest of `active` is
-    /// answered from the cache at assembly time.
-    computed: Vec<u32>,
-    /// The layer restriction over `computed`.
-    slice: LayerSlice,
-    /// Rows each peer requested of this rank, per peer.
-    serve_rows: Vec<Vec<u32>>,
-    /// `computed ∪ cached` — the level's activation row set.
+    /// The layer restriction over the rows computed at this level (its
+    /// destination rows) plus the rows each peer requested of this rank,
+    /// bound to the level below's activation rows.
+    view: Arc<LevelView>,
+    /// `computed ∪ cached` — the level's activation row set; the cached
+    /// rest is answered from the cache at assembly time.
     active: Vec<u32>,
+}
+
+impl LevelPlan {
+    /// Rows computed at this level, ascending.
+    fn computed(&self) -> &[u32] {
+        &self.view.slice().dst_rows
+    }
 }
 
 struct BatchPlan {
@@ -221,16 +251,15 @@ struct Counters {
 /// The per-rank resident serving core. See the module docs for the
 /// batch protocol.
 pub struct ServeEngine {
-    ctx: WorkerCtx,
-    graph: Arc<DistGraph>,
+    /// The rotation runtime over this rank's partition, at walk depth
+    /// `world − 1`.
+    w: Rc<Worker>,
     cfg: ModelConfig,
-    model: ServeModel,
+    model: DistModel,
     /// Resident `[n_local, in_dim]` input (features ‖ label channels).
     input: Tensor,
     feat_dim: usize,
     num_nodes: usize,
-    inv_deg: Tensor,
-    inv_sqrt: Tensor,
     cache: EmbedCache,
     checkpoint: Option<PathBuf>,
     seq: u64,
@@ -266,44 +295,24 @@ impl ServeEngine {
             };
         cfg.num_classes = shard.num_classes;
         check_servable(&cfg)?;
-        let model = ServeModel::from_raw(&cfg, params)?;
+        let model = DistModel::new(&cfg);
+        model.set_params(params)?;
 
         // Inference-time label augmentation, exactly as `infer` builds it:
         // every training node sees its one-hot label.
-        let feats = shard.features_tensor();
-        let input = if setup.label_aug {
-            let mut aug = Tensor::zeros(&[shard.num_local(), shard.num_classes]);
-            for i in 0..shard.num_local() {
-                if shard.train_mask[i] {
-                    aug.row_mut(i)[shard.labels[i] as usize] = 1.0;
-                }
-            }
-            Tensor::hstack(&[&feats, &aug])
-        } else {
-            feats
-        };
+        let input = shard.input_tensor(setup.label_aug.then_some(&shard.train_mask));
 
-        let n_local = graph.num_local();
-        let inv_deg = Tensor::from_vec(&[n_local], graph.inv_in_degree());
-        let inv_sqrt = Tensor::from_vec(
-            &[n_local],
-            graph
-                .global_in_degree()
-                .iter()
-                .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-                .collect(),
-        );
         let cache = EmbedCache::new(cfg.layers, setup.cache_rows);
+        // Every serve of a level goes out before its first block is
+        // consumed: the deepest pipeline the mesh admits.
+        let depth = graph.world() - 1;
         Ok(ServeEngine {
-            ctx,
-            graph,
+            w: Worker::from_shared(Rc::new(ctx), graph, depth),
             cfg,
             model,
             input,
             feat_dim: shard.feat_dim,
             num_nodes,
-            inv_deg,
-            inv_sqrt,
             cache,
             checkpoint: setup.checkpoint.clone(),
             seq: 0,
@@ -319,13 +328,13 @@ impl ServeEngine {
     /// This rank.
     #[must_use]
     pub fn rank(&self) -> usize {
-        self.graph.rank()
+        self.w.graph.rank()
     }
 
     /// Cluster size.
     #[must_use]
     pub fn world(&self) -> usize {
-        self.graph.world()
+        self.w.graph.world()
     }
 
     /// Global node count.
@@ -356,10 +365,12 @@ impl ServeEngine {
     /// every MFG batch is measured against.
     #[must_use]
     pub fn full_forward_fetch_bytes(&self) -> u64 {
-        self.model
-            .specs
-            .iter()
-            .map(|s| self.graph.predicted_fetch_bytes(s.z_width))
+        (0..self.cfg.layers)
+            .map(|l| {
+                self.w
+                    .graph
+                    .predicted_fetch_bytes(self.model.fetch_width(l))
+            })
             .sum()
     }
 
@@ -470,7 +481,7 @@ impl ServeEngine {
         let params = load_checkpoint_raw(&self.cfg, &path)?;
         // Dry-run the install before broadcasting, so a mismatched file
         // cannot leave ranks divergent.
-        ServeModel::from_raw(&self.cfg, &params)?;
+        validate_params(&self.cfg, &params)?;
         self.broadcast_ctrl(&Ctrl::Reload(params.clone()))?;
         self.apply_ctrl(Ctrl::Reload(params))?;
         Ok(())
@@ -525,18 +536,20 @@ impl ServeEngine {
     // ------------------------------------------------------------------
 
     fn broadcast_ctrl(&self, ctrl: &Ctrl) -> Result<(), ServeError> {
-        let _phase = self.ctx.phase_scope(Phase::Collective);
+        let _phase = self.w.ctx.phase_scope(Phase::Collective);
         let bytes = proto::encode_ctrl(ctrl);
         let tag = batch_base(self.seq) + OFF_CTRL;
         for q in 1..self.world() {
-            self.ctx.send_nowait(q, tag, Payload::Bytes(bytes.clone()));
+            self.w
+                .ctx
+                .send_nowait(q, tag, Payload::Bytes(bytes.clone()));
         }
         Ok(())
     }
 
     fn poll_ctrl(&self) -> Result<Option<Ctrl>, ServeError> {
-        let _phase = self.ctx.phase_scope(Phase::Collective);
-        match self.ctx.try_recv(0, batch_base(self.seq) + OFF_CTRL) {
+        let _phase = self.w.ctx.phase_scope(Phase::Collective);
+        match self.w.ctx.try_recv(0, batch_base(self.seq) + OFF_CTRL) {
             Ok(p) => Ok(Some(proto::decode_ctrl(&p.try_into_bytes()?)?)),
             Err(TransportError::Timeout { .. }) => Ok(None),
             Err(e) => Err(e.into()),
@@ -554,7 +567,7 @@ impl ServeEngine {
                 Ok((out, false))
             }
             Ctrl::Update { node, values } => {
-                if let Ok(li) = self.graph.local_nodes().binary_search(&node) {
+                if let Ok(li) = self.w.graph.local_nodes().binary_search(&node) {
                     let width = self.input.cols();
                     let row = self.input.row_mut(li);
                     let n = values.len().min(width);
@@ -567,7 +580,7 @@ impl ServeEngine {
                 Ok((None, false))
             }
             Ctrl::Reload(params) => {
-                self.model = ServeModel::from_raw(&self.cfg, &params)?;
+                self.model.set_params(&params)?;
                 self.cache.invalidate();
                 self.seq += 1;
                 Ok((None, false))
@@ -583,8 +596,8 @@ impl ServeEngine {
     /// rotation has drained, so no rank exits while a peer still expects
     /// service.
     fn quiesce(&self) {
-        let _phase = self.ctx.phase_scope(Phase::Collective);
-        self.ctx.barrier();
+        let _phase = self.w.ctx.phase_scope(Phase::Collective);
+        self.w.ctx.barrier();
     }
 
     // ------------------------------------------------------------------
@@ -592,7 +605,8 @@ impl ServeEngine {
     // ------------------------------------------------------------------
 
     fn forward_fetch_recv(&self) -> u64 {
-        self.ctx
+        self.w
+            .ctx
             .stats()
             .ledger
             .phase_total(Phase::ForwardFetch)
@@ -606,7 +620,7 @@ impl ServeEngine {
         let before = self.forward_fetch_recv();
 
         // Owned query positions: (position in `queries`, local row).
-        let local_nodes = self.graph.local_nodes();
+        let local_nodes = self.w.graph.local_nodes();
         let mut owned: Vec<(u32, u32)> = Vec::new();
         for (pos, gid) in queries.iter().enumerate() {
             if let Ok(li) = local_nodes.binary_search(gid) {
@@ -618,15 +632,15 @@ impl ServeEngine {
         active.dedup();
 
         let plan = self.build_mfg(&active, base)?;
-        let out = self.forward_mfg(&plan, base)?;
+        let out = self.forward_mfg(&plan)?;
 
         let predicted: u64 = plan
             .levels
             .iter()
-            .zip(self.model.specs.iter())
-            .map(|(lvl, spec)| {
-                lvl.slice
-                    .predicted_fetch_bytes(self.graph.rank(), spec.z_width)
+            .enumerate()
+            .map(|(l, lvl)| {
+                let width = self.model.fetch_width(l);
+                lvl.view.slice().predicted_fetch_bytes(self.rank(), width)
             })
             .sum();
         let measured = self.forward_fetch_recv() - before;
@@ -641,15 +655,16 @@ impl ServeEngine {
         };
 
         let top = &plan.levels[self.cfg.layers - 1];
-        self.gather_results(queries.len(), &owned, &top.computed, &out, base)
+        self.gather_results(queries.len(), &owned, top.computed(), &out, base)
     }
 
     /// The L-round MFG build exchange (see module docs). Top level is
     /// never cache-pruned — its rows are the batch's answer.
     fn build_mfg(&mut self, query_rows: &[u32], base: u64) -> Result<BatchPlan, ServeError> {
-        let g = Arc::clone(&self.graph);
+        let w = Rc::clone(&self.w);
+        let g = &*w.graph;
         let (p, world, levels) = (g.rank(), g.world(), self.cfg.layers);
-        let _phase = self.ctx.phase_scope(Phase::ForwardFetch);
+        let _phase = w.ctx.phase_scope(Phase::ForwardFetch);
         let mut plans: Vec<LevelPlan> = Vec::with_capacity(levels);
         let mut active = query_rows.to_vec();
         for k in (1..=levels).rev() {
@@ -658,26 +673,29 @@ impl ServeEngine {
             } else {
                 (Vec::new(), active.clone())
             };
-            let slice = mfg::slice_layer(&g, &computed);
+            let slice = mfg::slice_layer(g, &computed);
             let tag = base + OFF_BUILD + k as u64;
             // Send-all-then-receive-all: deadlock-free on both backends.
             for q in 0..world {
                 if q != p {
-                    self.ctx
+                    w.ctx
                         .send_nowait(q, tag, Payload::U32(slice.req_rows[q].clone()));
                 }
             }
             let mut serve_rows = vec![Vec::new(); world];
             for (q, rows) in serve_rows.iter_mut().enumerate() {
                 if q != p {
-                    *rows = self.ctx.try_recv(q, tag)?.try_into_u32()?;
+                    *rows = w.ctx.try_recv(q, tag)?.try_into_u32()?;
                 }
             }
-            let next = mfg::expand_inputs(&g, &slice, &serve_rows);
+            let next = mfg::expand_inputs(g, &slice, &serve_rows);
+            let view = LevelView::new(g, slice, &serve_rows, &next).map_err(|r| {
+                ServeError::Protocol(format!(
+                    "level {k}: row {r} missing from the planned activation set"
+                ))
+            })?;
             plans.push(LevelPlan {
-                computed,
-                slice,
-                serve_rows,
+                view: Arc::new(view),
                 active,
             });
             active = next;
@@ -689,184 +707,28 @@ impl ServeEngine {
         })
     }
 
-    /// The restricted rotation forward over a built plan. Returns the top
+    /// The restricted rotation forward over a built plan: the training
+    /// layer, once per level, over the level's view. Returns the top
     /// level's computed rows (ascending local query rows × classes).
-    fn forward_mfg(&mut self, plan: &BatchPlan, base: u64) -> Result<Tensor, ServeError> {
-        let g = Arc::clone(&self.graph);
-        let (p, world, n_local) = (g.rank(), g.world(), g.num_local());
-        let fused = self.cfg.mode == Mode::SarFused;
+    fn forward_mfg(&mut self, plan: &BatchPlan) -> Result<Tensor, ServeError> {
         let mut h_prev = self.input.gather_rows(&plan.active0);
-        let mut prev_rows: &[u32] = &plan.active0;
-        let mut out = Tensor::zeros(&[0, self.cfg.num_classes]);
-
-        for k in 1..=self.cfg.layers {
-            let lvl = &plan.levels[k - 1];
-            let spec = self.model.specs[k - 1];
-            let hpos = mfg::position_map(n_local, prev_rows);
-            let pos_of = |r: u32| -> Result<u32, ServeError> {
-                let v = hpos[r as usize];
-                if v == u32::MAX {
-                    Err(ServeError::Protocol(format!(
-                        "level {k}: row {r} missing from the planned activation set"
-                    )))
-                } else {
-                    Ok(v)
-                }
-            };
-            let dst_map: Vec<u32> = lvl
-                .computed
-                .iter()
-                .map(|&r| pos_of(r))
-                .collect::<Result<_, _>>()?;
-
-            // Projected features over every planned activation row — this
-            // one matrix serves the local block (indexed kernels), the
-            // residual/attention destination paths, and every peer's
-            // requested rows.
-            let layer = &self.model.layers[k - 1];
-            let z = match layer {
-                LayerParams::Sage { w_neigh, .. } => h_prev.matmul(w_neigh),
-                LayerParams::Gcn { w } => h_prev
-                    .matmul(w)
-                    .mul_col_broadcast(&gather_scalar(&self.inv_sqrt, prev_rows)),
-                LayerParams::Gat { w, .. } => h_prev.matmul(w),
-            };
-            let zw = spec.z_width;
-
-            let computed_out = {
-                let _phase = self.ctx.phase_scope(Phase::ForwardFetch);
-                let tag = base + OFF_FWD + k as u64;
-                // Ship every peer's requested rows before consuming any
-                // block (empty requests still get a framed message,
-                // mirroring the training rotation).
-                for q in 0..world {
-                    if q == p {
-                        continue;
-                    }
-                    let mut buf = Vec::with_capacity(lvl.serve_rows[q].len() * zw);
-                    for &r in &lvl.serve_rows[q] {
-                        buf.extend_from_slice(z.row(pos_of(r)? as usize));
-                    }
-                    self.ctx.send_nowait(q, tag, Payload::F32(buf));
-                }
-
-                // Consume blocks in the training rotation's order:
-                // q = p, p+1, …, p+N-1 (mod N).
-                let recv_block = |ctx: &WorkerCtx, q: usize| -> Result<Tensor, ServeError> {
-                    let data = ctx.try_recv(q, tag)?.try_into_f32()?;
-                    let rows = lvl.slice.req_rows[q].len();
-                    if data.len() != rows * zw {
-                        return Err(ServeError::Protocol(format!(
-                            "level {k}: peer {q} served {} values, expected {}",
-                            data.len(),
-                            rows * zw
-                        )));
-                    }
-                    Ok(Tensor::from_vec(&[rows, zw], data))
-                };
-                let local_map: Vec<u32> = lvl.slice.req_rows[p]
-                    .iter()
-                    .map(|&r| pos_of(r))
-                    .collect::<Result<_, _>>()?;
-
-                match layer {
-                    LayerParams::Sage { w_res, b_res, .. } => {
-                        let mut acc = Tensor::zeros(&[lvl.computed.len(), zw]);
-                        for r in 0..world {
-                            let q = (p + r) % world;
-                            if q == p {
-                                ops::spmm_sum_into_indexed(
-                                    &lvl.slice.blocks[p],
-                                    &z,
-                                    &local_map,
-                                    &mut acc,
-                                );
-                            } else {
-                                let block = recv_block(&self.ctx, q)?;
-                                ops::spmm_sum_into(&lvl.slice.blocks[q], &block, &mut acc);
-                            }
-                        }
-                        let h_dst = h_prev.gather_rows(&dst_map);
-                        acc.mul_col_broadcast(&gather_scalar(&self.inv_deg, &lvl.computed))
-                            .add(&h_dst.matmul(w_res).add_row_broadcast(b_res))
-                    }
-                    LayerParams::Gcn { .. } => {
-                        let mut acc = Tensor::zeros(&[lvl.computed.len(), zw]);
-                        for r in 0..world {
-                            let q = (p + r) % world;
-                            if q == p {
-                                ops::spmm_sum_into_indexed(
-                                    &lvl.slice.blocks[p],
-                                    &z,
-                                    &local_map,
-                                    &mut acc,
-                                );
-                            } else {
-                                let block = recv_block(&self.ctx, q)?;
-                                ops::spmm_sum_into(&lvl.slice.blocks[q], &block, &mut acc);
-                            }
-                        }
-                        acc.mul_col_broadcast(&gather_scalar(&self.inv_sqrt, &lvl.computed))
-                    }
-                    LayerParams::Gat { a_dst, a_src, .. } => {
-                        let heads = spec.heads;
-                        let s_dst = ops::head_project_indexed(&z, &dst_map, a_dst, heads);
-                        let mut state = OnlineAttnState::new(lvl.computed.len(), heads, zw / heads);
-                        for r in 0..world {
-                            let q = (p + r) % world;
-                            let block = &lvl.slice.blocks[q];
-                            if q == p {
-                                let s_src = ops::head_project_indexed(&z, &local_map, a_src, heads);
-                                if fused {
-                                    gat_fused_block_forward_indexed(
-                                        block, &s_dst, &s_src, &z, &local_map, 0.2, &mut state,
-                                    );
-                                } else {
-                                    gat_twostep_block_forward_indexed(
-                                        block, &s_dst, &s_src, &z, &local_map, 0.2, &mut state,
-                                    );
-                                }
-                            } else {
-                                let zb = recv_block(&self.ctx, q)?;
-                                let s_src = ops::head_project(&zb, a_src, heads);
-                                if fused {
-                                    gat_fused_block_forward(
-                                        block, &s_dst, &s_src, &zb, 0.2, &mut state,
-                                    );
-                                } else {
-                                    gat_twostep_block_forward(
-                                        block, &s_dst, &s_src, &zb, 0.2, &mut state,
-                                    );
-                                }
-                            }
-                        }
-                        let (value, _max, _den) = state.finalize_into();
-                        if spec.concat {
-                            value
-                        } else {
-                            mean_heads_tensor(&value, heads)
-                        }
-                    }
-                }
-            };
-            let computed_out = if spec.activation {
-                computed_out.map(|x| x.max(0.0))
-            } else {
-                computed_out
-            };
-
+        for (l, lvl) in plan.levels.iter().enumerate() {
+            let view: View = lvl.view.clone();
+            let h = Var::constant(h_prev);
+            let out = no_grad(|| self.model.layer_forward(l, &self.w, &view, &h))?;
+            let k = l + 1;
             if k == self.cfg.layers {
-                out = computed_out;
-                break;
+                return Ok(out.value_clone());
             }
+            let computed = out.value();
 
             // Assemble the level's activation matrix from computed and
             // cached rows, then bank the computed rows.
-            let mut h = Tensor::zeros(&[lvl.active.len(), spec.out_width]);
+            let mut h = Tensor::zeros(&[lvl.active.len(), computed.cols()]);
             let mut ci = 0usize;
             for (i, &r) in lvl.active.iter().enumerate() {
-                if ci < lvl.computed.len() && lvl.computed[ci] == r {
-                    h.row_mut(i).copy_from_slice(computed_out.row(ci));
+                if lvl.computed().get(ci) == Some(&r) {
+                    h.row_mut(i).copy_from_slice(computed.row(ci));
                     ci += 1;
                 } else {
                     let row = self.cache.get(k, r).ok_or_else(|| {
@@ -877,13 +739,12 @@ impl ServeEngine {
                     h.row_mut(i).copy_from_slice(row);
                 }
             }
-            for (i, &r) in lvl.computed.iter().enumerate() {
-                self.cache.insert(k, r, computed_out.row(i).to_vec());
+            for (i, &r) in lvl.computed().iter().enumerate() {
+                self.cache.insert(k, r, computed.row(i).to_vec());
             }
             h_prev = h;
-            prev_rows = &lvl.active;
         }
-        Ok(out)
+        Err(ServeError::Unsupported("a zero-layer model".into()))
     }
 
     /// Ships each rank's `(query position, logits row)` pairs to rank 0
@@ -896,8 +757,12 @@ impl ServeEngine {
         out: &Tensor,
         base: u64,
     ) -> Result<Option<Tensor>, ServeError> {
-        let _phase = self.ctx.phase_scope(Phase::Collective);
-        let (p, world, c) = (self.graph.rank(), self.graph.world(), self.cfg.num_classes);
+        let _phase = self.w.ctx.phase_scope(Phase::Collective);
+        let (p, world, c) = (
+            self.w.graph.rank(),
+            self.w.graph.world(),
+            self.cfg.num_classes,
+        );
         let mut positions = Vec::with_capacity(owned.len());
         let mut values = Vec::with_capacity(owned.len() * c);
         for &(pos, li) in owned {
@@ -910,9 +775,11 @@ impl ServeEngine {
             values.extend_from_slice(out.row(i));
         }
         if p != 0 {
-            self.ctx
+            self.w
+                .ctx
                 .send_nowait(0, base + OFF_RES_POS, Payload::U32(positions));
-            self.ctx
+            self.w
+                .ctx
                 .send_nowait(0, base + OFF_RES_VAL, Payload::F32(values));
             return Ok(None);
         }
@@ -939,8 +806,8 @@ impl ServeEngine {
         };
         fill(&positions, &values)?;
         for q in 1..world {
-            let pos = self.ctx.try_recv(q, base + OFF_RES_POS)?.try_into_u32()?;
-            let vals = self.ctx.try_recv(q, base + OFF_RES_VAL)?.try_into_f32()?;
+            let pos = self.w.ctx.try_recv(q, base + OFF_RES_POS)?.try_into_u32()?;
+            let vals = self.w.ctx.try_recv(q, base + OFF_RES_VAL)?.try_into_f32()?;
             fill(&pos, &vals)?;
         }
         Ok(Some(result))
@@ -960,32 +827,33 @@ fn load_checkpoint_raw(cfg: &ModelConfig, path: &std::path::Path) -> Result<RawP
         .collect())
 }
 
-/// Gathers per-row scalars (`[n_local]`) at the given rows.
-fn gather_scalar(t: &Tensor, rows: &[u32]) -> Tensor {
-    let data = t.data();
-    Tensor::from_vec(
-        &[rows.len()],
-        rows.iter().map(|&r| data[r as usize]).collect(),
-    )
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sar_core::Arch;
 
-/// Head-averaging of a `[N, H*D]` matrix to `[N, D]`, replicating the
-/// training implementation's accumulation order bitwise (ascending head
-/// index, division before accumulation).
-// sar-check: deterministic(one-writer-per-row: sequential row loop, heads
-// folded in fixed ascending order into a freshly zeroed buffer)
-fn mean_heads_tensor(x: &Tensor, heads: usize) -> Tensor {
-    let hd = x.cols();
-    let d = hd / heads;
-    let n = x.rows();
-    let mut out = vec![0.0f32; n * d];
-    for i in 0..n {
-        let row = x.row(i);
-        for h in 0..heads {
-            for j in 0..d {
-                out[i * d + j] += row[h * d + j] / heads as f32;
-            }
-        }
+    #[test]
+    fn unsupported_configs_are_rejected() {
+        let cfg = ModelConfig {
+            arch: Arch::GraphSage { hidden: 8 },
+            mode: Mode::Sar,
+            layers: 2,
+            in_dim: 6,
+            num_classes: 3,
+            dropout: 0.0,
+            batch_norm: false,
+            jumping_knowledge: false,
+            seed: 0,
+        };
+        assert!(check_servable(&cfg).is_ok());
+        let reject = |edit: fn(&mut ModelConfig)| {
+            let mut c = cfg.clone();
+            edit(&mut c);
+            matches!(check_servable(&c), Err(ServeError::Unsupported(_)))
+        };
+        assert!(reject(|c| c.batch_norm = true));
+        assert!(reject(|c| c.jumping_knowledge = true));
+        assert!(reject(|c| c.mode = Mode::DomainParallel));
+        assert!(reject(|c| c.layers = 0));
     }
-    Tensor::from_vec(&[n, d], out)
 }

@@ -10,11 +10,12 @@
 //! batch over the query set's **message-flow graph** (MFG): per-layer
 //! bipartite slices of the [`DistGraph`](sar_core::DistGraph) built by
 //! [`sar_core::mfg`], so every rank fetches only the rows the K-hop
-//! neighborhood actually references. The same ascending-column kernels as
-//! training run over the slices, which makes served logits **bitwise
-//! identical** to the corresponding rows of a full-graph
-//! [`infer`](sar_core::infer) — the parity invariant this crate's tests
-//! pin down.
+//! neighborhood actually references. The training model's own layers
+//! ([`DistModel::layer_forward`](sar_core::DistModel::layer_forward)) run
+//! over each level's [`LevelView`](sar_core::mfg::LevelView), which makes
+//! served logits **bitwise identical** to the corresponding rows of a
+//! full-graph [`infer`](sar_core::infer) — the parity invariant this
+//! crate's tests pin down.
 //!
 //! The moving parts:
 //!
@@ -37,7 +38,6 @@ mod cache;
 mod client;
 mod engine;
 mod error;
-mod params;
 pub mod proto;
 mod server;
 
@@ -45,5 +45,4 @@ pub use cache::{CacheStats, EmbedCache};
 pub use client::ServeClient;
 pub use engine::{BatchStats, EngineSetup, RawParams, ServeEngine, StatsSnapshot, WorkerStep};
 pub use error::ServeError;
-pub use params::{LayerParams, LayerSpec, ServeModel};
 pub use server::{serve, worker_loop, ServeSummary, ServerConfig};

@@ -4,7 +4,9 @@
 //! the MFG-restricted path must equal the corresponding rows of the
 //! full-graph [`infer`] baseline exactly (`to_bits`), across
 //! architectures, thread counts, SIMD modes, and both transport
-//! backends. On top of that: the per-batch fetch ledger must stay
+//! backends (the sage and gat in-process cases live in the root package's
+//! `tests/serve_parity.rs`, where the Tier-1 command reaches them). On
+//! top of that: the per-batch fetch ledger must stay
 //! strictly below a full-graph forward's predicted volume, the embedding
 //! cache must cut traffic without touching bits, and the TCP front-end
 //! must answer real clients end to end.
@@ -22,7 +24,7 @@ use sar_partition::{multilevel, Partitioning};
 use sar_serve::{
     serve, worker_loop, BatchStats, EngineSetup, ServeClient, ServeEngine, ServeError, ServerConfig,
 };
-use sar_tensor::{pool, simd, Tensor};
+use sar_tensor::{pool, Tensor};
 
 const WORLD: usize = 4;
 
@@ -207,55 +209,12 @@ fn assert_rows_bitwise(label: &str, served: &Tensor, full: &Tensor, queries: &[u
 const QUERIES: &[u32] = &[7, 123, 3, 255, 3, 64, 7, 0, 299];
 
 #[test]
-fn sage_mfg_logits_match_full_inference_bitwise() {
-    let fx = fixture(Arch::GraphSage { hidden: 16 }, Mode::Sar, true);
-    let full = full_logits(&fx);
-    for threads in [1, 4] {
-        for mode in [simd::SimdMode::Auto, simd::SimdMode::ForceScalar] {
-            simd::set_mode(mode);
-            let (served, stats) = serve_once_sim(&fx, QUERIES, threads);
-            simd::set_mode(simd::SimdMode::Auto);
-            assert_rows_bitwise(
-                &format!("sage threads={threads} simd={mode:?}"),
-                &served,
-                &full,
-                QUERIES,
-            );
-            assert!(
-                stats.fetch_bytes < stats.full_forward_bytes,
-                "sage: MFG fetched {} bytes, full forward predicts {}",
-                stats.fetch_bytes,
-                stats.full_forward_bytes
-            );
-        }
-    }
-}
-
-#[test]
 fn gcn_mfg_logits_match_full_inference_bitwise() {
     let fx = fixture(Arch::Gcn { hidden: 12 }, Mode::Sar, false);
     let full = full_logits(&fx);
     let (served, stats) = serve_once_sim(&fx, QUERIES, 1);
     assert_rows_bitwise("gcn", &served, &full, QUERIES);
     assert!(stats.fetch_bytes < stats.full_forward_bytes);
-}
-
-#[test]
-fn gat_mfg_logits_match_full_inference_bitwise_both_kernels() {
-    for mode in [Mode::Sar, Mode::SarFused] {
-        let fx = fixture(
-            Arch::Gat {
-                head_dim: 8,
-                heads: 2,
-            },
-            mode,
-            true,
-        );
-        let full = full_logits(&fx);
-        let (served, stats) = serve_once_sim(&fx, QUERIES, 4);
-        assert_rows_bitwise(&format!("gat {mode:?}"), &served, &full, QUERIES);
-        assert!(stats.fetch_bytes < stats.full_forward_bytes);
-    }
 }
 
 #[test]
