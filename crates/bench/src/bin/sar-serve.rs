@@ -22,7 +22,8 @@
 //!   --queue-cap N                bounded job-queue depth        (256)
 //!   --cache-rows N               per-rank embedding-cache rows  (4096)
 //!
-//! other:
+//! rank flags (`sar_bench::launcher::RankFlags`, shared with `sar-worker`):
+//!   the two launch forms above, plus
 //!   --rendezvous-timeout-secs N  poll budget for the rendezvous file (60)
 //! ```
 //!
@@ -36,20 +37,13 @@ use std::time::Duration;
 
 use sar_bench::cli::Args;
 use sar_bench::distrun::Workload;
-use sar_bench::launcher;
+use sar_bench::launcher::{Launch, RankFlags};
 use sar_bench::serverun::{run_serve_rank, ServeRankOpts};
 use sar_serve::ServerConfig;
 
 struct Cli {
-    spawn_local: Option<usize>,
-    rank: Option<usize>,
-    world: Option<usize>,
-    rendezvous_file: Option<std::path::PathBuf>,
-    rendezvous_timeout: Duration,
-    checkpoint: Option<std::path::PathBuf>,
-    client_addr_file: Option<std::path::PathBuf>,
-    server: ServerConfig,
-    cache_rows: usize,
+    ranks: RankFlags,
+    serve: ServeRankOpts,
     workload: Workload,
 }
 
@@ -60,37 +54,32 @@ fn fail(msg: &str) -> ! {
 
 fn parse_cli(mut args: Args) -> Result<Cli, String> {
     let mut cli = Cli {
-        spawn_local: None,
-        rank: None,
-        world: None,
-        rendezvous_file: None,
-        rendezvous_timeout: Duration::from_secs(60),
-        checkpoint: None,
-        client_addr_file: None,
-        server: ServerConfig::default(),
-        cache_rows: 4096,
+        ranks: RankFlags::default(),
+        serve: ServeRankOpts {
+            checkpoint: None,
+            client_addr_file: None,
+            server: ServerConfig::default(),
+            cache_rows: 4096,
+        },
         workload: Workload::default(),
     };
     while let Some(flag) = args.next_flag() {
         let flag = flag.as_str();
+        let serve = &mut cli.serve;
         match flag {
-            "--spawn-local" => cli.spawn_local = Some(args.parsed(flag)?),
-            "--rank" => cli.rank = Some(args.parsed(flag)?),
-            "--world" => cli.world = Some(args.parsed(flag)?),
-            "--rendezvous-file" => cli.rendezvous_file = Some(args.value(flag)?.into()),
-            "--rendezvous-timeout-secs" => {
-                cli.rendezvous_timeout = Duration::from_secs(args.parsed(flag)?);
+            "--checkpoint" => serve.checkpoint = Some(args.value(flag)?.into()),
+            "--client-addr-file" => serve.client_addr_file = Some(args.value(flag)?.into()),
+            "--max-batch" => serve.server.max_batch = args.parsed(flag)?,
+            "--max-delay-us" => {
+                serve.server.max_delay = Duration::from_micros(args.parsed(flag)?);
             }
-            "--checkpoint" => cli.checkpoint = Some(args.value(flag)?.into()),
-            "--client-addr-file" => cli.client_addr_file = Some(args.value(flag)?.into()),
-            "--max-batch" => cli.server.max_batch = args.parsed(flag)?,
-            "--max-delay-us" => cli.server.max_delay = Duration::from_micros(args.parsed(flag)?),
-            "--queue-cap" => cli.server.queue_cap = args.parsed(flag)?,
-            "--cache-rows" => cli.cache_rows = args.parsed(flag)?,
+            "--queue-cap" => serve.server.queue_cap = args.parsed(flag)?,
+            "--cache-rows" => serve.cache_rows = args.parsed(flag)?,
             "--help" | "-h" => {
                 eprintln!("see the doc comment at the top of crates/bench/src/bin/sar-serve.rs");
                 std::process::exit(0);
             }
+            _ if cli.ranks.apply_flag(flag, &mut args)? => {}
             _ if cli.workload.apply_flag(flag, &mut args)? => {}
             other => return Err(format!("unknown flag {other}")),
         }
@@ -98,79 +87,14 @@ fn parse_cli(mut args: Args) -> Result<Cli, String> {
     Ok(cli)
 }
 
-/// `--spawn-local N`: re-exec this binary once per rank and wait. The
-/// cluster then serves until a client requests shutdown, so this mode is
-/// only useful together with `--client-addr-file` and an external client.
-fn spawn_local(n: usize, cli: &Cli) -> ! {
-    if n == 0 {
-        fail("--spawn-local needs at least one rank");
-    }
-    let exe = std::env::current_exe()
-        .unwrap_or_else(|e| fail(&format!("cannot locate own executable: {e}")));
-    let mut args = cli.workload.to_args();
-    args.extend([
-        "--rendezvous-timeout-secs".to_string(),
-        cli.rendezvous_timeout.as_secs().to_string(),
-        "--max-batch".to_string(),
-        cli.server.max_batch.to_string(),
-        "--max-delay-us".to_string(),
-        cli.server.max_delay.as_micros().to_string(),
-        "--queue-cap".to_string(),
-        cli.server.queue_cap.to_string(),
-        "--cache-rows".to_string(),
-        cli.cache_rows.to_string(),
-    ]);
-    if let Some(path) = &cli.checkpoint {
-        args.extend(["--checkpoint".to_string(), path.display().to_string()]);
-    }
-    if let Some(path) = &cli.client_addr_file {
-        args.extend(["--client-addr-file".to_string(), path.display().to_string()]);
-    }
-    eprintln!(
-        "[sar-serve] spawning {n} local rank processes ({} / {} on {} nodes) ...",
-        cli.workload.arch, cli.workload.mode, cli.workload.nodes
-    );
-    match launcher::spawn_ranks(&exe, n, &args) {
-        Ok(()) => {
-            eprintln!("[sar-serve] all {n} ranks completed");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("[sar-serve] launch failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let cli = parse_cli(Args::from_env()).unwrap_or_else(|e| fail(&e));
-    if let Some(n) = cli.spawn_local {
-        if cli.rank.is_some() || cli.rendezvous_file.is_some() {
-            fail("--spawn-local is exclusive with --rank/--rendezvous-file");
-        }
-        spawn_local(n, &cli);
-    }
-
-    let rank = cli
-        .rank
-        .unwrap_or_else(|| fail("--rank is required (or use --spawn-local N)"));
-    let world = cli.world.unwrap_or_else(|| fail("--world is required"));
-    let rendezvous_file = cli
-        .rendezvous_file
-        .clone()
-        .unwrap_or_else(|| fail("--rendezvous-file is required"));
-    let opts = ServeRankOpts {
-        rank,
-        world,
-        rendezvous_file,
-        rendezvous_timeout: cli.rendezvous_timeout,
-        checkpoint: cli.checkpoint.clone(),
-        client_addr_file: cli.client_addr_file.clone(),
-        server: cli.server.clone(),
-        cache_rows: cli.cache_rows,
+    let seat = match cli.ranks.resolve().unwrap_or_else(|e| fail(&e)) {
+        Launch::Rank(seat) => seat,
+        Launch::Spawn(spawn) => std::process::exit(spawn.run("sar-serve", &cli.workload)),
     };
 
-    match run_serve_rank(&opts, &cli.workload) {
+    match run_serve_rank(&seat, &cli.serve, &cli.workload) {
         Ok(None) => {} // ranks 1..N: quiesced after the shutdown barrier
         Ok(Some(summary)) => {
             let s = &summary.stats;

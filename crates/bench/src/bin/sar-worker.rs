@@ -16,7 +16,8 @@
 //!                                the gathered report; exit 1 on any
 //!                                violation
 //!
-//! other:
+//! rank flags (`sar_bench::launcher::RankFlags`, shared with `sar-serve`):
+//!   the two launch forms above, plus
 //!   --rendezvous-timeout-secs N  poll budget for the rendezvous file (60)
 //! ```
 //!
@@ -27,18 +28,13 @@
 //! per-phase communication ledger over the data plane after training and
 //! assembles the same `RunReport` JSON the simulated backend writes.
 
-use std::time::Duration;
-
 use sar_bench::cli::Args;
-use sar_bench::distrun::{run_rank, RankOpts, Workload};
-use sar_bench::{launcher, smoke};
+use sar_bench::distrun::{run_rank, Workload};
+use sar_bench::launcher::{Launch, RankFlags};
+use sar_bench::smoke;
 
 struct Cli {
-    spawn_local: Option<usize>,
-    rank: Option<usize>,
-    world: Option<usize>,
-    rendezvous_file: Option<std::path::PathBuf>,
-    rendezvous_timeout: Duration,
+    ranks: RankFlags,
     experiment: Option<String>,
     out: Option<String>,
     check: Option<String>,
@@ -52,11 +48,7 @@ fn fail(msg: &str) -> ! {
 
 fn parse_cli(mut args: Args) -> Result<Cli, String> {
     let mut cli = Cli {
-        spawn_local: None,
-        rank: None,
-        world: None,
-        rendezvous_file: None,
-        rendezvous_timeout: Duration::from_secs(60),
+        ranks: RankFlags::default(),
         experiment: None,
         out: None,
         check: None,
@@ -65,13 +57,6 @@ fn parse_cli(mut args: Args) -> Result<Cli, String> {
     while let Some(flag) = args.next_flag() {
         let flag = flag.as_str();
         match flag {
-            "--spawn-local" => cli.spawn_local = Some(args.parsed(flag)?),
-            "--rank" => cli.rank = Some(args.parsed(flag)?),
-            "--world" => cli.world = Some(args.parsed(flag)?),
-            "--rendezvous-file" => cli.rendezvous_file = Some(args.value(flag)?.into()),
-            "--rendezvous-timeout-secs" => {
-                cli.rendezvous_timeout = Duration::from_secs(args.parsed(flag)?);
-            }
             "--experiment" => cli.experiment = Some(args.value(flag)?),
             "--out" => cli.out = Some(args.value(flag)?),
             "--check" => {
@@ -85,6 +70,7 @@ fn parse_cli(mut args: Args) -> Result<Cli, String> {
                 eprintln!("see the doc comment at the top of crates/bench/src/bin/sar-worker.rs");
                 std::process::exit(0);
             }
+            _ if cli.ranks.apply_flag(flag, &mut args)? => {}
             _ if cli.workload.apply_flag(flag, &mut args)? => {}
             other => return Err(format!("unknown flag {other}")),
         }
@@ -92,73 +78,18 @@ fn parse_cli(mut args: Args) -> Result<Cli, String> {
     Ok(cli)
 }
 
-/// `--spawn-local N`: re-exec this binary once per rank and wait.
-fn spawn_local(n: usize, cli: &Cli) -> ! {
-    if n == 0 {
-        fail("--spawn-local needs at least one rank");
-    }
-    let exe = std::env::current_exe()
-        .unwrap_or_else(|e| fail(&format!("cannot locate own executable: {e}")));
-    let mut args = cli.workload.to_args();
-    args.extend([
-        "--rendezvous-timeout-secs".to_string(),
-        cli.rendezvous_timeout.as_secs().to_string(),
-    ]);
-    for (flag, value) in [
-        ("--experiment", &cli.experiment),
-        ("--out", &cli.out),
-        ("--check", &cli.check),
-    ] {
-        if let Some(value) = value {
-            args.extend([flag.to_string(), value.clone()]);
-        }
-    }
-    eprintln!(
-        "[sar-worker] spawning {n} local rank processes ({} / {} on {} nodes) ...",
-        cli.workload.arch, cli.workload.mode, cli.workload.nodes
-    );
-    match launcher::spawn_ranks(&exe, n, &args) {
-        Ok(()) => {
-            eprintln!("[sar-worker] all {n} ranks completed");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("[sar-worker] launch failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let cli = parse_cli(Args::from_env()).unwrap_or_else(|e| fail(&e));
-    if let Some(n) = cli.spawn_local {
-        if cli.rank.is_some() || cli.rendezvous_file.is_some() {
-            fail("--spawn-local is exclusive with --rank/--rendezvous-file");
-        }
-        spawn_local(n, &cli);
-    }
-
-    let rank = cli
-        .rank
-        .unwrap_or_else(|| fail("--rank is required (or use --spawn-local N)"));
-    let world = cli.world.unwrap_or_else(|| fail("--world is required"));
-    let rendezvous_file = cli
-        .rendezvous_file
-        .clone()
-        .unwrap_or_else(|| fail("--rendezvous-file is required"));
+    let seat = match cli.ranks.resolve().unwrap_or_else(|e| fail(&e)) {
+        Launch::Rank(seat) => seat,
+        Launch::Spawn(spawn) => std::process::exit(spawn.run("sar-worker", &cli.workload)),
+    };
     let experiment = cli
         .experiment
         .clone()
         .unwrap_or_else(|| format!("{}-{}", cli.workload.arch, cli.workload.mode));
-    let opts = RankOpts {
-        rank,
-        world,
-        rendezvous_file,
-        rendezvous_timeout: cli.rendezvous_timeout,
-        experiment,
-    };
 
-    match run_rank(&opts, &cli.workload) {
+    match run_rank(&seat, &experiment, &cli.workload) {
         Ok(None) => {} // ranks 1..N: results were shipped to rank 0
         Ok(Some(report)) => {
             smoke::ledger_table(&report).print();

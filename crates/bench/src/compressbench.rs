@@ -34,6 +34,7 @@ use crate::cli::{parse_committed, Args, GatedBench};
 use crate::distrun::Workload;
 use crate::harness::{run_workload, Transport};
 use crate::smoke;
+use sar_comm::{Phase, PhaseEntry};
 
 /// Schema tag written into (and required from) `BENCH_compress.json`.
 /// Bump whenever the grid, the counters or the field layout change; the
@@ -219,15 +220,15 @@ fn run_cell(
     let experiment = format!("compressbench-{arch}-{codec}-{protocol}");
     let report = run_workload(&wl, cfg.world, transport, &experiment)
         .map_err(|e| format!("{}/{arch}/{codec}/{protocol}: {e}", transport.name()))?;
-    let sum = |phases: &[&str], f: fn(&crate::report::PhaseRow) -> u64| -> u64 {
+    let sum = |phases: &[Phase], f: fn(&PhaseEntry) -> u64| -> u64 {
         report
             .workers
             .iter()
-            .flat_map(|w| phases.iter().map(move |p| w.phase_sum(p, f)))
+            .flat_map(|w| phases.iter().map(move |&p| w.phase_sum(p, f)))
             .sum()
     };
-    let fetch = ["forward_fetch", "backward_refetch"];
-    let grad = ["grad_routing"];
+    let fetch = [Phase::ForwardFetch, Phase::BackwardRefetch];
+    let grad = [Phase::GradRouting];
     Ok(CompressRun {
         transport: transport.name().into(),
         arch: arch.into(),
@@ -537,7 +538,7 @@ impl GatedBench for CompressBenchReport {
     /// Compares a fresh report against the committed
     /// `BENCH_compress.json`. Hard-fails on a schema or run-set mismatch
     /// (the artifact is stale — regenerate it); both the fresh and the
-    /// committed run sets must satisfy [`report_invariants`].
+    /// committed run sets must satisfy the invariants in the module docs.
     fn check_against(&self, committed_text: &str) -> Vec<String> {
         let committed = match parse_committed::<Self>(committed_text, SCHEMA) {
             Ok(doc) => doc,

@@ -11,22 +11,24 @@
 //! cluster would have handed them (verified end to end by the
 //! `transport_parity` integration tests in `sar-core`).
 //!
-//! [`run_rank`] is the whole per-process lifecycle: rebuild state →
-//! rendezvous over a file ([`crate::launcher`]) → mesh via
-//! [`TcpTransport`] → [`run_worker`] → gather. The gather ships each
-//! rank's [`WorkerSummary`] (losses, accuracies, memory peak, and the
-//! full [`CommStats`] ledger) to rank 0 over the data plane itself,
-//! using the stats snapshot taken *before* the gather messages so the
-//! reported ledgers stay byte-comparable with the simulated backend.
+//! [`run_rank`] is the whole per-process lifecycle: rebuild state
+//! ([`Workload::rank_state`]) → mesh ([`RankSeat::join_mesh`]) →
+//! [`run_worker`] → gather. The gather ships each rank's result (losses,
+//! accuracies, memory peak, and the full [`CommStats`] ledger) to rank 0
+//! over the data plane itself, using the stats snapshot taken *before*
+//! the gather messages so the reported ledgers stay byte-comparable with
+//! the simulated backend, and rank 0 aggregates what it gathered with
+//! the constructor the simulated backend uses
+//! ([`sar_core::RunReport::from_ranks`]).
 
-use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Duration;
 
-use sar_comm::{Codec, CommStats, CostModel, Payload, TcpOpts, TcpTransport, WorkerCtx};
+use sar_comm::le::{put_f32, put_f64, put_u32, put_u64, Cursor};
+use sar_comm::{Codec, CommStats, Payload, TcpOpts};
 use sar_core::{
     run_worker, Arch, DistGraph, EpochRecord, Mode, ModelConfig, Protocol, Shard, TrainConfig,
+    WorkerReport,
 };
 use sar_graph::{datasets, Dataset};
 use sar_nn::{CsConfig, LrSchedule};
@@ -34,15 +36,13 @@ use sar_partition::{partition, Method, Partitioning};
 use sar_tensor::simd::SimdMode;
 
 use crate::cli::Args;
-use crate::report::{RunReport, WorkerProfile};
+use crate::launcher::RankSeat;
+use crate::report::RunReport;
 
 /// Tag space for the post-training stats gather: above every peer-to-peer
 /// view-index tag (`1 << 40` + small offsets) and below the collective
 /// tag space (`1 << 62`).
 const GATHER_TAG_BASE: u64 = 1 << 61;
-
-/// How long a rank waits on a message before declaring the cluster dead.
-const RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Everything that defines a training run, expressible as command-line
 /// flags so independent processes can rebuild identical state.
@@ -292,6 +292,27 @@ impl Workload {
         Ok((dataset, part))
     }
 
+    /// Rebuilds what one rank of a `world`-rank launch holds: the dataset
+    /// and this rank's graph blocks and feature shard — the same in every
+    /// process that passes the same flags.
+    ///
+    /// # Errors
+    ///
+    /// `rank` outside `0..world`, or the [`Workload::build_data`] errors.
+    pub fn rank_state(&self, rank: usize, world: usize) -> Result<RankState, String> {
+        if rank >= world {
+            return Err(format!("--rank {rank} out of range for --world {world}"));
+        }
+        let (dataset, part) = self.build_data(world)?;
+        let graph = Arc::new(DistGraph::build_all(&dataset.graph, &part).swap_remove(rank));
+        let shard = Shard::build_all(&dataset, &part).swap_remove(rank);
+        Ok(RankState {
+            dataset,
+            graph,
+            shard,
+        })
+    }
+
     /// Builds the [`TrainConfig`] for this workload.
     ///
     /// # Errors
@@ -356,99 +377,50 @@ impl Workload {
     }
 }
 
-/// One rank's results, gathered to rank 0 after training.
-#[derive(Debug, Clone)]
-pub struct WorkerSummary {
-    /// Per-epoch loss / compute / comm / bytes records.
-    pub epochs: Vec<EpochRecord>,
-    /// Global validation accuracy (identical on every rank).
-    pub val_acc: f64,
-    /// Global test accuracy.
-    pub test_acc: f64,
-    /// Test accuracy after Correct & Smooth, if run.
-    pub test_acc_cs: Option<f64>,
-    /// Steady-state peak live tensor bytes on this rank.
-    pub steady_peak_bytes: u64,
-    /// The rank's full communication statistics, snapshotted before the
-    /// gather itself so its traffic is not part of the ledger.
-    pub comm: CommStats,
+/// What one rank rebuilds from the workload flags
+/// ([`Workload::rank_state`]).
+#[derive(Debug)]
+pub struct RankState {
+    /// The full synthetic dataset.
+    pub dataset: Dataset,
+    /// This rank's partition blocks.
+    pub graph: Arc<DistGraph>,
+    /// This rank's features, labels and masks.
+    pub shard: Shard,
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_f32(buf: &mut Vec<u8>, v: f32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("worker summary truncated at byte {}", self.pos))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
-/// Encodes a [`WorkerSummary`] for the wire (little-endian, no padding).
-pub fn encode_summary(s: &WorkerSummary) -> Vec<u8> {
-    let stats = s.comm.to_bytes();
-    let mut buf = Vec::with_capacity(64 + 28 * s.epochs.len() + stats.len());
-    put_u32(&mut buf, s.epochs.len() as u32);
-    for e in &s.epochs {
+/// Encodes one rank's result for the gather (little-endian, no padding):
+/// everything [`sar_core::RunReport::from_ranks`] reads from a rank other
+/// than 0. Logits, node ids and parameters do not travel.
+pub fn encode_rank_result(report: &WorkerReport, comm: &CommStats) -> Vec<u8> {
+    let stats = comm.to_bytes();
+    let mut buf = Vec::with_capacity(64 + 28 * report.epochs.len() + stats.len());
+    put_u32(&mut buf, report.epochs.len() as u32);
+    for e in &report.epochs {
         put_f32(&mut buf, e.loss);
         put_f64(&mut buf, e.compute_secs);
         put_f64(&mut buf, e.comm_secs);
         put_u64(&mut buf, e.sent_bytes);
     }
-    put_f64(&mut buf, s.val_acc);
-    put_f64(&mut buf, s.test_acc);
-    buf.push(s.test_acc_cs.is_some() as u8);
-    put_f64(&mut buf, s.test_acc_cs.unwrap_or(0.0));
-    put_u64(&mut buf, s.steady_peak_bytes);
+    put_f64(&mut buf, report.val_acc);
+    put_f64(&mut buf, report.test_acc);
+    buf.push(u8::from(report.test_acc_cs.is_some()));
+    put_f64(&mut buf, report.test_acc_cs.unwrap_or(0.0));
+    put_u64(&mut buf, report.steady_peak_bytes as u64);
     put_u32(&mut buf, stats.len() as u32);
     buf.extend_from_slice(&stats);
     buf
 }
 
-/// Decodes a [`WorkerSummary`] from the wire.
+/// Inverse of [`encode_rank_result`]; the fields that do not travel come
+/// back empty.
 ///
 /// # Errors
 ///
 /// Rejects truncated or trailing bytes and propagates
 /// [`CommStats::from_bytes`] errors.
-pub fn decode_summary(buf: &[u8]) -> Result<WorkerSummary, String> {
-    let mut c = Cursor { buf, pos: 0 };
+pub fn decode_rank_result(buf: &[u8]) -> Result<(WorkerReport, CommStats), String> {
+    let mut c = Cursor::new(buf);
     let n_epochs = c.u32()? as usize;
     if n_epochs > 1 << 20 {
         return Err(format!("implausible epoch count {n_epochs}"));
@@ -466,179 +438,78 @@ pub fn decode_summary(buf: &[u8]) -> Result<WorkerSummary, String> {
     let test_acc = c.f64()?;
     let has_cs = c.u8()? != 0;
     let cs_val = c.f64()?;
-    let steady_peak_bytes = c.u64()?;
+    let steady_peak_bytes = c.u64()? as usize;
     let stats_len = c.u32()? as usize;
     let comm = CommStats::from_bytes(c.take(stats_len)?)?;
-    if c.pos != buf.len() {
-        return Err(format!(
-            "worker summary has {} trailing bytes",
-            buf.len() - c.pos
-        ));
-    }
-    Ok(WorkerSummary {
+    c.finish()?;
+    let report = WorkerReport {
         epochs,
         val_acc,
         test_acc,
         test_acc_cs: has_cs.then_some(cs_val),
         steady_peak_bytes,
-        comm,
-    })
-}
-
-/// Assembles rank-indexed summaries into the serializable [`RunReport`],
-/// mirroring how [`sar_core::train`] aggregates in-process outcomes:
-/// modeled epoch time is `max_p compute + max_p comm`, the global loss
-/// and accuracies are taken from rank 0 (every rank reports the same
-/// all-reduced values).
-pub fn assemble_report(
-    experiment: &str,
-    arch: &str,
-    mode: &str,
-    summaries: &[WorkerSummary],
-) -> RunReport {
-    let epochs = summaries.first().map_or(0, |s| s.epochs.len());
-    let mut losses = Vec::with_capacity(epochs);
-    let mut epoch_times = Vec::with_capacity(epochs);
-    for e in 0..epochs {
-        let max_compute = summaries
-            .iter()
-            .map(|s| s.epochs[e].compute_secs)
-            .fold(0.0, f64::max);
-        let max_comm = summaries
-            .iter()
-            .map(|s| s.epochs[e].comm_secs)
-            .fold(0.0, f64::max);
-        epoch_times.push(max_compute + max_comm);
-        losses.push(summaries[0].epochs[e].loss);
-    }
-    RunReport {
-        experiment: experiment.into(),
-        arch: arch.into(),
-        mode: mode.into(),
-        world: summaries.len(),
-        losses,
-        epoch_times,
-        val_acc: summaries.first().map_or(0.0, |s| s.val_acc),
-        test_acc: summaries.first().map_or(0.0, |s| s.test_acc),
-        test_acc_cs: summaries.first().and_then(|s| s.test_acc_cs),
-        // Rank 0's own process pool; the other ranks' pools live in their
-        // processes and are not gathered.
-        buffer_pool: Some(sar_comm::buffer::pool_stats()),
-        workers: summaries
-            .iter()
-            .enumerate()
-            .map(|(rank, s)| WorkerProfile::from_stats(rank, s.steady_peak_bytes as usize, &s.comm))
-            .collect(),
-    }
-}
-
-/// Per-process options that are *not* part of the (shared) workload.
-#[derive(Debug, Clone)]
-pub struct RankOpts {
-    /// This process's rank.
-    pub rank: usize,
-    /// Total rank count.
-    pub world: usize,
-    /// File through which rank 0 publishes its rendezvous address.
-    pub rendezvous_file: PathBuf,
-    /// How long non-zero ranks poll for the rendezvous file.
-    pub rendezvous_timeout: Duration,
-    /// Experiment label for the assembled report.
-    pub experiment: String,
+        logits: Vec::new(),
+        global_ids: Vec::new(),
+        params: None,
+    };
+    Ok((report, comm))
 }
 
 /// The whole per-process lifecycle: rebuild dataset/partition/model from
 /// the workload flags, form the TCP mesh, train, gather. Returns the
-/// assembled report on rank 0, `None` elsewhere.
+/// report labeled `experiment` on rank 0, `None` elsewhere.
 ///
 /// # Errors
 ///
 /// Flag, rendezvous and transport errors, each naming this rank.
-pub fn run_rank(opts: &RankOpts, workload: &Workload) -> Result<Option<RunReport>, String> {
-    let rank = opts.rank;
-    if rank >= opts.world {
-        return Err(format!(
-            "--rank {rank} out of range for --world {}",
-            opts.world
-        ));
-    }
+pub fn run_rank(
+    seat: &RankSeat,
+    experiment: &str,
+    workload: &Workload,
+) -> Result<Option<RunReport>, String> {
+    let rank = seat.rank;
     sar_tensor::simd::set_mode(workload.simd_mode()?);
-    let (dataset, part) = workload.build_data(opts.world)?;
-    let cfg = workload.train_config(&dataset)?;
-    let graph = Arc::new(DistGraph::build_all(&dataset.graph, &part).swap_remove(rank));
-    let shard = Shard::build_all(&dataset, &part).swap_remove(rank);
-
-    // The wire codec is negotiated at the rendezvous: every rank
-    // advertises it in its hello and rank 0 rejects mismatches, so a
-    // heterogeneous launch fails fast with a named diagnostic instead of
-    // decoding garbage mid-epoch.
-    let tcp_opts = TcpOpts {
+    let state = workload.rank_state(rank, seat.world)?;
+    let cfg = workload.train_config(&state.dataset)?;
+    let ctx = Rc::new(seat.join_mesh(TcpOpts {
         codec: cfg.codec,
         ..TcpOpts::default()
-    };
-    let transport = if rank == 0 {
-        let listener = std::net::TcpListener::bind(("127.0.0.1", 0))
-            .map_err(|e| format!("rank 0: cannot bind rendezvous listener: {e}"))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| format!("rank 0: cannot read listener address: {e}"))?;
-        crate::launcher::write_rendezvous_addr(&opts.rendezvous_file, &addr)
-            .map_err(|e| format!("rank 0: cannot write rendezvous file: {e}"))?;
-        TcpTransport::host(listener, opts.world, tcp_opts).map_err(|e| format!("rank 0: {e}"))?
-    } else {
-        let addr =
-            crate::launcher::read_rendezvous_addr(&opts.rendezvous_file, opts.rendezvous_timeout)
-                .map_err(|e| format!("rank {rank}: {e}"))?;
-        TcpTransport::join(addr.as_str(), rank, opts.world, tcp_opts)
-            .map_err(|e| format!("rank {rank}: {e}"))?
-    };
-
-    let ctx = Rc::new(WorkerCtx::new(
-        Box::new(transport),
-        CostModel::default(),
-        RECV_TIMEOUT,
-    ));
-    let report = run_worker(Rc::clone(&ctx), graph, &shard, &cfg);
+    })?);
+    let report = run_worker(Rc::clone(&ctx), state.graph, &state.shard, &cfg);
 
     // Snapshot the stats *before* any gather traffic so the shipped
     // ledgers match what an in-process run of the same program records.
-    let summary = WorkerSummary {
-        epochs: report.epochs.clone(),
-        val_acc: report.val_acc,
-        test_acc: report.test_acc,
-        test_acc_cs: report.test_acc_cs,
-        steady_peak_bytes: report.steady_peak_bytes as u64,
-        comm: ctx.stats(),
-    };
+    let comm = ctx.stats();
 
     // The gather and the final barrier use the fallible context paths:
     // a rank that died mid-protocol turns into an `Err` naming the
     // failing rank, so the process exits nonzero with a diagnostic
     // instead of panicking (or leaving the launcher to time out).
     let out = if rank == 0 {
-        let mut summaries = vec![summary];
-        for q in 1..opts.world {
+        let mut ranks = vec![(report, comm)];
+        for q in 1..seat.world {
             let blob = ctx
                 .try_recv(q, GATHER_TAG_BASE + q as u64)
-                .map_err(|e| format!("rank 0: gathering summary from rank {q}: {e}"))?
+                .map_err(|e| format!("rank 0: gathering result from rank {q}: {e}"))?
                 .try_into_bytes()
-                .map_err(|e| format!("rank 0: summary from rank {q}: {e}"))?;
-            summaries
-                .push(decode_summary(&blob).map_err(|e| format!("gather from rank {q}: {e}"))?);
+                .map_err(|e| format!("rank 0: result from rank {q}: {e}"))?;
+            ranks
+                .push(decode_rank_result(&blob).map_err(|e| format!("gather from rank {q}: {e}"))?);
         }
-        Some(assemble_report(
-            &opts.experiment,
+        let run = sar_core::RunReport::from_ranks(ranks);
+        Some(RunReport::from_train(
+            experiment,
             &workload.arch,
             &workload.mode,
-            &summaries,
+            &run,
         ))
     } else {
         ctx.try_send(
             0,
             GATHER_TAG_BASE + rank as u64,
-            Payload::Bytes(encode_summary(&summary)),
+            Payload::Bytes(encode_rank_result(&report, &comm)),
         )
-        .map_err(|e| format!("rank {rank}: sending summary to rank 0: {e}"))?;
+        .map_err(|e| format!("rank {rank}: sending result to rank 0: {e}"))?;
         None
     };
     // Hold every rank until the gather lands, so no process tears down
@@ -652,12 +523,12 @@ pub fn run_rank(opts: &RankOpts, workload: &Workload) -> Result<Option<RunReport
 mod tests {
     use super::*;
 
-    fn sample_summary() -> WorkerSummary {
+    fn sample_result() -> (WorkerReport, CommStats) {
         let mut comm = CommStats::new(2);
         comm.sent_bytes[1] = 123;
         comm.recv_bytes = 456;
         comm.comm_us = 7.5;
-        WorkerSummary {
+        let report = WorkerReport {
             epochs: vec![
                 EpochRecord {
                     loss: 1.25,
@@ -676,47 +547,72 @@ mod tests {
             test_acc: 0.625,
             test_acc_cs: Some(0.75),
             steady_peak_bytes: 4096,
-            comm,
-        }
+            logits: vec![1.0; 6],
+            global_ids: vec![0, 1],
+            params: Some(Vec::new()),
+        };
+        (report, comm)
     }
 
     #[test]
-    fn summary_codec_round_trips() {
-        let s = sample_summary();
-        let d = decode_summary(&encode_summary(&s)).unwrap();
+    fn rank_result_codec_round_trips_what_the_aggregation_reads() {
+        let (report, comm) = sample_result();
+        let (d, d_comm) = decode_rank_result(&encode_rank_result(&report, &comm)).unwrap();
         assert_eq!(d.epochs.len(), 2);
-        assert_eq!(d.epochs[0].loss.to_bits(), s.epochs[0].loss.to_bits());
+        assert_eq!(d.epochs[0].loss.to_bits(), report.epochs[0].loss.to_bits());
         assert_eq!(d.epochs[1].sent_bytes, 90);
         assert_eq!(d.val_acc, 0.5);
         assert_eq!(d.test_acc_cs, Some(0.75));
         assert_eq!(d.steady_peak_bytes, 4096);
-        assert_eq!(d.comm.sent_bytes, s.comm.sent_bytes);
-        assert_eq!(d.comm.recv_bytes, 456);
+        assert_eq!(d_comm, comm);
+        // Logits, ids and parameters travel empty.
+        assert!(d.logits.is_empty() && d.global_ids.is_empty() && d.params.is_none());
     }
 
     #[test]
-    fn summary_codec_rejects_truncation_and_trailing_garbage() {
-        let buf = encode_summary(&sample_summary());
-        assert!(decode_summary(&buf[..buf.len() - 1]).is_err());
+    fn rank_result_codec_rejects_truncation_and_trailing_garbage() {
+        let (report, comm) = sample_result();
+        let buf = encode_rank_result(&report, &comm);
+        assert!(decode_rank_result(&buf[..buf.len() - 1]).is_err());
         let mut longer = buf.clone();
         longer.push(0);
-        assert!(decode_summary(&longer).is_err());
+        assert!(decode_rank_result(&longer).is_err());
     }
 
     #[test]
-    fn assemble_report_takes_max_times_and_rank0_metrics() {
-        let mut a = sample_summary();
-        let mut b = sample_summary();
+    fn gathered_ranks_aggregate_like_in_process_ones() {
+        let (mut a, comm_a) = sample_result();
+        let (mut b, comm_b) = sample_result();
         a.epochs[0].compute_secs = 1.0;
         b.epochs[0].comm_secs = 2.0;
         b.val_acc = 0.0; // must be ignored: rank 0 wins
-        let r = assemble_report("exp", "sage", "sar", &[a, b]);
+        let b = decode_rank_result(&encode_rank_result(&b, &comm_b)).unwrap();
+        let run = sar_core::RunReport::from_ranks(vec![(a, comm_a), b]);
+        let r = RunReport::from_train("exp", "sage", "sar", &run);
         assert_eq!(r.world, 2);
         assert_eq!(r.epoch_times[0], 1.0 + 2.0);
         assert_eq!(r.val_acc, 0.5);
-        assert_eq!(r.losses.len(), 2);
+        assert_eq!(r.losses, vec![1.25, 0.75]);
         assert_eq!(r.workers.len(), 2);
         assert_eq!(r.workers[1].rank, 1);
+        assert_eq!(r.workers[1].steady_peak_bytes, 4096);
+        assert_eq!(r.workers[1].total_sent_bytes, 123);
+    }
+
+    #[test]
+    fn rank_state_is_this_ranks_slice_and_rejects_a_bad_rank() {
+        let wl = Workload {
+            nodes: 96,
+            ..Workload::default()
+        };
+        let err = wl.rank_state(2, 2).unwrap_err();
+        assert_eq!(err, "--rank 2 out of range for --world 2");
+        let (s0, s1) = (wl.rank_state(0, 2).unwrap(), wl.rank_state(1, 2).unwrap());
+        assert_eq!((s0.graph.rank(), s1.graph.rank()), (0, 1));
+        assert_eq!(
+            s0.shard.num_local() + s1.shard.num_local(),
+            s0.dataset.num_nodes()
+        );
     }
 
     #[test]

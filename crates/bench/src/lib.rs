@@ -31,8 +31,9 @@
 //! committed `BENCH_kernels.json` perf trajectory (`repro kernelbench`).
 //!
 //! Besides the simulated in-process cluster, the harness can run real
-//! multi-process training over TCP loopback: [`launcher`] spawns one
-//! `sar-worker` OS process per rank, [`distrun`] is the workload flag
+//! multi-process training over TCP loopback: [`launcher`] owns the rank
+//! flags, the mesh join and the one-OS-process-per-rank children that
+//! `sar-worker` and `sar-serve` share, [`distrun`] is the workload flag
 //! vocabulary plus the per-rank lifecycle (rebuild state from flags →
 //! rendezvous → train → gather), [`harness::run_workload`] is the one
 //! entry point that runs a workload on either backend and hands back the

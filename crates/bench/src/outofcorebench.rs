@@ -31,6 +31,7 @@
 use std::collections::VecDeque;
 
 use crate::json::{fixed, obj, Value};
+use sar_comm::PhaseEntry;
 use sar_core::plan::{self, FetchStep};
 use sar_tensor::tier::TieredStore;
 use sar_tensor::{MemoryTracker, Tensor};
@@ -341,12 +342,12 @@ fn cell_workload(
 }
 
 /// Sums a phase counter over every rank and phase row of a report.
-fn report_sum(report: &RunReport, pick: impl Fn(&crate::report::PhaseRow) -> u64) -> u64 {
+fn report_sum(report: &RunReport, pick: impl Fn(&PhaseEntry) -> u64) -> u64 {
     report
         .workers
         .iter()
         .flat_map(|w| w.phases.iter())
-        .map(&pick)
+        .map(|r| pick(&r.entry))
         .sum()
 }
 

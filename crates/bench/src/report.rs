@@ -14,7 +14,7 @@ use std::path::Path;
 
 use crate::json::{self, obj, Value};
 use sar_comm::buffer::PoolStats;
-use sar_comm::Phase;
+use sar_comm::{FieldKind, Phase, PhaseEntry};
 
 /// A printable result table.
 #[derive(Debug, Clone)]
@@ -101,52 +101,17 @@ pub fn pct(p: f64) -> String {
 // Machine-readable run reports
 // ----------------------------------------------------------------------
 
-/// One `(phase, layer)` cell of a worker's observability ledger.
-#[derive(Debug, Clone)]
+/// One `(phase, layer)` cell of a worker's observability ledger: the
+/// key plus the ledger's own [`PhaseEntry`], so readers say
+/// `row.entry.recv_bytes` and a new ledger field needs nothing here.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseRow {
-    /// Phase name (`"forward_fetch"`, `"backward_refetch"`,
-    /// `"grad_routing"`, `"collective"`, `"other"`).
-    pub phase: &'static str,
+    /// The phase the cell belongs to.
+    pub phase: Phase,
     /// GNN layer the traffic was attributed to, if any.
     pub layer: Option<u16>,
-    /// Bytes sent while this cell was active (self-sends included).
-    /// *Logical* volume: raw-f32 payload + frame header, independent of
-    /// the negotiated wire codec (the parity digest pins these).
-    pub sent_bytes: u64,
-    /// Bytes received from remote peers (logical volume, as above).
-    pub recv_bytes: u64,
-    /// Bytes that actually crossed the transport while sending — the
-    /// post-codec wire volume. Equals `sent_bytes` under the `raw` codec.
-    pub wire_sent_bytes: u64,
-    /// Bytes that actually arrived off the transport (post-codec).
-    pub wire_recv_bytes: u64,
-    /// Messages sent.
-    pub sent_messages: u64,
-    /// Messages received from remote peers.
-    pub recv_messages: u64,
-    /// Simulated α–β communication time charged, microseconds.
-    pub comm_us: f64,
-    /// Exclusive CPU time spent under this cell, microseconds (includes
-    /// pool helper threads — see DESIGN.md §8).
-    pub cpu_us: f64,
-    /// Exclusive wall-clock time under this cell, microseconds.
-    /// `cpu_us / wall_us` reads as the cell's parallel speedup.
-    pub wall_us: f64,
-    /// Wall-clock time spent *parked* in a blocking receive under this
-    /// cell, microseconds. `blocked_us / wall_us` is the cell's
-    /// un-overlapped communication fraction — the number the pipelined
-    /// rotation exchange drives down as `--prefetch-depth` grows.
-    pub blocked_us: f64,
-    /// Peak live tensor bytes observed inside this cell's scopes.
-    pub peak_tensor_bytes: u64,
-    /// Bytes evicted to the out-of-core disk tier under this cell (zero
-    /// unless `--mem-budget` is set).
-    pub spill_bytes: u64,
-    /// Bytes faulted back from the disk tier under this cell.
-    pub fault_bytes: u64,
-    /// Wall-clock time spent blocked on disk-tier IO under this cell,
-    /// microseconds — the disk analogue of `blocked_us`.
-    pub disk_blocked_us: f64,
+    /// The cell's measurements.
+    pub entry: PhaseEntry,
 }
 
 /// One worker's profile: totals plus the per-phase ledger.
@@ -168,10 +133,7 @@ pub struct WorkerProfile {
 
 impl WorkerProfile {
     /// Lifts one worker's [`sar_comm::CommStats`] (plus its measured
-    /// steady-state memory peak) into the serializable profile. Used both
-    /// by [`RunReport::from_train`] for in-process runs and by the
-    /// multi-process launcher, which gathers each rank's stats over the
-    /// wire.
+    /// steady-state memory peak) into the serializable profile.
     pub fn from_stats(rank: usize, steady_peak_bytes: usize, comm: &sar_comm::CommStats) -> Self {
         WorkerProfile {
             rank,
@@ -182,48 +144,32 @@ impl WorkerProfile {
             phases: comm
                 .ledger
                 .rows()
-                .map(|(phase, layer, e)| PhaseRow {
-                    phase: phase.name(),
+                .map(|(phase, layer, &entry)| PhaseRow {
+                    phase,
                     layer,
-                    sent_bytes: e.sent_bytes,
-                    recv_bytes: e.recv_bytes,
-                    wire_sent_bytes: e.wire_sent_bytes,
-                    wire_recv_bytes: e.wire_recv_bytes,
-                    sent_messages: e.sent_messages,
-                    recv_messages: e.recv_messages,
-                    comm_us: e.comm_us,
-                    cpu_us: e.cpu_us,
-                    wall_us: e.wall_us,
-                    blocked_us: e.blocked_us,
-                    peak_tensor_bytes: e.peak_tensor_bytes,
-                    spill_bytes: e.spill_bytes,
-                    fault_bytes: e.fault_bytes,
-                    disk_blocked_us: e.disk_blocked_us,
+                    entry,
                 })
                 .collect(),
         }
     }
 
     /// Sums `f` over this worker's ledger rows in the given phase.
-    pub fn phase_sum(&self, phase: &str, f: impl Fn(&PhaseRow) -> u64) -> u64 {
-        self.phases.iter().filter(|r| r.phase == phase).map(f).sum()
-    }
-
-    /// Max of `f` over this worker's ledger rows in the given phase.
-    pub fn phase_max(&self, phase: &str, f: impl Fn(&PhaseRow) -> u64) -> u64 {
+    pub fn phase_sum(&self, phase: Phase, f: impl Fn(&PhaseEntry) -> u64) -> u64 {
         self.phases
             .iter()
             .filter(|r| r.phase == phase)
-            .map(f)
-            .max()
-            .unwrap_or(0)
+            .map(|r| f(&r.entry))
+            .sum()
     }
 }
 
 /// A machine-readable record of one distributed training run.
 ///
-/// Build with [`RunReport::from_train`], serialize with
-/// [`RunReport::to_json`] / [`RunReport::write_json`].
+/// [`RunReport::from_train`] is the only producer — in-process runs and
+/// rank 0 of a multi-process launch both hand it the
+/// [`sar_core::RunReport`] that [`sar_core::RunReport::from_ranks`]
+/// aggregated. Serialize with [`RunReport::to_json`] /
+/// [`RunReport::write_json`].
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Free-form experiment label (e.g. `"smoke-sage"`).
@@ -260,17 +206,12 @@ impl RunReport {
         mode: impl Into<String>,
         run: &sar_core::RunReport,
     ) -> Self {
+        let peak = |rank: usize| run.peak_bytes.get(rank).copied().unwrap_or(0);
         let workers = run
             .worker_comm
             .iter()
             .enumerate()
-            .map(|(rank, comm)| {
-                WorkerProfile::from_stats(
-                    rank,
-                    run.peak_bytes.get(rank).copied().unwrap_or(0),
-                    comm,
-                )
-            })
+            .map(|(rank, comm)| WorkerProfile::from_stats(rank, peak(rank), comm))
             .collect();
         RunReport {
             experiment: experiment.into(),
@@ -292,15 +233,6 @@ impl RunReport {
         self.losses.iter().any(|l| !l.is_finite())
     }
 
-    /// The worker's ledger total for `(phase, metric)` summed across
-    /// layers, for all workers. Convenience for CI gates.
-    pub fn per_worker_phase_sum(&self, phase: Phase, f: impl Fn(&PhaseRow) -> u64) -> Vec<u64> {
-        self.workers
-            .iter()
-            .map(|w| w.phase_sum(phase.name(), &f))
-            .collect()
-    }
-
     /// Serializes to a self-contained JSON document:
     ///
     /// ```json
@@ -314,38 +246,30 @@ impl RunReport {
     ///     {"rank": 0, "steady_peak_bytes": 0, "total_sent_bytes": 0,
     ///      "total_recv_bytes": 0, "comm_us": 0.0,
     ///      "phases": [
-    ///        {"phase": "forward_fetch", "layer": 0, "sent_bytes": 0,
-    ///         "recv_bytes": 0, "wire_sent_bytes": 0,
-    ///         "wire_recv_bytes": 0, "sent_messages": 0,
-    ///         "recv_messages": 0, "comm_us": 0.0, "cpu_us": 0.0,
-    ///         "wall_us": 0.0, "blocked_us": 0.0, "peak_tensor_bytes": 0,
-    ///         "spill_bytes": 0, "fault_bytes": 0, "disk_blocked_us": 0.0}
+    ///        {"phase": "forward_fetch", "layer": 0, "sent_bytes": 0, ...}
     ///      ]}
     ///   ]
     /// }
     /// ```
     ///
+    /// A phase row is its key followed by one member per
+    /// [`PhaseEntry::FIELDS`] row, named and ordered as in that table.
     /// Non-finite floats serialize as `null` (JSON has no NaN).
     pub fn to_json(&self) -> String {
         let phase_row = |r: &PhaseRow| {
-            obj([
-                ("phase", r.phase.into()),
+            let mut entry = r.entry;
+            let cells = PhaseEntry::FIELDS.iter().map(|field| {
+                let value = match field.kind {
+                    FieldKind::Count(at) | FieldKind::Peak(at) => (*at(&mut entry)).into(),
+                    FieldKind::Micros(at) => (*at(&mut entry)).into(),
+                };
+                (field.name, value)
+            });
+            let key = [
+                ("phase", r.phase.name().into()),
                 ("layer", r.layer.map(usize::from).into()),
-                ("sent_bytes", r.sent_bytes.into()),
-                ("recv_bytes", r.recv_bytes.into()),
-                ("wire_sent_bytes", r.wire_sent_bytes.into()),
-                ("wire_recv_bytes", r.wire_recv_bytes.into()),
-                ("sent_messages", r.sent_messages.into()),
-                ("recv_messages", r.recv_messages.into()),
-                ("comm_us", r.comm_us.into()),
-                ("cpu_us", r.cpu_us.into()),
-                ("wall_us", r.wall_us.into()),
-                ("blocked_us", r.blocked_us.into()),
-                ("peak_tensor_bytes", r.peak_tensor_bytes.into()),
-                ("spill_bytes", r.spill_bytes.into()),
-                ("fault_bytes", r.fault_bytes.into()),
-                ("disk_blocked_us", r.disk_blocked_us.into()),
-            ])
+            ];
+            obj(key.into_iter().chain(cells))
         };
         let worker = |w: &WorkerProfile| {
             obj([
@@ -415,9 +339,8 @@ impl RunReport {
         let phase_row = |r: &Value| -> Result<PhaseRow, String> {
             let name = r.req_str("phase")?;
             let phase = Phase::ALL
-                .iter()
-                .map(|p| p.name())
-                .find(|&n| n == name)
+                .into_iter()
+                .find(|p| p.name() == name)
                 .ok_or_else(|| format!("unknown phase \"{name}\""))?;
             let layer = match r.get("layer") {
                 None | Some(Value::Null) => None,
@@ -426,23 +349,19 @@ impl RunReport {
                         .map_err(|_| "field \"layer\" out of range".to_string())?,
                 ),
             };
+            let mut entry = PhaseEntry::default();
+            for field in &PhaseEntry::FIELDS {
+                match field.kind {
+                    FieldKind::Count(at) | FieldKind::Peak(at) => {
+                        *at(&mut entry) = r.req_u64(field.name)?;
+                    }
+                    FieldKind::Micros(at) => *at(&mut entry) = float(r, field.name)?,
+                }
+            }
             Ok(PhaseRow {
                 phase,
                 layer,
-                sent_bytes: r.req_u64("sent_bytes")?,
-                recv_bytes: r.req_u64("recv_bytes")?,
-                wire_sent_bytes: r.req_u64("wire_sent_bytes")?,
-                wire_recv_bytes: r.req_u64("wire_recv_bytes")?,
-                sent_messages: r.req_u64("sent_messages")?,
-                recv_messages: r.req_u64("recv_messages")?,
-                comm_us: float(r, "comm_us")?,
-                cpu_us: float(r, "cpu_us")?,
-                wall_us: float(r, "wall_us")?,
-                blocked_us: float(r, "blocked_us")?,
-                peak_tensor_bytes: r.req_u64("peak_tensor_bytes")?,
-                spill_bytes: r.req_u64("spill_bytes")?,
-                fault_bytes: r.req_u64("fault_bytes")?,
-                disk_blocked_us: float(r, "disk_blocked_us")?,
+                entry,
             })
         };
         let worker = |w: &Value| -> Result<WorkerProfile, String> {
@@ -517,12 +436,12 @@ impl RunReport {
                     s,
                     "w{} {}/{} sent={} recv={} smsg={} rmsg={}",
                     w.rank,
-                    r.phase,
+                    r.phase.name(),
                     r.layer.map_or("-".to_string(), |l| l.to_string()),
-                    r.sent_bytes,
-                    r.recv_bytes,
-                    r.sent_messages,
-                    r.recv_messages,
+                    r.entry.sent_bytes,
+                    r.entry.recv_bytes,
+                    r.entry.sent_messages,
+                    r.entry.recv_messages,
                 );
             }
         }
@@ -539,10 +458,11 @@ impl RunReport {
         use std::collections::BTreeMap;
         let mut agg: BTreeMap<&'static str, [f64; 4]> = BTreeMap::new();
         for r in self.workers.iter().flat_map(|w| &w.phases) {
-            let e = agg.entry(r.phase).or_default();
+            let e = agg.entry(r.phase.name()).or_default();
+            let m = &r.entry;
             for (sum, x) in e
                 .iter_mut()
-                .zip([r.wall_us, r.blocked_us, r.comm_us, r.cpu_us])
+                .zip([m.wall_us, m.blocked_us, m.comm_us, m.cpu_us])
             {
                 *sum += x;
             }
@@ -619,22 +539,24 @@ mod tests {
                 total_recv_bytes: 32,
                 comm_us: 12.5,
                 phases: vec![PhaseRow {
-                    phase: "forward_fetch",
+                    phase: Phase::ForwardFetch,
                     layer: Some(1),
-                    sent_bytes: 64,
-                    recv_bytes: 32,
-                    wire_sent_bytes: 40,
-                    wire_recv_bytes: 24,
-                    sent_messages: 2,
-                    recv_messages: 1,
-                    comm_us: 12.5,
-                    cpu_us: 3.0,
-                    wall_us: 4.5,
-                    blocked_us: 1.5,
-                    peak_tensor_bytes: 512,
-                    spill_bytes: 256,
-                    fault_bytes: 128,
-                    disk_blocked_us: 0.5,
+                    entry: PhaseEntry {
+                        sent_bytes: 64,
+                        recv_bytes: 32,
+                        wire_sent_bytes: 40,
+                        wire_recv_bytes: 24,
+                        sent_messages: 2,
+                        recv_messages: 1,
+                        comm_us: 12.5,
+                        cpu_us: 3.0,
+                        wall_us: 4.5,
+                        blocked_us: 1.5,
+                        peak_tensor_bytes: 512,
+                        spill_bytes: 256,
+                        fault_bytes: 128,
+                        disk_blocked_us: 0.5,
+                    },
                 }],
             }],
         }
@@ -681,6 +603,34 @@ mod tests {
         assert_eq!(back.parity_digest(), r.parity_digest());
     }
 
+    /// The sentinels of `sar-comm`'s field-table test, through the JSON
+    /// writer and reader: every [`PhaseEntry::FIELDS`] row is written
+    /// under its own name and read back into its own slot.
+    #[test]
+    fn every_ledger_field_round_trips_through_json_by_name() {
+        let mut entry = PhaseEntry::default();
+        for (i, field) in PhaseEntry::FIELDS.iter().enumerate() {
+            match field.kind {
+                FieldKind::Count(at) | FieldKind::Peak(at) => *at(&mut entry) = 100 + i as u64,
+                FieldKind::Micros(at) => *at(&mut entry) = 100.25 + i as f64,
+            }
+        }
+        let mut r = sample_report();
+        r.workers[0].phases[0].entry = entry;
+        let text = r.to_json();
+        let back = RunReport::from_json(&text).expect("own JSON reads back");
+        assert_eq!(back.workers[0].phases, r.workers[0].phases);
+        let doc = json::parse(&text).expect("own JSON parses");
+        let row = &doc.items("workers")[0].items("phases")[0];
+        for (i, field) in PhaseEntry::FIELDS.iter().enumerate() {
+            let want = match field.kind {
+                FieldKind::Micros(_) => 100.25 + i as f64,
+                _ => 100.0 + i as f64,
+            };
+            assert_eq!(row.req_num(field.name), Ok(want), "{}", field.name);
+        }
+    }
+
     #[test]
     fn from_json_names_what_is_wrong() {
         let good = sample_report().to_json();
@@ -708,16 +658,16 @@ mod tests {
         let a = sample_report();
         let mut b = sample_report();
         // Timings and peaks vary run to run — the digest must not see them.
-        b.workers[0].phases[0].cpu_us = 999.0;
-        b.workers[0].phases[0].wall_us = 999.0;
-        b.workers[0].phases[0].blocked_us = 999.0;
-        b.workers[0].phases[0].comm_us = 999.0;
-        b.workers[0].phases[0].peak_tensor_bytes = 999;
+        b.workers[0].phases[0].entry.cpu_us = 999.0;
+        b.workers[0].phases[0].entry.wall_us = 999.0;
+        b.workers[0].phases[0].entry.blocked_us = 999.0;
+        b.workers[0].phases[0].entry.comm_us = 999.0;
+        b.workers[0].phases[0].entry.peak_tensor_bytes = 999;
         // Disk-tier traffic legitimately differs between spill-on and
         // spill-off runs of the same training — the digest must not see it.
-        b.workers[0].phases[0].spill_bytes = 999;
-        b.workers[0].phases[0].fault_bytes = 999;
-        b.workers[0].phases[0].disk_blocked_us = 999.0;
+        b.workers[0].phases[0].entry.spill_bytes = 999;
+        b.workers[0].phases[0].entry.fault_bytes = 999;
+        b.workers[0].phases[0].entry.disk_blocked_us = 999.0;
         b.buffer_pool = None;
         b.epoch_times = vec![9.0];
         assert_eq!(a.parity_digest(), b.parity_digest());
@@ -726,7 +676,7 @@ mod tests {
         c.losses[0] = f32::from_bits(c.losses[0].to_bits() ^ 1);
         assert_ne!(a.parity_digest(), c.parity_digest());
         let mut d = sample_report();
-        d.workers[0].phases[0].recv_bytes += 1;
+        d.workers[0].phases[0].entry.recv_bytes += 1;
         assert_ne!(a.parity_digest(), d.parity_digest());
     }
 
@@ -745,14 +695,8 @@ mod tests {
     #[test]
     fn phase_sums_filter_by_phase() {
         let r = sample_report();
-        assert_eq!(
-            r.workers[0].phase_sum("forward_fetch", |p| p.recv_bytes),
-            32
-        );
-        assert_eq!(r.workers[0].phase_sum("grad_routing", |p| p.recv_bytes), 0);
-        assert_eq!(
-            r.per_worker_phase_sum(Phase::ForwardFetch, |p| p.sent_bytes),
-            vec![64]
-        );
+        let w = &r.workers[0];
+        assert_eq!(w.phase_sum(Phase::ForwardFetch, |e| e.recv_bytes), 32);
+        assert_eq!(w.phase_sum(Phase::GradRouting, |e| e.recv_bytes), 0);
     }
 }

@@ -26,7 +26,6 @@
 //!   same batches would have fetched.
 
 use std::path::Path;
-use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -37,6 +36,7 @@ use crate::json::{fixed, obj, Value};
 
 use crate::cli::{parse_committed, Args, GatedBench};
 use crate::distrun::Workload;
+use crate::launcher::RankChildren;
 
 /// Schema tag written into (and required from) `BENCH_serve.json`.
 /// Bump whenever the workload, the counters or the field layout change;
@@ -144,54 +144,6 @@ pub struct ServeBenchReport {
 // ----------------------------------------------------------------------
 // Driving the cluster
 // ----------------------------------------------------------------------
-
-/// Spawns `world` `sar-serve` processes without waiting, so the caller
-/// can drive the front-end while they run. The rendezvous file is fresh
-/// per call; children inherit stdout/stderr.
-fn spawn_cluster(
-    exe: &Path,
-    world: usize,
-    common_args: &[String],
-    rendezvous: &Path,
-) -> Result<Vec<(usize, Child)>, String> {
-    let _ = std::fs::remove_file(rendezvous);
-    let mut children = Vec::with_capacity(world);
-    for rank in 0..world {
-        let mut cmd = Command::new(exe);
-        cmd.arg("--rank")
-            .arg(rank.to_string())
-            .arg("--world")
-            .arg(world.to_string())
-            .arg("--rendezvous-file")
-            .arg(rendezvous)
-            .args(common_args);
-        match cmd.spawn() {
-            Ok(child) => children.push((rank, child)),
-            Err(e) => {
-                // Reap whatever already started before reporting.
-                for (_, mut c) in children {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                return Err(format!("rank {rank}: spawn failed: {e}"));
-            }
-        }
-    }
-    Ok(children)
-}
-
-/// Waits for every child, collecting non-zero exits.
-fn wait_cluster(children: Vec<(usize, Child)>) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (rank, mut child) in children {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => failures.push(format!("rank {rank} exited with {status}")),
-            Err(e) => failures.push(format!("rank {rank}: wait failed: {e}")),
-        }
-    }
-    failures
-}
 
 /// The deterministic id stream one client queries: uniform over the
 /// node range, seeded per (run seed, client index) so re-runs replay
@@ -302,7 +254,6 @@ fn drive_load(
 /// for a clean exit, distill the run record.
 fn bench_arch(exe: &Path, cfg: &ServeBenchConfig, arch: &str) -> Result<ServeRun, String> {
     let uniq = format!("{}-{arch}", std::process::id());
-    let rendezvous = std::env::temp_dir().join(format!("sar-servebench-{uniq}.addr"));
     let client_addr = std::env::temp_dir().join(format!("sar-servebench-{uniq}.client"));
     let ckpt = std::env::temp_dir().join(format!("sar-servebench-{uniq}.ckpt"));
     let _ = std::fs::remove_file(&client_addr);
@@ -342,7 +293,9 @@ fn bench_arch(exe: &Path, cfg: &ServeBenchConfig, arch: &str) -> Result<ServeRun
         "[servebench] {arch}: spawning {} rank processes, {} clients × {} requests × {} ids ...",
         cfg.world, cfg.clients, cfg.requests, cfg.ids_per_request
     );
-    let children = spawn_cluster(exe, cfg.world, &args, &rendezvous)?;
+    // Spawned without waiting, so the load below runs against the live
+    // front-end.
+    let children = RankChildren::spawn(exe, cfg.world, &args)?;
 
     let result = (|| -> Result<ServeRun, String> {
         let addr = crate::launcher::read_rendezvous_addr(&client_addr, Duration::from_secs(60))
@@ -369,15 +322,14 @@ fn bench_arch(exe: &Path, cfg: &ServeBenchConfig, arch: &str) -> Result<ServeRun
         })
     })();
 
-    let failures = wait_cluster(children);
-    let _ = std::fs::remove_file(&rendezvous);
+    let exits = children.wait();
     let _ = std::fs::remove_file(&client_addr);
     let _ = std::fs::remove_file(&ckpt);
-    match (result, failures.is_empty()) {
-        (Ok(run), true) => Ok(run),
-        (Ok(_), false) => Err(format!("{arch}: {}", failures.join("; "))),
-        (Err(e), true) => Err(format!("{arch}: {e}")),
-        (Err(e), false) => Err(format!("{arch}: {e}; {}", failures.join("; "))),
+    match (result, exits) {
+        (Ok(run), Ok(())) => Ok(run),
+        (Ok(_), Err(failures)) => Err(format!("{arch}: {failures}")),
+        (Err(e), Ok(())) => Err(format!("{arch}: {e}")),
+        (Err(e), Err(failures)) => Err(format!("{arch}: {e}; {failures}")),
     }
 }
 
@@ -597,7 +549,7 @@ impl GatedBench for ServeBenchReport {
     /// Compares a fresh report against the committed `BENCH_serve.json`.
     /// Hard-fails on a schema or run-set mismatch (the artifact is stale
     /// — regenerate it); both the fresh and the committed records must
-    /// satisfy [`run_invariants`].
+    /// satisfy the per-run invariants listed in the module docs.
     fn check_against(&self, committed_text: &str) -> Vec<String> {
         let committed = match parse_committed::<Self>(committed_text, SCHEMA) {
             Ok(doc) => doc,

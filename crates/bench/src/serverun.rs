@@ -5,9 +5,9 @@
 //! nothing is shared between OS processes, so every rank rebuilds the
 //! dataset, the partitioning and the model deterministically from the
 //! shared workload flags. Serving reuses that contract verbatim — the
-//! same [`Workload`] flags rebuild the same [`DistGraph`]/[`Shard`]
-//! pair in every `sar-serve` process — and adds two serving-specific
-//! pieces:
+//! same [`Workload::rank_state`] rebuilds the same graph/shard pair in
+//! every `sar-serve` process, and the same [`RankSeat::join_mesh`] forms
+//! the mesh — and adds two serving-specific pieces:
 //!
 //! * **parameters** come from a checkpoint file when `--checkpoint` is
 //!   given (each rank reads the same file through a throwaway
@@ -28,37 +28,21 @@
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Duration;
 
-use sar_comm::{CostModel, TcpOpts, TcpTransport, WorkerCtx};
-use sar_core::{checkpoint, DistGraph, DistModel, ModelConfig, Shard};
+use sar_comm::TcpOpts;
+use sar_core::{checkpoint, DistModel, ModelConfig};
 use sar_graph::Dataset;
 use sar_serve::{
     serve, worker_loop, EngineSetup, RawParams, ServeEngine, ServeSummary, ServerConfig,
 };
 
 use crate::distrun::Workload;
-
-/// How long a serving rank waits on a mesh message before declaring the
-/// cluster dead. Serving ranks legitimately idle between requests, so
-/// the engine's idle poll (which is *not* an error) uses a much shorter
-/// internal timeout; this bound only fences genuinely lost peers during
-/// an active batch.
-const RECV_TIMEOUT: Duration = Duration::from_secs(120);
+use crate::launcher::RankSeat;
 
 /// Per-process serving options that are *not* part of the shared
 /// workload.
 #[derive(Debug, Clone)]
 pub struct ServeRankOpts {
-    /// This process's rank.
-    pub rank: usize,
-    /// Total rank count.
-    pub world: usize,
-    /// File through which rank 0 publishes its mesh rendezvous address.
-    pub rendezvous_file: PathBuf,
-    /// How long non-zero ranks poll for the rendezvous file.
-    pub rendezvous_timeout: Duration,
     /// Checkpoint to load parameters from (`None` = seeded init). Also
     /// becomes the engine's reload source.
     pub checkpoint: Option<PathBuf>,
@@ -128,51 +112,25 @@ pub fn load_or_init_params(
 /// Flag, checkpoint, rendezvous and transport errors, each naming this
 /// rank.
 pub fn run_serve_rank(
+    seat: &RankSeat,
     opts: &ServeRankOpts,
     workload: &Workload,
 ) -> Result<Option<ServeSummary>, String> {
-    let rank = opts.rank;
-    if rank >= opts.world {
-        return Err(format!(
-            "--rank {rank} out of range for --world {}",
-            opts.world
-        ));
-    }
-    let simd_mode = sar_tensor::simd::parse_mode(&workload.simd)
-        .ok_or_else(|| format!("unknown --simd {} (auto|scalar)", workload.simd))?;
-    sar_tensor::simd::set_mode(simd_mode);
+    let rank = seat.rank;
+    sar_tensor::simd::set_mode(workload.simd_mode()?);
     sar_tensor::pool::set_threads(workload.threads);
 
-    let (dataset, part) = workload.build_data(opts.world)?;
-    let cfg = serve_model_config(workload, &dataset)?;
+    let state = workload.rank_state(rank, seat.world)?;
+    let dataset = &state.dataset;
+    let cfg = serve_model_config(workload, dataset)?;
     let params = load_or_init_params(
         &cfg,
-        &dataset,
+        dataset,
         workload.label_aug,
         opts.checkpoint.as_deref(),
     )
     .map_err(|e| format!("rank {rank}: {e}"))?;
-    let graph = Arc::new(DistGraph::build_all(&dataset.graph, &part).swap_remove(rank));
-    let shard = Shard::build_all(&dataset, &part).swap_remove(rank);
-
-    let transport = if rank == 0 {
-        let listener = TcpListener::bind(("127.0.0.1", 0))
-            .map_err(|e| format!("rank 0: cannot bind rendezvous listener: {e}"))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| format!("rank 0: cannot read listener address: {e}"))?;
-        crate::launcher::write_rendezvous_addr(&opts.rendezvous_file, &addr)
-            .map_err(|e| format!("rank 0: cannot write rendezvous file: {e}"))?;
-        TcpTransport::host(listener, opts.world, TcpOpts::default())
-            .map_err(|e| format!("rank 0: {e}"))?
-    } else {
-        let addr =
-            crate::launcher::read_rendezvous_addr(&opts.rendezvous_file, opts.rendezvous_timeout)
-                .map_err(|e| format!("rank {rank}: {e}"))?;
-        TcpTransport::join(addr.as_str(), rank, opts.world, TcpOpts::default())
-            .map_err(|e| format!("rank {rank}: {e}"))?
-    };
-    let ctx = WorkerCtx::new(Box::new(transport), CostModel::default(), RECV_TIMEOUT);
+    let ctx = seat.join_mesh(TcpOpts::default())?;
 
     let setup = EngineSetup {
         model_cfg: cfg,
@@ -180,8 +138,15 @@ pub fn run_serve_rank(
         cache_rows: opts.cache_rows,
         checkpoint: opts.checkpoint.clone(),
     };
-    let mut engine = ServeEngine::new(ctx, graph, &shard, dataset.num_nodes(), &setup, &params)
-        .map_err(|e| format!("rank {rank}: cannot build serving engine: {e}"))?;
+    let mut engine = ServeEngine::new(
+        ctx,
+        state.graph,
+        &state.shard,
+        dataset.num_nodes(),
+        &setup,
+        &params,
+    )
+    .map_err(|e| format!("rank {rank}: cannot build serving engine: {e}"))?;
 
     if rank == 0 {
         let listener = TcpListener::bind(("127.0.0.1", 0))

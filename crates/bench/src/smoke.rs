@@ -21,6 +21,7 @@ use crate::json::{self, obj, Value};
 use crate::distrun::Workload;
 use crate::harness::Transport;
 use crate::report::{mib, RunReport, Table};
+use sar_comm::Phase;
 
 /// Worker count for the smoke runs.
 pub const WORLD: usize = 4;
@@ -94,10 +95,10 @@ pub fn ledger_table(report: &RunReport) -> Table {
     for w in &report.workers {
         t.row(vec![
             w.rank.to_string(),
-            mib(w.phase_sum("forward_fetch", |p| p.recv_bytes) as usize),
-            mib(w.phase_sum("backward_refetch", |p| p.recv_bytes) as usize),
-            mib(w.phase_sum("grad_routing", |p| p.recv_bytes) as usize),
-            mib(w.phase_sum("collective", |p| p.recv_bytes) as usize),
+            mib(w.phase_sum(Phase::ForwardFetch, |e| e.recv_bytes) as usize),
+            mib(w.phase_sum(Phase::BackwardRefetch, |e| e.recv_bytes) as usize),
+            mib(w.phase_sum(Phase::GradRouting, |e| e.recv_bytes) as usize),
+            mib(w.phase_sum(Phase::Collective, |e| e.recv_bytes) as usize),
             mib(w.steady_peak_bytes),
         ]);
     }
@@ -124,9 +125,9 @@ pub fn violations(report: &RunReport, epochs: usize) -> Vec<String> {
         ));
     }
     for w in &report.workers {
-        let fwd = w.phase_sum("forward_fetch", |p| p.recv_bytes);
-        let refetch_recv = w.phase_sum("backward_refetch", |p| p.recv_bytes);
-        let refetch_sent = w.phase_sum("backward_refetch", |p| p.sent_bytes);
+        let fwd = w.phase_sum(Phase::ForwardFetch, |e| e.recv_bytes);
+        let refetch_recv = w.phase_sum(Phase::BackwardRefetch, |e| e.recv_bytes);
+        let refetch_sent = w.phase_sum(Phase::BackwardRefetch, |e| e.sent_bytes);
         if fwd == 0 {
             violations.push(format!("{exp}: rank {} fetched zero forward bytes", w.rank));
         }
@@ -328,25 +329,19 @@ pub fn overlap_check(current_text: &str, committed_text: &str) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::report::{PhaseRow, WorkerProfile};
+    use sar_comm::PhaseEntry;
 
     fn profile(fwd: u64, refetch_recv: u64, refetch_sent: u64) -> WorkerProfile {
-        let row = |phase: &'static str, recv: u64, sent: u64| PhaseRow {
+        let row = |phase: Phase, recv: u64, sent: u64| PhaseRow {
             phase,
             layer: None,
-            sent_bytes: sent,
-            recv_bytes: recv,
-            wire_sent_bytes: sent,
-            wire_recv_bytes: recv,
-            sent_messages: 0,
-            recv_messages: 0,
-            comm_us: 0.0,
-            cpu_us: 0.0,
-            wall_us: 0.0,
-            blocked_us: 0.0,
-            peak_tensor_bytes: 0,
-            spill_bytes: 0,
-            fault_bytes: 0,
-            disk_blocked_us: 0.0,
+            entry: PhaseEntry {
+                sent_bytes: sent,
+                recv_bytes: recv,
+                wire_sent_bytes: sent,
+                wire_recv_bytes: recv,
+                ..PhaseEntry::default()
+            },
         };
         WorkerProfile {
             rank: 0,
@@ -355,8 +350,8 @@ mod tests {
             total_recv_bytes: 0,
             comm_us: 0.0,
             phases: vec![
-                row("forward_fetch", fwd, fwd),
-                row("backward_refetch", refetch_recv, refetch_sent),
+                row(Phase::ForwardFetch, fwd, fwd),
+                row(Phase::BackwardRefetch, refetch_recv, refetch_sent),
             ],
         }
     }

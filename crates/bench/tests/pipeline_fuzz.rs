@@ -15,12 +15,13 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sar_bench::distrun::{assemble_report, WorkerSummary};
+use sar_bench::report::RunReport;
 use sar_comm::tcp::run_tcp_threads;
 use sar_comm::{
-    ChannelTransport, CostModel, Message, Payload, TcpOpts, Transport, TransportError, WorkerCtx,
+    ChannelTransport, CommStats, CostModel, Message, Payload, TcpOpts, Transport, TransportError,
+    WorkerCtx,
 };
-use sar_core::{run_worker, Arch, DistGraph, Mode, ModelConfig, Shard, TrainConfig};
+use sar_core::{run_worker, Arch, DistGraph, Mode, ModelConfig, Shard, TrainConfig, WorkerReport};
 use sar_graph::{datasets, Dataset};
 use sar_nn::LrSchedule;
 use sar_partition::{multilevel, Partitioning};
@@ -182,19 +183,17 @@ fn rank_seed(rank: usize, depth: usize) -> u64 {
     0x9E37_79B9_7F4A_7C15 ^ ((depth as u64) << 32) ^ (rank as u64 + 1)
 }
 
-fn summarize(ctx: &WorkerCtx, report: sar_core::WorkerReport) -> WorkerSummary {
-    WorkerSummary {
-        epochs: report.epochs,
-        val_acc: report.val_acc,
-        test_acc: report.test_acc,
-        test_acc_cs: report.test_acc_cs,
-        steady_peak_bytes: report.steady_peak_bytes as u64,
-        comm: ctx.stats(),
-    }
+/// One rank's result as the aggregation takes it: the report plus the
+/// stats snapshot at the moment training returned.
+type RankResult = (WorkerReport, CommStats);
+
+fn summarize(ctx: &WorkerCtx, report: WorkerReport) -> RankResult {
+    (report, ctx.stats())
 }
 
-fn digest(summaries: Vec<WorkerSummary>) -> String {
-    assemble_report("fuzz", "sage", "sar", &summaries).parity_digest()
+fn digest(ranks: Vec<RankResult>) -> String {
+    let run = sar_core::RunReport::from_ranks(ranks);
+    RunReport::from_train("fuzz", "sage", "sar", &run).parity_digest()
 }
 
 /// Runs training over the in-process channel mesh, optionally wrapping

@@ -110,8 +110,9 @@ pub fn line_of(line_starts: &[usize], offset: usize) -> usize {
     }
 }
 
-/// Identifier tokens (text, start offset) of blanked source.
-fn tokens(src: &str) -> Vec<(usize, &str)> {
+/// Identifier tokens (start offset, text) of blanked source — the one
+/// tokenizer every pass scans with.
+pub(crate) fn tokens(src: &str) -> Vec<(usize, &str)> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
@@ -136,7 +137,7 @@ fn tokens(src: &str) -> Vec<(usize, &str)> {
 }
 
 /// First non-whitespace byte at or after `from`.
-fn next_nonspace(src: &str, from: usize) -> Option<(usize, u8)> {
+pub(crate) fn next_nonspace(src: &str, from: usize) -> Option<(usize, u8)> {
     src.as_bytes()[from..]
         .iter()
         .enumerate()
@@ -482,8 +483,9 @@ impl Workspace {
         ws
     }
 
-    /// Builds the model from a workspace checkout, scanning
-    /// `crates/*/src/**/*.rs` exactly as the linter does.
+    /// Builds the model from a workspace checkout: the one walk of
+    /// `crates/*/src/**/*.rs` (sorted, so every run sees the same order)
+    /// that the linter and the dataflow passes all scan.
     #[must_use]
     pub fn load(root: &Path) -> Workspace {
         let mut ws = Workspace::default();

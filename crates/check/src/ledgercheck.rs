@@ -35,48 +35,18 @@
 
 use std::path::Path;
 
-use crate::ast::{line_of, FileInfo, Workspace};
+use crate::ast::{line_of, tokens, Workspace};
+use crate::lint::Waivers;
 use crate::{Finding, PassReport};
 
 /// The comm-context methods whose call sites are phase-audited — by this
 /// pass per call site, by the linter's `phase-scope` rule per function.
-pub(crate) const CTX_COMM_CALLS: &[&str] = &[
-    "send_nowait",
-    "try_send",
-    "try_recv",
-    "send",
-    "recv",
-    "recv_tagged_any",
-];
+pub(crate) const CTX_COMM_CALLS: &[&str] = &["try_send", "try_recv", "send", "recv"];
 
 /// Runs the pass over a workspace checkout.
 #[must_use]
 pub fn run(root: &Path) -> PassReport {
     run_ws(&Workspace::load(root))
-}
-
-/// Identifier tokens (start offset, text) of blanked code.
-fn tokens(src: &str) -> Vec<(usize, &str)> {
-    let bytes = src.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b == b'_' || b.is_ascii_alphabetic() {
-            let start = i;
-            while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
-                i += 1;
-            }
-            out.push((start, &src[start..i]));
-        } else if b.is_ascii_digit() {
-            while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
-                i += 1;
-            }
-        } else {
-            i += 1;
-        }
-    }
-    out
 }
 
 /// Byte offset of the first `field … +=` charge in `body` — the exact
@@ -142,25 +112,6 @@ fn codec_variants(body: &str) -> Vec<String> {
     out
 }
 
-/// Whether `line` of `file` (or its contiguous comment block above)
-/// carries a `sar-check: allow(phase-scope)` waiver in the raw source.
-fn phase_waived(file: &FileInfo, line: usize) -> bool {
-    let raw_lines: Vec<&str> = file.raw.lines().collect();
-    let needle = "sar-check: allow(phase-scope)";
-    let has = |l: usize| l >= 1 && l <= raw_lines.len() && raw_lines[l - 1].contains(needle);
-    if has(line) {
-        return true;
-    }
-    let mut l = line.saturating_sub(1);
-    while l >= 1 && l <= raw_lines.len() && raw_lines[l - 1].trim_start().starts_with("//") {
-        if has(l) {
-            return true;
-        }
-        l -= 1;
-    }
-    false
-}
-
 /// Runs the pass over an in-memory workspace model (the mutation-test
 /// entry point).
 #[must_use]
@@ -175,6 +126,9 @@ pub fn run_ws(ws: &Workspace) -> PassReport {
         if !(is_ctx || is_codec || is_phase_scope) {
             continue;
         }
+        // The linter's waivers, so `allow(phase-scope)` means one thing.
+        let raw_lines: Vec<&str> = file.raw.lines().collect();
+        let mut waivers = Waivers::collect(&file.raw, &file.line_starts);
 
         for &fi in &file.fns {
             let f = &ws.fns[fi];
@@ -278,7 +232,7 @@ pub fn run_ws(ws: &Workspace) -> PassReport {
                         continue;
                     }
                     report.bump("comm_sites_checked", 1);
-                    if scoped || phase_waived(file, f.line) {
+                    if scoped || waivers.check(&raw_lines, f.line, "phase-scope") {
                         continue;
                     }
                     report.findings.push(Finding {
@@ -442,7 +396,7 @@ impl Ctx {
         let msg = self.transport.recv_any(t);
         self.buffer(msg);
     }
-    fn poll_ready(&self) {
+    fn drain(&self) {
         let msg = self.transport.try_recv_any();
         self.buffer(msg);
     }
@@ -485,7 +439,7 @@ impl Codec {
         let bad = "\
 impl W {
     fn exchange(&self) {
-        self.ctx.send_nowait(dst, tag, payload);
+        self.ctx.try_send(dst, tag, payload);
     }
 }
 ";
@@ -497,7 +451,7 @@ impl W {
 impl W {
     fn exchange(&self) {
         let _phase = self.ctx.phase_scope(Phase::ForwardFetch);
-        self.ctx.send_nowait(dst, tag, payload);
+        self.ctx.try_send(dst, tag, payload);
     }
 }
 ";
@@ -507,7 +461,7 @@ impl W {
 impl W {
     // sar-check: allow(phase-scope)
     fn exchange(&self) {
-        self.ctx.send_nowait(dst, tag, payload);
+        self.ctx.try_send(dst, tag, payload);
     }
 }
 ";

@@ -22,7 +22,7 @@
 //!   target-feature contract or a stale mapping is undefined behaviour,
 //!   not a style choice.
 //! * `phase-scope` — any function in `sar-core` that calls the
-//!   communication context (`ctx.send_nowait`, `ctx.try_recv`, …) must
+//!   communication context (`ctx.try_send`, `ctx.try_recv`, …) must
 //!   open a `phase_scope` (or inspect `current_phase`), so every byte is
 //!   attributed to a ledger phase.
 //! * `no-unbounded-channel` — no `channel()` / `unbounded()`
@@ -41,9 +41,9 @@
 //! error. Only plain `//` comments count as waivers; doc comments and
 //! string literals mentioning the syntax (like these docs) do not.
 
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use crate::ast::{line_of, next_nonspace, tokens, FileInfo, Workspace};
 use crate::{Finding, PassReport};
 
 /// Replaces comments and string/char literals with spaces (newlines
@@ -217,42 +217,6 @@ pub fn blank_test_items(blanked: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// An identifier token and its byte offset in the blanked source.
-struct Token<'a> {
-    text: &'a str,
-    start: usize,
-    end: usize,
-}
-
-/// Scans `src` (already blanked) for identifier tokens.
-fn identifiers(src: &str) -> Vec<Token<'_>> {
-    let bytes = src.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b == b'_' || b.is_ascii_alphabetic() {
-            let start = i;
-            while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
-                i += 1;
-            }
-            tokens.push(Token {
-                text: &src[start..i],
-                start,
-                end: i,
-            });
-        } else if b.is_ascii_digit() {
-            // Skip numeric literals (and their suffixes) whole.
-            while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
-                i += 1;
-            }
-        } else {
-            i += 1;
-        }
-    }
-    tokens
-}
-
 /// The full `{ … }` block starting at the first non-space byte at or
 /// after `from`, if that byte opens a block (brace-matched on blanked
 /// source).
@@ -296,25 +260,6 @@ fn is_mmap_unsafe(body: &str) -> bool {
     body.contains("mmap") || body.contains("msync") || body.contains("libc::")
 }
 
-/// First non-whitespace byte at or after `from`.
-fn next_nonspace(src: &str, from: usize) -> Option<(usize, u8)> {
-    src.as_bytes()[from..]
-        .iter()
-        .enumerate()
-        .find(|(_, b)| !b.is_ascii_whitespace())
-        .map(|(off, &b)| (from + off, b))
-}
-
-/// 1-based line number of byte `offset`.
-fn line_of(line_starts: &[usize], offset: usize) -> usize {
-    match line_starts.binary_search(&offset) {
-        Ok(idx) => idx + 1,
-        Err(idx) => idx,
-    }
-}
-
-/// Whether `line` (1-based) carries a waiver for `rule` on itself or the
-/// line above, in the *raw* source.
 /// One `// sar-check: allow(<rule>)` waiver comment, with use tracking:
 /// a waiver that no longer suppresses any finding is itself a lint error
 /// (`unused-waiver`), so the audit trail cannot rot as code moves.
@@ -330,12 +275,12 @@ struct Waiver {
 /// Every waiver of one file. Collected from plain `//` comments only —
 /// `///` / `//!` doc prose *mentioning* the syntax (like this module's
 /// own docs) is never a waiver, and neither is a string literal.
-struct Waivers {
+pub(crate) struct Waivers {
     entries: Vec<Waiver>,
 }
 
 impl Waivers {
-    fn collect(raw: &str, line_starts: &[usize]) -> Waivers {
+    pub(crate) fn collect(raw: &str, line_starts: &[usize]) -> Waivers {
         let mut entries = Vec::new();
         for (start, end) in crate::ast::comment_spans(raw) {
             let text = &raw[start..end];
@@ -363,7 +308,7 @@ impl Waivers {
     /// line itself, or anywhere in the contiguous comment block directly
     /// above it (multi-line reasons are encouraged). Marks every covering
     /// waiver as used.
-    fn check(&mut self, raw_lines: &[&str], line: usize, rule: &str) -> bool {
+    pub(crate) fn check(&mut self, raw_lines: &[&str], line: usize, rule: &str) -> bool {
         let mut covering = vec![line];
         let mut l = line.saturating_sub(1);
         while l >= 1 && l <= raw_lines.len() && raw_lines[l - 1].trim_start().starts_with("//") {
@@ -378,64 +323,6 @@ impl Waivers {
             }
         }
         hit
-    }
-}
-
-/// One source file prepared for linting.
-struct SourceFile {
-    /// Path relative to the workspace root (display form).
-    rel: String,
-    /// Raw text (for SAFETY comments and waivers).
-    raw: String,
-    /// Comments/strings blanked, test items blanked.
-    code: String,
-    /// Byte offset of each line start in both `raw` and `code` (equal
-    /// lengths by construction).
-    line_starts: Vec<usize>,
-}
-
-impl SourceFile {
-    fn load(root: &Path, path: &Path) -> Option<SourceFile> {
-        let raw = fs::read_to_string(path).ok()?;
-        let code = blank_test_items(&blank_comments_and_strings(&raw));
-        let mut line_starts = vec![0usize];
-        for (i, b) in raw.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i + 1);
-            }
-        }
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .display()
-            .to_string()
-            .replace('\\', "/");
-        Some(SourceFile {
-            rel,
-            raw,
-            code,
-            line_starts,
-        })
-    }
-
-    fn raw_lines(&self) -> Vec<&str> {
-        self.raw.lines().collect()
-    }
-}
-
-/// Recursively collects `.rs` files under `dir`.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    paths.sort();
-    for path in paths {
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
     }
 }
 
@@ -461,21 +348,22 @@ fn phase_rule_applies(rel: &str) -> bool {
     rel.starts_with("crates/core/src/") || rel.starts_with("crates/serve/src/")
 }
 
-fn lint_file(file: &SourceFile, report: &mut PassReport) {
-    let raw_lines = file.raw_lines();
-    let tokens = identifiers(&file.code);
+fn lint_file(ws: &Workspace, file: &FileInfo, report: &mut PassReport) {
+    let raw_lines: Vec<&str> = file.raw.lines().collect();
+    let toks = tokens(&file.code);
     let mut waivers = Waivers::collect(&file.raw, &file.line_starts);
 
-    for (idx, token) in tokens.iter().enumerate() {
-        let line = line_of(&file.line_starts, token.start);
+    for (idx, &(start, text)) in toks.iter().enumerate() {
+        let end = start + text.len();
+        let line = line_of(&file.line_starts, start);
         let here = || format!("{}:{line}", file.rel);
 
         // Rule: no-panic-path.
         if panic_rule_applies(&file.rel) {
-            let next = next_nonspace(&file.code, token.end).map(|(_, b)| b);
-            let is_call = matches!(token.text, "unwrap" | "expect") && next == Some(b'(');
+            let next = next_nonspace(&file.code, end).map(|(_, b)| b);
+            let is_call = matches!(text, "unwrap" | "expect") && next == Some(b'(');
             let is_macro =
-                matches!(token.text, "assert" | "assert_eq" | "assert_ne") && next == Some(b'!');
+                matches!(text, "assert" | "assert_eq" | "assert_ne") && next == Some(b'!');
             if (is_call || is_macro) && !waivers.check(&raw_lines, line, "no-panic-path") {
                 report.findings.push(Finding {
                     rule: "no-panic-path".into(),
@@ -484,7 +372,7 @@ fn lint_file(file: &SourceFile, report: &mut PassReport) {
                         "`{}{}` on a comm hot path — return a typed TransportError \
                          (or panic! with a rank-naming message at a documented \
                          panicking entry point)",
-                        token.text,
+                        text,
                         if is_macro { "!" } else { "()" }
                     ),
                 });
@@ -492,10 +380,10 @@ fn lint_file(file: &SourceFile, report: &mut PassReport) {
         }
 
         // Rule: safety-comment.
-        if token.text == "unsafe" {
-            let next_is_fn = tokens
+        if text == "unsafe" {
+            let next_is_fn = toks
                 .get(idx + 1)
-                .is_some_and(|t| t.text == "fn" || t.text == "extern");
+                .is_some_and(|t| t.1 == "fn" || t.1 == "extern");
             if !next_is_fn {
                 // Accept a SAFETY: comment on the same line or within the
                 // 8 raw lines above (one comment may cover a short
@@ -503,7 +391,7 @@ fn lint_file(file: &SourceFile, report: &mut PassReport) {
                 let covered = (line.saturating_sub(8)..=line).any(|l| {
                     l >= 1 && l <= raw_lines.len() && raw_lines[l - 1].contains("SAFETY:")
                 });
-                let body = block_at(&file.code, token.end);
+                let body = block_at(&file.code, end);
                 let simd = body.is_some_and(is_simd_unsafe);
                 let mmap = body.is_some_and(is_mmap_unsafe);
                 if simd || mmap {
@@ -539,8 +427,8 @@ fn lint_file(file: &SourceFile, report: &mut PassReport) {
         }
 
         // Rule: no-unbounded-channel.
-        if matches!(token.text, "unbounded" | "channel") {
-            let after = next_nonspace(&file.code, token.end);
+        if matches!(text, "unbounded" | "channel") {
+            let after = next_nonspace(&file.code, end);
             // A construction site: `channel(...)` or `channel::<T>(...)`.
             // Path segments (`channel::unbounded`, `use …::channel::{…}`)
             // are not flagged — their callsites are.
@@ -560,7 +448,7 @@ fn lint_file(file: &SourceFile, report: &mut PassReport) {
                         "`{}` constructs an unbounded queue — use a bounded channel, \
                          or waive with `// sar-check: allow(no-unbounded-channel)` \
                          and a reason if unboundedness is load-bearing",
-                        token.text
+                        text
                     ),
                 });
             }
@@ -569,8 +457,9 @@ fn lint_file(file: &SourceFile, report: &mut PassReport) {
 
     // Rule: phase-scope — function granularity.
     if phase_rule_applies(&file.rel) {
-        for (name, line, body) in functions(&file.code, &file.line_starts) {
-            let normalized: String = body.chars().filter(|c| !c.is_whitespace()).collect();
+        for f in file.fns.iter().map(|&fi| &ws.fns[fi]) {
+            let (name, line) = (&f.name, f.line);
+            let normalized: String = f.body.chars().filter(|c| !c.is_whitespace()).collect();
             let comm_call = crate::ledgercheck::CTX_COMM_CALLS
                 .iter()
                 .find(|call| normalized.contains(&format!("ctx.{call}(")));
@@ -611,88 +500,16 @@ fn lint_file(file: &SourceFile, report: &mut PassReport) {
     }
 }
 
-/// Extracts `(name, line, body)` for every `fn` in blanked source, by
-/// brace matching from the declaration.
-fn functions<'a>(code: &'a str, line_starts: &[usize]) -> Vec<(String, usize, &'a str)> {
-    let bytes = code.as_bytes();
-    let mut out = Vec::new();
-    for token in identifiers(code) {
-        if token.text != "fn" {
-            continue;
-        }
-        let Some(name) = identifiers(&code[token.end..]).into_iter().next() else {
-            continue;
-        };
-        let name_text = name.text.to_string();
-        // Find the body's opening brace, skipping the signature. A `;`
-        // before any `{` means a bodyless declaration (trait method).
-        let mut j = token.end;
-        let mut angle = 0i32;
-        let mut paren = 0i32;
-        let mut open = None;
-        while j < bytes.len() {
-            match bytes[j] {
-                b'<' => angle += 1,
-                b'>' => angle -= 1,
-                b'(' => paren += 1,
-                b')' => paren -= 1,
-                b';' if paren == 0 && angle <= 0 => break,
-                b'{' if paren == 0 => {
-                    open = Some(j);
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(open) = open else {
-            continue;
-        };
-        let mut depth = 0usize;
-        let mut k = open;
-        while k < bytes.len() {
-            match bytes[k] {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        out.push((
-            name_text,
-            line_of(line_starts, token.start),
-            &code[open..k.min(bytes.len())],
-        ));
-    }
-    out
-}
-
 /// Runs the linter over `root` (the workspace checkout) and reports every
 /// finding. Scans `crates/*/src/**/*.rs`; `vendor/` (API stand-ins for
 /// the offline build) and `target/` are never scanned.
 #[must_use]
 pub fn run(root: &Path) -> PassReport {
     let mut report = PassReport::new("lint");
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)
-        .map(|entries| entries.flatten().map(|e| e.path()).collect())
-        .unwrap_or_default();
-    crate_dirs.sort();
-    let mut files = Vec::new();
-    for dir in crate_dirs {
-        rust_files(&dir.join("src"), &mut files);
-    }
-    for path in files {
-        let Some(file) = SourceFile::load(root, &path) else {
-            continue;
-        };
+    let ws = Workspace::load(root);
+    for file in &ws.files {
         report.bump("files_scanned", 1);
-        lint_file(&file, &mut report);
+        lint_file(&ws, file, &mut report);
     }
     report
 }
@@ -757,26 +574,32 @@ mod tests {
         assert!(!code.contains("y.unwrap"));
     }
 
-    fn mem_file(rel: &str, raw: &str) -> SourceFile {
-        let code = blank_test_items(&blank_comments_and_strings(raw));
-        let mut line_starts = vec![0usize];
-        for (i, b) in raw.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i + 1);
-            }
-        }
-        SourceFile {
-            rel: rel.into(),
-            raw: raw.into(),
-            code,
-            line_starts,
-        }
+    fn lint_at(rel: &str, raw: &str) -> Vec<Finding> {
+        let ws = Workspace::from_sources(&[(rel, raw)]);
+        let mut report = PassReport::new("lint");
+        lint_file(&ws, &ws.files[0], &mut report);
+        report.findings
     }
 
     fn lint_source(raw: &str) -> Vec<Finding> {
-        let mut report = PassReport::new("lint");
-        lint_file(&mem_file("crates/x/src/a.rs", raw), &mut report);
-        report.findings
+        lint_at("crates/x/src/a.rs", raw)
+    }
+
+    #[test]
+    fn unscoped_comm_call_is_flagged_per_function() {
+        let bad =
+            "impl W {\n    fn exchange(&self) {\n        self.ctx.try_send(d, t, p);\n    }\n}\n";
+        let findings = lint_at("crates/core/src/w.rs", bad);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "phase-scope");
+        assert_eq!(findings[0].location, "crates/core/src/w.rs:2");
+        let scoped = bad.replace(
+            "self.ctx.try_send",
+            "let _p = self.ctx.phase_scope(x);\n        self.ctx.try_send",
+        );
+        assert!(lint_at("crates/core/src/w.rs", &scoped).is_empty());
+        // Outside sar-core / sar-serve the rule does not apply.
+        assert!(lint_source(bad).is_empty());
     }
 
     #[test]
@@ -887,14 +710,5 @@ mod tests {
         let doc_only = "/// Use `// sar-check: allow(no-unbounded-channel)` to waive.\n\
                         fn f() {}\n";
         assert!(lint_source(doc_only).is_empty());
-    }
-
-    #[test]
-    fn functions_are_extracted_with_bodies() {
-        let code = "impl A { fn one(&self) -> usize { self.x } }\nfn two() { call(); }\n";
-        let fns = functions(code, &[0]);
-        assert_eq!(fns.len(), 2);
-        assert_eq!(fns[0].0, "one");
-        assert!(fns[1].2.contains("call()"));
     }
 }

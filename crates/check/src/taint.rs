@@ -39,7 +39,7 @@
 
 use std::path::Path;
 
-use crate::ast::{line_of, Annotation, Workspace};
+use crate::ast::{line_of, next_nonspace, tokens, Annotation, Workspace};
 use crate::{Finding, PassReport};
 
 /// Files whose every function is digest-bearing from the first
@@ -71,10 +71,8 @@ const ROOT_FNS: &[(&str, &str)] = &[
     ("crates/serve/src/engine.rs", "gather_results"),
     ("crates/comm/src/ctx.rs", "try_send"),
     ("crates/comm/src/ctx.rs", "send"),
-    ("crates/comm/src/ctx.rs", "send_nowait"),
     ("crates/comm/src/ctx.rs", "recv"),
     ("crates/comm/src/ctx.rs", "try_recv"),
-    ("crates/comm/src/ctx.rs", "recv_tagged_any"),
     ("crates/comm/src/ctx.rs", "encode_for_wire"),
     ("crates/comm/src/ctx.rs", "decode_arrival"),
 ];
@@ -174,40 +172,6 @@ pub fn unresolved_roots(ws: &Workspace) -> Vec<Finding> {
             ),
         })
         .collect()
-}
-
-/// Identifier tokens (start offset, text) of a blanked body — local copy
-/// of the tokenizer so the pass stays independent of `ast` internals.
-fn tokens(src: &str) -> Vec<(usize, &str)> {
-    let bytes = src.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b == b'_' || b.is_ascii_alphabetic() {
-            let start = i;
-            while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
-                i += 1;
-            }
-            out.push((start, &src[start..i]));
-        } else if b.is_ascii_digit() {
-            while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
-                i += 1;
-            }
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// First non-whitespace byte at or after `from`.
-fn next_nonspace(src: &str, from: usize) -> Option<(usize, u8)> {
-    src.as_bytes()[from..]
-        .iter()
-        .enumerate()
-        .find(|(_, b)| !b.is_ascii_whitespace())
-        .map(|(off, &b)| (from + off, b))
 }
 
 /// Float-typed parameter names parsed out of a blanked signature.
@@ -425,13 +389,6 @@ pub fn run_ws(ws: &Workspace) -> PassReport {
     }
     report.bump("deterministic_annotations", annotations_honored);
     report
-}
-
-/// Re-exported for the workspace test: whether `rel` is a taint root
-/// file (pins the root set against accidental module moves).
-#[must_use]
-pub fn is_root_file(rel: &str) -> bool {
-    ROOT_FILES.contains(&rel)
 }
 
 #[cfg(test)]

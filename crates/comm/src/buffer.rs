@@ -80,12 +80,6 @@ pub fn recycle_f32(v: Vec<f32>) {
     }
 }
 
-/// `(hits, misses)` counters since process start — observability for tests
-/// asserting that steady-state rounds stop allocating.
-pub fn pool_counters() -> (u64, u64) {
-    (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
-}
-
 /// Full counter snapshot since process start: hits, misses, retained
 /// recycles and capacity-dropped recycles.
 pub fn pool_stats() -> PoolStats {
@@ -106,11 +100,11 @@ mod tests {
         let v = take_f32(1000);
         let cap = v.capacity();
         recycle_f32(v);
-        let (h0, _) = pool_counters();
+        let h0 = pool_stats().hits;
         let v2 = take_f32(500);
         assert!(v2.capacity() >= cap.min(1000));
         assert_eq!(v2.len(), 500);
-        let (h1, _) = pool_counters();
+        let h1 = pool_stats().hits;
         assert!(h1 > h0, "second take must be a pool hit");
         recycle_f32(v2);
     }

@@ -79,15 +79,6 @@ impl WorkerCtx {
         buf[0]
     }
 
-    /// Max-all-reduce of one scalar.
-    pub fn all_reduce_max_scalar(&self, x: f32) -> f32 {
-        let gathered = self.all_gather_f32(&[x]);
-        gathered
-            .iter()
-            .map(|v| v[0])
-            .fold(f32::NEG_INFINITY, f32::max)
-    }
-
     /// Gathers each worker's buffer to every worker. Buffers may have
     /// different lengths; the result is indexed by rank.
     pub fn all_gather_f32(&self, data: &[f32]) -> Vec<Vec<f32>> {
@@ -104,26 +95,6 @@ impl WorkerCtx {
                     data.to_vec()
                 } else {
                     self.recv(src, tag).into_f32()
-                }
-            })
-            .collect()
-    }
-
-    /// Gathers each worker's `u32` buffer to every worker.
-    pub fn all_gather_u32(&self, data: &[u32]) -> Vec<Vec<u32>> {
-        let n = self.world_size();
-        let tag = self.next_coll_tag();
-        for dst in 0..n {
-            if dst != self.rank() {
-                self.send(dst, tag, Payload::U32(data.to_vec()));
-            }
-        }
-        (0..n)
-            .map(|src| {
-                if src == self.rank() {
-                    data.to_vec()
-                } else {
-                    self.recv(src, tag).into_u32()
                 }
             })
             .collect()
@@ -217,15 +188,6 @@ mod tests {
         });
         for o in out {
             assert_eq!(o.result, vec![2.0, 2.0, 2.0]);
-        }
-    }
-
-    #[test]
-    fn max_scalar() {
-        let out = Cluster::new(4, CostModel::default())
-            .run(|ctx| ctx.all_reduce_max_scalar(-(ctx.rank() as f32)));
-        for o in out {
-            assert_eq!(o.result, 0.0);
         }
     }
 

@@ -386,34 +386,6 @@ impl WorkerCtx {
         Ok((Payload::F32(values), wire))
     }
 
-    /// Non-blocking [`WorkerCtx::send`] for pipeline call sites: hands the
-    /// payload to the transport's outgoing queue and returns without
-    /// waiting for the peer. Byte/message ledgers are charged exactly as in
-    /// the blocking path (the ledger is written before the transport is
-    /// touched on both), so switching a protocol between `send` and
-    /// `send_nowait` cannot change any byte ledger.
-    ///
-    /// On the channel backend every send is already an enqueue; on TCP the
-    /// frame goes to the destination's per-peer writer thread, so the
-    /// serve-side encode and socket write happen off the caller's critical
-    /// path. If the writer's bounded queue is full the call exerts
-    /// backpressure (it briefly blocks), which bounds in-flight memory but
-    /// never deadlocks a send-before-receive protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is out of range or the destination worker is gone,
-    /// like [`WorkerCtx::send`].
-    pub fn send_nowait(&self, dst: usize, tag: u64, payload: Payload) {
-        self.try_send(dst, tag, payload).unwrap_or_else(|e| {
-            panic!(
-                "worker {} sending (nowait) to (dst={dst}, tag={tag}): {e} — \
-                 the destination worker hung up (panicked?)",
-                self.rank()
-            )
-        });
-    }
-
     /// Receives the next payload from `src` under `tag`, blocking until it
     /// arrives. Out-of-order messages for other `(src, tag)` pairs are
     /// buffered.
@@ -480,66 +452,6 @@ impl WorkerCtx {
         Ok(payload)
     }
 
-    /// Receives the next message carrying `tag` from *any* source, blocking
-    /// until one arrives. Messages on other tags are buffered exactly as in
-    /// [`WorkerCtx::try_recv`], and the byte/message ledger accounting is
-    /// identical, so mixing the two on one context is safe.
-    ///
-    /// When several sources already have a buffered message for `tag`, the
-    /// lowest-ranked source wins — a deterministic tie-break, so callers
-    /// that drain a known set of peers see a reproducible order whenever
-    /// arrivals outpace consumption. Use only where *processing* order may
-    /// follow arrival order (e.g. collecting per-rank results keyed by
-    /// source); protocols whose floating-point accumulation order matters
-    /// must receive in fixed rank order via [`WorkerCtx::try_recv`].
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Timeout`] if nothing arrived within the receive
-    /// timeout; otherwise whatever the transport reports.
-    pub fn recv_tagged_any(&self, tag: u64) -> Result<(usize, Payload), TransportError> {
-        let mut blocked_us = 0.0f64;
-        let (src, payload, wire) = loop {
-            let buffered = {
-                let mut pending = self.pending.borrow_mut();
-                // sar-check: deterministic(reduced with min(): the lowest
-                // ready src wins regardless of map iteration order)
-                let lowest = pending
-                    .iter()
-                    .filter(|((_, t), q)| *t == tag && !q.is_empty())
-                    .map(|(&(s, _), _)| s)
-                    .min();
-                // Pop under the same borrow that found the queue, so the
-                // entry is non-empty by construction.
-                lowest.and_then(|s| {
-                    pending
-                        .get_mut(&(s, tag))
-                        .and_then(VecDeque::pop_front)
-                        .map(|(p, w)| (s as usize, p, w))
-                })
-            };
-            if let Some(found) = buffered {
-                break found;
-            }
-            // sar-check: deterministic(metering: blocked-time accounting
-            // only; the delivered payload is untouched)
-            let start = Instant::now();
-            let msg = self.transport.recv_any(self.recv_timeout)?;
-            blocked_us += start.elapsed().as_secs_f64() * 1e6; // sar-check: deterministic(metering)
-            let (decoded, wire) = self.decode_arrival(msg.src, msg.payload)?;
-            if msg.tag == tag {
-                break (msg.src as usize, decoded, wire);
-            }
-            self.pending
-                .borrow_mut()
-                .entry((msg.src, msg.tag))
-                .or_default()
-                .push_back((decoded, wire));
-        };
-        self.charge_recv(src, tag, &payload, wire, blocked_us);
-        Ok((src, payload))
-    }
-
     /// Ledgers one received message: logical bytes (from the decoded
     /// payload) and message count always, wire bytes from `wire` (the
     /// frame's encoded size on the network), communication time per the
@@ -573,56 +485,6 @@ impl WorkerCtx {
         entry.blocked_us += blocked_us;
     }
 
-    /// `true` if a message from `(src, tag)` is already available without
-    /// blocking (it may sit in the pending buffer or the transport).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transport reports a peer failure while polling.
-    /// Callers that must survive a dead peer use [`WorkerCtx::poll_ready`].
-    pub fn try_ready(&self, src: usize, tag: u64) -> bool {
-        self.poll_ready(src, tag).unwrap_or_else(|e| {
-            panic!(
-                "worker {} polling for (src={src}, tag={tag}): {e}",
-                self.rank()
-            )
-        })
-    }
-
-    /// Fallible [`WorkerCtx::try_ready`]: a transport failure while
-    /// polling comes back as an error instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the transport reports (disconnect, corrupt frame, …).
-    pub fn poll_ready(&self, src: usize, tag: u64) -> Result<bool, TransportError> {
-        let key = (src as u32, tag);
-        if self
-            .pending
-            .borrow()
-            .get(&key)
-            .is_some_and(|q| !q.is_empty())
-        {
-            return Ok(true);
-        }
-        loop {
-            let msg = match self.transport.try_recv_any()? {
-                Some(m) => m,
-                None => return Ok(false),
-            };
-            let k = (msg.src, msg.tag);
-            let decoded = self.decode_arrival(msg.src, msg.payload)?;
-            self.pending
-                .borrow_mut()
-                .entry(k)
-                .or_default()
-                .push_back(decoded);
-            if k == key {
-                return Ok(true);
-            }
-        }
-    }
-
     /// Blocks until all workers have reached the barrier. Barrier traffic
     /// is transport-internal: it appears in no byte ledger on any backend.
     ///
@@ -643,16 +505,6 @@ impl WorkerCtx {
     /// Whatever the transport reports (disconnect, timeout, …).
     pub fn try_barrier(&self) -> Result<(), TransportError> {
         self.transport.barrier()
-    }
-
-    /// Charges extra communication time (used by collectives to model
-    /// algorithms whose step count differs from their message count).
-    pub fn charge_comm_us(&self, us: f64) {
-        let mut s = self.stats.borrow_mut();
-        s.comm_us += us;
-        s.ledger
-            .entry_mut(self.phase.get(), self.layer.get())
-            .comm_us += us;
     }
 }
 

@@ -43,6 +43,7 @@ mod cluster;
 pub mod codec;
 mod collectives;
 mod ctx;
+pub mod le;
 mod message;
 mod net;
 mod phase;
@@ -56,7 +57,7 @@ pub use codec::Codec;
 pub use ctx::{LayerScope, PhaseScope, WorkerCtx};
 pub use message::{Message, Payload};
 pub use net::{CommStats, CostModel};
-pub use phase::{Phase, PhaseEntry, PhaseLedger};
+pub use phase::{Field, FieldKind, Phase, PhaseEntry, PhaseLedger};
 pub use tcp::{TcpOpts, TcpTransport};
 pub use time::{measure_cpu, thread_cpu_secs, CpuTimer};
 pub use transport::{ChannelTransport, Clock, Transport, TransportError};

@@ -148,7 +148,8 @@ impl Payload {
     }
 }
 
-/// An addressed message in flight, as handed to [`WorkerCtx`] by a
+/// An addressed message in flight, as handed to
+/// [`WorkerCtx`](crate::WorkerCtx) by a
 /// [`Transport`](crate::Transport) backend.
 #[derive(Debug)]
 pub struct Message {

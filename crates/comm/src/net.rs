@@ -1,6 +1,7 @@
 //! The α–β communication cost model and per-worker traffic statistics.
 
-use crate::phase::PhaseLedger;
+use crate::le::{put_f64, put_u16, put_u32, put_u64, Cursor};
+use crate::phase::{FieldKind, Phase, PhaseEntry, PhaseLedger};
 
 /// α–β model of a network link: transferring a `b`-byte message costs
 /// `alpha_us + b / bytes_per_us` microseconds of simulated time, charged to
@@ -100,43 +101,34 @@ impl CommStats {
 
     /// Serializes the statistics to a self-contained little-endian byte
     /// buffer — the format used to gather per-rank results to rank 0 over
-    /// the transport itself when workers live in separate processes.
+    /// the transport itself when workers live in separate processes. Each
+    /// ledger cell is its `(phase, layer)` key followed by one 8-byte
+    /// value per [`PhaseEntry::FIELDS`] row, in table order.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + 64 * self.ledger.len());
-        buf.extend_from_slice(&(self.sent_bytes.len() as u32).to_le_bytes());
-        for b in &self.sent_bytes {
-            buf.extend_from_slice(&b.to_le_bytes());
+        let cell_len = 4 + 8 * PhaseEntry::FIELDS.len();
+        let mut buf =
+            Vec::with_capacity(32 + 8 * self.sent_bytes.len() + cell_len * self.ledger.len());
+        put_u32(&mut buf, self.sent_bytes.len() as u32);
+        for &b in &self.sent_bytes {
+            put_u64(&mut buf, b);
         }
-        buf.extend_from_slice(&self.sent_messages.to_le_bytes());
-        buf.extend_from_slice(&self.recv_bytes.to_le_bytes());
-        buf.extend_from_slice(&self.comm_us.to_le_bytes());
-        buf.extend_from_slice(&(self.ledger.len() as u32).to_le_bytes());
-        for (phase, layer, e) in self.ledger.rows() {
+        put_u64(&mut buf, self.sent_messages);
+        put_u64(&mut buf, self.recv_bytes);
+        put_f64(&mut buf, self.comm_us);
+        put_u32(&mut buf, self.ledger.len() as u32);
+        for (phase, layer, entry) in self.ledger.rows() {
             buf.push(phase.code());
-            match layer {
-                Some(l) => {
-                    buf.push(1);
-                    buf.extend_from_slice(&l.to_le_bytes());
-                }
-                None => {
-                    buf.push(0);
-                    buf.extend_from_slice(&0u16.to_le_bytes());
+            buf.push(u8::from(layer.is_some()));
+            put_u16(&mut buf, layer.unwrap_or(0));
+            let mut entry = *entry;
+            for field in &PhaseEntry::FIELDS {
+                match field.kind {
+                    FieldKind::Count(at) | FieldKind::Peak(at) => {
+                        put_u64(&mut buf, *at(&mut entry))
+                    }
+                    FieldKind::Micros(at) => put_f64(&mut buf, *at(&mut entry)),
                 }
             }
-            buf.extend_from_slice(&e.sent_bytes.to_le_bytes());
-            buf.extend_from_slice(&e.recv_bytes.to_le_bytes());
-            buf.extend_from_slice(&e.wire_sent_bytes.to_le_bytes());
-            buf.extend_from_slice(&e.wire_recv_bytes.to_le_bytes());
-            buf.extend_from_slice(&e.sent_messages.to_le_bytes());
-            buf.extend_from_slice(&e.recv_messages.to_le_bytes());
-            buf.extend_from_slice(&e.comm_us.to_le_bytes());
-            buf.extend_from_slice(&e.cpu_us.to_le_bytes());
-            buf.extend_from_slice(&e.wall_us.to_le_bytes());
-            buf.extend_from_slice(&e.blocked_us.to_le_bytes());
-            buf.extend_from_slice(&e.peak_tensor_bytes.to_le_bytes());
-            buf.extend_from_slice(&e.spill_bytes.to_le_bytes());
-            buf.extend_from_slice(&e.fault_bytes.to_le_bytes());
-            buf.extend_from_slice(&e.disk_blocked_us.to_le_bytes());
         }
         buf
     }
@@ -148,7 +140,7 @@ impl CommStats {
     /// Returns a diagnostic if the buffer is truncated or structurally
     /// invalid (unknown phase code, impossible lengths).
     pub fn from_bytes(buf: &[u8]) -> Result<CommStats, String> {
-        let mut cur = Cursor { buf, pos: 0 };
+        let mut cur = Cursor::new(buf);
         let world = cur.u32()? as usize;
         if world > 1 << 20 {
             return Err(format!("implausible world size {world}"));
@@ -166,83 +158,22 @@ impl CommStats {
         }
         for _ in 0..rows {
             let code = cur.u8()?;
-            let phase = crate::phase::Phase::from_code(code)
-                .ok_or_else(|| format!("unknown phase code {code}"))?;
+            let phase =
+                Phase::from_code(code).ok_or_else(|| format!("unknown phase code {code}"))?;
             let has_layer = cur.u8()? != 0;
             let layer_raw = cur.u16()?;
-            let layer = has_layer.then_some(layer_raw);
-            let entry = stats.ledger.entry_mut(phase, layer);
-            entry.sent_bytes = cur.u64()?;
-            entry.recv_bytes = cur.u64()?;
-            entry.wire_sent_bytes = cur.u64()?;
-            entry.wire_recv_bytes = cur.u64()?;
-            entry.sent_messages = cur.u64()?;
-            entry.recv_messages = cur.u64()?;
-            entry.comm_us = cur.f64()?;
-            entry.cpu_us = cur.f64()?;
-            entry.wall_us = cur.f64()?;
-            entry.blocked_us = cur.f64()?;
-            entry.peak_tensor_bytes = cur.u64()?;
-            entry.spill_bytes = cur.u64()?;
-            entry.fault_bytes = cur.u64()?;
-            entry.disk_blocked_us = cur.f64()?;
+            let entry = stats
+                .ledger
+                .entry_mut(phase, has_layer.then_some(layer_raw));
+            for field in &PhaseEntry::FIELDS {
+                match field.kind {
+                    FieldKind::Count(at) | FieldKind::Peak(at) => *at(entry) = cur.u64()?,
+                    FieldKind::Micros(at) => *at(entry) = cur.f64()?,
+                }
+            }
         }
-        if cur.pos != buf.len() {
-            return Err(format!(
-                "CommStats buffer has {} trailing bytes",
-                buf.len() - cur.pos
-            ));
-        }
+        cur.finish()?;
         Ok(stats)
-    }
-}
-
-/// Bounds-checked little-endian reader over a byte slice, shared by the
-/// [`CommStats`] codec.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("CommStats buffer truncated at offset {}", self.pos))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Bounds-checked fixed-size read — the array conversion cannot fail
-    /// because `take` returned exactly `N` bytes, so no unwrap is needed.
-    fn take_arr<const N: usize>(&mut self) -> Result<[u8; N], String> {
-        let s = self.take(N)?;
-        let mut arr = [0u8; N];
-        arr.copy_from_slice(s);
-        Ok(arr)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take_arr()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take_arr()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take_arr()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take_arr()?))
     }
 }
 
@@ -265,35 +196,6 @@ mod tests {
         let m = CostModel::default().scale_bandwidth(10.0);
         assert!(m.message_cost_us(250_000) > CostModel::default().message_cost_us(250_000));
         assert_eq!(m.alpha_us, CostModel::default().alpha_us);
-    }
-
-    #[test]
-    fn comm_stats_codec_round_trips() {
-        use crate::phase::Phase;
-        let mut s = CommStats::new(3);
-        s.sent_bytes = vec![10, 0, 99];
-        s.sent_messages = 7;
-        s.recv_bytes = 1234;
-        s.comm_us = 42.5;
-        let e = s.ledger.entry_mut(Phase::ForwardFetch, Some(2));
-        e.sent_bytes = 100;
-        e.recv_bytes = 200;
-        e.wire_sent_bytes = 60;
-        e.wire_recv_bytes = 110;
-        e.sent_messages = 3;
-        e.recv_messages = 4;
-        e.comm_us = 1.25;
-        e.cpu_us = 9.75;
-        e.wall_us = 3.5;
-        e.blocked_us = 0.75;
-        e.peak_tensor_bytes = 4096;
-        e.spill_bytes = 8192;
-        e.fault_bytes = 8000;
-        e.disk_blocked_us = 2.25;
-        s.ledger.entry_mut(Phase::GradRouting, None).recv_bytes = 55;
-
-        let round = CommStats::from_bytes(&s.to_bytes()).unwrap();
-        assert_eq!(round, s);
     }
 
     #[test]

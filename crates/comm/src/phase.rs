@@ -133,30 +133,75 @@ pub struct PhaseEntry {
     pub disk_blocked_us: f64,
 }
 
+/// How one [`PhaseEntry`] field folds, with the accessor ("slot") that
+/// reaches it. The variant fixes the field's type: counts and peaks are
+/// `u64`, microseconds are `f64`.
+#[derive(Debug, Clone, Copy)]
+pub enum FieldKind {
+    /// A `u64` counter; folding adds.
+    Count(fn(&mut PhaseEntry) -> &mut u64),
+    /// An `f64` microsecond total; folding adds.
+    Micros(fn(&mut PhaseEntry) -> &mut f64),
+    /// A `u64` high-water mark; folding takes the max.
+    Peak(fn(&mut PhaseEntry) -> &mut u64),
+}
+
+/// One row of [`PhaseEntry::FIELDS`].
+#[derive(Debug, Clone, Copy)]
+pub struct Field {
+    /// The field's name — also its key in run-report JSON.
+    pub name: &'static str,
+    /// How it folds, and where it lives.
+    pub kind: FieldKind,
+}
+
 impl PhaseEntry {
+    /// The one list of this struct's fields, in wire and JSON order.
+    /// [`PhaseEntry::absorb`], the [`CommStats`](crate::CommStats) byte
+    /// codec and `sar-bench`'s run-report JSON writer and reader all
+    /// iterate it, so a new ledger field is one struct field plus one row
+    /// here. Slots take `&mut`; readers go through a copy (the struct is
+    /// `Copy`).
+    pub const FIELDS: [Field; 14] = {
+        use FieldKind::{Count, Micros, Peak};
+        const fn row(name: &'static str, kind: FieldKind) -> Field {
+            Field { name, kind }
+        }
+        [
+            row("sent_bytes", Count(|e| &mut e.sent_bytes)),
+            row("recv_bytes", Count(|e| &mut e.recv_bytes)),
+            row("wire_sent_bytes", Count(|e| &mut e.wire_sent_bytes)),
+            row("wire_recv_bytes", Count(|e| &mut e.wire_recv_bytes)),
+            row("sent_messages", Count(|e| &mut e.sent_messages)),
+            row("recv_messages", Count(|e| &mut e.recv_messages)),
+            row("comm_us", Micros(|e| &mut e.comm_us)),
+            row("cpu_us", Micros(|e| &mut e.cpu_us)),
+            row("wall_us", Micros(|e| &mut e.wall_us)),
+            row("blocked_us", Micros(|e| &mut e.blocked_us)),
+            row("peak_tensor_bytes", Peak(|e| &mut e.peak_tensor_bytes)),
+            row("spill_bytes", Count(|e| &mut e.spill_bytes)),
+            row("fault_bytes", Count(|e| &mut e.fault_bytes)),
+            row("disk_blocked_us", Micros(|e| &mut e.disk_blocked_us)),
+        ]
+    };
+
     /// Folds `other` into `self`: counters add, the peak takes the max.
     pub fn absorb(&mut self, other: &PhaseEntry) {
-        self.sent_bytes += other.sent_bytes;
-        self.recv_bytes += other.recv_bytes;
-        self.wire_sent_bytes += other.wire_sent_bytes;
-        self.wire_recv_bytes += other.wire_recv_bytes;
-        self.sent_messages += other.sent_messages;
-        self.recv_messages += other.recv_messages;
-        self.comm_us += other.comm_us;
-        self.cpu_us += other.cpu_us;
-        self.wall_us += other.wall_us;
-        self.blocked_us += other.blocked_us;
-        self.peak_tensor_bytes = self.peak_tensor_bytes.max(other.peak_tensor_bytes);
-        self.spill_bytes += other.spill_bytes;
-        self.fault_bytes += other.fault_bytes;
-        self.disk_blocked_us += other.disk_blocked_us;
+        let mut other = *other;
+        for field in &PhaseEntry::FIELDS {
+            match field.kind {
+                FieldKind::Count(at) => *at(self) += *at(&mut other),
+                FieldKind::Micros(at) => *at(self) += *at(&mut other),
+                FieldKind::Peak(at) => *at(self) = (*at(self)).max(*at(&mut other)),
+            }
+        }
     }
 }
 
 /// Per-phase, per-layer ledger of one worker's communication, compute and
 /// memory. Lives inside [`CommStats`](crate::CommStats), so it travels
-/// with the existing statistics plumbing to
-/// [`WorkerOutcome`](crate::WorkerOutcome) untouched.
+/// with it from [`WorkerCtx::stats`](crate::WorkerCtx::stats) to the
+/// run report untouched.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PhaseLedger {
     entries: BTreeMap<(Phase, Option<u16>), PhaseEntry>,
@@ -229,6 +274,61 @@ mod tests {
             PhaseEntry::default()
         );
         assert_eq!(ledger.len(), 3);
+    }
+
+    /// A distinct value in every [`PhaseEntry::FIELDS`] slot: a row that
+    /// is missing from the table, or a codec that skips one, shows up as
+    /// an inequality instead of passing on zeros.
+    fn sentinel_entry(base: u64) -> PhaseEntry {
+        let mut e = PhaseEntry::default();
+        for (i, field) in PhaseEntry::FIELDS.iter().enumerate() {
+            let v = base + i as u64;
+            match field.kind {
+                FieldKind::Count(at) | FieldKind::Peak(at) => *at(&mut e) = v,
+                FieldKind::Micros(at) => *at(&mut e) = v as f64 + 0.25,
+            }
+        }
+        e
+    }
+
+    #[test]
+    fn field_table_covers_the_struct_and_drives_absorb_and_the_codec() {
+        // Every byte of the struct is reached through the table: a field
+        // added to `PhaseEntry` without a row fails here.
+        assert_eq!(
+            std::mem::size_of::<PhaseEntry>(),
+            8 * PhaseEntry::FIELDS.len()
+        );
+        let (a, b) = (sentinel_entry(100), sentinel_entry(1000));
+        // The slots are the named fields, in struct order.
+        assert_eq!((a.sent_bytes, a.wire_recv_bytes), (100, 103));
+        assert_eq!((a.peak_tensor_bytes, a.disk_blocked_us), (110, 113.25));
+
+        // absorb: counts and micros add, the peak takes the max.
+        let mut sum = a;
+        sum.absorb(&b);
+        let mut want = PhaseEntry::default();
+        for (i, field) in PhaseEntry::FIELDS.iter().enumerate() {
+            let added = 1100 + 2 * i as u64;
+            match field.kind {
+                FieldKind::Count(at) => *at(&mut want) = added,
+                FieldKind::Micros(at) => *at(&mut want) = added as f64 + 0.5,
+                FieldKind::Peak(at) => *at(&mut want) = 1000 + i as u64,
+            }
+        }
+        assert_eq!(sum, want);
+
+        // to_bytes / from_bytes: every slot of every cell survives.
+        let mut s = crate::CommStats::new(3);
+        s.sent_bytes = vec![10, 0, 99];
+        s.sent_messages = 7;
+        s.recv_bytes = 1234;
+        s.comm_us = 42.5;
+        *s.ledger.entry_mut(Phase::ForwardFetch, Some(2)) = a;
+        *s.ledger.entry_mut(Phase::GradRouting, None) = b;
+        let round = crate::CommStats::from_bytes(&s.to_bytes()).unwrap();
+        assert_eq!(round, s);
+        assert_eq!(round.ledger.get(Phase::ForwardFetch, Some(2)), a);
     }
 
     #[test]

@@ -71,31 +71,6 @@ pub struct TrainConfig {
     pub mem_budget: u64,
 }
 
-impl TrainConfig {
-    /// The paper's recipe around a given model: 100 epochs, Adam with
-    /// step-decayed learning rate, label augmentation, C&S.
-    pub fn paper_recipe(model: ModelConfig) -> Self {
-        TrainConfig {
-            model,
-            epochs: 100,
-            lr: 0.01,
-            schedule: LrSchedule::StepDecay {
-                every: 30,
-                gamma: 0.5,
-            },
-            label_aug: true,
-            aug_frac: 0.5,
-            cs: Some(CsConfig::default()),
-            prefetch_depth: 0,
-            seed: 0,
-            threads: 1,
-            protocol: Protocol::Exact,
-            codec: Codec::Raw,
-            mem_budget: 0,
-        }
-    }
-}
-
 /// Per-epoch measurements from one worker.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochRecord {
@@ -168,6 +143,56 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Aggregates per-rank results — each rank's [`WorkerReport`] with the
+    /// [`CommStats`] snapshot taken when its [`run_worker`] returned,
+    /// indexed by rank — into the run's report. [`train`] calls it on what
+    /// its worker threads return; a multi-process launch calls it on rank
+    /// 0 with what it gathered over the wire.
+    ///
+    /// Modeled epoch time is `max_p compute + max_p comm`. The global loss
+    /// and accuracies are rank 0's (every rank holds the same all-reduced
+    /// values). [`RunReport::logits`] and [`RunReport::final_params`] come
+    /// back empty: node rows and parameters do not travel in a gather, so
+    /// only [`train`], which holds every rank's in-process, fills them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranks` is empty.
+    pub fn from_ranks(ranks: Vec<(WorkerReport, CommStats)>) -> RunReport {
+        let rank0 = &ranks[0].0;
+        let max_over_ranks = |pick: fn(&EpochRecord) -> f64| -> Vec<f64> {
+            (0..rank0.epochs.len())
+                .map(|e| {
+                    ranks
+                        .iter()
+                        .map(|(r, _)| pick(&r.epochs[e]))
+                        .fold(0.0, f64::max)
+                })
+                .collect()
+        };
+        let epoch_compute = max_over_ranks(|rec| rec.compute_secs);
+        let epoch_comm = max_over_ranks(|rec| rec.comm_secs);
+        RunReport {
+            world: ranks.len(),
+            epoch_times: epoch_compute
+                .iter()
+                .zip(&epoch_comm)
+                .map(|(compute, comm)| compute + comm)
+                .collect(),
+            epoch_compute,
+            epoch_comm,
+            losses: rank0.epochs.iter().map(|rec| rec.loss).collect(),
+            val_acc: rank0.val_acc,
+            test_acc: rank0.test_acc,
+            test_acc_cs: rank0.test_acc_cs,
+            peak_bytes: ranks.iter().map(|(r, _)| r.steady_peak_bytes).collect(),
+            total_sent_bytes: ranks.iter().map(|(_, comm)| comm.total_sent()).sum(),
+            worker_comm: ranks.into_iter().map(|(_, comm)| comm).collect(),
+            logits: Tensor::zeros(&[0]),
+            final_params: Vec::new(),
+        }
+    }
+
     /// Mean modeled epoch time over the steady-state epochs (skips the
     /// first epoch, which includes cache warm-up).
     pub fn avg_epoch_time(&self) -> f64 {
@@ -401,8 +426,6 @@ pub fn train(
     let shards = Arc::new(Shard::build_all(dataset, partitioning));
     let graphs = Arc::new(graphs);
     let cfg_arc = Arc::new(cfg.clone());
-    let num_classes = dataset.num_classes;
-    let n = dataset.num_nodes();
 
     let outcomes = Cluster::new(world, cost).run(move |ctx| {
         let rank = ctx.rank();
@@ -413,58 +436,17 @@ pub fn train(
             &cfg_arc,
         )
     });
-
-    // Aggregate.
-    let epochs = outcomes[0].result.epochs.len();
-    let mut epoch_times = Vec::with_capacity(epochs);
-    let mut epoch_compute = Vec::with_capacity(epochs);
-    let mut epoch_comm = Vec::with_capacity(epochs);
-    let mut losses = Vec::with_capacity(epochs);
-    for e in 0..epochs {
-        let max_compute = outcomes
-            .iter()
-            .map(|o| o.result.epochs[e].compute_secs)
-            .fold(0.0, f64::max);
-        let max_comm = outcomes
-            .iter()
-            .map(|o| o.result.epochs[e].comm_secs)
-            .fold(0.0, f64::max);
-        epoch_times.push(max_compute + max_comm);
-        epoch_compute.push(max_compute);
-        epoch_comm.push(max_comm);
-        // Every worker reports the same global loss; take rank 0's.
-        losses.push(outcomes[0].result.epochs[e].loss);
+    let mut ranks: Vec<_> = outcomes.into_iter().map(|o| (o.result, o.comm)).collect();
+    let mut logits = Tensor::zeros(&[dataset.num_nodes(), dataset.num_classes]);
+    for (r, _) in &mut ranks {
+        let rows = std::mem::take(&mut r.logits);
+        let block = Tensor::from_vec(&[r.global_ids.len(), dataset.num_classes], rows);
+        logits.scatter_add_rows(&r.global_ids, &block);
     }
-    let mut logits = Tensor::zeros(&[n, num_classes]);
-    for o in &outcomes {
-        let block = Tensor::from_vec(
-            &[o.result.global_ids.len(), num_classes],
-            o.result.logits.clone(),
-        );
-        logits.scatter_add_rows(&o.result.global_ids, &block);
-    }
-
-    let final_params = outcomes[0]
-        .result
-        .params
-        .clone()
-        .expect("rank 0 reports parameters");
+    let final_params = ranks[0].0.params.take();
     RunReport {
-        world,
-        epoch_times,
-        epoch_compute,
-        epoch_comm,
-        losses,
-        val_acc: outcomes[0].result.val_acc,
-        test_acc: outcomes[0].result.test_acc,
-        test_acc_cs: outcomes[0].result.test_acc_cs,
-        peak_bytes: outcomes
-            .iter()
-            .map(|o| o.result.steady_peak_bytes)
-            .collect(),
-        total_sent_bytes: outcomes.iter().map(|o| o.comm.total_sent()).sum(),
-        worker_comm: outcomes.iter().map(|o| o.comm.clone()).collect(),
         logits,
-        final_params,
+        final_params: final_params.expect("rank 0 reports parameters"),
+        ..RunReport::from_ranks(ranks)
     }
 }

@@ -131,7 +131,7 @@ pub struct BatchStats {
     /// request lists + fetched feature rows).
     pub fetch_bytes: u64,
     /// The MFG's predicted fetch volume
-    /// ([`LayerSlice::predicted_fetch_bytes`] summed over levels).
+    /// ([`mfg::LayerSlice::predicted_fetch_bytes`] summed over levels).
     pub predicted_bytes: u64,
     /// What one full-graph rotation forward would have fetched
     /// ([`DistGraph::predicted_fetch_bytes`] summed over layers) — the
@@ -540,9 +540,7 @@ impl ServeEngine {
         let bytes = proto::encode_ctrl(ctrl);
         let tag = batch_base(self.seq) + OFF_CTRL;
         for q in 1..self.world() {
-            self.w
-                .ctx
-                .send_nowait(q, tag, Payload::Bytes(bytes.clone()));
+            self.w.ctx.try_send(q, tag, Payload::Bytes(bytes.clone()))?;
         }
         Ok(())
     }
@@ -679,7 +677,7 @@ impl ServeEngine {
             for q in 0..world {
                 if q != p {
                     w.ctx
-                        .send_nowait(q, tag, Payload::U32(slice.req_rows[q].clone()));
+                        .try_send(q, tag, Payload::U32(slice.req_rows[q].clone()))?;
                 }
             }
             let mut serve_rows = vec![Vec::new(); world];
@@ -777,10 +775,10 @@ impl ServeEngine {
         if p != 0 {
             self.w
                 .ctx
-                .send_nowait(0, base + OFF_RES_POS, Payload::U32(positions));
+                .try_send(0, base + OFF_RES_POS, Payload::U32(positions))?;
             self.w
                 .ctx
-                .send_nowait(0, base + OFF_RES_VAL, Payload::F32(values));
+                .try_send(0, base + OFF_RES_VAL, Payload::F32(values))?;
             return Ok(None);
         }
         let mut result = Tensor::zeros(&[num_queries, c]);

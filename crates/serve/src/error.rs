@@ -66,6 +66,12 @@ impl From<TransportError> for ServeError {
     }
 }
 
+impl From<sar_comm::le::CursorError> for ServeError {
+    fn from(e: sar_comm::le::CursorError) -> Self {
+        ServeError::Protocol(e.to_string())
+    }
+}
+
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> Self {
         ServeError::Io(e.to_string())

@@ -10,9 +10,12 @@
 //! payload. Response body: one status byte (0 = ok, 1 = error), then a
 //! result payload (logits matrix, stats block, or a UTF-8 error message).
 //!
-//! Everything here is pure encode/decode — malformed input returns
+//! Everything here is pure encode/decode over the workspace's one
+//! little-endian cursor ([`sar_comm::le`]) — malformed input returns
 //! [`ServeError::Protocol`], never a panic, because these bytes arrive
 //! from the network.
+
+use sar_comm::le::{put_f32s, put_u32, put_u32s, put_u64, Cursor};
 
 use crate::error::ServeError;
 
@@ -71,115 +74,6 @@ pub enum Response {
     Stats(Vec<u64>),
     /// Server-side failure.
     Error(String),
-}
-
-// ----------------------------------------------------------------------
-// Little-endian cursor helpers
-// ----------------------------------------------------------------------
-
-/// A bounds-checked little-endian reader over a received byte buffer.
-pub struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// Wraps a buffer.
-    #[must_use]
-    pub fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(ServeError::Protocol(format!(
-                "message truncated: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len()
-            ))),
-        }
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, ServeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, ServeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, ServeError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    /// Reads `n` little-endian `u32`s.
-    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>, ServeError> {
-        let b = self.take(n.saturating_mul(4))?;
-        Ok(b.chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
-    }
-
-    /// Reads `n` little-endian `f32`s.
-    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, ServeError> {
-        let b = self.take(n.saturating_mul(4))?;
-        Ok(b.chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
-    }
-
-    /// The remaining bytes.
-    #[must_use]
-    pub fn rest(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
-    /// Errors unless the buffer is fully consumed.
-    pub fn finish(&self) -> Result<(), ServeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ServeError::Protocol(format!(
-                "{} trailing bytes after message",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
-    out.reserve(vs.len() * 4);
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
-    out.reserve(vs.len() * 4);
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
 }
 
 // ----------------------------------------------------------------------

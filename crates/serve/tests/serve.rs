@@ -17,7 +17,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sar_comm::tcp::run_tcp_threads;
-use sar_comm::{Cluster, CostModel, TcpOpts, Transport, WorkerCtx};
+use sar_comm::{
+    ChannelTransport, Cluster, CostModel, TcpOpts, Transport, TransportError, WorkerCtx,
+};
 use sar_core::{infer, Arch, DistGraph, DistModel, Mode, ModelConfig, Shard};
 use sar_graph::{datasets, Dataset};
 use sar_partition::{multilevel, Partitioning};
@@ -342,6 +344,40 @@ fn bad_queries_are_typed_errors_and_do_not_poison_the_cluster() {
             worker_loop(&mut engine).expect("worker loop");
         }
     });
+}
+
+/// A worker rank that died is a typed error on the rank-0 front-end —
+/// naming the dead peer — from the first control-plane send of the next
+/// batch, never a panic that takes the front-end down with it.
+#[test]
+fn dead_peer_is_a_typed_error_from_a_query_batch() {
+    let d = dataset();
+    let part = multilevel(&d.graph, 2, 0);
+    let cfg = model_cfg(Arch::Gcn { hidden: 8 }, Mode::Sar, &d);
+    let params = raw_params(&cfg, &d, false);
+    let graph = Arc::new(DistGraph::build_all(&d.graph, &part).swap_remove(0));
+    let shard = Shard::build_all(&d, &part).swap_remove(0);
+    let st = EngineSetup {
+        model_cfg: cfg,
+        label_aug: false,
+        cache_rows: 0,
+        checkpoint: None,
+    };
+
+    let mut mesh = ChannelTransport::mesh(2);
+    drop(mesh.pop()); // rank 1's transport: the peer is gone
+    let rank0 = mesh.pop().expect("mesh(2) yields two transports");
+    let ctx = WorkerCtx::new(
+        Box::new(rank0),
+        CostModel::default(),
+        Duration::from_secs(5),
+    );
+    let mut engine =
+        ServeEngine::new(ctx, graph, &shard, d.num_nodes(), &st, &params).expect("engine builds");
+    match engine.execute_query(&[3, 7]) {
+        Err(ServeError::Comm(TransportError::Disconnected { peer })) => assert_eq!(peer, 1),
+        other => panic!("expected Comm(Disconnected {{ peer: 1 }}), got {other:?}"),
+    }
 }
 
 #[test]

@@ -21,7 +21,7 @@
 //!   sequential-aggregation forward pass (Algorithm 1), the
 //!   rematerializing backward pass (Algorithm 2), the vanilla
 //!   domain-parallel baseline, and the full-batch trainer.
-//! * [`bench`] — the experiment harness reproducing the paper's tables
+//! * [`mod@bench`] — the experiment harness reproducing the paper's tables
 //!   and figures, plus machine-readable [`bench::report::RunReport`]
 //!   JSON for CI.
 //!

@@ -9,6 +9,7 @@ use std::sync::Once;
 
 use sar::bench::distrun::Workload;
 use sar::bench::harness::{run_workload, Transport};
+use sar::bench::report::RunReport;
 use sar::bench::smoke;
 
 const TRAIN: &str = env!("CARGO_BIN_EXE_sar-train");
@@ -67,6 +68,39 @@ fn sim_and_tcp_runs_of_one_workload_share_a_parity_digest() {
         if let Some(diff) = smoke::digest_diff(&sim.parity_digest(), &tcp.parity_digest()) {
             panic!("{arch}: sim vs tcp digest divergence — {diff}");
         }
+        // Both reports come out of one constructor
+        // (`sar_core::RunReport::from_ranks` → `RunReport::from_train`),
+        // so beyond the digest they agree on everything that is not a
+        // timing: losses, accuracies, totals and every logical column.
+        let loss_bits = |r: &RunReport| r.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        assert_eq!(loss_bits(&sim), loss_bits(&tcp), "{arch}: losses");
+        assert_eq!(
+            (sim.val_acc, sim.test_acc, sim.test_acc_cs),
+            (tcp.val_acc, tcp.test_acc, tcp.test_acc_cs),
+            "{arch}: accuracies"
+        );
+        let logical = |r: &RunReport| -> Vec<_> {
+            r.workers
+                .iter()
+                .map(|w| {
+                    let rows: Vec<_> = w
+                        .phases
+                        .iter()
+                        .map(|p| {
+                            let e = &p.entry;
+                            let bytes = (e.sent_bytes, e.recv_bytes);
+                            (p.phase, p.layer, bytes, e.sent_messages, e.recv_messages)
+                        })
+                        .collect();
+                    (w.rank, w.total_sent_bytes, w.total_recv_bytes, rows)
+                })
+                .collect()
+        };
+        assert_eq!(
+            logical(&sim),
+            logical(&tcp),
+            "{arch}: logical ledger columns"
+        );
     }
 }
 
