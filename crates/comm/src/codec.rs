@@ -38,6 +38,7 @@
 //! a TCP socket, which is what keeps losses bitwise identical across
 //! transports under any codec.
 
+use crate::le::{self, Cursor};
 use crate::phase::Phase;
 
 /// Values per quantization block for the `int8` codec (one f32 scale is
@@ -137,10 +138,10 @@ impl Codec {
         let mut out = Vec::with_capacity(BLOCK_META_LEN + values.len() * 4);
         out.push(phase.code());
         out.push(u8::from(layer.is_some()));
-        out.extend_from_slice(&layer.unwrap_or(0).to_le_bytes());
-        out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+        le::put_u16(&mut out, layer.unwrap_or(0));
+        le::put_u32(&mut out, values.len() as u32);
         match self {
-            Codec::Raw => raw_encode(values, &mut out),
+            Codec::Raw => le::put_f32s(&mut out, values),
             Codec::F16 => {
                 for &v in values {
                     out.extend_from_slice(&f32_to_f16_bits(v).to_le_bytes());
@@ -175,7 +176,7 @@ impl Codec {
         match self {
             Codec::Raw => {
                 expect_len(self, body.len(), n * 4)?;
-                Ok(raw_decode(body))
+                Ok(Cursor::new(body).f32s(n)?)
             }
             Codec::F16 => {
                 expect_len(self, body.len(), n * 2)?;
@@ -222,16 +223,18 @@ pub fn parse_meta(bytes: &[u8]) -> Result<(BlockMeta, &[u8]), String> {
             bytes.len()
         ));
     }
-    let phase = Phase::from_code(bytes[0])
-        .ok_or_else(|| format!("encoded block has unknown phase code {}", bytes[0]))?;
-    let layer = (bytes[1] != 0).then(|| u16::from_le_bytes([bytes[2], bytes[3]]));
-    let n = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
+    // The length check above covers every read below.
+    let mut c = Cursor::new(bytes);
+    let (phase_code, has_layer, layer, n) = (c.u8()?, c.u8()?, c.u16()?, c.u32()? as usize);
+    let phase = Phase::from_code(phase_code)
+        .ok_or_else(|| format!("encoded block has unknown phase code {phase_code}"))?;
+    let layer = (has_layer != 0).then_some(layer);
     if n as u64 * 4 > crate::wire::WIRE_MAX_PAYLOAD {
         return Err(format!(
             "encoded block claims implausible element count {n}"
         ));
     }
-    Ok((BlockMeta { phase, layer, n }, &bytes[BLOCK_META_LEN..]))
+    Ok((BlockMeta { phase, layer, n }, c.rest()))
 }
 
 fn expect_len(codec: Codec, got: usize, want: usize) -> Result<(), String> {
@@ -243,19 +246,6 @@ fn expect_len(codec: Codec, got: usize, want: usize) -> Result<(), String> {
             codec.name()
         ))
     }
-}
-
-fn raw_encode(values: &[f32], out: &mut Vec<u8>) {
-    out.reserve(values.len() * 4);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn raw_decode(body: &[u8]) -> Vec<f32> {
-    body.chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
 }
 
 // ----------------------------------------------------------------------
@@ -446,7 +436,7 @@ fn delta_encode(values: &[f32], prev: Option<&[f32]>, out: &mut Vec<u8>) {
     // No usable previous block (first epoch, or a stream whose shape
     // changed), or the delta did not compress: ship raw.
     out.push(DELTA_RAW);
-    raw_encode(values, out);
+    le::put_f32s(out, values);
 }
 
 fn delta_decode(n: usize, body: &[u8], prev: Option<&[f32]>) -> Result<Vec<f32>, String> {
@@ -456,7 +446,7 @@ fn delta_decode(n: usize, body: &[u8], prev: Option<&[f32]>) -> Result<Vec<f32>,
     match mode {
         DELTA_RAW => {
             expect_len(Codec::Delta, rest.len(), n * 4)?;
-            Ok(raw_decode(rest))
+            Ok(Cursor::new(rest).f32s(n)?)
         }
         DELTA_XOR_RLE => {
             let p = match prev {

@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 
 use sar_tensor::MemScope;
 
+use crate::buffer;
 use crate::codec::{self, Codec};
 use crate::message::Payload;
 use crate::net::{CommStats, CostModel};
@@ -343,10 +344,14 @@ impl WorkerCtx {
             let key = (dst as u32, phase, layer);
             let mut cache = self.delta_sent.borrow_mut();
             let enc = codec.encode_block(phase, layer, &values, cache.get(&key).map(Vec::as_slice));
-            cache.insert(key, values);
+            if let Some(replaced) = cache.insert(key, values) {
+                buffer::recycle_f32(replaced);
+            }
             enc
         } else {
-            codec.encode_block(phase, layer, &values, None)
+            let enc = codec.encode_block(phase, layer, &values, None);
+            buffer::recycle_f32(values);
+            enc
         };
         Payload::Encoded { codec, bytes }
     }

@@ -3,9 +3,40 @@
 //! what it reads. The rank-to-rank stats gather ([`CommStats::to_bytes`]),
 //! `sar-bench`'s per-rank result blob and `sar-serve`'s request, response
 //! and control bodies are all this format, so none of them carries its
-//! own reader.
+//! own reader. Frame payloads skip the per-element form: on the wire an
+//! `f32`/`u32` block *is* its in-memory bytes (`scalar_bytes` to write,
+//! `scalar_bytes_mut` to read into — two views of the same memory),
+//! which is what a little-endian host stores anyway.
 //!
 //! [`CommStats::to_bytes`]: crate::CommStats::to_bytes
+
+#[cfg(not(target_endian = "little"))]
+compile_error!("sar-comm views scalar slices as their little-endian wire bytes in place");
+
+/// Scalars whose slice can be viewed as wire bytes in place: no padding,
+/// every bit pattern valid, little-endian in memory. Crate-private, so
+/// the three impls below are the only ones the views ever see.
+pub(crate) trait Scalar: Copy + Default {}
+impl Scalar for u8 {}
+impl Scalar for u32 {}
+impl Scalar for f32 {}
+
+/// The wire bytes of a scalar block — the block itself, not a copy.
+pub(crate) fn scalar_bytes<T: Scalar>(v: &[T]) -> &[u8] {
+    // SAFETY: `T` is u8, u32 or f32 (see `Scalar`): no padding, so all
+    // `size_of_val(v)` bytes are initialised; `u8` has alignment 1; the
+    // view borrows `v`, so it cannot outlive or alias a mutation of it.
+    unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
+}
+
+/// The wire bytes of a scalar block, writable: bytes read from a socket
+/// into the view *are* the decoded scalars.
+pub(crate) fn scalar_bytes_mut<T: Scalar>(v: &mut [T]) -> &mut [u8] {
+    // SAFETY: as for `scalar_bytes`, plus: every bit pattern is a valid
+    // u8, u32 and f32, so no write through the view can leave `v` invalid;
+    // the view holds the only (mutable) borrow of `v`.
+    unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
+}
 
 /// Why a [`Cursor`] read failed. These bytes arrive from the network, so
 /// a malformed buffer is an error value, never a panic.
@@ -127,18 +158,19 @@ impl<'a> Cursor<'a> {
     /// Reads `n` little-endian `u32`s. The length is checked against the
     /// buffer before anything is allocated.
     pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>, CursorError> {
-        let b = self.take(n.saturating_mul(4))?;
-        Ok(b.chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        self.scalars(n)
     }
 
     /// Reads `n` little-endian `f32`s (bounded like [`Cursor::u32s`]).
     pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, CursorError> {
-        let b = self.take(n.saturating_mul(4))?;
-        Ok(b.chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        self.scalars(n)
+    }
+
+    fn scalars<T: Scalar>(&mut self, n: usize) -> Result<Vec<T>, CursorError> {
+        let b = self.take(n.saturating_mul(std::mem::size_of::<T>()))?;
+        let mut v = vec![T::default(); n];
+        scalar_bytes_mut(&mut v).copy_from_slice(b);
+        Ok(v)
     }
 
     /// The unread bytes.
@@ -187,18 +219,12 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
 
 /// Appends a run of little-endian `u32`s (no length prefix).
 pub fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
-    out.reserve(vs.len() * 4);
-    for &v in vs {
-        put_u32(out, v);
-    }
+    out.extend_from_slice(scalar_bytes(vs));
 }
 
 /// Appends a run of little-endian `f32`s (no length prefix).
 pub fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
-    out.reserve(vs.len() * 4);
-    for &v in vs {
-        put_f32(out, v);
-    }
+    out.extend_from_slice(scalar_bytes(vs));
 }
 
 #[cfg(test)]

@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::codec::Codec;
+use crate::le;
 use crate::message::{Message, Payload};
 use crate::transport::{Clock, Transport, TransportError};
 use crate::wire::{read_frame, write_frame, Frame, FrameKind, WireError};
@@ -161,85 +162,86 @@ fn send_hello(
     codec: Codec,
     data_addr: SocketAddr,
 ) -> std::io::Result<()> {
-    let addr = data_addr.to_string().into_bytes();
-    let mut buf = Vec::with_capacity(9 + addr.len());
-    buf.extend_from_slice(&(rank as u32).to_le_bytes());
+    let mut buf = Vec::new();
+    le::put_u32(&mut buf, rank as u32);
     buf.push(codec.code());
-    buf.extend_from_slice(&(addr.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&addr);
+    put_addr(&mut buf, data_addr);
     stream.write_all(&buf)
 }
 
-fn read_exact(stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<()> {
-    stream.read_exact(buf)
+/// Appends a length-prefixed socket address.
+fn put_addr(out: &mut Vec<u8>, addr: SocketAddr) {
+    let s = addr.to_string().into_bytes();
+    le::put_u32(out, s.len() as u32);
+    out.extend_from_slice(&s);
+}
+
+/// Reads exactly `N` handshake bytes.
+fn recv_bytes<const N: usize>(stream: &mut TcpStream) -> Result<[u8; N], TransportError> {
+    let mut buf = [0u8; N];
+    stream.read_exact(&mut buf).map_err(TransportError::Io)?;
+    Ok(buf)
+}
+
+/// Reads the `len`-byte socket address a handshake length prefix
+/// announced; `what` names the message for the diagnostic.
+fn recv_addr(stream: &mut TcpStream, len: u32, what: &str) -> Result<SocketAddr, TransportError> {
+    if len > 256 {
+        return Err(TransportError::Handshake(format!(
+            "{what} claims a {len}-byte address"
+        )));
+    }
+    let mut addr = vec![0u8; len as usize];
+    stream.read_exact(&mut addr).map_err(TransportError::Io)?;
+    let addr = String::from_utf8(addr)
+        .map_err(|e| TransportError::Handshake(format!("non-utf8 address: {e}")))?;
+    addr.parse()
+        .map_err(|e| TransportError::Handshake(format!("bad address {addr:?}: {e}")))
 }
 
 fn recv_hello(stream: &mut TcpStream) -> Result<(usize, Codec, SocketAddr), TransportError> {
-    let mut head = [0u8; 9];
-    read_exact(stream, &mut head).map_err(TransportError::Io)?;
-    let rank = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-    let codec = Codec::from_code(head[4]).ok_or_else(|| {
+    let head = recv_bytes::<9>(stream)?;
+    let mut c = le::Cursor::new(&head);
+    // `head` is exactly these three fields, so the cursor cannot run out;
+    // if it ever did, that is a handshake error like any other.
+    let short_field = |e: le::CursorError| TransportError::Handshake(e.to_string());
+    let rank = c.u32().map_err(short_field)? as usize;
+    let codec_id = c.u8().map_err(short_field)?;
+    let codec = Codec::from_code(codec_id).ok_or_else(|| {
         TransportError::Handshake(format!(
-            "rendezvous hello from rank {rank} names unknown codec id {}",
-            head[4]
+            "rendezvous hello from rank {rank} names unknown codec id {codec_id}"
         ))
     })?;
-    let len = u32::from_le_bytes([head[5], head[6], head[7], head[8]]) as usize;
-    if len > 256 {
-        return Err(TransportError::Handshake(format!(
-            "rendezvous hello claims a {len}-byte address"
-        )));
-    }
-    let mut addr = vec![0u8; len];
-    read_exact(stream, &mut addr).map_err(TransportError::Io)?;
-    let addr = String::from_utf8(addr)
-        .map_err(|e| TransportError::Handshake(format!("non-utf8 address: {e}")))?;
-    let addr: SocketAddr = addr
-        .parse()
-        .map_err(|e| TransportError::Handshake(format!("bad address {addr:?}: {e}")))?;
-    Ok((rank, codec, addr))
+    let len = c.u32().map_err(short_field)?;
+    Ok((rank, codec, recv_addr(stream, len, "rendezvous hello")?))
 }
 
 fn send_roster(stream: &mut TcpStream, roster: &[SocketAddr]) -> std::io::Result<()> {
     let mut buf = Vec::new();
-    buf.extend_from_slice(&(roster.len() as u32).to_le_bytes());
-    for a in roster {
-        let s = a.to_string().into_bytes();
-        buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&s);
+    le::put_u32(&mut buf, roster.len() as u32);
+    for &a in roster {
+        put_addr(&mut buf, a);
     }
     stream.write_all(&buf)
 }
 
+fn recv_u32(stream: &mut TcpStream) -> Result<u32, TransportError> {
+    Ok(u32::from_le_bytes(recv_bytes(stream)?))
+}
+
 fn recv_roster(stream: &mut TcpStream, world: usize) -> Result<Vec<SocketAddr>, TransportError> {
-    let mut head = [0u8; 4];
-    read_exact(stream, &mut head).map_err(TransportError::Io)?;
-    let n = u32::from_le_bytes(head) as usize;
+    let n = recv_u32(stream)? as usize;
     if n != world {
         return Err(TransportError::Handshake(format!(
             "roster lists {n} ranks, expected {world}"
         )));
     }
-    let mut roster = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut lenb = [0u8; 4];
-        read_exact(stream, &mut lenb).map_err(TransportError::Io)?;
-        let len = u32::from_le_bytes(lenb) as usize;
-        if len > 256 {
-            return Err(TransportError::Handshake(format!(
-                "roster entry claims a {len}-byte address"
-            )));
-        }
-        let mut addr = vec![0u8; len];
-        read_exact(stream, &mut addr).map_err(TransportError::Io)?;
-        let addr = String::from_utf8(addr)
-            .map_err(|e| TransportError::Handshake(format!("non-utf8 address: {e}")))?;
-        roster.push(
-            addr.parse()
-                .map_err(|e| TransportError::Handshake(format!("bad address {addr:?}: {e}")))?,
-        );
-    }
-    Ok(roster)
+    (0..n)
+        .map(|_| {
+            let len = recv_u32(stream)?;
+            recv_addr(stream, len, "roster entry")
+        })
+        .collect()
 }
 
 /// SplitMix64 — the deterministic jitter generator for connection
@@ -588,9 +590,9 @@ impl TcpTransport {
 
 /// Drains one peer's outgoing queue onto its socket. Exits on a `Close`
 /// message (clean shutdown), a write error (recorded in `err` for the next
-/// `send` to report), or all senders dropping. Sent `F32` payload buffers
-/// are recycled through [`crate::buffer`], closing the serve-side
-/// allocation loop.
+/// `send` to report), or all senders dropping. Every sent `F32` payload is
+/// offered back to [`crate::buffer`], which keeps the ones it lent (the
+/// serve side's gather buffers) and lets the rest drop.
 fn writer_loop(
     mut stream: TcpStream,
     src: u32,

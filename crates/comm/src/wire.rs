@@ -25,10 +25,11 @@
 //! Integrity is end-to-end: the checksum covers the header fields as well as
 //! the payload, so a corrupted tag or length is rejected, not misrouted.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use crate::codec::Codec;
 use crate::message::Payload;
+use crate::{buffer, le};
 
 /// Magic bytes opening every frame.
 pub const WIRE_MAGIC: [u8; 4] = *b"SAR1";
@@ -43,43 +44,39 @@ pub const WIRE_HEADER_LEN: usize = 32;
 pub const WIRE_MAX_PAYLOAD: u64 = 1 << 30;
 
 /// Frame kind: application data, transport-internal control traffic, or
-/// client-facing serving traffic.
+/// client-facing serving traffic. The discriminant is the header's kind
+/// byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// A tagged application message.
-    Data,
+    Data = 0,
     /// A barrier announcement (`tag` carries the barrier sequence number).
-    Barrier,
+    Barrier = 1,
     /// Clean-shutdown announcement: the peer will send nothing further.
-    Shutdown,
+    Shutdown = 2,
     /// A serving-tier request from a client to a front-end (`tag` carries
     /// the client-chosen request id, echoed back in the response).
-    Request,
+    Request = 3,
     /// A serving-tier response from a front-end to a client (`tag` echoes
     /// the request id).
-    Response,
+    Response = 4,
 }
 
 impl FrameKind {
+    const ALL: [FrameKind; 5] = [
+        FrameKind::Data,
+        FrameKind::Barrier,
+        FrameKind::Shutdown,
+        FrameKind::Request,
+        FrameKind::Response,
+    ];
+
     fn code(self) -> u8 {
-        match self {
-            FrameKind::Data => 0,
-            FrameKind::Barrier => 1,
-            FrameKind::Shutdown => 2,
-            FrameKind::Request => 3,
-            FrameKind::Response => 4,
-        }
+        self as u8
     }
 
     fn from_code(c: u8) -> Option<FrameKind> {
-        match c {
-            0 => Some(FrameKind::Data),
-            1 => Some(FrameKind::Barrier),
-            2 => Some(FrameKind::Shutdown),
-            3 => Some(FrameKind::Request),
-            4 => Some(FrameKind::Response),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|k| k.code() == c)
     }
 }
 
@@ -211,86 +208,136 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 // ----------------------------------------------------------------------
-// Encoding
+// Frames
 // ----------------------------------------------------------------------
 
-fn dtype_code(p: &Payload) -> u8 {
+/// The header's dtype and codec bytes (offsets 5 and 6) and the payload's
+/// wire bytes — for scalar blocks the block's own memory, never a copy.
+fn payload_view(p: &Payload) -> (u8, u8, &[u8]) {
     match p {
-        Payload::Empty => 0,
-        Payload::F32(_) => 1,
-        Payload::U32(_) => 2,
-        Payload::Bytes(_) => 3,
-        Payload::Encoded { .. } => 4,
+        Payload::Empty => (0, 0, &[]),
+        Payload::F32(v) => (1, 0, le::scalar_bytes(v)),
+        Payload::U32(v) => (2, 0, le::scalar_bytes(v)),
+        Payload::Bytes(v) => (3, 0, v),
+        Payload::Encoded { codec, bytes } => (4, codec.code(), bytes),
     }
 }
 
-/// The codec byte (header offset 6): the codec id for encoded frames,
-/// zero for every plain dtype.
-fn codec_byte(p: &Payload) -> u8 {
-    match p {
-        Payload::Encoded { codec, .. } => codec.code(),
-        _ => 0,
+/// Writes one frame to `w`: the checksum is computed over the header and
+/// the payload where it lies, then both leave in one vectored submission
+/// (so a small frame is one syscall and concurrent writers on distinct
+/// streams never interleave partial frames); whatever a short write leaves
+/// behind follows in further submissions.
+pub fn write_frame(
+    w: &mut impl Write,
+    kind: FrameKind,
+    src: u32,
+    tag: u64,
+    payload: &Payload,
+) -> io::Result<()> {
+    let (dtype, codec_id, mut body) = payload_view(payload);
+    let mut header = [0u8; WIRE_HEADER_LEN];
+    header[..4].copy_from_slice(&WIRE_MAGIC);
+    header[4..8].copy_from_slice(&[kind.code(), dtype, codec_id, 0]);
+    header[8..12].copy_from_slice(&src.to_le_bytes());
+    header[12..20].copy_from_slice(&tag.to_le_bytes());
+    header[20..28].copy_from_slice(&(body.len() as u64).to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&header[..28]);
+    crc.update(body);
+    header[28..].copy_from_slice(&crc.finish().to_le_bytes());
+
+    let mut head = &header[..];
+    while !(head.is_empty() && body.is_empty()) {
+        match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                let of_head = n.min(head.len());
+                head = &head[of_head..];
+                body = &body[n - of_head..];
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
+    Ok(())
 }
 
-fn payload_bytes(p: &Payload, out: &mut Vec<u8>) {
-    match p {
-        Payload::Empty => {}
-        Payload::F32(v) => {
-            out.reserve(v.len() * 4);
-            for x in v {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        Payload::U32(v) => {
-            out.reserve(v.len() * 4);
-            for x in v {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        Payload::Bytes(v) => out.extend_from_slice(v),
-        Payload::Encoded { bytes, .. } => out.extend_from_slice(bytes),
-    }
+/// One frame as a contiguous buffer: [`write_frame`] into a `Vec`.
+pub fn encode_frame(kind: FrameKind, src: u32, tag: u64, payload: &Payload) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(payload.wire_len());
+    write_frame(&mut buf, kind, src, tag, payload)
+        .unwrap_or_else(|e| panic!("writing a frame into a Vec cannot fail: {e}"));
+    buf
 }
 
-fn decode_payload(dtype: u8, codec_id: u8, bytes: Vec<u8>) -> Result<Payload, WireError> {
-    if dtype != 4 && codec_id != 0 {
-        return Err(WireError::BadHeader(format!(
-            "codec byte {codec_id} set on a non-encoded frame (dtype {dtype})"
-        )));
-    }
-    match dtype {
-        0 => {
-            if bytes.is_empty() {
-                Ok(Payload::Empty)
-            } else {
-                Err(WireError::BadHeader(format!(
-                    "empty dtype with {} payload bytes",
-                    bytes.len()
-                )))
-            }
-        }
-        1 | 2 => {
-            if !bytes.len().is_multiple_of(4) {
-                return Err(WireError::BadHeader(format!(
-                    "scalar payload length {} not a multiple of 4",
-                    bytes.len()
+/// Fills `buf`, which starts `at` bytes into a frame of (as far as its
+/// header says) `of` bytes. A stream that ends before a frame's first byte
+/// ended cleanly; one that ends anywhere later was cut short.
+fn read_exact_or_eof(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    at: usize,
+    of: usize,
+) -> Result<(), WireError> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) if at + filled == 0 => return Err(WireError::Eof),
+            Ok(0) => {
+                return Err(WireError::Io(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("stream ended mid-frame ({} of {of} bytes)", at + filled),
                 )));
             }
-            if dtype == 1 {
-                let v = bytes
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect();
-                Ok(Payload::F32(v))
-            } else {
-                let v = bytes
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect();
-                Ok(Payload::U32(v))
-            }
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(WireError::Io(e)),
         }
+    }
+    Ok(())
+}
+
+/// Most bytes [`read_body`] extends its destination by ahead of the
+/// stream. A header's length field is a claim — up to [`WIRE_MAX_PAYLOAD`],
+/// from a peer or serving client that may send ten bytes and hang up — so
+/// it sizes nothing in advance; a chunk is also still in cache when it is
+/// checksummed.
+const READ_CHUNK: usize = 256 << 10;
+
+/// Reads `n` scalars straight into `dst` — no intermediate byte buffer —
+/// checksumming each chunk in place as it lands.
+fn read_body<T: le::Scalar>(
+    r: &mut impl Read,
+    mut dst: Vec<T>,
+    n: usize,
+    crc: &mut Crc32,
+) -> Result<Vec<T>, WireError> {
+    let size = size_of::<T>();
+    let frame_len = WIRE_HEADER_LEN + n * size;
+    while dst.len() < n {
+        let start = dst.len();
+        dst.resize(n.min(start + READ_CHUNK / size), T::default());
+        let chunk = le::scalar_bytes_mut(&mut dst[start..]);
+        read_exact_or_eof(r, chunk, WIRE_HEADER_LEN + start * size, frame_len)?;
+        crc.update(chunk);
+    }
+    Ok(dst)
+}
+
+/// Turns the body bytes of a non-scalar frame into its payload, rejecting
+/// every dtype/codec/length combination the format does not define.
+fn bytes_payload(dtype: u8, codec_id: u8, bytes: Vec<u8>) -> Result<Payload, WireError> {
+    match dtype {
+        0 if bytes.is_empty() => Ok(Payload::Empty),
+        0 => Err(WireError::BadHeader(format!(
+            "empty dtype with {} payload bytes",
+            bytes.len()
+        ))),
+        1 | 2 => Err(WireError::BadHeader(format!(
+            "scalar payload length {} not a multiple of 4",
+            bytes.len()
+        ))),
         3 => Ok(Payload::Bytes(bytes)),
         4 => {
             let codec = Codec::from_code(codec_id).ok_or_else(|| {
@@ -307,72 +354,16 @@ fn decode_payload(dtype: u8, codec_id: u8, bytes: Vec<u8>) -> Result<Payload, Wi
     }
 }
 
-/// Encodes one frame into a contiguous buffer (header + payload).
-pub fn encode_frame(kind: FrameKind, src: u32, tag: u64, payload: &Payload) -> Vec<u8> {
-    let mut body = Vec::new();
-    payload_bytes(payload, &mut body);
-    let mut buf = Vec::with_capacity(WIRE_HEADER_LEN + body.len());
-    buf.extend_from_slice(&WIRE_MAGIC);
-    buf.push(kind.code());
-    buf.push(dtype_code(payload));
-    buf.push(codec_byte(payload));
-    buf.push(0);
-    buf.extend_from_slice(&src.to_le_bytes());
-    buf.extend_from_slice(&tag.to_le_bytes());
-    buf.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    let mut crc = Crc32::new();
-    crc.update(&buf[..28]);
-    crc.update(&body);
-    buf.extend_from_slice(&crc.finish().to_le_bytes());
-    buf.extend_from_slice(&body);
-    debug_assert_eq!(buf.len(), WIRE_HEADER_LEN + body.len());
-    buf
+/// The header's integer fields at offsets 8..32: src rank, tag, payload
+/// length, checksum. The header is a fixed array, so the reads cannot run
+/// out.
+fn header_ints(header: &[u8; WIRE_HEADER_LEN]) -> Result<(u32, u64, u64, u32), le::CursorError> {
+    let mut c = le::Cursor::new(&header[8..]);
+    Ok((c.u32()?, c.u64()?, c.u64()?, c.u32()?))
 }
 
-/// Writes one frame to `w` (a single `write_all`, so concurrent writers on
-/// distinct streams never interleave partial frames).
-pub fn write_frame(
-    w: &mut impl Write,
-    kind: FrameKind,
-    src: u32,
-    tag: u64,
-    payload: &Payload,
-) -> io::Result<()> {
-    w.write_all(&encode_frame(kind, src, tag, payload))
-}
-
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<(), WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if filled == 0 {
-                    WireError::Eof
-                } else {
-                    WireError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!("stream ended mid-frame ({filled} of {} bytes)", buf.len()),
-                    ))
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    Ok(())
-}
-
-/// Copies a fixed-size little-endian field out of a frame header. The
-/// header is a fixed 32-byte array and every `at`/`N` pair is a compile-time
-/// constant within bounds, so no fallible conversion is needed.
-fn header_field<const N: usize>(header: &[u8; WIRE_HEADER_LEN], at: usize) -> [u8; N] {
-    let mut arr = [0u8; N];
-    arr.copy_from_slice(&header[at..at + N]);
-    arr
-}
-
-/// Reads and validates one frame from `r`.
+/// Reads and validates one frame from `r`. An `F32` body lands in a buffer
+/// taken from [`crate::buffer`], which the block's consumer returns there.
 ///
 /// # Errors
 ///
@@ -380,7 +371,7 @@ fn header_field<const N: usize>(header: &[u8; WIRE_HEADER_LEN], at: usize) -> [u
 /// variants on truncation, corruption, or checksum mismatch.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     let mut header = [0u8; WIRE_HEADER_LEN];
-    read_exact_or_eof(r, &mut header)?;
+    read_exact_or_eof(r, &mut header, 0, WIRE_HEADER_LEN)?;
     if header[..4] != WIRE_MAGIC {
         return Err(WireError::BadHeader(format!(
             "magic {:02x?} != {:02x?}",
@@ -390,29 +381,28 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     }
     let kind = FrameKind::from_code(header[4])
         .ok_or_else(|| WireError::BadHeader(format!("unknown frame kind {}", header[4])))?;
-    let dtype = header[5];
-    let codec_id = header[6];
-    let src = u32::from_le_bytes(header_field(&header, 8));
-    let tag = u64::from_le_bytes(header_field(&header, 12));
-    let len = u64::from_le_bytes(header_field(&header, 20));
-    let expected = u32::from_le_bytes(header_field(&header, 28));
+    let (dtype, codec_id) = (header[5], header[6]);
+    let (src, tag, len, expected) =
+        header_ints(&header).map_err(|e| WireError::BadHeader(e.to_string()))?;
     if len > WIRE_MAX_PAYLOAD {
         return Err(WireError::BadHeader(format!(
             "payload length {len} exceeds the {WIRE_MAX_PAYLOAD}-byte frame limit"
         )));
     }
-    let mut body = vec![0u8; len as usize];
-    read_exact_or_eof(r, &mut body).map_err(|e| match e {
-        // EOF inside the payload is truncation, not a clean close.
-        WireError::Eof => WireError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "stream ended inside a frame payload",
-        )),
-        other => other,
-    })?;
+    let len = len as usize;
     let mut crc = Crc32::new();
     crc.update(&header[..28]);
-    crc.update(&body);
+    // Scalar blocks are read into their typed destination; everything
+    // else (including a scalar dtype with a ragged length, reported once
+    // the checksum has vouched for the header) is read as bytes.
+    let body = match dtype {
+        1 if len.is_multiple_of(4) => {
+            let pooled = buffer::take_f32(len / 4).unwrap_or_default();
+            Payload::F32(read_body(r, pooled, len / 4, &mut crc)?)
+        }
+        2 if len.is_multiple_of(4) => Payload::U32(read_body(r, Vec::new(), len / 4, &mut crc)?),
+        _ => Payload::Bytes(read_body(r, Vec::new(), len, &mut crc)?),
+    };
     let actual = crc.finish();
     if actual != expected {
         return Err(WireError::ChecksumMismatch {
@@ -421,7 +411,15 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
             codec: (dtype == 4).then(|| Codec::from_code(codec_id)).flatten(),
         });
     }
-    let payload = decode_payload(dtype, codec_id, body)?;
+    if dtype != 4 && codec_id != 0 {
+        return Err(WireError::BadHeader(format!(
+            "codec byte {codec_id} set on a non-encoded frame (dtype {dtype})"
+        )));
+    }
+    let payload = match body {
+        Payload::Bytes(bytes) => bytes_payload(dtype, codec_id, bytes)?,
+        scalars => scalars,
+    };
     Ok(Frame {
         kind,
         src,
@@ -439,6 +437,157 @@ mod tests {
         // The classic IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// One frame per dtype, byte for byte: header fields, CRC (checked
+    /// against zlib's, not against this encoder) and body, so the format
+    /// is pinned by literals rather than by the writer agreeing with the
+    /// reader.
+    #[test]
+    fn golden_bytes_pin_the_format_for_every_dtype() {
+        #[rustfmt::skip]
+        let golden: [(FrameKind, u32, u64, Payload, &[u8]); 5] = [
+            (FrameKind::Barrier, 1, 7, Payload::Empty, &[
+                0x53, 0x41, 0x52, 0x31, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+                0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x96, 0x7e, 0x6a, 0x17,
+            ]),
+            (FrameKind::Data, 3, 42, Payload::F32(vec![1.5, -2.0]), &[
+                0x53, 0x41, 0x52, 0x31, 0x00, 0x01, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+                0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x26, 0xec, 0x75, 0xa9,
+                0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0x00, 0xc0,
+            ]),
+            (FrameKind::Data, 2, 0x0102_0304_0506_0708, Payload::U32(vec![1, 0xdead_beef]), &[
+                0x53, 0x41, 0x52, 0x31, 0x00, 0x02, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+                0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+                0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc8, 0xde, 0xee, 0x24,
+                0x01, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde,
+            ]),
+            (FrameKind::Request, 0, 17, Payload::Bytes(vec![1, 2, 3]), &[
+                0x53, 0x41, 0x52, 0x31, 0x03, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0xff, 0xb9, 0x13,
+                0x01, 0x02, 0x03,
+            ]),
+            (
+                FrameKind::Data, 5, 9,
+                Payload::Encoded { codec: Codec::Int8, bytes: vec![0xaa, 0xbb, 0xcc, 0xdd, 0xee] },
+                &[
+                    0x53, 0x41, 0x52, 0x31, 0x00, 0x04, 0x03, 0x00, 0x05, 0x00, 0x00, 0x00,
+                    0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                    0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0c, 0x98, 0x2b, 0xab,
+                    0xaa, 0xbb, 0xcc, 0xdd, 0xee,
+                ],
+            ),
+        ];
+        for (kind, src, tag, payload, bytes) in golden {
+            let mut written = Vec::new();
+            write_frame(&mut written, kind, src, tag, &payload).unwrap();
+            assert_eq!(written, bytes, "writing {payload:?}");
+            let frame = read_frame(&mut &bytes[..]).expect("golden frame decodes");
+            let want = Frame {
+                kind,
+                src,
+                tag,
+                payload,
+            };
+            assert_eq!(frame, want);
+        }
+    }
+
+    /// A `Write` that accepts whatever it is offered and counts the offers.
+    #[derive(Default)]
+    struct CountingWrite {
+        submissions: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.submissions += 1;
+            bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_small_frame_reaches_the_writer_in_one_submission() {
+        for payload in [Payload::Empty, Payload::F32(vec![0.25; 256])] {
+            let mut w = CountingWrite::default();
+            write_frame(&mut w, FrameKind::Data, 1, 2, &payload).unwrap();
+            assert_eq!(w.submissions, 1, "header and payload left separately");
+            assert_eq!(w.bytes, encode_frame(FrameKind::Data, 1, 2, &payload));
+        }
+    }
+
+    #[test]
+    fn short_writes_are_resumed_mid_header_and_mid_payload() {
+        /// Accepts at most 7 bytes per call, from the first non-empty slice.
+        struct Dribble(Vec<u8>);
+        impl Write for Dribble {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(7);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload = Payload::U32((0..40).collect());
+        let mut w = Dribble(Vec::new());
+        write_frame(&mut w, FrameKind::Data, 1, 2, &payload).unwrap();
+        assert_eq!(w.0, encode_frame(FrameKind::Data, 1, 2, &payload));
+    }
+
+    #[test]
+    fn a_header_claiming_a_gigabyte_reserves_nothing_before_the_bytes_arrive() {
+        /// Serves `data`, recording the largest buffer `read` was handed.
+        struct Recording<'a> {
+            data: &'a [u8],
+            largest_request: usize,
+        }
+        impl Read for Recording<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest_request = self.largest_request.max(buf.len());
+                self.data.read(buf)
+            }
+        }
+        for dtype_payload in [
+            Payload::F32(vec![]),
+            Payload::U32(vec![]),
+            Payload::Bytes(vec![]),
+        ] {
+            // A well-formed header whose length field lies, ten payload
+            // bytes, then EOF. (The CRC is never reached.)
+            let mut stream = encode_frame(FrameKind::Data, 1, 2, &dtype_payload);
+            stream[20..28].copy_from_slice(&WIRE_MAX_PAYLOAD.to_le_bytes());
+            stream.extend_from_slice(&[0xab; 10]);
+            let mut r = Recording {
+                data: &stream,
+                largest_request: 0,
+            };
+            match read_frame(&mut r) {
+                Err(WireError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+                other => panic!("expected UnexpectedEof, got {other:?}"),
+            }
+            assert!(
+                r.largest_request <= READ_CHUNK,
+                "read was handed a {}-byte buffer on the strength of a header",
+                r.largest_request
+            );
+        }
+        // The failed F32 read left no gigabyte buffer behind for the next
+        // taker.
+        let elems = WIRE_MAX_PAYLOAD as usize / 4;
+        assert!(buffer::take_f32(elems).is_none());
     }
 
     fn round_trip(payload: Payload) {

@@ -324,8 +324,8 @@ impl Worker {
     /// Serves rows of `data` to worker `dst` under `tag`: gathers the rows
     /// `dst` needs into a pooled buffer (steady-state rounds stop
     /// allocating once the pool is primed) and hands it to the transport's
-    /// non-blocking send path — on TCP the frame encode and socket write
-    /// run on the destination's writer thread, which recycles the buffer.
+    /// non-blocking send path — on TCP the checksum and socket write run
+    /// on the destination's writer thread, which returns the buffer.
     /// The staging buffer is never registered with this worker's memory
     /// tracker: egress in flight is not resident state under the paper's
     /// accounting.
@@ -340,9 +340,10 @@ impl Worker {
         tag: u64,
     ) -> Result<(), TransportError> {
         let (src, cols, rows) = (data.data(), data.cols(), view.serve_rows(dst));
-        let mut buf = buffer::take_f32(rows.len() * cols);
-        for (out, &r) in buf.chunks_exact_mut(cols).zip(rows) {
-            out.copy_from_slice(&src[r as usize * cols..(r as usize + 1) * cols]);
+        let len = rows.len() * cols;
+        let mut buf = buffer::take_f32(len).unwrap_or_else(|| Vec::with_capacity(len));
+        for &r in rows {
+            buf.extend_from_slice(&src[r as usize * cols..(r as usize + 1) * cols]);
         }
         self.ctx.try_send(dst, tag, Payload::F32(buf))
     }
@@ -688,24 +689,20 @@ impl<'a> GradRouter<'a> {
         let routed = w.protocol.get() != Protocol::GradOnly;
         let _phase = w.ctx.phase_scope(Phase::GradRouting);
         let mut grad = Tensor::zeros(&[view.num_inputs(), cols]);
-        let mut add = |rows: &[u32], block: Tensor| {
-            grad.scatter_add_rows(rows, &block);
-            buffer::recycle_f32(block.into_data());
-        };
         for step in plan::grad_steps(w.world(), w.rank()) {
             match step {
                 GradStep::AccumulateLocal => {
                     if let Some(data) = self.local.take() {
                         let rows = view.local_rows();
-                        add(rows, Tensor::from_vec(&[rows.len(), cols], data));
+                        grad.scatter_add_rows(rows, &Tensor::from_vec(&[rows.len(), cols], data));
                     }
                 }
                 GradStep::Recv { src } if routed => {
                     let rows = view.serve_rows(src);
-                    add(
-                        rows,
-                        w.try_receive_block(src, self.tag, rows.len(), cols, "gradient")?,
-                    );
+                    let block = w.try_receive_block(src, self.tag, rows.len(), cols, "gradient")?;
+                    grad.scatter_add_rows(rows, &block);
+                    // The TCP reader took this buffer from the pool.
+                    buffer::recycle_f32(block.into_data());
                 }
                 GradStep::Send { .. } | GradStep::Recv { .. } => {}
             }

@@ -1,5 +1,7 @@
 //! Compressed-sparse-row adjacency, oriented for message passing.
 
+use std::sync::OnceLock;
+
 /// A graph in compressed-sparse-row form, oriented **destination-major**:
 /// row `i` lists the *source* nodes `j` of edges `j → i`. Aggregating over
 /// `neighbors(i)` therefore aggregates a node's incoming messages, matching
@@ -22,7 +24,7 @@
 /// assert_eq!(g.in_degree(1), 2);
 /// assert_eq!(g.num_edges(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     num_rows: usize,
     num_cols: usize,
@@ -33,6 +35,39 @@ pub struct CsrGraph {
     /// kernel traversals in `ops` (blocking by source range only
     /// preserves per-row accumulation order on sorted rows).
     rows_sorted: bool,
+    rev: RevCache,
+}
+
+/// The [`ReverseIndex`] of a graph, built on first use. It is derived from
+/// the arrays above, not part of the graph's identity: a clone starts
+/// without one, any two compare equal, and `Debug` leaves it out.
+#[derive(Default)]
+struct RevCache(OnceLock<ReverseIndex>);
+
+impl Clone for RevCache {
+    fn clone(&self) -> Self {
+        RevCache::default()
+    }
+}
+
+impl PartialEq for RevCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for RevCache {}
+
+impl std::fmt::Debug for CsrGraph {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CsrGraph")
+            .field("num_rows", &self.num_rows)
+            .field("num_cols", &self.num_cols)
+            .field("indptr", &self.indptr)
+            .field("indices", &self.indices)
+            .field("rows_sorted", &self.rows_sorted)
+            .finish()
+    }
 }
 
 impl CsrGraph {
@@ -87,6 +122,7 @@ impl CsrGraph {
             indptr,
             indices,
             rows_sorted: true,
+            rev: RevCache::default(),
         }
     }
 
@@ -123,6 +159,7 @@ impl CsrGraph {
             indptr,
             indices,
             rows_sorted,
+            rev: RevCache::default(),
         }
     }
 
@@ -270,15 +307,21 @@ impl CsrGraph {
         self.in_degree(i) == 0
     }
 
-    /// Builds the source-major [`ReverseIndex`] of this graph, preserving
-    /// CSR edge ids. Unlike [`CsrGraph::reverse`] (which rebuilds a CSR
+    /// The source-major [`ReverseIndex`] of this graph, preserving CSR
+    /// edge ids; built by one O(E) counting sort on first use and kept for
+    /// the graph's lifetime, so the backward kernels of every layer and
+    /// epoch share it. Unlike [`CsrGraph::reverse`] (which rebuilds a CSR
     /// and forgets which original edge each entry came from), the reverse
     /// index keeps, for every source column `j`, its edges **ascending by
     /// CSR edge id** — the order the destination-major kernels visit
     /// them. Scatter-style backward kernels parallelize over sources with
     /// it while reproducing the sequential accumulation order bit for
     /// bit.
-    pub fn reverse_index(&self) -> ReverseIndex {
+    pub fn reverse_index(&self) -> &ReverseIndex {
+        self.rev.0.get_or_init(|| self.build_reverse_index())
+    }
+
+    fn build_reverse_index(&self) -> ReverseIndex {
         let e_count = self.num_edges();
         let mut indptr = vec![0usize; self.num_cols + 1];
         for &j in &self.indices {
@@ -380,6 +423,25 @@ mod tests {
         assert_eq!(r.neighbors(0), &[1, 2]);
         assert_eq!(r.neighbors(3), &[] as &[u32]);
         assert_eq!(r.reverse(), g);
+    }
+
+    #[test]
+    fn reverse_index_is_built_once_and_is_not_part_of_identity() {
+        let g = diamond();
+        let untouched = g.clone();
+        let rev = g.reverse_index();
+        assert!(
+            std::ptr::eq(rev, g.reverse_index()),
+            "second call rebuilt it"
+        );
+        assert_eq!(rev.entries(0).collect::<Vec<_>>(), vec![(1, 0), (2, 1)]);
+        // A graph that has built its index still equals, and prints like,
+        // one that has not; a clone builds its own.
+        assert_eq!(g, untouched);
+        assert_eq!(format!("{g:?}"), format!("{untouched:?}"));
+        let copy = g.clone();
+        assert!(!std::ptr::eq(copy.reverse_index(), rev));
+        assert_eq!(copy.reverse_index(), rev);
     }
 
     #[test]
