@@ -576,6 +576,16 @@ impl TcpTransport {
         }
     }
 
+    /// Why `dst`'s writer queue is closed: the writer thread exited, so
+    /// report what killed it if it left a diagnostic (handed out once),
+    /// else a plain disconnect.
+    fn writer_failure(&self, dst: usize) -> TransportError {
+        self.writers[dst]
+            .as_ref()
+            .and_then(|w| w.err.lock().ok()?.take())
+            .unwrap_or(TransportError::Disconnected { peer: dst })
+    }
+
     /// Simulates a crash for fault-injection tests: closes every peer
     /// socket immediately, without shutdown frames. Peers observe an
     /// unexpected EOF and surface [`TransportError::Disconnected`]; this
@@ -764,16 +774,7 @@ impl Transport for TcpTransport {
                 tag,
                 payload,
             })
-            .map_err(|_| {
-                // The writer thread exited: report what killed it if it
-                // left a diagnostic, else a plain disconnect.
-                writer
-                    .err
-                    .lock()
-                    .ok()
-                    .and_then(|mut e| e.take())
-                    .unwrap_or(TransportError::Disconnected { peer: dst })
-            })
+            .map_err(|_| self.writer_failure(dst))
     }
 
     fn recv_any(&self, timeout: Duration) -> Result<Message, TransportError> {
@@ -820,7 +821,7 @@ impl Transport for TcpTransport {
                 tag: seq,
                 payload: Payload::Empty,
             })
-            .map_err(|_| TransportError::Disconnected { peer: q })?;
+            .map_err(|_| self.writer_failure(q))?;
         }
         // Barrier formation shares the configured I/O deadline — a barrier
         // that outlives `io_timeout` means a peer is dead or wedged, and
@@ -1036,6 +1037,50 @@ mod tests {
             }
         });
         assert_eq!(out[0], "disconnected:1");
+    }
+
+    /// A real rank 0 against a hand-rolled "rank 1" that completes the
+    /// handshake and then never reads: a dead process whose socket lingers.
+    /// A block larger than the loopback buffers makes rank 0's writer
+    /// thread run into its write timeout — an `Io` cause, which a plain
+    /// `Disconnected` would not be told apart from. Returns the error of
+    /// `call`, made once the writer thread has exited.
+    fn error_after_writer_failed(
+        call: impl FnOnce(&TcpTransport) -> Result<(), TransportError>,
+    ) -> String {
+        let rendezvous = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let rdv_addr = rendezvous.local_addr().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let dead = std::thread::spawn(move || {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let mut s = TcpStream::connect(rdv_addr).unwrap();
+            send_hello(&mut s, 1, Codec::Raw, listener.local_addr().unwrap()).unwrap();
+            let _roster = recv_roster(&mut s, 2).unwrap();
+            let (mut data, _) = listener.accept().unwrap();
+            assert_eq!(read_frame(&mut data).unwrap().src, 0);
+            // Hold the socket open, unread, until rank 0 has its answer.
+            let _ = done_rx.recv();
+        });
+        let t = TcpTransport::host(rendezvous, 2, TcpOpts::impatient()).unwrap();
+        t.send(1, 3, Payload::F32(vec![0.5; 4 << 20])).unwrap();
+        let writer = t.writers[1].as_ref().unwrap().join.as_ref().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !writer.is_finished() {
+            assert!(Instant::now() < deadline, "the writer never timed out");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let err = call(&t).expect_err("the writer queue is closed");
+        done_tx.send(()).unwrap();
+        dead.join().unwrap();
+        format!("{err:?}")
+    }
+
+    #[test]
+    fn barrier_on_a_dead_writer_reports_the_cause_send_reports() {
+        let from_send = error_after_writer_failed(|t| t.send(1, 4, Payload::Empty));
+        let from_barrier = error_after_writer_failed(|t| t.barrier());
+        assert!(from_send.starts_with("Io("), "send: {from_send}");
+        assert_eq!(from_barrier, from_send);
     }
 
     #[test]

@@ -1,9 +1,24 @@
 //! Property-based tests of the collectives: the ring all-reduce must
 //! equal an elementwise sum for arbitrary buffer lengths and world sizes,
-//! and traffic accounting must balance.
+//! and traffic accounting must balance. And of the frame checksum: fed in
+//! pieces, it must equal the polynomial division it is defined as.
 
 use proptest::prelude::*;
+use sar_comm::wire::{crc32, Crc32};
 use sar_comm::{Cluster, CostModel, Payload, WIRE_HEADER_LEN};
+
+/// CRC-32 (IEEE) as its definition: the reflected polynomial divided one
+/// bit at a time. No table, nothing shared with the implementation.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut c = 0xffff_ffffu32;
+    for &b in bytes {
+        c ^= b as u32;
+        for _ in 0..8 {
+            c = (c >> 1) ^ (0xedb8_8320 & (c & 1).wrapping_neg());
+        }
+    }
+    !c
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -81,5 +96,27 @@ proptest! {
                 prop_assert!(buf.iter().all(|&v| v == r as f32));
             }
         }
+    }
+
+    // The frame reader checksums a body in 256 KiB chunks and the writer
+    // feeds `header[..28]` and then the body: both stream one checksum
+    // through `update` at cut points that need not be multiples of 16.
+    #[test]
+    fn streamed_crc32_equals_bitwise_division(
+        bytes in proptest::collection::vec(0u8..=255, 0usize..=65536),
+        cuts in proptest::collection::vec(0usize..=65536, 0usize..6),
+    ) {
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        cuts.push(bytes.len());
+        let mut crc = Crc32::new();
+        let mut at = 0;
+        for cut in cuts {
+            crc.update(&bytes[at..cut]);
+            at = cut;
+        }
+        let expect = crc32_bitwise(&bytes);
+        prop_assert_eq!(crc.finish(), expect);
+        prop_assert_eq!(crc32(&bytes), expect);
     }
 }
