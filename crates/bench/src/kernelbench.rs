@@ -8,8 +8,9 @@
 //!
 //! Raw GFLOP/s are machine-dependent, so the committed baseline is never
 //! compared on absolute throughput. Instead each run calibrates the host
-//! (an in-cache `axpy` loop as a peak-GFLOP/s proxy, a large streaming
-//! `add_assign` as a memory-bandwidth proxy), derives a per-kernel
+//! (a register-resident unfused multiply+add loop, [`simd::peak_probe`],
+//! as a peak-GFLOP/s proxy; a large streaming `add_assign` as a
+//! memory-bandwidth proxy), derives a per-kernel
 //! roofline `min(peak, bandwidth × arithmetic-intensity)`, and reports
 //! the achieved fraction of that roofline. The CI gate compares these
 //! *roofline ratios* against the committed baseline with a deliberately
@@ -42,14 +43,20 @@ use sar_graph::fused::{self, OnlineAttnState};
 use sar_graph::generators::erdos_renyi;
 use sar_graph::ops;
 use sar_tensor::init::randn;
-use sar_tensor::{pool, simd};
+use sar_tensor::{pool, simd, Tensor};
 
 use crate::cli::{parse_committed, Args, GatedBench};
 
 /// Schema tag written into (and required from) `BENCH_kernels.json`.
 /// Bump whenever the kernel set, the work models or the field layout
 /// change; the CI gate refuses to compare across schema versions.
-pub const SCHEMA: &str = "sar-kernelbench/v1";
+///
+/// v2: the compute-peak proxy is [`simd::peak_probe`] (v1 used an
+/// L1-resident `axpy`, a load/store-bound loop the register-tiled matmuls
+/// run at twice the speed of), and the workload matrix gained the
+/// tall-skinny matmul shapes of the benchmark's `sage-tcp2` layer 0.
+/// Ratios are not comparable across the two.
+pub const SCHEMA: &str = "sar-kernelbench/v2";
 
 /// Relative slack on the baseline roofline ratio: a kernel fails the
 /// gate only below `baseline × (1 − REL_TOLERANCE) − ABS_TOLERANCE`.
@@ -93,7 +100,8 @@ pub struct BenchReport {
     pub simd: String,
     /// Kernel-pool thread count the run used.
     pub threads: usize,
-    /// Calibrated single-thread peak-GFLOP/s proxy (in-cache `axpy`).
+    /// Calibrated single-thread peak-GFLOP/s proxy: the no-FMA
+    /// multiply+add rate of eight register-resident accumulators.
     pub peak_gflops: f64,
     /// Calibrated streaming-bandwidth proxy, GB/s (large `add_assign`).
     pub stream_gbs: f64,
@@ -159,18 +167,17 @@ fn best_of(rounds: usize, mut f: impl FnMut()) -> f64 {
 /// points, so a `--simd scalar` run is normalized against a scalar
 /// roofline and its ratios stay comparable to an AVX2 run's.
 fn calibrate(quick: bool) -> (f64, f64) {
-    // Peak proxy: repeated axpy over an L1-resident pair of buffers.
-    let len = 4096usize;
-    let reps = if quick { 32 } else { 256 };
-    let a = vec![1.000_001f32; len];
-    let mut b = vec![1.0f32; len];
-    let rounds = if quick { 3 } else { 20 };
+    // Peak proxy: unfused multiply+add over eight accumulators that never
+    // leave registers — what a kernel bound by neither loads nor stores
+    // could reach under the workspace's no-FMA rule. 128 FLOPs per step.
+    // A full-size round runs ≈ 3 ms, as long as a timed kernel iteration,
+    // so the probe and the kernels see the same host conditions.
+    let steps = if quick { 1 << 13 } else { 1 << 21 };
+    let rounds = if quick { 3 } else { 8 };
     let best_us = best_of(rounds, || {
-        for _ in 0..reps {
-            simd::axpy(1.000_001, &a, black_box(&mut b));
-        }
+        black_box(simd::peak_probe(black_box(steps)));
     });
-    let peak_gflops = (2.0 * len as f64 * reps as f64) / (best_us * 1e3);
+    let peak_gflops = (128.0 * steps as f64) / (best_us * 1e3);
 
     // Stream proxy: add_assign over buffers far larger than L2.
     let slen = if quick { 1 << 18 } else { 1 << 22 };
@@ -337,52 +344,47 @@ fn graph_cases(quick: bool) -> Vec<Case> {
     cases
 }
 
-/// The dense matmul cases exercising the k-panel blocking (`matmul`,
-/// `matmul_tn`) and the fixed-tree SIMD dot (`matmul_nt`).
+/// The dense matmul cases, each layout at two shapes (`m×k×n` of the
+/// product `[m, k] · [k, n]`): a square one, and the tall-skinny one the
+/// benchmark's `sage-tcp2` actually runs — layer 0 on one rank's 25 000
+/// rows: the forward `X·W`, the weight gradient `Xᵀ·g` and the input
+/// gradient `g·Wᵀ`.
 fn matmul_cases(quick: bool) -> Vec<Case> {
-    let (m, k, n) = if quick { (48, 32, 32) } else { (384, 256, 256) };
-    let mut rng = StdRng::seed_from_u64(0xD07);
-    let a = randn(&[m, k], 1.0, &mut rng);
-    let at = randn(&[k, m], 1.0, &mut rng);
-    let b = randn(&[k, n], 1.0, &mut rng);
-    let bt = randn(&[n, k], 1.0, &mut rng);
-    let flops = 2.0 * m as f64 * k as f64 * n as f64;
-    let bytes = 4.0 * (m as f64 * k as f64 + k as f64 * n as f64 + m as f64 * n as f64);
-    let mk = |name: &str, run: Box<dyn FnMut()>| Case {
-        name: format!("{name}/{m}x{k}x{n}"),
-        flops,
-        bytes,
-        run,
+    // (name, kernel, left operand stored transposed, right likewise).
+    type Layout = (&'static str, fn(&Tensor, &Tensor) -> Tensor, bool, bool);
+    const NN: Layout = ("matmul", Tensor::matmul, false, false);
+    const TN: Layout = ("matmul_tn", Tensor::matmul_tn, true, false);
+    const NT: Layout = ("matmul_nt", Tensor::matmul_nt, false, true);
+    let (square, rows) = if quick {
+        ((48, 32, 32), 500)
+    } else {
+        ((384, 256, 256), 25_000)
     };
-    vec![
-        {
-            let (a, b) = (a.clone(), b.clone());
-            mk(
-                "matmul",
-                Box::new(move || {
-                    black_box(a.matmul(&b));
+    let shapes = [
+        (NN, square),
+        (TN, square),
+        (NT, square),
+        (NN, (rows, 147, 64)),
+        (TN, (147, rows, 64)),
+        (NT, (rows, 64, 147)),
+    ];
+    let mut rng = StdRng::seed_from_u64(0xD07);
+    shapes
+        .into_iter()
+        .map(|((name, kernel, left_t, right_t), (m, k, n))| {
+            let left = randn(&if left_t { [k, m] } else { [m, k] }, 1.0, &mut rng);
+            let right = randn(&if right_t { [n, k] } else { [k, n] }, 1.0, &mut rng);
+            let (mf, kf, nf) = (m as f64, k as f64, n as f64);
+            Case {
+                name: format!("{name}/{m}x{k}x{n}"),
+                flops: 2.0 * mf * kf * nf,
+                bytes: 4.0 * (mf * kf + kf * nf + mf * nf),
+                run: Box::new(move || {
+                    black_box(kernel(&left, &right));
                 }),
-            )
-        },
-        {
-            let (at, b) = (at.clone(), b.clone());
-            mk(
-                "matmul_tn",
-                Box::new(move || {
-                    black_box(at.matmul_tn(&b));
-                }),
-            )
-        },
-        {
-            let (a, bt) = (a.clone(), bt.clone());
-            mk(
-                "matmul_nt",
-                Box::new(move || {
-                    black_box(a.matmul_nt(&bt));
-                }),
-            )
-        },
-    ]
+            }
+        })
+        .collect()
 }
 
 /// Runs the full workload matrix under the *current* SIMD mode and pool

@@ -89,15 +89,20 @@ impl Shard {
     /// training labels each epoch; inference and serving feed all of them
     /// (`train_mask`). `None` is the un-augmented input.
     pub fn input_tensor(&self, label_mask: Option<&[bool]>) -> Tensor {
-        let feats = self.features_tensor();
         let Some(mask) = label_mask else {
-            return feats;
+            return self.features_tensor();
         };
-        let mut aug = Tensor::zeros(&[self.num_local(), self.num_classes]);
-        for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
-            aug.row_mut(i)[self.labels[i] as usize] = 1.0;
+        let (d, c) = (self.feat_dim, self.num_classes);
+        let mut data = Vec::with_capacity(self.num_local() * (d + c));
+        for (i, &m) in mask.iter().enumerate() {
+            data.extend_from_slice(&self.features[i * d..(i + 1) * d]);
+            let one_hot = data.len();
+            data.resize(one_hot + c, 0.0);
+            if m {
+                data[one_hot + self.labels[i] as usize] = 1.0;
+            }
         }
-        Tensor::hstack(&[&feats, &aug])
+        Tensor::from_vec(&[self.num_local(), d + c], data)
     }
 }
 

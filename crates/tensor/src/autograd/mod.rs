@@ -273,6 +273,17 @@ impl Var {
         }
     }
 
+    /// [`accumulate_grad`](Var::accumulate_grad) for a gradient the
+    /// caller is done with: a first write moves `g` in instead of
+    /// copying it.
+    fn accumulate_grad_owned(&self, g: Tensor) {
+        let mut node = self.node.borrow_mut();
+        match &mut node.grad {
+            Some(existing) => existing.add_assign(&g),
+            None => node.grad = Some(g),
+        }
+    }
+
     /// Returns a constant sharing this variable's current value but
     /// detached from the tape.
     pub fn detach(&self) -> Var {
@@ -350,12 +361,15 @@ impl Var {
             // Take the op out so the closure (and the tensors it captured)
             // is freed as soon as this node has propagated — this is the
             // incremental graph freeing SAR's memory accounting relies on.
+            // The gradient is taken with it: this node has an op, so it is
+            // an intermediate whose gradient is not retained (PyTorch's
+            // default), and taking it keeps one copy alive, not two.
             let (op, g) = {
                 let mut node = v.node.borrow_mut();
                 if node.op.is_none() || node.grad.is_none() {
                     continue;
                 }
-                (node.op.take().unwrap(), node.grad.clone().unwrap())
+                (node.op.take().unwrap(), node.grad.take().unwrap())
             };
             let parent_grads = {
                 let node = v.node.borrow();
@@ -373,14 +387,10 @@ impl Var {
             for (p, pg) in parents.iter().zip(parent_grads) {
                 if let Some(pg) = pg {
                     if p.requires_grad() {
-                        p.accumulate_grad(&pg);
+                        p.accumulate_grad_owned(pg);
                     }
                 }
             }
-            // This node had an op, so it is an intermediate; its gradient
-            // is not retained, matching PyTorch's default and keeping
-            // memory bounded.
-            v.node.borrow_mut().grad = None;
         }
     }
 }

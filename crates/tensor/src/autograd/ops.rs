@@ -4,6 +4,11 @@
 //! wherever possible, so the memory held by the tape mirrors what a real
 //! autograd framework keeps alive — which is exactly what the SAR memory
 //! experiments measure.
+//!
+//! A binary operation's closure returns `None` for a parent that does not
+//! [require a gradient](Var::requires_grad) instead of computing a tensor
+//! the engine would drop: the input features of layer 0 and the degree
+//! column of mean aggregation are constants as large as an activation.
 
 use super::Var;
 use crate::Tensor;
@@ -47,8 +52,9 @@ impl Var {
     /// Panics if shapes differ.
     pub fn add(&self, other: &Var) -> Var {
         let value = self.value().add(&other.value());
-        Var::from_op(value, vec![self.clone(), other.clone()], "add", |g| {
-            vec![Some(g.clone()), Some(g.clone())]
+        let (need_a, need_b) = (self.requires_grad(), other.requires_grad());
+        Var::from_op(value, vec![self.clone(), other.clone()], "add", move |g| {
+            vec![need_a.then(|| g.clone()), need_b.then(|| g.clone())]
         })
     }
 
@@ -59,8 +65,9 @@ impl Var {
     /// Panics if shapes differ.
     pub fn sub(&self, other: &Var) -> Var {
         let value = self.value().sub(&other.value());
-        Var::from_op(value, vec![self.clone(), other.clone()], "sub", |g| {
-            vec![Some(g.clone()), Some(g.scale(-1.0))]
+        let (need_a, need_b) = (self.requires_grad(), other.requires_grad());
+        Var::from_op(value, vec![self.clone(), other.clone()], "sub", move |g| {
+            vec![need_a.then(|| g.clone()), need_b.then(|| g.scale(-1.0))]
         })
     }
 
@@ -73,7 +80,10 @@ impl Var {
         let value = self.value().mul(&other.value());
         let (a, b) = (self.clone(), other.clone());
         Var::from_op(value, vec![self.clone(), other.clone()], "mul", move |g| {
-            vec![Some(g.mul(&b.value())), Some(g.mul(&a.value()))]
+            vec![
+                a.requires_grad().then(|| g.mul(&b.value())),
+                b.requires_grad().then(|| g.mul(&a.value())),
+            ]
         })
     }
 
@@ -87,11 +97,12 @@ impl Var {
         let (a, b) = (self.clone(), other.clone());
         Var::from_op(value, vec![self.clone(), other.clone()], "div", move |g| {
             let bv = b.value();
-            let da = g.div(&bv);
-            let db = g
-                .mul(&a.value())
-                .zip_map(&bv, |num, den| -num / (den * den));
-            vec![Some(da), Some(db)]
+            let da = a.requires_grad().then(|| g.div(&bv));
+            let db = b.requires_grad().then(|| {
+                g.mul(&a.value())
+                    .zip_map(&bv, |num, den| -num / (den * den))
+            });
+            vec![da, db]
         })
     }
 
@@ -156,8 +167,8 @@ impl Var {
         let value = self.value().map(|x| x.max(0.0));
         let a = self.clone();
         Var::from_op(value, vec![self.clone()], "relu", move |g| {
-            let mask = a.value().map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-            vec![Some(g.mul(&mask))]
+            let dx = g.zip_map(&a.value(), |gv, x| gv * if x > 0.0 { 1.0 } else { 0.0 });
+            vec![Some(dx)]
         })
     }
 
@@ -166,8 +177,8 @@ impl Var {
         let value = self.value().map(|x| if x > 0.0 { x } else { slope * x });
         let a = self.clone();
         Var::from_op(value, vec![self.clone()], "leaky_relu", move |g| {
-            let mask = a.value().map(|x| if x > 0.0 { 1.0 } else { slope });
-            vec![Some(g.mul(&mask))]
+            let dx = g.zip_map(&a.value(), |gv, x| gv * if x > 0.0 { 1.0 } else { slope });
+            vec![Some(dx)]
         })
     }
 
@@ -211,9 +222,9 @@ impl Var {
             vec![self.clone(), other.clone()],
             "matmul",
             move |g| {
-                let da = g.matmul_nt(&b.value());
-                let db = a.value().matmul_tn(g);
-                vec![Some(da), Some(db)]
+                let da = a.requires_grad().then(|| g.matmul_nt(&b.value()));
+                let db = b.requires_grad().then(|| a.value().matmul_tn(g));
+                vec![da, db]
             },
         )
     }
@@ -225,8 +236,10 @@ impl Var {
     /// Panics if the bias length differs from the column count.
     pub fn add_bias(&self, bias: &Var) -> Var {
         let value = self.value().add_row_broadcast(&bias.value());
-        Var::from_op(value, vec![self.clone(), bias.clone()], "add_bias", |g| {
-            vec![Some(g.clone()), Some(g.sum_axis0())]
+        let (need_a, need_b) = (self.requires_grad(), bias.requires_grad());
+        let parents = vec![self.clone(), bias.clone()];
+        Var::from_op(value, parents, "add_bias", move |g| {
+            vec![need_a.then(|| g.clone()), need_b.then(|| g.sum_axis0())]
         })
     }
 
@@ -237,8 +250,13 @@ impl Var {
     /// Panics if the vector length differs from the column count.
     pub fn sub_row(&self, row: &Var) -> Var {
         let value = self.value().add_row_broadcast(&row.value().scale(-1.0));
-        Var::from_op(value, vec![self.clone(), row.clone()], "sub_row", |g| {
-            vec![Some(g.clone()), Some(g.sum_axis0().scale(-1.0))]
+        let (need_a, need_r) = (self.requires_grad(), row.requires_grad());
+        let parents = vec![self.clone(), row.clone()];
+        Var::from_op(value, parents, "sub_row", move |g| {
+            vec![
+                need_a.then(|| g.clone()),
+                need_r.then(|| g.sum_axis0().scale(-1.0)),
+            ]
         })
     }
 
@@ -255,9 +273,9 @@ impl Var {
             vec![self.clone(), row.clone()],
             "mul_row",
             move |g| {
-                let da = g.mul_row_broadcast(&r.value());
-                let dr = g.mul(&a.value()).sum_axis0();
-                vec![Some(da), Some(dr)]
+                let da = a.requires_grad().then(|| g.mul_row_broadcast(&r.value()));
+                let dr = r.requires_grad().then(|| g.mul(&a.value()).sum_axis0());
+                vec![da, dr]
             },
         )
     }
@@ -296,9 +314,9 @@ impl Var {
             vec![self.clone(), col.clone()],
             "mul_col",
             move |g| {
-                let da = g.mul_col_broadcast(&c.value());
-                let dc = g.mul(&a.value()).sum_axis1();
-                vec![Some(da), Some(dc)]
+                let da = a.requires_grad().then(|| g.mul_col_broadcast(&c.value()));
+                let dc = c.requires_grad().then(|| g.mul(&a.value()).sum_axis1());
+                vec![da, dc]
             },
         )
     }
@@ -528,6 +546,28 @@ mod tests {
         let a = randn(&[3, 4], 3);
         let b = randn(&[4, 2], 4);
         check_gradients(&[a, b], |vs| vs[0].matmul(&vs[1]).sum(), 1e-2);
+    }
+
+    #[test]
+    fn constant_left_matmul_backward_never_builds_the_input_gradient() {
+        // [m, k] dwarfs [m, n] and [k, n]: only dX could reach its size.
+        let (m, k, n) = (64, 48, 4);
+        let (x, w, g) = (randn(&[m, k], 23), randn(&[k, n], 24), randn(&[m, n], 25));
+        let expect = x.matmul_tn(&g);
+        let (x, w) = (Var::constant(x), Var::parameter(w));
+        let y = x.matmul(&w);
+        let scope = crate::memory::MemScope::begin();
+        y.backward_with(&g);
+        let peak = scope.finish().delta_bytes();
+        let dw = w.grad().unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dw), bits(&expect));
+        assert!(x.grad().is_none());
+        assert!(
+            peak < m * k * 4,
+            "backward peaked at {peak} B, a [{m}, {k}] gradient is {} B",
+            m * k * 4
+        );
     }
 
     #[test]

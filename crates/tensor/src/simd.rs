@@ -24,7 +24,16 @@
 //!   lane `l` sums `a[8i+l] * b[8i+l]` over `i` — then reduce the lanes
 //!   with one fixed tree (`((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`) and
 //!   finally fold the ragged tail in sequentially. Same additions, same
-//!   order, on both paths.
+//!   order, on both paths. `dot_block` is many such dots at once: its
+//!   vector path runs 2 × 4 of them side by side on shared operand
+//!   loads, each in its own accumulator, and folds four accumulators
+//!   with `hadd, hadd, lo128 + hi128` — which is that tree.
+//! * **Row-panel accumulate** (`panel_axpy`): the vector path keeps the
+//!   output row in registers across a whole k-panel instead of loading
+//!   and storing it once per `kk`. Per output element the operations are
+//!   still one multiply then one add per non-zero `a[kk]`, `kk`
+//!   ascending — the register tile changes where the running sum lives,
+//!   not what is added to it or in which order.
 //!
 //! [`set_mode`] installs a process-global override (`ForceScalar`) used by
 //! the `--simd` flag of the repro binary to prove end-to-end digest parity
@@ -198,6 +207,94 @@ pub mod scalar {
         }
         acc
     }
+
+    /// Every row of `a` dotted with every row of `b`: with `b` holding
+    /// `n` rows of `k = b.len() / n` floats, `out[i · n + j]` becomes the
+    /// [`dot`] of row `i` of `a` (`k` floats) and row `j` of `b`.
+    pub fn dot_block(out: &mut [f32], n: usize, a: &[f32], b: &[f32]) {
+        let (k, rows) = super::block_dims(out.len(), n, a.len(), b.len());
+        if rows == 0 {
+            return;
+        }
+        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+            let a_row = &a[i * k..(i + 1) * k];
+            for (j, o) in o_row.iter_mut().enumerate() {
+                *o = dot(a_row, &b[j * k..(j + 1) * k]);
+            }
+        }
+    }
+
+    /// Row-panel accumulate: `out[j] += a[kk · a_stride] * b[kk · n + j]`
+    /// for every row `kk` of the `[b.len() / n, n]` panel `b`
+    /// (`n = out.len()`), `kk` ascending, one [`axpy`] per `kk` and none
+    /// for a `kk` whose `a` is exactly zero (so `0 · inf` never reaches
+    /// the sum).
+    pub fn panel_axpy(out: &mut [f32], a: &[f32], a_stride: usize, b: &[f32]) {
+        let n = out.len();
+        if n == 0 {
+            return;
+        }
+        for (kk, b_row) in b.chunks_exact(n).enumerate() {
+            let av = a[kk * a_stride];
+            if av == 0.0 {
+                continue;
+            }
+            axpy(av, b_row, out);
+        }
+    }
+
+    /// Runs `steps` rounds of `acc[v] += x[v / 4] * m[v % 4]` (multiply,
+    /// then add — two roundings) over eight independent 8-lane
+    /// accumulators and returns their lane sum: `128 · steps` FLOPs that
+    /// never leave registers. As in the matmul kernels the multiply is
+    /// off the add's dependency chain; `x` flips sign after every round,
+    /// so no product is loop-invariant and every accumulator alternates
+    /// between 0 and its first product, exactly.
+    // sar-check: deterministic(sequential: each lane is one fixed chain
+    // of adds in step order; the closing sum runs in index order)
+    pub fn peak_probe(steps: usize) -> f32 {
+        let mut x = super::PEAK_PROBE_X;
+        let mut acc = [[0.0f32; 8]; 8];
+        for _ in 0..steps {
+            for (v, lanes) in acc.iter_mut().enumerate() {
+                let m = super::PEAK_PROBE_M[v % 4];
+                for (a, xl) in lanes.iter_mut().zip(x[v / 4]) {
+                    *a += xl * m;
+                }
+            }
+            x = x.map(|lanes| lanes.map(|xl| -xl));
+        }
+        acc.iter().flatten().sum()
+    }
+}
+
+/// [`peak_probe`]'s two multiplicand vectors. Their lanes differ so the
+/// scalar body cannot share one product across a vector's lanes.
+const PEAK_PROBE_X: [[f32; 8]; 2] = [
+    [1.0, 1.125, 1.25, 1.375, 1.5, 1.625, 1.75, 1.875],
+    [2.0, 2.125, 2.25, 2.375, 2.5, 2.625, 2.75, 2.875],
+];
+/// [`peak_probe`]'s four broadcast multipliers: with the two vectors
+/// above, one distinct product per accumulator, all exact in `f32`.
+const PEAK_PROBE_M: [f32; 4] = [1.0, 0.5, 0.25, 0.125];
+
+/// `(k, rows)` of a [`dot_block`] call, after checking that its slices
+/// are `[rows, n]`, `[rows, k]` and `[n, k]` — the bounds both bodies
+/// index by. An empty `out` (`n == 0` included) is zero rows.
+fn block_dims(out: usize, n: usize, a: usize, b: usize) -> (usize, usize) {
+    if out == 0 {
+        return (0, 0);
+    }
+    assert!(
+        n > 0 && out.is_multiple_of(n),
+        "dot_block: {out} outputs in rows of {n}"
+    );
+    let (k, rows) = (b / n, out / n);
+    assert!(
+        b == n * k && a == rows * k,
+        "dot_block: a has {a} floats and b {b}, expected [{rows}, k] and [{n}, k]"
+    );
+    (k, rows)
 }
 
 /// Fixed horizontal-reduction tree shared by both dot paths.
@@ -369,6 +466,9 @@ mod avx2 {
     /// # Safety
     /// Caller must ensure the CPU supports AVX2.
     #[target_feature(enable = "avx2")]
+    // sar-check: deterministic(fixed-lane-order: the scalar `dot`
+    // sequence — 8 lanes over ascending i, the `reduce_lanes` tree, then
+    // the sequential tail)
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
         let main = n - n % 8;
@@ -394,6 +494,287 @@ mod avx2 {
             out += a[j] * b[j];
         }
         out
+    }
+
+    /// One register tile of [`dot_block`]: the `R × 4` dots of rows
+    /// `0..R` of `a` with rows `0..4` of `b` (all `k` long, consecutive),
+    /// written to `out[r · n + c]`. Each load of a `b` vector feeds `R`
+    /// accumulators and each load of an `a` vector four, and the `4 · R`
+    /// independent add chains hide the add latency one dot alone is bound
+    /// by.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2. `a` must be valid for reads of `R · k`
+    /// floats, `b` of `4 · k`, and `out + r · n` for writes of 4 floats
+    /// for every `r < R`.
+    #[target_feature(enable = "avx2")]
+    // sar-check: deterministic(fixed-lane-order: every dot of the tile
+    // accumulates its own 8 lanes over ascending i, folds them in the
+    // `reduce_lanes` tree, then adds its tail sequentially — the scalar
+    // `dot` sequence; the tile only runs 4·R of them side by side)
+    unsafe fn dot_tile<const R: usize>(
+        out: *mut f32,
+        n: usize,
+        a: *const f32,
+        b: *const f32,
+        k: usize,
+    ) {
+        let main = k - k % 8;
+        let mut acc = [[_mm256_setzero_ps(); 4]; R];
+        let mut i = 0;
+        while i < main {
+            // SAFETY: AVX2 and the `k`-long rows are the caller's
+            // contract; i + 8 <= main <= k keeps every 8-float load
+            // inside its row. mul + add kept separate (no FMA): lane `l`
+            // of `acc[r][c]` sees the scalar path's
+            // `lanes[l] += a[r][8i+l] * b[c][8i+l]` sequence.
+            unsafe {
+                let y: [__m256; 4] = std::array::from_fn(|c| _mm256_loadu_ps(b.add(c * k + i)));
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let x = _mm256_loadu_ps(a.add(r * k + i));
+                    for (s, &yc) in acc_r.iter_mut().zip(&y) {
+                        *s = _mm256_add_ps(*s, _mm256_mul_ps(x, yc));
+                    }
+                }
+            }
+            i += 8;
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            // hadd(x, y) = [x0+x1, x2+x3, y0+y1, y2+y3 | x4+x5, x6+x7,
+            // y4+y5, y6+y7], so two rounds leave ((l0+l1)+(l2+l3)) of dot
+            // c in lane c of the low half and ((l4+l5)+(l6+l7)) in lane c
+            // of the high half; low + high is `reduce_lanes`' last add.
+            let h01 = _mm256_hadd_ps(acc_r[0], acc_r[1]);
+            let h23 = _mm256_hadd_ps(acc_r[2], acc_r[3]);
+            let h = _mm256_hadd_ps(h01, h23);
+            let mut dots = _mm_add_ps(_mm256_castps256_ps128(h), _mm256_extractf128_ps::<1>(h));
+            // SAFETY: j < k stays inside row r of `a` and every row of
+            // `b`; the store covers the 4 floats at `out + r·n` (caller's
+            // contract). Lane c takes `+ a[r][j] * b[c][j]`: the four
+            // sequential tails of the scalar path, advanced together.
+            unsafe {
+                for j in main..k {
+                    let x = _mm_set1_ps(*a.add(r * k + j));
+                    let y = _mm_setr_ps(
+                        *b.add(j),
+                        *b.add(k + j),
+                        *b.add(2 * k + j),
+                        *b.add(3 * k + j),
+                    );
+                    dots = _mm_add_ps(dots, _mm_mul_ps(x, y));
+                }
+                _mm_storeu_ps(out.add(r * n), dots);
+            }
+        }
+    }
+
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_block(out: &mut [f32], n: usize, a: &[f32], b: &[f32]) {
+        let (k, rows) = super::block_dims(out.len(), n, a.len(), b.len());
+        let n4 = n - n % 4;
+        let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+        let mut i = 0;
+        while i < rows {
+            let pair = i + 2 <= rows;
+            for j in (0..n4).step_by(4) {
+                // SAFETY: AVX2 is the caller's contract. By the assert
+                // above rows `i` (and `i + 1` when `pair`) of `a` and
+                // rows `j..j + 4` of `b` (j + 4 <= n4 <= n) are whole
+                // `k`-float rows of their slices, and `out[r·n + j..][..4]`
+                // lies in row `r` of `out` for those `r`.
+                unsafe {
+                    let (o, a_rows, b_rows) = (op.add(i * n + j), ap.add(i * k), bp.add(j * k));
+                    if pair {
+                        dot_tile::<2>(o, n, a_rows, b_rows, k);
+                    } else {
+                        dot_tile::<1>(o, n, a_rows, b_rows, k);
+                    }
+                }
+            }
+            let step = if pair { 2 } else { 1 };
+            for r in i..i + step {
+                for j in n4..n {
+                    // SAFETY: AVX2 is the caller's contract.
+                    out[r * n + j] = unsafe { dot(&a[r * k..(r + 1) * k], &b[j * k..(j + 1) * k]) };
+                }
+            }
+            i += step;
+        }
+    }
+
+    /// Lane `l` is live (sign bit set) iff `l < live`; `live` in `0..=8`.
+    #[target_feature(enable = "avx2")]
+    fn lane_mask(live: usize) -> __m256i {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(live as i32), lanes)
+    }
+
+    /// One register tile of [`panel_axpy`]: columns `0..8·FULL + tail` of
+    /// the row at `out` stay in `FULL` full accumulators plus, when
+    /// `TAIL`, one whose lanes `>= tail` are dead; the panel's `cnt` rows
+    /// stream past them.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2. `out` must be valid for reads and
+    /// writes of `8·FULL + tail` floats, `b + kk·ldb` for reads of as
+    /// many for every `kk < cnt`, and `a + kk·a_stride` for a read of
+    /// one; `tail` must be in `1..8` when `TAIL` (it is unused otherwise).
+    #[target_feature(enable = "avx2")]
+    // sar-check: deterministic(one writer per element, fixed ascending-kk
+    // order: acc lane j takes `+ a[kk] * b[kk][j]` for kk = 0, 1, … with
+    // the same zero skips as the scalar loop — the running sum lives in a
+    // register instead of `out[j]`, nothing is reassociated; dead tail
+    // lanes are never stored)
+    unsafe fn panel_tile<const FULL: usize, const TAIL: bool>(
+        out: *mut f32,
+        tail: usize,
+        a: *const f32,
+        a_stride: usize,
+        cnt: usize,
+        b: *const f32,
+        ldb: usize,
+    ) {
+        let mask = lane_mask(if TAIL { tail } else { 0 });
+        let mut acc = [_mm256_setzero_ps(); FULL];
+        let mut acc_t = _mm256_setzero_ps();
+        // SAFETY: AVX2 and the pointer ranges are the caller's contract:
+        // the `FULL` unmasked loads cover floats `0..8·FULL` of the row,
+        // and `maskload` touches only its live lanes, floats
+        // `8·FULL..8·FULL + tail` (dead lanes read as 0.0 and cannot
+        // fault).
+        unsafe {
+            for (v, r) in acc.iter_mut().enumerate() {
+                *r = _mm256_loadu_ps(out.add(8 * v));
+            }
+            if TAIL {
+                acc_t = _mm256_maskload_ps(out.add(8 * FULL), mask);
+            }
+        }
+        for kk in 0..cnt {
+            // SAFETY: kk < cnt, so `a + kk·a_stride` is readable and the
+            // same column ranges as above are readable at `b + kk·ldb`
+            // (caller's contract). mul and add stay separate
+            // instructions (no FMA): two roundings, as `scalar::axpy`.
+            unsafe {
+                let av = *a.add(kk * a_stride);
+                if av == 0.0 {
+                    continue;
+                }
+                let avv = _mm256_set1_ps(av);
+                let row = b.add(kk * ldb);
+                for (v, r) in acc.iter_mut().enumerate() {
+                    let x = _mm256_loadu_ps(row.add(8 * v));
+                    *r = _mm256_add_ps(*r, _mm256_mul_ps(avv, x));
+                }
+                if TAIL {
+                    let x = _mm256_maskload_ps(row.add(8 * FULL), mask);
+                    acc_t = _mm256_add_ps(acc_t, _mm256_mul_ps(avv, x));
+                }
+            }
+        }
+        // SAFETY: the ranges loaded from `out` above, now stored;
+        // `maskstore` writes only the live lanes.
+        unsafe {
+            for (v, r) in acc.iter().enumerate() {
+                _mm256_storeu_ps(out.add(8 * v), *r);
+            }
+            if TAIL {
+                _mm256_maskstore_ps(out.add(8 * FULL), mask, acc_t);
+            }
+        }
+    }
+
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn panel_axpy(out: &mut [f32], a: &[f32], a_stride: usize, b: &[f32]) {
+        let n = out.len();
+        if n == 0 {
+            return;
+        }
+        let cnt = b.len() / n;
+        let last = cnt.saturating_sub(1).checked_mul(a_stride);
+        assert!(
+            cnt == 0 || last.is_some_and(|last| last < a.len()),
+            "panel_axpy: `a` is too short for {cnt} panel rows at stride {a_stride}"
+        );
+        let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+        // One pass over the panel per strip of up to 64 columns: at most
+        // eight accumulators, the last of them masked when `w % 8 != 0`.
+        let mut c0 = 0;
+        while c0 < n {
+            let w = (n - c0).min(64);
+            let (full, tail) = (w / 8, w % 8);
+            macro_rules! tile {
+                ($full:literal, $tail:literal) => {
+                    // SAFETY: AVX2 is the caller's contract. Columns
+                    // `c0..c0 + w` (w = 8·full + tail) lie inside the
+                    // `n`-long `out` and inside each of the `cnt` rows of
+                    // `b` (`cnt · n <= b.len()`), and the assert above
+                    // bounds `(cnt − 1) · a_stride` inside `a`.
+                    unsafe {
+                        panel_tile::<$full, $tail>(
+                            op.add(c0),
+                            tail,
+                            ap,
+                            a_stride,
+                            cnt,
+                            bp.add(c0),
+                            n,
+                        )
+                    }
+                };
+            }
+            match (full, tail != 0) {
+                (0, true) => tile!(0, true),
+                (1, false) => tile!(1, false),
+                (1, true) => tile!(1, true),
+                (2, false) => tile!(2, false),
+                (2, true) => tile!(2, true),
+                (3, false) => tile!(3, false),
+                (3, true) => tile!(3, true),
+                (4, false) => tile!(4, false),
+                (4, true) => tile!(4, true),
+                (5, false) => tile!(5, false),
+                (5, true) => tile!(5, true),
+                (6, false) => tile!(6, false),
+                (6, true) => tile!(6, true),
+                (7, false) => tile!(7, false),
+                (7, true) => tile!(7, true),
+                (8, false) => tile!(8, false),
+                _ => unreachable!("a strip is 1..=64 columns wide"),
+            }
+            c0 += w;
+        }
+    }
+
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn peak_probe(steps: usize) -> f32 {
+        // SAFETY: each row of `PEAK_PROBE_X` is 8 f32s — exactly one
+        // __m256 of storage.
+        let mut x = super::PEAK_PROBE_X.map(|lanes| unsafe { _mm256_loadu_ps(lanes.as_ptr()) });
+        let m = super::PEAK_PROBE_M.map(|ml| _mm256_set1_ps(ml));
+        let sign = _mm256_set1_ps(-0.0);
+        let mut acc = [_mm256_setzero_ps(); 8];
+        for _ in 0..steps {
+            for (v, r) in acc.iter_mut().enumerate() {
+                // mul then add, never fused: the scalar body's
+                // `*a += xl * m`.
+                *r = _mm256_add_ps(*r, _mm256_mul_ps(x[v / 4], m[v % 4]));
+            }
+            // Flipping the sign bit is the scalar body's `-xl`.
+            x = x.map(|xv| _mm256_xor_ps(xv, sign));
+        }
+        let mut lanes = [[0.0f32; 8]; 8];
+        for (l, r) in lanes.iter_mut().zip(acc) {
+            // SAFETY: each `l` is 8 f32s — exactly one __m256 of storage.
+            unsafe { _mm256_storeu_ps(l.as_mut_ptr(), r) };
+        }
+        lanes.iter().flatten().sum()
     }
 }
 
@@ -456,6 +837,51 @@ pub fn leaky_relu(dst: &mut [f32], slope: f32) {
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     dispatch!(dot, a, b)
+}
+
+/// A block of fixed-tree dot products, the inner kernel of `matmul_nt`:
+/// with `b` holding `n` rows of `k = b.len() / n` floats and `a` as many
+/// `k`-float rows as `out` has `n`-float rows, `out[i · n + j]` becomes
+/// the dot of row `i` of `a` and row `j` of `b`. The vector path computes
+/// them in register tiles of 2 × 4 dots that share their operand loads;
+/// every dot keeps its own 8 lanes, the `reduce_lanes` tree and the
+/// sequential tail, so the result is bitwise identical to one
+/// [`scalar::dot`] per element on every input.
+///
+/// # Panics
+///
+/// Panics if the three lengths are not `[r, n]`, `[r, k]`, `[n, k]`.
+#[inline]
+pub fn dot_block(out: &mut [f32], n: usize, a: &[f32], b: &[f32]) {
+    dispatch!(dot_block, out, n, a, b)
+}
+
+/// Row-panel accumulate, the inner kernel of `matmul` and `matmul_tn`:
+/// `out[j] += Σ a[kk · a_stride] * b[kk · n + j]` over the rows `kk` of
+/// the `[b.len() / n, n]` panel `b` (`n = out.len()`), `kk` ascending,
+/// skipping every `kk` whose `a` is exactly zero. The vector path holds
+/// the output row in registers across the whole panel; each element sees
+/// the same separately-rounded multiply-then-add sequence as one
+/// [`scalar::axpy`] per `kk`, so the result is bitwise identical to
+/// [`scalar::panel_axpy`] on every input.
+///
+/// # Panics
+///
+/// Panics if `a` is shorter than `(b.len() / n − 1) · a_stride + 1`.
+#[inline]
+pub fn panel_axpy(out: &mut [f32], a: &[f32], a_stride: usize, b: &[f32]) {
+    dispatch!(panel_axpy, out, a, a_stride, b)
+}
+
+/// Compute-peak probe for `repro kernelbench`'s calibration: `steps`
+/// rounds of an unfused multiply + add into eight register-resident
+/// 8-lane accumulators (`128 · steps` FLOPs, no memory traffic, the
+/// multiply off the add's dependency chain as in the matmul kernels),
+/// through the same dispatch as every kernel so `--simd scalar` measures
+/// the scalar body. Returns the accumulators' sum.
+#[inline]
+pub fn peak_probe(steps: usize) -> f32 {
+    dispatch!(peak_probe, steps)
 }
 
 #[cfg(test)]
@@ -522,6 +948,23 @@ mod tests {
                 "dot n={n}"
             );
         }
+    }
+
+    #[test]
+    fn peak_probe_matches_scalar_bitwise() {
+        for steps in [0usize, 1, 2, 41] {
+            assert_eq!(
+                peak_probe(steps).to_bits(),
+                scalar::peak_probe(steps).to_bits(),
+                "peak_probe steps={steps}"
+            );
+        }
+        // Every accumulator alternates between 0 and its first product.
+        let first: f32 = (0..8)
+            .flat_map(|v| PEAK_PROBE_X[v / 4].map(|x| x * PEAK_PROBE_M[v % 4]))
+            .sum();
+        assert_eq!(scalar::peak_probe(40), 0.0);
+        assert_eq!(scalar::peak_probe(41), first);
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {

@@ -458,15 +458,17 @@ impl Tensor {
 
     /// Matrix product `self × other` of 2-D tensors.
     ///
-    /// Uses an i-k-j loop order with the inner j-loop running through the
-    /// SIMD [`crate::simd::axpy`] primitive, and blocks the k dimension
-    /// into cache-sized panels so the touched rows of `other` stay
-    /// resident while a chunk of output rows sweeps over them. Output
-    /// rows are computed in parallel on the worker's thread pool
+    /// Uses an i-k-j loop order and blocks the k dimension into
+    /// cache-sized panels so the touched rows of `other` stay resident
+    /// while a chunk of output rows sweeps over them; one output row times
+    /// one panel is one [`crate::simd::panel_axpy`] call, whose vector
+    /// body keeps the row in registers across the panel. Output rows are
+    /// computed in parallel on the worker's thread pool
     /// ([`crate::pool`]); per output row the k panels are visited in
     /// ascending order, so every element sees the same ascending-`kk`
-    /// sequence of adds as the unblocked scalar product — results are
-    /// bitwise identical at any thread count, panel size, or SIMD mode.
+    /// sequence of multiply-then-add steps (none for an exactly-zero
+    /// left entry) as the unblocked scalar product — results are bitwise
+    /// identical at any thread count, panel size, or SIMD mode.
     ///
     /// # Panics
     ///
@@ -486,16 +488,11 @@ impl Tensor {
                 let mut p0 = 0;
                 while p0 < k {
                     let p1 = (p0 + panel).min(k);
+                    let b_panel = &other.data[p0 * n..p1 * n];
                     for i in lo..hi {
                         let a_row = &self.data[i * k + p0..i * k + p1];
                         let o_row = &mut rows[(i - lo) * n..(i - lo + 1) * n];
-                        for (dk, &a) in a_row.iter().enumerate() {
-                            if a == 0.0 {
-                                continue;
-                            }
-                            let kk = p0 + dk;
-                            simd::axpy(a, &other.data[kk * n..(kk + 1) * n], o_row);
-                        }
+                        simd::panel_axpy(o_row, a_row, 1, b_panel);
                     }
                     p0 = p1;
                 }
@@ -506,11 +503,12 @@ impl Tensor {
 
     /// Matrix product `selfᵀ × other` without materializing the transpose.
     ///
-    /// Parallel over output rows with the same k-panel blocking and SIMD
-    /// inner loop as [`Tensor::matmul`]; per row the reduction still runs
-    /// over `kk` ascending with the same zero-skips as the sequential
-    /// k-outer sweep did, so each element sees the identical sequence of
-    /// adds.
+    /// Parallel over output rows with the same k-panel blocking and
+    /// [`crate::simd::panel_axpy`] inner kernel as [`Tensor::matmul`],
+    /// reading column `i` of `self` at a stride; per row the reduction
+    /// still runs over `kk` ascending with the same zero-skips as the
+    /// sequential k-outer sweep did, so each element sees the identical
+    /// sequence of adds.
     ///
     /// # Panics
     ///
@@ -530,15 +528,12 @@ impl Tensor {
                 let mut p0 = 0;
                 while p0 < k {
                     let p1 = (p0 + panel).min(k);
+                    let b_panel = &other.data[p0 * n..p1 * n];
                     for i in lo..hi {
+                        // Column `i` of the panel's rows of `self`.
+                        let a_col = &self.data[p0 * m + i..(p1 - 1) * m + i + 1];
                         let o_row = &mut rows[(i - lo) * n..(i - lo + 1) * n];
-                        for kk in p0..p1 {
-                            let a = self.data[kk * m + i];
-                            if a == 0.0 {
-                                continue;
-                            }
-                            simd::axpy(a, &other.data[kk * n..(kk + 1) * n], o_row);
-                        }
+                        simd::panel_axpy(o_row, a_col, m, b_panel);
                     }
                     p0 = p1;
                 }
@@ -549,10 +544,11 @@ impl Tensor {
 
     /// Matrix product `self × otherᵀ` without materializing the transpose.
     ///
-    /// Each output element is an independent dot product computed through
-    /// the fixed-tree SIMD [`crate::simd::dot`], which is bitwise
-    /// identical between its vector and scalar paths; the k dimension is
-    /// not panelled here because splitting a dot's accumulator would
+    /// Each output element is an independent fixed-tree dot product; a
+    /// chunk of output rows is one [`crate::simd::dot_block`] call, whose
+    /// vector body computes 2 × 4 of them at a time on shared operand
+    /// loads and is bitwise identical to its scalar path. The k dimension
+    /// is not panelled here because splitting a dot's accumulator would
     /// change its reduction tree.
     ///
     /// # Panics
@@ -569,13 +565,7 @@ impl Tensor {
                 // SAFETY: chunks claim disjoint `lo..hi` row ranges, so the
                 // element ranges `lo*n..hi*n` never overlap across threads.
                 let rows = unsafe { out_s.range_mut(lo * n, hi * n) };
-                for i in lo..hi {
-                    let a_row = &self.data[i * k..(i + 1) * k];
-                    for j in 0..n {
-                        let b_row = &other.data[j * k..(j + 1) * k];
-                        rows[(i - lo) * n + j] = simd::dot(a_row, b_row);
-                    }
-                }
+                simd::dot_block(rows, n, &self.data[lo * k..hi * k], &other.data);
             });
         }
         Tensor::from_vec(&[m, n], out)
