@@ -8,11 +8,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sar_comm::CostModel;
 use sar_core::{train, Arch, Mode, ModelConfig, TrainConfig};
-use sar_graph::fused::{gat_fused_block_forward, gat_naive_block_forward, OnlineAttnState};
+use sar_graph::fused::{gat_fused_block_forward, OnlineAttnState};
 use sar_graph::{datasets, CsrGraph, Dataset};
 use sar_nn::{CsConfig, FusedGatLayer, GatConfig, GatLayer, LrSchedule};
 use sar_partition::{multilevel, partition, Method};
-use sar_tensor::{init, MemoryTracker, Var};
+use sar_tensor::{init, MemoryTracker, Tensor, Var};
 
 use crate::report::{mib, pct, secs, Table};
 
@@ -400,6 +400,37 @@ pub fn ablation_prefetch(cfg: &ExpConfig) -> Table {
         ]);
     }
     t
+}
+
+/// A *numerically naive* variant of [`gat_fused_block_forward`] that
+/// accumulates `exp(e)` without max tracking — the other arm of
+/// [`ablation_softmax`]: with large attention logits it overflows to
+/// `inf`/`NaN` exactly as the paper warns.
+fn gat_naive_block_forward(
+    g: &CsrGraph,
+    s_dst: &Tensor,
+    s_src: &Tensor,
+    x_src: &Tensor,
+    slope: f32,
+    state: &mut OnlineAttnState,
+) {
+    let (h, d) = (state.heads(), state.head_dim());
+    for i in 0..g.num_rows() {
+        for &j in g.neighbors(i) {
+            let j = j as usize;
+            let x_row = &x_src.data()[j * h * d..(j + 1) * h * d];
+            for head in 0..h {
+                let u = s_dst.at(&[i, head]) + s_src.at(&[j, head]);
+                let e = if u > 0.0 { u } else { slope * u };
+                let w = e.exp(); // no stabilization
+                state.den.row_mut(i)[head] += w;
+                let num_row = state.num.row_mut(i);
+                for k in 0..d {
+                    num_row[head * d + k] += w * x_row[head * d + k];
+                }
+            }
+        }
+    }
 }
 
 /// §3.4 stable-softmax ablation: the running-max online softmax stays

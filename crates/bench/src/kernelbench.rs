@@ -39,9 +39,11 @@ use std::time::Instant;
 use crate::json::{fixed, obj};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sar_core::DistGraph;
 use sar_graph::fused::{self, OnlineAttnState};
 use sar_graph::generators::erdos_renyi;
-use sar_graph::ops;
+use sar_graph::{datasets, ops};
+use sar_partition::{partition, Method};
 use sar_tensor::init::randn;
 use sar_tensor::{pool, simd, Tensor};
 
@@ -323,7 +325,9 @@ fn graph_cases(quick: bool) -> Vec<Case> {
                 bytes: 4.0 * (e * (ff + 4.0 * hh) + nn * (ff + 3.0 * hh)),
                 run: Box::new(move || {
                     let mut state = OnlineAttnState::new(g.num_rows(), heads, d);
-                    fused::gat_twostep_block_forward(&g, &s_dst, &s_src, &x, slope, &mut state);
+                    fused::gat_twostep_block_forward(
+                        &g, &s_dst, &s_src, &x, None, slope, &mut state,
+                    );
                     black_box(state.num.data()[0]);
                 }),
             });
@@ -336,7 +340,71 @@ fn graph_cases(quick: bool) -> Vec<Case> {
                 flops: 2.0 * nn * ff,
                 bytes: 4.0 * (nn * ff + nn * hh + ff),
                 run: Box::new(move || {
-                    black_box(ops::head_project(&x, &a, heads));
+                    black_box(ops::head_project(&x, None, &a, heads));
+                }),
+            });
+        }
+    }
+    cases
+}
+
+/// The traversal at the shape the benchmark runs it: `spmm_sum` forward
+/// and backward at `F = 64` over rank 0's blocks of `sage-tcp2`'s seed-0
+/// partitioning — the dense local block `G_{0,0}` (≈ 54 edges per row,
+/// read through the row map as Algorithm 1's round 0 does) and the sparse
+/// remote block `G_{0,1}` (≈ 6 per row). The synthetic graph above never
+/// leaves L2 and at `F = 32` is walked flat; here the streamed operand is
+/// ≈ 6 MiB and the walker cuts it into ≈ 24 row panels, so these are the
+/// cases a traversal change shows up in. Same FLOP/byte models as the
+/// SpMM cases above.
+fn block_cases(quick: bool) -> Vec<Case> {
+    let f = 64usize;
+    let dataset = datasets::products_like(if quick { 4_000 } else { 50_000 }, 0);
+    let part = partition(&dataset.graph, 2, Method::Multilevel, 0);
+    let dist = Rc::new(DistGraph::build_all(&dataset.graph, &part).swap_remove(0));
+    let n = dist.num_local();
+    let mut rng = StdRng::seed_from_u64(0xB10C);
+    let mut cases = Vec::new();
+    for (q, which) in [(0usize, "local"), (1, "remote")] {
+        let block = dist.block(q);
+        let e = block.num_edges() as f64;
+        let bytes = |out_rows: usize| 4.0 * (e * f as f64 + (out_rows * f) as f64 + e);
+        {
+            // Round 0 reads the resident `[n, F]` features through the
+            // row map; a remote round reads the block the wire delivered.
+            let local = q == dist.rank();
+            let x_rows = if local { n } else { block.num_cols() };
+            let x = randn(&[x_rows, f], 1.0, &mut rng);
+            let dist = Rc::clone(&dist);
+            let mut acc = Tensor::zeros(&[n, f]);
+            cases.push(Case {
+                name: format!("spmm_sum/block-{which}/f{f}"),
+                flops: e * f as f64,
+                bytes: bytes(n),
+                run: Box::new(move || {
+                    if local {
+                        ops::spmm_sum_into_indexed(
+                            dist.block(q),
+                            &x,
+                            dist.needed_from(q),
+                            &mut acc,
+                        );
+                    } else {
+                        ops::spmm_sum_into(dist.block(q), &x, &mut acc);
+                    }
+                    black_box(acc.data()[0]);
+                }),
+            });
+        }
+        {
+            let grad = randn(&[n, f], 1.0, &mut rng);
+            let dist = Rc::clone(&dist);
+            cases.push(Case {
+                name: format!("spmm_sum_backward/block-{which}/f{f}"),
+                flops: e * f as f64,
+                bytes: bytes(block.num_cols()),
+                run: Box::new(move || {
+                    black_box(ops::spmm_sum_backward(dist.block(q), &grad));
                 }),
             });
         }
@@ -394,6 +462,7 @@ pub fn run_bench(quick: bool) -> BenchReport {
     let (peak_gflops, stream_gbs) = calibrate(quick);
     let mut kernels = Vec::new();
     let mut cases = graph_cases(quick);
+    cases.extend(block_cases(quick));
     cases.extend(matmul_cases(quick));
     for case in &mut cases {
         let t = time_case(&mut case.run, quick);
@@ -486,12 +555,12 @@ impl GatedBench for BenchReport {
             self.simd, self.threads, self.peak_gflops, self.stream_gbs
         );
         eprintln!(
-            "{:<28} {:>6} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7}",
+            "{:<36} {:>6} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7}",
             "kernel", "iters", "wall_us", "cpu_us", "GFLOP/s", "AI", "roofline", "ratio"
         );
         for k in &self.kernels {
             eprintln!(
-                "{:<28} {:>6} {:>12.1} {:>12.1} {:>9.3} {:>7.3} {:>9.3} {:>7.3}",
+                "{:<36} {:>6} {:>12.1} {:>12.1} {:>9.3} {:>7.3} {:>9.3} {:>7.3}",
                 k.name,
                 k.iters,
                 k.wall_us,

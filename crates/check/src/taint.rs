@@ -48,6 +48,7 @@ use crate::{Finding, PassReport};
 const ROOT_FILES: &[&str] = &[
     "crates/graph/src/ops.rs",
     "crates/graph/src/fused.rs",
+    "crates/graph/src/walk.rs",
     "crates/tensor/src/simd.rs",
     "crates/core/src/seq_agg.rs",
     "crates/comm/src/codec.rs",
@@ -82,6 +83,7 @@ const ROOT_FNS: &[(&str, &str)] = &[
 const HOT_FILES: &[&str] = &[
     "crates/graph/src/ops.rs",
     "crates/graph/src/fused.rs",
+    "crates/graph/src/walk.rs",
     "crates/graph/src/csr.rs",
     "crates/tensor/src/simd.rs",
     "crates/tensor/src/tensor.rs",

@@ -25,8 +25,7 @@ use sar_comm::{Phase, TransportError};
 use sar_graph::fused::{
     attn_grad_dot, gat_fused_block_backward, gat_fused_block_backward_indexed,
     gat_fused_block_forward, gat_fused_block_forward_indexed, gat_twostep_block_backward,
-    gat_twostep_block_backward_indexed, gat_twostep_block_forward,
-    gat_twostep_block_forward_indexed, FusedBlockGrads, OnlineAttnState,
+    gat_twostep_block_forward, FusedBlockGrads, OnlineAttnState,
 };
 use sar_graph::{ops, CsrGraph};
 use sar_tensor::{Function, Tensor, Var};
@@ -149,14 +148,6 @@ fn parts<'a>(block: &FetchedBlock<'a>) -> (&'a Tensor, Option<&'a [u32]>) {
     }
 }
 
-/// Source attention logits of a fetched block: `head_project(x, a_src)`.
-fn source_logits(x: &Tensor, rows: Option<&[u32]>, a_src: &Tensor, heads: usize) -> Tensor {
-    match rows {
-        Some(rows) => ops::head_project_indexed(x, rows, a_src, heads),
-        None => ops::head_project(x, a_src, heads),
-    }
-}
-
 impl FakMode {
     /// One block of the online-softmax forward with this kernel family.
     #[allow(clippy::too_many_arguments)]
@@ -175,10 +166,7 @@ impl FakMode {
                 gat_fused_block_forward_indexed(g, s_dst, s_src, x, r, slope, st)
             }
             (FakMode::Fused, None) => gat_fused_block_forward(g, s_dst, s_src, x, slope, st),
-            (FakMode::TwoStep, Some(r)) => {
-                gat_twostep_block_forward_indexed(g, s_dst, s_src, x, r, slope, st)
-            }
-            (FakMode::TwoStep, None) => gat_twostep_block_forward(g, s_dst, s_src, x, slope, st),
+            (FakMode::TwoStep, _) => gat_twostep_block_forward(g, s_dst, s_src, x, rows, slope, st),
         }
     }
 
@@ -203,12 +191,9 @@ impl FakMode {
             (FakMode::Fused, None) => {
                 gat_fused_block_backward(g, s_dst, s_src, x, slope, max, den, grad, dot, d_s_dst)
             }
-            (FakMode::TwoStep, Some(r)) => gat_twostep_block_backward_indexed(
-                g, s_dst, s_src, x, r, slope, max, den, grad, dot, d_s_dst,
+            (FakMode::TwoStep, _) => gat_twostep_block_backward(
+                g, s_dst, s_src, x, rows, slope, max, den, grad, dot, d_s_dst,
             ),
-            (FakMode::TwoStep, None) => {
-                gat_twostep_block_backward(g, s_dst, s_src, x, slope, max, den, grad, dot, d_s_dst)
-            }
         }
     }
 }
@@ -314,7 +299,7 @@ impl Function for GatAggFn {
             // routing is identical for both paths.
             w.try_fetch_rounds(view, &z_ref, w.next_tag(), |q, z_block| {
                 let (x, rows) = parts(&z_block);
-                let s_src_block = source_logits(x, rows, &a_src_val, heads);
+                let s_src_block = ops::head_project(x, rows, &a_src_val, heads);
                 let grads = self.mode.block_backward(
                     view.block(q),
                     &s_dst_ref,
@@ -328,16 +313,8 @@ impl Function for GatAggFn {
                 );
                 // Fold the s_src path back into z and a_src:
                 // s_src = head_project(z, a_src).
-                let (dz_from_s, da) = match rows {
-                    Some(rows) => ops::head_project_backward_indexed(
-                        x,
-                        rows,
-                        &a_src_val,
-                        heads,
-                        &grads.d_s_src,
-                    ),
-                    None => ops::head_project_backward(x, &a_src_val, heads, &grads.d_s_src),
-                };
+                let (dz_from_s, da) =
+                    ops::head_project_backward(x, rows, &a_src_val, heads, &grads.d_s_src);
                 d_a_src.add_assign(&da);
                 let mut d_z_block = grads.d_x_src;
                 d_z_block.add_assign(&dz_from_s);
@@ -420,7 +397,7 @@ pub fn gat_aggregate(
         // buffer. Both paths are bitwise identical.
         w.try_fetch_rounds(&**view, &z.value(), w.next_tag(), |q, z_block| {
             let (x, rows) = parts(&z_block);
-            let s_src_block = source_logits(x, rows, &a_src_val, heads);
+            let s_src_block = ops::head_project(x, rows, &a_src_val, heads);
             mode.block_forward(
                 view.block(q),
                 &s_dst_ref,

@@ -24,10 +24,12 @@ const P2P_TAG_BASE: u64 = 1 << 40;
 /// Remote rounds deliver the materialized block received from the wire.
 /// The round-0 local block is *not* materialized: the consumer gets the
 /// worker's resident feature tensor plus the row table selecting the
-/// block's compacted columns, and reads through it with the fused
-/// gather+aggregate kernels (`ops::spmm_sum_into_indexed`,
-/// `ops::head_project_indexed`, `fused::gat_fused_block_forward_indexed`,
-/// …) — the gathered copy earlier revisions staged through the buffer
+/// block's compacted columns, and reads through it with the kernels
+/// that take a row map ([`sar_graph::ops::spmm_sum_into_indexed`],
+/// [`sar_graph::ops::head_project`],
+/// [`sar_graph::fused::gat_fused_block_forward_indexed`],
+/// [`sar_graph::fused::gat_twostep_block_forward`] and their backward
+/// counterparts) — the gathered copy earlier revisions staged through the buffer
 /// pool never exists, so round 0 contributes zero staged bytes to the
 /// fetch-phase watermark.
 pub enum FetchedBlock<'a> {
@@ -54,7 +56,7 @@ impl FetchedBlock<'_> {
 
     /// Materializes the block as an owned tensor (gathering the local
     /// round's rows). For cold paths and tests — hot paths consume `Local`
-    /// in place via the `*_indexed` kernels.
+    /// in place via the row-map kernels.
     pub fn to_tensor(&self) -> Tensor {
         match self {
             FetchedBlock::Local { data, rows } => data.gather_rows(rows),

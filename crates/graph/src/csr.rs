@@ -2,6 +2,8 @@
 
 use std::sync::OnceLock;
 
+use crate::walk::Adjacency;
+
 /// A graph in compressed-sparse-row form, oriented **destination-major**:
 /// row `i` lists the *source* nodes `j` of edges `j → i`. Aggregating over
 /// `neighbors(i)` therefore aggregates a node's incoming messages, matching
@@ -31,9 +33,9 @@ pub struct CsrGraph {
     indptr: Vec<usize>,
     indices: Vec<u32>,
     /// True when every row's neighbor list ascends — derived from the
-    /// data at construction, and the precondition for the cache-blocked
-    /// kernel traversals in `ops` (blocking by source range only
-    /// preserves per-row accumulation order on sorted rows).
+    /// data at construction; the row walker only cuts cache panels on
+    /// sorted rows (its per-row cursor stalls at the first neighbor
+    /// beyond the panel, so elsewhere a panel buys no locality).
     rows_sorted: bool,
     rev: RevCache,
 }
@@ -321,6 +323,45 @@ impl CsrGraph {
         self.rev.0.get_or_init(|| self.build_reverse_index())
     }
 
+    /// Iterates destination `i`'s in-edges as `(source column, CSR edge
+    /// id)`, ascending by edge id — the destination-major mirror of
+    /// [`ReverseIndex::entries`].
+    pub(crate) fn entries(&self, i: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (lo, hi) = (self.indptr[i], self.indptr[i + 1]);
+        self.indices[lo..hi]
+            .iter()
+            .zip(lo..hi)
+            .map(|(&j, e)| (j as usize, e))
+    }
+
+    /// The graph's own destination-major arrays as a walkable adjacency:
+    /// rows are destinations, neighbours are sources, and an entry's
+    /// position is its edge id.
+    pub(crate) fn adjacency(&self) -> Adjacency<'_> {
+        Adjacency {
+            ptr: &self.indptr,
+            nbr: &self.indices,
+            eid: None,
+            others: self.num_cols,
+            sorted: self.rows_sorted,
+        }
+    }
+
+    /// The [`ReverseIndex`] as a walkable adjacency: rows are sources,
+    /// neighbours are destinations. Entries ascend by edge id, and edge
+    /// ids are destination-major, so every row's neighbours ascend
+    /// whether or not the graph's own rows are sorted.
+    pub(crate) fn reverse_adjacency(&self) -> Adjacency<'_> {
+        let rev = self.reverse_index();
+        Adjacency {
+            ptr: &rev.indptr,
+            nbr: &rev.dst,
+            eid: Some(&rev.edge),
+            others: self.num_rows,
+            sorted: true,
+        }
+    }
+
     fn build_reverse_index(&self) -> ReverseIndex {
         let e_count = self.num_edges();
         let mut indptr = vec![0usize; self.num_cols + 1];
@@ -367,16 +408,6 @@ impl ReverseIndex {
     /// Out-degree of source `j`.
     pub fn out_degree(&self, j: usize) -> usize {
         self.indptr[j + 1] - self.indptr[j]
-    }
-
-    /// Raw slices of source `j`'s entries — `(destinations, edge ids)`,
-    /// both ascending by edge id (and therefore by destination, since CSR
-    /// edge ids are destination-major). This is the random-access form of
-    /// [`ReverseIndex::entries`] used by the cache-blocked backward
-    /// traversals, which keep a cursor into these slices per source.
-    pub fn entry_slices(&self, j: usize) -> (&[u32], &[u32]) {
-        let (lo, hi) = (self.indptr[j], self.indptr[j + 1]);
-        (&self.dst[lo..hi], &self.edge[lo..hi])
     }
 
     /// Iterates source `j`'s edges as `(destination row, CSR edge id)`,

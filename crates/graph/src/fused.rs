@@ -17,21 +17,31 @@
 //! kernel recomputes coefficients on the fly from the saved `(m, den)`
 //! statistics — the recomputation SAR must do anyway during
 //! rematerialization, which is why FAK "synergizes" with SAR.
-
+//!
+//! The *two-step* family (`gat_twostep_block_*`, plain "SAR" in Figs. 4
+//! and 6) runs the same online-softmax step and the same gradient body;
+//! it differs only in where a value comes from — raw scores and
+//! coefficients are first written to `[E_block, H]` tensors and read
+//! back, instead of being computed per edge — and in which edges its
+//! backward skips (DESIGN.md §18).
+//!
 //! Like `ops`, the kernels parallelize over destination rows (forward
 //! and `d_s_dst`) and over source rows via
 //! [`CsrGraph::reverse_index`] (the scatter-style `d_x_src` / `d_s_src`
 //! passes), preserving each row's sequential reduction order so results
 //! are bitwise identical across thread counts.
-
+//!
 //! Inner loops over each head's `d`-wide feature segment run through the
-//! bitwise-deterministic SIMD primitives of [`sar_tensor::simd`], and the
-//! `*_indexed` kernel variants read source features through a row map
-//! (`x[map[j]]`) so SAR's local round can aggregate straight out of the
-//! resident feature tensor without materializing a gathered block.
+//! bitwise-deterministic SIMD primitives of [`sar_tensor::simd`], and a
+//! row map (`map: Option<&[u32]>`, or the `*_indexed` names the benchmark
+//! pins) makes a kernel read source features through it (`x[map[j]]`) so
+//! SAR's local round can aggregate straight out of the resident feature
+//! tensor without materializing a gathered block.
 
+use crate::ops::{gat_edge_scores, head_dim, head_dots, Operand};
+use crate::walk::{edges_mut, row_mut};
 use crate::CsrGraph;
-use sar_tensor::pool::{parallel_for, SharedSlice};
+use sar_tensor::pool::{split_rows, Output};
 use sar_tensor::{simd, Tensor};
 
 /// Running online-softmax state for attention aggregation over
@@ -110,6 +120,277 @@ impl OnlineAttnState {
     }
 }
 
+/// Panics unless `t` is the `[rows, heads]` per-(node, head) tensor that
+/// `what` names.
+fn check_node_heads(t: &Tensor, rows: usize, heads: usize, what: &str) {
+    assert_eq!(
+        t.shape(),
+        &[rows, heads][..],
+        "{what} must be [{rows}, {heads}]"
+    );
+}
+
+/// The two attention kernel families share one body each for forward and
+/// backward, compiled once per family. They differ only in whether raw
+/// scores (forward) and coefficients (backward) are `MATERIALIZED`:
+/// written to an `[E_block, H]` tensor and read back by edge id, instead
+/// of being computed per edge.
+///
+/// Fused (§3.3): computed per edge, never stored.
+const FUSED: bool = false;
+/// Two-step: written to memory and read back (DGL-style; the plain-SAR
+/// baseline of Figs. 4 and 6).
+const TWO_STEP: bool = true;
+
+/// One block's attention inputs, shape-checked once for every kernel of
+/// both families.
+#[derive(Clone, Copy)]
+struct AttnBlock<'a> {
+    g: &'a CsrGraph,
+    /// Destination logits `aᵀ_dst z_i`, `[rows, H]`.
+    s_dst: &'a [f32],
+    /// Source logits `aᵀ_src z_j`, `[cols, H]`.
+    s_src: &'a [f32],
+    /// Source features `[cols, H*D]`, possibly through a row map.
+    x: Operand<'a>,
+    heads: usize,
+    head_dim: usize,
+    /// LeakyReLU negative slope.
+    slope: f32,
+}
+
+impl<'a> AttnBlock<'a> {
+    /// # Panics
+    ///
+    /// Panics unless `x` (through `map`) has one `heads`-divisible row per
+    /// graph column, `s_dst` is `[rows, heads]` and `s_src` is
+    /// `[cols, heads]`.
+    fn new(
+        g: &'a CsrGraph,
+        s_dst: &'a Tensor,
+        s_src: &'a Tensor,
+        x: &'a Tensor,
+        map: Option<&'a [u32]>,
+        heads: usize,
+        slope: f32,
+    ) -> Self {
+        let x = Operand::new(x, map, g.num_cols());
+        check_node_heads(s_dst, g.num_rows(), heads, "s_dst");
+        check_node_heads(s_src, g.num_cols(), heads, "s_src");
+        AttnBlock {
+            g,
+            s_dst: s_dst.data(),
+            s_src: s_src.data(),
+            x,
+            heads,
+            head_dim: head_dim(x.width, heads),
+            slope,
+        }
+    }
+
+    /// Pre-activation logit sum `u` of edge `j → i`.
+    fn logit(&self, i: usize, j: usize, head: usize) -> f32 {
+        self.s_dst[i * self.heads + head] + self.s_src[j * self.heads + head]
+    }
+
+    /// Raw attention score `LeakyReLU(u)` of a logit sum `u`.
+    fn leaky_relu(&self, u: f32) -> f32 {
+        if u > 0.0 {
+            u
+        } else {
+            self.slope * u
+        }
+    }
+
+    /// Streams the block's edges through the online-softmax accumulator.
+    /// `scores` is a materializing family's `[E, H]` raw scores (unused
+    /// otherwise: every score is computed on the fly).
+    ///
+    /// Destination-parallel: each destination's (max, den, num) rows have
+    /// exactly one writer, and its edge stream keeps the sequential order,
+    /// so the recurrence is thread-count-invariant.
+    // sar-check: deterministic(one-writer-per-row: a destination's max, den
+    // and num rows fold its edge segment in fixed CSR order)
+    fn online_softmax<const MATERIALIZED: bool>(self, state: &mut OnlineAttnState, scores: &[f32]) {
+        let (h, d) = (self.heads, self.head_dim);
+        let hd = h * d;
+        let g = self.g;
+        split_rows(
+            g.num_rows(),
+            [
+                Output::row_owned(state.num.data_mut(), hd),
+                Output::row_owned(state.den.data_mut(), h),
+                Output::row_owned(state.max.data_mut(), h),
+            ],
+            move |lo, hi, [num, den, max]| {
+                for i in lo..hi {
+                    let num_i = row_mut(num, i - lo, hd);
+                    let den_row = row_mut(den, i - lo, h);
+                    let max_row = row_mut(max, i - lo, h);
+                    for (j, e) in g.entries(i) {
+                        let x_row = self.x.row(j);
+                        for head in 0..h {
+                            let s = if MATERIALIZED {
+                                scores[e * h + head]
+                            } else {
+                                self.leaky_relu(self.logit(i, j, head))
+                            };
+                            let m_old = max_row[head];
+                            if s > m_old {
+                                // Rescale accumulated numerator/denominator
+                                // by exp(old_max - new_max) — the
+                                // stable-softmax correction of §3.4.
+                                let scale = if m_old == f32::NEG_INFINITY {
+                                    0.0
+                                } else {
+                                    (m_old - s).exp()
+                                };
+                                max_row[head] = s;
+                                den_row[head] *= scale;
+                                simd::scale(&mut num_i[head * d..(head + 1) * d], scale);
+                            }
+                            let w = (s - max_row[head]).exp();
+                            den_row[head] += w;
+                            simd::axpy(
+                                w,
+                                &x_row[head * d..(head + 1) * d],
+                                &mut num_i[head * d..(head + 1) * d],
+                            );
+                        }
+                    }
+                }
+            },
+        );
+    }
+}
+
+/// One block's backward: its attention inputs, the upstream gradient, the
+/// saved softmax statistics and the family's coefficient source.
+#[derive(Clone, Copy)]
+struct AttnBackward<'a> {
+    blk: AttnBlock<'a>,
+    /// Upstream gradient, `[rows, H*D]`.
+    grad: &'a [f32],
+    /// [`attn_grad_dot`] of it, `[rows, H]`.
+    grad_dot: &'a [f32],
+    /// Saved running maximum and denominator, `[rows, H]` each.
+    max: &'a [f32],
+    den: &'a [f32],
+    /// A materializing family's `[E, H]` coefficients (unused otherwise:
+    /// each is recomputed from `(max, den)`).
+    alpha: &'a [f32],
+}
+
+impl AttnBackward<'_> {
+    /// The per-(edge, head) gradient of edge `e = (j → i)`, shared by both
+    /// passes so their recomputed quantities are bitwise the same
+    /// expressions. Returns the attention coefficient α, the upstream
+    /// gradient's head segment, and the loss gradient w.r.t. the logit
+    /// sum — the softmax path `de = α (⟨g, x_j⟩ − ⟨g, out_i⟩)` through the
+    /// LeakyReLU — or `None` where the family skips the edge.
+    ///
+    /// The two skip predicates are *not* interchangeable: fused skips a
+    /// destination whose denominator is not positive and otherwise pushes
+    /// even a coefficient that underflowed to zero (`dx += 0·g` turns a
+    /// `-0.0` into `+0.0`, `0·∞` is NaN); two-step skips every edge whose
+    /// materialized coefficient is `0.0`. Merging them moves signed-zero
+    /// and underflow bits of one family.
+    // Per (edge, head) from two call sites: without the attribute the
+    // body is not inlined into either pass.
+    #[inline(always)]
+    fn edge_grad<const MATERIALIZED: bool>(
+        &self,
+        i: usize,
+        j: usize,
+        e: usize,
+        head: usize,
+        x_row: &[f32],
+    ) -> Option<(f32, &[f32], f32)> {
+        let (blk, h, d) = (&self.blk, self.blk.heads, self.blk.head_dim);
+        let u = blk.logit(i, j, head);
+        let alpha = if MATERIALIZED {
+            let a = self.alpha[e * h + head];
+            if a == 0.0 {
+                return None;
+            }
+            a
+        } else {
+            let den_i = self.den[i * h + head];
+            if den_i <= 0.0 {
+                return None;
+            }
+            (blk.leaky_relu(u) - self.max[i * h + head]).exp() / den_i
+        };
+        let g_head = &self.grad[(i * h + head) * d..(i * h + head + 1) * d];
+        let dot_gx = simd::dot(g_head, &x_row[head * d..(head + 1) * d]);
+        let de = alpha * (dot_gx - self.grad_dot[i * h + head]);
+        let du = de * if u > 0.0 { 1.0 } else { blk.slope };
+        Some((alpha, g_head, du))
+    }
+
+    /// Pushes the block's gradients: adds into `d_s_dst`, returns the
+    /// rest.
+    // sar-check: deterministic(one-writer-per-row: a destination's d_s_dst
+    // row folds its edges in CSR order, a source's d_x / d_s_src rows fold
+    // theirs in ascending edge-id order)
+    fn push<const MATERIALIZED: bool>(self, d_s_dst: &mut Tensor) -> FusedBlockGrads {
+        let (g, x, h, d) = (self.blk.g, self.blk.x, self.blk.heads, self.blk.head_dim);
+        let hd = h * d;
+        // Pass 1 — destination-parallel d_s_dst.
+        split_rows(
+            g.num_rows(),
+            [Output::row_owned(d_s_dst.data_mut(), h)],
+            move |lo, hi, [part]| {
+                for i in lo..hi {
+                    let dsd_row = row_mut(part, i - lo, h);
+                    for (j, e) in g.entries(i) {
+                        let x_row = x.row(j);
+                        for (head, dsd) in dsd_row.iter_mut().enumerate() {
+                            if let Some((_, _, du)) =
+                                self.edge_grad::<MATERIALIZED>(i, j, e, head, x_row)
+                            {
+                                *dsd += du;
+                            }
+                        }
+                    }
+                }
+            },
+        );
+        // Pass 2 — source-parallel d_x_src / d_s_src via the reverse
+        // index; ascending edge ids per source keep the sequential
+        // accumulation order.
+        let mut d_x_src = Tensor::zeros(&[g.num_cols(), hd]);
+        let mut d_s_src = Tensor::zeros(&[g.num_cols(), h]);
+        let rev = g.reverse_index();
+        split_rows(
+            g.num_cols(),
+            [
+                Output::row_owned(d_x_src.data_mut(), hd),
+                Output::row_owned(d_s_src.data_mut(), h),
+            ],
+            move |lo, hi, [dx, dss]| {
+                for j in lo..hi {
+                    let dx_row = row_mut(dx, j - lo, hd);
+                    let dss_row = row_mut(dss, j - lo, h);
+                    let x_row = x.row(j);
+                    for (i, e) in rev.entries(j) {
+                        for head in 0..h {
+                            if let Some((alpha, g_head, du)) =
+                                self.edge_grad::<MATERIALIZED>(i, j, e, head, x_row)
+                            {
+                                // Value path: d x_j += α g_i.
+                                simd::axpy(alpha, g_head, &mut dx_row[head * d..(head + 1) * d]);
+                                dss_row[head] += du;
+                            }
+                        }
+                    }
+                }
+            },
+        );
+        FusedBlockGrads { d_x_src, d_s_src }
+    }
+}
+
 /// Streams one block of edges through the online-softmax accumulator.
 ///
 /// * `s_dst` — destination attention logits `aᵀ_dst z_i`, `[rows, H]`.
@@ -131,8 +412,7 @@ pub fn gat_fused_block_forward(
     slope: f32,
     state: &mut OnlineAttnState,
 ) {
-    assert_eq!(x_src.rows(), g.num_cols(), "x_src rows mismatch");
-    gat_fused_block_forward_impl(g, s_dst, s_src, x_src, None, slope, state);
+    block_forward::<FUSED>(g, s_dst, s_src, x_src, None, slope, state);
 }
 
 /// [`gat_fused_block_forward`] with source features read through a row
@@ -152,128 +432,14 @@ pub fn gat_fused_block_forward_indexed(
     slope: f32,
     state: &mut OnlineAttnState,
 ) {
-    assert_eq!(map.len(), g.num_cols(), "one map entry per column required");
-    assert!(
-        map.iter().all(|&r| (r as usize) < x.rows()),
-        "row map entry out of range"
-    );
-    gat_fused_block_forward_impl(g, s_dst, s_src, x, Some(map), slope, state);
-}
-
-fn gat_fused_block_forward_impl(
-    g: &CsrGraph,
-    s_dst: &Tensor,
-    s_src: &Tensor,
-    x_src: &Tensor,
-    map: Option<&[u32]>,
-    slope: f32,
-    state: &mut OnlineAttnState,
-) {
-    let (h, d) = (state.heads, state.head_dim);
-    assert_eq!(s_dst.rows(), g.num_rows(), "s_dst rows mismatch");
-    assert_eq!(s_src.rows(), g.num_cols(), "s_src rows mismatch");
-    assert_eq!(s_dst.cols(), h, "s_dst heads mismatch");
-    assert_eq!(x_src.cols(), h * d, "x_src width mismatch");
-    assert_eq!(state.num.rows(), g.num_rows(), "state rows mismatch");
-
-    let hd = h * d;
-    let row_of = |j: usize| map.map_or(j, |m| m[j] as usize);
-    let x_data = x_src.data();
-    let s_dst_data = s_dst.data();
-    let s_src_data = s_src.data();
-    let indptr = g.indptr();
-    let indices = g.indices();
-    // Destination-parallel: each destination's (max, den, num) rows have
-    // exactly one writer, and its edge stream keeps the sequential order,
-    // so the online-softmax recurrence is thread-count-invariant.
-    let num_s = SharedSlice::new(state.num.data_mut());
-    let den_s = SharedSlice::new(state.den.data_mut());
-    let max_s = SharedSlice::new(state.max.data_mut());
-    parallel_for(g.num_rows(), 1, |lo, hi| {
-        for i in lo..hi {
-            let (es, ee) = (indptr[i], indptr[i + 1]);
-            if es == ee {
-                continue;
-            }
-            // Hoist this destination's accumulator rows out of the edge loop.
-            // SAFETY: (all three) destination row `i` is in this chunk's
-            // exclusive `lo..hi` range, so the max/den/num rows have
-            // exactly one writer.
-            let max_row = unsafe { max_s.range_mut(i * h, (i + 1) * h) };
-            let den_row = unsafe { den_s.range_mut(i * h, (i + 1) * h) };
-            let num_i = unsafe { num_s.range_mut(i * hd, (i + 1) * hd) };
-            for &j_src in &indices[es..ee] {
-                let j = j_src as usize;
-                let r = row_of(j);
-                let x_row = &x_data[r * hd..(r + 1) * hd];
-                let s_src_row = &s_src_data[j * h..(j + 1) * h];
-                for head in 0..h {
-                    let u = s_dst_data[i * h + head] + s_src_row[head];
-                    let e = if u > 0.0 { u } else { slope * u };
-                    let m_old = max_row[head];
-                    if e > m_old {
-                        // Rescale accumulated numerator/denominator by
-                        // exp(old_max - new_max) — the stable-softmax
-                        // correction of §3.4.
-                        let scale = if m_old == f32::NEG_INFINITY {
-                            0.0
-                        } else {
-                            (m_old - e).exp()
-                        };
-                        max_row[head] = e;
-                        den_row[head] *= scale;
-                        simd::scale(&mut num_i[head * d..(head + 1) * d], scale);
-                    }
-                    let w = (e - max_row[head]).exp();
-                    den_row[head] += w;
-                    simd::axpy(
-                        w,
-                        &x_row[head * d..(head + 1) * d],
-                        &mut num_i[head * d..(head + 1) * d],
-                    );
-                }
-            }
-        }
-    });
-}
-
-/// A *numerically naive* variant of [`gat_fused_block_forward`] that
-/// accumulates `exp(e)` without max tracking. Exists only for the
-/// stable-softmax ablation (`repro ablation-softmax`): with large attention
-/// logits it overflows to `inf`/`NaN` exactly as the paper warns.
-// sar-check: deterministic(one-writer-per-row: sequential loop over
-// destination rows, edges visited in fixed CSR order within each row)
-pub fn gat_naive_block_forward(
-    g: &CsrGraph,
-    s_dst: &Tensor,
-    s_src: &Tensor,
-    x_src: &Tensor,
-    slope: f32,
-    state: &mut OnlineAttnState,
-) {
-    let (h, d) = (state.heads, state.head_dim);
-    for i in 0..g.num_rows() {
-        for &j in g.neighbors(i) {
-            let j = j as usize;
-            let x_row = &x_src.data()[j * h * d..(j + 1) * h * d];
-            for head in 0..h {
-                let u = s_dst.at(&[i, head]) + s_src.at(&[j, head]);
-                let e = if u > 0.0 { u } else { slope * u };
-                let w = e.exp(); // no stabilization
-                state.den.row_mut(i)[head] += w;
-                let num_row = state.num.row_mut(i);
-                for k in 0..d {
-                    num_row[head * d + k] += w * x_row[head * d + k];
-                }
-            }
-        }
-    }
+    block_forward::<FUSED>(g, s_dst, s_src, x, Some(map), slope, state);
 }
 
 /// Two-step (non-fused) variant of [`gat_fused_block_forward`]: first
 /// *materializes* the block's `[E_block, H]` raw attention scores (one
 /// memory write + read per coefficient, as in DGL's two-step GAT), then
-/// streams them through the same online-softmax accumulator.
+/// streams them through the same online-softmax accumulator. With a row
+/// map, source features are read through it (`x[map[j]]`).
 ///
 /// Numerically identical to the fused kernel; exists to reproduce the
 /// runtime/memory gap between "SAR" and "SAR+FAK" in Figs. 4 and 6.
@@ -285,301 +451,35 @@ pub fn gat_twostep_block_forward(
     g: &CsrGraph,
     s_dst: &Tensor,
     s_src: &Tensor,
-    x_src: &Tensor,
-    slope: f32,
-    state: &mut OnlineAttnState,
-) {
-    gat_twostep_block_forward_impl(g, s_dst, s_src, x_src, None, slope, state);
-}
-
-/// [`gat_twostep_block_forward`] with source features read through a row
-/// map (`x[map[j]]`) — the two-step counterpart of
-/// [`gat_fused_block_forward_indexed`].
-///
-/// # Panics
-///
-/// Panics if `map` does not have one entry per graph column or any entry
-/// is out of range for `x`.
-pub fn gat_twostep_block_forward_indexed(
-    g: &CsrGraph,
-    s_dst: &Tensor,
-    s_src: &Tensor,
     x: &Tensor,
-    map: &[u32],
-    slope: f32,
-    state: &mut OnlineAttnState,
-) {
-    assert_eq!(map.len(), g.num_cols(), "one map entry per column required");
-    assert!(
-        map.iter().all(|&r| (r as usize) < x.rows()),
-        "row map entry out of range"
-    );
-    gat_twostep_block_forward_impl(g, s_dst, s_src, x, Some(map), slope, state);
-}
-
-fn gat_twostep_block_forward_impl(
-    g: &CsrGraph,
-    s_dst: &Tensor,
-    s_src: &Tensor,
-    x_src: &Tensor,
     map: Option<&[u32]>,
     slope: f32,
     state: &mut OnlineAttnState,
 ) {
-    let (h, d) = (state.heads, state.head_dim);
-    let hd = h * d;
-    let row_of = |j: usize| map.map_or(j, |m| m[j] as usize);
-    // Step 1: write all raw scores to memory.
-    let scores = crate::ops::gat_edge_scores(g, s_dst, s_src, slope);
-    // Step 2: read them back while aggregating, destination-parallel like
-    // the fused kernel.
-    let indptr = g.indptr();
-    let indices = g.indices();
-    let x_data = x_src.data();
-    let scores_data = scores.data();
-    let num_s = SharedSlice::new(state.num.data_mut());
-    let den_s = SharedSlice::new(state.den.data_mut());
-    let max_s = SharedSlice::new(state.max.data_mut());
-    parallel_for(g.num_rows(), 1, |lo, hi| {
-        for i in lo..hi {
-            let (es, ee) = (indptr[i], indptr[i + 1]);
-            if es == ee {
-                continue;
-            }
-            // SAFETY: (all three) destination row `i` is in this chunk's
-            // exclusive `lo..hi` range, so the max/den/num rows have
-            // exactly one writer.
-            let max_row = unsafe { max_s.range_mut(i * h, (i + 1) * h) };
-            let den_row = unsafe { den_s.range_mut(i * h, (i + 1) * h) };
-            let num_i = unsafe { num_s.range_mut(i * hd, (i + 1) * hd) };
-            for e_id in es..ee {
-                let r = row_of(indices[e_id] as usize);
-                let x_row = &x_data[r * hd..(r + 1) * hd];
-                for head in 0..h {
-                    let e = scores_data[e_id * h + head];
-                    let m_old = max_row[head];
-                    if e > m_old {
-                        let scale = if m_old == f32::NEG_INFINITY {
-                            0.0
-                        } else {
-                            (m_old - e).exp()
-                        };
-                        max_row[head] = e;
-                        den_row[head] *= scale;
-                        simd::scale(&mut num_i[head * d..(head + 1) * d], scale);
-                    }
-                    let w = (e - max_row[head]).exp();
-                    den_row[head] += w;
-                    simd::axpy(
-                        w,
-                        &x_row[head * d..(head + 1) * d],
-                        &mut num_i[head * d..(head + 1) * d],
-                    );
-                }
-            }
-        }
-    });
+    block_forward::<TWO_STEP>(g, s_dst, s_src, x, map, slope, state);
 }
 
-/// Two-step variant of [`gat_fused_block_backward`]: re-materializes the
-/// block's `[E_block, H]` scores and coefficients in memory before pushing
-/// gradients (DGL-style), instead of recomputing them per edge on the fly.
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent.
-#[allow(clippy::too_many_arguments)]
-pub fn gat_twostep_block_backward(
-    g: &CsrGraph,
-    s_dst: &Tensor,
-    s_src: &Tensor,
-    x_src: &Tensor,
-    slope: f32,
-    max: &Tensor,
-    den: &Tensor,
-    grad_out: &Tensor,
-    grad_dot: &Tensor,
-    d_s_dst: &mut Tensor,
-) -> FusedBlockGrads {
-    assert_eq!(x_src.rows(), g.num_cols(), "x_src rows mismatch");
-    gat_twostep_block_backward_impl(
-        g, s_dst, s_src, x_src, None, slope, max, den, grad_out, grad_dot, d_s_dst,
-    )
-}
-
-/// [`gat_twostep_block_backward`] with source features read through a row
-/// map (`x[map[j]]`); gradients stay block-shaped.
-///
-/// # Panics
-///
-/// Panics if `map` does not have one entry per graph column or any entry
-/// is out of range for `x`.
-#[allow(clippy::too_many_arguments)]
-pub fn gat_twostep_block_backward_indexed(
+/// The forward of both families: every shape check, then the one
+/// online-softmax step fed from the family's score source.
+fn block_forward<const MATERIALIZED: bool>(
     g: &CsrGraph,
     s_dst: &Tensor,
     s_src: &Tensor,
     x: &Tensor,
-    map: &[u32],
-    slope: f32,
-    max: &Tensor,
-    den: &Tensor,
-    grad_out: &Tensor,
-    grad_dot: &Tensor,
-    d_s_dst: &mut Tensor,
-) -> FusedBlockGrads {
-    assert_eq!(map.len(), g.num_cols(), "one map entry per column required");
-    assert!(
-        map.iter().all(|&r| (r as usize) < x.rows()),
-        "row map entry out of range"
-    );
-    gat_twostep_block_backward_impl(
-        g,
-        s_dst,
-        s_src,
-        x,
-        Some(map),
-        slope,
-        max,
-        den,
-        grad_out,
-        grad_dot,
-        d_s_dst,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gat_twostep_block_backward_impl(
-    g: &CsrGraph,
-    s_dst: &Tensor,
-    s_src: &Tensor,
-    x_src: &Tensor,
     map: Option<&[u32]>,
     slope: f32,
-    max: &Tensor,
-    den: &Tensor,
-    grad_out: &Tensor,
-    grad_dot: &Tensor,
-    d_s_dst: &mut Tensor,
-) -> FusedBlockGrads {
-    let h = s_dst.cols();
-    let hd = x_src.cols();
-    let d = hd / h;
-    let row_of = |j: usize| map.map_or(j, |m| m[j] as usize);
-    let mut d_x_src = Tensor::zeros(&[g.num_cols(), hd]);
-    let mut d_s_src = Tensor::zeros(&[g.num_cols(), h]);
-
-    // Step 1: materialize raw scores and normalized coefficients
-    // (destination-parallel: each edge row is owned by its destination).
-    let scores = crate::ops::gat_edge_scores(g, s_dst, s_src, slope);
-    let mut alpha = scores.clone();
-    let indptr = g.indptr();
-    let indices = g.indices();
-    let scores_data = scores.data();
-    let max_data = max.data();
-    let den_data = den.data();
-    {
-        let alpha_s = SharedSlice::new(alpha.data_mut());
-        parallel_for(g.num_rows(), 1, |lo, hi| {
-            for i in lo..hi {
-                let (es, ee) = (indptr[i], indptr[i + 1]);
-                if es == ee {
-                    continue;
-                }
-                // SAFETY: destination `i`'s in-edges `es..ee` are contiguous
-                // in CSR order and owned by this chunk alone.
-                let rows = unsafe { alpha_s.range_mut(es * h, ee * h) };
-                for e_id in es..ee {
-                    for head in 0..h {
-                        let den_i = den_data[i * h + head];
-                        let v = if den_i > 0.0 {
-                            (scores_data[e_id * h + head] - max_data[i * h + head]).exp() / den_i
-                        } else {
-                            0.0
-                        };
-                        rows[(e_id - es) * h + head] = v;
-                    }
-                }
-            }
-        });
-    }
-
-    // Step 2: read coefficients back while pushing gradients — split into
-    // a destination-parallel d_s_dst pass and a source-parallel
-    // d_x_src / d_s_src pass over the reverse index (ascending edge ids
-    // reproduce the sequential accumulation order).
-    let x_data = x_src.data();
-    let sd = s_dst.data();
-    let ss = s_src.data();
-    let alpha_data = alpha.data();
-    let grad_data = grad_out.data();
-    let grad_dot_data = grad_dot.data();
-    {
-        let dsd_s = SharedSlice::new(d_s_dst.data_mut());
-        parallel_for(g.num_rows(), 1, |lo, hi| {
-            for i in lo..hi {
-                let (es, ee) = (indptr[i], indptr[i + 1]);
-                if es == ee {
-                    continue;
-                }
-                let g_row = &grad_data[i * hd..(i + 1) * hd];
-                // SAFETY: destination row `i` is in this chunk's exclusive
-                // `lo..hi` range — one writer per d_s_dst row.
-                let dsd_row = unsafe { dsd_s.range_mut(i * h, (i + 1) * h) };
-                for e_id in es..ee {
-                    let j = indices[e_id] as usize;
-                    let r = row_of(j);
-                    let x_row = &x_data[r * hd..(r + 1) * hd];
-                    for head in 0..h {
-                        let a = alpha_data[e_id * h + head];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let dot_gx = simd::dot(
-                            &g_row[head * d..(head + 1) * d],
-                            &x_row[head * d..(head + 1) * d],
-                        );
-                        let de = a * (dot_gx - grad_dot_data[i * h + head]);
-                        let u = sd[i * h + head] + ss[j * h + head];
-                        let du = de * if u > 0.0 { 1.0 } else { slope };
-                        dsd_row[head] += du;
-                    }
-                }
-            }
-        });
-    }
-    let rev = g.reverse_index();
-    {
-        let dx_s = SharedSlice::new(d_x_src.data_mut());
-        let dss_s = SharedSlice::new(d_s_src.data_mut());
-        parallel_for(g.num_cols(), 1, |lo, hi| {
-            for j in lo..hi {
-                // SAFETY: (both) source row `j` is in this chunk's exclusive
-                // `lo..hi` range — one writer per d_x / d_s_src row.
-                let dx_row = unsafe { dx_s.range_mut(j * hd, (j + 1) * hd) };
-                let dss_row = unsafe { dss_s.range_mut(j * h, (j + 1) * h) };
-                let r = row_of(j);
-                let x_row = &x_data[r * hd..(r + 1) * hd];
-                for (i, e_id) in rev.entries(j) {
-                    let g_row = &grad_data[i * hd..(i + 1) * hd];
-                    for head in 0..h {
-                        let a = alpha_data[e_id * h + head];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let g_head = &g_row[head * d..(head + 1) * d];
-                        simd::axpy(a, g_head, &mut dx_row[head * d..(head + 1) * d]);
-                        let dot_gx = simd::dot(g_head, &x_row[head * d..(head + 1) * d]);
-                        let de = a * (dot_gx - grad_dot_data[i * h + head]);
-                        let u = sd[i * h + head] + ss[j * h + head];
-                        let du = de * if u > 0.0 { 1.0 } else { slope };
-                        dss_row[head] += du;
-                    }
-                }
-            }
-        });
-    }
-    FusedBlockGrads { d_x_src, d_s_src }
+    state: &mut OnlineAttnState,
+) {
+    let h = state.heads;
+    let blk = AttnBlock::new(g, s_dst, s_src, x, map, h, slope);
+    assert_eq!(blk.head_dim, state.head_dim, "x width must be H*D");
+    assert_eq!(state.num.rows(), g.num_rows(), "state rows mismatch");
+    check_node_heads(&state.den, g.num_rows(), h, "state.den");
+    check_node_heads(&state.max, g.num_rows(), h, "state.max");
+    // Two-step, step 1: write all raw scores to memory. Step 2 reads them
+    // back while aggregating.
+    let scores = MATERIALIZED.then(|| gat_edge_scores(g, s_dst, s_src, slope));
+    blk.online_softmax::<MATERIALIZED>(state, scores.as_ref().map_or(&[], Tensor::data));
 }
 
 /// Per-(node, head) inner products `⟨grad_out, out⟩`, `[rows, H]` — the
@@ -588,28 +488,21 @@ pub fn attn_grad_dot(grad_out: &Tensor, out: &Tensor, heads: usize) -> Tensor {
     assert_eq!(grad_out.shape(), out.shape(), "grad/out shape mismatch");
     let rows = out.rows();
     let hd = out.cols();
-    let d = hd / heads;
+    let d = head_dim(hd, heads);
     let mut dot = vec![0.0f32; rows * heads];
     let g_data = grad_out.data();
     let o_data = out.data();
-    {
-        let dot_s = SharedSlice::new(&mut dot);
-        parallel_for(rows, 1, |lo, hi| {
-            // SAFETY: chunks claim disjoint `lo..hi` row ranges, so element
-            // ranges never overlap across threads.
-            let chunk = unsafe { dot_s.range_mut(lo * heads, hi * heads) };
+    split_rows(
+        rows,
+        [Output::row_owned(&mut dot, heads)],
+        move |lo, hi, [chunk]| {
             for i in lo..hi {
                 let g_row = &g_data[i * hd..(i + 1) * hd];
                 let o_row = &o_data[i * hd..(i + 1) * hd];
-                for head in 0..heads {
-                    chunk[(i - lo) * heads + head] = simd::dot(
-                        &g_row[head * d..(head + 1) * d],
-                        &o_row[head * d..(head + 1) * d],
-                    );
-                }
+                head_dots(row_mut(chunk, i - lo, heads), g_row, o_row, d);
             }
-        });
-    }
+        },
+    );
     Tensor::from_vec(&[rows, heads], dot)
 }
 
@@ -648,8 +541,7 @@ pub fn gat_fused_block_backward(
     grad_dot: &Tensor,
     d_s_dst: &mut Tensor,
 ) -> FusedBlockGrads {
-    assert_eq!(x_src.rows(), g.num_cols(), "x_src rows mismatch");
-    gat_fused_block_backward_impl(
+    block_backward::<FUSED>(
         g, s_dst, s_src, x_src, None, slope, max, den, grad_out, grad_dot, d_s_dst,
     )
 }
@@ -676,32 +568,48 @@ pub fn gat_fused_block_backward_indexed(
     grad_dot: &Tensor,
     d_s_dst: &mut Tensor,
 ) -> FusedBlockGrads {
-    assert_eq!(map.len(), g.num_cols(), "one map entry per column required");
-    assert!(
-        map.iter().all(|&r| (r as usize) < x.rows()),
-        "row map entry out of range"
-    );
-    gat_fused_block_backward_impl(
-        g,
-        s_dst,
-        s_src,
-        x,
-        Some(map),
-        slope,
-        max,
-        den,
-        grad_out,
-        grad_dot,
-        d_s_dst,
+    let map = Some(map);
+    block_backward::<FUSED>(
+        g, s_dst, s_src, x, map, slope, max, den, grad_out, grad_dot, d_s_dst,
     )
 }
 
+/// Two-step variant of [`gat_fused_block_backward`]: re-materializes the
+/// block's `[E_block, H]` scores and coefficients in memory before pushing
+/// gradients (DGL-style), instead of recomputing them per edge on the fly.
+/// With a row map, source features are read through it (`x[map[j]]`);
+/// gradients stay block-shaped.
+///
+/// # Panics
+///
+/// Panics if shapes are inconsistent.
 #[allow(clippy::too_many_arguments)]
-fn gat_fused_block_backward_impl(
+pub fn gat_twostep_block_backward(
     g: &CsrGraph,
     s_dst: &Tensor,
     s_src: &Tensor,
-    x_src: &Tensor,
+    x: &Tensor,
+    map: Option<&[u32]>,
+    slope: f32,
+    max: &Tensor,
+    den: &Tensor,
+    grad_out: &Tensor,
+    grad_dot: &Tensor,
+    d_s_dst: &mut Tensor,
+) -> FusedBlockGrads {
+    block_backward::<TWO_STEP>(
+        g, s_dst, s_src, x, map, slope, max, den, grad_out, grad_dot, d_s_dst,
+    )
+}
+
+/// The backward of both families: every shape check, then the one
+/// gradient body fed from the family's coefficient source.
+#[allow(clippy::too_many_arguments)]
+fn block_backward<const MATERIALIZED: bool>(
+    g: &CsrGraph,
+    s_dst: &Tensor,
+    s_src: &Tensor,
+    x: &Tensor,
     map: Option<&[u32]>,
     slope: f32,
     max: &Tensor,
@@ -711,103 +619,61 @@ fn gat_fused_block_backward_impl(
     d_s_dst: &mut Tensor,
 ) -> FusedBlockGrads {
     let h = s_dst.cols();
-    let hd = x_src.cols();
-    let d = hd / h;
-    assert_eq!(grad_out.rows(), g.num_rows(), "grad rows mismatch");
-    assert_eq!(d_s_dst.rows(), g.num_rows(), "d_s_dst rows mismatch");
-    let mut d_x_src = Tensor::zeros(&[g.num_cols(), hd]);
-    let mut d_s_src = Tensor::zeros(&[g.num_cols(), h]);
-
-    let row_of = |j: usize| map.map_or(j, |m| m[j] as usize);
-    let x_data = x_src.data();
-    let s_dst_data = s_dst.data();
-    let s_src_data = s_src.data();
-    let max_data = max.data();
-    let den_data = den.data();
-    let grad_dot_data = grad_dot.data();
-    let indptr = g.indptr();
-    let indices = g.indices();
-    let grad_data = grad_out.data();
-    // Pass 1 — destination-parallel d_s_dst: recompute each edge's
-    // coefficient and softmax correction on the fly (the rematerialization
-    // SAR does anyway).
-    {
-        let dsd_s = SharedSlice::new(d_s_dst.data_mut());
-        parallel_for(g.num_rows(), 1, |lo, hi| {
-            for i in lo..hi {
-                let (es, ee) = (indptr[i], indptr[i + 1]);
-                if es == ee {
-                    continue;
-                }
-                let g_row = &grad_data[i * hd..(i + 1) * hd];
-                // SAFETY: destination row `i` is in this chunk's exclusive
-                // `lo..hi` range — one writer per d_s_dst row.
-                let dsd_row = unsafe { dsd_s.range_mut(i * h, (i + 1) * h) };
-                for &j_src in &indices[es..ee] {
-                    let j = j_src as usize;
-                    let r = row_of(j);
-                    let x_row = &x_data[r * hd..(r + 1) * hd];
-                    for head in 0..h {
-                        let u = s_dst_data[i * h + head] + s_src_data[j * h + head];
-                        let e = if u > 0.0 { u } else { slope * u };
-                        let den_i = den_data[i * h + head];
-                        if den_i <= 0.0 {
-                            continue;
+    let rows = g.num_rows();
+    let blk = AttnBlock::new(g, s_dst, s_src, x, map, h, slope);
+    check_node_heads(max, rows, h, "max");
+    check_node_heads(den, rows, h, "den");
+    check_node_heads(grad_dot, rows, h, "grad_dot");
+    check_node_heads(d_s_dst, rows, h, "d_s_dst");
+    assert_eq!(
+        grad_out.shape(),
+        &[rows, blk.x.width][..],
+        "grad_out must be [rows, H*D]"
+    );
+    let (max, den) = (max.data(), den.data());
+    // Fused: each edge's coefficient is recomputed on the fly (the
+    // rematerialization SAR does anyway). Two-step, step 1: materialize
+    // raw scores and normalized coefficients (destination-parallel: each
+    // edge row is owned by its destination); step 2 reads them back while
+    // pushing gradients. Both tensors stay alive until the push is done,
+    // as in DGL's two-step GAT: the family exists to reproduce that
+    // memory gap (Figs. 4 and 6).
+    let materialized = MATERIALIZED.then(|| {
+        let scores = gat_edge_scores(g, s_dst, s_src, slope);
+        let mut alpha = scores.clone();
+        let raw = scores.data();
+        let indptr = g.indptr();
+        split_rows(
+            rows,
+            [Output::edge_owned(alpha.data_mut(), indptr, h)],
+            move |lo, hi, [part]| {
+                for i in lo..hi {
+                    let (es, ee) = (indptr[i], indptr[i + 1]);
+                    let a_rows = edges_mut(part, &indptr[lo..], i - lo, h);
+                    for e in es..ee {
+                        for head in 0..h {
+                            let den_i = den[i * h + head];
+                            a_rows[(e - es) * h + head] = if den_i > 0.0 {
+                                (raw[e * h + head] - max[i * h + head]).exp() / den_i
+                            } else {
+                                0.0
+                            };
                         }
-                        let alpha = (e - max_data[i * h + head]).exp() / den_i;
-                        let g_head = &g_row[head * d..(head + 1) * d];
-                        let x_head = &x_row[head * d..(head + 1) * d];
-                        let dot_gx = simd::dot(g_head, x_head);
-                        // Softmax path: de = α (⟨g, x_j⟩ − ⟨g, out_i⟩).
-                        let de = alpha * (dot_gx - grad_dot_data[i * h + head]);
-                        let du = de * if u > 0.0 { 1.0 } else { slope };
-                        dsd_row[head] += du;
                     }
                 }
-            }
-        });
-    }
-    // Pass 2 — source-parallel d_x_src / d_s_src via the reverse index;
-    // ascending edge ids per source keep the sequential accumulation
-    // order, and the recomputed per-edge quantities are bitwise the same
-    // expressions as pass 1's.
-    let rev = g.reverse_index();
-    {
-        let dx_s = SharedSlice::new(d_x_src.data_mut());
-        let dss_s = SharedSlice::new(d_s_src.data_mut());
-        parallel_for(g.num_cols(), 1, |lo, hi| {
-            for j in lo..hi {
-                // SAFETY: (both) source row `j` is in this chunk's exclusive
-                // `lo..hi` range — one writer per d_x / d_s_src row.
-                let dx_j = unsafe { dx_s.range_mut(j * hd, (j + 1) * hd) };
-                let dss_row = unsafe { dss_s.range_mut(j * h, (j + 1) * h) };
-                let r = row_of(j);
-                let x_row = &x_data[r * hd..(r + 1) * hd];
-                for (i, _e) in rev.entries(j) {
-                    let g_row = &grad_data[i * hd..(i + 1) * hd];
-                    for head in 0..h {
-                        let u = s_dst_data[i * h + head] + s_src_data[j * h + head];
-                        let e = if u > 0.0 { u } else { slope * u };
-                        let den_i = den_data[i * h + head];
-                        if den_i <= 0.0 {
-                            continue;
-                        }
-                        // Recompute the attention coefficient on the fly.
-                        let alpha = (e - max_data[i * h + head]).exp() / den_i;
-                        // Value path: d x_j += α g_i.
-                        let g_head = &g_row[head * d..(head + 1) * d];
-                        let x_head = &x_row[head * d..(head + 1) * d];
-                        simd::axpy(alpha, g_head, &mut dx_j[head * d..(head + 1) * d]);
-                        let dot_gx = simd::dot(g_head, x_head);
-                        let de = alpha * (dot_gx - grad_dot_data[i * h + head]);
-                        let du = de * if u > 0.0 { 1.0 } else { slope };
-                        dss_row[head] += du;
-                    }
-                }
-            }
-        });
-    }
-    FusedBlockGrads { d_x_src, d_s_src }
+            },
+        );
+        (scores, alpha)
+    });
+    let backward = AttnBackward {
+        blk,
+        grad: grad_out.data(),
+        grad_dot: grad_dot.data(),
+        max,
+        den,
+        alpha: materialized.as_ref().map_or(&[], |(_, alpha)| alpha.data()),
+    };
+    backward.push::<MATERIALIZED>(d_s_dst)
 }
 
 #[cfg(test)]
@@ -891,14 +757,9 @@ mod tests {
             out.data().iter().all(|v| v.is_finite()),
             "stable kernel produced non-finite values"
         );
-
-        let mut naive = OnlineAttnState::new(5, h, d);
-        gat_naive_block_forward(&g, &s_dst, &s_src, &x, 0.2, &mut naive);
-        let out_naive = naive.finalize();
-        assert!(
-            out_naive.data().iter().any(|v| !v.is_finite()),
-            "naive kernel should overflow on huge logits (the ablation premise)"
-        );
+        // The premise: the same scores overflow an unstabilized `exp` (the
+        // naive accumulator itself lives beside `repro ablation-softmax`).
+        assert!(120.0f32.exp().is_infinite());
     }
 
     #[test]
@@ -961,7 +822,7 @@ mod tests {
         let mut fused = OnlineAttnState::new(5, h, d);
         gat_fused_block_forward(&g, &s_dst, &s_src, &x, slope, &mut fused);
         let mut two = OnlineAttnState::new(5, h, d);
-        gat_twostep_block_forward(&g, &s_dst, &s_src, &x, slope, &mut two);
+        gat_twostep_block_forward(&g, &s_dst, &s_src, &x, None, slope, &mut two);
         assert!(fused.finalize().allclose(&two.finalize(), 1e-5));
 
         let out = fused.finalize();
@@ -972,11 +833,55 @@ mod tests {
         );
         let mut dsd_b = Tensor::zeros(&[5, h]);
         let gb = gat_twostep_block_backward(
-            &g, &s_dst, &s_src, &x, slope, &two.max, &two.den, &grad_out, &grad_dot, &mut dsd_b,
+            &g, &s_dst, &s_src, &x, None, slope, &two.max, &two.den, &grad_out, &grad_dot,
+            &mut dsd_b,
         );
         assert!(ga.d_x_src.allclose(&gb.d_x_src, 1e-5));
         assert!(ga.d_s_src.allclose(&gb.d_s_src, 1e-5));
         assert!(dsd_a.allclose(&dsd_b, 1e-5));
+    }
+
+    #[test]
+    fn skip_predicates_are_each_familys_own() {
+        // One edge 0 → 0 whose coefficient underflows to exactly zero
+        // (score − max ≈ −200) under a positive denominator, and an
+        // infinite upstream gradient. Fused skips only `den ≤ 0`, so it
+        // pushes `0 · ∞ = NaN`; two-step skips every `α == 0.0`, so it
+        // pushes nothing. Swapping the predicates swaps these outcomes.
+        let g = CsrGraph::from_edges(1, &[(0, 0)]);
+        let (h, d) = (1, 2);
+        let logits = Tensor::zeros(&[1, h]);
+        let x = Tensor::ones(&[1, h * d]);
+        let max = Tensor::full(&[1, h], 200.0);
+        let grad_out = Tensor::full(&[1, h * d], f32::INFINITY);
+        let grad_dot = Tensor::zeros(&[1, h]);
+        let run = |two_step: bool, den: f32| {
+            let den = Tensor::full(&[1, h], den);
+            let mut dsd = Tensor::zeros(&[1, h]);
+            let (l, dsd_ref) = (&logits, &mut dsd);
+            let grads = if two_step {
+                gat_twostep_block_backward(
+                    &g, l, l, &x, None, 0.2, &max, &den, &grad_out, &grad_dot, dsd_ref,
+                )
+            } else {
+                gat_fused_block_backward(
+                    &g, l, l, &x, 0.2, &max, &den, &grad_out, &grad_dot, dsd_ref,
+                )
+            };
+            [grads.d_x_src.data(), grads.d_s_src.data(), dsd.data()].concat()
+        };
+        assert!(run(false, 1.0).iter().all(|v| v.is_nan()), "fused pushes");
+        assert!(
+            run(true, 1.0).iter().all(|v| v.to_bits() == 0),
+            "two-step skips"
+        );
+        // A NaN denominator is not `≤ 0`: fused still pushes; two-step
+        // materializes α = 0.0 for any denominator that is not positive.
+        assert!(run(false, f32::NAN).iter().all(|v| v.is_nan()));
+        assert!(run(true, f32::NAN).iter().all(|v| v.to_bits() == 0));
+        // Both agree on a destination without a positive denominator.
+        assert!(run(false, 0.0).iter().all(|v| v.to_bits() == 0));
+        assert!(run(true, 0.0).iter().all(|v| v.to_bits() == 0));
     }
 
     #[test]

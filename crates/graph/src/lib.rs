@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Graph substrate for the SAR reproduction — the DGL substitute.
 //!
@@ -26,6 +27,7 @@ pub mod fused;
 pub mod generators;
 pub mod io;
 pub mod ops;
+mod walk;
 
 pub use csr::{CsrGraph, ReverseIndex};
 pub use datasets::Dataset;

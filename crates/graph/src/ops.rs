@@ -13,11 +13,11 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Every kernel here is row-parallel over the worker's thread pool
-//! ([`sar_tensor::pool`]): forward kernels chunk over *destination* rows
-//! (each output row — and each destination's contiguous edge range — is
-//! written by exactly one thread), while scatter-style backward kernels
-//! chunk over *source* rows through a
+//! Every kernel here is row-parallel over the worker's thread pool through
+//! [`sar_tensor::pool::split_rows`]: forward kernels chunk over
+//! *destination* rows (each output row — and each destination's contiguous
+//! edge range — is written by exactly one thread), while scatter-style
+//! backward kernels chunk over *source* rows through a
 //! [`ReverseIndex`](crate::ReverseIndex), whose per-source edge lists
 //! ascend by CSR edge id — the exact order a sequential
 //! destination-major sweep visits them. Per-row reductions therefore run
@@ -29,33 +29,83 @@
 //!
 //! Inner contiguous-`f32` loops go through [`sar_tensor::simd`], whose
 //! AVX2 and portable paths are bitwise identical by construction, so
-//! vectorization never perturbs results. The SpMM traversals additionally
-//! block the *streamed* operand (source features forward, destination
-//! gradients backward) into cache-sized row panels: the outer loop walks
-//! panels in ascending order and each row keeps a cursor into its
-//! (ascending) edge list, so every row still accumulates its edges in
-//! exactly the unblocked order — blocking changes locality, never bits
-//! (asserted in `tests/simd_blocked_parity.rs`). Blocking is only taken
-//! when [`CsrGraph::rows_sorted`] holds (always true for `from_edges*`
-//! construction; verified once for `from_raw`).
+//! vectorization never perturbs results. The SpMM traversals (`spmm_sum`
+//! forward and backward, `spmm_multihead`) are closures over the crate's
+//! one row walker, which additionally blocks the *streamed* operand
+//! (source features forward, destination gradients backward) into
+//! cache-sized row panels without changing any row's accumulation order
+//! (asserted by the tiny-panel tests below). Blocking is only taken when
+//! [`CsrGraph::rows_sorted`] holds (always true for `from_edges*`
+//! construction; verified once for `from_raw`): a row's cursor never
+//! skips an entry, so on an unsorted row a panel would buy no locality.
 //!
-//! The `*_indexed` variants fuse SAR's local gather into the kernel: they
-//! read operand row `j` through a row map (`x[map[j]]`) instead of
-//! requiring the caller to materialize a gathered block first. They are
-//! bitwise identical to gather-then-kernel because they read exactly the
-//! same values in the same order.
+//! Kernels that take a row map (`map: Option<&[u32]>`, or the `*_indexed`
+//! names the benchmark pins) fuse SAR's local gather into the kernel: they
+//! read operand row `j` through the map (`x[map[j]]`) instead of requiring
+//! the caller to materialize a gathered block first. They are bitwise
+//! identical to gather-then-kernel because they read exactly the same
+//! values in the same order (asserted in `tests/indexed_parity.rs`).
 
+use crate::walk::{edges_mut, row_mut, walk, Adjacency, FLAT};
 use crate::CsrGraph;
-use sar_tensor::pool::{parallel_for, SharedSlice};
+use sar_tensor::pool::{split_rows, Output};
 use sar_tensor::{simd, Tensor};
 
-/// Bytes of the streamed operand a cache panel may span before the panel
-/// is cut; sized to sit comfortably inside a per-core L2 cache.
-const SRC_PANEL_BYTES: usize = 256 * 1024;
+/// A kernel's `[n, width]` feature operand, read directly or — for SAR's
+/// unmaterialized local block — through a row map (`x[map[j]]`).
+/// Construction is the one place an operand's rows are checked.
+#[derive(Clone, Copy)]
+pub(crate) struct Operand<'a> {
+    data: &'a [f32],
+    map: Option<&'a [u32]>,
+    /// Row width of the operand.
+    pub width: usize,
+}
 
-/// Default panel height (in streamed-operand rows) for feature width `f`.
-fn panel_rows(f: usize) -> usize {
-    (SRC_PANEL_BYTES / (f.max(1) * std::mem::size_of::<f32>())).max(16)
+impl<'a> Operand<'a> {
+    /// Views `x`, through `map` if given, as an `n`-row operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x` (without a map) or the map has exactly `n` rows
+    /// and every map entry names a row of `x`.
+    pub fn new(x: &'a Tensor, map: Option<&'a [u32]>, n: usize) -> Self {
+        match map {
+            None => assert_eq!(x.rows(), n, "operand row count mismatch"),
+            Some(m) => {
+                assert_eq!(m.len(), n, "one map entry per operand row required");
+                assert!(
+                    m.iter().all(|&r| (r as usize) < x.rows()),
+                    "row map entry out of range"
+                );
+            }
+        }
+        Operand {
+            data: x.data(),
+            map,
+            width: x.cols(),
+        }
+    }
+
+    /// Row `j` of the operand.
+    pub fn row(&self, j: usize) -> &'a [f32] {
+        let r = self.map.map_or(j, |m| m[j] as usize);
+        &self.data[r * self.width..(r + 1) * self.width]
+    }
+}
+
+/// Head dimension `D` of `[_, H*D]` features of width `hd` under `heads`
+/// heads.
+///
+/// # Panics
+///
+/// Panics if `heads` is zero or does not divide `hd`.
+pub(crate) fn head_dim(hd: usize, heads: usize) -> usize {
+    assert!(
+        heads > 0 && hd.is_multiple_of(heads),
+        "feature width {hd} not divisible by {heads} heads"
+    );
+    hd / heads
 }
 
 // ----------------------------------------------------------------------
@@ -66,7 +116,7 @@ fn panel_rows(f: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if `x` has fewer rows than the graph has columns.
+/// Panics if `x` does not have one row per graph column.
 pub fn spmm_sum(g: &CsrGraph, x: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(&[g.num_rows(), x.cols()]);
     spmm_sum_into(g, x, &mut out);
@@ -83,8 +133,7 @@ pub fn spmm_sum(g: &CsrGraph, x: &Tensor) -> Tensor {
 ///
 /// Panics if shapes are inconsistent with the graph.
 pub fn spmm_sum_into(g: &CsrGraph, x: &Tensor, out: &mut Tensor) {
-    assert_eq!(x.rows(), g.num_cols(), "x rows must equal graph columns");
-    spmm_sum_into_impl(g, x, None, out, panel_rows(x.cols()));
+    sum_neighbors(g.adjacency(), x, None, out, None);
 }
 
 /// Fused gather + sum aggregation: `out[i] += Σ_{j ∈ neighbors(i)}
@@ -101,88 +150,7 @@ pub fn spmm_sum_into(g: &CsrGraph, x: &Tensor, out: &mut Tensor) {
 /// Panics if `map` does not have one entry per graph column or any entry
 /// is out of range for `x`.
 pub fn spmm_sum_into_indexed(g: &CsrGraph, x: &Tensor, map: &[u32], out: &mut Tensor) {
-    assert_eq!(map.len(), g.num_cols(), "one map entry per column required");
-    assert!(
-        map.iter().all(|&r| (r as usize) < x.rows()),
-        "row map entry out of range"
-    );
-    spmm_sum_into_impl(g, x, Some(map), out, panel_rows(x.cols()));
-}
-
-/// [`spmm_sum_into`] with an explicit streamed-operand panel height —
-/// exposed so parity tests can prove blocked == unblocked bitwise.
-#[doc(hidden)]
-pub fn spmm_sum_into_with_panel(g: &CsrGraph, x: &Tensor, out: &mut Tensor, panel: usize) {
-    assert_eq!(x.rows(), g.num_cols(), "x rows must equal graph columns");
-    spmm_sum_into_impl(g, x, None, out, panel);
-}
-
-fn spmm_sum_into_impl(
-    g: &CsrGraph,
-    x: &Tensor,
-    map: Option<&[u32]>,
-    out: &mut Tensor,
-    panel: usize,
-) {
-    assert_eq!(out.rows(), g.num_rows(), "out rows must equal graph rows");
-    assert_eq!(out.cols(), x.cols(), "feature width mismatch");
-    let f = x.cols();
-    let x_data = x.data();
-    let indptr = g.indptr();
-    let indices = g.indices();
-    // Resolve a block column to its row in `x` (identity without a map).
-    let row_of = |j: usize| map.map_or(j, |m| m[j] as usize);
-    // Panels only preserve per-row accumulation order on sorted rows.
-    let blocked = g.rows_sorted() && panel < g.num_cols();
-    let out_s = SharedSlice::new(out.data_mut());
-    parallel_for(g.num_rows(), 1, |lo, hi| {
-        if !blocked {
-            for i in lo..hi {
-                let neighbors = g.neighbors(i);
-                if neighbors.is_empty() {
-                    continue;
-                }
-                // SAFETY: destination row `i` is in this chunk's exclusive
-                // `lo..hi` range, so element ranges are disjoint across
-                // threads.
-                let out_row = unsafe { out_s.range_mut(i * f, (i + 1) * f) };
-                for &j in neighbors {
-                    let r = row_of(j as usize);
-                    simd::add_assign(out_row, &x_data[r * f..(r + 1) * f]);
-                }
-            }
-            return;
-        }
-        // Cache-blocked traversal: walk ascending source panels, each row
-        // advancing a cursor through its ascending neighbor list — the
-        // per-row edge visit order is exactly the unblocked one.
-        let mut cursor: Vec<usize> = indptr[lo..hi].to_vec();
-        let mut b0 = 0usize;
-        while b0 < g.num_cols() {
-            let b1 = (b0 + panel).min(g.num_cols());
-            for i in lo..hi {
-                let end = indptr[i + 1];
-                let c = &mut cursor[i - lo];
-                if *c >= end || (indices[*c] as usize) >= b1 {
-                    continue;
-                }
-                // SAFETY: destination row `i` is in this chunk's exclusive
-                // `lo..hi` range, so element ranges are disjoint across
-                // threads.
-                let out_row = unsafe { out_s.range_mut(i * f, (i + 1) * f) };
-                while *c < end {
-                    let j = indices[*c] as usize;
-                    if j >= b1 {
-                        break;
-                    }
-                    let r = row_of(j);
-                    simd::add_assign(out_row, &x_data[r * f..(r + 1) * f]);
-                    *c += 1;
-                }
-            }
-            b0 = b1;
-        }
-    });
+    sum_neighbors(g.adjacency(), x, Some(map), out, None);
 }
 
 /// Backward of [`spmm_sum`] w.r.t. `x`: pushes each destination's gradient
@@ -197,84 +165,34 @@ pub fn spmm_sum_backward(g: &CsrGraph, grad_rows: &Tensor) -> Tensor {
     out
 }
 
-/// Backward of [`spmm_sum`] accumulated into an existing gradient tensor.
+/// Backward of [`spmm_sum`] accumulated into an existing gradient tensor:
+/// the forward walk over the reverse adjacency. Chunking over *source*
+/// rows gives each gradient row exactly one writer, and the reverse
+/// index's ascending-edge-id order per source reproduces the sequential
+/// scatter's accumulation order bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent with the graph.
 pub fn spmm_sum_backward_into(g: &CsrGraph, grad_rows: &Tensor, out: &mut Tensor) {
-    spmm_sum_backward_into_impl(g, grad_rows, out, panel_rows(grad_rows.cols()));
+    sum_neighbors(g.reverse_adjacency(), grad_rows, None, out, None);
 }
 
-/// [`spmm_sum_backward_into`] with an explicit destination panel height —
-/// exposed so parity tests can prove blocked == unblocked bitwise.
-#[doc(hidden)]
-pub fn spmm_sum_backward_into_with_panel(
-    g: &CsrGraph,
-    grad_rows: &Tensor,
+/// `out[r] += Σ_{n ∈ adj.row(r)} x[n]` — the one body of [`spmm_sum`]
+/// forward (over the graph's own adjacency) and backward (over its
+/// reverse index). `panel` is the walker's test override.
+fn sum_neighbors(
+    adj: Adjacency<'_>,
+    x: &Tensor,
+    map: Option<&[u32]>,
     out: &mut Tensor,
-    panel: usize,
+    panel: Option<usize>,
 ) {
-    spmm_sum_backward_into_impl(g, grad_rows, out, panel);
-}
-
-fn spmm_sum_backward_into_impl(g: &CsrGraph, grad_rows: &Tensor, out: &mut Tensor, panel: usize) {
-    assert_eq!(grad_rows.rows(), g.num_rows(), "grad rows mismatch");
-    assert_eq!(
-        out.rows(),
-        g.num_cols(),
-        "out rows must equal graph columns"
-    );
-    assert_eq!(out.cols(), grad_rows.cols(), "feature width mismatch");
-    let f = grad_rows.cols();
-    // Scatter inverted: chunk over *source* rows so each gradient row has
-    // exactly one writer; the reverse index's ascending-edge-id order per
-    // source reproduces the sequential accumulation order bit for bit.
-    // Edge ids are destination-major, so each source's destinations ascend
-    // too — destination-panel blocking keeps the same per-source order.
-    let rev = g.reverse_index();
-    let grad = grad_rows.data();
-    let blocked = panel < g.num_rows();
-    let out_s = SharedSlice::new(out.data_mut());
-    parallel_for(g.num_cols(), 1, |lo, hi| {
-        if !blocked {
-            for j in lo..hi {
-                // SAFETY: source row `j` is in this chunk's exclusive
-                // `lo..hi` range — exactly one writer per gradient row.
-                let dst = unsafe { out_s.range_mut(j * f, (j + 1) * f) };
-                for (i, _e) in rev.entries(j) {
-                    simd::add_assign(dst, &grad[i * f..(i + 1) * f]);
-                }
-            }
-            return;
-        }
-        // Cache-blocked: stream ascending panels of `grad_rows`, each
-        // source advancing a cursor through its ascending entry list.
-        let mut cursor: Vec<usize> = vec![0; hi - lo];
-        let mut b0 = 0usize;
-        while b0 < g.num_rows() {
-            let b1 = (b0 + panel).min(g.num_rows());
-            for j in lo..hi {
-                let (dsts, _eids) = rev.entry_slices(j);
-                let c = &mut cursor[j - lo];
-                if *c >= dsts.len() || (dsts[*c] as usize) >= b1 {
-                    continue;
-                }
-                // SAFETY: source row `j` is in this chunk's exclusive
-                // `lo..hi` range — exactly one writer per gradient row.
-                let dst = unsafe { out_s.range_mut(j * f, (j + 1) * f) };
-                while *c < dsts.len() {
-                    let i = dsts[*c] as usize;
-                    if i >= b1 {
-                        break;
-                    }
-                    simd::add_assign(dst, &grad[i * f..(i + 1) * f]);
-                    *c += 1;
-                }
-            }
-            b0 = b1;
-        }
-    });
+    let x = Operand::new(x, map, adj.others);
+    assert_eq!(out.rows(), adj.rows(), "out rows must match the adjacency");
+    assert_eq!(out.cols(), x.width, "feature width mismatch");
+    let edge = move |out_row: &mut [f32], n: usize, _e: usize| simd::add_assign(out_row, x.row(n));
+    walk(adj, out.data_mut(), x.width, panel, edge);
 }
 
 // ----------------------------------------------------------------------
@@ -316,25 +234,7 @@ pub fn gather_dst(g: &CsrGraph, x: &Tensor) -> Tensor {
 ///
 /// Panics if `edge_vals` does not have one row per edge.
 pub fn scatter_edges_to_src(g: &CsrGraph, edge_vals: &Tensor) -> Tensor {
-    assert_eq!(edge_vals.rows(), g.num_edges(), "one row per edge required");
-    let f = edge_vals.cols();
-    let mut out = Tensor::zeros(&[g.num_cols(), f]);
-    let rev = g.reverse_index();
-    let ev = edge_vals.data();
-    {
-        let out_s = SharedSlice::new(out.data_mut());
-        parallel_for(g.num_cols(), 1, |lo, hi| {
-            for j in lo..hi {
-                // SAFETY: source row `j` is in this chunk's exclusive
-                // `lo..hi` range — one writer per output row.
-                let dst = unsafe { out_s.range_mut(j * f, (j + 1) * f) };
-                for (_i, e) in rev.entries(j) {
-                    simd::add_assign(dst, &ev[e * f..(e + 1) * f]);
-                }
-            }
-        });
-    }
-    out
+    sum_edges(g.reverse_adjacency(), edge_vals)
 }
 
 /// Scatter-adds per-edge values to their *destination* nodes:
@@ -345,24 +245,22 @@ pub fn scatter_edges_to_src(g: &CsrGraph, edge_vals: &Tensor) -> Tensor {
 ///
 /// Panics if `edge_vals` does not have one row per edge.
 pub fn scatter_edges_to_dst(g: &CsrGraph, edge_vals: &Tensor) -> Tensor {
-    assert_eq!(edge_vals.rows(), g.num_edges(), "one row per edge required");
+    sum_edges(g.adjacency(), edge_vals)
+}
+
+/// `out[r] = Σ_{e ∈ adj.row(r)} edge_vals[e]` — both scatters: by
+/// destination over the graph's own adjacency, by source over its reverse
+/// index.
+fn sum_edges(adj: Adjacency<'_>, edge_vals: &Tensor) -> Tensor {
+    assert_eq!(edge_vals.rows(), adj.nbr.len(), "one row per edge required");
     let f = edge_vals.cols();
-    let mut out = Tensor::zeros(&[g.num_rows(), f]);
-    let indptr = g.indptr();
     let ev = edge_vals.data();
-    {
-        let out_s = SharedSlice::new(out.data_mut());
-        parallel_for(g.num_rows(), 1, |lo, hi| {
-            for i in lo..hi {
-                // SAFETY: destination row `i` is in this chunk's exclusive
-                // `lo..hi` range — one writer per output row.
-                let out_row = unsafe { out_s.range_mut(i * f, (i + 1) * f) };
-                for e in indptr[i]..indptr[i + 1] {
-                    simd::add_assign(out_row, &ev[e * f..(e + 1) * f]);
-                }
-            }
-        });
-    }
+    let mut out = Tensor::zeros(&[adj.rows(), f]);
+    // Flat: the streamed operand is indexed by edge id, which a panel of
+    // neighbours does not localize.
+    walk(adj, out.data_mut(), f, FLAT, move |out_row, _n, e| {
+        simd::add_assign(out_row, &ev[e * f..(e + 1) * f]);
+    });
     out
 }
 
@@ -389,21 +287,18 @@ pub fn edge_softmax(g: &CsrGraph, scores: &Tensor) -> Tensor {
     let h = scores.cols();
     let mut out = scores.clone();
     let indptr = g.indptr();
-    {
-        // A destination's in-edges are contiguous in CSR order, so every
-        // edge row belongs to exactly one destination's chunk.
-        let out_s = SharedSlice::new(out.data_mut());
-        parallel_for(g.num_rows(), 1, |lo, hi| {
+    split_rows(
+        g.num_rows(),
+        [Output::edge_owned(out.data_mut(), indptr, h)],
+        move |lo, hi, [part]| {
             let mut maxs = vec![0.0f32; h];
             let mut denom = vec![0.0f32; h];
             for i in lo..hi {
-                let (start, end) = (indptr[i], indptr[i + 1]);
-                if start == end {
+                let edges = indptr[i + 1] - indptr[i];
+                if edges == 0 {
                     continue;
                 }
-                // SAFETY: destination `i`'s in-edges `start..end` are
-                // contiguous in CSR order and owned by this chunk alone.
-                let rows = unsafe { out_s.range_mut(start * h, end * h) };
+                let rows = edges_mut(part, &indptr[lo..], i - lo, h);
                 // Max and exp/denominator passes stay scalar (per-head
                 // reductions in ascending edge order); the normalize pass
                 // divides each contiguous [H] edge segment by the per-head
@@ -412,24 +307,24 @@ pub fn edge_softmax(g: &CsrGraph, scores: &Tensor) -> Tensor {
                 // bitwise.
                 maxs.fill(f32::NEG_INFINITY);
                 denom.fill(0.0);
-                for e in 0..end - start {
+                for e in 0..edges {
                     for (head, m) in maxs.iter_mut().enumerate() {
                         *m = m.max(rows[e * h + head]);
                     }
                 }
-                for e in 0..end - start {
+                for e in 0..edges {
                     for head in 0..h {
                         let v = (rows[e * h + head] - maxs[head]).exp();
                         rows[e * h + head] = v;
                         denom[head] += v;
                     }
                 }
-                for e in 0..end - start {
+                for e in 0..edges {
                     simd::div_assign(&mut rows[e * h..(e + 1) * h], &denom);
                 }
             }
-        });
-    }
+        },
+    );
     out
 }
 
@@ -449,17 +344,13 @@ pub fn edge_softmax_backward(g: &CsrGraph, alpha: &Tensor, grad: &Tensor) -> Ten
     let indptr = g.indptr();
     let a_data = alpha.data();
     let g_data = grad.data();
-    {
-        let out_s = SharedSlice::new(out.data_mut());
-        parallel_for(g.num_rows(), 1, |lo, hi| {
+    split_rows(
+        g.num_rows(),
+        [Output::edge_owned(out.data_mut(), indptr, h)],
+        move |lo, hi, [part]| {
             for i in lo..hi {
                 let (start, end) = (indptr[i], indptr[i + 1]);
-                if start == end {
-                    continue;
-                }
-                // SAFETY: destination `i`'s in-edges `start..end` are
-                // contiguous in CSR order and owned by this chunk alone.
-                let rows = unsafe { out_s.range_mut(start * h, end * h) };
+                let rows = edges_mut(part, &indptr[lo..], i - lo, h);
                 for head in 0..h {
                     let mut dot = 0.0f32;
                     for e in start..end {
@@ -472,8 +363,8 @@ pub fn edge_softmax_backward(g: &CsrGraph, alpha: &Tensor, grad: &Tensor) -> Ten
                     }
                 }
             }
-        });
-    }
+        },
+    );
     out
 }
 
@@ -492,105 +383,55 @@ pub fn edge_softmax_backward(g: &CsrGraph, alpha: &Tensor, grad: &Tensor) -> Ten
 /// Panics if `x.cols()` is not divisible by the head count of `alpha` or
 /// shapes are inconsistent with the graph.
 pub fn spmm_multihead(g: &CsrGraph, alpha: &Tensor, x: &Tensor) -> Tensor {
-    assert_eq!(
-        alpha.rows(),
-        g.num_edges(),
-        "one alpha row per edge required"
-    );
-    assert_eq!(x.rows(), g.num_cols(), "x rows must equal graph columns");
-    let heads = alpha.cols();
-    let hd = x.cols();
-    assert_eq!(
-        hd % heads,
-        0,
-        "feature width {hd} not divisible by {heads} heads"
-    );
-    let mut out = Tensor::zeros(&[g.num_rows(), hd]);
-    spmm_multihead_into_panel(g, alpha, x, &mut out, panel_rows(hd));
-    out
-}
-
-/// [`spmm_multihead`] with an explicit source panel height — exposed so
-/// parity tests can prove blocked == unblocked bitwise.
-#[doc(hidden)]
-pub fn spmm_multihead_with_panel(g: &CsrGraph, alpha: &Tensor, x: &Tensor, panel: usize) -> Tensor {
     let mut out = Tensor::zeros(&[g.num_rows(), x.cols()]);
-    spmm_multihead_into_panel(g, alpha, x, &mut out, panel);
+    weighted_sum_neighbors(g.adjacency(), alpha, x, &mut out, None);
     out
 }
 
-fn spmm_multihead_into_panel(
-    g: &CsrGraph,
+/// `out[r, h*D..] += Σ_{(n, e) ∈ adj.row(r)} alpha[e, h] * x[n, h*D..]` —
+/// the one body of [`spmm_multihead`] forward (over the graph's own
+/// adjacency) and of its `d_x` backward (over the reverse index, with the
+/// upstream gradient as `x`). `panel` is the walker's override.
+fn weighted_sum_neighbors(
+    adj: Adjacency<'_>,
     alpha: &Tensor,
     x: &Tensor,
     out: &mut Tensor,
-    panel: usize,
+    panel: Option<usize>,
 ) {
+    assert_eq!(
+        alpha.rows(),
+        adj.nbr.len(),
+        "one alpha row per edge required"
+    );
+    let x = Operand::new(x, None, adj.others);
     let heads = alpha.cols();
-    let hd = x.cols();
-    let d = hd / heads;
-    let indptr = g.indptr();
-    let indices = g.indices();
-    let x_data = x.data();
+    let d = head_dim(x.width, heads);
+    assert_eq!(out.rows(), adj.rows(), "out rows must match the adjacency");
+    assert_eq!(out.cols(), x.width, "feature width mismatch");
     let a_data = alpha.data();
-    let blocked = g.rows_sorted() && panel < g.num_cols();
-    let out_s = SharedSlice::new(out.data_mut());
-    // The per-edge body: weight each head's d-segment of the source row
-    // into the destination row (SIMD axpy; mul + add, never fused).
-    let apply = |out_row: &mut [f32], e: usize, j: usize| {
-        let x_row = &x_data[j * hd..(j + 1) * hd];
-        for head in 0..heads {
-            let a = a_data[e * heads + head];
-            if a == 0.0 {
-                continue;
-            }
-            let lo_c = head * d;
-            simd::axpy(a, &x_row[lo_c..lo_c + d], &mut out_row[lo_c..lo_c + d]);
-        }
-    };
-    parallel_for(g.num_rows(), 1, |lo, hi| {
-        if !blocked {
-            for i in lo..hi {
-                let (es, ee) = (indptr[i], indptr[i + 1]);
-                if es == ee {
-                    continue;
-                }
-                // SAFETY: destination row `i` is in this chunk's exclusive
-                // `lo..hi` range — one writer per output row.
-                let out_row = unsafe { out_s.range_mut(i * hd, (i + 1) * hd) };
-                for (e, &src) in (es..ee).zip(&indices[es..ee]) {
-                    apply(out_row, e, src as usize);
-                }
-            }
-            return;
-        }
-        // Cache-blocked traversal over ascending source panels; per-row
-        // cursors keep each destination's edge order unchanged.
-        let mut cursor: Vec<usize> = indptr[lo..hi].to_vec();
-        let mut b0 = 0usize;
-        while b0 < g.num_cols() {
-            let b1 = (b0 + panel).min(g.num_cols());
-            for i in lo..hi {
-                let end = indptr[i + 1];
-                let c = &mut cursor[i - lo];
-                if *c >= end || (indices[*c] as usize) >= b1 {
-                    continue;
-                }
-                // SAFETY: destination row `i` is in this chunk's exclusive
-                // `lo..hi` range — one writer per output row.
-                let out_row = unsafe { out_s.range_mut(i * hd, (i + 1) * hd) };
-                while *c < end {
-                    let j = indices[*c] as usize;
-                    if j >= b1 {
-                        break;
-                    }
-                    apply(out_row, *c, j);
-                    *c += 1;
-                }
-            }
-            b0 = b1;
-        }
+    walk(adj, out.data_mut(), x.width, panel, move |out_row, n, e| {
+        head_axpy(out_row, &a_data[e * heads..(e + 1) * heads], x.row(n), d);
     });
+}
+
+/// `out[h*D..] += weights[h] * x[h*D..]` for every head with a non-zero
+/// weight (SIMD axpy; mul + add, never fused).
+fn head_axpy(out: &mut [f32], weights: &[f32], x: &[f32], d: usize) {
+    for (head, &w) in weights.iter().enumerate() {
+        if w == 0.0 {
+            continue;
+        }
+        let lo_c = head * d;
+        simd::axpy(w, &x[lo_c..lo_c + d], &mut out[lo_c..lo_c + d]);
+    }
+}
+
+/// `out[h] = ⟨a[h*D..], b[h*D..]⟩` for every head.
+pub(crate) fn head_dots(out: &mut [f32], a: &[f32], b: &[f32], d: usize) {
+    for (head, o) in out.iter_mut().enumerate() {
+        *o = simd::dot(&a[head * d..(head + 1) * d], &b[head * d..(head + 1) * d]);
+    }
 }
 
 /// Backward of [`spmm_multihead`]: returns `(d_alpha, d_x)`.
@@ -606,66 +447,32 @@ pub fn spmm_multihead_backward(
 ) -> (Tensor, Tensor) {
     let heads = alpha.cols();
     let hd = x.cols();
-    let d = hd / heads;
+    let d = head_dim(hd, heads);
     assert_eq!(grad_out.rows(), g.num_rows(), "grad rows mismatch");
     assert_eq!(grad_out.cols(), hd, "grad width mismatch");
     let mut d_alpha = Tensor::zeros(&[g.num_edges(), heads]);
     let mut d_x = Tensor::zeros(&[g.num_cols(), hd]);
     let indptr = g.indptr();
-    let indices = g.indices();
-    let x_data = x.data();
-    let a_data = alpha.data();
     let grad_data = grad_out.data();
+    let x_rows = Operand::new(x, None, g.num_cols());
     // Pass 1 — destination-parallel: each edge's d_alpha row is owned by
     // its destination.
-    {
-        let da_s = SharedSlice::new(d_alpha.data_mut());
-        parallel_for(g.num_rows(), 1, |lo, hi| {
+    split_rows(
+        g.num_rows(),
+        [Output::edge_owned(d_alpha.data_mut(), indptr, heads)],
+        move |lo, hi, [part]| {
             for i in lo..hi {
-                let (es, ee) = (indptr[i], indptr[i + 1]);
-                if es == ee {
-                    continue;
-                }
                 let g_row = &grad_data[i * hd..(i + 1) * hd];
-                // SAFETY: destination `i`'s in-edges `es..ee` are contiguous
-                // in CSR order and owned by this chunk alone.
-                let da_rows = unsafe { da_s.range_mut(es * heads, ee * heads) };
-                for e in es..ee {
-                    let j = indices[e] as usize;
-                    let x_row = &x_data[j * hd..(j + 1) * hd];
-                    for head in 0..heads {
-                        let lo_c = head * d;
-                        da_rows[(e - es) * heads + head] =
-                            simd::dot(&g_row[lo_c..lo_c + d], &x_row[lo_c..lo_c + d]);
-                    }
+                let da_rows = edges_mut(part, &indptr[lo..], i - lo, heads);
+                for ((j, _e), da_row) in g.entries(i).zip(da_rows.chunks_exact_mut(heads)) {
+                    head_dots(da_row, g_row, x_rows.row(j), d);
                 }
             }
-        });
-    }
+        },
+    );
     // Pass 2 — source-parallel: each d_x row is owned by its source;
     // ascending edge ids reproduce the sequential accumulation order.
-    let rev = g.reverse_index();
-    {
-        let dx_s = SharedSlice::new(d_x.data_mut());
-        parallel_for(g.num_cols(), 1, |lo, hi| {
-            for j in lo..hi {
-                // SAFETY: source row `j` is in this chunk's exclusive
-                // `lo..hi` range — one writer per gradient row.
-                let dx_row = unsafe { dx_s.range_mut(j * hd, (j + 1) * hd) };
-                for (i, e) in rev.entries(j) {
-                    let g_row = &grad_data[i * hd..(i + 1) * hd];
-                    for head in 0..heads {
-                        let a = a_data[e * heads + head];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let lo_c = head * d;
-                        simd::axpy(a, &g_row[lo_c..lo_c + d], &mut dx_row[lo_c..lo_c + d]);
-                    }
-                }
-            }
-        });
-    }
+    weighted_sum_neighbors(g.reverse_adjacency(), alpha, grad_out, &mut d_x, FLAT);
     (d_alpha, d_x)
 }
 
@@ -676,153 +483,84 @@ pub fn spmm_multihead_backward(
 /// Per-head inner product with an attention vector:
 /// `out[n, h] = Σ_k x[n, h*D + k] * a[h*D + k]`.
 ///
-/// Computes GAT's `aᵀ z` terms; `a` is `[H*D]`.
+/// Computes GAT's `aᵀ z` terms; `a` is `[H*D]`. With a row map, row `i` of
+/// the output is the projection of `x[map[i]]` — SAR's local round
+/// computes a block's attention logits straight from the resident feature
+/// tensor, skipping the gathered `[rows, H*D]` copy; bitwise identical to
+/// `gather` + `head_project`.
 ///
 /// # Panics
 ///
-/// Panics if `x.cols() != a.len()` or not divisible by `heads`.
-pub fn head_project(x: &Tensor, a: &Tensor, heads: usize) -> Tensor {
-    head_project_impl(x, None, a, heads)
-}
-
-/// Fused gather + per-head projection: row `i` of the output is the
-/// projection of `x[map[i]]`.
-///
-/// Lets SAR's local round compute a block's attention logits straight
-/// from the resident feature tensor, skipping the gathered `[rows, H*D]`
-/// copy. Bitwise identical to `gather` + [`head_project`].
-///
-/// # Panics
-///
-/// Panics if any map entry is out of range for `x`, or on the same shape
-/// mismatches as [`head_project`].
-pub fn head_project_indexed(x: &Tensor, map: &[u32], a: &Tensor, heads: usize) -> Tensor {
-    assert!(
-        map.iter().all(|&r| (r as usize) < x.rows()),
-        "row map entry out of range"
-    );
-    head_project_impl(x, Some(map), a, heads)
-}
-
-fn head_project_impl(x: &Tensor, map: Option<&[u32]>, a: &Tensor, heads: usize) -> Tensor {
-    let hd = x.cols();
-    assert_eq!(a.numel(), hd, "attention vector length mismatch");
-    assert_eq!(hd % heads, 0, "width {hd} not divisible by {heads} heads");
-    let d = hd / heads;
+/// Panics if `x.cols() != a.numel()`, the width is not divisible by
+/// `heads`, or a map entry is out of range for `x`.
+pub fn head_project(x: &Tensor, map: Option<&[u32]>, a: &Tensor, heads: usize) -> Tensor {
     let n = map.map_or(x.rows(), <[u32]>::len);
-    let row_of = |i: usize| map.map_or(i, |m| m[i] as usize);
+    let x = Operand::new(x, map, n);
+    let hd = x.width;
+    assert_eq!(a.numel(), hd, "attention vector length mismatch");
+    let d = head_dim(hd, heads);
     let mut out = vec![0.0f32; n * heads];
-    let x_data = x.data();
     let a_data = a.data();
-    {
-        let out_s = SharedSlice::new(&mut out);
-        parallel_for(n, 1, |lo, hi| {
-            // SAFETY: chunks claim disjoint `lo..hi` row ranges, so element
-            // ranges never overlap across threads.
-            let rows = unsafe { out_s.range_mut(lo * heads, hi * heads) };
+    split_rows(
+        n,
+        [Output::row_owned(&mut out, heads)],
+        move |lo, hi, [rows]| {
             for i in lo..hi {
-                let r = row_of(i);
-                let x_row = &x_data[r * hd..(r + 1) * hd];
-                for h in 0..heads {
-                    rows[(i - lo) * heads + h] =
-                        simd::dot(&x_row[h * d..(h + 1) * d], &a_data[h * d..(h + 1) * d]);
-                }
+                head_dots(row_mut(rows, i - lo, heads), x.row(i), a_data, d);
             }
-        });
-    }
+        },
+    );
     Tensor::from_vec(&[n, heads], out)
 }
 
 /// Backward of [`head_project`]: returns `(d_x, d_a)` given the upstream
-/// gradient `[N, H]`.
+/// gradient `[N, H]`. With a row map, `grad` and the returned `d_x` are
+/// *block-shaped* (`[map.len(), H*D]`) while reads of `x` go through the
+/// map — the gradient mirror of the fused local gather, bitwise identical
+/// to `gather` + `head_project_backward`.
 ///
 /// # Panics
 ///
-/// Panics if shapes are inconsistent.
-pub fn head_project_backward(
-    x: &Tensor,
-    a: &Tensor,
-    heads: usize,
-    grad: &Tensor,
-) -> (Tensor, Tensor) {
-    head_project_backward_impl(x, None, a, heads, grad)
-}
-
-/// Backward of [`head_project_indexed`]: `grad` and the returned `d_x` are
-/// *block-shaped* (`[map.len(), H*D]`), while reads of `x` go through the
-/// row map — the gradient mirror of the fused local gather. Bitwise
-/// identical to `gather` + [`head_project_backward`].
-///
-/// # Panics
-///
-/// Panics if any map entry is out of range for `x`, or on the same shape
-/// mismatches as [`head_project_backward`].
-pub fn head_project_backward_indexed(
-    x: &Tensor,
-    map: &[u32],
-    a: &Tensor,
-    heads: usize,
-    grad: &Tensor,
-) -> (Tensor, Tensor) {
-    assert!(
-        map.iter().all(|&r| (r as usize) < x.rows()),
-        "row map entry out of range"
-    );
-    head_project_backward_impl(x, Some(map), a, heads, grad)
-}
-
+/// Panics on the same mismatches as [`head_project`], or if `grad` is not
+/// `[N, H]`.
 // sar-check: deterministic(fixed-rank-order: gradients reduce over rows in
 // ascending index order on a single writer; no data-dependent reordering)
-fn head_project_backward_impl(
+pub fn head_project_backward(
     x: &Tensor,
     map: Option<&[u32]>,
     a: &Tensor,
     heads: usize,
     grad: &Tensor,
 ) -> (Tensor, Tensor) {
-    let hd = x.cols();
-    let d = hd / heads;
     let n = map.map_or(x.rows(), <[u32]>::len);
-    let row_of = |i: usize| map.map_or(i, |m| m[i] as usize);
+    let x = Operand::new(x, map, n);
+    let hd = x.width;
+    assert_eq!(a.numel(), hd, "attention vector length mismatch");
+    let d = head_dim(hd, heads);
     assert_eq!(grad.rows(), n, "grad rows mismatch");
     assert_eq!(grad.cols(), heads, "grad heads mismatch");
     let mut d_x = Tensor::zeros(&[n, hd]);
     let mut d_a = Tensor::zeros(&[hd]);
-    let x_data = x.data();
     let a_data = a.data();
     let g_data = grad.data();
     // Pass 1 — row-parallel d_x: every output row has one writer.
-    {
-        let dx_s = SharedSlice::new(d_x.data_mut());
-        parallel_for(n, 1, |lo, hi| {
+    split_rows(
+        n,
+        [Output::row_owned(d_x.data_mut(), hd)],
+        move |lo, hi, [part]| {
             for i in lo..hi {
                 let g_row = &g_data[i * heads..(i + 1) * heads];
-                // SAFETY: row `i` is in this chunk's exclusive `lo..hi`
-                // range — one writer per gradient row.
-                let dx_row = unsafe { dx_s.range_mut(i * hd, (i + 1) * hd) };
-                for h in 0..heads {
-                    let g = g_row[h];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    simd::axpy(
-                        g,
-                        &a_data[h * d..(h + 1) * d],
-                        &mut dx_row[h * d..(h + 1) * d],
-                    );
-                }
+                head_axpy(row_mut(part, i - lo, hd), g_row, a_data, d);
             }
-        });
-    }
+        },
+    );
     // Pass 2 — column-parallel d_a: each column accumulates over rows in
     // ascending order with the same `g == 0` skips as the sequential
     // sweep, so the reduction order is unchanged.
-    {
-        let da_s = SharedSlice::new(d_a.data_mut());
-        parallel_for(hd, 1, |lo, hi| {
-            // SAFETY: chunks claim disjoint column ranges `lo..hi` of the
-            // flat `[H*D]` gradient — one writer per column.
-            let cols = unsafe { da_s.range_mut(lo, hi) };
+    split_rows(
+        hd,
+        [Output::row_owned(d_a.data_mut(), 1)],
+        move |lo, hi, [cols]| {
             for (c, slot) in (lo..hi).zip(cols.iter_mut()) {
                 let h = c / d;
                 let mut acc = 0.0f32;
@@ -831,12 +569,12 @@ fn head_project_backward_impl(
                     if g == 0.0 {
                         continue;
                     }
-                    acc += g * x_data[row_of(i) * hd + c];
+                    acc += g * x.row(i)[c];
                 }
                 *slot = acc;
             }
-        });
-    }
+        },
+    );
     (d_x, d_a)
 }
 
@@ -859,28 +597,22 @@ pub fn gat_edge_scores(g: &CsrGraph, s_dst: &Tensor, s_src: &Tensor, slope: f32)
     let h = s_dst.cols();
     let mut out = vec![0.0f32; g.num_edges() * h];
     let indptr = g.indptr();
-    let indices = g.indices();
     let sd = s_dst.data();
     let ss = s_src.data();
-    {
-        let out_s = SharedSlice::new(&mut out);
-        parallel_for(g.num_rows(), 1, |lo, hi| {
+    split_rows(
+        g.num_rows(),
+        [Output::edge_owned(&mut out, indptr, h)],
+        move |lo, hi, [part]| {
             for i in lo..hi {
-                let (es, ee) = (indptr[i], indptr[i + 1]);
-                if es == ee {
-                    continue;
-                }
-                // SAFETY: destination `i`'s in-edges `es..ee` are contiguous
-                // in CSR order and owned by this chunk alone.
-                let rows = unsafe { out_s.range_mut(es * h, ee * h) };
+                let es = indptr[i];
+                let rows = edges_mut(part, &indptr[lo..], i - lo, h);
                 let sd_row = &sd[i * h..(i + 1) * h];
                 // Each edge's [H] segment is the elementwise sum of the
                 // destination and source logit rows; the LeakyReLU is then
                 // applied to the whole contiguous [run × H] slab. Both
                 // steps are elementwise SIMD maps, bitwise identical to
                 // the scalar expression per element.
-                for e in es..ee {
-                    let j = indices[e] as usize;
+                for (j, e) in g.entries(i) {
                     simd::add_into(
                         &mut rows[(e - es) * h..(e - es + 1) * h],
                         sd_row,
@@ -889,8 +621,8 @@ pub fn gat_edge_scores(g: &CsrGraph, s_dst: &Tensor, s_src: &Tensor, slope: f32)
                 }
                 simd::leaky_relu(rows, slope);
             }
-        });
-    }
+        },
+    );
     Tensor::from_vec(&[g.num_edges(), h], out)
 }
 
@@ -899,6 +631,9 @@ pub fn gat_edge_scores(g: &CsrGraph, s_dst: &Tensor, s_src: &Tensor, slope: f32)
 /// # Panics
 ///
 /// Panics if shapes are inconsistent.
+// sar-check: deterministic(one-writer-per-row: a destination's d_s_dst row
+// folds its edges in CSR order, a source's d_s_src row folds its edges in
+// ascending edge-id order)
 pub fn gat_edge_scores_backward(
     g: &CsrGraph,
     s_dst: &Tensor,
@@ -911,60 +646,53 @@ pub fn gat_edge_scores_backward(
     assert_eq!(grad.cols(), h, "grad heads mismatch");
     let mut d_dst = Tensor::zeros(&[g.num_rows(), h]);
     let mut d_src = Tensor::zeros(&[g.num_cols(), h]);
-    let indptr = g.indptr();
-    let indices = g.indices();
     let sd = s_dst.data();
     let ss = s_src.data();
     let g_data = grad.data();
+    // d(score)/d(logit sum) of edge `e = (j → i)`, per head.
+    let du = |i: usize, j: usize, e: usize, head: usize| {
+        let u = sd[i * h + head] + ss[j * h + head];
+        g_data[e * h + head] * if u > 0.0 { 1.0 } else { slope }
+    };
     // Pass 1 — destination-parallel d_dst.
-    {
-        let dd_s = SharedSlice::new(d_dst.data_mut());
-        parallel_for(g.num_rows(), 1, |lo, hi| {
+    split_rows(
+        g.num_rows(),
+        [Output::row_owned(d_dst.data_mut(), h)],
+        move |lo, hi, [part]| {
             for i in lo..hi {
-                let (es, ee) = (indptr[i], indptr[i + 1]);
-                if es == ee {
-                    continue;
-                }
-                // SAFETY: destination row `i` is in this chunk's exclusive
-                // `lo..hi` range — one writer per output row.
-                let dd_row = unsafe { dd_s.range_mut(i * h, (i + 1) * h) };
-                for e in es..ee {
-                    let j = indices[e] as usize;
-                    for head in 0..h {
-                        let u = sd[i * h + head] + ss[j * h + head];
-                        let du = g_data[e * h + head] * if u > 0.0 { 1.0 } else { slope };
-                        dd_row[head] += du;
+                let dd_row = row_mut(part, i - lo, h);
+                for (j, e) in g.entries(i) {
+                    for (head, dd) in dd_row.iter_mut().enumerate() {
+                        *dd += du(i, j, e, head);
                     }
                 }
             }
-        });
-    }
+        },
+    );
     // Pass 2 — source-parallel d_src via the reverse index (ascending
     // edge ids keep the sequential accumulation order).
     let rev = g.reverse_index();
-    {
-        let ds_s = SharedSlice::new(d_src.data_mut());
-        parallel_for(g.num_cols(), 1, |lo, hi| {
+    split_rows(
+        g.num_cols(),
+        [Output::row_owned(d_src.data_mut(), h)],
+        move |lo, hi, [part]| {
             for j in lo..hi {
-                // SAFETY: source row `j` is in this chunk's exclusive
-                // `lo..hi` range — one writer per gradient row.
-                let ds_row = unsafe { ds_s.range_mut(j * h, (j + 1) * h) };
+                let ds_row = row_mut(part, j - lo, h);
                 for (i, e) in rev.entries(j) {
-                    for head in 0..h {
-                        let u = sd[i * h + head] + ss[j * h + head];
-                        let du = g_data[e * h + head] * if u > 0.0 { 1.0 } else { slope };
-                        ds_row[head] += du;
+                    for (head, ds) in ds_row.iter_mut().enumerate() {
+                        *ds += du(i, j, e, head);
                     }
                 }
             }
-        });
-    }
+        },
+    );
     (d_dst, d_src)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::erdos_renyi;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sar_tensor::init;
@@ -1120,7 +848,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let x = init::randn(&[5, heads * d], 1.0, &mut rng);
         let a = init::randn(&[heads * d], 1.0, &mut rng);
-        let s = head_project(&x, &a, heads);
+        let s = head_project(&x, None, &a, heads);
         for i in 0..5 {
             for h in 0..heads {
                 let manual: f32 = (0..d)
@@ -1130,7 +858,7 @@ mod tests {
             }
         }
         let grad = init::randn(&[5, heads], 1.0, &mut rng);
-        let (d_x, d_a) = head_project_backward(&x, &a, heads, &grad);
+        let (d_x, d_a) = head_project_backward(&x, None, &a, heads, &grad);
         let lhs: f32 = s.mul(&grad).sum();
         assert!((lhs - x.mul(&d_x).sum()).abs() < 1e-3);
         assert!((lhs - a.mul(&d_a).sum()).abs() < 1e-3);
@@ -1163,6 +891,76 @@ mod tests {
         let lhs: f32 = scores.mul(&grad).sum();
         let rhs = s_dst.mul(&d_dst).sum() + s_src.mul(&d_src).sum();
         assert!((lhs - rhs).abs() < 1e-3);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Dense-ish graph plus a sparse one whose 96 rows outnumber its 50
+    /// edges, guaranteeing isolated destinations and isolated sources.
+    fn panel_graphs() -> Vec<(CsrGraph, &'static str)> {
+        let mut rng = StdRng::seed_from_u64(7);
+        vec![
+            (erdos_renyi(128, 1024, &mut rng).symmetrize(), "dense"),
+            (erdos_renyi(96, 50, &mut rng), "isolated-nodes"),
+        ]
+    }
+
+    /// Asserts `run(panel)` gives the flat walk's bits (`usize::MAX`: no
+    /// panel is ever cut) for a 1-row and a 7-row panel — panels change a
+    /// walk's locality, never a row's accumulation order (DESIGN.md §11).
+    fn assert_panels_match_flat(what: &str, run: impl Fn(usize) -> Tensor) {
+        let base = bits(&run(usize::MAX));
+        for panel in [1usize, 7] {
+            assert_eq!(base, bits(&run(panel)), "{what} panel={panel}");
+        }
+    }
+
+    #[test]
+    fn blocked_spmm_sum_matches_unblocked_bitwise() {
+        for (g, gname) in panel_graphs() {
+            for f in [7usize, 32] {
+                let x = init::randn(&[g.num_cols(), f], 1.0, &mut StdRng::seed_from_u64(11));
+                assert_panels_match_flat(&format!("spmm_sum {gname} f={f}"), |panel| {
+                    let mut out = Tensor::zeros(&[g.num_rows(), f]);
+                    sum_neighbors(g.adjacency(), &x, None, &mut out, Some(panel));
+                    out
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_spmm_sum_backward_matches_unblocked_bitwise() {
+        for (g, gname) in panel_graphs() {
+            for f in [7usize, 32] {
+                let grad = init::randn(&[g.num_rows(), f], 1.0, &mut StdRng::seed_from_u64(13));
+                assert_panels_match_flat(&format!("spmm_sum_backward {gname} f={f}"), |panel| {
+                    let mut out = Tensor::zeros(&[g.num_cols(), f]);
+                    sum_neighbors(g.reverse_adjacency(), &grad, None, &mut out, Some(panel));
+                    out
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_spmm_multihead_matches_unblocked_bitwise() {
+        let heads = 4;
+        for (g, gname) in panel_graphs() {
+            for d in [5usize, 8] {
+                let mut rng = StdRng::seed_from_u64(17);
+                let x = init::randn(&[g.num_cols(), heads * d], 1.0, &mut rng);
+                let scores = init::randn(&[g.num_edges(), heads], 1.0, &mut rng);
+                let alpha = edge_softmax(&g, &scores);
+                assert_panels_match_flat(&format!("spmm_multihead {gname} d={d}"), |panel| {
+                    let mut out = Tensor::zeros(&[g.num_rows(), heads * d]);
+                    weighted_sum_neighbors(g.adjacency(), &alpha, &x, &mut out, Some(panel));
+                    out
+                });
+            }
+        }
     }
 
     #[test]

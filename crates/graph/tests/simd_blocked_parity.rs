@@ -1,23 +1,19 @@
-//! Bitwise parity proofs for the SIMD dispatch and cache-blocked CSR
-//! traversal (DESIGN.md §11).
+//! Bitwise parity proof for the SIMD dispatch (DESIGN.md §11).
 //!
-//! Two independent claims are checked, each via `f32::to_bits` so that
-//! `-0.0`/`0.0` and NaN payload differences cannot hide behind `==`:
+//! Every kernel produces identical bits — compared via `f32::to_bits` so
+//! that `-0.0`/`0.0` and NaN payload differences cannot hide behind `==` —
+//! under `SimdMode::Auto` (AVX2 where available) and
+//! `SimdMode::ForceScalar`, because the scalar fallback mirrors the vector
+//! paths' fixed 8-lane accumulation tree exactly. Feature widths include
+//! ragged tails (not a multiple of the 8-lane width) and the graphs
+//! include isolated nodes (empty CSR rows).
 //!
-//! 1. **SIMD vs scalar** — every kernel produces identical bits under
-//!    `SimdMode::Auto` (AVX2 where available) and `SimdMode::ForceScalar`,
-//!    because the scalar fallback mirrors the vector paths' fixed 8-lane
-//!    accumulation tree exactly. Feature widths include ragged tails
-//!    (not a multiple of the 8-lane width) and the graphs include
-//!    isolated nodes (empty CSR rows).
-//! 2. **Blocked vs unblocked** — the `*_with_panel` entry points produce
-//!    identical bits for a tiny panel and an effectively-infinite one,
-//!    because destination-panel blocking preserves each row's
-//!    ascending-edge-id accumulation order.
+//! The companion claim — the walker's cache-blocked traversal equals the
+//! flat one bit for bit — needs the crate-private panel height, so it
+//! lives in the unit tests of `sar_graph::ops`.
 //!
 //! The dispatch mode is process-global, so everything that flips it lives
-//! in ONE test function (tests in a binary run concurrently); the panel
-//! tests vary only arguments and are safe as separate functions.
+//! in ONE test function (tests in a binary run concurrently).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,7 +69,7 @@ fn run_all_kernels() -> Vec<(String, Vec<u32>)> {
             let s_src = randn(&[c, heads], 1.0, &mut rng);
             let grad = randn(&[n, hd], 1.0, &mut rng);
 
-            let proj = ops::head_project(&x, &a, heads);
+            let proj = ops::head_project(&x, None, &a, heads);
             out.push((format!("{gname}/head_project/d{d}"), bits(&proj)));
 
             let scores = ops::gat_edge_scores(&g, &s_dst, &s_src, 0.2);
@@ -101,7 +97,7 @@ fn run_all_kernels() -> Vec<(String, Vec<u32>)> {
             out.push((format!("{gname}/gat_fused/d{d}"), bits(&fused.finalize())));
 
             let mut two = OnlineAttnState::new(n, heads, d);
-            gat_twostep_block_forward(&g, &s_dst, &s_src, &x, 0.2, &mut two);
+            gat_twostep_block_forward(&g, &s_dst, &s_src, &x, None, 0.2, &mut two);
             out.push((format!("{gname}/gat_twostep/d{d}"), bits(&two.finalize())));
         }
     }
@@ -118,8 +114,8 @@ fn run_all_kernels() -> Vec<(String, Vec<u32>)> {
     out
 }
 
-/// Claim 1: identical bits with the vector paths forced off and on. One
-/// function because `SimdMode` is process-global.
+/// Identical bits with the vector paths forced off and on. One function
+/// because `SimdMode` is process-global.
 #[test]
 fn simd_and_scalar_paths_agree_bitwise() {
     set_mode(SimdMode::ForceScalar);
@@ -130,73 +126,5 @@ fn simd_and_scalar_paths_agree_bitwise() {
     for ((name_s, bits_s), (name_a, bits_a)) in scalar.iter().zip(auto.iter()) {
         assert_eq!(name_s, name_a);
         assert_eq!(bits_s, bits_a, "SIMD/scalar divergence in {name_s}");
-    }
-}
-
-/// Claim 2 for the forward SpMM: a 1-row and a 7-row panel match the
-/// unblocked traversal bit for bit, including on empty rows.
-#[test]
-fn blocked_spmm_sum_matches_unblocked_bitwise() {
-    for (g, gname) in graphs() {
-        for f in [7usize, 32] {
-            let mut rng = StdRng::seed_from_u64(11);
-            let x = randn(&[g.num_cols(), f], 1.0, &mut rng);
-            let mut base = Tensor::zeros(&[g.num_rows(), f]);
-            ops::spmm_sum_into_with_panel(&g, &x, &mut base, usize::MAX);
-            for panel in [1usize, 7] {
-                let mut blocked = Tensor::zeros(&[g.num_rows(), f]);
-                ops::spmm_sum_into_with_panel(&g, &x, &mut blocked, panel);
-                assert_eq!(
-                    bits(&base),
-                    bits(&blocked),
-                    "spmm_sum {gname} f={f} panel={panel}"
-                );
-            }
-        }
-    }
-}
-
-/// Claim 2 for the backward SpMM scatter.
-#[test]
-fn blocked_spmm_sum_backward_matches_unblocked_bitwise() {
-    for (g, gname) in graphs() {
-        for f in [7usize, 32] {
-            let mut rng = StdRng::seed_from_u64(13);
-            let grad = randn(&[g.num_rows(), f], 1.0, &mut rng);
-            let mut base = Tensor::zeros(&[g.num_cols(), f]);
-            ops::spmm_sum_backward_into_with_panel(&g, &grad, &mut base, usize::MAX);
-            for panel in [1usize, 7] {
-                let mut blocked = Tensor::zeros(&[g.num_cols(), f]);
-                ops::spmm_sum_backward_into_with_panel(&g, &grad, &mut blocked, panel);
-                assert_eq!(
-                    bits(&base),
-                    bits(&blocked),
-                    "spmm_sum_backward {gname} f={f} panel={panel}"
-                );
-            }
-        }
-    }
-}
-
-/// Claim 2 for the attention-weighted multi-head SpMM.
-#[test]
-fn blocked_spmm_multihead_matches_unblocked_bitwise() {
-    let heads = 4;
-    for (g, gname) in graphs() {
-        for d in [5usize, 8] {
-            let mut rng = StdRng::seed_from_u64(17);
-            let x = randn(&[g.num_cols(), heads * d], 1.0, &mut rng);
-            let scores = randn(&[g.num_edges(), heads], 1.0, &mut rng);
-            let alpha = ops::edge_softmax(&g, &scores);
-            let base = ops::spmm_multihead_with_panel(&g, &alpha, &x, usize::MAX);
-            for panel in [1usize, 7] {
-                let blocked = ops::spmm_multihead_with_panel(&g, &alpha, &x, panel);
-                assert_eq!(
-                    bits(&base),
-                    bits(&blocked),
-                    "spmm_multihead {gname} d={d} panel={panel}"
-                );
-            }
-        }
     }
 }

@@ -14,7 +14,7 @@
 //! [`set_threads`], so workers never share a pool and the per-thread
 //! memory tracker in [`crate::memory`] stays coherent. Helper threads
 //! must never construct [`Tensor`](crate::Tensor)s — kernels hand them
-//! raw row ranges of pre-allocated buffers via [`SharedSlice`].
+//! row ranges of pre-allocated buffers via [`split_rows`].
 //!
 //! Helper CPU time is metered with the per-thread CPU clock and
 //! accumulated on the dispatching thread; the observability layer drains
@@ -303,47 +303,132 @@ fn helper_main(rx: &Arc<Mutex<Receiver<Job>>>) {
     }
 }
 
-/// A `Send + Sync` view of a mutable buffer whose **disjoint** ranges are
-/// written concurrently by `parallel_for` chunks.
-///
-/// Kernels create one on the dispatching thread over a pre-allocated
-/// output buffer (a `Vec<f32>` or `Tensor::data_mut`), then each chunk
-/// takes its own rows via [`SharedSlice::range_mut`]. Safety rests on the
-/// destination-row ownership invariant: chunks cover disjoint index
-/// ranges, so no element is aliased.
-pub struct SharedSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _life: PhantomData<&'a mut [T]>,
+/// One output buffer of a [`split_rows`] call, and the way rows own it.
+pub struct Output<'a> {
+    data: SharedSlice<'a>,
+    width: usize,
+    /// `Some(ptr)` for an edge-owned buffer.
+    ptr: Option<&'a [usize]>,
 }
 
-// SAFETY: SharedSlice is a raw view of a `&mut [T]` whose concurrent
+impl<'a> Output<'a> {
+    /// A `[n, width]` buffer: row `r` owns elements
+    /// `r·width..(r + 1)·width`.
+    pub fn row_owned(data: &'a mut [f32], width: usize) -> Self {
+        Output {
+            data: SharedSlice::new(data),
+            width,
+            ptr: None,
+        }
+    }
+
+    /// A `[ptr[n], width]` buffer laid out by a CSR pointer array: row `r`
+    /// owns the `width`-wide entries `ptr[r]..ptr[r + 1]` (its edges).
+    pub fn edge_owned(data: &'a mut [f32], ptr: &'a [usize], width: usize) -> Self {
+        Output {
+            data: SharedSlice::new(data),
+            width,
+            ptr: Some(ptr),
+        }
+    }
+
+    /// Element offset at which row `r`'s share starts (`r == n`: where the
+    /// last one ends).
+    fn offset(&self, r: usize) -> usize {
+        self.ptr.map_or(r, |p| p[r]) * self.width
+    }
+
+    /// Panics unless `offset` is monotone over `0..=n` and ends exactly at
+    /// the buffer's length — what [`split_rows`]'s `unsafe` relies on.
+    fn check(&self, n: usize) {
+        let entries = match self.ptr {
+            None => n,
+            Some(ptr) => {
+                assert_eq!(ptr.len(), n + 1, "pointer array must have n + 1 entries");
+                assert!(
+                    ptr[0] == 0 && ptr.windows(2).all(|w| w[0] <= w[1]),
+                    "pointer array must start at 0 and be monotone"
+                );
+                ptr[n]
+            }
+        };
+        assert_eq!(
+            entries.checked_mul(self.width),
+            Some(self.data.len),
+            "output length must be {entries} x {}",
+            self.width
+        );
+    }
+}
+
+/// Runs `body(lo, hi, parts)` over disjoint row ranges covering `0..n` on
+/// the pool ([`parallel_for`] with grain 1), where `parts[k]` is exactly
+/// the share of `outs[k]` that rows `lo..hi` own — the safe form of the
+/// one-writer-per-row discipline every row-parallel kernel follows. A
+/// chunk's share of an output is contiguous because rows are (row-owned:
+/// fixed stride; edge-owned: a row's edges are contiguous in CSR order and
+/// rows ascend), so it is one sub-slice, and the body carves single rows
+/// out of it by plain indexing relative to `lo`.
+///
+/// Hot bodies are `move` closures over `Copy` captures: a slice held in
+/// the closure's own environment stays in registers across the opaque
+/// SIMD / `expf` calls of a per-edge loop, while one reached through a
+/// captured reference is reloaded after every call (−10 % … +20 % on the
+/// fused attention kernels at the benchmark's shapes).
+///
+/// # Panics
+///
+/// Panics, before any body runs, if an output's length does not match its
+/// declared shape or a pointer array is not `n + 1` monotone entries
+/// starting at 0.
+pub fn split_rows<const K: usize>(
+    n: usize,
+    outs: [Output<'_>; K],
+    body: impl Fn(usize, usize, [&mut [f32]; K]) + Sync,
+) {
+    for out in &outs {
+        out.check(n);
+    }
+    parallel_for(n, 1, |lo, hi| {
+        let parts = std::array::from_fn(|k| {
+            let out = &outs[k];
+            // SAFETY: `parallel_for` (this module) runs its closure on
+            // chunks `lo..hi` that are pairwise disjoint and cover `0..n`
+            // (each chunk index is claimed once; the inline call is `0..n`).
+            // `offset` is monotone for both shapes (`r·width`; `ptr[r]·width`
+            // with `ptr` checked non-decreasing), so disjoint chunks map to
+            // disjoint element ranges inside the checked length, and
+            // distinct outputs are distinct `&mut` borrows: no element is
+            // reachable from two chunks, nor can `body` retain a part.
+            unsafe { out.data.range_mut(out.offset(lo), out.offset(hi)) }
+        });
+        body(lo, hi, parts);
+    });
+}
+
+/// A `Send + Sync` view of a mutable buffer whose **disjoint** ranges are
+/// written concurrently by the chunks of one [`split_rows`] call.
+struct SharedSlice<'a> {
+    ptr: *mut f32,
+    len: usize,
+    _life: PhantomData<&'a mut [f32]>,
+}
+
+// SAFETY: SharedSlice is a raw view of a `&mut [f32]` whose concurrent
 // writers take disjoint ranges (the `range_mut` contract), so sending the
-// view or sharing it across parallel_for chunks never aliases an element;
-// T: Send bounds keep non-sendable element types out.
-unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
+// view or sharing it across parallel_for chunks never aliases an element.
+unsafe impl Send for SharedSlice<'_> {}
 // SAFETY: as above — &SharedSlice only exposes `range_mut`, whose
 // disjointness contract is what makes cross-thread sharing sound.
-unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
+unsafe impl Sync for SharedSlice<'_> {}
 
-impl<'a, T> SharedSlice<'a, T> {
-    /// Wraps `data` for disjoint concurrent writes.
-    pub fn new(data: &'a mut [T]) -> SharedSlice<'a, T> {
+impl<'a> SharedSlice<'a> {
+    fn new(data: &'a mut [f32]) -> SharedSlice<'a> {
         SharedSlice {
             ptr: data.as_mut_ptr(),
             len: data.len(),
             _life: PhantomData,
         }
-    }
-
-    /// Length of the underlying buffer.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if the underlying buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The mutable sub-slice `lo..hi`.
@@ -353,7 +438,7 @@ impl<'a, T> SharedSlice<'a, T> {
     /// Concurrent callers must request disjoint ranges; the borrow is
     /// unchecked aliasing-wise (bounds are asserted).
     #[allow(clippy::mut_from_ref)] // disjointness is the caller's contract
-    pub unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [T] {
+    unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [f32] {
         assert!(
             lo <= hi && hi <= self.len,
             "range {lo}..{hi} of {}",
@@ -370,32 +455,60 @@ mod tests {
     #[test]
     fn inline_when_single_threaded() {
         set_threads(1);
-        let mut out = vec![0u32; 16];
-        let shared = SharedSlice::new(&mut out);
-        parallel_for(16, 1, |lo, hi| {
-            let rows = unsafe { shared.range_mut(lo, hi) };
+        let mut out = vec![0.0f32; 16];
+        split_rows(16, [Output::row_owned(&mut out, 1)], |lo, hi, [rows]| {
+            assert_eq!((lo, hi), (0, 16), "one inline call over the whole range");
             for (k, r) in rows.iter_mut().enumerate() {
-                *r = (lo + k) as u32;
+                *r = (lo + k) as f32;
             }
         });
-        assert_eq!(out, (0..16).collect::<Vec<u32>>());
+        assert_eq!(out, (0..16).map(|i| i as f32).collect::<Vec<_>>());
     }
 
     #[test]
     fn pool_covers_every_index_exactly_once() {
         set_threads(4);
         let n = 10_007;
-        let mut out = vec![0u32; n];
-        let shared = SharedSlice::new(&mut out);
-        parallel_for(n, 1, |lo, hi| {
-            let rows = unsafe { shared.range_mut(lo, hi) };
+        let mut out = vec![0.0f32; n];
+        split_rows(n, [Output::row_owned(&mut out, 1)], |lo, _hi, [rows]| {
             for (k, r) in rows.iter_mut().enumerate() {
-                *r += (lo + k) as u32 + 1;
+                *r += (lo + k) as f32 + 1.0;
             }
         });
         set_threads(1);
         for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i as u32 + 1, "index {i} written wrongly");
+            assert_eq!(*v, i as f32 + 1.0, "index {i} written wrongly");
+        }
+    }
+
+    #[test]
+    fn edge_owned_parts_follow_the_pointer_array() {
+        // Rows 0..4 own 2, 0, 3 and 1 entries of width 2; the row-owned
+        // twin has width 3. Every chunk must see exactly its rows' share
+        // of both, whatever the chunking.
+        let ptr = [0usize, 2, 2, 5, 6];
+        for threads in [1, 4] {
+            set_threads(threads);
+            let mut edges = vec![0.0f32; 6 * 2];
+            let mut rows = vec![0.0f32; 4 * 3];
+            split_rows(
+                4,
+                [
+                    Output::edge_owned(&mut edges, &ptr, 2),
+                    Output::row_owned(&mut rows, 3),
+                ],
+                |lo, hi, [e, r]| {
+                    assert_eq!(e.len(), (ptr[hi] - ptr[lo]) * 2);
+                    assert_eq!(r.len(), (hi - lo) * 3);
+                    for i in lo..hi {
+                        e[(ptr[i] - ptr[lo]) * 2..(ptr[i + 1] - ptr[lo]) * 2].fill(i as f32 + 1.0);
+                        r[(i - lo) * 3..(i - lo + 1) * 3].fill(i as f32 + 1.0);
+                    }
+                },
+            );
+            set_threads(1);
+            assert_eq!(edges, [1., 1., 1., 1., 3., 3., 3., 3., 3., 3., 4., 4.]);
+            assert_eq!(rows, [1., 1., 1., 2., 2., 2., 3., 3., 3., 4., 4., 4.]);
         }
     }
 
@@ -416,13 +529,11 @@ mod tests {
         set_threads(2);
         let n = 256;
         let mut out = vec![0.0f32; n];
-        let shared = SharedSlice::new(&mut out);
-        parallel_for(n, 1, |lo, hi| {
+        split_rows(n, [Output::row_owned(&mut out, 1)], |lo, hi, [rows]| {
             // A nested dispatch from inside a chunk must not deadlock and
             // must still cover its range.
-            parallel_for(hi - lo, 1, |a, b| {
-                let rows = unsafe { shared.range_mut(lo + a, lo + b) };
-                for r in rows {
+            split_rows(hi - lo, [Output::row_owned(rows, 1)], |_, _, [inner]| {
+                for r in inner {
                     *r += 1.0;
                 }
             });

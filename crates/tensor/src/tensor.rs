@@ -479,12 +479,10 @@ impl Tensor {
         assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
         let panel = k_panel(k, n);
         let mut out = vec![0.0f32; m * n];
-        {
-            let out_s = pool::SharedSlice::new(&mut out);
-            pool::parallel_for(m, 1, |lo, hi| {
-                // SAFETY: chunks claim disjoint `lo..hi` row ranges, so the
-                // element ranges `lo*n..hi*n` never overlap across threads.
-                let rows = unsafe { out_s.range_mut(lo * n, hi * n) };
+        pool::split_rows(
+            m,
+            [pool::Output::row_owned(&mut out, n)],
+            |lo, hi, [rows]| {
                 let mut p0 = 0;
                 while p0 < k {
                     let p1 = (p0 + panel).min(k);
@@ -496,8 +494,8 @@ impl Tensor {
                     }
                     p0 = p1;
                 }
-            });
-        }
+            },
+        );
         Tensor::from_vec(&[m, n], out)
     }
 
@@ -519,12 +517,10 @@ impl Tensor {
         assert_eq!(k, k2, "matmul_tn leading dimension mismatch: {k} vs {k2}");
         let panel = k_panel(k, n);
         let mut out = vec![0.0f32; m * n];
-        {
-            let out_s = pool::SharedSlice::new(&mut out);
-            pool::parallel_for(m, 1, |lo, hi| {
-                // SAFETY: chunks claim disjoint `lo..hi` row ranges, so the
-                // element ranges `lo*n..hi*n` never overlap across threads.
-                let rows = unsafe { out_s.range_mut(lo * n, hi * n) };
+        pool::split_rows(
+            m,
+            [pool::Output::row_owned(&mut out, n)],
+            |lo, hi, [rows]| {
                 let mut p0 = 0;
                 while p0 < k {
                     let p1 = (p0 + panel).min(k);
@@ -537,8 +533,8 @@ impl Tensor {
                     }
                     p0 = p1;
                 }
-            });
-        }
+            },
+        );
         Tensor::from_vec(&[m, n], out)
     }
 
@@ -559,15 +555,13 @@ impl Tensor {
         let (n, k2) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul_nt inner dimension mismatch: {k} vs {k2}");
         let mut out = vec![0.0f32; m * n];
-        {
-            let out_s = pool::SharedSlice::new(&mut out);
-            pool::parallel_for(m, 1, |lo, hi| {
-                // SAFETY: chunks claim disjoint `lo..hi` row ranges, so the
-                // element ranges `lo*n..hi*n` never overlap across threads.
-                let rows = unsafe { out_s.range_mut(lo * n, hi * n) };
+        pool::split_rows(
+            m,
+            [pool::Output::row_owned(&mut out, n)],
+            |lo, hi, [rows]| {
                 simd::dot_block(rows, n, &self.data[lo * k..hi * k], &other.data);
-            });
-        }
+            },
+        );
         Tensor::from_vec(&[m, n], out)
     }
 

@@ -1,6 +1,9 @@
 //! Property-based tests for tensor algebra and autograd invariants.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use proptest::prelude::*;
+use sar_tensor::pool::{self, Output};
 use sar_tensor::{init, memory::MemoryTracker, Tensor, Var};
 
 use rand::rngs::StdRng;
@@ -11,6 +14,15 @@ fn tensor_strategy(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Te
         proptest::collection::vec(-5.0f32..5.0, r * c)
             .prop_map(move |data| Tensor::from_vec(&[r, c], data))
     })
+}
+
+/// The CSR pointer array of rows with the given entry counts.
+fn ptr_of(counts: &[usize]) -> Vec<usize> {
+    let mut ptr = vec![0usize];
+    for &c in counts {
+        ptr.push(ptr[ptr.len() - 1] + c);
+    }
+    ptr
 }
 
 proptest! {
@@ -128,5 +140,94 @@ proptest! {
         prop_assert_eq!(MemoryTracker::stats().current_bytes, before);
         let s = MemoryTracker::stats();
         prop_assert!(s.peak_bytes >= s.current_bytes);
+    }
+
+    // `pool::split_rows` is the one place disjoint `&mut` parts are minted
+    // from shared buffers: every element of every output must reach
+    // exactly one chunk, as part of the row that owns it.
+    #[test]
+    fn split_rows_hands_every_element_to_its_row_exactly_once(
+        counts in proptest::collection::vec(0usize..5, 0..120),
+        width in 1usize..4,
+        threads in 0usize..3,
+    ) {
+        let n = counts.len();
+        let ptr = ptr_of(&counts);
+        let mut rows = vec![0.0f32; n * width];
+        let mut edges = vec![0.0f32; ptr[n] * width];
+        let mut ones = vec![0.0f32; n];
+        pool::set_threads([1, 2, 4][threads]);
+        pool::split_rows(
+            n,
+            [
+                Output::row_owned(&mut rows, width),
+                Output::edge_owned(&mut edges, &ptr, width),
+                Output::row_owned(&mut ones, 1),
+            ],
+            |lo, hi, [r, e, o]| {
+                assert_eq!(r.len(), (hi - lo) * width);
+                assert_eq!(e.len(), (ptr[hi] - ptr[lo]) * width);
+                assert_eq!(o.len(), hi - lo);
+                // Stamp each element with (1 + its owning row): `+=`, so a
+                // second visit would show.
+                for i in lo..hi {
+                    let stamp = i as f32 + 1.0;
+                    for v in &mut r[(i - lo) * width..(i - lo + 1) * width] {
+                        *v += stamp;
+                    }
+                    for v in &mut e[(ptr[i] - ptr[lo]) * width..(ptr[i + 1] - ptr[lo]) * width] {
+                        *v += stamp;
+                    }
+                    o[i - lo] += stamp;
+                }
+            },
+        );
+        pool::set_threads(1);
+        for i in 0..n {
+            let stamp = i as f32 + 1.0;
+            prop_assert!(rows[i * width..(i + 1) * width].iter().all(|&v| v == stamp));
+            prop_assert!(edges[ptr[i] * width..ptr[i + 1] * width].iter().all(|&v| v == stamp));
+            prop_assert_eq!(ones[i], stamp);
+        }
+    }
+
+    // No input safe code can pass makes two chunks overlap: a pointer
+    // array that is not monotone or not `n + 1` long, or an output of the
+    // wrong length, panics before any body runs.
+    #[test]
+    fn split_rows_rejects_malformed_outputs_before_running(
+        counts in proptest::collection::vec(1usize..5, 3..40),
+        width in 1usize..4,
+        threads in 0usize..3,
+        corruption in 0usize..5,
+    ) {
+        let n = counts.len();
+        let mut ptr = ptr_of(&counts);
+        let mut edges = vec![0.0f32; ptr[n] * width];
+        let mut rows = vec![0.0f32; n * width];
+        match corruption {
+            // Not monotone, yet in bounds and ending where it should: only
+            // the monotonicity check can see it.
+            0 => ptr.swap(1, 2),
+            1 => ptr[0] = 1,
+            2 => ptr.push(ptr[n]),
+            3 => edges.push(0.0),
+            _ => rows.truncate(n * width - 1),
+        }
+        let ran = AtomicBool::new(false);
+        pool::set_threads([1, 2, 4][threads]);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool::split_rows(
+                n,
+                [
+                    Output::edge_owned(&mut edges, &ptr, width),
+                    Output::row_owned(&mut rows, width),
+                ],
+                |_, _, _| ran.store(true, Ordering::SeqCst),
+            );
+        }));
+        pool::set_threads(1);
+        prop_assert!(outcome.is_err(), "corruption {} was accepted", corruption);
+        prop_assert!(!ran.load(Ordering::SeqCst), "a body ran under corruption {}", corruption);
     }
 }
