@@ -6,7 +6,7 @@
 //! * **Sweep** — an out-of-core microbenchmark over the tier + staging
 //!   primitives. A synthetic `[rows, F]` feature matrix is ingested into
 //!   a budgeted [`TieredStore`] chunk by chunk (everything past the
-//!   budget spills to the mmap arena as it arrives, so the matrix is
+//!   budget spills to the arena's file as it arrives, so the matrix is
 //!   never fully resident), then swept for several epochs with the same
 //!   depth-`k` rotation schedule the trainer uses
 //!   ([`sar_core::plan::fetch_steps`]) — `Fetch` steps become disk
@@ -119,7 +119,7 @@ pub struct SweepRun {
     pub chunk_rows: usize,
     /// Peak resident tensor bytes over ingest + sweep (the gated value).
     pub peak_resident_bytes: u64,
-    /// Bytes spilled to the mmap arena.
+    /// Bytes spilled to the arena's file.
     pub spill_bytes: u64,
     /// Bytes faulted back from the arena.
     pub fault_bytes: u64,
@@ -204,7 +204,7 @@ fn sweep_store(
     budget: u64,
 ) -> Result<String, String> {
     let err = |what: &str, e: sar_tensor::tier::TierError| format!("{what}: {e}");
-    let mut store = TieredStore::new(budget).map_err(|e| err("store", e))?;
+    let mut store = TieredStore::new(budget);
     let n = rows.div_ceil(chunk_rows);
     for c in 0..n {
         let r0 = c * chunk_rows;

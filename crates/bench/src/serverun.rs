@@ -30,7 +30,7 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 
 use sar_comm::TcpOpts;
-use sar_core::{checkpoint, DistModel, ModelConfig};
+use sar_core::{checkpoint, validate_params, DistModel, ModelConfig};
 use sar_graph::Dataset;
 use sar_serve::{
     serve, worker_loop, EngineSetup, RawParams, ServeEngine, ServeSummary, ServerConfig,
@@ -72,9 +72,10 @@ pub fn serve_model_config(workload: &Workload, dataset: &Dataset) -> Result<Mode
 
 /// Builds the raw `(shape, values)` parameter list every rank serves
 /// from: the seeded deterministic initialization for `cfg`, overwritten
-/// from `checkpoint` when one is given. Loading goes through a
-/// throwaway [`DistModel`] so count and shapes are validated against
-/// the configuration before any rank commits to serving them.
+/// from `checkpoint` when one is given: read
+/// ([`checkpoint::read_raw_params`]), then count and shapes validated
+/// against the configuration ([`validate_params`]) before any rank
+/// commits to serving them.
 ///
 /// # Errors
 ///
@@ -87,18 +88,19 @@ pub fn load_or_init_params(
 ) -> Result<RawParams, String> {
     let mut resolved = cfg.clone();
     resolved.in_dim = dataset.feat_dim() + if label_aug { dataset.num_classes } else { 0 };
-    let model = DistModel::new(&resolved);
-    let params = model.params();
-    if let Some(path) = checkpoint {
-        let file = std::fs::File::open(path)
-            .map_err(|e| format!("cannot open checkpoint {}: {e}", path.display()))?;
-        checkpoint::load_params(&params, file)
-            .map_err(|e| format!("cannot load checkpoint {}: {e}", path.display()))?;
-    }
-    Ok(params
-        .iter()
-        .map(|p| (p.shape(), p.value().data().to_vec()))
-        .collect())
+    let Some(path) = checkpoint else {
+        let init = DistModel::new(&resolved).params();
+        return Ok(init
+            .iter()
+            .map(|p| (p.shape(), p.value().data().to_vec()))
+            .collect());
+    };
+    let file = std::fs::File::open(path)
+        .map_err(|e| format!("cannot open checkpoint {}: {e}", path.display()))?;
+    let bad = |e: &dyn std::fmt::Display| format!("cannot load checkpoint {}: {e}", path.display());
+    let params = checkpoint::read_raw_params(file).map_err(|e| bad(&e))?;
+    validate_params(&resolved, &params).map_err(|e| bad(&e))?;
+    Ok(params)
 }
 
 /// The whole per-process serving lifecycle: rebuild state from the

@@ -16,11 +16,10 @@
 //!   section) carries a `// SAFETY:` comment on the same line or just
 //!   above it. Blocks that touch `std::arch` SIMD intrinsics (an `_mm*`
 //!   call, an `arch::` path, or a dispatch into the `avx2::` module) or
-//!   memory-mapped file IO (`mmap`/`munmap`/`msync`, or any `libc::`
-//!   call) are held to a stricter standard: the SAFETY comment is
-//!   mandatory and the rule *cannot be waived* for them — a mis-stated
-//!   target-feature contract or a stale mapping is undefined behaviour,
-//!   not a style choice.
+//!   make raw `libc::` calls are held to a stricter standard: the SAFETY
+//!   comment is mandatory and the rule *cannot be waived* for them — a
+//!   mis-stated target-feature contract or a C function handed a pointer
+//!   it may not use is undefined behaviour, not a style choice.
 //! * `phase-scope` — any function in `sar-core` that calls the
 //!   communication context (`ctx.try_send`, `ctx.try_recv`, …) must
 //!   open a `phase_scope` (or inspect `current_phase`), so every byte is
@@ -251,13 +250,13 @@ fn is_simd_unsafe(body: &str) -> bool {
     body.contains("_mm") || body.contains("arch::") || body.contains("avx2::")
 }
 
-/// Whether an `unsafe` block body reaches memory-mapped file IO: an
-/// `mmap`/`munmap`/`msync` call or any other raw `libc::` call. A wrong
-/// mapping contract (length, aliasing, lifetime past `munmap`) is
-/// undefined behaviour that no test can reliably catch, so these blocks
-/// are held to the same unwaivable standard as SIMD dispatch.
-fn is_mmap_unsafe(body: &str) -> bool {
-    body.contains("mmap") || body.contains("msync") || body.contains("libc::")
+/// Whether an `unsafe` block body makes a raw `libc::` call. A wrong FFI
+/// contract (pointer validity, buffer length, lifetime of what the C side
+/// keeps) is undefined behaviour that no test can reliably catch, so
+/// these blocks are held to the same unwaivable standard as SIMD
+/// dispatch.
+fn is_libc_unsafe(body: &str) -> bool {
+    body.contains("libc::")
 }
 
 /// One `// sar-check: allow(<rule>)` waiver comment, with use tracking:
@@ -393,16 +392,16 @@ fn lint_file(ws: &Workspace, file: &FileInfo, report: &mut PassReport) {
                 });
                 let body = block_at(&file.code, end);
                 let simd = body.is_some_and(is_simd_unsafe);
-                let mmap = body.is_some_and(is_mmap_unsafe);
-                if simd || mmap {
+                let libc = body.is_some_and(is_libc_unsafe);
+                if simd || libc {
                     // `std::arch` blocks assert a target-feature contract
-                    // and mmap blocks assert a mapping contract; no
+                    // and raw libc calls assert an FFI contract; no
                     // waiver can substitute for stating it.
                     if !covered {
                         let (what, contract) = if simd {
                             ("`std::arch` SIMD intrinsics", "CPU-feature")
                         } else {
-                            ("mmap/file-IO calls", "mapping")
+                            ("raw `libc::` calls", "FFI")
                         };
                         report.findings.push(Finding {
                             rule: "safety-comment".into(),
@@ -641,9 +640,9 @@ mod tests {
     }
 
     #[test]
-    fn mmap_unsafe_blocks_require_safety_and_ignore_waivers() {
-        // A waiver does NOT silence the rule for a mapped-IO block: the
-        // mapping contract (bounds, aliasing, lifetime) must be stated.
+    fn libc_unsafe_blocks_require_safety_and_ignore_waivers() {
+        // A waiver does NOT silence the rule for a raw libc call: the FFI
+        // contract (pointer validity, lengths, lifetimes) must be stated.
         let waived = "fn f() {\n\
                       // sar-check: allow(safety-comment) — trust me\n\
                       unsafe { libc::munmap(self.base, self.cap) };\n}\n";
@@ -660,14 +659,15 @@ mod tests {
             .iter()
             .find(|f| f.rule == "safety-comment")
             .unwrap();
-        assert!(safety.message.contains("mmap"));
-        assert!(safety.message.contains("mapping"));
+        assert!(safety.message.contains("raw `libc::` calls"));
+        assert!(safety.message.contains("FFI contract"));
         assert!(findings.iter().any(|f| f.rule == "unused-waiver"));
 
-        // Any raw libc call is held to the same standard.
-        let raw_libc = "fn g() { let p = unsafe { libc::mmap(core::ptr::null_mut(), \
-                        len, prot, flags, fd, 0) }; }\n";
-        assert_eq!(lint_source(raw_libc).len(), 1);
+        // The workspace's own two subjects — the thread CPU clock reads in
+        // `comm::time` and `tensor::pool` — are held to the same standard.
+        let clock = "fn g() { let rc = unsafe { libc::clock_gettime(\
+                     libc::CLOCK_THREAD_CPUTIME_ID, &mut ts) }; }\n";
+        assert_eq!(lint_source(clock).len(), 1);
 
         // A SAFETY comment satisfies the rule.
         let covered = "fn f() {\n\

@@ -19,8 +19,9 @@
 //!   staged per worker at any step; with the local partition that is the
 //!   paper's `(K+2)/N` memory bound.
 //! * **Out-of-core residency** — the communication-free stale-epoch
-//!   replay out of the disk tier ([`build_tiered_program`], mirroring
-//!   `Worker::try_fetch_rounds` with the tier as its block source) walks
+//!   replay out of the worker's block store at its tightest budget,
+//!   every cached block on disk ([`build_tiered_program`], mirroring
+//!   `Worker::try_fetch_rounds` with the store as its block source) walks
 //!   the *same* depth-K schedule with `Fetch` bound to a disk fault and
 //!   `Serve` to nothing, and
 //!   keeps at most `min(K, N−1) + 2 ≤ K + 2` blocks in RAM (staged
@@ -103,8 +104,9 @@ pub struct Program {
 /// `Worker::try_fetch_rounds` binds it:
 ///
 /// * `wire = Some(tag)` — blocks come off the wire: `Serve` sends, `Fetch`
-///   receives and stages. `wire = None` — a stale epoch replaying its
-///   cache (RAM or disk tier): nothing is served, `Fetch` only stages.
+///   receives and stages. `wire = None` — a stale epoch replaying the
+///   worker's block store (resident or spilled, at whatever budget):
+///   nothing is served, `Fetch` only stages.
 /// * `route = Some(tag)` — a rematerializing refetch (case 2): the
 ///   gradient router sends partition `q`'s error block under `tag` right
 ///   after `q`'s block is consumed. The local block needs no message.

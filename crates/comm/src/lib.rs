@@ -43,7 +43,6 @@ mod cluster;
 pub mod codec;
 mod collectives;
 mod ctx;
-pub mod le;
 mod message;
 mod net;
 mod phase;
@@ -62,3 +61,8 @@ pub use tcp::{TcpOpts, TcpTransport};
 pub use time::{measure_cpu, thread_cpu_secs, CpuTimer};
 pub use transport::{ChannelTransport, Clock, Transport, TransportError};
 pub use wire::{WIRE_HEADER_LEN, WIRE_MAGIC};
+
+/// The little-endian codec every wire and control body is written in. It
+/// lives in `sar-tensor`, below the graph and checkpoint files that share
+/// it; the `sar_comm::le::…` paths are kept for the wire's users.
+pub use sar_tensor::le;

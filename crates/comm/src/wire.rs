@@ -338,31 +338,22 @@ fn read_exact_or_eof(
     Ok(())
 }
 
-/// Most bytes [`read_body`] extends its destination by ahead of the
-/// stream. A header's length field is a claim — up to [`WIRE_MAX_PAYLOAD`],
-/// from a peer or serving client that may send ten bytes and hang up — so
-/// it sizes nothing in advance; a chunk is also still in cache when it is
-/// checksummed.
-const READ_CHUNK: usize = 256 << 10;
-
 /// Reads `n` scalars straight into `dst` — no intermediate byte buffer —
-/// checksumming each chunk in place as it lands.
+/// through the codec's bounded fill ([`le::fill_scalars`]: the header's
+/// length field is a claim, up to [`WIRE_MAX_PAYLOAD`], and sizes nothing
+/// ahead of the stream), checksumming each chunk in place as it lands.
 fn read_body<T: le::Scalar>(
     r: &mut impl Read,
-    mut dst: Vec<T>,
+    dst: Vec<T>,
     n: usize,
     crc: &mut Crc32,
 ) -> Result<Vec<T>, WireError> {
-    let size = size_of::<T>();
-    let frame_len = WIRE_HEADER_LEN + n * size;
-    while dst.len() < n {
-        let start = dst.len();
-        dst.resize(n.min(start + READ_CHUNK / size), T::default());
-        let chunk = le::scalar_bytes_mut(&mut dst[start..]);
-        read_exact_or_eof(r, chunk, WIRE_HEADER_LEN + start * size, frame_len)?;
+    let frame_len = WIRE_HEADER_LEN + n * size_of::<T>();
+    le::fill_scalars(dst, n, |chunk, at| {
+        read_exact_or_eof(r, chunk, WIRE_HEADER_LEN + at, frame_len)?;
         crc.update(chunk);
-    }
-    Ok(dst)
+        Ok(())
+    })
 }
 
 /// Turns the body bytes of a non-scalar frame into its payload, rejecting
@@ -651,7 +642,7 @@ mod tests {
                 other => panic!("expected UnexpectedEof, got {other:?}"),
             }
             assert!(
-                r.largest_request <= READ_CHUNK,
+                r.largest_request <= le::READ_CHUNK,
                 "read was handed a {}-byte buffer on the strength of a header",
                 r.largest_request
             );

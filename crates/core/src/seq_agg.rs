@@ -19,6 +19,7 @@
 //!   coefficients are materialized and re-read (the plain-SAR baseline of
 //!   Figs. 4 and 6).
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use sar_comm::{Phase, TransportError};
@@ -208,46 +209,18 @@ struct GatAggFn {
     layer: Option<u16>,
     // Saved online-softmax statistics ([num_dst, H] each) — the only
     // state SAR keeps to re-materialize attention in the backward pass.
-    // With `--mem-budget` they live in the worker's disk tier between the
-    // forward and backward passes instead of RAM.
-    saved: std::cell::RefCell<RematInputs>,
-}
-
-/// Where a [`GatAggFn`]'s saved softmax statistics live between forward
-/// and backward.
-enum RematInputs {
-    /// Held in RAM (tier disabled).
-    Ram { max: Tensor, den: Tensor },
-    /// Held by the worker's disk tier under remat-input ids; spilled past
-    /// the budget, faulted back (bitwise identical) at backward time.
-    Tiered { max_id: u64, den_id: u64 },
-    /// Consumed by a backward pass.
-    Taken,
-}
-
-impl GatAggFn {
-    /// Takes the saved statistics, faulting from the disk tier if they
-    /// were spilled. Panics if the backward pass runs twice.
-    fn take_saved(&self) -> (Tensor, Tensor) {
-        match self.saved.replace(RematInputs::Taken) {
-            RematInputs::Ram { max, den } => (max, den),
-            RematInputs::Tiered { max_id, den_id } => (
-                self.w.tier_take(max_id, "remat softmax max"),
-                self.w.tier_take(den_id, "remat softmax denominator"),
-            ),
-            RematInputs::Taken => panic!(
-                "worker {}: GAT aggregation backward ran twice",
-                self.w.rank()
-            ),
-        }
-    }
+    // They live in the worker's block store between the forward and
+    // backward passes, under these `(max, den)` remat-input ids: spilled
+    // past `--mem-budget`, faulted back (bitwise identical) at backward
+    // time. `None` once a backward pass has consumed them.
+    saved: Cell<Option<(u64, u64)>>,
 }
 
 impl Drop for GatAggFn {
     fn drop(&mut self) {
         // A recorded-but-never-run backward (e.g. an evaluation forward
-        // taped under grad mode) must not leak its tier blocks.
-        if let RematInputs::Tiered { max_id, den_id } = *self.saved.borrow() {
+        // taped under grad mode) must not leak its blocks.
+        if let Some((max_id, den_id)) = self.saved.take() {
             self.w.tier_discard(max_id);
             self.w.tier_discard(den_id);
         }
@@ -279,7 +252,13 @@ impl Function for GatAggFn {
         // attention, so ledger the disk traffic as BackwardRefetch.
         let (max, den) = {
             let _refetch = w.ctx.phase_scope(Phase::BackwardRefetch);
-            self.take_saved()
+            let Some((max_id, den_id)) = self.saved.take() else {
+                panic!("worker {}: GAT aggregation backward ran twice", w.rank());
+            };
+            (
+                w.tier_take(max_id, "remat softmax max"),
+                w.tier_take(den_id, "remat softmax denominator"),
+            )
         };
 
         // Case 2: re-fetch every partition's features (the rematerialized
@@ -411,19 +390,17 @@ pub fn gat_aggregate(
         })?;
     }
     let (value, max, den) = state.finalize_into();
-    // Under a memory budget the saved statistics go to the disk tier so
-    // they can spill between forward and backward. Only worth recording
-    // when a backward will actually run: with grad disabled,
-    // `Var::from_function` drops the Function (and its RAM copy) anyway.
-    let saved = if sar_tensor::grad_enabled() && w.tier_enabled() {
-        let max_id = w.next_remat_id();
-        let den_id = w.next_remat_id();
-        w.tier_put(max_id, max, "remat softmax max");
-        w.tier_put(den_id, den, "remat softmax denominator");
-        RematInputs::Tiered { max_id, den_id }
-    } else {
-        RematInputs::Ram { max, den }
-    };
+    // The saved statistics go to the worker's block store, where a memory
+    // budget can spill them between forward and backward. Only worth
+    // recording when a backward can run: with grad disabled,
+    // `Var::from_function` drops the Function at once, and the statistics
+    // die here with it.
+    let saved = sar_tensor::grad_enabled().then(|| {
+        let ids = (w.next_remat_id(), w.next_remat_id());
+        w.tier_put(ids.0, max, "remat softmax max");
+        w.tier_put(ids.1, den, "remat softmax denominator");
+        ids
+    });
     Ok(Var::from_function(
         value,
         GatAggFn {
@@ -434,7 +411,7 @@ pub fn gat_aggregate(
             slope,
             mode,
             layer: w.ctx.current_layer(),
-            saved: std::cell::RefCell::new(saved),
+            saved: Cell::new(saved),
         },
     ))
 }

@@ -63,11 +63,11 @@ pub struct TrainConfig {
     /// results bitwise identical; lossy codecs reduce wire bytes at some
     /// accuracy cost. Logical byte ledgers are unaffected either way.
     pub codec: Codec,
-    /// Resident-tensor budget in bytes for the disk tier (`--mem-budget`).
-    /// `0` disables spilling. When set, cached stale-protocol blocks and
-    /// GAT rematerialization inputs past the budget spill to an
-    /// mmap-backed block store and fault back on demand; results are
-    /// bitwise identical at every budget (DESIGN.md §14).
+    /// Resident-byte budget of the worker's block store (`--mem-budget`).
+    /// `0` means unbounded: nothing spills. When set, cached
+    /// stale-protocol blocks and GAT rematerialization inputs past the
+    /// budget spill to an unlinked temp file and fault back on demand;
+    /// results are bitwise identical at every budget (DESIGN.md §14).
     pub mem_budget: u64,
 }
 
@@ -268,9 +268,7 @@ pub fn run_worker(
     let w = Worker::from_shared(ctx, graph, cfg.prefetch_depth);
     w.ctx.set_codec(cfg.codec);
     w.set_protocol(cfg.protocol);
-    if cfg.mem_budget > 0 {
-        w.set_mem_budget(cfg.mem_budget);
-    }
+    w.set_mem_budget(cfg.mem_budget);
     let mut model_cfg = cfg.model.clone();
     model_cfg.in_dim = shard.feat_dim + if cfg.label_aug { shard.num_classes } else { 0 };
     let model = DistModel::new(&model_cfg);

@@ -95,25 +95,20 @@ pub struct Worker {
     /// Whether the current epoch refreshes remote blocks (always true
     /// outside [`Protocol::Stale`]).
     epoch_fresh: Cell<bool>,
-    /// Within-epoch index of the next [`Worker::try_fetch_rounds`] call —
-    /// the key into `stale_cache` (every epoch runs the same SPMD call
-    /// sequence, so the index identifies the exchange).
+    /// Within-epoch index of the next caching [`Worker::try_fetch_rounds`]
+    /// call — with the round, the key of a cached block (every epoch runs
+    /// the same SPMD call sequence, so the index identifies the exchange).
     fetch_call: Cell<usize>,
-    /// Per-fetch-call cache of the remote blocks received on the last
-    /// refresh epoch, one entry per remote round `1..N` (the local block is
-    /// never cached — it is always read fresh from the resident tensor).
-    /// An entry is `None` while its block is staged by a replaying walk —
-    /// and always, with the disk tier enabled: the blocks then live in
-    /// `tier` under [`stale_block_id`] keys and the slot only records
-    /// that the call was cached.
-    stale_cache: RefCell<Vec<Vec<Option<Tensor>>>>,
-    /// The out-of-core disk tier (`--mem-budget`): cached stale blocks
-    /// and rematerialization inputs past the budget spill here and fault
-    /// back through the same depth-k staging as network prefetches.
-    /// `None` (the default) keeps every path byte-identical to the
-    /// tier-less code.
-    tier: RefCell<Option<TieredStore>>,
-    /// Allocator for rematerialization-input block ids in the tier.
+    /// The worker's one block store: the remote blocks a refresh epoch of
+    /// [`Protocol::Stale`] received (under [`stale_block_id`] keys; the
+    /// local block is never cached — it is always read fresh from the
+    /// resident tensor) and the rematerialization inputs of every taped
+    /// attention aggregation. Past `--mem-budget` bytes the coldest spill
+    /// to disk and fault back through the same depth-k staging as network
+    /// prefetches; with no budget (the default) nothing ever spills and
+    /// the store is the RAM cache.
+    tier: RefCell<TieredStore>,
+    /// Allocator for rematerialization-input block ids in the store.
     remat_ids: Cell<u64>,
 }
 
@@ -123,13 +118,11 @@ pub struct Worker {
 enum BlockStore {
     /// The transport (as a source) / the receive-buffer pool (as a sink).
     Wire,
-    /// The in-memory stale cache.
-    Ram,
-    /// The disk tier.
+    /// The worker's block store.
     Tier,
 }
 
-/// Tier key of the stale-cache block fetched in `round` of fetch call
+/// Store key of the stale-cache block fetched in `round` of fetch call
 /// `call`. Bit 63 namespaces stale blocks away from remat-input ids.
 fn stale_block_id(call: usize, round: usize) -> u64 {
     (1 << 63) | ((call as u64) << 24) | round as u64
@@ -159,8 +152,7 @@ impl Worker {
             protocol: Cell::new(Protocol::Exact),
             epoch_fresh: Cell::new(true),
             fetch_call: Cell::new(0),
-            stale_cache: RefCell::new(Vec::new()),
-            tier: RefCell::new(None),
+            tier: RefCell::new(TieredStore::new(u64::MAX)),
             remat_ids: Cell::new(0),
         })
     }
@@ -189,87 +181,48 @@ impl Worker {
         P2P_TAG_BASE + t
     }
 
-    /// Enables the out-of-core disk tier with a resident-byte budget
-    /// (`--mem-budget`). Cached stale-protocol blocks and
-    /// rematerialization inputs past the budget spill to an mmap-backed
-    /// temp file and fault back through the depth-k staging pipeline;
-    /// results are bitwise identical at any budget. `0` disables tiering.
-    /// Either way any spilled or cached stale state is dropped — call it
-    /// before the first exchange, as [`run_worker`](crate::run_worker)
-    /// does.
-    ///
-    /// # Panics
-    ///
-    /// Panics (naming this rank) if the spill arena cannot be created —
-    /// a setup-time environment failure, not a training-path error.
+    /// Sets the block store's resident-byte budget (`--mem-budget`).
+    /// Cached stale-protocol blocks and rematerialization inputs past the
+    /// budget spill to an unlinked temp file (opened by the first block
+    /// that spills) and fault back through the depth-k staging pipeline;
+    /// results are bitwise identical at any budget. `0` means unbounded.
+    /// Either way any cached stale state is dropped — call it before the
+    /// first exchange, as [`run_worker`](crate::run_worker) does.
     pub fn set_mem_budget(&self, budget_bytes: u64) {
-        self.stale_cache.borrow_mut().clear();
-        if budget_bytes == 0 {
-            *self.tier.borrow_mut() = None;
-            return;
-        }
-        match TieredStore::new(budget_bytes) {
-            Ok(store) => *self.tier.borrow_mut() = Some(store),
-            Err(e) => panic!(
-                "worker {}: creating spill tier (budget {budget_bytes} bytes): {e}",
-                self.rank()
-            ),
-        }
+        let budget = match budget_bytes {
+            0 => u64::MAX,
+            bytes => bytes,
+        };
+        *self.tier.borrow_mut() = TieredStore::new(budget);
     }
 
-    /// Whether the disk tier is active.
-    pub fn tier_enabled(&self) -> bool {
-        self.tier.borrow().is_some()
-    }
-
-    /// Inserts a block into the tier (spilling coldest past the budget).
+    /// Inserts a block into the store (spilling coldest past the budget).
     ///
     /// # Panics
     ///
-    /// Panics (naming this rank) if the tier is disabled or spill IO
-    /// fails.
+    /// Panics (naming this rank) if spill IO fails.
     pub(crate) fn tier_put(&self, id: u64, t: Tensor, what: &str) {
-        let mut tier = self.tier.borrow_mut();
-        let Some(store) = tier.as_mut() else {
-            panic!(
-                "worker {}: tier_put({what}) with the disk tier disabled",
-                self.rank()
-            );
-        };
-        if let Err(e) = store.put(id, t) {
+        if let Err(e) = self.tier.borrow_mut().put(id, t) {
             panic!("worker {}: spilling {what}: {e}", self.rank());
         }
     }
 
-    /// Removes a block from the tier, faulting from disk if spilled.
+    /// Removes a block from the store, faulting from disk if spilled.
     ///
     /// # Panics
     ///
-    /// Panics (naming this rank) if the tier is disabled, the id is
-    /// absent, or fault IO fails.
+    /// Panics (naming this rank) if the id is absent or fault IO fails.
     pub(crate) fn tier_take(&self, id: u64, what: &str) -> Tensor {
-        let mut tier = self.tier.borrow_mut();
-        let Some(store) = tier.as_mut() else {
-            panic!(
-                "worker {}: tier_take({what}) with the disk tier disabled",
-                self.rank()
-            );
-        };
-        match store.take(id) {
+        match self.tier.borrow_mut().take(id) {
             Ok(t) => t,
             Err(e) => panic!("worker {}: faulting {what}: {e}", self.rank()),
         }
     }
 
-    /// Quietly removes a block from the tier if present (the cleanup path
-    /// of a recorded-but-never-run backward). IO errors are ignored — the
-    /// block is being discarded anyway.
+    /// Quietly drops a block from the store if present (the cleanup path
+    /// of a recorded-but-never-run backward).
     pub(crate) fn tier_discard(&self, id: u64) {
-        if let Some(store) = self.tier.borrow_mut().as_mut() {
-            if store.contains(id) {
-                let _ = store.take(id);
-            }
-        }
+        self.tier.borrow_mut().discard(id);
     }
 
     /// Allocates a fresh rematerialization-input block id.
@@ -279,33 +232,13 @@ impl Worker {
         id
     }
 
-    /// Drops every block the tier holds (stale cache invalidation). No-op
-    /// when the tier is disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics (naming this rank) on tier IO failure.
-    fn tier_clear(&self) {
-        if let Some(store) = self.tier.borrow_mut().as_mut() {
-            if let Err(e) = store.clear() {
-                panic!("worker {}: clearing spill tier: {e}", self.rank());
-            }
-        }
-    }
-
     /// Switches the exchange protocol. Must be invoked identically on
     /// every rank (SPMD) — a rank skipping sends its peer still expects
     /// would deadlock the rotation. Clears any cached stale blocks and
     /// resets the epoch state, so the next exchange starts fresh.
     pub fn set_protocol(&self, protocol: Protocol) {
         self.protocol.set(protocol);
-        self.epoch_fresh.set(true);
-        self.fetch_call.set(0);
-        self.stale_cache.borrow_mut().clear();
-        // Tiered stale blocks are invalidated with the cache. No remat
-        // state is live at a protocol switch (it exists only between one
-        // forward and its backward), so a full clear is safe.
-        self.tier_clear();
+        self.begin_epoch(true);
     }
 
     /// Declares an epoch boundary for the staleness protocol: resets the
@@ -318,8 +251,10 @@ impl Worker {
         self.fetch_call.set(0);
         self.epoch_fresh.set(refresh);
         if refresh {
-            self.stale_cache.borrow_mut().clear();
-            self.tier_clear();
+            // No remat state is live at an epoch boundary or a protocol
+            // switch (it exists only between one forward and its
+            // backward), so clearing the whole store is safe.
+            self.tier.borrow_mut().clear();
         }
     }
 
@@ -400,9 +335,9 @@ impl Worker {
     /// being consumed + `k` staged; 2/N at depth 0, the paper's 3/N at
     /// depth 1). What varies is where a `Fetch` finds its block: the wire,
     /// or — on a stale epoch of [`Protocol::Stale`], which serves nothing
-    /// — the refresh epoch's cache in RAM or on the disk tier, faulted
-    /// through the same depth-k staging so `--prefetch-depth` hides disk
-    /// latency exactly as it hides network latency. Under
+    /// — the refresh epoch's blocks in the worker's store, faulted (when
+    /// they spilled) through the same depth-k staging so `--prefetch-depth`
+    /// hides disk latency exactly as it hides network latency. Under
     /// [`Protocol::GradOnly`] the rotation collapses to round 0 on every
     /// rank alike.
     ///
@@ -467,36 +402,14 @@ impl Worker {
             // and fetches, so no peer waits on a message that never comes.
             Protocol::GradOnly => return consume(p, local()),
             Protocol::Exact => (BlockStore::Wire, BlockStore::Wire),
-            Protocol::Stale(_) => {
-                let store = if self.tier_enabled() {
-                    BlockStore::Tier
-                } else {
-                    BlockStore::Ram
-                };
-                if self.epoch_fresh.get() {
-                    (BlockStore::Wire, store)
-                } else {
-                    (store, store)
-                }
-            }
+            Protocol::Stale(_) if self.epoch_fresh.get() => (BlockStore::Wire, BlockStore::Tier),
+            Protocol::Stale(_) => (BlockStore::Tier, BlockStore::Tier),
         };
         // The within-epoch call index keys the stale cache (every epoch
         // runs the same SPMD call sequence).
         let call = self.fetch_call.get();
-        if sink != BlockStore::Wire {
+        if sink == BlockStore::Tier {
             self.fetch_call.set(call + 1);
-            let mut cache = self.stale_cache.borrow_mut();
-            if source == BlockStore::Wire {
-                cache.truncate(call);
-                cache.push((1..n).map(|_| None).collect());
-            } else if call >= cache.len() {
-                panic!(
-                    "worker {p}: stale epoch fetch call #{call} has no cached \
-                     refresh-epoch blocks ({} cached calls) — the SPMD call \
-                     sequence diverged from the refresh epoch",
-                    cache.len()
-                );
-            }
         }
 
         // Staged blocks, oldest first; the plan bounds the queue to
@@ -520,14 +433,12 @@ impl Worker {
                             cols,
                             "fetched",
                         )?,
-                        BlockStore::Ram => self.stale_cache.borrow_mut()[call][round - 1]
-                            .take()
-                            .unwrap_or_else(|| {
-                                panic!("worker {p}: stale block {call}/{round} staged twice")
-                            }),
-                        BlockStore::Tier => {
-                            self.tier_take(stale_block_id(call, round), "stale cache block")
-                        }
+                        // A block the refresh epoch never cached means the
+                        // SPMD call sequence diverged from it.
+                        BlockStore::Tier => self.tier_take(
+                            stale_block_id(call, round),
+                            "stale block (did the refresh epoch make this fetch call?)",
+                        ),
                     };
                     staged.push_back(Some((round, block)));
                 }
@@ -538,9 +449,6 @@ impl Worker {
                         consume(q, FetchedBlock::Remote(&block))?;
                         match sink {
                             BlockStore::Wire => buffer::recycle_f32(block.into_data()),
-                            BlockStore::Ram => {
-                                self.stale_cache.borrow_mut()[call][round - 1] = Some(block);
-                            }
                             BlockStore::Tier => self.tier_put(
                                 stale_block_id(call, round),
                                 block,
@@ -720,5 +628,60 @@ impl std::fmt::Debug for Worker {
             .field("world", &self.world())
             .field("prefetch_depth", &self.prefetch_depth)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::seq_agg::{gat_aggregate, FakMode};
+    use sar_comm::{Cluster, CostModel};
+    use sar_graph::CsrGraph;
+    use sar_tensor::Var;
+
+    /// A taped attention aggregation parks its softmax statistics in the
+    /// worker's store; dropping the tape without a backward (an evaluation
+    /// forward under grad mode) must take them out again — resident or
+    /// spilled, there is no other cleanup path.
+    #[test]
+    fn a_dropped_gat_tape_leaves_the_store_empty() {
+        let ring: Vec<(u32, u32)> = (0..12).map(|i| (i, (i + 1) % 12)).collect();
+        let g = CsrGraph::from_edges(12, &ring).symmetrize();
+        let part = sar_partition::range(&g, 2);
+        let graphs: Arc<Vec<_>> = Arc::new(
+            DistGraph::build_all(&g, &part)
+                .into_iter()
+                .map(Arc::new)
+                .collect(),
+        );
+        Cluster::new(2, CostModel::default()).run(move |ctx| {
+            let rank = ctx.rank();
+            let w = Worker::new(ctx, Arc::clone(&graphs[rank]));
+            let n = w.graph.num_local();
+            let z = Var::parameter(Tensor::full(&[n, 4], 0.1 * (rank as f32 + 1.0)));
+            let s_dst = Var::parameter(Tensor::full(&[n, 2], 0.05));
+            let a_src = Var::parameter(Tensor::full(&[4], 0.02));
+            let forward = || {
+                gat_aggregate(&w, &w.view(), &z, &s_dst, &a_src, 2, 0.2, FakMode::Fused)
+                    .unwrap_or_else(|e| panic!("rank {rank}: {e}"))
+            };
+            // Unbounded (both statistics resident), then a 1-byte budget
+            // (both spilled).
+            for (budget, spilled) in [(0, 0), (1, 2)] {
+                w.set_mem_budget(budget);
+                let taped = forward();
+                assert_eq!(w.tier.borrow().spilled_len(), spilled);
+                assert_eq!(w.tier.borrow().resident_len(), 2 - spilled);
+                drop(taped);
+                assert!(w.tier.borrow().is_empty(), "budget {budget}: leaked");
+                // A backward takes them out itself; the drop that follows
+                // finds nothing to discard.
+                forward().sum().backward();
+                assert!(w.tier.borrow().is_empty());
+                // With taping off nothing is parked in the first place.
+                let _ = sar_tensor::no_grad(forward);
+                assert!(w.tier.borrow().is_empty());
+            }
+        });
     }
 }

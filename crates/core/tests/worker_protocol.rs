@@ -51,9 +51,10 @@ fn fetch_rounds_delivers_each_partition_once_in_rotation_order() {
     }
 }
 
-/// One walker, three block sources: at every pipeline depth, a walk off
-/// the wire, a stale-epoch replay out of RAM and a stale-epoch replay out
-/// of the disk tier deliver the same `(q, rows, bits)` sequence.
+/// One walker, two block sources, any budget: at every pipeline depth, a
+/// walk off the wire, a stale-epoch replay out of the unbounded store (all
+/// RAM) and one out of a store too small to keep a single block resident
+/// (all disk) deliver the same `(q, rows, bits)` sequence.
 #[test]
 fn one_walk_delivers_the_same_blocks_from_wire_ram_and_tier() {
     let world = 4;
@@ -243,4 +244,103 @@ fn level_view_reindexes_into_the_input_rows() {
         LevelView::new(s, slice, &serve, &short).unwrap_err(),
         inputs[0]
     );
+}
+
+/// The worker keeps one block store: a `stale:2` GAT run whose store is
+/// unbounded (`--mem-budget 0`: all RAM), too small for any block, or
+/// exactly one block wide trains to the same bits over the same bytes, at
+/// depth 0 and 2.
+#[test]
+fn stale_training_is_identical_at_every_store_budget() {
+    use sar_comm::{Codec, Phase};
+    use sar_core::{train, RunReport, TrainConfig};
+
+    const HIDDEN: usize = 8;
+    let d = sar_graph::datasets::products_like(300, 0);
+    let part = sar_partition::multilevel(&d.graph, 4, 0);
+    let one_block = (DistGraph::build_all(&d.graph, &part)[0]
+        .needed_from(1)
+        .len()
+        * HIDDEN
+        * 4) as u64;
+    assert!(one_block > 64);
+    let run = |depth: usize, budget: u64| -> RunReport {
+        let cfg = TrainConfig {
+            model: ModelConfig {
+                arch: Arch::Gat {
+                    head_dim: HIDDEN / 2,
+                    heads: 2,
+                },
+                mode: Mode::SarFused,
+                layers: 2,
+                in_dim: 0, // set by the trainer
+                num_classes: d.num_classes,
+                dropout: 0.0,
+                batch_norm: false,
+                jumping_knowledge: false,
+                seed: 7,
+            },
+            epochs: 4,
+            lr: 0.01,
+            schedule: sar_nn::LrSchedule::Constant,
+            label_aug: false,
+            aug_frac: 0.0,
+            cs: None,
+            prefetch_depth: depth,
+            seed: 7,
+            threads: 1,
+            protocol: Protocol::parse("stale:2").unwrap(),
+            codec: Codec::Raw,
+            mem_budget: budget,
+        };
+        train(&d, &part, CostModel::default(), &cfg)
+    };
+    // What a run computed and what it moved: everything but timings and
+    // the disk columns, which are the one thing a budget may change.
+    let image = |r: &RunReport| {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let params: Vec<_> = r.final_params.iter().map(|(_, v)| bits(v)).collect();
+        let phases = [
+            Phase::ForwardFetch,
+            Phase::BackwardRefetch,
+            Phase::GradRouting,
+            Phase::Collective,
+            Phase::Other,
+        ];
+        let ledger: Vec<_> = r
+            .worker_comm
+            .iter()
+            .flat_map(|c| phases.map(|p| c.ledger.phase_total(p)))
+            .map(|e| (e.sent_bytes, e.recv_bytes, e.sent_messages, e.recv_messages))
+            .collect();
+        (bits(&r.losses), bits(r.logits.data()), params, ledger)
+    };
+    let spilled = |r: &RunReport| -> u64 {
+        let phases = [Phase::ForwardFetch, Phase::BackwardRefetch, Phase::Other];
+        let per_worker = |c: &sar_comm::CommStats| -> u64 {
+            phases
+                .iter()
+                .map(|&p| c.ledger.phase_total(p).spill_bytes)
+                .sum()
+        };
+        r.worker_comm.iter().map(per_worker).sum()
+    };
+    let reference = run(0, 0);
+    assert!(reference.losses.iter().all(|l| l.is_finite()));
+    assert_eq!(spilled(&reference), 0, "an unbounded store never spills");
+    for depth in [0usize, 2] {
+        for budget in [0, 64, one_block] {
+            let r = run(depth, budget);
+            assert_eq!(
+                image(&r),
+                image(&reference),
+                "depth {depth}, budget {budget}"
+            );
+            assert_eq!(
+                spilled(&r) > 0,
+                budget > 0,
+                "depth {depth}, budget {budget}"
+            );
+        }
+    }
 }

@@ -12,7 +12,7 @@
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use sar_tensor::Tensor;
+use sar_tensor::{le, Tensor};
 
 use crate::{CsrGraph, Dataset};
 
@@ -97,73 +97,45 @@ pub fn read_edge_list<R: Read>(reader: R) -> io::Result<CsrGraph> {
 }
 
 // ----------------------------------------------------------------------
-// Binary container primitives
-// ----------------------------------------------------------------------
-
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn write_u32s<W: Write>(w: &mut W, vs: &[u32]) -> io::Result<()> {
-    write_u64(w, vs.len() as u64)?;
-    for &v in vs {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn read_u32s<R: Read>(r: &mut R) -> io::Result<Vec<u32>> {
-    let len = read_u64(r)? as usize;
-    let mut out = Vec::with_capacity(len);
-    let mut buf = [0u8; 4];
-    for _ in 0..len {
-        r.read_exact(&mut buf)?;
-        out.push(u32::from_le_bytes(buf));
-    }
-    Ok(out)
-}
-
-fn write_f32s<W: Write>(w: &mut W, vs: &[f32]) -> io::Result<()> {
-    write_u64(w, vs.len() as u64)?;
-    for &v in vs {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn read_f32s<R: Read>(r: &mut R) -> io::Result<Vec<f32>> {
-    let len = read_u64(r)? as usize;
-    let mut out = Vec::with_capacity(len);
-    let mut buf = [0u8; 4];
-    for _ in 0..len {
-        r.read_exact(&mut buf)?;
-        out.push(f32::from_le_bytes(buf));
-    }
-    Ok(out)
-}
-
-fn write_mask<W: Write>(w: &mut W, mask: &[bool]) -> io::Result<()> {
-    write_u64(w, mask.len() as u64)?;
-    let bytes: Vec<u8> = mask.iter().map(|&b| b as u8).collect();
-    w.write_all(&bytes)
-}
-
-fn read_mask<R: Read>(r: &mut R) -> io::Result<Vec<bool>> {
-    let len = read_u64(r)? as usize;
-    let mut bytes = vec![0u8; len];
-    r.read_exact(&mut bytes)?;
-    Ok(bytes.into_iter().map(|b| b != 0).collect())
-}
-
-// ----------------------------------------------------------------------
 // Binary graph / dataset
 // ----------------------------------------------------------------------
+//
+// Every array is a `u64` element count followed by the elements, written
+// as one slice ([`le::scalar_bytes`]) and read back through the codec's
+// bounded reader ([`le::read_scalars`]): a count is what the file claims,
+// so it is checked against the bytes that actually arrive (and, once
+// read, against the structure it describes) and never sizes a buffer.
+
+fn write_array<T: le::Scalar>(w: &mut impl Write, vs: &[T]) -> io::Result<()> {
+    w.write_all(&(vs.len() as u64).to_le_bytes())?;
+    w.write_all(le::scalar_bytes(vs))
+}
+
+fn read_array<T: le::Scalar>(r: &mut impl Read, what: &str) -> io::Result<Vec<T>> {
+    let len = le::read_u64(r, what)?;
+    le::read_scalars(r, len, what)
+}
+
+fn write_mask(w: &mut impl Write, mask: &[bool]) -> io::Result<()> {
+    let bytes: Vec<u8> = mask.iter().map(|&b| b as u8).collect();
+    write_array(w, &bytes)
+}
+
+fn read_mask(r: &mut impl Read, what: &str) -> io::Result<Vec<bool>> {
+    Ok(read_array::<u8>(r, what)?
+        .into_iter()
+        .map(|b| b != 0)
+        .collect())
+}
+
+fn expect_magic(r: &mut impl Read, magic: &[u8; 4], what: &str) -> io::Result<()> {
+    let mut found = [0u8; 4];
+    r.read_exact(&mut found)?;
+    if &found != magic {
+        return Err(bad_data(format!("not a SAR {what} file")));
+    }
+    Ok(())
+}
 
 /// Writes a [`CsrGraph`] in the compact binary format.
 ///
@@ -173,35 +145,54 @@ fn read_mask<R: Read>(r: &mut R) -> io::Result<Vec<bool>> {
 pub fn write_graph<W: Write>(graph: &CsrGraph, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
     w.write_all(GRAPH_MAGIC)?;
-    write_u64(&mut w, graph.num_rows() as u64)?;
-    write_u64(&mut w, graph.num_cols() as u64)?;
+    w.write_all(&(graph.num_rows() as u64).to_le_bytes())?;
+    w.write_all(&(graph.num_cols() as u64).to_le_bytes())?;
     let indptr: Vec<u32> = graph.indptr().iter().map(|&v| v as u32).collect();
-    write_u32s(&mut w, &indptr)?;
-    write_u32s(&mut w, graph.indices())?;
+    write_array(&mut w, &indptr)?;
+    write_array(&mut w, graph.indices())?;
     w.flush()
 }
 
-/// Reads a [`CsrGraph`] written by [`write_graph`].
+/// Reads a [`CsrGraph`] written by [`write_graph`]. The arrays are
+/// validated here, as data, before [`CsrGraph::from_raw`] (whose asserts
+/// are for programmatic callers) sees them.
 ///
 /// # Errors
 ///
-/// Returns an error on a bad magic number, malformed structure, or I/O
-/// failure.
+/// `InvalidData` naming the field on a bad magic number or a structure
+/// the arrays do not describe (row count, non-monotone `indptr`, edge
+/// count, column index out of range), `UnexpectedEof` naming the field on
+/// a file shorter than its length fields claim, or the I/O failure.
 pub fn read_graph<R: Read>(reader: R) -> io::Result<CsrGraph> {
     let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != GRAPH_MAGIC {
-        return Err(bad_data("not a SAR graph file"));
+    expect_magic(&mut r, GRAPH_MAGIC, "graph")?;
+    let rows = le::read_u64(&mut r, "graph rows")?;
+    let cols = le::read_u64(&mut r, "graph cols")?;
+    let indptr: Vec<u32> = read_array(&mut r, "graph indptr")?;
+    let indices: Vec<u32> = read_array(&mut r, "graph indices")?;
+    if indptr.len() as u64 != rows.saturating_add(1) {
+        return Err(bad_data(format!(
+            "graph indptr has {} entries for {rows} rows",
+            indptr.len()
+        )));
     }
-    let rows = read_u64(&mut r)? as usize;
-    let cols = read_u64(&mut r)? as usize;
-    let indptr: Vec<usize> = read_u32s(&mut r)?.into_iter().map(|v| v as usize).collect();
-    let indices = read_u32s(&mut r)?;
-    if indptr.len() != rows + 1 {
-        return Err(bad_data("indptr length mismatch"));
+    if indptr[0] != 0 || indptr.windows(2).any(|w| w[0] > w[1]) {
+        return Err(bad_data("graph indptr is not monotone from 0"));
     }
-    Ok(CsrGraph::from_raw(cols, indptr, indices))
+    if indptr[rows as usize] as usize != indices.len() {
+        return Err(bad_data(format!(
+            "graph indptr ends at {}, file holds {} indices",
+            indptr[rows as usize],
+            indices.len()
+        )));
+    }
+    if let Some(&j) = indices.iter().find(|&&j| u64::from(j) >= cols) {
+        return Err(bad_data(format!(
+            "graph column index {j} out of range for {cols} cols"
+        )));
+    }
+    let indptr = indptr.into_iter().map(|v| v as usize).collect();
+    Ok(CsrGraph::from_raw(cols as usize, indptr, indices))
 }
 
 /// Writes a full [`Dataset`] (graph, features, labels, splits) in the
@@ -213,13 +204,11 @@ pub fn read_graph<R: Read>(reader: R) -> io::Result<CsrGraph> {
 pub fn write_dataset<W: Write>(dataset: &Dataset, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
     w.write_all(DATASET_MAGIC)?;
-    let name = dataset.name.as_bytes();
-    write_u64(&mut w, name.len() as u64)?;
-    w.write_all(name)?;
-    write_u64(&mut w, dataset.num_classes as u64)?;
-    write_u64(&mut w, dataset.feat_dim() as u64)?;
-    write_f32s(&mut w, dataset.features.data())?;
-    write_u32s(&mut w, &dataset.labels)?;
+    write_array(&mut w, dataset.name.as_bytes())?;
+    w.write_all(&(dataset.num_classes as u64).to_le_bytes())?;
+    w.write_all(&(dataset.feat_dim() as u64).to_le_bytes())?;
+    write_array(&mut w, dataset.features.data())?;
+    write_array(&mut w, &dataset.labels)?;
     write_mask(&mut w, &dataset.train_mask)?;
     write_mask(&mut w, &dataset.val_mask)?;
     write_mask(&mut w, &dataset.test_mask)?;
@@ -235,44 +224,43 @@ fn writer_of<W: Write>(w: BufWriter<W>) -> io::Result<W> {
 ///
 /// # Errors
 ///
-/// Returns an error on a bad magic number, inconsistent sizes, or I/O
-/// failure.
+/// As [`read_graph`], plus `InvalidData` on array sizes that disagree
+/// with the graph's node count or a label outside `num_classes`.
 pub fn read_dataset<R: Read>(reader: R) -> io::Result<Dataset> {
     let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != DATASET_MAGIC {
-        return Err(bad_data("not a SAR dataset file"));
-    }
-    let name_len = read_u64(&mut r)? as usize;
-    let mut name = vec![0u8; name_len];
-    r.read_exact(&mut name)?;
-    let name = String::from_utf8(name).map_err(|_| bad_data("bad dataset name"))?;
-    let num_classes = read_u64(&mut r)? as usize;
-    let feat_dim = read_u64(&mut r)? as usize;
-    let features = read_f32s(&mut r)?;
-    let labels = read_u32s(&mut r)?;
-    let train_mask = read_mask(&mut r)?;
-    let val_mask = read_mask(&mut r)?;
-    let test_mask = read_mask(&mut r)?;
+    expect_magic(&mut r, DATASET_MAGIC, "dataset")?;
+    let name = String::from_utf8(read_array(&mut r, "dataset name")?)
+        .map_err(|_| bad_data("bad dataset name"))?;
+    let num_classes = le::read_u64(&mut r, "dataset num_classes")?;
+    let feat_dim = le::read_u64(&mut r, "dataset feat_dim")?;
+    let features: Vec<f32> = read_array(&mut r, "dataset features")?;
+    let labels: Vec<u32> = read_array(&mut r, "dataset labels")?;
+    let train_mask = read_mask(&mut r, "dataset train mask")?;
+    let val_mask = read_mask(&mut r, "dataset val mask")?;
+    let test_mask = read_mask(&mut r, "dataset test mask")?;
     let graph = read_graph(&mut r)?;
     let n = graph.num_nodes();
     if labels.len() != n
         || train_mask.len() != n
         || val_mask.len() != n
         || test_mask.len() != n
-        || (feat_dim > 0 && features.len() != n * feat_dim)
+        || (n as u64).checked_mul(feat_dim) != Some(features.len() as u64)
     {
         return Err(bad_data("dataset sizes are inconsistent"));
     }
+    if let Some(&l) = labels.iter().find(|&&l| u64::from(l) >= num_classes) {
+        return Err(bad_data(format!(
+            "dataset label {l} out of range for {num_classes} classes"
+        )));
+    }
     Ok(Dataset {
         graph,
-        features: Tensor::from_vec(&[n, feat_dim], features),
+        features: Tensor::from_vec(&[n, feat_dim as usize], features),
         labels,
         train_mask,
         val_mask,
         test_mask,
-        num_classes,
+        num_classes: num_classes as usize,
         name,
     })
 }
@@ -360,5 +348,211 @@ mod tests {
         let back = load_dataset(&path).unwrap();
         assert_eq!(back.labels, d.labels);
         let _ = std::fs::remove_file(&path);
+    }
+
+    // ------------------------------------------------------------------
+    // Golden bytes: the formats as files written before the bulk codec
+    // hold them (a dataset cached by an earlier build must still load).
+    // ------------------------------------------------------------------
+
+    fn four_node_graph() -> CsrGraph {
+        CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    }
+
+    fn four_node_dataset() -> Dataset {
+        Dataset {
+            graph: four_node_graph(),
+            features: Tensor::from_vec(&[4, 2], vec![0.5, -1.0, 2.0, 0.0, -0.0, 3.25, 1e-3, 7.0]),
+            labels: vec![0, 2, 1, 2],
+            train_mask: vec![true, false, false, true],
+            val_mask: vec![false, true, false, false],
+            test_mask: vec![false, false, true, false],
+            num_classes: 3,
+            name: "four".into(),
+        }
+    }
+
+    #[rustfmt::skip]
+    const GOLDEN_GRAPH: [u8; 76] = [
+        b'S', b'A', b'R', b'G',
+        4, 0, 0, 0, 0, 0, 0, 0, // rows
+        4, 0, 0, 0, 0, 0, 0, 0, // cols
+        5, 0, 0, 0, 0, 0, 0, 0, // indptr: count, then u32s
+        0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0,
+        5, 0, 0, 0, 0, 0, 0, 0, // indices: count, then u32s
+        3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0,
+    ];
+
+    #[rustfmt::skip]
+    const GOLDEN_DATASET_HEAD: [u8; 132] = [
+        b'S', b'A', b'R', b'D',
+        4, 0, 0, 0, 0, 0, 0, 0, b'f', b'o', b'u', b'r', // name
+        3, 0, 0, 0, 0, 0, 0, 0, // num_classes
+        2, 0, 0, 0, 0, 0, 0, 0, // feat_dim
+        8, 0, 0, 0, 0, 0, 0, 0, // features: count, then f32s
+        0x00, 0x00, 0x00, 0x3f, 0x00, 0x00, 0x80, 0xbf, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x50, 0x40, 0x6f, 0x12, 0x83, 0x3a, 0x00, 0x00, 0xe0, 0x40,
+        4, 0, 0, 0, 0, 0, 0, 0, // labels: count, then u32s
+        0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0,
+        4, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, // train mask
+        4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, // val mask
+        4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, // test mask
+    ];
+
+    fn golden_dataset() -> Vec<u8> {
+        // The dataset file ends with its graph, in the graph format.
+        [&GOLDEN_DATASET_HEAD[..], &GOLDEN_GRAPH[..]].concat()
+    }
+
+    #[test]
+    fn golden_bytes_pin_the_graph_and_dataset_formats() {
+        let mut buf = Vec::new();
+        write_graph(&four_node_graph(), &mut buf).unwrap();
+        assert_eq!(buf, GOLDEN_GRAPH);
+        assert_eq!(read_graph(&GOLDEN_GRAPH[..]).unwrap(), four_node_graph());
+
+        let mut buf = Vec::new();
+        write_dataset(&four_node_dataset(), &mut buf).unwrap();
+        assert_eq!(buf, golden_dataset());
+        let (back, d) = (read_dataset(&buf[..]).unwrap(), four_node_dataset());
+        assert_eq!(back.graph, d.graph);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back.features), bits(&d.features));
+        assert_eq!(
+            (back.labels, back.num_classes, back.name),
+            (d.labels, 3, d.name)
+        );
+        assert_eq!(
+            (back.train_mask, back.val_mask, back.test_mask),
+            (d.train_mask, d.val_mask, d.test_mask)
+        );
+    }
+
+    // ------------------------------------------------------------------
+    // A file is a claim: byte-patched fixtures must come back as errors
+    // naming the field — no panic, no allocation sized by a length field.
+    // ------------------------------------------------------------------
+
+    /// `golden` with the little-endian `value` patched in at `offset`.
+    fn patched(golden: &[u8], offset: usize, value: &[u8]) -> Vec<u8> {
+        let mut bytes = golden.to_vec();
+        bytes[offset..offset + value.len()].copy_from_slice(value);
+        bytes
+    }
+
+    fn expect_err<T>(read: io::Result<T>, kind: io::ErrorKind, field: &str) {
+        let err = read.err().expect("a malformed file must not load");
+        assert_eq!(err.kind(), kind, "{err}");
+        assert!(
+            err.to_string().contains(field),
+            "{field:?} not named in: {err}"
+        );
+    }
+
+    // Offsets into GOLDEN_GRAPH.
+    const INDPTR_LEN: usize = 20;
+    const INDPTR: usize = 28;
+    const INDICES_LEN: usize = 48;
+    const INDICES: usize = 56;
+
+    #[test]
+    fn malformed_graph_files_are_errors_naming_the_field() {
+        use io::ErrorKind::{InvalidData, UnexpectedEof};
+        let graph = |bytes: Vec<u8>| read_graph(&bytes[..]);
+        // Two indptr entries swapped: [0, 1, 4, 2, 5].
+        let swapped = patched(&GOLDEN_GRAPH, INDPTR + 8, &[4, 0, 0, 0, 2, 0, 0, 0]);
+        expect_err(graph(swapped), InvalidData, "indptr is not monotone");
+        expect_err(
+            graph(patched(&GOLDEN_GRAPH, INDPTR, &[1])),
+            InvalidData,
+            "indptr is not monotone from 0",
+        );
+        // indptr ends at 4, the file holds 5 indices.
+        expect_err(
+            graph(patched(&GOLDEN_GRAPH, INDPTR + 16, &[4])),
+            InvalidData,
+            "indptr ends at 4, file holds 5 indices",
+        );
+        expect_err(
+            graph(patched(&GOLDEN_GRAPH, INDICES + 4, &[4])),
+            InvalidData,
+            "column index 4 out of range for 4 cols",
+        );
+        expect_err(
+            graph(patched(&GOLDEN_GRAPH, 4, &[5])),
+            InvalidData,
+            "indptr has 5 entries for 5 rows",
+        );
+        // Length fields that lie, on a 38-byte file: 2^62 entries cannot
+        // be addressed, 2^40 run into the end of the file.
+        let short = |exp: u32| {
+            let mut bytes = patched(&GOLDEN_GRAPH, INDPTR_LEN, &(1u64 << exp).to_le_bytes());
+            bytes.truncate(38);
+            bytes
+        };
+        expect_err(graph(short(62)), InvalidData, "graph indptr");
+        expect_err(graph(short(40)), UnexpectedEof, "graph indptr");
+        let lying_indices = patched(&GOLDEN_GRAPH, INDICES_LEN, &(1u64 << 40).to_le_bytes());
+        expect_err(graph(lying_indices), UnexpectedEof, "graph indices");
+        expect_err(
+            graph(GOLDEN_GRAPH[..10].to_vec()),
+            UnexpectedEof,
+            "graph rows",
+        );
+    }
+
+    #[test]
+    fn a_lying_length_field_sizes_no_buffer() {
+        /// Serves `data`, recording the largest buffer `read` was handed.
+        struct Recording<'a>(&'a [u8], usize);
+        impl Read for Recording<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1 = self.1.max(buf.len());
+                self.0.read(buf)
+            }
+        }
+        let bytes = patched(&GOLDEN_GRAPH, INDICES_LEN, &(1u64 << 40).to_le_bytes());
+        let mut r = Recording(&bytes, 0);
+        assert!(read_graph(&mut r).is_err());
+        assert!(r.1 <= le::READ_CHUNK, "read was handed {} bytes", r.1);
+    }
+
+    #[test]
+    fn malformed_dataset_files_are_errors_naming_the_field() {
+        use io::ErrorKind::{InvalidData, UnexpectedEof};
+        let dataset = |bytes: Vec<u8>| read_dataset(&bytes[..]);
+        let golden = golden_dataset();
+        // Label 1 of 4 is 2; make it 3 = num_classes.
+        expect_err(
+            dataset(patched(&golden, 84, &[3])),
+            InvalidData,
+            "label 3 out of range for 3 classes",
+        );
+        // Name and mask lengths past the end of the file.
+        let huge = (1u64 << 40).to_le_bytes();
+        expect_err(
+            dataset(patched(&golden, 4, &huge)),
+            UnexpectedEof,
+            "dataset name",
+        );
+        expect_err(
+            dataset(patched(&golden, 96, &huge)),
+            UnexpectedEof,
+            "dataset train mask",
+        );
+        expect_err(
+            dataset(patched(&golden, 96, &u64::MAX.to_le_bytes())),
+            UnexpectedEof,
+            "dataset train mask",
+        );
+        expect_err(
+            dataset(patched(&golden, 32, &huge)),
+            UnexpectedEof,
+            "dataset features",
+        );
+        // One mask a node short: every array loads, the sizes disagree.
+        let mut short_mask = patched(&golden, 120, &[3]);
+        short_mask.remove(131);
+        expect_err(dataset(short_mask), InvalidData, "sizes are inconsistent");
     }
 }

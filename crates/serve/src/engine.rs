@@ -37,7 +37,6 @@
 //! strictly below the latter.
 
 use std::fs::File;
-use std::io::BufReader;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -55,7 +54,7 @@ use crate::proto::{self, Ctrl};
 
 /// Raw model parameters as `(shape, row-major values)` pairs — the form
 /// checkpoints load into and the control broadcast ships on reload.
-pub type RawParams = Vec<(Vec<usize>, Vec<f32>)>;
+pub use sar_core::checkpoint::RawParams;
 
 /// Base of the serving tag range. Far above the per-epoch training tags,
 /// far below the collective range (`1 << 62`), so serving traffic keeps
@@ -478,7 +477,7 @@ impl ServeEngine {
         let path = self.checkpoint.clone().ok_or_else(|| {
             ServeError::Unsupported("reload without a configured checkpoint path".into())
         })?;
-        let params = load_checkpoint_raw(&self.cfg, &path)?;
+        let params = checkpoint::read_raw_params(File::open(&path)?)?;
         // Dry-run the install before broadcasting, so a mismatched file
         // cannot leave ranks divergent.
         validate_params(&self.cfg, &params)?;
@@ -584,7 +583,7 @@ impl ServeEngine {
                 Ok((None, false))
             }
             Ctrl::Shutdown => {
-                self.quiesce();
+                self.quiesce()?;
                 Ok((None, true))
             }
         }
@@ -593,9 +592,9 @@ impl ServeEngine {
     /// The shutdown barrier: every rank parks here until the whole
     /// rotation has drained, so no rank exits while a peer still expects
     /// service.
-    fn quiesce(&self) {
+    fn quiesce(&self) -> Result<(), ServeError> {
         let _phase = self.w.ctx.phase_scope(Phase::Collective);
-        self.w.ctx.barrier();
+        Ok(self.w.ctx.try_barrier()?)
     }
 
     // ------------------------------------------------------------------
@@ -810,19 +809,6 @@ impl ServeEngine {
         }
         Ok(Some(result))
     }
-}
-
-/// Reads a checkpoint file into raw `(shape, values)` pairs by loading it
-/// through a throwaway [`DistModel`] (which validates count and shapes).
-fn load_checkpoint_raw(cfg: &ModelConfig, path: &std::path::Path) -> Result<RawParams, ServeError> {
-    let model = DistModel::new(cfg);
-    let params = model.params();
-    let file = File::open(path)?;
-    checkpoint::load_params(&params, BufReader::new(file))?;
-    Ok(params
-        .iter()
-        .map(|p| (p.shape(), p.value().data().to_vec()))
-        .collect())
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@ use std::time::Duration;
 
 use sar_comm::tcp::run_tcp_threads;
 use sar_comm::{
-    ChannelTransport, Cluster, CostModel, TcpOpts, Transport, TransportError, WorkerCtx,
+    ChannelTransport, Clock, Cluster, CostModel, Message, Payload, TcpOpts, Transport,
+    TransportError, WorkerCtx,
 };
 use sar_core::{infer, Arch, DistGraph, DistModel, Mode, ModelConfig, Shard};
 use sar_graph::{datasets, Dataset};
@@ -377,6 +378,81 @@ fn dead_peer_is_a_typed_error_from_a_query_batch() {
     match engine.execute_query(&[3, 7]) {
         Err(ServeError::Comm(TransportError::Disconnected { peer })) => assert_eq!(peer, 1),
         other => panic!("expected Comm(Disconnected {{ peer: 1 }}), got {other:?}"),
+    }
+}
+
+/// A channel transport whose peer dies while the barrier forms (the
+/// channel backend's own barrier would wait for it forever).
+struct PeerDiesAtBarrier {
+    inner: ChannelTransport,
+}
+
+impl Transport for PeerDiesAtBarrier {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+    fn world_size(&self) -> usize {
+        self.inner.world_size()
+    }
+    fn clock(&self) -> Clock {
+        self.inner.clock()
+    }
+    fn send(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), TransportError> {
+        self.inner.send(dst, tag, payload)
+    }
+    fn recv_any(&self, timeout: Duration) -> Result<Message, TransportError> {
+        self.inner.recv_any(timeout)
+    }
+    fn try_recv_any(&self) -> Result<Option<Message>, TransportError> {
+        self.inner.try_recv_any()
+    }
+    fn barrier(&self) -> Result<(), TransportError> {
+        Err(TransportError::Disconnected {
+            peer: 1 - self.rank(),
+        })
+    }
+}
+
+/// The shutdown barrier is on the serving path like any other exchange: a
+/// peer that dies between the Shutdown broadcast and the barrier is
+/// `ServeError::Comm` naming it — from `shutdown()` on the front-end and
+/// from `step()` on a worker — not a panic.
+#[test]
+fn dead_peer_at_the_shutdown_barrier_is_a_typed_error_on_both_sides() {
+    let d = dataset();
+    let part = multilevel(&d.graph, 2, 0);
+    let cfg = model_cfg(Arch::Gcn { hidden: 8 }, Mode::Sar, &d);
+    let params = raw_params(&cfg, &d, false);
+    let st = EngineSetup {
+        model_cfg: cfg,
+        label_aug: false,
+        cache_rows: 0,
+        checkpoint: None,
+    };
+    let mut engines: Vec<ServeEngine> = ChannelTransport::mesh(2)
+        .into_iter()
+        .zip(DistGraph::build_all(&d.graph, &part))
+        .zip(Shard::build_all(&d, &part))
+        .map(|((inner, graph), shard)| {
+            let ctx = WorkerCtx::new(
+                Box::new(PeerDiesAtBarrier { inner }),
+                CostModel::default(),
+                Duration::from_secs(5),
+            );
+            ServeEngine::new(ctx, Arc::new(graph), &shard, d.num_nodes(), &st, &params)
+                .expect("engine builds")
+        })
+        .collect();
+    // Rank 0 broadcasts Shutdown (the channel delivers it), then finds
+    // rank 1 gone at the barrier; rank 1 reads the broadcast and finds
+    // rank 0 gone the same way.
+    match engines[0].shutdown() {
+        Err(ServeError::Comm(TransportError::Disconnected { peer })) => assert_eq!(peer, 1),
+        other => panic!("expected Comm(Disconnected {{ peer: 1 }}), got {other:?}"),
+    }
+    match engines[1].step() {
+        Err(ServeError::Comm(TransportError::Disconnected { peer })) => assert_eq!(peer, 0),
+        other => panic!("expected Comm(Disconnected {{ peer: 0 }}), got {other:?}"),
     }
 }
 

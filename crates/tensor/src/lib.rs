@@ -39,6 +39,7 @@
 pub mod autograd;
 pub mod gradcheck;
 pub mod init;
+pub mod le;
 pub mod memory;
 pub mod pool;
 pub mod simd;

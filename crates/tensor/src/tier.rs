@@ -1,21 +1,22 @@
-//! Out-of-core memory tiering: an mmap-backed spill arena and a
+//! Out-of-core memory tiering: a file-backed spill arena and a
 //! budget-driven tiered block store.
 //!
 //! SAR bounds per-worker *working set* at `(K+2)/N` of the graph, but the
 //! reproduction still kept every resident partition block, every cached
 //! `stale:<r>` protocol block, and every rematerialization input in RAM.
-//! This module adds the disk tier beneath them: [`SpillArena`] maps one
-//! anonymous-looking temp file into the address space and hands out
-//! byte-exact segments; [`TieredStore`] keeps the hottest blocks resident
-//! as [`Tensor`]s up to a byte budget and spills the coldest to the arena,
-//! faulting them back on demand.
+//! This module adds the disk tier beneath them: [`SpillArena`] hands out
+//! byte-exact segments of one unlinked temp file and moves blocks with
+//! positioned reads and writes of the block's own memory
+//! ([`le::scalar_bytes`]); [`TieredStore`] keeps the hottest blocks
+//! resident as [`Tensor`]s up to a byte budget and spills the coldest to
+//! the arena, faulting them back on demand.
 //!
 //! Determinism is the load-bearing invariant: a spill is a bitwise copy of
 //! the tensor's `f32` payload and a fault is a bitwise copy back, so every
-//! consumer observes exactly the bytes it would have observed with the
-//! store disabled — `parity_digest()` is identical with spill on or off at
-//! any budget. Eviction order is a deterministic queue (coldest-first
-//! insertion order refreshed on access), never a hash-map iteration.
+//! consumer observes exactly the bytes it would have observed had nothing
+//! spilled — `parity_digest()` is identical at any budget. Eviction order
+//! is a deterministic queue (coldest-first insertion order refreshed on
+//! access), never a hash-map iteration.
 //!
 //! The spill/fault traffic is metered through thread-local counters that
 //! the observability ledger drains per phase via [`take_tier_counters`],
@@ -28,11 +29,11 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::Tensor;
+use crate::{le, Tensor};
 
 // ----------------------------------------------------------------------
 // Counters
@@ -48,8 +49,8 @@ thread_local! {
     static DISK_BLOCKED_NS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Arena files get a process-wide unique suffix so concurrent worker
-/// threads (and re-entrant tests) never collide on a path.
+/// Spill files get a process-wide unique name for the instant they have
+/// one, so concurrent worker threads (and re-entrant tests) never collide.
 static NEXT_ARENA_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Drains the calling thread's disk-tier counters accumulated since the
@@ -70,22 +71,17 @@ pub fn take_tier_counters() -> (u64, u64, f64) {
 
 /// Failure of a disk-tier operation.
 ///
-/// The spill path never panics: every fallible step reports through this
-/// type so a worker can surface the failure with its rank attached.
+/// The spill path never panics, and a full disk is an `io::Error` like any
+/// other (`ErrorKind::StorageFull` from the write that did not fit): every
+/// fallible step reports through this type so a worker can surface the
+/// failure with its rank attached.
 #[derive(Debug)]
 pub enum TierError {
-    /// Filesystem operation failed (create/open/resize of the arena file).
+    /// Creating, writing or reading the spill file failed.
     Io {
         /// What the arena was doing when the error occurred.
         op: &'static str,
         /// The underlying error.
-        source: io::Error,
-    },
-    /// `mmap`/`munmap`/`msync` failed.
-    Map {
-        /// Which syscall failed.
-        op: &'static str,
-        /// `errno`-derived description.
         source: io::Error,
     },
     /// A block id was requested that the store does not hold.
@@ -96,7 +92,6 @@ impl std::fmt::Display for TierError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TierError::Io { op, source } => write!(f, "spill arena {op}: {source}"),
-            TierError::Map { op, source } => write!(f, "spill arena {op}: {source}"),
             TierError::MissingBlock(id) => write!(f, "tiered store has no block {id:#x}"),
         }
     }
@@ -105,7 +100,7 @@ impl std::fmt::Display for TierError {
 impl std::error::Error for TierError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TierError::Io { source, .. } | TierError::Map { source, .. } => Some(source),
+            TierError::Io { source, .. } => Some(source),
             TierError::MissingBlock(_) => None,
         }
     }
@@ -119,300 +114,153 @@ impl std::error::Error for TierError {
 ///
 /// Deliberately neither `Clone` nor `Copy`: a segment is a linear token —
 /// loading it frees the underlying bytes, and dropping it without loading
-/// leaks them until [`SpillArena`] itself is dropped.
+/// leaks them until the arena is [reset](SpillArena::reset) or dropped.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Segment {
-    offset: usize,
+    offset: u64,
     bytes: usize,
 }
 
-impl Segment {
-    /// Payload length in bytes.
-    pub fn len_bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-/// RAII cleanup for a freshly created temp path during construction.
-///
-/// Between creating an on-disk artifact (the arena file, the
-/// `$TMPDIR/sar-spill-*` directory) and handing it to a value whose own
-/// `Drop` removes it, there is a window where an early `return Err(..)`
-/// — or a panic unwinding through the constructor — would strand the
-/// path on disk. An armed guard closes that window: its `Drop` deletes
-/// the path. Call [`TempPathGuard::defuse`] once a `Drop`-carrying owner
-/// exists, so the happy path deletes nothing.
-#[derive(Debug)]
-struct TempPathGuard {
-    path: PathBuf,
-    is_dir: bool,
-    armed: bool,
-}
-
-impl TempPathGuard {
-    fn file(path: PathBuf) -> TempPathGuard {
-        TempPathGuard {
-            path,
-            is_dir: false,
-            armed: true,
-        }
-    }
-
-    fn dir(path: PathBuf) -> TempPathGuard {
-        TempPathGuard {
-            path,
-            is_dir: true,
-            armed: true,
-        }
-    }
-
-    /// Disarms the guard: ownership of the path has passed to a value
-    /// that cleans it up itself.
-    fn defuse(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for TempPathGuard {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        if self.is_dir {
-            let _ = std::fs::remove_dir_all(&self.path);
-        } else {
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
-}
-
 /// Segment offsets are aligned so free-list reuse keeps payloads
-/// cache-line aligned.
-const SEGMENT_ALIGN: usize = 64;
+/// cache-line (and, for uniform blocks, sector) aligned in the file.
+const SEGMENT_ALIGN: u64 = 64;
 
-/// Initial arena file size; doubles on demand.
-const INITIAL_CAP: usize = 1 << 20;
-
-/// An mmap-backed append/free block file: the disk tier's storage.
+/// An append/free block file: the disk tier's storage.
 ///
-/// One temp file, mapped shared and grown by powers of two; allocation is
+/// One temp file, created on the first spill and unlinked before anything
+/// is written to it — from then on it has no name, so nothing can leak:
+/// the kernel reclaims its blocks when the descriptor closes, whether the
+/// arena is dropped, the thread unwinds or the process is killed, and no
+/// `Drop` here has anything to clean up. An arena that never spills
+/// touches no filesystem at all. Blocks move with positioned IO
+/// (`write_all_at` / `read_exact_at` on the block's own bytes): a write
+/// that does not fit is an `Err` from the call that made it, where a store
+/// into a mapping of a full filesystem is a `SIGBUS`. Allocation is
 /// append-first with an exact-size free list (spilled blocks are almost
-/// always uniform, so freed segments are reused immediately). The arena is
-/// single-threaded by construction (`*mut u8` makes it `!Send`/`!Sync`),
-/// matching the one-worker-per-thread architecture.
+/// always uniform, so freed segments are reused immediately).
 ///
 /// All operations are fallible and return [`TierError`]; nothing on this
-/// path unwraps or panics.
-#[derive(Debug)]
+/// path unwraps or panics. `SpillArena::default()` is the empty arena.
+#[derive(Debug, Default)]
 pub struct SpillArena {
-    file: File,
-    path: PathBuf,
-    ptr: *mut u8,
-    cap: usize,
-    head: usize,
+    /// `None` until the first spill.
+    file: Option<File>,
+    /// End of the appended region.
+    head: u64,
     /// Exact aligned-size free list: `aligned_bytes -> offsets`.
-    free: BTreeMap<usize, Vec<usize>>,
-    live_bytes: usize,
+    free: BTreeMap<u64, Vec<u64>>,
 }
 
-fn align_up(n: usize) -> usize {
-    n.div_ceil(SEGMENT_ALIGN) * SEGMENT_ALIGN
+fn align_up(bytes: usize) -> u64 {
+    (bytes as u64).div_ceil(SEGMENT_ALIGN) * SEGMENT_ALIGN
+}
+
+fn io_err(op: &'static str) -> impl FnOnce(io::Error) -> TierError {
+    move |source| TierError::Io { op, source }
+}
+
+/// A fresh read/write file in the temp directory with no name left: it is
+/// `create_new`ed (never somebody else's file) and unlinked at once.
+fn unlinked_temp_file() -> Result<File, TierError> {
+    loop {
+        let id = NEXT_ARENA_ID.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("sar-spill-{}-{id}", std::process::id()));
+        let mut options = OpenOptions::new();
+        match options.read(true).write(true).create_new(true).open(&path) {
+            Ok(file) => {
+                std::fs::remove_file(&path).map_err(io_err("unlink spill file"))?;
+                return Ok(file);
+            }
+            // A name some dead process with this pid left behind: skip it.
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
+            Err(e) => return Err(io_err("create spill file")(e)),
+        }
+    }
 }
 
 impl SpillArena {
-    /// Creates an arena file inside `dir` (created if absent) and maps it.
-    pub fn create(dir: &Path) -> Result<SpillArena, TierError> {
-        std::fs::create_dir_all(dir).map_err(|source| TierError::Io {
-            op: "create spill dir",
-            source,
-        })?;
-        let id = NEXT_ARENA_ID.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("arena-{}-{id}.bin", std::process::id()));
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|source| TierError::Io {
-                op: "create arena file",
-                source,
-            })?;
-        // From here to the Ok below, the file exists on disk but no
-        // `SpillArena` owns it yet — the guard covers set_len/mmap
-        // failures (and any unwind) so aborted construction leaves no
-        // arena file behind.
-        let guard = TempPathGuard::file(path.clone());
-        file.set_len(INITIAL_CAP as u64)
-            .map_err(|source| TierError::Io {
-                op: "size arena file",
-                source,
-            })?;
-        let ptr = map_file(&file, INITIAL_CAP)?;
-        guard.defuse();
-        Ok(SpillArena {
-            file,
-            path,
-            ptr,
-            cap: INITIAL_CAP,
-            head: 0,
-            free: BTreeMap::new(),
-            live_bytes: 0,
-        })
+    fn file(&mut self) -> Result<&File, TierError> {
+        let file = match self.file.take() {
+            Some(file) => file,
+            None => unlinked_temp_file()?,
+        };
+        Ok(self.file.insert(file))
     }
 
-    /// Path of the backing file (for diagnostics and cleanup checks).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Bytes of payload currently stored (excluding free-list holes).
-    pub fn live_bytes(&self) -> usize {
-        self.live_bytes
-    }
-
-    /// Current mapped capacity of the backing file.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Copies `data` into the arena and returns the owning [`Segment`].
+    /// Writes `data` to the arena and returns the owning [`Segment`].
     ///
     /// The copy is bitwise: `f32` payloads round-trip exactly, which is
-    /// what keeps spill on/off runs digest-identical.
+    /// what keeps runs digest-identical at any budget.
+    ///
+    /// # Errors
+    ///
+    /// [`TierError::Io`] if the file cannot be created or the write fails
+    /// (a full disk is `ErrorKind::StorageFull`); the arena holds nothing
+    /// of `data` then and stays usable.
     pub fn store(&mut self, data: &[f32]) -> Result<Segment, TierError> {
         let bytes = std::mem::size_of_val(data);
-        let offset = self.alloc(bytes)?;
-        if bytes > 0 {
-            // SAFETY: `alloc` guarantees `offset + bytes <= self.cap` and
-            // the mapping at `self.ptr` spans `self.cap` bytes; source and
-            // destination are distinct allocations, and a byte-wise copy
-            // has no alignment requirement.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    data.as_ptr().cast::<u8>(),
-                    self.ptr.add(offset),
-                    bytes,
-                );
-            }
+        let offset = self.alloc(bytes);
+        // sar-check: deterministic(metering: spill-blocked time feeds the
+        // spill counters only; the stored bytes are byte-identical)
+        let begin = Instant::now();
+        let written = self.file().and_then(|f| {
+            f.write_all_at(le::scalar_bytes(data), offset)
+                .map_err(io_err("write"))
+        });
+        DISK_BLOCKED_NS.with(|c| c.set(c.get() + begin.elapsed().as_nanos() as u64));
+        let seg = Segment { offset, bytes };
+        if let Err(e) = written {
+            self.free(seg);
+            return Err(e);
         }
-        self.live_bytes += bytes;
-        Ok(Segment { offset, bytes })
+        SPILL_BYTES.with(|c| c.set(c.get() + bytes as u64));
+        Ok(seg)
     }
 
-    /// Copies a segment's payload back out as `f32`s and frees the
-    /// segment for reuse.
+    /// Reads a segment's payload back out as `f32`s and frees the segment
+    /// for reuse.
+    ///
+    /// # Errors
+    ///
+    /// [`TierError::Io`] if the read fails or comes up short; the segment
+    /// is freed either way.
     pub fn load(&mut self, seg: Segment) -> Result<Vec<f32>, TierError> {
+        let mut out = vec![0.0f32; seg.bytes / std::mem::size_of::<f32>()];
+        // sar-check: deterministic(metering: disk-blocked time feeds the
+        // fault counters only; the loaded bytes are byte-identical)
+        let begin = Instant::now();
+        let read = self.file().and_then(|f| {
+            f.read_exact_at(le::scalar_bytes_mut(&mut out), seg.offset)
+                .map_err(io_err("read"))
+        });
+        DISK_BLOCKED_NS.with(|c| c.set(c.get() + begin.elapsed().as_nanos() as u64));
+        FAULT_BYTES.with(|c| c.set(c.get() + seg.bytes as u64));
+        self.free(seg);
+        read.map(|()| out)
+    }
+
+    /// Frees a segment for reuse without reading it.
+    pub fn free(&mut self, seg: Segment) {
         let Segment { offset, bytes } = seg;
-        debug_assert!(offset + bytes <= self.cap, "segment out of bounds");
-        let len = bytes / std::mem::size_of::<f32>();
-        let mut out: Vec<f32> = vec![0.0; len];
-        if bytes > 0 {
-            // SAFETY: segments are only minted by `store`, which bounds
-            // them within the mapping; `out` owns `bytes` writable bytes;
-            // byte-wise copy has no alignment requirement.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    self.ptr.add(offset),
-                    out.as_mut_ptr().cast::<u8>(),
-                    bytes,
-                );
-            }
-        }
-        self.live_bytes -= bytes;
         self.free.entry(align_up(bytes)).or_default().push(offset);
-        Ok(out)
     }
 
-    /// Flushes the mapping back to the file (used by tests asserting the
-    /// data really lives on disk; faults never need it).
-    pub fn sync(&self) -> Result<(), TierError> {
-        if self.cap == 0 {
-            return Ok(());
-        }
-        // SAFETY: `self.ptr` is a live MAP_SHARED mapping of `self.cap`
-        // bytes established by `map_file`.
-        let rc = unsafe { libc::msync(self.ptr.cast::<libc::c_void>(), self.cap, libc::MS_SYNC) };
-        if rc != 0 {
-            return Err(TierError::Map {
-                op: "msync",
-                source: io::Error::last_os_error(),
-            });
-        }
-        Ok(())
+    /// Forgets every segment at once — dropping everything is resetting
+    /// the allocator, not reading blocks back to free them one by one. The
+    /// file keeps its length and is overwritten from the start.
+    pub fn reset(&mut self) {
+        self.head = 0;
+        self.free.clear();
     }
 
-    fn alloc(&mut self, bytes: usize) -> Result<usize, TierError> {
+    fn alloc(&mut self, bytes: usize) -> u64 {
         let aligned = align_up(bytes);
-        if let Some(offsets) = self.free.get_mut(&aligned) {
-            if let Some(off) = offsets.pop() {
-                return Ok(off);
-            }
-        }
-        if self.head + aligned > self.cap {
-            let mut new_cap = self.cap.max(INITIAL_CAP);
-            while self.head + aligned > new_cap {
-                new_cap *= 2;
-            }
-            self.remap(new_cap)?;
+        if let Some(off) = self.free.get_mut(&aligned).and_then(Vec::pop) {
+            return off;
         }
         let off = self.head;
         self.head += aligned;
-        Ok(off)
-    }
-
-    fn remap(&mut self, new_cap: usize) -> Result<(), TierError> {
-        // SAFETY: `self.ptr` is the live mapping of exactly `self.cap`
-        // bytes; after munmap it is not touched until reassigned below.
-        let rc = unsafe { libc::munmap(self.ptr.cast::<libc::c_void>(), self.cap) };
-        if rc != 0 {
-            return Err(TierError::Map {
-                op: "munmap (grow)",
-                source: io::Error::last_os_error(),
-            });
-        }
-        self.file
-            .set_len(new_cap as u64)
-            .map_err(|source| TierError::Io {
-                op: "grow arena file",
-                source,
-            })?;
-        self.ptr = map_file(&self.file, new_cap)?;
-        self.cap = new_cap;
-        Ok(())
-    }
-}
-
-fn map_file(file: &File, len: usize) -> Result<*mut u8, TierError> {
-    use std::os::unix::io::AsRawFd;
-    // SAFETY: `fd` is a valid open file descriptor sized to at least
-    // `len` bytes by the caller; a MAP_SHARED read/write mapping of it is
-    // sound, and the returned pointer is checked against MAP_FAILED.
-    let ptr = unsafe {
-        libc::mmap(
-            std::ptr::null_mut(),
-            len,
-            libc::PROT_READ | libc::PROT_WRITE,
-            libc::MAP_SHARED,
-            file.as_raw_fd(),
-            0,
-        )
-    };
-    if ptr == libc::MAP_FAILED {
-        return Err(TierError::Map {
-            op: "mmap",
-            source: io::Error::last_os_error(),
-        });
-    }
-    Ok(ptr.cast::<u8>())
-}
-
-impl Drop for SpillArena {
-    fn drop(&mut self) {
-        // SAFETY: `self.ptr` is the live mapping of `self.cap` bytes and
-        // is never touched again (the arena is being dropped).
-        let _ = unsafe { libc::munmap(self.ptr.cast::<libc::c_void>(), self.cap) };
-        let _ = std::fs::remove_file(&self.path);
+        off
     }
 }
 
@@ -436,14 +284,12 @@ struct SpilledBlock {
 /// consumers cannot distinguish a faulted block from one that stayed
 /// resident — the determinism argument in DESIGN.md §14.
 ///
-/// With `budget == u64::MAX` (or simply never constructing a store) the
-/// behaviour degenerates to an in-RAM map, which is how `--mem-budget 0`
-/// / flag-absent runs stay byte-identical to the pre-tiering code.
+/// With `budget == u64::MAX` nothing ever spills, no file is ever opened
+/// and the store is an in-RAM map — which is how the worker's one block
+/// store serves `--mem-budget 0` / flag-absent runs.
 #[derive(Debug)]
 pub struct TieredStore {
     arena: SpillArena,
-    dir: PathBuf,
-    owns_dir: bool,
     budget: u64,
     /// Front = coldest. Deterministic: refreshed only by put/take order.
     resident: VecDeque<(u64, Tensor)>,
@@ -454,44 +300,16 @@ pub struct TieredStore {
 }
 
 impl TieredStore {
-    /// Creates a store with its own temp spill directory
-    /// (`$TMPDIR/sar-spill-<pid>-<seq>`), removed on drop.
-    pub fn new(budget_bytes: u64) -> Result<TieredStore, TierError> {
-        let id = NEXT_ARENA_ID.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("sar-spill-{}-{id}", std::process::id()));
-        // The store owns this directory; until it exists (with
-        // `owns_dir = true`, so its Drop removes the tree) the guard
-        // keeps `$TMPDIR/sar-spill-*` from leaking on error or unwind.
-        let guard = TempPathGuard::dir(dir.clone());
-        let mut store = TieredStore::in_dir(budget_bytes, &dir)?;
-        store.owns_dir = true;
-        guard.defuse();
-        Ok(store)
-    }
-
-    /// Creates a store spilling into `dir` (shared dirs are fine — arena
-    /// file names are unique). The directory is left in place on drop.
-    pub fn in_dir(budget_bytes: u64, dir: &Path) -> Result<TieredStore, TierError> {
-        let arena = SpillArena::create(dir)?;
-        Ok(TieredStore {
-            arena,
-            dir: dir.to_path_buf(),
-            owns_dir: false,
+    /// Creates an empty store. Its spill file is opened by the first
+    /// block that does not fit the budget, not here.
+    pub fn new(budget_bytes: u64) -> TieredStore {
+        TieredStore {
+            arena: SpillArena::default(),
             budget: budget_bytes,
             resident: VecDeque::new(),
             resident_bytes: 0,
             spilled: HashMap::new(),
-        })
-    }
-
-    /// The byte budget for the resident tier.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// Bytes currently held in RAM.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes
+        }
     }
 
     /// Number of blocks currently spilled to disk.
@@ -509,17 +327,19 @@ impl TieredStore {
         self.resident.is_empty() && self.spilled.is_empty()
     }
 
-    /// Directory the arena file lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Inserts `t` under `id` at the hot end of the eviction queue, then
     /// spills coldest blocks until resident bytes fit the budget.
     ///
     /// An `id` already present is a caller bug; the old block is replaced
-    /// (resident) or leaked to the arena free list on next fault
-    /// (spilled), and a `debug_assert` trips in dev builds.
+    /// (resident) or leaked to the arena until the next
+    /// [`TieredStore::clear`] (spilled), and a `debug_assert` trips in dev
+    /// builds.
+    ///
+    /// # Errors
+    ///
+    /// [`TierError::Io`] if a spill fails. Nothing is lost: the block that
+    /// could not be written stays resident (over budget) with every other
+    /// block, so the caller can still take what it put.
     pub fn put(&mut self, id: u64, t: Tensor) -> Result<(), TierError> {
         debug_assert!(
             !self.spilled.contains_key(&id) && self.resident.iter().all(|(k, _)| *k != id),
@@ -527,91 +347,65 @@ impl TieredStore {
         );
         self.resident_bytes += tensor_bytes(&t);
         self.resident.push_back((id, t));
-        self.enforce_budget()
+        while self.resident_bytes > self.budget && self.spill_coldest()? {}
+        Ok(())
     }
 
     /// Removes and returns block `id`, faulting from disk if it was
     /// spilled. The fault allocates through the normal tensor path, so
     /// memory accounting sees it exactly like a network arrival.
     pub fn take(&mut self, id: u64) -> Result<Tensor, TierError> {
-        if let Some(i) = self.resident.iter().position(|(k, _)| *k == id) {
-            // Disambiguated remove keeps queue order for the others.
-            let (_, t) = match self.resident.remove(i) {
-                Some(pair) => pair,
-                None => return Err(TierError::MissingBlock(id)),
-            };
-            self.resident_bytes -= tensor_bytes(&t);
+        if let Some(t) = self.take_resident(id) {
             return Ok(t);
         }
         let block = self
             .spilled
             .remove(&id)
             .ok_or(TierError::MissingBlock(id))?;
-        let bytes = block.seg.len_bytes() as u64;
-        // sar-check: deterministic(metering: disk-blocked time feeds the
-        // fault counters only; the loaded bytes are byte-identical)
-        let begin = Instant::now();
-        let data = self.arena.load(block.seg)?;
-        DISK_BLOCKED_NS.with(|c| c.set(c.get() + begin.elapsed().as_nanos() as u64));
-        FAULT_BYTES.with(|c| c.set(c.get() + bytes));
-        Ok(Tensor::from_vec(&block.shape, data))
+        Ok(Tensor::from_vec(&block.shape, self.arena.load(block.seg)?))
     }
 
-    /// True when either tier holds block `id`.
-    pub fn contains(&self, id: u64) -> bool {
-        self.spilled.contains_key(&id) || self.resident.iter().any(|(k, _)| *k == id)
-    }
-
-    /// Spills *every* resident block to disk (used between epochs to
-    /// return the RAM floor to zero regardless of budget).
-    pub fn spill_all(&mut self) -> Result<(), TierError> {
-        while let Some((id, t)) = self.resident.pop_front() {
-            self.resident_bytes -= tensor_bytes(&t);
-            self.spill_one(id, t)?;
-        }
-        Ok(())
-    }
-
-    /// Drops every block in both tiers (the arena file shrinks to its
-    /// free list; its disk space is reclaimed when the store drops).
-    pub fn clear(&mut self) -> Result<(), TierError> {
-        self.resident.clear();
-        self.resident_bytes = 0;
-        // sar-check: deterministic(free-order only: visiting order changes
-        // which arena free-list offsets are reused, never any block's
-        // bytes — every block is dropped regardless of order)
-        let ids: Vec<u64> = self.spilled.keys().copied().collect();
-        for id in ids {
+    /// Drops block `id` if either tier holds it (the cleanup of a block
+    /// nobody will take); a spilled block's segment is freed unread.
+    pub fn discard(&mut self, id: u64) {
+        if self.take_resident(id).is_none() {
             if let Some(block) = self.spilled.remove(&id) {
-                // Load-and-discard frees the segment for reuse.
-                let _ = self.arena.load(block.seg)?;
+                self.arena.free(block.seg);
             }
         }
-        Ok(())
     }
 
-    fn enforce_budget(&mut self) -> Result<(), TierError> {
-        while self.resident_bytes > self.budget {
-            let Some((id, t)) = self.resident.pop_front() else {
-                break;
-            };
+    /// Drops every block in both tiers. Nothing is read back: the arena
+    /// is reset and overwritten from its start (its disk space is
+    /// reclaimed when the store drops).
+    pub fn clear(&mut self) {
+        self.resident.clear();
+        self.resident_bytes = 0;
+        self.spilled.clear();
+        self.arena.reset();
+    }
+
+    fn take_resident(&mut self, id: u64) -> Option<Tensor> {
+        let i = self.resident.iter().position(|(k, _)| *k == id)?;
+        // Disambiguated remove keeps queue order for the others.
+        let (_, t) = self.resident.remove(i)?;
+        self.resident_bytes -= tensor_bytes(&t);
+        Some(t)
+    }
+
+    /// Spills the coldest resident block; `false` when none is resident.
+    /// The block leaves the queue only once its bytes are on disk.
+    fn spill_coldest(&mut self) -> Result<bool, TierError> {
+        let Some((_, t)) = self.resident.front() else {
+            return Ok(false);
+        };
+        let seg = self.arena.store(t.data())?;
+        if let Some((id, t)) = self.resident.pop_front() {
             self.resident_bytes -= tensor_bytes(&t);
-            self.spill_one(id, t)?;
+            let shape = t.shape().to_vec();
+            self.spilled.insert(id, SpilledBlock { seg, shape });
         }
-        Ok(())
-    }
-
-    fn spill_one(&mut self, id: u64, t: Tensor) -> Result<(), TierError> {
-        let shape = t.shape().to_vec();
-        let data = t.into_data();
-        // sar-check: deterministic(metering: spill-blocked time feeds the
-        // spill counters only; the stored bytes are byte-identical)
-        let begin = Instant::now();
-        let seg = self.arena.store(&data)?;
-        DISK_BLOCKED_NS.with(|c| c.set(c.get() + begin.elapsed().as_nanos() as u64));
-        SPILL_BYTES.with(|c| c.set(c.get() + seg.len_bytes() as u64));
-        self.spilled.insert(id, SpilledBlock { seg, shape });
-        Ok(())
+        Ok(true)
     }
 }
 
@@ -619,64 +413,33 @@ fn tensor_bytes(t: &Tensor) -> u64 {
     std::mem::size_of_val(t.data()) as u64
 }
 
-impl Drop for TieredStore {
-    fn drop(&mut self) {
-        if self.owns_dir {
-            // Unlinking the still-mapped arena file is sound on the unix
-            // targets this builds for: the mapping stays valid until the
-            // arena's own Drop munmaps it, and its redundant remove_file
-            // then fails silently. This way the whole spill footprint is
-            // gone even when training aborts mid-epoch.
-            let _ = std::fs::remove_file(self.arena.path());
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::memory::MemoryTracker;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("sar-tier-test-{}-{tag}", std::process::id()))
+    fn block(seed: f32) -> Tensor {
+        Tensor::from_vec(
+            &[64, 4],
+            (0..256).map(|i| seed + i as f32 * 0.5).collect::<Vec<_>>(),
+        )
     }
+    const BLOCK_BYTES: u64 = 64 * 4 * 4;
 
-    #[test]
-    fn temp_path_guard_cleans_up_on_error_and_unwind() {
-        // Error path (guard dropped while armed): the path is removed.
-        let dir = tmp_dir("guard-err");
-        std::fs::create_dir_all(&dir).expect("dir");
-        let file = dir.join("stranded.bin");
-        std::fs::write(&file, b"half-built").expect("write");
-        drop(TempPathGuard::file(file.clone()));
-        assert!(!file.exists(), "armed guard must remove the file");
-
-        // Unwind path: a panic between creating the spill dir and
-        // constructing its owner still removes the whole tree.
-        let spill = tmp_dir("guard-unwind");
-        std::fs::create_dir_all(&spill).expect("dir");
-        std::fs::write(spill.join("arena-0.bin"), b"x").expect("write");
-        let spill_moved = spill.clone();
-        let unwound = std::panic::catch_unwind(move || {
-            let _guard = TempPathGuard::dir(spill_moved);
-            panic!("constructor blew up");
-        });
-        assert!(unwound.is_err());
-        assert!(!spill.exists(), "unwind must remove the spill dir");
-
-        // Defused guard: ownership passed to the owner, nothing deleted.
-        let kept = dir.join("kept.bin");
-        std::fs::write(&kept, b"mine now").expect("write");
-        TempPathGuard::file(kept.clone()).defuse();
-        assert!(kept.exists(), "defused guard must leave the path alone");
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Names under the temp directory that this process's spill files
+    /// go by for the instant they have one.
+    fn spill_paths() -> Vec<std::ffi::OsString> {
+        let ours = format!("sar-spill-{}-", std::process::id());
+        std::fs::read_dir(std::env::temp_dir())
+            .expect("temp dir")
+            .filter_map(|e| Some(e.ok()?.file_name()))
+            .filter(|n| n.to_string_lossy().starts_with(&ours))
+            .collect()
     }
 
     #[test]
     fn arena_round_trips_bit_patterns() {
-        let dir = tmp_dir("roundtrip");
-        let mut arena = SpillArena::create(&dir).expect("arena");
+        let mut arena = SpillArena::default();
         // NaNs, infinities, -0.0: a bitwise copy must preserve them all.
         let weird = vec![f32::NAN, f32::INFINITY, -0.0, 1.5e-42, -3.25];
         let seg = arena.store(&weird).expect("store");
@@ -684,74 +447,56 @@ mod tests {
         let a: Vec<u32> = weird.iter().map(|v| v.to_bits()).collect();
         let b: Vec<u32> = back.iter().map(|v| v.to_bits()).collect();
         assert_eq!(a, b);
-        drop(arena);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn arena_grows_past_initial_capacity() {
-        let dir = tmp_dir("grow");
-        let mut arena = SpillArena::create(&dir).expect("arena");
-        let big = vec![2.5f32; INITIAL_CAP / 2];
+    fn arena_round_trips_blocks_of_several_megabytes() {
+        let mut arena = SpillArena::default();
+        let big: Vec<f32> = (0..(3 << 18)).map(|i| i as f32).collect();
         let a = arena.store(&big).expect("store a");
-        let b = arena.store(&big).expect("store b");
-        assert!(arena.capacity() > INITIAL_CAP);
+        let b = arena.store(&big[1..]).expect("store b");
+        assert_eq!(arena.load(b).expect("load b"), big[1..]);
         assert_eq!(arena.load(a).expect("load a"), big);
-        assert_eq!(arena.load(b).expect("load b"), big);
-        drop(arena);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn arena_reuses_freed_segments() {
-        let dir = tmp_dir("freelist");
-        let mut arena = SpillArena::create(&dir).expect("arena");
+        let mut arena = SpillArena::default();
         let data = vec![1.0f32; 1000];
         let seg = arena.store(&data).expect("store");
         let head_after_first = arena.head;
         let _ = arena.load(seg).expect("load");
         let seg2 = arena.store(&data).expect("store again");
         assert_eq!(arena.head, head_after_first, "freed segment reused");
-        let _ = arena.load(seg2).expect("load 2");
-        drop(arena);
-        let _ = std::fs::remove_dir_all(&dir);
+        arena.free(seg2);
+        let seg3 = arena.store(&data).expect("store a third time");
+        assert_eq!(arena.head, head_after_first, "unread segment reused too");
+        assert_eq!(arena.load(seg3).expect("load 3"), data);
     }
 
     #[test]
     fn store_spills_coldest_and_faults_back_identically() {
-        let dir = tmp_dir("lru");
-        // Budget of 2 blocks of [64, 4] f32 = 2 KiB.
-        let block = 64 * 4 * 4;
-        let mut store = TieredStore::in_dir(2 * block as u64, &dir).expect("store");
-        let make = |seed: f32| {
-            Tensor::from_vec(
-                &[64, 4],
-                (0..256).map(|i| seed + i as f32 * 0.5).collect::<Vec<_>>(),
-            )
-        };
+        let mut store = TieredStore::new(2 * BLOCK_BYTES);
         let _ = take_tier_counters();
-        store.put(1, make(1.0)).expect("put 1");
-        store.put(2, make(2.0)).expect("put 2");
+        store.put(1, block(1.0)).expect("put 1");
+        store.put(2, block(2.0)).expect("put 2");
         assert_eq!(store.spilled_len(), 0);
-        store.put(3, make(3.0)).expect("put 3");
+        store.put(3, block(3.0)).expect("put 3");
         // Block 1 (coldest) spilled.
         assert_eq!(store.spilled_len(), 1);
-        assert!(store.resident_bytes() <= 2 * block as u64);
+        assert_eq!(store.resident_bytes, 2 * BLOCK_BYTES);
         let t1 = store.take(1).expect("fault 1");
-        assert_eq!(t1.data(), make(1.0).data());
+        assert_eq!(t1.data(), block(1.0).data());
         let (spill, fault, _) = take_tier_counters();
-        assert_eq!(spill, block as u64);
-        assert_eq!(fault, block as u64);
+        assert_eq!(spill, BLOCK_BYTES);
+        assert_eq!(fault, BLOCK_BYTES);
         let t2 = store.take(2).expect("take 2 (resident)");
-        assert_eq!(t2.data(), make(2.0).data());
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(t2.data(), block(2.0).data());
     }
 
     #[test]
     fn spill_lowers_tracked_resident_memory() {
-        let dir = tmp_dir("mem");
-        let mut store = TieredStore::in_dir(0, &dir).expect("store");
+        let mut store = TieredStore::new(0);
         let before = MemoryTracker::stats().current_bytes;
         store
             .put(7, Tensor::zeros(&[1024, 16]))
@@ -763,45 +508,107 @@ mod tests {
         let t = store.take(7).expect("fault");
         assert_eq!(MemoryTracker::stats().current_bytes, before + 1024 * 16 * 4);
         drop(t);
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_block_is_a_typed_error() {
-        let dir = tmp_dir("missing");
-        let mut store = TieredStore::in_dir(u64::MAX, &dir).expect("store");
+        let mut store = TieredStore::new(u64::MAX);
         match store.take(99) {
             Err(TierError::MissingBlock(99)) => {}
             other => panic!("expected MissingBlock, got {other:?}"),
         }
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn spill_all_moves_everything_to_disk() {
-        let dir = tmp_dir("spillall");
-        let mut store = TieredStore::in_dir(u64::MAX, &dir).expect("store");
-        for id in 0..4u64 {
-            store.put(id, Tensor::ones(&[8, 8])).expect("put");
+    fn an_unbounded_store_is_a_ram_map_that_opens_no_file() {
+        let mut store = TieredStore::new(u64::MAX);
+        for id in 0..8u64 {
+            store.put(id, block(id as f32)).expect("put");
         }
-        store.spill_all().expect("spill_all");
-        assert_eq!(store.resident_bytes(), 0);
+        store.discard(3);
+        store.discard(3);
+        for id in (0..8u64).filter(|&id| id != 3) {
+            assert_eq!(
+                store.take(id).expect("take").data(),
+                block(id as f32).data()
+            );
+        }
+        assert!(store.is_empty());
+        assert!(
+            store.arena.file.is_none(),
+            "nothing spilled, so nothing opened"
+        );
+    }
+
+    #[test]
+    fn full_disk_is_a_typed_error_and_the_store_stays_usable() {
+        // Every write to /dev/full fails with ENOSPC — a full filesystem
+        // without needing one.
+        let mut options = OpenOptions::new();
+        let Ok(full) = options.read(true).write(true).open("/dev/full") else {
+            eprintln!("skipping: /dev/full is not available here");
+            return;
+        };
+        let is_storage_full = |e: &TierError| matches!(e, TierError::Io { source, .. } if source.kind() == io::ErrorKind::StorageFull);
+        let mut arena = SpillArena {
+            file: Some(full.try_clone().expect("clone /dev/full")),
+            ..SpillArena::default()
+        };
+        let err = arena.store(&[1.0, 2.0]).expect_err("no space");
+        assert!(is_storage_full(&err), "{err:?}");
+        assert_eq!(arena.free.len(), 1, "a failed store gives its segment back");
+
+        // The same failure through the store: `put` reports it, and no
+        // block is lost — not even the one that could not be written.
+        let mut store = TieredStore::new(BLOCK_BYTES);
+        store.arena.file = Some(full);
+        store.put(1, block(1.0)).expect("fits the budget");
+        let err = store.put(2, block(2.0)).expect_err("block 1 cannot spill");
+        assert!(is_storage_full(&err), "{err:?}");
+        assert!(err.to_string().contains("spill arena write"), "{err}");
+        assert_eq!(store.spilled_len(), 0);
+        assert_eq!(store.take(2).expect("take 2").data(), block(2.0).data());
+        assert_eq!(store.take(1).expect("take 1").data(), block(1.0).data());
+        assert!(store.is_empty());
+    }
+
+    #[test]
+    fn a_spilling_store_has_no_path_in_the_temp_dir() {
+        let mut store = TieredStore::new(0);
+        for id in 0..4u64 {
+            store.put(id, block(id as f32)).expect("put");
+        }
         assert_eq!(store.spilled_len(), 4);
-        for id in 0..4u64 {
-            assert_eq!(store.take(id).expect("fault").data(), &[1.0; 64][..]);
-        }
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
+        // A concurrent test's file has a name for the instant between its
+        // creation and its unlink; a leak is there both times we look.
+        let first = spill_paths();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let leaked: Vec<_> = spill_paths()
+            .into_iter()
+            .filter(|n| first.contains(n))
+            .collect();
+        assert!(leaked.is_empty(), "spill paths on disk: {leaked:?}");
+        assert_eq!(store.take(2).expect("fault").data(), block(2.0).data());
     }
 
     #[test]
-    fn owned_temp_dir_is_removed_on_drop() {
-        let store = TieredStore::new(1024).expect("store");
-        let dir = store.dir().to_path_buf();
-        assert!(dir.exists());
-        drop(store);
-        assert!(!dir.exists(), "spill dir {dir:?} should be cleaned up");
+    fn clear_and_discard_drop_spilled_blocks_without_reading_them() {
+        let mut store = TieredStore::new(0);
+        for id in 0..4u64 {
+            store.put(id, block(id as f32)).expect("put");
+        }
+        let (spill, _, _) = take_tier_counters();
+        assert_eq!(spill, 4 * BLOCK_BYTES);
+        store.discard(1);
+        assert_eq!(store.arena.free[&BLOCK_BYTES].len(), 1, "freed, not read");
+        store.clear();
+        assert!(store.is_empty());
+        let (_, fault, _) = take_tier_counters();
+        assert_eq!(fault, 0, "dropping a block must not read it back");
+        // Dropping everything is resetting the allocator.
+        assert_eq!((store.arena.head, store.arena.free.len()), (0, 0));
+        store.put(9, block(9.0)).expect("put after clear");
+        assert_eq!(store.arena.head, BLOCK_BYTES, "the file is reused from 0");
+        assert_eq!(store.take(9).expect("fault").data(), block(9.0).data());
     }
 }
