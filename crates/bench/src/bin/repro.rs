@@ -54,10 +54,6 @@
 //!                       {sim,tcp} x {threads} x {prefetch-depth}:
 //!                       --transport sim,tcp, --nodes N,
 //!                       --train-budget BYTES, --seed N, --quick
-//!   overlap-check       diff a freshly generated BENCH_overlap.json
-//!                       against the committed copy on run-set identity
-//!                       and ledger invariants (timings are not compared);
-//!                       flags: --current PATH --committed PATH
 //!   all                 every table, figure and ablation above (not smoke
 //!                       or the gated benchmarks)
 //!
@@ -100,11 +96,6 @@
 //!                        training                        (default 0)
 //!   --seed N             RNG seed               (default 0)
 //! ```
-//!
-//! With `--out DIR`, smoke also writes `DIR/BENCH_overlap.json`: one
-//! record per (model, threads, depth) run with the per-phase
-//! blocked-vs-wall overlap summary, so the realized comm/compute overlap
-//! is tracked as a CI artifact.
 
 use sar_bench::cli::{Args, GatedBench};
 use sar_bench::compressbench::CompressBenchReport;
@@ -223,7 +214,6 @@ fn smoke(flags: &Flags) -> Vec<String> {
     };
     let nodes = flags.cfg.products_nodes.min(1500);
     let mut violations = Vec::new();
-    let mut overlaps = Vec::new();
     for arch_name in models {
         let exp = format!("smoke-{arch_name}");
         let mut wl = match smoke::workload(arch_name, nodes, flags.cfg.seed) {
@@ -277,7 +267,6 @@ fn smoke(flags: &Flags) -> Vec<String> {
                 }
             };
             first_digest.get_or_insert(digest);
-            overlaps.push(smoke::overlap_record(&report, flags.transport, t, d, s));
             if let Some(dir) = out_dir {
                 let path = format!("{dir}/{file}");
                 match report.write_json(&path) {
@@ -285,13 +274,6 @@ fn smoke(flags: &Flags) -> Vec<String> {
                     Err(e) => violations.push(format!("{exp}: cannot write {path}: {e}")),
                 }
             }
-        }
-    }
-    if let Some(dir) = out_dir {
-        let path = format!("{dir}/BENCH_overlap.json");
-        match std::fs::write(&path, smoke::overlap_artifact(overlaps)) {
-            Ok(()) => eprintln!("[repro] wrote {path}"),
-            Err(e) => violations.push(format!("smoke: cannot write {path}: {e}")),
         }
     }
     violations
@@ -420,53 +402,6 @@ fn gated_bench_cmd<B: GatedBench>(mut args: Args) -> i32 {
     0
 }
 
-/// `repro overlap-check --current PATH --committed PATH`: diff a fresh
-/// `BENCH_overlap.json` against the committed copy (run-set identity and
-/// ledger invariants; timings are not compared).
-fn overlap_check_cmd(mut args: Args) -> i32 {
-    let mut current: Option<String> = None;
-    let mut committed: Option<String> = None;
-    while let Some(flag) = args.next_flag() {
-        let slot = match flag.as_str() {
-            "--current" => &mut current,
-            "--committed" => &mut committed,
-            other => {
-                eprintln!("unknown overlap-check flag: {other}");
-                return 2;
-            }
-        };
-        match args.value(&flag) {
-            Ok(v) => *slot = Some(v),
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        }
-    }
-    let (Some(current), Some(committed)) = (current, committed) else {
-        eprintln!("overlap-check needs --current PATH and --committed PATH");
-        return 2;
-    };
-    let read =
-        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
-    let (cur, base) = match (read(&current), read(&committed)) {
-        (Ok(c), Ok(b)) => (c, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("[repro] overlap-check: {e}");
-            return 1;
-        }
-    };
-    let violations = smoke::overlap_check(&cur, &base);
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("[repro] overlap-check VIOLATION: {v}");
-        }
-        return 1;
-    }
-    eprintln!("[repro] overlap-check: {current} is consistent with {committed}");
-    0
-}
-
 fn main() {
     let mut args = Args::from_env();
     let Some(experiment) = args.next_flag() else {
@@ -478,7 +413,6 @@ fn main() {
         "servebench" => std::process::exit(gated_bench_cmd::<ServeBenchReport>(args)),
         "compressbench" => std::process::exit(gated_bench_cmd::<CompressBenchReport>(args)),
         "outofcorebench" => std::process::exit(gated_bench_cmd::<OocBenchReport>(args)),
-        "overlap-check" => std::process::exit(overlap_check_cmd(args)),
         _ => {}
     }
     let flags = parse_flags(args).unwrap_or_else(|e| {

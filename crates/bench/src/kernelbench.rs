@@ -325,9 +325,7 @@ fn graph_cases(quick: bool) -> Vec<Case> {
                 bytes: 4.0 * (e * (ff + 4.0 * hh) + nn * (ff + 3.0 * hh)),
                 run: Box::new(move || {
                     let mut state = OnlineAttnState::new(g.num_rows(), heads, d);
-                    fused::gat_twostep_block_forward(
-                        &g, &s_dst, &s_src, &x, None, slope, &mut state,
-                    );
+                    fused::gat_twostep_block_forward(&g, &s_dst, &s_src, &x, slope, &mut state);
                     black_box(state.num.data()[0]);
                 }),
             });
@@ -340,7 +338,7 @@ fn graph_cases(quick: bool) -> Vec<Case> {
                 flops: 2.0 * nn * ff,
                 bytes: 4.0 * (nn * ff + nn * hh + ff),
                 run: Box::new(move || {
-                    black_box(ops::head_project(&x, None, &a, heads));
+                    black_box(ops::head_project(&x, &a, heads));
                 }),
             });
         }
@@ -351,8 +349,8 @@ fn graph_cases(quick: bool) -> Vec<Case> {
 /// The traversal at the shape the benchmark runs it: `spmm_sum` forward
 /// and backward at `F = 64` over rank 0's blocks of `sage-tcp2`'s seed-0
 /// partitioning — the dense local block `G_{0,0}` (≈ 54 edges per row,
-/// read through the row map as Algorithm 1's round 0 does) and the sparse
-/// remote block `G_{0,1}` (≈ 6 per row). The synthetic graph above never
+/// over the resident features as Algorithm 1's round 0 reads them) and
+/// the sparse remote block `G_{0,1}` (≈ 6 per row). The synthetic graph above never
 /// leaves L2 and at `F = 32` is walked flat; here the streamed operand is
 /// ≈ 6 MiB and the walker cuts it into ≈ 24 row panels, so these are the
 /// cases a traversal change shows up in. Same FLOP/byte models as the
@@ -370,11 +368,9 @@ fn block_cases(quick: bool) -> Vec<Case> {
         let e = block.num_edges() as f64;
         let bytes = |out_rows: usize| 4.0 * (e * f as f64 + (out_rows * f) as f64 + e);
         {
-            // Round 0 reads the resident `[n, F]` features through the
-            // row map; a remote round reads the block the wire delivered.
-            let local = q == dist.rank();
-            let x_rows = if local { n } else { block.num_cols() };
-            let x = randn(&[x_rows, f], 1.0, &mut rng);
+            // One row per block column: the resident `[n, F]` features
+            // in round 0, the block the wire delivered in a remote round.
+            let x = randn(&[block.num_cols(), f], 1.0, &mut rng);
             let dist = Rc::clone(&dist);
             let mut acc = Tensor::zeros(&[n, f]);
             cases.push(Case {
@@ -382,16 +378,7 @@ fn block_cases(quick: bool) -> Vec<Case> {
                 flops: e * f as f64,
                 bytes: bytes(n),
                 run: Box::new(move || {
-                    if local {
-                        ops::spmm_sum_into_indexed(
-                            dist.block(q),
-                            &x,
-                            dist.needed_from(q),
-                            &mut acc,
-                        );
-                    } else {
-                        ops::spmm_sum_into(dist.block(q), &x, &mut acc);
-                    }
+                    ops::spmm_sum_into(dist.block(q), &x, &mut acc);
                     black_box(acc.data()[0]);
                 }),
             });

@@ -447,37 +447,6 @@ impl RunReport {
         }
         s
     }
-
-    /// The per-phase overlap scoreboard as a self-contained JSON object:
-    /// wall, blocked, comm and CPU microseconds summed across workers and
-    /// layers. `blocked_us / wall_us` is the fraction of the phase the
-    /// cluster spent parked in blocking receives — the pipelined rotation
-    /// exchange drives it down as `--prefetch-depth` grows. This is the
-    /// fragment `repro smoke` embeds into `BENCH_overlap.json`.
-    pub fn overlap_json(&self) -> Value {
-        use std::collections::BTreeMap;
-        let mut agg: BTreeMap<&'static str, [f64; 4]> = BTreeMap::new();
-        for r in self.workers.iter().flat_map(|w| &w.phases) {
-            let e = agg.entry(r.phase.name()).or_default();
-            let m = &r.entry;
-            for (sum, x) in e
-                .iter_mut()
-                .zip([m.wall_us, m.blocked_us, m.comm_us, m.cpu_us])
-            {
-                *sum += x;
-            }
-        }
-        let phases = agg.into_iter().map(|(phase, [wall, blocked, comm, cpu])| {
-            obj([
-                ("phase", phase.into()),
-                ("wall_us", wall.into()),
-                ("blocked_us", blocked.into()),
-                ("comm_us", comm.into()),
-                ("cpu_us", cpu.into()),
-            ])
-        });
-        obj([("phases", phases.collect())])
-    }
 }
 
 fn join(items: impl Iterator<Item = String>) -> String {
@@ -587,7 +556,6 @@ mod tests {
         let r = sample_report();
         let back = RunReport::from_json(&r.to_json()).expect("own JSON reads back");
         assert_eq!(back.parity_digest(), r.parity_digest());
-        assert_eq!(back.overlap_json(), r.overlap_json());
         assert_eq!(back.to_json(), r.to_json());
         assert_eq!(back.experiment, r.experiment);
         assert_eq!(back.epoch_times, r.epoch_times);
@@ -678,18 +646,6 @@ mod tests {
         let mut d = sample_report();
         d.workers[0].phases[0].entry.recv_bytes += 1;
         assert_ne!(a.parity_digest(), d.parity_digest());
-    }
-
-    #[test]
-    fn overlap_json_aggregates_blocked_vs_wall() {
-        let mut r = sample_report();
-        r.workers.push(r.workers[0].clone());
-        let j = r.overlap_json();
-        let phases = j.items("phases");
-        assert_eq!(phases.len(), 1);
-        assert_eq!(phases[0].req_str("phase"), Ok("forward_fetch"));
-        assert_eq!(phases[0].req_num("wall_us"), Ok(9.0));
-        assert_eq!(phases[0].req_num("blocked_us"), Ok(3.0));
     }
 
     #[test]

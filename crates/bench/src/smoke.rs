@@ -8,18 +8,8 @@
 //! (`repro smoke --transport tcp`, which spawns one `sar-worker` process
 //! per rank) gate on *exactly* the same program and the same rules —
 //! any divergence between the backends then fails the same check.
-//!
-//! The per-run overlap records `repro smoke --out` collects into
-//! `BENCH_overlap.json`, and the `repro overlap-check` diff against the
-//! committed copy, live here too: one module writes and reads that
-//! schema.
-
-use std::collections::BTreeMap;
-
-use crate::json::{self, obj, Value};
 
 use crate::distrun::Workload;
-use crate::harness::Transport;
 use crate::report::{mib, RunReport, Table};
 use sar_comm::Phase;
 
@@ -114,7 +104,12 @@ pub fn ledger_table(report: &RunReport) -> Table {
 ///   refetch traffic, sent or received;
 /// * `gat` — Algorithm 2 case 2: each of the `epochs` backward passes
 ///   re-fetches exactly what one of the `epochs + 1` forward passes (the
-///   extra one is evaluation) fetched, within 2%.
+///   extra one is evaluation) fetched, within 2%;
+/// * a ledger row with negative CPU or blocked time, or more blocked time
+///   than wall time: blocked time is measured inside the row's wall
+///   interval, so either means the ledger itself is corrupt. Rows the
+///   runtime does not wall-clock (`wall_us == 0`, the collective gather)
+///   only need their entries non-negative.
 pub fn violations(report: &RunReport, epochs: usize) -> Vec<String> {
     let exp = &report.experiment;
     let mut violations = Vec::new();
@@ -152,6 +147,21 @@ pub fn violations(report: &RunReport, epochs: usize) -> Vec<String> {
             }
             _ => {}
         }
+        for r in &w.phases {
+            let (wall, blocked, cpu) = (r.entry.wall_us, r.entry.blocked_us, r.entry.cpu_us);
+            let row = format!("{exp}: rank {} {}/{:?}", w.rank, r.phase.name(), r.layer);
+            if !(blocked >= 0.0 && cpu >= 0.0) {
+                violations.push(format!(
+                    "{row}: negative ledger entry (blocked={blocked}, cpu={cpu})"
+                ));
+            }
+            // A microscopic slack for summed rounding.
+            if wall > 0.0 && blocked > wall * (1.0 + 1e-9) + 1.0 {
+                violations.push(format!(
+                    "{row}: blocked_us {blocked} exceeds wall_us {wall}"
+                ));
+            }
+        }
     }
     violations
 }
@@ -178,151 +188,6 @@ pub fn digest_diff(baseline: &str, run: &str) -> Option<String> {
             }
         }
     }
-}
-
-// ----------------------------------------------------------------------
-// BENCH_overlap.json: the per-run records and the committed-copy diff
-// ----------------------------------------------------------------------
-
-/// One smoke run's `BENCH_overlap.json` record: the run's identity plus
-/// its [`RunReport::overlap_json`] scoreboard.
-pub fn overlap_record(
-    report: &RunReport,
-    transport: Transport,
-    threads: usize,
-    prefetch_depth: usize,
-    simd: &str,
-) -> Value {
-    obj([
-        ("experiment", report.experiment.as_str().into()),
-        ("transport", transport.name().into()),
-        ("threads", threads.into()),
-        ("prefetch_depth", prefetch_depth.into()),
-        ("simd", simd.into()),
-        ("overlap", report.overlap_json()),
-    ])
-}
-
-/// The `BENCH_overlap.json` document over the collected records, one
-/// run per line.
-#[must_use]
-pub fn overlap_artifact(records: Vec<Value>) -> String {
-    obj([("runs", Value::Arr(records))]).pretty(2) + "\n"
-}
-
-/// Identity of one smoke run inside `BENCH_overlap.json`.
-fn overlap_run_key(run: &Value) -> Result<String, String> {
-    Ok(format!(
-        "{}/{}/t{}/d{}/{}",
-        run.req_str("experiment")?,
-        run.req_str("transport")?,
-        run.req_num("threads")?,
-        run.req_num("prefetch_depth")?,
-        // Optional for pre-SIMD artifacts; the default matches the
-        // historical behaviour.
-        run.get("simd").and_then(Value::str).unwrap_or("auto"),
-    ))
-}
-
-fn overlap_phases(run: &Value) -> &[Value] {
-    run.get("overlap").map_or(&[], |o| o.items("phases"))
-}
-
-/// Diffs a freshly generated `BENCH_overlap.json` against the committed
-/// copy. Timings legitimately vary run to run, so the comparison covers
-/// only *structure and invariants*:
-///
-/// * the run set (experiment, transport, threads, prefetch-depth, simd)
-///   must be identical in both files,
-/// * each run's phase-name set must match the committed run's,
-/// * every phase must satisfy `0 ≤ blocked_us ≤ wall_us` and
-///   `cpu_us ≥ 0` — blocked time is a measured subset of wall time, so
-///   a violation means the ledger itself is corrupt. Phases the runtime
-///   does not wall-clock (`wall_us == 0`, e.g. `collective`) only need
-///   their entries non-negative.
-///
-/// Returns the violations (empty = the artifact is consistent).
-#[must_use]
-pub fn overlap_check(current_text: &str, committed_text: &str) -> Vec<String> {
-    let parse_runs = |label: &str, text: &str| -> Result<BTreeMap<String, Value>, String> {
-        let doc = json::parse(text).map_err(|e| format!("{label}: JSON parse error: {e}"))?;
-        let runs = doc
-            .get("runs")
-            .and_then(Value::arr)
-            .ok_or_else(|| format!("{label}: no \"runs\" array"))?;
-        runs.iter()
-            .map(|run| {
-                let key = overlap_run_key(run).map_err(|e| format!("{label}: run record: {e}"))?;
-                Ok((key, run.clone()))
-            })
-            .collect()
-    };
-    let (current, committed) = match (
-        parse_runs("current", current_text),
-        parse_runs("committed", committed_text),
-    ) {
-        (Ok(cur), Ok(com)) => (cur, com),
-        (Err(e), _) | (_, Err(e)) => return vec![e],
-    };
-    let mut violations = Vec::new();
-    for key in committed.keys() {
-        if !current.contains_key(key) {
-            violations.push(format!(
-                "run {key} is in the committed BENCH_overlap.json but was not produced \
-                 — the smoke matrix changed; regenerate the committed copy"
-            ));
-        }
-    }
-    let phase_names = |run: &Value| -> Vec<String> {
-        let mut names: Vec<String> = overlap_phases(run)
-            .iter()
-            .filter_map(|p| p.get("phase").and_then(Value::str).map(str::to_string))
-            .collect();
-        names.sort();
-        names
-    };
-    for (key, run) in &current {
-        let Some(base) = committed.get(key) else {
-            violations.push(format!(
-                "run {key} is new (not in the committed BENCH_overlap.json) — \
-                 regenerate the committed copy"
-            ));
-            continue;
-        };
-        let (cur_phases, base_phases) = (phase_names(run), phase_names(base));
-        if cur_phases != base_phases {
-            violations.push(format!(
-                "run {key}: phase set {cur_phases:?} differs from committed {base_phases:?}"
-            ));
-        }
-        for p in overlap_phases(run) {
-            let name = p.get("phase").and_then(Value::str).unwrap_or("?");
-            let f = |k: &str| p.get(k).and_then(Value::num);
-            let (Some(w), Some(b), Some(c)) = (f("wall_us"), f("blocked_us"), f("cpu_us")) else {
-                violations.push(format!(
-                    "run {key} phase {name}: missing wall_us/blocked_us/cpu_us"
-                ));
-                continue;
-            };
-            if !(b >= 0.0 && w >= 0.0 && c >= 0.0) {
-                violations.push(format!(
-                    "run {key} phase {name}: negative ledger entry \
-                     (wall={w}, blocked={b}, cpu={c})"
-                ));
-            }
-            // Blocked time is measured inside the wall interval; allow a
-            // microscopic slack for summed rounding. A zero wall means
-            // the runtime never clocks the phase (the collective gather)
-            // — blocked alone is fine.
-            if w > 0.0 && b > w * (1.0 + 1e-9) + 1.0 {
-                violations.push(format!(
-                    "run {key} phase {name}: blocked_us {b} exceeds wall_us {w} \
-                     — the overlap ledger is inconsistent"
-                ));
-            }
-        }
-    }
-    violations
 }
 
 #[cfg(test)]
@@ -482,50 +347,29 @@ mod tests {
         assert!(!d.contains('\n'), "{d}");
     }
 
-    const OVERLAP: &str = r#"{"runs": [
-        {"experiment": "smoke-sage", "transport": "tcp", "threads": 1,
-         "prefetch_depth": 0, "simd": "auto",
-         "overlap": {"phases": [{"phase": "fetch", "wall_us": 10.0,
-          "blocked_us": 4.0, "comm_us": 3.0, "cpu_us": 6.0}]}}
-    ]}"#;
-
     #[test]
-    fn overlap_check_accepts_consistent_and_flags_drift() {
-        assert!(overlap_check(OVERLAP, OVERLAP).is_empty());
-        // Timings may differ freely.
-        let retimed = OVERLAP.replace("10.0", "99.0");
-        assert!(overlap_check(&retimed, OVERLAP).is_empty());
-        // A missing run is structural drift.
-        let empty = r#"{"runs": []}"#;
-        assert!(overlap_check(empty, OVERLAP)
-            .iter()
-            .any(|v| v.contains("not produced")));
-        assert!(overlap_check(OVERLAP, empty)
-            .iter()
-            .any(|v| v.contains("new")));
-        // blocked > wall is a corrupt ledger.
-        let corrupt = OVERLAP.replace("\"blocked_us\": 4.0", "\"blocked_us\": 40.0");
-        assert!(overlap_check(&corrupt, OVERLAP)
-            .iter()
-            .any(|v| v.contains("exceeds wall_us")));
-        // ... unless the phase is one the runtime never wall-clocks
-        // (wall_us == 0, like the collective gather): blocked alone is
-        // legitimate there.
-        let untimed = OVERLAP.replace("\"wall_us\": 10.0", "\"wall_us\": 0.0");
-        assert!(overlap_check(&untimed, &untimed).is_empty());
-    }
-
-    #[test]
-    fn overlap_records_pass_their_own_check() {
-        let r = report("sage", vec![profile(4000, 0, 0)]);
-        let doc = overlap_artifact(vec![
-            overlap_record(&r, Transport::Sim, 1, 0, "auto"),
-            overlap_record(&r, Transport::Tcp, 2, 2, "scalar"),
-        ]);
-        assert_eq!(doc.lines().count(), 6, "one run per line:\n{doc}");
-        assert_eq!(overlap_check(&doc, &doc), Vec::<String>::new());
-        let one = overlap_artifact(vec![overlap_record(&r, Transport::Sim, 1, 0, "auto")]);
-        let v = overlap_check(&one, &doc);
-        assert!(v.iter().any(|m| m.contains("t/tcp/t2/d2/scalar")), "{v:?}");
+    fn a_row_blocked_longer_than_its_wall_is_flagged() {
+        let timed = |wall: f64, blocked: f64, cpu: f64| {
+            let mut r = report("sage", vec![profile(4000, 0, 0)]);
+            let e = &mut r.workers[0].phases[0].entry;
+            (e.wall_us, e.blocked_us, e.cpu_us) = (wall, blocked, cpu);
+            violations(&r, EPOCHS)
+        };
+        assert!(timed(10.0, 4.0, 6.0).is_empty());
+        // Inside the slack: summed rounding, not corruption.
+        assert!(timed(10.0, 10.5, 6.0).is_empty());
+        let v = timed(10.0, 40.0, 6.0);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("rank 0 forward_fetch") && v[0].contains("exceeds wall_us"));
+        // A row the runtime never wall-clocks (the collective gather):
+        // blocked alone is legitimate there.
+        assert!(timed(0.0, 40.0, 0.0).is_empty());
+        for (blocked, cpu) in [(-1.0, 6.0), (4.0, -1.0), (f64::NAN, 6.0)] {
+            let v = timed(10.0, blocked, cpu);
+            assert!(
+                v.iter().any(|m| m.contains("negative ledger entry")),
+                "{v:?}"
+            );
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Per-worker communication context: tagged point-to-point messaging.
 
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -430,13 +431,17 @@ impl WorkerCtx {
         let key = (src as u32, tag);
         let mut blocked_us = 0.0f64;
         let (payload, wire) = loop {
-            if let Some(p) = self
-                .pending
-                .borrow_mut()
-                .get_mut(&key)
-                .and_then(VecDeque::pop_front)
-            {
-                break p;
+            // A drained queue leaves the map with its last message: tags
+            // are never reused, so an emptied entry would stay for the
+            // life of the process.
+            if let Entry::Occupied(mut queue) = self.pending.borrow_mut().entry(key) {
+                let p = queue.get_mut().pop_front();
+                if queue.get().is_empty() {
+                    queue.remove();
+                }
+                if let Some(p) = p {
+                    break p;
+                }
             }
             // sar-check: deterministic(metering: blocked-time accounting
             // only; the delivered payload is untouched)
@@ -892,5 +897,41 @@ mod tests {
             // ...but time is measured, not modeled.
             assert!(stats.comm_us >= 0.0);
         }
+    }
+
+    /// Tags are never reused (training allocates them from a counter,
+    /// `sar-serve` per batch), so a queue left behind once drained is a
+    /// leak for the life of a resident rank.
+    #[test]
+    fn pending_forgets_a_key_once_its_queue_drains() {
+        const ROUNDS: u64 = 200;
+        Cluster::new(2, CostModel::default()).run(|ctx| {
+            let peer = 1 - ctx.rank();
+            for round in 0..ROUNDS {
+                // Two tags per round, received in the opposite order: the
+                // first arrival is always parked.
+                let (a, b) = (2 * round, 2 * round + 1);
+                ctx.send(peer, a, Payload::U32(vec![a as u32]));
+                ctx.send(peer, b, Payload::U32(vec![b as u32]));
+                assert_eq!(ctx.recv(peer, b).into_u32(), [b as u32]);
+                assert_eq!(ctx.recv(peer, a).into_u32(), [a as u32]);
+                // A self-send parks one message under its own tag.
+                let own = 2 * ROUNDS + round;
+                ctx.send(ctx.rank(), own, Payload::U32(vec![7]));
+                assert_eq!(ctx.recv(ctx.rank(), own).into_u32(), [7]);
+            }
+            assert_eq!(ctx.pending.borrow().len(), 0, "drained queues stay");
+            // Delivery within one (src, tag) is still FIFO, parked or not.
+            let (tag, other) = (4 * ROUNDS, 4 * ROUNDS + 1);
+            for i in 0..3 {
+                ctx.send(peer, tag, Payload::U32(vec![i]));
+            }
+            ctx.send(peer, other, Payload::U32(vec![9]));
+            assert_eq!(ctx.recv(peer, other).into_u32(), [9]);
+            for i in 0..3 {
+                assert_eq!(ctx.recv(peer, tag).into_u32(), [i]);
+            }
+            assert!(ctx.pending.borrow().is_empty());
+        });
     }
 }

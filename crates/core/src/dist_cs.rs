@@ -9,10 +9,10 @@
 
 use std::rc::Rc;
 
+use sar_graph::ops;
 use sar_nn::CsConfig;
 use sar_tensor::Tensor;
 
-use crate::seq_agg::spmm_block_into;
 use crate::worker::Worker;
 
 /// One distributed step of symmetric-normalized propagation
@@ -27,8 +27,8 @@ use crate::worker::Worker;
 pub fn dist_propagate_sym(w: &Rc<Worker>, x: &Tensor, inv_sqrt_deg_local: &Tensor) -> Tensor {
     let scaled = x.mul_col_broadcast(inv_sqrt_deg_local);
     let mut acc = Tensor::zeros(&[w.graph.num_local(), x.cols()]);
-    w.fetch_rounds(&*w.graph, &scaled, |q, fetched| {
-        spmm_block_into(w.graph.block(q), &fetched, &mut acc);
+    w.fetch_rounds(&*w.graph, &scaled, |q, block| {
+        ops::spmm_sum_into(w.graph.block(q), block, &mut acc);
     });
     acc.mul_col_broadcast(inv_sqrt_deg_local)
 }

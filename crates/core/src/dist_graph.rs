@@ -15,10 +15,11 @@ use sar_partition::Partitioning;
 
 /// Worker `p`'s partition-local view of the distributed graph.
 ///
-/// Column spaces of the blocks are *compacted*: block `q` has one column
-/// per distinct `q`-node that `p` needs, in the order of
-/// [`needed_from`](DistGraph::needed_from). This makes a fetched feature
-/// payload directly usable as the block's source-feature matrix.
+/// Block `q` has one column per entry of
+/// [`needed_from`](DistGraph::needed_from): for a remote `q` the distinct
+/// `q`-nodes `p` needs, *compacted*, so a fetched feature payload is
+/// directly the block's source-feature matrix; for `q = p` every local
+/// node, so the worker's own resident features are.
 #[derive(Debug, Clone)]
 pub struct DistGraph {
     rank: usize,
@@ -67,10 +68,16 @@ impl DistGraph {
             buckets[p][q].push((local_idx[s as usize], local_idx[d as usize]));
         }
 
-        // needed_from[p][q]: sorted distinct q-local sources feeding p.
+        // needed_from[p][q]: sorted distinct q-local sources feeding p;
+        // for q == p every local node, referenced or not — round p reads
+        // the resident tensor itself, which has a row for each.
         let mut needed_from: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); world]; world];
         for p in 0..world {
             for q in 0..world {
+                if q == p {
+                    needed_from[p][q] = (0..members[p].len() as u32).collect();
+                    continue;
+                }
                 let mut srcs: Vec<u32> = buckets[p][q].iter().map(|&(s, _)| s).collect();
                 srcs.sort_unstable();
                 srcs.dedup();
@@ -156,12 +163,13 @@ impl DistGraph {
     }
 
     /// The bipartite block `G_{p,q}`: edges from partition `q` into this
-    /// partition, with compacted source columns.
+    /// partition, one column per entry of `needed_from(q)`.
     pub fn block(&self, q: usize) -> &CsrGraph {
         &self.blocks[q]
     }
 
-    /// `q`-local indices of the nodes this worker fetches from `q`.
+    /// `q`-local indices of the nodes this worker fetches from `q`
+    /// (for `q == rank`: every local node, `0..num_local`).
     pub fn needed_from(&self, q: usize) -> &[u32] {
         &self.needed_from[q]
     }

@@ -59,4 +59,4 @@ pub use seq_agg::{gat_aggregate, sage_aggregate, FakMode};
 pub use shard::Shard;
 pub use trainer::{run_worker, train, EpochRecord, RunReport, TrainConfig, WorkerReport};
 pub use view::{ShardView, View};
-pub use worker::{FetchedBlock, GradRouter, Worker};
+pub use worker::{GradRouter, Worker};

@@ -141,12 +141,14 @@ pub fn expand_inputs(g: &DistGraph, slice: &LayerSlice, serve_rows: &[Vec<u32>])
 /// One MFG level as a [`ShardView`]: a [`LayerSlice`] plus the rows peers
 /// requested of this worker, every local row re-indexed into the level's
 /// packed input activation matrix — so the same walker, router and layer
-/// math that run the full graph run the level.
+/// math that run the full graph run the level. That includes the local
+/// block's columns, widened from the compact `req_rows[rank]` space to
+/// the input matrix's rows: monotone (both lists ascend), so each row's
+/// ascending-column order — and every accumulated bit — is unchanged.
 #[derive(Debug, Clone)]
 pub struct LevelView {
     rank: usize,
     slice: LayerSlice,
-    local_rows: Vec<u32>,
     serve_rows: Vec<Vec<u32>>,
     dst_map: Vec<u32>,
     in_degree: Vec<f32>,
@@ -163,7 +165,7 @@ impl LevelView {
     /// The first local row the level references that `input_rows` lacks.
     pub fn new(
         g: &DistGraph,
-        slice: LayerSlice,
+        mut slice: LayerSlice,
         serve_rows: &[Vec<u32>],
         input_rows: &[u32],
     ) -> Result<LevelView, u32> {
@@ -178,9 +180,12 @@ impl LevelView {
                 .collect()
         };
         let degree = g.global_in_degree();
+        let input_of = pos(&slice.req_rows[g.rank()])?;
+        let local = &mut slice.blocks[g.rank()];
+        let widened = local.indices().iter().map(|&c| input_of[c as usize]);
+        *local = CsrGraph::from_raw(input_rows.len(), local.indptr().to_vec(), widened.collect());
         Ok(LevelView {
             rank: g.rank(),
-            local_rows: pos(&slice.req_rows[g.rank()])?,
             serve_rows: serve_rows
                 .iter()
                 .map(|r| pos(r))
@@ -191,7 +196,8 @@ impl LevelView {
         })
     }
 
-    /// The layer restriction this view walks.
+    /// The layer restriction this view walks (its local block with the
+    /// view's `num_inputs` columns, every other field as sliced).
     pub fn slice(&self) -> &LayerSlice {
         &self.slice
     }
@@ -216,10 +222,6 @@ impl ShardView for LevelView {
 
     fn block(&self, q: usize) -> &CsrGraph {
         &self.slice.blocks[q]
-    }
-
-    fn local_rows(&self) -> &[u32] {
-        &self.local_rows
     }
 
     fn serve_rows(&self, q: usize) -> &[u32] {
@@ -259,7 +261,15 @@ mod tests {
             let all: Vec<u32> = (0..s.num_local() as u32).collect();
             let slice = slice_layer(s, &all);
             for q in 0..s.world() {
-                assert_eq!(slice.req_rows[q], s.needed_from(q));
+                // The local block has a column for every local node; the
+                // slice keeps the ones an edge references.
+                let mut referenced = s.block(q).indices().to_vec();
+                referenced.sort_unstable();
+                referenced.dedup();
+                assert_eq!(slice.req_cols[q], referenced);
+                if q != s.rank() {
+                    assert_eq!(slice.req_rows[q], s.needed_from(q));
+                }
                 assert_eq!(slice.blocks[q].num_edges(), s.block(q).num_edges());
             }
         }
@@ -301,6 +311,50 @@ mod tests {
                         "row {d} col {j}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The view's local block reads the packed input matrix directly:
+    /// `num_inputs` columns, and the same bits as gathering the rows the
+    /// compact slice block names and aggregating over that.
+    #[test]
+    fn level_view_local_block_equals_gather_then_compact_block_bitwise() {
+        use rand::Rng;
+        let (_, shards) = setup(4);
+        let f = 5;
+        let mut rng = StdRng::seed_from_u64(11);
+        for s in &shards {
+            let p = s.rank();
+            for _ in 0..8 {
+                let mut query = |frac: f64| -> Vec<u32> {
+                    (0..s.num_local() as u32)
+                        .filter(|_| rng.random_bool(frac))
+                        .collect()
+                };
+                let dst = query(0.3);
+                let serve: Vec<Vec<u32>> = (0..s.world())
+                    .map(|q| if q == p { Vec::new() } else { query(0.1) })
+                    .collect();
+                let slice = slice_layer(s, &dst);
+                let inputs = expand_inputs(s, &slice, &serve);
+                let view = LevelView::new(s, slice.clone(), &serve, &inputs).unwrap();
+                assert_eq!(view.block(p).num_cols(), view.num_inputs());
+                assert_eq!(view.expected_rows(p), inputs.len());
+
+                let h = init::randn(&[inputs.len(), f], 1.0, &mut rng);
+                let mut direct = Tensor::ones(&[dst.len(), f]);
+                ops::spmm_sum_into(view.block(p), &h, &mut direct);
+
+                let at: Vec<u32> = slice.req_rows[p]
+                    .iter()
+                    .map(|r| inputs.binary_search(r).unwrap() as u32)
+                    .collect();
+                let mut gathered = Tensor::ones(&[dst.len(), f]);
+                ops::spmm_sum_into(&slice.blocks[p], &h.gather_rows(&at), &mut gathered);
+                let bits =
+                    |t: &Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
+                assert_eq!(bits(&direct), bits(&gathered), "rank {p}");
             }
         }
     }

@@ -24,15 +24,14 @@ use std::rc::Rc;
 
 use sar_comm::{Phase, TransportError};
 use sar_graph::fused::{
-    attn_grad_dot, gat_fused_block_backward, gat_fused_block_backward_indexed,
-    gat_fused_block_forward, gat_fused_block_forward_indexed, gat_twostep_block_backward,
+    attn_grad_dot, gat_fused_block_backward, gat_fused_block_forward, gat_twostep_block_backward,
     gat_twostep_block_forward, FusedBlockGrads, OnlineAttnState,
 };
 use sar_graph::{ops, CsrGraph};
 use sar_tensor::{Function, Tensor, Var};
 
 use crate::view::View;
-use crate::worker::{FetchedBlock, GradRouter, Worker};
+use crate::worker::{GradRouter, Worker};
 
 // ----------------------------------------------------------------------
 // Case 1: GraphSage (linear aggregation, no refetch)
@@ -68,15 +67,6 @@ impl Function for SageAggFn {
     }
 }
 
-/// `acc += A_block · x` for one fetched block `x` — the per-block step of
-/// every linear sequential aggregation (GraphSage, GCN, C&S propagation).
-pub(crate) fn spmm_block_into(g: &CsrGraph, fetched: &FetchedBlock<'_>, acc: &mut Tensor) {
-    match parts(fetched) {
-        (x, Some(rows)) => ops::spmm_sum_into_indexed(g, x, rows, acc),
-        (x, None) => ops::spmm_sum_into(g, x, acc),
-    }
-}
-
 /// SAR sum-aggregation for GraphSage-style layers (case 1).
 ///
 /// Forward: Algorithm 1 — fetches each partition's projected features
@@ -102,12 +92,8 @@ pub fn sage_aggregate(w: &Rc<Worker>, view: &View, z: &Var) -> Result<Var, Trans
     let mut acc = Tensor::zeros(&[view.num_dst(), cols]);
     {
         let _phase = w.ctx.phase_scope(Phase::ForwardFetch);
-        // Round 0 aggregates straight out of the resident features through
-        // the row table (fused gather+aggregate); remote blocks aggregate
-        // from the wire buffer. Both paths are bitwise identical to
-        // gather-then-aggregate.
-        w.try_fetch_rounds(&**view, &z.value(), w.next_tag(), |q, fetched| {
-            spmm_block_into(view.block(q), &fetched, &mut acc);
+        w.try_fetch_rounds(&**view, &z.value(), w.next_tag(), |q, z_block| {
+            ops::spmm_sum_into(view.block(q), z_block, &mut acc);
             Ok(())
         })?;
     }
@@ -138,36 +124,20 @@ pub enum FakMode {
     TwoStep,
 }
 
-/// A fetched block as the kernels take it: the feature tensor, plus the
-/// row table when the block is the unmaterialized local round (read
-/// through it by the fused gather+aggregate kernels — bitwise identical
-/// to gathering first).
-fn parts<'a>(block: &FetchedBlock<'a>) -> (&'a Tensor, Option<&'a [u32]>) {
-    match *block {
-        FetchedBlock::Local { data, rows } => (data, Some(rows)),
-        FetchedBlock::Remote(t) => (t, None),
-    }
-}
-
 impl FakMode {
     /// One block of the online-softmax forward with this kernel family.
-    #[allow(clippy::too_many_arguments)]
     fn block_forward(
         self,
         g: &CsrGraph,
         s_dst: &Tensor,
         s_src: &Tensor,
         x: &Tensor,
-        rows: Option<&[u32]>,
         slope: f32,
         st: &mut OnlineAttnState,
     ) {
-        match (self, rows) {
-            (FakMode::Fused, Some(r)) => {
-                gat_fused_block_forward_indexed(g, s_dst, s_src, x, r, slope, st)
-            }
-            (FakMode::Fused, None) => gat_fused_block_forward(g, s_dst, s_src, x, slope, st),
-            (FakMode::TwoStep, _) => gat_twostep_block_forward(g, s_dst, s_src, x, rows, slope, st),
+        match self {
+            FakMode::Fused => gat_fused_block_forward(g, s_dst, s_src, x, slope, st),
+            FakMode::TwoStep => gat_twostep_block_forward(g, s_dst, s_src, x, slope, st),
         }
     }
 
@@ -179,22 +149,18 @@ impl FakMode {
         s_dst: &Tensor,
         s_src: &Tensor,
         x: &Tensor,
-        rows: Option<&[u32]>,
         slope: f32,
         (max, den): (&Tensor, &Tensor),
         (grad, dot): (&Tensor, &Tensor),
         d_s_dst: &mut Tensor,
     ) -> FusedBlockGrads {
-        match (self, rows) {
-            (FakMode::Fused, Some(r)) => gat_fused_block_backward_indexed(
-                g, s_dst, s_src, x, r, slope, max, den, grad, dot, d_s_dst,
-            ),
-            (FakMode::Fused, None) => {
+        match self {
+            FakMode::Fused => {
                 gat_fused_block_backward(g, s_dst, s_src, x, slope, max, den, grad, dot, d_s_dst)
             }
-            (FakMode::TwoStep, _) => gat_twostep_block_backward(
-                g, s_dst, s_src, x, rows, slope, max, den, grad, dot, d_s_dst,
-            ),
+            FakMode::TwoStep => {
+                gat_twostep_block_backward(g, s_dst, s_src, x, slope, max, den, grad, dot, d_s_dst)
+            }
         }
     }
 }
@@ -271,20 +237,13 @@ impl Function for GatAggFn {
             let _refetch = w.ctx.phase_scope(Phase::BackwardRefetch);
             let s_dst_ref = s_dst.value();
             let z_ref = z.value();
-            // The local round re-materializes nothing: logits, attention
-            // gradients, and the s_src fold-back all read the resident
-            // features through the row table (fused gather+aggregate).
-            // Gradient outputs are block-shaped either way, so the
-            // routing is identical for both paths.
             w.try_fetch_rounds(view, &z_ref, w.next_tag(), |q, z_block| {
-                let (x, rows) = parts(&z_block);
-                let s_src_block = ops::head_project(x, rows, &a_src_val, heads);
+                let s_src_block = ops::head_project(z_block, &a_src_val, heads);
                 let grads = self.mode.block_backward(
                     view.block(q),
                     &s_dst_ref,
                     &s_src_block,
-                    x,
-                    rows,
+                    z_block,
                     self.slope,
                     (&max, &den),
                     (grad_output, &grad_dot),
@@ -293,7 +252,7 @@ impl Function for GatAggFn {
                 // Fold the s_src path back into z and a_src:
                 // s_src = head_project(z, a_src).
                 let (dz_from_s, da) =
-                    ops::head_project_backward(x, rows, &a_src_val, heads, &grads.d_s_src);
+                    ops::head_project_backward(z_block, &a_src_val, heads, &grads.d_s_src);
                 d_a_src.add_assign(&da);
                 let mut d_z_block = grads.d_x_src;
                 d_z_block.add_assign(&dz_from_s);
@@ -370,19 +329,13 @@ pub fn gat_aggregate(
     {
         let _phase = w.ctx.phase_scope(Phase::ForwardFetch);
         let s_dst_ref = s_dst.value();
-        // Round 0 computes source logits and aggregates straight out of
-        // the resident features through the row table (fused
-        // gather+aggregate); remote blocks use the materialized wire
-        // buffer. Both paths are bitwise identical.
         w.try_fetch_rounds(&**view, &z.value(), w.next_tag(), |q, z_block| {
-            let (x, rows) = parts(&z_block);
-            let s_src_block = ops::head_project(x, rows, &a_src_val, heads);
+            let s_src_block = ops::head_project(z_block, &a_src_val, heads);
             mode.block_forward(
                 view.block(q),
                 &s_dst_ref,
                 &s_src_block,
-                x,
-                rows,
+                z_block,
                 slope,
                 &mut state,
             );

@@ -10,6 +10,10 @@
 //! the [`GradRouter`](crate::GradRouter), [`seq_agg`](crate::seq_agg) and
 //! the layer math — reads the partition through this trait only, so a new
 //! row set is a new implementation, not a new walker.
+//!
+//! One contract covers every block, the local one included: the columns
+//! of [`block(q)`](ShardView::block) index the rows of the tensor the
+//! walker hands its consumer for round `q`.
 
 use std::sync::Arc;
 
@@ -36,12 +40,10 @@ pub trait ShardView {
     /// Destination rows the aggregation produces.
     fn num_dst(&self) -> usize;
 
-    /// The bipartite block `G_{p,q}` restricted to the destination rows,
-    /// with compacted source columns.
+    /// The bipartite block `G_{p,q}` restricted to the destination rows.
+    /// Its columns index the rows peer `q` serves — or, for `q = rank`,
+    /// this view's `num_inputs` input rows.
     fn block(&self, q: usize) -> &CsrGraph;
-
-    /// Input rows backing the local block's columns, in column order.
-    fn local_rows(&self) -> &[u32];
 
     /// Input rows peer `q` fetches from this worker, in the order `q`'s
     /// block columns expect them.
@@ -83,10 +85,6 @@ impl ShardView for DistGraph {
 
     fn block(&self, q: usize) -> &CsrGraph {
         DistGraph::block(self, q)
-    }
-
-    fn local_rows(&self) -> &[u32] {
-        self.needed_from(DistGraph::rank(self))
     }
 
     fn serve_rows(&self, q: usize) -> &[u32] {

@@ -1,5 +1,9 @@
 //! The per-worker handle tying together communication, the local graph
 //! shard, and the rotation-schedule feature exchange at the heart of SAR.
+//!
+//! Every round hands its consumer one `&Tensor` whose rows are the columns
+//! of `view.block(q)` ([`ShardView::block`]): the block peer `q` served,
+//! or — round 0, no message, nothing staged — the worker's own features.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -18,52 +22,6 @@ use crate::view::{ShardView, View};
 /// Tags below the collective range, reserved for SAR's point-to-point
 /// exchanges.
 const P2P_TAG_BASE: u64 = 1 << 40;
-
-/// One partition block handed to the [`Worker::try_fetch_rounds`] consumer.
-///
-/// Remote rounds deliver the materialized block received from the wire.
-/// The round-0 local block is *not* materialized: the consumer gets the
-/// worker's resident feature tensor plus the row table selecting the
-/// block's compacted columns, and reads through it with the kernels
-/// that take a row map ([`sar_graph::ops::spmm_sum_into_indexed`],
-/// [`sar_graph::ops::head_project`],
-/// [`sar_graph::fused::gat_fused_block_forward_indexed`],
-/// [`sar_graph::fused::gat_twostep_block_forward`] and their backward
-/// counterparts) — the gathered copy earlier revisions staged through the buffer
-/// pool never exists, so round 0 contributes zero staged bytes to the
-/// fetch-phase watermark.
-pub enum FetchedBlock<'a> {
-    /// Round 0: the local features, viewed through `rows` (one entry per
-    /// block column, each an index into `data`).
-    Local {
-        /// The worker's resident `[num_inputs, F]` feature tensor.
-        data: &'a Tensor,
-        /// Row table selecting the block's compacted columns from `data`.
-        rows: &'a [u32],
-    },
-    /// A remote partition's rows, received and bounds-checked.
-    Remote(&'a Tensor),
-}
-
-impl FetchedBlock<'_> {
-    /// Number of rows in the block (its compacted column count).
-    pub fn rows(&self) -> usize {
-        match self {
-            FetchedBlock::Local { rows, .. } => rows.len(),
-            FetchedBlock::Remote(t) => t.rows(),
-        }
-    }
-
-    /// Materializes the block as an owned tensor (gathering the local
-    /// round's rows). For cold paths and tests — hot paths consume `Local`
-    /// in place via the row-map kernels.
-    pub fn to_tensor(&self) -> Tensor {
-        match self {
-            FetchedBlock::Local { data, rows } => data.gather_rows(rows),
-            FetchedBlock::Remote(t) => (*t).clone(),
-        }
-    }
-}
 
 /// A worker's handle during distributed training: the communication
 /// context, this worker's shard, and a tag allocator. The exchanges
@@ -341,9 +299,9 @@ impl Worker {
     /// [`Protocol::GradOnly`] the rotation collapses to round 0 on every
     /// rank alike.
     ///
-    /// Round 0 is the local block, delivered as [`FetchedBlock::Local`]:
-    /// no communication and no gathered copy. Remote blocks land in pooled
-    /// buffers and are recycled after consumption.
+    /// Round 0 is the local block: `consume(p, data)` — no communication,
+    /// no copy, nothing staged (its columns index `data`'s rows). Remote
+    /// blocks land in pooled buffers and are recycled after consumption.
     ///
     /// `tag` must be the same on every rank and unused by any exchange
     /// still in flight; training allocates it with [`Worker::next_tag`].
@@ -365,7 +323,7 @@ impl Worker {
         view: &dyn ShardView,
         data: &Tensor,
         tag: u64,
-        mut consume: impl FnMut(usize, FetchedBlock<'_>) -> Result<(), TransportError>,
+        mut consume: impl FnMut(usize, &Tensor) -> Result<(), TransportError>,
     ) -> Result<(), TransportError> {
         let n = self.world();
         let p = self.rank();
@@ -389,10 +347,6 @@ impl Worker {
         // same loop under BackwardRefetch).
         let _phase = (self.ctx.current_phase() == Phase::Other)
             .then(|| self.ctx.phase_scope(Phase::ForwardFetch));
-        let local = || FetchedBlock::Local {
-            data,
-            rows: view.local_rows(),
-        };
 
         // Refresh epochs keep each remote block after consumption instead
         // of recycling it; stale epochs replay what was kept, with zero
@@ -400,7 +354,7 @@ impl Worker {
         let (source, sink) = match self.protocol.get() {
             // Local-subgraph training: every rank skips the same serves
             // and fetches, so no peer waits on a message that never comes.
-            Protocol::GradOnly => return consume(p, local()),
+            Protocol::GradOnly => return consume(p, data),
             Protocol::Exact => (BlockStore::Wire, BlockStore::Wire),
             Protocol::Stale(_) if self.epoch_fresh.get() => (BlockStore::Wire, BlockStore::Tier),
             Protocol::Stale(_) => (BlockStore::Tier, BlockStore::Tier),
@@ -444,9 +398,9 @@ impl Worker {
                 }
                 FetchStep::Consume { q } => match staged.pop_front() {
                     None => panic!("worker {p}: pipeline underrun consuming partition {q}"),
-                    Some(None) => consume(q, local())?,
+                    Some(None) => consume(q, data)?,
                     Some(Some((round, block))) => {
-                        consume(q, FetchedBlock::Remote(&block))?;
+                        consume(q, &block)?;
                         match sink {
                             BlockStore::Wire => buffer::recycle_f32(block.into_data()),
                             BlockStore::Tier => self.tier_put(
@@ -476,7 +430,7 @@ impl Worker {
         &self,
         view: &dyn ShardView,
         data: &Tensor,
-        mut consume: impl FnMut(usize, FetchedBlock<'_>),
+        mut consume: impl FnMut(usize, &Tensor),
     ) {
         let walked = self.try_fetch_rounds(view, data, self.next_tag(), |q, block| {
             consume(q, block);
@@ -601,10 +555,12 @@ impl<'a> GradRouter<'a> {
         let mut grad = Tensor::zeros(&[view.num_inputs(), cols]);
         for step in plan::grad_steps(w.world(), w.rank()) {
             match step {
+                // Added into the zeroed gradient rather than adopted as
+                // it: `0.0 + -0.0` is `+0.0`, and every digest was taken
+                // with that sum in it.
                 GradStep::AccumulateLocal => {
                     if let Some(data) = self.local.take() {
-                        let rows = view.local_rows();
-                        grad.scatter_add_rows(rows, &Tensor::from_vec(&[rows.len(), cols], data));
+                        grad.add_assign(&Tensor::from_vec(&[view.num_inputs(), cols], data));
                     }
                 }
                 GradStep::Recv { src } if routed => {

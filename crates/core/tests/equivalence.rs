@@ -518,3 +518,178 @@ fn training_through_an_all_rows_mfg_view_matches_the_full_graph_bitwise() {
         );
     }
 }
+
+/// A hand-built dataset over `graph`: seeded features, three classes,
+/// every other node a training node. No stand-in dataset has the block
+/// shapes the tests below need (they are all symmetric with self loops).
+fn dataset_over(graph: CsrGraph, seed: u64) -> datasets::Dataset {
+    let n = graph.num_nodes();
+    datasets::Dataset {
+        features: init::randn(&[n, FEAT], 1.0, &mut StdRng::seed_from_u64(seed)),
+        labels: (0..n as u32).map(|i| (i * 7 + 1) % 3).collect(),
+        train_mask: (0..n).map(|i| i % 2 == 0).collect(),
+        val_mask: vec![false; n],
+        test_mask: vec![false; n],
+        num_classes: 3,
+        name: "hand-built".into(),
+        graph,
+    }
+}
+
+/// One forward + backward of a two-layer model at `part.num_parts()`
+/// workers: the summed loss and every parameter's summed gradient.
+fn loss_and_grads(
+    d: &datasets::Dataset,
+    part: &Partitioning,
+    (arch, mode): (Arch, Mode),
+    depth: usize,
+    threads: usize,
+) -> (f32, Vec<Tensor>) {
+    let world = part.num_parts();
+    let graphs: Arc<Vec<Arc<DistGraph>>> = Arc::new(
+        DistGraph::build_all(&d.graph, part)
+            .into_iter()
+            .map(Arc::new)
+            .collect(),
+    );
+    let shards = Arc::new(Shard::build_all(d, part));
+    let cfg = ModelConfig {
+        arch,
+        mode,
+        layers: 2,
+        in_dim: d.feat_dim(),
+        num_classes: d.num_classes,
+        dropout: 0.0,
+        batch_norm: false,
+        jumping_knowledge: false,
+        seed: 3,
+    };
+    let mut outcomes = Cluster::new(world, CostModel::default()).run(move |ctx| {
+        sar_tensor::pool::set_threads(threads);
+        let rank = ctx.rank();
+        let shard = &shards[rank];
+        let w = Worker::from_shared(Rc::new(ctx), Arc::clone(&graphs[rank]), depth);
+        let model = DistModel::new(&cfg);
+        let logits = (0..cfg.layers).fold(Var::constant(shard.features_tensor()), |h, l| {
+            let _layer = w.ctx.layer_scope(l as u16);
+            model.layer_forward(l, &w, &w.view(), &h).unwrap()
+        });
+        let loss = cross_entropy_masked(
+            &logits,
+            &shard.labels,
+            &shard.train_mask,
+            Some(shard.global_train_count as f32),
+        );
+        loss.backward();
+        let grads: Vec<Tensor> = model
+            .params()
+            .iter()
+            .map(|p| p.grad().unwrap_or_else(|| Tensor::zeros(&p.shape())))
+            .collect();
+        let loss = loss.value().item();
+        (loss, grads)
+    });
+    // Summed in rank order, as the trainer's all-reduce would — except a
+    // gradient every rank already holds the same bits of: Algorithm 2
+    // summed that one (GAT's `a_src`) across machines inside the backward.
+    let (mut loss, mut grads) = outcomes.remove(0).result;
+    for o in &outcomes {
+        loss += o.result.0;
+        for (sum, g) in grads.iter_mut().zip(&o.result.1) {
+            if sum
+                .data()
+                .iter()
+                .zip(g.data())
+                .any(|(a, b)| a.to_bits() != b.to_bits())
+            {
+                sum.add_assign(g);
+            }
+        }
+    }
+    (loss, grads)
+}
+
+/// Block shapes no stand-in dataset has — a local block with no edge at
+/// all, and local nodes that no local edge references — train like any
+/// other: the loss and every parameter gradient match the single-worker
+/// run, and are the same bits at every pipeline depth and thread count.
+#[test]
+fn empty_and_sparse_local_blocks_match_the_single_worker_run() {
+    const N: usize = 48;
+    // Bipartite between the halves, no self loops: partitioned by side,
+    // every `G_{p,p}` is empty. World 3 splits the second half once more.
+    let mut rng = StdRng::seed_from_u64(40);
+    let across: Vec<(u32, u32)> = erdos_renyi(N / 2, 100, &mut rng)
+        .iter_edges()
+        .map(|(s, d)| (s, d + (N / 2) as u32))
+        .collect();
+    let bipartite = CsrGraph::from_edges(N, &across).symmetrize();
+    let by_side = |world: usize| -> Partitioning {
+        let side = |i: usize| match (i * 2 / N, world) {
+            (0, _) => 0,
+            (_, 2) => 1,
+            _ => 1 + (i % 2) as u32,
+        };
+        Partitioning::new(world, (0..N).map(side).collect())
+    };
+    // Sparse and loop-free under a random partitioning: most local nodes
+    // have no local neighbour.
+    let sparse = erdos_renyi(N, 70, &mut rng).symmetrize();
+    type Partitioner<'a> = &'a dyn Fn(usize) -> Partitioning;
+    let shapes: [(&str, CsrGraph, Partitioner); 2] = [
+        ("bipartite by side", bipartite, &by_side),
+        ("unreferenced local nodes", sparse.clone(), &|world| {
+            random(&sparse, world, 41)
+        }),
+    ];
+    let sage = Arch::GraphSage { hidden: 8 };
+    let gat = Arch::Gat {
+        head_dim: 4,
+        heads: 2,
+    };
+    for (what, graph, partitioned) in shapes {
+        let d = dataset_over(graph, 42);
+        for world in [2usize, 3] {
+            let part = partitioned(world);
+            for shard in DistGraph::build_all(&d.graph, &part) {
+                let local = shard.block(shard.rank());
+                assert_eq!(local.num_cols(), shard.num_local(), "{what}");
+                let mut referenced = local.indices().to_vec();
+                referenced.sort_unstable();
+                referenced.dedup();
+                match what {
+                    "bipartite by side" => assert_eq!(local.num_edges(), 0),
+                    _ => assert!(referenced.len() < shard.num_local(), "{what}: vacuous"),
+                }
+            }
+            for model in [(sage, Mode::Sar), (gat, Mode::Sar), (gat, Mode::SarFused)] {
+                let tag = format!("{what}, world {world}, {model:?}");
+                let (solo_loss, solo_grads) =
+                    loss_and_grads(&d, &Partitioning::new(1, vec![0; N]), model, 0, 1);
+                let (loss, grads) = loss_and_grads(&d, &part, model, 0, 1);
+                assert!(
+                    (loss - solo_loss).abs() <= 1e-3 * (1.0 + solo_loss.abs()),
+                    "{tag}"
+                );
+                assert!(solo_grads
+                    .iter()
+                    .any(|g| g.data().iter().any(|&v| v != 0.0)));
+                for (k, (g, solo)) in grads.iter().zip(&solo_grads).enumerate() {
+                    assert!(g.allclose(solo, 1e-3), "{tag}: gradient of parameter {k}");
+                }
+                let bits = |(loss, grads): &(f32, Vec<Tensor>)| -> Vec<u32> {
+                    let grads = grads.iter().flat_map(|g| g.data().iter());
+                    std::iter::once(loss)
+                        .chain(grads)
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                let base = bits(&(loss, grads));
+                for (depth, threads) in [(2, 1), (0, 2), (2, 2)] {
+                    let run = loss_and_grads(&d, &part, model, depth, threads);
+                    assert_eq!(bits(&run), base, "{tag}: depth {depth}, threads {threads}");
+                }
+            }
+        }
+    }
+}

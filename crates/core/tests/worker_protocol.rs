@@ -39,9 +39,8 @@ fn fetch_rounds_delivers_each_partition_once_in_rotation_order() {
         w.fetch_rounds(&*w.graph, &data, |q, fetched| {
             seen.push(q);
             assert_eq!(fetched.rows(), w.graph.needed_from(q).len());
-            // Every row of a block fetched from q must carry q's value
-            // (round 0 arrives unmaterialized; gather it for inspection).
-            assert!(fetched.to_tensor().data().iter().all(|&v| v == q as f32));
+            // Every row of a block fetched from q must carry q's value.
+            assert!(fetched.data().iter().all(|&v| v == q as f32));
         });
         seen
     });
@@ -74,12 +73,7 @@ fn one_walk_delivers_the_same_blocks_from_wire_ram_and_tier() {
         let walk = |w: &Worker| -> Delivered {
             let mut seen = Vec::new();
             w.fetch_rounds(&**graph, &data, |q, block| {
-                let bits = block
-                    .to_tensor()
-                    .data()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
+                let bits = block.data().iter().map(|v| v.to_bits()).collect();
                 seen.push((q, block.rows(), bits));
             });
             seen
@@ -206,10 +200,10 @@ fn tags_stay_aligned_across_interleaved_protocols() {
         let b = Tensor::full(&[w.graph.num_local(), 1], 2.0);
         let mut ok = true;
         w.fetch_rounds(&*w.graph, &a, |_, f| {
-            ok &= f.to_tensor().data().iter().all(|&v| v == 1.0);
+            ok &= f.data().iter().all(|&v| v == 1.0);
         });
         w.fetch_rounds(&*w.graph, &b, |_, f| {
-            ok &= f.to_tensor().data().iter().all(|&v| v == 2.0);
+            ok &= f.data().iter().all(|&v| v == 2.0);
         });
         let g = w.exchange_grads(&*w.graph, 1, |q| {
             Tensor::full(&[w.graph.needed_from(q).len(), 1], 3.0)
@@ -230,9 +224,19 @@ fn level_view_reindexes_into_the_input_rows() {
     assert_eq!((view.num_dst(), view.num_inputs()), (2, inputs.len()));
     let at = |rows: &[u32]| -> Vec<u32> { rows.iter().map(|&i| inputs[i as usize]).collect() };
     assert_eq!(at(view.dst_map().unwrap()), slice.dst_rows);
-    assert_eq!(at(view.local_rows()), slice.req_rows[0]);
     assert_eq!(at(view.serve_rows(1)), serve[1]);
-    for q in 0..s.world() {
+    // The local block's columns are the input rows themselves: edge for
+    // edge, the compact block's column read through `req_rows`.
+    let (local, compact) = (view.block(0), &slice.blocks[0]);
+    assert_eq!(view.expected_rows(0), inputs.len());
+    assert_eq!(local.indptr(), compact.indptr());
+    let compact_rows: Vec<u32> = compact
+        .indices()
+        .iter()
+        .map(|&c| slice.req_rows[0][c as usize])
+        .collect();
+    assert_eq!(at(local.indices()), compact_rows);
+    for q in 1..s.world() {
         assert_eq!(view.expected_rows(q), slice.req_rows[q].len());
     }
     for (i, &r) in inputs.iter().enumerate() {

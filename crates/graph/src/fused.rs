@@ -32,11 +32,10 @@
 //! are bitwise identical across thread counts.
 //!
 //! Inner loops over each head's `d`-wide feature segment run through the
-//! bitwise-deterministic SIMD primitives of [`sar_tensor::simd`], and a
-//! row map (`map: Option<&[u32]>`, or the `*_indexed` names the benchmark
-//! pins) makes a kernel read source features through it (`x[map[j]]`) so
-//! SAR's local round can aggregate straight out of the resident feature
-//! tensor without materializing a gathered block.
+//! bitwise-deterministic SIMD primitives of [`sar_tensor::simd`]. The two
+//! `*_indexed` entry points read source features through a row map
+//! (`x[map[j]]`); the workspace no longer calls them and they stay only
+//! because `benchmark/` imports them by name.
 
 use crate::ops::{gat_edge_scores, head_dim, head_dots, Operand};
 use crate::walk::{edges_mut, row_mut};
@@ -416,8 +415,10 @@ pub fn gat_fused_block_forward(
 }
 
 /// [`gat_fused_block_forward`] with source features read through a row
-/// map: block column `j` reads `x[map[j]]`. Used by SAR's fused local
-/// round; bitwise identical to gathering the block first.
+/// map: block column `j` reads `x[map[j]]`; bitwise identical to gathering
+/// the block first. Unused by the workspace (SAR's local block has
+/// identity columns); kept because `benchmark/` imports it by name,
+/// awaiting the benchmark-only change that drops the import.
 ///
 /// # Panics
 ///
@@ -438,8 +439,7 @@ pub fn gat_fused_block_forward_indexed(
 /// Two-step (non-fused) variant of [`gat_fused_block_forward`]: first
 /// *materializes* the block's `[E_block, H]` raw attention scores (one
 /// memory write + read per coefficient, as in DGL's two-step GAT), then
-/// streams them through the same online-softmax accumulator. With a row
-/// map, source features are read through it (`x[map[j]]`).
+/// streams them through the same online-softmax accumulator.
 ///
 /// Numerically identical to the fused kernel; exists to reproduce the
 /// runtime/memory gap between "SAR" and "SAR+FAK" in Figs. 4 and 6.
@@ -452,15 +452,15 @@ pub fn gat_twostep_block_forward(
     s_dst: &Tensor,
     s_src: &Tensor,
     x: &Tensor,
-    map: Option<&[u32]>,
     slope: f32,
     state: &mut OnlineAttnState,
 ) {
-    block_forward::<TWO_STEP>(g, s_dst, s_src, x, map, slope, state);
+    block_forward::<TWO_STEP>(g, s_dst, s_src, x, None, slope, state);
 }
 
 /// The forward of both families: every shape check, then the one
-/// online-softmax step fed from the family's score source.
+/// online-softmax step fed from the family's score source. `map` is
+/// `Some` only from [`gat_fused_block_forward_indexed`].
 fn block_forward<const MATERIALIZED: bool>(
     g: &CsrGraph,
     s_dst: &Tensor,
@@ -548,7 +548,9 @@ pub fn gat_fused_block_backward(
 
 /// [`gat_fused_block_backward`] with source features read through a row
 /// map (`x[map[j]]`). The returned gradients are still block-shaped
-/// (`[cols, …]`) — only the *reads* are indirect.
+/// (`[cols, …]`) — only the *reads* are indirect. Unused by the workspace;
+/// kept because `benchmark/` imports it by name, awaiting the
+/// benchmark-only change that drops the import.
 ///
 /// # Panics
 ///
@@ -577,8 +579,6 @@ pub fn gat_fused_block_backward_indexed(
 /// Two-step variant of [`gat_fused_block_backward`]: re-materializes the
 /// block's `[E_block, H]` scores and coefficients in memory before pushing
 /// gradients (DGL-style), instead of recomputing them per edge on the fly.
-/// With a row map, source features are read through it (`x[map[j]]`);
-/// gradients stay block-shaped.
 ///
 /// # Panics
 ///
@@ -589,7 +589,6 @@ pub fn gat_twostep_block_backward(
     s_dst: &Tensor,
     s_src: &Tensor,
     x: &Tensor,
-    map: Option<&[u32]>,
     slope: f32,
     max: &Tensor,
     den: &Tensor,
@@ -598,12 +597,13 @@ pub fn gat_twostep_block_backward(
     d_s_dst: &mut Tensor,
 ) -> FusedBlockGrads {
     block_backward::<TWO_STEP>(
-        g, s_dst, s_src, x, map, slope, max, den, grad_out, grad_dot, d_s_dst,
+        g, s_dst, s_src, x, None, slope, max, den, grad_out, grad_dot, d_s_dst,
     )
 }
 
 /// The backward of both families: every shape check, then the one
-/// gradient body fed from the family's coefficient source.
+/// gradient body fed from the family's coefficient source. `map` is
+/// `Some` only from [`gat_fused_block_backward_indexed`].
 #[allow(clippy::too_many_arguments)]
 fn block_backward<const MATERIALIZED: bool>(
     g: &CsrGraph,
@@ -822,7 +822,7 @@ mod tests {
         let mut fused = OnlineAttnState::new(5, h, d);
         gat_fused_block_forward(&g, &s_dst, &s_src, &x, slope, &mut fused);
         let mut two = OnlineAttnState::new(5, h, d);
-        gat_twostep_block_forward(&g, &s_dst, &s_src, &x, None, slope, &mut two);
+        gat_twostep_block_forward(&g, &s_dst, &s_src, &x, slope, &mut two);
         assert!(fused.finalize().allclose(&two.finalize(), 1e-5));
 
         let out = fused.finalize();
@@ -833,8 +833,7 @@ mod tests {
         );
         let mut dsd_b = Tensor::zeros(&[5, h]);
         let gb = gat_twostep_block_backward(
-            &g, &s_dst, &s_src, &x, None, slope, &two.max, &two.den, &grad_out, &grad_dot,
-            &mut dsd_b,
+            &g, &s_dst, &s_src, &x, slope, &two.max, &two.den, &grad_out, &grad_dot, &mut dsd_b,
         );
         assert!(ga.d_x_src.allclose(&gb.d_x_src, 1e-5));
         assert!(ga.d_s_src.allclose(&gb.d_s_src, 1e-5));
@@ -861,7 +860,7 @@ mod tests {
             let (l, dsd_ref) = (&logits, &mut dsd);
             let grads = if two_step {
                 gat_twostep_block_backward(
-                    &g, l, l, &x, None, 0.2, &max, &den, &grad_out, &grad_dot, dsd_ref,
+                    &g, l, l, &x, 0.2, &max, &den, &grad_out, &grad_dot, dsd_ref,
                 )
             } else {
                 gat_fused_block_backward(

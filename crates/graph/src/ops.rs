@@ -39,20 +39,20 @@
 //! construction; verified once for `from_raw`): a row's cursor never
 //! skips an entry, so on an unsorted row a panel would buy no locality.
 //!
-//! Kernels that take a row map (`map: Option<&[u32]>`, or the `*_indexed`
-//! names the benchmark pins) fuse SAR's local gather into the kernel: they
-//! read operand row `j` through the map (`x[map[j]]`) instead of requiring
-//! the caller to materialize a gathered block first. They are bitwise
-//! identical to gather-then-kernel because they read exactly the same
-//! values in the same order (asserted in `tests/indexed_parity.rs`).
+//! The `*_indexed` kernels read operand row `j` through a row map
+//! (`x[map[j]]`), bitwise identical to gather-then-kernel (asserted in
+//! `tests/indexed_parity.rs`). Nothing in the workspace calls them since
+//! every SAR block's columns index the tensor the consumer holds; they
+//! stay because `benchmark/` imports them by name, until a benchmark-only
+//! change lets them go.
 
 use crate::walk::{edges_mut, row_mut, walk, Adjacency, FLAT};
 use crate::CsrGraph;
 use sar_tensor::pool::{split_rows, Output};
 use sar_tensor::{simd, Tensor};
 
-/// A kernel's `[n, width]` feature operand, read directly or — for SAR's
-/// unmaterialized local block — through a row map (`x[map[j]]`).
+/// A kernel's `[n, width]` feature operand, read directly or — for the
+/// pinned `*_indexed` entry points only — through a row map (`x[map[j]]`).
 /// Construction is the one place an operand's rows are checked.
 #[derive(Clone, Copy)]
 pub(crate) struct Operand<'a> {
@@ -137,13 +137,12 @@ pub fn spmm_sum_into(g: &CsrGraph, x: &Tensor, out: &mut Tensor) {
 }
 
 /// Fused gather + sum aggregation: `out[i] += Σ_{j ∈ neighbors(i)}
-/// x[map[j]]`.
+/// x[map[j]]`. Bitwise identical to `gather` + [`spmm_sum_into`]: the same
+/// values are read and accumulated in the same order.
 ///
-/// Block column `j` reads row `map[j]` of `x` directly, so SAR's local
-/// round consumes the resident feature tensor without materializing the
-/// gathered `[num_cols, F]` block first. Bitwise identical to
-/// `gather` + [`spmm_sum_into`]: the same values are read and accumulated
-/// in the same order.
+/// Unused by the workspace (SAR's local block has identity columns and
+/// runs [`spmm_sum_into`]); kept because `benchmark/` imports it by name,
+/// awaiting the benchmark-only change that drops the import.
 ///
 /// # Panics
 ///
@@ -483,20 +482,14 @@ pub fn spmm_multihead_backward(
 /// Per-head inner product with an attention vector:
 /// `out[n, h] = Σ_k x[n, h*D + k] * a[h*D + k]`.
 ///
-/// Computes GAT's `aᵀ z` terms; `a` is `[H*D]`. With a row map, row `i` of
-/// the output is the projection of `x[map[i]]` — SAR's local round
-/// computes a block's attention logits straight from the resident feature
-/// tensor, skipping the gathered `[rows, H*D]` copy; bitwise identical to
-/// `gather` + `head_project`.
+/// Computes GAT's `aᵀ z` terms; `a` is `[H*D]`.
 ///
 /// # Panics
 ///
-/// Panics if `x.cols() != a.numel()`, the width is not divisible by
-/// `heads`, or a map entry is out of range for `x`.
-pub fn head_project(x: &Tensor, map: Option<&[u32]>, a: &Tensor, heads: usize) -> Tensor {
-    let n = map.map_or(x.rows(), <[u32]>::len);
-    let x = Operand::new(x, map, n);
-    let hd = x.width;
+/// Panics if `x.cols() != a.numel()` or the width is not divisible by
+/// `heads`.
+pub fn head_project(x: &Tensor, a: &Tensor, heads: usize) -> Tensor {
+    let (n, hd, x) = (x.rows(), x.cols(), x.data());
     assert_eq!(a.numel(), hd, "attention vector length mismatch");
     let d = head_dim(hd, heads);
     let mut out = vec![0.0f32; n * heads];
@@ -506,7 +499,12 @@ pub fn head_project(x: &Tensor, map: Option<&[u32]>, a: &Tensor, heads: usize) -
         [Output::row_owned(&mut out, heads)],
         move |lo, hi, [rows]| {
             for i in lo..hi {
-                head_dots(row_mut(rows, i - lo, heads), x.row(i), a_data, d);
+                head_dots(
+                    row_mut(rows, i - lo, heads),
+                    &x[i * hd..(i + 1) * hd],
+                    a_data,
+                    d,
+                );
             }
         },
     );
@@ -514,10 +512,7 @@ pub fn head_project(x: &Tensor, map: Option<&[u32]>, a: &Tensor, heads: usize) -
 }
 
 /// Backward of [`head_project`]: returns `(d_x, d_a)` given the upstream
-/// gradient `[N, H]`. With a row map, `grad` and the returned `d_x` are
-/// *block-shaped* (`[map.len(), H*D]`) while reads of `x` go through the
-/// map — the gradient mirror of the fused local gather, bitwise identical
-/// to `gather` + `head_project_backward`.
+/// gradient `[N, H]`.
 ///
 /// # Panics
 ///
@@ -527,14 +522,11 @@ pub fn head_project(x: &Tensor, map: Option<&[u32]>, a: &Tensor, heads: usize) -
 // ascending index order on a single writer; no data-dependent reordering)
 pub fn head_project_backward(
     x: &Tensor,
-    map: Option<&[u32]>,
     a: &Tensor,
     heads: usize,
     grad: &Tensor,
 ) -> (Tensor, Tensor) {
-    let n = map.map_or(x.rows(), <[u32]>::len);
-    let x = Operand::new(x, map, n);
-    let hd = x.width;
+    let (n, hd, x) = (x.rows(), x.cols(), x.data());
     assert_eq!(a.numel(), hd, "attention vector length mismatch");
     let d = head_dim(hd, heads);
     assert_eq!(grad.rows(), n, "grad rows mismatch");
@@ -569,7 +561,7 @@ pub fn head_project_backward(
                     if g == 0.0 {
                         continue;
                     }
-                    acc += g * x.row(i)[c];
+                    acc += g * x[i * hd + c];
                 }
                 *slot = acc;
             }
@@ -848,7 +840,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let x = init::randn(&[5, heads * d], 1.0, &mut rng);
         let a = init::randn(&[heads * d], 1.0, &mut rng);
-        let s = head_project(&x, None, &a, heads);
+        let s = head_project(&x, &a, heads);
         for i in 0..5 {
             for h in 0..heads {
                 let manual: f32 = (0..d)
@@ -858,7 +850,7 @@ mod tests {
             }
         }
         let grad = init::randn(&[5, heads], 1.0, &mut rng);
-        let (d_x, d_a) = head_project_backward(&x, None, &a, heads, &grad);
+        let (d_x, d_a) = head_project_backward(&x, &a, heads, &grad);
         let lhs: f32 = s.mul(&grad).sum();
         assert!((lhs - x.mul(&d_x).sum()).abs() < 1e-3);
         assert!((lhs - a.mul(&d_a).sum()).abs() < 1e-3);

@@ -2,8 +2,8 @@
 //! checked here against code that shares none of the bodies' structure:
 //!
 //! * a kernel reading its operand through a row map equals the plain
-//!   kernel on `x.gather_rows(map)` — for every map-taking kernel, with
-//!   maps that permute, repeat and skip rows;
+//!   kernel on `x.gather_rows(map)` — for the three `*_indexed` kernels
+//!   the benchmark pins, with maps that permute, repeat and skip rows;
 //! * `spmm_sum_backward` equals `spmm_sum` over [`CsrGraph::reverse`], a
 //!   transpose built by `from_edges_bipartite` rather than by the reverse
 //!   index the backward walk runs on.
@@ -80,33 +80,9 @@ fn spmm_sum_through_a_map_equals_gather_then_spmm() {
     }
 }
 
-#[test]
-fn head_project_through_a_map_equals_gather_then_project() {
-    let map = row_map();
-    for (heads, d) in [(1usize, 7usize), (1, 13), (4, 8)] {
-        let hd = heads * d;
-        let mut rng = StdRng::seed_from_u64(hd as u64);
-        let x = init::randn(&[RESIDENT, hd], 1.0, &mut rng);
-        let a = init::randn(&[hd], 1.0, &mut rng);
-        let grad = init::randn(&[COLS, heads], 1.0, &mut rng);
-        let gathered = x.gather_rows(&map);
-        at_thread_counts(|threads| {
-            let what = format!("hd={hd} threads={threads}");
-            let indexed = ops::head_project(&x, Some(&map), &a, heads);
-            let plain = ops::head_project(&gathered, None, &a, heads);
-            assert_eq!(bits(&indexed), bits(&plain), "forward {what}");
-            let (dx_i, da_i) = ops::head_project_backward(&x, Some(&map), &a, heads, &grad);
-            let (dx_p, da_p) = ops::head_project_backward(&gathered, None, &a, heads, &grad);
-            assert_eq!(bits(&dx_i), bits(&dx_p), "d_x {what}");
-            assert_eq!(bits(&da_i), bits(&da_p), "d_a {what}");
-        });
-    }
-}
-
-/// Forward and backward of one attention family over one block, reading
-/// `x` through `map` when given. Returns every output.
+/// Forward and backward of the fused attention kernels over one block,
+/// reading `x` through `map` when given. Returns every output.
 fn attention_round_trip(
-    fused_family: bool,
     g: &CsrGraph,
     (s_dst, s_src): (&Tensor, &Tensor),
     x: &Tensor,
@@ -115,26 +91,20 @@ fn attention_round_trip(
     (heads, d): (usize, usize),
 ) -> Vec<Tensor> {
     let mut state = OnlineAttnState::new(ROWS, heads, d);
-    match (fused_family, map) {
-        (true, Some(m)) => {
-            fused::gat_fused_block_forward_indexed(g, s_dst, s_src, x, m, 0.2, &mut state)
-        }
-        (true, None) => fused::gat_fused_block_forward(g, s_dst, s_src, x, 0.2, &mut state),
-        (false, _) => fused::gat_twostep_block_forward(g, s_dst, s_src, x, map, 0.2, &mut state),
+    match map {
+        Some(m) => fused::gat_fused_block_forward_indexed(g, s_dst, s_src, x, m, 0.2, &mut state),
+        None => fused::gat_fused_block_forward(g, s_dst, s_src, x, 0.2, &mut state),
     }
     let (out, max, den) = state.finalize_into();
     let dot = fused::attn_grad_dot(grad_out, &out, heads);
     let mut d_s_dst = Tensor::zeros(&[ROWS, heads]);
     let dsd = &mut d_s_dst;
-    let FusedBlockGrads { d_x_src, d_s_src } = match (fused_family, map) {
-        (true, Some(m)) => fused::gat_fused_block_backward_indexed(
+    let FusedBlockGrads { d_x_src, d_s_src } = match map {
+        Some(m) => fused::gat_fused_block_backward_indexed(
             g, s_dst, s_src, x, m, 0.2, &max, &den, grad_out, &dot, dsd,
         ),
-        (true, None) => fused::gat_fused_block_backward(
+        None => fused::gat_fused_block_backward(
             g, s_dst, s_src, x, 0.2, &max, &den, grad_out, &dot, dsd,
-        ),
-        (false, _) => fused::gat_twostep_block_backward(
-            g, s_dst, s_src, x, map, 0.2, &max, &den, grad_out, &dot, dsd,
         ),
     };
     vec![out, max, den, d_s_dst, d_x_src, d_s_src]
@@ -154,36 +124,14 @@ fn attention_through_a_map_equals_gather_then_attention() {
         );
         let grad_out = init::randn(&[ROWS, hd], 1.0, &mut rng);
         let gathered = x.gather_rows(&map);
-        for fused_family in [true, false] {
-            at_thread_counts(|threads| {
-                let shape = (heads, d);
-                let indexed = attention_round_trip(
-                    fused_family,
-                    &g,
-                    logits,
-                    &x,
-                    Some(&map),
-                    &grad_out,
-                    shape,
-                );
-                let plain = attention_round_trip(
-                    fused_family,
-                    &g,
-                    logits,
-                    &gathered,
-                    None,
-                    &grad_out,
-                    shape,
-                );
-                for (k, (a, b)) in indexed.iter().zip(&plain).enumerate() {
-                    assert_eq!(
-                        bits(a),
-                        bits(b),
-                        "fused={fused_family} hd={hd} threads={threads} output {k}"
-                    );
-                }
-            });
-        }
+        at_thread_counts(|threads| {
+            let shape = (heads, d);
+            let indexed = attention_round_trip(&g, logits, &x, Some(&map), &grad_out, shape);
+            let plain = attention_round_trip(&g, logits, &gathered, None, &grad_out, shape);
+            for (k, (a, b)) in indexed.iter().zip(&plain).enumerate() {
+                assert_eq!(bits(a), bits(b), "hd={hd} threads={threads} output {k}");
+            }
+        });
     }
 }
 

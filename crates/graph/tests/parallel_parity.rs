@@ -135,8 +135,8 @@ fn head_project_parity() {
     let a = init::randn(&[h * d], 1.0, &mut rng);
     let grad = init::randn(&[N, h], 1.0, &mut rng);
     assert_parity("head_project", || {
-        let out = ops::head_project(&x, None, &a, h);
-        let (d_x, d_a) = ops::head_project_backward(&x, None, &a, h, &grad);
+        let out = ops::head_project(&x, &a, h);
+        let (d_x, d_a) = ops::head_project_backward(&x, &a, h, &grad);
         vec![out, d_x, d_a]
     });
 }
@@ -212,7 +212,7 @@ fn twostep_gat_block_parity() {
     let b = gat_block(15);
     assert_parity("twostep_gat_block", || {
         let mut state = fused::OnlineAttnState::new(b.g.num_rows(), b.h, b.d);
-        fused::gat_twostep_block_forward(&b.g, &b.s_dst, &b.s_src, &b.x, None, 0.2, &mut state);
+        fused::gat_twostep_block_forward(&b.g, &b.s_dst, &b.s_src, &b.x, 0.2, &mut state);
         let (out, max, den) = state.finalize_into();
         let grad_dot = fused::attn_grad_dot(&b.grad_out, &out, b.h);
         let mut d_s_dst = Tensor::zeros(&[b.g.num_rows(), b.h]);
@@ -221,7 +221,6 @@ fn twostep_gat_block_parity() {
             &b.s_dst,
             &b.s_src,
             &b.x,
-            None,
             0.2,
             &max,
             &den,

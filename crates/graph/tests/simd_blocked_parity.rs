@@ -69,7 +69,7 @@ fn run_all_kernels() -> Vec<(String, Vec<u32>)> {
             let s_src = randn(&[c, heads], 1.0, &mut rng);
             let grad = randn(&[n, hd], 1.0, &mut rng);
 
-            let proj = ops::head_project(&x, None, &a, heads);
+            let proj = ops::head_project(&x, &a, heads);
             out.push((format!("{gname}/head_project/d{d}"), bits(&proj)));
 
             let scores = ops::gat_edge_scores(&g, &s_dst, &s_src, 0.2);
@@ -97,7 +97,7 @@ fn run_all_kernels() -> Vec<(String, Vec<u32>)> {
             out.push((format!("{gname}/gat_fused/d{d}"), bits(&fused.finalize())));
 
             let mut two = OnlineAttnState::new(n, heads, d);
-            gat_twostep_block_forward(&g, &s_dst, &s_src, &x, None, 0.2, &mut two);
+            gat_twostep_block_forward(&g, &s_dst, &s_src, &x, 0.2, &mut two);
             out.push((format!("{gname}/gat_twostep/d{d}"), bits(&two.finalize())));
         }
     }

@@ -165,15 +165,14 @@ pub fn spmm_multihead(g: &Arc<CsrGraph>, alpha: &Var, x: &Var) -> Var {
 /// Panics if `a` length differs from `x.cols()` or is not divisible by
 /// `heads`.
 pub fn head_project(x: &Var, a: &Var, heads: usize) -> Var {
-    let value = ops::head_project(&x.value(), None, &a.value(), heads);
+    let value = ops::head_project(&x.value(), &a.value(), heads);
     let (xv, av) = (x.clone(), a.clone());
     Var::from_op(
         value,
         vec![x.clone(), a.clone()],
         "head_project",
         move |grad| {
-            let (d_x, d_a) =
-                ops::head_project_backward(&xv.value(), None, &av.value(), heads, grad);
+            let (d_x, d_a) = ops::head_project_backward(&xv.value(), &av.value(), heads, grad);
             vec![Some(d_x), Some(d_a)]
         },
     )

@@ -6,11 +6,10 @@ use sar::bench::json::{self, Value};
 use sar::bench::kernelbench::{BenchReport, KernelResult};
 use sar_check::{reportio, PassReport, Report};
 
-const ARTIFACTS: [(&str, usize); 6] = [
+const ARTIFACTS: [(&str, usize); 5] = [
     ("BENCH_compress.json", 2),
     ("BENCH_kernels.json", 2),
     ("BENCH_outofcore.json", 2),
-    ("BENCH_overlap.json", 2),
     ("BENCH_serve.json", 2),
     ("PROOF_sarcheck.json", 4),
 ];
