@@ -1,11 +1,12 @@
 //! Microbenchmarks of the sparse message-passing kernels (the DGL
-//! substitute): SpMM, edge softmax and multi-head weighted aggregation.
+//! substitute): SpMM, the row gather under it, edge softmax and
+//! multi-head weighted aggregation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sar_graph::{datasets, ops};
-use sar_tensor::init;
+use sar_tensor::{init, simd};
 use std::hint::black_box;
 
 fn bench_spmm(c: &mut Criterion) {
@@ -20,6 +21,16 @@ fn bench_spmm(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("backward", f), &f, |bench, _| {
             bench.iter(|| black_box(ops::spmm_sum_backward(&d.graph, &x)))
+        });
+        // `sum` without the walker or the pool: the primitive alone.
+        let mut acc = vec![0.0f32; 5_000 * f];
+        group.bench_with_input(BenchmarkId::new("gather_sum", f), &f, |bench, _| {
+            bench.iter(|| {
+                for (i, row) in acc.chunks_exact_mut(f).enumerate() {
+                    simd::gather_sum(row, x.data(), d.graph.neighbors(i));
+                }
+                black_box(acc[0])
+            })
         });
     }
     group.finish();

@@ -205,9 +205,8 @@ struct Case {
     run: Box<dyn FnMut()>,
 }
 
-/// The graph-kernel cases: a seeded Erdős–Rényi graph (symmetrized, so
-/// rows are sorted and the cache-blocked traversals engage), feature
-/// widths 32 and 128 at 4 heads. The narrow width exercises the ragged
+/// The graph-kernel cases: a seeded Erdős–Rényi graph (symmetrized),
+/// feature widths 32 and 128 at 4 heads. The narrow width exercises the ragged
 /// SIMD tails (head_dim 8), the wide one the steady-state lanes.
 fn graph_cases(quick: bool) -> Vec<Case> {
     let n = if quick { 192 } else { 2048 };
@@ -350,11 +349,13 @@ fn graph_cases(quick: bool) -> Vec<Case> {
 /// and backward at `F = 64` over rank 0's blocks of `sage-tcp2`'s seed-0
 /// partitioning — the dense local block `G_{0,0}` (≈ 54 edges per row,
 /// over the resident features as Algorithm 1's round 0 reads them) and
-/// the sparse remote block `G_{0,1}` (≈ 6 per row). The synthetic graph above never
-/// leaves L2 and at `F = 32` is walked flat; here the streamed operand is
-/// ≈ 6 MiB and the walker cuts it into ≈ 24 row panels, so these are the
-/// cases a traversal change shows up in. Same FLOP/byte models as the
-/// SpMM cases above.
+/// the sparse remote block `G_{0,1}` (≈ 6 per row). The synthetic graph
+/// above never leaves L2; here the gathered operand is ≈ 6 MiB, so these
+/// are the cases a traversal change shows up in. Beside them,
+/// `gather_sum/f{47,64}` runs the primitive alone over the local block's
+/// rows (no walker, no pool) at the benchmark's two widths, the class
+/// count and the hidden size. Same FLOP/byte models as the SpMM cases
+/// above.
 fn block_cases(quick: bool) -> Vec<Case> {
     let f = 64usize;
     let dataset = datasets::products_like(if quick { 4_000 } else { 50_000 }, 0);
@@ -363,6 +364,25 @@ fn block_cases(quick: bool) -> Vec<Case> {
     let n = dist.num_local();
     let mut rng = StdRng::seed_from_u64(0xB10C);
     let mut cases = Vec::new();
+    for f in [47usize, 64] {
+        let local = dist.block(0);
+        let e = local.num_edges() as f64;
+        let x = randn(&[local.num_cols(), f], 1.0, &mut rng);
+        let dist = Rc::clone(&dist);
+        let mut acc = vec![0.0f32; n * f];
+        cases.push(Case {
+            name: format!("gather_sum/f{f}"),
+            flops: e * f as f64,
+            bytes: 4.0 * (e * f as f64 + (n * f) as f64 + e),
+            run: Box::new(move || {
+                let local = dist.block(0);
+                for (i, row) in acc.chunks_exact_mut(f).enumerate() {
+                    simd::gather_sum(row, x.data(), local.neighbors(i));
+                }
+                black_box(acc[0]);
+            }),
+        });
+    }
     for (q, which) in [(0usize, "local"), (1, "remote")] {
         let block = dist.block(q);
         let e = block.num_edges() as f64;

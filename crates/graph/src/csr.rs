@@ -32,11 +32,6 @@ pub struct CsrGraph {
     num_cols: usize,
     indptr: Vec<usize>,
     indices: Vec<u32>,
-    /// True when every row's neighbor list ascends — derived from the
-    /// data at construction; the row walker only cuts cache panels on
-    /// sorted rows (its per-row cursor stalls at the first neighbor
-    /// beyond the panel, so elsewhere a panel buys no locality).
-    rows_sorted: bool,
     rev: RevCache,
 }
 
@@ -67,7 +62,6 @@ impl std::fmt::Debug for CsrGraph {
             .field("num_cols", &self.num_cols)
             .field("indptr", &self.indptr)
             .field("indices", &self.indices)
-            .field("rows_sorted", &self.rows_sorted)
             .finish()
     }
 }
@@ -123,7 +117,6 @@ impl CsrGraph {
             num_cols,
             indptr,
             indices,
-            rows_sorted: true,
             rev: RevCache::default(),
         }
     }
@@ -150,27 +143,13 @@ impl CsrGraph {
             indices.iter().all(|&j| (j as usize) < num_cols),
             "column index out of range"
         );
-        let rows_sorted = (0..num_rows).all(|i| {
-            indices[indptr[i]..indptr[i + 1]]
-                .windows(2)
-                .all(|w| w[0] <= w[1])
-        });
         Self {
             num_rows,
             num_cols,
             indptr,
             indices,
-            rows_sorted,
             rev: RevCache::default(),
         }
-    }
-
-    /// True when every row's neighbor list is ascending. Always holds for
-    /// graphs built via [`CsrGraph::from_edges`] /
-    /// [`CsrGraph::from_edges_bipartite`]; checked once at construction
-    /// for [`CsrGraph::from_raw`].
-    pub fn rows_sorted(&self) -> bool {
-        self.rows_sorted
     }
 
     /// Number of destination (row) nodes.
@@ -343,14 +322,11 @@ impl CsrGraph {
             nbr: &self.indices,
             eid: None,
             others: self.num_cols,
-            sorted: self.rows_sorted,
         }
     }
 
     /// The [`ReverseIndex`] as a walkable adjacency: rows are sources,
-    /// neighbours are destinations. Entries ascend by edge id, and edge
-    /// ids are destination-major, so every row's neighbours ascend
-    /// whether or not the graph's own rows are sorted.
+    /// neighbours are destinations, entries ascend by edge id.
     pub(crate) fn reverse_adjacency(&self) -> Adjacency<'_> {
         let rev = self.reverse_index();
         Adjacency {
@@ -358,7 +334,6 @@ impl CsrGraph {
             nbr: &rev.dst,
             eid: Some(&rev.edge),
             others: self.num_rows,
-            sorted: true,
         }
     }
 

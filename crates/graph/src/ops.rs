@@ -25,19 +25,16 @@
 //! count, so results are **bitwise identical** to the single-threaded
 //! path (asserted in `tests/parallel_parity.rs`).
 //!
-//! # SIMD and cache blocking
+//! # SIMD
 //!
 //! Inner contiguous-`f32` loops go through [`sar_tensor::simd`], whose
 //! AVX2 and portable paths are bitwise identical by construction, so
 //! vectorization never perturbs results. The SpMM traversals (`spmm_sum`
-//! forward and backward, `spmm_multihead`) are closures over the crate's
-//! one row walker, which additionally blocks the *streamed* operand
-//! (source features forward, destination gradients backward) into
-//! cache-sized row panels without changing any row's accumulation order
-//! (asserted by the tiny-panel tests below). Blocking is only taken when
-//! [`CsrGraph::rows_sorted`] holds (always true for `from_edges*`
-//! construction; verified once for `from_raw`): a row's cursor never
-//! skips an entry, so on an unsorted row a panel would buy no locality.
+//! forward and backward, `spmm_multihead`, the two scatters) are closures
+//! over the crate's one row walker, which hands each of them its row's
+//! whole neighbour list in stored order; `spmm_sum` passes that list to
+//! [`simd::gather_sum`], which keeps the output row in registers across
+//! it.
 //!
 //! The `*_indexed` kernels read operand row `j` through a row map
 //! (`x[map[j]]`), bitwise identical to gather-then-kernel (asserted in
@@ -46,7 +43,7 @@
 //! stay because `benchmark/` imports them by name, until a benchmark-only
 //! change lets them go.
 
-use crate::walk::{edges_mut, row_mut, walk, Adjacency, FLAT};
+use crate::walk::{edges_mut, row_mut, walk, Adjacency};
 use crate::CsrGraph;
 use sar_tensor::pool::{split_rows, Output};
 use sar_tensor::{simd, Tensor};
@@ -133,7 +130,7 @@ pub fn spmm_sum(g: &CsrGraph, x: &Tensor) -> Tensor {
 ///
 /// Panics if shapes are inconsistent with the graph.
 pub fn spmm_sum_into(g: &CsrGraph, x: &Tensor, out: &mut Tensor) {
-    sum_neighbors(g.adjacency(), x, None, out, None);
+    sum_neighbors(g.adjacency(), x, None, out);
 }
 
 /// Fused gather + sum aggregation: `out[i] += Σ_{j ∈ neighbors(i)}
@@ -149,7 +146,7 @@ pub fn spmm_sum_into(g: &CsrGraph, x: &Tensor, out: &mut Tensor) {
 /// Panics if `map` does not have one entry per graph column or any entry
 /// is out of range for `x`.
 pub fn spmm_sum_into_indexed(g: &CsrGraph, x: &Tensor, map: &[u32], out: &mut Tensor) {
-    sum_neighbors(g.adjacency(), x, Some(map), out, None);
+    sum_neighbors(g.adjacency(), x, Some(map), out);
 }
 
 /// Backward of [`spmm_sum`] w.r.t. `x`: pushes each destination's gradient
@@ -174,24 +171,36 @@ pub fn spmm_sum_backward(g: &CsrGraph, grad_rows: &Tensor) -> Tensor {
 ///
 /// Panics if shapes are inconsistent with the graph.
 pub fn spmm_sum_backward_into(g: &CsrGraph, grad_rows: &Tensor, out: &mut Tensor) {
-    sum_neighbors(g.reverse_adjacency(), grad_rows, None, out, None);
+    sum_neighbors(g.reverse_adjacency(), grad_rows, None, out);
 }
 
 /// `out[r] += Σ_{n ∈ adj.row(r)} x[n]` — the one body of [`spmm_sum`]
 /// forward (over the graph's own adjacency) and backward (over its
-/// reverse index). `panel` is the walker's test override.
-fn sum_neighbors(
-    adj: Adjacency<'_>,
-    x: &Tensor,
-    map: Option<&[u32]>,
-    out: &mut Tensor,
-    panel: Option<usize>,
-) {
+/// reverse index): one [`simd::gather_sum`] per row. Through a `map` the
+/// row's neighbours are translated a fixed chunk at a time, which folds
+/// the same rows in the same order.
+fn sum_neighbors(adj: Adjacency<'_>, x: &Tensor, map: Option<&[u32]>, out: &mut Tensor) {
     let x = Operand::new(x, map, adj.others);
     assert_eq!(out.rows(), adj.rows(), "out rows must match the adjacency");
     assert_eq!(out.cols(), x.width, "feature width mismatch");
-    let edge = move |out_row: &mut [f32], n: usize, _e: usize| simd::add_assign(out_row, x.row(n));
-    walk(adj, out.data_mut(), x.width, panel, edge);
+    walk(
+        adj,
+        out.data_mut(),
+        x.width,
+        move |out_row, nbrs, _start| match x.map {
+            None => simd::gather_sum(out_row, x.data, nbrs),
+            Some(map) => {
+                let mut rows = [0u32; 64];
+                for chunk in nbrs.chunks(rows.len()) {
+                    let rows = &mut rows[..chunk.len()];
+                    for (row, &n) in rows.iter_mut().zip(chunk) {
+                        *row = map[n as usize];
+                    }
+                    simd::gather_sum(out_row, x.data, rows);
+                }
+            }
+        },
+    );
 }
 
 // ----------------------------------------------------------------------
@@ -255,10 +264,11 @@ fn sum_edges(adj: Adjacency<'_>, edge_vals: &Tensor) -> Tensor {
     let f = edge_vals.cols();
     let ev = edge_vals.data();
     let mut out = Tensor::zeros(&[adj.rows(), f]);
-    // Flat: the streamed operand is indexed by edge id, which a panel of
-    // neighbours does not localize.
-    walk(adj, out.data_mut(), f, FLAT, move |out_row, _n, e| {
-        simd::add_assign(out_row, &ev[e * f..(e + 1) * f]);
+    walk(adj, out.data_mut(), f, move |out_row, nbrs, start| {
+        for pos in start..start + nbrs.len() {
+            let e = adj.eid(pos);
+            simd::add_assign(out_row, &ev[e * f..(e + 1) * f]);
+        }
     });
     out
 }
@@ -383,21 +393,15 @@ pub fn edge_softmax_backward(g: &CsrGraph, alpha: &Tensor, grad: &Tensor) -> Ten
 /// shapes are inconsistent with the graph.
 pub fn spmm_multihead(g: &CsrGraph, alpha: &Tensor, x: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(&[g.num_rows(), x.cols()]);
-    weighted_sum_neighbors(g.adjacency(), alpha, x, &mut out, None);
+    weighted_sum_neighbors(g.adjacency(), alpha, x, &mut out);
     out
 }
 
 /// `out[r, h*D..] += Σ_{(n, e) ∈ adj.row(r)} alpha[e, h] * x[n, h*D..]` —
 /// the one body of [`spmm_multihead`] forward (over the graph's own
 /// adjacency) and of its `d_x` backward (over the reverse index, with the
-/// upstream gradient as `x`). `panel` is the walker's override.
-fn weighted_sum_neighbors(
-    adj: Adjacency<'_>,
-    alpha: &Tensor,
-    x: &Tensor,
-    out: &mut Tensor,
-    panel: Option<usize>,
-) {
+/// upstream gradient as `x`).
+fn weighted_sum_neighbors(adj: Adjacency<'_>, alpha: &Tensor, x: &Tensor, out: &mut Tensor) {
     assert_eq!(
         alpha.rows(),
         adj.nbr.len(),
@@ -409,8 +413,12 @@ fn weighted_sum_neighbors(
     assert_eq!(out.rows(), adj.rows(), "out rows must match the adjacency");
     assert_eq!(out.cols(), x.width, "feature width mismatch");
     let a_data = alpha.data();
-    walk(adj, out.data_mut(), x.width, panel, move |out_row, n, e| {
-        head_axpy(out_row, &a_data[e * heads..(e + 1) * heads], x.row(n), d);
+    walk(adj, out.data_mut(), x.width, move |out_row, nbrs, start| {
+        for (pos, &n) in (start..).zip(nbrs) {
+            let e = adj.eid(pos);
+            let weights = &a_data[e * heads..(e + 1) * heads];
+            head_axpy(out_row, weights, x.row(n as usize), d);
+        }
     });
 }
 
@@ -471,7 +479,7 @@ pub fn spmm_multihead_backward(
     );
     // Pass 2 — source-parallel: each d_x row is owned by its source;
     // ascending edge ids reproduce the sequential accumulation order.
-    weighted_sum_neighbors(g.reverse_adjacency(), alpha, grad_out, &mut d_x, FLAT);
+    weighted_sum_neighbors(g.reverse_adjacency(), alpha, grad_out, &mut d_x);
     (d_alpha, d_x)
 }
 
@@ -684,7 +692,6 @@ pub fn gat_edge_scores_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::erdos_renyi;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sar_tensor::init;
@@ -883,76 +890,6 @@ mod tests {
         let lhs: f32 = scores.mul(&grad).sum();
         let rhs = s_dst.mul(&d_dst).sum() + s_src.mul(&d_src).sum();
         assert!((lhs - rhs).abs() < 1e-3);
-    }
-
-    fn bits(t: &Tensor) -> Vec<u32> {
-        t.data().iter().map(|v| v.to_bits()).collect()
-    }
-
-    /// Dense-ish graph plus a sparse one whose 96 rows outnumber its 50
-    /// edges, guaranteeing isolated destinations and isolated sources.
-    fn panel_graphs() -> Vec<(CsrGraph, &'static str)> {
-        let mut rng = StdRng::seed_from_u64(7);
-        vec![
-            (erdos_renyi(128, 1024, &mut rng).symmetrize(), "dense"),
-            (erdos_renyi(96, 50, &mut rng), "isolated-nodes"),
-        ]
-    }
-
-    /// Asserts `run(panel)` gives the flat walk's bits (`usize::MAX`: no
-    /// panel is ever cut) for a 1-row and a 7-row panel — panels change a
-    /// walk's locality, never a row's accumulation order (DESIGN.md §11).
-    fn assert_panels_match_flat(what: &str, run: impl Fn(usize) -> Tensor) {
-        let base = bits(&run(usize::MAX));
-        for panel in [1usize, 7] {
-            assert_eq!(base, bits(&run(panel)), "{what} panel={panel}");
-        }
-    }
-
-    #[test]
-    fn blocked_spmm_sum_matches_unblocked_bitwise() {
-        for (g, gname) in panel_graphs() {
-            for f in [7usize, 32] {
-                let x = init::randn(&[g.num_cols(), f], 1.0, &mut StdRng::seed_from_u64(11));
-                assert_panels_match_flat(&format!("spmm_sum {gname} f={f}"), |panel| {
-                    let mut out = Tensor::zeros(&[g.num_rows(), f]);
-                    sum_neighbors(g.adjacency(), &x, None, &mut out, Some(panel));
-                    out
-                });
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_spmm_sum_backward_matches_unblocked_bitwise() {
-        for (g, gname) in panel_graphs() {
-            for f in [7usize, 32] {
-                let grad = init::randn(&[g.num_rows(), f], 1.0, &mut StdRng::seed_from_u64(13));
-                assert_panels_match_flat(&format!("spmm_sum_backward {gname} f={f}"), |panel| {
-                    let mut out = Tensor::zeros(&[g.num_cols(), f]);
-                    sum_neighbors(g.reverse_adjacency(), &grad, None, &mut out, Some(panel));
-                    out
-                });
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_spmm_multihead_matches_unblocked_bitwise() {
-        let heads = 4;
-        for (g, gname) in panel_graphs() {
-            for d in [5usize, 8] {
-                let mut rng = StdRng::seed_from_u64(17);
-                let x = init::randn(&[g.num_cols(), heads * d], 1.0, &mut rng);
-                let scores = init::randn(&[g.num_edges(), heads], 1.0, &mut rng);
-                let alpha = edge_softmax(&g, &scores);
-                assert_panels_match_flat(&format!("spmm_multihead {gname} d={d}"), |panel| {
-                    let mut out = Tensor::zeros(&[g.num_rows(), heads * d]);
-                    weighted_sum_neighbors(g.adjacency(), &alpha, &x, &mut out, Some(panel));
-                    out
-                });
-            }
-        }
     }
 
     #[test]

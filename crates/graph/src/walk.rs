@@ -1,35 +1,18 @@
 //! The one row walk under the sparse kernels (DESIGN.md §18).
 //!
-//! Algorithm 1 is one loop — per fetched block, walk each output row's
-//! adjacency entries in stored order and fold the neighbour's operand row
-//! into the output row. [`walk`] is that loop, row-parallel through
+//! Algorithm 1 is one loop — per fetched block, fold each output row's
+//! neighbours' operand rows into the output row, in stored order.
+//! [`walk`] is that loop, row-parallel through
 //! [`sar_tensor::pool::split_rows`] (one writer per output row) and
-//! parametrised by the per-edge operator. It runs over an [`Adjacency`]:
-//! a [`CsrGraph`](crate::CsrGraph)'s own arrays for the destination-major
-//! kernels, its [`ReverseIndex`](crate::ReverseIndex) for the
-//! scatter-style backward ones — a backward SpMM *is* the forward walk
-//! over the reverse adjacency.
-//!
-//! The walk additionally blocks the *streamed* operand (the neighbours'
-//! rows) into cache-sized row panels: the outer loop visits panels in
-//! ascending order and each row keeps a cursor into its ascending entry
-//! list, so every row still folds its entries in exactly the unblocked
-//! order — blocking changes locality, never bits (asserted by the
-//! tiny-panel tests in `ops`).
+//! parametrised by the per-row operator, which receives the row's whole
+//! entry list at once so it can keep the output row in registers across
+//! it. It runs over an [`Adjacency`]: a [`CsrGraph`](crate::CsrGraph)'s
+//! own arrays for the destination-major kernels, its
+//! [`ReverseIndex`](crate::ReverseIndex) for the scatter-style backward
+//! ones — a backward SpMM *is* the forward walk over the reverse
+//! adjacency.
 
 use sar_tensor::pool::{split_rows, Output};
-
-/// Bytes of the streamed operand a cache panel may span before the panel
-/// is cut; sized to sit comfortably inside a per-core L2 cache.
-const SRC_PANEL_BYTES: usize = 256 * 1024;
-
-/// Default panel height (in streamed-operand rows) for feature width `f`.
-fn panel_rows(f: usize) -> usize {
-    (SRC_PANEL_BYTES / (f.max(1) * std::mem::size_of::<f32>())).max(16)
-}
-
-/// The [`walk`] panel height that never cuts a panel: a flat walk.
-pub(crate) const FLAT: Option<usize> = Some(usize::MAX);
 
 /// A row-major adjacency `(ptr, nbr, eid)`: row `r`'s entries sit at
 /// positions `ptr[r]..ptr[r + 1]`, each naming a neighbour and the CSR
@@ -45,11 +28,6 @@ pub(crate) struct Adjacency<'a> {
     pub eid: Option<&'a [u32]>,
     /// Size of the neighbour index space (rows of the streamed operand).
     pub others: usize,
-    /// Whether every row's neighbours ascend. A row's cursor never skips
-    /// an entry (which is what keeps its accumulation order), so it
-    /// stalls at the first neighbour beyond the panel: only on ascending
-    /// rows does a panel buy locality.
-    pub sorted: bool,
 }
 
 impl Adjacency<'_> {
@@ -59,7 +37,7 @@ impl Adjacency<'_> {
     }
 
     /// CSR edge id of the entry at `pos`.
-    fn eid(&self, pos: usize) -> usize {
+    pub fn eid(&self, pos: usize) -> usize {
         self.eid.map_or(pos, |ids| ids[pos] as usize)
     }
 }
@@ -82,58 +60,23 @@ pub(crate) fn edges_mut<'a>(
     &mut part[(ptr[r] - ptr[0]) * w..(ptr[r + 1] - ptr[0]) * w]
 }
 
-/// Calls `edge(out_row, nbr, eid)` for every entry of every row of `adj`,
-/// in stored order within a row, with `out_row` that row's `width`-wide
-/// slice of the `[adj.rows(), width]` buffer `out`.
-///
-/// `panel` overrides the streamed-operand panel height ([`FLAT`] where the
-/// operand is not indexed by neighbour; the parity tests pass tiny ones);
-/// `None` sizes it to the cache for `width`-wide rows.
-pub(crate) fn walk<E>(
-    adj: Adjacency<'_>,
-    out: &mut [f32],
-    width: usize,
-    panel: Option<usize>,
-    edge: E,
-) where
-    E: Fn(&mut [f32], usize, usize) + Sync,
+/// Calls `row(out_row, nbrs, start)` once for every row of `adj`, with
+/// `out_row` that row's `width`-wide slice of the `[adj.rows(), width]`
+/// buffer `out`, `nbrs` the row's neighbours in stored order and `start`
+/// the position of the first of them (entry `k` sits at `start + k`,
+/// which [`Adjacency::eid`] turns into its edge id).
+pub(crate) fn walk<R>(adj: Adjacency<'_>, out: &mut [f32], width: usize, row: R)
+where
+    R: Fn(&mut [f32], &[u32], usize) + Sync,
 {
-    let (ptr, nbr, others) = (adj.ptr, adj.nbr, adj.others);
-    let panel = panel.unwrap_or_else(|| panel_rows(width));
-    let blocked = adj.sorted && panel < others;
-    // `move`: with the adjacency in the closure's own environment its
-    // pointers stay in registers across the opaque SIMD calls of `edge`;
-    // through captured references they are reloaded after every call.
+    let (ptr, nbr) = (adj.ptr, adj.nbr);
     split_rows(
         adj.rows(),
         [Output::row_owned(out, width)],
         move |lo, hi, [part]| {
-            if !blocked {
-                for r in lo..hi {
-                    let out_row = row_mut(part, r - lo, width);
-                    let (start, end) = (ptr[r], ptr[r + 1]);
-                    for (pos, &n) in (start..end).zip(&nbr[start..end]) {
-                        edge(out_row, n as usize, adj.eid(pos));
-                    }
-                }
-                return;
-            }
-            let mut cursor: Vec<usize> = ptr[lo..hi].to_vec();
-            let mut b1 = 0usize;
-            while b1 < others {
-                b1 = (b1 + panel).min(others);
-                for r in lo..hi {
-                    let end = ptr[r + 1];
-                    let c = &mut cursor[r - lo];
-                    if *c >= end || (nbr[*c] as usize) >= b1 {
-                        continue;
-                    }
-                    let out_row = row_mut(part, r - lo, width);
-                    while *c < end && (nbr[*c] as usize) < b1 {
-                        edge(out_row, nbr[*c] as usize, adj.eid(*c));
-                        *c += 1;
-                    }
-                }
+            for r in lo..hi {
+                let (start, end) = (ptr[r], ptr[r + 1]);
+                row(row_mut(part, r - lo, width), &nbr[start..end], start);
             }
         },
     );

@@ -1,9 +1,11 @@
 //! Property-based tests of the sparse kernels and fused attention against
-//! dense references, on randomly generated graphs.
+//! dense references, on randomly generated graphs — and of `spmm_sum`
+//! forward and backward, bit for bit, against the per-edge loops they
+//! promise to equal.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sar_graph::fused::{
     attn_grad_dot, gat_fused_block_backward, gat_fused_block_forward, OnlineAttnState,
 };
@@ -20,8 +22,70 @@ fn dense_adj(g: &CsrGraph) -> Tensor {
     a
 }
 
+/// A bipartite block straight from `from_raw`, so nothing sorts or
+/// dedups it: row 0 is a hub drawing from every source (descending),
+/// every third row is empty, the rest hold random sources in random
+/// order, each entry followed now and then by its own duplicate.
+fn unsorted_block(rows: usize, cols: usize, rng: &mut StdRng) -> CsrGraph {
+    let mut indptr = vec![0usize];
+    let mut indices: Vec<u32> = (0..cols as u32).rev().collect();
+    indptr.push(indices.len());
+    for i in 1..rows {
+        if i % 3 != 0 {
+            for _ in 0..rng.random_range(0..12) {
+                let j = rng.random_range(0..cols as u32);
+                indices.push(j);
+                if rng.random_range(0..4) == 0 {
+                    indices.push(j);
+                }
+            }
+        }
+        indptr.push(indices.len());
+    }
+    CsrGraph::from_raw(cols, indptr, indices)
+}
+
+/// Feature widths below, at and past one vector, the benchmark's two
+/// (47 classes, 64 hidden) and one past a full 64-column strip.
+const WIDTHS: [usize; 7] = [1, 7, 8, 13, 47, 64, 65];
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn spmm_sum_and_backward_equal_the_per_edge_loops_bitwise(
+        seed in 0u64..1_000_000,
+        rows in 1usize..14,
+        cols in 1usize..40,
+        w in 0usize..WIDTHS.len(),
+    ) {
+        let f = WIDTHS[w];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = unsorted_block(rows, cols, &mut rng);
+        let x = init::randn(&[cols, f], 1.0, &mut rng);
+        let grad = init::randn(&[rows, f], 1.0, &mut rng);
+        // One sweep over the edges in stored order: an edge `j → i` adds
+        // `x[j]` into `out[i]` and `grad[i]` into `dx[j]`, one f32 add per
+        // element — the order both kernels fold each of their rows in.
+        let mut out = Tensor::ones(&[rows, f]);
+        let mut dx = Tensor::zeros(&[cols, f]);
+        for i in 0..rows {
+            for &j in g.neighbors(i) {
+                for c in 0..f {
+                    out.row_mut(i)[c] += x.row(j as usize)[c];
+                    dx.row_mut(j as usize)[c] += grad.row(i)[c];
+                }
+            }
+        }
+        let mut fwd = Tensor::ones(&[rows, f]);
+        ops::spmm_sum_into(&g, &x, &mut fwd);
+        prop_assert_eq!(bits(&fwd), bits(&out));
+        prop_assert_eq!(bits(&ops::spmm_sum_backward(&g, &grad)), bits(&dx));
+    }
 
     #[test]
     fn spmm_matches_dense(seed in 0u64..500, n in 3usize..20, m in 1usize..60, f in 1usize..6) {

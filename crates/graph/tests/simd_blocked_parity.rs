@@ -8,9 +8,13 @@
 //! ragged tails (not a multiple of the 8-lane width) and the graphs
 //! include isolated nodes (empty CSR rows).
 //!
-//! The companion claim — the walker's cache-blocked traversal equals the
-//! flat one bit for bit — needs the crate-private panel height, so it
-//! lives in the unit tests of `sar_graph::ops`.
+//! This pins the two paths to each other, not to what they should
+//! compute: `spmm_sum` forward and backward equal a per-edge loop written
+//! out in `proptests.rs`, and the primitives under them (`gather_sum`,
+//! `panel_axpy`, `dot_block`) equal naive loops in `sar-tensor`'s
+//! `dense_parity.rs`. (The walk has one traversal — a row's whole
+//! neighbour list, in stored order — so there is no blocked variant left
+//! for this file's name to refer to.)
 //!
 //! The dispatch mode is process-global, so everything that flips it lives
 //! in ONE test function (tests in a binary run concurrently).

@@ -34,6 +34,10 @@
 //!   still one multiply then one add per non-zero `a[kk]`, `kk`
 //!   ascending — the register tile changes where the running sum lives,
 //!   not what is added to it or in which order.
+//! * **Row gather** (`gather_sum`): the same register tile with the rows
+//!   an index list names streamed past it — per output element one add
+//!   per index, in list order, which is one `add_assign` per index with
+//!   the running sum kept in a register.
 //!
 //! [`set_mode`] installs a process-global override (`ForceScalar`) used by
 //! the `--simd` flag of the repro binary to prove end-to-end digest parity
@@ -243,6 +247,18 @@ pub mod scalar {
         }
     }
 
+    /// Row gather-accumulate: `out[j] += x[idx[k] · n + j]` over the rows
+    /// of `x` (`n = out.len()` floats each) that `idx` names, `k`
+    /// ascending — one [`add_assign`] per index.
+    pub fn gather_sum(out: &mut [f32], x: &[f32], idx: &[u32]) {
+        let n = out.len();
+        super::check_gather(n, x.len(), idx);
+        for &i in idx {
+            let i = i as usize;
+            add_assign(out, &x[i * n..(i + 1) * n]);
+        }
+    }
+
     /// Runs `steps` rounds of `acc[v] += x[v / 4] * m[v % 4]` (multiply,
     /// then add — two roundings) over eight independent 8-lane
     /// accumulators and returns their lane sum: `128 · steps` FLOPs that
@@ -295,6 +311,20 @@ fn block_dims(out: usize, n: usize, a: usize, b: usize) -> (usize, usize) {
         "dot_block: a has {a} floats and b {b}, expected [{rows}, k] and [{n}, k]"
     );
     (k, rows)
+}
+
+/// Checks a [`gather_sum`] call before either body indexes anything:
+/// `x` is whole rows of `n` floats and every index names one of them. A
+/// zero-width `x` has no rows, so any index into it is out of range.
+fn check_gather(n: usize, x: usize, idx: &[u32]) {
+    assert!(
+        x.is_multiple_of(n),
+        "gather_sum: x has {x} floats, not a multiple of the row width {n}"
+    );
+    let rows = x.checked_div(n).unwrap_or(0);
+    if let Some(i) = idx.iter().find(|&&i| i as usize >= rows) {
+        panic!("gather_sum: index {i} out of range for {rows} rows of width {n}");
+    }
 }
 
 /// Fixed horizontal-reduction tree shared by both dot paths.
@@ -686,6 +716,33 @@ mod avx2 {
         }
     }
 
+    /// Calls `$tile::<FULL, TAIL>(…)` with the one `(FULL, TAIL)` that
+    /// covers a strip of `8·$full + $tail` columns, `1..=64` wide: at
+    /// most eight accumulators, the last of them masked when `$tail != 0`.
+    macro_rules! strip_tile {
+        ($full:expr, $tail:expr, $tile:ident($($arg:expr),*)) => {
+            match ($full, $tail != 0) {
+                (0, true) => $tile::<0, true>($($arg),*),
+                (1, false) => $tile::<1, false>($($arg),*),
+                (1, true) => $tile::<1, true>($($arg),*),
+                (2, false) => $tile::<2, false>($($arg),*),
+                (2, true) => $tile::<2, true>($($arg),*),
+                (3, false) => $tile::<3, false>($($arg),*),
+                (3, true) => $tile::<3, true>($($arg),*),
+                (4, false) => $tile::<4, false>($($arg),*),
+                (4, true) => $tile::<4, true>($($arg),*),
+                (5, false) => $tile::<5, false>($($arg),*),
+                (5, true) => $tile::<5, true>($($arg),*),
+                (6, false) => $tile::<6, false>($($arg),*),
+                (6, true) => $tile::<6, true>($($arg),*),
+                (7, false) => $tile::<7, false>($($arg),*),
+                (7, true) => $tile::<7, true>($($arg),*),
+                (8, false) => $tile::<8, false>($($arg),*),
+                _ => unreachable!("a strip is 1..=64 columns wide"),
+            }
+        };
+    }
+
     /// # Safety
     /// Caller must ensure the CPU supports AVX2.
     #[target_feature(enable = "avx2")]
@@ -701,50 +758,113 @@ mod avx2 {
             "panel_axpy: `a` is too short for {cnt} panel rows at stride {a_stride}"
         );
         let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-        // One pass over the panel per strip of up to 64 columns: at most
-        // eight accumulators, the last of them masked when `w % 8 != 0`.
+        // One pass over the panel per strip of up to 64 columns.
         let mut c0 = 0;
         while c0 < n {
             let w = (n - c0).min(64);
             let (full, tail) = (w / 8, w % 8);
-            macro_rules! tile {
-                ($full:literal, $tail:literal) => {
-                    // SAFETY: AVX2 is the caller's contract. Columns
-                    // `c0..c0 + w` (w = 8·full + tail) lie inside the
-                    // `n`-long `out` and inside each of the `cnt` rows of
-                    // `b` (`cnt · n <= b.len()`), and the assert above
-                    // bounds `(cnt − 1) · a_stride` inside `a`.
-                    unsafe {
-                        panel_tile::<$full, $tail>(
-                            op.add(c0),
-                            tail,
-                            ap,
-                            a_stride,
-                            cnt,
-                            bp.add(c0),
-                            n,
-                        )
-                    }
-                };
+            // SAFETY: AVX2 is the caller's contract. Columns
+            // `c0..c0 + w` (w = 8·full + tail) lie inside the `n`-long
+            // `out` and inside each of the `cnt` rows of `b`
+            // (`cnt · n <= b.len()`), and the assert above bounds
+            // `(cnt − 1) · a_stride` inside `a`.
+            unsafe {
+                strip_tile!(
+                    full,
+                    tail,
+                    panel_tile(op.add(c0), tail, ap, a_stride, cnt, bp.add(c0), n)
+                )
             }
-            match (full, tail != 0) {
-                (0, true) => tile!(0, true),
-                (1, false) => tile!(1, false),
-                (1, true) => tile!(1, true),
-                (2, false) => tile!(2, false),
-                (2, true) => tile!(2, true),
-                (3, false) => tile!(3, false),
-                (3, true) => tile!(3, true),
-                (4, false) => tile!(4, false),
-                (4, true) => tile!(4, true),
-                (5, false) => tile!(5, false),
-                (5, true) => tile!(5, true),
-                (6, false) => tile!(6, false),
-                (6, true) => tile!(6, true),
-                (7, false) => tile!(7, false),
-                (7, true) => tile!(7, true),
-                (8, false) => tile!(8, false),
-                _ => unreachable!("a strip is 1..=64 columns wide"),
+            c0 += w;
+        }
+    }
+
+    /// One register tile of [`gather_sum`]: columns `0..8·FULL + tail` of
+    /// the row at `out` stay in accumulators exactly as in
+    /// [`panel_tile`], and the rows of `x` that `idx` names stream past
+    /// them.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2. `out` must be valid for reads and
+    /// writes of `8·FULL + tail` floats and `x + i·n` for reads of as
+    /// many for every `i` in `idx`; `tail` must be in `1..8` when `TAIL`
+    /// (it is unused otherwise).
+    #[target_feature(enable = "avx2")]
+    // sar-check: deterministic(one writer per element, fixed list order:
+    // acc lane j takes `+ x[idx[k]][j]` for k = 0, 1, … — the additions of
+    // one scalar `add_assign` per index, with the running sum in a
+    // register instead of `out[j]`; dead tail lanes are never stored)
+    unsafe fn gather_tile<const FULL: usize, const TAIL: bool>(
+        out: *mut f32,
+        tail: usize,
+        x: *const f32,
+        n: usize,
+        idx: &[u32],
+    ) {
+        let mask = lane_mask(if TAIL { tail } else { 0 });
+        let mut acc = [_mm256_setzero_ps(); FULL];
+        let mut acc_t = _mm256_setzero_ps();
+        // SAFETY: AVX2 and the pointer ranges are the caller's contract:
+        // the `FULL` unmasked loads cover floats `0..8·FULL` of the row,
+        // and `maskload` touches only its live lanes, floats
+        // `8·FULL..8·FULL + tail` (dead lanes read as 0.0 and cannot
+        // fault).
+        unsafe {
+            for (v, r) in acc.iter_mut().enumerate() {
+                *r = _mm256_loadu_ps(out.add(8 * v));
+            }
+            if TAIL {
+                acc_t = _mm256_maskload_ps(out.add(8 * FULL), mask);
+            }
+        }
+        for &i in idx {
+            // SAFETY: `i` is in `idx`, so the same column ranges as above
+            // are readable at `x + i·n` (caller's contract).
+            unsafe {
+                let row = x.add(i as usize * n);
+                for (v, r) in acc.iter_mut().enumerate() {
+                    *r = _mm256_add_ps(*r, _mm256_loadu_ps(row.add(8 * v)));
+                }
+                if TAIL {
+                    acc_t = _mm256_add_ps(acc_t, _mm256_maskload_ps(row.add(8 * FULL), mask));
+                }
+            }
+        }
+        // SAFETY: the ranges loaded from `out` above, now stored;
+        // `maskstore` writes only the live lanes.
+        unsafe {
+            for (v, r) in acc.iter().enumerate() {
+                _mm256_storeu_ps(out.add(8 * v), *r);
+            }
+            if TAIL {
+                _mm256_maskstore_ps(out.add(8 * FULL), mask, acc_t);
+            }
+        }
+    }
+
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gather_sum(out: &mut [f32], x: &[f32], idx: &[u32]) {
+        let n = out.len();
+        super::check_gather(n, x.len(), idx);
+        let (op, xp) = (out.as_mut_ptr(), x.as_ptr());
+        // One pass over the index list per strip of up to 64 columns.
+        let mut c0 = 0;
+        while c0 < n {
+            let w = (n - c0).min(64);
+            let (full, tail) = (w / 8, w % 8);
+            // SAFETY: AVX2 is the caller's contract. Columns
+            // `c0..c0 + w` (w = 8·full + tail) lie inside the `n`-long
+            // `out`, and `check_gather` found `x` to be whole `n`-float
+            // rows with every index of `idx` naming one, so the same
+            // columns lie inside row `i` of `x` for every `i` in `idx`.
+            unsafe {
+                strip_tile!(
+                    full,
+                    tail,
+                    gather_tile(op.add(c0), tail, xp.add(c0), n, idx)
+                )
             }
             c0 += w;
         }
@@ -873,6 +993,25 @@ pub fn panel_axpy(out: &mut [f32], a: &[f32], a_stride: usize, b: &[f32]) {
     dispatch!(panel_axpy, out, a, a_stride, b)
 }
 
+/// Row gather-accumulate, the inner kernel of `spmm_sum` forward and
+/// backward: `out[j] += Σ x[idx[k] · n + j]` over the rows of `x`
+/// (`n = out.len()` floats each) that `idx` names, `k` ascending, repeats
+/// included. The vector path holds the output row in registers across
+/// the whole list — loaded once, stored once — and each element sees the
+/// same additions in the same order as one [`scalar::add_assign`] per
+/// index, so the result is bitwise identical to [`scalar::gather_sum`]
+/// on every input.
+///
+/// # Panics
+///
+/// Panics, before anything is read or written, if `x.len()` is not a
+/// multiple of `n` or an index names no row of `x` (any index does when
+/// `n` is zero).
+#[inline]
+pub fn gather_sum(out: &mut [f32], x: &[f32], idx: &[u32]) {
+    dispatch!(gather_sum, out, x, idx)
+}
+
 /// Compute-peak probe for `repro kernelbench`'s calibration: `steps`
 /// rounds of an unfused multiply + add into eight register-resident
 /// 8-lane accumulators (`128 · steps` FLOPs, no memory traffic, the
@@ -965,6 +1104,40 @@ mod tests {
             .sum();
         assert_eq!(scalar::peak_probe(40), 0.0);
         assert_eq!(scalar::peak_probe(41), first);
+    }
+
+    /// Asserts the scalar body of `gather_sum` refuses the call with
+    /// `expected` in its message, then makes the same call through the
+    /// dispatching entry point, whose panic the calling `#[should_panic]`
+    /// test expects to carry the same text.
+    fn refused_by_both_bodies(n: usize, x: &[f32], idx: &[u32], expected: &str) {
+        let scalar = std::panic::catch_unwind(|| scalar::gather_sum(&mut vec![0.0; n], x, idx))
+            .expect_err("the scalar body accepted the call");
+        let msg = scalar.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains(expected), "the scalar body said: {msg}");
+        gather_sum(&mut vec![0.0; n], x, idx);
+    }
+
+    #[test]
+    #[should_panic(expected = "index 3 out of range for 3 rows")]
+    fn gather_sum_refuses_an_index_past_the_last_row() {
+        refused_by_both_bodies(4, &[1.0; 12], &[0, 3, 1], "index 3 out of range for 3 rows");
+    }
+
+    #[test]
+    #[should_panic(expected = "x has 13 floats, not a multiple of the row width 4")]
+    fn gather_sum_refuses_a_ragged_operand() {
+        let expected = "x has 13 floats, not a multiple of the row width 4";
+        refused_by_both_bodies(4, &[1.0; 13], &[0], expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "index 5 out of range for 0 rows of width 0")]
+    fn gather_sum_refuses_any_index_into_zero_width_rows() {
+        // Nothing to index and nothing to check an index against; an
+        // empty list is the one call a zero-width row accepts.
+        gather_sum(&mut [], &[], &[]);
+        refused_by_both_bodies(0, &[], &[5], "index 5 out of range for 0 rows of width 0");
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {

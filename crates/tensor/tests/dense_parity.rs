@@ -1,6 +1,6 @@
 //! Bitwise parity of the three dense matmul layouts — and the two SIMD
-//! primitives under them — against references that share no code with
-//! the kernels (DESIGN.md §11).
+//! primitives under them, and the row gather under `spmm_sum` — against
+//! references that share no code with the kernels (DESIGN.md §11).
 //!
 //! The references are naive triple loops written here in the order the
 //! kernels promise per output element:
@@ -11,6 +11,8 @@
 //! * `matmul_nt`: lane `l` of eight accumulates `a[8i+l] * b[8i+l]` over
 //!   ascending `i`, the lanes fold as `((l0+l1)+(l2+l3)) +
 //!   ((l4+l5)+(l6+l7))`, then the `k % 8` tail is added sequentially.
+//! * `gather_sum`: `for i in idx { out[j] += x[i][j] }`, onto whatever
+//!   the row held.
 //!
 //! Every comparison is by `f32::to_bits`, at every `{threads} × {simd}`
 //! combination. The SIMD mode is process-global and tests in one binary
@@ -286,4 +288,61 @@ fn panel_axpy_accumulates_onto_what_the_row_already_holds() {
             assert_bits(&out, &want, &format!("panel_axpy n={n} {cfg}"));
         });
     }
+}
+
+#[test]
+fn gather_sum_equals_one_add_per_index_in_list_order() {
+    // Every width across two strips and a ragged tail; lists that are
+    // empty, shorter than anything worth a tile, a benchmark row (≈ 55
+    // neighbours) and a hub, in random order with repeats, descending,
+    // and one row over and over. Row 2 is all `-0.0` (only a sum that
+    // starts from what the row held keeps a `-0.0` there), row 5 holds
+    // NaN, rows 11 and 17 `inf` and `-inf` — in disjoint column classes,
+    // so no sum ever meets two different NaN payloads, whose winner is
+    // the one thing operand order may decide.
+    const ROWS: usize = 41;
+    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(23);
+    for n in 1usize..=130 {
+        let mut x = values(ROWS * n, &mut rng);
+        for j in 0..n {
+            x[2 * n + j] = -0.0;
+            match j % 7 {
+                1 => x[5 * n + j] = f32::NAN,
+                2 => (x[11 * n + j], x[17 * n + j]) = (f32::INFINITY, f32::NEG_INFINITY),
+                3 => x[11 * n + j] = f32::INFINITY,
+                _ => {}
+            }
+        }
+        let mut start = values(n, &mut rng);
+        (start[0], start[n - 1]) = (-0.0, -0.0);
+        for len in [0usize, 1, 2, 55, 5000] {
+            let random: Vec<u32> = (0..len).map(|_| rng.random_range(0..ROWS as u32)).collect();
+            let mut descending = random.clone();
+            descending.sort_unstable_by(|a, b| b.cmp(a));
+            for (idx, order) in [
+                (&random, "random"),
+                (&descending, "descending"),
+                (&vec![2u32; len], "row 2 repeated"),
+            ] {
+                let mut want = start.clone();
+                for &i in idx {
+                    for (j, w) in want.iter_mut().enumerate() {
+                        *w += x[i as usize * n + j];
+                    }
+                }
+                for (mode, name) in [(SimdMode::Auto, "auto"), (SimdMode::ForceScalar, "scalar")] {
+                    simd::set_mode(mode);
+                    let mut out = start.clone();
+                    simd::gather_sum(&mut out, &x, idx);
+                    assert_bits(
+                        &out,
+                        &want,
+                        &format!("gather_sum n={n} len={len} {order} simd={name}"),
+                    );
+                }
+            }
+        }
+    }
+    simd::set_mode(SimdMode::Auto);
 }
