@@ -22,38 +22,32 @@
 //!                       the sar-worker binary) and are gated on the same
 //!                       invariants, from the same gathered report
 //!   kernelbench | servebench | compressbench | outofcorebench
-//!                       the CI-gated benchmarks. Each runs, prints a
-//!                       table, writes its schema-versioned artifact
-//!                       (--out PATH) and/or diffs it against the
-//!                       committed BENCH_*.json (--check PATH; exit 1 on
-//!                       any violation). The gates compare structure,
-//!                       ledgers, digests and invariants — never timing
-//!                       magnitudes. Own flags:
+//!                       the CI-gated benchmarks. Each runs its fixed
+//!                       workload, prints a table, writes its
+//!                       schema-versioned artifact (--out PATH) and/or
+//!                       gates it against the committed BENCH_*.json
+//!                       (--check PATH; exit 1 on any violation): the
+//!                       workload identity, the run set, the pinned
+//!                       ledgers and digests, and the bench's invariants
+//!                       — never timing magnitudes (EXPERIMENTS.md)
 //!     kernelbench       kernel micro-benchmarks over a fixed seeded
 //!                       matrix, gated on roofline ratios:
 //!                       --simd auto|scalar, --threads N, --quick
 //!     servebench        a real 4-process sar-serve cluster under
 //!                       closed-loop client load (p50/p99 + QPS; every
 //!                       query answered, MFG fetch below the full-graph
-//!                       ceiling): --world N, --nodes N, --archs a,b,
-//!                       --clients N, --requests N, --ids-per-request N,
-//!                       --max-batch N, --max-delay-us N, --cache-rows N,
-//!                       --threads N, --simd auto|scalar, --seed N
+//!                       ceiling)
 //!     compressbench     the smoke workloads across the {codec ×
 //!                       protocol} grid on sim plus a TCP subset (raw
 //!                       moves wire == logical, lossy codecs clear the
 //!                       payload bar, gradonly/stale skip what they
 //!                       claim, raw/exact digests agree across
-//!                       transports, accuracy floor): --transport
-//!                       sim,tcp, --world N, --nodes N, --epochs N,
-//!                       --seed N, --quick
+//!                       transports, accuracy floor): --quick
 //!     outofcorebench    the disk tier: a sweep whose graph grows 8x
 //!                       under a fixed budget (flat peak resident bytes,
 //!                       digests equal to a never-spilling baseline) and
 //!                       --mem-budget on/off training parity across
-//!                       {sim,tcp} x {threads} x {prefetch-depth}:
-//!                       --transport sim,tcp, --nodes N,
-//!                       --train-budget BYTES, --seed N, --quick
+//!                       {sim,tcp} x {threads} x {prefetch-depth}: --quick
 //!   all                 every table, figure and ablation above (not smoke
 //!                       or the gated benchmarks)
 //!
@@ -97,16 +91,16 @@
 //!   --seed N             RNG seed               (default 0)
 //! ```
 
-use sar_bench::cli::{Args, GatedBench};
-use sar_bench::compressbench::CompressBenchReport;
+use sar_bench::cli::{gated_bench_cmd, Args};
+use sar_bench::compressbench::CompressBench;
 use sar_bench::experiments::{
     ablation_partition, ablation_prefetch, ablation_softmax, exactness, fig2, scaling, table1,
     ExpConfig, Workload,
 };
 use sar_bench::harness::{run_workload, Transport};
-use sar_bench::kernelbench::BenchReport;
-use sar_bench::outofcorebench::OocBenchReport;
-use sar_bench::servebench::ServeBenchReport;
+use sar_bench::kernelbench::KernelBench;
+use sar_bench::outofcorebench::OutOfCoreBench;
+use sar_bench::servebench::ServeBench;
 use sar_bench::smoke;
 use sar_core::Arch;
 
@@ -329,79 +323,6 @@ fn run(name: &str, cfg: &ExpConfig, worlds: Option<&[usize]>) {
     }
 }
 
-// ----------------------------------------------------------------------
-// The gated benchmarks — one driver, one instantiation per artifact
-// ----------------------------------------------------------------------
-
-/// `repro <B::NAME> [--out PATH] [--check PATH] [the bench's own flags]`:
-/// run the benchmark, print it, write the schema-versioned artifact
-/// and/or gate it against the committed copy. Exit status 0 = the gate
-/// holds, 1 = the run failed or the gate found violations, 2 = usage.
-fn gated_bench_cmd<B: GatedBench>(mut args: Args) -> i32 {
-    let name = B::NAME;
-    let mut cfg = B::Config::default();
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    while let Some(flag) = args.next_flag() {
-        let applied = match flag.as_str() {
-            "--out" => args.value(&flag).map(|v| out = Some(v)),
-            "--check" => args.value(&flag).map(|v| check = Some(v)),
-            _ => B::apply_flag(&mut cfg, &flag, &mut args).and_then(|known| {
-                known
-                    .then_some(())
-                    .ok_or_else(|| format!("unknown {name} flag: {flag}"))
-            }),
-        };
-        if let Err(e) = applied {
-            eprintln!("{e}");
-            return 2;
-        }
-    }
-    let report = match B::run(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("[repro] {name} FAIL: {e}");
-            return 1;
-        }
-    };
-    report.print();
-    if let Some(path) = &out {
-        let written = match std::path::Path::new(path).parent() {
-            Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
-            _ => Ok(()),
-        }
-        .and_then(|()| std::fs::write(path, report.to_json()));
-        match written {
-            Ok(()) => eprintln!("[repro] wrote {path}"),
-            Err(e) => {
-                eprintln!("[repro] cannot write {path}: {e}");
-                return 2;
-            }
-        }
-    }
-    if let Some(path) = &check {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!(
-                    "[repro] {name} FAIL: no committed artifact at {path}: {e} — \
-                     generate one with `repro {name} --out {path}`"
-                );
-                return 1;
-            }
-        };
-        let violations = report.check_against(&committed);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("[repro] {name} VIOLATION: {v}");
-            }
-            return 1;
-        }
-        eprintln!("[repro] {name}: structure and invariants consistent with {path}");
-    }
-    0
-}
-
 fn main() {
     let mut args = Args::from_env();
     let Some(experiment) = args.next_flag() else {
@@ -409,10 +330,10 @@ fn main() {
         std::process::exit(2);
     };
     match experiment.as_str() {
-        "kernelbench" => std::process::exit(gated_bench_cmd::<BenchReport>(args)),
-        "servebench" => std::process::exit(gated_bench_cmd::<ServeBenchReport>(args)),
-        "compressbench" => std::process::exit(gated_bench_cmd::<CompressBenchReport>(args)),
-        "outofcorebench" => std::process::exit(gated_bench_cmd::<OocBenchReport>(args)),
+        "kernelbench" => std::process::exit(gated_bench_cmd::<KernelBench>(args)),
+        "servebench" => std::process::exit(gated_bench_cmd::<ServeBench>(args)),
+        "compressbench" => std::process::exit(gated_bench_cmd::<CompressBench>(args)),
+        "outofcorebench" => std::process::exit(gated_bench_cmd::<OutOfCoreBench>(args)),
         _ => {}
     }
     let flags = parse_flags(args).unwrap_or_else(|e| {

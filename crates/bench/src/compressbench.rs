@@ -11,11 +11,11 @@
 //!
 //! Following the `BENCH_kernels.json` precedent, the committed artifact
 //! is never compared on timing magnitudes — epoch times are recorded for
-//! human eyes only. The gate checks *structure and invariants*, on both
-//! the fresh and the committed report:
+//! human eyes only. [`crate::cli::check`] compares the workload identity,
+//! the run set and the pinned logical volumes and message counts (the
+//! schedule determines them), and both the fresh and the committed
+//! document must satisfy [`CompressBench`]'s invariants:
 //!
-//! * schema and run-set identity (a mismatch means the artifact is
-//!   stale — regenerate with `repro compressbench --out`),
 //! * `raw` moves exactly its logical volume (wire == logical),
 //! * every lossy codec beats the 2× payload-reduction bar on the fetch
 //!   phases; `delta` (lossless) stays within its header overhead,
@@ -30,16 +30,11 @@
 
 use crate::json::{fixed, obj, Value};
 
-use crate::cli::{parse_committed, Args, GatedBench};
+use crate::cli::{fingerprint, rules, Args, Fields, GatedBench, Records};
 use crate::distrun::Workload;
 use crate::harness::{run_workload, Transport};
 use crate::smoke;
 use sar_comm::{Phase, PhaseEntry};
-
-/// Schema tag written into (and required from) `BENCH_compress.json`.
-/// Bump whenever the grid, the counters or the field layout change; the
-/// gate refuses to compare across schema versions.
-pub const SCHEMA: &str = "sar-compressbench/v1";
 
 /// How far a lossy/approximate run's validation accuracy may fall below
 /// the same transport's `raw`/`exact` baseline before the gate fails.
@@ -51,37 +46,14 @@ pub const ACC_FLOOR: f64 = 0.20;
 /// the bar sits just under 2×; int8 clears it with ≈3.8×.
 pub const LOSSY_REDUCTION_BAR: f64 = 1.9;
 
-/// The benchmark workload: everything needed to rebuild every run
-/// deterministically.
-#[derive(Debug, Clone)]
-pub struct CompressBenchConfig {
-    /// Cluster size (simulated workers / OS processes).
-    pub world: usize,
-    /// Synthetic products-like node count.
-    pub nodes: usize,
-    /// Training epochs per run.
-    pub epochs: usize,
-    /// Seed for the dataset, the partitioning and the model.
-    pub seed: u64,
-    /// Transports to run; the TCP grid is a subset.
-    pub transports: Vec<Transport>,
-    /// Trim the grid for local iteration (the committed artifact is
-    /// always generated at full scale).
-    pub quick: bool,
-}
-
-impl Default for CompressBenchConfig {
-    fn default() -> Self {
-        CompressBenchConfig {
-            world: 4,
-            nodes: 1200,
-            epochs: 8,
-            seed: 0,
-            transports: vec![Transport::Sim, Transport::Tcp],
-            quick: false,
-        }
-    }
-}
+/// Cluster size (simulated workers / OS processes).
+const WORLD: usize = 4;
+/// Synthetic products-like node count.
+const NODES: usize = 1200;
+/// Training epochs per run.
+const EPOCHS: usize = 8;
+/// Seed for the dataset, the partitioning and the model.
+const SEED: u64 = 0;
 
 /// One `(arch, codec, protocol)` grid cell.
 type Cell = (&'static str, &'static str, &'static str);
@@ -121,77 +93,11 @@ pub fn tcp_grid(quick: bool) -> Vec<Cell> {
     g
 }
 
-/// One grid cell's measured run.
-#[derive(Debug, Clone)]
-pub struct CompressRun {
-    /// `"sim"` or `"tcp"`.
-    pub transport: String,
-    /// Architecture name (`"sage"`, `"gat"`).
-    pub arch: String,
-    /// Negotiated wire codec.
-    pub codec: String,
-    /// Exchange protocol (`"exact"`, `"gradonly"`, `"stale:<r>"`).
-    pub protocol: String,
-    /// Final-epoch training loss.
-    pub final_loss: f64,
-    /// Validation accuracy after the (always exact) final evaluation.
-    pub val_acc: f64,
-    /// Test accuracy.
-    pub test_acc: f64,
-    /// Logical (raw-f32) bytes sent in the fetch phases
-    /// (`forward_fetch` + `backward_refetch`), summed over workers.
-    pub fetch_logical_bytes: u64,
-    /// Post-codec wire bytes for the same phases.
-    pub fetch_wire_bytes: u64,
-    /// Messages sent in the fetch phases.
-    pub fetch_messages: u64,
-    /// Logical bytes sent in the `grad_routing` phase.
-    pub grad_logical_bytes: u64,
-    /// Post-codec wire bytes for `grad_routing`.
-    pub grad_wire_bytes: u64,
-    /// Messages sent in `grad_routing`.
-    pub grad_messages: u64,
-    /// Mean epoch time, seconds (modeled on sim, measured on tcp) —
-    /// recorded for humans, never gated.
-    pub epoch_time_s: f64,
-    /// FNV-1a 64 fingerprint of the run's parity digest; recorded only
-    /// for `raw`/`exact` runs, where it must agree across transports.
-    pub digest: Option<String>,
-}
-
-/// A full compressbench run: the workload identity plus per-cell results.
-#[derive(Debug, Clone)]
-pub struct CompressBenchReport {
-    /// Cluster size.
-    pub world: usize,
-    /// Dataset node count.
-    pub nodes: usize,
-    /// Training epochs per run.
-    pub epochs: usize,
-    /// Per-cell runs, sim grid first, then tcp.
-    pub runs: Vec<CompressRun>,
-}
-
-/// FNV-1a 64 over a string — the stable fingerprint committed in place
-/// of the multi-line parity digest.
-#[must_use]
-pub fn fingerprint(text: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    format!("{h:016x}")
-}
-
 /// The workload for one grid cell (the smoke workload with the cell's
 /// codec/protocol and this benchmark's epoch count).
-fn cell_workload(
-    cfg: &CompressBenchConfig,
-    (arch, codec, protocol): Cell,
-) -> Result<Workload, String> {
-    let mut wl = smoke::workload(arch, cfg.nodes, cfg.seed)?;
-    wl.epochs = cfg.epochs;
+fn cell_workload((arch, codec, protocol): Cell) -> Result<Workload, String> {
+    let mut wl = smoke::workload(arch, NODES, SEED)?;
+    wl.epochs = EPOCHS;
     wl.codec = codec.to_string();
     wl.protocol = protocol.to_string();
     Ok(wl)
@@ -205,20 +111,16 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Runs one grid cell on `transport` and distills its report.
-fn run_cell(
-    cfg: &CompressBenchConfig,
-    cell: Cell,
-    transport: Transport,
-) -> Result<CompressRun, String> {
+/// Runs one grid cell on `transport` and distills its record.
+fn run_cell(cell: Cell, transport: Transport) -> Result<Value, String> {
     let (arch, codec, protocol) = cell;
-    let wl = cell_workload(cfg, cell)?;
+    let wl = cell_workload(cell)?;
     eprintln!(
         "[compressbench] {}: {arch} codec={codec} protocol={protocol} ...",
         transport.name()
     );
     let experiment = format!("compressbench-{arch}-{codec}-{protocol}");
-    let report = run_workload(&wl, cfg.world, transport, &experiment)
+    let report = run_workload(&wl, WORLD, transport, &experiment)
         .map_err(|e| format!("{}/{arch}/{codec}/{protocol}: {e}", transport.name()))?;
     let sum = |phases: &[Phase], f: fn(&PhaseEntry) -> u64| -> u64 {
         report
@@ -229,41 +131,36 @@ fn run_cell(
     };
     let fetch = [Phase::ForwardFetch, Phase::BackwardRefetch];
     let grad = [Phase::GradRouting];
-    Ok(CompressRun {
-        transport: transport.name().into(),
-        arch: arch.into(),
-        codec: codec.into(),
-        protocol: protocol.into(),
-        final_loss: f64::from(report.losses.last().copied().unwrap_or(f32::NAN)),
-        val_acc: report.val_acc,
-        test_acc: report.test_acc,
-        fetch_logical_bytes: sum(&fetch, |p| p.sent_bytes),
-        fetch_wire_bytes: sum(&fetch, |p| p.wire_sent_bytes),
-        fetch_messages: sum(&fetch, |p| p.sent_messages),
-        grad_logical_bytes: sum(&grad, |p| p.sent_bytes),
-        grad_wire_bytes: sum(&grad, |p| p.wire_sent_bytes),
-        grad_messages: sum(&grad, |p| p.sent_messages),
-        epoch_time_s: mean(&report.epoch_times),
-        digest: (codec == "raw" && protocol == "exact")
-            .then(|| fingerprint(&report.parity_digest())),
-    })
+    // The digest is recorded only for `raw`/`exact` runs, where it must
+    // agree across transports.
+    let digest =
+        (codec == "raw" && protocol == "exact").then(|| fingerprint(&report.parity_digest()));
+    let final_loss = report.losses.last().map_or(f64::NAN, |&l| f64::from(l));
+    Ok(obj([
+        ("transport", transport.name().into()),
+        ("arch", arch.into()),
+        ("codec", codec.into()),
+        ("protocol", protocol.into()),
+        ("final_loss", fixed(final_loss, 6)),
+        ("val_acc", fixed(report.val_acc, 6)),
+        ("test_acc", fixed(report.test_acc, 6)),
+        ("fetch_logical_bytes", sum(&fetch, |p| p.sent_bytes).into()),
+        (
+            "fetch_wire_bytes",
+            sum(&fetch, |p| p.wire_sent_bytes).into(),
+        ),
+        ("fetch_messages", sum(&fetch, |p| p.sent_messages).into()),
+        ("grad_logical_bytes", sum(&grad, |p| p.sent_bytes).into()),
+        ("grad_wire_bytes", sum(&grad, |p| p.wire_sent_bytes).into()),
+        ("grad_messages", sum(&grad, |p| p.sent_messages).into()),
+        ("epoch_time_s", fixed(mean(&report.epoch_times), 6)),
+        ("digest", digest.into()),
+    ]))
 }
 
 // ----------------------------------------------------------------------
-// The CI gate
+// The `repro compressbench` subcommand and its gate
 // ----------------------------------------------------------------------
-
-/// The identity of one run within a report.
-fn run_key(r: &Value) -> String {
-    let s = |k: &str| r.get(k).and_then(Value::str).unwrap_or("?");
-    format!(
-        "{}/{}/{}/{}",
-        s("transport"),
-        s("arch"),
-        s("codec"),
-        s("protocol")
-    )
-}
 
 /// Payload-only bytes: the ledgered volume minus the 32-byte frame
 /// header each message carries on both the logical and the wire side.
@@ -271,311 +168,174 @@ fn payload(bytes: f64, messages: f64) -> f64 {
     bytes - 32.0 * messages
 }
 
-/// Invariants one report's run set must satisfy, fresh or committed.
-/// `label` names the side in violation messages. Epoch times are never
-/// compared.
-fn report_invariants(label: &str, runs: &[Value]) -> Vec<String> {
-    let mut violations = Vec::new();
-    let find = |transport: &str, arch: &str, codec: &str, protocol: &str| {
-        runs.iter().find(|r| {
-            let s = |k: &str| r.get(k).and_then(Value::str).unwrap_or("");
-            s("transport") == transport
-                && s("arch") == arch
-                && s("codec") == codec
-                && s("protocol") == protocol
-        })
-    };
-    for r in runs {
-        let ctx = format!("{label} run {}", run_key(r));
-        let num = |k: &str| r.get(k).and_then(Value::num);
-        let s = |k: &str| r.get(k).and_then(Value::str).unwrap_or("?");
-        let (codec, protocol) = (s("codec"), s("protocol"));
-        match num("final_loss") {
-            Some(l) if l.is_finite() => {}
-            _ => violations.push(format!("{ctx}: final loss is missing or non-finite")),
-        }
-        // The magnitude is never compared, but a run that took no time
-        // was not measured.
-        if !num("epoch_time_s").is_some_and(|t| t > 0.0) {
-            violations.push(format!("{ctx}: epoch_time_s is missing or not positive"));
-        }
-        let Some([f_log, f_wire, f_msgs, g_log, g_wire, _g_msgs]) = [
+/// `repro compressbench` and its `BENCH_compress.json` declaration: the
+/// workload constants are identity fields; runs are named by `(transport,
+/// arch, codec, protocol)`, and the logical volumes and message counts —
+/// which the exchange schedule alone determines — are pinned. Wire bytes,
+/// accuracies, losses and epoch times are record-only.
+#[derive(Debug)]
+pub struct CompressBench;
+
+impl GatedBench for CompressBench {
+    const NAME: &'static str = "compressbench";
+    /// v2: the artifact records `seed`.
+    const SCHEMA: &'static str = "sar-compressbench/v2";
+    const IDENTITY: &'static [&'static str] = &["world", "nodes", "epochs", "seed"];
+    const TABLES: &'static [Records] = &[Records {
+        table: "runs",
+        key: &["transport", "arch", "codec", "protocol"],
+        pinned: &[
             "fetch_logical_bytes",
-            "fetch_wire_bytes",
             "fetch_messages",
             "grad_logical_bytes",
-            "grad_wire_bytes",
             "grad_messages",
-        ]
-        .into_iter()
-        .map(num)
-        .collect::<Option<Vec<f64>>>()
-        .and_then(|v| <[f64; 6]>::try_from(v).ok()) else {
-            violations.push(format!("{ctx}: missing byte counters"));
-            continue;
-        };
-        if codec == "raw" && (f_wire != f_log || g_wire != g_log) {
-            violations.push(format!(
-                "{ctx}: raw codec moved wire bytes ≠ logical bytes \
-                 (fetch {f_wire} vs {f_log}, grad {g_wire} vs {g_log})"
-            ));
-        }
-        if matches!(codec, "f16" | "bf16" | "int8") {
-            let (lp, wp) = (payload(f_log, f_msgs), payload(f_wire, f_msgs));
-            if !(wp > 0.0 && lp / wp >= LOSSY_REDUCTION_BAR) {
-                violations.push(format!(
-                    "{ctx}: fetch payload reduction {:.2}× is below the \
-                     {LOSSY_REDUCTION_BAR}× bar ({lp} logical vs {wp} wire payload bytes)",
-                    if wp > 0.0 { lp / wp } else { f64::INFINITY }
-                ));
+        ],
+    }];
+    /// `--quick`: trim the grid for local iteration (the committed
+    /// artifact is always generated at full scale).
+    type Config = bool;
+
+    fn apply_flag(quick: &mut bool, flag: &str, _: &mut Args) -> Result<bool, String> {
+        *quick |= flag == "--quick";
+        Ok(flag == "--quick")
+    }
+
+    /// The sim sweep, then the TCP subset.
+    fn run(&quick: &bool) -> Result<Fields, String> {
+        let mut runs = Vec::new();
+        for (transport, grid) in [
+            (Transport::Sim, sim_grid(quick)),
+            (Transport::Tcp, tcp_grid(quick)),
+        ] {
+            for cell in grid {
+                runs.push(run_cell(cell, transport)?);
             }
         }
-        if codec == "delta" && f_wire > f_log + 16.0 * f_msgs {
-            violations.push(format!(
-                "{ctx}: lossless delta wire bytes {f_wire} exceed logical {f_log} \
-                 beyond the per-message header overhead"
-            ));
-        }
-        // Baselines for the protocol and accuracy gates: the same
-        // transport + arch at raw/exact.
-        let baseline = find(s("transport"), s("arch"), "raw", "exact");
-        if protocol == "gradonly" {
-            if g_log != 0.0 || g_wire != 0.0 {
-                violations.push(format!(
-                    "{ctx}: gradonly routed {g_log} logical / {g_wire} wire gradient bytes"
-                ));
-            }
-            if let Some(b) = baseline.and_then(|b| b.get("fetch_logical_bytes")) {
-                if let Some(b) = b.num() {
-                    if f_log * 2.0 >= b {
-                        violations.push(format!(
+        Ok(vec![
+            ("world", WORLD.into()),
+            ("nodes", NODES.into()),
+            ("epochs", EPOCHS.into()),
+            ("seed", SEED.into()),
+            ("runs", Value::Arr(runs)),
+        ])
+    }
+
+    /// The codec, protocol, digest and accuracy rules in the module docs.
+    /// Epoch times are never compared.
+    fn invariants(label: &str, doc: &Value) -> Vec<String> {
+        rules(label, |v| {
+            let runs = doc.req_arr("runs")?;
+            for r in runs {
+                let s = |k: &str| r.req_str(k);
+                let n = |k: &str| r.req_num(k);
+                let (transport, arch) = (s("transport")?, s("arch")?);
+                let (codec, protocol) = (s("codec")?, s("protocol")?);
+                let ctx = format!("{label} run {transport}/{arch}/{codec}/{protocol}");
+                if !n("final_loss").is_ok_and(f64::is_finite) {
+                    v.push(format!("{ctx}: final loss is missing or non-finite"));
+                }
+                // The magnitude is never compared, but a run that took no
+                // time was not measured.
+                if !n("epoch_time_s").is_ok_and(|t| t > 0.0) {
+                    v.push(format!("{ctx}: epoch_time_s is missing or not positive"));
+                }
+                let (f_log, f_wire) = (n("fetch_logical_bytes")?, n("fetch_wire_bytes")?);
+                let (g_log, g_wire) = (n("grad_logical_bytes")?, n("grad_wire_bytes")?);
+                let f_msgs = n("fetch_messages")?;
+                if codec == "raw" && (f_wire != f_log || g_wire != g_log) {
+                    v.push(format!(
+                        "{ctx}: raw codec moved wire bytes ≠ logical bytes \
+                         (fetch {f_wire} vs {f_log}, grad {g_wire} vs {g_log})"
+                    ));
+                }
+                if matches!(codec, "f16" | "bf16" | "int8") {
+                    let (lp, wp) = (payload(f_log, f_msgs), payload(f_wire, f_msgs));
+                    if !(wp > 0.0 && lp / wp >= LOSSY_REDUCTION_BAR) {
+                        v.push(format!(
+                            "{ctx}: fetch payload reduction {:.2}× is below the \
+                             {LOSSY_REDUCTION_BAR}× bar ({lp} logical vs {wp} wire payload bytes)",
+                            if wp > 0.0 { lp / wp } else { f64::INFINITY }
+                        ));
+                    }
+                }
+                if codec == "delta" && f_wire > f_log + 16.0 * f_msgs {
+                    v.push(format!(
+                        "{ctx}: lossless delta wire bytes {f_wire} exceed logical {f_log} \
+                         beyond the per-message header overhead"
+                    ));
+                }
+                // Baselines for the protocol and accuracy rules: the same
+                // transport + arch at raw/exact.
+                let baseline = runs.iter().find(|b| {
+                    let cell = [transport, arch, "raw", "exact"];
+                    ["transport", "arch", "codec", "protocol"]
+                        .iter()
+                        .zip(cell)
+                        .all(|(k, want)| b.req_str(k) == Ok(want))
+                });
+                let base = |k: &str| baseline.and_then(|b| b.req_num(k).ok());
+                if protocol == "gradonly" && (g_log != 0.0 || g_wire != 0.0) {
+                    v.push(format!(
+                        "{ctx}: gradonly routed {g_log} logical / {g_wire} wire gradient bytes"
+                    ));
+                }
+                if let Some(b) = base("fetch_logical_bytes") {
+                    if protocol == "gradonly" && f_log * 2.0 >= b {
+                        v.push(format!(
                             "{ctx}: fetch volume {f_log} is not under half the exact \
                              baseline {b} — training epochs fetched remotely"
                         ));
                     }
+                    if protocol.starts_with("stale:") && f_log >= b * 3.0 / 4.0 {
+                        v.push(format!(
+                            "{ctx}: fetch volume {f_log} does not undercut the exact \
+                             baseline {b} — stale epochs fetched remotely"
+                        ));
+                    }
+                }
+                if let (Ok(acc), Some(base_acc)) = (n("val_acc"), base("val_acc")) {
+                    if acc < base_acc - ACC_FLOOR {
+                        v.push(format!(
+                            "{ctx}: val accuracy {acc:.4} fell more than {ACC_FLOOR} below \
+                             the exact baseline {base_acc:.4}"
+                        ));
+                    }
                 }
             }
-        }
-        if protocol.starts_with("stale:") {
-            if let Some(b) = baseline
-                .and_then(|b| b.get("fetch_logical_bytes"))
-                .and_then(Value::num)
-            {
-                if f_log >= b * 3.0 / 4.0 {
-                    violations.push(format!(
-                        "{ctx}: fetch volume {f_log} does not undercut the exact \
-                         baseline {b} — stale epochs fetched remotely"
-                    ));
+            // The raw/exact parity digest must agree across transports
+            // *for the same workload*: the codec layer and the negotiation
+            // cannot perturb training. Different architectures
+            // legitimately digest differently.
+            let digests: Vec<(&str, &str, &str)> = runs
+                .iter()
+                .filter_map(|r| {
+                    let d = r.get("digest").and_then(Value::str)?;
+                    Some((r.req_str("arch").ok()?, r.req_str("transport").ok()?, d))
+                })
+                .collect();
+            for (i, a) in digests.iter().enumerate() {
+                for b in &digests[i + 1..] {
+                    if a.0 == b.0 && a.2 != b.2 {
+                        v.push(format!(
+                            "{label}: {} raw/exact parity digest differs across transports \
+                             ({} {} vs {} {})",
+                            a.0, a.1, a.2, b.1, b.2
+                        ));
+                    }
                 }
             }
-        }
-        if let (Some(acc), Some(base_acc)) = (
-            num("val_acc"),
-            baseline.and_then(|b| b.get("val_acc")).and_then(Value::num),
-        ) {
-            if acc < base_acc - ACC_FLOOR {
-                violations.push(format!(
-                    "{ctx}: val accuracy {acc:.4} fell more than {ACC_FLOOR} below \
-                     the exact baseline {base_acc:.4}"
-                ));
-            }
-        }
-    }
-    // The raw/exact parity digest must agree across transports *for the
-    // same workload*: the codec layer and the negotiation cannot perturb
-    // training. Different architectures legitimately digest differently.
-    let digests: Vec<(&str, &str, &str)> = runs
-        .iter()
-        .filter_map(|r| {
-            let d = r.get("digest").and_then(Value::str)?;
-            Some((
-                r.get("arch").and_then(Value::str)?,
-                r.get("transport").and_then(Value::str)?,
-                d,
-            ))
+            Ok(())
         })
-        .collect();
-    for (i, a) in digests.iter().enumerate() {
-        for b in &digests[i + 1..] {
-            if a.0 == b.0 && a.2 != b.2 {
-                violations.push(format!(
-                    "{label}: {} raw/exact parity digest differs across transports \
-                     ({} {} vs {} {})",
-                    a.0, a.1, a.2, b.1, b.2
-                ));
-            }
-        }
-    }
-    violations
-}
-
-// ----------------------------------------------------------------------
-// The `repro compressbench` subcommand: flags, artifact and CI gate
-// ----------------------------------------------------------------------
-
-impl CompressBenchReport {
-    /// The run records as they appear in the artifact — the form the
-    /// invariants are checked on, fresh and committed alike.
-    fn run_records(&self) -> Vec<Value> {
-        let record = |r: &CompressRun| {
-            obj([
-                ("transport", r.transport.as_str().into()),
-                ("arch", r.arch.as_str().into()),
-                ("codec", r.codec.as_str().into()),
-                ("protocol", r.protocol.as_str().into()),
-                ("final_loss", fixed(r.final_loss, 6)),
-                ("val_acc", fixed(r.val_acc, 6)),
-                ("test_acc", fixed(r.test_acc, 6)),
-                ("fetch_logical_bytes", r.fetch_logical_bytes.into()),
-                ("fetch_wire_bytes", r.fetch_wire_bytes.into()),
-                ("fetch_messages", r.fetch_messages.into()),
-                ("grad_logical_bytes", r.grad_logical_bytes.into()),
-                ("grad_wire_bytes", r.grad_wire_bytes.into()),
-                ("grad_messages", r.grad_messages.into()),
-                ("epoch_time_s", fixed(r.epoch_time_s, 6)),
-                ("digest", r.digest.as_deref().into()),
-            ])
-        };
-        self.runs.iter().map(record).collect()
-    }
-}
-
-impl GatedBench for CompressBenchReport {
-    const NAME: &'static str = "compressbench";
-    type Config = CompressBenchConfig;
-
-    fn apply_flag(cfg: &mut Self::Config, flag: &str, args: &mut Args) -> Result<bool, String> {
-        match flag {
-            "--world" => cfg.world = args.parsed::<usize>(flag)?.max(1),
-            "--nodes" => cfg.nodes = args.parsed(flag)?,
-            "--epochs" => cfg.epochs = args.parsed::<usize>(flag)?.max(1),
-            "--seed" => cfg.seed = args.parsed(flag)?,
-            "--transport" => cfg.transports = Transport::parse_list(&args.value(flag)?)?,
-            "--quick" => cfg.quick = true,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Runs the configured grid: the sim sweep, then the TCP subset.
-    fn run(cfg: &Self::Config) -> Result<Self, String> {
-        let mut runs = Vec::new();
-        for (transport, grid) in [
-            (Transport::Sim, sim_grid(cfg.quick)),
-            (Transport::Tcp, tcp_grid(cfg.quick)),
-        ] {
-            if cfg.transports.contains(&transport) {
-                for cell in grid {
-                    runs.push(run_cell(cfg, cell, transport)?);
-                }
-            }
-        }
-        Ok(CompressBenchReport {
-            world: cfg.world,
-            nodes: cfg.nodes,
-            epochs: cfg.epochs,
-            runs,
-        })
-    }
-
-    /// Pretty-prints the report as an aligned table on stderr.
-    fn print(&self) {
-        eprintln!(
-            "[compressbench] world={} nodes={} epochs={}",
-            self.world, self.nodes, self.epochs
-        );
-        eprintln!(
-            "{:<4} {:<5} {:<6} {:<9} {:>9} {:>7} {:>12} {:>12} {:>8} {:>12} {:>12}",
-            "xprt",
-            "arch",
-            "codec",
-            "protocol",
-            "loss",
-            "val%",
-            "fetch_log_B",
-            "fetch_wire_B",
-            "reduce",
-            "grad_log_B",
-            "grad_wire_B"
-        );
-        for r in &self.runs {
-            let lp = payload(r.fetch_logical_bytes as f64, r.fetch_messages as f64);
-            let wp = payload(r.fetch_wire_bytes as f64, r.fetch_messages as f64);
-            let reduce = if wp > 0.0 { lp / wp } else { f64::NAN };
-            eprintln!(
-                "{:<4} {:<5} {:<6} {:<9} {:>9.4} {:>7.2} {:>12} {:>12} {:>8} {:>12} {:>12}",
-                r.transport,
-                r.arch,
-                r.codec,
-                r.protocol,
-                r.final_loss,
-                100.0 * r.val_acc,
-                r.fetch_logical_bytes,
-                r.fetch_wire_bytes,
-                if reduce.is_finite() {
-                    format!("{reduce:.2}x")
-                } else {
-                    "-".into()
-                },
-                r.grad_logical_bytes,
-                r.grad_wire_bytes
-            );
-        }
-    }
-
-    /// The schema-versioned `BENCH_compress.json` document.
-    fn to_json(&self) -> String {
-        let doc = obj([
-            ("schema", SCHEMA.into()),
-            ("world", self.world.into()),
-            ("nodes", self.nodes.into()),
-            ("epochs", self.epochs.into()),
-            ("runs", Value::Arr(self.run_records())),
-        ]);
-        doc.pretty(2) + "\n"
-    }
-
-    /// Compares a fresh report against the committed
-    /// `BENCH_compress.json`. Hard-fails on a schema or run-set mismatch
-    /// (the artifact is stale — regenerate it); both the fresh and the
-    /// committed run sets must satisfy the invariants in the module docs.
-    fn check_against(&self, committed_text: &str) -> Vec<String> {
-        let committed = match parse_committed::<Self>(committed_text, SCHEMA) {
-            Ok(doc) => doc,
-            Err(e) => return vec![e],
-        };
-        let mut violations = Vec::new();
-        let committed_runs = committed.items("runs");
-        let current_runs = self.run_records();
-        let committed_keys: Vec<String> = committed_runs.iter().map(run_key).collect();
-        let current_keys: Vec<String> = current_runs.iter().map(run_key).collect();
-        for k in &committed_keys {
-            if !current_keys.contains(k) {
-                violations.push(format!(
-                    "run {k} is committed but was not produced — the grid changed; \
-                     regenerate BENCH_compress.json"
-                ));
-            }
-        }
-        for k in &current_keys {
-            if !committed_keys.contains(k) {
-                violations.push(format!(
-                    "run {k} is new (not committed) — regenerate BENCH_compress.json"
-                ));
-            }
-        }
-        violations.extend(report_invariants("committed", committed_runs));
-        violations.extend(report_invariants("current", &current_runs));
-        violations
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::cli::tests::set;
+    use crate::cli::{check, document};
 
-    fn run(transport: &str, codec: &str, protocol: &str, digest: Option<&str>) -> CompressRun {
+    fn run(transport: &str, codec: &str, protocol: &str, digest: Option<&str>) -> Value {
         // Logical volumes mimic a real sweep: 1000 fetch messages of
         // 32-byte header + 4000 payload bytes each.
         let (msgs, logical) = (1000u64, 1000 * (32 + 4000) as u64);
@@ -594,133 +354,130 @@ mod tests {
             logical
         };
         let scale = |b: u64| (b as f64 * training_fetch as f64 / logical as f64) as u64;
-        CompressRun {
-            transport: transport.into(),
-            arch: "sage".into(),
-            codec: codec.into(),
-            protocol: protocol.into(),
-            final_loss: 1.25,
-            val_acc: 0.62,
-            test_acc: 0.60,
-            fetch_logical_bytes: training_fetch,
-            fetch_wire_bytes: scale(wire),
-            fetch_messages: (msgs as f64 * training_fetch as f64 / logical as f64) as u64,
-            grad_logical_bytes: if protocol == "gradonly" { 0 } else { 500_000 },
-            grad_wire_bytes: if protocol == "gradonly" { 0 } else { 500_000 },
-            grad_messages: if protocol == "gradonly" { 0 } else { 120 },
-            epoch_time_s: 0.05,
-            digest: digest.map(str::to_string),
-        }
+        let grad = if protocol == "gradonly" {
+            0
+        } else {
+            500_000u64
+        };
+        obj([
+            ("transport", transport.into()),
+            ("arch", "sage".into()),
+            ("codec", codec.into()),
+            ("protocol", protocol.into()),
+            ("final_loss", 1.25.into()),
+            ("val_acc", 0.62.into()),
+            ("test_acc", 0.60.into()),
+            ("fetch_logical_bytes", training_fetch.into()),
+            ("fetch_wire_bytes", scale(wire).into()),
+            ("fetch_messages", scale(msgs).into()),
+            ("grad_logical_bytes", grad.into()),
+            ("grad_wire_bytes", grad.into()),
+            ("grad_messages", (if grad == 0 { 0u64 } else { 120 }).into()),
+            ("epoch_time_s", 0.05.into()),
+            ("digest", digest.into()),
+        ])
     }
 
-    fn sample_report() -> CompressBenchReport {
-        CompressBenchReport {
-            world: 4,
-            nodes: 1200,
-            epochs: 8,
-            runs: vec![
-                run("sim", "raw", "exact", Some("00ff00ff00ff00ff")),
-                run("sim", "f16", "exact", None),
-                run("sim", "int8", "exact", None),
-                run("sim", "delta", "exact", None),
-                run("sim", "raw", "gradonly", None),
-                run("sim", "raw", "stale:4", None),
-                run("tcp", "raw", "exact", Some("00ff00ff00ff00ff")),
-            ],
-        }
+    fn clean() -> Vec<Value> {
+        vec![
+            run("sim", "raw", "exact", Some("00ff00ff00ff00ff")),
+            run("sim", "f16", "exact", None),
+            run("sim", "int8", "exact", None),
+            run("sim", "delta", "exact", None),
+            run("sim", "raw", "gradonly", None),
+            run("sim", "raw", "stale:4", None),
+            run("tcp", "raw", "exact", Some("00ff00ff00ff00ff")),
+        ]
+    }
+
+    fn sample(runs: Vec<Value>) -> Value {
+        document::<CompressBench>(vec![
+            ("world", 4usize.into()),
+            ("nodes", 1200usize.into()),
+            ("epochs", 8usize.into()),
+            ("seed", 0u64.into()),
+            ("runs", Value::Arr(runs)),
+        ])
+    }
+
+    fn violations(runs: Vec<Value>) -> Vec<String> {
+        check::<CompressBench>(&sample(runs), &sample(clean()).pretty(2))
+    }
+
+    fn any(v: &[String], needle: &str) -> bool {
+        v.iter().any(|m| m.contains(needle))
     }
 
     #[test]
-    fn report_round_trips_and_passes_against_itself() {
-        let r = sample_report();
-        let doc = json::parse(&r.to_json()).expect("own JSON must parse");
-        assert_eq!(doc.get("schema").and_then(Value::str), Some(SCHEMA));
-        assert_eq!(
-            doc.get("runs").and_then(Value::arr).map(<[_]>::len),
-            Some(7)
-        );
-        let violations = r.check_against(&r.to_json());
-        assert!(violations.is_empty(), "{violations:?}");
+    fn timings_and_wire_bytes_may_drift() {
+        let mut runs = clean();
+        for r in &mut runs {
+            set(r, "epoch_time_s", 5.0);
+        }
+        set(&mut runs[2], "fetch_wire_bytes", 1_050_000u64);
+        assert_eq!(violations(runs), Vec::<String>::new());
     }
 
     #[test]
-    fn timings_may_drift_but_the_grid_may_not() {
-        let r = sample_report();
-        let committed = r.to_json();
-        // Epoch times drift freely.
-        let mut slow = r.clone();
-        for run in &mut slow.runs {
-            run.epoch_time_s *= 100.0;
+    fn the_schedule_determined_volumes_are_pinned() {
+        // Every run fetching twice its committed volume still moves raw
+        // wire == logical, so only the pin catches it.
+        let mut runs = clean();
+        for r in &mut runs {
+            let doubled = 2.0 * r.req_num("fetch_logical_bytes").unwrap();
+            let wire = 2.0 * r.req_num("fetch_wire_bytes").unwrap();
+            set(r, "fetch_logical_bytes", doubled);
+            set(r, "fetch_wire_bytes", wire);
         }
-        assert!(slow.check_against(&committed).is_empty());
-        // A missing run is structural drift.
-        let mut fewer = r.clone();
-        fewer.runs.pop();
-        assert!(fewer
-            .check_against(&committed)
-            .iter()
-            .any(|v| v.contains("not produced")));
-        // Schema identity is hard.
-        let stale = committed.replace(SCHEMA, "sar-compressbench/v0");
-        assert!(r.check_against(&stale)[0].contains("schema"));
+        let v = violations(runs);
+        assert!(any(&v, "fetch_logical_bytes is") && any(&v, "no longer bitwise reproducible"));
+        for field in ["fetch_messages", "grad_logical_bytes", "grad_messages"] {
+            let mut runs = clean();
+            set(&mut runs[0], field, 7u64);
+            assert!(any(&violations(runs), &format!("{field} is 7")), "{field}");
+        }
     }
 
     #[test]
     fn gate_rejects_broken_codec_and_protocol_claims() {
-        let r = sample_report();
-        let committed = r.to_json();
         // raw must move exactly its logical volume.
-        let mut leaky = r.clone();
-        leaky.runs[0].fetch_wire_bytes += 64;
-        assert!(leaky
-            .check_against(&committed)
-            .iter()
-            .any(|v| v.contains("raw codec")));
+        let mut leaky = clean();
+        set(&mut leaky[0], "fetch_wire_bytes", 1000u64 * 4032 + 64);
+        assert!(any(&violations(leaky), "raw codec"));
         // A lossy codec that stops compressing fails the 2x bar.
-        let mut bloated = r.clone();
-        bloated.runs[1].fetch_wire_bytes = bloated.runs[1].fetch_logical_bytes;
-        assert!(bloated
-            .check_against(&committed)
-            .iter()
-            .any(|v| v.contains("below the")));
-        // gradonly moving gradient bytes is a protocol violation.
-        let mut routed = r.clone();
-        routed.runs[4].grad_wire_bytes = 9000;
-        routed.runs[4].grad_logical_bytes = 9000;
-        assert!(routed
-            .check_against(&committed)
-            .iter()
-            .any(|v| v.contains("gradonly")));
+        let mut bloated = clean();
+        set(&mut bloated[1], "fetch_wire_bytes", 1000u64 * 4032);
+        assert!(any(&violations(bloated), "below the"));
+        // A delta stream past its header overhead is not lossless framing.
+        let mut fat = clean();
+        set(&mut fat[3], "fetch_wire_bytes", 1000u64 * 4100);
+        assert!(any(&violations(fat), "delta"));
+        // gradonly moving gradient bytes is a protocol violation (in the
+        // committed copy here, so the pin does not fire first).
+        let mut routed = clean();
+        set(&mut routed[4], "grad_wire_bytes", 9000u64);
+        let v = check::<CompressBench>(&sample(clean()), &sample(routed).pretty(2));
+        assert!(any(&v, "committed") && any(&v, "gradonly routed"), "{v:?}");
         // A stale run with the full exact fetch volume skipped nothing.
-        let mut eager = r.clone();
-        eager.runs[5].fetch_logical_bytes = eager.runs[0].fetch_logical_bytes;
-        eager.runs[5].fetch_wire_bytes = eager.runs[0].fetch_wire_bytes;
-        assert!(eager
-            .check_against(&committed)
-            .iter()
-            .any(|v| v.contains("stale")));
+        let mut eager = clean();
+        set(&mut eager[5], "fetch_logical_bytes", 1000u64 * 4032);
+        set(&mut eager[5], "fetch_wire_bytes", 1000u64 * 4032);
+        assert!(any(&violations(eager), "stale epochs"));
         // Diverging cross-transport digests mean the codec perturbed
         // training.
-        let mut skew = r.clone();
-        skew.runs[6].digest = Some("deadbeefdeadbeef".into());
-        assert!(skew
-            .check_against(&committed)
-            .iter()
-            .any(|v| v.contains("digest")));
+        let mut skew = clean();
+        set(&mut skew[6], "digest", "deadbeefdeadbeef");
+        assert!(any(&violations(skew), "digest"));
         // Accuracy collapse under an approximate protocol fails the floor.
-        let mut collapsed = r.clone();
-        collapsed.runs[4].val_acc = 0.1;
-        assert!(collapsed
-            .check_against(&committed)
-            .iter()
-            .any(|v| v.contains("accuracy")));
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_collision_sensitive() {
-        assert_eq!(fingerprint("abc"), fingerprint("abc"));
-        assert_ne!(fingerprint("abc"), fingerprint("abd"));
-        assert_eq!(fingerprint("").len(), 16);
+        let mut collapsed = clean();
+        set(&mut collapsed[4], "val_acc", 0.1);
+        assert!(any(&violations(collapsed), "accuracy"));
+        // A diverged loss and an unmeasured run fail too.
+        let mut diverged = clean();
+        set(&mut diverged[2], "final_loss", Value::Null);
+        set(&mut diverged[3], "epoch_time_s", 0.0);
+        let v = violations(diverged);
+        assert!(any(&v, "final loss") && any(&v, "epoch_time_s"), "{v:?}");
     }
 
     #[test]

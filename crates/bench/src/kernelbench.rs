@@ -17,9 +17,10 @@
 //! generous tolerance ([`REL_TOLERANCE`] relative slack plus an
 //! [`ABS_TOLERANCE`] absolute floor): the goal is to catch an
 //! accidentally-deleted SIMD path or a quadratic regression, not 10%
-//! noise. The gate *hard-fails* on a schema mismatch or a kernel-set
-//! mismatch — both mean the baseline is stale and must be regenerated
-//! with `repro kernelbench --out BENCH_kernels.json`.
+//! noise. Like every gated artifact it goes through [`crate::cli::check`],
+//! which *hard-fails* on a schema, thread-count or kernel-set mismatch —
+//! each means the baseline is stale and must be regenerated with
+//! `repro kernelbench --out BENCH_kernels.json`.
 //!
 //! The FLOP and byte counts per kernel are documented estimates (see
 //! EXPERIMENTS.md), fixed per schema version: they only need to be
@@ -31,12 +32,11 @@
 //! the reported `cpu_us` covers the whole pool, not just the timing
 //! thread.
 
-use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::rc::Rc;
 use std::time::Instant;
 
-use crate::json::{fixed, obj};
+use crate::json::{fixed, obj, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sar_core::DistGraph;
@@ -47,18 +47,7 @@ use sar_partition::{partition, Method};
 use sar_tensor::init::randn;
 use sar_tensor::{pool, simd, Tensor};
 
-use crate::cli::{parse_committed, Args, GatedBench};
-
-/// Schema tag written into (and required from) `BENCH_kernels.json`.
-/// Bump whenever the kernel set, the work models or the field layout
-/// change; the CI gate refuses to compare across schema versions.
-///
-/// v2: the compute-peak proxy is [`simd::peak_probe`] (v1 used an
-/// L1-resident `axpy`, a load/store-bound loop the register-tiled matmuls
-/// run at twice the speed of), and the workload matrix gained the
-/// tall-skinny matmul shapes of the benchmark's `sage-tcp2` layer 0.
-/// Ratios are not comparable across the two.
-pub const SCHEMA: &str = "sar-kernelbench/v2";
+use crate::cli::{Args, Fields, GatedBench, Records};
 
 /// Relative slack on the baseline roofline ratio: a kernel fails the
 /// gate only below `baseline × (1 − REL_TOLERANCE) − ABS_TOLERANCE`.
@@ -70,46 +59,6 @@ pub const REL_TOLERANCE: f64 = 0.5;
 /// Absolute floor subtracted on top of the relative slack, so kernels
 /// with tiny baseline ratios cannot fail on rounding.
 pub const ABS_TOLERANCE: f64 = 0.02;
-
-/// One timed kernel's results.
-#[derive(Debug, Clone)]
-pub struct KernelResult {
-    /// Stable kernel identifier, e.g. `"spmm_sum/f32"`.
-    pub name: String,
-    /// Timed iterations (after one warm-up run).
-    pub iters: usize,
-    /// Best per-iteration wall time, microseconds.
-    pub wall_us: f64,
-    /// Mean per-iteration CPU time (timing thread + drained pool helper
-    /// time), microseconds.
-    pub cpu_us: f64,
-    /// Achieved GFLOP/s at the best wall time, under this kernel's
-    /// documented FLOP model.
-    pub gflops: f64,
-    /// Modeled arithmetic intensity, FLOPs per byte of traffic.
-    pub ai: f64,
-    /// Roofline estimate `min(peak, bandwidth × ai)`, GFLOP/s.
-    pub roofline_gflops: f64,
-    /// `gflops / roofline_gflops` — the machine-normalized figure the CI
-    /// gate tracks.
-    pub roofline_ratio: f64,
-}
-
-/// A full kernelbench run: calibration plus every kernel's results.
-#[derive(Debug, Clone)]
-pub struct BenchReport {
-    /// The active SIMD dispatch label (`"avx2"` or `"scalar"`).
-    pub simd: String,
-    /// Kernel-pool thread count the run used.
-    pub threads: usize,
-    /// Calibrated single-thread peak-GFLOP/s proxy: the no-FMA
-    /// multiply+add rate of eight register-resident accumulators.
-    pub peak_gflops: f64,
-    /// Calibrated streaming-bandwidth proxy, GB/s (large `add_assign`).
-    pub stream_gbs: f64,
-    /// Per-kernel results, in workload-matrix order.
-    pub kernels: Vec<KernelResult>,
-}
 
 // ----------------------------------------------------------------------
 // Timing harness
@@ -463,37 +412,41 @@ fn matmul_cases(quick: bool) -> Vec<Case> {
 }
 
 /// Runs the full workload matrix under the *current* SIMD mode and pool
-/// thread count and returns the report. `quick` shrinks sizes and time
-/// budgets for tests.
-pub fn run_bench(quick: bool) -> BenchReport {
+/// thread count and returns the artifact's fields. `quick` shrinks sizes
+/// and time budgets for tests.
+pub fn run_bench(quick: bool) -> Fields {
     let (peak_gflops, stream_gbs) = calibrate(quick);
-    let mut kernels = Vec::new();
     let mut cases = graph_cases(quick);
     cases.extend(block_cases(quick));
     cases.extend(matmul_cases(quick));
-    for case in &mut cases {
+    let kernels = cases.iter_mut().map(|case| {
         let t = time_case(&mut case.run, quick);
         let gflops = case.flops / (t.wall_us * 1e3);
         let ai = case.flops / case.bytes;
         let roofline = peak_gflops.min(stream_gbs * ai);
-        kernels.push(KernelResult {
-            name: case.name.clone(),
-            iters: t.iters,
-            wall_us: t.wall_us,
-            cpu_us: t.cpu_us,
-            gflops,
-            ai,
-            roofline_gflops: roofline,
-            roofline_ratio: gflops / roofline,
-        });
-    }
-    BenchReport {
-        simd: simd::dispatch_label().to_string(),
-        threads: pool::threads(),
-        peak_gflops,
-        stream_gbs,
-        kernels,
-    }
+        obj([
+            ("name", case.name.as_str().into()),
+            ("iters", t.iters.into()),
+            ("wall_us", fixed(t.wall_us, 4)),
+            ("cpu_us", fixed(t.cpu_us, 4)),
+            ("gflops", fixed(gflops, 4)),
+            ("ai_flops_per_byte", fixed(ai, 4)),
+            ("roofline_gflops", fixed(roofline, 4)),
+            ("roofline_ratio", fixed(gflops / roofline, 4)),
+        ])
+    });
+    vec![
+        ("simd", simd::dispatch_label().into()),
+        ("threads", pool::threads().into()),
+        (
+            "calibration",
+            obj([
+                ("peak_gflops", fixed(peak_gflops, 4)),
+                ("stream_gbs", fixed(stream_gbs, 4)),
+            ]),
+        ),
+        ("kernels", kernels.collect()),
+    ]
 }
 
 // ----------------------------------------------------------------------
@@ -521,8 +474,30 @@ impl Default for KernelBenchConfig {
     }
 }
 
-impl GatedBench for BenchReport {
+/// `repro kernelbench` and its `BENCH_kernels.json` declaration: the
+/// pool's thread count identifies the workload (the calibration is
+/// single-threaded, so ratios at other counts are not comparable); the
+/// SIMD label is recorded but not compared, since a `--simd scalar` run
+/// is normalized against a scalar roofline. Kernels are named by `name`
+/// and nothing is pinned — ratios are compared against the committed
+/// copy with the tolerance band instead ([`GatedBench::compare`]).
+#[derive(Debug)]
+pub struct KernelBench;
+
+impl GatedBench for KernelBench {
     const NAME: &'static str = "kernelbench";
+    /// v2: the compute-peak proxy is [`simd::peak_probe`] (v1 used an
+    /// L1-resident `axpy`, a load/store-bound loop the register-tiled
+    /// matmuls run at twice the speed of), and the workload matrix gained
+    /// the tall-skinny matmul shapes of the benchmark's `sage-tcp2` layer
+    /// 0. Ratios are not comparable across the two.
+    const SCHEMA: &'static str = "sar-kernelbench/v2";
+    const IDENTITY: &'static [&'static str] = &["threads"];
+    const TABLES: &'static [Records] = &[Records {
+        table: "kernels",
+        key: &["name"],
+        pinned: &[],
+    }];
     type Config = KernelBenchConfig;
 
     fn apply_flag(cfg: &mut Self::Config, flag: &str, args: &mut Args) -> Result<bool, String> {
@@ -543,7 +518,7 @@ impl GatedBench for BenchReport {
         Ok(true)
     }
 
-    fn run(cfg: &Self::Config) -> Result<Self, String> {
+    fn run(cfg: &Self::Config) -> Result<Fields, String> {
         simd::set_mode(cfg.simd);
         pool::set_threads(cfg.threads);
         eprintln!(
@@ -555,220 +530,140 @@ impl GatedBench for BenchReport {
         Ok(run_bench(cfg.quick))
     }
 
-    /// Pretty-prints the report as an aligned table on stderr.
-    fn print(&self) {
-        eprintln!(
-            "[kernelbench] simd={} threads={} peak={:.2} GFLOP/s stream={:.2} GB/s",
-            self.simd, self.threads, self.peak_gflops, self.stream_gbs
-        );
-        eprintln!(
-            "{:<36} {:>6} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7}",
-            "kernel", "iters", "wall_us", "cpu_us", "GFLOP/s", "AI", "roofline", "ratio"
-        );
-        for k in &self.kernels {
-            eprintln!(
-                "{:<36} {:>6} {:>12.1} {:>12.1} {:>9.3} {:>7.3} {:>9.3} {:>7.3}",
-                k.name,
-                k.iters,
-                k.wall_us,
-                k.cpu_us,
-                k.gflops,
-                k.ai,
-                k.roofline_gflops,
-                k.roofline_ratio
-            );
+    /// Every kernel has a finite roofline ratio, and there is at least
+    /// one kernel.
+    fn invariants(label: &str, doc: &Value) -> Vec<String> {
+        let kernels = doc.items("kernels");
+        if kernels.is_empty() {
+            return vec![format!("{label}: no kernels — regenerate the artifact")];
         }
-    }
-
-    /// The schema-versioned `BENCH_kernels.json` document.
-    fn to_json(&self) -> String {
-        let kernel = |k: &KernelResult| {
-            obj([
-                ("name", k.name.as_str().into()),
-                ("iters", k.iters.into()),
-                ("wall_us", fixed(k.wall_us, 4)),
-                ("cpu_us", fixed(k.cpu_us, 4)),
-                ("gflops", fixed(k.gflops, 4)),
-                ("ai_flops_per_byte", fixed(k.ai, 4)),
-                ("roofline_gflops", fixed(k.roofline_gflops, 4)),
-                ("roofline_ratio", fixed(k.roofline_ratio, 4)),
-            ])
-        };
-        let doc = obj([
-            ("schema", SCHEMA.into()),
-            ("simd", self.simd.as_str().into()),
-            ("threads", self.threads.into()),
-            (
-                "calibration",
-                obj([
-                    ("peak_gflops", fixed(self.peak_gflops, 4)),
-                    ("stream_gbs", fixed(self.stream_gbs, 4)),
-                ]),
-            ),
-            ("kernels", self.kernels.iter().map(kernel).collect()),
-        ]);
-        doc.pretty(2) + "\n"
-    }
-
-    /// Compares a fresh run against the committed `BENCH_kernels.json`.
-    /// Hard-fails on a schema or kernel-set mismatch (the baseline is
-    /// stale — regenerate it); per-kernel roofline ratios fail only below
-    /// `baseline × (1 − REL_TOLERANCE) − ABS_TOLERANCE`.
-    fn check_against(&self, committed: &str) -> Vec<String> {
-        let base = match parse_committed::<Self>(committed, SCHEMA) {
-            Ok(doc) => doc,
-            Err(e) => return vec![e],
-        };
-        let mut violations = Vec::new();
-        let mut base_ratios: BTreeMap<String, f64> = BTreeMap::new();
-        for k in base.items("kernels") {
-            if let (Ok(name), Ok(ratio)) = (k.req_str("name"), k.req_num("roofline_ratio")) {
-                base_ratios.insert(name.to_string(), ratio);
-            }
-        }
-        if base_ratios.is_empty() {
-            return vec!["baseline has no kernels — regenerate it".into()];
-        }
-        let current_names: BTreeMap<&str, f64> = self
-            .kernels
+        kernels
             .iter()
-            .map(|k| (k.name.as_str(), k.roofline_ratio))
-            .collect();
-        for name in base_ratios.keys() {
-            if !current_names.contains_key(name.as_str()) {
-                violations.push(format!(
-                    "kernel \"{name}\" is in the baseline but not in this run — \
-                     the workload matrix changed; regenerate the baseline"
-                ));
-            }
-        }
-        for (name, &ratio) in &current_names {
-            let Some(&base_ratio) = base_ratios.get(*name) else {
-                violations.push(format!(
-                    "kernel \"{name}\" is new (not in the baseline) — regenerate the baseline"
-                ));
-                continue;
-            };
-            if !ratio.is_finite() {
-                violations.push(format!("kernel \"{name}\" produced a non-finite ratio"));
-                continue;
-            }
-            let floor = base_ratio * (1.0 - REL_TOLERANCE) - ABS_TOLERANCE;
-            if ratio < floor {
-                violations.push(format!(
-                    "kernel \"{name}\" regressed: roofline ratio {ratio:.4} is below the \
-                     gate floor {floor:.4} (baseline {base_ratio:.4}, tolerance \
-                     −{:.0}% −{ABS_TOLERANCE})",
+            .filter(|k| !k.req_num("roofline_ratio").is_ok_and(f64::is_finite))
+            .map(|k| {
+                let name = k.req_str("name").unwrap_or("?");
+                format!("{label}: kernel \"{name}\" produced a non-finite ratio")
+            })
+            .collect()
+    }
+
+    /// A kernel fails only below `committed × (1 − REL_TOLERANCE) −
+    /// ABS_TOLERANCE` of its committed roofline ratio.
+    fn compare(fresh: &Value, committed: &Value) -> Vec<String> {
+        let committed_ratio = |name: &str| {
+            let mut kernels = committed.items("kernels").iter();
+            let k = kernels.find(|k| k.req_str("name") == Ok(name))?;
+            k.req_num("roofline_ratio").ok()
+        };
+        let regressed = |k: &Value| {
+            let name = k.req_str("name").ok()?;
+            let (now, base) = (k.req_num("roofline_ratio").ok()?, committed_ratio(name)?);
+            let floor = base * (1.0 - REL_TOLERANCE) - ABS_TOLERANCE;
+            (now < floor).then(|| {
+                format!(
+                    "kernel \"{name}\" regressed: roofline ratio {now:.4} is below the gate \
+                     floor {floor:.4} (baseline {base:.4}, tolerance −{:.0}% −{ABS_TOLERANCE})",
                     REL_TOLERANCE * 100.0
-                ));
-            }
-        }
-        violations
+                )
+            })
+        };
+        fresh
+            .items("kernels")
+            .iter()
+            .filter_map(regressed)
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::cli::{check, document};
 
-    fn sample_report() -> BenchReport {
-        BenchReport {
-            simd: "avx2".into(),
-            threads: 1,
-            peak_gflops: 10.0,
-            stream_gbs: 20.0,
-            kernels: vec![
-                KernelResult {
-                    name: "spmm_sum/f32".into(),
-                    iters: 10,
-                    wall_us: 100.0,
-                    cpu_us: 110.0,
-                    gflops: 2.0,
-                    ai: 0.25,
-                    roofline_gflops: 5.0,
-                    roofline_ratio: 0.4,
-                },
-                KernelResult {
-                    name: "matmul/384x256x256".into(),
-                    iters: 5,
-                    wall_us: 2000.0,
-                    cpu_us: 2100.0,
-                    gflops: 8.0,
-                    ai: 60.0,
-                    roofline_gflops: 10.0,
-                    roofline_ratio: 0.8,
-                },
-            ],
-        }
+    fn kernel(name: &str, ratio: f64) -> Value {
+        obj([
+            ("name", name.into()),
+            ("iters", 10usize.into()),
+            ("wall_us", 100.0.into()),
+            ("cpu_us", 110.0.into()),
+            ("gflops", 2.0.into()),
+            ("ai_flops_per_byte", 0.25.into()),
+            ("roofline_gflops", 5.0.into()),
+            ("roofline_ratio", fixed(ratio, 4)),
+        ])
+    }
+
+    fn sample(matmul_ratio: f64) -> Value {
+        document::<KernelBench>(vec![
+            ("simd", "avx2".into()),
+            ("threads", 1usize.into()),
+            (
+                "calibration",
+                obj([("peak_gflops", 10.0.into()), ("stream_gbs", 20.0.into())]),
+            ),
+            (
+                "kernels",
+                [
+                    kernel("spmm_sum/f32", 0.4),
+                    kernel("matmul/384x256x256", matmul_ratio),
+                ]
+                .into_iter()
+                .collect(),
+            ),
+        ])
     }
 
     #[test]
-    fn report_json_round_trips_through_own_parser() {
-        let r = sample_report();
-        let doc = json::parse(&r.to_json()).expect("own JSON must parse");
-        assert_eq!(doc.req_str("schema"), Ok(SCHEMA));
-        assert_eq!(doc.req_u64("threads"), Ok(1));
-        let kernels = doc.items("kernels");
-        assert_eq!(kernels.len(), 2);
-        assert_eq!(kernels[1].req_str("name"), Ok("matmul/384x256x256"));
-        assert_eq!(kernels[0].req_num("roofline_ratio"), Ok(0.4));
-    }
-
-    #[test]
-    fn check_passes_against_itself() {
-        let r = sample_report();
-        assert!(r.check_against(&r.to_json()).is_empty());
-    }
-
-    #[test]
-    fn check_fails_on_regression_within_tolerance_band() {
-        let r = sample_report();
-        let baseline = r.to_json();
-        let mut slow = r.clone();
+    fn check_fails_on_regression_beyond_the_tolerance_band() {
+        let baseline = sample(0.8).pretty(2);
+        assert!(check::<KernelBench>(&sample(0.8), &baseline).is_empty());
         // Within tolerance: half the baseline ratio is still allowed.
-        slow.kernels[1].roofline_ratio = 0.45;
-        assert!(slow.check_against(&baseline).is_empty());
+        assert!(check::<KernelBench>(&sample(0.45), &baseline).is_empty());
         // Beyond tolerance: must fail.
-        slow.kernels[1].roofline_ratio = 0.1;
-        let v = slow.check_against(&baseline);
+        let v = check::<KernelBench>(&sample(0.1), &baseline);
         assert_eq!(v.len(), 1);
-        assert!(v[0].contains("matmul"), "{v:?}");
+        assert!(
+            v[0].contains("matmul") && v[0].contains("regressed"),
+            "{v:?}"
+        );
     }
 
     #[test]
-    fn check_fails_on_schema_and_kernel_set_mismatch() {
-        let r = sample_report();
-        let stale = r.to_json().replace(SCHEMA, "sar-kernelbench/v0");
-        assert!(r.check_against(&stale)[0].contains("schema"));
-        let mut extra = r.clone();
-        extra.kernels.push(KernelResult {
-            name: "brand_new".into(),
-            ..r.kernels[0].clone()
-        });
-        assert!(extra
-            .check_against(&r.to_json())
-            .iter()
-            .any(|v| v.contains("brand_new")));
-        let mut fewer = r.clone();
-        fewer.kernels.pop();
-        assert!(fewer
-            .check_against(&r.to_json())
-            .iter()
-            .any(|v| v.contains("matmul")));
-        assert!(!r.check_against("not json at all").is_empty());
+    fn a_non_finite_ratio_or_an_empty_matrix_fails_on_either_side() {
+        let baseline = sample(0.8).pretty(2);
+        let v = check::<KernelBench>(&sample(f64::NAN), &baseline);
+        assert!(
+            v.iter()
+                .any(|m| m.contains("current") && m.contains("non-finite")),
+            "{v:?}"
+        );
+        let v = check::<KernelBench>(&sample(0.8), &sample(f64::INFINITY).pretty(2));
+        assert!(
+            v.iter()
+                .any(|m| m.contains("committed") && m.contains("non-finite")),
+            "{v:?}"
+        );
+        let empty = document::<KernelBench>(vec![
+            ("threads", 1usize.into()),
+            ("kernels", Value::Arr(Vec::new())),
+        ]);
+        let v = check::<KernelBench>(&sample(0.8), &empty.pretty(2));
+        assert!(v.iter().any(|m| m.contains("no kernels")), "{v:?}");
     }
 
     #[test]
-    fn quick_bench_produces_finite_parseable_report() {
-        let r = run_bench(true);
-        assert!(!r.kernels.is_empty());
-        for k in &r.kernels {
-            assert!(k.wall_us > 0.0, "{}", k.name);
-            assert!(k.gflops.is_finite(), "{}", k.name);
-            assert!(k.roofline_ratio.is_finite(), "{}", k.name);
+    fn quick_bench_produces_finite_records_that_gate_against_themselves() {
+        let doc = document::<KernelBench>(run_bench(true));
+        let kernels = doc.items("kernels");
+        assert!(!kernels.is_empty());
+        for k in kernels {
+            let name = k.req_str("name").unwrap();
+            assert!(k.req_num("wall_us").unwrap() > 0.0, "{name}");
+            assert!(k.req_num("gflops").is_ok_and(f64::is_finite), "{name}");
         }
-        assert!(json::parse(&r.to_json()).is_ok());
-        assert!(r.check_against(&r.to_json()).is_empty());
+        assert_eq!(
+            check::<KernelBench>(&doc, &doc.pretty(2)),
+            Vec::<String>::new()
+        );
     }
 }

@@ -26,9 +26,10 @@
 //! per-worker-thread live tensor high-water mark. Default sizes target a
 //! small CI machine; scale up with `--nodes`.
 //!
-//! Beyond the training experiments, [`kernelbench`] times the SAR
-//! kernel family over a fixed seeded workload matrix and gates CI on the
-//! committed `BENCH_kernels.json` perf trajectory (`repro kernelbench`).
+//! Beyond the training experiments, four benchmarks gate CI on a
+//! committed `BENCH_*.json` artifact: [`kernelbench`] (the kernel perf
+//! trajectory), [`servebench`], [`compressbench`] (codec × protocol) and
+//! [`outofcorebench`] (the disk tier).
 //!
 //! Besides the simulated in-process cluster, the harness can run real
 //! multi-process training over TCP loopback: [`launcher`] owns the rank
@@ -47,9 +48,14 @@
 //! committed, CI-gated `BENCH_serve.json` latency/throughput artifact
 //! (`repro servebench`).
 //!
-//! Every gated benchmark implements [`cli::GatedBench`]; `repro` drives
-//! all of them through one flags → run → print → `--out` → `--check`
-//! routine.
+//! Each gated benchmark implements [`cli::GatedBench`]: a `run` that
+//! emits its artifact as [`json::Value`] records, plus a declaration —
+//! the schema tag, the top-level fields that identify the workload, per
+//! record array the key fields and the pinned fields a fresh run must
+//! reproduce, and one `invariants` function applied to the fresh and the
+//! committed document alike. Everything else — schema, identity, run-set
+//! and pin checks, the printed table and the `--out`/`--check` files — is
+//! [`cli::gated_bench_cmd`], once for all four.
 
 pub mod cli;
 pub mod compressbench;

@@ -21,11 +21,13 @@
 //!   prefetch depths and exchange protocols. The two runs'
 //!   [`RunReport::parity_digest`]s must be identical — spilling
 //!   rematerialization inputs and stale-protocol cache blocks to disk
-//!   cannot perturb training by a single bit.
+//!   cannot perturb training by a single bit — and every cell of one
+//!   protocol must carry the same digest.
 //!
 //! Following the `BENCH_kernels.json` precedent, the gate never compares
-//! timings — elapsed times are recorded for human eyes only. It checks
-//! schema/run-set identity, digest determinism (fresh vs committed),
+//! timings — elapsed times are recorded for human eyes only.
+//! [`crate::cli::check`] compares the workload identity, the two run sets
+//! and the pinned sweep digests; [`OutOfCoreBench`]'s invariants check
 //! spill/fault engagement, memory flatness and digest parity.
 
 use std::collections::VecDeque;
@@ -36,17 +38,11 @@ use sar_core::plan::{self, FetchStep};
 use sar_tensor::tier::TieredStore;
 use sar_tensor::{MemoryTracker, Tensor};
 
-use crate::cli::{parse_committed, Args, GatedBench};
-use crate::compressbench::fingerprint;
+use crate::cli::{fingerprint, rules, Args, Fields, GatedBench, Records};
 use crate::distrun::Workload;
 use crate::harness::{run_workload, Transport};
 use crate::report::RunReport;
 use crate::smoke;
-
-/// Schema tag written into (and required from) `BENCH_outofcore.json`.
-/// Bump whenever the sweep shape, the parity grid or the field layout
-/// change; the gate refuses to compare across schema versions.
-pub const SCHEMA: &str = "sar-outofcorebench/v1";
 
 /// How far the largest sweep scale's peak resident bytes may exceed the
 /// smallest scale's before the gate fails. The working set is
@@ -56,124 +52,26 @@ pub const FLATNESS: f64 = 1.25;
 
 /// Epochs of rotation sweeps per scale.
 const SWEEP_EPOCHS: usize = 2;
-
-/// The benchmark workload: everything needed to rebuild every run
-/// deterministically.
-#[derive(Debug, Clone)]
-pub struct OocBenchConfig {
-    /// Rows of the synthetic feature matrix at scale 1.
-    pub base_rows: usize,
-    /// Feature width of the synthetic matrix.
-    pub feat_dim: usize,
-    /// Resident-tensor budget (bytes) for the sweep's tiered store.
-    pub budget_bytes: u64,
-    /// Depth of the staging pipeline the sweep faults through.
-    pub prefetch_depth: usize,
-    /// Row multipliers swept (peak memory must stay flat across them).
-    pub scales: Vec<usize>,
-    /// Cluster size for the parity training runs.
-    pub world: usize,
-    /// Synthetic dataset node count for the parity training runs.
-    pub nodes: usize,
-    /// `--mem-budget` for the budgeted parity runs (bytes). Tight enough
-    /// that both the stale cache blocks (tens of KiB each) and the GAT
-    /// rematerialization inputs (a few KiB per layer) must spill.
-    pub train_budget: u64,
-    /// Seed for the parity workloads.
-    pub seed: u64,
-    /// Transports the parity grid runs.
-    pub transports: Vec<Transport>,
-    /// Trim the sweep and skip the TCP parity cells for local iteration
-    /// (the committed artifact is always generated at full scale).
-    pub quick: bool,
-}
-
-impl Default for OocBenchConfig {
-    fn default() -> Self {
-        OocBenchConfig {
-            base_rows: 2048,
-            feat_dim: 64,
-            budget_bytes: 96 * 1024,
-            prefetch_depth: 2,
-            scales: vec![1, 2, 4, 8],
-            world: 4,
-            nodes: 1200,
-            train_budget: 8 * 1024,
-            seed: 0,
-            transports: vec![Transport::Sim, Transport::Tcp],
-            quick: false,
-        }
-    }
-}
-
-/// One sweep scale's measured run.
-#[derive(Debug, Clone)]
-pub struct SweepRun {
-    /// Row multiplier over `base_rows`.
-    pub scale: usize,
-    /// Total matrix rows at this scale.
-    pub rows: usize,
-    /// Chunk count the matrix was split into.
-    pub chunks: usize,
-    /// Rows per chunk (budget-derived, identical across scales).
-    pub chunk_rows: usize,
-    /// Peak resident tensor bytes over ingest + sweep (the gated value).
-    pub peak_resident_bytes: u64,
-    /// Bytes spilled to the arena's file.
-    pub spill_bytes: u64,
-    /// Bytes faulted back from the arena.
-    pub fault_bytes: u64,
-    /// FNV-1a 64 over the accumulator's f32 bit patterns.
-    pub digest: String,
-    /// The same accumulation through an unbounded (never-spilling)
-    /// store — must equal `digest`.
-    pub unbounded_digest: String,
-    /// Wall time, milliseconds — recorded for humans, never gated.
-    pub elapsed_ms: f64,
-}
-
-/// One parity grid cell: the same training run with `--mem-budget` on
-/// and off.
-#[derive(Debug, Clone)]
-pub struct ParityRun {
-    /// `"sim"` or `"tcp"`.
-    pub transport: String,
-    /// Exchange protocol (`"exact"` exercises remat spilling, `"stale:<r>"`
-    /// additionally spills the cached protocol blocks).
-    pub protocol: String,
-    /// Intra-worker kernel threads.
-    pub threads: usize,
-    /// Fetch-pipeline depth.
-    pub prefetch_depth: usize,
-    /// `--mem-budget` of the budgeted run (bytes).
-    pub budget_bytes: u64,
-    /// FNV-1a 64 fingerprint of the budgeted run's parity digest.
-    pub digest_budget: String,
-    /// Fingerprint of the unbudgeted (`--mem-budget 0`) run's digest —
-    /// must equal `digest_budget`.
-    pub digest_unbounded: String,
-    /// Bytes the budgeted run spilled, summed over ranks and phases.
-    pub spill_bytes: u64,
-    /// Bytes the budgeted run faulted back.
-    pub fault_bytes: u64,
-}
-
-/// A full outofcorebench run: the workload identity plus results.
-#[derive(Debug, Clone)]
-pub struct OocBenchReport {
-    /// Sweep matrix rows at scale 1.
-    pub base_rows: usize,
-    /// Sweep matrix feature width.
-    pub feat_dim: usize,
-    /// Sweep store budget (bytes).
-    pub budget_bytes: u64,
-    /// Sweep staging depth.
-    pub prefetch_depth: usize,
-    /// Per-scale sweep runs, ascending scale.
-    pub sweep: Vec<SweepRun>,
-    /// Parity grid results, sim first, then tcp.
-    pub parity: Vec<ParityRun>,
-}
+/// Rows of the synthetic feature matrix at scale 1.
+const BASE_ROWS: usize = 2048;
+/// Feature width of the synthetic matrix.
+const FEAT_DIM: usize = 64;
+/// Resident-tensor budget (bytes) for the sweep's tiered store.
+const BUDGET_BYTES: u64 = 96 * 1024;
+/// Depth of the staging pipeline the sweep faults through.
+const PREFETCH_DEPTH: usize = 2;
+/// Row multipliers swept (peak memory must stay flat across them).
+const SCALES: [usize; 4] = [1, 2, 4, 8];
+/// Cluster size for the parity training runs.
+const WORLD: usize = 4;
+/// Synthetic dataset node count for the parity training runs.
+const NODES: usize = 1200;
+/// `--mem-budget` for the budgeted parity runs (bytes). Tight enough that
+/// both the stale cache blocks (tens of KiB each) and the GAT
+/// rematerialization inputs (a few KiB per layer) must spill.
+const TRAIN_BUDGET: u64 = 8 * 1024;
+/// Seed for the parity workloads.
+const SEED: u64 = 0;
 
 // ----------------------------------------------------------------------
 // The out-of-core sweep
@@ -260,25 +158,24 @@ fn sweep_store(
 
 /// Runs one sweep scale: the budgeted store (measured) and the unbounded
 /// baseline (digest only).
-fn run_scale(cfg: &OocBenchConfig, scale: usize) -> Result<SweepRun, String> {
-    let f = cfg.feat_dim;
-    let k = cfg.prefetch_depth;
+fn run_scale(scale: usize) -> Result<Value, String> {
+    let (f, k) = (FEAT_DIM, PREFETCH_DEPTH);
     // Fit (k+2) staged chunks plus headroom for the accumulator and the
     // in-flight copy inside the budget, so the working set is
     // budget-derived and independent of the matrix size.
-    let chunk_rows = ((cfg.budget_bytes as usize / (4 * f)) / (k + 4)).max(1);
-    let rows = cfg.base_rows * scale;
+    let chunk_rows = ((BUDGET_BYTES as usize / (4 * f)) / (k + 4)).max(1);
+    let rows = BASE_ROWS * scale;
     let chunks = rows.div_ceil(chunk_rows);
     eprintln!(
         "[outofcorebench] sweep: scale {scale} — {rows} x {f} rows in {chunks} chunks, \
          budget {} KiB, depth {k} ...",
-        cfg.budget_bytes / 1024
+        BUDGET_BYTES / 1024
     );
     let start = std::time::Instant::now();
     let _ = sar_tensor::tier::take_tier_counters();
     MemoryTracker::reset_peak();
     let before = MemoryTracker::stats().current_bytes;
-    let digest = sweep_store(rows, f, chunk_rows, k, cfg.budget_bytes)?;
+    let digest = sweep_store(rows, f, chunk_rows, k, BUDGET_BYTES)?;
     let peak = MemoryTracker::stats().peak_bytes.saturating_sub(before) as u64;
     let (spill_bytes, fault_bytes, _) = sar_tensor::tier::take_tier_counters();
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -286,18 +183,18 @@ fn run_scale(cfg: &OocBenchConfig, scale: usize) -> Result<SweepRun, String> {
     // touches disk, so a digest match proves the round-trips exact.
     let unbounded_digest = sweep_store(rows, f, chunk_rows, k, u64::MAX)?;
     let _ = sar_tensor::tier::take_tier_counters();
-    Ok(SweepRun {
-        scale,
-        rows,
-        chunks,
-        chunk_rows,
-        peak_resident_bytes: peak,
-        spill_bytes,
-        fault_bytes,
-        digest,
-        unbounded_digest,
-        elapsed_ms,
-    })
+    Ok(obj([
+        ("scale", scale.into()),
+        ("rows", rows.into()),
+        ("chunks", chunks.into()),
+        ("chunk_rows", chunk_rows.into()),
+        ("peak_resident_bytes", peak.into()),
+        ("spill_bytes", spill_bytes.into()),
+        ("fault_bytes", fault_bytes.into()),
+        ("digest", digest.into()),
+        ("unbounded_digest", unbounded_digest.into()),
+        ("elapsed_ms", fixed(elapsed_ms, 3)),
+    ]))
 }
 
 // ----------------------------------------------------------------------
@@ -328,12 +225,8 @@ pub fn tcp_grid(quick: bool) -> Vec<Cell> {
     vec![("stale:2", 1, 2), ("exact", 2, 0)]
 }
 
-fn cell_workload(
-    cfg: &OocBenchConfig,
-    (protocol, threads, depth): Cell,
-    budget: u64,
-) -> Result<Workload, String> {
-    let mut wl = smoke::workload("gat", cfg.nodes, cfg.seed)?;
+fn cell_workload((protocol, threads, depth): Cell, budget: u64) -> Result<Workload, String> {
+    let mut wl = smoke::workload("gat", NODES, SEED)?;
     wl.protocol = protocol.to_string();
     wl.threads = threads;
     wl.prefetch_depth = depth;
@@ -353,20 +246,19 @@ fn report_sum(report: &RunReport, pick: impl Fn(&PhaseEntry) -> u64) -> u64 {
 
 /// Runs one parity cell on `transport`: the same training with
 /// `--mem-budget` on, then off.
-fn run_parity(cfg: &OocBenchConfig, cell: Cell, transport: Transport) -> Result<ParityRun, String> {
+fn run_parity(cell: Cell, transport: Transport) -> Result<Value, String> {
     let (protocol, threads, depth) = cell;
     let mut digests = Vec::new();
-    let mut spill = 0;
-    let mut fault = 0;
-    for budget in [cfg.train_budget, 0] {
-        let wl = cell_workload(cfg, cell, budget)?;
+    let (mut spill, mut fault) = (0, 0);
+    for budget in [TRAIN_BUDGET, 0] {
+        let wl = cell_workload(cell, budget)?;
         eprintln!(
             "[outofcorebench] {} parity: gat protocol={protocol} threads={threads} \
              depth={depth} mem-budget={budget} ...",
             transport.name()
         );
         let experiment = format!("outofcorebench-{protocol}-b{budget}");
-        let report = run_workload(&wl, cfg.world, transport, &experiment)
+        let report = run_workload(&wl, WORLD, transport, &experiment)
             .map_err(|e| format!("{}/{protocol}/t{threads}/d{depth}: {e}", transport.name()))?;
         if budget > 0 {
             spill = report_sum(&report, |p| p.spill_bytes);
@@ -374,515 +266,349 @@ fn run_parity(cfg: &OocBenchConfig, cell: Cell, transport: Transport) -> Result<
         }
         digests.push(fingerprint(&report.parity_digest()));
     }
-    Ok(ParityRun {
-        transport: transport.name().into(),
-        protocol: protocol.into(),
-        threads,
-        prefetch_depth: depth,
-        budget_bytes: cfg.train_budget,
-        digest_budget: digests[0].clone(),
-        digest_unbounded: digests[1].clone(),
-        spill_bytes: spill,
-        fault_bytes: fault,
-    })
+    Ok(obj([
+        ("transport", transport.name().into()),
+        ("protocol", protocol.into()),
+        ("threads", threads.into()),
+        ("prefetch_depth", depth.into()),
+        ("budget_bytes", TRAIN_BUDGET.into()),
+        ("digest_budget", digests[0].as_str().into()),
+        ("digest_unbounded", digests[1].as_str().into()),
+        ("spill_bytes", spill.into()),
+        ("fault_bytes", fault.into()),
+    ]))
 }
 
 // ----------------------------------------------------------------------
-// Serialization
+// The `repro outofcorebench` subcommand and its gate
 // ----------------------------------------------------------------------
 
-/// Parses a `BENCH_outofcore.json` document back into a report.
-///
-/// # Errors
-///
-/// Rejects malformed JSON or missing fields with a message naming the
-/// field.
-pub fn parse_report(text: &str) -> Result<OocBenchReport, String> {
-    let doc = parse_committed::<OocBenchReport>(text, SCHEMA)?;
-    let count = |v: &Value, k: &str| v.req_u64(k).map(|n| n as usize);
-    let text = |v: &Value, k: &str| v.req_str(k).map(str::to_string);
-    let sweep = |r: &Value| -> Result<SweepRun, String> {
-        Ok(SweepRun {
-            scale: count(r, "scale")?,
-            rows: count(r, "rows")?,
-            chunks: count(r, "chunks")?,
-            chunk_rows: count(r, "chunk_rows")?,
-            peak_resident_bytes: r.req_u64("peak_resident_bytes")?,
-            spill_bytes: r.req_u64("spill_bytes")?,
-            fault_bytes: r.req_u64("fault_bytes")?,
-            digest: text(r, "digest")?,
-            unbounded_digest: text(r, "unbounded_digest")?,
-            elapsed_ms: r.req_num("elapsed_ms")?,
-        })
-    };
-    let parity = |r: &Value| -> Result<ParityRun, String> {
-        Ok(ParityRun {
-            transport: text(r, "transport")?,
-            protocol: text(r, "protocol")?,
-            threads: count(r, "threads")?,
-            prefetch_depth: count(r, "prefetch_depth")?,
-            budget_bytes: r.req_u64("budget_bytes")?,
-            digest_budget: text(r, "digest_budget")?,
-            digest_unbounded: text(r, "digest_unbounded")?,
-            spill_bytes: r.req_u64("spill_bytes")?,
-            fault_bytes: r.req_u64("fault_bytes")?,
-        })
-    };
-    Ok(OocBenchReport {
-        base_rows: count(&doc, "base_rows")?,
-        feat_dim: count(&doc, "feat_dim")?,
-        budget_bytes: doc.req_u64("budget_bytes")?,
-        prefetch_depth: count(&doc, "prefetch_depth")?,
-        sweep: doc
-            .items("sweep")
-            .iter()
-            .map(sweep)
-            .collect::<Result<_, _>>()?,
-        parity: doc
-            .items("parity")
-            .iter()
-            .map(parity)
-            .collect::<Result<_, _>>()?,
-    })
-}
+/// `repro outofcorebench` and its `BENCH_outofcore.json` declaration:
+/// the sweep and training constants are identity fields; sweep scales are
+/// named by `scale` with their shape and result digest pinned (pure
+/// integer-derived f32 arithmetic in a fixed order, so it is
+/// machine-independent), and parity cells by `(transport, protocol,
+/// threads, prefetch_depth)`.
+#[derive(Debug)]
+pub struct OutOfCoreBench;
 
-// ----------------------------------------------------------------------
-// The gate
-// ----------------------------------------------------------------------
-
-/// Invariants a single report must satisfy on its own (applied to both
-/// the fresh and the committed copy).
-fn self_check(tag: &str, r: &OocBenchReport) -> Vec<String> {
-    let mut v = Vec::new();
-    if r.sweep.is_empty() {
-        v.push(format!("{tag}: empty sweep"));
-        return v;
-    }
-    for s in &r.sweep {
-        if s.digest != s.unbounded_digest {
-            v.push(format!(
-                "{tag}: sweep scale {} digest {} != unbounded {} — the disk round-trip \
-                 perturbed the result bits",
-                s.scale, s.digest, s.unbounded_digest
-            ));
-        }
-        if s.spill_bytes == 0 || s.fault_bytes == 0 {
-            v.push(format!(
-                "{tag}: sweep scale {} spilled {}B / faulted {}B — the budget never \
-                 engaged the disk tier",
-                s.scale, s.spill_bytes, s.fault_bytes
-            ));
-        }
-    }
-    let min_peak = r
-        .sweep
-        .iter()
-        .map(|s| s.peak_resident_bytes)
-        .min()
-        .unwrap_or(0);
-    let max_peak = r
-        .sweep
-        .iter()
-        .map(|s| s.peak_resident_bytes)
-        .max()
-        .unwrap_or(0);
-    let min_rows = r.sweep.iter().map(|s| s.rows).min().unwrap_or(0);
-    let max_rows = r.sweep.iter().map(|s| s.rows).max().unwrap_or(0);
-    if min_rows == 0 || max_rows < 4 * min_rows {
-        v.push(format!(
-            "{tag}: sweep only spans {min_rows}..{max_rows} rows — the flatness claim \
-             needs at least 4x growth"
-        ));
-    }
-    if min_peak == 0 || max_peak as f64 > min_peak as f64 * FLATNESS {
-        v.push(format!(
-            "{tag}: peak resident bytes grew {min_peak} -> {max_peak} across the sweep \
-             (tolerance {FLATNESS}x) — out-of-core memory is not flat"
-        ));
-    }
-    for p in &r.parity {
-        let cell = format!(
-            "{}/{} t{} d{}",
-            p.transport, p.protocol, p.threads, p.prefetch_depth
-        );
-        if p.digest_budget != p.digest_unbounded {
-            v.push(format!(
-                "{tag}: parity {cell}: budgeted digest {} != unbudgeted {} — spilling \
-                 changed training",
-                p.digest_budget, p.digest_unbounded
-            ));
-        }
-        if p.spill_bytes == 0 || p.fault_bytes == 0 {
-            v.push(format!(
-                "{tag}: parity {cell}: spilled {}B / faulted {}B under --mem-budget {} — \
-                 the budget never engaged the disk tier",
-                p.spill_bytes, p.fault_bytes, p.budget_bytes
-            ));
-        }
-    }
-    v
-}
-
-// ----------------------------------------------------------------------
-// The `repro outofcorebench` subcommand: flags, artifact and CI gate
-// ----------------------------------------------------------------------
-
-impl GatedBench for OocBenchReport {
+impl GatedBench for OutOfCoreBench {
     const NAME: &'static str = "outofcorebench";
-    type Config = OocBenchConfig;
+    /// v2: the artifact records `world`, `nodes`, `train_budget` and
+    /// `seed`.
+    const SCHEMA: &'static str = "sar-outofcorebench/v2";
+    const IDENTITY: &'static [&'static str] = &[
+        "base_rows",
+        "feat_dim",
+        "budget_bytes",
+        "prefetch_depth",
+        "world",
+        "nodes",
+        "train_budget",
+        "seed",
+    ];
+    const TABLES: &'static [Records] = &[
+        Records {
+            table: "sweep",
+            key: &["scale"],
+            pinned: &["rows", "chunks", "chunk_rows", "digest"],
+        },
+        Records {
+            table: "parity",
+            key: &["transport", "protocol", "threads", "prefetch_depth"],
+            pinned: &[],
+        },
+    ];
+    /// `--quick`: sweep only the smallest and largest scales and skip
+    /// the TCP parity cells (the committed artifact is always generated
+    /// at full scale).
+    type Config = bool;
 
-    fn apply_flag(cfg: &mut Self::Config, flag: &str, args: &mut Args) -> Result<bool, String> {
-        match flag {
-            "--nodes" => cfg.nodes = args.parsed(flag)?,
-            "--train-budget" => cfg.train_budget = args.parsed(flag)?,
-            "--seed" => cfg.seed = args.parsed(flag)?,
-            "--transport" => cfg.transports = Transport::parse_list(&args.value(flag)?)?,
-            "--quick" => cfg.quick = true,
-            _ => return Ok(false),
-        }
-        Ok(true)
+    fn apply_flag(quick: &mut bool, flag: &str, _: &mut Args) -> Result<bool, String> {
+        *quick |= flag == "--quick";
+        Ok(flag == "--quick")
     }
 
-    /// Runs the full benchmark: the memory-flatness sweep, then the
-    /// parity grid (sim in-process, the TCP subset as real OS processes).
-    fn run(cfg: &Self::Config) -> Result<Self, String> {
-        let scales: Vec<usize> = if cfg.quick {
-            cfg.scales
-                .iter()
-                .copied()
-                .filter(|&s| {
-                    s == *cfg.scales.first().unwrap_or(&1) || s == *cfg.scales.last().unwrap_or(&1)
-                })
-                .collect()
+    /// The memory-flatness sweep, then the parity grid (sim in-process,
+    /// the TCP subset as real OS processes).
+    fn run(&quick: &bool) -> Result<Fields, String> {
+        let scales = if quick {
+            vec![SCALES[0], SCALES[SCALES.len() - 1]]
         } else {
-            cfg.scales.clone()
+            SCALES.to_vec()
         };
         let mut sweep = Vec::new();
         for scale in scales {
-            sweep.push(run_scale(cfg, scale).map_err(|e| format!("sweep scale {scale}: {e}"))?);
+            sweep.push(run_scale(scale).map_err(|e| format!("sweep scale {scale}: {e}"))?);
         }
         let mut parity = Vec::new();
         for (transport, grid) in [
-            (Transport::Sim, sim_grid(cfg.quick)),
-            (Transport::Tcp, tcp_grid(cfg.quick)),
+            (Transport::Sim, sim_grid(quick)),
+            (Transport::Tcp, tcp_grid(quick)),
         ] {
-            if cfg.transports.contains(&transport) {
-                for cell in grid {
-                    parity.push(run_parity(cfg, cell, transport)?);
-                }
+            for cell in grid {
+                parity.push(run_parity(cell, transport)?);
             }
         }
-        Ok(OocBenchReport {
-            base_rows: cfg.base_rows,
-            feat_dim: cfg.feat_dim,
-            budget_bytes: cfg.budget_bytes,
-            prefetch_depth: cfg.prefetch_depth,
-            sweep,
-            parity,
-        })
+        Ok(vec![
+            ("base_rows", BASE_ROWS.into()),
+            ("feat_dim", FEAT_DIM.into()),
+            ("budget_bytes", BUDGET_BYTES.into()),
+            ("prefetch_depth", PREFETCH_DEPTH.into()),
+            ("world", WORLD.into()),
+            ("nodes", NODES.into()),
+            ("train_budget", TRAIN_BUDGET.into()),
+            ("seed", SEED.into()),
+            ("sweep", Value::Arr(sweep)),
+            ("parity", Value::Arr(parity)),
+        ])
     }
 
-    /// Prints the human-readable summary tables.
-    fn print(&self) {
-        use crate::report::Table;
-        let mut t = Table::new(
-            format!(
-                "outofcorebench sweep — budget {} KiB, depth {}",
-                self.budget_bytes / 1024,
-                self.prefetch_depth
-            ),
-            &[
-                "scale",
-                "rows",
-                "chunks",
-                "peak KiB",
-                "spill KiB",
-                "fault KiB",
-                "parity",
-                "ms",
-            ],
-        );
-        for s in &self.sweep {
-            t.row(vec![
-                s.scale.to_string(),
-                s.rows.to_string(),
-                s.chunks.to_string(),
-                format!("{:.1}", s.peak_resident_bytes as f64 / 1024.0),
-                format!("{:.1}", s.spill_bytes as f64 / 1024.0),
-                format!("{:.1}", s.fault_bytes as f64 / 1024.0),
-                (s.digest == s.unbounded_digest).to_string(),
-                format!("{:.1}", s.elapsed_ms),
-            ]);
-        }
-        t.print();
-        let mut t = Table::new(
-            "outofcorebench parity — --mem-budget on vs off".to_string(),
-            &[
-                "transport",
-                "protocol",
-                "threads",
-                "depth",
-                "spill KiB",
-                "fault KiB",
-                "parity",
-            ],
-        );
-        for p in &self.parity {
-            t.row(vec![
-                p.transport.clone(),
-                p.protocol.clone(),
-                p.threads.to_string(),
-                p.prefetch_depth.to_string(),
-                format!("{:.1}", p.spill_bytes as f64 / 1024.0),
-                format!("{:.1}", p.fault_bytes as f64 / 1024.0),
-                (p.digest_budget == p.digest_unbounded).to_string(),
-            ]);
-        }
-        t.print();
-    }
-
-    /// The schema-versioned `BENCH_outofcore.json` document.
-    fn to_json(&self) -> String {
-        let sweep = |r: &SweepRun| {
-            obj([
-                ("scale", r.scale.into()),
-                ("rows", r.rows.into()),
-                ("chunks", r.chunks.into()),
-                ("chunk_rows", r.chunk_rows.into()),
-                ("peak_resident_bytes", r.peak_resident_bytes.into()),
-                ("spill_bytes", r.spill_bytes.into()),
-                ("fault_bytes", r.fault_bytes.into()),
-                ("digest", r.digest.as_str().into()),
-                ("unbounded_digest", r.unbounded_digest.as_str().into()),
-                ("elapsed_ms", fixed(r.elapsed_ms, 3)),
-            ])
-        };
-        let parity = |r: &ParityRun| {
-            obj([
-                ("transport", r.transport.as_str().into()),
-                ("protocol", r.protocol.as_str().into()),
-                ("threads", r.threads.into()),
-                ("prefetch_depth", r.prefetch_depth.into()),
-                ("budget_bytes", r.budget_bytes.into()),
-                ("digest_budget", r.digest_budget.as_str().into()),
-                ("digest_unbounded", r.digest_unbounded.as_str().into()),
-                ("spill_bytes", r.spill_bytes.into()),
-                ("fault_bytes", r.fault_bytes.into()),
-            ])
-        };
-        let doc = obj([
-            ("schema", SCHEMA.into()),
-            ("base_rows", self.base_rows.into()),
-            ("feat_dim", self.feat_dim.into()),
-            ("budget_bytes", self.budget_bytes.into()),
-            ("prefetch_depth", self.prefetch_depth.into()),
-            ("sweep", self.sweep.iter().map(sweep).collect()),
-            ("parity", self.parity.iter().map(parity).collect()),
-        ]);
-        doc.pretty(2) + "\n"
-    }
-
-    /// Diffs a fresh report against the committed artifact. Never
-    /// compares timings.
-    fn check_against(&self, committed_text: &str) -> Vec<String> {
-        let committed = match parse_report(committed_text) {
-            Ok(c) => c,
-            Err(e) => return vec![format!("committed artifact: {e}")],
-        };
-        let mut v = Vec::new();
-        if (
-            self.base_rows,
-            self.feat_dim,
-            self.budget_bytes,
-            self.prefetch_depth,
-        ) != (
-            committed.base_rows,
-            committed.feat_dim,
-            committed.budget_bytes,
-            committed.prefetch_depth,
-        ) {
-            v.push(
-                "sweep configuration differs from the committed artifact — regenerate it with \
-                 `repro outofcorebench --out BENCH_outofcore.json`"
-                    .into(),
-            );
-        }
-        let cur_set: Vec<_> = self
-            .sweep
-            .iter()
-            .map(|s| (s.scale, s.rows, s.chunks))
-            .collect();
-        let com_set: Vec<_> = committed
-            .sweep
-            .iter()
-            .map(|s| (s.scale, s.rows, s.chunks))
-            .collect();
-        if cur_set != com_set {
-            v.push(format!(
-                "sweep run set differs: current {cur_set:?} vs committed {com_set:?} — \
-                 regenerate the artifact"
-            ));
-        } else {
-            // The sweep is pure integer-derived f32 arithmetic in a fixed
-            // order: its digest is machine-independent and must not drift.
-            for (c, k) in self.sweep.iter().zip(&committed.sweep) {
-                if c.digest != k.digest {
+    /// Digest parity, tier engagement, ≥ 4× row growth with a flat
+    /// resident peak, and one training digest per protocol.
+    fn invariants(tag: &str, doc: &Value) -> Vec<String> {
+        rules(tag, |v| {
+            let sweep = doc.req_arr("sweep")?;
+            if sweep.is_empty() {
+                v.push(format!("{tag}: empty sweep"));
+                return Ok(());
+            }
+            let (mut rows, mut peaks) = (Vec::new(), Vec::new());
+            for s in sweep {
+                let scale = s.req_u64("scale")?;
+                let (digest, unbounded) = (s.req_str("digest")?, s.req_str("unbounded_digest")?);
+                if digest != unbounded {
                     v.push(format!(
-                        "sweep scale {}: digest {} != committed {} — the accumulation is no \
-                         longer bitwise reproducible",
-                        c.scale, c.digest, k.digest
+                        "{tag}: sweep scale {scale} digest {digest} != unbounded {unbounded} — \
+                         the disk round-trip perturbed the result bits"
                     ));
                 }
+                let (spill, fault) = (s.req_u64("spill_bytes")?, s.req_u64("fault_bytes")?);
+                if spill == 0 || fault == 0 {
+                    v.push(format!(
+                        "{tag}: sweep scale {scale} spilled {spill}B / faulted {fault}B — the \
+                         budget never engaged the disk tier"
+                    ));
+                }
+                rows.push(s.req_u64("rows")?);
+                peaks.push(s.req_u64("peak_resident_bytes")?);
             }
-        }
-        let cell = |p: &ParityRun| {
-            (
-                p.transport.clone(),
-                p.protocol.clone(),
-                p.threads,
-                p.prefetch_depth,
-            )
-        };
-        let cur_cells: Vec<_> = self.parity.iter().map(cell).collect();
-        let com_cells: Vec<_> = committed.parity.iter().map(cell).collect();
-        if cur_cells != com_cells {
-            v.push(format!(
-                "parity run set differs: current {cur_cells:?} vs committed {com_cells:?} — \
-                 regenerate the artifact"
-            ));
-        }
-        v.extend(self_check("current", self));
-        v.extend(self_check("committed", &committed));
-        v
+            let span = |xs: &[u64]| {
+                let (min, max) = (xs.iter().min(), xs.iter().max());
+                (min.copied().unwrap_or(0), max.copied().unwrap_or(0))
+            };
+            let ((min_rows, max_rows), (min_peak, max_peak)) = (span(&rows), span(&peaks));
+            if min_rows == 0 || max_rows < 4 * min_rows {
+                v.push(format!(
+                    "{tag}: sweep only spans {min_rows}..{max_rows} rows — the flatness claim \
+                     needs at least 4x growth"
+                ));
+            }
+            if min_peak == 0 || max_peak as f64 > min_peak as f64 * FLATNESS {
+                v.push(format!(
+                    "{tag}: peak resident bytes grew {min_peak} -> {max_peak} across the sweep \
+                     (tolerance {FLATNESS}x) — out-of-core memory is not flat"
+                ));
+            }
+            // The first cell of each protocol and its digest.
+            let mut per_protocol: Vec<(String, String, String)> = Vec::new();
+            for p in doc.req_arr("parity")? {
+                let protocol = p.req_str("protocol")?;
+                let cell = format!(
+                    "{}/{protocol} t{} d{}",
+                    p.req_str("transport")?,
+                    p.req_u64("threads")?,
+                    p.req_u64("prefetch_depth")?
+                );
+                let (budget, unbounded) =
+                    (p.req_str("digest_budget")?, p.req_str("digest_unbounded")?);
+                if budget != unbounded {
+                    v.push(format!(
+                        "{tag}: parity {cell}: budgeted digest {budget} != unbudgeted \
+                         {unbounded} — spilling changed training"
+                    ));
+                }
+                let (spill, fault) = (p.req_u64("spill_bytes")?, p.req_u64("fault_bytes")?);
+                if spill == 0 || fault == 0 {
+                    v.push(format!(
+                        "{tag}: parity {cell}: spilled {spill}B / faulted {fault}B under \
+                         --mem-budget {} — the budget never engaged the disk tier",
+                        p.req_u64("budget_bytes")?
+                    ));
+                }
+                match per_protocol.iter().find(|(proto, _, _)| proto == protocol) {
+                    Some((_, first, digest)) if digest != budget => v.push(format!(
+                        "{tag}: parity {cell}: digest {budget} != {digest} of {first} — the \
+                         training result depends on the transport, threads or depth"
+                    )),
+                    Some(_) => {}
+                    None => per_protocol.push((protocol.into(), cell, budget.into())),
+                }
+            }
+            Ok(())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::tests::set;
+    use crate::cli::{check, document};
 
-    fn sample_sweep(scale: usize, peak: u64) -> SweepRun {
-        SweepRun {
-            scale,
-            rows: 2048 * scale,
-            chunks: 32 * scale,
-            chunk_rows: 64,
-            peak_resident_bytes: peak,
-            spill_bytes: 400_000,
-            fault_bytes: 390_000,
-            digest: format!("d{scale:015x}"),
-            unbounded_digest: format!("d{scale:015x}"),
-            elapsed_ms: 12.0,
-        }
+    fn sweep(scale: usize, peak: u64) -> Value {
+        obj([
+            ("scale", scale.into()),
+            ("rows", (2048 * scale).into()),
+            ("chunks", (32 * scale).into()),
+            ("chunk_rows", 64usize.into()),
+            ("peak_resident_bytes", peak.into()),
+            ("spill_bytes", 400_000u64.into()),
+            ("fault_bytes", 390_000u64.into()),
+            ("digest", format!("d{scale:015x}").into()),
+            ("unbounded_digest", format!("d{scale:015x}").into()),
+            ("elapsed_ms", 12.0.into()),
+        ])
     }
 
-    fn sample_parity() -> ParityRun {
-        ParityRun {
-            transport: "sim".into(),
-            protocol: "stale:2".into(),
-            threads: 1,
-            prefetch_depth: 0,
-            budget_bytes: 65536,
-            digest_budget: "abcdabcdabcdabcd".into(),
-            digest_unbounded: "abcdabcdabcdabcd".into(),
-            spill_bytes: 123_456,
-            fault_bytes: 120_000,
-        }
+    fn parity(transport: &str, protocol: &str, threads: usize, depth: usize) -> Value {
+        let digest = if protocol == "exact" {
+            "105bb5c0ebc78376"
+        } else {
+            "e267f09a422b8c4b"
+        };
+        obj([
+            ("transport", transport.into()),
+            ("protocol", protocol.into()),
+            ("threads", threads.into()),
+            ("prefetch_depth", depth.into()),
+            ("budget_bytes", 8192u64.into()),
+            ("digest_budget", digest.into()),
+            ("digest_unbounded", digest.into()),
+            ("spill_bytes", 123_456u64.into()),
+            ("fault_bytes", 120_000u64.into()),
+        ])
     }
 
-    fn sample_report() -> OocBenchReport {
-        OocBenchReport {
-            base_rows: 2048,
-            feat_dim: 64,
-            budget_bytes: 96 * 1024,
-            prefetch_depth: 2,
+    struct Sample {
+        sweep: Vec<Value>,
+        parity: Vec<Value>,
+    }
+
+    fn sample() -> Sample {
+        Sample {
             sweep: vec![
-                sample_sweep(1, 100_000),
-                sample_sweep(2, 101_000),
-                sample_sweep(4, 102_000),
-                sample_sweep(8, 103_000),
+                sweep(1, 100_000),
+                sweep(2, 101_000),
+                sweep(4, 102_000),
+                sweep(8, 103_000),
             ],
-            parity: vec![sample_parity()],
+            parity: vec![
+                parity("sim", "stale:2", 1, 0),
+                parity("sim", "exact", 1, 2),
+                parity("tcp", "stale:2", 1, 2),
+            ],
         }
     }
 
-    #[test]
-    fn report_json_round_trips() {
-        let r = sample_report();
-        let parsed = parse_report(&r.to_json()).unwrap();
-        assert_eq!(parsed.sweep.len(), 4);
-        assert_eq!(parsed.sweep[3].rows, 2048 * 8);
-        assert_eq!(parsed.sweep[0].digest, r.sweep[0].digest);
-        assert_eq!(parsed.parity[0].protocol, "stale:2");
-        assert_eq!(parsed.parity[0].spill_bytes, 123_456);
+    impl Sample {
+        fn doc(self) -> Value {
+            document::<OutOfCoreBench>(vec![
+                ("base_rows", 2048usize.into()),
+                ("feat_dim", 64usize.into()),
+                ("budget_bytes", (96u64 * 1024).into()),
+                ("prefetch_depth", 2usize.into()),
+                ("world", 4usize.into()),
+                ("nodes", 1200usize.into()),
+                ("train_budget", 8192u64.into()),
+                ("seed", 0u64.into()),
+                ("sweep", Value::Arr(self.sweep)),
+                ("parity", Value::Arr(self.parity)),
+            ])
+        }
+
+        /// The gate's violations for this fresh run against the clean
+        /// sample as committed.
+        fn violations(self) -> Vec<String> {
+            check::<OutOfCoreBench>(&self.doc(), &sample().doc().pretty(2))
+        }
+    }
+
+    fn any(v: &[String], needle: &str) -> bool {
+        v.iter().any(|m| m.contains(needle))
     }
 
     #[test]
-    fn clean_report_passes_its_own_gate() {
-        let r = sample_report();
-        assert_eq!(r.check_against(&r.to_json()), Vec::<String>::new());
+    fn clean_report_passes_and_timings_may_drift() {
+        let mut r = sample();
+        set(&mut r.sweep[3], "elapsed_ms", 900.0);
+        assert_eq!(r.violations(), Vec::<String>::new());
     }
 
     #[test]
     fn memory_growth_fails_the_flatness_gate() {
-        let mut r = sample_report();
-        r.sweep[3].peak_resident_bytes = 200_000;
-        let v = r.check_against(&r.to_json());
-        assert!(v.iter().any(|m| m.contains("not flat")), "{v:?}");
+        let mut r = sample();
+        set(&mut r.sweep[3], "peak_resident_bytes", 200_000u64);
+        assert!(any(&r.violations(), "not flat"));
     }
 
     #[test]
     fn digest_divergence_fails_the_gate() {
-        let mut r = sample_report();
-        r.sweep[1].unbounded_digest = "ffffffffffffffff".into();
-        let v = r.check_against(&sample_report().to_json());
-        assert!(v.iter().any(|m| m.contains("perturbed")), "{v:?}");
-        let mut r = sample_report();
-        r.parity[0].digest_unbounded = "ffffffffffffffff".into();
-        let v = r.check_against(&sample_report().to_json());
-        assert!(v.iter().any(|m| m.contains("changed training")), "{v:?}");
+        let mut r = sample();
+        set(&mut r.sweep[1], "unbounded_digest", "ffffffffffffffff");
+        assert!(any(&r.violations(), "perturbed"));
+        let mut r = sample();
+        set(&mut r.parity[0], "digest_unbounded", "ffffffffffffffff");
+        assert!(any(&r.violations(), "changed training"));
+    }
+
+    #[test]
+    fn every_cell_of_one_protocol_carries_one_digest() {
+        // A threads- or transport-dependent digest that both sides of a
+        // cell share: budget-on == budget-off, yet training moved.
+        let mut r = sample();
+        set(&mut r.parity[2], "digest_budget", "0123456789abcdef");
+        set(&mut r.parity[2], "digest_unbounded", "0123456789abcdef");
+        let v = r.violations();
+        assert!(any(
+            &v,
+            "tcp/stale:2 t1 d2: digest 0123456789abcdef != e267f09a422b8c4b"
+        ));
+        assert!(
+            any(&v, "depends on the transport, threads or depth"),
+            "{v:?}"
+        );
+        assert!(!any(&v, "changed training"), "{v:?}");
     }
 
     #[test]
     fn idle_tier_fails_the_engagement_gate() {
-        let mut r = sample_report();
-        r.sweep[0].spill_bytes = 0;
-        let v = r.check_against(&sample_report().to_json());
-        assert!(v.iter().any(|m| m.contains("never engaged")), "{v:?}");
-        let mut r = sample_report();
-        r.parity[0].fault_bytes = 0;
-        let v = r.check_against(&sample_report().to_json());
-        assert!(v.iter().any(|m| m.contains("never engaged")), "{v:?}");
-    }
-
-    #[test]
-    fn stale_artifact_fails_on_run_set_and_schema() {
-        let r = sample_report();
-        let mut fewer = r.clone();
-        fewer.sweep.pop();
-        let v = fewer.check_against(&r.to_json());
-        assert!(v.iter().any(|m| m.contains("run set differs")), "{v:?}");
-        let stale = r.to_json().replace(SCHEMA, "sar-outofcorebench/v0");
-        assert!(r.check_against(&stale)[0].contains("schema"));
+        let mut r = sample();
+        set(&mut r.sweep[0], "spill_bytes", 0u64);
+        assert!(any(&r.violations(), "never engaged"));
+        let mut r = sample();
+        set(&mut r.parity[0], "fault_bytes", 0u64);
+        assert!(any(&r.violations(), "never engaged"));
     }
 
     #[test]
     fn insufficient_scale_growth_fails_the_gate() {
-        let mut r = sample_report();
+        let mut r = sample();
         r.sweep.truncate(2); // 1x..2x only
-        let v = r.check_against(&r.to_json());
-        assert!(v.iter().any(|m| m.contains("4x growth")), "{v:?}");
+        let doc = r.doc();
+        let v = check::<OutOfCoreBench>(&doc, &doc.pretty(2));
+        assert!(any(&v, "4x growth"), "{v:?}");
     }
 
     #[test]
     fn sweep_digest_drift_against_committed_fails() {
-        let mut fresh = sample_report();
-        fresh.sweep[2].digest = "1111111111111111".into();
-        fresh.sweep[2].unbounded_digest = "1111111111111111".into();
-        let v = fresh.check_against(&sample_report().to_json());
+        let mut r = sample();
+        set(&mut r.sweep[2], "digest", "1111111111111111");
+        set(&mut r.sweep[2], "unbounded_digest", "1111111111111111");
+        let v = r.violations();
         assert!(
-            v.iter()
-                .any(|m| m.contains("no longer bitwise reproducible")),
+            any(&v, "sweep scale=4: digest is 1111111111111111")
+                && any(&v, "no longer bitwise reproducible"),
             "{v:?}"
         );
     }

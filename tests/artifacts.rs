@@ -1,9 +1,14 @@
 //! The workspace has one JSON module (`sar::bench::json`); every
-//! committed artifact and both gate families read through it.
+//! committed artifact and both gate families read through it, and every
+//! committed `BENCH_*.json` satisfies its bench's declaration without
+//! running the bench.
 
-use sar::bench::cli::GatedBench;
-use sar::bench::json::{self, Value};
-use sar::bench::kernelbench::{BenchReport, KernelResult};
+use sar::bench::cli::{self, GatedBench};
+use sar::bench::compressbench::CompressBench;
+use sar::bench::json::{self, obj, Value};
+use sar::bench::kernelbench::KernelBench;
+use sar::bench::outofcorebench::OutOfCoreBench;
+use sar::bench::servebench::ServeBench;
 use sar_check::{reportio, PassReport, Report};
 
 const ARTIFACTS: [(&str, usize); 5] = [
@@ -14,12 +19,15 @@ const ARTIFACTS: [(&str, usize); 5] = [
     ("PROOF_sarcheck.json", 4),
 ];
 
+fn read(name: &str) -> String {
+    let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
 #[test]
 fn committed_artifacts_round_trip_through_the_one_json_module() {
     for (name, break_depth) in ARTIFACTS {
-        let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let doc = json::parse(&read(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(matches!(doc, Value::Obj(_)), "{name} is not an object");
         for layout in [0, break_depth] {
             let again = json::parse(&doc.pretty(layout)).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -28,29 +36,74 @@ fn committed_artifacts_round_trip_through_the_one_json_module() {
     }
 }
 
+/// The committed artifact carries `B`'s schema, identity fields, unique
+/// record keys and pinned fields and satisfies `B`'s invariants; it gates
+/// clean against itself; and a run of any other workload — one identity
+/// field changed — does not gate against it.
+fn satisfies_its_declaration<B: GatedBench>(name: &str) {
+    let text = read(name);
+    let doc = cli::parse_committed::<B>(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(
+        cli::validate::<B>("committed", &doc),
+        Vec::<String>::new(),
+        "{name}"
+    );
+    assert_eq!(cli::check::<B>(&doc, &text), Vec::<String>::new(), "{name}");
+    for field in B::IDENTITY {
+        let Value::Obj(mut fields) = doc.clone() else {
+            unreachable!("parsed above")
+        };
+        for (k, v) in &mut fields {
+            if k == field {
+                *v = "another workload".into();
+            }
+        }
+        let violations = cli::check::<B>(&Value::Obj(fields), &text);
+        assert!(
+            violations.iter().any(|v| v.contains("different workload")),
+            "{name}: changing {field} went unnoticed: {violations:?}"
+        );
+    }
+}
+
+#[test]
+fn committed_bench_artifacts_satisfy_their_declarations() {
+    satisfies_its_declaration::<CompressBench>("BENCH_compress.json");
+    satisfies_its_declaration::<KernelBench>("BENCH_kernels.json");
+    satisfies_its_declaration::<OutOfCoreBench>("BENCH_outofcore.json");
+    satisfies_its_declaration::<ServeBench>("BENCH_serve.json");
+}
+
 fn proof_report() -> Report {
     let mut pass = PassReport::new("lint");
     pass.bump("files_scanned", 1);
     Report { passes: vec![pass] }
 }
 
-fn kernel_report() -> BenchReport {
-    BenchReport {
-        simd: "scalar".into(),
-        threads: 1,
-        peak_gflops: 1.0,
-        stream_gbs: 1.0,
-        kernels: vec![KernelResult {
-            name: "k".into(),
-            iters: 3,
-            wall_us: 1.0,
-            cpu_us: 1.0,
-            gflops: 1.0,
-            ai: 1.0,
-            roofline_gflops: 1.0,
-            roofline_ratio: 1.0,
-        }],
-    }
+fn kernel_doc() -> Value {
+    cli::document::<KernelBench>(vec![
+        ("simd", "scalar".into()),
+        ("threads", 1usize.into()),
+        (
+            "calibration",
+            obj([("peak_gflops", 1.0.into()), ("stream_gbs", 1.0.into())]),
+        ),
+        (
+            "kernels",
+            [obj([
+                ("name", "k".into()),
+                ("iters", 3usize.into()),
+                ("wall_us", 1.0.into()),
+                ("cpu_us", 1.0.into()),
+                ("gflops", 1.0.into()),
+                ("ai_flops_per_byte", 1.0.into()),
+                ("roofline_gflops", 1.0.into()),
+                ("roofline_ratio", 1.0.into()),
+            ])]
+            .into_iter()
+            .collect(),
+        ),
+    ])
 }
 
 /// Runs `text` through both gate families' committed-artifact readers:
@@ -58,8 +111,7 @@ fn kernel_report() -> BenchReport {
 /// Each returns its parse failure, if any.
 fn through_both_gates(text: &str) -> [Option<String>; 2] {
     let check = reportio::check_baseline(&proof_report(), text).err();
-    let repro = kernel_report()
-        .check_against(text)
+    let repro = cli::check::<KernelBench>(&kernel_doc(), text)
         .into_iter()
         .find(|v| v.contains("parse error"));
     [check, repro]
@@ -92,11 +144,11 @@ fn both_gate_paths_accept_every_json_escape() {
             "sar-check baseline path rejected {escape}"
         );
         let bench =
-            kernel_report()
-                .to_json()
+            kernel_doc()
+                .pretty(2)
                 .replacen('{', &format!("{{\"note\": \"x{escape}y\", "), 1);
         assert_eq!(
-            kernel_report().check_against(&bench),
+            cli::check::<KernelBench>(&kernel_doc(), &bench),
             Vec::<String>::new(),
             "repro --check path rejected {escape}"
         );
