@@ -1,9 +1,11 @@
-//! A lightweight whole-workspace Rust source model for the dataflow
-//! passes ([`crate::taint`], [`crate::ledgercheck`]).
+//! The one front end of the source-reading passes ([`crate::lint`],
+//! [`crate::taint`], [`crate::ledgercheck`]): every file is read, lexed,
+//! brace-matched and scanned for directives once, here.
 //!
-//! This is *not* a Rust parser — it is a deliberately small item/function/
-//! block extractor over comment-and-string-blanked source (reusing the
-//! linter's blanking machinery), plus a name-based call graph. The
+//! This is *not* a Rust parser — it is one lexer ([`lex`]) that classifies
+//! comments and literals, one delimiter matcher over the code they are
+//! blanked out of, a deliberately small function extractor on top, and a
+//! name-based call graph. The
 //! workspace is offline, so depending on `rustc` internals or `syn` is not
 //! an option; the model over-approximates instead: a call `foo(…)`
 //! resolves to *every* workspace function named `foo`. Passes that walk
@@ -12,28 +14,27 @@
 //! cost is that an exempting annotation may occasionally be demanded on a
 //! function only spuriously reachable).
 //!
-//! Beyond functions and calls the model extracts **annotations**: workspace
-//! comments of the form `sar-check: <key>(<argument>)` attached to a line
-//! or to the declaration they precede. The taint pass consumes
-//! `deterministic(<why>)` annotations — a reviewed claim that a flagged
-//! construct is deterministic (one writer per row, fixed rank order,
-//! metering-only time) — which are deliberately distinct from lint
-//! waivers (`allow(<rule>)`): a waiver silences a style rule, an
-//! annotation states a proof obligation discharged by review.
+//! Beyond functions and calls the model extracts **annotations**: plain
+//! `//` comments of the form `sar-check: <key>(<argument>)` attached to a
+//! line or to the declaration they precede. Two keys carry meaning. A
+//! *waiver* `allow(<rule>)` silences one rule at one site, and the pass
+//! owning the rule audits it (`unused-waiver`). A `deterministic(<why>)`
+//! annotation, consumed by the taint pass, states a proof obligation
+//! discharged by review (one writer per row, fixed rank order,
+//! metering-only time).
 
 use std::collections::HashMap;
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-
-use crate::lint::{blank_comments_and_strings, blank_test_items};
 
 /// A `sar-check: <key>(<arg>)` comment found in a source file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Annotation {
-    /// Annotation kind (e.g. `deterministic`). Never `allow` — waivers
-    /// belong to the linter.
+    /// Annotation kind: `allow` for a waiver, or e.g. `deterministic`.
     pub key: String,
-    /// The parenthesized argument: the reviewed justification.
+    /// The parenthesized argument: the waived rule, or the reviewed
+    /// justification.
     pub arg: String,
     /// 1-based line the annotation comment sits on.
     pub line: usize,
@@ -71,7 +72,8 @@ pub struct FileInfo {
     pub line_starts: Vec<usize>,
     /// Indices into [`Workspace::fns`] of the functions declared here.
     pub fns: Vec<usize>,
-    /// Every `sar-check:` annotation in the file (key ≠ `allow`).
+    /// Every `sar-check:` annotation in the file, waivers included, in
+    /// line order.
     pub annotations: Vec<Annotation>,
     /// Identifiers declared with a float-bearing type anywhere in the
     /// file (`name: f32`, `name: &mut [f32]`, `name: Vec<f64>`, …) —
@@ -145,143 +147,161 @@ pub(crate) fn next_nonspace(src: &str, from: usize) -> Option<(usize, u8)> {
         .map(|(off, &b)| (from + off, b))
 }
 
-/// Spans of plain `//` line comments (excluding `///` and `//!` doc
-/// comments, which are prose, not directives) in raw source.
+/// Lexes Rust source into its comment and literal spans, in order, each
+/// paired with whether it is a plain `//` comment — the only place a
+/// directive is read from. Doc comments (`///`, `//!`), nested `/* … */`
+/// comments, strings (escaped or raw) and char literals are only blanked.
+/// Everything between the spans is code. A quote that does not close
+/// within a char literal's length is a lifetime, and stays code.
 #[must_use]
-pub fn comment_spans(raw: &str) -> Vec<(usize, usize)> {
-    let bytes = raw.as_bytes();
+pub fn lex(src: &str) -> Vec<(Range<usize>, bool)> {
+    let b = src.as_bytes();
+    let at = |i: usize| b.get(i).copied();
+    // Offset of the first `pat` at or after `from` (bytes, so a `from`
+    // inside a multi-byte char is harmless).
+    let find = |from: usize, pat: &[u8]| {
+        b.get(from..)?
+            .windows(pat.len())
+            .position(|w| w == pat)
+            .map(|n| from + n)
+    };
     let mut spans = Vec::new();
     let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                let start = i;
-                let doc = matches!(bytes.get(i + 2), Some(&b'/') | Some(&b'!'));
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-                if !doc {
-                    spans.push((start, i));
-                }
+    while i < b.len() {
+        let start = i;
+        let plain_comment = match (b[i], at(i + 1)) {
+            (b'/', Some(b'/')) => {
+                i = find(i, b"\n").unwrap_or(b.len());
+                !matches!(at(start + 2), Some(b'/' | b'!'))
             }
-            b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                let mut depth = 1usize;
+            (b'/', Some(b'*')) => {
+                let mut depth = 1;
                 i += 2;
-                while i < bytes.len() && depth > 0 {
-                    if bytes[i] == b'/' && bytes.get(i + 1) == Some(&b'*') {
-                        depth += 1;
-                        i += 2;
-                    } else if bytes[i] == b'*' && bytes.get(i + 1) == Some(&b'/') {
-                        depth -= 1;
-                        i += 2;
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            b'r' if matches!(bytes.get(i + 1), Some(&b'"') | Some(&b'#')) => {
-                // Raw string r"…" / r#"…"# — skip to the matching close.
-                let mut j = i + 1;
-                let mut hashes = 0usize;
-                while j < bytes.len() && bytes[j] == b'#' {
-                    hashes += 1;
-                    j += 1;
-                }
-                if bytes.get(j) == Some(&b'"') {
-                    j += 1;
-                    while j < bytes.len() {
-                        if bytes[j] == b'"' {
-                            let mut k = j + 1;
-                            let mut seen = 0usize;
-                            while k < bytes.len() && bytes[k] == b'#' && seen < hashes {
-                                seen += 1;
-                                k += 1;
-                            }
-                            if seen == hashes {
-                                j = k;
-                                break;
-                            }
-                        }
-                        j += 1;
-                    }
-                    i = j;
-                } else {
-                    i += 1;
-                }
-            }
-            b'"' => {
-                i += 1;
-                while i < bytes.len() {
-                    match bytes[i] {
-                        b'\\' => i += 2,
-                        b'"' => {
-                            i += 1;
-                            break;
-                        }
+                while i < b.len() && depth > 0 {
+                    match (b[i], at(i + 1)) {
+                        (b'/', Some(b'*')) => (depth, i) = (depth + 1, i + 2),
+                        (b'*', Some(b'/')) => (depth, i) = (depth - 1, i + 2),
                         _ => i += 1,
                     }
                 }
+                false
             }
-            b'\'' => {
-                // Char literal vs lifetime: a literal closes within a few
-                // bytes; a lifetime has no closing quote.
-                let is_char = if bytes.get(i + 1) == Some(&b'\\') {
-                    bytes[i + 2..].iter().take(6).any(|&b| b == b'\'')
-                } else {
-                    bytes.get(i + 2) == Some(&b'\'')
-                };
-                if is_char {
-                    i += 2;
-                    while i < bytes.len() && bytes[i] != b'\'' {
-                        i += 1;
-                    }
+            (b'r', Some(b'"' | b'#')) => {
+                let hashes = b[i + 1..].iter().take_while(|&&c| c == b'#').count();
+                if at(i + 1 + hashes) != Some(b'"') {
+                    // A raw identifier (`r#type`).
                     i += 1;
-                } else {
-                    i += 1;
+                    continue;
                 }
+                let close = format!("\"{}", "#".repeat(hashes));
+                i = find(i + 2 + hashes, close.as_bytes()).map_or(b.len(), |c| c + close.len());
+                false
             }
-            _ => i += 1,
-        }
+            (b'"', _) => {
+                i += 1;
+                while i < b.len() {
+                    match b[i] {
+                        b'\\' => i += 2,
+                        b'"' => break,
+                        _ => i += 1,
+                    }
+                }
+                i = (i + 1).min(b.len());
+                false
+            }
+            (b'\'', Some(b'\\')) if b[i + 2..].iter().take(6).any(|&c| c == b'\'') => {
+                // An escape (`'\n'`, `'\''`, `'\\'`): the first quote after
+                // the escaped byte closes it.
+                i = find(i + 3, b"'").map_or(b.len(), |c| c + 1);
+                false
+            }
+            (b'\'', _) if at(i + 2) == Some(b'\'') => {
+                i += 3;
+                false
+            }
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
+        spans.push((start..i, plain_comment));
     }
     spans
 }
 
-/// Parses every `sar-check: <key>(<arg>)` directive (key ≠ `allow`) out of
-/// the file's plain comments.
-fn parse_annotations(raw: &str, line_starts: &[usize]) -> Vec<Annotation> {
-    let mut out = Vec::new();
-    for (start, end) in comment_spans(raw) {
-        let text = &raw[start..end];
-        let Some(pos) = text.find("sar-check:") else {
-            continue;
-        };
-        let rest = text[pos + "sar-check:".len()..].trim_start();
-        let Some(open) = rest.find('(') else {
-            continue;
-        };
-        let key = rest[..open].trim();
-        if key.is_empty()
-            || key == "allow"
-            || !key
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-        {
-            continue;
-        }
-        // The rationale may wrap onto following comment lines; the close
-        // paren is then not on this line. Take what is here — only the key
-        // carries checker semantics, the arg is the human-reviewed why.
-        let arg = match rest.rfind(')') {
-            Some(close) if close > open => &rest[open + 1..close],
-            _ => rest[open + 1..].trim_end(),
-        };
-        out.push(Annotation {
-            key: key.to_string(),
-            arg: arg.to_string(),
-            line: line_of(line_starts, start),
-        });
+/// `src` with every lexed span blanked to spaces: same length, same
+/// newlines, so offsets and line numbers carry over.
+fn blank(src: &str, spans: &[(Range<usize>, bool)]) -> String {
+    let mut out = src.as_bytes().to_vec();
+    for (span, _) in spans {
+        blank_range(&mut out[span.clone()]);
     }
-    out
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+fn blank_range(bytes: &mut [u8]) {
+    for b in bytes.iter_mut().filter(|b| **b != b'\n') {
+        *b = b' ';
+    }
+}
+
+/// Additionally blanks every `#[cfg(test)]`-gated item (the attribute
+/// through its item's closing brace), so test-only code is exempt from
+/// every rule.
+fn blank_test_items(code: &str) -> String {
+    let mut out = code.as_bytes().to_vec();
+    let mut from = 0;
+    while let Some(pos) = code[from..].find("#[cfg(test)]") {
+        let attr = from + pos;
+        let end = code[attr..]
+            .find('{')
+            .and_then(|open| closing(code, attr + open))
+            .map_or(code.len(), |close| close + 1);
+        blank_range(&mut out[attr..end]);
+        from = end;
+    }
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+/// Offset of the delimiter closing the `{`, `(` or `[` at `open` — the one
+/// delimiter matcher, run on blanked code so no literal or comment can
+/// unbalance it. `None` when `open` is no opening delimiter or it is
+/// never closed.
+pub(crate) fn closing(code: &str, open: usize) -> Option<usize> {
+    let b = code.as_bytes();
+    let close = match b.get(open)? {
+        b'{' => b'}',
+        b'(' => b')',
+        b'[' => b']',
+        _ => return None,
+    };
+    let mut depth = 0usize;
+    for (i, &c) in b.iter().enumerate().skip(open) {
+        if c == b[open] {
+            depth += 1;
+        } else if c == close {
+            depth -= 1;
+            if depth == 0 {
+                return Some(i);
+            }
+        }
+    }
+    None
+}
+
+/// The `sar-check: <key>(<arg>)` directive in one plain comment, if any.
+/// An argument wrapping onto following comment lines is cut at this
+/// line's end: only the key and a waiver's rule carry checker semantics.
+fn directive(comment: &str) -> Option<(&str, &str)> {
+    let rest = comment[comment.find("sar-check:")? + "sar-check:".len()..].trim_start();
+    let open = rest.find('(')?;
+    let key = rest[..open].trim();
+    let well_formed = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+    if key.is_empty() || !key.chars().all(well_formed) {
+        return None;
+    }
+    let arg_end = closing(rest, open).unwrap_or(rest.len());
+    Some((key, rest[open + 1..arg_end].trim()))
 }
 
 /// Whether a declared type / initializer text is float-bearing.
@@ -377,67 +397,39 @@ pub fn has_float_literal(text: &str) -> bool {
 /// Extracts every `fn` (name, decl line, signature, body, calls) from
 /// blanked code. Bodyless declarations (trait methods) are skipped.
 fn extract_fns(code: &str, line_starts: &[usize]) -> Vec<(String, usize, String, usize, String)> {
-    let bytes = code.as_bytes();
     let mut out = Vec::new();
-    for (start, text) in tokens(code) {
-        if text != "fn" {
-            continue;
-        }
-        // `fn` must be a standalone keyword (tokens() guarantees word
-        // boundaries, but reject `fn` inside a path like `fn_ptr` — the
-        // tokenizer already splits on `_`-joined words correctly).
-        let after = start + 2;
-        let Some((name_start, name)) = tokens(&code[after..])
-            .into_iter()
-            .next()
-            .map(|(off, t)| (after + off, t.to_string()))
-        else {
+    for pair in tokens(code).windows(2) {
+        let [(start, "fn"), (name_start, name)] = *pair else {
             continue;
         };
         // The name must directly follow `fn` (only whitespace between).
-        if code[after..name_start]
+        if code[start + 2..name_start]
             .bytes()
             .any(|b| !b.is_ascii_whitespace())
         {
             continue;
         }
-        // Walk the signature to the body's `{` (a `;` first ⇒ bodyless).
-        let mut j = name_start;
-        let mut paren = 0i32;
-        let mut open = None;
-        while j < bytes.len() {
-            match bytes[j] {
-                b'(' => paren += 1,
-                b')' => paren -= 1,
-                b';' if paren == 0 => break,
-                b'{' if paren == 0 => {
-                    open = Some(j);
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(open) = open else { continue };
-        let mut depth = 0usize;
-        let mut k = open;
-        while k < bytes.len() {
-            match bytes[k] {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        let body_end = (k + 1).min(bytes.len());
+        // Walk the signature to the body's `{`, stepping over each
+        // parenthesized group whole; a `;` first ⇒ bodyless.
         let sig_start = name_start + name.len();
+        let mut j = sig_start;
+        let open = loop {
+            let Some(at) = code[j..].find(['(', ';', '{']).map(|n| j + n) else {
+                break None;
+            };
+            match code.as_bytes()[at] {
+                b'(' => match closing(code, at) {
+                    Some(close) => j = close + 1,
+                    None => break None,
+                },
+                b'{' => break Some(at),
+                _ => break None,
+            }
+        };
+        let Some(open) = open else { continue };
+        let body_end = closing(code, open).map_or(code.len(), |close| close + 1);
         out.push((
-            name,
+            name.to_string(),
             line_of(line_starts, start),
             code[sig_start..open].to_string(),
             open,
@@ -514,14 +506,26 @@ impl Workspace {
     }
 
     fn add_file(&mut self, rel: String, raw: String) {
-        let code = blank_test_items(&blank_comments_and_strings(&raw));
+        let spans = lex(&raw);
+        let code = blank_test_items(&blank(&raw, &spans));
         let mut line_starts = vec![0usize];
         for (i, b) in raw.bytes().enumerate() {
             if b == b'\n' {
                 line_starts.push(i + 1);
             }
         }
-        let annotations = parse_annotations(&raw, &line_starts);
+        let annotations = spans
+            .iter()
+            .filter(|(_, plain_comment)| *plain_comment)
+            .filter_map(|(span, _)| {
+                let (key, arg) = directive(&raw[span.clone()])?;
+                Some(Annotation {
+                    key: key.to_string(),
+                    arg: arg.to_string(),
+                    line: line_of(&line_starts, span.start),
+                })
+            })
+            .collect();
         let (float_names, hash_names) = collect_typed_names(&code);
         let file_idx = self.files.len();
         let mut fn_indices = Vec::new();
@@ -597,39 +601,34 @@ impl Workspace {
         queue.sort_unstable();
         queue
     }
+}
 
-    /// The annotation with `key` covering `line` of file `file`: on the
-    /// line itself or in the contiguous comment/attribute block directly
-    /// above it.
-    #[must_use]
-    pub fn annotation_at<'a>(
-        &'a self,
-        file: &'a FileInfo,
+impl FileInfo {
+    /// The annotations covering `line`, with their indices into
+    /// [`FileInfo::annotations`]: those on the line itself or in the
+    /// contiguous run of `//` lines directly above it. With
+    /// `through_attrs` the run may also hold `#[…]` attribute lines, so an
+    /// annotation above a declaration's attributes still reaches it.
+    pub fn covering(
+        &self,
         line: usize,
-        key: &str,
-    ) -> Option<&'a Annotation> {
-        let raw_lines: Vec<&str> = file.raw.lines().collect();
-        let hit = |l: usize| {
-            file.annotations
-                .iter()
-                .find(|a| a.line == l && a.key == key)
+        through_attrs: bool,
+    ) -> impl Iterator<Item = (usize, &Annotation)> {
+        let text = |l: usize| {
+            let end = self.line_starts.get(l).copied().unwrap_or(self.raw.len());
+            self.raw[self.line_starts[l - 1]..end].trim_start()
         };
-        if let Some(a) = hit(line) {
-            return Some(a);
+        let mut first = line;
+        while first > 1
+            && (text(first - 1).starts_with("//")
+                || (through_attrs && text(first - 1).starts_with("#[")))
+        {
+            first -= 1;
         }
-        let mut l = line.saturating_sub(1);
-        while l >= 1 && l <= raw_lines.len() {
-            let t = raw_lines[l - 1].trim_start();
-            if t.starts_with("//") || t.starts_with("#[") {
-                if let Some(a) = hit(l) {
-                    return Some(a);
-                }
-                l -= 1;
-            } else {
-                break;
-            }
-        }
-        None
+        self.annotations
+            .iter()
+            .enumerate()
+            .filter(move |(_, a)| (first..=line).contains(&a.line))
     }
 }
 
@@ -706,13 +705,103 @@ fn plain() {
         assert_eq!(file.annotations[0].key, "deterministic");
         assert_eq!(file.annotations[0].arg, "one writer per row");
         let kernel_line = ws.fns[0].line;
-        assert!(ws
-            .annotation_at(file, kernel_line, "deterministic")
-            .is_some());
+        assert_eq!(file.covering(kernel_line, true).count(), 1);
         let plain_line = ws.fns[1].line;
-        assert!(ws
-            .annotation_at(file, plain_line, "deterministic")
-            .is_none());
+        assert_eq!(file.covering(plain_line, true).count(), 0);
+    }
+
+    #[test]
+    fn waivers_are_annotations_and_attributes_break_their_cover_on_request() {
+        let src = "\
+// sar-check: allow(no-unbounded-channel) — reason (with parens)
+#[inline]
+fn f() {}
+";
+        let ws = Workspace::from_sources(&[("crates/x/src/a.rs", src)]);
+        let file = &ws.files[0];
+        assert_eq!(file.annotations[0].key, "allow");
+        assert_eq!(file.annotations[0].arg, "no-unbounded-channel");
+        assert_eq!(file.covering(3, true).count(), 1);
+        assert_eq!(file.covering(3, false).count(), 0);
+        assert_eq!(file.covering(2, false).count(), 1);
+    }
+
+    #[test]
+    fn one_lexer_blanks_literals_and_finds_directive_comments() {
+        // The cases two earlier lexers disagreed on: escaped and quote
+        // char literals, byte chars, lifetimes, raw strings holding `//`,
+        // URLs in strings, nested block comments and doc comments.
+        let cases: &[(&str, &[&str], &[&str])] = &[
+            (r"let q = '\''; // c", &["let", "q", "=", ";"], &["// c"]),
+            (r"let q = '\\'; // c", &["let", "q", "=", ";"], &["// c"]),
+            (
+                r#"let q = b'"'; // c"#,
+                &["let", "q", "=", "b", ";"],
+                &["// c"],
+            ),
+            (r#"let q = '"'; // c"#, &["let", "q", "=", ";"], &["// c"]),
+            (
+                "fn f<'a>(x: &'a str) -> char { 'x' } // c",
+                &["fn", "f<'a>(x:", "&'a", "str)", "->", "char", "{", "}"],
+                &["// c"],
+            ),
+            (
+                r##"let s = r#"// not a comment"#; // c"##,
+                &["let", "s", "=", ";"],
+                &["// c"],
+            ),
+            (
+                r#"let u = "http://x"; // c"#,
+                &["let", "u", "=", ";"],
+                &["// c"],
+            ),
+            ("a /* /* */ */ b // c", &["a", "b"], &["// c"]),
+            ("/// doc\n//! inner\n// c\nx", &["x"], &["// c"]),
+        ];
+        for &(src, code, comments) in cases {
+            let spans = lex(src);
+            let blanked = blank(src, &spans);
+            assert_eq!(blanked.len(), src.len(), "{src}");
+            assert_eq!(
+                blanked.split_whitespace().collect::<Vec<_>>(),
+                code,
+                "{src}"
+            );
+            let plain: Vec<&str> = spans
+                .iter()
+                .filter(|(_, plain_comment)| *plain_comment)
+                .map(|(span, _)| &src[span.clone()])
+                .collect();
+            assert_eq!(plain, comments, "{src}");
+        }
+    }
+
+    #[test]
+    fn blanking_preserves_line_structure() {
+        let src = "let a = \"un//wrap()\"; // unwrap()\nlet b = 1;\n";
+        let blanked = blank(src, &lex(src));
+        assert_eq!(blanked.lines().count(), src.lines().count());
+        assert!(!blanked.contains("unwrap"));
+        assert!(blanked.contains("let b = 1;"));
+    }
+
+    #[test]
+    fn test_items_are_exempt() {
+        let src =
+            "fn a() { x.unwrap(); }\n#[cfg(test)]\nmod tests {\n    fn b() { y.unwrap(); }\n}\n";
+        let code = &Workspace::from_sources(&[("crates/x/src/a.rs", src)]).files[0].code;
+        assert!(code.contains("x.unwrap"));
+        assert!(!code.contains("y.unwrap"));
+    }
+
+    #[test]
+    fn delimiters_match_by_kind_and_depth() {
+        let code = "f(a[b(c)], { d[0] })";
+        assert_eq!(closing(code, 1), Some(code.len() - 1));
+        assert_eq!(closing(code, 3), Some(8));
+        assert_eq!(closing(code, 11), Some(18));
+        assert_eq!(closing(code, 0), None, "not a delimiter");
+        assert_eq!(closing("{ {", 0), None, "never closed");
     }
 
     #[test]
@@ -736,13 +825,5 @@ fn f() {
         assert!(!file.float_names.contains(&"count".to_string()));
         assert!(file.hash_names.contains(&"pending".to_string()));
         assert!(file.hash_names.contains(&"seen".to_string()));
-    }
-
-    #[test]
-    fn comment_spans_skip_doc_comments_and_strings() {
-        let src = "/// doc\n//! inner\n// plain\nlet s = \"// not a comment\";\n";
-        let spans = comment_spans(src);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(&src[spans[0].0..spans[0].1], "// plain");
     }
 }

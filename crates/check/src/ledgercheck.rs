@@ -29,64 +29,40 @@
 //!   every peer of the negotiation.
 //! * **`phase-scoped-comm`** — every `ctx.…` communication call site in
 //!   `sar-core` and `sar-serve` sits in a function that opens a
-//!   `phase_scope` (or inspects `current_phase`), per call site — finer
-//!   than the linter's function-level rule, and honoring the same
-//!   `allow(phase-scope)` waivers.
+//!   `phase_scope` (or inspects `current_phase`), so every byte is
+//!   attributed to a ledger phase. A helper whose callers open the scope
+//!   is waived with `allow(phase-scope)` above its `fn`; this pass owns
+//!   those waivers and reports any that suppress nothing
+//!   (`unused-waiver`).
 
-use std::path::Path;
-
-use crate::ast::{line_of, tokens, Workspace};
+use crate::ast::{closing, line_of, next_nonspace, tokens, Workspace};
 use crate::lint::Waivers;
 use crate::{Finding, PassReport};
 
-/// The comm-context methods whose call sites are phase-audited — by this
-/// pass per call site, by the linter's `phase-scope` rule per function.
-pub(crate) const CTX_COMM_CALLS: &[&str] = &["try_send", "try_recv", "send", "recv"];
+/// The comm-context methods whose call sites are phase-audited.
+const CTX_COMM_CALLS: &[&str] = &["try_send", "try_recv", "send", "recv"];
 
-/// Runs the pass over a workspace checkout.
-#[must_use]
-pub fn run(root: &Path) -> PassReport {
-    run_ws(&Workspace::load(root))
-}
+/// The waiver name of the `phase-scoped-comm` rule.
+pub(crate) const PHASE_SCOPE: &str = "phase-scope";
 
 /// Byte offset of the first `field … +=` charge in `body` — the exact
 /// token `field`, optionally indexed (`field[dst]`), followed by `+=`.
 fn charge_offset(body: &str, field: &str) -> Option<usize> {
-    let bytes = body.as_bytes();
-    for (start, text) in tokens(body) {
-        if text != field {
-            continue;
-        }
-        let mut j = start + text.len();
+    let charged = |end: usize| {
+        let mut j = end;
         // Skip one `[…]` index.
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if bytes.get(j) == Some(&b'[') {
-            let mut depth = 0usize;
-            while j < bytes.len() {
-                match bytes[j] {
-                    b'[' => depth += 1,
-                    b']' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
+        if let Some((open, b'[')) = next_nonspace(body, j) {
+            match closing(body, open) {
+                Some(close) => j = close + 1,
+                None => return false,
             }
         }
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if bytes.get(j) == Some(&b'+') && bytes.get(j + 1) == Some(&b'=') {
-            return Some(start);
-        }
-    }
-    None
+        next_nonspace(body, j).is_some_and(|(at, b)| b == b'+' && body[at + 1..].starts_with('='))
+    };
+    tokens(body)
+        .into_iter()
+        .find(|&(start, text)| text == field && charged(start + text.len()))
+        .map(|(start, _)| start)
 }
 
 /// The set of `Codec::Variant` tokens referenced in `body`.
@@ -112,27 +88,20 @@ fn codec_variants(body: &str) -> Vec<String> {
     out
 }
 
-/// Runs the pass over an in-memory workspace model (the mutation-test
-/// entry point).
+/// Runs the pass over the workspace model.
 #[must_use]
-pub fn run_ws(ws: &Workspace) -> PassReport {
+pub fn run(ws: &Workspace) -> PassReport {
     let mut report = PassReport::new("ledger");
 
-    for (file_idx, file) in ws.files.iter().enumerate() {
+    for file in &ws.files {
         let is_ctx = file.rel.ends_with("comm/src/ctx.rs");
         let is_codec = file.rel.ends_with("comm/src/codec.rs");
         let is_phase_scope =
             file.rel.starts_with("crates/core/src/") || file.rel.starts_with("crates/serve/src/");
-        if !(is_ctx || is_codec || is_phase_scope) {
-            continue;
-        }
-        // The linter's waivers, so `allow(phase-scope)` means one thing.
-        let raw_lines: Vec<&str> = file.raw.lines().collect();
-        let mut waivers = Waivers::collect(&file.raw, &file.line_starts);
+        let mut waivers = Waivers::new(file);
 
         for &fi in &file.fns {
             let f = &ws.fns[fi];
-            debug_assert_eq!(f.file, file_idx);
             let here = |off: usize| {
                 format!(
                     "{}:{}",
@@ -232,7 +201,7 @@ pub fn run_ws(ws: &Workspace) -> PassReport {
                         continue;
                     }
                     report.bump("comm_sites_checked", 1);
-                    if scoped || waivers.check(&raw_lines, f.line, "phase-scope") {
+                    if scoped || waivers.check(f.line, PHASE_SCOPE) {
                         continue;
                     }
                     report.findings.push(Finding {
@@ -321,6 +290,7 @@ pub fn run_ws(ws: &Workspace) -> PassReport {
                 }
             }
         }
+        waivers.audit(|rule| rule == PHASE_SCOPE, &mut report);
     }
 
     report
@@ -331,7 +301,7 @@ mod tests {
     use super::*;
 
     fn findings_for(sources: &[(&str, &str)]) -> Vec<Finding> {
-        run_ws(&Workspace::from_sources(sources)).findings
+        run(&Workspace::from_sources(sources)).findings
     }
 
     const GOOD_CTX: &str = "\
@@ -446,6 +416,14 @@ impl W {
         let findings = findings_for(&[("crates/core/src/worker.rs", bad)]);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "phase-scoped-comm");
+        assert_eq!(findings[0].location, "crates/core/src/worker.rs:3");
+        // sar-serve's MFG exchange is ledgered the same way; outside
+        // sar-core and sar-serve the rule does not apply.
+        assert_eq!(
+            findings_for(&[("crates/serve/src/engine.rs", bad)]).len(),
+            1
+        );
+        assert!(findings_for(&[("crates/x/src/a.rs", bad)]).is_empty());
 
         let scoped = "\
 impl W {
@@ -466,5 +444,22 @@ impl W {
 }
 ";
         assert!(findings_for(&[("crates/core/src/worker.rs", waived)]).is_empty());
+
+        // This pass owns the rule, so it audits the waivers: one that
+        // suppresses nothing — over a scoped fn, or outside the rule's
+        // files — is dead.
+        let needless = waived.replace(
+            "        self.ctx.try_send",
+            "        let _phase = self.ctx.phase_scope(Phase::ForwardFetch);\n        self.ctx.try_send",
+        );
+        for (rel, src) in [
+            ("crates/core/src/worker.rs", needless.as_str()),
+            ("crates/x/src/a.rs", waived),
+        ] {
+            let findings = findings_for(&[(rel, src)]);
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert_eq!(findings[0].rule, "unused-waiver");
+            assert_eq!(findings[0].location, format!("{rel}:2"));
+        }
     }
 }

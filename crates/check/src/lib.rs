@@ -2,8 +2,9 @@
 
 //! `sar-check` — static analysis for the SAR workspace.
 //!
-//! Three passes, each independently runnable and combined by the
-//! `sar-check` binary into a single CI gate:
+//! Five passes, which [`run`] combines into the one report the
+//! `sar-check` binary gates CI on. Two execute models; three read the
+//! source through the one front end, [`ast::Workspace`], loaded once:
 //!
 //! * [`protocol`] — replays the *pure* rotation/routing schedules from
 //!   [`sar_core::plan`] for every rank at once and proves, per `(N, K)`
@@ -23,12 +24,17 @@
 //! * [`lint`] — a token-level source pass (no external deps) enforcing
 //!   project invariants the compiler cannot: no `unwrap`/`expect`/
 //!   `assert!` on comm hot paths, `// SAFETY:` on every `unsafe` block,
-//!   `WorkerCtx` comm calls only under a `phase_scope`, and no unbounded
-//!   channel construction without an explicit waiver.
+//!   and no unbounded channel construction without an explicit waiver.
+//! * [`taint`] — determinism dataflow over the call-graph closure of the
+//!   digest-bearing hot paths.
+//! * [`ledgercheck`] — byte-ledger conservation, codec arm symmetry, and
+//!   every comm call site under a `phase_scope`.
 //!
 //! Every pass reports through the same [`Finding`]/[`PassReport`] types,
 //! and [`Report`] serializes the combined result as machine-readable JSON
 //! through the workspace's one JSON module ([`sar_bench::json`]).
+
+use std::path::Path;
 
 use sar_bench::json::obj;
 
@@ -39,6 +45,30 @@ pub mod protocol;
 pub mod reportio;
 pub mod sched;
 pub mod taint;
+
+/// The CI sweep: every world size and pipeline depth the paper's
+/// experiments cover, both communication models, a 2-layer step.
+const SWEEP_NS: &[usize] = &[2, 3, 4, 5, 6, 7, 8];
+const SWEEP_KS: &[usize] = &[0, 1, 2, 3];
+const SWEEP_LAYERS: usize = 2;
+
+/// Runs all five passes over the workspace checkout at `root`, reading
+/// its sources once.
+#[must_use]
+pub fn run(root: &Path) -> Report {
+    let ws = ast::Workspace::load(root);
+    let mut taint = taint::run(&ws);
+    taint.findings.extend(taint::unresolved_roots(&ws));
+    Report {
+        passes: vec![
+            protocol::sweep(SWEEP_NS, SWEEP_KS, SWEEP_LAYERS),
+            sched::check_all(),
+            lint::run(&ws),
+            taint,
+            ledgercheck::run(&ws),
+        ],
+    }
+}
 
 /// One problem found by a pass. `location` is a file/line for the linter,
 /// a `(n, k, model)` coordinate for the protocol verifier, or a model

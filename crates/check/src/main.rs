@@ -1,16 +1,15 @@
 //! `sar-check` — the workspace's static-analysis gate.
 //!
 //! ```text
-//! sar-check [--all] [--protocol] [--sched] [--lint] [--taint] [--ledger]
-//!           [--root DIR] [--report FILE.json] [--baseline FILE.json]
+//! sar-check [--root DIR] [--report FILE.json] [--baseline FILE.json]
 //!           [--annotate]
 //! ```
 //!
-//! With no pass flag (or `--all`) every pass runs. Exit status is 0 only
-//! when every selected pass is clean — findings are hard failures, the
-//! `-D warnings` discipline. `--report` writes the machine-readable proof
-//! report (the CI artifact); `--baseline` diffs the fresh report against a
-//! committed one and fails if any proof obligation was silently dropped;
+//! Runs all five passes ([`sar_check::run`]). Exit status is 0 only when
+//! every pass is clean — findings are hard failures, the `-D warnings`
+//! discipline. `--report` writes the machine-readable proof report (the
+//! CI artifact); `--baseline` diffs the fresh report against a committed
+//! one and fails if any proof obligation was silently dropped;
 //! `--annotate` additionally prints findings as GitHub workflow-command
 //! annotations (`::error file=…,line=…::…`); `--root` points the
 //! source-reading passes at a workspace checkout (default: the current
@@ -20,18 +19,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sar_check::{ledgercheck, lint, protocol, reportio, sched, taint, Report};
-
-/// The CI sweep: every world size and pipeline depth the paper's
-/// experiments cover, both communication models, a 2-layer step.
-const SWEEP_NS: &[usize] = &[2, 3, 4, 5, 6, 7, 8];
-const SWEEP_KS: &[usize] = &[0, 1, 2, 3];
-const SWEEP_LAYERS: usize = 2;
+use sar_check::reportio;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: sar-check [--all] [--protocol] [--sched] [--lint] [--taint] \
-         [--ledger] [--root DIR] [--report FILE.json] \
+        "usage: sar-check [--root DIR] [--report FILE.json] \
          [--baseline FILE.json] [--annotate]"
     );
     std::process::exit(2);
@@ -50,11 +42,6 @@ fn split_location(location: &str) -> Option<(&str, &str)> {
 }
 
 fn main() -> ExitCode {
-    let mut run_protocol = false;
-    let mut run_sched = false;
-    let mut run_lint = false;
-    let mut run_taint = false;
-    let mut run_ledger = false;
     let mut root: Option<PathBuf> = None;
     let mut report_path: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
@@ -63,18 +50,6 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--all" => {
-                run_protocol = true;
-                run_sched = true;
-                run_lint = true;
-                run_taint = true;
-                run_ledger = true;
-            }
-            "--protocol" => run_protocol = true,
-            "--sched" => run_sched = true,
-            "--lint" => run_lint = true,
-            "--taint" => run_taint = true,
-            "--ledger" => run_ledger = true,
             "--annotate" => annotate = true,
             "--root" => root = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             "--report" => {
@@ -90,13 +65,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    if !(run_protocol || run_sched || run_lint || run_taint || run_ledger) {
-        run_protocol = true;
-        run_sched = true;
-        run_lint = true;
-        run_taint = true;
-        run_ledger = true;
-    }
 
     let root = root.unwrap_or_else(|| {
         let cwd = PathBuf::from(".");
@@ -111,32 +79,8 @@ fn main() -> ExitCode {
         }
     });
 
-    let mut report = Report { passes: Vec::new() };
-    if run_protocol {
-        println!(
-            "sar-check: protocol — sweeping N∈{SWEEP_NS:?} × K∈{SWEEP_KS:?}, \
-             case1+case2, {SWEEP_LAYERS} layers"
-        );
-        report
-            .passes
-            .push(protocol::sweep(SWEEP_NS, SWEEP_KS, SWEEP_LAYERS));
-    }
-    if run_sched {
-        println!("sar-check: sched — exploring all interleavings of 3 concurrency models");
-        report.passes.push(sched::check_all());
-    }
-    if run_lint {
-        println!("sar-check: lint — scanning {}", root.display());
-        report.passes.push(lint::run(&root));
-    }
-    if run_taint {
-        println!("sar-check: taint — determinism dataflow over digest-bearing hot paths");
-        report.passes.push(taint::run(&root));
-    }
-    if run_ledger {
-        println!("sar-check: ledger — send/recv charge conservation + codec symmetry");
-        report.passes.push(ledgercheck::run(&root));
-    }
+    println!("sar-check: checking {}", root.display());
+    let report = sar_check::run(&root);
 
     for pass in &report.passes {
         let stats: Vec<String> = pass

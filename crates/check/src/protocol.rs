@@ -848,19 +848,12 @@ pub fn sweep(ns: &[usize], ks: &[usize], layers: usize) -> PassReport {
     let mut peak_ram_overall = 0usize;
     for &n in ns {
         for &k in ks {
+            let bound = k.min(n - 1) + 1;
             for model in [CaseModel::Case1, CaseModel::Case2] {
                 let programs = build_programs(n, k, model, layers);
-                let staged_bound = k.min(n - 1) + 1;
-                let (stats, findings) = verify(n, &programs, staged_bound);
-                report.bump("configs_verified", 1);
-                report.bump("sends_matched", stats.sends);
-                report.bump("ops_executed", stats.steps);
-                peak_overall = peak_overall.max(stats.peak_staged);
                 let here = format!("N={n} K={k} model={}", model.name());
-                for mut finding in findings {
-                    finding.location = format!("{here} {}", finding.location);
-                    report.findings.push(finding);
-                }
+                let peak = sweep_step(&mut report, "configs_verified", &here, &programs, bound);
+                peak_overall = peak_overall.max(peak);
             }
             // Out-of-core: the same schedule replayed against the disk
             // tier, per rank (communication-free, so ranks verify
@@ -872,11 +865,7 @@ pub fn sweep(ns: &[usize], ks: &[usize], layers: usize) -> PassReport {
                 report.bump("tiered_replays_verified", 1);
                 report.bump("disk_faults_matched", stats.faults);
                 peak_ram_overall = peak_ram_overall.max(stats.peak_ram_blocks);
-                let here = format!("N={n} K={k} model=ooc");
-                for mut finding in findings {
-                    finding.location = format!("{here} {}", finding.location);
-                    report.findings.push(finding);
-                }
+                locate(&mut report, &format!("N={n} K={k} model=ooc"), findings);
             }
         }
     }
@@ -887,6 +876,7 @@ pub fn sweep(ns: &[usize], ks: &[usize], layers: usize) -> PassReport {
     const PROTO_EPOCHS: usize = 4;
     for &n in ns {
         for &k in ks {
+            let bound = k.min(n - 1) + 1;
             for model in [CaseModel::Case1, CaseModel::Case2] {
                 for proto in [
                     ProtoSpec::GradOnly,
@@ -898,54 +888,62 @@ pub fn sweep(ns: &[usize], ks: &[usize], layers: usize) -> PassReport {
                             build_protocol_program(n, p, k, model, layers, proto, PROTO_EPOCHS)
                         })
                         .collect();
-                    let staged_bound = k.min(n - 1) + 1;
-                    let (stats, findings) = verify(n, &programs, staged_bound);
-                    report.bump("protocol_configs_verified", 1);
-                    report.bump("sends_matched", stats.sends);
-                    report.bump("ops_executed", stats.steps);
-                    peak_overall = peak_overall.max(stats.peak_staged);
                     let here = format!("N={n} K={k} model={} proto={}", model.name(), proto.name());
-                    for mut finding in findings {
-                        finding.location = format!("{here} {}", finding.location);
-                        report.findings.push(finding);
-                    }
+                    let counter = "protocol_configs_verified";
+                    let peak = sweep_step(&mut report, counter, &here, &programs, bound);
+                    peak_overall = peak_overall.max(peak);
                 }
             }
         }
     }
-    // Serve tier: seq-numbered control broadcasts, MFG build all-to-alls,
-    // depth-(N−1) forward walks (staging all N blocks of a level is the
-    // bound there), result gather, drain-then-ack shutdown.
     for &n in ns {
+        // Serve tier: seq-numbered control broadcasts, MFG build
+        // all-to-alls, depth-(N−1) forward walks (staging all N blocks of
+        // a level is the bound there), result gather, drain-then-ack
+        // shutdown.
         let programs = build_serve_programs(n, layers, 3);
-        let (stats, findings) = verify(n, &programs, n);
-        report.bump("serve_configs_verified", 1);
-        report.bump("sends_matched", stats.sends);
-        report.bump("ops_executed", stats.steps);
         let here = format!("N={n} model=serve");
-        for mut finding in findings {
-            finding.location = format!("{here} {}", finding.location);
-            report.findings.push(finding);
-        }
+        sweep_step(&mut report, "serve_configs_verified", &here, &programs, n);
     }
-    // Codec negotiation at rendezvous: every worker's hello is answered —
-    // by an accept frame or by the teardown a reject causes — so neither
-    // outcome can hang a rank.
     for &n in ns {
+        // Codec negotiation at rendezvous: every worker's hello is
+        // answered — by an accept frame or by the teardown a reject
+        // causes — so neither outcome can hang a rank.
         let programs = build_negotiation_programs(n);
-        let (stats, findings) = verify(n, &programs, 0);
-        report.bump("negotiations_verified", 1);
-        report.bump("sends_matched", stats.sends);
-        report.bump("ops_executed", stats.steps);
         let here = format!("N={n} model=negotiation");
-        for mut finding in findings {
-            finding.location = format!("{here} {}", finding.location);
-            report.findings.push(finding);
-        }
+        sweep_step(&mut report, "negotiations_verified", &here, &programs, 0);
     }
     report.bump("peak_staged_blocks", peak_overall as u64);
     report.bump("peak_ram_blocks", peak_ram_overall as u64);
     report
+}
+
+/// One configuration of the sweep: verifies `programs` (one per rank),
+/// counts it under `counter`, adds its sends and steps to the sweep's
+/// totals and its findings, located at `here`, to `report`. Returns its
+/// peak staged blocks.
+fn sweep_step(
+    report: &mut PassReport,
+    counter: &str,
+    here: &str,
+    programs: &[Program],
+    staged_bound: usize,
+) -> usize {
+    let (stats, findings) = verify(programs.len(), programs, staged_bound);
+    report.bump(counter, 1);
+    report.bump("sends_matched", stats.sends);
+    report.bump("ops_executed", stats.steps);
+    locate(report, here, findings);
+    stats.peak_staged
+}
+
+/// Adds `findings` to `report`, each location prefixed with the sweep
+/// coordinate `here`.
+fn locate(report: &mut PassReport, here: &str, findings: Vec<Finding>) {
+    for mut finding in findings {
+        finding.location = format!("{here} {}", finding.location);
+        report.findings.push(finding);
+    }
 }
 
 #[cfg(test)]

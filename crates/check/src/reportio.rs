@@ -1,6 +1,6 @@
 //! Proof-report IO: the committed-baseline diff.
 //!
-//! CI runs `sar-check --all --baseline PROOF_sarcheck.json`: the fresh
+//! CI runs `sar-check --baseline PROOF_sarcheck.json`: the fresh
 //! [`Report`](crate::Report) is compared against the committed baseline
 //! and the gate fails if a whole pass disappeared or any *obligation
 //! counter* decreased — the "silently dropped proof obligation" failure

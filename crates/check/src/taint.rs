@@ -37,9 +37,7 @@
 //! `untyped` (never flagged): the pass under-approximates typing but
 //! never silently drops a *typed* source.
 
-use std::path::Path;
-
-use crate::ast::{line_of, next_nonspace, tokens, Annotation, Workspace};
+use crate::ast::{closing, line_of, next_nonspace, tokens, Workspace};
 use crate::{Finding, PassReport};
 
 /// Files whose every function is digest-bearing from the first
@@ -126,20 +124,11 @@ fn is_hot(rel: &str) -> bool {
     HOT_FILES.contains(&rel)
 }
 
-/// Runs the pass over a workspace checkout. On a full checkout every
-/// declared root must resolve: a root naming a file or function that a
+/// One finding per declared root (`ROOT_FILES`, `ROOT_FNS`) that `ws`
+/// does not contain. Run on a full checkout only: there every declared
+/// root must resolve, since a root naming a file or function that a
 /// refactor renamed or deleted would otherwise silently shrink the
 /// closure while the pass stays green.
-#[must_use]
-pub fn run(root: &Path) -> PassReport {
-    let ws = Workspace::load(root);
-    let mut report = run_ws(&ws);
-    report.findings.extend(unresolved_roots(&ws));
-    report
-}
-
-/// One finding per declared root (`ROOT_FILES`, `ROOT_FNS`) that `ws`
-/// does not contain.
 #[must_use]
 pub fn unresolved_roots(ws: &Workspace) -> Vec<Finding> {
     let has_file = |rel: &str| ws.files.iter().any(|f| f.rel == rel);
@@ -181,21 +170,7 @@ fn float_params(sig: &str) -> Vec<String> {
     let Some(open) = sig.find('(') else {
         return Vec::new();
     };
-    let mut depth = 0i32;
-    let mut close = sig.len();
-    for (i, b) in sig.bytes().enumerate().skip(open) {
-        match b {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    close = i;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
+    let close = closing(sig, open).unwrap_or(sig.len());
     let mut out = Vec::new();
     for part in split_top_level(&sig[open + 1..close], b',') {
         if let Some((name, ty)) = part.split_once(':') {
@@ -231,10 +206,9 @@ fn split_top_level(text: &str, sep: u8) -> Vec<&str> {
     parts
 }
 
-/// Runs the pass over an in-memory workspace model (the mutation-test
-/// entry point).
+/// Runs the pass over the workspace model.
 #[must_use]
-pub fn run_ws(ws: &Workspace) -> PassReport {
+pub fn run(ws: &Workspace) -> PassReport {
     let mut report = PassReport::new("taint");
 
     // Root set.
@@ -269,7 +243,11 @@ pub fn run_ws(ws: &Workspace) -> PassReport {
     for &fi in &closure {
         let f = &ws.fns[fi];
         let file = &ws.files[f.file];
-        let fn_accum_exempt = ws.annotation_at(file, f.line, "deterministic");
+        let deterministic = |line: usize| {
+            file.covering(line, true)
+                .any(|(_, a)| a.key == "deterministic")
+        };
+        let fn_accum_exempt = deterministic(f.line);
         let mut used_fn_exempt = false;
 
         let body_line = |off: usize| line_of(&file.line_starts, f.body_offset + off);
@@ -283,8 +261,7 @@ pub fn run_ws(ws: &Workspace) -> PassReport {
                 from = off + needle.len();
                 report.bump("time_sites_checked", 1);
                 let line = body_line(off);
-                if let Some(a) = ws.annotation_at(file, line, "deterministic") {
-                    let _: &Annotation = a;
+                if deterministic(line) {
                     annotations_honored += 1;
                     continue;
                 }
@@ -324,7 +301,7 @@ pub fn run_ws(ws: &Workspace) -> PassReport {
             }
             report.bump("iter_sites_checked", 1);
             let line = body_line(start);
-            if ws.annotation_at(file, line, "deterministic").is_some() {
+            if deterministic(line) {
                 annotations_honored += 1;
                 continue;
             }
@@ -365,11 +342,11 @@ pub fn run_ws(ws: &Workspace) -> PassReport {
                 continue;
             }
             let line = body_line(i);
-            if fn_accum_exempt.is_some() {
+            if fn_accum_exempt {
                 used_fn_exempt = true;
                 continue;
             }
-            if ws.annotation_at(file, line, "deterministic").is_some() {
+            if deterministic(line) {
                 annotations_honored += 1;
                 continue;
             }
@@ -398,7 +375,7 @@ mod tests {
     use super::*;
 
     fn findings_for(sources: &[(&str, &str)]) -> Vec<Finding> {
-        run_ws(&Workspace::from_sources(sources)).findings
+        run(&Workspace::from_sources(sources)).findings
     }
 
     #[test]
@@ -475,7 +452,7 @@ fn try_fetch_rounds() {
     consume(begin);
 }
 ";
-        let report = run_ws(&Workspace::from_sources(&[(
+        let report = run(&Workspace::from_sources(&[(
             "crates/core/src/worker.rs",
             src,
         )]));

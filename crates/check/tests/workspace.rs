@@ -1,9 +1,12 @@
-//! The gate, applied to this workspace itself: the protocol sweep, the
-//! interleaving checker, and the linter must all come back clean on the
-//! code as committed. `cargo test` therefore enforces the same bar CI's
-//! `sar-check --all` job does.
+//! The gate, applied to this workspace itself: all five passes must come
+//! back clean on the code as committed, and no proof obligation of the
+//! committed `PROOF_sarcheck.json` may have been dropped. `cargo test`
+//! therefore enforces the same bar CI's `sar-check` job does.
 
 use std::path::{Path, PathBuf};
+
+use sar_check::ast::{lex, Workspace};
+use sar_check::{reportio, PassReport};
 
 fn workspace_root() -> PathBuf {
     // crates/check/../../ = the workspace root.
@@ -14,126 +17,99 @@ fn workspace_root() -> PathBuf {
         .expect("workspace root resolves")
 }
 
-fn stat(report: &sar_check::PassReport, key: &str) -> Option<u64> {
+fn stat(report: &PassReport, key: &str) -> Option<u64> {
     report.stats.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
 }
 
 #[test]
-fn protocol_sweep_proves_the_ci_configurations() {
-    let report = sar_check::protocol::sweep(&[2, 3, 4, 5, 6, 7, 8], &[0, 1, 2, 3], 2);
+fn the_workspace_is_clean_and_keeps_every_committed_obligation() {
+    let root = workspace_root();
+    let report = sar_check::run(&root);
+    let findings: Vec<String> = report
+        .passes
+        .iter()
+        .flat_map(|p| &p.findings)
+        .map(|f| format!("  {f}"))
+        .collect();
     assert!(
-        report.findings.is_empty(),
-        "protocol violations: {:#?}",
-        report.findings
+        report.clean(),
+        "findings in the committed workspace:\n{}",
+        findings.join("\n")
     );
+
+    let baseline = std::fs::read_to_string(root.join("PROOF_sarcheck.json"))
+        .expect("the committed proof report is readable");
     assert_eq!(
-        stat(&report, "configs_verified"),
+        reportio::check_baseline(&report, &baseline),
+        Ok(Vec::new()),
+        "proof obligations dropped against PROOF_sarcheck.json"
+    );
+
+    let pass = |name: &str| {
+        report
+            .passes
+            .iter()
+            .find(|p| p.pass == name)
+            .expect("every pass ran")
+    };
+    // The ratchet only rejects a count that fell; these are exact, so a
+    // configuration the sweep counts twice cannot hide one it dropped.
+    let protocol = pass("protocol");
+    assert_eq!(
+        stat(protocol, "configs_verified"),
         Some(56),
         "7 world sizes × 4 depths × 2 case models"
     );
     // The training-protocol extension: gradonly + stale(2) + stale(3)
     // schedules across every (n, k, model) coordinate.
     assert_eq!(
-        stat(&report, "protocol_configs_verified"),
+        stat(protocol, "protocol_configs_verified"),
         Some(168),
         "7 world sizes × 4 depths × 2 case models × 3 protocols"
     );
     // Serve tier (ctrl broadcast / MFG build / forward / result gather /
     // drain-then-ack shutdown) and codec negotiation at rendezvous.
-    assert_eq!(stat(&report, "serve_configs_verified"), Some(7));
-    assert_eq!(stat(&report, "negotiations_verified"), Some(7));
-}
+    assert_eq!(stat(protocol, "serve_configs_verified"), Some(7));
+    assert_eq!(stat(protocol, "negotiations_verified"), Some(7));
 
-#[test]
-fn interleaving_models_are_clean() {
-    let report = sar_check::sched::check_all();
+    // Measurements the ratchet does not cover: a zero here means a root,
+    // a waiver or an annotation went missing, not that the code is clean.
     assert!(
-        report.findings.is_empty(),
-        "interleaving violations: {:#?}",
-        report.findings
-    );
-}
-
-#[test]
-fn the_workspace_lints_clean() {
-    let report = sar_check::lint::run(&workspace_root());
-    assert!(
-        report.findings.is_empty(),
-        "lint findings in the committed workspace:\n{}",
-        report
-            .findings
-            .iter()
-            .map(|f| format!("  {f}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    let scanned = stat(&report, "files_scanned").unwrap_or(0);
-    assert!(
-        scanned >= 50,
-        "the walker found only {scanned} files — is the root wrong?"
-    );
-    // All committed waivers must be live: an unused one is itself a
-    // finding (caught above), so tracked == used here.
-    assert!(
-        stat(&report, "waivers_tracked").unwrap_or(0) >= 6,
+        stat(pass("lint"), "waivers_tracked").unwrap_or(0) >= 6,
         "the workspace's audited waivers went missing: {:?}",
-        report.stats
+        pass("lint").stats
     );
-}
-
-#[test]
-fn the_workspace_is_determinism_taint_clean() {
-    let report = sar_check::taint::run(&workspace_root());
+    let taint = pass("taint");
     assert!(
-        report.findings.is_empty(),
-        "determinism-taint findings in the committed workspace:\n{}",
-        report
-            .findings
-            .iter()
-            .map(|f| format!("  {f}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    // The analysis must actually have traversed the digest closure — a
-    // zero here means the roots went missing, not that the code is clean.
-    assert!(
-        stat(&report, "taint_roots").unwrap_or(0) >= 100,
+        stat(taint, "taint_roots").unwrap_or(0) >= 100,
         "suspiciously few taint roots: {:?}",
-        report.stats
+        taint.stats
     );
     assert!(
-        stat(&report, "accum_sites_checked").unwrap_or(0) >= 50,
-        "suspiciously few float-accumulation sites: {:?}",
-        report.stats
-    );
-    assert!(
-        stat(&report, "deterministic_annotations").unwrap_or(0) >= 15,
+        stat(taint, "deterministic_annotations").unwrap_or(0) >= 15,
         "reviewed-determinism annotations went missing: {:?}",
-        report.stats
+        taint.stats
     );
 }
 
 #[test]
-fn the_workspace_conserves_its_ledger() {
-    let report = sar_check::ledgercheck::run(&workspace_root());
-    assert!(
-        report.findings.is_empty(),
-        "ledger-conservation findings in the committed workspace:\n{}",
-        report
-            .findings
-            .iter()
-            .map(|f| format!("  {f}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    assert!(
-        stat(&report, "codec_variants_checked").unwrap_or(0) >= 4,
-        "codec arm coverage shrank: {:?}",
-        report.stats
-    );
-    assert!(
-        stat(&report, "comm_sites_checked").unwrap_or(0) >= 10,
-        "send/recv site coverage shrank: {:?}",
-        report.stats
-    );
+fn blanked_code_keeps_every_scanned_files_shape_and_hides_its_comments() {
+    let ws = Workspace::load(&workspace_root());
+    assert!(ws.files.len() >= 50, "is the root wrong?");
+    for file in &ws.files {
+        assert_eq!(file.code.len(), file.raw.len(), "{}", file.rel);
+        let newlines = |s: &str| -> Vec<usize> { s.match_indices('\n').map(|(i, _)| i).collect() };
+        assert_eq!(newlines(&file.code), newlines(&file.raw), "{}", file.rel);
+        for (span, _) in lex(&file.raw)
+            .into_iter()
+            .filter(|(_, plain_comment)| *plain_comment)
+        {
+            assert!(
+                file.code[span.clone()].bytes().all(|b| b == b' '),
+                "{}: a plain comment survived blanking at byte {}",
+                file.rel,
+                span.start
+            );
+        }
+    }
 }

@@ -271,13 +271,9 @@ impl Function for GatAggFn {
             })
         };
 
-        // "Sum θ^l.grad across all machines" (Algorithm 2): the attention
-        // parameter gradient needs contributions from every worker's
-        // destination edges.
-        let mut buf = d_a_src.into_data();
-        w.ctx.all_reduce_sum(&mut buf);
-        let d_a_src = Tensor::from_vec(&[hd], buf);
-
+        // `d_a_src` covers this worker's destination edges only, like every
+        // parameter gradient: the trainer's one all-reduce is Algorithm 2's
+        // "sum θ^l.grad across all machines".
         vec![Some(grad_z), Some(d_s_dst), Some(d_a_src)]
     }
 }

@@ -213,17 +213,18 @@ fn check_sar_gat(mode: FakMode) {
             dzs.allclose(&ref_dz, 1e-3),
             "world {world}: dz mismatch ({mode:?})"
         );
-        // a_dst grads are per-worker partial sums (the trainer all-reduces
-        // them); a_src grads are already all-reduced inside Algorithm 2.
+        // Attention-parameter grads are per-worker partial sums; the
+        // trainer's one all-reduce sums them across machines.
         let mut dad = Tensor::zeros(&[hd]);
+        let mut das = Tensor::zeros(&[hd]);
         for o in &outcomes {
             dad.add_assign(&Tensor::from_vec(&[hd], o.result.3.clone()));
+            das.add_assign(&Tensor::from_vec(&[hd], o.result.4.clone()));
         }
         assert!(
             dad.allclose(&ref_dad, 1e-3),
             "world {world}: d_a_dst mismatch ({mode:?})"
         );
-        let das = Tensor::from_vec(&[hd], outcomes[0].result.4.clone());
         assert!(
             das.allclose(&ref_das, 1e-3),
             "world {world}: d_a_src mismatch ({mode:?})"
@@ -589,21 +590,12 @@ fn loss_and_grads(
         let loss = loss.value().item();
         (loss, grads)
     });
-    // Summed in rank order, as the trainer's all-reduce would — except a
-    // gradient every rank already holds the same bits of: Algorithm 2
-    // summed that one (GAT's `a_src`) across machines inside the backward.
+    // Summed in rank order, as the trainer's all-reduce would.
     let (mut loss, mut grads) = outcomes.remove(0).result;
     for o in &outcomes {
         loss += o.result.0;
         for (sum, g) in grads.iter_mut().zip(&o.result.1) {
-            if sum
-                .data()
-                .iter()
-                .zip(g.data())
-                .any(|(a, b)| a.to_bits() != b.to_bits())
-            {
-                sum.add_assign(g);
-            }
+            sum.add_assign(g);
         }
     }
     (loss, grads)

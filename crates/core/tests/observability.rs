@@ -156,11 +156,12 @@ fn gat_backward_refetches_exactly_the_forward_volume() {
             graphs[rank].predicted_grad_route_bytes(COLS),
             "rank {rank}: grad-routing volume"
         );
-        // The attention-parameter all-reduce is collective traffic, kept
-        // out of the refetch/routing cells.
-        assert!(
-            phase_recv(s, Phase::Collective) > 0,
-            "rank {rank}: a_src all-reduce must ledger as collective"
+        // The aggregation leaves its parameter gradients as per-rank
+        // partials: summing them is the trainer's one all-reduce.
+        assert_eq!(
+            phase_recv(s, Phase::Collective),
+            0,
+            "rank {rank}: GAT aggregation ran a collective"
         );
     }
 }
