@@ -2,9 +2,10 @@
 //! committed, CI-gated performance trajectory.
 //!
 //! Times the SAR kernel family (sparse aggregation, edge softmax,
-//! multi-head SpMM, fused/two-step GAT blocks, per-head projection and
-//! the three dense matmul variants) over a fixed, seeded workload matrix
-//! and writes a schema-versioned JSON report (`BENCH_kernels.json`).
+//! multi-head SpMM, fused GAT blocks forward and backward, the two-step
+//! GAT forward, per-head projection and the three dense matmul variants)
+//! over a fixed, seeded workload matrix and writes a schema-versioned
+//! JSON report (`BENCH_kernels.json`).
 //!
 //! Raw GFLOP/s are machine-dependent, so the committed baseline is never
 //! compared on absolute throughput. Instead each run calibrates the host
@@ -42,7 +43,7 @@ use rand::SeedableRng;
 use sar_core::DistGraph;
 use sar_graph::fused::{self, OnlineAttnState};
 use sar_graph::generators::erdos_renyi;
-use sar_graph::{datasets, ops};
+use sar_graph::{datasets, ops, CsrGraph};
 use sar_partition::{partition, Method};
 use sar_tensor::init::randn;
 use sar_tensor::{pool, simd, Tensor};
@@ -211,20 +212,16 @@ fn graph_cases(quick: bool) -> Vec<Case> {
                 }),
             });
         }
-        {
-            let (g, s_dst, s_src, x) = (Rc::clone(&g), s_dst.clone(), s_src.clone(), x.clone());
-            let d = f / heads;
-            cases.push(Case {
-                name: format!("gat_fused_forward/f{f}"),
-                flops: e * hh * (2.0 * (d as f64) + 8.0),
-                bytes: 4.0 * (e * (ff + 2.0 * hh) + nn * (ff + 3.0 * hh)),
-                run: Box::new(move || {
-                    let mut state = OnlineAttnState::new(g.num_rows(), heads, d);
-                    fused::gat_fused_block_forward(&g, &s_dst, &s_src, &x, slope, &mut state);
-                    black_box(state.num.data()[0]);
-                }),
-            });
-        }
+        let logits = (s_dst.clone(), s_src.clone());
+        let tag = format!("/f{f}");
+        cases.extend(gat_fused_cases(
+            &tag,
+            Rc::clone(&g),
+            logits,
+            &x,
+            &grad,
+            heads,
+        ));
 
         // The remaining kernels are attention-shaped and not very
         // sensitive to feature width; benchmark them once at f = 128.
@@ -368,6 +365,104 @@ fn block_cases(quick: bool) -> Vec<Case> {
     cases
 }
 
+/// `gat_fused_forward{tag}` and `gat_fused_backward{tag}` over block `g`
+/// with the given logits, `[cols, H·D]` features and `[rows, H·D]`
+/// upstream gradient; the backward runs on the statistics of one forward
+/// pass. FLOP models per (edge, head): the forward's `2D` weighted add
+/// plus ≈ 8 for the score, running max and exponentials; the backward's
+/// `2D` dot and `2D` weighted add plus ≈ 12 for `α` and `du`. Bytes: the
+/// forward streams one source row per edge past the row's output and
+/// statistics; the backward reads a source row and an upstream-gradient
+/// row per edge, writes and reads back `α` and `du`, and per row reads
+/// the gradient and four statistics and writes one feature row.
+fn gat_fused_cases(
+    tag: &str,
+    g: Rc<CsrGraph>,
+    (s_dst, s_src): (Tensor, Tensor),
+    x: &Tensor,
+    grad: &Tensor,
+    heads: usize,
+) -> [Case; 2] {
+    let slope = 0.2f32;
+    let (e, nn, hh) = (g.num_edges() as f64, g.num_rows() as f64, heads as f64);
+    let ff = x.cols() as f64;
+    let d = x.cols() / heads;
+    let mut state = OnlineAttnState::new(g.num_rows(), heads, d);
+    fused::gat_fused_block_forward(&g, &s_dst, &s_src, x, slope, &mut state);
+    let (out, max, den) = state.finalize_into();
+    let grad_dot = fused::attn_grad_dot(grad, &out, heads);
+    let forward = {
+        let (g, s_dst, s_src, x) = (Rc::clone(&g), s_dst.clone(), s_src.clone(), x.clone());
+        Case {
+            name: format!("gat_fused_forward{tag}"),
+            flops: e * hh * (2.0 * (d as f64) + 8.0),
+            bytes: 4.0 * (e * (ff + 2.0 * hh) + nn * (ff + 3.0 * hh)),
+            run: Box::new(move || {
+                let mut state = OnlineAttnState::new(g.num_rows(), heads, d);
+                fused::gat_fused_block_forward(&g, &s_dst, &s_src, &x, slope, &mut state);
+                black_box(state.num.data()[0]);
+            }),
+        }
+    };
+    let (x, grad) = (x.clone(), grad.clone());
+    let backward = Case {
+        name: format!("gat_fused_backward{tag}"),
+        flops: e * hh * (4.0 * (d as f64) + 12.0),
+        bytes: 4.0 * (e * (2.0 * ff + 4.0 * hh) + nn * (2.0 * ff + 6.0 * hh)),
+        run: Box::new(move || {
+            let mut d_s_dst = Tensor::zeros(&[g.num_rows(), heads]);
+            black_box(fused::gat_fused_block_backward(
+                &g,
+                &s_dst,
+                &s_src,
+                &x,
+                slope,
+                &max,
+                &den,
+                &grad,
+                &grad_dot,
+                &mut d_s_dst,
+            ));
+        }),
+    };
+    [forward, backward]
+}
+
+/// The fused attention kernels at the shape `gat-tcp2` runs them: rank
+/// 0's local block of `products_like(24 000, 0)` under the multilevel
+/// 2-way partitioning (`--quick`: 4 000 nodes), 4 heads of width 16 (the
+/// hidden layers) and 47 (the top layer, the class count), forward and
+/// backward — `gat_fused_{forward,backward}/block-local/h4d{16,47}`.
+fn attention_block_cases(quick: bool) -> Vec<Case> {
+    let heads = 4usize;
+    let dataset = datasets::products_like(if quick { 4_000 } else { 24_000 }, 0);
+    let part = partition(&dataset.graph, 2, Method::Multilevel, 0);
+    let dist = DistGraph::build_all(&dataset.graph, &part).swap_remove(0);
+    let local = Rc::new(dist.block(0).clone());
+    let (rows, cols) = (local.num_rows(), local.num_cols());
+    let mut rng = StdRng::seed_from_u64(0xA77E);
+    let mut cases = Vec::new();
+    for d in [16usize, 47] {
+        let hd = heads * d;
+        let logits = (
+            randn(&[rows, heads], 1.0, &mut rng),
+            randn(&[cols, heads], 1.0, &mut rng),
+        );
+        let x = randn(&[cols, hd], 1.0, &mut rng);
+        let grad = randn(&[rows, hd], 1.0, &mut rng);
+        let tag = format!("/block-local/h{heads}d{d}");
+        cases.extend(gat_fused_cases(
+            &tag,
+            Rc::clone(&local),
+            logits,
+            &x,
+            &grad,
+            heads,
+        ));
+    }
+    cases
+}
+
 /// The dense matmul cases, each layout at two shapes (`m×k×n` of the
 /// product `[m, k] · [k, n]`): a square one, and the tall-skinny one the
 /// benchmark's `sage-tcp2` actually runs — layer 0 on one rank's 25 000
@@ -418,6 +513,7 @@ pub fn run_bench(quick: bool) -> Fields {
     let (peak_gflops, stream_gbs) = calibrate(quick);
     let mut cases = graph_cases(quick);
     cases.extend(block_cases(quick));
+    cases.extend(attention_block_cases(quick));
     cases.extend(matmul_cases(quick));
     let kernels = cases.iter_mut().map(|case| {
         let t = time_case(&mut case.run, quick);

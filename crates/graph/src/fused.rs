@@ -8,7 +8,9 @@
 //! and weighted numerator `num`. Whenever the maximum increases, the
 //! accumulated numerator and denominator are rescaled by
 //! `exp(old_max − new_max)` (§3.4 "Stable softmax"). Attention
-//! coefficients are never written to memory.
+//! coefficients are never stored between passes, and never for a whole
+//! block: the forward keeps one destination row's weights, the backward
+//! one run of rows' coefficients.
 //!
 //! The kernels are *block-incremental*: [`OnlineAttnState`] persists across
 //! calls, so SAR's Algorithm 1 can feed one fetched partition block
@@ -17,6 +19,20 @@
 //! kernel recomputes coefficients on the fly from the saved `(m, den)`
 //! statistics — the recomputation SAR must do anyway during
 //! rematerialization, which is why FAK "synergizes" with SAR.
+//!
+//! Each destination row is two steps. The forward first runs the scalar
+//! online-softmax recurrence over the row's edges — score, running max,
+//! rescale factor, weight, denominator — into a per-thread scratch of one
+//! [`Step`] per (edge, head), then one [`simd::weighted_gather`] streams
+//! the row's source rows past its numerator held in registers, applying
+//! each rescale and weighted add in the recurrence's order. The backward
+//! computes each (edge, head)'s coefficient `α` and logit-sum gradient
+//! `du` once, destination-major (folding `d_s_dst` there), into one
+//! `[edges, H]` pair of tensors that covers a run of whole rows of at most
+//! `cols · D / 2` edges (or one row, if wider) — never more than the
+//! block's own `[cols, H·D]` source features, however dense the block —
+//! and a source-major pass reads them back into `d_x_src` / `d_s_src`
+//! through the same gather, with skips in place of rescales.
 //!
 //! The *two-step* family (`gat_twostep_block_*`, plain "SAR" in Figs. 4
 //! and 6) runs the same online-softmax step and the same gradient body;
@@ -28,20 +44,24 @@
 //! Like `ops`, the kernels parallelize over destination rows (forward
 //! and `d_s_dst`) and over source rows via
 //! [`CsrGraph::reverse_index`] (the scatter-style `d_x_src` / `d_s_src`
-//! passes), preserving each row's sequential reduction order so results
+//! pass), preserving each row's sequential reduction order so results
 //! are bitwise identical across thread counts.
 //!
 //! Inner loops over each head's `d`-wide feature segment run through the
 //! bitwise-deterministic SIMD primitives of [`sar_tensor::simd`]. The two
 //! `*_indexed` entry points read source features through a row map
-//! (`x[map[j]]`); the workspace no longer calls them and they stay only
-//! because `benchmark/` imports them by name.
+//! (`x[map[j]]`), applied when a row's index list is built; the workspace
+//! no longer calls them and they stay only because `benchmark/` imports
+//! them by name.
 
-use crate::ops::{gat_edge_scores, head_dim, head_dots, Operand};
+use std::ops::Range;
+
+use crate::ops::{gat_edge_scores, head_dim, Operand};
 use crate::walk::{edges_mut, row_mut};
 use crate::CsrGraph;
 use sar_tensor::pool::{split_rows, Output};
-use sar_tensor::{simd, Tensor};
+use sar_tensor::simd::{self, Step};
+use sar_tensor::Tensor;
 
 /// Running online-softmax state for attention aggregation over
 /// `rows` destination nodes with `heads` heads of dimension `head_dim`.
@@ -80,7 +100,9 @@ impl OnlineAttnState {
     }
 
     /// Finalizes the aggregation: `out[i, h*D..] = num / den`, with
-    /// isolated destinations (denominator 0) producing zeros.
+    /// isolated destinations (denominator 0) producing zeros. Any other
+    /// denominator divides — a NaN one (a NaN score) poisons its row, as
+    /// it does in the two-step reference.
     pub fn finalize(&self) -> Tensor {
         let mut out = self.num.clone();
         self.normalize(&mut out);
@@ -104,15 +126,11 @@ impl OnlineAttnState {
         for i in 0..rows {
             for head in 0..h {
                 let den = self.den.at(&[i, head]);
-                let row = out.row_mut(i);
-                if den > 0.0 {
-                    for k in 0..d {
-                        row[head * d + k] /= den;
-                    }
+                let seg = &mut out.row_mut(i)[head * d..(head + 1) * d];
+                if den == 0.0 {
+                    seg.fill(0.0);
                 } else {
-                    for k in 0..d {
-                        row[head * d + k] = 0.0;
-                    }
+                    simd::div_scalar(seg, den);
                 }
             }
         }
@@ -205,6 +223,13 @@ impl<'a> AttnBlock<'a> {
     /// `scores` is a materializing family's `[E, H]` raw scores (unused
     /// otherwise: every score is computed on the fly).
     ///
+    /// Per destination row, the scalar recurrence — score, running max,
+    /// rescale factor, weight, denominator — runs first over the row's
+    /// edges and heads, leaving one [`Step`] per (edge, head) in a
+    /// per-thread scratch; then one [`simd::weighted_gather`] streams the
+    /// row's source rows past the numerator held in registers, applying
+    /// each step's rescale and weighted add in the recurrence's order.
+    ///
     /// Destination-parallel: each destination's (max, den, num) rows have
     /// exactly one writer, and its edge stream keeps the sequential order,
     /// so the recurrence is thread-count-invariant.
@@ -222,12 +247,12 @@ impl<'a> AttnBlock<'a> {
                 Output::row_owned(state.max.data_mut(), h),
             ],
             move |lo, hi, [num, den, max]| {
+                let (mut steps, mut rows) = (Vec::new(), Vec::new());
                 for i in lo..hi {
-                    let num_i = row_mut(num, i - lo, hd);
                     let den_row = row_mut(den, i - lo, h);
                     let max_row = row_mut(max, i - lo, h);
+                    steps.clear();
                     for (j, e) in g.entries(i) {
-                        let x_row = self.x.row(j);
                         for head in 0..h {
                             let s = if MATERIALIZED {
                                 scores[e * h + head]
@@ -235,28 +260,29 @@ impl<'a> AttnBlock<'a> {
                                 self.leaky_relu(self.logit(i, j, head))
                             };
                             let m_old = max_row[head];
-                            if s > m_old {
-                                // Rescale accumulated numerator/denominator
-                                // by exp(old_max - new_max) — the
-                                // stable-softmax correction of §3.4.
-                                let scale = if m_old == f32::NEG_INFINITY {
+                            // A new maximum rescales the accumulated
+                            // numerator/denominator by exp(old_max − new_max)
+                            // — the stable-softmax correction of §3.4.
+                            let rescale = (s > m_old).then(|| {
+                                if m_old == f32::NEG_INFINITY {
                                     0.0
                                 } else {
                                     (m_old - s).exp()
-                                };
+                                }
+                            });
+                            if let Some(scale) = rescale {
                                 max_row[head] = s;
                                 den_row[head] *= scale;
-                                simd::scale(&mut num_i[head * d..(head + 1) * d], scale);
                             }
                             let w = (s - max_row[head]).exp();
                             den_row[head] += w;
-                            simd::axpy(
-                                w,
-                                &x_row[head * d..(head + 1) * d],
-                                &mut num_i[head * d..(head + 1) * d],
+                            steps.push(
+                                rescale.map_or(Step::Add(w), |scale| Step::RescaleAdd { scale, w }),
                             );
                         }
                     }
+                    let (x, idx) = self.x.gather(g.neighbors(i), &mut rows);
+                    simd::weighted_gather(row_mut(num, i - lo, hd), h, x, idx, &steps);
                 }
             },
         );
@@ -281,113 +307,201 @@ struct AttnBackward<'a> {
 }
 
 impl AttnBackward<'_> {
-    /// The per-(edge, head) gradient of edge `e = (j → i)`, shared by both
-    /// passes so their recomputed quantities are bitwise the same
-    /// expressions. Returns the attention coefficient α, the upstream
-    /// gradient's head segment, and the loss gradient w.r.t. the logit
-    /// sum — the softmax path `de = α (⟨g, x_j⟩ − ⟨g, out_i⟩)` through the
-    /// LeakyReLU — or `None` where the family skips the edge.
+    /// Whether the family skips the (edge, head) whose coefficient is
+    /// `alpha` and whose destination's denominator is `den` — asked once
+    /// by each pass, so both skip the same set.
     ///
-    /// The two skip predicates are *not* interchangeable: fused skips a
+    /// The two predicates are *not* interchangeable: fused skips a
     /// destination whose denominator is not positive and otherwise pushes
     /// even a coefficient that underflowed to zero (`dx += 0·g` turns a
     /// `-0.0` into `+0.0`, `0·∞` is NaN); two-step skips every edge whose
     /// materialized coefficient is `0.0`. Merging them moves signed-zero
     /// and underflow bits of one family.
-    // Per (edge, head) from two call sites: without the attribute the
-    // body is not inlined into either pass.
-    #[inline(always)]
-    fn edge_grad<const MATERIALIZED: bool>(
-        &self,
-        i: usize,
-        j: usize,
-        e: usize,
-        head: usize,
-        x_row: &[f32],
-    ) -> Option<(f32, &[f32], f32)> {
-        let (blk, h, d) = (&self.blk, self.blk.heads, self.blk.head_dim);
-        let u = blk.logit(i, j, head);
-        let alpha = if MATERIALIZED {
-            let a = self.alpha[e * h + head];
-            if a == 0.0 {
-                return None;
-            }
-            a
+    fn skips<const MATERIALIZED: bool>(alpha: f32, den: f32) -> bool {
+        if MATERIALIZED {
+            alpha == 0.0
         } else {
-            let den_i = self.den[i * h + head];
-            if den_i <= 0.0 {
-                return None;
-            }
-            (blk.leaky_relu(u) - self.max[i * h + head]).exp() / den_i
-        };
-        let g_head = &self.grad[(i * h + head) * d..(i * h + head + 1) * d];
-        let dot_gx = simd::dot(g_head, &x_row[head * d..(head + 1) * d]);
-        let de = alpha * (dot_gx - self.grad_dot[i * h + head]);
-        let du = de * if u > 0.0 { 1.0 } else { blk.slope };
-        Some((alpha, g_head, du))
+            den <= 0.0
+        }
     }
 
     /// Pushes the block's gradients: adds into `d_s_dst`, returns the
     /// rest.
+    ///
+    /// Each (edge, head)'s coefficient `α` and logit-sum gradient `du` —
+    /// the softmax path `de = α (⟨g_i, x_j⟩ − ⟨g_i, out_i⟩)` through the
+    /// LeakyReLU — is computed once, by a destination-major pass, and
+    /// folded into `d_s_dst` there; a source-major pass then reads both
+    /// back for `d_x` and `d_s_src`. So that the buffer between the two
+    /// stays bounded by the block's own `[cols, H·D]` source features (or
+    /// by one row's edges, if wider) rather than growing with its edge
+    /// count, the block goes through the two passes in runs of whole
+    /// destination rows ([`row_chunks`]).
     // sar-check: deterministic(one-writer-per-row: a destination's d_s_dst
     // row folds its edges in CSR order, a source's d_x / d_s_src rows fold
-    // theirs in ascending edge-id order)
+    // theirs in ascending edge-id order, chunk after chunk)
     fn push<const MATERIALIZED: bool>(self, d_s_dst: &mut Tensor) -> FusedBlockGrads {
-        let (g, x, h, d) = (self.blk.g, self.blk.x, self.blk.heads, self.blk.head_dim);
-        let hd = h * d;
-        // Pass 1 — destination-parallel d_s_dst.
-        split_rows(
-            g.num_rows(),
-            [Output::row_owned(d_s_dst.data_mut(), h)],
-            move |lo, hi, [part]| {
-                for i in lo..hi {
-                    let dsd_row = row_mut(part, i - lo, h);
-                    for (j, e) in g.entries(i) {
-                        let x_row = x.row(j);
-                        for (head, dsd) in dsd_row.iter_mut().enumerate() {
-                            if let Some((_, _, du)) =
-                                self.edge_grad::<MATERIALIZED>(i, j, e, head, x_row)
-                            {
-                                *dsd += du;
-                            }
-                        }
-                    }
-                }
-            },
-        );
-        // Pass 2 — source-parallel d_x_src / d_s_src via the reverse
-        // index; ascending edge ids per source keep the sequential
-        // accumulation order.
-        let mut d_x_src = Tensor::zeros(&[g.num_cols(), hd]);
+        let (g, h, d) = (self.blk.g, self.blk.heads, self.blk.head_dim);
+        let indptr = g.indptr();
+        let mut d_x_src = Tensor::zeros(&[g.num_cols(), h * d]);
         let mut d_s_src = Tensor::zeros(&[g.num_cols(), h]);
-        let rev = g.reverse_index();
-        split_rows(
-            g.num_cols(),
-            [
-                Output::row_owned(d_x_src.data_mut(), hd),
-                Output::row_owned(d_s_src.data_mut(), h),
-            ],
-            move |lo, hi, [dx, dss]| {
-                for j in lo..hi {
-                    let dx_row = row_mut(dx, j - lo, hd);
-                    let dss_row = row_mut(dss, j - lo, h);
-                    let x_row = x.row(j);
-                    for (i, e) in rev.entries(j) {
-                        for head in 0..h {
-                            if let Some((alpha, g_head, du)) =
-                                self.edge_grad::<MATERIALIZED>(i, j, e, head, x_row)
-                            {
-                                // Value path: d x_j += α g_i.
-                                simd::axpy(alpha, g_head, &mut dx_row[head * d..(head + 1) * d]);
-                                dss_row[head] += du;
-                            }
-                        }
-                    }
-                }
-            },
-        );
+        // Two `[edges, H]` buffers of `cols · D / 2` edges hold
+        // `cols · H · D` floats: the block's own source features.
+        let chunks = row_chunks(indptr, g.num_cols() * d / 2);
+        let widest = chunks.windows(2).map(|c| indptr[c[1]] - indptr[c[0]]);
+        let widest = widest.max().unwrap_or(0);
+        let mut alpha_buf = Tensor::zeros(&[widest, h]);
+        let mut du_buf = Tensor::zeros(&[widest, h]);
+        for c in chunks.windows(2) {
+            let (rows, edges) = (c[0]..c[1], indptr[c[0]]..indptr[c[1]]);
+            if edges.is_empty() {
+                continue;
+            }
+            let len = edges.len() * h;
+            let (alpha, du) = (
+                &mut alpha_buf.data_mut()[..len],
+                &mut du_buf.data_mut()[..len],
+            );
+            self.coefficients::<MATERIALIZED>(rows, d_s_dst.data_mut(), alpha, du);
+            let grads = (d_x_src.data_mut(), d_s_src.data_mut());
+            self.push_sources::<MATERIALIZED>(edges, alpha, du, grads);
+        }
         FusedBlockGrads { d_x_src, d_s_src }
     }
+
+    /// Destination-major pass over `rows`: writes every edge's `α` and
+    /// `du` into `alpha` / `du` (`[edges of rows, H]`, edge-owned) and
+    /// folds `du` into the rows of `d_s_dst` in CSR order. One
+    /// [`simd::head_dots`] per edge gives `⟨g_i, x_j⟩` for all heads.
+    // sar-check: deterministic(one-writer-per-row: a destination's d_s_dst
+    // row and its edges' α / du entries are written by one chunk, in CSR
+    // order)
+    fn coefficients<const MATERIALIZED: bool>(
+        self,
+        rows: Range<usize>,
+        d_s_dst: &mut [f32],
+        alpha: &mut [f32],
+        du: &mut [f32],
+    ) {
+        let blk = self.blk;
+        let (g, h) = (blk.g, blk.heads);
+        let hd = h * blk.head_dim;
+        let r0 = rows.start;
+        let ptr = &g.indptr()[r0..=rows.end];
+        split_rows(
+            rows.len(),
+            [
+                Output::row_owned(&mut d_s_dst[r0 * h..rows.end * h], h),
+                Output::edge_owned(alpha, ptr, h),
+                Output::edge_owned(du, ptr, h),
+            ],
+            move |lo, hi, [dsd, a_part, du_part]| {
+                let mut dots = vec![0.0f32; h];
+                for r in lo..hi {
+                    let i = r0 + r;
+                    let g_row = &self.grad[i * hd..(i + 1) * hd];
+                    let dsd_row = row_mut(dsd, r - lo, h);
+                    let a_rows = edges_mut(a_part, &ptr[lo..], r - lo, h);
+                    let du_rows = edges_mut(du_part, &ptr[lo..], r - lo, h);
+                    for (k, (j, e)) in g.entries(i).enumerate() {
+                        simd::head_dots(&mut dots, g_row, blk.x.row(j));
+                        for head in 0..h {
+                            let (u, den) = (blk.logit(i, j, head), self.den[i * h + head]);
+                            let alpha = if MATERIALIZED {
+                                self.alpha[e * h + head]
+                            } else {
+                                (blk.leaky_relu(u) - self.max[i * h + head]).exp() / den
+                            };
+                            a_rows[k * h + head] = alpha;
+                            if Self::skips::<MATERIALIZED>(alpha, den) {
+                                continue;
+                            }
+                            let de = alpha * (dots[head] - self.grad_dot[i * h + head]);
+                            let du = de * if u > 0.0 { 1.0 } else { blk.slope };
+                            du_rows[k * h + head] = du;
+                            dsd_row[head] += du;
+                        }
+                    }
+                }
+            },
+        );
+    }
+
+    /// Source-major pass over the edge ids `edges` (a run of whole rows):
+    /// reads back their `α` and `du` (`[edges, H]`, as
+    /// [`AttnBackward::coefficients`] wrote them) and adds `α g_i` into
+    /// `d_x[j]` — one [`simd::weighted_gather`] per source over the
+    /// upstream gradient rows of its destinations — and `du` into
+    /// `d_s_src[j]`. A source's entries in the reverse index ascend by edge
+    /// id, so each run's are one contiguous stretch of them, found by
+    /// bisection, and the runs follow each other in the sequential order.
+    // sar-check: deterministic(one-writer-per-row: a source's d_x and d_s_src
+    // rows fold its entries of this run in ascending edge-id order)
+    fn push_sources<const MATERIALIZED: bool>(
+        self,
+        edges: Range<usize>,
+        alpha: &[f32],
+        du: &[f32],
+        (d_x, d_s): (&mut [f32], &mut [f32]),
+    ) {
+        let g = self.blk.g;
+        let (h, hd) = (self.blk.heads, self.blk.heads * self.blk.head_dim);
+        let rev = g.reverse_adjacency();
+        let eid = rev.eid.expect("the reverse index stores edge ids");
+        split_rows(
+            g.num_cols(),
+            [Output::row_owned(d_x, hd), Output::row_owned(d_s, h)],
+            move |lo, hi, [dx, dss]| {
+                let mut steps = Vec::new();
+                for j in lo..hi {
+                    let ids = &eid[rev.ptr[j]..rev.ptr[j + 1]];
+                    let skipped = ids.partition_point(|&e| (e as usize) < edges.start);
+                    let run = ids[skipped..]
+                        .iter()
+                        .take_while(|&&e| (e as usize) < edges.end);
+                    let (from, to) = (rev.ptr[j] + skipped, rev.ptr[j] + skipped + run.count());
+                    if from == to {
+                        continue;
+                    }
+                    let dss_row = row_mut(dss, j - lo, h);
+                    steps.clear();
+                    for (&i, &e) in rev.nbr[from..to].iter().zip(&eid[from..to]) {
+                        let k = (e as usize - edges.start) * h;
+                        for head in 0..h {
+                            let a = alpha[k + head];
+                            if Self::skips::<MATERIALIZED>(a, self.den[i as usize * h + head]) {
+                                steps.push(Step::Skip);
+                            } else {
+                                dss_row[head] += du[k + head];
+                                steps.push(Step::Add(a));
+                            }
+                        }
+                    }
+                    let dx_row = row_mut(dx, j - lo, hd);
+                    simd::weighted_gather(dx_row, h, self.grad, &rev.nbr[from..to], &steps);
+                }
+            },
+        );
+    }
+}
+
+/// Ascending boundaries `0 = b_0, …, b_m = rows` that cut a CSR block
+/// with pointer array `indptr` into runs of whole destination rows of at
+/// most `max(budget, widest row)` edges each, every run but an edgeless
+/// block's holding at least one row.
+fn row_chunks(indptr: &[usize], budget: usize) -> Vec<usize> {
+    let rows = indptr.len() - 1;
+    let widest = indptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    let cap = budget.max(widest);
+    let mut bounds = vec![0];
+    for r in 0..rows {
+        let start = indptr[bounds[bounds.len() - 1]];
+        if indptr[r + 1] - start > cap {
+            bounds.push(r);
+        }
+    }
+    bounds.push(rows);
+    bounds
 }
 
 /// Streams one block of edges through the online-softmax accumulator.
@@ -488,7 +602,7 @@ pub fn attn_grad_dot(grad_out: &Tensor, out: &Tensor, heads: usize) -> Tensor {
     assert_eq!(grad_out.shape(), out.shape(), "grad/out shape mismatch");
     let rows = out.rows();
     let hd = out.cols();
-    let d = head_dim(hd, heads);
+    head_dim(hd, heads);
     let mut dot = vec![0.0f32; rows * heads];
     let g_data = grad_out.data();
     let o_data = out.data();
@@ -499,7 +613,7 @@ pub fn attn_grad_dot(grad_out: &Tensor, out: &Tensor, heads: usize) -> Tensor {
             for i in lo..hi {
                 let g_row = &g_data[i * hd..(i + 1) * hd];
                 let o_row = &o_data[i * hd..(i + 1) * hd];
-                head_dots(row_mut(chunk, i - lo, heads), g_row, o_row, d);
+                simd::head_dots(row_mut(chunk, i - lo, heads), g_row, o_row);
             }
         },
     );
@@ -881,6 +995,89 @@ mod tests {
         // Both agree on a destination without a positive denominator.
         assert!(run(false, 0.0).iter().all(|v| v.to_bits() == 0));
         assert!(run(true, 0.0).iter().all(|v| v.to_bits() == 0));
+    }
+
+    #[test]
+    fn a_nan_score_poisons_its_row_like_the_reference() {
+        // Edges 0 → 0, 1 → 0, 1 → 1 and a NaN destination logit on row 0:
+        // row 0's scores, denominator and output are NaN in the two-step
+        // reference, and must be in both families — not zeros, which hid
+        // the divergence from the backward (it does not skip a NaN
+        // denominator). Row 1 is untouched and row 2, without in-edges,
+        // stays exactly zero.
+        let g = CsrGraph::from_edges(3, &[(0, 0), (1, 0), (1, 1)]);
+        let (h, d) = (1, 2);
+        let s_dst = Tensor::from_vec(&[3, h], vec![f32::NAN, 0.5, 0.25]);
+        let s_src = Tensor::from_vec(&[3, h], vec![0.1, -0.3, 0.7]);
+        let x = Tensor::from_vec(&[3, h * d], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let reference = reference_forward(&g, &s_dst, &s_src, &x, 0.2);
+        assert!(reference.row(0).iter().all(|v| v.is_nan()));
+        for two_step in [false, true] {
+            let mut state = OnlineAttnState::new(3, h, d);
+            if two_step {
+                gat_twostep_block_forward(&g, &s_dst, &s_src, &x, 0.2, &mut state);
+            } else {
+                gat_fused_block_forward(&g, &s_dst, &s_src, &x, 0.2, &mut state);
+            }
+            assert!(state.den.at(&[0, 0]).is_nan(), "two_step={two_step}");
+            let out = state.finalize();
+            assert!(out.row(0).iter().all(|v| v.is_nan()), "two_step={two_step}");
+            assert_eq!(out.row(1), &[3.0, 4.0], "two_step={two_step}");
+            assert_eq!(out.row(1), reference.row(1));
+            assert!(
+                out.row(2).iter().all(|v| v.to_bits() == 0),
+                "two_step={two_step}"
+            );
+        }
+    }
+
+    #[test]
+    fn backward_transients_stay_within_one_block_of_features() {
+        // Every row draws from every column: in-degree 96 ≫ D = 4, so one
+        // `[E, H]` buffer is 24 times the block's `[cols, H·D]` features.
+        // The backward may hold at most the larger of those features and
+        // one row's edges × 2H floats beyond its two outputs.
+        let (rows, cols, h, d) = (96usize, 96usize, 2usize, 4usize);
+        let edges: Vec<(u32, u32)> = (0..rows as u32)
+            .flat_map(|i| (0..cols as u32).map(move |j| (j, i)))
+            .collect();
+        let g = CsrGraph::from_edges_bipartite(cols, rows, &edges);
+        let mut rng = StdRng::seed_from_u64(5);
+        let s_dst = init::randn(&[rows, h], 1.0, &mut rng);
+        let s_src = init::randn(&[cols, h], 1.0, &mut rng);
+        let x = init::randn(&[cols, h * d], 1.0, &mut rng);
+        let grad_out = init::randn(&[rows, h * d], 1.0, &mut rng);
+        let mut state = OnlineAttnState::new(rows, h, d);
+        gat_fused_block_forward(&g, &s_dst, &s_src, &x, 0.2, &mut state);
+        let (out, max, den) = state.finalize_into();
+        let grad_dot = attn_grad_dot(&grad_out, &out, h);
+        let mut d_s_dst = Tensor::zeros(&[rows, h]);
+        let scope = sar_tensor::memory::MemScope::begin();
+        let grads = gat_fused_block_backward(
+            &g,
+            &s_dst,
+            &s_src,
+            &x,
+            0.2,
+            &max,
+            &den,
+            &grad_out,
+            &grad_dot,
+            &mut d_s_dst,
+        );
+        let peak = scope.finish().delta_bytes();
+        let outputs = 4 * (grads.d_x_src.numel() + grads.d_s_src.numel());
+        let widest_row = (0..rows).map(|i| g.in_degree(i)).max().unwrap_or(0);
+        let bound = 4 * (cols * h * d).max(widest_row * 2 * h);
+        assert!(
+            4 * g.num_edges() * h > bound,
+            "the block is not dense enough"
+        );
+        assert!(
+            peak - outputs <= bound,
+            "{} transient bytes, bound {bound}",
+            peak - outputs
+        );
     }
 
     #[test]

@@ -89,6 +89,20 @@ impl<'a> Operand<'a> {
         let r = self.map.map_or(j, |m| m[j] as usize);
         &self.data[r * self.width..(r + 1) * self.width]
     }
+
+    /// The operand's backing rows and the indices into them of its rows
+    /// `nbrs` — `nbrs` itself without a map, translated into `buf`
+    /// through one: what a [`simd`] gather over those rows takes.
+    pub fn gather<'s>(&self, nbrs: &'s [u32], buf: &'s mut Vec<u32>) -> (&'a [f32], &'s [u32]) {
+        match self.map {
+            None => (self.data, nbrs),
+            Some(map) => {
+                buf.clear();
+                buf.extend(nbrs.iter().map(|&j| map[j as usize]));
+                (self.data, buf)
+            }
+        }
+    }
 }
 
 /// Head dimension `D` of `[_, H*D]` features of width `hd` under `heads`
@@ -434,13 +448,6 @@ fn head_axpy(out: &mut [f32], weights: &[f32], x: &[f32], d: usize) {
     }
 }
 
-/// `out[h] = ⟨a[h*D..], b[h*D..]⟩` for every head.
-pub(crate) fn head_dots(out: &mut [f32], a: &[f32], b: &[f32], d: usize) {
-    for (head, o) in out.iter_mut().enumerate() {
-        *o = simd::dot(&a[head * d..(head + 1) * d], &b[head * d..(head + 1) * d]);
-    }
-}
-
 /// Backward of [`spmm_multihead`]: returns `(d_alpha, d_x)`.
 ///
 /// # Panics
@@ -454,7 +461,7 @@ pub fn spmm_multihead_backward(
 ) -> (Tensor, Tensor) {
     let heads = alpha.cols();
     let hd = x.cols();
-    let d = head_dim(hd, heads);
+    head_dim(hd, heads);
     assert_eq!(grad_out.rows(), g.num_rows(), "grad rows mismatch");
     assert_eq!(grad_out.cols(), hd, "grad width mismatch");
     let mut d_alpha = Tensor::zeros(&[g.num_edges(), heads]);
@@ -472,7 +479,7 @@ pub fn spmm_multihead_backward(
                 let g_row = &grad_data[i * hd..(i + 1) * hd];
                 let da_rows = edges_mut(part, &indptr[lo..], i - lo, heads);
                 for ((j, _e), da_row) in g.entries(i).zip(da_rows.chunks_exact_mut(heads)) {
-                    head_dots(da_row, g_row, x_rows.row(j), d);
+                    simd::head_dots(da_row, g_row, x_rows.row(j));
                 }
             }
         },
@@ -499,7 +506,7 @@ pub fn spmm_multihead_backward(
 pub fn head_project(x: &Tensor, a: &Tensor, heads: usize) -> Tensor {
     let (n, hd, x) = (x.rows(), x.cols(), x.data());
     assert_eq!(a.numel(), hd, "attention vector length mismatch");
-    let d = head_dim(hd, heads);
+    head_dim(hd, heads);
     let mut out = vec![0.0f32; n * heads];
     let a_data = a.data();
     split_rows(
@@ -507,11 +514,10 @@ pub fn head_project(x: &Tensor, a: &Tensor, heads: usize) -> Tensor {
         [Output::row_owned(&mut out, heads)],
         move |lo, hi, [rows]| {
             for i in lo..hi {
-                head_dots(
+                simd::head_dots(
                     row_mut(rows, i - lo, heads),
                     &x[i * hd..(i + 1) * hd],
                     a_data,
-                    d,
                 );
             }
         },

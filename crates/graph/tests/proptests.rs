@@ -1,16 +1,16 @@
 //! Property-based tests of the sparse kernels and fused attention against
-//! dense references, on randomly generated graphs — and of `spmm_sum`
-//! forward and backward, bit for bit, against the per-edge loops they
-//! promise to equal.
+//! dense references, on randomly generated graphs — and of `spmm_sum` and
+//! both attention families, forward and backward, bit for bit, against
+//! the per-edge loops they promise to equal.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sar_graph::fused::{
-    attn_grad_dot, gat_fused_block_backward, gat_fused_block_forward, OnlineAttnState,
+    self, attn_grad_dot, gat_fused_block_backward, gat_fused_block_forward, OnlineAttnState,
 };
 use sar_graph::{generators::erdos_renyi, ops, CsrGraph};
-use sar_tensor::{init, Tensor};
+use sar_tensor::{init, pool, Tensor};
 
 fn dense_adj(g: &CsrGraph) -> Tensor {
     let mut a = Tensor::zeros(&[g.num_rows(), g.num_cols()]);
@@ -53,6 +53,226 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Head dimensions of the attention oracle: below, at and past one
+/// vector, the benchmark's two (16 hidden, 47 classes), and past a full
+/// 64-column strip and the width of twelve vectors.
+const HEAD_DIMS: [usize; 9] = [1, 5, 7, 8, 16, 47, 64, 65, 100];
+
+/// LeakyReLU slope of the attention oracle.
+const SLOPE: f32 = 0.2;
+
+/// One attention block as the oracle and the kernels both read it: source
+/// column `j` is row `map[j]` of `x` when a map is given, row `j` without.
+struct AttnBlock {
+    g: CsrGraph,
+    s_src: Tensor,
+    x: Tensor,
+    map: Option<Vec<u32>>,
+}
+
+impl AttnBlock {
+    /// An [`unsorted_block`] whose last column sends no edge, with random
+    /// logits and features of `heads` × `d`; read through a map into a
+    /// resident tensor of three more rows (descending, column 1 repeating
+    /// column 0's row) if `mapped`.
+    fn random(
+        (rows, cols): (usize, usize),
+        (heads, d): (usize, usize),
+        mapped: bool,
+        rng: &mut StdRng,
+    ) -> Self {
+        let g = unsorted_block(rows, cols - 1, rng);
+        let g = CsrGraph::from_raw(cols, g.indptr().to_vec(), g.indices().to_vec());
+        let resident = if mapped { cols + 3 } else { cols };
+        let map = mapped.then(|| {
+            let mut m: Vec<u32> = (0..cols).map(|j| (resident - 1 - j) as u32).collect();
+            m[1] = m[0];
+            m
+        });
+        AttnBlock {
+            s_src: init::randn(&[cols, heads], 2.0, rng),
+            x: init::randn(&[resident, heads * d], 1.0, rng),
+            g,
+            map,
+        }
+    }
+
+    fn x_row(&self, j: usize) -> &[f32] {
+        self.x.row(self.map.as_ref().map_or(j, |m| m[j] as usize))
+    }
+}
+
+fn leaky(u: f32) -> f32 {
+    if u > 0.0 {
+        u
+    } else {
+        SLOPE * u
+    }
+}
+
+/// The fixed eight-lane dot product every kernel promises: lane `l` sums
+/// `a[8i + l] · b[8i + l]`, the lanes fold as
+/// `((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))`, then the tail adds
+/// in sequentially.
+fn lane_dot(a: &[f32], b: &[f32]) -> f32 {
+    let main = a.len() - a.len() % 8;
+    let mut l = [0.0f32; 8];
+    for i in (0..main).step_by(8) {
+        for k in 0..8 {
+            l[k] += a[i + k] * b[i + k];
+        }
+    }
+    let mut acc = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+    for i in main..a.len() {
+        acc += a[i] * b[i];
+    }
+    acc
+}
+
+/// One block through the online softmax, one edge and one head at a time
+/// in stored order: the arithmetic both families promise.
+fn oracle_forward(b: &AttnBlock, s_dst: &Tensor, d: usize, st: &mut OnlineAttnState) {
+    let h = s_dst.cols();
+    for i in 0..b.g.num_rows() {
+        for &j in b.g.neighbors(i) {
+            let j = j as usize;
+            for head in 0..h {
+                let s = leaky(s_dst.row(i)[head] + b.s_src.row(j)[head]);
+                let m_old = st.max.row(i)[head];
+                if s > m_old {
+                    let c = if m_old == f32::NEG_INFINITY {
+                        0.0
+                    } else {
+                        (m_old - s).exp()
+                    };
+                    st.max.row_mut(i)[head] = s;
+                    st.den.row_mut(i)[head] *= c;
+                    for v in &mut st.num.row_mut(i)[head * d..(head + 1) * d] {
+                        *v *= c;
+                    }
+                }
+                let w = (s - st.max.row(i)[head]).exp();
+                st.den.row_mut(i)[head] += w;
+                let x = &b.x_row(j)[head * d..(head + 1) * d];
+                for (v, &xv) in st.num.row_mut(i)[head * d..(head + 1) * d]
+                    .iter_mut()
+                    .zip(x)
+                {
+                    *v += w * xv;
+                }
+            }
+        }
+    }
+}
+
+/// Saved statistics and upstream gradient of one backward pass.
+struct Upstream<'a> {
+    s_dst: &'a Tensor,
+    max: &'a Tensor,
+    den: &'a Tensor,
+    grad: &'a Tensor,
+    grad_dot: &'a Tensor,
+}
+
+/// One block's backward, one edge and one head at a time in stored
+/// order — which folds every destination's `d_s_dst` in CSR order and
+/// every source's `d_x` / `d_s_src` in ascending edge id. Fused skips a
+/// head whose denominator is not positive; two-step materializes
+/// `α = 0.0` there and skips every `α == 0.0`. Returns `(d_x, d_s_src)`.
+fn oracle_backward(
+    two_step: bool,
+    b: &AttnBlock,
+    up: &Upstream<'_>,
+    d_s_dst: &mut Tensor,
+) -> (Tensor, Tensor) {
+    let h = up.s_dst.cols();
+    let d = b.x.cols() / h;
+    let mut dx = Tensor::zeros(&[b.g.num_cols(), h * d]);
+    let mut dss = Tensor::zeros(&[b.g.num_cols(), h]);
+    for i in 0..b.g.num_rows() {
+        for &j in b.g.neighbors(i) {
+            let j = j as usize;
+            for head in 0..h {
+                let u = up.s_dst.row(i)[head] + b.s_src.row(j)[head];
+                let (m, den) = (up.max.row(i)[head], up.den.row(i)[head]);
+                let alpha = match (two_step, den > 0.0) {
+                    (_, true) => (leaky(u) - m).exp() / den,
+                    (true, false) => 0.0,
+                    (false, false) => continue,
+                };
+                if two_step && alpha == 0.0 {
+                    continue;
+                }
+                let g = &up.grad.row(i)[head * d..(head + 1) * d];
+                let dot = lane_dot(g, &b.x_row(j)[head * d..(head + 1) * d]);
+                let de = alpha * (dot - up.grad_dot.row(i)[head]);
+                let du = de * if u > 0.0 { 1.0 } else { SLOPE };
+                d_s_dst.row_mut(i)[head] += du;
+                for (v, &gv) in dx.row_mut(j)[head * d..(head + 1) * d].iter_mut().zip(g) {
+                    *v += alpha * gv;
+                }
+                dss.row_mut(j)[head] += du;
+            }
+        }
+    }
+    (dx, dss)
+}
+
+/// One family's kernels over `blocks` in order: the forward state, then
+/// each block's `(d_x, d_s_src)` and the accumulated `d_s_dst`, all from
+/// `d_s_dst0`. The fused family reads a mapped block through its
+/// `_indexed` entry points.
+fn kernels(
+    two_step: bool,
+    blocks: &[AttnBlock],
+    up: &Upstream<'_>,
+    d: usize,
+    d_s_dst0: &Tensor,
+) -> (OnlineAttnState, Vec<Tensor>) {
+    let (s_dst, h) = (up.s_dst, up.s_dst.cols());
+    let mut st = OnlineAttnState::new(s_dst.rows(), h, d);
+    // Two-step has no row-map entry point: it reads the gathered rows.
+    let x = |b: &AttnBlock| b.map.as_ref().map_or(b.x.clone(), |m| b.x.gather_rows(m));
+    for b in blocks {
+        let st = &mut st;
+        match (&b.map, two_step) {
+            (_, true) => fused::gat_twostep_block_forward(&b.g, s_dst, &b.s_src, &x(b), SLOPE, st),
+            (Some(m), false) => {
+                fused::gat_fused_block_forward_indexed(&b.g, s_dst, &b.s_src, &b.x, m, SLOPE, st)
+            }
+            (None, false) => gat_fused_block_forward(&b.g, s_dst, &b.s_src, &b.x, SLOPE, st),
+        }
+    }
+    let mut d_s_dst = d_s_dst0.clone();
+    let mut out = Vec::new();
+    for b in blocks {
+        let (max, den, grad, dot, dsd) = (up.max, up.den, up.grad, up.grad_dot, &mut d_s_dst);
+        let grads = match (&b.map, two_step) {
+            (_, true) => fused::gat_twostep_block_backward(
+                &b.g,
+                s_dst,
+                &b.s_src,
+                &x(b),
+                SLOPE,
+                max,
+                den,
+                grad,
+                dot,
+                dsd,
+            ),
+            (Some(m), false) => fused::gat_fused_block_backward_indexed(
+                &b.g, s_dst, &b.s_src, &b.x, m, SLOPE, max, den, grad, dot, dsd,
+            ),
+            (None, false) => gat_fused_block_backward(
+                &b.g, s_dst, &b.s_src, &b.x, SLOPE, max, den, grad, dot, dsd,
+            ),
+        };
+        out.extend([grads.d_x_src, grads.d_s_src]);
+    }
+    out.push(d_s_dst);
+    (st, out)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -85,6 +305,68 @@ proptest! {
         ops::spmm_sum_into(&g, &x, &mut fwd);
         prop_assert_eq!(bits(&fwd), bits(&out));
         prop_assert_eq!(bits(&ops::spmm_sum_backward(&g, &grad)), bits(&dx));
+    }
+
+    #[test]
+    fn attention_forward_and_backward_equal_the_per_edge_loops_bitwise(
+        seed in 0u64..1_000_000,
+        rows in 1usize..14,
+        cols in 2usize..40,
+        heads in 1usize..=8,
+        w in 0usize..HEAD_DIMS.len(),
+        threads in 1usize..=2,
+        mapped in 0usize..2,
+    ) {
+        let (h, d) = (heads, HEAD_DIMS[w]);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cols1 = rng.random_range(2..20);
+        let mut blocks = [
+            AttnBlock::random((rows, cols), (h, d), mapped == 1, &mut rng),
+            AttnBlock::random((rows, cols1), (h, d), false, &mut rng),
+        ];
+        // Column 0 feeds every row of block 0 through the hub; its scores
+        // sit ~200 below the rest, so its coefficients underflow to 0.0
+        // beside finite ones.
+        blocks[0].s_src.row_mut(0).fill(-1000.0);
+        let s_dst = init::randn(&[rows, h], 2.0, &mut rng);
+        let mut st = OnlineAttnState::new(rows, h, d);
+        for b in &blocks {
+            oracle_forward(b, &s_dst, d, &mut st);
+        }
+        // The backward's statistics are the forward's, except that the hub
+        // row skips its odd heads (denominator 0) and one other row's head
+        // 0 has every coefficient underflow (maximum 200): fused pushes
+        // those zeros, two-step skips them, onto a `d_s_dst` of −0.0.
+        let (mut max, mut den) = (st.max.clone(), st.den.clone());
+        for head in (1..h).step_by(2) {
+            den.row_mut(0)[head] = 0.0;
+        }
+        if let Some(r) = (1..rows).find(|&r| !blocks[0].g.is_isolated_row(r)) {
+            max.row_mut(r)[0] = 200.0;
+        }
+        let grad = init::randn(&[rows, h * d], 1.0, &mut rng);
+        let grad_dot = init::randn(&[rows, h], 1.0, &mut rng);
+        let up = Upstream { s_dst: &s_dst, max: &max, den: &den, grad: &grad, grad_dot: &grad_dot };
+        let d_s_dst0 = Tensor::full(&[rows, h], -0.0);
+        for two_step in [false, true] {
+            let mut d_s_dst = d_s_dst0.clone();
+            let mut want = Vec::new();
+            for b in &blocks {
+                let (dx, dss) = oracle_backward(two_step, b, &up, &mut d_s_dst);
+                want.extend([dx, dss]);
+            }
+            want.push(d_s_dst);
+            pool::set_threads(threads);
+            let (got_st, got) = kernels(two_step, &blocks, &up, d, &d_s_dst0);
+            pool::set_threads(1);
+            let ctx = format!("two_step={two_step} h={h} d={d} threads={threads}");
+            prop_assert!(bits(&got_st.num) == bits(&st.num), "num {ctx}");
+            prop_assert!(bits(&got_st.den) == bits(&st.den), "den {ctx}");
+            prop_assert!(bits(&got_st.max) == bits(&st.max), "max {ctx}");
+            for (k, (a, b)) in got.iter().zip(&want).enumerate() {
+                prop_assert!(bits(a) == bits(b), "backward output {k} {ctx}");
+            }
+        }
     }
 
     #[test]

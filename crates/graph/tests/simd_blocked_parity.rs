@@ -9,8 +9,9 @@
 //! include isolated nodes (empty CSR rows).
 //!
 //! This pins the two paths to each other, not to what they should
-//! compute: `spmm_sum` forward and backward equal a per-edge loop written
-//! out in `proptests.rs`, and the primitives under them (`gather_sum`,
+//! compute: `spmm_sum` and both attention families, forward and
+//! backward, equal per-edge loops written out in `proptests.rs`, and the
+//! primitives under them (`gather_sum`, `weighted_gather`, `head_dots`,
 //! `panel_axpy`, `dot_block`) equal naive loops in `sar-tensor`'s
 //! `dense_parity.rs`. (The walk has one traversal — a row's whole
 //! neighbour list, in stored order — so there is no blocked variant left
@@ -21,7 +22,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sar_graph::fused::{gat_fused_block_forward, gat_twostep_block_forward, OnlineAttnState};
+use sar_graph::fused::{self, OnlineAttnState};
 use sar_graph::generators::erdos_renyi;
 use sar_graph::ops;
 use sar_graph::CsrGraph;
@@ -62,9 +63,10 @@ fn run_all_kernels() -> Vec<(String, Vec<u32>)> {
             out.push((format!("{gname}/spmm_sum/f{f}"), bits(&fwd)));
             out.push((format!("{gname}/spmm_sum_backward/f{f}"), bits(&bwd)));
         }
-        // Head dims 5 (ragged) and 8 (full lane) per head.
+        // Head dims 5 (ragged) and 8 (full lane) per head, and the
+        // benchmark's two: 16 (hidden) and 47 (classes).
         let heads = 4;
-        for d in [5usize, 8] {
+        for d in [5usize, 8, 16, 47] {
             let hd = heads * d;
             let mut rng = StdRng::seed_from_u64((d as u64) << 16 | 2);
             let x = randn(&[c, hd], 1.0, &mut rng);
@@ -96,13 +98,37 @@ fn run_all_kernels() -> Vec<(String, Vec<u32>)> {
                 bits(&d_x),
             ));
 
-            let mut fused = OnlineAttnState::new(n, heads, d);
-            gat_fused_block_forward(&g, &s_dst, &s_src, &x, 0.2, &mut fused);
-            out.push((format!("{gname}/gat_fused/d{d}"), bits(&fused.finalize())));
-
-            let mut two = OnlineAttnState::new(n, heads, d);
-            gat_twostep_block_forward(&g, &s_dst, &s_src, &x, 0.2, &mut two);
-            out.push((format!("{gname}/gat_twostep/d{d}"), bits(&two.finalize())));
+            for (family, two_step) in [("gat_fused", false), ("gat_twostep", true)] {
+                let mut state = OnlineAttnState::new(n, heads, d);
+                if two_step {
+                    fused::gat_twostep_block_forward(&g, &s_dst, &s_src, &x, 0.2, &mut state);
+                } else {
+                    fused::gat_fused_block_forward(&g, &s_dst, &s_src, &x, 0.2, &mut state);
+                }
+                let (value, max, den) = state.finalize_into();
+                let grad_dot = fused::attn_grad_dot(&grad, &value, heads);
+                let mut d_s_dst = Tensor::zeros(&[n, heads]);
+                let (dsd, stats) = (&mut d_s_dst, (&max, &den));
+                let grads = if two_step {
+                    fused::gat_twostep_block_backward(
+                        &g, &s_dst, &s_src, &x, 0.2, stats.0, stats.1, &grad, &grad_dot, dsd,
+                    )
+                } else {
+                    fused::gat_fused_block_backward(
+                        &g, &s_dst, &s_src, &x, 0.2, stats.0, stats.1, &grad, &grad_dot, dsd,
+                    )
+                };
+                for (what, t) in [
+                    ("out", &value),
+                    ("den", &den),
+                    ("grad_dot", &grad_dot),
+                    ("d_s_dst", &d_s_dst),
+                    ("d_x_src", &grads.d_x_src),
+                    ("d_s_src", &grads.d_s_src),
+                ] {
+                    out.push((format!("{gname}/{family}/{what}/d{d}"), bits(t)));
+                }
+            }
         }
     }
     // Odd matmul dims leave ragged tails in all three layouts.

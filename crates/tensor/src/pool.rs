@@ -322,8 +322,10 @@ impl<'a> Output<'a> {
         }
     }
 
-    /// A `[ptr[n], width]` buffer laid out by a CSR pointer array: row `r`
-    /// owns the `width`-wide entries `ptr[r]..ptr[r + 1]` (its edges).
+    /// A `[ptr[n] − ptr[0], width]` buffer laid out by a CSR pointer
+    /// array: row `r` owns the `width`-wide entries `ptr[r]..ptr[r + 1]`
+    /// (its edges), counted from `ptr[0]` — so a slice of a graph's
+    /// `indptr` lays out the edges of a run of rows.
     pub fn edge_owned(data: &'a mut [f32], ptr: &'a [usize], width: usize) -> Self {
         Output {
             data: SharedSlice::new(data),
@@ -335,7 +337,7 @@ impl<'a> Output<'a> {
     /// Element offset at which row `r`'s share starts (`r == n`: where the
     /// last one ends).
     fn offset(&self, r: usize) -> usize {
-        self.ptr.map_or(r, |p| p[r]) * self.width
+        self.ptr.map_or(r, |p| p[r] - p[0]) * self.width
     }
 
     /// Panics unless `offset` is monotone over `0..=n` and ends exactly at
@@ -346,10 +348,10 @@ impl<'a> Output<'a> {
             Some(ptr) => {
                 assert_eq!(ptr.len(), n + 1, "pointer array must have n + 1 entries");
                 assert!(
-                    ptr[0] == 0 && ptr.windows(2).all(|w| w[0] <= w[1]),
-                    "pointer array must start at 0 and be monotone"
+                    ptr.windows(2).all(|w| w[0] <= w[1]),
+                    "pointer array must be monotone"
                 );
-                ptr[n]
+                ptr[n] - ptr[0]
             }
         };
         assert_eq!(
@@ -379,8 +381,7 @@ impl<'a> Output<'a> {
 /// # Panics
 ///
 /// Panics, before any body runs, if an output's length does not match its
-/// declared shape or a pointer array is not `n + 1` monotone entries
-/// starting at 0.
+/// declared shape or a pointer array is not `n + 1` monotone entries.
 pub fn split_rows<const K: usize>(
     n: usize,
     outs: [Output<'_>; K],
@@ -395,11 +396,11 @@ pub fn split_rows<const K: usize>(
             // SAFETY: `parallel_for` (this module) runs its closure on
             // chunks `lo..hi` that are pairwise disjoint and cover `0..n`
             // (each chunk index is claimed once; the inline call is `0..n`).
-            // `offset` is monotone for both shapes (`r·width`; `ptr[r]·width`
-            // with `ptr` checked non-decreasing), so disjoint chunks map to
-            // disjoint element ranges inside the checked length, and
-            // distinct outputs are distinct `&mut` borrows: no element is
-            // reachable from two chunks, nor can `body` retain a part.
+            // `offset` is monotone for both shapes (`r·width`; `(ptr[r] −
+            // ptr[0])·width` with `ptr` checked non-decreasing), so disjoint
+            // chunks map to disjoint element ranges inside the checked
+            // length, and distinct outputs are distinct `&mut` borrows: no
+            // element is reachable from two chunks, nor can `body` retain a part.
             unsafe { out.data.range_mut(out.offset(lo), out.offset(hi)) }
         });
         body(lo, hi, parts);

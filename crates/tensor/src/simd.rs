@@ -15,7 +15,7 @@
 //! The determinism argument, per primitive class:
 //!
 //! * **Elementwise maps** (`add_assign`, `add_into`, `axpy`, `scale`,
-//!   `div_assign`, `leaky_relu`): each output element is a fixed IEEE-754
+//!   `div_assign`, `div_scalar`, `leaky_relu`): each output element is a fixed IEEE-754
 //!   expression of its inputs with no reassociation, so lane width is
 //!   irrelevant. The AVX2 paths use separate `_mm256_mul_ps` +
 //!   `_mm256_add_ps` (never `_mm256_fmadd_ps` — fused multiply-add rounds
@@ -27,7 +27,9 @@
 //!   order, on both paths. `dot_block` is many such dots at once: its
 //!   vector path runs 2 × 4 of them side by side on shared operand
 //!   loads, each in its own accumulator, and folds four accumulators
-//!   with `hadd, hadd, lo128 + hi128` — which is that tree.
+//!   with `hadd, hadd, lo128 + hi128` — which is that tree. `head_dots`
+//!   is one such dot per segment of two rows, four segments per tile
+//!   through the same fold.
 //! * **Row-panel accumulate** (`panel_axpy`): the vector path keeps the
 //!   output row in registers across a whole k-panel instead of loading
 //!   and storing it once per `kk`. Per output element the operations are
@@ -38,6 +40,10 @@
 //!   an index list names streamed past it — per output element one add
 //!   per index, in list order, which is one `add_assign` per index with
 //!   the running sum kept in a register.
+//! * **Weighted row gather** (`weighted_gather`): the same tile cut into
+//!   segments (attention heads), each index carrying one [`Step`] per
+//!   segment — skip, `+ w · x`, or `· scale` then `+ w · x` — which is one
+//!   `scale` and one `axpy` per step, the running sums in registers.
 //!
 //! [`set_mode`] installs a process-global override (`ForceScalar`) used by
 //! the `--simd` flag of the repro binary to prove end-to-end digest parity
@@ -252,10 +258,65 @@ pub mod scalar {
     /// ascending — one [`add_assign`] per index.
     pub fn gather_sum(out: &mut [f32], x: &[f32], idx: &[u32]) {
         let n = out.len();
-        super::check_gather(n, x.len(), idx);
+        super::check_gather("gather_sum", n, x.len(), idx);
         for &i in idx {
             let i = i as usize;
             add_assign(out, &x[i * n..(i + 1) * n]);
+        }
+    }
+
+    /// Weighted row gather: `out` is `segs` segments of `d` floats, and
+    /// for every index `k` ascending and every segment `s`,
+    /// `steps[k · segs + s]` applies to segment `s` of `out` what it says
+    /// with segment `s` of row `idx[k]` of `x` — one [`scale`] and one
+    /// [`axpy`] for a [`Step::RescaleAdd`](super::Step::RescaleAdd), one
+    /// [`axpy`] for an [`Step::Add`](super::Step::Add), nothing for a
+    /// [`Step::Skip`](super::Step::Skip).
+    pub fn weighted_gather(
+        out: &mut [f32],
+        segs: usize,
+        x: &[f32],
+        idx: &[u32],
+        steps: &[super::Step],
+    ) {
+        let n = out.len();
+        if !super::check_weighted(n, segs, x.len(), idx, steps.len()) {
+            return;
+        }
+        let d = n / segs;
+        for (&i, row_steps) in idx.iter().zip(steps.chunks_exact(segs)) {
+            let row = &x[i as usize * n..(i as usize + 1) * n];
+            for ((o, xs), &step) in out
+                .chunks_exact_mut(d)
+                .zip(row.chunks_exact(d))
+                .zip(row_steps)
+            {
+                match step {
+                    super::Step::Skip => {}
+                    super::Step::Add(w) => axpy(w, xs, o),
+                    super::Step::RescaleAdd { scale: c, w } => {
+                        scale(o, c);
+                        axpy(w, xs, o);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Segment-wise dots: with `a` and `b` cut into `out.len()` segments
+    /// of `d` floats, `out[s]` becomes the [`dot`] of segment `s` of `a`
+    /// and segment `s` of `b`.
+    pub fn head_dots(out: &mut [f32], a: &[f32], b: &[f32]) {
+        let d = super::check_head_dots(out.len(), a.len(), b.len());
+        for (s, o) in out.iter_mut().enumerate() {
+            *o = dot(&a[s * d..(s + 1) * d], &b[s * d..(s + 1) * d]);
+        }
+    }
+
+    /// `dst[i] /= den`.
+    pub fn div_scalar(dst: &mut [f32], den: f32) {
+        for d in dst.iter_mut() {
+            *d /= den;
         }
     }
 
@@ -313,18 +374,70 @@ fn block_dims(out: usize, n: usize, a: usize, b: usize) -> (usize, usize) {
     (k, rows)
 }
 
-/// Checks a [`gather_sum`] call before either body indexes anything:
-/// `x` is whole rows of `n` floats and every index names one of them. A
-/// zero-width `x` has no rows, so any index into it is out of range.
-fn check_gather(n: usize, x: usize, idx: &[u32]) {
+/// Checks a [`gather_sum`] or [`weighted_gather`] call (`what`) before
+/// either body indexes anything: `x` is whole rows of `n` floats and every
+/// index names one of them. A zero-width `x` has no rows, so any index
+/// into it is out of range.
+fn check_gather(what: &str, n: usize, x: usize, idx: &[u32]) {
     assert!(
         x.is_multiple_of(n),
-        "gather_sum: x has {x} floats, not a multiple of the row width {n}"
+        "{what}: x has {x} floats, not a multiple of the row width {n}"
     );
     let rows = x.checked_div(n).unwrap_or(0);
     if let Some(i) = idx.iter().find(|&&i| i as usize >= rows) {
-        panic!("gather_sum: index {i} out of range for {rows} rows of width {n}");
+        panic!("{what}: index {i} out of range for {rows} rows of width {n}");
     }
+}
+
+/// What one entry of a [`weighted_gather`] does to one segment of the
+/// output row, with the same segment of the entry's row of `x`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Step {
+    /// Nothing: the segment keeps what it holds.
+    Skip,
+    /// `seg += w · x_seg` (mul then add, never fused).
+    Add(f32),
+    /// `seg *= scale`, then `seg += w · x_seg` — the online softmax's
+    /// rescale of its running numerator before the entry's own term.
+    RescaleAdd {
+        /// Factor applied to the running segment first.
+        scale: f32,
+        /// Weight of the entry's row.
+        w: f32,
+    },
+}
+
+/// Checks a [`weighted_gather`] call before either body indexes anything
+/// and says whether it has anything to do: the `n`-float output row is
+/// `segs > 0` whole segments, there is one step per (index, segment),
+/// and — unless the row is empty, when nothing is read — `x` and `idx`
+/// pass [`check_gather`].
+fn check_weighted(n: usize, segs: usize, x: usize, idx: &[u32], steps: usize) -> bool {
+    assert!(
+        segs > 0 && n.is_multiple_of(segs),
+        "weighted_gather: a row of {n} floats is not {segs} whole segments"
+    );
+    assert_eq!(
+        Some(steps),
+        idx.len().checked_mul(segs),
+        "weighted_gather: {steps} steps for {} indices of {segs} segments",
+        idx.len()
+    );
+    if n == 0 {
+        return false;
+    }
+    check_gather("weighted_gather", n, x, idx);
+    true
+}
+
+/// Checks a [`head_dots`] call: `a` and `b` have the same length, cut
+/// into `out` whole segments. Returns the segment width.
+fn check_head_dots(out: usize, a: usize, b: usize) -> usize {
+    assert!(
+        a == b && a.checked_rem(out).unwrap_or(a) == 0,
+        "head_dots: {a} and {b} floats are not {out} equal segments each"
+    );
+    a.checked_div(out).unwrap_or(0)
 }
 
 /// Fixed horizontal-reduction tree shared by both dot paths.
@@ -847,7 +960,7 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn gather_sum(out: &mut [f32], x: &[f32], idx: &[u32]) {
         let n = out.len();
-        super::check_gather(n, x.len(), idx);
+        super::check_gather("gather_sum", n, x.len(), idx);
         let (op, xp) = (out.as_mut_ptr(), x.as_ptr());
         // One pass over the index list per strip of up to 64 columns.
         let mut c0 = 0;
@@ -867,6 +980,318 @@ mod avx2 {
                 )
             }
             c0 += w;
+        }
+    }
+
+    /// One register tile of [`weighted_gather`]: `G` segments, `seg`
+    /// floats apart, each with the `8·FULL + tail` columns of its strip in
+    /// `FULL` full accumulators plus, when `TAIL`, one whose lanes
+    /// `>= tail` are dead — at most twelve in all. The rows of `x` that
+    /// `idx` names stream past them, and each index's step for each
+    /// segment (steps `s0..s0 + G` of its `segs`) is applied to that
+    /// segment's accumulators.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2. For every `g < G`, `out + g·seg` must
+    /// be valid for reads and writes of `8·FULL + tail` floats and
+    /// `x + i·n + g·seg` for reads of as many for every `i` in `idx`;
+    /// `tail` must be in `1..8` when `TAIL` (it is unused otherwise).
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    // sar-check: deterministic(one writer per element, fixed list order:
+    // acc lane j of segment g takes, for k = 0, 1, …, `* scale` then
+    // `+ w * x[idx[k]][j]` as step (k, g) says — the operations of one
+    // scalar `scale` and one `axpy` per step, with the running sum in a
+    // register instead of `out[j]`; dead tail lanes are never stored)
+    unsafe fn weighted_tile<const FULL: usize, const TAIL: bool, const G: usize>(
+        out: *mut f32,
+        seg: usize,
+        tail: usize,
+        x: *const f32,
+        n: usize,
+        idx: &[u32],
+        steps: &[super::Step],
+        (s0, segs): (usize, usize),
+    ) {
+        let mask = lane_mask(if TAIL { tail } else { 0 });
+        let mut acc = [[_mm256_setzero_ps(); FULL]; G];
+        let mut acc_t = [_mm256_setzero_ps(); G];
+        // SAFETY: AVX2 and the pointer ranges are the caller's contract:
+        // for each segment the `FULL` unmasked loads cover floats
+        // `0..8·FULL` of its strip, and `maskload` touches only its live
+        // lanes, floats `8·FULL..8·FULL + tail` (dead lanes read as 0.0
+        // and cannot fault).
+        unsafe {
+            for (g, (a, t)) in acc.iter_mut().zip(&mut acc_t).enumerate() {
+                let o = out.add(g * seg);
+                for (v, r) in a.iter_mut().enumerate() {
+                    *r = _mm256_loadu_ps(o.add(8 * v));
+                }
+                if TAIL {
+                    *t = _mm256_maskload_ps(o.add(8 * FULL), mask);
+                }
+            }
+        }
+        for (&i, row_steps) in idx.iter().zip(steps.chunks_exact(segs)) {
+            let accs = acc.iter_mut().zip(&mut acc_t);
+            for (g, (&step, (a, t))) in row_steps[s0..s0 + G].iter().zip(accs).enumerate() {
+                // mul and add stay separate instructions (no FMA), and
+                // each keeps the scalar body's operand order: `acc * c`
+                // as `scale`, `acc + w * x` as `axpy`.
+                let w = match step {
+                    super::Step::Skip => continue,
+                    super::Step::Add(w) => w,
+                    super::Step::RescaleAdd { scale, w } => {
+                        let c = _mm256_set1_ps(scale);
+                        for r in a.iter_mut() {
+                            *r = _mm256_mul_ps(*r, c);
+                        }
+                        if TAIL {
+                            *t = _mm256_mul_ps(*t, c);
+                        }
+                        w
+                    }
+                };
+                let wv = _mm256_set1_ps(w);
+                // SAFETY: `i` is in `idx`, so the same column ranges as
+                // above are readable at `x + i·n + g·seg` (caller's
+                // contract).
+                unsafe {
+                    let xs = x.add(i as usize * n + g * seg);
+                    for (v, r) in a.iter_mut().enumerate() {
+                        *r = _mm256_add_ps(*r, _mm256_mul_ps(wv, _mm256_loadu_ps(xs.add(8 * v))));
+                    }
+                    if TAIL {
+                        let xt = _mm256_maskload_ps(xs.add(8 * FULL), mask);
+                        *t = _mm256_add_ps(*t, _mm256_mul_ps(wv, xt));
+                    }
+                }
+            }
+        }
+        // SAFETY: the ranges loaded from `out` above, now stored;
+        // `maskstore` writes only the live lanes.
+        unsafe {
+            for (g, (a, t)) in acc.iter().zip(&acc_t).enumerate() {
+                let o = out.add(g * seg);
+                for (v, r) in a.iter().enumerate() {
+                    _mm256_storeu_ps(o.add(8 * v), *r);
+                }
+                if TAIL {
+                    _mm256_maskstore_ps(o.add(8 * FULL), mask, *t);
+                }
+            }
+        }
+    }
+
+    /// Calls `$tile::<FULL, TAIL, G> $args` for the one `(FULL, TAIL, G)`
+    /// that `$key` names, out of those [`weighted_gather`] asks for:
+    /// `G` segments whose strips of `8·FULL` columns plus a masked tail
+    /// take at most twelve accumulators together (eight for `G = 1`, a
+    /// 64-column strip).
+    macro_rules! seg_tile {
+        ($key:expr, $tile:ident $args:tt, [$(($full:literal, $tail:literal, $g:literal)),* $(,)?]) => {
+            match $key {
+                $(($full, $tail, $g) => $tile::<$full, $tail, $g> $args,)*
+                _ => unreachable!("no tile for this segment shape"),
+            }
+        };
+    }
+
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn weighted_gather(
+        out: &mut [f32],
+        segs: usize,
+        x: &[f32],
+        idx: &[u32],
+        steps: &[super::Step],
+    ) {
+        let n = out.len();
+        if !super::check_weighted(n, segs, x.len(), idx, steps.len()) {
+            return;
+        }
+        let seg = n / segs;
+        // Segments of up to 64 columns go in groups of as many as fit
+        // twelve accumulators, capped at four; wider ones one at a time,
+        // in 64-column strips (one pass over the list per strip).
+        let widest = match seg.div_ceil(8) {
+            ..=3 => 4,
+            4..=6 => 2,
+            _ => 1,
+        };
+        let (op, xp) = (out.as_mut_ptr(), x.as_ptr());
+        let mut s0 = 0;
+        while s0 < segs {
+            let g = [4, 2, 1]
+                .into_iter()
+                .find(|&g| g <= widest && s0 + g <= segs)
+                .unwrap_or(1);
+            let mut c0 = 0;
+            while c0 < seg {
+                let w = (seg - c0).min(64);
+                let (full, tail) = (w / 8, w % 8);
+                let at = s0 * seg + c0;
+                // SAFETY: AVX2 is the caller's contract. Columns
+                // `c0..c0 + w` of segments `s0..s0 + g` (`s0 + g <= segs`)
+                // lie inside the `n`-long `out`, and `check_weighted` found
+                // `x` to be whole `n`-float rows with every index of `idx`
+                // naming one, so the same columns lie inside row `i` of `x`
+                // for every `i` in `idx`. `w = 8·full + tail` is at most
+                // 64, and at most 48 when `g == 2`, 24 when `g == 4`
+                // (`widest`), which the tile list below covers.
+                unsafe {
+                    seg_tile!(
+                        (full, tail != 0, g),
+                        weighted_tile(op.add(at), seg, tail, xp.add(at), n, idx, steps, (s0, segs)),
+                        [
+                            (0, true, 4),
+                            (1, false, 4),
+                            (1, true, 4),
+                            (2, false, 4),
+                            (2, true, 4),
+                            (3, false, 4),
+                            (0, true, 2),
+                            (1, false, 2),
+                            (1, true, 2),
+                            (2, false, 2),
+                            (2, true, 2),
+                            (3, false, 2),
+                            (3, true, 2),
+                            (4, false, 2),
+                            (4, true, 2),
+                            (5, false, 2),
+                            (5, true, 2),
+                            (6, false, 2),
+                            (0, true, 1),
+                            (1, false, 1),
+                            (1, true, 1),
+                            (2, false, 1),
+                            (2, true, 1),
+                            (3, false, 1),
+                            (3, true, 1),
+                            (4, false, 1),
+                            (4, true, 1),
+                            (5, false, 1),
+                            (5, true, 1),
+                            (6, false, 1),
+                            (6, true, 1),
+                            (7, false, 1),
+                            (7, true, 1),
+                            (8, false, 1),
+                        ]
+                    )
+                }
+                c0 += w;
+            }
+            s0 += g;
+        }
+    }
+
+    /// One register tile of [`head_dots`]: the four dots of segments
+    /// `0..4` of `a` with segments `0..4` of `b` (`k` floats each,
+    /// consecutive), written to `out[0..4]`. Four independent add chains
+    /// where one segment's `dot` has one, and one horizontal fold for all
+    /// four — `dot_tile`'s.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2. `a` and `b` must be valid for reads of
+    /// `4 · k` floats and `out` for writes of 4.
+    #[target_feature(enable = "avx2")]
+    // sar-check: deterministic(fixed-lane-order: every dot of the tile
+    // accumulates its own 8 lanes over ascending i, folds them in the
+    // `reduce_lanes` tree, then adds its tail sequentially — the scalar
+    // `dot` sequence, four of them side by side)
+    unsafe fn head_dot_tile(out: *mut f32, a: *const f32, b: *const f32, k: usize) {
+        let main = k - k % 8;
+        let mut acc = [_mm256_setzero_ps(); 4];
+        let mut i = 0;
+        while i < main {
+            // SAFETY: AVX2 and the `4 · k` floats are the caller's
+            // contract; i + 8 <= main <= k keeps every load inside its
+            // segment. mul + add kept separate (no FMA): lane `l` of
+            // `acc[c]` sees the scalar path's
+            // `lanes[l] += a[c][8i+l] * b[c][8i+l]` sequence.
+            unsafe {
+                for (c, s) in acc.iter_mut().enumerate() {
+                    let x = _mm256_loadu_ps(a.add(c * k + i));
+                    let y = _mm256_loadu_ps(b.add(c * k + i));
+                    *s = _mm256_add_ps(*s, _mm256_mul_ps(x, y));
+                }
+            }
+            i += 8;
+        }
+        // The `dot_tile` fold: two rounds of `hadd` leave
+        // ((l0+l1)+(l2+l3)) of dot c in lane c of the low half and
+        // ((l4+l5)+(l6+l7)) in lane c of the high half.
+        let h01 = _mm256_hadd_ps(acc[0], acc[1]);
+        let h23 = _mm256_hadd_ps(acc[2], acc[3]);
+        let h = _mm256_hadd_ps(h01, h23);
+        let mut dots = _mm_add_ps(_mm256_castps256_ps128(h), _mm256_extractf128_ps::<1>(h));
+        // SAFETY: j < k stays inside every segment of `a` and `b`; the
+        // store covers `out[0..4]` (caller's contract). Lane c takes
+        // `+ a[c][j] * b[c][j]`: the four sequential tails, advanced
+        // together.
+        unsafe {
+            for j in main..k {
+                let x = _mm_setr_ps(
+                    *a.add(j),
+                    *a.add(k + j),
+                    *a.add(2 * k + j),
+                    *a.add(3 * k + j),
+                );
+                let y = _mm_setr_ps(
+                    *b.add(j),
+                    *b.add(k + j),
+                    *b.add(2 * k + j),
+                    *b.add(3 * k + j),
+                );
+                dots = _mm_add_ps(dots, _mm_mul_ps(x, y));
+            }
+            _mm_storeu_ps(out, dots);
+        }
+    }
+
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn head_dots(out: &mut [f32], a: &[f32], b: &[f32]) {
+        let d = super::check_head_dots(out.len(), a.len(), b.len());
+        let h4 = out.len() - out.len() % 4;
+        let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+        for s in (0..h4).step_by(4) {
+            // SAFETY: AVX2 is the caller's contract; `check_head_dots`
+            // made `a` and `b` `out.len()` whole `d`-float segments, and
+            // segments `s..s + 4` (s + 4 <= h4) are `4 · d` of their
+            // floats, `out[s..s + 4]` four of `out`'s.
+            unsafe { head_dot_tile(op.add(s), ap.add(s * d), bp.add(s * d), d) };
+        }
+        for s in h4..out.len() {
+            // SAFETY: AVX2 is the caller's contract.
+            out[s] = unsafe { dot(&a[s * d..(s + 1) * d], &b[s * d..(s + 1) * d]) };
+        }
+    }
+
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn div_scalar(dst: &mut [f32], den: f32) {
+        let n = dst.len();
+        let main = n - n % 8;
+        let dp = dst.as_mut_ptr();
+        let dv = _mm256_set1_ps(den);
+        let mut i = 0;
+        while i < main {
+            // SAFETY: i + 8 <= main <= dst.len(). IEEE division is
+            // correctly rounded, so vector divide == scalar divide.
+            unsafe {
+                let d = _mm256_loadu_ps(dp.add(i));
+                _mm256_storeu_ps(dp.add(i), _mm256_div_ps(d, dv));
+            }
+            i += 8;
+        }
+        for d in &mut dst[main..n] {
+            *d /= den;
         }
     }
 
@@ -1012,6 +1437,52 @@ pub fn gather_sum(out: &mut [f32], x: &[f32], idx: &[u32]) {
     dispatch!(gather_sum, out, x, idx)
 }
 
+/// Weighted row gather, the inner kernel of the attention kernels' row
+/// numerator (with rescales) and source-side gradient (with skips):
+/// `out` is `segs` segments of `d = out.len() / segs` floats, `x` rows of
+/// `out.len()`, and for every index `k` ascending and every segment `s`
+/// the step `steps[k · segs + s]` applies to segment `s` of `out` what it
+/// says with segment `s` of row `idx[k]` of `x`. The vector path holds
+/// the output row in registers across the whole list — segments of up
+/// to 64 columns several at a time, wider ones in 64-column strips — and
+/// each element sees the same separately-rounded multiplies and adds in
+/// the same order as one [`scalar::scale`] / [`scalar::axpy`] per step,
+/// so the result is bitwise identical to [`scalar::weighted_gather`] on
+/// every input.
+///
+/// # Panics
+///
+/// Panics, before anything is read or written, if `segs` is zero or
+/// does not divide `out.len()`, if there is not one step per (index,
+/// segment), or — for a non-empty `out` — on a `gather_sum` violation:
+/// `x` not whole rows, or an index naming no row of `x`.
+#[inline]
+pub fn weighted_gather(out: &mut [f32], segs: usize, x: &[f32], idx: &[u32], steps: &[Step]) {
+    dispatch!(weighted_gather, out, segs, x, idx, steps)
+}
+
+/// Segment-wise fixed-tree dots: `out[s]` becomes the [`dot`] of segment
+/// `s` of `a` and segment `s` of `b`, both cut into `out.len()` equal
+/// segments — `⟨g, x⟩` per attention head. The vector path computes four
+/// segments at a time in one register tile, each keeping its own 8 lanes,
+/// the `reduce_lanes` tree and the sequential tail, so the result is
+/// bitwise identical to one [`scalar::dot`] per segment on every input.
+///
+/// # Panics
+///
+/// Panics if `a` and `b` differ in length or are not `out.len()` whole
+/// segments.
+#[inline]
+pub fn head_dots(out: &mut [f32], a: &[f32], b: &[f32]) {
+    dispatch!(head_dots, out, a, b)
+}
+
+/// `dst[i] /= den`, vectorized when available.
+#[inline]
+pub fn div_scalar(dst: &mut [f32], den: f32) {
+    dispatch!(div_scalar, dst, den)
+}
+
 /// Compute-peak probe for `repro kernelbench`'s calibration: `steps`
 /// rounds of an unfused multiply + add into eight register-resident
 /// 8-lane accumulators (`128 · steps` FLOPs, no memory traffic, the
@@ -1074,6 +1545,12 @@ mod tests {
             div_assign(&mut d1, &den);
             scalar::div_assign(&mut d2, &den);
             assert_eq!(bits(&d1), bits(&d2), "div_assign n={n}");
+
+            let mut d1 = a.clone();
+            let mut d2 = a.clone();
+            div_scalar(&mut d1, 0.37);
+            scalar::div_scalar(&mut d2, 0.37);
+            assert_eq!(bits(&d1), bits(&d2), "div_scalar n={n}");
 
             let mut d1 = a.clone();
             let mut d2 = a.clone();

@@ -346,3 +346,104 @@ fn gather_sum_equals_one_add_per_index_in_list_order() {
     }
     simd::set_mode(SimdMode::Auto);
 }
+
+#[test]
+fn weighted_gather_equals_one_scale_and_axpy_per_step() {
+    // Segment widths on every side of the tiles — up to three vectors
+    // (four segments a pass), up to six (two), seven and eight (one), and
+    // past a 64-column strip — at every segment count 1..=9, which reaches
+    // each group size with each remainder. Steps mix skips, adds and
+    // rescales (scale 0 and weight ±0 included) over rows that hold
+    // `-0.0` (row 2) and `inf` (rows 5 and 11): a skip that adds anything
+    // moves a `-0.0` start, a lost rescale or a reordered add moves the
+    // low bits, and `0 · inf` only ever yields the one default NaN.
+    const ROWS: usize = 13;
+    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(29);
+    let widths = (1usize..=24).chain([31, 33, 40, 47, 48, 49, 56, 57, 63, 64, 65, 100, 130]);
+    for seg in widths {
+        for segs in 1usize..=9 {
+            let n = seg * segs;
+            let mut x = values(ROWS * n, &mut rng);
+            x[2 * n..3 * n].fill(-0.0);
+            for j in (0..n).step_by(3) {
+                (x[5 * n + j], x[11 * n + j]) = (f32::INFINITY, f32::NEG_INFINITY);
+            }
+            let mut start = values(n, &mut rng);
+            for j in (0..n).step_by(seg) {
+                start[j] = -0.0;
+            }
+            for len in [0usize, 1, 3, 40] {
+                let idx: Vec<u32> = (0..len).map(|_| rng.random_range(0..ROWS as u32)).collect();
+                let steps: Vec<simd::Step> = (0..len * segs)
+                    .map(|_| {
+                        let w = [0.0, -0.0, rng.random_range(-2.0f32..2.0)]
+                            [rng.random_range(0usize..3)];
+                        let scale =
+                            [0.0, 1.0, rng.random_range(0.0f32..1.0)][rng.random_range(0usize..3)];
+                        match rng.random_range(0u32..4) {
+                            0 => simd::Step::Skip,
+                            1 => simd::Step::RescaleAdd { scale, w },
+                            _ => simd::Step::Add(w),
+                        }
+                    })
+                    .collect();
+                let mut want = start.clone();
+                for (k, &i) in idx.iter().enumerate() {
+                    for s in 0..segs {
+                        let (w, scale) = match steps[k * segs + s] {
+                            simd::Step::Skip => continue,
+                            simd::Step::Add(w) => (w, None),
+                            simd::Step::RescaleAdd { scale, w } => (w, Some(scale)),
+                        };
+                        for j in s * seg..(s + 1) * seg {
+                            if let Some(c) = scale {
+                                want[j] *= c;
+                            }
+                            want[j] += w * x[i as usize * n + j];
+                        }
+                    }
+                }
+                for (mode, name) in [(SimdMode::Auto, "auto"), (SimdMode::ForceScalar, "scalar")] {
+                    simd::set_mode(mode);
+                    let mut out = start.clone();
+                    simd::weighted_gather(&mut out, segs, &x, &idx, &steps);
+                    assert_bits(
+                        &out,
+                        &want,
+                        &format!("weighted_gather seg={seg} segs={segs} len={len} simd={name}"),
+                    );
+                }
+            }
+        }
+    }
+    simd::set_mode(SimdMode::Auto);
+}
+
+#[test]
+fn head_dots_equal_one_dot_per_segment() {
+    // Segment counts reaching the 4-segment tile with 0..=3 single dots
+    // after it (and none at all), widths with and without a tail.
+    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(31);
+    for segs in 0usize..=9 {
+        for d in (0usize..=24).chain([47, 64, 65]) {
+            let a = left_operand(segs * d, &mut rng);
+            let b = values(segs * d, &mut rng);
+            let want: Vec<f32> = (0..segs)
+                .map(|s| ref_dot(&a[s * d..(s + 1) * d], &b[s * d..(s + 1) * d]))
+                .collect();
+            for (mode, name) in [(SimdMode::Auto, "auto"), (SimdMode::ForceScalar, "scalar")] {
+                simd::set_mode(mode);
+                let mut out = vec![f32::NAN; segs];
+                simd::head_dots(&mut out, &a, &b);
+                assert_bits(
+                    &out,
+                    &want,
+                    &format!("head_dots segs={segs} d={d} simd={name}"),
+                );
+            }
+        }
+    }
+    simd::set_mode(SimdMode::Auto);
+}

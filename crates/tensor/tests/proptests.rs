@@ -144,17 +144,19 @@ proptest! {
 
     // `pool::split_rows` is the one place disjoint `&mut` parts are minted
     // from shared buffers: every element of every output must reach
-    // exactly one chunk, as part of the row that owns it.
+    // exactly one chunk, as part of the row that owns it — also when the
+    // pointer array is a run of rows cut from a longer one (`base` > 0).
     #[test]
     fn split_rows_hands_every_element_to_its_row_exactly_once(
         counts in proptest::collection::vec(0usize..5, 0..120),
         width in 1usize..4,
         threads in 0usize..3,
+        base in 0usize..4,
     ) {
         let n = counts.len();
-        let ptr = ptr_of(&counts);
+        let ptr: Vec<usize> = ptr_of(&counts).iter().map(|p| p + base).collect();
         let mut rows = vec![0.0f32; n * width];
-        let mut edges = vec![0.0f32; ptr[n] * width];
+        let mut edges = vec![0.0f32; (ptr[n] - base) * width];
         let mut ones = vec![0.0f32; n];
         pool::set_threads([1, 2, 4][threads]);
         pool::split_rows(
@@ -186,7 +188,8 @@ proptest! {
         for i in 0..n {
             let stamp = i as f32 + 1.0;
             prop_assert!(rows[i * width..(i + 1) * width].iter().all(|&v| v == stamp));
-            prop_assert!(edges[ptr[i] * width..ptr[i + 1] * width].iter().all(|&v| v == stamp));
+            let own = (ptr[i] - base) * width..(ptr[i + 1] - base) * width;
+            prop_assert!(edges[own].iter().all(|&v| v == stamp));
             prop_assert_eq!(ones[i], stamp);
         }
     }
