@@ -6,12 +6,12 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sar_comm::CostModel;
-use sar_core::{train, Arch, Mode, ModelConfig, TrainConfig};
+use sar_comm::{Cluster, CostModel};
+use sar_core::{train, Arch, DistGraph, DistModel, Mode, ModelConfig, TrainConfig, Worker};
 use sar_graph::fused::{gat_fused_block_forward, OnlineAttnState};
 use sar_graph::{datasets, CsrGraph, Dataset};
-use sar_nn::{CsConfig, FusedGatLayer, GatConfig, GatLayer, LrSchedule};
-use sar_partition::{multilevel, partition, Method};
+use sar_nn::{CsConfig, LrSchedule};
+use sar_partition::{multilevel, partition, range, Method};
 use sar_tensor::{init, MemoryTracker, Tensor, Var};
 
 use crate::report::{mib, pct, secs, Table};
@@ -162,12 +162,18 @@ pub fn table1(cfg: &ExpConfig) -> Vec<Table> {
 // ----------------------------------------------------------------------
 
 /// Reproduces Fig. 2: forward/backward runtime (a) and peak memory (b) of
-/// the fused attention kernel (FAK) vs the standard two-step GAT layer on
-/// a single host, for 2/4/8 attention heads at a constant per-head
-/// dimension of 100 (so widths 200/400/800 as in the paper).
+/// the GAT layer `DistModel` trains, on a single host (one worker over
+/// the whole graph), for 2/4/8 attention heads at a constant per-head
+/// dimension of 100 (so widths 200/400/800 as in the paper). The
+/// "DGL-style" row is [`Mode::DomainParallel`], the two-step pipeline the
+/// baseline trains with — which at world 1 also keeps its one-worker halo,
+/// a copy of the projected features, on the tape; the "FAK" row is
+/// [`Mode::SarFused`]. Both rows build their model from one seed, so they
+/// run on identical parameters.
 pub fn fig2(cfg: &ExpConfig) -> Vec<Table> {
     let d = datasets::products_like(cfg.products_nodes, cfg.seed);
-    let g = Arc::new(d.graph.clone());
+    let n = d.num_nodes();
+    let graph = Arc::new(DistGraph::build_all(&d.graph, &range(&d.graph, 1)).swap_remove(0));
     let mut time_table = Table::new(
         "Figure 2a — single GAT layer runtime (s)",
         &["heads", "impl", "forward", "backward", "fwd+bwd"],
@@ -180,28 +186,44 @@ pub fn fig2(cfg: &ExpConfig) -> Vec<Table> {
         let head_dim = 100;
         let width = heads * head_dim;
         let mut rng = StdRng::seed_from_u64(cfg.seed + heads as u64);
-        let mut gat_cfg = GatConfig::new(width, head_dim, heads);
-        gat_cfg.activation = false;
-        let std_layer = GatLayer::new(gat_cfg, &mut rng);
-        let fused = FusedGatLayer::from_standard(&std_layer);
-        let x = init::randn(&[d.num_nodes(), width], 0.5, &mut rng);
-
-        let measure = |fwd: &dyn Fn(&Var) -> Var| -> (f64, f64, usize) {
-            let h = Var::parameter(x.clone());
-            MemoryTracker::reset_peak();
-            let base = MemoryTracker::stats().current_bytes;
-            let t0 = Instant::now();
-            let out = fwd(&h);
-            let t_fwd = t0.elapsed().as_secs_f64();
-            let peak = MemoryTracker::stats().peak_bytes.saturating_sub(base);
-            let t1 = Instant::now();
-            out.sum().backward();
-            let t_bwd = t1.elapsed().as_secs_f64();
-            (t_fwd, t_bwd, peak)
+        let x = Arc::new(init::randn(&[n, width], 0.5, &mut rng).into_data());
+        let model = |mode| ModelConfig {
+            arch: Arch::Gat { head_dim, heads },
+            mode,
+            layers: 1,
+            in_dim: width,
+            num_classes: head_dim,
+            dropout: 0.0,
+            batch_norm: false,
+            jumping_knowledge: false,
+            seed: cfg.seed + heads as u64,
+        };
+        // `MemoryTracker` is per thread: measure on the worker's own.
+        let measure = |model: ModelConfig| -> (f64, f64, usize) {
+            let (graph, x) = (Arc::clone(&graph), Arc::clone(&x));
+            let mut outcomes = Cluster::new(1, CostModel::default()).run(move |ctx| {
+                let w = Worker::new(ctx, Arc::clone(&graph));
+                let view = w.view();
+                let model = DistModel::new(&model);
+                let h = Var::parameter(Tensor::from_vec(&[n, width], x.to_vec()));
+                MemoryTracker::reset_peak();
+                let base = MemoryTracker::stats().current_bytes;
+                let t0 = Instant::now();
+                let out = model
+                    .layer_forward(0, &w, &view, &h)
+                    .expect("one worker has no peer to lose");
+                let t_fwd = t0.elapsed().as_secs_f64();
+                let peak = MemoryTracker::stats().peak_bytes.saturating_sub(base);
+                let t1 = Instant::now();
+                out.sum().backward();
+                let t_bwd = t1.elapsed().as_secs_f64();
+                (t_fwd, t_bwd, peak)
+            });
+            outcomes.remove(0).result
         };
 
-        let (f_std, b_std, m_std) = measure(&|h| std_layer.forward(&g, h));
-        let (f_fak, b_fak, m_fak) = measure(&|h| fused.forward(&g, h));
+        let (f_std, b_std, m_std) = measure(model(Mode::DomainParallel));
+        let (f_fak, b_fak, m_fak) = measure(model(Mode::SarFused));
 
         for (name, f, b) in [("DGL-style", f_std, b_std), ("FAK", f_fak, b_fak)] {
             time_table.row(vec![
@@ -352,9 +374,8 @@ pub fn scaling(arch: Arch, workload: Workload, worlds: &[usize], cfg: &ExpConfig
 /// *random* partitioning (worst-case boundary: essentially every remote
 /// node is needed) so the fetched blocks dominate the phase's footprint.
 pub fn ablation_prefetch(cfg: &ExpConfig) -> Table {
-    use sar_core::{sage_aggregate, DistGraph, Worker};
+    use sar_core::sage_aggregate;
     use std::rc::Rc;
-    use std::sync::Arc;
 
     let d = datasets::products_like(cfg.products_nodes, cfg.seed);
     let world = 8;
@@ -376,7 +397,7 @@ pub fn ablation_prefetch(cfg: &ExpConfig) -> Table {
     );
     for depth in [0usize, 1, 2] {
         let graphs = Arc::clone(&graphs);
-        let outcomes = sar_comm::Cluster::new(world, cfg.cost_model()).run(move |ctx| {
+        let outcomes = Cluster::new(world, cfg.cost_model()).run(move |ctx| {
             let rank = ctx.rank();
             let w = Worker::from_shared(Rc::new(ctx), Arc::clone(&graphs[rank]), depth);
             let z = Var::constant(sar_tensor::Tensor::ones(&[w.graph.num_local(), feat]));
@@ -597,10 +618,24 @@ mod tests {
     }
 
     #[test]
-    fn fig2_produces_rows() {
+    fn fig2_times_both_modes_and_fak_peaks_lower_at_every_head_count() {
         let tables = fig2(&tiny());
-        assert_eq!(tables[0].rows.len(), 6); // 3 head counts × 2 impls
-        assert_eq!(tables[1].rows.len(), 3);
+        let [time, mem] = &tables[..] else {
+            panic!("fig2 prints two tables")
+        };
+        let cells = |t: &Table, col: usize| -> Vec<String> {
+            t.rows.iter().map(|r| r[col].clone()).collect()
+        };
+        assert_eq!(cells(time, 0), ["2", "2", "4", "4", "8", "8"]);
+        assert_eq!(
+            cells(time, 1),
+            ["DGL-style", "FAK", "DGL-style", "FAK", "DGL-style", "FAK"]
+        );
+        assert_eq!(cells(mem, 0), ["2", "4", "8"]);
+        for row in &mem.rows {
+            let ratio: f64 = row[3].trim_end_matches('x').parse().unwrap();
+            assert!(ratio > 1.0, "FAK peak is not below DGL-style's: {row:?}");
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! Times the SAR kernel family (sparse aggregation, edge softmax,
 //! multi-head SpMM, fused GAT blocks forward and backward, the two-step
-//! GAT forward, per-head projection and the three dense matmul variants)
+//! GAT forward, per-head projection, the three dense matmul variants, the
+//! wire-frame path and the row gather / scatter-add under the exchange)
 //! over a fixed, seeded workload matrix and writes a schema-versioned
 //! JSON report (`BENCH_kernels.json`).
 //!
@@ -13,10 +14,11 @@
 //! as a peak-GFLOP/s proxy; a large streaming `add_assign` as a
 //! memory-bandwidth proxy), derives a per-kernel
 //! roofline `min(peak, bandwidth × arithmetic-intensity)`, and reports
-//! the achieved fraction of that roofline. The CI gate compares these
-//! *roofline ratios* against the committed baseline with a deliberately
-//! generous tolerance ([`REL_TOLERANCE`] relative slack plus an
-//! [`ABS_TOLERANCE`] absolute floor): the goal is to catch an
+//! the achieved fraction of that roofline — for a case that does no
+//! floating-point work, achieved bytes/s over the bandwidth proxy. The CI
+//! gate compares these *roofline ratios* against the committed baseline
+//! with a deliberately generous tolerance ([`REL_TOLERANCE`] relative
+//! slack plus an [`ABS_TOLERANCE`] absolute floor): the goal is to catch an
 //! accidentally-deleted SIMD path or a quadratic regression, not 10%
 //! noise. Like every gated artifact it goes through [`crate::cli::check`],
 //! which *hard-fails* on a schema, thread-count or kernel-set mismatch —
@@ -34,12 +36,15 @@
 //! thread.
 
 use std::hint::black_box;
+use std::io::{self, IoSlice, Write};
 use std::rc::Rc;
 use std::time::Instant;
 
 use crate::json::{fixed, obj, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sar_comm::wire::{crc32, encode_frame, read_frame, write_frame, FrameKind};
+use sar_comm::{buffer, Payload, WIRE_HEADER_LEN};
 use sar_core::DistGraph;
 use sar_graph::fused::{self, OnlineAttnState};
 use sar_graph::generators::erdos_renyi;
@@ -463,6 +468,114 @@ fn attention_block_cases(quick: bool) -> Vec<Case> {
     cases
 }
 
+/// A sink the optimiser cannot see through: `io::Sink` never looks at the
+/// header, so the checksum written into it would be dead code.
+struct Discard;
+
+impl Write for Discard {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        Ok(black_box(buf).len())
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        Ok(black_box(bufs).iter().map(|b| b.len()).sum())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The frame path every remote block crosses, at one `sage-tcp2` rotation
+/// block (25 000 rows × 64 floats = 6 400 000 payload bytes; `--quick`:
+/// 64 KiB): `wire/crc32` alone, `wire/write_frame` into [`Discard`], and
+/// `wire/read_frame` from memory into a pooled buffer that the loop hands
+/// back, as a rotation's consumer does, so the next read reuses it. None
+/// does floating-point work. Byte models: the checksum and the write read
+/// the payload once; the read copies it once into the pooled buffer (a
+/// read and a write) and checksums each chunk while it is still cached.
+fn wire_cases(quick: bool) -> Vec<Case> {
+    let payload_bytes = if quick { 64 << 10 } else { 6_400_000 };
+    let floats: Vec<f32> = (0..payload_bytes / 4).map(|i| i as f32 * 0.37).collect();
+    let payload = Payload::F32(floats);
+    let frame = Rc::new(encode_frame(FrameKind::Data, 1, 7, &payload));
+    let p = payload_bytes as f64;
+    let crc = {
+        let frame = Rc::clone(&frame);
+        Case {
+            name: "wire/crc32".into(),
+            flops: 0.0,
+            bytes: p,
+            run: Box::new(move || {
+                black_box(crc32(black_box(&frame[WIRE_HEADER_LEN..])));
+            }),
+        }
+    };
+    let write = Case {
+        name: "wire/write_frame".into(),
+        flops: 0.0,
+        bytes: p,
+        run: Box::new(move || {
+            write_frame(&mut Discard, FrameKind::Data, 1, 7, black_box(&payload))
+                .expect("the sink accepts every write");
+        }),
+    };
+    let read = Case {
+        name: "wire/read_frame".into(),
+        flops: 0.0,
+        bytes: 2.0 * p,
+        run: Box::new(move || {
+            let got = read_frame(&mut black_box(&frame[..])).expect("a valid frame");
+            buffer::recycle_f32(got.payload.into_f32());
+        }),
+    };
+    vec![crc, write, read]
+}
+
+/// The row ops under the exchange at 20 000 × 128 with 40 000 indices
+/// (`--quick`: 2 000 rows, 4 000 indices): `rows/gather`
+/// (`Tensor::gather_rows`, which assembles the domain-parallel halo) and
+/// `rows/scatter_add` (`Tensor::scatter_add_rows` into a zeroed gradient,
+/// which `GradRouter::finish` runs for every routed gradient block). The
+/// gather does no arithmetic — bytes: each gathered row read and written,
+/// plus the index. The scatter adds one float per element — bytes: the
+/// source rows read, the destination rows read and written, the index,
+/// and the zeroed destination.
+fn row_cases(quick: bool) -> Vec<Case> {
+    let f = 128usize;
+    let (n, idx_len) = if quick {
+        (2_000usize, 4_000usize)
+    } else {
+        (20_000, 40_000)
+    };
+    let mut rng = StdRng::seed_from_u64(0x20E5);
+    let idx: Rc<Vec<u32>> = Rc::new((0..idx_len as u32).map(|i| (i * 7919) % n as u32).collect());
+    let (nn, ii, ff) = (n as f64, idx_len as f64, f as f64);
+    let gather = {
+        let (x, idx) = (randn(&[n, f], 1.0, &mut rng), Rc::clone(&idx));
+        Case {
+            name: "rows/gather".into(),
+            flops: 0.0,
+            bytes: 4.0 * (2.0 * ii * ff + ii),
+            run: Box::new(move || {
+                black_box(x.gather_rows(&idx));
+            }),
+        }
+    };
+    let src = randn(&[idx_len, f], 1.0, &mut rng);
+    let scatter = Case {
+        name: "rows/scatter_add".into(),
+        flops: ii * ff,
+        bytes: 4.0 * (3.0 * ii * ff + ii + nn * ff),
+        run: Box::new(move || {
+            let mut out = Tensor::zeros(&[n, f]);
+            out.scatter_add_rows(&idx, &src);
+            black_box(out.data()[0]);
+        }),
+    };
+    vec![gather, scatter]
+}
+
 /// The dense matmul cases, each layout at two shapes (`m×k×n` of the
 /// product `[m, k] · [k, n]`): a square one, and the tall-skinny one the
 /// benchmark's `sage-tcp2` actually runs — layer 0 on one rank's 25 000
@@ -515,11 +628,20 @@ pub fn run_bench(quick: bool) -> Fields {
     cases.extend(block_cases(quick));
     cases.extend(attention_block_cases(quick));
     cases.extend(matmul_cases(quick));
+    cases.extend(wire_cases(quick));
+    cases.extend(row_cases(quick));
     let kernels = cases.iter_mut().map(|case| {
         let t = time_case(&mut case.run, quick);
         let gflops = case.flops / (t.wall_us * 1e3);
         let ai = case.flops / case.bytes;
         let roofline = peak_gflops.min(stream_gbs * ai);
+        // A zero-FLOP case has stream bandwidth as its roofline: its ratio
+        // is achieved GB/s over the calibration's.
+        let ratio = if case.flops == 0.0 {
+            case.bytes / (t.wall_us * 1e3) / stream_gbs
+        } else {
+            gflops / roofline
+        };
         obj([
             ("name", case.name.as_str().into()),
             ("iters", t.iters.into()),
@@ -528,7 +650,7 @@ pub fn run_bench(quick: bool) -> Fields {
             ("gflops", fixed(gflops, 4)),
             ("ai_flops_per_byte", fixed(ai, 4)),
             ("roofline_gflops", fixed(roofline, 4)),
-            ("roofline_ratio", fixed(gflops / roofline, 4)),
+            ("roofline_ratio", fixed(ratio, 4)),
         ])
     });
     vec![

@@ -252,7 +252,7 @@ impl Model for BufferPool {
 pub struct WriterQueue {
     /// Frames the producer sends before closing.
     pub items: usize,
-    /// Queue bound (`writer_queue` in `TcpOptions`).
+    /// Queue bound (`WRITER_QUEUE` in `tcp.rs`).
     pub capacity: usize,
     /// Seed the drain bug: the consumer exits as soon as it observes
     /// `closed`, even with frames still queued — frames are lost.

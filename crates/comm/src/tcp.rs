@@ -38,6 +38,12 @@ use crate::message::{Message, Payload};
 use crate::transport::{Clock, Transport, TransportError};
 use crate::wire::{read_frame, write_frame, Frame, FrameKind, WireError};
 
+/// Depth of each per-peer writer queue: how many outgoing frames may wait
+/// for the writer thread before `send` exerts backpressure (briefly
+/// blocking the caller). Large enough for a full pipelined rotation at any
+/// practical prefetch depth; small enough to bound in-flight send memory.
+const WRITER_QUEUE: usize = 64;
+
 /// Connection and I/O tuning for [`TcpTransport`].
 #[derive(Debug, Clone, Copy)]
 pub struct TcpOpts {
@@ -51,12 +57,6 @@ pub struct TcpOpts {
     /// Socket write timeout, and the deadline for handshake reads and
     /// barrier formation.
     pub io_timeout: Duration,
-    /// Depth of each per-peer writer queue: how many outgoing frames may
-    /// wait for the writer thread before `send` exerts backpressure
-    /// (briefly blocking the caller). Large enough for a full pipelined
-    /// rotation at any practical prefetch depth; small enough to bound
-    /// in-flight send memory.
-    pub writer_queue: usize,
     /// The wire codec this rank will run (see [`crate::codec`]). Carried
     /// in the rendezvous hello; rank 0 rejects the cluster unless every
     /// rank negotiated the same codec, and reader threads reject encoded
@@ -70,7 +70,6 @@ impl Default for TcpOpts {
             connect_attempts: 25,
             connect_backoff: Duration::from_millis(20),
             io_timeout: Duration::from_secs(120),
-            writer_queue: 64,
             codec: Codec::Raw,
         }
     }
@@ -525,7 +524,7 @@ impl TcpTransport {
                 .name(format!("sar-tcp-r{rank}-p{q}"))
                 .spawn(move || reader_loop(read_half, q, negotiated, tx, btx, closing_r))
                 .map_err(TransportError::Io)?;
-            let (wtx, wrx) = std::sync::mpsc::sync_channel::<WriterMsg>(opts.writer_queue.max(1));
+            let (wtx, wrx) = std::sync::mpsc::sync_channel::<WriterMsg>(WRITER_QUEUE);
             let err = Arc::new(Mutex::new(None));
             let werr = Arc::clone(&err);
             let join = std::thread::Builder::new()

@@ -355,8 +355,9 @@ pub fn run_worker(
     let logits = sar_tensor::no_grad(|| model.forward(&w, &x, false, &mut dropout_rng));
     let logits_t = logits.value_clone();
 
-    let global_acc = |mask: &[bool]| -> f64 {
-        let (c, t) = correct_count(&logits_t, &shard.labels, mask);
+    // Accuracy of `logits` over `mask` across all workers (collective).
+    let global_acc = |logits: &Tensor, mask: &[bool]| -> f64 {
+        let (c, t) = correct_count(logits, &shard.labels, mask);
         let mut buf = [c as f32, t as f32];
         w.ctx.all_reduce_sum(&mut buf);
         if buf[1] > 0.0 {
@@ -365,21 +366,14 @@ pub fn run_worker(
             0.0
         }
     };
-    let val_acc = global_acc(&shard.val_mask);
-    let test_acc = global_acc(&shard.test_mask);
+    let val_acc = global_acc(&logits_t, &shard.val_mask);
+    let test_acc = global_acc(&logits_t, &shard.test_mask);
 
     let test_acc_cs = cfg.cs.as_ref().map(|cs_cfg| {
         let probs = logits_t.softmax_rows();
         let smoothed =
             dist_correct_and_smooth(&w, &probs, &shard.labels, &shard.train_mask, cs_cfg);
-        let (c, t) = correct_count(&smoothed, &shard.labels, &shard.test_mask);
-        let mut buf = [c as f32, t as f32];
-        w.ctx.all_reduce_sum(&mut buf);
-        if buf[1] > 0.0 {
-            (buf[0] / buf[1]) as f64
-        } else {
-            0.0
-        }
+        global_acc(&smoothed, &shard.test_mask)
     });
 
     // Settle trailing CPU attribution so the shared statistics the cluster

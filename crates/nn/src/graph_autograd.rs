@@ -22,22 +22,6 @@ pub fn spmm_sum(g: &Arc<CsrGraph>, x: &Var) -> Var {
     })
 }
 
-/// Differentiable mean aggregation: sum aggregation divided by the
-/// in-degree (isolated nodes output zero).
-///
-/// # Panics
-///
-/// Panics if `x` rows differ from the graph's column count.
-pub fn spmm_mean(g: &Arc<CsrGraph>, x: &Var) -> Var {
-    let inv_deg: Vec<f32> = g
-        .in_degrees()
-        .iter()
-        .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
-        .collect();
-    let inv = Var::constant(Tensor::from_vec(&[g.num_rows()], inv_deg));
-    spmm_sum(g, x).mul_col(&inv)
-}
-
 /// Differentiable per-edge attention scores
 /// `e[e, h] = LeakyReLU(s_dst[dst(e), h] + s_src[src(e), h])`.
 ///
@@ -238,18 +222,6 @@ mod tests {
         let x = init::randn(&[4, 3], 1.0, &mut StdRng::seed_from_u64(0));
         let w = Var::constant(init::randn(&[4, 3], 1.0, &mut StdRng::seed_from_u64(1)));
         check_gradients(&[x], |vs| spmm_sum(&g, &vs[0]).mul(&w).sum(), 1e-2);
-    }
-
-    #[test]
-    fn spmm_mean_divides_by_degree() {
-        let g = graph();
-        let x = Var::constant(Tensor::ones(&[4, 1]));
-        let m = spmm_mean(&g, &x);
-        // Every non-isolated node should aggregate exactly 1.0.
-        for i in 0..4 {
-            let expect = if g.in_degree(i) > 0 { 1.0 } else { 0.0 };
-            assert!((m.value().at(&[i, 0]) - expect).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -1,43 +1,32 @@
 #![warn(missing_docs)]
 
-//! Neural-network layers for GNN training — the model zoo of the SAR
-//! reproduction.
+//! Model building blocks for GNN training in the SAR reproduction.
 //!
-//! Single-machine reference implementations of everything the paper
-//! trains, built on `sar-tensor` autograd and `sar-graph` kernels:
+//! The distributed layers themselves live in `sar-core` (`DistModel`);
+//! this crate holds what they are assembled from and the single-machine
+//! references the tests check them against, built on `sar-tensor`
+//! autograd and `sar-graph` kernels:
 //!
 //! * [`Linear`] — dense layer.
 //! * [`graph_autograd`] — differentiable wrappers around the sparse
 //!   kernels (SpMM, edge softmax, multi-head weighted SpMM, …).
-//! * [`GraphSageLayer`] — Eq. 2 of the paper (mean aggregation + residual
-//!   weight).
-//! * [`GatLayer`] — Eq. 3 in the standard two-step formulation that
-//!   materializes `[E, H]` attention coefficients (the DGL baseline of
-//!   Fig. 2).
-//! * [`FusedGatLayer`] — the same layer using the fused attention kernel
-//!   (FAK, §3.3): attention coefficients are computed on the fly in both
-//!   passes and never stored.
 //! * [`BatchNorm1d`] — single-machine batch normalization (the
 //!   distributed variant lives in `sar-core`).
-//! * [`Adam`] / [`Sgd`] + [`LrSchedule`] — optimizers.
+//! * [`Adam`] + [`LrSchedule`] — the optimizer and its schedule.
 //! * [`loss`] — masked cross-entropy and accuracy.
 //! * [`correct_and_smooth`] — the C&S post-processing of Huang et al.
 //!   2020, applied in the paper after training.
 
 pub mod batchnorm;
 pub mod cs;
-pub mod gat;
 pub mod graph_autograd;
 pub mod linear;
 pub mod loss;
 pub mod metrics;
 pub mod optim;
-pub mod sage;
 
 pub use batchnorm::BatchNorm1d;
 pub use cs::{correct_and_smooth, CsConfig};
-pub use gat::{FusedGatLayer, GatConfig, GatLayer};
 pub use linear::Linear;
 pub use metrics::ConfusionMatrix;
-pub use optim::{clip_grad_norm, Adam, LrSchedule, Sgd};
-pub use sage::GraphSageLayer;
+pub use optim::{Adam, LrSchedule};

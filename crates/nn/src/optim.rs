@@ -2,32 +2,6 @@
 
 use sar_tensor::{Tensor, Var};
 
-/// Rescales all gradients so their joint L2 norm is at most `max_norm`;
-/// returns the pre-clipping norm.
-///
-/// Call after the (distributed) gradient all-reduce and before the
-/// optimizer step. Deterministic given identical gradients, so replicated
-/// workers stay in lockstep.
-pub fn clip_grad_norm(params: &[Var], max_norm: f32) -> f32 {
-    let mut sq = 0.0f32;
-    for p in params {
-        if let Some(g) = p.grad() {
-            sq += g.sq_norm();
-        }
-    }
-    let norm = sq.sqrt();
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        for p in params {
-            if let Some(g) = p.grad() {
-                p.zero_grad();
-                p.accumulate_grad(&g.scale(scale));
-            }
-        }
-    }
-    norm
-}
-
 /// Learning-rate schedule, evaluated per epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LrSchedule {
@@ -66,70 +40,6 @@ impl LrSchedule {
     }
 }
 
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    params: Vec<Var>,
-    velocity: Vec<Tensor>,
-    base_lr: f32,
-    momentum: f32,
-    schedule: LrSchedule,
-    epoch: usize,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer over `params`.
-    pub fn new(params: Vec<Var>, lr: f32, momentum: f32) -> Self {
-        let velocity = params.iter().map(|p| Tensor::zeros(&p.shape())).collect();
-        Sgd {
-            params,
-            velocity,
-            base_lr: lr,
-            momentum,
-            schedule: LrSchedule::Constant,
-            epoch: 0,
-        }
-    }
-
-    /// Attaches a learning-rate schedule.
-    pub fn with_schedule(mut self, schedule: LrSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Clears all parameter gradients.
-    pub fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    /// Applies one update from the accumulated gradients.
-    pub fn step(&mut self) {
-        let lr = self.schedule.lr_at(self.base_lr, self.epoch);
-        for (p, v) in self.params.iter().zip(&mut self.velocity) {
-            if let Some(g) = p.grad() {
-                *v = v.scale(self.momentum).add(&g);
-                let delta = v.scale(lr);
-                p.update_value(|value| {
-                    let new = value.sub(&delta);
-                    *value = new;
-                });
-            }
-        }
-    }
-
-    /// Advances the schedule by one epoch.
-    pub fn advance_epoch(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// Current learning rate.
-    pub fn current_lr(&self) -> f32 {
-        self.schedule.lr_at(self.base_lr, self.epoch)
-    }
-}
-
 /// Adam optimizer (Kingma & Ba 2015).
 #[derive(Debug)]
 pub struct Adam {
@@ -141,7 +51,6 @@ pub struct Adam {
     beta2: f32,
     eps: f32,
     t: i32,
-    weight_decay: f32,
     schedule: LrSchedule,
     epoch: usize,
 }
@@ -161,7 +70,6 @@ impl Adam {
             beta2: 0.999,
             eps: 1e-8,
             t: 0,
-            weight_decay: 0.0,
             schedule: LrSchedule::Constant,
             epoch: 0,
         }
@@ -170,14 +78,6 @@ impl Adam {
     /// Attaches a learning-rate schedule.
     pub fn with_schedule(mut self, schedule: LrSchedule) -> Self {
         self.schedule = schedule;
-        self
-    }
-
-    /// Enables decoupled weight decay (AdamW, Loshchilov & Hutter):
-    /// parameters shrink by `lr * decay` per step, independent of the
-    /// gradient moments.
-    pub fn with_weight_decay(mut self, decay: f32) -> Self {
-        self.weight_decay = decay;
         self
     }
 
@@ -202,14 +102,7 @@ impl Adam {
                 let v_hat = v.scale(1.0 / bc2);
                 let eps = self.eps;
                 let update = m_hat.zip_map(&v_hat, |mh, vh| mh / (vh.sqrt() + eps));
-                let decay = self.weight_decay;
-                p.update_value(|value| {
-                    let mut new = value.sub(&update.scale(lr));
-                    if decay > 0.0 {
-                        new = new.sub(&value.scale(lr * decay));
-                    }
-                    *value = new;
-                });
+                p.update_value(|value| *value = value.sub(&update.scale(lr)));
             }
         }
     }
@@ -217,11 +110,6 @@ impl Adam {
     /// Advances the schedule by one epoch.
     pub fn advance_epoch(&mut self) {
         self.epoch += 1;
-    }
-
-    /// Current learning rate.
-    pub fn current_lr(&self) -> f32 {
-        self.schedule.lr_at(self.base_lr, self.epoch)
     }
 
     /// The optimized parameters.
@@ -233,32 +121,6 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let x = Var::parameter(Tensor::scalar(0.0));
-        let mut opt = Sgd::new(vec![x.clone()], 0.1, 0.0);
-        for _ in 0..200 {
-            opt.zero_grad();
-            let loss = x.add_scalar(-3.0).mul(&x.add_scalar(-3.0)).sum();
-            loss.backward();
-            opt.step();
-        }
-        assert!((x.value().item() - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_accelerates() {
-        let x = Var::parameter(Tensor::scalar(0.0));
-        let mut opt = Sgd::new(vec![x.clone()], 0.02, 0.9);
-        for _ in 0..100 {
-            opt.zero_grad();
-            let loss = x.add_scalar(-3.0).mul(&x.add_scalar(-3.0)).sum();
-            loss.backward();
-            opt.step();
-        }
-        assert!((x.value().item() - 3.0).abs() < 0.1);
-    }
 
     #[test]
     fn adam_converges_on_quadratic() {
@@ -289,45 +151,6 @@ mod tests {
         assert!((c.lr_at(1.0, 0) - 1.0).abs() < 1e-6);
         assert!((c.lr_at(1.0, 100) - 0.0).abs() < 1e-6);
         assert!(c.lr_at(1.0, 50) < 0.6);
-    }
-
-    #[test]
-    fn clip_grad_norm_rescales() {
-        let a = Var::parameter(Tensor::scalar(0.0));
-        let b = Var::parameter(Tensor::scalar(0.0));
-        a.accumulate_grad(&Tensor::scalar(3.0));
-        b.accumulate_grad(&Tensor::scalar(4.0));
-        let norm = clip_grad_norm(&[a.clone(), b.clone()], 1.0);
-        assert!((norm - 5.0).abs() < 1e-6);
-        assert!((a.grad().unwrap().item() - 0.6).abs() < 1e-6);
-        assert!((b.grad().unwrap().item() - 0.8).abs() < 1e-6);
-        // Below the threshold: untouched.
-        let norm2 = clip_grad_norm(&[a.clone(), b.clone()], 10.0);
-        assert!((norm2 - 1.0).abs() < 1e-6);
-        assert!((a.grad().unwrap().item() - 0.6).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameters() {
-        // With zero gradients... Adam skips params without grads, so give
-        // a tiny gradient and compare against no-decay.
-        let run = |decay: f32| -> f32 {
-            let x = Var::parameter(Tensor::scalar(10.0));
-            let mut opt = Adam::new(vec![x.clone()], 0.1).with_weight_decay(decay);
-            for _ in 0..10 {
-                x.zero_grad();
-                x.accumulate_grad(&Tensor::scalar(1e-12));
-                opt.step();
-            }
-            let v = x.value().item();
-            v
-        };
-        let plain = run(0.0);
-        let decayed = run(0.1);
-        assert!(
-            decayed < plain,
-            "decay must shrink the weight: {decayed} vs {plain}"
-        );
     }
 
     #[test]

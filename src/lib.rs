@@ -15,8 +15,8 @@
 //! * [`partition`] — METIS-like multilevel graph partitioner.
 //! * [`comm`] — simulated cluster: worker threads, collectives, an α–β
 //!   network cost model (the torch.distributed/OneCCL substitute).
-//! * [`nn`] — GNN layers (GraphSage, GAT standard & fused-attention),
-//!   optimizers, losses, Correct & Smooth.
+//! * [`nn`] — the layers' building blocks: dense layer, differentiable
+//!   graph kernels, batch norm, Adam, losses, Correct & Smooth.
 //! * [`core`] — SAR itself: distributed graph shards, the
 //!   sequential-aggregation forward pass (Algorithm 1), the
 //!   rematerializing backward pass (Algorithm 2), the vanilla
