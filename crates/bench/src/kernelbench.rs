@@ -4,7 +4,8 @@
 //! Times the SAR kernel family (sparse aggregation, edge softmax,
 //! multi-head SpMM, fused GAT blocks forward and backward, the two-step
 //! GAT forward, per-head projection, the three dense matmul variants, the
-//! wire-frame path and the row gather / scatter-add under the exchange)
+//! wire-frame path, the row gather / scatter-add under the exchange, and
+//! the layer tail's batch-norm and epilogue passes)
 //! over a fixed, seeded workload matrix and writes a schema-versioned
 //! JSON report (`BENCH_kernels.json`).
 //!
@@ -49,6 +50,7 @@ use sar_core::DistGraph;
 use sar_graph::fused::{self, OnlineAttnState};
 use sar_graph::generators::erdos_renyi;
 use sar_graph::{datasets, ops, CsrGraph};
+use sar_nn::tail;
 use sar_partition::{partition, Method};
 use sar_tensor::init::randn;
 use sar_tensor::{pool, simd, Tensor};
@@ -576,6 +578,67 @@ fn row_cases(quick: bool) -> Vec<Case> {
     vec![gather, scatter]
 }
 
+/// The layer tail at one `sage-tcp2` rank's shape, 25 000 rows × 64
+/// hidden columns (`--quick`: 2 000 rows): `norm/forward` (batch norm's
+/// column-sum pass, then the row pass writing `y` and `x̂`),
+/// `norm/backward` (the four column sums, then the row pass writing `dx`)
+/// and `epilogue/sage` (`relu(agg ⊙ s + (hw + b))` forward, then its
+/// backward: the row pass writing `d_agg` and `d_hw`, and the bias
+/// column sum). The all-reduce between the passes is not timed. They move
+/// data rather than compute on it, so all three are zero-FLOP cases. Byte
+/// models: every `[n, F]` operand read or written once per pass.
+fn tail_cases(quick: bool) -> Vec<Case> {
+    let (n, f) = (if quick { 2_000 } else { 25_000 }, 64usize);
+    let mut rng = StdRng::seed_from_u64(0x7A11);
+    let mut col = || randn(&[f], 1.0, &mut rng).data().to_vec();
+    let (gamma, beta, mean, inv_std, mean_g, mean_gx) = (col(), col(), col(), col(), col(), col());
+    let b = Tensor::from_vec(&[f], col());
+    let [x, g, agg, hw] = [0; 4].map(|_| randn(&[n, f], 1.0, &mut rng));
+    let scale: Vec<f32> = randn(&[n], 1.0, &mut rng)
+        .data()
+        .iter()
+        .map(|v| v.abs())
+        .collect();
+    let x_hat = tail::norm_forward(&x, &mean, &inv_std, &gamma, &beta).1;
+    let nf = (n * f) as f64;
+    let forward = {
+        let (x, gamma, inv_std) = (x.clone(), gamma.clone(), inv_std.clone());
+        Case {
+            name: "norm/forward".into(),
+            flops: 0.0,
+            bytes: 4.0 * 4.0 * nf,
+            run: Box::new(move || {
+                black_box(tail::norm_stats(&x));
+                black_box(tail::norm_forward(&x, &mean, &inv_std, &gamma, &beta));
+            }),
+        }
+    };
+    let backward = {
+        let g = g.clone();
+        Case {
+            name: "norm/backward".into(),
+            flops: 0.0,
+            bytes: 4.0 * 5.0 * nf,
+            run: Box::new(move || {
+                black_box(tail::norm_backward_stats(&g, &x_hat, &gamma));
+                black_box(tail::norm_backward(
+                    &g, &x_hat, &gamma, &mean_g, &mean_gx, &inv_std,
+                ));
+            }),
+        }
+    };
+    let epilogue = Case {
+        name: "epilogue/sage".into(),
+        flops: 0.0,
+        bytes: 4.0 * (8.0 * nf + 2.0 * n as f64),
+        run: Box::new(move || {
+            let out = tail::epilogue_forward(&agg, &scale, Some((&hw, b.data())), true);
+            black_box(tail::epilogue_backward(&g, &out, &scale, true, true));
+        }),
+    };
+    vec![forward, backward, epilogue]
+}
+
 /// The dense matmul cases, each layout at two shapes (`m×k×n` of the
 /// product `[m, k] · [k, n]`): a square one, and the tall-skinny one the
 /// benchmark's `sage-tcp2` actually runs — layer 0 on one rank's 25 000
@@ -630,6 +693,7 @@ pub fn run_bench(quick: bool) -> Fields {
     cases.extend(matmul_cases(quick));
     cases.extend(wire_cases(quick));
     cases.extend(row_cases(quick));
+    cases.extend(tail_cases(quick));
     let kernels = cases.iter_mut().map(|case| {
         let t = time_case(&mut case.run, quick);
         let gflops = case.flops / (t.wall_us * 1e3);

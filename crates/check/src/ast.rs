@@ -410,15 +410,17 @@ fn extract_fns(code: &str, line_starts: &[usize]) -> Vec<(String, usize, String,
             continue;
         }
         // Walk the signature to the body's `{`, stepping over each
-        // parenthesized group whole; a `;` first ⇒ bodyless.
+        // parenthesized or bracketed group whole (an array type's `;`,
+        // as in `-> [T; 2]`, is not the end of a declaration); a `;`
+        // first ⇒ bodyless.
         let sig_start = name_start + name.len();
         let mut j = sig_start;
         let open = loop {
-            let Some(at) = code[j..].find(['(', ';', '{']).map(|n| j + n) else {
+            let Some(at) = code[j..].find(['(', '[', ';', '{']).map(|n| j + n) else {
                 break None;
             };
             match code.as_bytes()[at] {
-                b'(' => match closing(code, at) {
+                b'(' | b'[' => match closing(code, at) {
                     Some(close) => j = close + 1,
                     None => break None,
                 },
@@ -665,6 +667,17 @@ mod tests {
             vec!["helper".to_string(), "method".to_string()]
         );
         assert_eq!(ws.fns[1].sig.trim(), "(v: usize) -> usize");
+    }
+
+    #[test]
+    fn an_array_return_type_is_not_a_bodyless_declaration() {
+        let ws = Workspace::from_sources(&[(
+            "crates/x/src/a.rs",
+            "fn pair() -> [f32; 2] { helper() }\nfn decl(v: [u8; 4]);\n",
+        )]);
+        assert_eq!(ws.fns.len(), 1);
+        assert_eq!(ws.fns[0].name, "pair");
+        assert_eq!(ws.fns[0].calls, vec!["helper".to_string()]);
     }
 
     #[test]

@@ -41,14 +41,17 @@ use crate::ast::{closing, line_of, next_nonspace, tokens, Workspace};
 use crate::{Finding, PassReport};
 
 /// Files whose every function is digest-bearing from the first
-/// instruction: the kernels, the autograd aggregation ops, the wire
-/// codec, and the spill tier.
+/// instruction: the kernels, the autograd aggregation ops, the layer tail
+/// (batch norm, epilogue) and the loss, the wire codec, and the spill
+/// tier.
 const ROOT_FILES: &[&str] = &[
     "crates/graph/src/ops.rs",
     "crates/graph/src/fused.rs",
     "crates/graph/src/walk.rs",
     "crates/tensor/src/simd.rs",
     "crates/core/src/seq_agg.rs",
+    "crates/nn/src/tail.rs",
+    "crates/nn/src/loss.rs",
     "crates/comm/src/codec.rs",
     "crates/tensor/src/tier.rs",
 ];
@@ -88,6 +91,8 @@ const HOT_FILES: &[&str] = &[
     "crates/tensor/src/pool.rs",
     "crates/tensor/src/tier.rs",
     "crates/core/src/seq_agg.rs",
+    "crates/nn/src/tail.rs",
+    "crates/nn/src/loss.rs",
     "crates/core/src/worker.rs",
     "crates/core/src/model.rs",
     "crates/core/src/mfg.rs",

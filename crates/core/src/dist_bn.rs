@@ -8,17 +8,23 @@
 //! gradient. Only `O(F)` summary data crosses the network — the
 //! "communicating only summary statistics and their gradients" design the
 //! paper describes.
+//!
+//! The whole layer — normalize, scale by `γ`, shift by `β` — is one tape
+//! node over the row passes of [`sar_nn::tail`]: one column pass and one
+//! row pass each way around the all-reduce.
 
 use std::rc::Rc;
 
+use sar_nn::tail;
 use sar_tensor::{Function, Tensor, Var};
 
 use crate::worker::Worker;
 
 struct DistBnFn {
-    parents: Vec<Var>, // [x]
+    parents: Vec<Var>, // [x, gamma, beta]
     w: Rc<Worker>,
-    inv_std: Tensor, // [F], global
+    x_hat: Tensor,
+    inv_std: Vec<f32>, // [F], global
     n_global: f32,
 }
 
@@ -31,23 +37,40 @@ impl Function for DistBnFn {
         "distributed_batchnorm"
     }
 
-    fn backward(&self, grad_output: &Tensor, output: &Tensor) -> Vec<Option<Tensor>> {
-        // y = (x − μ) / σ with global μ, σ over N total rows:
-        // dx_i = (1/σ) (g_i − (1/N) Σ g − y_i (1/N) Σ (g ⊙ y)),
-        // where both sums run over ALL workers' rows.
-        let f = grad_output.cols();
-        let mut buf = Vec::with_capacity(2 * f);
-        buf.extend_from_slice(grad_output.sum_axis0().data());
-        buf.extend_from_slice(grad_output.mul(output).sum_axis0().data());
-        self.w.ctx.all_reduce_sum(&mut buf);
-        let mean_g = Tensor::from_vec(&[f], buf[..f].to_vec()).scale(1.0 / self.n_global);
-        let mean_gy = Tensor::from_vec(&[f], buf[f..].to_vec()).scale(1.0 / self.n_global);
-
-        let centered = grad_output
-            .add_row_broadcast(&mean_g.scale(-1.0))
-            .sub(&output.mul_row_broadcast(&mean_gy));
-        let dx = centered.mul_row_broadcast(&self.inv_std);
-        vec![Some(dx)]
+    fn backward(&self, grad_output: &Tensor, _output: &Tensor) -> Vec<Option<Tensor>> {
+        // y = x̂ γ + β with x̂ = (x − μ) / σ, global μ, σ over N total rows:
+        // dβ = Σ g, dγ = Σ g x̂, and with ĝ = g γ
+        // dx_i = (1/σ) (ĝ_i − (1/N) Σ ĝ − x̂_i (1/N) Σ (ĝ ⊙ x̂)),
+        // where the last two sums run over ALL workers' rows.
+        let [x, gamma, beta] = &self.parents[..] else {
+            unreachable!("batch norm has three parents")
+        };
+        let gamma_v = gamma.value();
+        let [d_beta, d_gamma, sum_g, sum_gx] =
+            tail::norm_backward_stats(grad_output, &self.x_hat, gamma_v.data());
+        // A constant input takes no gradient and joins no all-reduce.
+        let dx = x.requires_grad().then(|| {
+            let f = sum_g.len();
+            let mut buf = [sum_g, sum_gx].concat();
+            self.w.ctx.all_reduce_sum(&mut buf);
+            let inv_n = 1.0 / self.n_global;
+            let mean_g: Vec<f32> = buf[..f].iter().map(|&s| s * inv_n).collect();
+            let mean_gx: Vec<f32> = buf[f..].iter().map(|&s| s * inv_n).collect();
+            tail::norm_backward(
+                grad_output,
+                &self.x_hat,
+                gamma_v.data(),
+                &mean_g,
+                &mean_gx,
+                &self.inv_std,
+            )
+        });
+        let column = |v: Vec<f32>| Tensor::from_vec(&[v.len()], v);
+        vec![
+            dx,
+            gamma.requires_grad().then(|| column(d_gamma)),
+            beta.requires_grad().then(|| column(d_beta)),
+        ]
     }
 }
 
@@ -82,39 +105,39 @@ impl DistBatchNorm {
     ///
     /// Panics if `x` width differs from the layer dimension.
     pub fn forward(&self, w: &Rc<Worker>, x: &Var) -> Var {
-        let f = x.value().cols();
+        let xv = x.value();
+        let f = xv.cols();
         assert_eq!(f, self.gamma.value().numel(), "feature width mismatch");
         // Global sum, squared sum and row count in one all-reduce.
-        let mut buf = Vec::with_capacity(2 * f + 1);
-        {
-            let xv = x.value();
-            buf.extend_from_slice(xv.sum_axis0().data());
-            buf.extend_from_slice(xv.mul(&xv).sum_axis0().data());
-            buf.push(xv.rows() as f32);
-        }
+        let mut buf = tail::norm_stats(&xv);
+        buf.push(xv.rows() as f32);
         w.ctx.all_reduce_sum(&mut buf);
         let n_global = buf[2 * f].max(1.0);
-        let mean = Tensor::from_vec(&[f], buf[..f].to_vec()).scale(1.0 / n_global);
-        let sq_mean = Tensor::from_vec(&[f], buf[f..2 * f].to_vec()).scale(1.0 / n_global);
-        let var = sq_mean.zip_map(&mean, |sq, m| (sq - m * m).max(0.0));
-        let eps = self.eps;
-        let inv_std = var.map(|v| 1.0 / (v + eps).sqrt());
-
-        let value = {
-            let xv = x.value();
-            xv.add_row_broadcast(&mean.scale(-1.0))
-                .mul_row_broadcast(&inv_std)
-        };
-        let x_hat = Var::from_function(
-            value,
+        let inv_n = 1.0 / n_global;
+        let (mean, inv_std): (Vec<f32>, Vec<f32>) = (0..f)
+            .map(|j| {
+                let (mean, sq_mean) = (buf[j] * inv_n, buf[f + j] * inv_n);
+                let var = (sq_mean - mean * mean).max(0.0);
+                (mean, 1.0 / (var + self.eps).sqrt())
+            })
+            .unzip();
+        let (y, x_hat) = tail::norm_forward(
+            &xv,
+            &mean,
+            &inv_std,
+            self.gamma.value().data(),
+            self.beta.value().data(),
+        );
+        Var::from_function(
+            y,
             DistBnFn {
-                parents: vec![x.clone()],
+                parents: vec![x.clone(), self.gamma.clone(), self.beta.clone()],
                 w: Rc::clone(w),
+                x_hat,
                 inv_std,
                 n_global,
             },
-        );
-        x_hat.mul_row(&self.gamma).add_bias(&self.beta)
+        )
     }
 
     /// Trainable parameters (`gamma`, `beta`).

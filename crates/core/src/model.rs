@@ -9,6 +9,7 @@ use sar_comm::TransportError;
 use sar_nn::graph_autograd::{
     edge_softmax, gather_dst, gather_src, head_project, mean_heads, spmm_multihead, spmm_sum,
 };
+use sar_nn::tail::epilogue;
 use sar_nn::Linear;
 use sar_tensor::{init, Tensor, Var};
 
@@ -191,21 +192,27 @@ impl DistLayer {
             Mode::DomainParallel => Ok(spmm_sum(w.graph.halo_graph(), &halo_fetch(w, z))),
             Mode::Sar | Mode::SarFused => sage_aggregate(w, view, z),
         };
-        let out = match self {
+        // Sage and GCN end in one epilogue node: degree scale, residual,
+        // ReLU.
+        Ok(match self {
             DistLayer::Sage {
-                lin_neigh, lin_res, ..
+                lin_neigh,
+                lin_res,
+                activation,
             } => {
                 let z = lin_neigh.forward(h);
                 let [_, inv_deg] = degree_scales(&**view, |d| 1.0 / d);
                 let agg_sum = sum_aggregate(&z)?;
-                agg_sum.mul_col(&inv_deg).add(&lin_res.forward(&at_dst(h)))
+                let hw = at_dst(h).matmul(lin_res.weight());
+                let b = lin_res.bias().expect("the Sage residual has a bias");
+                epilogue(&agg_sum, inv_deg, Some((&hw, b)), *activation)
             }
-            DistLayer::Gcn { lin, .. } => {
+            DistLayer::Gcn { lin, activation } => {
                 // Symmetric normalization D^{-1/2} A D^{-1/2} with global
                 // degrees, split around the (linear) aggregation.
                 let [inv_sqrt_in, inv_sqrt_dst] = degree_scales(&**view, |d| 1.0 / d.sqrt());
-                let z = lin.forward(h).mul_col(&inv_sqrt_in);
-                sum_aggregate(&z)?.mul_col(&inv_sqrt_dst)
+                let z = lin.forward(h).mul_col(&Var::constant(inv_sqrt_in));
+                epilogue(&sum_aggregate(&z)?, inv_sqrt_dst, None, *activation)
             }
             DistLayer::Gat {
                 lin,
@@ -214,7 +221,7 @@ impl DistLayer {
                 heads,
                 slope,
                 concat,
-                ..
+                activation,
             } => {
                 let z = lin.forward(h);
                 let s_dst = head_project(&at_dst(&z), a_dst, *heads);
@@ -239,24 +246,25 @@ impl DistLayer {
                     }
                     Some(fak) => gat_aggregate(w, view, &z, &s_dst, a_src, *heads, *slope, fak)?,
                 };
-                if *concat {
+                let out = if *concat {
                     out
                 } else {
                     mean_heads(&out, *heads)
+                };
+                if *activation {
+                    out.relu()
+                } else {
+                    out
                 }
             }
-        };
-        let (DistLayer::Sage { activation, .. }
-        | DistLayer::Gcn { activation, .. }
-        | DistLayer::Gat { activation, .. }) = self;
-        Ok(if *activation { out.relu() } else { out })
+        })
     }
 }
 
 /// The per-row degree normalizer `f(|N(i)|)` (0 for isolated nodes) over
 /// `view`, for every input row and for every destination row.
-fn degree_scales(view: &dyn ShardView, f: impl Fn(f32) -> f32) -> [Var; 2] {
-    let col = |v: Vec<f32>| Var::constant(Tensor::from_vec(&[v.len()], v));
+fn degree_scales(view: &dyn ShardView, f: impl Fn(f32) -> f32) -> [Tensor; 2] {
+    let col = |v: Vec<f32>| Tensor::from_vec(&[v.len()], v);
     let inputs: Vec<f32> = view
         .in_degree()
         .iter()

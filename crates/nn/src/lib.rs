@@ -14,6 +14,8 @@
 //!   distributed variant lives in `sar-core`).
 //! * [`Adam`] + [`LrSchedule`] — the optimizer and its schedule.
 //! * [`loss`] — masked cross-entropy and accuracy.
+//! * [`tail`] — the layer tail as row passes: distributed batch norm's
+//!   passes and the Sage/GCN scale-residual-ReLU epilogue node.
 //! * [`correct_and_smooth`] — the C&S post-processing of Huang et al.
 //!   2020, applied in the paper after training.
 
@@ -24,6 +26,7 @@ pub mod linear;
 pub mod loss;
 pub mod metrics;
 pub mod optim;
+pub mod tail;
 
 pub use batchnorm::BatchNorm1d;
 pub use cs::{correct_and_smooth, CsConfig};

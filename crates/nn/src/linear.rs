@@ -51,6 +51,11 @@ impl Linear {
         &self.weight
     }
 
+    /// The bias `[out_dim]`, if the layer has one.
+    pub fn bias(&self) -> Option<&Var> {
+        self.bias.as_ref()
+    }
+
     /// Trainable parameters (weight, then bias if present).
     pub fn params(&self) -> Vec<Var> {
         let mut p = vec![self.weight.clone()];

@@ -1,5 +1,6 @@
 //! Classification losses and metrics for node classification.
 
+use sar_tensor::pool::{self, Output};
 use sar_tensor::{Tensor, Var};
 
 /// Masked cross-entropy: softmax over each row of `logits` followed by
@@ -8,6 +9,9 @@ use sar_tensor::{Tensor, Var};
 /// When `normalizer` is `Some(m)`, divides by `m` instead of the local mask
 /// count — distributed workers pass the *global* training-node count so
 /// their per-worker losses sum to the exact full-batch loss.
+///
+/// One tape node: the log-softmax and its gradient are computed for the
+/// masked rows only; every other row's gradient is `+0.0`.
 ///
 /// # Panics
 ///
@@ -18,9 +22,82 @@ pub fn cross_entropy_masked(
     mask: &[bool],
     normalizer: Option<f32>,
 ) -> Var {
-    logits
-        .log_softmax_rows()
-        .nll_masked(labels, mask, normalizer)
+    let n = logits.value().rows();
+    assert_eq!(labels.len(), n, "labels length mismatch");
+    assert_eq!(mask.len(), n, "mask length mismatch");
+    let count = mask.iter().filter(|&&m| m).count();
+    let norm = normalizer.unwrap_or(count.max(1) as f32);
+    let loss = masked_nll(&logits.value(), labels, mask);
+    let value = Tensor::scalar((loss / norm as f64) as f32);
+    let (x, labels, mask) = (logits.clone(), labels.to_vec(), mask.to_vec());
+    Var::from_op(
+        value,
+        vec![logits.clone()],
+        "cross_entropy_masked",
+        move |g| {
+            let scale = g.item() / norm;
+            vec![Some(masked_nll_backward(&x.value(), &labels, &mask, scale))]
+        },
+    )
+}
+
+/// The largest entry of a row (`-inf` for an empty one), NaN-skipping.
+fn row_max(row: &[f32]) -> f32 {
+    row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x))
+}
+
+/// `−Σ log_softmax(logits[i])[labels[i]]` over the rows where `mask` is
+/// `true`, ascending, accumulated in `f64`. Rows outside the mask are
+/// never read.
+///
+/// # Panics
+///
+/// Panics if a masked label is out of range.
+// sar-check: deterministic(sequential: one f64 chain over the masked rows in
+// ascending order; each row's denominator sums its classes in order)
+fn masked_nll(logits: &Tensor, labels: &[u32], mask: &[bool]) -> f64 {
+    let c = logits.cols();
+    let mut loss = 0.0f64;
+    for (i, &y) in labels.iter().enumerate().filter(|&(i, _)| mask[i]) {
+        let y = y as usize;
+        assert!(y < c, "label {y} out of range for {c} classes");
+        let row = logits.row(i);
+        let max = row_max(row);
+        let log_denom = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
+        loss -= (row[y] - max - log_denom) as f64;
+    }
+    loss
+}
+
+/// The gradient of `scale · masked_nll` with respect to `logits`: on a
+/// masked row `d − softmax(row) · Σd` with `d = −scale · e_label`, every
+/// other row `+0.0`. One row pass.
+// sar-check: deterministic(one-writer-per-row: a masked row's denominator
+// and gradient sum run over its own classes in order)
+fn masked_nll_backward(logits: &Tensor, labels: &[u32], mask: &[bool], scale: f32) -> Tensor {
+    let (n, c) = (logits.rows(), logits.cols());
+    let mut dx = vec![0.0f32; n * c];
+    let x = logits.data();
+    pool::split_rows(n, [Output::row_owned(&mut dx, c)], move |lo, _, [dx]| {
+        for (r, d) in dx.chunks_exact_mut(c).enumerate() {
+            let i = lo + r;
+            if !mask[i] {
+                continue;
+            }
+            d[labels[i] as usize] = -scale;
+            let d_sum: f32 = d.iter().sum();
+            let row = &x[i * c..(i + 1) * c];
+            let max = row_max(row);
+            let mut denom = 0.0f32;
+            for &v in row {
+                denom += (v - max).exp();
+            }
+            for (d, &v) in d.iter_mut().zip(row) {
+                *d -= (v - max).exp() / denom * d_sum;
+            }
+        }
+    });
+    Tensor::from_vec(&[n, c], dx)
 }
 
 /// Counts correct argmax predictions among masked rows; returns
@@ -93,6 +170,32 @@ mod tests {
     fn empty_mask_is_zero_accuracy() {
         let logits = Tensor::zeros(&[2, 2]);
         assert_eq!(accuracy(&logits, &[0, 0], &[false, false]), 0.0);
+    }
+
+    #[test]
+    fn gradient_checks_numerically() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let a = sar_tensor::init::randn(&[4, 3], 1.0, &mut StdRng::seed_from_u64(15));
+        let labels = vec![0u32, 2, 1, 0];
+        let mask = vec![true, false, true, true];
+        sar_tensor::gradcheck::check_gradients(
+            &[a],
+            |vs| cross_entropy_masked(&vs[0], &labels, &mask, None),
+            1e-2,
+        );
+    }
+
+    #[test]
+    fn normalizer_replaces_the_local_count() {
+        let a = Var::constant(Tensor::zeros(&[2, 2]));
+        let (labels, mask) = ([0u32, 1], [true, true]);
+        let local = cross_entropy_masked(&a, &labels, &mask, None)
+            .value()
+            .item();
+        let global = cross_entropy_masked(&a, &labels, &mask, Some(4.0))
+            .value()
+            .item();
+        assert!((local / 2.0 - global).abs() < 1e-6);
     }
 
     #[test]

@@ -372,7 +372,7 @@ impl Var {
     }
 
     // ------------------------------------------------------------------
-    // Row gather / softmax / losses
+    // Row gather / softmax
     // ------------------------------------------------------------------
 
     /// Gathers rows by index: `out[k] = self[idx[k]]`.
@@ -414,76 +414,6 @@ impl Var {
                 let d = dot.data()[i];
                 for (x, &sv) in row.iter_mut().zip(s.row(i)) {
                     *x = sv * (*x - d);
-                }
-            }
-            vec![Some(dx)]
-        })
-    }
-
-    /// Numerically-stable row-wise log-softmax of a 2-D variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is not 2-D.
-    pub fn log_softmax_rows(&self) -> Var {
-        let value = self.value().log_softmax_rows();
-        let a = self.clone();
-        Var::from_op(value, vec![self.clone()], "log_softmax_rows", move |g| {
-            let s = a.value().softmax_rows();
-            // dX = g - softmax * rowsum(g)
-            let rowsum = g.sum_axis1();
-            let mut dx = g.clone();
-            let c = s.cols();
-            for (i, row) in dx.data_mut().chunks_mut(c).enumerate() {
-                let r = rowsum.data()[i];
-                for (x, &sv) in row.iter_mut().zip(s.row(i)) {
-                    *x -= sv * r;
-                }
-            }
-            vec![Some(dx)]
-        })
-    }
-
-    /// Negative log-likelihood of `labels` under row-wise log-probabilities,
-    /// averaged over the rows where `mask` is `true`, optionally scaled by
-    /// `1 / normalizer` instead of the local mask count.
-    ///
-    /// `self` must be `[N, C]` log-probabilities (e.g. from
-    /// [`Var::log_softmax_rows`]). Rows with `mask[i] == false` contribute
-    /// nothing and receive zero gradient. When `normalizer` is `Some(m)`,
-    /// the loss is `Σ_masked -logp / m` — distributed training passes the
-    /// *global* masked count here so that per-worker losses sum to the
-    /// full-batch loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths disagree or any masked label is out of range.
-    pub fn nll_masked(&self, labels: &[u32], mask: &[bool], normalizer: Option<f32>) -> Var {
-        let (n, c) = (self.value().rows(), self.value().cols());
-        assert_eq!(labels.len(), n, "labels length mismatch");
-        assert_eq!(mask.len(), n, "mask length mismatch");
-        let count = mask.iter().filter(|&&m| m).count();
-        let norm = normalizer.unwrap_or(count.max(1) as f32);
-        let mut loss = 0.0f64;
-        {
-            let v = self.value();
-            for i in 0..n {
-                if mask[i] {
-                    let y = labels[i] as usize;
-                    assert!(y < c, "label {y} out of range for {c} classes");
-                    loss -= v.at(&[i, y]) as f64;
-                }
-            }
-        }
-        let value = Tensor::scalar((loss / norm as f64) as f32);
-        let labels = labels.to_vec();
-        let mask = mask.to_vec();
-        Var::from_op(value, vec![self.clone()], "nll_masked", move |g| {
-            let scale = g.item() / norm;
-            let mut dx = Tensor::zeros(&[n, c]);
-            for i in 0..n {
-                if mask[i] {
-                    dx.row_mut(i)[labels[i] as usize] = -scale;
                 }
             }
             vec![Some(dx)]
@@ -620,13 +550,7 @@ mod tests {
         let a = randn(&[3, 5], 10);
         // Weighted sums make the softmax gradient non-trivial.
         let w = Var::constant(randn(&[3, 5], 11));
-        check_gradients(
-            std::slice::from_ref(&a),
-            |vs| vs[0].softmax_rows().mul(&w).sum(),
-            1e-2,
-        );
-        let w2 = Var::constant(randn(&[3, 5], 12));
-        check_gradients(&[a], |vs| vs[0].log_softmax_rows().mul(&w2).sum(), 1e-2);
+        check_gradients(&[a], |vs| vs[0].softmax_rows().mul(&w).sum(), 1e-2);
     }
 
     #[test]
@@ -635,29 +559,6 @@ mod tests {
         let idx = vec![4u32, 0, 0, 2];
         let w = Var::constant(randn(&[4, 3], 14));
         check_gradients(&[a], |vs| vs[0].gather_rows(&idx).mul(&w).sum(), 1e-2);
-    }
-
-    #[test]
-    fn nll_masked_gradient() {
-        let a = randn(&[4, 3], 15);
-        let labels = vec![0u32, 2, 1, 0];
-        let mask = vec![true, false, true, true];
-        check_gradients(
-            &[a],
-            |vs| vs[0].log_softmax_rows().nll_masked(&labels, &mask, None),
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn nll_masked_normalizer_scales_loss() {
-        let a = Var::constant(Tensor::from_vec(&[2, 2], vec![0.0, 0.0, 0.0, 0.0]));
-        let lp = a.log_softmax_rows();
-        let labels = vec![0u32, 1];
-        let mask = vec![true, true];
-        let local = lp.nll_masked(&labels, &mask, None).value().item();
-        let global = lp.nll_masked(&labels, &mask, Some(4.0)).value().item();
-        assert!((local / 2.0 - global).abs() < 1e-6);
     }
 
     #[test]

@@ -689,7 +689,7 @@ impl Tensor {
     }
 
     // ------------------------------------------------------------------
-    // Row-wise softmax helpers
+    // Row-wise softmax
     // ------------------------------------------------------------------
 
     /// Numerically-stable row-wise softmax of a 2-D tensor.
@@ -709,24 +709,6 @@ impl Tensor {
             }
             for x in row.iter_mut() {
                 *x /= denom;
-            }
-        }
-        Tensor::from_vec(&self.shape, out)
-    }
-
-    /// Numerically-stable row-wise log-softmax of a 2-D tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-D.
-    pub fn log_softmax_rows(&self) -> Tensor {
-        let c = self.cols();
-        let mut out = self.data.clone();
-        for row in out.chunks_mut(c) {
-            let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-            let log_denom = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
-            for x in row.iter_mut() {
-                *x = *x - max - log_denom;
             }
         }
         Tensor::from_vec(&self.shape, out)
@@ -879,16 +861,6 @@ mod tests {
             let sum: f32 = s.row(i).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
             assert!(s.row(i).iter().all(|x| x.is_finite()));
-        }
-    }
-
-    #[test]
-    fn log_softmax_matches_log_of_softmax() {
-        let a = Tensor::from_vec(&[1, 4], vec![0.1, 0.2, 0.3, 0.4]);
-        let ls = a.log_softmax_rows();
-        let s = a.softmax_rows();
-        for j in 0..4 {
-            assert!((ls.data()[j] - s.data()[j].ln()).abs() < 1e-5);
         }
     }
 
