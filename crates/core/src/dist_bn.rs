@@ -16,20 +16,22 @@
 use std::rc::Rc;
 
 use sar_nn::tail;
-use sar_tensor::{Function, Tensor, Var};
+use sar_tensor::{Edge, Function, Tensor, Var};
 
 use crate::worker::Worker;
 
+/// Saves `x̂` (and the parameter `γ`); never its input or output.
 struct DistBnFn {
-    parents: Vec<Var>, // [x, gamma, beta]
+    parents: Vec<Edge>, // [x, gamma, beta]
     w: Rc<Worker>,
     x_hat: Tensor,
+    gamma: Rc<Tensor>,
     inv_std: Vec<f32>, // [F], global
     n_global: f32,
 }
 
 impl Function for DistBnFn {
-    fn parents(&self) -> &[Var] {
+    fn parents(&self) -> &[Edge] {
         &self.parents
     }
 
@@ -37,7 +39,7 @@ impl Function for DistBnFn {
         "distributed_batchnorm"
     }
 
-    fn backward(&self, grad_output: &Tensor, _output: &Tensor) -> Vec<Option<Tensor>> {
+    fn backward(&self, grad_output: &Tensor) -> Vec<Option<Tensor>> {
         // y = x̂ γ + β with x̂ = (x − μ) / σ, global μ, σ over N total rows:
         // dβ = Σ g, dγ = Σ g x̂, and with ĝ = g γ
         // dx_i = (1/σ) (ĝ_i − (1/N) Σ ĝ − x̂_i (1/N) Σ (ĝ ⊙ x̂)),
@@ -45,9 +47,8 @@ impl Function for DistBnFn {
         let [x, gamma, beta] = &self.parents[..] else {
             unreachable!("batch norm has three parents")
         };
-        let gamma_v = gamma.value();
         let [d_beta, d_gamma, sum_g, sum_gx] =
-            tail::norm_backward_stats(grad_output, &self.x_hat, gamma_v.data());
+            tail::norm_backward_stats(grad_output, &self.x_hat, self.gamma.data());
         // A constant input takes no gradient and joins no all-reduce.
         let dx = x.requires_grad().then(|| {
             let f = sum_g.len();
@@ -59,7 +60,7 @@ impl Function for DistBnFn {
             tail::norm_backward(
                 grad_output,
                 &self.x_hat,
-                gamma_v.data(),
+                self.gamma.data(),
                 &mean_g,
                 &mean_gx,
                 &self.inv_std,
@@ -131,9 +132,10 @@ impl DistBatchNorm {
         Var::from_function(
             y,
             DistBnFn {
-                parents: vec![x.clone(), self.gamma.clone(), self.beta.clone()],
+                parents: vec![x.edge(), self.gamma.edge(), self.beta.edge()],
                 w: Rc::clone(w),
                 x_hat,
+                gamma: self.gamma.save(),
                 inv_std,
                 n_global,
             },

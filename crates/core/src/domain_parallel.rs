@@ -2,27 +2,31 @@
 //! (Fig. 1a of the paper).
 //!
 //! Domain-parallel training fetches **all** boundary features at the start
-//! of a layer and keeps them alive on the autograd tape until the backward
-//! pass, together with every per-edge intermediate (for GAT, the `[E, H]`
-//! attention coefficients). The result is the memory blow-up of Fig. 1a:
-//! by the end of the forward pass a worker stores a substantial portion of
-//! the whole graph as part of its output's computational graph.
+//! of a layer. Wherever a backward reads them they stay alive until the
+//! backward pass, together with every per-edge intermediate: GAT's
+//! attention saves the halo and the `[E, H]` attention coefficients. The
+//! result is the memory blow-up of Fig. 1a: by the end of the forward pass
+//! a worker stores a substantial portion of the whole graph as part of its
+//! output's computational graph. A Sage/GCN sum aggregation reads no value
+//! in its backward, so there — as in PyTorch/DGL — the halo is freed as
+//! soon as it has been aggregated.
 
 use std::rc::Rc;
 
 use sar_comm::{Payload, Phase};
-use sar_tensor::{Function, Tensor, Var};
+use sar_tensor::{Edge, Function, Tensor, Var};
 
 use crate::worker::Worker;
 
+/// Saves nothing: the backward slices the gradient by partition.
 struct HaloFetchFn {
-    parents: Vec<Var>, // [z]
+    parents: Vec<Edge>, // [z]
     w: Rc<Worker>,
     layer: Option<u16>,
 }
 
 impl Function for HaloFetchFn {
-    fn parents(&self) -> &[Var] {
+    fn parents(&self) -> &[Edge] {
         &self.parents
     }
 
@@ -30,7 +34,7 @@ impl Function for HaloFetchFn {
         "domain_parallel_halo_fetch"
     }
 
-    fn backward(&self, grad_output: &Tensor, _output: &Tensor) -> Vec<Option<Tensor>> {
+    fn backward(&self, grad_output: &Tensor) -> Vec<Option<Tensor>> {
         // Slice the halo gradient per partition section and route each
         // slice back to the owner; accumulate what peers route to us.
         let w = &self.w;
@@ -50,8 +54,8 @@ impl Function for HaloFetchFn {
 /// [`DistGraph::halo_graph`](crate::DistGraph::halo_graph)).
 ///
 /// Unlike SAR's [`try_fetch_rounds`](crate::Worker::try_fetch_rounds), the fetched
-/// features become part of the computational graph and stay resident until
-/// the backward pass completes.
+/// features become part of the computational graph: every operation whose
+/// backward reads them keeps them resident until that backward has run.
 ///
 /// # Panics
 ///
@@ -96,7 +100,7 @@ pub fn halo_fetch(w: &Rc<Worker>, z: &Var) -> Var {
     Var::from_function(
         halo,
         HaloFetchFn {
-            parents: vec![z.clone()],
+            parents: vec![z.edge()],
             w: Rc::clone(w),
             layer: w.ctx.current_layer(),
         },

@@ -19,8 +19,9 @@
 //! * [`seq_agg`] — Algorithms 1 and 2: [`sage_aggregate`] (case 1: no
 //!   refetch) and [`gat_aggregate`] (case 2: refetch + recompute, with
 //!   fused or two-step attention kernels).
-//! * [`domain_parallel`] — the vanilla baseline that keeps all fetched
-//!   boundary features and per-edge intermediates on the tape (Fig. 1a).
+//! * [`domain_parallel`] — the vanilla baseline that fetches all boundary
+//!   features at once; GAT's attention saves them and every per-edge
+//!   intermediate for backward (Fig. 1a).
 //! * [`DistBatchNorm`] — distributed batch normalization via summary
 //!   statistics (§3.4).
 //! * [`dist_cs`] — distributed Correct & Smooth.

@@ -50,7 +50,8 @@ pub enum Arch {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Vanilla domain-parallel training: all boundary features fetched at
-    /// once and kept on the tape (Fig. 1a).
+    /// once and kept until backward wherever a backward reads them — GAT's
+    /// attention does, a sum aggregation does not (Fig. 1a).
     DomainParallel,
     /// Sequential aggregation and rematerialization with DGL-style
     /// two-step attention kernels ("SAR" in the figures).

@@ -28,7 +28,7 @@ use sar_graph::fused::{
     gat_twostep_block_forward, FusedBlockGrads, OnlineAttnState,
 };
 use sar_graph::{ops, CsrGraph};
-use sar_tensor::{Function, Tensor, Var};
+use sar_tensor::{Edge, Function, Tensor, Var};
 
 use crate::view::View;
 use crate::worker::{GradRouter, Worker};
@@ -37,8 +37,9 @@ use crate::worker::{GradRouter, Worker};
 // Case 1: GraphSage (linear aggregation, no refetch)
 // ----------------------------------------------------------------------
 
+/// Saves nothing: case 1's backward reads only the gradient and the graph.
 struct SageAggFn {
-    parents: Vec<Var>, // [z]
+    parents: Vec<Edge>, // [z]
     w: Rc<Worker>,
     view: View,
     // Layer this aggregation was recorded under, restored in backward so
@@ -47,7 +48,7 @@ struct SageAggFn {
 }
 
 impl Function for SageAggFn {
-    fn parents(&self) -> &[Var] {
+    fn parents(&self) -> &[Edge] {
         &self.parents
     }
 
@@ -55,7 +56,7 @@ impl Function for SageAggFn {
         "sar_sage_aggregate"
     }
 
-    fn backward(&self, grad_output: &Tensor, _output: &Tensor) -> Vec<Option<Tensor>> {
+    fn backward(&self, grad_output: &Tensor) -> Vec<Option<Tensor>> {
         // Case 1: the error for partition q's features is a linear map of
         // the output error — computed and shipped without refetching z.
         let w = &self.w;
@@ -100,7 +101,7 @@ pub fn sage_aggregate(w: &Rc<Worker>, view: &View, z: &Var) -> Result<Var, Trans
     Ok(Var::from_function(
         acc,
         SageAggFn {
-            parents: vec![z.clone()],
+            parents: vec![z.edge()],
             w: Rc::clone(w),
             view: View::clone(view),
             layer: w.ctx.current_layer(),
@@ -166,7 +167,13 @@ impl FakMode {
 }
 
 struct GatAggFn {
-    parents: Vec<Var>, // [z, s_dst, a_src]
+    parents: Vec<Edge>, // [z, s_dst, a_src]
+    // What the backward reads: the local features it serves to the
+    // refetch, both attention operands and its own output.
+    z: Rc<Tensor>,
+    s_dst: Rc<Tensor>,
+    a_src: Rc<Tensor>,
+    out: Rc<Tensor>,
     w: Rc<Worker>,
     view: View,
     heads: usize,
@@ -194,7 +201,7 @@ impl Drop for GatAggFn {
 }
 
 impl Function for GatAggFn {
-    fn parents(&self) -> &[Var] {
+    fn parents(&self) -> &[Edge] {
         &self.parents
     }
 
@@ -202,14 +209,14 @@ impl Function for GatAggFn {
         "sar_gat_aggregate"
     }
 
-    fn backward(&self, grad_output: &Tensor, output: &Tensor) -> Vec<Option<Tensor>> {
+    fn backward(&self, grad_output: &Tensor) -> Vec<Option<Tensor>> {
         let w = &self.w;
         let view = &*self.view;
         let _layer = w.ctx.layer_scope_opt(self.layer);
-        let (z, s_dst, a_src) = (&self.parents[0], &self.parents[1], &self.parents[2]);
+        let (z, s_dst, a_src) = (&*self.z, &*self.s_dst, &*self.a_src);
         let heads = self.heads;
-        let hd = z.value().cols();
-        let grad_dot = attn_grad_dot(grad_output, output, heads);
+        let hd = z.cols();
+        let grad_dot = attn_grad_dot(grad_output, &self.out, heads);
         let mut d_s_dst = Tensor::zeros(&[view.num_dst(), heads]);
         let mut d_a_src = Tensor::zeros(&[hd]);
         let mut router = GradRouter::new(w, view, hd);
@@ -232,16 +239,13 @@ impl Function for GatAggFn {
         // to the router, free the block, move on. The rotation fetch is
         // ledgered as BackwardRefetch — the paper's 50% extra
         // communication — while the router's sends nest under GradRouting.
-        let a_src_val = a_src.value_clone();
         let grad_z = {
             let _refetch = w.ctx.phase_scope(Phase::BackwardRefetch);
-            let s_dst_ref = s_dst.value();
-            let z_ref = z.value();
-            w.try_fetch_rounds(view, &z_ref, w.next_tag(), |q, z_block| {
-                let s_src_block = ops::head_project(z_block, &a_src_val, heads);
+            w.try_fetch_rounds(view, z, w.next_tag(), |q, z_block| {
+                let s_src_block = ops::head_project(z_block, a_src, heads);
                 let grads = self.mode.block_backward(
                     view.block(q),
-                    &s_dst_ref,
+                    s_dst,
                     &s_src_block,
                     z_block,
                     self.slope,
@@ -252,7 +256,7 @@ impl Function for GatAggFn {
                 // Fold the s_src path back into z and a_src:
                 // s_src = head_project(z, a_src).
                 let (dz_from_s, da) =
-                    ops::head_project_backward(z_block, &a_src_val, heads, &grads.d_s_src);
+                    ops::head_project_backward(z_block, a_src, heads, &grads.d_s_src);
                 d_a_src.add_assign(&da);
                 let mut d_z_block = grads.d_x_src;
                 d_z_block.add_assign(&dz_from_s);
@@ -320,16 +324,15 @@ pub fn gat_aggregate(
         );
     }
     let head_dim = hd / heads;
-    let a_src_val = a_src.value_clone();
+    let (z_val, s_dst_val, a_src_val) = (z.save(), s_dst.save(), a_src.save());
     let mut state = OnlineAttnState::new(view.num_dst(), heads, head_dim);
     {
         let _phase = w.ctx.phase_scope(Phase::ForwardFetch);
-        let s_dst_ref = s_dst.value();
-        w.try_fetch_rounds(&**view, &z.value(), w.next_tag(), |q, z_block| {
+        w.try_fetch_rounds(&**view, &z_val, w.next_tag(), |q, z_block| {
             let s_src_block = ops::head_project(z_block, &a_src_val, heads);
             mode.block_forward(
                 view.block(q),
-                &s_dst_ref,
+                &s_dst_val,
                 &s_src_block,
                 z_block,
                 slope,
@@ -339,6 +342,7 @@ pub fn gat_aggregate(
         })?;
     }
     let (value, max, den) = state.finalize_into();
+    let value = Rc::new(value);
     // The saved statistics go to the worker's block store, where a memory
     // budget can spill them between forward and backward. Only worth
     // recording when a backward can run: with grad disabled,
@@ -351,9 +355,13 @@ pub fn gat_aggregate(
         ids
     });
     Ok(Var::from_function(
-        value,
+        Rc::clone(&value),
         GatAggFn {
-            parents: vec![z.clone(), s_dst.clone(), a_src.clone()],
+            parents: vec![z.edge(), s_dst.edge(), a_src.edge()],
+            z: z_val,
+            s_dst: s_dst_val,
+            a_src: a_src_val,
+            out: value,
             w: Rc::clone(w),
             view: View::clone(view),
             heads,

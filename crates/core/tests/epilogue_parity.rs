@@ -21,7 +21,7 @@ use sar_nn::loss::cross_entropy_masked;
 use sar_nn::tail::epilogue;
 use sar_nn::BatchNorm1d;
 use sar_partition::range;
-use sar_tensor::{init, pool, Function, Tensor, Var};
+use sar_tensor::{init, pool, Edge, Function, Tensor, Var};
 
 /// Rows over all ranks.
 const ROWS: usize = 37;
@@ -33,18 +33,20 @@ const EPS: f32 = 1e-5;
 
 /// `x̂` of the three-node batch norm (`x̂ → mul_row(γ) → add_bias(β)`).
 struct OracleBnFn {
-    parents: Vec<Var>,
+    parents: Vec<Edge>,
+    output: Rc<Tensor>,
     w: Rc<Worker>,
     inv_std: Tensor,
     n_global: f32,
 }
 
 impl Function for OracleBnFn {
-    fn parents(&self) -> &[Var] {
+    fn parents(&self) -> &[Edge] {
         &self.parents
     }
 
-    fn backward(&self, grad_output: &Tensor, output: &Tensor) -> Vec<Option<Tensor>> {
+    fn backward(&self, grad_output: &Tensor) -> Vec<Option<Tensor>> {
+        let output = &*self.output;
         let f = grad_output.cols();
         let mut buf = Vec::with_capacity(2 * f);
         buf.extend_from_slice(grad_output.sum_axis0().data());
@@ -74,14 +76,16 @@ fn oracle_bn(w: &Rc<Worker>, x: &Var, gamma: &Var, beta: &Var) -> Var {
     let sq_mean = Tensor::from_vec(&[f], buf[f..2 * f].to_vec()).scale(1.0 / n_global);
     let var = sq_mean.zip_map(&mean, |sq, m| (sq - m * m).max(0.0));
     let inv_std = var.map(|v| 1.0 / (v + EPS).sqrt());
-    let value = x
-        .value()
-        .add_row_broadcast(&mean.scale(-1.0))
-        .mul_row_broadcast(&inv_std);
+    let value = Rc::new(
+        x.value()
+            .add_row_broadcast(&mean.scale(-1.0))
+            .mul_row_broadcast(&inv_std),
+    );
     let x_hat = Var::from_function(
-        value,
+        Rc::clone(&value),
         OracleBnFn {
-            parents: vec![x.clone()],
+            parents: vec![x.edge()],
+            output: value,
             w: Rc::clone(w),
             inv_std,
             n_global,
@@ -118,9 +122,9 @@ fn oracle_loss(logits: &Var, labels: &[u32], mask: &[bool], norm: f32) -> Var {
         }
         Tensor::from_vec(x.shape(), out)
     };
-    let a = logits.clone();
-    let lp = Var::from_op(lp_value, vec![logits.clone()], "log_softmax", move |g| {
-        let s = a.value().softmax_rows();
+    let a = logits.save();
+    let lp = Var::from_op(lp_value, vec![logits.edge()], "log_softmax", move |g| {
+        let s = a.softmax_rows();
         let rowsum = g.sum_axis1();
         let mut dx = g.clone();
         let c = s.cols();
@@ -139,7 +143,7 @@ fn oracle_loss(logits: &Var, labels: &[u32], mask: &[bool], norm: f32) -> Var {
     }
     let value = Tensor::scalar((loss / norm as f64) as f32);
     let (labels, mask) = (labels.to_vec(), mask.to_vec());
-    Var::from_op(value, vec![lp], "nll_masked", move |g| {
+    Var::from_op(value, vec![lp.edge()], "nll_masked", move |g| {
         let scale = g.item() / norm;
         let mut dx = Tensor::zeros(&[n, c]);
         for i in (0..n).filter(|&i| mask[i]) {

@@ -49,10 +49,8 @@ impl BatchNorm1d {
             // Track running stats outside the tape.
             {
                 let m = self.momentum;
-                let mean_t = mean.value_clone();
-                let var_t = var.value_clone();
-                self.running_mean = self.running_mean.scale(1.0 - m).add(&mean_t.scale(m));
-                self.running_var = self.running_var.scale(1.0 - m).add(&var_t.scale(m));
+                self.running_mean = self.running_mean.scale(1.0 - m).add(&mean.value().scale(m));
+                self.running_var = self.running_var.scale(1.0 - m).add(&var.value().scale(m));
             }
             let std = var.add_scalar(self.eps).sqrt();
             centered

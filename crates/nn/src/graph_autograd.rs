@@ -2,12 +2,14 @@
 //!
 //! Each wrapper records a custom backward on the autograd tape. Graphs are
 //! passed as `Arc<CsrGraph>` so the backward closures can hold them without
-//! copying the topology.
+//! copying the topology; a backward that reads a value holds it as a
+//! [saved](Var::save) handle.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use sar_graph::{ops, CsrGraph};
-use sar_tensor::{Function, Tensor, Var};
+use sar_tensor::{Tensor, Var};
 
 /// Differentiable sum aggregation `out[i] = Σ_{j ∈ N(i)} x[j]`.
 ///
@@ -17,7 +19,7 @@ use sar_tensor::{Function, Tensor, Var};
 pub fn spmm_sum(g: &Arc<CsrGraph>, x: &Var) -> Var {
     let value = ops::spmm_sum(g, &x.value());
     let g = Arc::clone(g);
-    Var::from_op(value, vec![x.clone()], "spmm_sum", move |grad| {
+    Var::from_op(value, vec![x.edge()], "spmm_sum", move |grad| {
         vec![Some(ops::spmm_sum_backward(&g, grad))]
     })
 }
@@ -31,14 +33,13 @@ pub fn spmm_sum(g: &Arc<CsrGraph>, x: &Var) -> Var {
 pub fn gat_edge_scores(g: &Arc<CsrGraph>, s_dst: &Var, s_src: &Var, slope: f32) -> Var {
     let value = ops::gat_edge_scores(g, &s_dst.value(), &s_src.value(), slope);
     let graph = Arc::clone(g);
-    let (sd, ss) = (s_dst.clone(), s_src.clone());
+    let (sd, ss) = (s_dst.save(), s_src.save());
     Var::from_op(
         value,
-        vec![s_dst.clone(), s_src.clone()],
+        vec![s_dst.edge(), s_src.edge()],
         "gat_edge_scores",
         move |grad| {
-            let (d_dst, d_src) =
-                ops::gat_edge_scores_backward(&graph, &sd.value(), &ss.value(), slope, grad);
+            let (d_dst, d_src) = ops::gat_edge_scores_backward(&graph, &sd, &ss, slope, grad);
             vec![Some(d_dst), Some(d_src)]
         },
     )
@@ -55,7 +56,7 @@ pub fn gat_edge_scores(g: &Arc<CsrGraph>, s_dst: &Var, s_src: &Var, slope: f32) 
 pub fn gather_src(g: &Arc<CsrGraph>, x: &Var) -> Var {
     let value = ops::gather_src(g, &x.value());
     let graph = Arc::clone(g);
-    Var::from_op(value, vec![x.clone()], "gather_src", move |grad| {
+    Var::from_op(value, vec![x.edge()], "gather_src", move |grad| {
         vec![Some(ops::scatter_edges_to_src(&graph, grad))]
     })
 }
@@ -70,54 +71,27 @@ pub fn gather_src(g: &Arc<CsrGraph>, x: &Var) -> Var {
 pub fn gather_dst(g: &Arc<CsrGraph>, x: &Var) -> Var {
     let value = ops::gather_dst(g, &x.value());
     let graph = Arc::clone(g);
-    Var::from_op(value, vec![x.clone()], "gather_dst", move |grad| {
+    Var::from_op(value, vec![x.edge()], "gather_dst", move |grad| {
         vec![Some(ops::scatter_edges_to_dst(&graph, grad))]
     })
 }
 
-struct EdgeSoftmaxFn {
-    parents: Vec<Var>,
-    graph: Arc<CsrGraph>,
-}
-
-impl Function for EdgeSoftmaxFn {
-    fn parents(&self) -> &[Var] {
-        &self.parents
-    }
-
-    fn name(&self) -> &'static str {
-        "edge_softmax"
-    }
-
-    fn backward(&self, grad_output: &Tensor, output: &Tensor) -> Vec<Option<Tensor>> {
-        // The softmax gradient is expressed in terms of the output, which
-        // the engine shares with us — no extra copy is saved at forward
-        // time (matching DGL/PyTorch `save_for_backward`).
-        vec![Some(ops::edge_softmax_backward(
-            &self.graph,
-            output,
-            grad_output,
-        ))]
-    }
-}
-
 /// Differentiable edge softmax over each destination's incoming edges.
 ///
-/// The `[E, H]` attention-coefficient tensor this produces lives on the
-/// tape until backward — the memory cost the fused kernel (§3.3) avoids.
+/// The `[E, H]` attention-coefficient tensor this produces is saved for
+/// backward — the memory cost the fused kernel (§3.3) avoids. The
+/// gradient is expressed in terms of that output, so the backward holds
+/// it as a shared handle, not a copy (DGL/PyTorch `save_for_backward`).
 ///
 /// # Panics
 ///
 /// Panics if `scores` does not have one row per edge.
 pub fn edge_softmax(g: &Arc<CsrGraph>, scores: &Var) -> Var {
-    let alpha = ops::edge_softmax(g, &scores.value());
-    Var::from_function(
-        alpha,
-        EdgeSoftmaxFn {
-            parents: vec![scores.clone()],
-            graph: Arc::clone(g),
-        },
-    )
+    let alpha = Rc::new(ops::edge_softmax(g, &scores.value()));
+    let (graph, saved) = (Arc::clone(g), Rc::clone(&alpha));
+    Var::from_op(alpha, vec![scores.edge()], "edge_softmax", move |grad| {
+        vec![Some(ops::edge_softmax_backward(&graph, &saved, grad))]
+    })
 }
 
 /// Differentiable multi-head attention-weighted aggregation.
@@ -129,14 +103,13 @@ pub fn edge_softmax(g: &Arc<CsrGraph>, scores: &Var) -> Var {
 pub fn spmm_multihead(g: &Arc<CsrGraph>, alpha: &Var, x: &Var) -> Var {
     let value = ops::spmm_multihead(g, &alpha.value(), &x.value());
     let graph = Arc::clone(g);
-    let (a, xv) = (alpha.clone(), x.clone());
+    let (a, xv) = (alpha.save(), x.save());
     Var::from_op(
         value,
-        vec![alpha.clone(), x.clone()],
+        vec![alpha.edge(), x.edge()],
         "spmm_multihead",
         move |grad| {
-            let (d_alpha, d_x) =
-                ops::spmm_multihead_backward(&graph, &a.value(), &xv.value(), grad);
+            let (d_alpha, d_x) = ops::spmm_multihead_backward(&graph, &a, &xv, grad);
             vec![Some(d_alpha), Some(d_x)]
         },
     )
@@ -150,13 +123,13 @@ pub fn spmm_multihead(g: &Arc<CsrGraph>, alpha: &Var, x: &Var) -> Var {
 /// `heads`.
 pub fn head_project(x: &Var, a: &Var, heads: usize) -> Var {
     let value = ops::head_project(&x.value(), &a.value(), heads);
-    let (xv, av) = (x.clone(), a.clone());
+    let (xv, av) = (x.save(), a.save());
     Var::from_op(
         value,
-        vec![x.clone(), a.clone()],
+        vec![x.edge(), a.edge()],
         "head_project",
         move |grad| {
-            let (d_x, d_a) = ops::head_project_backward(&xv.value(), &av.value(), heads, grad);
+            let (d_x, d_a) = ops::head_project_backward(&xv, &av, heads, grad);
             vec![Some(d_x), Some(d_a)]
         },
     )
@@ -186,7 +159,7 @@ pub fn mean_heads(x: &Var, heads: usize) -> Var {
         }
     }
     let value = Tensor::from_vec(&[n, d], out);
-    Var::from_op(value, vec![x.clone()], "mean_heads", move |grad| {
+    Var::from_op(value, vec![x.edge()], "mean_heads", move |grad| {
         let mut dx = Tensor::zeros(&[n, hd]);
         for i in 0..n {
             let g_row = grad.row(i);

@@ -29,14 +29,14 @@ pub fn cross_entropy_masked(
     let norm = normalizer.unwrap_or(count.max(1) as f32);
     let loss = masked_nll(&logits.value(), labels, mask);
     let value = Tensor::scalar((loss / norm as f64) as f32);
-    let (x, labels, mask) = (logits.clone(), labels.to_vec(), mask.to_vec());
+    let (x, labels, mask) = (logits.save(), labels.to_vec(), mask.to_vec());
     Var::from_op(
         value,
-        vec![logits.clone()],
+        vec![logits.edge()],
         "cross_entropy_masked",
         move |g| {
             let scale = g.item() / norm;
-            vec![Some(masked_nll_backward(&x.value(), &labels, &mask, scale))]
+            vec![Some(masked_nll_backward(&x, &labels, &mask, scale))]
         },
     )
 }

@@ -18,8 +18,10 @@
 //! slower on two — each thread reads a stripe of every row, and the two
 //! streams' line prefetches overlap.
 
+use std::rc::Rc;
+
 use sar_tensor::pool::{self, Output};
-use sar_tensor::{Function, Tensor, Var};
+use sar_tensor::{Edge, Tensor, Var};
 
 /// Batch-norm statistics: `[Σx, Σx²]` per column, `2F` floats — the
 /// buffer the forward all-reduces (`x²` rounded before it is summed).
@@ -257,64 +259,39 @@ pub fn epilogue_backward(
     (d_agg, Some((Tensor::from_vec(&[n, f], d_hw), db)))
 }
 
-/// The epilogue's tape node: parents `[agg]` or `[agg, hw, b]`.
-struct EpilogueFn {
-    parents: Vec<Var>,
-    scale: Tensor,
-    relu: bool,
-}
-
-impl Function for EpilogueFn {
-    fn parents(&self) -> &[Var] {
-        &self.parents
-    }
-
-    fn name(&self) -> &'static str {
-        "epilogue"
-    }
-
-    fn backward(&self, grad_output: &Tensor, output: &Tensor) -> Vec<Option<Tensor>> {
-        let residual = self.parents.len() == 3;
-        let (d_agg, d_res) =
-            epilogue_backward(grad_output, output, self.scale.data(), self.relu, residual);
-        let mut grads = vec![Some(d_agg)];
-        if let Some((d_hw, db)) = d_res {
-            grads.extend([Some(d_hw), Some(db)]);
-        }
-        for (grad, p) in grads.iter_mut().zip(&self.parents) {
-            if !p.requires_grad() {
-                *grad = None;
-            }
-        }
-        grads
-    }
-}
-
 /// The Sage/GCN layer tail as one tape node: `relu?(agg ⊙ s + (hw + b))`
 /// (see [`epilogue_forward`]), with `scale` a constant `[n]` column, and
 /// `residual = (hw, b)` the `[n, F]` residual product and its `[F]` bias.
+/// The backward reads its own output and the scale, never its inputs.
 ///
 /// # Panics
 ///
 /// Panics if shapes disagree.
 pub fn epilogue(agg: &Var, scale: Tensor, residual: Option<(&Var, &Var)>, relu: bool) -> Var {
-    let value = {
+    let out = Rc::new({
         let (a, r) = (agg.value(), residual.map(|(hw, b)| (hw.value(), b.value())));
         let r = r.as_ref().map(|(hw, b)| (&**hw, b.data()));
         epilogue_forward(&a, scale.data(), r, relu)
-    };
-    let mut parents = vec![agg.clone()];
+    });
+    let mut parents = vec![agg.edge()];
     if let Some((hw, b)) = residual {
-        parents.extend([hw.clone(), b.clone()]);
+        parents.extend([hw.edge(), b.edge()]);
     }
-    Var::from_function(
-        value,
-        EpilogueFn {
-            parents,
-            scale,
-            relu,
-        },
-    )
+    let need: Vec<bool> = parents.iter().map(Edge::requires_grad).collect();
+    let saved = Rc::clone(&out);
+    Var::from_op(out, parents, "epilogue", move |g| {
+        let (d_agg, d_res) = epilogue_backward(g, &saved, scale.data(), relu, need.len() == 3);
+        let mut grads = vec![Some(d_agg)];
+        if let Some((d_hw, db)) = d_res {
+            grads.extend([Some(d_hw), Some(db)]);
+        }
+        for (grad, &need) in grads.iter_mut().zip(&need) {
+            if !need {
+                *grad = None;
+            }
+        }
+        grads
+    })
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Reverse-mode automatic differentiation.
 //!
-//! [`Var`] wraps a [`Tensor`] in a reference-counted tape node. Operations
-//! on `Var`s record backward closures; [`Var::backward`] runs them in
-//! reverse topological order, accumulating gradients into every node that
+//! [`Var`] pairs a reference-counted [`Tensor`] value with an [`Edge`], the
+//! variable's gradient slot on the tape. Operations on `Var`s record
+//! backward closures over edges; [`Var::backward`] runs them in reverse
+//! topological order, accumulating gradients into every edge that
 //! [requires grad](Var::requires_grad).
 //!
 //! Two features beyond a textbook tape are load-bearing for SAR:
@@ -16,10 +17,16 @@
 //!   backward re-materializes the graph piece by piece (Algorithm 2),
 //!   communicating with the other workers as a side effect.
 //!
-//! Tape nodes hold their backward closure only until `backward` has
-//! consumed them (unless `retain_graph` is used), so the graph frees itself
-//! as gradients flow — the same behaviour PyTorch exhibits and SAR relies
-//! on for its memory guarantees.
+//! **The tape owns no values.** An edge holds an id, a gradient, the
+//! operation that produced it and whether it requires a gradient — never
+//! the value. A backward pass reads only the tensors its operation saved
+//! at record time ([`Var::save`]): shared handles to the values, not
+//! copies, as PyTorch's `save_for_backward` keeps them. An intermediate
+//! no backward saved is freed as soon as its last `Var` handle drops, and
+//! a saved one as soon as the backward that reads it has run: the engine
+//! drops each operation once it has propagated (unless `retain_graph` is
+//! used), so the graph frees itself as gradients flow — the behaviour SAR
+//! relies on for its memory guarantees.
 
 mod ops;
 
@@ -78,18 +85,17 @@ pub fn no_grad<T>(f: impl FnOnce() -> T) -> T {
 /// must contain one entry per parent (in the same order as
 /// [`parents`](Function::parents)), `None` meaning "no gradient".
 ///
-/// `backward` also receives the operation's *output value*. Operations
-/// whose gradient is naturally expressed in terms of their output (edge
-/// softmax, the fused attention kernel) can read it without saving a copy
-/// at forward time — mirroring how PyTorch's `save_for_backward` shares
-/// the output tensor rather than cloning it.
+/// Parents are [`Edge`]s, which carry gradients, not values. A backward
+/// that reads a value — an input, a parameter, or the operation's own
+/// output — saves it at record time with [`Var::save`]: the operation
+/// holds a shared handle to the tensor, not a copy, and drops it with
+/// itself once its backward has run.
 pub trait Function {
-    /// The parent variables this operation consumed.
-    fn parents(&self) -> &[Var];
+    /// The gradient slots of the variables this operation consumed.
+    fn parents(&self) -> &[Edge];
 
-    /// Computes gradients for every parent given the output gradient and
-    /// the forward output value.
-    fn backward(&self, grad_output: &Tensor, output: &Tensor) -> Vec<Option<Tensor>>;
+    /// Computes gradients for every parent given the output gradient.
+    fn backward(&self, grad_output: &Tensor) -> Vec<Option<Tensor>>;
 
     /// Operation name for debugging.
     fn name(&self) -> &'static str {
@@ -103,16 +109,16 @@ type ParentGrads = Vec<Option<Tensor>>;
 /// Closure-based [`Function`] used by all built-in operations.
 struct ClosureFn {
     name: &'static str,
-    parents: Vec<Var>,
+    parents: Vec<Edge>,
     backward: Box<dyn Fn(&Tensor) -> ParentGrads>,
 }
 
 impl Function for ClosureFn {
-    fn parents(&self) -> &[Var] {
+    fn parents(&self) -> &[Edge] {
         &self.parents
     }
 
-    fn backward(&self, grad_output: &Tensor, _output: &Tensor) -> Vec<Option<Tensor>> {
+    fn backward(&self, grad_output: &Tensor) -> Vec<Option<Tensor>> {
         (self.backward)(grad_output)
     }
 
@@ -121,20 +127,133 @@ impl Function for ClosureFn {
     }
 }
 
-struct Node {
+struct EdgeNode {
     id: u64,
-    value: Tensor,
     grad: Option<Tensor>,
     op: Option<Box<dyn Function>>,
     requires_grad: bool,
 }
 
-/// A tensor tracked by the autograd tape.
+/// A variable's gradient slot on the tape: its id, its accumulated
+/// gradient, the operation that produced it and whether it requires a
+/// gradient — but not its value.
+///
+/// [`Function::parents`] returns edges, and the backward engine walks
+/// them, so holding a tape does not keep a single activation alive. A
+/// cheaply clonable handle (`Rc` internally); clones share one slot.
+#[derive(Clone)]
+pub struct Edge {
+    node: Rc<RefCell<EdgeNode>>,
+}
+
+impl Edge {
+    fn new(op: Option<Box<dyn Function>>, requires_grad: bool) -> Edge {
+        let id = NEXT_ID.with(|n| {
+            let id = n.get();
+            n.set(id + 1);
+            id
+        });
+        Edge {
+            node: Rc::new(RefCell::new(EdgeNode {
+                id,
+                grad: None,
+                op,
+                requires_grad,
+            })),
+        }
+    }
+
+    /// Whether this slot participates in gradient computation.
+    pub fn requires_grad(&self) -> bool {
+        self.node.borrow().requires_grad
+    }
+
+    /// Stable identifier of the slot; ids increase with creation order.
+    fn id(&self) -> u64 {
+        self.node.borrow().id
+    }
+
+    /// Adds `g` into the slot, moving it in on a first write.
+    fn accumulate_grad(&self, g: Tensor) {
+        let mut node = self.node.borrow_mut();
+        match &mut node.grad {
+            Some(existing) => existing.add_assign(&g),
+            None => node.grad = Some(g),
+        }
+    }
+
+    /// Runs the backward pass from this slot, seeded with `grad`.
+    fn backward_from(&self, grad: &Tensor) {
+        // Collect the reachable graph. Edge ids increase monotonically with
+        // creation order, so descending id order is a valid reverse
+        // topological order for the DAG.
+        let mut stack = vec![self.clone()];
+        let mut seen = std::collections::HashSet::new();
+        let mut order: Vec<Edge> = Vec::new();
+        while let Some(e) = stack.pop() {
+            let id = e.id();
+            if !seen.insert(id) {
+                continue;
+            }
+            if let Some(op) = e.node.borrow().op.as_ref() {
+                for p in op.parents() {
+                    stack.push(p.clone());
+                }
+            }
+            order.push(e);
+        }
+        order.sort_by_key(|e| std::cmp::Reverse(e.id()));
+
+        self.accumulate_grad(grad.clone());
+        for e in order {
+            // Take the op out so it — and every tensor it saved — is freed
+            // as soon as this edge has propagated: the incremental graph
+            // freeing SAR's memory accounting relies on. The gradient is
+            // taken with it: this edge has an op, so it is an
+            // intermediate whose gradient is not retained (PyTorch's
+            // default), and taking it keeps one copy alive, not two.
+            let (op, g) = {
+                let mut node = e.node.borrow_mut();
+                if node.op.is_none() || node.grad.is_none() {
+                    continue;
+                }
+                (node.op.take().unwrap(), node.grad.take().unwrap())
+            };
+            let parent_grads = op.backward(&g);
+            let parents = op.parents();
+            assert_eq!(
+                parent_grads.len(),
+                parents.len(),
+                "op `{}` returned {} grads for {} parents",
+                op.name(),
+                parent_grads.len(),
+                parents.len()
+            );
+            for (p, pg) in parents.iter().zip(parent_grads) {
+                if let Some(pg) = pg {
+                    if p.requires_grad() {
+                        p.accumulate_grad(pg);
+                    }
+                }
+            }
+        }
+    }
+}
+
+struct VarInner {
+    edge: Edge,
+    value: RefCell<Rc<Tensor>>,
+}
+
+/// A tensor tracked by the autograd tape: an [`Edge`] plus a shared,
+/// reference-counted value.
 ///
 /// `Var` is a cheaply clonable handle (`Rc` internally); clones share the
-/// same value and gradient. Being `Rc`-based, `Var`s are intentionally
-/// **not** `Send`: each simulated SAR worker thread owns its own tape, and
-/// data crosses threads only as raw buffers.
+/// same value and gradient. The tape holds the edge only, so the value
+/// lives as long as a `Var` handle or a backward that [saved](Var::save)
+/// it does. Being `Rc`-based, `Var`s are intentionally **not** `Send`:
+/// each simulated SAR worker thread owns its own tape, and data crosses
+/// threads only as raw buffers.
 ///
 /// # Example
 ///
@@ -148,58 +267,49 @@ struct Node {
 /// ```
 #[derive(Clone)]
 pub struct Var {
-    node: Rc<RefCell<Node>>,
+    inner: Rc<VarInner>,
 }
 
 impl Var {
-    fn make(value: Tensor, op: Option<Box<dyn Function>>, requires_grad: bool) -> Var {
-        let id = NEXT_ID.with(|n| {
-            let id = n.get();
-            n.set(id + 1);
-            id
-        });
+    fn make(value: Rc<Tensor>, op: Option<Box<dyn Function>>, requires_grad: bool) -> Var {
         Var {
-            node: Rc::new(RefCell::new(Node {
-                id,
-                value,
-                grad: None,
-                op,
-                requires_grad,
-            })),
+            inner: Rc::new(VarInner {
+                edge: Edge::new(op, requires_grad),
+                value: RefCell::new(value),
+            }),
         }
     }
 
     /// Creates a leaf that participates in gradients (a trainable
     /// parameter).
     pub fn parameter(value: Tensor) -> Var {
-        Var::make(value, None, true)
+        Var::make(Rc::new(value), None, true)
     }
 
     /// Creates a leaf that does not require gradients (input data).
     pub fn constant(value: Tensor) -> Var {
-        Var::make(value, None, false)
+        Var::make(Rc::new(value), None, false)
     }
 
     /// Records the output of a custom [`Function`].
     ///
-    /// If taping is disabled or no parent requires a gradient, the result
-    /// is a constant and `f` is dropped immediately.
-    pub fn from_function(value: Tensor, f: impl Function + 'static) -> Var {
-        let requires = grad_enabled() && f.parents().iter().any(Var::requires_grad);
-        if requires {
-            Var::make(value, Some(Box::new(f)), true)
-        } else {
-            Var::constant(value)
-        }
+    /// `value` may be a handle `f` already [saved](Var::save) (an
+    /// operation whose backward reads its own output). If taping is
+    /// disabled or no parent requires a gradient, the result is a constant
+    /// and `f` — with everything it saved — is dropped immediately.
+    pub fn from_function(value: impl Into<Rc<Tensor>>, f: impl Function + 'static) -> Var {
+        let requires = grad_enabled() && f.parents().iter().any(Edge::requires_grad);
+        let op: Option<Box<dyn Function>> = requires.then(|| Box::new(f) as _);
+        Var::make(value.into(), op, requires)
     }
 
     /// Records a closure-backed operation: `backward` receives the output
-    /// gradient and returns one gradient per parent. Prefer this over a
-    /// full [`Function`] impl for operations that don't need the output
-    /// value in their backward pass.
+    /// gradient and returns one gradient per parent, reading only what the
+    /// closure captured. Prefer this over a full [`Function`] impl for
+    /// operations without state of their own.
     pub fn from_op(
-        value: Tensor,
-        parents: Vec<Var>,
+        value: impl Into<Rc<Tensor>>,
+        parents: Vec<Edge>,
         name: &'static str,
         backward: impl Fn(&Tensor) -> Vec<Option<Tensor>> + 'static,
     ) -> Var {
@@ -213,9 +323,21 @@ impl Var {
         )
     }
 
+    /// This variable's gradient slot, for an operation's parent list.
+    pub fn edge(&self) -> Edge {
+        self.inner.edge.clone()
+    }
+
+    /// Shares the value with a backward pass: a handle to the same tensor,
+    /// not a copy — PyTorch's `save_for_backward`. The tensor stays alive
+    /// while the handle does, even after every `Var` handle is gone.
+    pub fn save(&self) -> Rc<Tensor> {
+        Rc::clone(&self.inner.value.borrow())
+    }
+
     /// Whether this variable participates in gradient computation.
     pub fn requires_grad(&self) -> bool {
-        self.node.borrow().requires_grad
+        self.inner.edge.requires_grad()
     }
 
     /// Borrows the underlying tensor value.
@@ -223,41 +345,46 @@ impl Var {
     /// # Panics
     ///
     /// Panics if the value is mutably borrowed (e.g. inside
-    /// [`Var::set_value`]'s closure).
+    /// [`Var::update_value`]'s closure).
     pub fn value(&self) -> Ref<'_, Tensor> {
-        Ref::map(self.node.borrow(), |n| &n.value)
+        Ref::map(self.inner.value.borrow(), |v| &**v)
     }
 
     /// Clones the underlying tensor value.
     pub fn value_clone(&self) -> Tensor {
-        self.node.borrow().value.clone()
+        Tensor::clone(&self.value())
     }
 
     /// Shape of the underlying value.
     pub fn shape(&self) -> Vec<usize> {
-        self.node.borrow().value.shape().to_vec()
+        self.value().shape().to_vec()
     }
 
-    /// Replaces the underlying value in place (used by optimizers).
+    /// Replaces the underlying value (used by optimizers and checkpoint
+    /// loading). A backward that saved the old value keeps reading it.
     ///
     /// Does not touch the tape; only call this on leaves.
     pub fn set_value(&self, value: Tensor) {
-        self.node.borrow_mut().value = value;
+        *self.inner.value.borrow_mut() = Rc::new(value);
     }
 
     /// Applies `f` to the underlying value in place (used by optimizers).
+    ///
+    /// In place only while no recorded backward still holds the value —
+    /// after `backward` has run, none does; otherwise the update goes to a
+    /// fresh copy and the saved handle keeps the value it saved.
     pub fn update_value(&self, f: impl FnOnce(&mut Tensor)) {
-        f(&mut self.node.borrow_mut().value);
+        f(Rc::make_mut(&mut self.inner.value.borrow_mut()));
     }
 
     /// Clones the accumulated gradient, if any.
     pub fn grad(&self) -> Option<Tensor> {
-        self.node.borrow().grad.clone()
+        self.inner.edge.node.borrow().grad.clone()
     }
 
     /// Clears the accumulated gradient.
     pub fn zero_grad(&self) {
-        self.node.borrow_mut().grad = None;
+        self.inner.edge.node.borrow_mut().grad = None;
     }
 
     /// Accumulates `g` into this variable's gradient.
@@ -266,38 +393,27 @@ impl Var {
     ///
     /// Panics if an existing gradient has a different shape.
     pub fn accumulate_grad(&self, g: &Tensor) {
-        let mut node = self.node.borrow_mut();
+        let mut node = self.inner.edge.node.borrow_mut();
         match &mut node.grad {
             Some(existing) => existing.add_assign(g),
             None => node.grad = Some(g.clone()),
         }
     }
 
-    /// [`accumulate_grad`](Var::accumulate_grad) for a gradient the
-    /// caller is done with: a first write moves `g` in instead of
-    /// copying it.
-    fn accumulate_grad_owned(&self, g: Tensor) {
-        let mut node = self.node.borrow_mut();
-        match &mut node.grad {
-            Some(existing) => existing.add_assign(&g),
-            None => node.grad = Some(g),
-        }
-    }
-
     /// Returns a constant sharing this variable's current value but
     /// detached from the tape.
     pub fn detach(&self) -> Var {
-        Var::constant(self.value_clone())
+        Var::make(self.save(), None, false)
     }
 
-    /// Stable identifier of the underlying tape node.
+    /// Stable identifier of the underlying tape edge.
     pub fn id(&self) -> u64 {
-        self.node.borrow().id
+        self.inner.edge.id()
     }
 
-    /// Whether two handles refer to the same tape node.
+    /// Whether two handles refer to the same tape edge.
     pub fn same_node(&self, other: &Var) -> bool {
-        Rc::ptr_eq(&self.node, &other.node)
+        Rc::ptr_eq(&self.inner.edge.node, &other.inner.edge.node)
     }
 
     // ------------------------------------------------------------------
@@ -306,15 +422,15 @@ impl Var {
 
     /// Backpropagates from a scalar output, seeding with gradient 1.
     ///
-    /// Frees each node's backward closure as soon as it has been consumed
-    /// (`retain_graph = false` semantics).
+    /// Frees each operation, and the tensors it saved, as soon as it has
+    /// been consumed (`retain_graph = false` semantics).
     ///
     /// # Panics
     ///
     /// Panics if the output is not a 1-element tensor.
     pub fn backward(&self) {
         assert_eq!(
-            self.node.borrow().value.numel(),
+            self.value().numel(),
             1,
             "backward() requires a scalar output; use backward_with() otherwise"
         );
@@ -332,75 +448,20 @@ impl Var {
     /// Panics if `grad` does not match the output's shape.
     pub fn backward_with(&self, grad: &Tensor) {
         assert_eq!(
-            self.node.borrow().value.shape(),
+            self.value().shape(),
             grad.shape(),
             "backward gradient shape mismatch"
         );
-        // Collect the reachable graph. Node ids increase monotonically with
-        // creation order, so descending id order is a valid reverse
-        // topological order for the DAG.
-        let mut stack = vec![self.clone()];
-        let mut seen = std::collections::HashSet::new();
-        let mut order: Vec<Var> = Vec::new();
-        while let Some(v) = stack.pop() {
-            let id = v.id();
-            if !seen.insert(id) {
-                continue;
-            }
-            if let Some(op) = v.node.borrow().op.as_ref() {
-                for p in op.parents() {
-                    stack.push(p.clone());
-                }
-            }
-            order.push(v);
-        }
-        order.sort_by_key(|v| std::cmp::Reverse(v.id()));
-
-        self.accumulate_grad(grad);
-        for v in order {
-            // Take the op out so the closure (and the tensors it captured)
-            // is freed as soon as this node has propagated — this is the
-            // incremental graph freeing SAR's memory accounting relies on.
-            // The gradient is taken with it: this node has an op, so it is
-            // an intermediate whose gradient is not retained (PyTorch's
-            // default), and taking it keeps one copy alive, not two.
-            let (op, g) = {
-                let mut node = v.node.borrow_mut();
-                if node.op.is_none() || node.grad.is_none() {
-                    continue;
-                }
-                (node.op.take().unwrap(), node.grad.take().unwrap())
-            };
-            let parent_grads = {
-                let node = v.node.borrow();
-                op.backward(&g, &node.value)
-            };
-            let parents = op.parents();
-            assert_eq!(
-                parent_grads.len(),
-                parents.len(),
-                "op `{}` returned {} grads for {} parents",
-                op.name(),
-                parent_grads.len(),
-                parents.len()
-            );
-            for (p, pg) in parents.iter().zip(parent_grads) {
-                if let Some(pg) = pg {
-                    if p.requires_grad() {
-                        p.accumulate_grad_owned(pg);
-                    }
-                }
-            }
-        }
+        self.inner.edge.backward_from(grad);
     }
 }
 
 impl std::fmt::Debug for Var {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self.node.borrow();
+        let n = self.inner.edge.node.borrow();
         f.debug_struct("Var")
             .field("id", &n.id)
-            .field("shape", &n.value.shape())
+            .field("shape", &self.value().shape())
             .field("requires_grad", &n.requires_grad)
             .field("has_op", &n.op.is_some())
             .finish()
@@ -471,7 +532,10 @@ mod tests {
         let x = Var::parameter(Tensor::scalar(2.0));
         let y = x.mul(&x);
         y.backward();
-        assert!(y.node.borrow().op.is_none(), "op should be dropped");
+        assert!(
+            y.inner.edge.node.borrow().op.is_none(),
+            "op should be dropped"
+        );
     }
 
     #[test]
@@ -492,13 +556,13 @@ mod tests {
     #[test]
     fn custom_function_round_trip() {
         struct Double {
-            parents: Vec<Var>,
+            parents: Vec<Edge>,
         }
         impl Function for Double {
-            fn parents(&self) -> &[Var] {
+            fn parents(&self) -> &[Edge] {
                 &self.parents
             }
-            fn backward(&self, g: &Tensor, _output: &Tensor) -> Vec<Option<Tensor>> {
+            fn backward(&self, g: &Tensor) -> Vec<Option<Tensor>> {
                 vec![Some(g.scale(2.0))]
             }
             fn name(&self) -> &'static str {
@@ -510,10 +574,64 @@ mod tests {
         let y = Var::from_function(
             value,
             Double {
-                parents: vec![x.clone()],
+                parents: vec![x.edge()],
             },
         );
         y.backward();
         assert_eq!(x.grad().unwrap().item(), 2.0);
+    }
+
+    fn live() -> usize {
+        crate::MemoryTracker::stats().current_bytes
+    }
+
+    #[test]
+    fn an_intermediate_no_backward_reads_is_freed_at_once() {
+        let x = Var::parameter(Tensor::ones(&[8, 16]));
+        let base = live();
+        let y = x.add(&x); // `scale` reads no value: nothing saves `y`
+        let z = y.scale(3.0);
+        assert_eq!(live(), base + 2 * 512);
+        drop(y);
+        assert_eq!(live(), base + 512, "only `z` is left");
+        z.sum().backward();
+        assert_eq!(x.grad().unwrap().data()[0], 6.0);
+    }
+
+    #[test]
+    fn a_saved_tensor_lives_until_its_backward_has_run() {
+        let x = Var::parameter(Tensor::ones(&[8, 16]));
+        let base = live();
+        let y = x.scale(2.0);
+        let z = y.relu(); // saves its input `y`
+        drop(y);
+        assert_eq!(live(), base + 2 * 512, "`relu` holds `y`");
+        let s = z.sum();
+        assert_eq!(live(), base + 2 * 512 + 4);
+        s.backward();
+        // `y` went with relu's op; `z`, `s` and x's gradient remain.
+        assert_eq!(live(), base + 512 + 4 + 512);
+        assert_eq!(x.grad().unwrap().data()[0], 2.0);
+    }
+
+    #[test]
+    fn a_parameter_updates_in_place_once_its_backward_has_run() {
+        let w = Var::parameter(Tensor::ones(&[4, 4]));
+        let x = Var::constant(Tensor::ones(&[2, 4]));
+        let y = x.matmul(&w).sum(); // matmul saves `x`, not `w`
+        let p = w.value().data().as_ptr();
+        w.update_value(|v| v.data_mut()[0] = 2.0);
+        assert_eq!(w.value().data().as_ptr(), p, "nothing saved `w`");
+        let y2 = w.matmul(&w).sum(); // saves `w` twice
+        w.update_value(|v| v.data_mut()[0] = 3.0);
+        assert_ne!(w.value().data().as_ptr(), p, "a saved value is not written");
+        y2.backward();
+        // The backward read the value it saved, `w[0][0] = 2`: row 0 and
+        // column 0 of `w` each sum to 2 + 1 + 1 + 1.
+        assert_eq!(w.grad().unwrap().data()[0], 10.0);
+        let p = w.value().data().as_ptr();
+        w.update_value(|v| v.data_mut()[0] = 4.0);
+        assert_eq!(w.value().data().as_ptr(), p);
+        y.backward();
     }
 }

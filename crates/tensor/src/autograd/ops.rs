@@ -1,9 +1,11 @@
 //! Built-in differentiable operations on [`Var`].
 //!
-//! Backward closures capture parent `Var` handles (not tensor copies)
-//! wherever possible, so the memory held by the tape mirrors what a real
-//! autograd framework keeps alive — which is exactly what the SAR memory
-//! experiments measure.
+//! Backward closures capture only the values their gradient formula reads,
+//! as [saved](Var::save) handles (not tensor copies), so the memory held by
+//! the tape is what a real autograd framework keeps alive — which is
+//! exactly what the SAR memory experiments measure. A binary operation
+//! saves an operand only for the other operand's gradient: `x · W` with a
+//! constant `x` keeps `x` and not `W`.
 //!
 //! A binary operation's closure returns `None` for a parent that does not
 //! [require a gradient](Var::requires_grad) instead of computing a tensor
@@ -24,12 +26,13 @@ use crate::Tensor;
 /// Panics if `vars` is empty or row counts differ.
 pub fn hstack(vars: &[Var]) -> Var {
     assert!(!vars.is_empty(), "hstack of zero variables");
-    let values: Vec<Tensor> = vars.iter().map(Var::value_clone).collect();
-    let refs: Vec<&Tensor> = values.iter().collect();
+    let values: Vec<_> = vars.iter().map(Var::value).collect();
+    let refs: Vec<&Tensor> = values.iter().map(|v| &**v).collect();
     let value = Tensor::hstack(&refs);
-    let widths: Vec<usize> = values.iter().map(Tensor::cols).collect();
+    let widths: Vec<usize> = refs.iter().map(|v| v.cols()).collect();
     drop(values);
-    Var::from_op(value, vars.to_vec(), "hstack", move |g| {
+    let parents = vars.iter().map(Var::edge).collect();
+    Var::from_op(value, parents, "hstack", move |g| {
         let mut out = Vec::with_capacity(widths.len());
         let mut off = 0;
         for &w in &widths {
@@ -53,7 +56,7 @@ impl Var {
     pub fn add(&self, other: &Var) -> Var {
         let value = self.value().add(&other.value());
         let (need_a, need_b) = (self.requires_grad(), other.requires_grad());
-        Var::from_op(value, vec![self.clone(), other.clone()], "add", move |g| {
+        Var::from_op(value, vec![self.edge(), other.edge()], "add", move |g| {
             vec![need_a.then(|| g.clone()), need_b.then(|| g.clone())]
         })
     }
@@ -66,7 +69,7 @@ impl Var {
     pub fn sub(&self, other: &Var) -> Var {
         let value = self.value().sub(&other.value());
         let (need_a, need_b) = (self.requires_grad(), other.requires_grad());
-        Var::from_op(value, vec![self.clone(), other.clone()], "sub", move |g| {
+        Var::from_op(value, vec![self.edge(), other.edge()], "sub", move |g| {
             vec![need_a.then(|| g.clone()), need_b.then(|| g.scale(-1.0))]
         })
     }
@@ -78,12 +81,12 @@ impl Var {
     /// Panics if shapes differ.
     pub fn mul(&self, other: &Var) -> Var {
         let value = self.value().mul(&other.value());
-        let (a, b) = (self.clone(), other.clone());
-        Var::from_op(value, vec![self.clone(), other.clone()], "mul", move |g| {
-            vec![
-                a.requires_grad().then(|| g.mul(&b.value())),
-                b.requires_grad().then(|| g.mul(&a.value())),
-            ]
+        let (a, b) = (
+            other.requires_grad().then(|| self.save()),
+            self.requires_grad().then(|| other.save()),
+        );
+        Var::from_op(value, vec![self.edge(), other.edge()], "mul", move |g| {
+            vec![b.as_ref().map(|b| g.mul(b)), a.as_ref().map(|a| g.mul(a))]
         })
     }
 
@@ -94,14 +97,14 @@ impl Var {
     /// Panics if shapes differ.
     pub fn div(&self, other: &Var) -> Var {
         let value = self.value().div(&other.value());
-        let (a, b) = (self.clone(), other.clone());
-        Var::from_op(value, vec![self.clone(), other.clone()], "div", move |g| {
-            let bv = b.value();
-            let da = a.requires_grad().then(|| g.div(&bv));
-            let db = b.requires_grad().then(|| {
-                g.mul(&a.value())
-                    .zip_map(&bv, |num, den| -num / (den * den))
-            });
+        let (need_a, need_b) = (self.requires_grad(), other.requires_grad());
+        let a = need_b.then(|| self.save());
+        let b = other.save();
+        Var::from_op(value, vec![self.edge(), other.edge()], "div", move |g| {
+            let da = need_a.then(|| g.div(&b));
+            let db = a
+                .as_ref()
+                .map(|a| g.mul(a).zip_map(&b, |num, den| -num / (den * den)));
             vec![da, db]
         })
     }
@@ -109,7 +112,7 @@ impl Var {
     /// Multiplies every element by `s`.
     pub fn scale(&self, s: f32) -> Var {
         let value = self.value().scale(s);
-        Var::from_op(value, vec![self.clone()], "scale", move |g| {
+        Var::from_op(value, vec![self.edge()], "scale", move |g| {
             vec![Some(g.scale(s))]
         })
     }
@@ -117,7 +120,7 @@ impl Var {
     /// Adds `s` to every element.
     pub fn add_scalar(&self, s: f32) -> Var {
         let value = self.value().add_scalar(s);
-        Var::from_op(value, vec![self.clone()], "add_scalar", |g| {
+        Var::from_op(value, vec![self.edge()], "add_scalar", |g| {
             vec![Some(g.clone())]
         })
     }
@@ -133,9 +136,9 @@ impl Var {
     /// (as batch normalization does).
     pub fn sqrt(&self) -> Var {
         let value = self.value().map(f32::sqrt);
-        let a = self.clone();
-        Var::from_op(value, vec![self.clone()], "sqrt", move |g| {
-            let dv = a.value().map(|x| 0.5 / x.sqrt());
+        let a = self.save();
+        Var::from_op(value, vec![self.edge()], "sqrt", move |g| {
+            let dv = a.map(|x| 0.5 / x.sqrt());
             vec![Some(g.mul(&dv))]
         })
     }
@@ -143,18 +146,18 @@ impl Var {
     /// Elementwise natural exponent.
     pub fn exp(&self) -> Var {
         let value = self.value().map(f32::exp);
-        let a = self.clone();
-        Var::from_op(value, vec![self.clone()], "exp", move |g| {
-            vec![Some(g.mul(&a.value().map(f32::exp)))]
+        let a = self.save();
+        Var::from_op(value, vec![self.edge()], "exp", move |g| {
+            vec![Some(g.mul(&a.map(f32::exp)))]
         })
     }
 
     /// Elementwise natural logarithm.
     pub fn log(&self) -> Var {
         let value = self.value().map(f32::ln);
-        let a = self.clone();
-        Var::from_op(value, vec![self.clone()], "log", move |g| {
-            vec![Some(g.div(&a.value()))]
+        let a = self.save();
+        Var::from_op(value, vec![self.edge()], "log", move |g| {
+            vec![Some(g.div(&a))]
         })
     }
 
@@ -165,9 +168,9 @@ impl Var {
     /// Rectified linear unit.
     pub fn relu(&self) -> Var {
         let value = self.value().map(|x| x.max(0.0));
-        let a = self.clone();
-        Var::from_op(value, vec![self.clone()], "relu", move |g| {
-            let dx = g.zip_map(&a.value(), |gv, x| gv * if x > 0.0 { 1.0 } else { 0.0 });
+        let a = self.save();
+        Var::from_op(value, vec![self.edge()], "relu", move |g| {
+            let dx = g.zip_map(&a, |gv, x| gv * if x > 0.0 { 1.0 } else { 0.0 });
             vec![Some(dx)]
         })
     }
@@ -175,9 +178,9 @@ impl Var {
     /// Leaky rectified linear unit with the given negative slope.
     pub fn leaky_relu(&self, slope: f32) -> Var {
         let value = self.value().map(|x| if x > 0.0 { x } else { slope * x });
-        let a = self.clone();
-        Var::from_op(value, vec![self.clone()], "leaky_relu", move |g| {
-            let dx = g.zip_map(&a.value(), |gv, x| gv * if x > 0.0 { 1.0 } else { slope });
+        let a = self.save();
+        Var::from_op(value, vec![self.edge()], "leaky_relu", move |g| {
+            let dx = g.zip_map(&a, |gv, x| gv * if x > 0.0 { 1.0 } else { slope });
             vec![Some(dx)]
         })
     }
@@ -185,9 +188,9 @@ impl Var {
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
         let value = self.value().map(|x| 1.0 / (1.0 + (-x).exp()));
-        let a = self.clone();
-        Var::from_op(value, vec![self.clone()], "sigmoid", move |g| {
-            let dv = a.value().map(|x| {
+        let a = self.save();
+        Var::from_op(value, vec![self.edge()], "sigmoid", move |g| {
+            let dv = a.map(|x| {
                 let s = 1.0 / (1.0 + (-x).exp());
                 s * (1.0 - s)
             });
@@ -198,9 +201,9 @@ impl Var {
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Var {
         let value = self.value().map(f32::tanh);
-        let a = self.clone();
-        Var::from_op(value, vec![self.clone()], "tanh", move |g| {
-            let dv = a.value().map(|x| 1.0 - x.tanh() * x.tanh());
+        let a = self.save();
+        Var::from_op(value, vec![self.edge()], "tanh", move |g| {
+            let dv = a.map(|x| 1.0 - x.tanh() * x.tanh());
             vec![Some(g.mul(&dv))]
         })
     }
@@ -216,17 +219,14 @@ impl Var {
     /// Panics if inner dimensions differ.
     pub fn matmul(&self, other: &Var) -> Var {
         let value = self.value().matmul(&other.value());
-        let (a, b) = (self.clone(), other.clone());
-        Var::from_op(
-            value,
-            vec![self.clone(), other.clone()],
-            "matmul",
-            move |g| {
-                let da = a.requires_grad().then(|| g.matmul_nt(&b.value()));
-                let db = b.requires_grad().then(|| a.value().matmul_tn(g));
-                vec![da, db]
-            },
-        )
+        // `b` only for `a`'s gradient, `a` only for `b`'s.
+        let a = other.requires_grad().then(|| self.save());
+        let b = self.requires_grad().then(|| other.save());
+        Var::from_op(value, vec![self.edge(), other.edge()], "matmul", move |g| {
+            let da = b.as_ref().map(|b| g.matmul_nt(b));
+            let db = a.as_ref().map(|a| a.matmul_tn(g));
+            vec![da, db]
+        })
     }
 
     /// Adds a 1-D bias to every row of a 2-D variable.
@@ -237,7 +237,7 @@ impl Var {
     pub fn add_bias(&self, bias: &Var) -> Var {
         let value = self.value().add_row_broadcast(&bias.value());
         let (need_a, need_b) = (self.requires_grad(), bias.requires_grad());
-        let parents = vec![self.clone(), bias.clone()];
+        let parents = vec![self.edge(), bias.edge()];
         Var::from_op(value, parents, "add_bias", move |g| {
             vec![need_a.then(|| g.clone()), need_b.then(|| g.sum_axis0())]
         })
@@ -251,7 +251,7 @@ impl Var {
     pub fn sub_row(&self, row: &Var) -> Var {
         let value = self.value().add_row_broadcast(&row.value().scale(-1.0));
         let (need_a, need_r) = (self.requires_grad(), row.requires_grad());
-        let parents = vec![self.clone(), row.clone()];
+        let parents = vec![self.edge(), row.edge()];
         Var::from_op(value, parents, "sub_row", move |g| {
             vec![
                 need_a.then(|| g.clone()),
@@ -267,17 +267,13 @@ impl Var {
     /// Panics if the vector length differs from the column count.
     pub fn mul_row(&self, row: &Var) -> Var {
         let value = self.value().mul_row_broadcast(&row.value());
-        let (a, r) = (self.clone(), row.clone());
-        Var::from_op(
-            value,
-            vec![self.clone(), row.clone()],
-            "mul_row",
-            move |g| {
-                let da = a.requires_grad().then(|| g.mul_row_broadcast(&r.value()));
-                let dr = r.requires_grad().then(|| g.mul(&a.value()).sum_axis0());
-                vec![da, dr]
-            },
-        )
+        let a = row.requires_grad().then(|| self.save());
+        let r = self.requires_grad().then(|| row.save());
+        Var::from_op(value, vec![self.edge(), row.edge()], "mul_row", move |g| {
+            let da = r.as_ref().map(|r| g.mul_row_broadcast(r));
+            let dr = a.as_ref().map(|a| g.mul(a).sum_axis0());
+            vec![da, dr]
+        })
     }
 
     /// Divides every row elementwise by a 1-D row vector.
@@ -288,12 +284,10 @@ impl Var {
     pub fn div_row(&self, row: &Var) -> Var {
         let inv = {
             let r = row.value().map(|x| 1.0 / x);
-            Var::from_op(r, vec![row.clone()], "recip", {
-                let row = row.clone();
-                move |g| {
-                    let dv = row.value().map(|x| -1.0 / (x * x));
-                    vec![Some(g.mul(&dv))]
-                }
+            let saved = row.save();
+            Var::from_op(r, vec![row.edge()], "recip", move |g| {
+                let dv = saved.map(|x| -1.0 / (x * x));
+                vec![Some(g.mul(&dv))]
             })
         };
         self.mul_row(&inv)
@@ -308,17 +302,13 @@ impl Var {
     /// Panics if `col` length differs from the row count.
     pub fn mul_col(&self, col: &Var) -> Var {
         let value = self.value().mul_col_broadcast(&col.value());
-        let (a, c) = (self.clone(), col.clone());
-        Var::from_op(
-            value,
-            vec![self.clone(), col.clone()],
-            "mul_col",
-            move |g| {
-                let da = a.requires_grad().then(|| g.mul_col_broadcast(&c.value()));
-                let dc = c.requires_grad().then(|| g.mul(&a.value()).sum_axis1());
-                vec![da, dc]
-            },
-        )
+        let a = col.requires_grad().then(|| self.save());
+        let c = self.requires_grad().then(|| col.save());
+        Var::from_op(value, vec![self.edge(), col.edge()], "mul_col", move |g| {
+            let da = c.as_ref().map(|c| g.mul_col_broadcast(c));
+            let dc = a.as_ref().map(|a| g.mul(a).sum_axis1());
+            vec![da, dc]
+        })
     }
 
     // ------------------------------------------------------------------
@@ -329,7 +319,7 @@ impl Var {
     pub fn sum(&self) -> Var {
         let shape = self.shape();
         let value = Tensor::scalar(self.value().sum());
-        Var::from_op(value, vec![self.clone()], "sum", move |g| {
+        Var::from_op(value, vec![self.edge()], "sum", move |g| {
             vec![Some(Tensor::full(&shape, g.item()))]
         })
     }
@@ -349,7 +339,7 @@ impl Var {
         let rows = self.value().rows();
         let cols = self.value().cols();
         let value = self.value().sum_axis0();
-        Var::from_op(value, vec![self.clone()], "sum_axis0", move |g| {
+        Var::from_op(value, vec![self.edge()], "sum_axis0", move |g| {
             let mut out = Tensor::zeros(&[rows, cols]);
             for i in 0..rows {
                 out.row_mut(i).copy_from_slice(g.data());
@@ -366,7 +356,7 @@ impl Var {
     pub fn reshape(&self, shape: &[usize]) -> Var {
         let old_shape = self.shape();
         let value = self.value().reshape(shape);
-        Var::from_op(value, vec![self.clone()], "reshape", move |g| {
+        Var::from_op(value, vec![self.edge()], "reshape", move |g| {
             vec![Some(g.reshape(&old_shape))]
         })
     }
@@ -389,7 +379,7 @@ impl Var {
         let idx = idx.to_vec();
         let rows = self.value().rows();
         let cols = self.value().cols();
-        Var::from_op(value, vec![self.clone()], "gather_rows", move |g| {
+        Var::from_op(value, vec![self.edge()], "gather_rows", move |g| {
             let mut out = Tensor::zeros(&[rows, cols]);
             out.scatter_add_rows(&idx, g);
             vec![Some(out)]
@@ -403,9 +393,9 @@ impl Var {
     /// Panics if the variable is not 2-D.
     pub fn softmax_rows(&self) -> Var {
         let value = self.value().softmax_rows();
-        let a = self.clone();
-        Var::from_op(value, vec![self.clone()], "softmax_rows", move |g| {
-            let s = a.value().softmax_rows();
+        let a = self.save();
+        Var::from_op(value, vec![self.edge()], "softmax_rows", move |g| {
+            let s = a.softmax_rows();
             // dX[i] = s[i] * (g[i] - <g[i], s[i]>)
             let dot = g.mul(&s).sum_axis1();
             let mut dx = g.clone();
@@ -444,7 +434,7 @@ impl Var {
             .collect();
         let mask = Tensor::from_vec(&self.shape(), mask_data);
         let value = self.value().mul(&mask);
-        Var::from_op(value, vec![self.clone()], "dropout", move |g| {
+        Var::from_op(value, vec![self.edge()], "dropout", move |g| {
             vec![Some(g.mul(&mask))]
         })
     }

@@ -82,15 +82,16 @@ mod tests {
     #[should_panic(expected = "gradient mismatch")]
     fn rejects_wrong_gradient() {
         struct Bad {
-            parents: Vec<Var>,
+            parents: Vec<crate::Edge>,
+            x: std::rc::Rc<Tensor>,
         }
         impl crate::Function for Bad {
-            fn parents(&self) -> &[Var] {
+            fn parents(&self) -> &[crate::Edge] {
                 &self.parents
             }
-            fn backward(&self, g: &Tensor, _output: &Tensor) -> Vec<Option<Tensor>> {
+            fn backward(&self, g: &Tensor) -> Vec<Option<Tensor>> {
                 // Claims d(x²)/dx = 3x (wrong).
-                vec![Some(g.mul(&self.parents[0].value().scale(3.0)))]
+                vec![Some(g.mul(&self.x.scale(3.0)))]
             }
         }
         let x = Tensor::from_vec(&[2], vec![1.0, 2.0]);
@@ -101,7 +102,8 @@ mod tests {
                 Var::from_function(
                     v,
                     Bad {
-                        parents: vec![vs[0].clone()],
+                        parents: vec![vs[0].edge()],
+                        x: vs[0].save(),
                     },
                 )
                 .sum()

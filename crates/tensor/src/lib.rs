@@ -12,8 +12,10 @@
 //! * [`Tensor`] — a dense, row-major `f32` tensor of 1 to 3 dimensions with
 //!   the usual elementwise, matrix-multiply, reduction and row
 //!   gather/scatter operations.
-//! * [`Var`] — a tape node wrapping a [`Tensor`]. Operations on `Var`s
-//!   record a computational graph; [`Var::backward`] propagates gradients.
+//! * [`Var`] — a shared [`Tensor`] value plus its [`Edge`], the gradient
+//!   slot on the tape. Operations on `Var`s record a computational graph
+//!   of edges, each backward holding only the tensors it saved;
+//!   [`Var::backward`] propagates gradients.
 //! * [`Function`] — a trait for custom differentiable operations. SAR's
 //!   sequential-aggregation forward/backward (Algorithms 1 and 2 of the
 //!   paper) is installed through this trait from the `sar-core` crate.
@@ -46,6 +48,6 @@ pub mod simd;
 mod tensor;
 pub mod tier;
 
-pub use autograd::{grad_enabled, hstack, no_grad, Function, Var};
+pub use autograd::{grad_enabled, hstack, no_grad, Edge, Function, Var};
 pub use memory::{MemScope, MemoryStats, MemoryTracker, ScopePeak};
 pub use tensor::Tensor;
