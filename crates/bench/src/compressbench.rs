@@ -12,13 +12,14 @@
 //! Following the `BENCH_kernels.json` precedent, the committed artifact
 //! is never compared on timing magnitudes — epoch times are recorded for
 //! human eyes only. [`crate::cli::check`] compares the workload identity,
-//! the run set and the pinned logical volumes and message counts (the
-//! schedule determines them), and both the fresh and the committed
-//! document must satisfy [`CompressBench`]'s invariants:
+//! the run set and the pinned logical and wire volumes and message counts
+//! (the schedule determines them: every codec's encoded size is a
+//! function of the element count alone), and both the fresh and the
+//! committed document must satisfy [`CompressBench`]'s invariants:
 //!
 //! * `raw` moves exactly its logical volume (wire == logical),
 //! * every lossy codec beats the 2× payload-reduction bar on the fetch
-//!   phases; `delta` (lossless) stays within its header overhead,
+//!   phases,
 //! * `gradonly` moves zero gradient-routing bytes and only the exact
 //!   final evaluation's fetch volume; `stale:<r>` undercuts the exact
 //!   fetch volume,
@@ -41,9 +42,9 @@ use sar_comm::{Phase, PhaseEntry};
 pub const ACC_FLOOR: f64 = 0.20;
 
 /// Minimum payload-only wire reduction a lossy codec must deliver on the
-/// fetch phases (`(logical − header) / (wire − header)`). f16/bf16 halve
-/// the payload exactly but carry an 8-byte stream header per block, so
-/// the bar sits just under 2×; int8 clears it with ≈3.8×.
+/// fetch phases (`(logical − header) / (wire − header)`). f16 halves the
+/// payload exactly but carries a 4-byte element count per block, so the
+/// bar sits just under 2×; int8 clears it with ≈3.8×.
 pub const LOSSY_REDUCTION_BAR: f64 = 1.9;
 
 /// Cluster size (simulated workers / OS processes).
@@ -71,8 +72,6 @@ pub fn sim_grid(quick: bool) -> Vec<Cell> {
     ];
     if !quick {
         g.extend([
-            ("sage", "bf16", "exact"),
-            ("sage", "delta", "exact"),
             ("sage", "int8", "stale:4"),
             ("gat", "raw", "exact"),
             ("gat", "int8", "exact"),
@@ -170,9 +169,9 @@ fn payload(bytes: f64, messages: f64) -> f64 {
 
 /// `repro compressbench` and its `BENCH_compress.json` declaration: the
 /// workload constants are identity fields; runs are named by `(transport,
-/// arch, codec, protocol)`, and the logical volumes and message counts —
-/// which the exchange schedule alone determines — are pinned. Wire bytes,
-/// accuracies, losses and epoch times are record-only.
+/// arch, codec, protocol)`, and the logical and wire volumes and message
+/// counts — which the exchange schedule alone determines — are pinned.
+/// Accuracies, losses and epoch times are record-only.
 #[derive(Debug)]
 pub struct CompressBench;
 
@@ -186,8 +185,10 @@ impl GatedBench for CompressBench {
         key: &["transport", "arch", "codec", "protocol"],
         pinned: &[
             "fetch_logical_bytes",
+            "fetch_wire_bytes",
             "fetch_messages",
             "grad_logical_bytes",
+            "grad_wire_bytes",
             "grad_messages",
         ],
     }];
@@ -248,7 +249,7 @@ impl GatedBench for CompressBench {
                          (fetch {f_wire} vs {f_log}, grad {g_wire} vs {g_log})"
                     ));
                 }
-                if matches!(codec, "f16" | "bf16" | "int8") {
+                if matches!(codec, "f16" | "int8") {
                     let (lp, wp) = (payload(f_log, f_msgs), payload(f_wire, f_msgs));
                     if !(wp > 0.0 && lp / wp >= LOSSY_REDUCTION_BAR) {
                         v.push(format!(
@@ -257,12 +258,6 @@ impl GatedBench for CompressBench {
                             if wp > 0.0 { lp / wp } else { f64::INFINITY }
                         ));
                     }
-                }
-                if codec == "delta" && f_wire > f_log + 16.0 * f_msgs {
-                    v.push(format!(
-                        "{ctx}: lossless delta wire bytes {f_wire} exceed logical {f_log} \
-                         beyond the per-message header overhead"
-                    ));
                 }
                 // Baselines for the protocol and accuracy rules: the same
                 // transport + arch at raw/exact.
@@ -340,10 +335,8 @@ mod tests {
         // 32-byte header + 4000 payload bytes each.
         let (msgs, logical) = (1000u64, 1000 * (32 + 4000) as u64);
         let wire = match codec {
-            "f16" => 1000 * (32 + 8 + 2000),
-            "bf16" => 1000 * (32 + 8 + 2000),
-            "int8" => 1000 * (32 + 8 + 1000 + 4 * 16),
-            "delta" => 1000 * (32 + 9 + 4000),
+            "f16" => 1000 * (32 + 4 + 2000),
+            "int8" => 1000 * (32 + 4 + 1000 + 4 * 16),
             _ => logical,
         };
         let training_fetch = if protocol == "gradonly" {
@@ -383,7 +376,6 @@ mod tests {
             run("sim", "raw", "exact", Some("00ff00ff00ff00ff")),
             run("sim", "f16", "exact", None),
             run("sim", "int8", "exact", None),
-            run("sim", "delta", "exact", None),
             run("sim", "raw", "gradonly", None),
             run("sim", "raw", "stale:4", None),
             run("tcp", "raw", "exact", Some("00ff00ff00ff00ff")),
@@ -409,12 +401,11 @@ mod tests {
     }
 
     #[test]
-    fn timings_and_wire_bytes_may_drift() {
+    fn timings_may_drift() {
         let mut runs = clean();
         for r in &mut runs {
             set(r, "epoch_time_s", 5.0);
         }
-        set(&mut runs[2], "fetch_wire_bytes", 1_050_000u64);
         assert_eq!(violations(runs), Vec::<String>::new());
     }
 
@@ -431,7 +422,13 @@ mod tests {
         }
         let v = violations(runs);
         assert!(any(&v, "fetch_logical_bytes is") && any(&v, "no longer bitwise reproducible"));
-        for field in ["fetch_messages", "grad_logical_bytes", "grad_messages"] {
+        for field in [
+            "fetch_wire_bytes",
+            "fetch_messages",
+            "grad_logical_bytes",
+            "grad_wire_bytes",
+            "grad_messages",
+        ] {
             let mut runs = clean();
             set(&mut runs[0], field, 7u64);
             assert!(any(&violations(runs), &format!("{field} is 7")), "{field}");
@@ -448,29 +445,25 @@ mod tests {
         let mut bloated = clean();
         set(&mut bloated[1], "fetch_wire_bytes", 1000u64 * 4032);
         assert!(any(&violations(bloated), "below the"));
-        // A delta stream past its header overhead is not lossless framing.
-        let mut fat = clean();
-        set(&mut fat[3], "fetch_wire_bytes", 1000u64 * 4100);
-        assert!(any(&violations(fat), "delta"));
         // gradonly moving gradient bytes is a protocol violation (in the
         // committed copy here, so the pin does not fire first).
         let mut routed = clean();
-        set(&mut routed[4], "grad_wire_bytes", 9000u64);
+        set(&mut routed[3], "grad_wire_bytes", 9000u64);
         let v = check::<CompressBench>(&sample(clean()), &sample(routed).pretty(2));
         assert!(any(&v, "committed") && any(&v, "gradonly routed"), "{v:?}");
         // A stale run with the full exact fetch volume skipped nothing.
         let mut eager = clean();
-        set(&mut eager[5], "fetch_logical_bytes", 1000u64 * 4032);
-        set(&mut eager[5], "fetch_wire_bytes", 1000u64 * 4032);
+        set(&mut eager[4], "fetch_logical_bytes", 1000u64 * 4032);
+        set(&mut eager[4], "fetch_wire_bytes", 1000u64 * 4032);
         assert!(any(&violations(eager), "stale epochs"));
         // Diverging cross-transport digests mean the codec perturbed
         // training.
         let mut skew = clean();
-        set(&mut skew[6], "digest", "deadbeefdeadbeef");
+        set(&mut skew[5], "digest", "deadbeefdeadbeef");
         assert!(any(&violations(skew), "digest"));
         // Accuracy collapse under an approximate protocol fails the floor.
         let mut collapsed = clean();
-        set(&mut collapsed[4], "val_acc", 0.1);
+        set(&mut collapsed[3], "val_acc", 0.1);
         assert!(any(&violations(collapsed), "accuracy"));
         // A diverged loss and an unmeasured run fail too.
         let mut diverged = clean();
@@ -484,7 +477,7 @@ mod tests {
     fn grids_cover_the_claimed_cells() {
         let full = sim_grid(false);
         assert!(full.contains(&("sage", "raw", "exact")));
-        assert!(full.contains(&("sage", "delta", "exact")));
+        assert!(full.contains(&("sage", "f16", "exact")));
         assert!(full.contains(&("gat", "int8", "exact")));
         assert!(full.len() > sim_grid(true).len());
         // Every TCP cell also exists in the sim grid, so the digest

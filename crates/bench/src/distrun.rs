@@ -102,9 +102,9 @@ pub struct Workload {
     /// across modes — the scalar fallback mirrors the vector paths'
     /// accumulation order exactly.
     pub simd: String,
-    /// Wire codec for compressible payloads: `"raw"`, `"f16"`, `"bf16"`,
-    /// `"int8"` or `"delta"`. Negotiated at the TCP rendezvous — every
-    /// rank must run the same codec.
+    /// Wire codec for compressible payloads: a [`Codec::name`].
+    /// Negotiated at the TCP rendezvous — every rank must run the same
+    /// codec.
     pub codec: String,
     /// Exchange protocol: `"exact"`, `"gradonly"` or `"stale:<r>"`.
     pub protocol: String,
@@ -346,8 +346,10 @@ impl Workload {
             },
             other => return Err(format!("unknown schedule {other}")),
         };
-        let codec = Codec::parse(&self.codec)
-            .ok_or_else(|| format!("unknown codec {} (raw|f16|bf16|int8|delta)", self.codec))?;
+        let codec = Codec::parse(&self.codec).ok_or_else(|| {
+            let names = Codec::ALL.map(Codec::name).join("|");
+            format!("unknown codec {} ({names})", self.codec)
+        })?;
         let protocol = Protocol::parse(&self.protocol)?;
         Ok(TrainConfig {
             model: ModelConfig {
@@ -670,7 +672,8 @@ mod tests {
             codec: "zstd".into(),
             ..Workload::default()
         };
-        assert!(wl.train_config(&d).unwrap_err().contains("codec"));
+        let err = wl.train_config(&d).unwrap_err();
+        assert!(err.contains("unknown codec zstd (raw|f16|int8)"), "{err}");
         let wl = Workload {
             protocol: "stale:0".into(),
             ..Workload::default()

@@ -10,7 +10,7 @@ use sar_bench::harness::{run_workload, Transport};
 use sar_bench::report::{PhaseRow, RunReport, WorkerProfile};
 use sar_bench::smoke;
 use sar_comm::buffer::PoolStats;
-use sar_comm::{Phase, PhaseEntry};
+use sar_comm::{Codec, Phase, PhaseEntry};
 
 fn pick(options: &[&str], i: usize) -> String {
     options[i % options.len()].to_string()
@@ -49,7 +49,7 @@ proptest! {
             seed: knobs.3,
             threads: knobs.2,
             simd: pick(&["auto", "scalar"], names.1 / 3),
-            codec: pick(&["raw", "f16", "bf16", "int8", "delta"], names.2 / 3),
+            codec: pick(&Codec::ALL.map(Codec::name), names.2 / 3),
             protocol: pick(&["exact", "gradonly", &format!("stale:{stale}")], names.3 / 4),
             mem_budget: knobs.3 / 3,
         };

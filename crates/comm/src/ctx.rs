@@ -20,9 +20,6 @@ use crate::transport::{Clock, Transport, TransportError};
 /// the wire length it occupied on the network.
 type PendingQueue = VecDeque<(Payload, u64)>;
 
-/// Identity of one delta-codec stream: `(peer, phase, layer)`.
-type DeltaStreamKey = (u32, Phase, Option<u16>);
-
 /// A worker's handle to the cluster.
 ///
 /// Each worker owns exactly one `WorkerCtx`, wrapping one
@@ -55,12 +52,6 @@ pub struct WorkerCtx {
     // logical size otherwise).
     pending: RefCell<HashMap<(u32, u64), PendingQueue>>,
     codec: Cell<Codec>,
-    // Delta-codec stream state: the last block sent per
-    // (dst, phase, layer) stream and the last block decoded per
-    // (src, phase, layer) stream. The two stay identical because the
-    // delta codec is lossless; only `Codec::Delta` reads them.
-    delta_sent: RefCell<HashMap<DeltaStreamKey, Vec<f32>>>,
-    delta_recv: RefCell<HashMap<DeltaStreamKey, Vec<f32>>>,
     coll_seq: Cell<u64>,
     phase: Cell<Phase>,
     layer: Cell<Option<u16>>,
@@ -90,8 +81,6 @@ impl WorkerCtx {
             stats: Rc::new(RefCell::new(CommStats::new(world))),
             pending: RefCell::new(HashMap::new()),
             codec: Cell::new(Codec::Raw),
-            delta_sent: RefCell::new(HashMap::new()),
-            delta_recv: RefCell::new(HashMap::new()),
             coll_seq: Cell::new(0),
             phase: Cell::new(Phase::Other),
             layer: Cell::new(None),
@@ -332,41 +321,26 @@ impl WorkerCtx {
         if codec == Codec::Raw || dst == self.rank() || tag >= codec::CODEC_TAG_CEILING {
             return payload;
         }
-        let phase = self.traffic_phase(tag);
-        if !codec::phase_is_compressible(phase) {
+        if !codec::phase_is_compressible(self.traffic_phase(tag)) {
             return payload;
         }
         let values = match payload {
             Payload::F32(v) => v,
             other => return other,
         };
-        let layer = self.layer.get();
-        let bytes = if codec == Codec::Delta {
-            let key = (dst as u32, phase, layer);
-            let mut cache = self.delta_sent.borrow_mut();
-            let enc = codec.encode_block(phase, layer, &values, cache.get(&key).map(Vec::as_slice));
-            if let Some(replaced) = cache.insert(key, values) {
-                buffer::recycle_f32(replaced);
-            }
-            enc
-        } else {
-            let enc = codec.encode_block(phase, layer, &values, None);
-            buffer::recycle_f32(values);
-            enc
-        };
+        let bytes = codec.encode_block(&values);
+        buffer::recycle_f32(values);
         Payload::Encoded { codec, bytes }
     }
 
     /// Decodes a codec-encoded payload arriving from `src` back to `F32`,
     /// returning it paired with the wire length the frame occupied on the
-    /// network. Must run at *arrival* time — before the message enters
-    /// the pending buffer — so delta streams decode in transmission
-    /// order (per-peer delivery is FIFO on both backends).
+    /// network.
     ///
     /// # Errors
     ///
     /// [`TransportError::Corrupt`] naming the codec and the peer rank if
-    /// the block's stream header or body fails to decode.
+    /// the block's element count or body fails to decode.
     fn decode_arrival(&self, src: u32, payload: Payload) -> Result<(Payload, u64), TransportError> {
         let wire = payload.wire_len() as u64;
         let (codec, bytes) = match payload {
@@ -377,18 +351,7 @@ impl WorkerCtx {
             peer: src as usize,
             detail: format!("{}-coded block: {detail}", codec.name()),
         };
-        let (meta, body) = codec::parse_meta(&bytes).map_err(corrupt)?;
-        let values = if codec == Codec::Delta {
-            let key = (src, meta.phase, meta.layer);
-            let mut cache = self.delta_recv.borrow_mut();
-            let vals = codec
-                .decode_body(&meta, body, cache.get(&key).map(Vec::as_slice))
-                .map_err(corrupt)?;
-            cache.insert(key, vals.clone());
-            vals
-        } else {
-            codec.decode_body(&meta, body, None).map_err(corrupt)?
-        };
+        let values = codec.decode_body(&bytes).map_err(corrupt)?;
         Ok((Payload::F32(values), wire))
     }
 
@@ -719,7 +682,7 @@ mod tests {
 
     #[test]
     fn lossy_codec_halves_wire_bytes_but_keeps_logical_ledger() {
-        use crate::codec::BLOCK_META_LEN;
+        use crate::codec::BLOCK_COUNT_LEN;
         let out = Cluster::new(2, CostModel::default()).run(|ctx| {
             ctx.set_codec(Codec::F16);
             let peer = 1 - ctx.rank();
@@ -730,7 +693,7 @@ mod tests {
             assert_eq!(got, vec![1.5; 250]);
             ctx.stats()
         });
-        let wire_payload = (BLOCK_META_LEN + 250 * 2) as u64;
+        let wire_payload = (BLOCK_COUNT_LEN + 250 * 2) as u64;
         for o in &out {
             let fetch = o.result.ledger.phase_total(Phase::ForwardFetch);
             // Logical ledger is the seed's raw-f32 accounting...
@@ -739,39 +702,6 @@ mod tests {
             // ...while the wire counters see the encoded frame.
             assert_eq!(fetch.wire_sent_bytes, wire_payload + H);
             assert_eq!(fetch.wire_recv_bytes, wire_payload + H);
-        }
-    }
-
-    #[test]
-    fn delta_codec_round_trips_bit_exactly_and_compresses_repeats() {
-        let values: Vec<f32> = (0..300).map(|i| (i as f32 * 0.37).sin() * 1e3).collect();
-        let out = Cluster::new(2, CostModel::default()).run(|ctx| {
-            ctx.set_codec(Codec::Delta);
-            let peer = 1 - ctx.rank();
-            let values: Vec<f32> = (0..300).map(|i| (i as f32 * 0.37).sin() * 1e3).collect();
-            let _p = ctx.phase_scope(Phase::GradRouting);
-            // Two "epochs" of identical data on one stream: the second
-            // block deltas to almost nothing.
-            for tag in 0..2u64 {
-                ctx.send(peer, tag, Payload::F32(values.clone()));
-                let got = ctx.recv(peer, tag).into_f32();
-                let same = got
-                    .iter()
-                    .zip(&values)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "delta codec must be bit-exact");
-            }
-            ctx.stats()
-        });
-        let logical = 2 * (values.len() as u64 * 4 + H);
-        for o in &out {
-            let route = o.result.ledger.phase_total(Phase::GradRouting);
-            assert_eq!(route.sent_bytes, logical);
-            assert!(
-                route.wire_sent_bytes < logical,
-                "repeated blocks must compress: wire {} vs logical {logical}",
-                route.wire_sent_bytes
-            );
         }
     }
 
@@ -844,37 +774,6 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("rank 0"), "peer missing: {msg}");
         assert!(msg.contains("int8"), "codec missing: {msg}");
-    }
-
-    #[test]
-    fn delta_block_without_its_predecessor_is_a_named_error() {
-        use crate::codec::BLOCK_META_LEN;
-        use crate::transport::ChannelTransport;
-        let mut mesh = ChannelTransport::mesh(2);
-        let receiver = mesh.pop().map(Box::new);
-        let sender = mesh.pop();
-        let (Some(receiver), Some(sender)) = (receiver, sender) else {
-            unreachable!("mesh(2) yields two transports");
-        };
-        // A structurally valid delta frame in XOR mode, but the receiver
-        // has never seen the stream — its mirror cache is empty.
-        let mut bytes = Codec::Delta.encode_block(Phase::ForwardFetch, Some(1), &[1.0, 2.0], None);
-        bytes[BLOCK_META_LEN] = 1; // flip mode raw -> xor-rle
-        sender
-            .send(
-                1,
-                9,
-                Payload::Encoded {
-                    codec: Codec::Delta,
-                    bytes,
-                },
-            )
-            .expect("channel send");
-        let ctx = WorkerCtx::new(receiver, CostModel::default(), Duration::from_secs(5));
-        let err = ctx.try_recv(0, 9).expect_err("desynchronized delta stream");
-        let msg = err.to_string();
-        assert!(msg.contains("delta"), "codec missing: {msg}");
-        assert!(msg.contains("rank 0"), "peer missing: {msg}");
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub enum Payload {
     Encoded {
         /// The codec that produced (and can decode) `bytes`.
         codec: Codec,
-        /// The encoded block: stream header + codec body.
+        /// The encoded block: element count + codec body.
         bytes: Vec<u8>,
     },
 }

@@ -1221,24 +1221,49 @@ mod tests {
     }
 
     #[test]
+    fn retired_codec_id_in_the_hello_is_a_named_handshake_error() {
+        // Ids 2 and 4 belonged to the retired bf16 and delta codecs.
+        for id in [2u8, 4] {
+            let rendezvous = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let rdv_addr = rendezvous.local_addr().unwrap();
+            let joiner = std::thread::spawn(move || {
+                let mut s = TcpStream::connect(rdv_addr).unwrap();
+                // rank u32 | codec u8 | address length u32: the 9-byte head.
+                let mut hello = Vec::new();
+                le::put_u32(&mut hello, 1);
+                hello.push(id);
+                le::put_u32(&mut hello, 0);
+                s.write_all(&hello).unwrap();
+                std::thread::sleep(Duration::from_millis(300));
+            });
+            let started = Instant::now();
+            match TcpTransport::host(rendezvous, 2, TcpOpts::impatient()) {
+                Err(TransportError::Handshake(d)) => assert!(
+                    d.contains(&format!("unknown codec id {id}")) && d.contains("rank 1"),
+                    "diagnostic must name the id and the rank: {d}"
+                ),
+                Err(other) => panic!("expected a handshake error for id {id}, got {other}"),
+                Ok(_) => panic!("host accepted retired codec id {id}"),
+            }
+            assert!(started.elapsed() <= Duration::from_secs(1));
+            joiner.join().unwrap();
+        }
+    }
+
+    #[test]
     fn negotiated_codec_frames_cross_the_mesh() {
         let opts = TcpOpts {
-            codec: Codec::Delta,
+            codec: Codec::F16,
             ..TcpOpts::default()
         };
         let out = run_tcp_threads(2, opts, |t| {
             let peer = 1 - t.rank();
-            let bytes = Codec::Delta.encode_block(
-                crate::phase::Phase::ForwardFetch,
-                Some(0),
-                &[1.0, 2.0, 3.0],
-                None,
-            );
+            let bytes = Codec::F16.encode_block(&[1.0, 2.0, 3.0]);
             t.send(
                 peer,
                 5,
                 Payload::Encoded {
-                    codec: Codec::Delta,
+                    codec: Codec::F16,
                     bytes,
                 },
             )
@@ -1247,7 +1272,7 @@ mod tests {
             matches!(
                 m.payload,
                 Payload::Encoded {
-                    codec: Codec::Delta,
+                    codec: Codec::F16,
                     ..
                 }
             )
@@ -1260,12 +1285,7 @@ mod tests {
         // Cluster negotiated raw; a peer ships an int8-coded frame anyway.
         let out = run_tcp_threads(2, TcpOpts::default(), |t| {
             if t.rank() == 1 {
-                let bytes = Codec::Int8.encode_block(
-                    crate::phase::Phase::ForwardFetch,
-                    None,
-                    &[1.0; 64],
-                    None,
-                );
+                let bytes = Codec::Int8.encode_block(&[1.0; 64]);
                 t.send(
                     0,
                     4,
@@ -1303,23 +1323,18 @@ mod tests {
             let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
             let my_addr = listener.local_addr().unwrap();
             let mut s = TcpStream::connect(rdv_addr).unwrap();
-            send_hello(&mut s, 1, Codec::Delta, my_addr).unwrap();
+            send_hello(&mut s, 1, Codec::Int8, my_addr).unwrap();
             let _roster = recv_roster(&mut s, 2).unwrap();
             let (mut data, _) = listener.accept().unwrap();
             let hello = read_frame(&mut data).unwrap();
             assert_eq!(hello.src, 0);
-            let bytes = Codec::Delta.encode_block(
-                crate::phase::Phase::GradRouting,
-                None,
-                &[4.0, 5.0],
-                None,
-            );
+            let bytes = Codec::Int8.encode_block(&[4.0, 5.0]);
             let mut frame = crate::wire::encode_frame(
                 FrameKind::Data,
                 1,
                 9,
                 &Payload::Encoded {
-                    codec: Codec::Delta,
+                    codec: Codec::Int8,
                     bytes,
                 },
             );
@@ -1330,14 +1345,14 @@ mod tests {
             std::thread::sleep(Duration::from_millis(300));
         });
         let opts = TcpOpts {
-            codec: Codec::Delta,
+            codec: Codec::Int8,
             ..TcpOpts::default()
         };
         let t = TcpTransport::host(rendezvous, 2, opts).unwrap();
         match t.recv_any(Duration::from_secs(5)) {
             Err(TransportError::Corrupt { peer: 1, detail }) => {
                 assert!(
-                    detail.contains("checksum") && detail.contains("delta"),
+                    detail.contains("checksum") && detail.contains("int8"),
                     "detail: {detail}"
                 );
             }

@@ -669,7 +669,7 @@ mod tests {
         round_trip(Payload::F32(vec![1.5, -2.25, f32::MIN_POSITIVE]));
         round_trip(Payload::U32(vec![0, 1, u32::MAX]));
         round_trip(Payload::Bytes(vec![7u8; 13]));
-        for codec in [Codec::F16, Codec::Bf16, Codec::Int8, Codec::Delta] {
+        for codec in [Codec::F16, Codec::Int8] {
             round_trip(Payload::Encoded {
                 codec,
                 bytes: vec![9u8; 21],
@@ -705,13 +705,17 @@ mod tests {
             codec: Codec::F16,
             bytes: vec![0u8; 4],
         };
-        // Unknown codec id.
-        let mut buf = encode_frame(FrameKind::Data, 0, 5, &p);
-        buf[6] = 200;
-        reseal(&mut buf);
-        match read_frame(&mut &buf[..]) {
-            Err(WireError::BadHeader(d)) => assert!(d.contains("codec id 200"), "{d}"),
-            other => panic!("expected BadHeader, got {other:?}"),
+        // Unknown codec ids, including the retired bf16 (2) and delta (4).
+        for id in [2u8, 4, 200] {
+            let mut buf = encode_frame(FrameKind::Data, 0, 5, &p);
+            buf[6] = id;
+            reseal(&mut buf);
+            match read_frame(&mut &buf[..]) {
+                Err(WireError::BadHeader(d)) => {
+                    assert!(d.contains(&format!("codec id {id}")), "{d}");
+                }
+                other => panic!("expected BadHeader for id {id}, got {other:?}"),
+            }
         }
         // Codec byte set on a plain frame.
         let mut buf = encode_frame(FrameKind::Data, 0, 5, &Payload::F32(vec![1.0]));
@@ -726,7 +730,7 @@ mod tests {
     #[test]
     fn corrupted_encoded_frame_names_the_codec() {
         let p = Payload::Encoded {
-            codec: Codec::Delta,
+            codec: Codec::Int8,
             bytes: vec![5u8; 16],
         };
         let mut buf = encode_frame(FrameKind::Data, 2, 9, &p);
@@ -734,7 +738,7 @@ mod tests {
         buf[last] ^= 0x40;
         match read_frame(&mut &buf[..]) {
             Err(e @ WireError::ChecksumMismatch { .. }) => {
-                assert!(e.to_string().contains("delta"), "{e}");
+                assert!(e.to_string().contains("int8"), "{e}");
             }
             other => panic!("expected checksum mismatch, got {other:?}"),
         }
