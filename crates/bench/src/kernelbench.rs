@@ -53,7 +53,7 @@ use sar_graph::{datasets, ops, CsrGraph};
 use sar_nn::tail;
 use sar_partition::{partition, Method};
 use sar_tensor::init::randn;
-use sar_tensor::{pool, simd, Tensor};
+use sar_tensor::{pool, simd, BitMask, Tensor};
 
 use crate::cli::{Args, Fields, GatedBench, Records};
 
@@ -582,11 +582,13 @@ fn row_cases(quick: bool) -> Vec<Case> {
 /// hidden columns (`--quick`: 2 000 rows): `norm/forward` (batch norm's
 /// column-sum pass, then the row pass writing `y` and `x̂`),
 /// `norm/backward` (the four column sums, then the row pass writing `dx`)
-/// and `epilogue/sage` (`relu(agg ⊙ s + (hw + b))` forward, then its
-/// backward: the row pass writing `d_agg` and `d_hw`, and the bias
-/// column sum). The all-reduce between the passes is not timed. They move
-/// data rather than compute on it, so all three are zero-FLOP cases. Byte
-/// models: every `[n, F]` operand read or written once per pass.
+/// and `epilogue/sage` (`relu(agg ⊙ s + (hw + b))` forward and the pass
+/// building its 1-bit ReLU mask, then its backward: the row pass reading
+/// `g` and the mask and writing `d_agg` and `d_hw`, and the bias column
+/// sum). The all-reduce between the passes is not timed. They move data
+/// rather than compute on it, so all three are zero-FLOP cases. Byte
+/// models: every `[n, F]` operand read or written once per pass, and the
+/// mask's `n · ⌈F / 64⌉` words written once and read once.
 fn tail_cases(quick: bool) -> Vec<Case> {
     let (n, f) = (if quick { 2_000 } else { 25_000 }, 64usize);
     let mut rng = StdRng::seed_from_u64(0x7A11);
@@ -627,13 +629,15 @@ fn tail_cases(quick: bool) -> Vec<Case> {
             }),
         }
     };
+    let mask_words = (n * BitMask::words_per_row(f)) as f64;
     let epilogue = Case {
         name: "epilogue/sage".into(),
         flops: 0.0,
-        bytes: 4.0 * (8.0 * nf + 2.0 * n as f64),
+        bytes: 4.0 * (8.0 * nf + 2.0 * n as f64) + 8.0 * 2.0 * mask_words,
         run: Box::new(move || {
             let out = tail::epilogue_forward(&agg, &scale, Some((&hw, b.data())), true);
-            black_box(tail::epilogue_backward(&g, &out, &scale, true, true));
+            let mask = BitMask::positive(&out);
+            black_box(tail::epilogue_backward(&g, Some(&mask), &scale, true));
         }),
     };
     vec![forward, backward, epilogue]

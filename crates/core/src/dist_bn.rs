@@ -16,7 +16,7 @@
 use std::rc::Rc;
 
 use sar_nn::tail;
-use sar_tensor::{Edge, Function, Tensor, Var};
+use sar_tensor::{Edge, Function, Saved, Tensor, Var};
 
 use crate::worker::Worker;
 
@@ -25,7 +25,7 @@ struct DistBnFn {
     parents: Vec<Edge>, // [x, gamma, beta]
     w: Rc<Worker>,
     x_hat: Tensor,
-    gamma: Rc<Tensor>,
+    gamma: Saved,
     inv_std: Vec<f32>, // [F], global
     n_global: f32,
 }
@@ -47,8 +47,9 @@ impl Function for DistBnFn {
         let [x, gamma, beta] = &self.parents[..] else {
             unreachable!("batch norm has three parents")
         };
+        let gamma_value = self.gamma.get();
         let [d_beta, d_gamma, sum_g, sum_gx] =
-            tail::norm_backward_stats(grad_output, &self.x_hat, self.gamma.data());
+            tail::norm_backward_stats(grad_output, &self.x_hat, gamma_value.data());
         // A constant input takes no gradient and joins no all-reduce.
         let dx = x.requires_grad().then(|| {
             let f = sum_g.len();
@@ -60,7 +61,7 @@ impl Function for DistBnFn {
             tail::norm_backward(
                 grad_output,
                 &self.x_hat,
-                self.gamma.data(),
+                gamma_value.data(),
                 &mean_g,
                 &mean_gx,
                 &self.inv_std,

@@ -151,7 +151,7 @@ pub fn try_infer(
         // Inference-time augmentation: every training node sees its label.
         let input = shard.input_tensor(label_aug.then_some(&shard.train_mask));
         let mut rng = StdRng::seed_from_u64(0); // dropout is off in eval
-        let logits = no_grad(|| model.forward(&w, &Var::constant(input), false, &mut rng));
+        let logits = no_grad(|| model.forward(&w, Var::constant(input), false, &mut rng));
         (shard.global_ids.clone(), logits.value_clone().into_data())
     });
 

@@ -444,15 +444,19 @@ impl DistModel {
     /// (`[n_local, in_dim]`) over its full graph, returning local logits
     /// (`[n_local, num_classes]`).
     ///
+    /// Takes `x` by value: once layer 0 has run, the only handles left to
+    /// it are the caller's and those its backwards saved — for a
+    /// [rebuildable](Var::rebuildable) input, none.
+    ///
     /// Collective: every worker must call `forward` in lockstep.
     ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong shape, or — naming this rank — if a
     /// peer dies or sends a malformed block mid-exchange.
-    pub fn forward(&self, w: &Rc<Worker>, x: &Var, training: bool, rng: &mut impl Rng) -> Var {
+    pub fn forward(&self, w: &Rc<Worker>, x: Var, training: bool, rng: &mut impl Rng) -> Var {
         let view = w.view();
-        let mut h = x.clone();
+        let mut h = x;
         let mut jk_outputs = Vec::new();
         for l in 0..self.layers.len() {
             // Attribute this layer's traffic/CPU to layer `l` in the

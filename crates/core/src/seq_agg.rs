@@ -28,7 +28,7 @@ use sar_graph::fused::{
     gat_twostep_block_forward, FusedBlockGrads, OnlineAttnState,
 };
 use sar_graph::{ops, CsrGraph};
-use sar_tensor::{Edge, Function, Tensor, Var};
+use sar_tensor::{Edge, Function, Saved, Tensor, Var};
 
 use crate::view::View;
 use crate::worker::{GradRouter, Worker};
@@ -170,9 +170,9 @@ struct GatAggFn {
     parents: Vec<Edge>, // [z, s_dst, a_src]
     // What the backward reads: the local features it serves to the
     // refetch, both attention operands and its own output.
-    z: Rc<Tensor>,
-    s_dst: Rc<Tensor>,
-    a_src: Rc<Tensor>,
+    z: Saved,
+    s_dst: Saved,
+    a_src: Saved,
     out: Rc<Tensor>,
     w: Rc<Worker>,
     view: View,
@@ -213,7 +213,8 @@ impl Function for GatAggFn {
         let w = &self.w;
         let view = &*self.view;
         let _layer = w.ctx.layer_scope_opt(self.layer);
-        let (z, s_dst, a_src) = (&*self.z, &*self.s_dst, &*self.a_src);
+        let (z, s_dst, a_src) = (self.z.get(), self.s_dst.get(), self.a_src.get());
+        let (z, s_dst, a_src) = (&*z, &*s_dst, &*a_src);
         let heads = self.heads;
         let hd = z.cols();
         let grad_dot = attn_grad_dot(grad_output, &self.out, heads);
@@ -324,10 +325,10 @@ pub fn gat_aggregate(
         );
     }
     let head_dim = hd / heads;
-    let (z_val, s_dst_val, a_src_val) = (z.save(), s_dst.save(), a_src.save());
     let mut state = OnlineAttnState::new(view.num_dst(), heads, head_dim);
     {
         let _phase = w.ctx.phase_scope(Phase::ForwardFetch);
+        let (z_val, s_dst_val, a_src_val) = (z.value(), s_dst.value(), a_src.value());
         w.try_fetch_rounds(&**view, &z_val, w.next_tag(), |q, z_block| {
             let s_src_block = ops::head_project(z_block, &a_src_val, heads);
             mode.block_forward(
@@ -358,9 +359,9 @@ pub fn gat_aggregate(
         Rc::clone(&value),
         GatAggFn {
             parents: vec![z.edge(), s_dst.edge(), a_src.edge()],
-            z: z_val,
-            s_dst: s_dst_val,
-            a_src: a_src_val,
+            z: z.save(),
+            s_dst: s_dst.save(),
+            a_src: a_src.save(),
             out: value,
             w: Rc::clone(w),
             view: View::clone(view),

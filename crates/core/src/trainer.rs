@@ -319,8 +319,9 @@ pub fn run_worker(
         let local_predict = predict_mask.iter().filter(|&&m| m).count();
         let global_predict = w.ctx.all_reduce_sum_scalar(local_predict as f32).max(1.0);
 
-        let x = Var::constant(shard.input_tensor(aug_mask.as_deref()));
-        let logits = model.forward(&w, &x, true, &mut dropout_rng);
+        // Rebuilt in backward, not kept: the input dies after layer 0.
+        let x = shard.input(aug_mask.as_deref());
+        let logits = model.forward(&w, x, true, &mut dropout_rng);
         let loss =
             cross_entropy_masked(&logits, &shard.labels, &predict_mask, Some(global_predict));
         opt.zero_grad();
@@ -352,7 +353,7 @@ pub fn run_worker(
     w.set_protocol(Protocol::Exact);
     let eval_aug = cfg.label_aug.then(|| shard.train_mask.clone());
     let x = Var::constant(shard.input_tensor(eval_aug.as_deref()));
-    let logits = sar_tensor::no_grad(|| model.forward(&w, &x, false, &mut dropout_rng));
+    let logits = sar_tensor::no_grad(|| model.forward(&w, x, false, &mut dropout_rng));
     let logits_t = logits.value_clone();
 
     // Accuracy of `logits` over `mask` across all workers (collective).

@@ -6,7 +6,9 @@
 //! threads and widths 7, 13 and 64, on inputs with a zero-variance column,
 //! pre-activations of exactly +0.0 and −0.0, a NaN row, an empty and a
 //! full local mask and a label in the last class. `sar_nn::BatchNorm1d` is
-//! the independent reference for batch norm at world 1.
+//! the independent reference for batch norm at world 1. The epilogue's
+//! 1-bit ReLU mask is checked once more against the output compare it
+//! replaced, at widths that fill part of a word, one word and more than one.
 
 use std::ops::Range;
 use std::rc::Rc;
@@ -18,10 +20,10 @@ use sar_comm::{Cluster, CostModel};
 use sar_core::{DistBatchNorm, DistGraph, Worker};
 use sar_graph::CsrGraph;
 use sar_nn::loss::cross_entropy_masked;
-use sar_nn::tail::epilogue;
+use sar_nn::tail::{epilogue, epilogue_backward, epilogue_forward};
 use sar_nn::BatchNorm1d;
 use sar_partition::range;
-use sar_tensor::{init, pool, Edge, Function, Tensor, Var};
+use sar_tensor::{init, pool, BitMask, Edge, Function, Tensor, Var};
 
 /// Rows over all ranks.
 const ROWS: usize = 37;
@@ -124,7 +126,7 @@ fn oracle_loss(logits: &Var, labels: &[u32], mask: &[bool], norm: f32) -> Var {
     };
     let a = logits.save();
     let lp = Var::from_op(lp_value, vec![logits.edge()], "log_softmax", move |g| {
-        let s = a.softmax_rows();
+        let s = a.get().softmax_rows();
         let rowsum = g.sum_axis1();
         let mut dx = g.clone();
         let c = s.cols();
@@ -452,5 +454,76 @@ fn an_unmasked_row_takes_a_zero_gradient_whatever_its_logits() {
             "row {i}: {:?}",
             g.row(i)
         );
+    }
+}
+
+/// The epilogue backward the mask replaced: it kept the `[n, F]` output
+/// and gated by `g · [out > 0]`; `d_agg = g' ⊙ s`, `db` summed down rows.
+fn output_compare_backward(g: &Tensor, out: Option<&Tensor>, s: &[f32]) -> [Tensor; 3] {
+    let f = g.cols();
+    let d_hw = match out {
+        Some(out) => g.zip_map(out, |g, o| g * if o > 0.0 { 1.0 } else { 0.0 }),
+        None => g.clone(),
+    };
+    let mut d_agg = d_hw.clone();
+    let mut db = vec![0.0f32; f];
+    for (i, row) in d_agg.data_mut().chunks_exact_mut(f).enumerate() {
+        for (j, v) in row.iter_mut().enumerate() {
+            db[j] += *v;
+            *v *= s[i];
+        }
+    }
+    [d_agg, d_hw, Tensor::from_vec(&[f], db)]
+}
+
+#[test]
+fn the_relu_mask_backward_is_the_output_compare_backward_bitwise() {
+    for threads in [1usize, 2] {
+        pool::set_threads(threads);
+        for f in [47usize, 64, 65] {
+            let mut rng = StdRng::seed_from_u64(f as u64);
+            let mut agg = init::randn(&[ROWS, f], 1.0, &mut rng);
+            let hw = init::randn(&[ROWS, f], 1.0, &mut rng);
+            let b = init::randn(&[f], 1.0, &mut rng);
+            let mut g = init::randn(&[ROWS, f], 1.0, &mut rng);
+            let s: Vec<f32> = (0..ROWS).map(|_| rng.random_range(0.05..1.0)).collect();
+            // A NaN pre-activation (its ReLU output is 0), and in the last
+            // word of row 1 a NaN, +inf and −inf gradient.
+            agg.row_mut(0)[f - 1] = f32::NAN;
+            for (j, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+                .into_iter()
+                .enumerate()
+            {
+                g.row_mut(1)[f - 1 - j] = v;
+                g.row_mut(0)[f - 1 - j] = v;
+            }
+            let out = epilogue_forward(&agg, &s, Some((&hw, b.data())), true);
+            // Every gated-off entry gets a negative gradient (`g · 0.0` is
+            // −0.0 there, not +0.0) unless it is one of the non-finite ones.
+            for (gv, &o) in g.data_mut().iter_mut().zip(out.data()) {
+                if o <= 0.0 && gv.is_finite() {
+                    *gv = -gv.abs() - 0.5;
+                }
+            }
+            assert!(out.row(0)[f - 1] == 0.0, "relu(NaN) is 0");
+            let mask = BitMask::positive(&out);
+            for relu in [true, false] {
+                let (d_agg, res) = epilogue_backward(&g, relu.then_some(&mask), &s, true);
+                let (d_hw, db) = res.unwrap();
+                let want = output_compare_backward(&g, relu.then_some(&out), &s);
+                for (what, got, want) in [
+                    ("d_agg", &d_agg, &want[0]),
+                    ("d_hw", &d_hw, &want[1]),
+                    ("db", &db, &want[2]),
+                ] {
+                    assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "{what}, width {f}, relu {relu}, threads {threads}"
+                    );
+                }
+            }
+        }
+        pool::set_threads(1);
     }
 }

@@ -447,7 +447,7 @@ fn train_through(
         let view = view_of(&graphs[rank]);
         let model = DistModel::new(&cfg);
         let params = model.params();
-        let x = Var::constant(shard.features_tensor());
+        let x = Var::constant(shard.input_tensor(None));
         let forward = || {
             (0..cfg.layers).fold(x.clone(), |h, l| {
                 let _layer = w.ctx.layer_scope(l as u16);
@@ -571,7 +571,7 @@ fn loss_and_grads(
         let shard = &shards[rank];
         let w = Worker::from_shared(Rc::new(ctx), Arc::clone(&graphs[rank]), depth);
         let model = DistModel::new(&cfg);
-        let logits = (0..cfg.layers).fold(Var::constant(shard.features_tensor()), |h, l| {
+        let logits = (0..cfg.layers).fold(Var::constant(shard.input_tensor(None)), |h, l| {
             let _layer = w.ctx.layer_scope(l as u16);
             model.layer_forward(l, &w, &w.view(), &h).unwrap()
         });

@@ -39,7 +39,8 @@ pub fn gat_edge_scores(g: &Arc<CsrGraph>, s_dst: &Var, s_src: &Var, slope: f32) 
         vec![s_dst.edge(), s_src.edge()],
         "gat_edge_scores",
         move |grad| {
-            let (d_dst, d_src) = ops::gat_edge_scores_backward(&graph, &sd, &ss, slope, grad);
+            let (d_dst, d_src) =
+                ops::gat_edge_scores_backward(&graph, &sd.get(), &ss.get(), slope, grad);
             vec![Some(d_dst), Some(d_src)]
         },
     )
@@ -109,7 +110,7 @@ pub fn spmm_multihead(g: &Arc<CsrGraph>, alpha: &Var, x: &Var) -> Var {
         vec![alpha.edge(), x.edge()],
         "spmm_multihead",
         move |grad| {
-            let (d_alpha, d_x) = ops::spmm_multihead_backward(&graph, &a, &xv, grad);
+            let (d_alpha, d_x) = ops::spmm_multihead_backward(&graph, &a.get(), &xv.get(), grad);
             vec![Some(d_alpha), Some(d_x)]
         },
     )
@@ -129,7 +130,7 @@ pub fn head_project(x: &Var, a: &Var, heads: usize) -> Var {
         vec![x.edge(), a.edge()],
         "head_project",
         move |grad| {
-            let (d_x, d_a) = ops::head_project_backward(&xv, &av, heads, grad);
+            let (d_x, d_a) = ops::head_project_backward(&xv.get(), &av.get(), heads, grad);
             vec![Some(d_x), Some(d_a)]
         },
     )

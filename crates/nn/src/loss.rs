@@ -36,7 +36,7 @@ pub fn cross_entropy_masked(
         "cross_entropy_masked",
         move |g| {
             let scale = g.item() / norm;
-            vec![Some(masked_nll_backward(&x, &labels, &mask, scale))]
+            vec![Some(masked_nll_backward(&x.get(), &labels, &mask, scale))]
         },
     )
 }

@@ -18,10 +18,8 @@
 //! slower on two — each thread reads a stripe of every row, and the two
 //! streams' line prefetches overlap.
 
-use std::rc::Rc;
-
 use sar_tensor::pool::{self, Output};
-use sar_tensor::{Edge, Tensor, Var};
+use sar_tensor::{grad_enabled, BitMask, Edge, Tensor, Var};
 
 /// Batch-norm statistics: `[Σx, Σx²]` per column, `2F` floats — the
 /// buffer the forward all-reduces (`x²` rounded before it is summed).
@@ -199,28 +197,36 @@ pub fn epilogue_forward(
     Tensor::from_vec(&[n, f], out)
 }
 
-/// Backward of [`epilogue_forward`] from its output `out`: the gated
-/// gradient `g' = g · [out > 0]` under ReLU (`out > 0` exactly where the
-/// pre-activation is, since `relu(NaN)` is `0`), else `g`; `d_agg = g' ⊙
-/// s` by rows, and with a residual `d_hw = g'` and `db = Σ_rows g'`.
+/// Backward of [`epilogue_forward`]: the gated gradient `g' = g · bit`
+/// under ReLU, with `mask` the bits of `out > 0` ([`BitMask::positive`] of
+/// the output — set exactly where the pre-activation is positive, since
+/// `relu(NaN)` is `0`), else `g' = g`; `d_agg = g' ⊙ s` by rows, and with a
+/// residual `d_hw = g'` and `db = Σ_rows g'`. The gate is a multiply by
+/// exactly `1.0` or `0.0`, the bits of the old `g · [out > 0]`: `g · 0.0`
+/// is `−0.0` for a negative `g` and NaN for a non-finite one.
 ///
 /// # Panics
 ///
-/// Panics if `g` and `out` differ in shape or `scale` is not one entry per
+/// Panics if `mask` and `g` differ in shape or `scale` is not one entry per
 /// row.
 // sar-check: deterministic(one-writer-per-row: element-wise rows; then one
 // thread adds rows 0, 1, … into the bias sum)
 pub fn epilogue_backward(
     g: &Tensor,
-    out: &Tensor,
+    mask: Option<&BitMask>,
     scale: &[f32],
-    relu: bool,
     residual: bool,
 ) -> (Tensor, Option<(Tensor, Tensor)>) {
-    assert_eq!(g.shape(), out.shape(), "gradient and output shapes differ");
     let (n, f) = (g.rows(), g.cols());
+    if let Some(m) = mask {
+        assert_eq!(
+            (m.rows(), m.cols()),
+            (n, f),
+            "gradient and mask shapes differ"
+        );
+    }
     assert_eq!(scale.len(), n, "one scale per row");
-    let (g, out) = (g.data(), out.data());
+    let g = g.data();
     // `g'` lands in `d_hw`, which a layer without a residual drops.
     let (mut d_agg, mut d_hw) = (vec![0.0f32; n * f], vec![0.0f32; n * f]);
     pool::split_rows(
@@ -233,14 +239,13 @@ pub fn epilogue_backward(
             let parts = d_agg.chunks_exact_mut(f).zip(d_hw.chunks_exact_mut(f));
             for (r, (d_agg, d_hw)) in parts.enumerate() {
                 let (i, s) = (lo + r, scale[lo + r]);
-                let row = g[i * f..].iter().zip(&out[i * f..]);
-                for ((da, dh), (&g, &o)) in d_agg.iter_mut().zip(d_hw.iter_mut()).zip(row) {
-                    *dh = if relu {
-                        g * if o > 0.0 { 1.0 } else { 0.0 }
-                    } else {
-                        g
-                    };
-                    *da = *dh * s;
+                let g = &g[i * f..(i + 1) * f];
+                match mask {
+                    Some(m) => m.gate_row(i, g, d_hw, 1.0),
+                    None => d_hw.copy_from_slice(g),
+                }
+                for (da, &dh) in d_agg.iter_mut().zip(&*d_hw) {
+                    *da = dh * s;
                 }
             }
         },
@@ -262,25 +267,29 @@ pub fn epilogue_backward(
 /// The Sage/GCN layer tail as one tape node: `relu?(agg ⊙ s + (hw + b))`
 /// (see [`epilogue_forward`]), with `scale` a constant `[n]` column, and
 /// `residual = (hw, b)` the `[n, F]` residual product and its `[F]` bias.
-/// The backward reads its own output and the scale, never its inputs.
+/// The backward reads the scale and, under ReLU, one bit per output
+/// element ([`BitMask`]) — never its inputs or its `[n, F]` output. No mask
+/// is built when nothing takes a gradient (taping off, or no parent that
+/// requires one).
 ///
 /// # Panics
 ///
 /// Panics if shapes disagree.
 pub fn epilogue(agg: &Var, scale: Tensor, residual: Option<(&Var, &Var)>, relu: bool) -> Var {
-    let out = Rc::new({
+    let out = {
         let (a, r) = (agg.value(), residual.map(|(hw, b)| (hw.value(), b.value())));
         let r = r.as_ref().map(|(hw, b)| (&**hw, b.data()));
         epilogue_forward(&a, scale.data(), r, relu)
-    });
+    };
     let mut parents = vec![agg.edge()];
     if let Some((hw, b)) = residual {
         parents.extend([hw.edge(), b.edge()]);
     }
     let need: Vec<bool> = parents.iter().map(Edge::requires_grad).collect();
-    let saved = Rc::clone(&out);
+    let taped = grad_enabled() && need.contains(&true);
+    let mask = (relu && taped).then(|| BitMask::positive(&out));
     Var::from_op(out, parents, "epilogue", move |g| {
-        let (d_agg, d_res) = epilogue_backward(g, &saved, scale.data(), relu, need.len() == 3);
+        let (d_agg, d_res) = epilogue_backward(g, mask.as_ref(), scale.data(), need.len() == 3);
         let mut grads = vec![Some(d_agg)];
         if let Some((d_hw, db)) = d_res {
             grads.extend([Some(d_hw), Some(db)]);
@@ -305,8 +314,43 @@ mod tests {
         let ones = [1.0f32; 5];
         let (y, x_hat) = norm_forward(&x, &ones, &ones, &ones, &ones);
         assert_eq!((y.shape(), x_hat.shape()), (&[0, 5][..], &[0, 5][..]));
-        let (d_agg, res) = epilogue_backward(&x, &x, &[], true, true);
+        let mask = BitMask::positive(&x);
+        let (d_agg, res) = epilogue_backward(&x, Some(&mask), &[], true);
         assert_eq!(d_agg.shape(), &[0, 5]);
         assert_eq!(res.unwrap().1.data(), &[0.0; 5]);
+    }
+
+    #[test]
+    fn a_relu_epilogue_keeps_one_bit_per_element_and_only_when_taped() {
+        let (n, f) = (6, 70);
+        let t = || {
+            let data = (0..n * f).map(|k| ((k * 5 % 17) as f32 - 8.0) / 3.0);
+            Tensor::from_vec(&[n, f], data.collect())
+        };
+        let live = || sar_tensor::MemoryTracker::stats().current_bytes as i64;
+        // Counted from after the `[n]` scale is made: a taped node keeps
+        // it, an untaped one drops it.
+        let (out, scale) = ((4 * n * f) as i64, 4 * n as i64);
+        let mask = (n * BitMask::words_per_row(f) * 8) as i64;
+        let cases = [
+            (Var::parameter(t()), true, false, out + mask),
+            (Var::parameter(t()), false, false, out),
+            (Var::constant(t()), true, false, out - scale),
+            (Var::parameter(t()), true, true, out - scale),
+        ];
+        for (agg, relu, untaped, added) in cases {
+            let (s, base) = (Tensor::ones(&[n]), live());
+            let y = if untaped {
+                sar_tensor::no_grad(|| epilogue(&agg, s, None, relu))
+            } else {
+                epilogue(&agg, s, None, relu)
+            };
+            let tag = format!(
+                "relu {relu}, parameter {}, no_grad {untaped}",
+                agg.requires_grad()
+            );
+            assert_eq!(live() - base, added, "{tag}");
+            drop(y);
+        }
     }
 }

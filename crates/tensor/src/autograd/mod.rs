@@ -21,17 +21,21 @@
 //! operation that produced it and whether it requires a gradient — never
 //! the value. A backward pass reads only the tensors its operation saved
 //! at record time ([`Var::save`]): shared handles to the values, not
-//! copies, as PyTorch's `save_for_backward` keeps them. An intermediate
-//! no backward saved is freed as soon as its last `Var` handle drops, and
-//! a saved one as soon as the backward that reads it has run: the engine
-//! drops each operation once it has propagated (unless `retain_graph` is
-//! used), so the graph frees itself as gradients flow — the behaviour SAR
-//! relies on for its memory guarantees.
+//! copies, as PyTorch's `save_for_backward` keeps them — or, for a
+//! [rebuildable](Var::rebuildable) constant, the recipe that rebuilds the
+//! same bits when the backward runs, so the value itself dies with its
+//! last `Var` handle. An intermediate no backward saved is freed as soon
+//! as its last `Var` handle drops, and a saved one as soon as the
+//! backward that reads it has run: the engine drops each operation once
+//! it has propagated (unless `retain_graph` is used), so the graph frees
+//! itself as gradients flow — the behaviour SAR relies on for its memory
+//! guarantees.
 
 mod ops;
 
 pub use ops::hstack;
 
+use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
 
@@ -240,9 +244,34 @@ impl Edge {
     }
 }
 
+/// A constant's rebuild recipe (see [`Var::rebuildable`]).
+type Recipe = Rc<dyn Fn() -> Tensor>;
+
 struct VarInner {
     edge: Edge,
     value: RefCell<Rc<Tensor>>,
+    rebuild: Option<Recipe>,
+}
+
+/// What a backward keeps of a value it reads: a shared handle to the
+/// tensor, or — for a [rebuildable](Var::rebuildable) constant — the
+/// recipe, which rebuilds the same bits on [`get`](Saved::get).
+pub struct Saved(SavedKind);
+
+enum SavedKind {
+    Kept(Rc<Tensor>),
+    Rebuild(Recipe),
+}
+
+impl Saved {
+    /// The saved value: borrowed from the handle, or rebuilt (and freed
+    /// when the result drops).
+    pub fn get(&self) -> Cow<'_, Tensor> {
+        match &self.0 {
+            SavedKind::Kept(t) => Cow::Borrowed(t),
+            SavedKind::Rebuild(f) => Cow::Owned(f()),
+        }
+    }
 }
 
 /// A tensor tracked by the autograd tape: an [`Edge`] plus a shared,
@@ -276,6 +305,7 @@ impl Var {
             inner: Rc::new(VarInner {
                 edge: Edge::new(op, requires_grad),
                 value: RefCell::new(value),
+                rebuild: None,
             }),
         }
     }
@@ -291,12 +321,27 @@ impl Var {
         Var::make(Rc::new(value), None, false)
     }
 
+    /// Creates a constant whose value is `rebuild()` and whose backward
+    /// readers keep `rebuild` instead of the value: [`save`](Var::save)
+    /// returns the recipe, so the tensor is freed with the last `Var`
+    /// handle and rebuilt — the same bits, by construction — by each
+    /// backward that reads it. `rebuild` must be a pure function.
+    pub fn rebuildable(rebuild: impl Fn() -> Tensor + 'static) -> Var {
+        Var {
+            inner: Rc::new(VarInner {
+                edge: Edge::new(None, false),
+                value: RefCell::new(Rc::new(rebuild())),
+                rebuild: Some(Rc::new(rebuild)),
+            }),
+        }
+    }
+
     /// Records the output of a custom [`Function`].
     ///
-    /// `value` may be a handle `f` already [saved](Var::save) (an
-    /// operation whose backward reads its own output). If taping is
-    /// disabled or no parent requires a gradient, the result is a constant
-    /// and `f` — with everything it saved — is dropped immediately.
+    /// `value` may be a handle `f` also keeps (an operation whose backward
+    /// reads its own output). If taping is disabled or no parent requires
+    /// a gradient, the result is a constant and `f` — with everything it
+    /// saved — is dropped immediately.
     pub fn from_function(value: impl Into<Rc<Tensor>>, f: impl Function + 'static) -> Var {
         let requires = grad_enabled() && f.parents().iter().any(Edge::requires_grad);
         let op: Option<Box<dyn Function>> = requires.then(|| Box::new(f) as _);
@@ -330,8 +375,17 @@ impl Var {
 
     /// Shares the value with a backward pass: a handle to the same tensor,
     /// not a copy — PyTorch's `save_for_backward`. The tensor stays alive
-    /// while the handle does, even after every `Var` handle is gone.
-    pub fn save(&self) -> Rc<Tensor> {
+    /// while the handle does, even after every `Var` handle is gone. A
+    /// [rebuildable](Var::rebuildable) constant shares its recipe instead.
+    pub fn save(&self) -> Saved {
+        Saved(match &self.inner.rebuild {
+            Some(f) => SavedKind::Rebuild(Rc::clone(f)),
+            None => SavedKind::Kept(self.shared()),
+        })
+    }
+
+    /// A handle to the current value.
+    fn shared(&self) -> Rc<Tensor> {
         Rc::clone(&self.inner.value.borrow())
     }
 
@@ -364,8 +418,21 @@ impl Var {
     /// loading). A backward that saved the old value keeps reading it.
     ///
     /// Does not touch the tape; only call this on leaves.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [rebuildable](Var::rebuildable) constant, whose value
+    /// is its recipe's.
     pub fn set_value(&self, value: Tensor) {
+        self.assert_writable();
         *self.inner.value.borrow_mut() = Rc::new(value);
+    }
+
+    fn assert_writable(&self) {
+        assert!(
+            self.inner.rebuild.is_none(),
+            "a rebuildable constant's value is its recipe's"
+        );
     }
 
     /// Applies `f` to the underlying value in place (used by optimizers).
@@ -373,7 +440,12 @@ impl Var {
     /// In place only while no recorded backward still holds the value —
     /// after `backward` has run, none does; otherwise the update goes to a
     /// fresh copy and the saved handle keeps the value it saved.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [rebuildable](Var::rebuildable) constant.
     pub fn update_value(&self, f: impl FnOnce(&mut Tensor)) {
+        self.assert_writable();
         f(Rc::make_mut(&mut self.inner.value.borrow_mut()));
     }
 
@@ -403,7 +475,7 @@ impl Var {
     /// Returns a constant sharing this variable's current value but
     /// detached from the tape.
     pub fn detach(&self) -> Var {
-        Var::make(self.save(), None, false)
+        Var::make(self.shared(), None, false)
     }
 
     /// Stable identifier of the underlying tape edge.
@@ -612,6 +684,38 @@ mod tests {
         // `y` went with relu's op; `z`, `s` and x's gradient remain.
         assert_eq!(live(), base + 512 + 4 + 512);
         assert_eq!(x.grad().unwrap().data()[0], 2.0);
+    }
+
+    #[test]
+    fn a_matmul_over_a_rebuildable_constant_holds_no_handle_to_it() {
+        let (m, k, n) = (64, 48, 4);
+        let fill = |len: usize, mul: usize| -> Vec<f32> {
+            (0..len)
+                .map(|i| ((i * mul % 101) as f32 - 50.0) / 7.0)
+                .collect()
+        };
+        let make = move || Tensor::from_vec(&[m, k], fill(m * k, 37));
+        let g = Tensor::from_vec(&[m, n], fill(m * n, 13));
+        let w = Var::parameter(Tensor::from_vec(&[k, n], fill(k * n, 29)));
+        let base = live();
+        let x = Var::rebuildable(make);
+        assert_eq!(live(), base + m * k * 4);
+        let y = x.matmul(&w);
+        drop(x);
+        assert_eq!(live(), base + m * n * 4, "only `y` is left");
+        y.backward_with(&g);
+        let rebuilt = w.grad().unwrap();
+
+        let (x, w_kept) = (Var::constant(make()), Var::parameter(w.value_clone()));
+        x.matmul(&w_kept).backward_with(&g);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rebuilt), bits(&w_kept.grad().unwrap()));
+    }
+
+    #[test]
+    #[should_panic(expected = "recipe")]
+    fn a_rebuildable_constant_is_read_only() {
+        Var::rebuildable(|| Tensor::scalar(1.0)).set_value(Tensor::scalar(2.0));
     }
 
     #[test]

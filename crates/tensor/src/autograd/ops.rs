@@ -1,9 +1,10 @@
 //! Built-in differentiable operations on [`Var`].
 //!
 //! Backward closures capture only the values their gradient formula reads,
-//! as [saved](Var::save) handles (not tensor copies), so the memory held by
-//! the tape is what a real autograd framework keeps alive — which is
-//! exactly what the SAR memory experiments measure. A binary operation
+//! as [saved](Var::save) handles (not tensor copies) or, for a
+//! [rebuildable](Var::rebuildable) constant, its recipe, so the memory
+//! held by the tape is what a real autograd framework keeps alive — which
+//! is exactly what the SAR memory experiments measure. A binary operation
 //! saves an operand only for the other operand's gradient: `x · W` with a
 //! constant `x` keeps `x` and not `W`.
 //!
@@ -13,7 +14,7 @@
 //! column of mean aggregation are constants as large as an activation.
 
 use super::Var;
-use crate::Tensor;
+use crate::{BitMask, Tensor};
 
 /// Horizontally concatenates 2-D variables (along columns), with the
 /// backward pass splitting the gradient back into per-input column slices.
@@ -86,7 +87,10 @@ impl Var {
             self.requires_grad().then(|| other.save()),
         );
         Var::from_op(value, vec![self.edge(), other.edge()], "mul", move |g| {
-            vec![b.as_ref().map(|b| g.mul(b)), a.as_ref().map(|a| g.mul(a))]
+            vec![
+                b.as_ref().map(|b| g.mul(&b.get())),
+                a.as_ref().map(|a| g.mul(&a.get())),
+            ]
         })
     }
 
@@ -101,10 +105,11 @@ impl Var {
         let a = need_b.then(|| self.save());
         let b = other.save();
         Var::from_op(value, vec![self.edge(), other.edge()], "div", move |g| {
+            let b = b.get();
             let da = need_a.then(|| g.div(&b));
             let db = a
                 .as_ref()
-                .map(|a| g.mul(a).zip_map(&b, |num, den| -num / (den * den)));
+                .map(|a| g.mul(&a.get()).zip_map(&b, |num, den| -num / (den * den)));
             vec![da, db]
         })
     }
@@ -138,7 +143,7 @@ impl Var {
         let value = self.value().map(f32::sqrt);
         let a = self.save();
         Var::from_op(value, vec![self.edge()], "sqrt", move |g| {
-            let dv = a.map(|x| 0.5 / x.sqrt());
+            let dv = a.get().map(|x| 0.5 / x.sqrt());
             vec![Some(g.mul(&dv))]
         })
     }
@@ -148,7 +153,7 @@ impl Var {
         let value = self.value().map(f32::exp);
         let a = self.save();
         Var::from_op(value, vec![self.edge()], "exp", move |g| {
-            vec![Some(g.mul(&a.map(f32::exp)))]
+            vec![Some(g.mul(&a.get().map(f32::exp)))]
         })
     }
 
@@ -157,7 +162,7 @@ impl Var {
         let value = self.value().map(f32::ln);
         let a = self.save();
         Var::from_op(value, vec![self.edge()], "log", move |g| {
-            vec![Some(g.div(&a))]
+            vec![Some(g.div(&a.get()))]
         })
     }
 
@@ -170,7 +175,7 @@ impl Var {
         let value = self.value().map(|x| x.max(0.0));
         let a = self.save();
         Var::from_op(value, vec![self.edge()], "relu", move |g| {
-            let dx = g.zip_map(&a, |gv, x| gv * if x > 0.0 { 1.0 } else { 0.0 });
+            let dx = g.zip_map(&a.get(), |gv, x| gv * if x > 0.0 { 1.0 } else { 0.0 });
             vec![Some(dx)]
         })
     }
@@ -180,7 +185,7 @@ impl Var {
         let value = self.value().map(|x| if x > 0.0 { x } else { slope * x });
         let a = self.save();
         Var::from_op(value, vec![self.edge()], "leaky_relu", move |g| {
-            let dx = g.zip_map(&a, |gv, x| gv * if x > 0.0 { 1.0 } else { slope });
+            let dx = g.zip_map(&a.get(), |gv, x| gv * if x > 0.0 { 1.0 } else { slope });
             vec![Some(dx)]
         })
     }
@@ -190,7 +195,7 @@ impl Var {
         let value = self.value().map(|x| 1.0 / (1.0 + (-x).exp()));
         let a = self.save();
         Var::from_op(value, vec![self.edge()], "sigmoid", move |g| {
-            let dv = a.map(|x| {
+            let dv = a.get().map(|x| {
                 let s = 1.0 / (1.0 + (-x).exp());
                 s * (1.0 - s)
             });
@@ -203,7 +208,7 @@ impl Var {
         let value = self.value().map(f32::tanh);
         let a = self.save();
         Var::from_op(value, vec![self.edge()], "tanh", move |g| {
-            let dv = a.map(|x| 1.0 - x.tanh() * x.tanh());
+            let dv = a.get().map(|x| 1.0 - x.tanh() * x.tanh());
             vec![Some(g.mul(&dv))]
         })
     }
@@ -223,8 +228,8 @@ impl Var {
         let a = other.requires_grad().then(|| self.save());
         let b = self.requires_grad().then(|| other.save());
         Var::from_op(value, vec![self.edge(), other.edge()], "matmul", move |g| {
-            let da = b.as_ref().map(|b| g.matmul_nt(b));
-            let db = a.as_ref().map(|a| a.matmul_tn(g));
+            let da = b.as_ref().map(|b| g.matmul_nt(&b.get()));
+            let db = a.as_ref().map(|a| a.get().matmul_tn(g));
             vec![da, db]
         })
     }
@@ -270,8 +275,8 @@ impl Var {
         let a = row.requires_grad().then(|| self.save());
         let r = self.requires_grad().then(|| row.save());
         Var::from_op(value, vec![self.edge(), row.edge()], "mul_row", move |g| {
-            let da = r.as_ref().map(|r| g.mul_row_broadcast(r));
-            let dr = a.as_ref().map(|a| g.mul(a).sum_axis0());
+            let da = r.as_ref().map(|r| g.mul_row_broadcast(&r.get()));
+            let dr = a.as_ref().map(|a| g.mul(&a.get()).sum_axis0());
             vec![da, dr]
         })
     }
@@ -286,7 +291,7 @@ impl Var {
             let r = row.value().map(|x| 1.0 / x);
             let saved = row.save();
             Var::from_op(r, vec![row.edge()], "recip", move |g| {
-                let dv = saved.map(|x| -1.0 / (x * x));
+                let dv = saved.get().map(|x| -1.0 / (x * x));
                 vec![Some(g.mul(&dv))]
             })
         };
@@ -305,8 +310,8 @@ impl Var {
         let a = col.requires_grad().then(|| self.save());
         let c = self.requires_grad().then(|| col.save());
         Var::from_op(value, vec![self.edge(), col.edge()], "mul_col", move |g| {
-            let da = c.as_ref().map(|c| g.mul_col_broadcast(c));
-            let dc = a.as_ref().map(|a| g.mul(a).sum_axis1());
+            let da = c.as_ref().map(|c| g.mul_col_broadcast(&c.get()));
+            let dc = a.as_ref().map(|a| g.mul(&a.get()).sum_axis1());
             vec![da, dc]
         })
     }
@@ -395,7 +400,7 @@ impl Var {
         let value = self.value().softmax_rows();
         let a = self.save();
         Var::from_op(value, vec![self.edge()], "softmax_rows", move |g| {
-            let s = a.softmax_rows();
+            let s = a.get().softmax_rows();
             // dX[i] = s[i] * (g[i] - <g[i], s[i]>)
             let dot = g.mul(&s).sum_axis1();
             let mut dx = g.clone();
@@ -423,19 +428,15 @@ impl Var {
             return self.clone();
         }
         let keep = 1.0 - p;
-        let mask_data: Vec<f32> = (0..self.value().numel())
-            .map(|_| {
-                if rng.random::<f32>() < keep {
-                    1.0 / keep
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let mask = Tensor::from_vec(&self.shape(), mask_data);
-        let value = self.value().mul(&mask);
+        // One draw per element in row-major order; the backward keeps the
+        // draws as bits and multiplies by exactly `1 / keep` or `0.0`.
+        let (numel, cols) = (self.value().numel(), *self.shape().last().unwrap());
+        let rows = numel.checked_div(cols).unwrap_or(0);
+        let mask = BitMask::from_fn(rows, cols, || rng.random::<f32>() < keep);
+        let inv = 1.0 / keep;
+        let value = mask.gate(&self.value(), inv);
         Var::from_op(value, vec![self.edge()], "dropout", move |g| {
-            vec![Some(g.mul(&mask))]
+            vec![Some(mask.gate(g, inv))]
         })
     }
 }
@@ -445,7 +446,7 @@ mod tests {
     use super::*;
     use crate::gradcheck::check_gradients;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn randn(shape: &[usize], seed: u64) -> Tensor {
         crate::init::randn(shape, 1.0, &mut StdRng::seed_from_u64(seed))
@@ -582,6 +583,42 @@ mod tests {
         // Gradient must be the mask itself (scaled), i.e. equal to output
         // since input was all ones.
         assert!(g.allclose(&out, 1e-6));
+    }
+
+    #[test]
+    fn dropout_keeps_bits_and_matches_the_f32_mask_bitwise() {
+        // The draws and arithmetic of an `f32` keep-mask `1 / keep` or `0`.
+        let (p, shape) = (0.3f32, [37usize, 70]);
+        let x = randn(&shape, 26);
+        let g = randn(&shape, 27).map(|v| if v > 1.5 { f32::NAN } else { -v });
+        let keep = 1.0 - p;
+        let mut rng = StdRng::seed_from_u64(3);
+        let mask: Vec<f32> = (0..x.numel())
+            .map(|_| {
+                if rng.random::<f32>() < keep {
+                    1.0 / keep
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let mask = Tensor::from_vec(&shape, mask);
+        let (want_y, want_dx) = (x.mul(&mask), g.mul(&mask));
+        drop(mask);
+
+        let xv = Var::parameter(x);
+        let base = crate::MemoryTracker::stats().current_bytes;
+        let y = xv.dropout(p, true, &mut StdRng::seed_from_u64(3));
+        let words = shape[0] * BitMask::words_per_row(shape[1]);
+        assert_eq!(
+            crate::MemoryTracker::stats().current_bytes,
+            base + 4 * shape[0] * shape[1] + 8 * words,
+            "the output and one bit per element"
+        );
+        y.backward_with(&g);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y.value()), bits(&want_y));
+        assert_eq!(bits(&xv.grad().unwrap()), bits(&want_dx));
     }
 
     #[test]

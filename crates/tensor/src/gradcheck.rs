@@ -83,7 +83,7 @@ mod tests {
     fn rejects_wrong_gradient() {
         struct Bad {
             parents: Vec<crate::Edge>,
-            x: std::rc::Rc<Tensor>,
+            x: crate::Saved,
         }
         impl crate::Function for Bad {
             fn parents(&self) -> &[crate::Edge] {
@@ -91,7 +91,7 @@ mod tests {
             }
             fn backward(&self, g: &Tensor) -> Vec<Option<Tensor>> {
                 // Claims d(x²)/dx = 3x (wrong).
-                vec![Some(g.mul(&self.x.scale(3.0)))]
+                vec![Some(g.mul(&self.x.get().scale(3.0)))]
             }
         }
         let x = Tensor::from_vec(&[2], vec![1.0, 2.0]);

@@ -19,6 +19,8 @@
 //! * [`Function`] — a trait for custom differentiable operations. SAR's
 //!   sequential-aggregation forward/backward (Algorithms 1 and 2 of the
 //!   paper) is installed through this trait from the `sar-core` crate.
+//! * [`BitMask`] — one tracked bit per element: what a backward keeps
+//!   when it reads only a sign (ReLU) or a keep draw (dropout).
 //! * [`no_grad`] — pauses taping, mirroring `torch.no_grad()`. SAR runs the
 //!   per-partition fetch/aggregate loop inside such a scope.
 //! * [`memory`] — a thread-local byte accountant. Every live tensor's bytes
@@ -39,6 +41,7 @@
 //! ```
 
 pub mod autograd;
+mod bitmask;
 pub mod gradcheck;
 pub mod init;
 pub mod le;
@@ -48,6 +51,7 @@ pub mod simd;
 mod tensor;
 pub mod tier;
 
-pub use autograd::{grad_enabled, hstack, no_grad, Edge, Function, Var};
+pub use autograd::{grad_enabled, hstack, no_grad, Edge, Function, Saved, Var};
+pub use bitmask::BitMask;
 pub use memory::{MemScope, MemoryStats, MemoryTracker, ScopePeak};
 pub use tensor::Tensor;

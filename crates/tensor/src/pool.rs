@@ -303,18 +303,19 @@ fn helper_main(rx: &Arc<Mutex<Receiver<Job>>>) {
     }
 }
 
-/// One output buffer of a [`split_rows`] call, and the way rows own it.
-pub struct Output<'a> {
-    data: SharedSlice<'a>,
+/// One output buffer of a [`split_rows`] call, and the way rows own it:
+/// `f32` values, or `u64` words for a [`BitMask`](crate::BitMask).
+pub struct Output<'a, T = f32> {
+    data: SharedSlice<'a, T>,
     width: usize,
     /// `Some(ptr)` for an edge-owned buffer.
     ptr: Option<&'a [usize]>,
 }
 
-impl<'a> Output<'a> {
+impl<'a, T> Output<'a, T> {
     /// A `[n, width]` buffer: row `r` owns elements
     /// `r·width..(r + 1)·width`.
-    pub fn row_owned(data: &'a mut [f32], width: usize) -> Self {
+    pub fn row_owned(data: &'a mut [T], width: usize) -> Self {
         Output {
             data: SharedSlice::new(data),
             width,
@@ -326,7 +327,7 @@ impl<'a> Output<'a> {
     /// array: row `r` owns the `width`-wide entries `ptr[r]..ptr[r + 1]`
     /// (its edges), counted from `ptr[0]` — so a slice of a graph's
     /// `indptr` lays out the edges of a run of rows.
-    pub fn edge_owned(data: &'a mut [f32], ptr: &'a [usize], width: usize) -> Self {
+    pub fn edge_owned(data: &'a mut [T], ptr: &'a [usize], width: usize) -> Self {
         Output {
             data: SharedSlice::new(data),
             width,
@@ -382,10 +383,10 @@ impl<'a> Output<'a> {
 ///
 /// Panics, before any body runs, if an output's length does not match its
 /// declared shape or a pointer array is not `n + 1` monotone entries.
-pub fn split_rows<const K: usize>(
+pub fn split_rows<T: Send, const K: usize>(
     n: usize,
-    outs: [Output<'_>; K],
-    body: impl Fn(usize, usize, [&mut [f32]; K]) + Sync,
+    outs: [Output<'_, T>; K],
+    body: impl Fn(usize, usize, [&mut [T]; K]) + Sync,
 ) {
     for out in &outs {
         out.check(n);
@@ -409,22 +410,23 @@ pub fn split_rows<const K: usize>(
 
 /// A `Send + Sync` view of a mutable buffer whose **disjoint** ranges are
 /// written concurrently by the chunks of one [`split_rows`] call.
-struct SharedSlice<'a> {
-    ptr: *mut f32,
+struct SharedSlice<'a, T> {
+    ptr: *mut T,
     len: usize,
-    _life: PhantomData<&'a mut [f32]>,
+    _life: PhantomData<&'a mut [T]>,
 }
 
-// SAFETY: SharedSlice is a raw view of a `&mut [f32]` whose concurrent
+// SAFETY: SharedSlice is a raw view of a `&mut [T]` whose concurrent
 // writers take disjoint ranges (the `range_mut` contract), so sending the
-// view or sharing it across parallel_for chunks never aliases an element.
-unsafe impl Send for SharedSlice<'_> {}
+// view or sharing it across parallel_for chunks never aliases an element;
+// `T: Send` because each range is handed to another thread as `&mut [T]`.
+unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
 // SAFETY: as above — &SharedSlice only exposes `range_mut`, whose
 // disjointness contract is what makes cross-thread sharing sound.
-unsafe impl Sync for SharedSlice<'_> {}
+unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
 
-impl<'a> SharedSlice<'a> {
-    fn new(data: &'a mut [f32]) -> SharedSlice<'a> {
+impl<'a, T> SharedSlice<'a, T> {
+    fn new(data: &'a mut [T]) -> SharedSlice<'a, T> {
         SharedSlice {
             ptr: data.as_mut_ptr(),
             len: data.len(),
@@ -439,7 +441,7 @@ impl<'a> SharedSlice<'a> {
     /// Concurrent callers must request disjoint ranges; the borrow is
     /// unchecked aliasing-wise (bounds are asserted).
     #[allow(clippy::mut_from_ref)] // disjointness is the caller's contract
-    unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [f32] {
+    unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [T] {
         assert!(
             lo <= hi && hi <= self.len,
             "range {lo}..{hi} of {}",
