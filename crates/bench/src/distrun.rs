@@ -409,6 +409,8 @@ pub fn encode_rank_result(report: &WorkerReport, comm: &CommStats) -> Vec<u8> {
     buf.push(u8::from(report.test_acc_cs.is_some()));
     put_f64(&mut buf, report.test_acc_cs.unwrap_or(0.0));
     put_u64(&mut buf, report.steady_peak_bytes as u64);
+    put_u32(&mut buf, report.steady_peak_site.len() as u32);
+    buf.extend_from_slice(report.steady_peak_site.as_bytes());
     put_u32(&mut buf, stats.len() as u32);
     buf.extend_from_slice(&stats);
     buf
@@ -441,6 +443,9 @@ pub fn decode_rank_result(buf: &[u8]) -> Result<(WorkerReport, CommStats), Strin
     let has_cs = c.u8()? != 0;
     let cs_val = c.f64()?;
     let steady_peak_bytes = c.u64()? as usize;
+    let site_len = c.u32()? as usize;
+    let steady_peak_site = String::from_utf8(c.take(site_len)?.to_vec())
+        .map_err(|_| "peak site is not UTF-8".to_string())?;
     let stats_len = c.u32()? as usize;
     let comm = CommStats::from_bytes(c.take(stats_len)?)?;
     c.finish()?;
@@ -450,6 +455,7 @@ pub fn decode_rank_result(buf: &[u8]) -> Result<(WorkerReport, CommStats), Strin
         test_acc,
         test_acc_cs: has_cs.then_some(cs_val),
         steady_peak_bytes,
+        steady_peak_site,
         logits: Vec::new(),
         global_ids: Vec::new(),
         params: None,
@@ -549,6 +555,7 @@ mod tests {
             test_acc: 0.625,
             test_acc_cs: Some(0.75),
             steady_peak_bytes: 4096,
+            steady_peak_site: "matmul backward".into(),
             logits: vec![1.0; 6],
             global_ids: vec![0, 1],
             params: Some(Vec::new()),
@@ -566,6 +573,7 @@ mod tests {
         assert_eq!(d.val_acc, 0.5);
         assert_eq!(d.test_acc_cs, Some(0.75));
         assert_eq!(d.steady_peak_bytes, 4096);
+        assert_eq!(d.steady_peak_site, "matmul backward");
         assert_eq!(d_comm, comm);
         // Logits, ids and parameters travel empty.
         assert!(d.logits.is_empty() && d.global_ids.is_empty() && d.params.is_none());
@@ -598,6 +606,7 @@ mod tests {
         assert_eq!(r.workers.len(), 2);
         assert_eq!(r.workers[1].rank, 1);
         assert_eq!(r.workers[1].steady_peak_bytes, 4096);
+        assert_eq!(r.workers[1].steady_peak_site, "matmul backward");
         assert_eq!(r.workers[1].total_sent_bytes, 123);
     }
 

@@ -121,6 +121,9 @@ pub struct WorkerProfile {
     pub rank: usize,
     /// Steady-state peak live tensor bytes (from the second epoch on).
     pub steady_peak_bytes: usize,
+    /// Where that peak was reached (a layer's forward, or the backward of
+    /// a named tape operation).
+    pub steady_peak_site: String,
     /// Total bytes sent over the whole run.
     pub total_sent_bytes: u64,
     /// Total bytes received over the whole run.
@@ -133,11 +136,18 @@ pub struct WorkerProfile {
 
 impl WorkerProfile {
     /// Lifts one worker's [`sar_comm::CommStats`] (plus its measured
-    /// steady-state memory peak) into the serializable profile.
-    pub fn from_stats(rank: usize, steady_peak_bytes: usize, comm: &sar_comm::CommStats) -> Self {
+    /// steady-state memory peak and where it was reached) into the
+    /// serializable profile.
+    pub fn from_stats(
+        rank: usize,
+        steady_peak_bytes: usize,
+        steady_peak_site: String,
+        comm: &sar_comm::CommStats,
+    ) -> Self {
         WorkerProfile {
             rank,
             steady_peak_bytes,
+            steady_peak_site,
             total_sent_bytes: comm.total_sent(),
             total_recv_bytes: comm.recv_bytes,
             comm_us: comm.comm_us,
@@ -206,12 +216,18 @@ impl RunReport {
         mode: impl Into<String>,
         run: &sar_core::RunReport,
     ) -> Self {
-        let peak = |rank: usize| run.peak_bytes.get(rank).copied().unwrap_or(0);
         let workers = run
             .worker_comm
             .iter()
             .enumerate()
-            .map(|(rank, comm)| WorkerProfile::from_stats(rank, peak(rank), comm))
+            .map(|(rank, comm)| {
+                WorkerProfile::from_stats(
+                    rank,
+                    run.peak_bytes.get(rank).copied().unwrap_or(0),
+                    run.peak_sites.get(rank).cloned().unwrap_or_default(),
+                    comm,
+                )
+            })
             .collect();
         RunReport {
             experiment: experiment.into(),
@@ -243,7 +259,8 @@ impl RunReport {
     ///   "buffer_pool": {"hits": 0, "misses": 0, "recycles": 0,
     ///                   "recycle_drops": 0},
     ///   "workers": [
-    ///     {"rank": 0, "steady_peak_bytes": 0, "total_sent_bytes": 0,
+    ///     {"rank": 0, "steady_peak_bytes": 0,
+    ///      "steady_peak_site": "layer 0 forward", "total_sent_bytes": 0,
     ///      "total_recv_bytes": 0, "comm_us": 0.0,
     ///      "phases": [
     ///        {"phase": "forward_fetch", "layer": 0, "sent_bytes": 0, ...}
@@ -275,6 +292,7 @@ impl RunReport {
             obj([
                 ("rank", w.rank.into()),
                 ("steady_peak_bytes", w.steady_peak_bytes.into()),
+                ("steady_peak_site", w.steady_peak_site.as_str().into()),
                 ("total_sent_bytes", w.total_sent_bytes.into()),
                 ("total_recv_bytes", w.total_recv_bytes.into()),
                 ("comm_us", w.comm_us.into()),
@@ -368,6 +386,7 @@ impl RunReport {
             Ok(WorkerProfile {
                 rank: w.req_u64("rank")? as usize,
                 steady_peak_bytes: w.req_u64("steady_peak_bytes")? as usize,
+                steady_peak_site: w.req_str("steady_peak_site")?.to_string(),
                 total_sent_bytes: w.req_u64("total_sent_bytes")?,
                 total_recv_bytes: w.req_u64("total_recv_bytes")?,
                 comm_us: float(w, "comm_us")?,
@@ -504,6 +523,7 @@ mod tests {
             workers: vec![WorkerProfile {
                 rank: 0,
                 steady_peak_bytes: 1024,
+                steady_peak_site: "layer 0 forward".into(),
                 total_sent_bytes: 64,
                 total_recv_bytes: 32,
                 comm_us: 12.5,

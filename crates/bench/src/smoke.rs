@@ -80,6 +80,7 @@ pub fn ledger_table(report: &RunReport) -> Table {
             "grad routing",
             "collective",
             "peak MiB",
+            "peak at",
         ],
     );
     for w in &report.workers {
@@ -90,6 +91,7 @@ pub fn ledger_table(report: &RunReport) -> Table {
             mib(w.phase_sum(Phase::GradRouting, |e| e.recv_bytes) as usize),
             mib(w.phase_sum(Phase::Collective, |e| e.recv_bytes) as usize),
             mib(w.steady_peak_bytes),
+            w.steady_peak_site.clone(),
         ]);
     }
     t
@@ -211,6 +213,7 @@ mod tests {
         WorkerProfile {
             rank: 0,
             steady_peak_bytes: 0,
+            steady_peak_site: String::new(),
             total_sent_bytes: 0,
             total_recv_bytes: 0,
             comm_us: 0.0,

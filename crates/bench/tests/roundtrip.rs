@@ -108,6 +108,7 @@ const GOLDEN_JSON: &str = r#"{
     {
       "rank": 0,
       "steady_peak_bytes": 4096,
+      "steady_peak_site": "sar_gat_aggregate backward",
       "total_sent_bytes": 1000,
       "total_recv_bytes": 900,
       "comm_us": 12.5,
@@ -119,6 +120,7 @@ const GOLDEN_JSON: &str = r#"{
     {
       "rank": 1,
       "steady_peak_bytes": 2048,
+      "steady_peak_site": "layer 1 forward",
       "total_sent_bytes": 900,
       "total_recv_bytes": 1000,
       "comm_us": 0,
@@ -173,6 +175,7 @@ fn golden_report() -> RunReport {
             WorkerProfile {
                 rank: 0,
                 steady_peak_bytes: 4096,
+                steady_peak_site: "sar_gat_aggregate backward".into(),
                 total_sent_bytes: 1000,
                 total_recv_bytes: 900,
                 comm_us: 12.5,
@@ -184,6 +187,7 @@ fn golden_report() -> RunReport {
             WorkerProfile {
                 rank: 1,
                 steady_peak_bytes: 2048,
+                steady_peak_site: "layer 1 forward".into(),
                 total_sent_bytes: 900,
                 total_recv_bytes: 1000,
                 comm_us: 0.0,

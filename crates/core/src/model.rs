@@ -11,7 +11,7 @@ use sar_nn::graph_autograd::{
 };
 use sar_nn::tail::epilogue;
 use sar_nn::Linear;
-use sar_tensor::{init, Tensor, Var};
+use sar_tensor::{init, MemoryTracker, PeakSite, Tensor, Var};
 
 use crate::dist_bn::DistBatchNorm;
 use crate::domain_parallel::halo_fetch;
@@ -177,11 +177,16 @@ impl DistLayer {
     /// the identity (the full graph), where this is exactly the classic
     /// square layer. Domain-parallel mode is the full-graph baseline by
     /// definition and always runs over the worker's own graph.
+    ///
+    /// Takes `h` by value and drops it once its dense projections exist,
+    /// before the aggregation stages a block: what the layer's backwards
+    /// read of `h` they saved (a handle, or `h`'s recipe), so an `h` with a
+    /// recipe or no other handle is freed before the rotation.
     fn forward(
         &self,
         w: &Rc<Worker>,
         view: &View,
-        h: &Var,
+        h: Var,
         mode: Mode,
     ) -> Result<Var, TransportError> {
         let at_dst = |x: &Var| match view.dst_map() {
@@ -201,10 +206,11 @@ impl DistLayer {
                 lin_res,
                 activation,
             } => {
-                let z = lin_neigh.forward(h);
+                let z = lin_neigh.forward(&h);
+                let hw = at_dst(&h).matmul(lin_res.weight());
+                drop(h);
                 let [_, inv_deg] = degree_scales(&**view, |d| 1.0 / d);
                 let agg_sum = sum_aggregate(&z)?;
-                let hw = at_dst(h).matmul(lin_res.weight());
                 let b = lin_res.bias().expect("the Sage residual has a bias");
                 epilogue(&agg_sum, inv_deg, Some((&hw, b)), *activation)
             }
@@ -212,7 +218,8 @@ impl DistLayer {
                 // Symmetric normalization D^{-1/2} A D^{-1/2} with global
                 // degrees, split around the (linear) aggregation.
                 let [inv_sqrt_in, inv_sqrt_dst] = degree_scales(&**view, |d| 1.0 / d.sqrt());
-                let z = lin.forward(h).mul_col(&Var::constant(inv_sqrt_in));
+                let z = lin.forward(&h).mul_col(&Var::constant(inv_sqrt_in));
+                drop(h);
                 epilogue(&sum_aggregate(&z)?, inv_sqrt_dst, None, *activation)
             }
             DistLayer::Gat {
@@ -224,7 +231,8 @@ impl DistLayer {
                 concat,
                 activation,
             } => {
-                let z = lin.forward(h);
+                let z = lin.forward(&h);
+                drop(h);
                 let s_dst = head_project(&at_dst(&z), a_dst, *heads);
                 let fak = match mode {
                     Mode::DomainParallel => None,
@@ -437,16 +445,18 @@ impl DistModel {
         view: &View,
         h: &Var,
     ) -> Result<Var, TransportError> {
-        self.layers[l].forward(w, view, h, self.cfg.mode)
+        self.layers[l].forward(w, view, h.clone(), self.cfg.mode)
     }
 
     /// Runs the model on this worker's local features `x`
     /// (`[n_local, in_dim]`) over its full graph, returning local logits
     /// (`[n_local, num_classes]`).
     ///
-    /// Takes `x` by value: once layer 0 has run, the only handles left to
-    /// it are the caller's and those its backwards saved — for a
-    /// [rebuildable](Var::rebuildable) input, none.
+    /// Takes `x` by value, and each layer takes its input by value: a
+    /// layer frees its input once its dense projections exist, before its
+    /// rotation stages a block, keeping only what its backwards saved — for
+    /// a [rebuildable](Var::rebuildable) input or a batch-norm output (and
+    /// a dropout over one), a recipe.
     ///
     /// Collective: every worker must call `forward` in lockstep.
     ///
@@ -463,8 +473,9 @@ impl DistModel {
             // observability ledger; aggregation Functions recorded here
             // capture the layer and restore it during backward.
             let _layer_scope = w.ctx.layer_scope(l as u16);
-            h = self
-                .layer_forward(l, w, &view, &h)
+            let _site = MemoryTracker::at_site(PeakSite::Forward(l as u16));
+            h = self.layers[l]
+                .forward(w, &view, h, self.cfg.mode)
                 .unwrap_or_else(|e| panic!("worker {} layer {l} forward: {e}", w.rank()));
             if self.cfg.jumping_knowledge {
                 jk_outputs.push(h.clone());

@@ -17,7 +17,7 @@ use sar_graph::Dataset;
 use sar_nn::loss::{correct_count, cross_entropy_masked};
 use sar_nn::{Adam, CsConfig, LrSchedule};
 use sar_partition::Partitioning;
-use sar_tensor::{MemoryTracker, Tensor, Var};
+use sar_tensor::{MemoryTracker, PeakSite, Tensor, Var};
 
 use crate::dist_cs::dist_correct_and_smooth;
 use crate::model::{DistModel, ModelConfig};
@@ -98,6 +98,9 @@ pub struct WorkerReport {
     /// Peak live tensor bytes during steady-state training (measured from
     /// the start of the second epoch, excluding setup).
     pub steady_peak_bytes: usize,
+    /// Where `steady_peak_bytes` was reached: the layer forward or the
+    /// tape operation's backward that was running ([`PeakSite`]'s text).
+    pub steady_peak_site: String,
     /// Final evaluation logits for this worker's nodes (row-major).
     pub logits: Vec<f32>,
     /// Global ids aligned with `logits` rows.
@@ -128,6 +131,8 @@ pub struct RunReport {
     pub test_acc_cs: Option<f64>,
     /// Per-worker steady-state peak tensor bytes.
     pub peak_bytes: Vec<usize>,
+    /// Per worker, where that peak was reached.
+    pub peak_sites: Vec<String>,
     /// Total bytes sent across the cluster over the whole run.
     pub total_sent_bytes: u64,
     /// Per-worker communication statistics for the whole run, including
@@ -186,6 +191,10 @@ impl RunReport {
             test_acc: rank0.test_acc,
             test_acc_cs: rank0.test_acc_cs,
             peak_bytes: ranks.iter().map(|(r, _)| r.steady_peak_bytes).collect(),
+            peak_sites: ranks
+                .iter()
+                .map(|(r, _)| r.steady_peak_site.clone())
+                .collect(),
             total_sent_bytes: ranks.iter().map(|(_, comm)| comm.total_sent()).sum(),
             worker_comm: ranks.into_iter().map(|(_, comm)| comm).collect(),
             logits: Tensor::zeros(&[0]),
@@ -278,7 +287,13 @@ pub fn run_worker(
         StdRng::seed_from_u64(cfg.seed ^ (w.rank() as u64).wrapping_mul(0x9e3779b97f4a7c15));
 
     let mut epochs = Vec::with_capacity(cfg.epochs);
-    let mut steady_peak = 0usize;
+    let mut steady_peak = (0usize, PeakSite::Other);
+    let note_peak = |steady: &mut (usize, PeakSite)| {
+        let stats = MemoryTracker::stats();
+        if stats.peak_bytes > steady.0 {
+            *steady = (stats.peak_bytes, stats.peak_site);
+        }
+    };
     for epoch in 0..cfg.epochs {
         // Epoch boundary for the staleness protocol: refresh epochs fetch
         // remote blocks fresh and repopulate the cache; in-between epochs
@@ -339,10 +354,10 @@ pub fn run_worker(
             comm_secs: (comm1.comm_us - comm0.comm_us) / 1e6,
             sent_bytes: comm1.total_sent() - comm0.total_sent(),
         });
-        steady_peak = steady_peak.max(MemoryTracker::stats().peak_bytes);
+        note_peak(&mut steady_peak);
     }
     if cfg.epochs <= 1 {
-        steady_peak = steady_peak.max(MemoryTracker::stats().peak_bytes);
+        note_peak(&mut steady_peak);
     }
 
     // ---- Final evaluation: augment ALL training nodes (paper: "at
@@ -391,7 +406,8 @@ pub fn run_worker(
         val_acc,
         test_acc,
         test_acc_cs,
-        steady_peak_bytes: steady_peak,
+        steady_peak_bytes: steady_peak.0,
+        steady_peak_site: steady_peak.1.to_string(),
         logits: logits_t.into_data(),
         global_ids: shard.global_ids.clone(),
         params: params_out,

@@ -8,19 +8,26 @@
 //!   (the paper's "50% communication overhead").
 //! * §3.4 — prefetching raises the fetch-loop memory peak from 2 blocks
 //!   (the paper's 2/N bound) to 3 blocks (3/N).
+//! * A layer frees its input before its rotation: the fetch-loop peak of
+//!   a model's layer 0 does not hold the `[n, in_dim]` input.
 //!
-//! All tests run on a complete graph split into equal range partitions,
-//! so every fetch/serve set is one full partition and the expected
-//! volumes are exact.
+//! All but the last run on a complete graph split into equal range
+//! partitions, so every fetch/serve set is one full partition and the
+//! expected volumes are exact.
 
 use std::rc::Rc;
 use std::sync::Arc;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sar_comm::{Cluster, CommStats, CostModel, Phase};
-use sar_core::{gat_aggregate, sage_aggregate, DistGraph, FakMode, Worker};
-use sar_graph::CsrGraph;
+use sar_core::{
+    gat_aggregate, sage_aggregate, Arch, DistGraph, DistModel, FakMode, Mode, ModelConfig, Shard,
+    Worker,
+};
+use sar_graph::{datasets, CsrGraph};
 use sar_partition::range;
-use sar_tensor::{Tensor, Var};
+use sar_tensor::{MemoryTracker, Tensor, Var};
 
 const WORLD: usize = 4;
 const PER_PART: usize = 32;
@@ -266,6 +273,60 @@ fn prefetch_depth_k_fetch_peak_is_exactly_k_plus_two_blocks() {
             .phase_total(Phase::ForwardFetch)
             .peak_tensor_bytes;
         assert_eq!(peak, 3 * block, "rank {rank}: with_prefetch peak != 3/N");
+    }
+}
+
+#[test]
+fn a_sage_layer_frees_its_input_before_its_rotation() {
+    // Layer 0 takes the rebuildable input by value and drops it once its
+    // two projections exist, so the input is gone before the first block
+    // is staged. The input (100 columns) dwarfs everything the rotation
+    // holds at hidden width 4, so the fetch peak over the live bytes
+    // before the input was built must stay below the input's own size.
+    let d = datasets::products_like(400, 3);
+    let part = range(&d.graph, 2);
+    let graphs: Arc<Vec<Arc<DistGraph>>> = Arc::new(
+        DistGraph::build_all(&d.graph, &part)
+            .into_iter()
+            .map(Arc::new)
+            .collect(),
+    );
+    let shards = Arc::new(Shard::build_all(&d, &part));
+    let cfg = ModelConfig {
+        arch: Arch::GraphSage { hidden: 4 },
+        mode: Mode::Sar,
+        layers: 2,
+        in_dim: d.feat_dim(),
+        num_classes: d.num_classes,
+        dropout: 0.0,
+        batch_norm: true,
+        jumping_knowledge: false,
+        seed: 0,
+    };
+    let out = Cluster::new(2, CostModel::default()).run(move |ctx| {
+        let rank = ctx.rank();
+        let w = Worker::new(ctx, Arc::clone(&graphs[rank]));
+        let model = DistModel::new(&cfg);
+        let base = MemoryTracker::stats().current_bytes as u64;
+        let x = shards[rank].input(None);
+        let input = 4 * x.value().numel() as u64;
+        let logits = model.forward(&w, x, true, &mut StdRng::seed_from_u64(0));
+        drop(logits);
+        (base, input)
+    });
+    for (rank, o) in out.into_iter().enumerate() {
+        let (base, input) = o.result;
+        let peak = o
+            .comm
+            .ledger
+            .get(Phase::ForwardFetch, Some(0))
+            .peak_tensor_bytes;
+        assert!(peak > base, "rank {rank}: layer 0 fetched nothing");
+        assert!(
+            peak - base < input,
+            "rank {rank}: layer 0's fetch peaked {} B over the live set, the input is {input} B",
+            peak - base
+        );
     }
 }
 

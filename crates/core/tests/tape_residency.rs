@@ -2,8 +2,10 @@
 //! after a taped `DistModel::forward`, the tensor bytes it added on a rank
 //! are exactly what some backward saved, computed here from shapes alone —
 //! a Sage hidden layer keeps one bit per element of its epilogue output
-//! (the ReLU mask), `x̂` and `y`, and never the epilogue output itself, its
-//! projection `z`, its aggregation or its residual product — minus the
+//! (the ReLU mask) and batch norm's `x̂`, and never the epilogue output
+//! itself, its projection `z`, its aggregation, its residual product,
+//! batch norm's output `y` or the dropout output, which the next layer's
+//! backwards rebuild from `x̂` and the kept dropout bits — minus the
 //! input, when the input is rebuildable and so freed once layer 0 has run.
 //! After the backward pass, nothing of the tape survives but the parameter
 //! gradients, and no backward still holds a parameter. Sage, GCN and GAT
@@ -50,30 +52,31 @@ fn mask_bytes(n: usize, f: usize) -> usize {
 /// test's own handle keeps the logits.
 fn saved_bytes(arch: Arch, n: usize, dropout: bool) -> usize {
     let hidden = LAYERS - 1;
-    // Dropout keeps one bit per element of a hidden layer's output, and
-    // its output takes the place of batch norm's `y` as what the next
-    // layer's matmuls read.
+    // Dropout keeps one bit per element of a hidden layer's output; the
+    // next layer's matmuls rebuild its output from batch norm's recipe
+    // and those bits, as they rebuild `y` without dropout.
     let drop = |f: usize| if dropout { mask_bytes(n, f) } else { 0 };
     let logits = 4 * n * CLASSES;
     match arch {
         // Epilogue: the ReLU mask of its output and the `[n]` degree
-        // scale; the top layer (no ReLU) only the scale. Batch norm: `x̂`,
-        // and its output `y`, which the next layer's two matmuls read.
+        // scale; the top layer (no ReLU) only the scale. Batch norm: `x̂`
+        // alone — its output `y`, which the next layer's two matmuls
+        // read, is a recipe over `x̂`.
         Arch::GraphSage { hidden: f } => {
-            hidden * (mask_bytes(n, f) + 4 * (2 * n * f + n) + drop(f)) + logits + 4 * n
+            hidden * (mask_bytes(n, f) + 4 * (n * f + n) + drop(f)) + logits + 4 * n
         }
         // As Sage, plus the `[n]` column the input scale (`mul_col`) reads.
         Arch::Gcn { hidden: f } => {
-            hidden * (mask_bytes(n, f) + 4 * (2 * n * f + 2 * n) + drop(f)) + logits + 8 * n
+            hidden * (mask_bytes(n, f) + 4 * (n * f + 2 * n) + drop(f)) + logits + 8 * n
         }
         // Attention: `z` (read by the destination projection and the
         // refetch), `s_dst`, its own output and the saved softmax max and
-        // denominator. A hidden layer adds `x̂` and `y`; its ReLU reads the
+        // denominator. A hidden layer adds `x̂`; its ReLU reads the
         // attention output, which the attention node keeps anyway.
         Arch::Gat { head_dim, heads } => {
             let attention = |width: usize| 4 * (2 * n * width + 3 * n * heads);
             let width = heads * head_dim;
-            hidden * (attention(width) + 4 * 2 * n * width + drop(width))
+            hidden * (attention(width) + 4 * n * width + drop(width))
                 + attention(heads * CLASSES)
                 + logits
         }
@@ -169,7 +172,7 @@ fn check(arch: Arch, mode: Mode) {
 }
 
 #[test]
-fn sage_keeps_its_relu_mask_x_hat_and_y_per_hidden_layer() {
+fn sage_keeps_its_relu_mask_and_x_hat_per_hidden_layer() {
     check(Arch::GraphSage { hidden: 8 }, Mode::Sar);
 }
 
@@ -181,7 +184,7 @@ fn domain_parallel_sage_keeps_no_halo() {
 }
 
 #[test]
-fn gcn_keeps_its_relu_mask_x_hat_y_and_scales() {
+fn gcn_keeps_its_relu_mask_x_hat_and_scales() {
     check(Arch::Gcn { hidden: 8 }, Mode::Sar);
 }
 

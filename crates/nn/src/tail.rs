@@ -40,7 +40,8 @@ pub fn norm_stats(x: &Tensor) -> Vec<f32> {
 }
 
 /// Batch-norm forward: `x̂ = (x − μ) ⊙ σ⁻¹` and `y = x̂ ⊙ γ + β`, one row
-/// pass; returns `(y, x̂)`.
+/// pass; returns `(y, x̂)`. Each `y` row is [`norm_affine`]'s, from the
+/// stored `x̂` row, so `norm_affine(x̂, γ, β)` rebuilds `y` bit for bit.
 ///
 /// # Panics
 ///
@@ -72,10 +73,9 @@ pub fn norm_forward(
                 .zip(x_hat.chunks_exact_mut(f))
             {
                 for j in 0..f {
-                    let h = (x[j] - mean[j]) * inv_std[j];
-                    x_hat[j] = h;
-                    y[j] = h * gamma[j] + beta[j];
+                    x_hat[j] = (x[j] - mean[j]) * inv_std[j];
                 }
+                affine_row(x_hat, gamma, beta, y);
             }
         },
     );
@@ -83,6 +83,36 @@ pub fn norm_forward(
         Tensor::from_vec(&[n, f], y),
         Tensor::from_vec(&[n, f], x_hat),
     )
+}
+
+/// Batch-norm's affine step over one row: `y = x̂ ⊙ γ + β`.
+fn affine_row(x_hat: &[f32], gamma: &[f32], beta: &[f32], y: &mut [f32]) {
+    for (((y, &h), &g), &b) in y.iter_mut().zip(x_hat).zip(gamma).zip(beta) {
+        *y = h * g + b;
+    }
+}
+
+/// Batch-norm's output `y = x̂ ⊙ γ + β` from its kept `x̂`, one row pass:
+/// the row function [`norm_forward`] uses, so the same bits.
+///
+/// # Panics
+///
+/// Panics if `gamma` or `beta` differs from the width.
+// sar-check: deterministic(one-writer-per-row: element-wise, no accumulation)
+pub fn norm_affine(x_hat: &Tensor, gamma: &[f32], beta: &[f32]) -> Tensor {
+    let (n, f) = (x_hat.rows(), x_hat.cols());
+    for v in [gamma, beta] {
+        assert_eq!(v.len(), f, "per-column vector length must match columns");
+    }
+    let mut y = vec![0.0f32; n * f];
+    let x_hat = x_hat.data();
+    pool::split_rows(n, [Output::row_owned(&mut y, f)], move |lo, hi, [y]| {
+        let rows = x_hat[lo * f..hi * f].chunks_exact(f);
+        for (x_hat, y) in rows.zip(y.chunks_exact_mut(f)) {
+            affine_row(x_hat, gamma, beta, y);
+        }
+    });
+    Tensor::from_vec(&[n, f], y)
 }
 
 /// Batch-norm backward statistics for the output gradient `g`, one column

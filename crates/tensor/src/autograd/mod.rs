@@ -22,9 +22,10 @@
 //! the value. A backward pass reads only the tensors its operation saved
 //! at record time ([`Var::save`]): shared handles to the values, not
 //! copies, as PyTorch's `save_for_backward` keeps them — or, for a
-//! [rebuildable](Var::rebuildable) constant, the recipe that rebuilds the
-//! same bits when the backward runs, so the value itself dies with its
-//! last `Var` handle. An intermediate no backward saved is freed as soon
+//! [rebuildable](Var::rebuildable) constant or a function output given a
+//! recipe ([`Var::rebuilt_by`]), the recipe that rebuilds the same bits
+//! when the backward runs, so the value itself dies with its last `Var`
+//! handle. An intermediate no backward saved is freed as soon
 //! as its last `Var` handle drops, and a saved one as soon as the
 //! backward that reads it has run: the engine drops each operation once
 //! it has propagated (unless `retain_graph` is used), so the graph frees
@@ -39,7 +40,7 @@ use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
 
-use crate::Tensor;
+use crate::{MemoryTracker, PeakSite, Tensor};
 
 thread_local! {
     static NEXT_ID: Cell<u64> = const { Cell::new(0) };
@@ -223,7 +224,10 @@ impl Edge {
                 }
                 (node.op.take().unwrap(), node.grad.take().unwrap())
             };
-            let parent_grads = op.backward(&g);
+            let parent_grads = {
+                let _site = MemoryTracker::at_site(PeakSite::Backward(op.name()));
+                op.backward(&g)
+            };
             let parents = op.parents();
             assert_eq!(
                 parent_grads.len(),
@@ -244,7 +248,7 @@ impl Edge {
     }
 }
 
-/// A constant's rebuild recipe (see [`Var::rebuildable`]).
+/// A value's rebuild recipe (see [`Var::rebuildable`], [`Var::rebuilt_by`]).
 type Recipe = Rc<dyn Fn() -> Tensor>;
 
 struct VarInner {
@@ -254,8 +258,9 @@ struct VarInner {
 }
 
 /// What a backward keeps of a value it reads: a shared handle to the
-/// tensor, or — for a [rebuildable](Var::rebuildable) constant — the
-/// recipe, which rebuilds the same bits on [`get`](Saved::get).
+/// tensor, or — for a value with a recipe ([`Var::rebuildable`],
+/// [`Var::rebuilt_by`]) — the recipe, which rebuilds the same bits on
+/// [`get`](Saved::get).
 pub struct Saved(SavedKind);
 
 enum SavedKind {
@@ -341,7 +346,9 @@ impl Var {
     /// `value` may be a handle `f` also keeps (an operation whose backward
     /// reads its own output). If taping is disabled or no parent requires
     /// a gradient, the result is a constant and `f` — with everything it
-    /// saved — is dropped immediately.
+    /// saved — is dropped immediately. An output that can be rebuilt from
+    /// what `f` keeps anyway takes its recipe with
+    /// [`rebuilt_by`](Var::rebuilt_by), so its readers need not keep it.
     pub fn from_function(value: impl Into<Rc<Tensor>>, f: impl Function + 'static) -> Var {
         let requires = grad_enabled() && f.parents().iter().any(Edge::requires_grad);
         let op: Option<Box<dyn Function>> = requires.then(|| Box::new(f) as _);
@@ -368,6 +375,34 @@ impl Var {
         )
     }
 
+    /// Makes a taped function output rebuildable: [`save`](Var::save)
+    /// returns `rebuild` instead of the value, as for a
+    /// [rebuildable](Var::rebuildable) constant, so the output is freed
+    /// with its last `Var` handle and every backward that reads it
+    /// rebuilds it. `rebuild` must be a pure function giving the bits of
+    /// the value; it typically shares what the operation's own backward
+    /// keeps. An untaped output is returned as it is, without a recipe:
+    /// nothing saves it, and the recipe would only keep its ingredients
+    /// alive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the output has been shared already: give the recipe where
+    /// the output is recorded.
+    pub fn rebuilt_by(mut self, rebuild: impl Fn() -> Tensor + 'static) -> Var {
+        if self.inner.edge.node.borrow().op.is_some() {
+            let inner = Rc::get_mut(&mut self.inner)
+                .expect("a recipe is given to a function output before it is shared");
+            inner.rebuild = Some(Rc::new(rebuild));
+        }
+        self
+    }
+
+    /// The recipe of a rebuildable value, if it has one.
+    fn recipe(&self) -> Option<Recipe> {
+        self.inner.rebuild.clone()
+    }
+
     /// This variable's gradient slot, for an operation's parent list.
     pub fn edge(&self) -> Edge {
         self.inner.edge.clone()
@@ -376,7 +411,8 @@ impl Var {
     /// Shares the value with a backward pass: a handle to the same tensor,
     /// not a copy — PyTorch's `save_for_backward`. The tensor stays alive
     /// while the handle does, even after every `Var` handle is gone. A
-    /// [rebuildable](Var::rebuildable) constant shares its recipe instead.
+    /// value with a recipe ([`rebuildable`](Var::rebuildable),
+    /// [`rebuilt_by`](Var::rebuilt_by)) shares its recipe instead.
     pub fn save(&self) -> Saved {
         Saved(match &self.inner.rebuild {
             Some(f) => SavedKind::Rebuild(Rc::clone(f)),
@@ -421,8 +457,8 @@ impl Var {
     ///
     /// # Panics
     ///
-    /// Panics on a [rebuildable](Var::rebuildable) constant, whose value
-    /// is its recipe's.
+    /// Panics on a value with a recipe ([`rebuildable`](Var::rebuildable),
+    /// [`rebuilt_by`](Var::rebuilt_by)): the value is its recipe's.
     pub fn set_value(&self, value: Tensor) {
         self.assert_writable();
         *self.inner.value.borrow_mut() = Rc::new(value);
@@ -431,7 +467,7 @@ impl Var {
     fn assert_writable(&self) {
         assert!(
             self.inner.rebuild.is_none(),
-            "a rebuildable constant's value is its recipe's"
+            "a rebuildable value is its recipe's"
         );
     }
 
@@ -443,7 +479,7 @@ impl Var {
     ///
     /// # Panics
     ///
-    /// Panics on a [rebuildable](Var::rebuildable) constant.
+    /// Panics on a value with a recipe, as [`set_value`](Var::set_value).
     pub fn update_value(&self, f: impl FnOnce(&mut Tensor)) {
         self.assert_writable();
         f(Rc::make_mut(&mut self.inner.value.borrow_mut()));
@@ -716,6 +752,15 @@ mod tests {
     #[should_panic(expected = "recipe")]
     fn a_rebuildable_constant_is_read_only() {
         Var::rebuildable(|| Tensor::scalar(1.0)).set_value(Tensor::scalar(2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "before it is shared")]
+    fn a_recipe_comes_before_the_output_is_shared() {
+        let p = Var::parameter(Tensor::scalar(2.0));
+        let y = p.scale(3.0);
+        let _other = y.clone();
+        let _ = y.rebuilt_by(|| Tensor::scalar(6.0));
     }
 
     #[test]

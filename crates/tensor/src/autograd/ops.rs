@@ -13,6 +13,8 @@
 //! the engine would drop: the input features of layer 0 and the degree
 //! column of mean aggregation are constants as large as an activation.
 
+use std::rc::Rc;
+
 use super::Var;
 use crate::{BitMask, Tensor};
 
@@ -228,8 +230,10 @@ impl Var {
         let a = other.requires_grad().then(|| self.save());
         let b = self.requires_grad().then(|| other.save());
         Var::from_op(value, vec![self.edge(), other.edge()], "matmul", move |g| {
-            let da = b.as_ref().map(|b| g.matmul_nt(&b.get()));
+            // `db` first: a rebuilt `a` is freed before `da`, as large as
+            // `a`, is allocated.
             let db = a.as_ref().map(|a| a.get().matmul_tn(g));
+            let da = b.as_ref().map(|b| g.matmul_nt(&b.get()));
             vec![da, db]
         })
     }
@@ -417,7 +421,9 @@ impl Var {
 
     /// Dropout: zeroes each element with probability `p` and scales the
     /// survivors by `1 / (1 - p)` (inverted dropout). Identity when
-    /// `training` is `false` or `p == 0`.
+    /// `training` is `false` or `p == 0`. Over a value with a recipe, the
+    /// taped output is [rebuilt](Var::rebuilt_by) from that recipe and the
+    /// kept draws.
     ///
     /// # Panics
     ///
@@ -432,12 +438,19 @@ impl Var {
         // draws as bits and multiplies by exactly `1 / keep` or `0.0`.
         let (numel, cols) = (self.value().numel(), *self.shape().last().unwrap());
         let rows = numel.checked_div(cols).unwrap_or(0);
-        let mask = BitMask::from_fn(rows, cols, || rng.random::<f32>() < keep);
+        let mask = Rc::new(BitMask::from_fn(rows, cols, || rng.random::<f32>() < keep));
         let inv = 1.0 / keep;
         let value = mask.gate(&self.value(), inv);
-        Var::from_op(value, vec![self.edge()], "dropout", move |g| {
-            vec![Some(mask.gate(g, inv))]
-        })
+        let out = {
+            let mask = Rc::clone(&mask);
+            Var::from_op(value, vec![self.edge()], "dropout", move |g| {
+                vec![Some(mask.gate(g, inv))]
+            })
+        };
+        match self.recipe() {
+            Some(input) => out.rebuilt_by(move || mask.gate(&input(), inv)),
+            None => out,
+        }
     }
 }
 
@@ -489,6 +502,34 @@ mod tests {
             "backward peaked at {peak} B, a [{m}, {k}] gradient is {} B",
             m * k * 4
         );
+    }
+
+    #[test]
+    fn a_matmul_backward_frees_a_rebuilt_operand_before_it_allocates_dx() {
+        // A taped `[m, k]` operand with a recipe, whose own backward
+        // allocates nothing: the backward's transients are the seed
+        // gradient, `dW`, and one `[m, k]` at a time — the rebuilt operand,
+        // then `dX` — never both.
+        let (m, k, n) = (64, 48, 4);
+        let make = move || randn(&[m, k], 28);
+        let p = Var::parameter(Tensor::zeros(&[1]));
+        let x = Var::from_op(make(), vec![p.edge()], "source", |_| vec![None]).rebuilt_by(make);
+        let w = Var::parameter(randn(&[k, n], 29));
+        let g = randn(&[m, n], 30);
+        let y = x.matmul(&w);
+        drop(x);
+        let scope = crate::memory::MemScope::begin();
+        y.backward_with(&g);
+        let peak = scope.finish().delta_bytes();
+        assert_eq!(
+            peak,
+            4 * (m * n + k * n + m * k),
+            "the rebuilt operand and dX are each {} B",
+            4 * m * k
+        );
+        let dw = w.grad().unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dw), bits(&make().matmul_tn(&g)));
     }
 
     #[test]

@@ -53,5 +53,5 @@ pub mod tier;
 
 pub use autograd::{grad_enabled, hstack, no_grad, Edge, Function, Saved, Var};
 pub use bitmask::BitMask;
-pub use memory::{MemScope, MemoryStats, MemoryTracker, ScopePeak};
+pub use memory::{MemScope, MemoryStats, MemoryTracker, PeakSite, ScopePeak, SiteGuard};
 pub use tensor::Tensor;

@@ -24,6 +24,35 @@ pub struct MemoryStats {
     pub peak_bytes: usize,
     /// Number of tensor allocations registered since thread start.
     pub allocations: u64,
+    /// Where `peak_bytes` was reached: the [site](MemoryTracker::at_site)
+    /// running when the high-water mark last rose.
+    pub peak_site: PeakSite,
+}
+
+/// A label for what the calling thread is running, recorded beside the
+/// high-water mark when it rises — so a report can say where its peak
+/// was set, not only how high it was.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PeakSite {
+    /// Outside every labelled region: setup, the loss, the optimizer.
+    #[default]
+    Other,
+    /// The forward pass of GNN layer `l`, including the batch norm and
+    /// dropout that follow it.
+    Forward(u16),
+    /// The backward of the tape operation with this
+    /// [`Function::name`](crate::Function::name).
+    Backward(&'static str),
+}
+
+impl std::fmt::Display for PeakSite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PeakSite::Other => f.write_str("other"),
+            PeakSite::Forward(l) => write!(f, "layer {l} forward"),
+            PeakSite::Backward(op) => write!(f, "{op} backward"),
+        }
+    }
 }
 
 impl MemoryStats {
@@ -42,6 +71,8 @@ thread_local! {
     static CURRENT: Cell<usize> = const { Cell::new(0) };
     static PEAK: Cell<usize> = const { Cell::new(0) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static SITE: Cell<PeakSite> = const { Cell::new(PeakSite::Other) };
+    static PEAK_SITE: Cell<PeakSite> = const { Cell::new(PeakSite::Other) };
     static SCOPES: RefCell<Vec<ScopeSlot>> = const { RefCell::new(Vec::new()) };
     static NEXT_SCOPE_ID: Cell<u64> = const { Cell::new(0) };
 }
@@ -78,16 +109,28 @@ impl MemoryTracker {
             current_bytes: CURRENT.with(Cell::get),
             peak_bytes: PEAK.with(Cell::get),
             allocations: ALLOCS.with(Cell::get),
+            peak_site: PEAK_SITE.with(Cell::get),
         }
     }
 
-    /// Resets the peak to the current live byte count.
+    /// Resets the peak to the current live byte count, reached at the
+    /// current site.
     ///
     /// Call at the start of a measured region; read
     /// [`MemoryTracker::stats`] at the end.
     pub fn reset_peak() {
         let cur = CURRENT.with(Cell::get);
         PEAK.with(|p| p.set(cur));
+        PEAK_SITE.with(|p| p.set(SITE.with(Cell::get)));
+    }
+
+    /// Labels what the calling thread runs with `site` until the returned
+    /// guard drops, which restores the previous label. A rising high-water
+    /// mark records the label (two `Cell` writes, no allocation).
+    pub fn at_site(site: PeakSite) -> SiteGuard {
+        SiteGuard {
+            prev: SITE.with(|s| s.replace(site)),
+        }
     }
 
     /// Registers `bytes` of a freshly allocated tensor payload.
@@ -98,6 +141,7 @@ impl MemoryTracker {
             PEAK.with(|p| {
                 if cur > p.get() {
                     p.set(cur);
+                    PEAK_SITE.with(|ps| ps.set(SITE.with(Cell::get)));
                 }
             });
             cur
@@ -118,6 +162,20 @@ impl MemoryTracker {
     /// corrupts statistics rather than panicking in a destructor.
     pub(crate) fn deregister(bytes: usize) {
         CURRENT.with(|c| c.set(c.get().saturating_sub(bytes)));
+    }
+}
+
+/// Restores the previous [`PeakSite`] label on drop (see
+/// [`MemoryTracker::at_site`]).
+#[derive(Debug)]
+#[must_use = "the label lasts only while the guard lives"]
+pub struct SiteGuard {
+    prev: PeakSite,
+}
+
+impl Drop for SiteGuard {
+    fn drop(&mut self) {
+        SITE.with(|s| s.set(self.prev));
     }
 }
 
@@ -332,6 +390,35 @@ mod tests {
         let s = MemScope::begin();
         let _t = Tensor::zeros(&[10]);
         assert!(s.finish().delta_bytes() >= 40);
+    }
+
+    #[test]
+    fn the_peak_records_the_site_where_it_rose() {
+        MemoryTracker::reset_peak();
+        assert_eq!(MemoryTracker::stats().peak_site, PeakSite::Other);
+        let a = {
+            let _site = MemoryTracker::at_site(PeakSite::Forward(2));
+            Tensor::zeros(&[300])
+        };
+        assert_eq!(MemoryTracker::stats().peak_site, PeakSite::Forward(2));
+        drop(a);
+        {
+            let _outer = MemoryTracker::at_site(PeakSite::Forward(0));
+            let _inner = MemoryTracker::at_site(PeakSite::Backward("matmul"));
+            // Below the mark: the site does not move.
+            drop(Tensor::zeros(&[100]));
+            assert_eq!(MemoryTracker::stats().peak_site, PeakSite::Forward(2));
+            drop(Tensor::zeros(&[400]));
+            assert_eq!(
+                MemoryTracker::stats().peak_site,
+                PeakSite::Backward("matmul")
+            );
+        }
+        // Both guards restored the outer label.
+        MemoryTracker::reset_peak();
+        assert_eq!(MemoryTracker::stats().peak_site, PeakSite::Other);
+        assert_eq!(PeakSite::Backward("matmul").to_string(), "matmul backward");
+        assert_eq!(PeakSite::Forward(1).to_string(), "layer 1 forward");
     }
 
     #[test]
