@@ -49,78 +49,90 @@ impl DistGraph {
         );
         let world = partitioning.num_parts();
 
-        // Global id -> (owner, local index).
         let members = partitioning.part_members();
-        let mut owner = vec![0u32; n];
-        let mut local_idx = vec![0u32; n];
-        for (p, nodes) in members.iter().enumerate() {
-            for (li, &g) in nodes.iter().enumerate() {
-                owner[g as usize] = p as u32;
-                local_idx[g as usize] = li as u32;
-            }
-        }
-
-        // Bucket edges by (dst_part, src_part), in local coordinates.
-        let mut buckets: Vec<Vec<Vec<(u32, u32)>>> = vec![vec![Vec::new(); world]; world];
-        for (s, d) in graph.iter_edges() {
-            let p = owner[d as usize] as usize;
-            let q = owner[s as usize] as usize;
-            buckets[p][q].push((local_idx[s as usize], local_idx[d as usize]));
-        }
+        // Global id -> owner.
+        let owner = partitioning.assignment();
 
         // needed_from[p][q]: sorted distinct q-local sources feeding p;
         // for q == p every local node, referenced or not — round p reads
-        // the resident tensor itself, which has a row for each.
-        let mut needed_from: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); world]; world];
-        for p in 0..world {
-            for q in 0..world {
-                if q == p {
-                    needed_from[p][q] = (0..members[p].len() as u32).collect();
-                    continue;
+        // the resident tensor itself, which has a row for each. A source is
+        // marked `p + 1` once some row of p reads it; walking q's members
+        // in order then lists the marked ones ascending.
+        let mut mark = vec![0u32; n];
+        let needed_from: Vec<Vec<Vec<u32>>> = (0..world)
+            .map(|p| {
+                let tag = p as u32 + 1;
+                for &d in &members[p] {
+                    for &s in graph.neighbors(d as usize) {
+                        mark[s as usize] = tag;
+                    }
                 }
-                let mut srcs: Vec<u32> = buckets[p][q].iter().map(|&(s, _)| s).collect();
-                srcs.sort_unstable();
-                srcs.dedup();
-                needed_from[p][q] = srcs;
-            }
-        }
+                (0..world)
+                    .map(|q| {
+                        if q == p {
+                            return (0..members[p].len() as u32).collect();
+                        }
+                        (0u32..)
+                            .zip(&members[q])
+                            .filter(|&(_, &g)| mark[g as usize] == tag)
+                            .map(|(li, _)| li)
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
 
+        // Global id -> column in the block of its owner, for the rank being
+        // built: the source's position in that rank's `needed_from`.
+        let mut slot = vec![0u32; n];
+        let mut scratch = Vec::new();
         (0..world)
             .map(|p| {
                 let n_local = members[p].len();
-                let mut blocks = Vec::with_capacity(world);
-                let mut halo_edges: Vec<(u32, u32)> = Vec::new();
+                for (q, needed) in needed_from[p].iter().enumerate() {
+                    for (col, &li) in (0u32..).zip(needed) {
+                        slot[members[q][li as usize] as usize] = col;
+                    }
+                }
+                // One walk over p's rows fills every block. Members and
+                // `needed_from` both ascend with the global id, so each
+                // sorted row yields sorted columns in every block.
+                let mut ptrs: Vec<Vec<usize>> = vec![vec![0]; world];
+                let mut cols: Vec<Vec<u32>> = vec![Vec::new(); world];
+                for &d in &members[p] {
+                    for &s in graph.sorted_neighbors(d as usize, &mut scratch) {
+                        cols[owner[s as usize] as usize].push(slot[s as usize]);
+                    }
+                    for (ptr, c) in ptrs.iter_mut().zip(&cols) {
+                        ptr.push(c.len());
+                    }
+                }
                 let mut halo_offsets = Vec::with_capacity(world);
                 let mut halo_cols = 0usize;
-                for q in 0..world {
-                    let needed = &needed_from[p][q];
-                    // Compact block columns: position within `needed`.
-                    let edges: Vec<(u32, u32)> = buckets[p][q]
-                        .iter()
-                        .map(|&(s, d)| {
-                            let col = needed
-                                .binary_search(&s)
-                                .expect("needed list covers sources")
-                                as u32;
-                            (col, d)
-                        })
-                        .collect();
+                for needed in &needed_from[p] {
                     halo_offsets.push(halo_cols);
-                    for &(c, d) in &edges {
-                        halo_edges.push((halo_cols as u32 + c, d));
-                    }
                     halo_cols += needed.len();
-                    blocks.push(CsrGraph::from_edges_bipartite(
-                        needed.len(),
-                        n_local,
-                        &edges,
-                    ));
                 }
-                let halo_graph = Arc::new(CsrGraph::from_edges_bipartite(
-                    halo_cols,
-                    n_local,
-                    &halo_edges,
-                ));
+                // Halo row i: block 0's row i, then block 1's, each shifted
+                // to its partition's section — sorted because sections are.
+                let mut halo_ptr = Vec::with_capacity(n_local + 1);
+                halo_ptr.push(0);
+                let mut halo_idx = Vec::with_capacity(cols.iter().map(Vec::len).sum());
+                for i in 0..n_local {
+                    for q in 0..world {
+                        let off = halo_offsets[q] as u32;
+                        let row = &cols[q][ptrs[q][i]..ptrs[q][i + 1]];
+                        halo_idx.extend(row.iter().map(|&c| off + c));
+                    }
+                    halo_ptr.push(halo_idx.len());
+                }
+                let halo_graph = Arc::new(CsrGraph::from_raw(halo_cols, halo_ptr, halo_idx));
+                let blocks: Vec<CsrGraph> = ptrs
+                    .into_iter()
+                    .zip(cols)
+                    .zip(&needed_from[p])
+                    .map(|((ptr, idx), needed)| CsrGraph::from_raw(needed.len(), ptr, idx))
+                    .collect();
                 let serves_to: Vec<Vec<u32>> =
                     (0..world).map(|q| needed_from[q][p].clone()).collect();
                 let global_in_degree = members[p]
@@ -251,6 +263,163 @@ mod tests {
         let p = random(&g, k, seed);
         let d = DistGraph::build_all(&g, &p);
         (g, p, d)
+    }
+
+    /// The build as it was before it walked rows: edges bucketed per
+    /// (p, q), sources binary-searched in `needed_from`, every block
+    /// sorted by `from_edges_bipartite`.
+    fn build_all_bucketed(graph: &CsrGraph, partitioning: &Partitioning) -> Vec<DistGraph> {
+        let n = graph.num_nodes();
+        assert_eq!(
+            partitioning.assignment().len(),
+            n,
+            "partitioning does not cover the graph"
+        );
+        let world = partitioning.num_parts();
+
+        // Global id -> (owner, local index).
+        let members = partitioning.part_members();
+        let mut owner = vec![0u32; n];
+        let mut local_idx = vec![0u32; n];
+        for (p, nodes) in members.iter().enumerate() {
+            for (li, &g) in nodes.iter().enumerate() {
+                owner[g as usize] = p as u32;
+                local_idx[g as usize] = li as u32;
+            }
+        }
+
+        // Bucket edges by (dst_part, src_part), in local coordinates.
+        let mut buckets: Vec<Vec<Vec<(u32, u32)>>> = vec![vec![Vec::new(); world]; world];
+        for (s, d) in graph.iter_edges() {
+            let p = owner[d as usize] as usize;
+            let q = owner[s as usize] as usize;
+            buckets[p][q].push((local_idx[s as usize], local_idx[d as usize]));
+        }
+
+        // needed_from[p][q]: sorted distinct q-local sources feeding p;
+        // for q == p every local node, referenced or not — round p reads
+        // the resident tensor itself, which has a row for each.
+        let mut needed_from: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); world]; world];
+        for p in 0..world {
+            for q in 0..world {
+                if q == p {
+                    needed_from[p][q] = (0..members[p].len() as u32).collect();
+                    continue;
+                }
+                let mut srcs: Vec<u32> = buckets[p][q].iter().map(|&(s, _)| s).collect();
+                srcs.sort_unstable();
+                srcs.dedup();
+                needed_from[p][q] = srcs;
+            }
+        }
+
+        (0..world)
+            .map(|p| {
+                let n_local = members[p].len();
+                let mut blocks = Vec::with_capacity(world);
+                let mut halo_edges: Vec<(u32, u32)> = Vec::new();
+                let mut halo_offsets = Vec::with_capacity(world);
+                let mut halo_cols = 0usize;
+                for q in 0..world {
+                    let needed = &needed_from[p][q];
+                    // Compact block columns: position within `needed`.
+                    let edges: Vec<(u32, u32)> = buckets[p][q]
+                        .iter()
+                        .map(|&(s, d)| {
+                            let col = needed
+                                .binary_search(&s)
+                                .expect("needed list covers sources")
+                                as u32;
+                            (col, d)
+                        })
+                        .collect();
+                    halo_offsets.push(halo_cols);
+                    for &(c, d) in &edges {
+                        halo_edges.push((halo_cols as u32 + c, d));
+                    }
+                    halo_cols += needed.len();
+                    blocks.push(CsrGraph::from_edges_bipartite(
+                        needed.len(),
+                        n_local,
+                        &edges,
+                    ));
+                }
+                let halo_graph = Arc::new(CsrGraph::from_edges_bipartite(
+                    halo_cols,
+                    n_local,
+                    &halo_edges,
+                ));
+                let serves_to: Vec<Vec<u32>> =
+                    (0..world).map(|q| needed_from[q][p].clone()).collect();
+                let global_in_degree = members[p]
+                    .iter()
+                    .map(|&g| graph.in_degree(g as usize) as f32)
+                    .collect();
+                DistGraph {
+                    rank: p,
+                    world,
+                    local_nodes: members[p].clone(),
+                    blocks,
+                    needed_from: needed_from[p].clone(),
+                    serves_to,
+                    global_in_degree,
+                    halo_graph,
+                    halo_offsets,
+                }
+            })
+            .collect()
+    }
+
+    fn assert_same(a: &DistGraph, b: &DistGraph) {
+        assert_eq!((a.rank, a.world), (b.rank, b.world));
+        assert_eq!(a.local_nodes, b.local_nodes);
+        assert_eq!(a.blocks, b.blocks);
+        assert_eq!(a.needed_from, b.needed_from);
+        assert_eq!(a.serves_to, b.serves_to);
+        assert_eq!(a.global_in_degree, b.global_in_degree);
+        assert_eq!(a.halo_graph, b.halo_graph);
+        assert_eq!(a.halo_offsets, b.halo_offsets);
+    }
+
+    #[test]
+    fn row_walk_build_equals_bucketed_build() {
+        let mut rng = StdRng::seed_from_u64(9);
+        // Directed, with parallel edges, self-loops, and nodes that send or
+        // receive nothing; then the same graph with every row reversed.
+        let mut edges: Vec<(u32, u32)> = erdos_renyi(70, 300, &mut rng).iter_edges().collect();
+        edges.extend([(3, 3), (5, 9), (5, 9), (9, 9), (60, 2)]);
+        edges.retain(|&(s, d)| s < 65 && d % 7 != 6);
+        let directed = CsrGraph::from_edges(70, &edges);
+        let reversed_rows = CsrGraph::from_raw(
+            70,
+            directed.indptr().to_vec(),
+            (0..70)
+                .flat_map(|i| directed.neighbors(i).iter().rev().copied())
+                .collect(),
+        );
+        let graphs = [
+            erdos_renyi(90, 500, &mut rng)
+                .symmetrize()
+                .with_self_loops(),
+            directed,
+            reversed_rows,
+        ];
+        for g in &graphs {
+            for world in 1..=4 {
+                for part in [
+                    random(g, world, world as u64),
+                    sar_partition::range(g, world),
+                    sar_partition::multilevel(g, world, 1),
+                ] {
+                    let new = DistGraph::build_all(g, &part);
+                    let old = build_all_bucketed(g, &part);
+                    assert_eq!(new.len(), world);
+                    for (a, b) in new.iter().zip(&old) {
+                        assert_same(a, b);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -230,46 +230,138 @@ impl CsrGraph {
         (0..self.num_rows).flat_map(move |i| self.neighbors(i).iter().map(move |&j| (j, i as u32)))
     }
 
+    /// Sources of the edges into destination `i`, ascending: the row
+    /// itself when it is already sorted (every builder but
+    /// [`CsrGraph::from_raw`] sorts its rows), else a sorted copy in
+    /// `scratch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn sorted_neighbors<'a>(&'a self, i: usize, scratch: &'a mut Vec<u32>) -> &'a [u32] {
+        let row = self.neighbors(i);
+        if row.is_sorted() {
+            return row;
+        }
+        scratch.clear();
+        scratch.extend_from_slice(row);
+        scratch.sort_unstable();
+        scratch
+    }
+
+    /// The transpose's `(indptr, indices)`: row `j` lists the destinations
+    /// of source `j`'s edges. One counting pass; destinations are visited
+    /// in ascending order, so every row comes out sorted.
+    fn transposed(&self) -> (Vec<usize>, Vec<u32>) {
+        let mut indptr = vec![0usize; self.num_cols + 1];
+        for &j in &self.indices {
+            indptr[j as usize + 1] += 1;
+        }
+        for k in 1..indptr.len() {
+            indptr[k] += indptr[k - 1];
+        }
+        let mut cursor = indptr[..self.num_cols].to_vec();
+        let mut indices = vec![0u32; self.indices.len()];
+        for i in 0..self.num_rows {
+            for &j in self.neighbors(i) {
+                indices[cursor[j as usize]] = i as u32;
+                cursor[j as usize] += 1;
+            }
+        }
+        (indptr, indices)
+    }
+
+    /// A graph over this one's row and column spaces built row by row:
+    /// `row(i, out)` appends row `i`'s sources, which must be sorted and in
+    /// range; `edges` is the expected total, to size the index array.
+    fn map_rows(&self, edges: usize, mut row: impl FnMut(usize, &mut Vec<u32>)) -> CsrGraph {
+        let mut indptr = Vec::with_capacity(self.num_rows + 1);
+        indptr.push(0);
+        let mut indices = Vec::with_capacity(edges);
+        for i in 0..self.num_rows {
+            row(i, &mut indices);
+            debug_assert!(indices[indptr[i]..].is_sorted(), "row {i} unsorted");
+            indptr.push(indices.len());
+        }
+        CsrGraph {
+            num_rows: self.num_rows,
+            num_cols: self.num_cols,
+            indptr,
+            indices,
+            rev: RevCache::default(),
+        }
+    }
+
     /// The reverse graph: edge `j → i` becomes `i → j`. For a square graph
     /// this swaps in- and out-adjacency.
     pub fn reverse(&self) -> CsrGraph {
-        let edges: Vec<(u32, u32)> = self.iter_edges().map(|(s, d)| (d, s)).collect();
-        CsrGraph::from_edges_bipartite(self.num_rows, self.num_cols, &edges)
+        let (indptr, indices) = self.transposed();
+        CsrGraph {
+            num_rows: self.num_cols,
+            num_cols: self.num_rows,
+            indptr,
+            indices,
+            rev: RevCache::default(),
+        }
     }
 
     /// Returns a square graph with both edge directions present and
     /// duplicate edges removed (self-loops are kept as-is, deduplicated).
     ///
+    /// Row `i` is the sorted merge of row `i` and row `i` of the
+    /// transpose, each run of equal sources written once; no edge list is
+    /// built or sorted.
+    ///
     /// # Panics
     ///
     /// Panics if the graph is bipartite.
     pub fn symmetrize(&self) -> CsrGraph {
-        let n = self.num_nodes();
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(self.num_edges() * 2);
-        for (s, d) in self.iter_edges() {
-            edges.push((s, d));
-            edges.push((d, s));
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        CsrGraph::from_edges(n, &edges)
+        let _ = self.num_nodes();
+        let (t_ptr, t_idx) = self.transposed();
+        let mut scratch = Vec::new();
+        let mut out = self.map_rows(2 * self.num_edges(), |i, out| {
+            let a = self.sorted_neighbors(i, &mut scratch);
+            let b = &t_idx[t_ptr[i]..t_ptr[i + 1]];
+            let (mut x, mut y) = (0, 0);
+            while x < a.len() || y < b.len() {
+                let v = match (a.get(x), b.get(y)) {
+                    (Some(&p), Some(&q)) => p.min(q),
+                    (Some(&p), None) => p,
+                    (None, Some(&q)) => q,
+                    (None, None) => unreachable!(),
+                };
+                while a.get(x) == Some(&v) {
+                    x += 1;
+                }
+                while b.get(y) == Some(&v) {
+                    y += 1;
+                }
+                out.push(v);
+            }
+        });
+        out.indices.shrink_to_fit();
+        out
     }
 
     /// Returns a square graph with a self-loop added to every node that
-    /// lacks one (so every node aggregates at least itself).
+    /// lacks one (so every node aggregates at least itself), inserted at
+    /// its sorted position in the node's row.
     ///
     /// # Panics
     ///
     /// Panics if the graph is bipartite.
     pub fn with_self_loops(&self) -> CsrGraph {
-        let n = self.num_nodes();
-        let mut edges: Vec<(u32, u32)> = self.iter_edges().collect();
-        for i in 0..n as u32 {
-            if !self.neighbors(i as usize).contains(&i) {
-                edges.push((i, i));
+        let _ = self.num_nodes();
+        let mut scratch = Vec::new();
+        self.map_rows(self.num_edges() + self.num_rows, |i, out| {
+            let row = self.sorted_neighbors(i, &mut scratch);
+            let at = row.partition_point(|&j| (j as usize) < i);
+            out.extend_from_slice(&row[..at]);
+            if row.get(at) != Some(&(i as u32)) {
+                out.push(i as u32);
             }
-        }
-        CsrGraph::from_edges(n, &edges)
+            out.extend_from_slice(&row[at..]);
+        })
     }
 
     /// `true` if for every edge `j → i` the edge `i → j` also exists.

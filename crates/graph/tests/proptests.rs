@@ -45,6 +45,61 @@ fn unsorted_block(rows: usize, cols: usize, rng: &mut StdRng) -> CsrGraph {
     CsrGraph::from_raw(cols, indptr, indices)
 }
 
+/// A random square multigraph: duplicate edges, self-loops, isolated
+/// nodes and empty rows all occur. With `sorted` it comes from
+/// `from_edges`; without, straight from `from_raw` with every row
+/// shuffled, so the builders below must sort what they read.
+fn random_multigraph(n: usize, m: usize, sorted: bool, rng: &mut StdRng) -> CsrGraph {
+    // Nodes past `n / 2 + 1` send no edge, and every fourth node receives none.
+    let senders = n / 2 + 1;
+    let mut edges = Vec::new();
+    for _ in 0..m {
+        let s = rng.random_range(0..senders as u32);
+        let d = rng.random_range(0..n as u32);
+        if d % 4 == 3 {
+            continue;
+        }
+        edges.push((s, d));
+        match rng.random_range(0..6) {
+            0 => edges.push((s, d)),
+            1 => edges.push((d, d)),
+            _ => {}
+        }
+    }
+    let g = CsrGraph::from_edges(n, &edges);
+    if sorted {
+        return g;
+    }
+    let mut indices = g.indices().to_vec();
+    for i in 0..n {
+        let row = &mut indices[g.indptr()[i]..g.indptr()[i + 1]];
+        for k in (1..row.len()).rev() {
+            row.swap(k, rng.random_range(0..=k));
+        }
+    }
+    CsrGraph::from_raw(n, g.indptr().to_vec(), indices)
+}
+
+/// `symmetrize` as specified: every edge both ways, sorted, deduplicated.
+fn symmetrize_spec(g: &CsrGraph) -> CsrGraph {
+    let mut edges: Vec<(u32, u32)> = g.iter_edges().flat_map(|(s, d)| [(s, d), (d, s)]).collect();
+    edges.sort_unstable();
+    edges.dedup();
+    CsrGraph::from_edges(g.num_nodes(), &edges)
+}
+
+/// `with_self_loops` as specified: every edge kept, a loop added to each
+/// node without one.
+fn self_loops_spec(g: &CsrGraph) -> CsrGraph {
+    let mut edges: Vec<(u32, u32)> = g.iter_edges().collect();
+    for i in 0..g.num_nodes() as u32 {
+        if !g.neighbors(i as usize).contains(&i) {
+            edges.push((i, i));
+        }
+    }
+    CsrGraph::from_edges(g.num_nodes(), &edges)
+}
+
 /// Feature widths below, at and past one vector, the benchmark's two
 /// (47 classes, 64 hidden) and one past a full 64-column strip.
 const WIDTHS: [usize; 7] = [1, 7, 8, 13, 47, 64, 65];
@@ -486,6 +541,24 @@ proptest! {
         }
         // Symmetrize is idempotent.
         prop_assert_eq!(s.symmetrize(), s);
+    }
+
+    #[test]
+    fn symmetrize_and_self_loops_equal_sort_and_dedup_spec(
+        seed in 0u64..500,
+        n in 1usize..40,
+        m in 0usize..160,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = random_multigraph(n, m, seed % 2 == 0, &mut rng);
+        prop_assert_eq!(g.symmetrize(), symmetrize_spec(&g));
+        prop_assert_eq!(g.with_self_loops(), self_loops_spec(&g));
+        prop_assert_eq!(g.symmetrize().with_self_loops(), self_loops_spec(&symmetrize_spec(&g)));
+        let spec_reverse = {
+            let edges: Vec<(u32, u32)> = g.iter_edges().map(|(s, d)| (d, s)).collect();
+            CsrGraph::from_edges(n, &edges)
+        };
+        prop_assert_eq!(g.reverse(), spec_reverse);
     }
 
     #[test]
