@@ -7,9 +7,9 @@
 //! a static property instead of a test matrix. It computes the call-graph
 //! closure (over [`crate::ast`]) of the digest-bearing roots — the graph
 //! kernels, `seq_agg`, the wire codec, the rotation worker (walker and
-//! gradient router), the layer forward the serve engine shares with
-//! training, the engine's MFG path, and the tiered store — restricted to
-//! the hot-path
+//! gradient router), the layer forward (and its two halves) the serve
+//! engine shares with training, the engine's MFG path and its resident
+//! layer-0 projection, and the tiered store — restricted to the hot-path
 //! file set, and rejects three source classes inside that closure:
 //!
 //! * **`taint-unordered-iter`** — iterating a `HashMap`/`HashSet`
@@ -67,6 +67,10 @@ const ROOT_FNS: &[(&str, &str)] = &[
     ("crates/core/src/worker.rs", "serve"),
     ("crates/core/src/worker.rs", "try_receive_block"),
     ("crates/core/src/model.rs", "layer_forward"),
+    ("crates/core/src/model.rs", "layer_project"),
+    ("crates/core/src/model.rs", "layer_aggregate"),
+    ("crates/serve/src/engine.rs", "project_inputs"),
+    ("crates/serve/src/engine.rs", "reproject_row"),
     ("crates/serve/src/engine.rs", "run_batch"),
     ("crates/serve/src/engine.rs", "build_mfg"),
     ("crates/serve/src/engine.rs", "forward_mfg"),

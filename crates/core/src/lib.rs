@@ -54,7 +54,7 @@ mod worker;
 pub use dist_bn::DistBatchNorm;
 pub use dist_graph::DistGraph;
 pub use inference::{infer, try_infer, validate_params, InferError};
-pub use model::{Arch, DistModel, Mode, ModelConfig};
+pub use model::{Arch, DistModel, Mode, ModelConfig, Projection};
 pub use protocol::Protocol;
 pub use seq_agg::{gat_aggregate, sage_aggregate, FakMode};
 pub use shard::Shard;

@@ -171,17 +171,14 @@ impl DistLayer {
     }
 
     /// One GNN layer over `view`: `h` carries one row per view input, the
-    /// result one row per view destination. Destinations are a subset of
+    /// result one row per view destination — the row-local
+    /// [`project`](Self::project) half, then the rotation-plus-epilogue
+    /// [`aggregate`](Self::aggregate) half. Destinations are a subset of
     /// the inputs; the residual, attention-destination and degree terms
     /// read their rows through the view's `dst_map` — skipped when it is
     /// the identity (the full graph), where this is exactly the classic
     /// square layer. Domain-parallel mode is the full-graph baseline by
     /// definition and always runs over the worker's own graph.
-    ///
-    /// Takes `h` by value and drops it once its dense projections exist,
-    /// before the aggregation stages a block: what the layer's backwards
-    /// read of `h` they saved (a handle, or `h`'s recipe), so an `h` with a
-    /// recipe or no other handle is freed before the rotation.
     fn forward(
         &self,
         w: &Rc<Worker>,
@@ -189,10 +186,58 @@ impl DistLayer {
         h: Var,
         mode: Mode,
     ) -> Result<Var, TransportError> {
-        let at_dst = |x: &Var| match view.dst_map() {
-            None => x.clone(),
-            Some(map) => x.gather_rows(map),
-        };
+        let p = self.project(h, view.in_degree(), view.dst_map());
+        self.aggregate(w, view, p, mode)
+    }
+
+    /// The row-local half of the layer: the dense products of `h` (one row
+    /// per input row), see [`Projection`]. `in_degree` is each input row's
+    /// full-graph in-degree and `dst_map` the input row of each
+    /// destination row (`None`: every input row is one).
+    ///
+    /// Takes `h` by value and drops it once its dense projections exist,
+    /// before the aggregation stages a block: what the layer's backwards
+    /// read of `h` they saved (a handle, or `h`'s recipe), so an `h` with a
+    /// recipe or no other handle is freed before the rotation.
+    fn project(&self, h: Var, in_degree: &[f32], dst_map: Option<&[u32]>) -> Projection {
+        match self {
+            DistLayer::Sage {
+                lin_neigh, lin_res, ..
+            } => Projection {
+                z: lin_neigh.forward(&h),
+                residual: Some(rows_at(&h, dst_map).matmul(lin_res.weight())),
+            },
+            // Symmetric normalization D^{-1/2} A D^{-1/2} with global
+            // degrees, split around the (linear) aggregation: the input
+            // side here, the destination side in the epilogue.
+            DistLayer::Gcn { lin, .. } => {
+                let inv_sqrt_in = degree_scale(in_degree, |d| 1.0 / d.sqrt());
+                Projection {
+                    z: lin.forward(&h).mul_col(&Var::constant(inv_sqrt_in)),
+                    residual: None,
+                }
+            }
+            DistLayer::Gat { lin, .. } => Projection {
+                z: lin.forward(&h),
+                residual: None,
+            },
+        }
+    }
+
+    /// The rest of the layer over `view`: the rotation consuming `p` (a
+    /// projection of the view's input and destination rows) and the
+    /// epilogue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a GraphSage projection carries no residual.
+    fn aggregate(
+        &self,
+        w: &Rc<Worker>,
+        view: &View,
+        p: Projection,
+        mode: Mode,
+    ) -> Result<Var, TransportError> {
         // The linear (case 1) aggregation GraphSage and GCN share.
         let sum_aggregate = |z: &Var| match mode {
             Mode::DomainParallel => Ok(spmm_sum(w.graph.halo_graph(), &halo_fetch(w, z))),
@@ -202,38 +247,31 @@ impl DistLayer {
         // ReLU.
         Ok(match self {
             DistLayer::Sage {
-                lin_neigh,
                 lin_res,
                 activation,
+                ..
             } => {
-                let z = lin_neigh.forward(&h);
-                let hw = at_dst(&h).matmul(lin_res.weight());
-                drop(h);
-                let [_, inv_deg] = degree_scales(&**view, |d| 1.0 / d);
-                let agg_sum = sum_aggregate(&z)?;
+                let hw = p.residual.expect("a GraphSage projection has a residual");
+                let inv_deg = dst_degree_scale(&**view, |d| 1.0 / d);
+                let agg_sum = sum_aggregate(&p.z)?;
                 let b = lin_res.bias().expect("the Sage residual has a bias");
                 epilogue(&agg_sum, inv_deg, Some((&hw, b)), *activation)
             }
-            DistLayer::Gcn { lin, activation } => {
-                // Symmetric normalization D^{-1/2} A D^{-1/2} with global
-                // degrees, split around the (linear) aggregation.
-                let [inv_sqrt_in, inv_sqrt_dst] = degree_scales(&**view, |d| 1.0 / d.sqrt());
-                let z = lin.forward(&h).mul_col(&Var::constant(inv_sqrt_in));
-                drop(h);
-                epilogue(&sum_aggregate(&z)?, inv_sqrt_dst, None, *activation)
+            DistLayer::Gcn { activation, .. } => {
+                let inv_sqrt_dst = dst_degree_scale(&**view, |d| 1.0 / d.sqrt());
+                epilogue(&sum_aggregate(&p.z)?, inv_sqrt_dst, None, *activation)
             }
             DistLayer::Gat {
-                lin,
                 a_dst,
                 a_src,
                 heads,
                 slope,
                 concat,
                 activation,
+                ..
             } => {
-                let z = lin.forward(&h);
-                drop(h);
-                let s_dst = head_project(&at_dst(&z), a_dst, *heads);
+                let z = p.z;
+                let s_dst = head_project(&rows_at(&z, view.dst_map()), a_dst, *heads);
                 let fak = match mode {
                     Mode::DomainParallel => None,
                     Mode::Sar => Some(FakMode::TwoStep),
@@ -270,23 +308,84 @@ impl DistLayer {
     }
 }
 
-/// The per-row degree normalizer `f(|N(i)|)` (0 for isolated nodes) over
-/// `view`, for every input row and for every destination row.
-fn degree_scales(view: &dyn ShardView, f: impl Fn(f32) -> f32) -> [Tensor; 2] {
-    let col = |v: Vec<f32>| Tensor::from_vec(&[v.len()], v);
-    let inputs: Vec<f32> = view
-        .in_degree()
+/// The row-local half of one layer's forward, computed by
+/// [`DistModel::layer_project`] and consumed by
+/// [`DistModel::layer_aggregate`].
+///
+/// Every row depends on its own input row alone: a matmul output row on
+/// its own left-hand row (the k-panels depend on `k` and `n`, not on the
+/// row count), a degree scale on its own row's degree. A row projected
+/// alone, inside a batch or with every local row therefore has the same
+/// bits — so a projection of every row, [gathered](Projection::gather)
+/// at a view's rows, is that view's projection.
+pub struct Projection {
+    /// What the rotation fetches, one row per input row: GraphSage
+    /// `h·W_neigh`, GCN `(h·W)·deg^{-1/2}`, GAT `h·W`.
+    z: Var,
+    /// GraphSage's residual product `h·W_res` (its bias is added in the
+    /// epilogue), one row per destination row; `None` for GCN and GAT.
+    residual: Option<Var>,
+}
+
+impl Projection {
+    /// Rows `inputs` of the fetched rows and rows `dsts` of the residual,
+    /// cut from a projection whose destinations are its inputs: the
+    /// projection of a view with those input and destination rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of bounds.
+    #[must_use]
+    pub fn gather(&self, inputs: &[u32], dsts: &[u32]) -> Projection {
+        Projection {
+            z: self.z.gather_rows(inputs),
+            residual: self.residual.as_ref().map(|r| r.gather_rows(dsts)),
+        }
+    }
+
+    /// Overwrites row `i` of a projection whose destinations are its
+    /// inputs with `row`, the same layer's projection of one row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds or the widths differ.
+    pub fn set_row(&self, i: usize, row: &Projection) {
+        let put = |to: &Var, from: &Var| {
+            to.update_value(|t| t.row_mut(i).copy_from_slice(from.value().row(0)));
+        };
+        put(&self.z, &row.z);
+        if let (Some(to), Some(from)) = (&self.residual, &row.residual) {
+            put(to, from);
+        }
+    }
+}
+
+/// `x`'s rows at `map`; `None` is the identity and costs no copy.
+fn rows_at(x: &Var, map: Option<&[u32]>) -> Var {
+    match map {
+        None => x.clone(),
+        Some(map) => x.gather_rows(map),
+    }
+}
+
+/// The per-row degree normalizer `f(|N(i)|)` (0 for isolated nodes) of
+/// every row whose full-graph in-degree is in `degree`.
+fn degree_scale(degree: &[f32], f: impl Fn(f32) -> f32) -> Tensor {
+    let scale: Vec<f32> = degree
         .iter()
         .map(|&d| if d > 0.0 { f(d) } else { 0.0 })
         .collect();
+    Tensor::from_vec(&[scale.len()], scale)
+}
+
+/// [`degree_scale`] of every destination row of `view`.
+fn dst_degree_scale(view: &dyn ShardView, f: impl Fn(f32) -> f32) -> Tensor {
+    let degree = view.in_degree();
     match view.dst_map() {
-        None => {
-            let all = col(inputs);
-            [all.clone(), all]
-        }
+        None => degree_scale(degree, f),
         Some(map) => {
-            let dst = map.iter().map(|&i| inputs[i as usize]).collect();
-            [col(inputs), col(dst)]
+            let dst: Vec<f32> = map.iter().map(|&i| degree[i as usize]).collect();
+            degree_scale(&dst, f)
         }
     }
 }
@@ -446,6 +545,46 @@ impl DistModel {
         h: &Var,
     ) -> Result<Var, TransportError> {
         self.layers[l].forward(w, view, h.clone(), self.cfg.mode)
+    }
+
+    /// The row-local half of [`layer_forward`](Self::layer_forward): layer
+    /// `l`'s dense products of `h` (one row per input row). `in_degree` is
+    /// each input row's full-graph in-degree and `dst_map` the input row of
+    /// each destination row (`None`: every input row is one) — a view's
+    /// [`in_degree`](ShardView::in_degree) and
+    /// [`dst_map`](ShardView::dst_map). Local: no exchange.
+    pub fn layer_project(
+        &self,
+        l: usize,
+        h: Var,
+        in_degree: &[f32],
+        dst_map: Option<&[u32]>,
+    ) -> Projection {
+        self.layers[l].project(h, in_degree, dst_map)
+    }
+
+    /// The other half of [`layer_forward`](Self::layer_forward): layer
+    /// `l`'s rotation and epilogue over `view`, consuming `p`, a
+    /// [`layer_project`](Self::layer_project) of the view's rows.
+    ///
+    /// Collective: every worker must call it in lockstep.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the layer's forward exchange reports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not layer `l`'s kind of projection (a GraphSage
+    /// layer needs its residual).
+    pub fn layer_aggregate(
+        &self,
+        l: usize,
+        w: &Rc<Worker>,
+        view: &View,
+        p: Projection,
+    ) -> Result<Var, TransportError> {
+        self.layers[l].aggregate(w, view, p, self.cfg.mode)
     }
 
     /// Runs the model on this worker's local features `x`

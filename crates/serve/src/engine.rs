@@ -25,6 +25,13 @@
 //!    [`infer`](sar_core::infer) rows because they are computed by the
 //!    same code. The walk runs at depth `world − 1`: every peer's
 //!    requested rows are served before the first block is consumed.
+//!    Level 0 skips the layer's row-local half: the engine keeps layer
+//!    0's [`Projection`] of every local row resident (rebuilt on reload,
+//!    one row per feature update), and the level gathers its input and
+//!    destination rows of it and runs only
+//!    [`DistModel::layer_aggregate`]. A projected row depends on its own
+//!    input row alone, so the gathered rows carry the bits a per-batch
+//!    projection would.
 //! 3. **Result gather** — each rank ships `(query position, logits row)`
 //!    pairs to rank 0, which assembles the `[Q, C]` response without
 //!    needing any partitioning knowledge.
@@ -44,7 +51,8 @@ use std::sync::Arc;
 use sar_comm::{Payload, Phase, TransportError, WorkerCtx};
 use sar_core::mfg::{self, LevelView};
 use sar_core::{
-    checkpoint, validate_params, DistGraph, DistModel, Mode, ModelConfig, Shard, View, Worker,
+    checkpoint, validate_params, DistGraph, DistModel, Mode, ModelConfig, Projection, Shard, View,
+    Worker,
 };
 use sar_tensor::{no_grad, Tensor, Var};
 
@@ -103,6 +111,12 @@ fn check_servable(cfg: &ModelConfig) -> Result<(), ServeError> {
         return Err(ServeError::Unsupported("a zero-layer model".into()));
     }
     Ok(())
+}
+
+/// Layer 0's projection of every row of `input` (`degree`: each row's
+/// full-graph in-degree), the table a level-0 batch gathers from.
+fn project_inputs(model: &DistModel, input: &Var, degree: &[f32]) -> Projection {
+    no_grad(|| model.layer_project(0, input.clone(), degree, None))
 }
 
 /// Static engine configuration, identical on every rank.
@@ -256,7 +270,10 @@ pub struct ServeEngine {
     cfg: ModelConfig,
     model: DistModel,
     /// Resident `[n_local, in_dim]` input (features ‖ label channels).
-    input: Tensor,
+    input: Var,
+    /// Layer 0's projection of every local row of `input` under the
+    /// current parameters ([`project_inputs`]).
+    table: Projection,
     feat_dim: usize,
     num_nodes: usize,
     cache: EmbedCache,
@@ -299,7 +316,8 @@ impl ServeEngine {
 
         // Inference-time label augmentation, exactly as `infer` builds it:
         // every training node sees its one-hot label.
-        let input = shard.input_tensor(setup.label_aug.then_some(&shard.train_mask));
+        let input = Var::constant(shard.input_tensor(setup.label_aug.then_some(&shard.train_mask)));
+        let table = project_inputs(&model, &input, graph.global_in_degree());
 
         let cache = EmbedCache::new(cfg.layers, setup.cache_rows);
         // Every serve of a level goes out before its first block is
@@ -310,6 +328,7 @@ impl ServeEngine {
             cfg,
             model,
             input,
+            table,
             feat_dim: shard.feat_dim,
             num_nodes,
             cache,
@@ -564,11 +583,21 @@ impl ServeEngine {
                 Ok((out, false))
             }
             Ctrl::Update { node, values } => {
+                // Rank 0 checked the width before broadcasting; a record
+                // that disagrees is malformed, and applying a part of it
+                // would leave a table row built from a half-written input.
+                if values.len() != self.feat_dim {
+                    return Err(ServeError::Protocol(format!(
+                        "rank {}: feature update carries {} values, feature width is {}",
+                        self.rank(),
+                        values.len(),
+                        self.feat_dim
+                    )));
+                }
                 if let Ok(li) = self.w.graph.local_nodes().binary_search(&node) {
-                    let width = self.input.cols();
-                    let row = self.input.row_mut(li);
-                    let n = values.len().min(width);
-                    row[..n].copy_from_slice(&values[..n]);
+                    self.input
+                        .update_value(|x| x.row_mut(li)[..values.len()].copy_from_slice(&values));
+                    self.reproject_row(li);
                 }
                 // Any rank's cached activations may transitively depend on
                 // the updated node — invalidate everywhere.
@@ -578,6 +607,8 @@ impl ServeEngine {
             }
             Ctrl::Reload(params) => {
                 self.model.set_params(&params)?;
+                self.table =
+                    project_inputs(&self.model, &self.input, self.w.graph.global_in_degree());
                 self.cache.invalidate();
                 self.seq += 1;
                 Ok((None, false))
@@ -704,15 +735,29 @@ impl ServeEngine {
         })
     }
 
+    /// Rebuilds local row `li` of the layer-0 table from its input row.
+    fn reproject_row(&self, li: usize) {
+        let x = Var::constant(self.input.value().gather_rows(&[li as u32]));
+        let degree = &self.w.graph.global_in_degree()[li..=li];
+        let row = no_grad(|| self.model.layer_project(0, x, degree, None));
+        self.table.set_row(li, &row);
+    }
+
     /// The restricted rotation forward over a built plan: the training
-    /// layer, once per level, over the level's view. Returns the top
-    /// level's computed rows (ascending local query rows × classes).
+    /// layer, once per level, over the level's view — level 0 from the
+    /// resident projection table. Returns the top level's computed rows
+    /// (ascending local query rows × classes).
     fn forward_mfg(&mut self, plan: &BatchPlan) -> Result<Tensor, ServeError> {
-        let mut h_prev = self.input.gather_rows(&plan.active0);
+        let mut h_prev: Option<Var> = None;
         for (l, lvl) in plan.levels.iter().enumerate() {
             let view: View = lvl.view.clone();
-            let h = Var::constant(h_prev);
-            let out = no_grad(|| self.model.layer_forward(l, &self.w, &view, &h))?;
+            let out = no_grad(|| match h_prev.take() {
+                None => {
+                    let p = self.table.gather(&plan.active0, lvl.computed());
+                    self.model.layer_aggregate(0, &self.w, &view, p)
+                }
+                Some(h) => self.model.layer_forward(l, &self.w, &view, &h),
+            })?;
             let k = l + 1;
             if k == self.cfg.layers {
                 return Ok(out.value_clone());
@@ -739,7 +784,7 @@ impl ServeEngine {
             for (i, &r) in lvl.computed().iter().enumerate() {
                 self.cache.insert(k, r, computed.row(i).to_vec());
             }
-            h_prev = h;
+            h_prev = Some(Var::constant(h));
         }
         Err(ServeError::Unsupported("a zero-layer model".into()))
     }
@@ -814,7 +859,12 @@ impl ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    use sar_comm::{ChannelTransport, CostModel};
     use sar_core::Arch;
+    use sar_graph::datasets;
+    use sar_partition::multilevel;
 
     #[test]
     fn unsupported_configs_are_rejected() {
@@ -839,5 +889,84 @@ mod tests {
         assert!(reject(|c| c.jumping_knowledge = true));
         assert!(reject(|c| c.mode = Mode::DomainParallel));
         assert!(reject(|c| c.layers = 0));
+    }
+
+    /// A worker checks an update's width itself: a record whose width
+    /// disagrees with the features is a typed error naming the rank and
+    /// both widths, and no part of it reaches the input.
+    #[test]
+    fn a_worker_rejects_an_update_of_the_wrong_width() {
+        let d = datasets::products_like(120, 0);
+        let part = multilevel(&d.graph, 2, 0);
+        let graph = Arc::new(DistGraph::build_all(&d.graph, &part).swap_remove(1));
+        let shard = Shard::build_all(&d, &part).swap_remove(1);
+        let model_cfg = ModelConfig {
+            arch: Arch::GraphSage { hidden: 8 },
+            mode: Mode::Sar,
+            layers: 2,
+            in_dim: d.feat_dim(),
+            num_classes: d.num_classes,
+            dropout: 0.0,
+            batch_norm: false,
+            jumping_knowledge: false,
+            seed: 0,
+        };
+        let params: Vec<_> = DistModel::new(&model_cfg)
+            .params()
+            .iter()
+            .map(|p| (p.shape(), p.value().data().to_vec()))
+            .collect();
+        let setup = EngineSetup {
+            model_cfg,
+            label_aug: false,
+            cache_rows: 0,
+            checkpoint: None,
+        };
+        let mut mesh = ChannelTransport::mesh(2);
+        let ctx = |t: ChannelTransport| {
+            WorkerCtx::new(Box::new(t), CostModel::default(), Duration::from_secs(5))
+        };
+        let worker = ctx(mesh.pop().expect("rank 1"));
+        let origin = ctx(mesh.pop().expect("rank 0"));
+        let mut engine = ServeEngine::new(worker, graph, &shard, d.num_nodes(), &setup, &params)
+            .expect("builds");
+        let before = engine.input.value_clone();
+
+        // Opcode 2 (update), node, value count, values: one value short.
+        let node = engine.w.graph.local_nodes()[0];
+        let short = d.feat_dim() - 1;
+        let mut record = vec![2u8];
+        record.extend_from_slice(&node.to_le_bytes());
+        record.extend_from_slice(&(short as u32).to_le_bytes());
+        for _ in 0..short {
+            record.extend_from_slice(&7.0f32.to_le_bytes());
+        }
+        let decoded = proto::decode_ctrl(&record).expect("the record decodes");
+        assert_eq!(
+            decoded,
+            Ctrl::Update {
+                node,
+                values: vec![7.0; short]
+            }
+        );
+        origin
+            .try_send(1, batch_base(0) + OFF_CTRL, Payload::Bytes(record))
+            .expect("send");
+
+        match engine.step() {
+            Err(ServeError::Protocol(msg)) => {
+                let want = format!(
+                    "rank 1: feature update carries {short} values, feature width is {}",
+                    d.feat_dim()
+                );
+                assert_eq!(msg, want);
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert_eq!(
+            *engine.input.value(),
+            before,
+            "a malformed update was applied"
+        );
     }
 }

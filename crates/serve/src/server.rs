@@ -16,12 +16,14 @@
 //!   so the engine thread and a reader rejecting a malformed frame never
 //!   interleave partial frames.
 //!
-//! Batching: the engine thread takes the first queued query, then keeps
-//! coalescing until `max_batch` queries are aboard or `max_delay` has
-//! elapsed since the first one — one MFG build and one restricted
-//! rotation answer the whole batch, and each client gets its own rows
-//! back. Non-query operations are serialized between batches in arrival
-//! order.
+//! Batching ([`next_work`]): a query opens a window, and the engine
+//! thread keeps coalescing until `max_batch` queries are aboard or
+//! `max_delay` has elapsed since the first one — one MFG build and one
+//! restricted rotation answer the whole batch, and each client gets its
+//! own rows back. A non-query operation never waits: outside a window it
+//! runs at once, inside one it closes the window, runs right after the
+//! queries that arrived before it and before any that arrived after — so
+//! the engine executes every job in arrival order, across connections.
 //!
 //! Graceful shutdown: a `Shutdown` request flips the closing flag (new
 //! queries are refused at the reader), the queue is drained to the last
@@ -32,7 +34,7 @@
 use std::io::Write;
 use std::net::{Shutdown as SockShutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -105,6 +107,71 @@ impl Responder {
 struct Job {
     req: Request,
     resp: Responder,
+}
+
+impl Job {
+    fn is_query(&self) -> bool {
+        matches!(self.req, Request::Query(_))
+    }
+}
+
+/// How long the engine thread waits for a first job before polling again.
+const IDLE_POLL: Duration = Duration::from_millis(20);
+
+/// What the engine thread runs next.
+#[derive(Debug, PartialEq, Eq)]
+enum Work<J> {
+    /// Coalesced queries, in arrival order.
+    Batch(Vec<J>),
+    /// One non-query job.
+    Control(J),
+    /// Nothing arrived within the idle poll.
+    Idle,
+    /// Every sender is gone and the queue is empty.
+    Closed,
+}
+
+/// Takes the next unit of work off `rx`. A query opens a coalescing
+/// window that later queries join until `max_batch` are aboard or
+/// `max_delay` has passed since the first; a non-query job arriving inside
+/// the window closes it and is `held` to be returned by the next call,
+/// right after the batch it cut short. A non-query job outside a window is
+/// returned at once.
+fn next_work<J>(
+    rx: &Receiver<J>,
+    held: &mut Option<J>,
+    is_query: impl Fn(&J) -> bool,
+    max_batch: usize,
+    max_delay: Duration,
+) -> Work<J> {
+    if let Some(job) = held.take() {
+        return Work::Control(job);
+    }
+    let first = match rx.recv_timeout(IDLE_POLL) {
+        Ok(job) => job,
+        Err(RecvTimeoutError::Timeout) => return Work::Idle,
+        Err(RecvTimeoutError::Disconnected) => return Work::Closed,
+    };
+    if !is_query(&first) {
+        return Work::Control(first);
+    }
+    let mut batch = vec![first];
+    let deadline = Instant::now() + max_delay;
+    while batch.len() < max_batch {
+        let now = Instant::now();
+        if now >= deadline {
+            break;
+        }
+        match rx.recv_timeout(deadline - now) {
+            Ok(job) if is_query(&job) => batch.push(job),
+            Ok(job) => {
+                *held = Some(job);
+                break;
+            }
+            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    Work::Batch(batch)
 }
 
 /// Runs the resident worker loop on a non-zero rank: wait for control
@@ -191,63 +258,31 @@ pub fn serve(
 
     let mut requests: u64 = 0;
     let mut mesh_failure: Option<ServeError> = None;
-    'outer: loop {
-        let first = match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        let mut batch: Vec<Job> = Vec::new();
-        let mut others: Vec<Job> = Vec::new();
-        let stash = |job: Job, batch: &mut Vec<Job>, others: &mut Vec<Job>| {
-            if matches!(job.req, Request::Query(_)) {
-                batch.push(job);
-            } else {
-                others.push(job);
-            }
-        };
-        stash(first, &mut batch, &mut others);
-
-        // Coalesce: wait out the delay window while the batch has room.
-        let deadline = Instant::now() + cfg.max_delay;
-        while batch.len() < max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(job) => stash(job, &mut batch, &mut others),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-
-        if !batch.is_empty() {
-            requests += batch.len() as u64;
-            if let Err(e) = run_query_batch(engine, &batch) {
-                mesh_failure = Some(e);
-                break 'outer;
-            }
-        }
-        for job in others {
-            requests += 1;
-            let down = match run_other(engine, &job) {
-                Ok(down) => down,
-                Err(e) => {
+    let mut held: Option<Job> = None;
+    loop {
+        let job = match next_work(&rx, &mut held, Job::is_query, max_batch, cfg.max_delay) {
+            Work::Idle => continue,
+            Work::Closed => break,
+            Work::Batch(batch) => {
+                requests += batch.len() as u64;
+                if let Err(e) = run_query_batch(engine, &batch) {
                     mesh_failure = Some(e);
-                    break 'outer;
+                    break;
                 }
-            };
-            if down {
+                continue;
+            }
+            Work::Control(job) => job,
+        };
+        requests += 1;
+        match run_other(engine, &job) {
+            Ok(false) => {}
+            Ok(true) => {
                 // Drain: answer everything already queued (readers have
                 // stopped admitting queries), then quiesce the rotation.
                 closing.store(true, Ordering::SeqCst);
                 let mut rest: Vec<Job> = rx.try_iter().collect();
                 while !rest.is_empty() {
-                    let tail: Vec<Job> = rest
-                        .drain(..)
-                        .filter(|j| matches!(j.req, Request::Query(_)))
-                        .collect();
+                    let tail: Vec<Job> = rest.drain(..).filter(Job::is_query).collect();
                     if !tail.is_empty() {
                         requests += tail.len() as u64;
                         if let Err(e) = run_query_batch(engine, &tail) {
@@ -263,7 +298,11 @@ pub fn serve(
                     }
                 }
                 job.resp.send(proto::encode_ack(proto::OP_SHUTDOWN));
-                break 'outer;
+                break;
+            }
+            Err(e) => {
+                mesh_failure = Some(e);
+                break;
             }
         }
     }
@@ -453,5 +492,69 @@ fn run_other(engine: &mut ServeEngine, job: &Job) -> Result<bool, ServeError> {
             Ok(false)
         }
         Request::Shutdown => Ok(true),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A stand-in job: a query or a named control op.
+    #[derive(Debug, PartialEq, Eq)]
+    enum T {
+        Q(u32),
+        C(&'static str),
+    }
+
+    fn is_query(t: &T) -> bool {
+        matches!(t, T::Q(_))
+    }
+
+    fn queue(jobs: Vec<T>) -> Receiver<T> {
+        let (tx, rx) = std::sync::mpsc::sync_channel(jobs.len().max(1));
+        for job in jobs {
+            tx.send(job).expect("queue has room");
+        }
+        rx
+    }
+
+    #[test]
+    fn a_control_job_closes_the_window_and_runs_before_later_queries() {
+        let rx = queue(vec![T::Q(1), T::C("update"), T::Q(2)]);
+        let mut held = None;
+        let delay = Duration::from_millis(5);
+        let mut next = || next_work(&rx, &mut held, is_query, 32, delay);
+        assert_eq!(next(), Work::Batch(vec![T::Q(1)]));
+        assert_eq!(next(), Work::Control(T::C("update")));
+        assert_eq!(next(), Work::Batch(vec![T::Q(2)]));
+        assert_eq!(next(), Work::Closed);
+    }
+
+    #[test]
+    fn a_window_holds_at_most_max_batch_queries() {
+        let rx = queue(vec![T::Q(1), T::Q(2), T::Q(3)]);
+        let mut held = None;
+        let delay = Duration::from_secs(2);
+        assert_eq!(
+            next_work(&rx, &mut held, is_query, 2, delay),
+            Work::Batch(vec![T::Q(1), T::Q(2)])
+        );
+        assert_eq!(held, None);
+    }
+
+    #[test]
+    fn a_lone_control_job_does_not_wait_out_the_window() {
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        tx.send(T::C("stats")).expect("queue has room");
+        let mut held = None;
+        let start = Instant::now();
+        let work = next_work(&rx, &mut held, is_query, 32, Duration::from_secs(2));
+        let waited = start.elapsed();
+        assert_eq!(work, Work::Control(T::C("stats")));
+        assert!(
+            waited < Duration::from_millis(500),
+            "stats waited {waited:?} for a window it never opened"
+        );
+        drop(tx);
     }
 }

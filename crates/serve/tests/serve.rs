@@ -9,9 +9,12 @@
 //! top of that: the per-batch fetch ledger must stay
 //! strictly below a full-graph forward's predicted volume, the embedding
 //! cache must cut traffic without touching bits, and the TCP front-end
-//! must answer real clients end to end.
+//! must answer real clients end to end. Parity also holds after feature
+//! writes and a parameter reload (gcn here, sage and gat in the root
+//! package), which the engine's resident layer-0 projection must follow.
 
 use std::net::TcpListener;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -21,13 +24,13 @@ use sar_comm::{
     ChannelTransport, Clock, Cluster, CostModel, Message, Payload, TcpOpts, Transport,
     TransportError, WorkerCtx,
 };
-use sar_core::{infer, Arch, DistGraph, DistModel, Mode, ModelConfig, Shard};
+use sar_core::{checkpoint, infer, Arch, DistGraph, DistModel, Mode, ModelConfig, Shard};
 use sar_graph::{datasets, Dataset};
 use sar_partition::{multilevel, Partitioning};
 use sar_serve::{
     serve, worker_loop, BatchStats, EngineSetup, ServeClient, ServeEngine, ServeError, ServerConfig,
 };
-use sar_tensor::{pool, Tensor};
+use sar_tensor::{pool, simd, Tensor};
 
 const WORLD: usize = 4;
 
@@ -60,6 +63,7 @@ fn raw_params(cfg: &ModelConfig, d: &Dataset, label_aug: bool) -> Vec<(Vec<usize
 }
 
 struct Fixture {
+    world: usize,
     d: Dataset,
     part: Partitioning,
     graphs: Arc<Vec<Arc<DistGraph>>>,
@@ -70,11 +74,16 @@ struct Fixture {
 }
 
 fn fixture(arch: Arch, mode: Mode, label_aug: bool) -> Fixture {
+    fixture_on(WORLD, arch, mode, label_aug)
+}
+
+fn fixture_on(world: usize, arch: Arch, mode: Mode, label_aug: bool) -> Fixture {
     let d = dataset();
-    let part = multilevel(&d.graph, WORLD, 0);
+    let part = multilevel(&d.graph, world, 0);
     let cfg = model_cfg(arch, mode, &d);
     let params = raw_params(&cfg, &d, label_aug);
     Fixture {
+        world,
         graphs: Arc::new(
             DistGraph::build_all(&d.graph, &part)
                 .into_iter()
@@ -586,4 +595,144 @@ fn tcp_front_end_serves_clients_end_to_end() {
     client.join().expect("client thread");
     let _ = std::fs::remove_file(&ckpt);
     assert!(summaries.into_iter().flatten().next().is_some());
+}
+
+/// Writes `params` to a fresh checkpoint file and returns its path.
+fn checkpoint_file(params: &[(Vec<usize>, Vec<f32>)], label: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "sar-serve-writes-{label}-{}.ckpt",
+        std::process::id()
+    ));
+    let file = std::fs::File::create(&path).expect("create checkpoint");
+    checkpoint::save_raw_params(params, std::io::BufWriter::new(file)).expect("save checkpoint");
+    path
+}
+
+/// The first query node each rank owns, with the feature row it is
+/// overwritten with.
+fn writes(fx: &Fixture, queries: &[u32]) -> Vec<(u32, Vec<f32>)> {
+    (0..fx.world)
+        .map(|rank| {
+            let node = *queries
+                .iter()
+                .find(|&&q| fx.part.part_of(q as usize) == rank)
+                .unwrap_or_else(|| panic!("no query node on rank {rank}"));
+            let values = (0..fx.d.feat_dim())
+                .map(|j| 0.125 * (j % 5) as f32 + rank as f32)
+                .collect();
+            (node, values)
+        })
+        .collect()
+}
+
+/// Rank 0's logits for `queries` at three points of one resident engine's
+/// life: as built, after `writes`, and after reloading the parameters in
+/// `ckpt`. The cache is on, so a stale cached row would show too.
+fn serve_through_writes(
+    fx: &Fixture,
+    queries: &[u32],
+    threads: usize,
+    writes: &[(u32, Vec<f32>)],
+    ckpt: &Path,
+) -> Vec<Tensor> {
+    let graphs = Arc::clone(&fx.graphs);
+    let shards = Arc::clone(&fx.shards);
+    let mut st = setup(fx);
+    st.checkpoint = Some(ckpt.to_path_buf());
+    let params = fx.params.clone();
+    let (queries, writes) = (queries.to_vec(), writes.to_vec());
+    let n = fx.d.num_nodes();
+    let c = fx.d.num_classes;
+    let out = Cluster::new(fx.world, CostModel::default()).run(move |ctx| {
+        pool::set_threads(threads);
+        let rank = ctx.rank();
+        let mut engine = ServeEngine::new(
+            ctx,
+            Arc::clone(&graphs[rank]),
+            &shards[rank],
+            n,
+            &st,
+            &params,
+        )
+        .expect("engine builds");
+        if rank != 0 {
+            worker_loop(&mut engine).expect("worker loop");
+            return None;
+        }
+        let serve = |engine: &mut ServeEngine| {
+            let (logits, _) = engine.execute_query(&queries).expect("query runs");
+            logits.data().to_vec()
+        };
+        let built = serve(&mut engine);
+        for (node, values) in &writes {
+            engine.update_feature(*node, values).expect("update");
+        }
+        let written = serve(&mut engine);
+        engine.reload().expect("reload");
+        let reloaded = serve(&mut engine);
+        engine.shutdown().expect("shutdown");
+        Some(vec![built, written, reloaded])
+    });
+    out.into_iter()
+        .find_map(|o| o.result)
+        .expect("rank 0 result")
+        .into_iter()
+        .map(|data| Tensor::from_vec(&[data.len() / c, c], data))
+        .collect()
+}
+
+/// Served logits equal `infer` before any write, after a feature write
+/// on each rank (against `infer` over the written features) and after a
+/// reload (against `infer` with the new parameters), at every thread
+/// count and SIMD mode.
+#[test]
+fn gcn_serving_follows_feature_writes_and_reloads_bitwise() {
+    let fx = fixture_on(2, Arch::Gcn { hidden: 12 }, Mode::Sar, false);
+    let writes = writes(&fx, QUERIES);
+    let mut written = fx.d.clone();
+    for (node, values) in &writes {
+        written
+            .features
+            .row_mut(*node as usize)
+            .copy_from_slice(values);
+    }
+    let mut reload_cfg = fx.cfg.clone();
+    reload_cfg.seed += 1;
+    let reload_params = raw_params(&reload_cfg, &fx.d, fx.label_aug);
+    let ckpt = checkpoint_file(&reload_params, "gcn");
+    let run = |d: &Dataset, params: &[(Vec<usize>, Vec<f32>)]| {
+        infer(
+            d,
+            &fx.part,
+            CostModel::default(),
+            &fx.cfg,
+            params,
+            fx.label_aug,
+        )
+    };
+    let want = [
+        run(&fx.d, &fx.params),
+        run(&written, &fx.params),
+        run(&written, &reload_params),
+    ];
+    for threads in [1, 2] {
+        for mode in [simd::SimdMode::Auto, simd::SimdMode::ForceScalar] {
+            simd::set_mode(mode);
+            let got = serve_through_writes(&fx, QUERIES, threads, &writes, &ckpt);
+            simd::set_mode(simd::SimdMode::Auto);
+            for ((stage, served), full) in
+                ["built", "written", "reloaded"].iter().zip(&got).zip(&want)
+            {
+                assert_rows_bitwise(
+                    &format!("gcn {stage} threads={threads} simd={mode:?}"),
+                    served,
+                    full,
+                    QUERIES,
+                );
+            }
+            assert_ne!(got[0].data(), got[1].data(), "the writes changed nothing");
+            assert_ne!(got[1].data(), got[2].data(), "the reload changed nothing");
+        }
+    }
+    let _ = std::fs::remove_file(&ckpt);
 }

@@ -2,7 +2,9 @@
 //! property — logits served through the MFG-restricted path equal the
 //! corresponding rows of the full-graph [`infer`] baseline exactly
 //! (`to_bits`) — for the paper's two architectures, across thread counts,
-//! SIMD modes, attention kernels, and with the embedding cache on and off.
+//! SIMD modes, attention kernels, and with the embedding cache on and off;
+//! and again after feature writes on both ranks and after a parameter
+//! reload, which the engine's resident layer-0 projection must follow.
 //!
 //! Serving runs the *training* layer (`DistModel::layer_forward`) over one
 //! `mfg::LevelView` per level, through the same rotation walker as
@@ -10,10 +12,11 @@
 //! under the command the pipeline runs (`cargo test -q`). The gcn, TCP,
 //! cache-traffic and bad-query cases stay in `crates/serve/tests/serve.rs`.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sar_comm::{Cluster, CostModel};
-use sar_core::{infer, Arch, DistGraph, DistModel, Mode, ModelConfig, Shard};
+use sar_core::{checkpoint, infer, Arch, DistGraph, DistModel, Mode, ModelConfig, Shard};
 use sar_graph::{datasets, Dataset};
 use sar_partition::{multilevel, Partitioning};
 use sar_serve::{worker_loop, BatchStats, EngineSetup, ServeEngine};
@@ -220,5 +223,172 @@ fn gat_mfg_logits_match_full_inference_bitwise_both_kernels() {
                 assert!(stats.predicted_bytes <= stats.fetch_bytes);
             }
         }
+    }
+}
+
+/// Writes `params` to a fresh checkpoint file and returns its path.
+fn checkpoint_file(params: &[(Vec<usize>, Vec<f32>)], label: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "sar-serve-parity-{label}-{}.ckpt",
+        std::process::id()
+    ));
+    let file = std::fs::File::create(&path).expect("create checkpoint");
+    checkpoint::save_raw_params(params, std::io::BufWriter::new(file)).expect("save checkpoint");
+    path
+}
+
+/// The first query node each rank owns, with the feature row it is
+/// overwritten with.
+fn writes(fx: &Fixture, queries: &[u32]) -> Vec<(u32, Vec<f32>)> {
+    (0..WORLD)
+        .map(|rank| {
+            let node = *queries
+                .iter()
+                .find(|&&q| fx.part.part_of(q as usize) == rank)
+                .unwrap_or_else(|| panic!("no query node on rank {rank}"));
+            let values = (0..fx.d.feat_dim())
+                .map(|j| 0.25 * (j % 7) as f32 - 0.5 * rank as f32)
+                .collect();
+            (node, values)
+        })
+        .collect()
+}
+
+/// Rank 0's logits for `queries` at three points of one resident engine's
+/// life: as built, after `writes`, and after reloading the parameters in
+/// `ckpt`. The cache is on, so a stale cached row would show too.
+fn serve_through_writes(
+    fx: &Fixture,
+    queries: &[u32],
+    threads: usize,
+    writes: &[(u32, Vec<f32>)],
+    ckpt: &Path,
+) -> Vec<Tensor> {
+    let graphs = Arc::clone(&fx.graphs);
+    let shards = Arc::clone(&fx.shards);
+    let st = EngineSetup {
+        model_cfg: fx.cfg.clone(),
+        label_aug: fx.label_aug,
+        cache_rows: 4096,
+        checkpoint: Some(ckpt.to_path_buf()),
+    };
+    let params = fx.params.clone();
+    let (queries, writes) = (queries.to_vec(), writes.to_vec());
+    let n = fx.d.num_nodes();
+    let c = fx.d.num_classes;
+    let out = Cluster::new(WORLD, CostModel::default()).run(move |ctx| {
+        pool::set_threads(threads);
+        let rank = ctx.rank();
+        let mut engine = ServeEngine::new(
+            ctx,
+            Arc::clone(&graphs[rank]),
+            &shards[rank],
+            n,
+            &st,
+            &params,
+        )
+        .expect("engine builds");
+        if rank != 0 {
+            worker_loop(&mut engine).expect("worker loop");
+            return None;
+        }
+        let serve = |engine: &mut ServeEngine| {
+            let (logits, _) = engine.execute_query(&queries).expect("query runs");
+            logits.data().to_vec()
+        };
+        let built = serve(&mut engine);
+        for (node, values) in &writes {
+            engine.update_feature(*node, values).expect("update");
+        }
+        let written = serve(&mut engine);
+        engine.reload().expect("reload");
+        let reloaded = serve(&mut engine);
+        engine.shutdown().expect("shutdown");
+        Some(vec![built, written, reloaded])
+    });
+    out.into_iter()
+        .find_map(|o| o.result)
+        .expect("rank 0 result")
+        .into_iter()
+        .map(|data| Tensor::from_vec(&[data.len() / c, c], data))
+        .collect()
+}
+
+/// Served logits equal `infer` before any write, after a feature write
+/// on each rank (against `infer` over the written features) and after a
+/// reload (against `infer` with the new parameters), at every thread
+/// count and SIMD mode.
+fn check_writes_and_reload(fx: &Fixture, label: &str) {
+    let writes = writes(fx, QUERIES);
+    let mut written = fx.d.clone();
+    for (node, values) in &writes {
+        written
+            .features
+            .row_mut(*node as usize)
+            .copy_from_slice(values);
+    }
+    let mut reload_cfg = fx.cfg.clone();
+    reload_cfg.seed += 1;
+    let reload_params = raw_params(&reload_cfg, &fx.d, fx.label_aug);
+    let ckpt = checkpoint_file(&reload_params, label);
+    let run = |d: &Dataset, params: &[(Vec<usize>, Vec<f32>)]| {
+        infer(
+            d,
+            &fx.part,
+            CostModel::default(),
+            &fx.cfg,
+            params,
+            fx.label_aug,
+        )
+    };
+    let want = [
+        run(&fx.d, &fx.params),
+        run(&written, &fx.params),
+        run(&written, &reload_params),
+    ];
+    for threads in [1, 2] {
+        for mode in [simd::SimdMode::Auto, simd::SimdMode::ForceScalar] {
+            simd::set_mode(mode);
+            let got = serve_through_writes(fx, QUERIES, threads, &writes, &ckpt);
+            simd::set_mode(simd::SimdMode::Auto);
+            for ((stage, served), full) in
+                ["built", "written", "reloaded"].iter().zip(&got).zip(&want)
+            {
+                assert_rows_bitwise(
+                    &format!("{label} {stage} threads={threads} simd={mode:?}"),
+                    served,
+                    full,
+                    QUERIES,
+                );
+            }
+            assert_ne!(
+                got[0].data(),
+                got[1].data(),
+                "{label}: the writes changed nothing"
+            );
+            assert_ne!(
+                got[1].data(),
+                got[2].data(),
+                "{label}: the reload changed nothing"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
+fn sage_serving_follows_feature_writes_and_reloads_bitwise() {
+    let fx = fixture(Arch::GraphSage { hidden: 16 }, Mode::Sar, true);
+    check_writes_and_reload(&fx, "sage");
+}
+
+#[test]
+fn gat_serving_follows_feature_writes_and_reloads_bitwise_both_kernels() {
+    for (mode, label) in [(Mode::Sar, "gat-two-step"), (Mode::SarFused, "gat-fused")] {
+        let heads = Arch::Gat {
+            head_dim: 8,
+            heads: 2,
+        };
+        check_writes_and_reload(&fixture(heads, mode, true), label);
     }
 }
