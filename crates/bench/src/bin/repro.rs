@@ -32,7 +32,7 @@
 //!                       — never timing magnitudes (EXPERIMENTS.md)
 //!     kernelbench       kernel micro-benchmarks over a fixed seeded
 //!                       matrix, gated on roofline ratios:
-//!                       --simd auto|scalar, --threads N, --quick
+//!                       --simd auto|avx2|scalar, --threads N, --quick
 //!     servebench        a real 4-process sar-serve cluster under
 //!                       closed-loop client load (p50/p99 + QPS; every
 //!                       query answered, MFG fetch below the full-graph
@@ -77,7 +77,7 @@
 //!                        pipelined exchange's deterministic-accumulation
 //!                        contract (DESIGN.md §9). Crosses with --threads.
 //!   --simd A,B           smoke SIMD dispatch modes (default auto). With
-//!                        more than one mode (auto,scalar), the same
+//!                        more than one mode (auto,avx2,scalar), the same
 //!                        workload runs once per mode and the gate fails
 //!                        unless every run's parity digest is identical —
 //!                        the SIMD paths' bitwise-determinism contract
@@ -159,7 +159,9 @@ fn parse_flags(mut args: Args) -> Result<Flags, String> {
                     .iter()
                     .any(|s| sar_tensor::simd::parse_mode(s).is_none())
                 {
-                    return Err("--simd takes a comma list of modes from: auto, scalar".into());
+                    return Err(
+                        "--simd takes a comma list of modes from: auto, avx2, scalar".into(),
+                    );
                 }
             }
             "--model" => {

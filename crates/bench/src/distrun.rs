@@ -97,10 +97,11 @@ pub struct Workload {
     /// Intra-worker kernel threads (`sar_tensor::pool`). Results are
     /// bitwise identical across thread counts.
     pub threads: usize,
-    /// SIMD dispatch mode (`sar_tensor::simd`): `"auto"` (use AVX2 when
-    /// the CPU has it) or `"scalar"`. Results are bitwise identical
-    /// across modes — the scalar fallback mirrors the vector paths'
-    /// accumulation order exactly.
+    /// SIMD dispatch mode (`sar_tensor::simd`): `"auto"` (the widest body
+    /// the CPU has: AVX-512F, else AVX2), `"avx2"` (at most AVX2) or
+    /// `"scalar"`. Results are bitwise identical across modes — every
+    /// body performs the scalar specification's operations in its
+    /// order.
     pub simd: String,
     /// Wire codec for compressible payloads: a [`Codec::name`].
     /// Negotiated at the TCP rendezvous — every rank must run the same
@@ -256,7 +257,7 @@ impl Workload {
     /// Rejects names other than `auto` and `scalar`.
     pub fn simd_mode(&self) -> Result<SimdMode, String> {
         sar_tensor::simd::parse_mode(&self.simd)
-            .ok_or_else(|| format!("unknown --simd {} (auto|scalar)", self.simd))
+            .ok_or_else(|| format!("unknown --simd {} (auto|avx2|scalar)", self.simd))
     }
 
     /// Partitions `dataset` into `world` parts with the `--partitioner`
@@ -671,7 +672,7 @@ mod tests {
             simd: "sse".into(),
             ..Workload::default()
         };
-        assert!(wl.simd_mode().unwrap_err().contains("auto|scalar"));
+        assert!(wl.simd_mode().unwrap_err().contains("auto|avx2|scalar"));
     }
 
     #[test]

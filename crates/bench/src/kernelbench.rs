@@ -789,8 +789,8 @@ impl GatedBench for KernelBench {
     fn apply_flag(cfg: &mut Self::Config, flag: &str, args: &mut Args) -> Result<bool, String> {
         match flag {
             "--simd" => {
-                cfg.simd =
-                    simd::parse_mode(&args.value(flag)?).ok_or("--simd must be auto or scalar")?;
+                cfg.simd = simd::parse_mode(&args.value(flag)?)
+                    .ok_or("--simd must be auto, avx2 or scalar")?;
             }
             "--threads" => {
                 cfg.threads = args.parsed(flag)?;

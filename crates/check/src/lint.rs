@@ -15,7 +15,8 @@
 //!   declarations, which document their contract in a `# Safety` doc
 //!   section) carries a `// SAFETY:` comment on the same line or just
 //!   above it. Blocks that touch `std::arch` SIMD intrinsics (an `_mm*`
-//!   call, an `arch::` path, or a dispatch into the `avx2::` module) or
+//!   call, an `arch::` path, or a call into a dispatch body — any module
+//!   declared under `#[cfg(target_arch = …)]`, whatever its name) or
 //!   make raw `libc::` calls are held to a stricter standard: the SAFETY
 //!   comment is mandatory and the rule *cannot be waived* for them — a
 //!   mis-stated target-feature contract or a C function handed a pointer
@@ -53,10 +54,61 @@ fn block_at(code: &str, from: usize) -> Option<&str> {
 }
 
 /// Whether an `unsafe` block body reaches `std::arch` SIMD territory:
-/// a raw `_mm*` intrinsic, an `arch::` path, or a call into the
-/// workspace's `avx2::` dispatch module.
-fn is_simd_unsafe(body: &str) -> bool {
-    body.contains("_mm") || body.contains("arch::") || body.contains("avx2::")
+/// a raw `_mm*` intrinsic, an `arch::` path, or a path into one of the
+/// workspace's dispatch bodies (`bodies`, from [`dispatch_bodies`]).
+fn is_simd_unsafe(body: &str, bodies: &[String]) -> bool {
+    body.contains("_mm")
+        || body.contains("arch::")
+        || tokens(body).iter().any(|&(start, text)| {
+            bodies.iter().any(|m| m == text) && body[start + text.len()..].starts_with("::")
+        })
+}
+
+/// The names of the workspace's dispatch bodies: every module declared
+/// under a `#[cfg(...)]` attribute that selects a `target_arch` (not one
+/// that excludes it), other attributes and a visibility in between
+/// allowed. Such a module is code compiled for a CPU its caller must
+/// have detected, so a call into it carries that contract whatever the
+/// module is called.
+fn dispatch_bodies(ws: &Workspace) -> Vec<String> {
+    let mut names = Vec::new();
+    for file in &ws.files {
+        let code = &file.code;
+        let mut from = 0;
+        while let Some(pos) = code[from..].find("#[") {
+            let open = from + pos + 1;
+            let Some(close) = closing(code, open) else {
+                break;
+            };
+            from = close + 1;
+            let attr = tokens(&code[open..=close]);
+            let has = |word: &str| attr.iter().any(|&(_, t)| t == word);
+            if !(has("cfg") && has("target_arch")) || has("not") {
+                continue;
+            }
+            // Skip the item's other attributes.
+            let mut item = from;
+            while let Some((hash, b'#')) = next_nonspace(code, item) {
+                match code[hash..].find('[').and_then(|o| closing(code, hash + o)) {
+                    Some(end) => item = end + 1,
+                    None => break,
+                }
+            }
+            let toks = tokens(&code[item..]);
+            let mut toks = toks
+                .iter()
+                .map(|&(_, t)| t)
+                .skip_while(|t| matches!(*t, "pub" | "crate" | "super" | "self" | "in"));
+            if toks.next() == Some("mod") {
+                if let Some(name) = toks.next() {
+                    names.push(name.to_string());
+                }
+            }
+        }
+    }
+    names.sort();
+    names.dedup();
+    names
 }
 
 /// Whether an `unsafe` block body makes a raw `libc::` call. A wrong FFI
@@ -133,7 +185,7 @@ fn panic_rule_applies(rel: &str) -> bool {
         || rel == "crates/tensor/src/tier.rs"
 }
 
-fn lint_file(file: &FileInfo, report: &mut PassReport) {
+fn lint_file(file: &FileInfo, bodies: &[String], report: &mut PassReport) {
     let raw_lines: Vec<&str> = file.raw.lines().collect();
     let toks = tokens(&file.code);
     let mut waivers = Waivers::new(file);
@@ -177,7 +229,7 @@ fn lint_file(file: &FileInfo, report: &mut PassReport) {
                     l >= 1 && l <= raw_lines.len() && raw_lines[l - 1].contains("SAFETY:")
                 });
                 let body = block_at(&file.code, end);
-                let simd = body.is_some_and(is_simd_unsafe);
+                let simd = body.is_some_and(|b| is_simd_unsafe(b, bodies));
                 let libc = body.is_some_and(is_libc_unsafe);
                 if simd || libc {
                     // `std::arch` blocks assert a target-feature contract
@@ -258,9 +310,10 @@ fn lint_file(file: &FileInfo, report: &mut PassReport) {
 #[must_use]
 pub fn run(ws: &Workspace) -> PassReport {
     let mut report = PassReport::new("lint");
+    let bodies = dispatch_bodies(ws);
     for file in &ws.files {
         report.bump("files_scanned", 1);
-        lint_file(file, &mut report);
+        lint_file(file, &bodies, &mut report);
     }
     report
 }
@@ -315,13 +368,20 @@ mod tests {
         assert!(lint_source(src).is_empty());
     }
 
+    /// A dispatch body as the workspace declares one: a module compiled
+    /// only for one architecture.
+    const AVX2_BODY: &str = "#[cfg(target_arch = \"x86_64\")]\nmod avx2 {}\n";
+
     #[test]
     fn simd_unsafe_blocks_require_safety_and_ignore_waivers() {
         // A waiver does NOT silence the rule for a std::arch block — and
         // since it suppressed nothing, the waiver itself is flagged dead.
-        let waived = "fn f() {\n\
-                      // sar-check: allow(safety-comment) — trust me\n\
-                      unsafe { avx2::add_assign(dst, src) };\n}\n";
+        let waived = format!(
+            "{AVX2_BODY}fn f() {{\n\
+             // sar-check: allow(safety-comment) — trust me\n\
+             unsafe {{ avx2::add_assign(dst, src) }};\n}}\n"
+        );
+        let waived = waived.as_str();
         let findings = lint_source(waived);
         assert_eq!(
             findings
@@ -341,16 +401,60 @@ mod tests {
         assert_eq!(lint_source(raw_intrinsic).len(), 1);
 
         // A SAFETY comment satisfies the rule.
-        let covered = "fn f() {\n\
-                       // SAFETY: dispatch guarded by detect_avx2().\n\
-                       unsafe { avx2::add_assign(dst, src) };\n}\n";
-        assert!(lint_source(covered).is_empty());
+        let covered = format!(
+            "{AVX2_BODY}fn f() {{\n\
+             // SAFETY: dispatch guarded by detect_avx2().\n\
+             unsafe {{ avx2::add_assign(dst, src) }};\n}}\n"
+        );
+        assert!(lint_source(&covered).is_empty());
 
         // Non-SIMD unsafe blocks can still be waived as before.
         let generic = "fn f() {\n\
                        // sar-check: allow(safety-comment) — audited\n\
                        unsafe { ptr.read() };\n}\n";
         assert!(lint_source(generic).is_empty());
+    }
+
+    #[test]
+    fn a_call_into_any_dispatch_body_needs_a_safety_comment() {
+        // A module is a dispatch body because it is compiled for one
+        // architecture, not because of its name: an `avx512::` call
+        // without a SAFETY comment is flagged — unwaivably — and so is a
+        // call into a body with a name no rule could have guessed, with
+        // attributes and a visibility between the cfg and the `mod`.
+        let avx512 = "#[cfg(target_arch = \"x86_64\")]\n\
+                      mod avx512 {}\n\
+                      fn f() {\n\
+                      // sar-check: allow(safety-comment) — trust me\n\
+                      unsafe { avx512::add_assign(dst, src) };\n}\n";
+        let findings = lint_source(avx512);
+        let safety: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == "safety-comment")
+            .collect();
+        assert_eq!(safety.len(), 1, "{findings:?}");
+        assert!(safety[0].message.contains("SIMD"), "{findings:?}");
+        assert!(findings.iter().any(|f| f.rule == "unused-waiver"));
+
+        let wide = "#[cfg(all(target_arch = \"aarch64\", feature = \"x\"))]\n\
+                    #[deny(unsafe_op_in_unsafe_fn)]\n\
+                    pub(crate) mod wide {}\n\
+                    fn g() { unsafe { wide::gather(out, x) }; }\n";
+        let findings = lint_source(wide);
+        assert!(
+            findings.len() == 1 && findings[0].message.contains("SIMD"),
+            "{findings:?}"
+        );
+
+        // The same call is an ordinary `unsafe` block when no module of
+        // that name is a dispatch body — or only the fallback for other
+        // architectures is.
+        let fallback = "#[cfg(not(target_arch = \"x86_64\"))]\nmod avx512 {}\n\
+                        fn f() {\n\
+                        // sar-check: allow(safety-comment) — audited\n\
+                        unsafe { avx512::add_assign(dst, src) };\n}\n";
+        assert!(lint_source(fallback).is_empty());
+        assert!(lint_source(&fallback[fallback.find("fn f").unwrap()..]).is_empty());
     }
 
     #[test]

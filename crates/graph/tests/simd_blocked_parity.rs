@@ -2,9 +2,10 @@
 //!
 //! Every kernel produces identical bits — compared via `f32::to_bits` so
 //! that `-0.0`/`0.0` and NaN payload differences cannot hide behind `==` —
-//! under `SimdMode::Auto` (AVX2 where available) and
-//! `SimdMode::ForceScalar`, because the scalar fallback mirrors the vector
-//! paths' fixed 8-lane accumulation tree exactly. Feature widths include
+//! under `SimdMode::ForceScalar`, `SimdMode::Avx2` and `SimdMode::Auto`
+//! (AVX-512F where available), because every vector body performs the
+//! scalar specification's operations in its order, reductions included
+//! (the fixed 8-lane accumulation tree). Feature widths include
 //! ragged tails (not a multiple of the 8-lane width) and the graphs
 //! include isolated nodes (empty CSR rows).
 //!
@@ -144,17 +145,23 @@ fn run_all_kernels() -> Vec<(String, Vec<u32>)> {
     out
 }
 
-/// Identical bits with the vector paths forced off and on. One function
-/// because `SimdMode` is process-global.
+/// Identical bits with the vector paths forced off, capped at AVX2, and
+/// on. One function because `SimdMode` is process-global.
 #[test]
 fn simd_and_scalar_paths_agree_bitwise() {
     set_mode(SimdMode::ForceScalar);
     let scalar = run_all_kernels();
-    set_mode(SimdMode::Auto);
-    let auto = run_all_kernels();
-    assert_eq!(scalar.len(), auto.len());
-    for ((name_s, bits_s), (name_a, bits_a)) in scalar.iter().zip(auto.iter()) {
-        assert_eq!(name_s, name_a);
-        assert_eq!(bits_s, bits_a, "SIMD/scalar divergence in {name_s}");
+    for mode in [SimdMode::Avx2, SimdMode::Auto] {
+        set_mode(mode);
+        let vector = run_all_kernels();
+        assert_eq!(scalar.len(), vector.len());
+        for ((name_s, bits_s), (name_v, bits_v)) in scalar.iter().zip(vector.iter()) {
+            assert_eq!(name_s, name_v);
+            assert_eq!(
+                bits_s, bits_v,
+                "SIMD ({mode:?})/scalar divergence in {name_s}"
+            );
+        }
     }
+    set_mode(SimdMode::Auto);
 }

@@ -716,7 +716,11 @@ fn gcn_serving_follows_feature_writes_and_reloads_bitwise() {
         run(&written, &reload_params),
     ];
     for threads in [1, 2] {
-        for mode in [simd::SimdMode::Auto, simd::SimdMode::ForceScalar] {
+        for mode in [
+            simd::SimdMode::Auto,
+            simd::SimdMode::Avx2,
+            simd::SimdMode::ForceScalar,
+        ] {
             simd::set_mode(mode);
             let got = serve_through_writes(&fx, QUERIES, threads, &writes, &ckpt);
             simd::set_mode(simd::SimdMode::Auto);

@@ -460,15 +460,16 @@ impl Tensor {
     ///
     /// Uses an i-k-j loop order and blocks the k dimension into
     /// cache-sized panels so the touched rows of `other` stay resident
-    /// while a chunk of output rows sweeps over them; one output row times
-    /// one panel is one [`crate::simd::panel_axpy`] call, whose vector
-    /// body keeps the row in registers across the panel. Output rows are
-    /// computed in parallel on the worker's thread pool
-    /// ([`crate::pool`]); per output row the k panels are visited in
-    /// ascending order, so every element sees the same ascending-`kk`
-    /// sequence of multiply-then-add steps (none for an exactly-zero
-    /// left entry) as the unblocked scalar product — results are bitwise
-    /// identical at any thread count, panel size, or SIMD mode.
+    /// while a chunk of output rows sweeps over them; a chunk of output
+    /// rows times one panel is one [`crate::simd::panel_axpy`] call,
+    /// whose vector bodies keep a tile of rows (one in AVX2, four in
+    /// AVX-512) in registers across the panel. Output rows are computed
+    /// in parallel on the worker's thread pool ([`crate::pool`]); per
+    /// output row the k panels are visited in ascending order, so every
+    /// element sees the same ascending-`kk` sequence of multiply-then-add
+    /// steps (none for an exactly-zero left entry) as the unblocked
+    /// scalar product — results are bitwise identical at any thread
+    /// count, panel size, or SIMD mode.
     ///
     /// # Panics
     ///
@@ -482,16 +483,13 @@ impl Tensor {
         pool::split_rows(
             m,
             [pool::Output::row_owned(&mut out, n)],
-            |lo, hi, [rows]| {
+            |lo, _, [rows]| {
                 let mut p0 = 0;
                 while p0 < k {
                     let p1 = (p0 + panel).min(k);
                     let b_panel = &other.data[p0 * n..p1 * n];
-                    for i in lo..hi {
-                        let a_row = &self.data[i * k + p0..i * k + p1];
-                        let o_row = &mut rows[(i - lo) * n..(i - lo + 1) * n];
-                        simd::panel_axpy(o_row, a_row, 1, b_panel);
-                    }
+                    // `a[r][kk]` is row `lo + r`, column `p0 + kk` of `self`.
+                    simd::panel_axpy(rows, n, &self.data[lo * k + p0..], (k, 1), b_panel);
                     p0 = p1;
                 }
             },
@@ -503,7 +501,8 @@ impl Tensor {
     ///
     /// Parallel over output rows with the same k-panel blocking and
     /// [`crate::simd::panel_axpy`] inner kernel as [`Tensor::matmul`],
-    /// reading column `i` of `self` at a stride; per row the reduction
+    /// reading column `i` of `self` at a stride (a four-row tile reads
+    /// four adjacent columns); per row the reduction
     /// still runs over `kk` ascending with the same zero-skips as the
     /// sequential k-outer sweep did, so each element sees the identical
     /// sequence of adds.
@@ -520,17 +519,13 @@ impl Tensor {
         pool::split_rows(
             m,
             [pool::Output::row_owned(&mut out, n)],
-            |lo, hi, [rows]| {
+            |lo, _, [rows]| {
                 let mut p0 = 0;
                 while p0 < k {
                     let p1 = (p0 + panel).min(k);
                     let b_panel = &other.data[p0 * n..p1 * n];
-                    for i in lo..hi {
-                        // Column `i` of the panel's rows of `self`.
-                        let a_col = &self.data[p0 * m + i..(p1 - 1) * m + i + 1];
-                        let o_row = &mut rows[(i - lo) * n..(i - lo + 1) * n];
-                        simd::panel_axpy(o_row, a_col, m, b_panel);
-                    }
+                    // `a[r][kk]` is row `p0 + kk`, column `lo + r` of `self`.
+                    simd::panel_axpy(rows, n, &self.data[p0 * m + lo..], (1, m), b_panel);
                     p0 = p1;
                 }
             },
@@ -542,8 +537,9 @@ impl Tensor {
     ///
     /// Each output element is an independent fixed-tree dot product; a
     /// chunk of output rows is one [`crate::simd::dot_block`] call, whose
-    /// vector body computes 2 × 4 of them at a time on shared operand
-    /// loads and is bitwise identical to its scalar path. The k dimension
+    /// vector bodies compute 2 × 4 (AVX2) or 4 × 4 (AVX-512) of them at a
+    /// time on shared operand loads and are bitwise identical to its
+    /// scalar path. The k dimension
     /// is not panelled here because splitting a dot's accumulator would
     /// change its reduction tree.
     ///

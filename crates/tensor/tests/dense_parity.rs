@@ -14,9 +14,11 @@
 //! * `gather_sum`: `for i in idx { out[j] += x[i][j] }`, onto whatever
 //!   the row held.
 //!
-//! Every comparison is by `f32::to_bits`, at every `{threads} × {simd}`
-//! combination. The SIMD mode is process-global and tests in one binary
-//! run concurrently, so every mode flip happens under [`MODE_LOCK`].
+//! Every comparison is by `f32::to_bits`, at every `{threads} × {simd
+//! body}` combination — scalar, AVX2 and AVX-512, each one the CPU has
+//! (`simd_bodies_exercised` prints which). The SIMD mode is
+//! process-global and tests in one binary run concurrently, so every mode
+//! flip happens under [`MODE_LOCK`].
 
 use std::sync::Mutex;
 
@@ -28,18 +30,30 @@ use sar_tensor::{pool, Tensor};
 
 static MODE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` once per `{threads 1, 2, 4} × {simd auto, scalar}` and hands
-/// it a label for assertion messages.
-fn for_each_config(mut f: impl FnMut(&str)) {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for threads in [1usize, 2, 4] {
-        for (mode, name) in [(SimdMode::Auto, "auto"), (SimdMode::ForceScalar, "scalar")] {
-            simd::set_mode(mode);
-            pool::set_threads(threads);
-            f(&format!("threads={threads} simd={name}"));
+/// Runs `f` once under every SIMD body this CPU has — `--simd scalar`,
+/// `avx2` and `auto`, minus any that lands on a body already run — and
+/// hands it the body's label. The caller holds [`MODE_LOCK`].
+fn each_body(mut f: impl FnMut(&str)) {
+    let mut seen = Vec::new();
+    for mode in [SimdMode::ForceScalar, SimdMode::Avx2, SimdMode::Auto] {
+        simd::set_mode(mode);
+        let body = simd::dispatch_label();
+        if !seen.contains(&body) {
+            seen.push(body);
+            f(body);
         }
     }
     simd::set_mode(SimdMode::Auto);
+}
+
+/// Runs `f` once per `{threads 1, 2, 4} × {every SIMD body}` and hands it
+/// a label for assertion messages.
+fn for_each_config(mut f: impl FnMut(&str)) {
+    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for threads in [1usize, 2, 4] {
+        pool::set_threads(threads);
+        each_body(|body| f(&format!("threads={threads} simd={body}")));
+    }
     pool::set_threads(1);
 }
 
@@ -138,11 +152,29 @@ fn assert_bits(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
+/// Puts one NaN, `+inf` or `-inf` into every other output row's left
+/// entries (`a[r][kk]` at `a[r * row_stride + kk * kk_stride]`). One per
+/// row, so no sum meets two different NaNs (`inf - inf` makes x86's
+/// negative default NaN), whose winner is the one thing operand order may
+/// decide.
+fn specials(a: &mut [f32], (row_stride, kk_stride): (usize, usize), (m, k): (usize, usize)) {
+    if k == 0 {
+        return;
+    }
+    for r in (1..m).step_by(2) {
+        let kk = (r * 7) % k;
+        a[r * row_stride + kk * kk_stride] =
+            [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(r / 2) % 3];
+    }
+}
+
 /// All three layouts against their references at one shape, every config.
 fn check_all_layouts(seed: u64, (m, k, n): (usize, usize, usize)) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let a = left_operand(m * k, &mut rng); // [m, k] for nn / nt
-    let at = left_operand(k * m, &mut rng); // [k, m] for tn
+    let mut a = left_operand(m * k, &mut rng); // [m, k] for nn / nt
+    let mut at = left_operand(k * m, &mut rng); // [k, m] for tn
+    specials(&mut a, (k, 1), (m, k));
+    specials(&mut at, (1, m), (m, k));
     let b = values(k * n, &mut rng); // [k, n]
     let bt = values(n * k, &mut rng); // [n, k]
     let dims = (m, k, n);
@@ -171,11 +203,12 @@ fn check_all_layouts(seed: u64, (m, k, n): (usize, usize, usize)) {
 // Tests
 // ----------------------------------------------------------------------
 
-/// Output widths on every side of the register tile: below one vector, a
-/// ragged vector, exactly one, one plus a ragged tail, the class count of
-/// the benchmark's dataset, a full 64-column strip, a strip plus one
-/// column, two strips plus a ragged tail.
-const WIDTHS: [usize; 9] = [1, 7, 8, 9, 13, 47, 64, 65, 130];
+/// Output widths on every side of both register widths and the strip:
+/// below one 8-lane vector, ragged vectors of either width, exactly one
+/// of each, one plus a ragged tail, the class count of the benchmark's
+/// dataset, a 64-column strip one short, full and one over, two strips
+/// (plus a ragged tail), and three strips less four columns.
+const WIDTHS: [usize; 15] = [1, 7, 8, 9, 13, 15, 16, 17, 47, 63, 64, 65, 128, 130, 188];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -192,10 +225,26 @@ proptest! {
 }
 
 #[test]
+fn every_width_and_row_remainder_equals_the_naive_loops() {
+    // m = 0..=9 runs no row, fewer rows than one four-row tile, and
+    // 0..=3 rows left over after the four-row tiles; k = 0 is an empty
+    // panel.
+    for (w, &n) in WIDTHS.iter().enumerate() {
+        for m in 0usize..=9 {
+            for k in [0usize, 1, 13, 37] {
+                check_all_layouts((w * 100 + m * 10) as u64 + k as u64, (m, k, n));
+            }
+        }
+    }
+}
+
+#[test]
 fn a_long_reduction_crosses_k_panel_boundaries() {
     // n = 64 makes a k-panel 1024 rows, so k = 2500 is cut at 1024 and
-    // 2048: the output row leaves the registers and comes back twice.
+    // 2048: the output rows leave the registers and come back twice. At
+    // n = 188 a panel is 348 rows and k = 800 is cut twice too.
     check_all_layouts(17, (5, 2500, 64));
+    check_all_layouts(19, (7, 800, 188));
 }
 
 #[test]
@@ -233,11 +282,13 @@ fn a_zero_left_entry_skips_its_row_of_b_entirely() {
 
 #[test]
 fn dot_block_covers_every_tile_remainder() {
-    // Rows 1..=3 reach the 2-row tile, the 1-row tile and both; n % 4
-    // in 0..4 reaches the 4-dot tile with 0..=3 single dots after it;
-    // k % 8 in {0, 5} runs with and without the sequential tail.
+    // Rows 1..=7 reach every mix of the two-register tile (2 rows in
+    // AVX2, 4 in AVX-512), the one-register tile and AVX-512's last
+    // 8-lane row; n % 4 in 0..4 reaches the 4-dot tile with 0..=3 single
+    // dots after it; k % 8 in {0, 5} runs with and without the sequential
+    // tail.
     let mut rng = StdRng::seed_from_u64(11);
-    for rows in 1usize..=3 {
+    for rows in 1usize..=7 {
         for n in [4usize, 5, 6, 7, 8, 3] {
             for k in [0usize, 16, 21] {
                 let a = left_operand(rows * k, &mut rng);
@@ -259,34 +310,42 @@ fn dot_block_covers_every_tile_remainder() {
 
 #[test]
 fn panel_axpy_accumulates_onto_what_the_row_already_holds() {
-    // The primitive as `matmul_tn` calls it (strided `a`) on a row that
-    // is not zero to begin with — `-0.0` included, which only a skipped
-    // `kk` leaves alone (`-0.0 + 0.0` is `+0.0`).
+    // The primitive as `matmul` (rows of `a` apart, consecutive `kk`)
+    // and `matmul_tn` (adjacent rows, `kk` strided) call it, on rows that
+    // are not zero to begin with — `-0.0` included, which only a skipped
+    // `kk` leaves alone (`-0.0 + 0.0` is `+0.0`). One row, and five (one
+    // four-row tile and a row left over).
     let mut rng = StdRng::seed_from_u64(5);
+    let cnt = 19usize;
     for n in WIDTHS {
-        let (cnt, stride) = (19usize, 3usize);
-        let mut a = left_operand(cnt * stride, &mut rng);
-        a[0] = 0.0;
-        let b = values(cnt * n, &mut rng);
-        let mut start = values(n, &mut rng);
-        start[0] = -0.0;
-        if n > 8 {
-            start[n - 1] = -0.0;
-        }
-        let mut want = start.clone();
-        for (j, w) in want.iter_mut().enumerate() {
-            for kk in 0..cnt {
-                let av = a[kk * stride];
-                if av != 0.0 {
-                    *w += av * b[kk * n + j];
+        for rows in [1usize, 5] {
+            for (a_row, a_kk) in [(cnt + 2, 1), (1, rows + 1)] {
+                let mut a = left_operand((rows - 1) * a_row + (cnt - 1) * a_kk + 1, &mut rng);
+                a[0] = 0.0;
+                let b = values(cnt * n, &mut rng);
+                let mut start = values(rows * n, &mut rng);
+                for r in 0..rows {
+                    start[r * n] = -0.0;
+                    start[r * n + n - 1] = -0.0;
                 }
+                let mut want = start.clone();
+                for (e, w) in want.iter_mut().enumerate() {
+                    let (r, j) = (e / n, e % n);
+                    for kk in 0..cnt {
+                        let av = a[r * a_row + kk * a_kk];
+                        if av != 0.0 {
+                            *w += av * b[kk * n + j];
+                        }
+                    }
+                }
+                for_each_config(|cfg| {
+                    let mut out = start.clone();
+                    simd::panel_axpy(&mut out, n, &a, (a_row, a_kk), &b);
+                    let what = format!("panel_axpy n={n} rows={rows} a=({a_row}, {a_kk}) {cfg}");
+                    assert_bits(&out, &want, &what);
+                });
             }
         }
-        for_each_config(|cfg| {
-            let mut out = start.clone();
-            simd::panel_axpy(&mut out, &a, stride, &b);
-            assert_bits(&out, &want, &format!("panel_axpy n={n} {cfg}"));
-        });
     }
 }
 
@@ -331,8 +390,7 @@ fn gather_sum_equals_one_add_per_index_in_list_order() {
                         *w += x[i as usize * n + j];
                     }
                 }
-                for (mode, name) in [(SimdMode::Auto, "auto"), (SimdMode::ForceScalar, "scalar")] {
-                    simd::set_mode(mode);
+                each_body(|name| {
                     let mut out = start.clone();
                     simd::gather_sum(&mut out, &x, idx);
                     assert_bits(
@@ -340,11 +398,10 @@ fn gather_sum_equals_one_add_per_index_in_list_order() {
                         &want,
                         &format!("gather_sum n={n} len={len} {order} simd={name}"),
                     );
-                }
+                });
             }
         }
     }
-    simd::set_mode(SimdMode::Auto);
 }
 
 #[test]
@@ -404,8 +461,7 @@ fn weighted_gather_equals_one_scale_and_axpy_per_step() {
                         }
                     }
                 }
-                for (mode, name) in [(SimdMode::Auto, "auto"), (SimdMode::ForceScalar, "scalar")] {
-                    simd::set_mode(mode);
+                each_body(|name| {
                     let mut out = start.clone();
                     simd::weighted_gather(&mut out, segs, &x, &idx, &steps);
                     assert_bits(
@@ -413,11 +469,10 @@ fn weighted_gather_equals_one_scale_and_axpy_per_step() {
                         &want,
                         &format!("weighted_gather seg={seg} segs={segs} len={len} simd={name}"),
                     );
-                }
+                });
             }
         }
     }
-    simd::set_mode(SimdMode::Auto);
 }
 
 #[test]
@@ -433,8 +488,7 @@ fn head_dots_equal_one_dot_per_segment() {
             let want: Vec<f32> = (0..segs)
                 .map(|s| ref_dot(&a[s * d..(s + 1) * d], &b[s * d..(s + 1) * d]))
                 .collect();
-            for (mode, name) in [(SimdMode::Auto, "auto"), (SimdMode::ForceScalar, "scalar")] {
-                simd::set_mode(mode);
+            each_body(|name| {
                 let mut out = vec![f32::NAN; segs];
                 simd::head_dots(&mut out, &a, &b);
                 assert_bits(
@@ -442,8 +496,19 @@ fn head_dots_equal_one_dot_per_segment() {
                     &want,
                     &format!("head_dots segs={segs} d={d} simd={name}"),
                 );
-            }
+            });
         }
     }
-    simd::set_mode(SimdMode::Auto);
+}
+
+#[test]
+fn simd_bodies_exercised() {
+    // Names, in the test log (`-- --nocapture`), the bodies every test
+    // above compared: a runner without AVX-512F shows up here instead of
+    // passing the AVX-512 parity vacuously.
+    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut bodies = Vec::new();
+    each_body(|body| bodies.push(body.to_string()));
+    println!("SIMD bodies exercised: {}", bodies.join(", "));
+    assert_eq!(bodies[0], "scalar");
 }

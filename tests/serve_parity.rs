@@ -173,7 +173,11 @@ fn sage_mfg_logits_match_full_inference_bitwise() {
     let fx = fixture(Arch::GraphSage { hidden: 16 }, Mode::Sar, true);
     let full = full_logits(&fx);
     for threads in [1, 4] {
-        for mode in [simd::SimdMode::Auto, simd::SimdMode::ForceScalar] {
+        for mode in [
+            simd::SimdMode::Auto,
+            simd::SimdMode::Avx2,
+            simd::SimdMode::ForceScalar,
+        ] {
             for cache_rows in [0, 4096] {
                 simd::set_mode(mode);
                 let passes = serve_twice_sim(&fx, QUERIES, threads, cache_rows);
@@ -347,7 +351,11 @@ fn check_writes_and_reload(fx: &Fixture, label: &str) {
         run(&written, &reload_params),
     ];
     for threads in [1, 2] {
-        for mode in [simd::SimdMode::Auto, simd::SimdMode::ForceScalar] {
+        for mode in [
+            simd::SimdMode::Auto,
+            simd::SimdMode::Avx2,
+            simd::SimdMode::ForceScalar,
+        ] {
             simd::set_mode(mode);
             let got = serve_through_writes(fx, QUERIES, threads, &writes, &ckpt);
             simd::set_mode(simd::SimdMode::Auto);
