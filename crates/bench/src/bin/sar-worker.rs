@@ -95,9 +95,9 @@ fn main() {
             smoke::ledger_table(&report).print();
             println!(
                 "losses {:?} | val {:.2}% | test {:.2}%",
-                report.losses,
-                100.0 * report.val_acc,
-                100.0 * report.test_acc
+                report.run.losses,
+                100.0 * report.run.val_acc,
+                100.0 * report.run.test_acc
             );
             if let Some(path) = &cli.out {
                 if let Some(dir) = std::path::Path::new(path).parent() {

@@ -123,9 +123,10 @@ fn run_cell(cell: Cell, transport: Transport) -> Result<Value, String> {
         .map_err(|e| format!("{}/{arch}/{codec}/{protocol}: {e}", transport.name()))?;
     let sum = |phases: &[Phase], f: fn(&PhaseEntry) -> u64| -> u64 {
         report
-            .workers
+            .run
+            .ranks
             .iter()
-            .flat_map(|w| phases.iter().map(move |&p| w.phase_sum(p, f)))
+            .flat_map(|(_, comm)| phases.iter().map(|&p| f(&comm.ledger.phase_total(p))))
             .sum()
     };
     let fetch = [Phase::ForwardFetch, Phase::BackwardRefetch];
@@ -134,15 +135,15 @@ fn run_cell(cell: Cell, transport: Transport) -> Result<Value, String> {
     // agree across transports.
     let digest =
         (codec == "raw" && protocol == "exact").then(|| fingerprint(&report.parity_digest()));
-    let final_loss = report.losses.last().map_or(f64::NAN, |&l| f64::from(l));
+    let final_loss = report.run.losses.last().map_or(f64::NAN, |&l| f64::from(l));
     Ok(obj([
         ("transport", transport.name().into()),
         ("arch", arch.into()),
         ("codec", codec.into()),
         ("protocol", protocol.into()),
         ("final_loss", fixed(final_loss, 6)),
-        ("val_acc", fixed(report.val_acc, 6)),
-        ("test_acc", fixed(report.test_acc, 6)),
+        ("val_acc", fixed(report.run.val_acc, 6)),
+        ("test_acc", fixed(report.run.test_acc, 6)),
         ("fetch_logical_bytes", sum(&fetch, |p| p.sent_bytes).into()),
         (
             "fetch_wire_bytes",
@@ -152,7 +153,7 @@ fn run_cell(cell: Cell, transport: Transport) -> Result<Value, String> {
         ("grad_logical_bytes", sum(&grad, |p| p.sent_bytes).into()),
         ("grad_wire_bytes", sum(&grad, |p| p.wire_sent_bytes).into()),
         ("grad_messages", sum(&grad, |p| p.sent_messages).into()),
-        ("epoch_time_s", fixed(mean(&report.epoch_times), 6)),
+        ("epoch_time_s", fixed(mean(&report.run.epoch_times), 6)),
         ("digest", digest.into()),
     ]))
 }

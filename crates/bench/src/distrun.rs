@@ -13,23 +13,21 @@
 //!
 //! [`run_rank`] is the whole per-process lifecycle: rebuild state
 //! ([`Workload::rank_state`]) → mesh ([`RankSeat::join_mesh`]) →
-//! [`run_worker`] → gather. The gather ships each rank's result (losses,
-//! accuracies, memory peak, and the full [`CommStats`] ledger) to rank 0
-//! over the data plane itself, using the stats snapshot taken *before*
-//! the gather messages so the reported ledgers stay byte-comparable with
-//! the simulated backend, and rank 0 aggregates what it gathered with
-//! the constructor the simulated backend uses
-//! ([`sar_core::RunReport::from_ranks`]).
+//! [`run_worker`] → gather. The gather ships each rank's record (its
+//! [`sar_core::WorkerReport`] and the full [`sar_comm::CommStats`]
+//! ledger) to rank 0 over the data plane itself, as the same JSON the
+//! run report's `workers` array holds ([`report::encode_rank`]). It uses
+//! the stats snapshot taken *before* the gather messages, so the
+//! reported ledgers stay byte-comparable with the simulated backend.
+//! Rank 0 reads the records back and aggregates them with the
+//! constructor the simulated backend uses ([`report::gather`] →
+//! [`sar_core::RunReport::from_ranks`]).
 
 use std::rc::Rc;
 use std::sync::Arc;
 
-use sar_comm::le::{put_f32, put_f64, put_u32, put_u64, Cursor};
-use sar_comm::{Codec, CommStats, Payload, TcpOpts};
-use sar_core::{
-    run_worker, Arch, DistGraph, EpochRecord, Mode, ModelConfig, Protocol, Shard, TrainConfig,
-    WorkerReport,
-};
+use sar_comm::{Codec, Payload, TcpOpts};
+use sar_core::{run_worker, Arch, DistGraph, Mode, ModelConfig, Protocol, Shard, TrainConfig};
 use sar_graph::{datasets, Dataset};
 use sar_nn::{CsConfig, LrSchedule};
 use sar_partition::{partition, Method, Partitioning};
@@ -37,7 +35,7 @@ use sar_tensor::simd::SimdMode;
 
 use crate::cli::Args;
 use crate::launcher::RankSeat;
-use crate::report::RunReport;
+use crate::report::{self, RunReport};
 
 /// Tag space for the post-training stats gather: above every peer-to-peer
 /// view-index tag (`1 << 40` + small offsets) and below the collective
@@ -392,78 +390,6 @@ pub struct RankState {
     pub shard: Shard,
 }
 
-/// Encodes one rank's result for the gather (little-endian, no padding):
-/// everything [`sar_core::RunReport::from_ranks`] reads from a rank other
-/// than 0. Logits, node ids and parameters do not travel.
-pub fn encode_rank_result(report: &WorkerReport, comm: &CommStats) -> Vec<u8> {
-    let stats = comm.to_bytes();
-    let mut buf = Vec::with_capacity(64 + 28 * report.epochs.len() + stats.len());
-    put_u32(&mut buf, report.epochs.len() as u32);
-    for e in &report.epochs {
-        put_f32(&mut buf, e.loss);
-        put_f64(&mut buf, e.compute_secs);
-        put_f64(&mut buf, e.comm_secs);
-        put_u64(&mut buf, e.sent_bytes);
-    }
-    put_f64(&mut buf, report.val_acc);
-    put_f64(&mut buf, report.test_acc);
-    buf.push(u8::from(report.test_acc_cs.is_some()));
-    put_f64(&mut buf, report.test_acc_cs.unwrap_or(0.0));
-    put_u64(&mut buf, report.steady_peak_bytes as u64);
-    put_u32(&mut buf, report.steady_peak_site.len() as u32);
-    buf.extend_from_slice(report.steady_peak_site.as_bytes());
-    put_u32(&mut buf, stats.len() as u32);
-    buf.extend_from_slice(&stats);
-    buf
-}
-
-/// Inverse of [`encode_rank_result`]; the fields that do not travel come
-/// back empty.
-///
-/// # Errors
-///
-/// Rejects truncated or trailing bytes and propagates
-/// [`CommStats::from_bytes`] errors.
-pub fn decode_rank_result(buf: &[u8]) -> Result<(WorkerReport, CommStats), String> {
-    let mut c = Cursor::new(buf);
-    let n_epochs = c.u32()? as usize;
-    if n_epochs > 1 << 20 {
-        return Err(format!("implausible epoch count {n_epochs}"));
-    }
-    let mut epochs = Vec::with_capacity(n_epochs);
-    for _ in 0..n_epochs {
-        epochs.push(EpochRecord {
-            loss: c.f32()?,
-            compute_secs: c.f64()?,
-            comm_secs: c.f64()?,
-            sent_bytes: c.u64()?,
-        });
-    }
-    let val_acc = c.f64()?;
-    let test_acc = c.f64()?;
-    let has_cs = c.u8()? != 0;
-    let cs_val = c.f64()?;
-    let steady_peak_bytes = c.u64()? as usize;
-    let site_len = c.u32()? as usize;
-    let steady_peak_site = String::from_utf8(c.take(site_len)?.to_vec())
-        .map_err(|_| "peak site is not UTF-8".to_string())?;
-    let stats_len = c.u32()? as usize;
-    let comm = CommStats::from_bytes(c.take(stats_len)?)?;
-    c.finish()?;
-    let report = WorkerReport {
-        epochs,
-        val_acc,
-        test_acc,
-        test_acc_cs: has_cs.then_some(cs_val),
-        steady_peak_bytes,
-        steady_peak_site,
-        logits: Vec::new(),
-        global_ids: Vec::new(),
-        params: None,
-    };
-    Ok((report, comm))
-}
-
 /// The whole per-process lifecycle: rebuild dataset/partition/model from
 /// the workload flags, form the TCP mesh, train, gather. Returns the
 /// report labeled `experiment` on rank 0, `None` elsewhere.
@@ -495,28 +421,27 @@ pub fn run_rank(
     // failing rank, so the process exits nonzero with a diagnostic
     // instead of panicking (or leaving the launcher to time out).
     let out = if rank == 0 {
-        let mut ranks = vec![(report, comm)];
+        let mut bodies = Vec::with_capacity(seat.world - 1);
         for q in 1..seat.world {
-            let blob = ctx
+            let body = ctx
                 .try_recv(q, GATHER_TAG_BASE + q as u64)
                 .map_err(|e| format!("rank 0: gathering result from rank {q}: {e}"))?
                 .try_into_bytes()
                 .map_err(|e| format!("rank 0: result from rank {q}: {e}"))?;
-            ranks
-                .push(decode_rank_result(&blob).map_err(|e| format!("gather from rank {q}: {e}"))?);
+            bodies.push(body);
         }
-        let run = sar_core::RunReport::from_ranks(ranks);
+        let run = report::gather((report, comm), &bodies).map_err(|e| format!("gather: {e}"))?;
         Some(RunReport::from_train(
             experiment,
             &workload.arch,
             &workload.mode,
-            &run,
+            run,
         ))
     } else {
         ctx.try_send(
             0,
             GATHER_TAG_BASE + rank as u64,
-            Payload::Bytes(encode_rank_result(&report, &comm)),
+            Payload::Bytes(report::encode_rank(rank, &(report, comm))),
         )
         .map_err(|e| format!("rank {rank}: sending result to rank 0: {e}"))?;
         None
@@ -531,85 +456,6 @@ pub fn run_rank(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_result() -> (WorkerReport, CommStats) {
-        let mut comm = CommStats::new(2);
-        comm.sent_bytes[1] = 123;
-        comm.recv_bytes = 456;
-        comm.comm_us = 7.5;
-        let report = WorkerReport {
-            epochs: vec![
-                EpochRecord {
-                    loss: 1.25,
-                    compute_secs: 0.5,
-                    comm_secs: 0.25,
-                    sent_bytes: 100,
-                },
-                EpochRecord {
-                    loss: 0.75,
-                    compute_secs: 0.4,
-                    comm_secs: 0.2,
-                    sent_bytes: 90,
-                },
-            ],
-            val_acc: 0.5,
-            test_acc: 0.625,
-            test_acc_cs: Some(0.75),
-            steady_peak_bytes: 4096,
-            steady_peak_site: "matmul backward".into(),
-            logits: vec![1.0; 6],
-            global_ids: vec![0, 1],
-            params: Some(Vec::new()),
-        };
-        (report, comm)
-    }
-
-    #[test]
-    fn rank_result_codec_round_trips_what_the_aggregation_reads() {
-        let (report, comm) = sample_result();
-        let (d, d_comm) = decode_rank_result(&encode_rank_result(&report, &comm)).unwrap();
-        assert_eq!(d.epochs.len(), 2);
-        assert_eq!(d.epochs[0].loss.to_bits(), report.epochs[0].loss.to_bits());
-        assert_eq!(d.epochs[1].sent_bytes, 90);
-        assert_eq!(d.val_acc, 0.5);
-        assert_eq!(d.test_acc_cs, Some(0.75));
-        assert_eq!(d.steady_peak_bytes, 4096);
-        assert_eq!(d.steady_peak_site, "matmul backward");
-        assert_eq!(d_comm, comm);
-        // Logits, ids and parameters travel empty.
-        assert!(d.logits.is_empty() && d.global_ids.is_empty() && d.params.is_none());
-    }
-
-    #[test]
-    fn rank_result_codec_rejects_truncation_and_trailing_garbage() {
-        let (report, comm) = sample_result();
-        let buf = encode_rank_result(&report, &comm);
-        assert!(decode_rank_result(&buf[..buf.len() - 1]).is_err());
-        let mut longer = buf.clone();
-        longer.push(0);
-        assert!(decode_rank_result(&longer).is_err());
-    }
-
-    #[test]
-    fn gathered_ranks_aggregate_like_in_process_ones() {
-        let (mut a, comm_a) = sample_result();
-        let (mut b, comm_b) = sample_result();
-        a.epochs[0].compute_secs = 1.0;
-        b.epochs[0].comm_secs = 2.0;
-        b.val_acc = 0.0; // must be ignored: rank 0 wins
-        let b = decode_rank_result(&encode_rank_result(&b, &comm_b)).unwrap();
-        let run = sar_core::RunReport::from_ranks(vec![(a, comm_a), b]);
-        let r = RunReport::from_train("exp", "sage", "sar", &run);
-        assert_eq!(r.world, 2);
-        assert_eq!(r.epoch_times[0], 1.0 + 2.0);
-        assert_eq!(r.val_acc, 0.5);
-        assert_eq!(r.losses, vec![1.25, 0.75]);
-        assert_eq!(r.workers.len(), 2);
-        assert_eq!(r.workers[1].rank, 1);
-        assert_eq!(r.workers[1].steady_peak_bytes, 4096);
-        assert_eq!(r.workers[1].steady_peak_site, "matmul backward");
-        assert_eq!(r.workers[1].total_sent_bytes, 123);
-    }
 
     #[test]
     fn rank_state_is_this_ranks_slice_and_rejects_a_bad_rank() {

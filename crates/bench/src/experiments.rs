@@ -535,7 +535,7 @@ pub fn ablation_partition(cfg: &ExpConfig) -> Table {
         tc.label_aug = false;
         let run = train(&d, &part, cfg.cost_model(), &tc);
         let mb_per_epoch =
-            run.total_sent_bytes as f64 / (1024.0 * 1024.0) / cfg.timing_epochs as f64;
+            run.total_sent_bytes() as f64 / (1024.0 * 1024.0) / cfg.timing_epochs as f64;
         t.row(vec![
             name.to_string(),
             format!("{:.3}", part.cut_fraction(&d.graph)),

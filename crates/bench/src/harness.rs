@@ -160,7 +160,7 @@ pub fn run_workload(
                 experiment,
                 &workload.arch,
                 &workload.mode,
-                &run,
+                run,
             ))
         }
         Transport::Tcp => {

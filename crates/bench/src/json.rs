@@ -15,6 +15,10 @@ use std::fmt::{self, Write as _};
 /// stack overflow.
 pub const MAX_DEPTH: usize = 64;
 
+/// 2^53 − 1: every integer from 0 up to it is exactly an `f64`, and the
+/// next one is not. Counters read through [`Value::uint`] stay within it.
+const MAX_SAFE_INT: u64 = (1 << 53) - 1;
+
 /// A JSON value. Numbers are `f64` — every counter the workspace writes
 /// is far inside the exactly-representable integer range.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,20 +138,27 @@ impl Value {
             .ok_or_else(|| format!("missing array field \"{key}\""))
     }
 
-    /// The numeric field `key` as a counter.
+    /// The value as a counter: an integer in 0..=2^53 − 1, the range in
+    /// which every integer has its own `f64`.
+    #[must_use]
+    pub fn uint(&self) -> Option<u64> {
+        self.num()
+            .filter(|n| (0.0..=MAX_SAFE_INT as f64).contains(n) && n.fract() == 0.0)
+            .map(|n| n as u64)
+    }
+
+    /// The numeric field `key` as a counter ([`Value::uint`]).
     ///
     /// # Errors
     ///
-    /// Names the field when it is missing, negative or fractional.
+    /// Names the field when it is missing, negative, fractional or above
+    /// 2^53 − 1 (where `f64` would round it, or `as u64` would saturate
+    /// it, without a word).
     pub fn req_u64(&self, key: &str) -> Result<u64, String> {
         let n = self.req_num(key)?;
-        if n >= 0.0 && n.fract() == 0.0 {
-            Ok(n as u64)
-        } else {
-            Err(format!(
-                "field \"{key}\" is not a non-negative integer: {n}"
-            ))
-        }
+        Value::Num(n)
+            .uint()
+            .ok_or_else(|| format!("field \"{key}\" is not an integer in 0..=2^53-1: {n}"))
     }
 
     /// Serializes with containers nested shallower than `break_depth`
@@ -593,6 +604,16 @@ mod tests {
         assert_eq!(v.req_u64("n"), Ok(4));
         assert!(v.req_u64("f").unwrap_err().contains("\"f\""));
         assert!(v.req_u64("neg").is_err());
+        // Past 2^53 - 1 an f64 no longer holds every integer, and `as u64`
+        // saturates: both are errors naming the field, never a silent value.
+        let v =
+            parse(r#"{"max": 9007199254740991, "over": 9007199254740992, "big": 1e20}"#).unwrap();
+        assert_eq!(v.req_u64("max"), Ok(MAX_SAFE_INT));
+        for key in ["over", "big"] {
+            let err = v.req_u64(key).unwrap_err();
+            assert!(err.contains(&format!("\"{key}\"")), "{err}");
+        }
+        assert_eq!(v.get("big").and_then(Value::uint), None);
         assert!(v.req_num("s").unwrap_err().contains("\"s\""));
         assert!(v.req_str("missing").unwrap_err().contains("\"missing\""));
         assert!(v.items("missing").is_empty());

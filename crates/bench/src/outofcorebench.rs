@@ -237,10 +237,11 @@ fn cell_workload((protocol, threads, depth): Cell, budget: u64) -> Result<Worklo
 /// Sums a phase counter over every rank and phase row of a report.
 fn report_sum(report: &RunReport, pick: impl Fn(&PhaseEntry) -> u64) -> u64 {
     report
-        .workers
+        .run
+        .ranks
         .iter()
-        .flat_map(|w| w.phases.iter())
-        .map(|r| pick(&r.entry))
+        .flat_map(|(_, comm)| comm.ledger.rows())
+        .map(|(_, _, e)| pick(e))
         .sum()
 }
 

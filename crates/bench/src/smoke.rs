@@ -83,13 +83,14 @@ pub fn ledger_table(report: &RunReport) -> Table {
             "peak at",
         ],
     );
-    for w in &report.workers {
+    for (rank, (w, comm)) in report.run.ranks.iter().enumerate() {
+        let recv = |phase| mib(comm.ledger.phase_total(phase).recv_bytes as usize);
         t.row(vec![
-            w.rank.to_string(),
-            mib(w.phase_sum(Phase::ForwardFetch, |e| e.recv_bytes) as usize),
-            mib(w.phase_sum(Phase::BackwardRefetch, |e| e.recv_bytes) as usize),
-            mib(w.phase_sum(Phase::GradRouting, |e| e.recv_bytes) as usize),
-            mib(w.phase_sum(Phase::Collective, |e| e.recv_bytes) as usize),
+            rank.to_string(),
+            recv(Phase::ForwardFetch),
+            recv(Phase::BackwardRefetch),
+            recv(Phase::GradRouting),
+            recv(Phase::Collective),
             mib(w.steady_peak_bytes),
             w.steady_peak_site.clone(),
         ]);
@@ -118,22 +119,21 @@ pub fn violations(report: &RunReport, epochs: usize) -> Vec<String> {
     if report.has_non_finite_loss() {
         violations.push(format!(
             "{exp}: non-finite training loss {:?}",
-            report.losses
+            report.run.losses
         ));
     }
-    for w in &report.workers {
-        let fwd = w.phase_sum(Phase::ForwardFetch, |e| e.recv_bytes);
-        let refetch_recv = w.phase_sum(Phase::BackwardRefetch, |e| e.recv_bytes);
-        let refetch_sent = w.phase_sum(Phase::BackwardRefetch, |e| e.sent_bytes);
+    for (rank, (_, comm)) in report.run.ranks.iter().enumerate() {
+        let fwd = comm.ledger.phase_total(Phase::ForwardFetch).recv_bytes;
+        let refetch = comm.ledger.phase_total(Phase::BackwardRefetch);
+        let (refetch_recv, refetch_sent) = (refetch.recv_bytes, refetch.sent_bytes);
         if fwd == 0 {
-            violations.push(format!("{exp}: rank {} fetched zero forward bytes", w.rank));
+            violations.push(format!("{exp}: rank {rank} fetched zero forward bytes"));
         }
         match report.arch.as_str() {
             "sage" if refetch_recv + refetch_sent != 0 => {
                 violations.push(format!(
-                    "{exp}: rank {} sage backward refetched {refetch_recv}B recv / \
-                     {refetch_sent}B sent (expected 0)",
-                    w.rank
+                    "{exp}: rank {rank} sage backward refetched {refetch_recv}B recv / \
+                     {refetch_sent}B sent (expected 0)"
                 ));
             }
             "gat" => {
@@ -141,17 +141,16 @@ pub fn violations(report: &RunReport, epochs: usize) -> Vec<String> {
                 let rel = (refetch_recv as f64 - expected).abs() / expected.max(1.0);
                 if refetch_recv == 0 || rel > 0.02 {
                     violations.push(format!(
-                        "{exp}: rank {} gat refetched {refetch_recv}B, expected ~{expected:.0}B \
-                         (rel err {rel:.4})",
-                        w.rank
+                        "{exp}: rank {rank} gat refetched {refetch_recv}B, expected \
+                         ~{expected:.0}B (rel err {rel:.4})"
                     ));
                 }
             }
             _ => {}
         }
-        for r in &w.phases {
-            let (wall, blocked, cpu) = (r.entry.wall_us, r.entry.blocked_us, r.entry.cpu_us);
-            let row = format!("{exp}: rank {} {}/{:?}", w.rank, r.phase.name(), r.layer);
+        for (phase, layer, e) in comm.ledger.rows() {
+            let (wall, blocked, cpu) = (e.wall_us, e.blocked_us, e.cpu_us);
+            let row = format!("{exp}: rank {rank} {}/{layer:?}", phase.name());
             if !(blocked >= 0.0 && cpu >= 0.0) {
                 violations.push(format!(
                     "{row}: negative ledger entry (blocked={blocked}, cpu={cpu})"
@@ -195,60 +194,49 @@ pub fn digest_diff(baseline: &str, run: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{PhaseRow, WorkerProfile};
-    use sar_comm::PhaseEntry;
+    use crate::report::RankRecord;
+    use sar_comm::CommStats;
+    use sar_core::{EpochRecord, WorkerReport};
 
-    fn profile(fwd: u64, refetch_recv: u64, refetch_sent: u64) -> WorkerProfile {
-        let row = |phase: Phase, recv: u64, sent: u64| PhaseRow {
-            phase,
-            layer: None,
-            entry: PhaseEntry {
-                sent_bytes: sent,
-                recv_bytes: recv,
-                wire_sent_bytes: sent,
-                wire_recv_bytes: recv,
-                ..PhaseEntry::default()
-            },
-        };
-        WorkerProfile {
-            rank: 0,
-            steady_peak_bytes: 0,
-            steady_peak_site: String::new(),
-            total_sent_bytes: 0,
-            total_recv_bytes: 0,
-            comm_us: 0.0,
-            phases: vec![
-                row(Phase::ForwardFetch, fwd, fwd),
-                row(Phase::BackwardRefetch, refetch_recv, refetch_sent),
-            ],
+    fn record(fwd: u64, refetch_recv: u64, refetch_sent: u64) -> RankRecord {
+        let mut comm = CommStats::new(1);
+        for (phase, recv, sent) in [
+            (Phase::ForwardFetch, fwd, fwd),
+            (Phase::BackwardRefetch, refetch_recv, refetch_sent),
+        ] {
+            let e = comm.ledger.entry_mut(phase, None);
+            (e.sent_bytes, e.recv_bytes) = (sent, recv);
+            (e.wire_sent_bytes, e.wire_recv_bytes) = (sent, recv);
         }
+        let epochs = vec![EpochRecord::default(); 2];
+        (
+            WorkerReport {
+                epochs,
+                ..WorkerReport::default()
+            },
+            comm,
+        )
     }
 
-    fn report(arch: &str, workers: Vec<WorkerProfile>) -> RunReport {
+    fn report(arch: &str, ranks: Vec<RankRecord>) -> RunReport {
         RunReport {
             experiment: "t".into(),
             arch: arch.into(),
             mode: "sar".into(),
-            world: workers.len(),
-            losses: vec![1.0, 0.5],
-            epoch_times: vec![0.1, 0.1],
-            val_acc: 0.5,
-            test_acc: 0.5,
-            test_acc_cs: None,
             buffer_pool: None,
-            workers,
+            run: sar_core::RunReport::from_ranks(ranks),
         }
     }
 
     #[test]
     fn clean_sage_run_passes() {
-        let r = report("sage", vec![profile(4000, 0, 0)]);
+        let r = report("sage", vec![record(4000, 0, 0)]);
         assert!(violations(&r, EPOCHS).is_empty());
     }
 
     #[test]
     fn sage_refetch_is_flagged() {
-        let r = report("sage", vec![profile(4000, 100, 0)]);
+        let r = report("sage", vec![record(4000, 100, 0)]);
         let v = violations(&r, EPOCHS);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("sage backward refetched"));
@@ -257,16 +245,16 @@ mod tests {
     #[test]
     fn gat_ratio_is_enforced() {
         // 3 backward refetches out of 4 forward fetches: exactly 3/4.
-        let good = report("gat", vec![profile(4000, 3000, 3000)]);
+        let good = report("gat", vec![record(4000, 3000, 3000)]);
         assert!(violations(&good, EPOCHS).is_empty());
-        let bad = report("gat", vec![profile(4000, 1000, 1000)]);
+        let bad = report("gat", vec![record(4000, 1000, 1000)]);
         assert!(!violations(&bad, EPOCHS).is_empty());
     }
 
     #[test]
     fn nan_loss_and_zero_fetch_are_flagged() {
-        let mut r = report("sage", vec![profile(0, 0, 0)]);
-        r.losses = vec![f32::NAN];
+        let mut r = report("sage", vec![record(0, 0, 0)]);
+        r.run.losses = vec![f32::NAN];
         let v = violations(&r, EPOCHS);
         assert_eq!(v.len(), 2, "{v:?}");
     }
@@ -353,8 +341,8 @@ mod tests {
     #[test]
     fn a_row_blocked_longer_than_its_wall_is_flagged() {
         let timed = |wall: f64, blocked: f64, cpu: f64| {
-            let mut r = report("sage", vec![profile(4000, 0, 0)]);
-            let e = &mut r.workers[0].phases[0].entry;
+            let mut r = report("sage", vec![record(4000, 0, 0)]);
+            let e = r.run.ranks[0].1.ledger.entry_mut(Phase::ForwardFetch, None);
             (e.wall_us, e.blocked_us, e.cpu_us) = (wall, blocked, cpu);
             violations(&r, EPOCHS)
         };

@@ -15,11 +15,10 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sar_bench::report::RunReport;
+use sar_bench::report::{RankRecord, RunReport};
 use sar_comm::tcp::run_tcp_threads;
 use sar_comm::{
-    ChannelTransport, CommStats, CostModel, Message, Payload, TcpOpts, Transport, TransportError,
-    WorkerCtx,
+    ChannelTransport, CostModel, Message, Payload, TcpOpts, Transport, TransportError, WorkerCtx,
 };
 use sar_core::{run_worker, Arch, DistGraph, Mode, ModelConfig, Shard, TrainConfig, WorkerReport};
 use sar_graph::{datasets, Dataset};
@@ -183,17 +182,15 @@ fn rank_seed(rank: usize, depth: usize) -> u64 {
     0x9E37_79B9_7F4A_7C15 ^ ((depth as u64) << 32) ^ (rank as u64 + 1)
 }
 
-/// One rank's result as the aggregation takes it: the report plus the
-/// stats snapshot at the moment training returned.
-type RankResult = (WorkerReport, CommStats);
-
-fn summarize(ctx: &WorkerCtx, report: WorkerReport) -> RankResult {
+/// One rank's record: the report plus the stats snapshot at the moment
+/// training returned.
+fn summarize(ctx: &WorkerCtx, report: WorkerReport) -> RankRecord {
     (report, ctx.stats())
 }
 
-fn digest(ranks: Vec<RankResult>) -> String {
+fn digest(ranks: Vec<RankRecord>) -> String {
     let run = sar_core::RunReport::from_ranks(ranks);
-    RunReport::from_train("fuzz", "sage", "sar", &run).parity_digest()
+    RunReport::from_train("fuzz", "sage", "sar", run).parity_digest()
 }
 
 /// Runs training over the in-process channel mesh, optionally wrapping

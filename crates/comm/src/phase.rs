@@ -54,23 +54,6 @@ impl Phase {
             Phase::Other => "other",
         }
     }
-
-    /// Stable numeric code, used by the binary codec that ships
-    /// [`CommStats`](crate::CommStats) between worker processes.
-    pub fn code(self) -> u8 {
-        match self {
-            Phase::ForwardFetch => 0,
-            Phase::BackwardRefetch => 1,
-            Phase::GradRouting => 2,
-            Phase::Collective => 3,
-            Phase::Other => 4,
-        }
-    }
-
-    /// Inverse of [`Phase::code`].
-    pub fn from_code(code: u8) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.code() == code)
-    }
 }
 
 /// Accumulated measurements for one `(phase, layer)` cell of the ledger.
@@ -156,11 +139,10 @@ pub struct Field {
 }
 
 impl PhaseEntry {
-    /// The one list of this struct's fields, in wire and JSON order.
-    /// [`PhaseEntry::absorb`], the [`CommStats`](crate::CommStats) byte
-    /// codec and `sar-bench`'s run-report JSON writer and reader all
-    /// iterate it, so a new ledger field is one struct field plus one row
-    /// here. Slots take `&mut`; readers go through a copy (the struct is
+    /// The one list of this struct's fields, in JSON order.
+    /// [`PhaseEntry::absorb`] and `sar-bench`'s rank-record JSON writer
+    /// and reader iterate it, so a new ledger field is one struct field
+    /// plus one row here. Slots take `&mut`; readers go through a copy (the struct is
     /// `Copy`).
     pub const FIELDS: [Field; 14] = {
         use FieldKind::{Count, Micros, Peak};
@@ -277,8 +259,8 @@ mod tests {
     }
 
     /// A distinct value in every [`PhaseEntry::FIELDS`] slot: a row that
-    /// is missing from the table, or a codec that skips one, shows up as
-    /// an inequality instead of passing on zeros.
+    /// is missing from the table shows up as an inequality instead of
+    /// passing on zeros.
     fn sentinel_entry(base: u64) -> PhaseEntry {
         let mut e = PhaseEntry::default();
         for (i, field) in PhaseEntry::FIELDS.iter().enumerate() {
@@ -292,7 +274,7 @@ mod tests {
     }
 
     #[test]
-    fn field_table_covers_the_struct_and_drives_absorb_and_the_codec() {
+    fn field_table_covers_the_struct_and_drives_absorb() {
         // Every byte of the struct is reached through the table: a field
         // added to `PhaseEntry` without a row fails here.
         assert_eq!(
@@ -317,18 +299,6 @@ mod tests {
             }
         }
         assert_eq!(sum, want);
-
-        // to_bytes / from_bytes: every slot of every cell survives.
-        let mut s = crate::CommStats::new(3);
-        s.sent_bytes = vec![10, 0, 99];
-        s.sent_messages = 7;
-        s.recv_bytes = 1234;
-        s.comm_us = 42.5;
-        *s.ledger.entry_mut(Phase::ForwardFetch, Some(2)) = a;
-        *s.ledger.entry_mut(Phase::GradRouting, None) = b;
-        let round = crate::CommStats::from_bytes(&s.to_bytes()).unwrap();
-        assert_eq!(round, s);
-        assert_eq!(round.ledger.get(Phase::ForwardFetch, Some(2)), a);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub struct TrainConfig {
 }
 
 /// Per-epoch measurements from one worker.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EpochRecord {
     /// Global full-batch training loss.
     pub loss: f32,
@@ -84,8 +84,10 @@ pub struct EpochRecord {
     pub sent_bytes: u64,
 }
 
-/// One worker's results.
-#[derive(Debug, Clone)]
+/// One worker's results. Paired with the [`CommStats`] snapshot taken
+/// when [`run_worker`] returned, it is a rank's record: what
+/// [`RunReport::from_ranks`] folds and [`RunReport::ranks`] keeps.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkerReport {
     /// Per-epoch measurements.
     pub epochs: Vec<EpochRecord>,
@@ -129,16 +131,14 @@ pub struct RunReport {
     pub test_acc: f64,
     /// Test accuracy after C&S, if run.
     pub test_acc_cs: Option<f64>,
-    /// Per-worker steady-state peak tensor bytes.
-    pub peak_bytes: Vec<usize>,
-    /// Per worker, where that peak was reached.
-    pub peak_sites: Vec<String>,
-    /// Total bytes sent across the cluster over the whole run.
-    pub total_sent_bytes: u64,
-    /// Per-worker communication statistics for the whole run, including
-    /// the per-phase / per-layer observability ledger
-    /// ([`CommStats::ledger`]). Indexed by rank.
-    pub worker_comm: Vec<CommStats>,
+    /// Every rank's record, indexed by rank: its [`WorkerReport`] and its
+    /// communication statistics for the whole run, including the
+    /// per-phase / per-layer observability ledger ([`CommStats::ledger`]).
+    /// Per-rank values are read from here and stored nowhere else.
+    /// [`train`] moves node rows and parameters out of the records into
+    /// [`RunReport::logits`] and [`RunReport::final_params`]; records
+    /// gathered from other processes arrive without them.
+    pub ranks: Vec<(WorkerReport, CommStats)>,
     /// Full-graph logits `[n, C]` reassembled from all workers.
     pub logits: Tensor,
     /// Trained parameter values (shape, data) in [`DistModel::params`]
@@ -162,7 +162,9 @@ impl RunReport {
     ///
     /// # Panics
     ///
-    /// Panics if `ranks` is empty.
+    /// Panics if `ranks` is empty or a rank holds fewer epochs than rank
+    /// 0. Records read from another process are checked for both before
+    /// they get here.
     pub fn from_ranks(ranks: Vec<(WorkerReport, CommStats)>) -> RunReport {
         let rank0 = &ranks[0].0;
         let max_over_ranks = |pick: fn(&EpochRecord) -> f64| -> Vec<f64> {
@@ -190,13 +192,7 @@ impl RunReport {
             val_acc: rank0.val_acc,
             test_acc: rank0.test_acc,
             test_acc_cs: rank0.test_acc_cs,
-            peak_bytes: ranks.iter().map(|(r, _)| r.steady_peak_bytes).collect(),
-            peak_sites: ranks
-                .iter()
-                .map(|(r, _)| r.steady_peak_site.clone())
-                .collect(),
-            total_sent_bytes: ranks.iter().map(|(_, comm)| comm.total_sent()).sum(),
-            worker_comm: ranks.into_iter().map(|(_, comm)| comm).collect(),
+            ranks,
             logits: Tensor::zeros(&[0]),
             final_params: Vec::new(),
         }
@@ -214,7 +210,16 @@ impl RunReport {
 
     /// Largest per-worker steady-state peak, in bytes.
     pub fn max_peak_bytes(&self) -> usize {
-        self.peak_bytes.iter().copied().max().unwrap_or(0)
+        self.ranks
+            .iter()
+            .map(|(r, _)| r.steady_peak_bytes)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Total bytes sent across the cluster over the whole run.
+    pub fn total_sent_bytes(&self) -> u64 {
+        self.ranks.iter().map(|(_, comm)| comm.total_sent()).sum()
     }
 }
 
@@ -449,8 +454,9 @@ pub fn train(
     let mut logits = Tensor::zeros(&[dataset.num_nodes(), dataset.num_classes]);
     for (r, _) in &mut ranks {
         let rows = std::mem::take(&mut r.logits);
-        let block = Tensor::from_vec(&[r.global_ids.len(), dataset.num_classes], rows);
-        logits.scatter_add_rows(&r.global_ids, &block);
+        let ids = std::mem::take(&mut r.global_ids);
+        let block = Tensor::from_vec(&[ids.len(), dataset.num_classes], rows);
+        logits.scatter_add_rows(&ids, &block);
     }
     let final_params = ranks[0].0.params.take();
     RunReport {

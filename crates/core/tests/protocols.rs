@@ -52,9 +52,9 @@ fn run(cfg: &TrainConfig, d: &Dataset, world: usize) -> RunReport {
 
 fn phase_sent(report: &RunReport, phase: Phase) -> u64 {
     report
-        .worker_comm
+        .ranks
         .iter()
-        .map(|c| c.ledger.phase_total(phase).sent_bytes)
+        .map(|(_, c)| c.ledger.phase_total(phase).sent_bytes)
         .sum()
 }
 
@@ -220,7 +220,7 @@ fn f16_codec_halves_wire_bytes_in_training() {
     cfg.codec = Codec::F16;
     let report = run(&cfg, &d, 4);
     assert!(report.losses.iter().all(|l| l.is_finite()));
-    for comm in &report.worker_comm {
+    for (_, comm) in &report.ranks {
         let fetch = comm.ledger.phase_total(Phase::ForwardFetch);
         assert!(
             fetch.wire_sent_bytes < fetch.sent_bytes,

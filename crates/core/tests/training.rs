@@ -247,12 +247,12 @@ fn gat_sar_sends_more_bytes_than_domain_parallel() {
 
     let dp = train(&d, &part, CostModel::default(), &dp_cfg);
     let sar = train(&d, &part, CostModel::default(), &sar_cfg);
-    let ratio = sar.total_sent_bytes as f64 / dp.total_sent_bytes as f64;
+    let ratio = sar.total_sent_bytes() as f64 / dp.total_sent_bytes() as f64;
     assert!(
         ratio > 1.2 && ratio < 1.8,
         "expected ~1.5x traffic for SAR GAT, got {ratio:.2}x ({} vs {})",
-        sar.total_sent_bytes,
-        dp.total_sent_bytes
+        sar.total_sent_bytes(),
+        dp.total_sent_bytes()
     );
 }
 
@@ -273,7 +273,7 @@ fn sage_sar_traffic_matches_domain_parallel() {
 
     let dp = train(&d, &part, CostModel::default(), &dp_cfg);
     let sar = train(&d, &part, CostModel::default(), &sar_cfg);
-    let ratio = sar.total_sent_bytes as f64 / dp.total_sent_bytes as f64;
+    let ratio = sar.total_sent_bytes() as f64 / dp.total_sent_bytes() as f64;
     assert!(
         (ratio - 1.0).abs() < 0.05,
         "GraphSage SAR should move the same bytes as domain-parallel, got {ratio:.3}x"

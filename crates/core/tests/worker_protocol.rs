@@ -312,9 +312,9 @@ fn stale_training_is_identical_at_every_store_budget() {
             Phase::Other,
         ];
         let ledger: Vec<_> = r
-            .worker_comm
+            .ranks
             .iter()
-            .flat_map(|c| phases.map(|p| c.ledger.phase_total(p)))
+            .flat_map(|(_, c)| phases.map(|p| c.ledger.phase_total(p)))
             .map(|e| (e.sent_bytes, e.recv_bytes, e.sent_messages, e.recv_messages))
             .collect();
         (bits(&r.losses), bits(r.logits.data()), params, ledger)
@@ -327,7 +327,7 @@ fn stale_training_is_identical_at_every_store_budget() {
                 .map(|&p| c.ledger.phase_total(p).spill_bytes)
                 .sum()
         };
-        r.worker_comm.iter().map(per_worker).sum()
+        r.ranks.iter().map(|(_, c)| per_worker(c)).sum()
     };
     let reference = run(0, 0);
     assert!(reference.losses.iter().all(|l| l.is_finite()));

@@ -2,9 +2,8 @@
 //! stack so that everything that lets a tensor leave the process — the
 //! wire, the spill tier, dataset / graph / checkpoint files — goes out
 //! through it: a bounds-checked [`Cursor`] over received bytes and the
-//! `put_*` writers that produce what it reads (the rank-to-rank stats
-//! gather, `sar-bench`'s per-rank result blob and `sar-serve`'s request,
-//! response and control bodies are all this format), the in-place views
+//! `put_*` writers that produce what it reads (`sar-serve`'s request,
+//! response and control bodies are this format), the in-place views
 //! of a scalar block as its bytes ([`scalar_bytes`] to write,
 //! [`scalar_bytes_mut`] to read into — an `f32`/`u32` block on the wire or
 //! on disk *is* its in-memory bytes, which is what a little-endian host
@@ -199,11 +198,6 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, CursorError> {
-        Ok(u16::from_le_bytes(self.take_arr()?))
-    }
-
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, CursorError> {
         Ok(u32::from_le_bytes(self.take_arr()?))
@@ -217,11 +211,6 @@ impl<'a> Cursor<'a> {
     /// Reads a little-endian `f32`.
     pub fn f32(&mut self) -> Result<f32, CursorError> {
         Ok(f32::from_le_bytes(self.take_arr()?))
-    }
-
-    /// Reads a little-endian `f64`.
-    pub fn f64(&mut self) -> Result<f64, CursorError> {
-        Ok(f64::from_le_bytes(self.take_arr()?))
     }
 
     /// Reads `n` little-endian `u32`s. The length is checked against the
@@ -261,11 +250,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Appends a little-endian `u16`.
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a little-endian `u32`.
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -278,11 +262,6 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 /// Appends a little-endian `f32`.
 pub fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a little-endian `f64`.
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -303,21 +282,17 @@ mod tests {
     #[test]
     fn writers_and_cursor_round_trip_every_width() {
         let mut buf = vec![7u8];
-        put_u16(&mut buf, 0xBEEF);
         put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, u64::MAX - 1);
         put_f32(&mut buf, -1.5);
-        put_f64(&mut buf, 2.25);
         put_u32s(&mut buf, &[1, 2, 3]);
         put_f32s(&mut buf, &[0.5, -0.25]);
         buf.push(9);
         let mut c = Cursor::new(&buf);
         assert_eq!(c.u8(), Ok(7));
-        assert_eq!(c.u16(), Ok(0xBEEF));
         assert_eq!(c.u32(), Ok(0xDEAD_BEEF));
         assert_eq!(c.u64(), Ok(u64::MAX - 1));
         assert_eq!(c.f32(), Ok(-1.5));
-        assert_eq!(c.f64(), Ok(2.25));
         assert_eq!(c.u32s(3), Ok(vec![1, 2, 3]));
         assert_eq!(c.f32s(2), Ok(vec![0.5, -0.25]));
         assert_eq!(c.finish(), Err(CursorError::Trailing { extra: 1 }));

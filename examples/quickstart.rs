@@ -74,10 +74,10 @@ fn main() {
         100.0 * report.val_acc,
         100.0 * report.test_acc
     );
-    for (rank, peak) in report.peak_bytes.iter().enumerate() {
+    for (rank, (worker, _)) in report.ranks.iter().enumerate() {
         println!(
             "worker {rank}: peak tensor memory {:.2} MiB",
-            *peak as f64 / (1024.0 * 1024.0)
+            worker.steady_peak_bytes as f64 / (1024.0 * 1024.0)
         );
     }
 }

@@ -113,8 +113,8 @@ fn train_tcp(cli: &Cli) -> RunReport {
     let experiment = format!("sar-train/{}", wl.dataset);
     let report = run_workload(wl, cli.workers, Transport::Tcp, &experiment)
         .unwrap_or_else(|e| fail(&format!("tcp run failed: {e}")));
-    println!("val  accuracy: {:.2}%", 100.0 * report.val_acc);
-    println!("test accuracy: {:.2}%", 100.0 * report.test_acc);
+    println!("val  accuracy: {:.2}%", 100.0 * report.run.val_acc);
+    println!("test accuracy: {:.2}%", 100.0 * report.run.test_acc);
     report
 }
 
@@ -174,7 +174,7 @@ fn train_sim(cli: &Cli) -> RunReport {
         "avg epoch time (modeled): {:.3}s | max peak memory/worker: {:.2} MiB | total traffic: {:.1} MiB",
         report.avg_epoch_time(),
         report.max_peak_bytes() as f64 / (1024.0 * 1024.0),
-        report.total_sent_bytes as f64 / (1024.0 * 1024.0),
+        report.total_sent_bytes() as f64 / (1024.0 * 1024.0),
     );
 
     if let Some(path) = &cli.save_model {
@@ -188,7 +188,7 @@ fn train_sim(cli: &Cli) -> RunReport {
         format!("sar-train/{}", dataset.name),
         &wl.arch,
         &wl.mode,
-        &report,
+        report,
     )
 }
 

@@ -131,7 +131,10 @@ fn communication_volume_reported() {
     let mut cfg = tiny_cfg(Arch::GraphSage { hidden: 16 }, Mode::Sar, d.num_classes);
     cfg.epochs = 2;
     let run = train(&d, &p, CostModel::default(), &cfg);
-    assert!(run.total_sent_bytes > 0, "distributed run must communicate");
+    assert!(
+        run.total_sent_bytes() > 0,
+        "distributed run must communicate"
+    );
     assert!(run.epoch_times.iter().all(|&t| t > 0.0));
     assert_eq!(run.epoch_times.len(), run.epoch_compute.len());
 }

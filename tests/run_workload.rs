@@ -64,43 +64,40 @@ fn sim_and_tcp_runs_of_one_workload_share_a_parity_digest() {
         let sim = run_workload(&wl, 2, Transport::Sim, "tier1").expect("sim run");
         let tcp = run_workload(&wl, 2, Transport::Tcp, "tier1").expect("tcp run");
         assert!(!sim.has_non_finite_loss());
-        assert_eq!((sim.world, tcp.world), (2, 2));
+        assert_eq!((sim.run.world, tcp.run.world), (2, 2));
         if let Some(diff) = smoke::digest_diff(&sim.parity_digest(), &tcp.parity_digest()) {
             panic!("{arch}: sim vs tcp digest divergence — {diff}");
         }
-        // Both reports come out of one constructor
-        // (`sar_core::RunReport::from_ranks` → `RunReport::from_train`),
-        // so beyond the digest they agree on everything that is not a
-        // timing: losses, accuracies, totals and every logical column.
-        let loss_bits = |r: &RunReport| r.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-        assert_eq!(loss_bits(&sim), loss_bits(&tcp), "{arch}: losses");
-        assert_eq!(
-            (sim.val_acc, sim.test_acc, sim.test_acc_cs),
-            (tcp.val_acc, tcp.test_acc, tcp.test_acc_cs),
-            "{arch}: accuracies"
-        );
+        // Both reports hold rank records aggregated by one constructor
+        // (`sar_core::RunReport::from_ranks`), so beyond the digest every
+        // rank's record agrees on everything that is not a timing or a
+        // memory peak: losses, accuracies, per-peer and per-epoch traffic
+        // and every logical ledger column.
         let logical = |r: &RunReport| -> Vec<_> {
-            r.workers
+            r.run
+                .ranks
                 .iter()
-                .map(|w| {
-                    let rows: Vec<_> = w
-                        .phases
+                .map(|(w, comm)| {
+                    let epochs: Vec<_> = w
+                        .epochs
                         .iter()
-                        .map(|p| {
-                            let e = &p.entry;
+                        .map(|e| (e.loss.to_bits(), e.sent_bytes))
+                        .collect();
+                    let accuracies = (w.val_acc, w.test_acc, w.test_acc_cs);
+                    let traffic = (comm.sent_bytes.clone(), comm.sent_messages, comm.recv_bytes);
+                    let rows: Vec<_> = comm
+                        .ledger
+                        .rows()
+                        .map(|(phase, layer, e)| {
                             let bytes = (e.sent_bytes, e.recv_bytes);
-                            (p.phase, p.layer, bytes, e.sent_messages, e.recv_messages)
+                            (phase, layer, bytes, e.sent_messages, e.recv_messages)
                         })
                         .collect();
-                    (w.rank, w.total_sent_bytes, w.total_recv_bytes, rows)
+                    (epochs, accuracies, traffic, rows)
                 })
                 .collect()
         };
-        assert_eq!(
-            logical(&sim),
-            logical(&tcp),
-            "{arch}: logical ledger columns"
-        );
+        assert_eq!(logical(&sim), logical(&tcp), "{arch}: logical rank records");
     }
 }
 

@@ -35,8 +35,8 @@ fn training_is_exact_across_world_threads_and_prefetch_depth() {
                 }
                 // Across worlds the partial sums associate differently, so
                 // the losses agree to rounding, not bit for bit.
-                let solo = solo_losses.get_or_insert_with(|| report.losses.clone());
-                for (epoch, (a, b)) in solo.iter().zip(&report.losses).enumerate() {
+                let solo = solo_losses.get_or_insert_with(|| report.run.losses.clone());
+                for (epoch, (a, b)) in solo.iter().zip(&report.run.losses).enumerate() {
                     assert!(
                         (a - b).abs() <= 1e-3 * a.abs().max(1.0),
                         "{cell}: epoch {epoch} loss {b} vs {a} on one rank"
