@@ -21,7 +21,7 @@
 //!                       real OS processes over TCP loopback (spawned via
 //!                       the sar-worker binary) and are gated on the same
 //!                       invariants, from the same gathered report
-//!   kernelbench | servebench | compressbench | outofcorebench
+//!   kernelbench | servebench | compressbench
 //!                       the CI-gated benchmarks. Each runs its fixed
 //!                       workload, prints a table, writes its
 //!                       schema-versioned artifact (--out PATH) and/or
@@ -43,11 +43,6 @@
 //!                       payload bar, gradonly/stale skip what they
 //!                       claim, raw/exact digests agree across
 //!                       transports, accuracy floor): --quick
-//!     outofcorebench    the disk tier: a sweep whose graph grows 8x
-//!                       under a fixed budget (flat peak resident bytes,
-//!                       digests equal to a never-spilling baseline) and
-//!                       --mem-budget on/off training parity across
-//!                       {sim,tcp} x {threads} x {prefetch-depth}: --quick
 //!   all                 every table, figure and ablation above (not smoke
 //!                       or the gated benchmarks)
 //!
@@ -83,11 +78,6 @@
 //!                        the SIMD paths' bitwise-determinism contract
 //!                        (DESIGN.md §11). Crosses with --threads and
 //!                        --prefetch-depth.
-//!   --mem-budget BYTES   smoke resident-tensor budget for the disk
-//!                        tier (0 = spilling disabled). The ledger
-//!                        invariants and cross-combination digests must
-//!                        hold unchanged — spilling is invisible to
-//!                        training                        (default 0)
 //!   --seed N             RNG seed               (default 0)
 //! ```
 
@@ -99,7 +89,6 @@ use sar_bench::experiments::{
 };
 use sar_bench::harness::{run_workload, Transport};
 use sar_bench::kernelbench::KernelBench;
-use sar_bench::outofcorebench::OutOfCoreBench;
 use sar_bench::servebench::ServeBench;
 use sar_bench::smoke;
 use sar_core::Arch;
@@ -117,8 +106,6 @@ struct Flags {
     simds: Vec<String>,
     /// Smoke model selection: `"all"` or one of [`smoke::MODELS`].
     model: String,
-    /// Smoke `--mem-budget` (bytes; 0 = spilling disabled).
-    mem_budget: u64,
 }
 
 fn parse_flags(mut args: Args) -> Result<Flags, String> {
@@ -131,7 +118,6 @@ fn parse_flags(mut args: Args) -> Result<Flags, String> {
         depths: vec![0],
         simds: vec!["auto".to_string()],
         model: "all".to_string(),
-        mem_budget: 0,
     };
     while let Some(flag) = args.next_flag() {
         let flag = flag.as_str();
@@ -174,7 +160,6 @@ fn parse_flags(mut args: Args) -> Result<Flags, String> {
                     ));
                 }
             }
-            "--mem-budget" => f.mem_budget = args.parsed(flag)?,
             "--seed" => f.cfg.seed = args.parsed(flag)?,
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -219,7 +204,6 @@ fn smoke(flags: &Flags) -> Vec<String> {
                 continue;
             }
         };
-        wl.mem_budget = flags.mem_budget;
         let mut first_digest: Option<String> = None;
         let (threads, depths) = (&flags.threads, &flags.depths);
         let combos = flags.simds.iter().flat_map(|s| {
@@ -335,7 +319,6 @@ fn main() {
         "kernelbench" => std::process::exit(gated_bench_cmd::<KernelBench>(args)),
         "servebench" => std::process::exit(gated_bench_cmd::<ServeBench>(args)),
         "compressbench" => std::process::exit(gated_bench_cmd::<CompressBench>(args)),
-        "outofcorebench" => std::process::exit(gated_bench_cmd::<OutOfCoreBench>(args)),
         _ => {}
     }
     let flags = parse_flags(args).unwrap_or_else(|e| {

@@ -107,10 +107,6 @@ pub struct Workload {
     pub codec: String,
     /// Exchange protocol: `"exact"`, `"gradonly"` or `"stale:<r>"`.
     pub protocol: String,
-    /// Resident-tensor budget in bytes for the disk tier (`--mem-budget`;
-    /// 0 = spilling disabled). Results are bitwise identical at every
-    /// budget.
-    pub mem_budget: u64,
 }
 
 impl Default for Workload {
@@ -138,7 +134,6 @@ impl Default for Workload {
             simd: "auto".into(),
             codec: "raw".into(),
             protocol: "exact".into(),
-            mem_budget: 0,
         }
     }
 }
@@ -185,7 +180,6 @@ impl Workload {
             "--simd" => self.simd = args.value(flag)?,
             "--codec" => self.codec = args.value(flag)?,
             "--protocol" => self.protocol = args.value(flag)?,
-            "--mem-budget" => self.mem_budget = args.parsed(flag)?,
             _ => return Ok(false),
         }
         Ok(true)
@@ -231,7 +225,6 @@ impl Workload {
             ("--prefetch-depth", self.prefetch_depth.to_string()),
             ("--codec", self.codec.clone()),
             ("--protocol", self.protocol.clone()),
-            ("--mem-budget", self.mem_budget.to_string()),
         ]
         .into_iter()
         .flat_map(|(k, v)| [k.to_string(), v])
@@ -373,7 +366,6 @@ impl Workload {
             threads: self.threads,
             protocol,
             codec,
-            mem_budget: self.mem_budget,
         })
     }
 }
@@ -500,7 +492,6 @@ mod tests {
             simd: "scalar".into(),
             codec: "int8".into(),
             protocol: "stale:4".into(),
-            mem_budget: 1 << 20,
         };
         assert_eq!(Workload::from_args(wl.to_args()), Ok(wl));
     }

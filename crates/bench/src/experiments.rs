@@ -84,7 +84,6 @@ fn paper_train_cfg(model: ModelConfig, epochs: usize, seed: u64) -> TrainConfig 
         threads: 1,
         protocol: Default::default(),
         codec: Default::default(),
-        mem_budget: 0,
     }
 }
 

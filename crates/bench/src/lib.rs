@@ -26,10 +26,9 @@
 //! per-worker-thread live tensor high-water mark. Default sizes target a
 //! small CI machine; scale up with `--nodes`.
 //!
-//! Beyond the training experiments, four benchmarks gate CI on a
+//! Beyond the training experiments, three benchmarks gate CI on a
 //! committed `BENCH_*.json` artifact: [`kernelbench`] (the kernel perf
-//! trajectory), [`servebench`], [`compressbench`] (codec × protocol) and
-//! [`outofcorebench`] (the disk tier).
+//! trajectory), [`servebench`] and [`compressbench`] (codec × protocol).
 //!
 //! Besides the simulated in-process cluster, the harness can run real
 //! multi-process training over TCP loopback: [`launcher`] owns the rank
@@ -55,7 +54,7 @@
 //! reproduce, and one `invariants` function applied to the fresh and the
 //! committed document alike. Everything else — schema, identity, run-set
 //! and pin checks, the printed table and the `--out`/`--check` files — is
-//! [`cli::gated_bench_cmd`], once for all four.
+//! [`cli::gated_bench_cmd`], once for all three.
 
 pub mod cli;
 pub mod compressbench;
@@ -65,7 +64,6 @@ pub mod harness;
 pub mod json;
 pub mod kernelbench;
 pub mod launcher;
-pub mod outofcorebench;
 pub mod report;
 pub mod servebench;
 pub mod serverun;

@@ -774,9 +774,6 @@ mod tests {
         let e = cell(&mut b);
         (e.cpu_us, e.wall_us, e.blocked_us, e.comm_us) = (999.0, 999.0, 999.0, 999.0);
         e.peak_tensor_bytes = 999;
-        // Disk-tier traffic legitimately differs between spill-on and
-        // spill-off runs of the same training — the digest must not see it.
-        (e.spill_bytes, e.fault_bytes, e.disk_blocked_us) = (999, 999, 999.0);
         b.run.ranks[0].0.steady_peak_bytes = 999;
         b.buffer_pool = None;
         b.run.epoch_times = vec![9.0];

@@ -155,7 +155,6 @@ fn config(depth: usize, d: &Dataset) -> TrainConfig {
         threads: 1,
         protocol: Default::default(),
         codec: Default::default(),
-        mem_budget: 0,
     }
 }
 

@@ -52,7 +52,6 @@ proptest! {
             simd: pick(&["auto", "scalar"], names.1 / 3),
             codec: pick(&Codec::ALL.map(Codec::name), names.2 / 3),
             protocol: pick(&["exact", "gradonly", &format!("stale:{stale}")], names.3 / 4),
-            mem_budget: knobs.3 / 3,
         };
         prop_assert_eq!(Workload::from_args(wl.to_args()), Ok(wl));
     }
@@ -124,8 +123,8 @@ const GOLDEN_JSON: &str = r#"{
         {"loss": 0.25, "compute_secs": 0.0625, "comm_secs": 0.0625, "sent_bytes": 400}
       ],
       "phases": [
-        {"phase": "forward_fetch", "layer": 0, "sent_bytes": 101, "recv_bytes": 102, "wire_sent_bytes": 103, "wire_recv_bytes": 104, "sent_messages": 105, "recv_messages": 106, "comm_us": 107.5, "cpu_us": 108.25, "wall_us": 109.125, "blocked_us": 110.5, "peak_tensor_bytes": 111, "spill_bytes": 112, "fault_bytes": 113, "disk_blocked_us": 114.75},
-        {"phase": "collective", "layer": null, "sent_bytes": 1, "recv_bytes": 2, "wire_sent_bytes": 3, "wire_recv_bytes": 4, "sent_messages": 5, "recv_messages": 6, "comm_us": 7.5, "cpu_us": 8.25, "wall_us": 9.125, "blocked_us": 10.5, "peak_tensor_bytes": 11, "spill_bytes": 12, "fault_bytes": 13, "disk_blocked_us": 14.75}
+        {"phase": "forward_fetch", "layer": 0, "sent_bytes": 101, "recv_bytes": 102, "wire_sent_bytes": 103, "wire_recv_bytes": 104, "sent_messages": 105, "recv_messages": 106, "comm_us": 107.5, "cpu_us": 108.25, "wall_us": 109.125, "blocked_us": 110.5, "peak_tensor_bytes": 111},
+        {"phase": "collective", "layer": null, "sent_bytes": 1, "recv_bytes": 2, "wire_sent_bytes": 3, "wire_recv_bytes": 4, "sent_messages": 5, "recv_messages": 6, "comm_us": 7.5, "cpu_us": 8.25, "wall_us": 9.125, "blocked_us": 10.5, "peak_tensor_bytes": 11}
       ]
     },
     {
@@ -145,7 +144,7 @@ const GOLDEN_JSON: &str = r#"{
         {"loss": 0.25, "compute_secs": 0.03125, "comm_secs": 0.03125, "sent_bytes": 400}
       ],
       "phases": [
-        {"phase": "grad_routing", "layer": 1, "sent_bytes": 201, "recv_bytes": 202, "wire_sent_bytes": 203, "wire_recv_bytes": 204, "sent_messages": 205, "recv_messages": 206, "comm_us": 207.5, "cpu_us": 208.25, "wall_us": 209.125, "blocked_us": 210.5, "peak_tensor_bytes": 211, "spill_bytes": 212, "fault_bytes": 213, "disk_blocked_us": 214.75}
+        {"phase": "grad_routing", "layer": 1, "sent_bytes": 201, "recv_bytes": 202, "wire_sent_bytes": 203, "wire_recv_bytes": 204, "sent_messages": 205, "recv_messages": 206, "comm_us": 207.5, "cpu_us": 208.25, "wall_us": 209.125, "blocked_us": 210.5, "peak_tensor_bytes": 211}
       ]
     }
   ]
@@ -167,9 +166,6 @@ fn golden_report() -> RunReport {
         wall_us: (b + 9) as f64 + 0.125,
         blocked_us: (b + 10) as f64 + 0.5,
         peak_tensor_bytes: b + 11,
-        spill_bytes: b + 12,
-        fault_bytes: b + 13,
-        disk_blocked_us: (b + 14) as f64 + 0.75,
     };
     let epoch = |loss, secs, sent_bytes| EpochRecord {
         loss,

@@ -11,9 +11,7 @@
 //!   and per communication model (Case 1 / Case 2 of the paper), that the
 //!   send/recv schedule is matched (every send consumed exactly once,
 //!   tags agree), deadlock-free, and within the `(K+2)/N` residency
-//!   bound — and that the out-of-core stale replay of the same schedule
-//!   against the disk tier keeps at most `min(K, N−1) + 2` blocks in RAM
-//!   with the remainder spilled. Because [`Worker`](sar_core::Worker)
+//!   bound. Because [`Worker`](sar_core::Worker)
 //!   executes those same plans step for step, the schedule proved here is
 //!   the schedule run in production.
 //! * [`sched`] — a loom-style deterministic scheduler that explores *all*

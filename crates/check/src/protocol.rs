@@ -18,19 +18,8 @@
 //! * **Residency** — at most `min(K, N−1) + 1 ≤ K + 1` fetched blocks are
 //!   staged per worker at any step; with the local partition that is the
 //!   paper's `(K+2)/N` memory bound.
-//! * **Out-of-core residency** — the communication-free stale-epoch
-//!   replay out of the worker's block store at its tightest budget,
-//!   every cached block on disk ([`build_tiered_program`], mirroring
-//!   `Worker::try_fetch_rounds` with the store as its block source) walks
-//!   the *same* depth-K schedule with `Fetch` bound to a disk fault and
-//!   `Serve` to nothing, and
-//!   keeps at most `min(K, N−1) + 2 ≤ K + 2` blocks in RAM (staged
-//!   blocks plus the accumulator) with the remainder spilled: every
-//!   fault hits a block actually on disk, every faulted block returns to
-//!   the tier after consumption, and every source rank is consumed
-//!   exactly once in rotation order.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use sar_core::plan::{self, FetchStep, GradStep};
 
@@ -105,8 +94,7 @@ pub struct Program {
 ///
 /// * `wire = Some(tag)` — blocks come off the wire: `Serve` sends, `Fetch`
 ///   receives and stages. `wire = None` — a stale epoch replaying the
-///   worker's block store (resident or spilled, at whatever budget):
-///   nothing is served, `Fetch` only stages.
+///   worker's stale-block cache: nothing is served, `Fetch` only stages.
 /// * `route = Some(tag)` — a rematerializing refetch (case 2): the
 ///   gradient router sends partition `q`'s error block under `tag` right
 ///   after `q`'s block is consumed. The local block needs no message.
@@ -360,185 +348,6 @@ pub fn verify(n: usize, programs: &[Program], staged_bound: usize) -> (ProofStat
                 rule: "residency-bound".into(),
                 location: format!("rank {}", prog.rank),
                 message: format!("{} staged block(s) never consumed", staged[idx]),
-            });
-        }
-    }
-
-    (stats, findings)
-}
-
-/// One symbolic operation of the out-of-core stale replay: the depth-K
-/// fetch schedule run communication-free against the disk tier, exactly
-/// as `Worker::try_fetch_rounds` runs it when the tier is its block
-/// source (`Fetch` → disk fault, `Serve` → no-op).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TierOp {
-    /// Stage the round-0 local gather — RAM +1 (never touches disk).
-    StageLocal,
-    /// Fault round `round`'s cached block from the disk tier into the
-    /// staging queue — disk −1, RAM +1.
-    Fault {
-        /// Rotation round whose spilled block is faulted (1-based).
-        round: usize,
-    },
-    /// Consume the oldest staged block into the accumulator — RAM −1 —
-    /// and return it to the disk tier if it was faulted.
-    Consume {
-        /// Partition whose block the rotation order expects here.
-        q: usize,
-    },
-}
-
-/// Builds rank `p`'s out-of-core replay program for one fetch call at
-/// pipeline depth `k`, by the same one-step translation of
-/// [`plan::fetch_steps`] the worker uses.
-#[must_use]
-pub fn build_tiered_program(n: usize, p: usize, k: usize) -> Vec<TierOp> {
-    let mut ops = Vec::new();
-    for step in plan::fetch_steps(n, p, k) {
-        match step {
-            FetchStep::GatherLocal => ops.push(TierOp::StageLocal),
-            // A stale epoch is communication-free: nothing to serve.
-            FetchStep::Serve { .. } => {}
-            FetchStep::Fetch { round, .. } => ops.push(TierOp::Fault { round }),
-            FetchStep::Consume { q } => ops.push(TierOp::Consume { q }),
-        }
-    }
-    ops
-}
-
-/// What the out-of-core symbolic replay measured on a clean run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TierProofStats {
-    /// Disk faults executed (one per remote rotation round).
-    pub faults: u64,
-    /// Peak RAM-resident blocks: staged blocks plus the accumulator.
-    pub peak_ram_blocks: usize,
-}
-
-/// Symbolically executes an out-of-core replay `program` for rank `p`
-/// and checks the RAM residency bound (`staged + accumulator ≤
-/// ram_bound`, the paper's K+2 with the remainder on disk) and disk-tier
-/// conservation (faults hit spilled blocks, faulted blocks return to the
-/// tier, each source rank consumed exactly once in rotation order).
-///
-/// Accepts *arbitrary* programs — not just ones from
-/// [`build_tiered_program`] — so seeding a violation demonstrably fails.
-#[must_use]
-pub fn verify_tiered(
-    n: usize,
-    p: usize,
-    program: &[TierOp],
-    ram_bound: usize,
-) -> (TierProofStats, Vec<Finding>) {
-    let mut findings = Vec::new();
-    let mut stats = TierProofStats::default();
-    // The stale cache spilled one block per remote rotation round
-    // (rounds 1..N−1); round 0 is the local gather and never spills.
-    let mut on_disk = vec![true; n];
-    on_disk[0] = false;
-    // Staged blocks: (source partition, faulted round if from disk).
-    let mut staged: VecDeque<(usize, Option<usize>)> = VecDeque::new();
-    let mut consumed = vec![false; n];
-    // The rotation accumulator occupies one block-equivalent of RAM from
-    // the first consume on.
-    let mut acc = 0usize;
-
-    let location = |i: usize| format!("rank {p} op {i}");
-
-    for (i, &op) in program.iter().enumerate() {
-        match op {
-            TierOp::StageLocal => staged.push_back((p, None)),
-            TierOp::Fault { round } => {
-                if round == 0 || round >= n || !on_disk[round] {
-                    findings.push(Finding {
-                        rule: "ooc-tier-conservation".into(),
-                        location: location(i),
-                        message: format!(
-                            "fault of round {round}'s block, which is not on the disk tier"
-                        ),
-                    });
-                } else {
-                    on_disk[round] = false;
-                }
-                staged.push_back(((p + round) % n, Some(round)));
-                stats.faults += 1;
-            }
-            TierOp::Consume { q } => match staged.pop_front() {
-                None => findings.push(Finding {
-                    rule: "ooc-residency-bound".into(),
-                    location: location(i),
-                    message: "consume with no staged block (replay underrun)".into(),
-                }),
-                Some((src, from)) => {
-                    if src != q {
-                        findings.push(Finding {
-                            rule: "ooc-tier-conservation".into(),
-                            location: location(i),
-                            message: format!(
-                                "consumed rank {src}'s block where rotation order \
-                                 expects rank {q}'s"
-                            ),
-                        });
-                    }
-                    if src < n && consumed[src] {
-                        findings.push(Finding {
-                            rule: "ooc-tier-conservation".into(),
-                            location: location(i),
-                            message: format!("rank {src}'s block consumed twice"),
-                        });
-                    } else if src < n {
-                        consumed[src] = true;
-                    }
-                    acc = 1;
-                    // Consumed blocks return to the tier for the next
-                    // stale epoch.
-                    if let Some(round) = from {
-                        if round < n {
-                            on_disk[round] = true;
-                        }
-                    }
-                }
-            },
-        }
-        let ram = staged.len() + acc;
-        stats.peak_ram_blocks = stats.peak_ram_blocks.max(ram);
-        if ram > ram_bound {
-            findings.push(Finding {
-                rule: "ooc-residency-bound".into(),
-                location: location(i),
-                message: format!(
-                    "{ram} RAM-resident blocks (staged + accumulator), bound is \
-                     {ram_bound} (min(K, N-1) + 2)"
-                ),
-            });
-        }
-    }
-
-    if !staged.is_empty() {
-        findings.push(Finding {
-            rule: "ooc-residency-bound".into(),
-            location: format!("rank {p}"),
-            message: format!("{} staged block(s) never consumed", staged.len()),
-        });
-    }
-    for (q, done) in consumed.iter().enumerate() {
-        if !done {
-            findings.push(Finding {
-                rule: "ooc-tier-conservation".into(),
-                location: format!("rank {p}"),
-                message: format!("rank {q}'s block never consumed"),
-            });
-        }
-    }
-    for (round, here) in on_disk.iter().enumerate().skip(1) {
-        if !here {
-            findings.push(Finding {
-                rule: "ooc-tier-conservation".into(),
-                location: format!("rank {p}"),
-                message: format!(
-                    "round {round}'s block not returned to the disk tier after the replay"
-                ),
             });
         }
     }
@@ -830,9 +639,7 @@ pub fn build_negotiation_programs(n: usize) -> Vec<Program> {
 /// [`PassReport`]. A clean report is a machine-checked proof that the
 /// schedule [`Worker`](sar_core::Worker) executes is matched,
 /// deadlock-free and within the `(K+2)/N` residency bound at every swept
-/// scale — and that the out-of-core stale replay of the same schedule
-/// keeps at most `min(K, N−1) + 2` blocks in RAM with the remainder on
-/// the disk tier.
+/// scale.
 ///
 /// Beyond the exact single-step schedules, the sweep covers the
 /// approximate-exchange protocols (`gradonly`, `stale:2`, `stale:3` over
@@ -845,7 +652,6 @@ pub fn build_negotiation_programs(n: usize) -> Vec<Program> {
 pub fn sweep(ns: &[usize], ks: &[usize], layers: usize) -> PassReport {
     let mut report = PassReport::new("protocol");
     let mut peak_overall = 0usize;
-    let mut peak_ram_overall = 0usize;
     for &n in ns {
         for &k in ks {
             let bound = k.min(n - 1) + 1;
@@ -854,18 +660,6 @@ pub fn sweep(ns: &[usize], ks: &[usize], layers: usize) -> PassReport {
                 let here = format!("N={n} K={k} model={}", model.name());
                 let peak = sweep_step(&mut report, "configs_verified", &here, &programs, bound);
                 peak_overall = peak_overall.max(peak);
-            }
-            // Out-of-core: the same schedule replayed against the disk
-            // tier, per rank (communication-free, so ranks verify
-            // independently).
-            let ram_bound = k.min(n - 1) + 2;
-            for p in 0..n {
-                let program = build_tiered_program(n, p, k);
-                let (stats, findings) = verify_tiered(n, p, &program, ram_bound);
-                report.bump("tiered_replays_verified", 1);
-                report.bump("disk_faults_matched", stats.faults);
-                peak_ram_overall = peak_ram_overall.max(stats.peak_ram_blocks);
-                locate(&mut report, &format!("N={n} K={k} model=ooc"), findings);
             }
         }
     }
@@ -914,7 +708,6 @@ pub fn sweep(ns: &[usize], ks: &[usize], layers: usize) -> PassReport {
         sweep_step(&mut report, "negotiations_verified", &here, &programs, 0);
     }
     report.bump("peak_staged_blocks", peak_overall as u64);
-    report.bump("peak_ram_blocks", peak_ram_overall as u64);
     report
 }
 
@@ -1017,36 +810,6 @@ mod tests {
             assert!(findings.is_empty(), "k={k}: {findings:#?}");
             assert_eq!(stats.peak_staged, k.min(4) + 1, "k={k}");
         }
-    }
-
-    #[test]
-    fn tiered_replay_ram_peak_is_k_plus_2() {
-        // With N−1 > K the steady phase refills the staging queue to its
-        // bound while the accumulator is live, so the RAM peak is exactly
-        // min(K, N−1) + 2 — and never more, at any rank.
-        for k in 0..4usize {
-            for p in 0..5usize {
-                let program = build_tiered_program(5, p, k);
-                let (stats, findings) = verify_tiered(5, p, &program, k.min(4) + 2);
-                assert!(findings.is_empty(), "k={k} p={p}: {findings:#?}");
-                assert_eq!(stats.peak_ram_blocks, k.min(4) + 2, "k={k} p={p}");
-                assert_eq!(stats.faults, 4, "k={k} p={p}");
-            }
-        }
-    }
-
-    #[test]
-    fn tiered_replay_too_tight_bound_is_reported() {
-        // The verifier is not vacuous: handing it a bound one block
-        // below the true peak produces a residency finding.
-        let program = build_tiered_program(6, 0, 2);
-        let (_, findings) = verify_tiered(6, 0, &program, 3);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule == "ooc-residency-bound" && f.message.contains("bound is 3")),
-            "expected a residency finding, got {findings:#?}"
-        );
     }
 
     #[test]
@@ -1253,29 +1016,6 @@ mod tests {
                 .iter()
                 .any(|f| f.rule == "deadlock-free" && f.message.contains("blocked on recv")),
             "expected the unanswered worker to be reported, got {findings:#?}"
-        );
-    }
-
-    #[test]
-    fn double_fault_is_reported_as_tier_conservation() {
-        // Seed the violation: the second fault re-fetches the first
-        // fault's round, which is no longer on the disk tier.
-        let mut program = build_tiered_program(4, 1, 1);
-        let faults: Vec<usize> = program
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| matches!(op, TierOp::Fault { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        assert!(faults.len() >= 2, "plan has {} faults", faults.len());
-        program[faults[1]] = program[faults[0]];
-        let (_, findings) = verify_tiered(4, 1, &program, 3);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule == "ooc-tier-conservation"
-                    && f.message.contains("not on the disk tier")),
-            "expected a conservation finding, got {findings:#?}"
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Proof-report IO: the committed-baseline diff.
 //!
 //! CI runs `sar-check --baseline PROOF_sarcheck.json`: the fresh
-//! [`Report`](crate::Report) is compared against the committed baseline
+//! [`Report`] is compared against the committed baseline
 //! and the gate fails if a whole pass disappeared or any *obligation
 //! counter* decreased — the "silently dropped proof obligation" failure
 //! mode, where a refactor quietly stops verifying configurations while

@@ -1,15 +1,15 @@
 //! Pass 4: the determinism-taint verifier.
 //!
 //! The workspace's central correctness claim — `parity_digest()` is
-//! bitwise identical at any `{threads, prefetch depth, transport, codec,
-//! memory budget}` — is only as strong as the absence of nondeterminism
+//! bitwise identical at any `{threads, prefetch depth, transport, codec}`
+//! — is only as strong as the absence of nondeterminism
 //! sources on the digest-bearing hot paths. This pass makes that absence
 //! a static property instead of a test matrix. It computes the call-graph
 //! closure (over [`crate::ast`]) of the digest-bearing roots — the graph
 //! kernels, `seq_agg`, the wire codec, the rotation worker (walker and
 //! gradient router), the layer forward (and its two halves) the serve
 //! engine shares with training, the engine's MFG path and its resident
-//! layer-0 projection, and the tiered store — restricted to the hot-path
+//! layer-0 projection — restricted to the hot-path
 //! file set, and rejects three source classes inside that closure:
 //!
 //! * **`taint-unordered-iter`** — iterating a `HashMap`/`HashSet`
@@ -42,8 +42,7 @@ use crate::{Finding, PassReport};
 
 /// Files whose every function is digest-bearing from the first
 /// instruction: the kernels, the autograd aggregation ops, the layer tail
-/// (batch norm, epilogue) and the loss, the wire codec, and the spill
-/// tier.
+/// (batch norm, epilogue) and the loss, and the wire codec.
 const ROOT_FILES: &[&str] = &[
     "crates/graph/src/ops.rs",
     "crates/graph/src/fused.rs",
@@ -53,7 +52,6 @@ const ROOT_FILES: &[&str] = &[
     "crates/nn/src/tail.rs",
     "crates/nn/src/loss.rs",
     "crates/comm/src/codec.rs",
-    "crates/tensor/src/tier.rs",
 ];
 
 /// Digest-bearing functions on mixed files (the rest of those files is
@@ -93,7 +91,6 @@ const HOT_FILES: &[&str] = &[
     "crates/tensor/src/simd.rs",
     "crates/tensor/src/tensor.rs",
     "crates/tensor/src/pool.rs",
-    "crates/tensor/src/tier.rs",
     "crates/core/src/seq_agg.rs",
     "crates/nn/src/tail.rs",
     "crates/nn/src/loss.rs",
@@ -456,7 +453,7 @@ fn encode_block(id: u64) {
     fn metering_annotation_exempts_time_source() {
         let src = "\
 fn try_fetch_rounds() {
-    // sar-check: deterministic(metering: feeds disk_blocked_us only, never the digest)
+    // sar-check: deterministic(metering: feeds blocked_us only, never the digest)
     let begin = Instant::now();
     consume(begin);
 }

@@ -175,9 +175,6 @@ impl WorkerCtx {
         // discards helper time from before attribution started, exactly as
         // it discards the spawning thread's own CPU time.
         let helper_us = sar_tensor::pool::take_helper_cpu_us();
-        // Disk-tier traffic since the last flush, drained unconditionally
-        // for the same reason as helper CPU time.
-        let (spill, fault, disk_us) = sar_tensor::tier::take_tier_counters();
         if mark.is_finite() {
             let mut s = self.stats.borrow_mut();
             let entry = s.ledger.entry_mut(self.phase.get(), self.layer.get());
@@ -185,9 +182,6 @@ impl WorkerCtx {
                 entry.cpu_us += (now - mark) * 1e6;
             }
             entry.cpu_us += helper_us;
-            entry.spill_bytes += spill;
-            entry.fault_bytes += fault;
-            entry.disk_blocked_us += disk_us;
             if let Some(w) = self.wall_mark.get() {
                 entry.wall_us += wall_now.duration_since(w).as_secs_f64() * 1e6;
             }

@@ -102,18 +102,6 @@ pub struct PhaseEntry {
     pub blocked_us: f64,
     /// Highest live tensor bytes observed during any scope of this phase.
     pub peak_tensor_bytes: u64,
-    /// Bytes written to the out-of-core disk tier while this phase was
-    /// active (block evictions past `--mem-budget`). Zero unless tiering
-    /// is enabled. Excluded from the parity digest: spill traffic is a
-    /// memory-management artifact, not protocol semantics.
-    pub spill_bytes: u64,
-    /// Bytes faulted back from the disk tier while this phase was active.
-    pub fault_bytes: u64,
-    /// Wall-clock time spent blocked on disk-tier IO (spill writes and
-    /// fault reads) while this phase was active, µs — the disk analogue
-    /// of [`PhaseEntry::blocked_us`]. With depth-k prefetch hiding disk
-    /// latency this stays near zero even under tight budgets.
-    pub disk_blocked_us: f64,
 }
 
 /// How one [`PhaseEntry`] field folds, with the accessor ("slot") that
@@ -144,7 +132,7 @@ impl PhaseEntry {
     /// and reader iterate it, so a new ledger field is one struct field
     /// plus one row here. Slots take `&mut`; readers go through a copy (the struct is
     /// `Copy`).
-    pub const FIELDS: [Field; 14] = {
+    pub const FIELDS: [Field; 11] = {
         use FieldKind::{Count, Micros, Peak};
         const fn row(name: &'static str, kind: FieldKind) -> Field {
             Field { name, kind }
@@ -161,9 +149,6 @@ impl PhaseEntry {
             row("wall_us", Micros(|e| &mut e.wall_us)),
             row("blocked_us", Micros(|e| &mut e.blocked_us)),
             row("peak_tensor_bytes", Peak(|e| &mut e.peak_tensor_bytes)),
-            row("spill_bytes", Count(|e| &mut e.spill_bytes)),
-            row("fault_bytes", Count(|e| &mut e.fault_bytes)),
-            row("disk_blocked_us", Micros(|e| &mut e.disk_blocked_us)),
         ]
     };
 
@@ -284,7 +269,7 @@ mod tests {
         let (a, b) = (sentinel_entry(100), sentinel_entry(1000));
         // The slots are the named fields, in struct order.
         assert_eq!((a.sent_bytes, a.wire_recv_bytes), (100, 103));
-        assert_eq!((a.peak_tensor_bytes, a.disk_blocked_us), (110, 113.25));
+        assert_eq!((a.blocked_us, a.peak_tensor_bytes), (109.25, 110));
 
         // absorb: counts and micros add, the peak takes the max.
         let mut sum = a;

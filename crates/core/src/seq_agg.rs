@@ -180,24 +180,10 @@ struct GatAggFn {
     slope: f32,
     mode: FakMode,
     layer: Option<u16>,
-    // Saved online-softmax statistics ([num_dst, H] each) — the only
-    // state SAR keeps to re-materialize attention in the backward pass.
-    // They live in the worker's block store between the forward and
-    // backward passes, under these `(max, den)` remat-input ids: spilled
-    // past `--mem-budget`, faulted back (bitwise identical) at backward
-    // time. `None` once a backward pass has consumed them.
-    saved: Cell<Option<(u64, u64)>>,
-}
-
-impl Drop for GatAggFn {
-    fn drop(&mut self) {
-        // A recorded-but-never-run backward (e.g. an evaluation forward
-        // taped under grad mode) must not leak its blocks.
-        if let Some((max_id, den_id)) = self.saved.take() {
-            self.w.tier_discard(max_id);
-            self.w.tier_discard(den_id);
-        }
-    }
+    // Saved online-softmax statistics `(max, den)`, [num_dst, H] each —
+    // the only state SAR keeps to re-materialize attention in the
+    // backward pass. `None` once a backward pass has consumed them.
+    saved: Cell<Option<(Tensor, Tensor)>>,
 }
 
 impl Function for GatAggFn {
@@ -221,18 +207,8 @@ impl Function for GatAggFn {
         let mut d_s_dst = Tensor::zeros(&[view.num_dst(), heads]);
         let mut d_a_src = Tensor::zeros(&[hd]);
         let mut router = GradRouter::new(w, view, hd);
-        // Saved softmax statistics first: faulting them back (if they
-        // spilled to the disk tier) is part of re-materializing the
-        // attention, so ledger the disk traffic as BackwardRefetch.
-        let (max, den) = {
-            let _refetch = w.ctx.phase_scope(Phase::BackwardRefetch);
-            let Some((max_id, den_id)) = self.saved.take() else {
-                panic!("worker {}: GAT aggregation backward ran twice", w.rank());
-            };
-            (
-                w.tier_take(max_id, "remat softmax max"),
-                w.tier_take(den_id, "remat softmax denominator"),
-            )
+        let Some((max, den)) = self.saved.take() else {
+            panic!("worker {}: GAT aggregation backward ran twice", w.rank());
         };
 
         // Case 2: re-fetch every partition's features (the rematerialized
@@ -344,17 +320,10 @@ pub fn gat_aggregate(
     }
     let (value, max, den) = state.finalize_into();
     let value = Rc::new(value);
-    // The saved statistics go to the worker's block store, where a memory
-    // budget can spill them between forward and backward. Only worth
-    // recording when a backward can run: with grad disabled,
-    // `Var::from_function` drops the Function at once, and the statistics
-    // die here with it.
-    let saved = sar_tensor::grad_enabled().then(|| {
-        let ids = (w.next_remat_id(), w.next_remat_id());
-        w.tier_put(ids.0, max, "remat softmax max");
-        w.tier_put(ids.1, den, "remat softmax denominator");
-        ids
-    });
+    // The saved statistics are only worth keeping when a backward can
+    // run: with grad disabled, `Var::from_function` drops the Function at
+    // once, and the statistics die here with it.
+    let saved = sar_tensor::grad_enabled().then_some((max, den));
     Ok(Var::from_function(
         Rc::clone(&value),
         GatAggFn {

@@ -63,12 +63,6 @@ pub struct TrainConfig {
     /// results bitwise identical; lossy codecs reduce wire bytes at some
     /// accuracy cost. Logical byte ledgers are unaffected either way.
     pub codec: Codec,
-    /// Resident-byte budget of the worker's block store (`--mem-budget`).
-    /// `0` means unbounded: nothing spills. When set, cached
-    /// stale-protocol blocks and GAT rematerialization inputs past the
-    /// budget spill to an unlinked temp file and fault back on demand;
-    /// results are bitwise identical at every budget (DESIGN.md §14).
-    pub mem_budget: u64,
 }
 
 /// Per-epoch measurements from one worker.
@@ -282,7 +276,6 @@ pub fn run_worker(
     let w = Worker::from_shared(ctx, graph, cfg.prefetch_depth);
     w.ctx.set_codec(cfg.codec);
     w.set_protocol(cfg.protocol);
-    w.set_mem_budget(cfg.mem_budget);
     let mut model_cfg = cfg.model.clone();
     model_cfg.in_dim = shard.feat_dim + if cfg.label_aug { shard.num_classes } else { 0 };
     let model = DistModel::new(&model_cfg);

@@ -6,12 +6,11 @@
 //! or — round 0, no message, nothing staged — the worker's own features.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use sar_comm::{buffer, Payload, Phase, TransportError, WorkerCtx};
-use sar_tensor::tier::TieredStore;
 use sar_tensor::Tensor;
 
 use crate::dist_graph::DistGraph;
@@ -57,17 +56,10 @@ pub struct Worker {
     /// call — with the round, the key of a cached block (every epoch runs
     /// the same SPMD call sequence, so the index identifies the exchange).
     fetch_call: Cell<usize>,
-    /// The worker's one block store: the remote blocks a refresh epoch of
-    /// [`Protocol::Stale`] received (under [`stale_block_id`] keys; the
-    /// local block is never cached — it is always read fresh from the
-    /// resident tensor) and the rematerialization inputs of every taped
-    /// attention aggregation. Past `--mem-budget` bytes the coldest spill
-    /// to disk and fault back through the same depth-k staging as network
-    /// prefetches; with no budget (the default) nothing ever spills and
-    /// the store is the RAM cache.
-    tier: RefCell<TieredStore>,
-    /// Allocator for rematerialization-input block ids in the store.
-    remat_ids: Cell<u64>,
+    /// The remote blocks a refresh epoch of [`Protocol::Stale`] received,
+    /// keyed by `(fetch call, round)`. The local block is never cached —
+    /// it is always read fresh from the resident tensor.
+    stale: RefCell<BTreeMap<(usize, usize), Tensor>>,
 }
 
 /// Where the remote blocks of one rotation walk come from, and where
@@ -76,14 +68,8 @@ pub struct Worker {
 enum BlockStore {
     /// The transport (as a source) / the receive-buffer pool (as a sink).
     Wire,
-    /// The worker's block store.
-    Tier,
-}
-
-/// Store key of the stale-cache block fetched in `round` of fetch call
-/// `call`. Bit 63 namespaces stale blocks away from remat-input ids.
-fn stale_block_id(call: usize, round: usize) -> u64 {
-    (1 << 63) | ((call as u64) << 24) | round as u64
+    /// The worker's stale-block cache.
+    Cache,
 }
 
 impl Worker {
@@ -110,8 +96,7 @@ impl Worker {
             protocol: Cell::new(Protocol::Exact),
             epoch_fresh: Cell::new(true),
             fetch_call: Cell::new(0),
-            tier: RefCell::new(TieredStore::new(u64::MAX)),
-            remat_ids: Cell::new(0),
+            stale: RefCell::new(BTreeMap::new()),
         })
     }
 
@@ -139,57 +124,6 @@ impl Worker {
         P2P_TAG_BASE + t
     }
 
-    /// Sets the block store's resident-byte budget (`--mem-budget`).
-    /// Cached stale-protocol blocks and rematerialization inputs past the
-    /// budget spill to an unlinked temp file (opened by the first block
-    /// that spills) and fault back through the depth-k staging pipeline;
-    /// results are bitwise identical at any budget. `0` means unbounded.
-    /// Either way any cached stale state is dropped — call it before the
-    /// first exchange, as [`run_worker`](crate::run_worker) does.
-    pub fn set_mem_budget(&self, budget_bytes: u64) {
-        let budget = match budget_bytes {
-            0 => u64::MAX,
-            bytes => bytes,
-        };
-        *self.tier.borrow_mut() = TieredStore::new(budget);
-    }
-
-    /// Inserts a block into the store (spilling coldest past the budget).
-    ///
-    /// # Panics
-    ///
-    /// Panics (naming this rank) if spill IO fails.
-    pub(crate) fn tier_put(&self, id: u64, t: Tensor, what: &str) {
-        if let Err(e) = self.tier.borrow_mut().put(id, t) {
-            panic!("worker {}: spilling {what}: {e}", self.rank());
-        }
-    }
-
-    /// Removes a block from the store, faulting from disk if spilled.
-    ///
-    /// # Panics
-    ///
-    /// Panics (naming this rank) if the id is absent or fault IO fails.
-    pub(crate) fn tier_take(&self, id: u64, what: &str) -> Tensor {
-        match self.tier.borrow_mut().take(id) {
-            Ok(t) => t,
-            Err(e) => panic!("worker {}: faulting {what}: {e}", self.rank()),
-        }
-    }
-
-    /// Quietly drops a block from the store if present (the cleanup path
-    /// of a recorded-but-never-run backward).
-    pub(crate) fn tier_discard(&self, id: u64) {
-        self.tier.borrow_mut().discard(id);
-    }
-
-    /// Allocates a fresh rematerialization-input block id.
-    pub(crate) fn next_remat_id(&self) -> u64 {
-        let id = self.remat_ids.get();
-        self.remat_ids.set(id + 1);
-        id
-    }
-
     /// Switches the exchange protocol. Must be invoked identically on
     /// every rank (SPMD) — a rank skipping sends its peer still expects
     /// would deadlock the rotation. Clears any cached stale blocks and
@@ -209,10 +143,7 @@ impl Worker {
         self.fetch_call.set(0);
         self.epoch_fresh.set(refresh);
         if refresh {
-            // No remat state is live at an epoch boundary or a protocol
-            // switch (it exists only between one forward and its
-            // backward), so clearing the whole store is safe.
-            self.tier.borrow_mut().clear();
+            self.stale.borrow_mut().clear();
         }
     }
 
@@ -293,9 +224,7 @@ impl Worker {
     /// being consumed + `k` staged; 2/N at depth 0, the paper's 3/N at
     /// depth 1). What varies is where a `Fetch` finds its block: the wire,
     /// or — on a stale epoch of [`Protocol::Stale`], which serves nothing
-    /// — the refresh epoch's blocks in the worker's store, faulted (when
-    /// they spilled) through the same depth-k staging so `--prefetch-depth`
-    /// hides disk latency exactly as it hides network latency. Under
+    /// — the refresh epoch's blocks in the worker's stale cache. Under
     /// [`Protocol::GradOnly`] the rotation collapses to round 0 on every
     /// rank alike.
     ///
@@ -356,13 +285,13 @@ impl Worker {
             // and fetches, so no peer waits on a message that never comes.
             Protocol::GradOnly => return consume(p, data),
             Protocol::Exact => (BlockStore::Wire, BlockStore::Wire),
-            Protocol::Stale(_) if self.epoch_fresh.get() => (BlockStore::Wire, BlockStore::Tier),
-            Protocol::Stale(_) => (BlockStore::Tier, BlockStore::Tier),
+            Protocol::Stale(_) if self.epoch_fresh.get() => (BlockStore::Wire, BlockStore::Cache),
+            Protocol::Stale(_) => (BlockStore::Cache, BlockStore::Cache),
         };
         // The within-epoch call index keys the stale cache (every epoch
         // runs the same SPMD call sequence).
         let call = self.fetch_call.get();
-        if sink == BlockStore::Tier {
+        if sink == BlockStore::Cache {
             self.fetch_call.set(call + 1);
         }
 
@@ -389,10 +318,15 @@ impl Worker {
                         )?,
                         // A block the refresh epoch never cached means the
                         // SPMD call sequence diverged from it.
-                        BlockStore::Tier => self.tier_take(
-                            stale_block_id(call, round),
-                            "stale block (did the refresh epoch make this fetch call?)",
-                        ),
+                        BlockStore::Cache => {
+                            let cached = self.stale.borrow_mut().remove(&(call, round));
+                            cached.unwrap_or_else(|| {
+                                panic!(
+                                    "worker {p}: no stale block for fetch call {call} round \
+                                     {round} (did the refresh epoch make this fetch call?)"
+                                )
+                            })
+                        }
                     };
                     staged.push_back(Some((round, block)));
                 }
@@ -403,11 +337,9 @@ impl Worker {
                         consume(q, &block)?;
                         match sink {
                             BlockStore::Wire => buffer::recycle_f32(block.into_data()),
-                            BlockStore::Tier => self.tier_put(
-                                stale_block_id(call, round),
-                                block,
-                                "stale cache block",
-                            ),
+                            BlockStore::Cache => {
+                                self.stale.borrow_mut().insert((call, round), block);
+                            }
                         }
                     }
                 },
@@ -593,14 +525,14 @@ mod tests {
     use crate::seq_agg::{gat_aggregate, FakMode};
     use sar_comm::{Cluster, CostModel};
     use sar_graph::CsrGraph;
-    use sar_tensor::Var;
+    use sar_tensor::{MemoryTracker, Var};
 
-    /// A taped attention aggregation parks its softmax statistics in the
-    /// worker's store; dropping the tape without a backward (an evaluation
-    /// forward under grad mode) must take them out again — resident or
-    /// spilled, there is no other cleanup path.
+    /// A taped attention aggregation keeps its softmax statistics on its
+    /// tape node. Whether the tape is dropped unrun (an evaluation forward
+    /// under grad mode), run by a backward, or never recorded (`no_grad`),
+    /// the tracked bytes return to their pre-forward value.
     #[test]
-    fn a_dropped_gat_tape_leaves_the_store_empty() {
+    fn a_gat_forward_leaves_no_tracked_bytes_behind() {
         let ring: Vec<(u32, u32)> = (0..12).map(|i| (i, (i + 1) % 12)).collect();
         let g = CsrGraph::from_edges(12, &ring).symmetrize();
         let part = sar_partition::range(&g, 2);
@@ -621,23 +553,19 @@ mod tests {
                 gat_aggregate(&w, &w.view(), &z, &s_dst, &a_src, 2, 0.2, FakMode::Fused)
                     .unwrap_or_else(|e| panic!("rank {rank}: {e}"))
             };
-            // Unbounded (both statistics resident), then a 1-byte budget
-            // (both spilled).
-            for (budget, spilled) in [(0, 0), (1, 2)] {
-                w.set_mem_budget(budget);
-                let taped = forward();
-                assert_eq!(w.tier.borrow().spilled_len(), spilled);
-                assert_eq!(w.tier.borrow().resident_len(), 2 - spilled);
-                drop(taped);
-                assert!(w.tier.borrow().is_empty(), "budget {budget}: leaked");
-                // A backward takes them out itself; the drop that follows
-                // finds nothing to discard.
-                forward().sum().backward();
-                assert!(w.tier.borrow().is_empty());
-                // With taping off nothing is parked in the first place.
-                let _ = sar_tensor::no_grad(forward);
-                assert!(w.tier.borrow().is_empty());
+            let tracked = || MemoryTracker::stats().current_bytes;
+            let before = tracked();
+            drop(forward());
+            assert_eq!(tracked(), before, "rank {rank}: a dropped tape leaked");
+            // The backward leaves gradients on the parameters; clear them
+            // before comparing.
+            forward().sum().backward();
+            for v in [&z, &s_dst, &a_src] {
+                v.zero_grad();
             }
+            assert_eq!(tracked(), before, "rank {rank}: a run tape leaked");
+            drop(sar_tensor::no_grad(forward));
+            assert_eq!(tracked(), before, "rank {rank}: an untaped forward leaked");
         });
     }
 }

@@ -33,7 +33,6 @@ fn cfg(arch: Arch, mode: Mode, classes: usize, jk: bool) -> TrainConfig {
         threads: 1,
         protocol: Default::default(),
         codec: Default::default(),
-        mem_budget: 0,
     }
 }
 

@@ -85,7 +85,6 @@ fn config(arch: Arch, mode: Mode, threads: usize) -> TrainConfig {
         threads,
         protocol: Default::default(),
         codec: Default::default(),
-        mem_budget: 0,
     }
 }
 

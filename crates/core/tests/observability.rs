@@ -329,115 +329,3 @@ fn a_sage_layer_frees_its_input_before_its_rotation() {
         );
     }
 }
-
-/// All ledger phases, for whole-run disk-tier totals.
-const ALL_PHASES: [Phase; 5] = [
-    Phase::ForwardFetch,
-    Phase::BackwardRefetch,
-    Phase::GradRouting,
-    Phase::Collective,
-    Phase::Other,
-];
-
-/// Sums `(spill_bytes, fault_bytes)` across every ledger phase.
-fn tier_totals(s: &CommStats) -> (u64, u64) {
-    ALL_PHASES.iter().fold((0, 0), |(sp, ft), &p| {
-        let e = s.ledger.phase_total(p);
-        (sp + e.spill_bytes, ft + e.fault_bytes)
-    })
-}
-
-/// One GAT forward + backward at pipeline depth `depth` with the disk
-/// tier at `budget` bytes (0 = disabled), returning each worker's stats
-/// plus the bitwise image of its feature gradient.
-fn run_gat_budget(depth: usize, budget: u64) -> Vec<(CommStats, Vec<u32>)> {
-    let graphs = Arc::new(dist_graphs());
-    let out = Cluster::new(WORLD, CostModel::default()).run(move |ctx| {
-        let rank = ctx.rank();
-        let w = Worker::from_shared(Rc::new(ctx), Arc::clone(&graphs[rank]), depth);
-        if budget > 0 {
-            w.set_mem_budget(budget);
-        }
-        let n_local = w.graph.num_local();
-        let z = Var::parameter(Tensor::full(&[n_local, COLS], 0.1 * (rank as f32 + 1.0)));
-        let s_dst = Var::parameter(Tensor::full(&[n_local, HEADS], 0.05));
-        let a_src = Var::parameter(Tensor::full(&[COLS], 0.02));
-        let agg = {
-            let _layer = w.ctx.layer_scope(LAYER);
-            gat_aggregate(
-                &w,
-                &w.view(),
-                &z,
-                &s_dst,
-                &a_src,
-                HEADS,
-                0.2,
-                FakMode::Fused,
-            )
-            .unwrap()
-        };
-        agg.sum().backward();
-        z.grad()
-            .expect("z accumulates a gradient")
-            .data()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect::<Vec<u32>>()
-    });
-    out.into_iter().map(|o| (o.comm, o.result)).collect()
-}
-
-#[test]
-fn tight_mem_budget_spills_remat_inputs_and_keeps_watermarks_and_bits() {
-    // Out-of-core tiering, measured at the ledger: under a tight
-    // `--mem-budget` the GAT rematerialization inputs (softmax max +
-    // denominator, `[n_local, HEADS]` each) spill to the disk tier after
-    // the forward pass and fault back inside the BackwardRefetch scope.
-    // At every pipeline depth k ∈ {0, 1, 2} the spill must be invisible
-    // everywhere except the disk columns: gradients bitwise identical,
-    // forward and backward phase watermarks unchanged, and exactly one
-    // max+den pair spilled and faulted per aggregation call.
-    let remat_bytes = 2 * (PER_PART * HEADS * std::mem::size_of::<f32>()) as u64;
-    for depth in [0usize, 1, 2] {
-        let ram = run_gat_budget(depth, 0);
-        // A 1-byte budget evicts every block immediately: the tightest
-        // possible tier, every remat input round-trips through disk.
-        let tiered = run_gat_budget(depth, 1);
-        for (rank, ((rs, rg), (ts, tg))) in ram.iter().zip(&tiered).enumerate() {
-            assert_eq!(
-                rg, tg,
-                "rank {rank} depth {depth}: gradients diverged under the tier"
-            );
-            assert_eq!(
-                tier_totals(rs),
-                (0, 0),
-                "rank {rank} depth {depth}: budget-off run touched the disk tier"
-            );
-            assert_eq!(
-                tier_totals(ts),
-                (remat_bytes, remat_bytes),
-                "rank {rank} depth {depth}: expected exactly one spilled \
-                 and faulted max+den pair"
-            );
-            // Faults happen where the backward consumes the inputs, so
-            // the refetch row of the ledger carries the full volume.
-            assert_eq!(
-                ts.ledger.phase_total(Phase::BackwardRefetch).fault_bytes,
-                remat_bytes,
-                "rank {rank} depth {depth}: faults not ledgered to BackwardRefetch"
-            );
-            // Watermarks: the spill happens outside the ForwardFetch
-            // scope and the faulted pair is smaller than the staged
-            // blocks it precedes, so both phase peaks are *identical* to
-            // the untiered run — tiering trades RAM for disk without
-            // moving the fetch-loop (k+2)-block bound.
-            for phase in [Phase::ForwardFetch, Phase::BackwardRefetch] {
-                assert_eq!(
-                    ts.ledger.phase_total(phase).peak_tensor_bytes,
-                    rs.ledger.phase_total(phase).peak_tensor_bytes,
-                    "rank {rank} depth {depth}: {phase:?} watermark moved under the tier"
-                );
-            }
-        }
-    }
-}

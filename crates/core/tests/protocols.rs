@@ -41,7 +41,6 @@ fn config(arch: Arch, mode: Mode, d: &Dataset) -> TrainConfig {
         threads: 1,
         protocol: Protocol::Exact,
         codec: Codec::Raw,
-        mem_budget: 0,
     }
 }
 

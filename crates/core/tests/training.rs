@@ -45,7 +45,6 @@ fn quick_config(arch: Arch, mode: Mode) -> TrainConfig {
         threads: 1,
         protocol: Default::default(),
         codec: Default::default(),
-        mem_budget: 0,
     }
 }
 

@@ -46,7 +46,6 @@ fn config(arch: Arch, mode: Mode, d: &Dataset) -> TrainConfig {
         threads: 1,
         protocol: Default::default(),
         codec: Default::default(),
-        mem_budget: 0,
     }
 }
 

@@ -50,12 +50,11 @@ fn fetch_rounds_delivers_each_partition_once_in_rotation_order() {
     }
 }
 
-/// One walker, two block sources, any budget: at every pipeline depth, a
-/// walk off the wire, a stale-epoch replay out of the unbounded store (all
-/// RAM) and one out of a store too small to keep a single block resident
-/// (all disk) deliver the same `(q, rows, bits)` sequence.
+/// One walker, two block sources: at every pipeline depth, a walk off the
+/// wire and a stale-epoch replay out of the worker's cache deliver the
+/// same `(q, rows, bits)` sequence.
 #[test]
-fn one_walk_delivers_the_same_blocks_from_wire_ram_and_tier() {
+fn one_walk_delivers_the_same_blocks_from_wire_and_cache() {
     let world = 4;
     let (_, graphs) = setup(world, 1);
     let graphs = Arc::new(graphs);
@@ -93,31 +92,28 @@ fn one_walk_delivers_the_same_blocks_from_wire_ram_and_tier() {
             stale
         };
         let mut runs = Vec::new();
-        for depth in [0usize, 1, 3] {
+        for depth in [0usize, 1, 2] {
             let w = Worker::from_shared(Rc::clone(&ctx), Arc::clone(graph), depth);
             let sent = || ctx.stats().total_sent();
             let start = sent();
             let wire = walk(&w);
             let one_walk = sent() - start;
-            let ram = replay(&w);
-            w.set_mem_budget(64); // smaller than one block: every cached block spills
-            let tier = replay(&w);
-            // Only the two refresh walks touched the wire; the stale
-            // epochs served nothing.
-            assert_eq!(sent() - start, 3 * one_walk, "rank {rank} depth {depth}");
-            runs.push((wire, ram, tier));
+            let cache = replay(&w);
+            // Only the refresh walk touched the wire; the stale epoch
+            // served nothing.
+            assert_eq!(sent() - start, 2 * one_walk, "rank {rank} depth {depth}");
+            runs.push((wire, cache));
         }
         runs
     });
     for (rank, o) in out.iter().enumerate() {
-        let (reference, _, _) = &o.result[0];
+        let (reference, _) = &o.result[0];
         let order: Vec<usize> = reference.iter().map(|(q, _, _)| *q).collect();
         let expect: Vec<usize> = (0..world).map(|r| (rank + r) % world).collect();
         assert_eq!(order, expect, "rank {rank}: rotation order");
-        for (wire, ram, tier) in &o.result {
+        for (wire, cache) in &o.result {
             assert_eq!(wire, reference, "rank {rank}: depth changed the wire walk");
-            assert_eq!(ram, reference, "rank {rank}: RAM replay");
-            assert_eq!(tier, reference, "rank {rank}: tiered replay");
+            assert_eq!(cache, reference, "rank {rank}: cache replay");
         }
     }
 }
@@ -250,25 +246,17 @@ fn level_view_reindexes_into_the_input_rows() {
     );
 }
 
-/// The worker keeps one block store: a `stale:2` GAT run whose store is
-/// unbounded (`--mem-budget 0`: all RAM), too small for any block, or
-/// exactly one block wide trains to the same bits over the same bytes, at
-/// depth 0 and 2.
+/// A `stale:2` GAT run replays its cached blocks to the same bits over
+/// the same bytes at depth 0 and 2.
 #[test]
-fn stale_training_is_identical_at_every_store_budget() {
+fn stale_training_is_identical_at_every_depth() {
     use sar_comm::{Codec, Phase};
     use sar_core::{train, RunReport, TrainConfig};
 
     const HIDDEN: usize = 8;
     let d = sar_graph::datasets::products_like(300, 0);
     let part = sar_partition::multilevel(&d.graph, 4, 0);
-    let one_block = (DistGraph::build_all(&d.graph, &part)[0]
-        .needed_from(1)
-        .len()
-        * HIDDEN
-        * 4) as u64;
-    assert!(one_block > 64);
-    let run = |depth: usize, budget: u64| -> RunReport {
+    let run = |depth: usize| -> RunReport {
         let cfg = TrainConfig {
             model: ModelConfig {
                 arch: Arch::Gat {
@@ -295,12 +283,10 @@ fn stale_training_is_identical_at_every_store_budget() {
             threads: 1,
             protocol: Protocol::parse("stale:2").unwrap(),
             codec: Codec::Raw,
-            mem_budget: budget,
         };
         train(&d, &part, CostModel::default(), &cfg)
     };
-    // What a run computed and what it moved: everything but timings and
-    // the disk columns, which are the one thing a budget may change.
+    // What a run computed and what it moved: everything but timings.
     let image = |r: &RunReport| {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         let params: Vec<_> = r.final_params.iter().map(|(_, v)| bits(v)).collect();
@@ -319,32 +305,9 @@ fn stale_training_is_identical_at_every_store_budget() {
             .collect();
         (bits(&r.losses), bits(r.logits.data()), params, ledger)
     };
-    let spilled = |r: &RunReport| -> u64 {
-        let phases = [Phase::ForwardFetch, Phase::BackwardRefetch, Phase::Other];
-        let per_worker = |c: &sar_comm::CommStats| -> u64 {
-            phases
-                .iter()
-                .map(|&p| c.ledger.phase_total(p).spill_bytes)
-                .sum()
-        };
-        r.ranks.iter().map(|(_, c)| per_worker(c)).sum()
-    };
-    let reference = run(0, 0);
+    let reference = run(0);
     assert!(reference.losses.iter().all(|l| l.is_finite()));
-    assert_eq!(spilled(&reference), 0, "an unbounded store never spills");
     for depth in [0usize, 2] {
-        for budget in [0, 64, one_block] {
-            let r = run(depth, budget);
-            assert_eq!(
-                image(&r),
-                image(&reference),
-                "depth {depth}, budget {budget}"
-            );
-            assert_eq!(
-                spilled(&r) > 0,
-                budget > 0,
-                "depth {depth}, budget {budget}"
-            );
-        }
+        assert_eq!(image(&run(depth)), image(&reference), "depth {depth}");
     }
 }

@@ -1,6 +1,6 @@
 //! The workspace's one little-endian byte codec, at the bottom of the
 //! stack so that everything that lets a tensor leave the process — the
-//! wire, the spill tier, dataset / graph / checkpoint files — goes out
+//! wire, dataset / graph / checkpoint files — goes out
 //! through it: a bounds-checked [`Cursor`] over received bytes and the
 //! `put_*` writers that produce what it reads (`sar-serve`'s request,
 //! response and control bodies are this format), the in-place views

@@ -49,7 +49,6 @@ pub mod memory;
 pub mod pool;
 pub mod simd;
 mod tensor;
-pub mod tier;
 
 pub use autograd::{grad_enabled, hstack, no_grad, Edge, Function, Saved, Var};
 pub use bitmask::BitMask;

@@ -44,7 +44,6 @@ fn main() {
         threads: 1,
         protocol: Default::default(),
         codec: Default::default(),
-        mem_budget: 0,
     };
 
     println!(

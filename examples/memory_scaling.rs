@@ -51,7 +51,6 @@ fn main() {
                 threads: 1,
                 protocol: Default::default(),
                 codec: Default::default(),
-                mem_budget: 0,
             };
             let report = train(&dataset, &partitioning, CostModel::default(), &cfg);
             peaks.push(report.max_peak_bytes() as f64 / (1024.0 * 1024.0));

@@ -60,7 +60,6 @@ fn main() {
         threads: 1,
         protocol: Default::default(),
         codec: Default::default(),
-        mem_budget: 0,
     };
     let report = train(&dataset, &partitioning, CostModel::default(), &cfg);
 

@@ -7,14 +7,12 @@ use sar::bench::cli::{self, GatedBench};
 use sar::bench::compressbench::CompressBench;
 use sar::bench::json::{self, obj, Value};
 use sar::bench::kernelbench::KernelBench;
-use sar::bench::outofcorebench::OutOfCoreBench;
 use sar::bench::servebench::ServeBench;
 use sar_check::{reportio, PassReport, Report};
 
-const ARTIFACTS: [(&str, usize); 5] = [
+const ARTIFACTS: [(&str, usize); 4] = [
     ("BENCH_compress.json", 2),
     ("BENCH_kernels.json", 2),
-    ("BENCH_outofcore.json", 2),
     ("BENCH_serve.json", 2),
     ("PROOF_sarcheck.json", 4),
 ];
@@ -70,7 +68,6 @@ fn satisfies_its_declaration<B: GatedBench>(name: &str) {
 fn committed_bench_artifacts_satisfy_their_declarations() {
     satisfies_its_declaration::<CompressBench>("BENCH_compress.json");
     satisfies_its_declaration::<KernelBench>("BENCH_kernels.json");
-    satisfies_its_declaration::<OutOfCoreBench>("BENCH_outofcore.json");
     satisfies_its_declaration::<ServeBench>("BENCH_serve.json");
 }
 

@@ -31,7 +31,6 @@ fn tiny_cfg(arch: Arch, mode: Mode, num_classes: usize) -> TrainConfig {
         threads: 1,
         protocol: Default::default(),
         codec: Default::default(),
-        mem_budget: 0,
     }
 }
 
