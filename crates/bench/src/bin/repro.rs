@@ -21,7 +21,7 @@
 //!                       real OS processes over TCP loopback (spawned via
 //!                       the sar-worker binary) and are gated on the same
 //!                       invariants, from the same gathered report
-//!   kernelbench | servebench | compressbench
+//!   kernelbench | servebench
 //!                       the CI-gated benchmarks. Each runs its fixed
 //!                       workload, prints a table, writes its
 //!                       schema-versioned artifact (--out PATH) and/or
@@ -37,12 +37,6 @@
 //!                       closed-loop client load (p50/p99 + QPS; every
 //!                       query answered, MFG fetch below the full-graph
 //!                       ceiling)
-//!     compressbench     the smoke workloads across the {codec ×
-//!                       protocol} grid on sim plus a TCP subset (raw
-//!                       moves wire == logical, lossy codecs clear the
-//!                       payload bar, gradonly/stale skip what they
-//!                       claim, raw/exact digests agree across
-//!                       transports, accuracy floor): --quick
 //!   all                 every table, figure and ablation above (not smoke
 //!                       or the gated benchmarks)
 //!
@@ -82,7 +76,6 @@
 //! ```
 
 use sar_bench::cli::{gated_bench_cmd, Args};
-use sar_bench::compressbench::CompressBench;
 use sar_bench::experiments::{
     ablation_partition, ablation_prefetch, ablation_softmax, exactness, fig2, scaling, table1,
     ExpConfig, Workload,
@@ -318,7 +311,6 @@ fn main() {
     match experiment.as_str() {
         "kernelbench" => std::process::exit(gated_bench_cmd::<KernelBench>(args)),
         "servebench" => std::process::exit(gated_bench_cmd::<ServeBench>(args)),
-        "compressbench" => std::process::exit(gated_bench_cmd::<CompressBench>(args)),
         _ => {}
     }
     let flags = parse_flags(args).unwrap_or_else(|e| {

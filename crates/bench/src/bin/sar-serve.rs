@@ -7,7 +7,7 @@
 //! workload flags: the shared vocabulary documented on
 //! `sar_bench::distrun::Workload` and tabulated in the README,
 //! identical on every rank. Serving reads the dataset, model and kernel
-//! fields; the training-only ones (`--epochs`, `--lr`, `--codec`, …) are
+//! fields; the training-only ones (`--epochs`, `--lr`, `--protocol`, …) are
 //! parsed and ignored, so one flag list can drive both binaries.
 //!
 //! serving flags:

@@ -26,7 +26,7 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use sar_comm::{Codec, Payload, TcpOpts};
+use sar_comm::Payload;
 use sar_core::{run_worker, Arch, DistGraph, Mode, ModelConfig, Protocol, Shard, TrainConfig};
 use sar_graph::{datasets, Dataset};
 use sar_nn::{CsConfig, LrSchedule};
@@ -101,10 +101,6 @@ pub struct Workload {
     /// body performs the scalar specification's operations in its
     /// order.
     pub simd: String,
-    /// Wire codec for compressible payloads: a [`Codec::name`].
-    /// Negotiated at the TCP rendezvous — every rank must run the same
-    /// codec.
-    pub codec: String,
     /// Exchange protocol: `"exact"`, `"gradonly"` or `"stale:<r>"`.
     pub protocol: String,
 }
@@ -132,7 +128,6 @@ impl Default for Workload {
             seed: 0,
             threads: 1,
             simd: "auto".into(),
-            codec: "raw".into(),
             protocol: "exact".into(),
         }
     }
@@ -147,7 +142,7 @@ impl Workload {
     /// `flag` is not a workload flag (the binary's own extras).
     ///
     /// Numeric syntax is validated here; enumerated names (`--arch`,
-    /// `--codec`, …) are validated where they are resolved
+    /// `--protocol`, …) are validated where they are resolved
     /// ([`Workload::build_data`], [`Workload::train_config`],
     /// [`Workload::simd_mode`]), which programmatically built workloads
     /// pass through as well.
@@ -178,7 +173,6 @@ impl Workload {
             "--seed" => self.seed = args.parsed(flag)?,
             "--threads" => self.threads = args.parsed(flag)?,
             "--simd" => self.simd = args.value(flag)?,
-            "--codec" => self.codec = args.value(flag)?,
             "--protocol" => self.protocol = args.value(flag)?,
             _ => return Ok(false),
         }
@@ -223,7 +217,6 @@ impl Workload {
             ("--threads", self.threads.to_string()),
             ("--simd", self.simd.clone()),
             ("--prefetch-depth", self.prefetch_depth.to_string()),
-            ("--codec", self.codec.clone()),
             ("--protocol", self.protocol.clone()),
         ]
         .into_iter()
@@ -338,10 +331,6 @@ impl Workload {
             },
             other => return Err(format!("unknown schedule {other}")),
         };
-        let codec = Codec::parse(&self.codec).ok_or_else(|| {
-            let names = Codec::ALL.map(Codec::name).join("|");
-            format!("unknown codec {} ({names})", self.codec)
-        })?;
         let protocol = Protocol::parse(&self.protocol)?;
         Ok(TrainConfig {
             model: ModelConfig {
@@ -365,7 +354,6 @@ impl Workload {
             seed: self.seed,
             threads: self.threads,
             protocol,
-            codec,
         })
     }
 }
@@ -398,10 +386,7 @@ pub fn run_rank(
     sar_tensor::simd::set_mode(workload.simd_mode()?);
     let state = workload.rank_state(rank, seat.world)?;
     let cfg = workload.train_config(&state.dataset)?;
-    let ctx = Rc::new(seat.join_mesh(TcpOpts {
-        codec: cfg.codec,
-        ..TcpOpts::default()
-    })?);
+    let ctx = Rc::new(seat.join_mesh()?);
     let report = run_worker(Rc::clone(&ctx), state.graph, &state.shard, &cfg);
 
     // Snapshot the stats *before* any gather traffic so the shipped
@@ -490,7 +475,6 @@ mod tests {
             seed: 9,
             threads: 4,
             simd: "scalar".into(),
-            codec: "int8".into(),
             protocol: "stale:4".into(),
         };
         assert_eq!(Workload::from_args(wl.to_args()), Ok(wl));
@@ -513,14 +497,8 @@ mod tests {
     }
 
     #[test]
-    fn workload_rejects_unknown_codec_and_protocol() {
+    fn workload_rejects_an_invalid_protocol() {
         let d = datasets::products_like(64, 0);
-        let wl = Workload {
-            codec: "zstd".into(),
-            ..Workload::default()
-        };
-        let err = wl.train_config(&d).unwrap_err();
-        assert!(err.contains("unknown codec zstd (raw|f16|int8)"), "{err}");
         let wl = Workload {
             protocol: "stale:0".into(),
             ..Workload::default()

@@ -83,7 +83,6 @@ fn paper_train_cfg(model: ModelConfig, epochs: usize, seed: u64) -> TrainConfig 
         seed,
         threads: 1,
         protocol: Default::default(),
-        codec: Default::default(),
     }
 }
 

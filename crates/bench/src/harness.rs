@@ -69,8 +69,8 @@ impl Transport {
 ///
 /// # Errors
 ///
-/// Rejects unknown `--simd`, architecture, mode, schedule, codec or
-/// protocol names.
+/// Rejects unknown `--simd`, architecture, mode, schedule or protocol
+/// names.
 pub fn train_in_process(
     workload: &Workload,
     dataset: &Dataset,

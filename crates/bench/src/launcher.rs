@@ -159,17 +159,13 @@ impl RankSeat {
     /// through the rendezvous file, the others poll the file and join —
     /// and wraps it in this rank's [`WorkerCtx`].
     ///
-    /// The wire codec in `opts` is negotiated here: every rank advertises
-    /// it in its hello and rank 0 rejects mismatches, so a heterogeneous
-    /// launch fails fast with a named diagnostic instead of decoding
-    /// garbage mid-epoch.
-    ///
     /// # Errors
     ///
     /// Listener, rendezvous-file and handshake errors, each naming this
     /// rank.
-    pub fn join_mesh(&self, opts: TcpOpts) -> Result<WorkerCtx, String> {
+    pub fn join_mesh(&self) -> Result<WorkerCtx, String> {
         let rank = self.rank;
+        let opts = TcpOpts::default();
         let transport = if rank == 0 {
             let listener = TcpListener::bind(("127.0.0.1", 0))
                 .map_err(|e| format!("rank 0: cannot bind rendezvous listener: {e}"))?;

@@ -26,9 +26,9 @@
 //! per-worker-thread live tensor high-water mark. Default sizes target a
 //! small CI machine; scale up with `--nodes`.
 //!
-//! Beyond the training experiments, three benchmarks gate CI on a
+//! Beyond the training experiments, two benchmarks gate CI on a
 //! committed `BENCH_*.json` artifact: [`kernelbench`] (the kernel perf
-//! trajectory), [`servebench`] and [`compressbench`] (codec × protocol).
+//! trajectory) and [`servebench`].
 //!
 //! Besides the simulated in-process cluster, the harness can run real
 //! multi-process training over TCP loopback: [`launcher`] owns the rank
@@ -54,10 +54,9 @@
 //! reproduce, and one `invariants` function applied to the fresh and the
 //! committed document alike. Everything else — schema, identity, run-set
 //! and pin checks, the printed table and the `--out`/`--check` files — is
-//! [`cli::gated_bench_cmd`], once for all three.
+//! [`cli::gated_bench_cmd`], once for both.
 
 pub mod cli;
-pub mod compressbench;
 pub mod distrun;
 pub mod experiments;
 pub mod harness;

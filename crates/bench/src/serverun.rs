@@ -29,7 +29,6 @@
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 
-use sar_comm::TcpOpts;
 use sar_core::{checkpoint, validate_params, DistModel, ModelConfig};
 use sar_graph::Dataset;
 use sar_serve::{
@@ -132,7 +131,7 @@ pub fn run_serve_rank(
         opts.checkpoint.as_deref(),
     )
     .map_err(|e| format!("rank {rank}: {e}"))?;
-    let ctx = seat.join_mesh(TcpOpts::default())?;
+    let ctx = seat.join_mesh()?;
 
     let setup = EngineSetup {
         model_cfg: cfg,

@@ -154,7 +154,6 @@ fn config(depth: usize, d: &Dataset) -> TrainConfig {
         seed: 7,
         threads: 1,
         protocol: Default::default(),
-        codec: Default::default(),
     }
 }
 

@@ -10,7 +10,7 @@ use sar_bench::harness::{run_workload, Transport};
 use sar_bench::report::{RankRecord, RunReport};
 use sar_bench::smoke;
 use sar_comm::buffer::PoolStats;
-use sar_comm::{Codec, CommStats, Phase, PhaseEntry};
+use sar_comm::{CommStats, Phase, PhaseEntry};
 use sar_core::{EpochRecord, WorkerReport};
 
 fn pick(options: &[&str], i: usize) -> String {
@@ -50,7 +50,6 @@ proptest! {
             seed: knobs.3,
             threads: knobs.2,
             simd: pick(&["auto", "scalar"], names.1 / 3),
-            codec: pick(&Codec::ALL.map(Codec::name), names.2 / 3),
             protocol: pick(&["exact", "gradonly", &format!("stale:{stale}")], names.3 / 4),
         };
         prop_assert_eq!(Workload::from_args(wl.to_args()), Ok(wl));

@@ -3,15 +3,15 @@
 //! The byte/message ledger is the workspace's observability backbone: the
 //! smoke gates, the bench baselines, and `parity_digest()` all pin its
 //! values, so an uncharged (or double-charged) send is a silent
-//! correctness bug — the class PR 2 fixed by hand and PR 8's
-//! logical/wire codec split doubled the surface of. This pass checks the
-//! charging discipline statically, over the [`crate::ast`] model:
+//! correctness bug. This pass checks the charging discipline statically,
+//! over the [`crate::ast`] model:
 //!
-//! * **`ledger-field-symmetry`** — a function that charges a logical
+//! * **`ledger-field-symmetry`** — a function that charges a byte
 //!   counter charges its wire twin and message counter in the same body
 //!   (`sent_bytes` ⇒ `wire_sent_bytes` + `sent_messages`; `recv_bytes` ⇒
-//!   `wire_recv_bytes` + `recv_messages`). The PR 8 split made logical
-//!   and wire bytes diverge by design; *where they are charged* may not.
+//!   `wire_recv_bytes` + `recv_messages`). Every frame ships raw, so the
+//!   twins always equal the byte counters; a charge site that skipped
+//!   one would break that equality.
 //! * **`ledger-charge-before-transport`** — a function that hands a
 //!   payload to `transport.send` has already charged `sent_bytes` at an
 //!   earlier byte offset: a send that fails mid-transport must still
@@ -22,11 +22,6 @@
 //!   `charge_recv` in the same body. Poll paths (`try_recv_any`) only
 //!   buffer and are exempt — charging there would double-count; this is
 //!   the charge-on-delivery discipline stated in `ctx.rs`.
-//! * **`codec-arm-symmetry`** — `encode_block` and `decode_body` in the
-//!   wire codec dispatch over the *same* set of `Codec::` variants, and
-//!   the `code`/`from_code` id mapping exists in both directions: a
-//!   codec that encodes but cannot decode (or vice versa) would strand
-//!   every peer of the negotiation.
 //! * **`phase-scoped-comm`** — every `ctx.…` communication call site in
 //!   `sar-core` and `sar-serve` sits in a function that opens a
 //!   `phase_scope` (or inspects `current_phase`), so every byte is
@@ -65,29 +60,6 @@ fn charge_offset(body: &str, field: &str) -> Option<usize> {
         .map(|(start, _)| start)
 }
 
-/// The set of `Codec::Variant` tokens referenced in `body`.
-fn codec_variants(body: &str) -> Vec<String> {
-    let bytes = body.as_bytes();
-    let toks = tokens(body);
-    let mut out = Vec::new();
-    for (i, &(start, text)) in toks.iter().enumerate() {
-        if text != "Codec" {
-            continue;
-        }
-        let end = start + text.len();
-        if bytes.get(end) == Some(&b':') && bytes.get(end + 1) == Some(&b':') {
-            if let Some(&(vstart, variant)) = toks.get(i + 1) {
-                if vstart == end + 2 && variant.chars().next().is_some_and(char::is_uppercase) {
-                    out.push(variant.to_string());
-                }
-            }
-        }
-    }
-    out.sort();
-    out.dedup();
-    out
-}
-
 /// Runs the pass over the workspace model.
 #[must_use]
 pub fn run(ws: &Workspace) -> PassReport {
@@ -95,7 +67,6 @@ pub fn run(ws: &Workspace) -> PassReport {
 
     for file in &ws.files {
         let is_ctx = file.rel.ends_with("comm/src/ctx.rs");
-        let is_codec = file.rel.ends_with("comm/src/codec.rs");
         let is_phase_scope =
             file.rel.starts_with("crates/core/src/") || file.rel.starts_with("crates/serve/src/");
         let mut waivers = Waivers::new(file);
@@ -217,79 +188,6 @@ pub fn run(ws: &Workspace) -> PassReport {
             }
         }
 
-        // Rule: codec-arm-symmetry — file granularity.
-        if is_codec {
-            let arms = |name: &str| -> Option<Vec<String>> {
-                file.fns
-                    .iter()
-                    .map(|&fi| &ws.fns[fi])
-                    .find(|f| f.name == name)
-                    .map(|f| codec_variants(&f.body))
-            };
-            match (arms("encode_block"), arms("decode_body")) {
-                (Some(enc), Some(dec)) => {
-                    report.bump("codec_variants_checked", enc.len().max(dec.len()) as u64);
-                    for v in enc.iter().filter(|v| !dec.contains(v)) {
-                        report.findings.push(Finding {
-                            rule: "codec-arm-symmetry".into(),
-                            location: file.rel.clone(),
-                            message: format!(
-                                "`Codec::{v}` has an encode arm but no decode arm — \
-                                 peers negotiating it would receive undecodable frames"
-                            ),
-                        });
-                    }
-                    for v in dec.iter().filter(|v| !enc.contains(v)) {
-                        report.findings.push(Finding {
-                            rule: "codec-arm-symmetry".into(),
-                            location: file.rel.clone(),
-                            message: format!(
-                                "`Codec::{v}` has a decode arm but no encode arm — \
-                                 dead negotiation surface"
-                            ),
-                        });
-                    }
-                }
-                (enc, dec) => {
-                    if enc.is_none() || dec.is_none() {
-                        report.findings.push(Finding {
-                            rule: "codec-arm-symmetry".into(),
-                            location: file.rel.clone(),
-                            message: "wire codec must define both `encode_block` and \
-                                      `decode_body`"
-                                .into(),
-                        });
-                    }
-                }
-            }
-            // The id mapping must exist in both directions.
-            let names: Vec<&str> = file
-                .fns
-                .iter()
-                .map(|&fi| ws.fns[fi].name.as_str())
-                .collect();
-            for pair in [("code", "from_code"), ("name", "parse")] {
-                if names.contains(&pair.0) != names.contains(&pair.1) {
-                    report.findings.push(Finding {
-                        rule: "codec-arm-symmetry".into(),
-                        location: file.rel.clone(),
-                        message: format!(
-                            "codec id mapping is one-way: `{}` without `{}`",
-                            if names.contains(&pair.0) {
-                                pair.0
-                            } else {
-                                pair.1
-                            },
-                            if names.contains(&pair.0) {
-                                pair.1
-                            } else {
-                                pair.0
-                            },
-                        ),
-                    });
-                }
-            }
-        }
         waivers.audit(|rule| rule == PHASE_SCOPE, &mut report);
     }
 
@@ -376,32 +274,6 @@ impl Ctx {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "ledger-charge-on-delivery");
         assert!(findings[0].message.contains("recv"));
-    }
-
-    #[test]
-    fn codec_arm_asymmetry_is_flagged() {
-        let good = "\
-impl Codec {
-    fn encode_block(&self) {
-        match self { Codec::Raw => a(), Codec::F16 => b() }
-    }
-    fn decode_body(&self) {
-        match self { Codec::Raw => c(), Codec::F16 => d() }
-    }
-    fn code(&self) {}
-    fn from_code(c: u8) {}
-    fn name(&self) {}
-    fn parse(s: &str) {}
-}
-";
-        assert!(findings_for(&[("crates/comm/src/codec.rs", good)]).is_empty());
-
-        // Seeded bug: a variant that encodes but cannot decode.
-        let bad = good.replace("Codec::F16 => d()", "Codec::Raw => d()");
-        let findings = findings_for(&[("crates/comm/src/codec.rs", &bad)]);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, "codec-arm-symmetry");
-        assert!(findings[0].message.contains("F16"));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   and no unbounded channel construction without an explicit waiver.
 //! * [`taint`] — determinism dataflow over the call-graph closure of the
 //!   digest-bearing hot paths.
-//! * [`ledgercheck`] — byte-ledger conservation, codec arm symmetry, and
-//!   every comm call site under a `phase_scope`.
+//! * [`ledgercheck`] — byte-ledger conservation and every comm call site
+//!   under a `phase_scope`.
 //!
 //! Every pass reports through the same [`Finding`]/[`PassReport`] types,
 //! and [`Report`] serializes the combined result as machine-readable JSON

@@ -321,14 +321,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn codec_module_is_on_the_no_panic_path() {
-        // The wire codec runs inside every encoded send/recv; a panic
-        // there strands the peer mid-rotation exactly like a transport
-        // panic would. Pin it (and the rest of sar-comm) to the rule so
-        // a future module move cannot silently drop the coverage.
-        assert!(panic_rule_applies("crates/comm/src/codec.rs"));
+    fn comm_modules_are_on_the_no_panic_path() {
+        // The frame path runs inside every send/recv; a panic there
+        // strands the peer mid-rotation exactly like a transport panic
+        // would. Pin it (and the rest of sar-comm) to the rule so a
+        // future module move cannot silently drop the coverage.
+        assert!(panic_rule_applies("crates/comm/src/wire.rs"));
         assert!(panic_rule_applies("crates/comm/src/transport.rs"));
-        assert!(!panic_rule_applies("crates/bench/src/compressbench.rs"));
+        assert!(!panic_rule_applies("crates/bench/src/servebench.rs"));
     }
 
     #[test]

@@ -586,7 +586,7 @@ pub fn build_serve_programs(n: usize, layers: usize, batches: usize) -> Vec<Prog
 }
 
 // ----------------------------------------------------------------------
-// Codec negotiation at rendezvous
+// Rendezvous: hello → roster
 // ----------------------------------------------------------------------
 
 /// Hello stream base tag (`+ worker rank`).
@@ -594,13 +594,14 @@ const NEG_HELLO: u64 = 1 << 32;
 /// Reply stream base tag (`+ worker rank`).
 const NEG_REPLY: u64 = (1 << 32) + 0x100;
 
-/// Builds the rendezvous negotiation: every worker sends its hello
-/// (world size, rank, codec byte) to rank 0 and blocks on the reply;
-/// rank 0 collects all hellos, then answers each one. A codec mismatch
-/// does not change this shape — rank 0 rejects by erroring out of the
-/// rendezvous, and the connection teardown unblocks a blocked reader
-/// just as a frame does, so the reject is modeled as a reply message.
-/// Either way every worker is answered and no rank hangs.
+/// Builds the rendezvous exchange: every worker sends its hello (its rank
+/// and its data listener address) to rank 0 and blocks on the reply;
+/// rank 0 collects all hellos, then answers each one with the roster. A
+/// rejected hello (out-of-range or duplicate rank) does not change this
+/// shape — rank 0 rejects by erroring out of the rendezvous, and the
+/// connection teardown unblocks a blocked reader just as a frame does, so
+/// the reject is modeled as a reply message. Either way every worker is
+/// answered and no rank hangs.
 #[must_use]
 pub fn build_negotiation_programs(n: usize) -> Vec<Program> {
     (0..n)
@@ -646,8 +647,8 @@ pub fn build_negotiation_programs(n: usize) -> Vec<Program> {
 /// four epochs, proving the symmetric skips and unconditional tag bumps
 /// keep mixed protocol phases aligned), the serve tier's seq-numbered
 /// control broadcast / MFG exchanges / drain-then-ack shutdown, and the
-/// rendezvous codec negotiation — each a distinct obligation counter in
-/// the proof report.
+/// rendezvous hello → roster exchange — each a distinct obligation
+/// counter in the proof report.
 #[must_use]
 pub fn sweep(ns: &[usize], ks: &[usize], layers: usize) -> PassReport {
     let mut report = PassReport::new("protocol");
@@ -700,9 +701,9 @@ pub fn sweep(ns: &[usize], ks: &[usize], layers: usize) -> PassReport {
         sweep_step(&mut report, "serve_configs_verified", &here, &programs, n);
     }
     for &n in ns {
-        // Codec negotiation at rendezvous: every worker's hello is
-        // answered — by an accept frame or by the teardown a reject
-        // causes — so neither outcome can hang a rank.
+        // Rendezvous: every worker's hello is answered — by the roster or
+        // by the teardown a reject causes — so neither outcome can hang a
+        // rank.
         let programs = build_negotiation_programs(n);
         let here = format!("N={n} model=negotiation");
         sweep_step(&mut report, "negotiations_verified", &here, &programs, 0);

@@ -1,16 +1,16 @@
 //! Pass 4: the determinism-taint verifier.
 //!
 //! The workspace's central correctness claim — `parity_digest()` is
-//! bitwise identical at any `{threads, prefetch depth, transport, codec}`
-//! — is only as strong as the absence of nondeterminism
-//! sources on the digest-bearing hot paths. This pass makes that absence
-//! a static property instead of a test matrix. It computes the call-graph
-//! closure (over [`crate::ast`]) of the digest-bearing roots — the graph
-//! kernels, `seq_agg`, the wire codec, the rotation worker (walker and
-//! gradient router), the layer forward (and its two halves) the serve
-//! engine shares with training, the engine's MFG path and its resident
-//! layer-0 projection — restricted to the hot-path
-//! file set, and rejects three source classes inside that closure:
+//! bitwise identical at any `{threads, prefetch depth, transport}` — is
+//! only as strong as the absence of nondeterminism sources on the
+//! digest-bearing hot paths. This pass makes that absence a static
+//! property instead of a test matrix. It computes the call-graph closure
+//! (over [`crate::ast`]) of the digest-bearing roots — the graph kernels,
+//! `seq_agg`, the comm context's send and receive, the rotation worker
+//! (walker and gradient router), the layer forward (and its two halves)
+//! the serve engine shares with training, the engine's MFG path and its
+//! resident layer-0 projection — restricted to the hot-path file set, and
+//! rejects three source classes inside that closure:
 //!
 //! * **`taint-unordered-iter`** — iterating a `HashMap`/`HashSet`
 //!   (`.iter()`, `.keys()`, `.values()`, `.drain()`, `for … in map`):
@@ -42,7 +42,7 @@ use crate::{Finding, PassReport};
 
 /// Files whose every function is digest-bearing from the first
 /// instruction: the kernels, the autograd aggregation ops, the layer tail
-/// (batch norm, epilogue) and the loss, and the wire codec.
+/// (batch norm, epilogue) and the loss.
 const ROOT_FILES: &[&str] = &[
     "crates/graph/src/ops.rs",
     "crates/graph/src/fused.rs",
@@ -51,7 +51,6 @@ const ROOT_FILES: &[&str] = &[
     "crates/core/src/seq_agg.rs",
     "crates/nn/src/tail.rs",
     "crates/nn/src/loss.rs",
-    "crates/comm/src/codec.rs",
 ];
 
 /// Digest-bearing functions on mixed files (the rest of those files is
@@ -77,8 +76,6 @@ const ROOT_FNS: &[(&str, &str)] = &[
     ("crates/comm/src/ctx.rs", "send"),
     ("crates/comm/src/ctx.rs", "recv"),
     ("crates/comm/src/ctx.rs", "try_recv"),
-    ("crates/comm/src/ctx.rs", "encode_for_wire"),
-    ("crates/comm/src/ctx.rs", "decode_arrival"),
 ];
 
 /// The hot-path file set the closure may descend into. Names outside this
@@ -98,7 +95,6 @@ const HOT_FILES: &[&str] = &[
     "crates/core/src/model.rs",
     "crates/core/src/mfg.rs",
     "crates/serve/src/engine.rs",
-    "crates/comm/src/codec.rs",
     "crates/comm/src/ctx.rs",
     "crates/comm/src/buffer.rs",
 ];
@@ -413,7 +409,7 @@ fn spmm_sum(g: usize) {
     #[test]
     fn keyed_hash_access_is_not_flagged() {
         let src = "\
-fn encode_block(id: u64) {
+fn lookup(id: u64) {
     let cache = HashMap::new();
     let hit = cache.get(&id);
     cache.insert(id, 1);
@@ -421,7 +417,7 @@ fn encode_block(id: u64) {
     let _ = hit;
 }
 ";
-        assert!(findings_for(&[("crates/comm/src/codec.rs", src)]).is_empty());
+        assert!(findings_for(&[("crates/nn/src/loss.rs", src)]).is_empty());
     }
 
     #[test]

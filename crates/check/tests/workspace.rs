@@ -68,7 +68,7 @@ fn the_workspace_is_clean_and_keeps_every_committed_obligation() {
         "7 world sizes × 4 depths × 2 case models × 3 protocols"
     );
     // Serve tier (ctrl broadcast / MFG build / forward / result gather /
-    // drain-then-ack shutdown) and codec negotiation at rendezvous.
+    // drain-then-ack shutdown) and the rendezvous hello → roster exchange.
     assert_eq!(stat(protocol, "serve_configs_verified"), Some(7));
     assert_eq!(stat(protocol, "negotiations_verified"), Some(7));
 

@@ -8,17 +8,14 @@ use std::time::{Duration, Instant};
 
 use sar_tensor::MemScope;
 
-use crate::buffer;
-use crate::codec::{self, Codec};
 use crate::message::Payload;
 use crate::net::{CommStats, CostModel};
 use crate::phase::Phase;
 use crate::time::thread_cpu_secs;
 use crate::transport::{Clock, Transport, TransportError};
 
-/// Out-of-order arrivals for one `(src, tag)` pair: each payload with
-/// the wire length it occupied on the network.
-type PendingQueue = VecDeque<(Payload, u64)>;
+/// Out-of-order arrivals for one `(src, tag)` pair, in arrival order.
+type PendingQueue = VecDeque<Payload>;
 
 /// A worker's handle to the cluster.
 ///
@@ -29,16 +26,11 @@ type PendingQueue = VecDeque<(Payload, u64)>;
 /// arrivals, so independent protocols (per-layer feature fetches, gradient
 /// pushes, collectives) can interleave safely.
 ///
-/// All traffic is accounted in *logical* [`Payload::wire_len`] bytes —
-/// raw-f32 payload plus the framed-message header — so byte ledgers are
-/// identical across backends and codecs. When a non-`raw` [`Codec`] is
-/// active (see [`WorkerCtx::set_codec`]), eligible data-plane payloads
-/// are additionally encoded on send and decoded on delivery, and the
-/// *wire* byte counters ([`PhaseEntry::wire_sent_bytes`](crate::PhaseEntry)
-/// and friends) record the encoded size that actually crossed the
-/// network. Communication *time* follows the backend's [`Clock`]:
-/// simulated α–β cost on the channel backend (charged on the wire size),
-/// measured wall-clock blocking time on TCP.
+/// All traffic is accounted in [`Payload::wire_len`] bytes — raw payload
+/// plus the framed-message header — so byte ledgers are identical across
+/// backends. Communication *time* follows the backend's [`Clock`]:
+/// simulated α–β cost on the channel backend, measured wall-clock
+/// blocking time on TCP.
 ///
 /// `WorkerCtx` is intentionally not `Clone`: SAR's algorithms are
 /// bulk-synchronous SPMD, one context per worker.
@@ -47,11 +39,7 @@ pub struct WorkerCtx {
     cost: CostModel,
     recv_timeout: Duration,
     stats: Rc<RefCell<CommStats>>,
-    // Buffered out-of-order arrivals, each paired with the wire length it
-    // occupied on the network (encoded size for codec frames; equal to the
-    // logical size otherwise).
     pending: RefCell<HashMap<(u32, u64), PendingQueue>>,
-    codec: Cell<Codec>,
     coll_seq: Cell<u64>,
     phase: Cell<Phase>,
     layer: Cell<Option<u16>>,
@@ -80,7 +68,6 @@ impl WorkerCtx {
             recv_timeout,
             stats: Rc::new(RefCell::new(CommStats::new(world))),
             pending: RefCell::new(HashMap::new()),
-            codec: Cell::new(Codec::Raw),
             coll_seq: Cell::new(0),
             phase: Cell::new(Phase::Other),
             layer: Cell::new(None),
@@ -115,25 +102,6 @@ impl WorkerCtx {
     /// The cluster's α–β cost model.
     pub fn cost_model(&self) -> CostModel {
         self.cost
-    }
-
-    /// The wire codec currently applied to eligible data-plane payloads.
-    pub fn codec(&self) -> Codec {
-        self.codec.get()
-    }
-
-    /// Selects the wire codec for eligible data-plane payloads: `F32`
-    /// sends to a *remote* peer on a rotation-exchange tag inside a
-    /// compressible phase (forward fetch, backward re-fetch, gradient
-    /// routing). Everything else — self-sends, collectives, gathers,
-    /// control traffic, non-f32 payloads — always ships raw.
-    ///
-    /// All ranks must run the same codec (the TCP rendezvous enforces
-    /// this; the in-process cluster shares one configuration). The
-    /// default is [`Codec::Raw`], under which this context behaves
-    /// byte-for-byte like the seed.
-    pub fn set_codec(&self, codec: Codec) {
-        self.codec.set(codec);
     }
 
     /// Snapshot of this worker's communication statistics.
@@ -279,18 +247,16 @@ impl WorkerCtx {
                 self.world_size()
             );
         }
-        let logical = payload.wire_len() as u64;
-        let payload = self.encode_for_wire(dst, tag, payload);
-        let wire = payload.wire_len() as u64;
+        let bytes = payload.wire_len() as u64;
         {
             let mut s = self.stats.borrow_mut();
-            s.sent_bytes[dst] += logical;
+            s.sent_bytes[dst] += bytes;
             s.sent_messages += 1;
             let entry = s
                 .ledger
                 .entry_mut(self.traffic_phase(tag), self.layer.get());
-            entry.sent_bytes += logical;
-            entry.wire_sent_bytes += wire;
+            entry.sent_bytes += bytes;
+            entry.wire_sent_bytes += bytes;
             entry.sent_messages += 1;
         }
         if dst == self.rank() {
@@ -298,55 +264,10 @@ impl WorkerCtx {
                 .borrow_mut()
                 .entry((self.rank() as u32, tag))
                 .or_default()
-                .push_back((payload, wire));
+                .push_back(payload);
             return Ok(());
         }
         self.transport.send(dst, tag, payload)
-    }
-
-    /// Applies the active codec to `payload` if it is codec-eligible:
-    /// a non-`raw` codec is set, the destination is a remote peer, the
-    /// tag is in the data-plane space, the traffic phase is one of the
-    /// three exchange phases, and the payload carries f32 data. Returns
-    /// the payload unchanged otherwise, so the raw/ineligible path is
-    /// byte-for-byte the seed behavior.
-    fn encode_for_wire(&self, dst: usize, tag: u64, payload: Payload) -> Payload {
-        let codec = self.codec.get();
-        if codec == Codec::Raw || dst == self.rank() || tag >= codec::CODEC_TAG_CEILING {
-            return payload;
-        }
-        if !codec::phase_is_compressible(self.traffic_phase(tag)) {
-            return payload;
-        }
-        let values = match payload {
-            Payload::F32(v) => v,
-            other => return other,
-        };
-        let bytes = codec.encode_block(&values);
-        buffer::recycle_f32(values);
-        Payload::Encoded { codec, bytes }
-    }
-
-    /// Decodes a codec-encoded payload arriving from `src` back to `F32`,
-    /// returning it paired with the wire length the frame occupied on the
-    /// network.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Corrupt`] naming the codec and the peer rank if
-    /// the block's element count or body fails to decode.
-    fn decode_arrival(&self, src: u32, payload: Payload) -> Result<(Payload, u64), TransportError> {
-        let wire = payload.wire_len() as u64;
-        let (codec, bytes) = match payload {
-            Payload::Encoded { codec, bytes } => (codec, bytes),
-            other => return Ok((other, wire)),
-        };
-        let corrupt = |detail: String| TransportError::Corrupt {
-            peer: src as usize,
-            detail: format!("{}-coded block: {detail}", codec.name()),
-        };
-        let values = codec.decode_body(&bytes).map_err(corrupt)?;
-        Ok((Payload::F32(values), wire))
     }
 
     /// Receives the next payload from `src` under `tag`, blocking until it
@@ -387,7 +308,7 @@ impl WorkerCtx {
     pub fn try_recv(&self, src: usize, tag: u64) -> Result<Payload, TransportError> {
         let key = (src as u32, tag);
         let mut blocked_us = 0.0f64;
-        let (payload, wire) = loop {
+        let payload = loop {
             // A drained queue leaves the map with its last message: tags
             // are never reused, so an emptied entry would stay for the
             // life of the process.
@@ -405,31 +326,27 @@ impl WorkerCtx {
             let start = Instant::now();
             let msg = self.transport.recv_any(self.recv_timeout)?;
             blocked_us += start.elapsed().as_secs_f64() * 1e6; // sar-check: deterministic(metering)
-            let decoded = self.decode_arrival(msg.src, msg.payload)?;
             if (msg.src, msg.tag) == key {
-                break decoded;
+                break msg.payload;
             }
             self.pending
                 .borrow_mut()
                 .entry((msg.src, msg.tag))
                 .or_default()
-                .push_back(decoded);
+                .push_back(msg.payload);
         };
-        self.charge_recv(src, tag, &payload, wire, blocked_us);
+        self.charge_recv(src, tag, &payload, blocked_us);
         Ok(payload)
     }
 
-    /// Ledgers one received message: logical bytes (from the decoded
-    /// payload) and message count always, wire bytes from `wire` (the
-    /// frame's encoded size on the network), communication time per the
-    /// backend clock — the α–β model charges the *wire* size, which is
-    /// what actually crossed the link — and the measured parked time as
-    /// [`blocked_us`](crate::PhaseEntry::blocked_us). Self-sends loop
-    /// through the pending buffer and are never charged.
+    /// Ledgers one received message: its bytes and message count always,
+    /// communication time per the backend clock, and the measured parked
+    /// time as [`blocked_us`](crate::PhaseEntry::blocked_us). Self-sends
+    /// loop through the pending buffer and are never charged.
     // sar-check: deterministic(metering: every accumulation here is a
     // ledger charge counter — bytes, messages, microseconds — charged once
     // per delivery in program order; payload data is never touched)
-    fn charge_recv(&self, src: usize, tag: u64, payload: &Payload, wire: u64, blocked_us: f64) {
+    fn charge_recv(&self, src: usize, tag: u64, payload: &Payload, blocked_us: f64) {
         if src == self.rank() {
             return;
         }
@@ -437,7 +354,7 @@ impl WorkerCtx {
         let cost_us = if self.transport.clock() == Clock::Wall {
             blocked_us
         } else {
-            self.cost.message_cost_us(wire as usize)
+            self.cost.message_cost_us(bytes as usize)
         };
         let mut s = self.stats.borrow_mut();
         s.recv_bytes += bytes;
@@ -446,7 +363,7 @@ impl WorkerCtx {
             .ledger
             .entry_mut(self.traffic_phase(tag), self.layer.get());
         entry.recv_bytes += bytes;
-        entry.wire_recv_bytes += wire;
+        entry.wire_recv_bytes += bytes;
         entry.recv_messages += 1;
         entry.comm_us += cost_us;
         entry.blocked_us += blocked_us;
@@ -672,102 +589,6 @@ mod tests {
         assert_eq!(route.sent_bytes, 40 + H);
         assert_eq!(route.recv_bytes, 0);
         assert_eq!(route.comm_us, 0.0);
-    }
-
-    #[test]
-    fn lossy_codec_halves_wire_bytes_but_keeps_logical_ledger() {
-        use crate::codec::BLOCK_COUNT_LEN;
-        let out = Cluster::new(2, CostModel::default()).run(|ctx| {
-            ctx.set_codec(Codec::F16);
-            let peer = 1 - ctx.rank();
-            let _p = ctx.phase_scope(Phase::ForwardFetch);
-            ctx.send(peer, 0, Payload::F32(vec![1.5; 250]));
-            let got = ctx.recv(peer, 0).into_f32();
-            // 1.5 is exactly representable in f16, so values round-trip.
-            assert_eq!(got, vec![1.5; 250]);
-            ctx.stats()
-        });
-        let wire_payload = (BLOCK_COUNT_LEN + 250 * 2) as u64;
-        for o in &out {
-            let fetch = o.result.ledger.phase_total(Phase::ForwardFetch);
-            // Logical ledger is the seed's raw-f32 accounting...
-            assert_eq!(fetch.sent_bytes, 1000 + H);
-            assert_eq!(fetch.recv_bytes, 1000 + H);
-            // ...while the wire counters see the encoded frame.
-            assert_eq!(fetch.wire_sent_bytes, wire_payload + H);
-            assert_eq!(fetch.wire_recv_bytes, wire_payload + H);
-        }
-    }
-
-    #[test]
-    fn raw_codec_and_collectives_keep_wire_equal_to_logical() {
-        let out = Cluster::new(2, CostModel::default()).run(|ctx| {
-            // Default codec is raw; collectives stay raw even under int8.
-            let peer = 1 - ctx.rank();
-            {
-                let _p = ctx.phase_scope(Phase::ForwardFetch);
-                ctx.send(peer, 0, Payload::F32(vec![2.0; 64]));
-                let _ = ctx.recv(peer, 0);
-            }
-            ctx.set_codec(Codec::Int8);
-            let s = ctx.all_reduce_sum_scalar(1.0);
-            assert_eq!(s, 2.0);
-            ctx.stats()
-        });
-        for o in &out {
-            let fetch = o.result.ledger.phase_total(Phase::ForwardFetch);
-            assert_eq!(fetch.wire_sent_bytes, fetch.sent_bytes);
-            assert_eq!(fetch.wire_recv_bytes, fetch.recv_bytes);
-            let coll = o.result.ledger.phase_total(Phase::Collective);
-            assert_eq!(coll.wire_sent_bytes, coll.sent_bytes);
-        }
-    }
-
-    #[test]
-    fn self_sends_are_never_encoded() {
-        let out = Cluster::new(1, CostModel::default()).run(|ctx| {
-            ctx.set_codec(Codec::Int8);
-            let _p = ctx.phase_scope(Phase::GradRouting);
-            let values = vec![0.123_456_79_f32, -9.876_543e-4, f32::MIN_POSITIVE];
-            ctx.send(0, 0, Payload::F32(values.clone()));
-            let got = ctx.recv(0, 0).into_f32();
-            // Local math stays exact: int8 would have mangled these.
-            let same = got
-                .iter()
-                .zip(&values)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "self-sends must bypass the codec");
-            ctx.stats()
-        });
-        let route = out[0].result.ledger.phase_total(Phase::GradRouting);
-        assert_eq!(route.wire_sent_bytes, route.sent_bytes);
-    }
-
-    #[test]
-    fn corrupt_encoded_block_names_the_codec_and_peer() {
-        use crate::transport::ChannelTransport;
-        let mut mesh = ChannelTransport::mesh(2);
-        let receiver = mesh.pop().map(Box::new);
-        let sender = mesh.pop();
-        let (Some(receiver), Some(sender)) = (receiver, sender) else {
-            unreachable!("mesh(2) yields two transports");
-        };
-        // Rank 0 injects an encoded frame whose body is garbage.
-        sender
-            .send(
-                1,
-                7,
-                Payload::Encoded {
-                    codec: Codec::Int8,
-                    bytes: vec![0xFF; 5],
-                },
-            )
-            .expect("channel send");
-        let ctx = WorkerCtx::new(receiver, CostModel::default(), Duration::from_secs(5));
-        let err = ctx.try_recv(0, 7).expect_err("garbage must not decode");
-        let msg = err.to_string();
-        assert!(msg.contains("rank 0"), "peer missing: {msg}");
-        assert!(msg.contains("int8"), "codec missing: {msg}");
     }
 
     #[test]

@@ -40,7 +40,6 @@
 
 pub mod buffer;
 mod cluster;
-pub mod codec;
 mod collectives;
 mod ctx;
 mod message;
@@ -52,7 +51,6 @@ mod transport;
 pub mod wire;
 
 pub use cluster::{Cluster, WorkerOutcome};
-pub use codec::Codec;
 pub use ctx::{LayerScope, PhaseScope, WorkerCtx};
 pub use message::{Message, Payload};
 pub use net::{CommStats, CostModel};

@@ -1,6 +1,5 @@
 //! Message payloads exchanged between workers.
 
-use crate::codec::Codec;
 use crate::transport::TransportError;
 use crate::wire::WIRE_HEADER_LEN;
 
@@ -21,17 +20,6 @@ pub enum Payload {
     Bytes(Vec<u8>),
     /// A pure synchronization token.
     Empty,
-    /// A codec-encoded `f32` block (see [`crate::codec`]): produced by
-    /// the sending [`WorkerCtx`](crate::WorkerCtx) when a non-`raw`
-    /// codec is active, carried through the transport as-is (both
-    /// backends ship exactly these bytes), and decoded back to
-    /// [`Payload::F32`] by the receiving context before delivery.
-    Encoded {
-        /// The codec that produced (and can decode) `bytes`.
-        codec: Codec,
-        /// The encoded block: element count + codec body.
-        bytes: Vec<u8>,
-    },
 }
 
 impl Payload {
@@ -42,7 +30,6 @@ impl Payload {
             Payload::U32(v) => v.len() * 4,
             Payload::Bytes(v) => v.len(),
             Payload::Empty => 0,
-            Payload::Encoded { bytes, .. } => bytes.len(),
         }
     }
 
@@ -62,7 +49,6 @@ impl Payload {
             Payload::U32(_) => "U32",
             Payload::Bytes(_) => "Bytes",
             Payload::Empty => "Empty",
-            Payload::Encoded { .. } => "Encoded",
         }
     }
 

@@ -64,14 +64,12 @@ pub struct PhaseEntry {
     pub sent_bytes: u64,
     /// Bytes received from *remote* peers while in this phase.
     pub recv_bytes: u64,
-    /// Bytes sent *as encoded for the wire* — frame header plus the
-    /// codec-compressed payload. Equal to [`PhaseEntry::sent_bytes`]
-    /// under the `raw` codec (and for self-sends, which never hit the
-    /// network); smaller under any compressing codec. The logical
-    /// counters above are the protocol-semantics ledger the parity
-    /// digest pins; this pair is what actually crossed the network.
+    /// Bytes sent as they crossed the wire. Every frame ships its payload
+    /// raw, so this always equals [`PhaseEntry::sent_bytes`]; the field
+    /// stays for readers of the rank record that still name it.
     pub wire_sent_bytes: u64,
-    /// Bytes received from remote peers as encoded for the wire.
+    /// Bytes received from remote peers as they crossed the wire; always
+    /// equal to [`PhaseEntry::recv_bytes`].
     pub wire_recv_bytes: u64,
     /// Messages sent.
     pub sent_messages: u64,

@@ -32,7 +32,6 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
-use crate::codec::Codec;
 use crate::le;
 use crate::message::{Message, Payload};
 use crate::transport::{Clock, Transport, TransportError};
@@ -57,11 +56,6 @@ pub struct TcpOpts {
     /// Socket write timeout, and the deadline for handshake reads and
     /// barrier formation.
     pub io_timeout: Duration,
-    /// The wire codec this rank will run (see [`crate::codec`]). Carried
-    /// in the rendezvous hello; rank 0 rejects the cluster unless every
-    /// rank negotiated the same codec, and reader threads reject encoded
-    /// frames carrying any other codec id.
-    pub codec: Codec,
 }
 
 impl Default for TcpOpts {
@@ -70,7 +64,6 @@ impl Default for TcpOpts {
             connect_attempts: 25,
             connect_backoff: Duration::from_millis(20),
             io_timeout: Duration::from_secs(120),
-            codec: Codec::Raw,
         }
     }
 }
@@ -82,7 +75,6 @@ impl TcpOpts {
             connect_attempts: 3,
             connect_backoff: Duration::from_millis(5),
             io_timeout: Duration::from_millis(500),
-            ..TcpOpts::default()
         }
     }
 }
@@ -153,17 +145,11 @@ impl std::fmt::Debug for TcpTransport {
 // Rendezvous
 // ----------------------------------------------------------------------
 
-/// Rendezvous hello: `rank` announces its data listener address and the
-/// wire codec it intends to run.
-fn send_hello(
-    stream: &mut TcpStream,
-    rank: usize,
-    codec: Codec,
-    data_addr: SocketAddr,
-) -> std::io::Result<()> {
+/// Rendezvous hello: `rank` announces its data listener address
+/// (`rank u32 | addr len u32 | addr`).
+fn send_hello(stream: &mut TcpStream, rank: usize, data_addr: SocketAddr) -> std::io::Result<()> {
     let mut buf = Vec::new();
     le::put_u32(&mut buf, rank as u32);
-    buf.push(codec.code());
     put_addr(&mut buf, data_addr);
     stream.write_all(&buf)
 }
@@ -198,21 +184,11 @@ fn recv_addr(stream: &mut TcpStream, len: u32, what: &str) -> Result<SocketAddr,
         .map_err(|e| TransportError::Handshake(format!("bad address {addr:?}: {e}")))
 }
 
-fn recv_hello(stream: &mut TcpStream) -> Result<(usize, Codec, SocketAddr), TransportError> {
-    let head = recv_bytes::<9>(stream)?;
-    let mut c = le::Cursor::new(&head);
-    // `head` is exactly these three fields, so the cursor cannot run out;
-    // if it ever did, that is a handshake error like any other.
-    let short_field = |e: le::CursorError| TransportError::Handshake(e.to_string());
-    let rank = c.u32().map_err(short_field)? as usize;
-    let codec_id = c.u8().map_err(short_field)?;
-    let codec = Codec::from_code(codec_id).ok_or_else(|| {
-        TransportError::Handshake(format!(
-            "rendezvous hello from rank {rank} names unknown codec id {codec_id}"
-        ))
-    })?;
-    let len = c.u32().map_err(short_field)?;
-    Ok((rank, codec, recv_addr(stream, len, "rendezvous hello")?))
+fn recv_hello(stream: &mut TcpStream) -> Result<(usize, SocketAddr), TransportError> {
+    let head = recv_bytes::<8>(stream)?;
+    let rank = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+    let len = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
+    Ok((rank, recv_addr(stream, len, "rendezvous hello")?))
 }
 
 fn send_roster(stream: &mut TcpStream, roster: &[SocketAddr]) -> std::io::Result<()> {
@@ -363,17 +339,10 @@ impl TcpTransport {
             stream
                 .set_read_timeout(Some(opts.io_timeout))
                 .map_err(TransportError::Io)?;
-            let (rank, codec, addr) = recv_hello(&mut stream)?;
+            let (rank, addr) = recv_hello(&mut stream)?;
             if rank == 0 || rank >= world {
                 return Err(TransportError::Handshake(format!(
                     "rendezvous hello from out-of-range rank {rank} (world {world})"
-                )));
-            }
-            if codec != opts.codec {
-                return Err(TransportError::Handshake(format!(
-                    "codec negotiation failed: rank {rank} runs codec {}, rank 0 runs {}",
-                    codec.name(),
-                    opts.codec.name()
                 )));
             }
             if roster[rank].is_some() {
@@ -432,7 +401,7 @@ impl TcpTransport {
         stream
             .set_read_timeout(Some(opts.io_timeout))
             .map_err(TransportError::Io)?;
-        send_hello(&mut stream, rank, opts.codec, my_addr).map_err(TransportError::Io)?;
+        send_hello(&mut stream, rank, my_addr).map_err(TransportError::Io)?;
         let roster = recv_roster(&mut stream, world)?;
         drop(stream);
         Self::mesh(rank, world, data_listener, &roster, opts)
@@ -519,10 +488,9 @@ impl TcpTransport {
             let tx = inbox_tx.clone();
             let btx = barrier_tx.clone();
             let closing_r = Arc::clone(&closing);
-            let negotiated = opts.codec;
             std::thread::Builder::new()
                 .name(format!("sar-tcp-r{rank}-p{q}"))
-                .spawn(move || reader_loop(read_half, q, negotiated, tx, btx, closing_r))
+                .spawn(move || reader_loop(read_half, q, tx, btx, closing_r))
                 .map_err(TransportError::Io)?;
             let (wtx, wrx) = std::sync::mpsc::sync_channel::<WriterMsg>(WRITER_QUEUE);
             let err = Arc::new(Mutex::new(None));
@@ -651,7 +619,6 @@ const HELLO_TAG: u64 = u64::MAX;
 fn reader_loop(
     mut stream: TcpStream,
     peer: usize,
-    negotiated: Codec,
     inbox: Sender<InboxItem>,
     barriers: Sender<(usize, u64)>,
     closing: Arc<AtomicBool>,
@@ -669,20 +636,6 @@ fn reader_loop(
                         peer,
                         detail: format!("frame claims src rank {src}"),
                     })
-                } else if let Payload::Encoded { codec, .. } = &payload {
-                    if *codec == negotiated {
-                        Ok(Message { src, tag, payload })
-                    } else {
-                        Err(TransportError::Corrupt {
-                            peer,
-                            detail: format!(
-                                "{}-coded frame from rank {src}, but this cluster \
-                                 negotiated codec {}",
-                                codec.name(),
-                                negotiated.name()
-                            ),
-                        })
-                    }
                 } else {
                     Ok(Message { src, tag, payload })
                 };
@@ -719,18 +672,11 @@ fn reader_loop(
                 }
                 return;
             }
-            Err(WireError::ChecksumMismatch {
-                expected,
-                actual,
-                codec,
-            }) => {
-                let coded = codec
-                    .map(|c| format!(" on a {}-coded frame", c.name()))
-                    .unwrap_or_default();
+            Err(WireError::ChecksumMismatch { expected, actual }) => {
                 let _ = inbox.send(Err(TransportError::Corrupt {
                     peer,
                     detail: format!(
-                        "checksum mismatch{coded} (frame {expected:#010x}, computed {actual:#010x})"
+                        "checksum mismatch (frame {expected:#010x}, computed {actual:#010x})"
                     ),
                 }));
                 return;
@@ -1053,7 +999,7 @@ mod tests {
         let dead = std::thread::spawn(move || {
             let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
             let mut s = TcpStream::connect(rdv_addr).unwrap();
-            send_hello(&mut s, 1, Codec::Raw, listener.local_addr().unwrap()).unwrap();
+            send_hello(&mut s, 1, listener.local_addr().unwrap()).unwrap();
             let _roster = recv_roster(&mut s, 2).unwrap();
             let (mut data, _) = listener.accept().unwrap();
             assert_eq!(read_frame(&mut data).unwrap().src, 0);
@@ -1092,7 +1038,7 @@ mod tests {
             let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
             let my_addr = listener.local_addr().unwrap();
             let mut s = TcpStream::connect(rdv_addr).unwrap();
-            send_hello(&mut s, 1, Codec::Raw, my_addr).unwrap();
+            send_hello(&mut s, 1, my_addr).unwrap();
             let _roster = recv_roster(&mut s, 2).unwrap();
             // Rank 0 connects to us (lower rank dials higher).
             let (mut data, _) = listener.accept().unwrap();
@@ -1189,176 +1135,6 @@ mod tests {
             }
         });
         assert_eq!(out[0], "timed-out");
-    }
-
-    #[test]
-    fn codec_negotiation_rejects_a_mismatched_rank() {
-        let rendezvous = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let rdv_addr = rendezvous.local_addr().unwrap();
-        let joiner = std::thread::spawn(move || {
-            let opts = TcpOpts {
-                codec: Codec::Int8,
-                ..TcpOpts::impatient()
-            };
-            TcpTransport::join(rdv_addr, 1, 2, opts).err()
-        });
-        let host_opts = TcpOpts {
-            codec: Codec::F16,
-            ..TcpOpts::impatient()
-        };
-        let err = TcpTransport::host(rendezvous, 2, host_opts)
-            .expect_err("host must reject a codec mismatch");
-        let msg = err.to_string();
-        assert!(
-            msg.contains("codec negotiation failed")
-                && msg.contains("int8")
-                && msg.contains("f16")
-                && msg.contains("rank 1"),
-            "diagnostic must name both codecs and the rank: {msg}"
-        );
-        // The joiner fails too (the roster never arrives).
-        assert!(joiner.join().unwrap().is_some());
-    }
-
-    #[test]
-    fn retired_codec_id_in_the_hello_is_a_named_handshake_error() {
-        // Ids 2 and 4 belonged to the retired bf16 and delta codecs.
-        for id in [2u8, 4] {
-            let rendezvous = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-            let rdv_addr = rendezvous.local_addr().unwrap();
-            let joiner = std::thread::spawn(move || {
-                let mut s = TcpStream::connect(rdv_addr).unwrap();
-                // rank u32 | codec u8 | address length u32: the 9-byte head.
-                let mut hello = Vec::new();
-                le::put_u32(&mut hello, 1);
-                hello.push(id);
-                le::put_u32(&mut hello, 0);
-                s.write_all(&hello).unwrap();
-                std::thread::sleep(Duration::from_millis(300));
-            });
-            let started = Instant::now();
-            match TcpTransport::host(rendezvous, 2, TcpOpts::impatient()) {
-                Err(TransportError::Handshake(d)) => assert!(
-                    d.contains(&format!("unknown codec id {id}")) && d.contains("rank 1"),
-                    "diagnostic must name the id and the rank: {d}"
-                ),
-                Err(other) => panic!("expected a handshake error for id {id}, got {other}"),
-                Ok(_) => panic!("host accepted retired codec id {id}"),
-            }
-            assert!(started.elapsed() <= Duration::from_secs(1));
-            joiner.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn negotiated_codec_frames_cross_the_mesh() {
-        let opts = TcpOpts {
-            codec: Codec::F16,
-            ..TcpOpts::default()
-        };
-        let out = run_tcp_threads(2, opts, |t| {
-            let peer = 1 - t.rank();
-            let bytes = Codec::F16.encode_block(&[1.0, 2.0, 3.0]);
-            t.send(
-                peer,
-                5,
-                Payload::Encoded {
-                    codec: Codec::F16,
-                    bytes,
-                },
-            )
-            .unwrap();
-            let m = t.recv_any(Duration::from_secs(10)).unwrap();
-            matches!(
-                m.payload,
-                Payload::Encoded {
-                    codec: Codec::F16,
-                    ..
-                }
-            )
-        });
-        assert!(out[0] && out[1]);
-    }
-
-    #[test]
-    fn unnegotiated_codec_frame_is_rejected_by_the_reader() {
-        // Cluster negotiated raw; a peer ships an int8-coded frame anyway.
-        let out = run_tcp_threads(2, TcpOpts::default(), |t| {
-            if t.rank() == 1 {
-                let bytes = Codec::Int8.encode_block(&[1.0; 64]);
-                t.send(
-                    0,
-                    4,
-                    Payload::Encoded {
-                        codec: Codec::Int8,
-                        bytes,
-                    },
-                )
-                .unwrap();
-                std::thread::sleep(Duration::from_millis(300));
-                return "sent".to_string();
-            }
-            match t.recv_any(Duration::from_secs(5)) {
-                Err(TransportError::Corrupt { peer: 1, detail }) => {
-                    assert!(
-                        detail.contains("int8") && detail.contains("raw"),
-                        "detail must name both codecs: {detail}"
-                    );
-                    "rejected".to_string()
-                }
-                other => format!("unexpected: {other:?}"),
-            }
-        });
-        assert_eq!(out[0], "rejected");
-    }
-
-    #[test]
-    fn corrupted_encoded_frame_names_the_codec_on_tcp() {
-        // Like corrupted_frame_is_rejected_with_checksum_error, but the
-        // bit-flipped frame is codec-encoded: the checksum diagnostic must
-        // say which codec the frame claimed.
-        let rendezvous = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let rdv_addr = rendezvous.local_addr().unwrap();
-        let evil = std::thread::spawn(move || {
-            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-            let my_addr = listener.local_addr().unwrap();
-            let mut s = TcpStream::connect(rdv_addr).unwrap();
-            send_hello(&mut s, 1, Codec::Int8, my_addr).unwrap();
-            let _roster = recv_roster(&mut s, 2).unwrap();
-            let (mut data, _) = listener.accept().unwrap();
-            let hello = read_frame(&mut data).unwrap();
-            assert_eq!(hello.src, 0);
-            let bytes = Codec::Int8.encode_block(&[4.0, 5.0]);
-            let mut frame = crate::wire::encode_frame(
-                FrameKind::Data,
-                1,
-                9,
-                &Payload::Encoded {
-                    codec: Codec::Int8,
-                    bytes,
-                },
-            );
-            let last = frame.len() - 1;
-            frame[last] ^= 0x40;
-            data.write_all(&frame).unwrap();
-            data.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(300));
-        });
-        let opts = TcpOpts {
-            codec: Codec::Int8,
-            ..TcpOpts::default()
-        };
-        let t = TcpTransport::host(rendezvous, 2, opts).unwrap();
-        match t.recv_any(Duration::from_secs(5)) {
-            Err(TransportError::Corrupt { peer: 1, detail }) => {
-                assert!(
-                    detail.contains("checksum") && detail.contains("int8"),
-                    "detail: {detail}"
-                );
-            }
-            other => panic!("expected checksum rejection, got {other:?}"),
-        }
-        evil.join().unwrap();
     }
 
     #[test]

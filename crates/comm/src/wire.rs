@@ -8,11 +8,8 @@
 //!       0     4  magic  b"SAR1"
 //!       4     1  kind   (0 = data, 1 = barrier, 2 = shutdown,
 //!                        3 = request, 4 = response)
-//!       5     1  dtype  (0 = empty, 1 = f32, 2 = u32, 3 = bytes,
-//!                        4 = codec-encoded f32 block)
-//!       6     1  codec  (for dtype 4: the wire codec id, see
-//!                        [`Codec::code`]; zero otherwise)
-//!       7     1  reserved (zero)
+//!       5     1  dtype  (0 = empty, 1 = f32, 2 = u32, 3 = bytes)
+//!       6     2  reserved (zero)
 //!       8     4  src rank, u32 LE
 //!      12     8  tag, u64 LE
 //!      20     8  payload length in bytes, u64 LE
@@ -23,11 +20,12 @@
 //! The header overhead is charged to *every* message by [`Payload::wire_len`],
 //! so the simulated α–β cost model and the TCP byte ledgers agree exactly.
 //! Integrity is end-to-end: the checksum covers the header fields as well as
-//! the payload, so a corrupted tag or length is rejected, not misrouted.
+//! the payload, so a corrupted tag or length is rejected, not misrouted, and
+//! a frame whose checksum holds but whose reserved bytes are not zero is
+//! rejected as a bad header.
 
 use std::io::{self, IoSlice, Read, Write};
 
-use crate::codec::Codec;
 use crate::message::Payload;
 use crate::{buffer, le};
 
@@ -110,10 +108,6 @@ pub enum WireError {
         expected: u32,
         /// Checksum computed from the received bytes.
         actual: u32,
-        /// The wire codec the (untrusted) header claimed, if the frame
-        /// was codec-encoded — so a corrupt compressed frame names the
-        /// codec in its diagnostic.
-        codec: Option<Codec>,
     },
 }
 
@@ -123,20 +117,10 @@ impl std::fmt::Display for WireError {
             WireError::Eof => write!(f, "end of stream"),
             WireError::Io(e) => write!(f, "i/o error: {e}"),
             WireError::BadHeader(d) => write!(f, "bad frame header: {d}"),
-            WireError::ChecksumMismatch {
-                expected,
-                actual,
-                codec,
-            } => {
-                write!(
-                    f,
-                    "checksum mismatch: frame claims {expected:#010x}, computed {actual:#010x}"
-                )?;
-                if let Some(c) = codec {
-                    write!(f, " ({}-coded frame)", c.name())?;
-                }
-                Ok(())
-            }
+            WireError::ChecksumMismatch { expected, actual } => write!(
+                f,
+                "checksum mismatch: frame claims {expected:#010x}, computed {actual:#010x}"
+            ),
         }
     }
 }
@@ -251,15 +235,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Frames
 // ----------------------------------------------------------------------
 
-/// The header's dtype and codec bytes (offsets 5 and 6) and the payload's
-/// wire bytes — for scalar blocks the block's own memory, never a copy.
-fn payload_view(p: &Payload) -> (u8, u8, &[u8]) {
+/// The header's dtype byte (offset 5) and the payload's wire bytes — for
+/// scalar blocks the block's own memory, never a copy.
+fn payload_view(p: &Payload) -> (u8, &[u8]) {
     match p {
-        Payload::Empty => (0, 0, &[]),
-        Payload::F32(v) => (1, 0, le::scalar_bytes(v)),
-        Payload::U32(v) => (2, 0, le::scalar_bytes(v)),
-        Payload::Bytes(v) => (3, 0, v),
-        Payload::Encoded { codec, bytes } => (4, codec.code(), bytes),
+        Payload::Empty => (0, &[]),
+        Payload::F32(v) => (1, le::scalar_bytes(v)),
+        Payload::U32(v) => (2, le::scalar_bytes(v)),
+        Payload::Bytes(v) => (3, v),
     }
 }
 
@@ -275,10 +258,10 @@ pub fn write_frame(
     tag: u64,
     payload: &Payload,
 ) -> io::Result<()> {
-    let (dtype, codec_id, mut body) = payload_view(payload);
+    let (dtype, mut body) = payload_view(payload);
     let mut header = [0u8; WIRE_HEADER_LEN];
     header[..4].copy_from_slice(&WIRE_MAGIC);
-    header[4..8].copy_from_slice(&[kind.code(), dtype, codec_id, 0]);
+    header[4..6].copy_from_slice(&[kind.code(), dtype]);
     header[8..12].copy_from_slice(&src.to_le_bytes());
     header[12..20].copy_from_slice(&tag.to_le_bytes());
     header[20..28].copy_from_slice(&(body.len() as u64).to_le_bytes());
@@ -339,7 +322,7 @@ fn read_exact_or_eof(
 }
 
 /// Reads `n` scalars straight into `dst` — no intermediate byte buffer —
-/// through the codec's bounded fill ([`le::fill_scalars`]: the header's
+/// through `le`'s bounded fill ([`le::fill_scalars`]: the header's
 /// length field is a claim, up to [`WIRE_MAX_PAYLOAD`], and sizes nothing
 /// ahead of the stream), checksumming each chunk in place as it lands.
 fn read_body<T: le::Scalar>(
@@ -357,8 +340,8 @@ fn read_body<T: le::Scalar>(
 }
 
 /// Turns the body bytes of a non-scalar frame into its payload, rejecting
-/// every dtype/codec/length combination the format does not define.
-fn bytes_payload(dtype: u8, codec_id: u8, bytes: Vec<u8>) -> Result<Payload, WireError> {
+/// every dtype/length combination the format does not define.
+fn bytes_payload(dtype: u8, bytes: Vec<u8>) -> Result<Payload, WireError> {
     match dtype {
         0 if bytes.is_empty() => Ok(Payload::Empty),
         0 => Err(WireError::BadHeader(format!(
@@ -370,18 +353,9 @@ fn bytes_payload(dtype: u8, codec_id: u8, bytes: Vec<u8>) -> Result<Payload, Wir
             bytes.len()
         ))),
         3 => Ok(Payload::Bytes(bytes)),
-        4 => {
-            let codec = Codec::from_code(codec_id).ok_or_else(|| {
-                WireError::BadHeader(format!("encoded frame carries unknown codec id {codec_id}"))
-            })?;
-            if codec == Codec::Raw {
-                return Err(WireError::BadHeader(
-                    "encoded frame claims the raw codec (raw payloads use dtype 1)".into(),
-                ));
-            }
-            Ok(Payload::Encoded { codec, bytes })
-        }
-        other => Err(WireError::BadHeader(format!("unknown dtype code {other}"))),
+        other => Err(WireError::BadHeader(format!(
+            "unknown dtype code {other} at header offset 5"
+        ))),
     }
 }
 
@@ -412,7 +386,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     }
     let kind = FrameKind::from_code(header[4])
         .ok_or_else(|| WireError::BadHeader(format!("unknown frame kind {}", header[4])))?;
-    let (dtype, codec_id) = (header[5], header[6]);
+    let dtype = header[5];
     let (src, tag, len, expected) =
         header_ints(&header).map_err(|e| WireError::BadHeader(e.to_string()))?;
     if len > WIRE_MAX_PAYLOAD {
@@ -436,19 +410,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     };
     let actual = crc.finish();
     if actual != expected {
-        return Err(WireError::ChecksumMismatch {
-            expected,
-            actual,
-            codec: (dtype == 4).then(|| Codec::from_code(codec_id)).flatten(),
-        });
+        return Err(WireError::ChecksumMismatch { expected, actual });
     }
-    if dtype != 4 && codec_id != 0 {
+    if let Some(at) = (6..8).find(|&at| header[at] != 0) {
         return Err(WireError::BadHeader(format!(
-            "codec byte {codec_id} set on a non-encoded frame (dtype {dtype})"
+            "reserved header byte at offset {at} is {:#04x}, not zero",
+            header[at]
         )));
     }
     let payload = match body {
-        Payload::Bytes(bytes) => bytes_payload(dtype, codec_id, bytes)?,
+        Payload::Bytes(bytes) => bytes_payload(dtype, bytes)?,
         scalars => scalars,
     };
     Ok(Frame {
@@ -509,7 +480,7 @@ mod tests {
     #[test]
     fn golden_bytes_pin_the_format_for_every_dtype() {
         #[rustfmt::skip]
-        let golden: [(FrameKind, u32, u64, Payload, &[u8]); 5] = [
+        let golden: [(FrameKind, u32, u64, Payload, &[u8]); 4] = [
             (FrameKind::Barrier, 1, 7, Payload::Empty, &[
                 0x53, 0x41, 0x52, 0x31, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
                 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -533,16 +504,6 @@ mod tests {
                 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0xff, 0xb9, 0x13,
                 0x01, 0x02, 0x03,
             ]),
-            (
-                FrameKind::Data, 5, 9,
-                Payload::Encoded { codec: Codec::Int8, bytes: vec![0xaa, 0xbb, 0xcc, 0xdd, 0xee] },
-                &[
-                    0x53, 0x41, 0x52, 0x31, 0x00, 0x04, 0x03, 0x00, 0x05, 0x00, 0x00, 0x00,
-                    0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-                    0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0c, 0x98, 0x2b, 0xab,
-                    0xaa, 0xbb, 0xcc, 0xdd, 0xee,
-                ],
-            ),
         ];
         for (kind, src, tag, payload, bytes) in golden {
             let mut written = Vec::new();
@@ -669,78 +630,37 @@ mod tests {
         round_trip(Payload::F32(vec![1.5, -2.25, f32::MIN_POSITIVE]));
         round_trip(Payload::U32(vec![0, 1, u32::MAX]));
         round_trip(Payload::Bytes(vec![7u8; 13]));
-        for codec in [Codec::F16, Codec::Int8] {
-            round_trip(Payload::Encoded {
-                codec,
-                bytes: vec![9u8; 21],
-            });
-        }
     }
 
-    #[test]
-    fn encoded_frames_carry_the_codec_id_in_header_byte_6() {
-        let p = Payload::Encoded {
-            codec: Codec::Int8,
-            bytes: vec![1, 2, 3],
-        };
-        let buf = encode_frame(FrameKind::Data, 0, 5, &p);
-        assert_eq!(buf[5], 4); // dtype: encoded block
-        assert_eq!(buf[6], Codec::Int8.code());
-        // Plain frames keep the byte zero (the seed wire format).
-        let raw = encode_frame(FrameKind::Data, 0, 5, &Payload::F32(vec![1.0]));
-        assert_eq!(raw[6], 0);
-        assert_eq!(raw[7], 0);
+    /// Recomputes a hand-edited frame's checksum, so that only the edit
+    /// is at fault.
+    fn reseal(buf: &mut [u8]) {
+        let mut c = Crc32::new();
+        c.update(&buf[..28]);
+        c.update(&buf[WIRE_HEADER_LEN..]);
+        let crc = c.finish();
+        buf[28..32].copy_from_slice(&crc.to_le_bytes());
     }
 
+    /// Bytes 6 and 7 are reserved and dtype 4 (the retired encoded block)
+    /// is unassigned: a frame whose checksum holds is still refused, and
+    /// the diagnostic names the offending header offset.
     #[test]
-    fn unknown_or_raw_codec_id_is_a_bad_header_naming_the_codec_space() {
-        let reseal = |buf: &mut Vec<u8>| {
-            let mut c = Crc32::new();
-            c.update(&buf[..28]);
-            c.update(&buf[WIRE_HEADER_LEN..]);
-            let crc = c.finish();
-            buf[28..32].copy_from_slice(&crc.to_le_bytes());
-        };
-        let p = Payload::Encoded {
-            codec: Codec::F16,
-            bytes: vec![0u8; 4],
-        };
-        // Unknown codec ids, including the retired bf16 (2) and delta (4).
-        for id in [2u8, 4, 200] {
-            let mut buf = encode_frame(FrameKind::Data, 0, 5, &p);
-            buf[6] = id;
+    fn reserved_bytes_and_retired_dtype_are_bad_headers_naming_the_offset() {
+        let plain = encode_frame(FrameKind::Data, 0, 5, &Payload::F32(vec![1.0]));
+        assert_eq!(plain[6..8], [0, 0]);
+        for (at, value, needle) in [
+            (6, 1u8, "offset 6"),
+            (7, 0x80, "offset 7"),
+            (5, 4, "dtype code 4 at header offset 5"),
+        ] {
+            let mut buf = plain.clone();
+            buf[at] = value;
             reseal(&mut buf);
             match read_frame(&mut &buf[..]) {
-                Err(WireError::BadHeader(d)) => {
-                    assert!(d.contains(&format!("codec id {id}")), "{d}");
-                }
-                other => panic!("expected BadHeader for id {id}, got {other:?}"),
+                Err(WireError::BadHeader(d)) => assert!(d.contains(needle), "{d}"),
+                other => panic!("byte {at} = {value}: expected BadHeader, got {other:?}"),
             }
-        }
-        // Codec byte set on a plain frame.
-        let mut buf = encode_frame(FrameKind::Data, 0, 5, &Payload::F32(vec![1.0]));
-        buf[6] = Codec::F16.code();
-        reseal(&mut buf);
-        assert!(matches!(
-            read_frame(&mut &buf[..]),
-            Err(WireError::BadHeader(_))
-        ));
-    }
-
-    #[test]
-    fn corrupted_encoded_frame_names_the_codec() {
-        let p = Payload::Encoded {
-            codec: Codec::Int8,
-            bytes: vec![5u8; 16],
-        };
-        let mut buf = encode_frame(FrameKind::Data, 2, 9, &p);
-        let last = buf.len() - 1;
-        buf[last] ^= 0x40;
-        match read_frame(&mut &buf[..]) {
-            Err(e @ WireError::ChecksumMismatch { .. }) => {
-                assert!(e.to_string().contains("int8"), "{e}");
-            }
-            other => panic!("expected checksum mismatch, got {other:?}"),
         }
     }
 
@@ -759,13 +679,7 @@ mod tests {
     fn unknown_frame_kind_is_rejected() {
         let mut buf = encode_frame(FrameKind::Data, 0, 0, &Payload::Empty);
         buf[4] = 9;
-        // Re-seal the checksum so only the kind byte is at fault.
-        let crc = {
-            let mut c = Crc32::new();
-            c.update(&buf[..28]);
-            c.finish()
-        };
-        buf[28..32].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut buf);
         assert!(matches!(
             read_frame(&mut &buf[..]),
             Err(WireError::BadHeader(_))

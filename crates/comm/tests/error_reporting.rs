@@ -12,7 +12,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sar_comm::tcp::run_tcp_threads;
-use sar_comm::wire::{encode_frame, read_frame, FrameKind, WIRE_MAX_PAYLOAD};
+use sar_comm::wire::{encode_frame, read_frame, Crc32, FrameKind, WIRE_MAX_PAYLOAD};
 use sar_comm::{
     ChannelTransport, Clock, Cluster, CostModel, Message, Payload, TcpOpts, TcpTransport,
     Transport, TransportError, WorkerCtx,
@@ -81,10 +81,9 @@ fn evil_rank_1(
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let my_addr = listener.local_addr().unwrap().to_string().into_bytes();
         let mut s = TcpStream::connect(rdv_addr).unwrap();
-        // Hello: rank, codec (raw), address length, address.
+        // Hello: rank, address length, address.
         let mut hello = Vec::new();
         hello.extend_from_slice(&1u32.to_le_bytes());
-        hello.push(0u8);
         hello.extend_from_slice(&(my_addr.len() as u32).to_le_bytes());
         hello.extend_from_slice(&my_addr);
         s.write_all(&hello).unwrap();
@@ -162,6 +161,39 @@ fn tcp_checksum_mismatch_names_peer_rank_and_checksums() {
         other => panic!("expected a checksum rejection, got {other:?}"),
     }
     evil.join().unwrap();
+}
+
+/// TCP backend: a frame whose checksum holds but whose reserved header
+/// bytes (6 and 7) are set, or whose dtype is the retired encoded block
+/// (4), surfaces `Corrupt` naming the peer rank and the header offset.
+#[test]
+fn tcp_reserved_header_bytes_and_retired_dtype_name_peer_rank_and_offset() {
+    for (at, value) in [(6, 1u8), (7, 0x80), (5, 4)] {
+        let rendezvous = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let rdv_addr = rendezvous.local_addr().unwrap();
+        let evil = evil_rank_1(rdv_addr, move || {
+            let mut frame = encode_frame(FrameKind::Data, 1, 9, &Payload::F32(vec![1.0, 2.0]));
+            frame[at] = value;
+            // Re-seal the checksum so only the edited byte is at fault.
+            let mut crc = Crc32::new();
+            crc.update(&frame[..28]);
+            crc.update(&frame[32..]);
+            frame[28..32].copy_from_slice(&crc.finish().to_le_bytes());
+            frame
+        });
+        let t = TcpTransport::host(rendezvous, 2, TcpOpts::default()).unwrap();
+        match t.recv_any(Duration::from_secs(5)) {
+            Err(e @ TransportError::Corrupt { peer: 1, .. }) => {
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("rank 1") && msg.contains(&format!("offset {at}")),
+                    "byte {at} = {value} must name the peer rank and the offset: {msg}"
+                );
+            }
+            other => panic!("byte {at} = {value}: expected a bad header, got {other:?}"),
+        }
+        evil.join().unwrap();
+    }
 }
 
 /// A channel transport that drops the last row's worth of floats from the

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sar_comm::{thread_cpu_secs, Cluster, Codec, CommStats, CostModel, WorkerCtx};
+use sar_comm::{thread_cpu_secs, Cluster, CommStats, CostModel, WorkerCtx};
 use sar_graph::Dataset;
 use sar_nn::loss::{correct_count, cross_entropy_masked};
 use sar_nn::{Adam, CsConfig, LrSchedule};
@@ -58,11 +58,6 @@ pub struct TrainConfig {
     /// variant that trades accuracy for wire volume (see [`Protocol`]).
     /// Final evaluation always runs exact.
     pub protocol: Protocol,
-    /// Wire codec for compressible point-to-point payloads (fetch,
-    /// refetch, gradient routing). [`Codec::Raw`] is lossless and leaves
-    /// results bitwise identical; lossy codecs reduce wire bytes at some
-    /// accuracy cost. Logical byte ledgers are unaffected either way.
-    pub codec: Codec,
 }
 
 /// Per-epoch measurements from one worker.
@@ -274,7 +269,6 @@ pub fn run_worker(
     // processes alike), so the pool lands where the kernels run.
     sar_tensor::pool::set_threads(cfg.threads.max(1));
     let w = Worker::from_shared(ctx, graph, cfg.prefetch_depth);
-    w.ctx.set_codec(cfg.codec);
     w.set_protocol(cfg.protocol);
     let mut model_cfg = cfg.model.clone();
     model_cfg.in_dim = shard.feat_dim + if cfg.label_aug { shard.num_classes } else { 0 };

@@ -32,7 +32,6 @@ fn cfg(arch: Arch, mode: Mode, classes: usize, jk: bool) -> TrainConfig {
         seed: 0,
         threads: 1,
         protocol: Default::default(),
-        codec: Default::default(),
     }
 }
 

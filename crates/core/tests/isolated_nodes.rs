@@ -84,7 +84,6 @@ fn config(arch: Arch, mode: Mode, threads: usize) -> TrainConfig {
         seed: 5,
         threads,
         protocol: Default::default(),
-        codec: Default::default(),
     }
 }
 

@@ -44,7 +44,6 @@ fn quick_config(arch: Arch, mode: Mode) -> TrainConfig {
         seed: 3,
         threads: 1,
         protocol: Default::default(),
-        codec: Default::default(),
     }
 }
 

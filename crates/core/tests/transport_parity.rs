@@ -4,25 +4,38 @@
 //! per-phase byte ledgers** (time fields excluded — one clock is
 //! simulated, the other measured). This is the strongest cheap check that
 //! the wire format, the rendezvous, and the per-peer FIFO guarantees of
-//! the TCP backend do not perturb the algorithm.
+//! the TCP backend do not perturb the algorithm. Each architecture runs
+//! under the exact protocol and both approximate ones, whose cached and
+//! skipped exchanges must be skipped identically on both backends.
 
 use std::rc::Rc;
 use std::sync::Arc;
 
 use sar_comm::tcp::run_tcp_threads;
 use sar_comm::{Cluster, CommStats, CostModel, Phase, TcpOpts, Transport, WorkerCtx};
-use sar_core::{run_worker, Arch, DistGraph, Mode, ModelConfig, Shard, TrainConfig, WorkerReport};
+use sar_core::{
+    run_worker, Arch, DistGraph, Mode, ModelConfig, Protocol, Shard, TrainConfig, WorkerReport,
+};
 use sar_graph::{datasets, Dataset};
 use sar_nn::LrSchedule;
 use sar_partition::{multilevel, Partitioning};
 
 const WORLD: usize = 4;
 
+/// The exchange protocols every parity test runs, exact first.
+const PROTOCOLS: [&str; 3] = ["exact", "stale:2", "gradonly"];
+
+/// How far an approximate protocol's validation accuracy may fall below
+/// the exact run's. The validation split here is 5 nodes, so the floor
+/// allows one node fewer right and only guards against collapse.
+/// Accuracies are `f32` ratios, so they are compared in `f32`.
+const ACC_FLOOR: f32 = 0.20;
+
 fn dataset() -> Dataset {
     datasets::products_like(300, 0)
 }
 
-fn config(arch: Arch, mode: Mode, d: &Dataset) -> TrainConfig {
+fn config(arch: Arch, mode: Mode, protocol: &str, d: &Dataset) -> TrainConfig {
     TrainConfig {
         model: ModelConfig {
             arch,
@@ -44,8 +57,7 @@ fn config(arch: Arch, mode: Mode, d: &Dataset) -> TrainConfig {
         prefetch_depth: 0,
         seed: 7,
         threads: 1,
-        protocol: Default::default(),
-        codec: Default::default(),
+        protocol: Protocol::parse(protocol).unwrap(),
     }
 }
 
@@ -179,20 +191,43 @@ fn assert_parity(
     }
 }
 
-#[test]
-fn graphsage_trains_identically_on_both_backends() {
+/// Trains `arch` under every protocol in [`PROTOCOLS`] on both backends,
+/// asserts parity for each and the accuracy floor against exact, and
+/// returns the TCP runs in that order.
+fn parity_under_every_protocol(
+    name: &str,
+    arch: Arch,
+    mode: Mode,
+) -> Vec<Vec<(WorkerReport, CommStats)>> {
     let d = dataset();
     let part = multilevel(&d.graph, WORLD, 0);
-    let fx = fixture(
-        &d,
-        &part,
-        config(Arch::GraphSage { hidden: 16 }, Mode::Sar, &d),
-    );
-    let sim = run_sim(&fx);
-    let tcp = run_tcp(&fx);
-    assert_parity("sage", &sim, &tcp);
+    let runs: Vec<_> = PROTOCOLS
+        .iter()
+        .map(|protocol| {
+            let fx = fixture(&d, &part, config(arch, mode, protocol, &d));
+            let sim = run_sim(&fx);
+            let tcp = run_tcp(&fx);
+            assert_parity(&format!("{name} {protocol}"), &sim, &tcp);
+            tcp
+        })
+        .collect();
+    let val_acc = |run: &[(WorkerReport, CommStats)]| run[0].0.val_acc as f32;
+    for (protocol, run) in PROTOCOLS.iter().zip(&runs) {
+        assert!(
+            val_acc(run) >= val_acc(&runs[0]) - ACC_FLOOR,
+            "{name} {protocol}: val accuracy {} fell more than {ACC_FLOOR} below exact {}",
+            val_acc(run),
+            val_acc(&runs[0])
+        );
+    }
+    runs
+}
+
+#[test]
+fn graphsage_trains_identically_on_both_backends() {
+    let runs = parity_under_every_protocol("sage", Arch::GraphSage { hidden: 16 }, Mode::Sar);
     // Case 1 survives the wire: zero refetch traffic on both backends.
-    for (_, stats) in &tcp {
+    for (_, stats) in runs.iter().flatten() {
         let refetch = stats.ledger.phase_total(Phase::BackwardRefetch);
         assert_eq!(refetch.recv_bytes, 0, "sage refetched over TCP");
     }
@@ -200,27 +235,15 @@ fn graphsage_trains_identically_on_both_backends() {
 
 #[test]
 fn gat_trains_identically_on_both_backends() {
-    let d = dataset();
-    let part = multilevel(&d.graph, WORLD, 0);
-    let fx = fixture(
-        &d,
-        &part,
-        config(
-            Arch::Gat {
-                head_dim: 8,
-                heads: 2,
-            },
-            Mode::SarFused,
-            &d,
-        ),
-    );
-    let sim = run_sim(&fx);
-    let tcp = run_tcp(&fx);
-    assert_parity("gat", &sim, &tcp);
-    // Case 2 survives the wire: the backward passes refetch features over
-    // TCP too (forward-fetch volume is larger here only because the final
-    // evaluation runs extra forward passes with no backward).
-    for (rank, (_, stats)) in tcp.iter().enumerate() {
+    let gat = Arch::Gat {
+        head_dim: 8,
+        heads: 2,
+    };
+    let runs = parity_under_every_protocol("gat", gat, Mode::SarFused);
+    // Case 2 survives the wire: the exact backward passes refetch features
+    // over TCP too (forward-fetch volume is larger here only because the
+    // final evaluation runs extra forward passes with no backward).
+    for (rank, (_, stats)) in runs[0].iter().enumerate() {
         let fetch = stats.ledger.phase_total(Phase::ForwardFetch).recv_bytes;
         let refetch = stats.ledger.phase_total(Phase::BackwardRefetch).recv_bytes;
         assert!(refetch > 0, "rank {rank}: gat must refetch over TCP");

@@ -250,7 +250,7 @@ fn level_view_reindexes_into_the_input_rows() {
 /// the same bytes at depth 0 and 2.
 #[test]
 fn stale_training_is_identical_at_every_depth() {
-    use sar_comm::{Codec, Phase};
+    use sar_comm::Phase;
     use sar_core::{train, RunReport, TrainConfig};
 
     const HIDDEN: usize = 8;
@@ -282,7 +282,6 @@ fn stale_training_is_identical_at_every_depth() {
             seed: 7,
             threads: 1,
             protocol: Protocol::parse("stale:2").unwrap(),
-            codec: Codec::Raw,
         };
         train(&d, &part, CostModel::default(), &cfg)
     };

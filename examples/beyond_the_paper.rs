@@ -43,7 +43,6 @@ fn main() {
         seed: 11,
         threads: 1,
         protocol: Default::default(),
-        codec: Default::default(),
     };
 
     println!("training 3-layer GCN + jumping knowledge with SAR on 4 workers...");

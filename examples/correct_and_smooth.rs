@@ -43,7 +43,6 @@ fn main() {
         seed: 7,
         threads: 1,
         protocol: Default::default(),
-        codec: Default::default(),
     };
 
     println!(

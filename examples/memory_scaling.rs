@@ -50,7 +50,6 @@ fn main() {
                 seed: 1,
                 threads: 1,
                 protocol: Default::default(),
-                codec: Default::default(),
             };
             let report = train(&dataset, &partitioning, CostModel::default(), &cfg);
             peaks.push(report.max_peak_bytes() as f64 / (1024.0 * 1024.0));

@@ -59,7 +59,6 @@ fn main() {
         seed: 0,
         threads: 1,
         protocol: Default::default(),
-        codec: Default::default(),
     };
     let report = train(&dataset, &partitioning, CostModel::default(), &cfg);
 

@@ -30,7 +30,6 @@ fn tiny_cfg(arch: Arch, mode: Mode, num_classes: usize) -> TrainConfig {
         seed: 0,
         threads: 1,
         protocol: Default::default(),
-        codec: Default::default(),
     }
 }
 
