@@ -28,10 +28,8 @@
 //! ```
 //!
 //! Serving always runs with dropout 0 and batch normalization off (see
-//! `sar_bench::serverun`); `--jk` is rejected by the engine because
-//! jumping knowledge needs every layer over every node, defeating the
-//! MFG restriction. Rank 0 prints the front-end summary on exit; the
-//! cluster leaves when a client sends the Shutdown opcode.
+//! `sar_bench::serverun`). Rank 0 prints the front-end summary on exit;
+//! the cluster leaves when a client sends the Shutdown opcode.
 
 use std::time::Duration;
 

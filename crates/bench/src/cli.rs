@@ -450,10 +450,10 @@ pub(crate) mod tests {
 
     #[test]
     fn cursor_hands_out_flags_then_values() {
-        let mut a = args(&["--epochs", "3", "--jk", "--worlds", "2,4"]);
+        let mut a = args(&["--epochs", "3", "--cs", "--worlds", "2,4"]);
         assert_eq!(a.next_flag().as_deref(), Some("--epochs"));
         assert_eq!(a.parsed::<usize>("--epochs"), Ok(3));
-        assert_eq!(a.next_flag().as_deref(), Some("--jk"));
+        assert_eq!(a.next_flag().as_deref(), Some("--cs"));
         assert_eq!(a.next_flag().as_deref(), Some("--worlds"));
         assert_eq!(a.parsed_list::<usize>("--worlds"), Ok(vec![2, 4]));
         assert_eq!(a.next_flag(), None);

@@ -68,8 +68,6 @@ pub struct Workload {
     pub mode: String,
     /// GNN depth.
     pub layers: usize,
-    /// Jumping-knowledge skip connections.
-    pub jk: bool,
     /// Training epochs.
     pub epochs: usize,
     /// Base learning rate.
@@ -115,7 +113,6 @@ impl Default for Workload {
             heads: 4,
             mode: "sar".into(),
             layers: 3,
-            jk: false,
             epochs: 3,
             lr: 0.01,
             dropout: 0.3,
@@ -142,8 +139,8 @@ impl Workload {
     /// `flag` is not a workload flag (the binary's own extras).
     ///
     /// Numeric syntax is validated here; enumerated names (`--arch`,
-    /// `--protocol`, …) are validated where they are resolved
-    /// ([`Workload::build_data`], [`Workload::train_config`],
+    /// `--protocol`, …) and numeric ranges are validated where they are
+    /// resolved ([`Workload::build_data`], [`Workload::train_config`],
     /// [`Workload::simd_mode`]), which programmatically built workloads
     /// pass through as well.
     ///
@@ -160,7 +157,6 @@ impl Workload {
             "--heads" => self.heads = args.parsed(flag)?,
             "--mode" => self.mode = args.value(flag)?,
             "--layers" => self.layers = args.parsed(flag)?,
-            "--jk" => self.jk = true,
             "--epochs" => self.epochs = args.parsed(flag)?,
             "--lr" => self.lr = args.parsed(flag)?,
             "--dropout" => self.dropout = args.parsed(flag)?,
@@ -222,9 +218,6 @@ impl Workload {
         .into_iter()
         .flat_map(|(k, v)| [k.to_string(), v])
         .collect();
-        if self.jk {
-            a.push("--jk".into());
-        }
         if !self.label_aug {
             a.push("--no-label-aug".into());
         }
@@ -238,7 +231,7 @@ impl Workload {
     ///
     /// # Errors
     ///
-    /// Rejects names other than `auto` and `scalar`.
+    /// Rejects names other than `auto`, `avx2` and `scalar`.
     pub fn simd_mode(&self) -> Result<SimdMode, String> {
         sar_tensor::simd::parse_mode(&self.simd)
             .ok_or_else(|| format!("unknown --simd {} (auto|avx2|scalar)", self.simd))
@@ -249,8 +242,15 @@ impl Workload {
     ///
     /// # Errors
     ///
-    /// Rejects unknown partitioner names.
+    /// Rejects unknown partitioner names, a `world` of 0 and a dataset
+    /// with fewer nodes than `world`.
     pub fn partition(&self, dataset: &Dataset, world: usize) -> Result<Partitioning, String> {
+        if world == 0 || dataset.num_nodes() < world {
+            return Err(format!(
+                "{} nodes cannot be split across {world} ranks",
+                dataset.num_nodes()
+            ));
+        }
         let method = match self.partitioner.as_str() {
             "ml" => Method::Multilevel,
             "random" => Method::Random,
@@ -266,8 +266,16 @@ impl Workload {
     ///
     /// # Errors
     ///
-    /// Rejects unknown dataset or partitioner names.
+    /// Rejects unknown dataset or partitioner names, and a `--nodes`
+    /// below one or below `world` before generating anything.
     pub fn build_data(&self, world: usize) -> Result<(Dataset, Partitioning), String> {
+        if self.nodes < world.max(1) {
+            return Err(format!(
+                "--nodes {}: need at least one node per rank ({} ranks)",
+                self.nodes,
+                world.max(1)
+            ));
+        }
         let dataset = match self.dataset.as_str() {
             "products" => datasets::products_like(self.nodes, self.seed),
             "papers" => datasets::papers_like(self.nodes, self.seed),
@@ -302,8 +310,22 @@ impl Workload {
     ///
     /// # Errors
     ///
-    /// Rejects unknown architecture, mode or schedule names.
+    /// Rejects unknown architecture, mode or schedule names, and numeric
+    /// values the model cannot run: `--layers`, `--hidden` or (for GAT)
+    /// `--heads` of 0, `--dropout` outside `[0, 1)` and `--aug-frac`
+    /// outside `[0, 1]`. Each message names the flag.
     pub fn train_config(&self, dataset: &Dataset) -> Result<TrainConfig, String> {
+        for (flag, value) in [("--layers", self.layers), ("--hidden", self.hidden)] {
+            if value == 0 {
+                return Err(format!("{flag} must be at least 1"));
+            }
+        }
+        if !(0.0..1.0).contains(&self.dropout) {
+            return Err(format!("--dropout {} must be in [0, 1)", self.dropout));
+        }
+        if !(0.0..=1.0).contains(&self.aug_frac) {
+            return Err(format!("--aug-frac {} must be in [0, 1]", self.aug_frac));
+        }
         let arch = match self.arch.as_str() {
             "sage" => Arch::GraphSage {
                 hidden: self.hidden,
@@ -311,6 +333,7 @@ impl Workload {
             "gcn" => Arch::Gcn {
                 hidden: self.hidden,
             },
+            "gat" if self.heads == 0 => return Err("--heads must be at least 1".into()),
             "gat" => Arch::Gat {
                 head_dim: self.hidden,
                 heads: self.heads,
@@ -341,7 +364,6 @@ impl Workload {
                 num_classes: dataset.num_classes,
                 dropout: self.dropout,
                 batch_norm: true,
-                jumping_knowledge: self.jk,
                 seed: self.seed,
             },
             epochs: self.epochs,
@@ -462,7 +484,6 @@ mod tests {
             heads: 2,
             mode: "sar-fak".into(),
             layers: 2,
-            jk: true,
             epochs: 5,
             lr: 0.025,
             dropout: 0.1,
@@ -489,11 +510,47 @@ mod tests {
         assert_eq!(err, "missing value for --nodes");
         let err = Workload::from_args(args(&["--rank", "0"])).unwrap_err();
         assert_eq!(err, "unknown flag --rank");
+        let err = Workload::from_args(args(&["--jk"])).unwrap_err();
+        assert_eq!(err, "unknown flag --jk");
         let wl = Workload {
             simd: "sse".into(),
             ..Workload::default()
         };
         assert!(wl.simd_mode().unwrap_err().contains("auto|avx2|scalar"));
+    }
+
+    #[test]
+    fn out_of_range_values_are_errors_that_name_the_flag() {
+        let d = datasets::products_like(64, 0);
+        for case in [
+            "--dropout 1.5",
+            "--dropout -0.1",
+            "--layers 0",
+            "--hidden 0",
+            "--arch gat --heads 0",
+            "--aug-frac nan",
+            "--aug-frac 1.5",
+            "--nodes 0",
+            "--nodes 3",
+        ] {
+            let argv = format!("--nodes 64 {case}");
+            let wl = Workload::from_args(argv.split(' ').map(String::from).collect()).unwrap();
+            let err = wl.build_data(4).err().or_else(|| wl.train_config(&d).err());
+            let flag = case.split(' ').rev().nth(1).unwrap();
+            assert!(
+                err.as_ref().is_some_and(|e| e.starts_with(flag)),
+                "{case}: {err:?}"
+            );
+        }
+        // Heads only count for GAT.
+        let sage = Workload {
+            heads: 0,
+            ..Workload::default()
+        };
+        assert!(sage.train_config(&d).is_ok());
+        // A dataset loaded from a file is checked where it is split.
+        assert!(sage.partition(&d, 0).is_err());
+        assert!(sage.partition(&d, 65).is_err());
     }
 
     #[test]

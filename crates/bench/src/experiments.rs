@@ -193,7 +193,6 @@ pub fn fig2(cfg: &ExpConfig) -> Vec<Table> {
             num_classes: head_dim,
             dropout: 0.0,
             batch_norm: false,
-            jumping_knowledge: false,
             seed: cfg.seed + heads as u64,
         };
         // `MemoryTracker` is per thread: measure on the worker's own.
@@ -321,7 +320,6 @@ pub fn scaling(arch: Arch, workload: Workload, worlds: &[usize], cfg: &ExpConfig
                 num_classes: d.num_classes,
                 dropout: 0.3,
                 batch_norm: true,
-                jumping_knowledge: false,
                 seed: cfg.seed,
             };
             let mut tc = paper_train_cfg(model, cfg.timing_epochs, cfg.seed);
@@ -525,7 +523,6 @@ pub fn ablation_partition(cfg: &ExpConfig) -> Table {
             num_classes: d.num_classes,
             dropout: 0.0,
             batch_norm: false,
-            jumping_knowledge: false,
             seed: cfg.seed,
         };
         let mut tc = paper_train_cfg(model, cfg.timing_epochs, cfg.seed);
@@ -557,7 +554,6 @@ pub fn exactness(cfg: &ExpConfig) -> Table {
         num_classes: d.num_classes,
         dropout: 0.0,
         batch_norm: true,
-        jumping_knowledge: false,
         seed: cfg.seed,
     };
     let mut tc = paper_train_cfg(model, 6, cfg.seed);

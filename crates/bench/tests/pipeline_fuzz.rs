@@ -141,7 +141,6 @@ fn config(depth: usize, d: &Dataset) -> TrainConfig {
             num_classes: d.num_classes,
             dropout: 0.0,
             batch_norm: true,
-            jumping_knowledge: false,
             seed: 7,
         },
         epochs: 2,

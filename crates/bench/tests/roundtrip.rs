@@ -26,7 +26,7 @@ proptest! {
         names in (0usize..64, 0usize..64, 0usize..64, 0usize..64),
         floats in (0.0f32..1.0, 0.0f32..1.0, 0.0f64..1.0),
         knobs in (0usize..50, 0usize..5, 1usize..9, 0u64..u64::MAX),
-        bits in 0u32..8,
+        bits in 0u32..4,
         stale in 1u64..9,
     ) {
         let wl = Workload {
@@ -37,13 +37,12 @@ proptest! {
             heads: sizes.2,
             mode: pick(&["sar", "sar-fak", "dp"], names.2),
             layers: sizes.3,
-            jk: bits & 1 != 0,
             epochs: knobs.0,
             lr: floats.0,
             dropout: floats.1,
-            label_aug: bits & 2 != 0,
+            label_aug: bits & 1 != 0,
             aug_frac: floats.2,
-            cs: bits & 4 != 0,
+            cs: bits & 2 != 0,
             prefetch_depth: knobs.1,
             partitioner: pick(&["ml", "random", "range", "bfs"], names.3),
             schedule: pick(&["constant", "step"], names.0 / 2),

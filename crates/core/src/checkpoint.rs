@@ -163,7 +163,6 @@ mod tests {
             num_classes: 4,
             dropout: 0.0,
             batch_norm: true,
-            jumping_knowledge: false,
             seed,
         })
     }
@@ -195,7 +194,6 @@ mod tests {
             num_classes: 4,
             dropout: 0.0,
             batch_norm: false,
-            jumping_knowledge: false,
             seed: 0,
         });
         assert!(load_params(&other.params(), &buf[..]).is_err());

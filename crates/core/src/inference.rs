@@ -205,7 +205,6 @@ mod tests {
             num_classes: 0,
             dropout: 0.0,
             batch_norm: false,
-            jumping_knowledge: false,
             seed: 0,
         }
     }

@@ -79,12 +79,6 @@ pub struct ModelConfig {
     pub dropout: f32,
     /// Whether to apply distributed batch normalization between layers.
     pub batch_norm: bool,
-    /// Jumping-knowledge skip connections (Xu et al. 2018): classify from
-    /// the concatenation of every layer's output instead of the last
-    /// layer's alone. Demonstrates SAR on the "more complex topologies
-    /// that make use of skip connections" that §2 notes prior full-batch
-    /// systems cannot handle.
-    pub jumping_knowledge: bool,
     /// Parameter-initialization seed — **identical on every worker**, so
     /// replicated parameters start in sync without a broadcast.
     pub seed: u64,
@@ -102,7 +96,6 @@ impl ModelConfig {
             num_classes,
             dropout: 0.3,
             batch_norm: true,
-            jumping_knowledge: false,
             seed: 0,
         }
     }
@@ -121,7 +114,6 @@ impl ModelConfig {
             num_classes,
             dropout: 0.3,
             batch_norm: true,
-            jumping_knowledge: false,
             seed: 0,
         }
     }
@@ -399,9 +391,6 @@ pub struct DistModel {
     cfg: ModelConfig,
     layers: Vec<DistLayer>,
     bns: Vec<DistBatchNorm>,
-    /// Final classifier over the concatenated layer outputs when
-    /// jumping-knowledge is enabled.
-    jk_classifier: Option<Linear>,
 }
 
 impl DistModel {
@@ -415,12 +404,8 @@ impl DistModel {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut layers = Vec::with_capacity(cfg.layers);
         let mut bns = Vec::new();
-        let jk = cfg.jumping_knowledge;
-        let mut jk_width = 0usize;
         for l in 0..cfg.layers {
-            // With jumping knowledge, every layer keeps the hidden width
-            // and a separate classifier maps the concatenation to classes.
-            let last = !jk && l == cfg.layers - 1;
+            let last = l == cfg.layers - 1;
             match cfg.arch {
                 Arch::GraphSage { hidden } | Arch::Gcn { hidden } => {
                     let in_dim = if l == 0 { cfg.in_dim } else { hidden };
@@ -437,7 +422,6 @@ impl DistModel {
                             activation: !last,
                         });
                     }
-                    jk_width += out_dim;
                     if !last && cfg.batch_norm {
                         bns.push(DistBatchNorm::new(out_dim));
                     }
@@ -457,19 +441,16 @@ impl DistModel {
                         concat: !last,
                         activation: !last,
                     });
-                    jk_width += if last { cfg.num_classes } else { width };
                     if !last && cfg.batch_norm {
                         bns.push(DistBatchNorm::new(width));
                     }
                 }
             }
         }
-        let jk_classifier = jk.then(|| Linear::new(jk_width, cfg.num_classes, true, &mut rng));
         DistModel {
             cfg: cfg.clone(),
             layers,
             bns,
-            jk_classifier,
         }
     }
 
@@ -479,9 +460,6 @@ impl DistModel {
         let mut p: Vec<Var> = self.layers.iter().flat_map(DistLayer::params).collect();
         for bn in &self.bns {
             p.extend(bn.params());
-        }
-        if let Some(c) = &self.jk_classifier {
-            p.extend(c.params());
         }
         p
     }
@@ -527,10 +505,9 @@ impl DistModel {
     }
 
     /// Runs GNN layer `l` alone over `view`: `h` holds one row per view
-    /// input, the result one per view destination. No batch norm, dropout,
-    /// classifier or ledger layer scope — this is the unit a
-    /// message-flow-graph executor (the serving tier) chains level by
-    /// level.
+    /// input, the result one per view destination. No batch norm, dropout
+    /// or ledger layer scope — this is the unit a message-flow-graph
+    /// executor (the serving tier) chains level by level.
     ///
     /// Collective: every worker must call it in lockstep.
     ///
@@ -606,7 +583,6 @@ impl DistModel {
     pub fn forward(&self, w: &Rc<Worker>, x: Var, training: bool, rng: &mut impl Rng) -> Var {
         let view = w.view();
         let mut h = x;
-        let mut jk_outputs = Vec::new();
         for l in 0..self.layers.len() {
             // Attribute this layer's traffic/CPU to layer `l` in the
             // observability ledger; aggregation Functions recorded here
@@ -616,9 +592,6 @@ impl DistModel {
             h = self.layers[l]
                 .forward(w, &view, h, self.cfg.mode)
                 .unwrap_or_else(|e| panic!("worker {} layer {l} forward: {e}", w.rank()));
-            if self.cfg.jumping_knowledge {
-                jk_outputs.push(h.clone());
-            }
             if l + 1 < self.layers.len() {
                 if self.cfg.batch_norm {
                     h = self.bns[l].forward(w, &h);
@@ -628,9 +601,6 @@ impl DistModel {
                 }
             }
         }
-        match &self.jk_classifier {
-            Some(classifier) => classifier.forward(&sar_tensor::hstack(&jk_outputs)),
-            None => h,
-        }
+        h
     }
 }

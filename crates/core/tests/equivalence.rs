@@ -437,7 +437,6 @@ fn train_through(
         num_classes: d.num_classes,
         dropout: 0.0,
         batch_norm: false,
-        jumping_knowledge: false,
         seed: 3,
     };
     let outcomes = Cluster::new(WORLD, CostModel::default()).run(move |ctx| {
@@ -562,7 +561,6 @@ fn loss_and_grads(
         num_classes: d.num_classes,
         dropout: 0.0,
         batch_norm: false,
-        jumping_knowledge: false,
         seed: 3,
     };
     let mut outcomes = Cluster::new(world, CostModel::default()).run(move |ctx| {

@@ -1,7 +1,6 @@
 //! Tests of the extension features beyond the paper's two models: the GCN
-//! architecture (another case-1 aggregation) and jumping-knowledge skip
-//! connections (§2 notes prior full-batch systems are "specific to linear
-//! GNN topologies" — SAR, and this reproduction, are not).
+//! architecture (another case-1 aggregation), checkpointed inference and
+//! a spatially-parallel 1-D convolution.
 
 use sar_comm::CostModel;
 use sar_core::{train, Arch, Mode, ModelConfig, TrainConfig};
@@ -9,7 +8,7 @@ use sar_graph::datasets;
 use sar_nn::LrSchedule;
 use sar_partition::multilevel;
 
-fn cfg(arch: Arch, mode: Mode, classes: usize, jk: bool) -> TrainConfig {
+fn cfg(arch: Arch, mode: Mode, classes: usize) -> TrainConfig {
     TrainConfig {
         model: ModelConfig {
             arch,
@@ -19,7 +18,6 @@ fn cfg(arch: Arch, mode: Mode, classes: usize, jk: bool) -> TrainConfig {
             num_classes: classes,
             dropout: 0.0,
             batch_norm: true,
-            jumping_knowledge: jk,
             seed: 0,
         },
         epochs: 6,
@@ -38,9 +36,10 @@ fn cfg(arch: Arch, mode: Mode, classes: usize, jk: bool) -> TrainConfig {
 #[test]
 fn gcn_trains_and_is_exact_across_worker_counts() {
     let d = datasets::products_like(350, 0);
-    let c = cfg(Arch::Gcn { hidden: 16 }, Mode::Sar, d.num_classes, false);
+    let c = cfg(Arch::Gcn { hidden: 16 }, Mode::Sar, d.num_classes);
     let single = train(&d, &multilevel(&d.graph, 1, 0), CostModel::default(), &c);
     let multi = train(&d, &multilevel(&d.graph, 4, 0), CostModel::default(), &c);
+    assert_eq!(multi.logits.shape(), &[350, d.num_classes]);
     for (e, (a, b)) in single.losses.iter().zip(&multi.losses).enumerate() {
         assert!(
             (a - b).abs() < 3e-3 * (1.0 + a.abs()),
@@ -65,14 +64,13 @@ fn gcn_modes_agree() {
             Arch::Gcn { hidden: 12 },
             Mode::DomainParallel,
             d.num_classes,
-            false,
         ),
     );
     let sar = train(
         &d,
         &p,
         CostModel::default(),
-        &cfg(Arch::Gcn { hidden: 12 }, Mode::Sar, d.num_classes, false),
+        &cfg(Arch::Gcn { hidden: 12 }, Mode::Sar, d.num_classes),
     );
     assert!(
         dp.logits.allclose(&sar.logits, 5e-2),
@@ -81,70 +79,11 @@ fn gcn_modes_agree() {
 }
 
 #[test]
-fn jumping_knowledge_is_exact_across_worker_counts() {
-    // Skip connections create a non-linear tape topology: every layer's
-    // output feeds both the next layer and the final classifier. SAR must
-    // route gradients through all of it exactly.
-    let d = datasets::products_like(350, 2);
-    let c = cfg(
-        Arch::GraphSage { hidden: 16 },
-        Mode::Sar,
-        d.num_classes,
-        true,
-    );
-    let single = train(&d, &multilevel(&d.graph, 1, 2), CostModel::default(), &c);
-    let multi = train(&d, &multilevel(&d.graph, 3, 2), CostModel::default(), &c);
-    for (e, (a, b)) in single.losses.iter().zip(&multi.losses).enumerate() {
-        assert!(
-            (a - b).abs() < 3e-3 * (1.0 + a.abs()),
-            "epoch {e}: JK loss {a} vs {b}"
-        );
-    }
-}
-
-#[test]
-fn jumping_knowledge_gat_trains_under_fused_sar() {
-    let d = datasets::products_like(300, 3);
-    let c = cfg(
-        Arch::Gat {
-            head_dim: 4,
-            heads: 2,
-        },
-        Mode::SarFused,
-        d.num_classes,
-        true,
-    );
-    let run = train(&d, &multilevel(&d.graph, 2, 3), CostModel::default(), &c);
-    assert!(run.losses.iter().all(|l| l.is_finite()));
-    assert!(
-        run.losses.last().unwrap() < &run.losses[0],
-        "JK-GAT must learn: {:?}",
-        run.losses
-    );
-    assert_eq!(run.logits.cols(), d.num_classes);
-}
-
-#[test]
-fn jk_output_width_is_num_classes() {
-    let d = datasets::products_like(200, 4);
-    for jk in [false, true] {
-        let c = cfg(Arch::Gcn { hidden: 8 }, Mode::Sar, d.num_classes, jk);
-        let run = train(&d, &multilevel(&d.graph, 2, 4), CostModel::default(), &c);
-        assert_eq!(run.logits.shape(), &[200, d.num_classes], "jk={jk}");
-    }
-}
-
-#[test]
 fn checkpoint_then_infer_reproduces_training_logits() {
     use sar_core::{checkpoint, inference};
     let d = datasets::products_like(300, 7);
     let part = multilevel(&d.graph, 3, 7);
-    let mut c = cfg(
-        Arch::GraphSage { hidden: 12 },
-        Mode::Sar,
-        d.num_classes,
-        false,
-    );
+    let mut c = cfg(Arch::GraphSage { hidden: 12 }, Mode::Sar, d.num_classes);
     c.label_aug = true;
     c.aug_frac = 0.5;
     let run = train(&d, &part, CostModel::default(), &c);

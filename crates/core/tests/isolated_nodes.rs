@@ -71,7 +71,6 @@ fn config(arch: Arch, mode: Mode, threads: usize) -> TrainConfig {
             num_classes: 3,
             dropout: 0.0,
             batch_norm: false,
-            jumping_knowledge: false,
             seed: 5,
         },
         epochs: 4,

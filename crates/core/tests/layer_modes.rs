@@ -29,7 +29,6 @@ fn one_layer(arch: Arch, mode: Mode, in_dim: usize, out: usize, seed: u64) -> Mo
         num_classes: out,
         dropout: 0.0,
         batch_norm: false,
-        jumping_knowledge: false,
         seed,
     }
 }

@@ -300,7 +300,6 @@ fn a_sage_layer_frees_its_input_before_its_rotation() {
         num_classes: d.num_classes,
         dropout: 0.0,
         batch_norm: true,
-        jumping_knowledge: false,
         seed: 0,
     };
     let out = Cluster::new(2, CostModel::default()).run(move |ctx| {

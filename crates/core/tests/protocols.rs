@@ -27,7 +27,6 @@ fn config(arch: Arch, mode: Mode, d: &Dataset) -> TrainConfig {
             num_classes: d.num_classes,
             dropout: 0.0,
             batch_norm: true,
-            jumping_knowledge: false,
             seed: 7,
         },
         epochs: 4,

@@ -37,7 +37,6 @@ fn config(arch: Arch, mode: Mode, dropout: f32) -> ModelConfig {
         num_classes: CLASSES,
         dropout,
         batch_norm: true,
-        jumping_knowledge: false,
         seed: 3,
     }
 }

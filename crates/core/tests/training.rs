@@ -31,7 +31,6 @@ fn quick_config(arch: Arch, mode: Mode) -> TrainConfig {
             num_classes: 0,
             dropout: 0.0, // keep runs deterministic across worker counts
             batch_norm: true,
-            jumping_knowledge: false,
             seed: 3,
         },
         epochs: 8,

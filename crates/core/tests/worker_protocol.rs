@@ -167,7 +167,6 @@ fn model_replicas_are_identical_across_workers() {
             num_classes: 3,
             dropout: 0.0,
             batch_norm: true,
-            jumping_knowledge: false,
             seed: 42,
         });
         // Fingerprint all parameters.
@@ -269,7 +268,6 @@ fn stale_training_is_identical_at_every_depth() {
                 num_classes: d.num_classes,
                 dropout: 0.0,
                 batch_norm: false,
-                jumping_knowledge: false,
                 seed: 7,
             },
             epochs: 4,

@@ -84,9 +84,8 @@ fn batch_base(seq: u64) -> u64 {
 }
 
 /// Rejects configurations the serving tier cannot run: domain-parallel
-/// mode (serving exists to exercise the SAR rotation), batch normalization
-/// (no eval-mode statistics) and jumping knowledge (every layer over every
-/// node — the opposite of an MFG).
+/// mode (serving exists to exercise the SAR rotation) and batch
+/// normalization (no eval-mode statistics).
 ///
 /// # Errors
 ///
@@ -100,11 +99,6 @@ fn check_servable(cfg: &ModelConfig) -> Result<(), ServeError> {
     if cfg.batch_norm {
         return Err(ServeError::Unsupported(
             "batch normalization (DistBatchNorm has no eval-mode statistics)".into(),
-        ));
-    }
-    if cfg.jumping_knowledge {
-        return Err(ServeError::Unsupported(
-            "jumping knowledge (needs all layers over all nodes, defeating the MFG)".into(),
         ));
     }
     if cfg.layers == 0 {
@@ -876,7 +870,6 @@ mod tests {
             num_classes: 3,
             dropout: 0.0,
             batch_norm: false,
-            jumping_knowledge: false,
             seed: 0,
         };
         assert!(check_servable(&cfg).is_ok());
@@ -886,7 +879,6 @@ mod tests {
             matches!(check_servable(&c), Err(ServeError::Unsupported(_)))
         };
         assert!(reject(|c| c.batch_norm = true));
-        assert!(reject(|c| c.jumping_knowledge = true));
         assert!(reject(|c| c.mode = Mode::DomainParallel));
         assert!(reject(|c| c.layers = 0));
     }
@@ -908,7 +900,6 @@ mod tests {
             num_classes: d.num_classes,
             dropout: 0.0,
             batch_norm: false,
-            jumping_knowledge: false,
             seed: 0,
         };
         let params: Vec<_> = DistModel::new(&model_cfg)

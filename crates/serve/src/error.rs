@@ -11,8 +11,8 @@ use sar_core::InferError;
 /// Why a serving operation failed.
 #[derive(Debug)]
 pub enum ServeError {
-    /// The model configuration cannot be served (e.g. domain-parallel
-    /// mode, batch normalization, jumping knowledge).
+    /// The model configuration cannot be served (domain-parallel mode,
+    /// batch normalization, zero layers).
     Unsupported(String),
     /// The checkpoint does not match the configured model.
     BadCheckpoint(InferError),

@@ -34,8 +34,6 @@
 
 mod ops;
 
-pub use ops::hstack;
-
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;

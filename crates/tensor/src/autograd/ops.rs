@@ -18,34 +18,6 @@ use std::rc::Rc;
 use super::Var;
 use crate::{BitMask, Tensor};
 
-/// Horizontally concatenates 2-D variables (along columns), with the
-/// backward pass splitting the gradient back into per-input column slices.
-///
-/// Used by jumping-knowledge-style architectures that classify from the
-/// concatenation of all layer outputs.
-///
-/// # Panics
-///
-/// Panics if `vars` is empty or row counts differ.
-pub fn hstack(vars: &[Var]) -> Var {
-    assert!(!vars.is_empty(), "hstack of zero variables");
-    let values: Vec<_> = vars.iter().map(Var::value).collect();
-    let refs: Vec<&Tensor> = values.iter().map(|v| &**v).collect();
-    let value = Tensor::hstack(&refs);
-    let widths: Vec<usize> = refs.iter().map(|v| v.cols()).collect();
-    drop(values);
-    let parents = vars.iter().map(Var::edge).collect();
-    Var::from_op(value, parents, "hstack", move |g| {
-        let mut out = Vec::with_capacity(widths.len());
-        let mut off = 0;
-        for &w in &widths {
-            out.push(Some(g.slice_cols(off..off + w)));
-            off += w;
-        }
-        out
-    })
-}
-
 impl Var {
     // ------------------------------------------------------------------
     // Elementwise arithmetic
@@ -673,22 +645,6 @@ mod tests {
         );
         let w2 = Var::constant(randn(&[4, 3], 19));
         check_gradients(&[a], |vs| vs[0].reshape(&[4, 3]).mul(&w2).sum(), 1e-2);
-    }
-
-    #[test]
-    fn hstack_values_and_gradients() {
-        let a = randn(&[3, 2], 20);
-        let b = randn(&[3, 4], 21);
-        let w = Var::constant(randn(&[3, 6], 22));
-        check_gradients(
-            &[a.clone(), b.clone()],
-            |vs| super::hstack(&[vs[0].clone(), vs[1].clone()]).mul(&w).sum(),
-            1e-2,
-        );
-        let v = super::hstack(&[Var::constant(a.clone()), Var::constant(b.clone())]);
-        assert_eq!(v.shape(), vec![3, 6]);
-        assert_eq!(&v.value().row(1)[..2], a.row(1));
-        assert_eq!(&v.value().row(1)[2..], b.row(1));
     }
 
     #[test]

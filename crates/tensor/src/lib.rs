@@ -50,7 +50,7 @@ pub mod pool;
 pub mod simd;
 mod tensor;
 
-pub use autograd::{grad_enabled, hstack, no_grad, Edge, Function, Saved, Var};
+pub use autograd::{grad_enabled, no_grad, Edge, Function, Saved, Var};
 pub use bitmask::BitMask;
 pub use memory::{MemScope, MemoryStats, MemoryTracker, PeakSite, ScopePeak, SiteGuard};
 pub use tensor::Tensor;

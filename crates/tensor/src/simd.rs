@@ -130,7 +130,7 @@ pub fn parse_mode(s: &str) -> Option<SimdMode> {
     match s {
         "auto" => Some(SimdMode::Auto),
         "avx2" => Some(SimdMode::Avx2),
-        "scalar" | "off" => Some(SimdMode::ForceScalar),
+        "scalar" => Some(SimdMode::ForceScalar),
         _ => None,
     }
 }
@@ -1880,10 +1880,10 @@ mod tests {
             ("auto", SimdMode::Auto),
             ("avx2", SimdMode::Avx2),
             ("scalar", SimdMode::ForceScalar),
-            ("off", SimdMode::ForceScalar),
         ] {
             assert_eq!(parse_mode(name), Some(mode), "--simd {name}");
         }
+        assert_eq!(parse_mode("off"), None);
         assert_eq!(parse_mode("sse"), None);
         assert_eq!(parse_mode("avx512"), None);
     }

@@ -254,45 +254,6 @@ impl Tensor {
         Tensor::from_vec(&[rows, c], data)
     }
 
-    /// Concatenates `tensors` horizontally (along columns). All inputs must
-    /// be 2-D with equal row counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tensors` is empty or row counts differ.
-    pub fn hstack(tensors: &[&Tensor]) -> Tensor {
-        assert!(!tensors.is_empty(), "hstack of zero tensors");
-        let r = tensors[0].rows();
-        let total_c: usize = tensors.iter().map(|t| t.cols()).sum();
-        let mut data = vec![0.0; r * total_c];
-        let mut col_off = 0;
-        for t in tensors {
-            assert_eq!(t.rows(), r, "hstack row mismatch");
-            let c = t.cols();
-            for i in 0..r {
-                data[i * total_c + col_off..i * total_c + col_off + c].copy_from_slice(t.row(i));
-            }
-            col_off += c;
-        }
-        Tensor::from_vec(&[r, total_c], data)
-    }
-
-    /// Copies columns `range` of a 2-D tensor into a new tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or the tensor is not 2-D.
-    pub fn slice_cols(&self, range: std::ops::Range<usize>) -> Tensor {
-        let c = self.cols();
-        assert!(range.end <= c, "slice_cols out of bounds");
-        let width = range.len();
-        let mut out = Vec::with_capacity(self.rows() * width);
-        for i in 0..self.rows() {
-            out.extend_from_slice(&self.row(i)[range.clone()]);
-        }
-        Tensor::from_vec(&[self.rows(), width], out)
-    }
-
     /// Copies rows `range` of a 2-D tensor into a new tensor.
     ///
     /// # Panics
@@ -867,9 +828,6 @@ mod tests {
         let v = Tensor::vstack(&[&a, &b]);
         assert_eq!(v.shape(), &[3, 2]);
         assert_eq!(v.slice_rows(1..3), b);
-        let h = Tensor::hstack(&[&b, &b]);
-        assert_eq!(h.shape(), &[2, 4]);
-        assert_eq!(h.row(0), &[3., 4., 3., 4.]);
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! Extensions beyond the paper's evaluation: a GCN backbone with
-//! jumping-knowledge skip connections, trained with SAR, checkpointed,
-//! and re-served through distributed inference on a *different* cluster
-//! size — demonstrating that SAR handles non-linear tape topologies
-//! (§2 notes prior full-batch systems are "specific to linear GNN
-//! topologies") and that checkpoints are portable across partitionings.
+//! Extensions beyond the paper's evaluation: a GCN backbone trained with
+//! SAR, checkpointed, and re-served through distributed inference on a
+//! *different* cluster size — demonstrating that checkpoints are portable
+//! across partitionings and that SAR inference is exact.
 //!
 //! Run with: `cargo run --release --example beyond_the_paper`
 
@@ -26,8 +24,6 @@ fn main() {
             num_classes: dataset.num_classes,
             dropout: 0.2,
             batch_norm: true,
-            // Classify from the concatenation of all three layer outputs.
-            jumping_knowledge: true,
             seed: 11,
         },
         epochs: 30,
@@ -45,7 +41,7 @@ fn main() {
         protocol: Default::default(),
     };
 
-    println!("training 3-layer GCN + jumping knowledge with SAR on 4 workers...");
+    println!("training 3-layer GCN with SAR on 4 workers...");
     let report = train(&dataset, &train_part, CostModel::default(), &cfg);
     println!(
         "loss {:.3} -> {:.3} | test accuracy {:.1}%",
@@ -55,7 +51,7 @@ fn main() {
     );
 
     // Checkpoint the trained parameters...
-    let path = std::env::temp_dir().join("sar_jk_gcn.ckpt");
+    let path = std::env::temp_dir().join("sar_example_gcn.ckpt");
     checkpoint::save_raw_params(
         &report.final_params,
         std::fs::File::create(&path).expect("create checkpoint"),

@@ -25,7 +25,6 @@ fn main() {
             num_classes: dataset.num_classes,
             dropout: 0.2,
             batch_norm: true,
-            jumping_knowledge: false,
             seed: 7,
         },
         epochs: 40,

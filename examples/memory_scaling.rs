@@ -37,7 +37,6 @@ fn main() {
                     num_classes: dataset.num_classes,
                     dropout: 0.0,
                     batch_norm: false,
-                    jumping_knowledge: false,
                     seed: 1,
                 },
                 epochs: 2,

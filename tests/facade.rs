@@ -17,7 +17,6 @@ fn tiny_cfg(arch: Arch, mode: Mode, num_classes: usize) -> TrainConfig {
             num_classes,
             dropout: 0.0,
             batch_norm: true,
-            jumping_knowledge: false,
             seed: 0,
         },
         epochs: 5,

@@ -37,7 +37,6 @@ fn model_cfg(arch: Arch, mode: Mode, d: &Dataset) -> ModelConfig {
         num_classes: d.num_classes,
         dropout: 0.0,
         batch_norm: false,
-        jumping_knowledge: false,
         seed: 11,
     }
 }
