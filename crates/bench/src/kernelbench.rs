@@ -439,7 +439,11 @@ fn gat_fused_cases(
 /// 0's local block of `products_like(24 000, 0)` under the multilevel
 /// 2-way partitioning (`--quick`: 4 000 nodes), 4 heads of width 16 (the
 /// hidden layers) and 47 (the top layer, the class count), forward and
-/// backward — `gat_fused_{forward,backward}/block-local/h4d{16,47}`.
+/// backward — `gat_fused_{forward,backward}/block-local/h4d{16,47}` —
+/// and the attention logits' backward over the block's `[cols, H·D]`
+/// features, `head_project_backward/block-local/h4d{16,47}`: `d_x` is
+/// `n·H·D` products, `d_a` `n·H·D` multiply-adds; it reads the features
+/// and the `[n, H]` gradient and writes `d_x`.
 fn attention_block_cases(quick: bool) -> Vec<Case> {
     let heads = 4usize;
     let dataset = datasets::products_like(if quick { 4_000 } else { 24_000 }, 0);
@@ -458,6 +462,22 @@ fn attention_block_cases(quick: bool) -> Vec<Case> {
         let x = randn(&[cols, hd], 1.0, &mut rng);
         let grad = randn(&[rows, hd], 1.0, &mut rng);
         let tag = format!("/block-local/h{heads}d{d}");
+        // The logits' backward at the same shape, on inputs drawn from a
+        // stream of its own, so the attention cases' inputs do not
+        // depend on it.
+        let mut own = StdRng::seed_from_u64(0xA77E + d as u64);
+        let a = randn(&[hd], 1.0, &mut own);
+        let g = randn(&[cols, heads], 1.0, &mut own);
+        let (nn, ff) = (cols as f64, hd as f64);
+        let z = x.clone();
+        cases.push(Case {
+            name: format!("head_project_backward{tag}"),
+            flops: 3.0 * nn * ff,
+            bytes: 4.0 * (2.0 * nn * ff + nn * heads as f64 + 2.0 * ff),
+            run: Box::new(move || {
+                black_box(ops::head_project_backward(&z, &a, heads, &g));
+            }),
+        });
         cases.extend(gat_fused_cases(
             &tag,
             Rc::clone(&local),

@@ -20,19 +20,30 @@
 //! statistics — the recomputation SAR must do anyway during
 //! rematerialization, which is why FAK "synergizes" with SAR.
 //!
-//! Each destination row is two steps. The forward first runs the scalar
-//! online-softmax recurrence over the row's edges — score, running max,
-//! rescale factor, weight, denominator — into a per-thread scratch of one
-//! [`Step`] per (edge, head), then one [`simd::weighted_gather`] streams
-//! the row's source rows past its numerator held in registers, applying
-//! each rescale and weighted add in the recurrence's order. The backward
-//! computes each (edge, head)'s coefficient `α` and logit-sum gradient
-//! `du` once, destination-major (folding `d_s_dst` there), into one
+//! The kernels work a destination row at a time, the row's per-head
+//! values side by side in vector lanes, so that per-edge overheads are
+//! per-row ones. The forward scores the row's edges, scans them for the
+//! running maximum — the rescale factor `exp(old_max − new_max)`
+//! computed only for a head whose maximum rose — and weights each
+//! (edge, head) by `exp(s − max)`; the denominator's rescale and add run
+//! edge by edge, heads in lanes, leaving one [`Step`] per (edge, head) in
+//! a per-thread scratch of one row, and one [`simd::weighted_gather`]
+//! streams the row's source rows past its numerator held in registers,
+//! applying each rescale and weighted add in the recurrence's order. The
+//! backward computes each (edge, head)'s coefficient `α` and logit-sum
+//! gradient `du` once, destination-major: one [`simd::head_dots_rows`]
+//! per row gives every in-edge's `⟨g_i, x_j⟩` for all heads, then `α` and
+//! `du` run with heads in lanes (folding `d_s_dst` there), into one
 //! `[edges, H]` pair of tensors that covers a run of whole rows of at most
 //! `cols · D / 2` edges (or one row, if wider) — never more than the
 //! block's own `[cols, H·D]` source features, however dense the block —
 //! and a source-major pass reads them back into `d_x_src` / `d_s_src`
-//! through the same gather, with skips in place of rescales.
+//! through the same gather, with skips in place of rescales, each source
+//! resuming where its previous run ended. Only `exp` is a scalar call per
+//! (edge, head); IEEE add, multiply, divide and compare are exact per
+//! lane, so every (edge, head) sees the scalar recurrence's operations in
+//! its order, and the results are bitwise those of one edge at a time
+//! (DESIGN.md §11, §18).
 //!
 //! The *two-step* family (`gat_twostep_block_*`, plain "SAR" in Figs. 4
 //! and 6) runs the same online-softmax step and the same gradient body;
@@ -50,11 +61,12 @@
 //! Inner loops over each head's `d`-wide feature segment run through the
 //! bitwise-deterministic SIMD primitives of [`sar_tensor::simd`]. The two
 //! `*_indexed` entry points read source features through a row map
-//! (`x[map[j]]`), applied when a row's index list is built; the workspace
-//! no longer calls them and they stay only because `benchmark/` imports
-//! them by name.
+//! (`x[map[j]]`), applied when a row's index list is built, and share
+//! the plain entry points' bodies; the workspace no longer calls them and
+//! they stay only because `benchmark/` imports them by name.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::ops::{gat_edge_scores, head_dim, Operand};
 use crate::walk::{edges_mut, row_mut};
@@ -147,6 +159,34 @@ fn check_node_heads(t: &Tensor, rows: usize, heads: usize, what: &str) {
     );
 }
 
+/// Runs `$body` with `$h` bound to the head count `$heads` — a literal
+/// for 1, 2, 4 and 8 heads, so that the per-head loops of the
+/// `#[inline(always)]` row bodies called there have a constant trip count
+/// and compile to vector lanes, and the runtime value otherwise.
+macro_rules! by_heads {
+    ($heads:expr, |$h:ident| $body:expr) => {
+        match $heads {
+            1 => {
+                let $h = 1;
+                $body
+            }
+            2 => {
+                let $h = 2;
+                $body
+            }
+            4 => {
+                let $h = 4;
+                $body
+            }
+            8 => {
+                let $h = 8;
+                $body
+            }
+            $h => $body,
+        }
+    };
+}
+
 /// The two attention kernel families share one body each for forward and
 /// backward, compiled once per family. They differ only in whether raw
 /// scores (forward) and coefficients (backward) are `MATERIALIZED`:
@@ -205,11 +245,6 @@ impl<'a> AttnBlock<'a> {
         }
     }
 
-    /// Pre-activation logit sum `u` of edge `j → i`.
-    fn logit(&self, i: usize, j: usize, head: usize) -> f32 {
-        self.s_dst[i * self.heads + head] + self.s_src[j * self.heads + head]
-    }
-
     /// Raw attention score `LeakyReLU(u)` of a logit sum `u`.
     fn leaky_relu(&self, u: f32) -> f32 {
         if u > 0.0 {
@@ -223,12 +258,17 @@ impl<'a> AttnBlock<'a> {
     /// `scores` is a materializing family's `[E, H]` raw scores (unused
     /// otherwise: every score is computed on the fly).
     ///
-    /// Per destination row, the scalar recurrence — score, running max,
-    /// rescale factor, weight, denominator — runs first over the row's
-    /// edges and heads, leaving one [`Step`] per (edge, head) in a
-    /// per-thread scratch; then one [`simd::weighted_gather`] streams the
-    /// row's source rows past the numerator held in registers, applying
-    /// each step's rescale and weighted add in the recurrence's order.
+    /// Per destination row, heads in vector lanes, in per-thread scratch
+    /// of one weight and one [`Step`] per (edge, head): edge by edge, the
+    /// raw score, the running maximum — the rescale factor computed, one
+    /// scalar `exp`, only for a head whose maximum rose — and the weight
+    /// exponent `s − max`; then, edge by edge, the
+    /// weights, one scalar `exp` each, and the denominator's rescale and
+    /// add. One [`simd::weighted_gather`] streams
+    /// the row's source rows past its numerator held in registers,
+    /// applying each step's rescale and weighted add in the recurrence's
+    /// order. Every (edge, head) sees the scalar recurrence's own
+    /// operations in its order: the lanes only run the heads side by side.
     ///
     /// Destination-parallel: each destination's (max, den, num) rows have
     /// exactly one writer, and its edge stream keeps the sequential order,
@@ -237,55 +277,101 @@ impl<'a> AttnBlock<'a> {
     // and num rows fold its edge segment in fixed CSR order)
     fn online_softmax<const MATERIALIZED: bool>(self, state: &mut OnlineAttnState, scores: &[f32]) {
         let (h, d) = (self.heads, self.head_dim);
-        let hd = h * d;
-        let g = self.g;
         split_rows(
-            g.num_rows(),
+            self.g.num_rows(),
             [
-                Output::row_owned(state.num.data_mut(), hd),
+                Output::row_owned(state.num.data_mut(), h * d),
                 Output::row_owned(state.den.data_mut(), h),
                 Output::row_owned(state.max.data_mut(), h),
             ],
-            move |lo, hi, [num, den, max]| {
-                let (mut steps, mut rows) = (Vec::new(), Vec::new());
-                for i in lo..hi {
-                    let den_row = row_mut(den, i - lo, h);
-                    let max_row = row_mut(max, i - lo, h);
-                    steps.clear();
-                    for (j, e) in g.entries(i) {
-                        for head in 0..h {
-                            let s = if MATERIALIZED {
-                                scores[e * h + head]
-                            } else {
-                                self.leaky_relu(self.logit(i, j, head))
-                            };
-                            let m_old = max_row[head];
-                            // A new maximum rescales the accumulated
-                            // numerator/denominator by exp(old_max − new_max)
-                            // — the stable-softmax correction of §3.4.
-                            let rescale = (s > m_old).then(|| {
-                                if m_old == f32::NEG_INFINITY {
-                                    0.0
-                                } else {
-                                    (m_old - s).exp()
-                                }
-                            });
-                            if let Some(scale) = rescale {
-                                max_row[head] = s;
-                                den_row[head] *= scale;
-                            }
-                            let w = (s - max_row[head]).exp();
-                            den_row[head] += w;
-                            steps.push(
-                                rescale.map_or(Step::Add(w), |scale| Step::RescaleAdd { scale, w }),
-                            );
-                        }
-                    }
-                    let (x, idx) = self.x.gather(g.neighbors(i), &mut rows);
-                    simd::weighted_gather(row_mut(num, i - lo, hd), h, x, idx, &steps);
-                }
+            move |lo, hi, parts| {
+                by_heads!(h, |h| self.softmax_rows::<MATERIALIZED>(
+                    h,
+                    lo..hi,
+                    parts,
+                    scores
+                ))
             },
         );
+    }
+
+    /// [`AttnBlock::online_softmax`] over the destination rows `rows`,
+    /// whose `(num, den, max)` rows are `parts`, with `h` the block's head
+    /// count (a literal where [`by_heads!`] inlines it).
+    #[inline(always)]
+    // sar-check: deterministic(one-writer-per-row: each (destination, head)
+    // folds its edges in CSR order — the max scan and the den update walk
+    // the row's edges ascending, and the exponentials between them are
+    // pure per-(edge, head) values)
+    fn softmax_rows<const MATERIALIZED: bool>(
+        self,
+        h: usize,
+        rows: Range<usize>,
+        [num, den, max]: [&mut [f32]; 3],
+        scores: &[f32],
+    ) {
+        let (g, hd, lo) = (self.g, h * self.head_dim, rows.start);
+        let (mut w, mut steps, mut idx) = (Vec::new(), Vec::new(), Vec::new());
+        for i in rows {
+            let (nbrs, e0) = (g.neighbors(i), g.indptr()[i]);
+            let len = nbrs.len() * h;
+            // Edge by edge, heads in lanes: the raw score; the running
+            // maximum, which a higher score replaces — its step then
+            // rescales the accumulated numerator and denominator by
+            // exp(old_max − new_max), the stable-softmax correction of
+            // §3.4 (0 for the first, old max −∞); and the weight's
+            // exponent `s − max`.
+            w.resize(len, 0.0);
+            steps.clear();
+            steps.resize(len, Step::Add(0.0));
+            let max_row = row_mut(max, i - lo, h);
+            let sd = &self.s_dst[i * h..(i + 1) * h];
+            let parts = w.chunks_exact_mut(h).zip(steps.chunks_exact_mut(h));
+            for (k, (wk, st)) in parts.enumerate() {
+                if MATERIALIZED {
+                    wk.copy_from_slice(&scores[(e0 + k) * h..(e0 + k + 1) * h]);
+                } else {
+                    let ss = &self.s_src[nbrs[k] as usize * h..][..h];
+                    for c in 0..h {
+                        wk[c] = self.leaky_relu(sd[c] + ss[c]);
+                    }
+                }
+                for c in 0..h {
+                    let (s, m_old) = (wk[c], max_row[c]);
+                    if s > m_old {
+                        let scale = if m_old == f32::NEG_INFINITY {
+                            0.0
+                        } else {
+                            (m_old - s).exp()
+                        };
+                        st[c] = Step::RescaleAdd { scale, w: 0.0 };
+                        max_row[c] = s;
+                    }
+                    wk[c] -= max_row[c];
+                }
+            }
+            // Edge by edge: the weights, one scalar `exp` each, into the
+            // steps; the denominator's rescale and add.
+            let den_row = row_mut(den, i - lo, h);
+            for (wk, st) in w.chunks_exact_mut(h).zip(steps.chunks_exact_mut(h)) {
+                for v in wk.iter_mut() {
+                    *v = v.exp();
+                }
+                for c in 0..h {
+                    let w = wk[c];
+                    st[c] = match st[c] {
+                        Step::RescaleAdd { scale, .. } => {
+                            den_row[c] *= scale;
+                            Step::RescaleAdd { scale, w }
+                        }
+                        _ => Step::Add(w),
+                    };
+                    den_row[c] += w;
+                }
+            }
+            let (x, idx) = self.x.gather(nbrs, &mut idx);
+            simd::weighted_gather(row_mut(num, i - lo, hd), h, x, idx, &steps);
+        }
     }
 }
 
@@ -308,8 +394,10 @@ struct AttnBackward<'a> {
 
 impl AttnBackward<'_> {
     /// Whether the family skips the (edge, head) whose coefficient is
-    /// `alpha` and whose destination's denominator is `den` — asked once
-    /// by each pass, so both skip the same set.
+    /// `alpha` and whose destination's denominator is `den` — asked once,
+    /// by the destination-major pass, which leaves [`SKIPPED`] in place of
+    /// the coefficient for the source-major pass, so both skip the same
+    /// set.
     ///
     /// The two predicates are *not* interchangeable: fused skips a
     /// destination whose denominator is not positive and otherwise pushes
@@ -352,6 +440,14 @@ impl AttnBackward<'_> {
         let widest = widest.max().unwrap_or(0);
         let mut alpha_buf = Tensor::zeros(&[widest, h]);
         let mut du_buf = Tensor::zeros(&[widest, h]);
+        // Where each source's entries of the next run start: its entries
+        // ascend by edge id and the runs follow each other, so each run
+        // starts where the source's last one ended.
+        let rev = g.reverse_adjacency();
+        let next: Vec<AtomicUsize> = rev.ptr[..g.num_cols()]
+            .iter()
+            .map(|&p| AtomicUsize::new(p))
+            .collect();
         for c in chunks.windows(2) {
             let (rows, edges) = (c[0]..c[1], indptr[c[0]]..indptr[c[1]]);
             if edges.is_empty() {
@@ -364,15 +460,15 @@ impl AttnBackward<'_> {
             );
             self.coefficients::<MATERIALIZED>(rows, d_s_dst.data_mut(), alpha, du);
             let grads = (d_x_src.data_mut(), d_s_src.data_mut());
-            self.push_sources::<MATERIALIZED>(edges, alpha, du, grads);
+            self.push_sources(edges, (alpha, du), grads, &next);
         }
         FusedBlockGrads { d_x_src, d_s_src }
     }
 
     /// Destination-major pass over `rows`: writes every edge's `α` and
-    /// `du` into `alpha` / `du` (`[edges of rows, H]`, edge-owned) and
-    /// folds `du` into the rows of `d_s_dst` in CSR order. One
-    /// [`simd::head_dots`] per edge gives `⟨g_i, x_j⟩` for all heads.
+    /// `du` into `alpha` / `du` (`[edges of rows, H]`, edge-owned; a
+    /// skipped (edge, head)'s `α` as [`SKIPPED`]) and folds `du` into the
+    /// rows of `d_s_dst` in CSR order.
     // sar-check: deterministic(one-writer-per-row: a destination's d_s_dst
     // row and its edges' α / du entries are written by one chunk, in CSR
     // order)
@@ -383,11 +479,9 @@ impl AttnBackward<'_> {
         alpha: &mut [f32],
         du: &mut [f32],
     ) {
-        let blk = self.blk;
-        let (g, h) = (blk.g, blk.heads);
-        let hd = h * blk.head_dim;
+        let h = self.blk.heads;
         let r0 = rows.start;
-        let ptr = &g.indptr()[r0..=rows.end];
+        let ptr = &self.blk.g.indptr()[r0..=rows.end];
         split_rows(
             rows.len(),
             [
@@ -395,95 +489,173 @@ impl AttnBackward<'_> {
                 Output::edge_owned(alpha, ptr, h),
                 Output::edge_owned(du, ptr, h),
             ],
-            move |lo, hi, [dsd, a_part, du_part]| {
-                let mut dots = vec![0.0f32; h];
-                for r in lo..hi {
-                    let i = r0 + r;
-                    let g_row = &self.grad[i * hd..(i + 1) * hd];
-                    let dsd_row = row_mut(dsd, r - lo, h);
-                    let a_rows = edges_mut(a_part, &ptr[lo..], r - lo, h);
-                    let du_rows = edges_mut(du_part, &ptr[lo..], r - lo, h);
-                    for (k, (j, e)) in g.entries(i).enumerate() {
-                        simd::head_dots(&mut dots, g_row, blk.x.row(j));
-                        for head in 0..h {
-                            let (u, den) = (blk.logit(i, j, head), self.den[i * h + head]);
-                            let alpha = if MATERIALIZED {
-                                self.alpha[e * h + head]
-                            } else {
-                                (blk.leaky_relu(u) - self.max[i * h + head]).exp() / den
-                            };
-                            a_rows[k * h + head] = alpha;
-                            if Self::skips::<MATERIALIZED>(alpha, den) {
-                                continue;
-                            }
-                            let de = alpha * (dots[head] - self.grad_dot[i * h + head]);
-                            let du = de * if u > 0.0 { 1.0 } else { blk.slope };
-                            du_rows[k * h + head] = du;
-                            dsd_row[head] += du;
-                        }
-                    }
-                }
+            move |lo, hi, parts| {
+                let rows = r0 + lo..r0 + hi;
+                by_heads!(h, |h| self.coefficient_rows::<MATERIALIZED>(h, rows, parts))
             },
         );
     }
 
+    /// [`AttnBackward::coefficients`] over the destination rows `rows`,
+    /// whose `d_s_dst` rows and edges' `α` / `du` entries are `parts`, with
+    /// `h` the block's head count (a literal where [`by_heads!`] inlines
+    /// it). Per row: one [`simd::head_dots_rows`] gives `⟨g_i, x_j⟩` for
+    /// every in-edge and head, into the row's `du` entries; the row's
+    /// `s_dst`, `max`, `den` and `grad_dot` are read once; then, heads in
+    /// vector lanes, the exponents `LeakyReLU(u) − max`, one scalar `exp`
+    /// each, the division by `den`, and `du`, which replaces its dot.
+    #[inline(always)]
+    // sar-check: deterministic(one-writer-per-row: a destination's d_s_dst
+    // row folds its edges' du in CSR order; every α and du is one
+    // (edge, head)'s own fixed expression)
+    fn coefficient_rows<const MATERIALIZED: bool>(
+        self,
+        h: usize,
+        rows: Range<usize>,
+        [dsd, a_part, du_part]: [&mut [f32]; 3],
+    ) {
+        let (blk, lo) = (self.blk, rows.start);
+        let (g, hd, slope) = (blk.g, h * blk.head_dim, blk.slope);
+        let ptr = &g.indptr()[lo..];
+        let mut idx = Vec::new();
+        for i in rows {
+            let alpha = edges_mut(a_part, ptr, i - lo, h);
+            let du = edges_mut(du_part, ptr, i - lo, h);
+            let nbrs = g.neighbors(i);
+            let (x, idx) = blk.x.gather(nbrs, &mut idx);
+            simd::head_dots_rows(du, h, &self.grad[i * hd..(i + 1) * hd], x, idx);
+            let sd = &blk.s_dst[i * h..(i + 1) * h];
+            let (max, den) = (&self.max[i * h..(i + 1) * h], &self.den[i * h..(i + 1) * h]);
+            let gd = &self.grad_dot[i * h..(i + 1) * h];
+            if MATERIALIZED {
+                let e0 = ptr[i - lo];
+                alpha.copy_from_slice(&self.alpha[e0 * h..e0 * h + alpha.len()]);
+            } else {
+                for (a, &j) in alpha.chunks_exact_mut(h).zip(nbrs) {
+                    let ss = &blk.s_src[j as usize * h..][..h];
+                    for c in 0..h {
+                        a[c] = blk.leaky_relu(sd[c] + ss[c]) - max[c];
+                    }
+                }
+                for a in alpha.iter_mut() {
+                    *a = a.exp();
+                }
+                for a in alpha.chunks_exact_mut(h) {
+                    for c in 0..h {
+                        a[c] /= den[c];
+                    }
+                }
+            }
+            // de = α (⟨g_i, x_j⟩ − ⟨g_i, out_i⟩), through the LeakyReLU.
+            let dsd_row = row_mut(dsd, i - lo, h);
+            for ((a, v), &j) in alpha
+                .chunks_exact_mut(h)
+                .zip(du.chunks_exact_mut(h))
+                .zip(nbrs)
+            {
+                let ss = &blk.s_src[j as usize * h..][..h];
+                for c in 0..h {
+                    let u = sd[c] + ss[c];
+                    let du = a[c] * (v[c] - gd[c]) * if u > 0.0 { 1.0 } else { slope };
+                    v[c] = du;
+                    if Self::skips::<MATERIALIZED>(a[c], den[c]) {
+                        a[c] = SKIPPED;
+                    } else {
+                        dsd_row[c] += du;
+                    }
+                }
+            }
+        }
+    }
+
     /// Source-major pass over the edge ids `edges` (a run of whole rows):
     /// reads back their `α` and `du` (`[edges, H]`, as
-    /// [`AttnBackward::coefficients`] wrote them) and adds `α g_i` into
-    /// `d_x[j]` — one [`simd::weighted_gather`] per source over the
-    /// upstream gradient rows of its destinations — and `du` into
-    /// `d_s_src[j]`. A source's entries in the reverse index ascend by edge
-    /// id, so each run's are one contiguous stretch of them, found by
-    /// bisection, and the runs follow each other in the sequential order.
+    /// [`AttnBackward::coefficients`] wrote them, [`SKIPPED`] marking a
+    /// skipped (edge, head)) and adds `α g_i` into `d_x[j]` — one
+    /// [`simd::weighted_gather`] per source over the upstream gradient
+    /// rows of its destinations — and `du` into `d_s_src[j]`. A source's
+    /// entries in the reverse index ascend by edge id, so each run's are
+    /// one contiguous stretch of them, starting at the source's cursor in
+    /// `next`, and the runs follow each other in the sequential order.
     // sar-check: deterministic(one-writer-per-row: a source's d_x and d_s_src
     // rows fold its entries of this run in ascending edge-id order)
-    fn push_sources<const MATERIALIZED: bool>(
+    fn push_sources(
         self,
         edges: Range<usize>,
-        alpha: &[f32],
-        du: &[f32],
+        (alpha, du): (&[f32], &[f32]),
         (d_x, d_s): (&mut [f32], &mut [f32]),
+        next: &[AtomicUsize],
     ) {
         let g = self.blk.g;
-        let (h, hd) = (self.blk.heads, self.blk.heads * self.blk.head_dim);
-        let rev = g.reverse_adjacency();
-        let eid = rev.eid.expect("the reverse index stores edge ids");
+        let h = self.blk.heads;
         split_rows(
             g.num_cols(),
-            [Output::row_owned(d_x, hd), Output::row_owned(d_s, h)],
-            move |lo, hi, [dx, dss]| {
-                let mut steps = Vec::new();
-                for j in lo..hi {
-                    let ids = &eid[rev.ptr[j]..rev.ptr[j + 1]];
-                    let skipped = ids.partition_point(|&e| (e as usize) < edges.start);
-                    let run = ids[skipped..]
-                        .iter()
-                        .take_while(|&&e| (e as usize) < edges.end);
-                    let (from, to) = (rev.ptr[j] + skipped, rev.ptr[j] + skipped + run.count());
-                    if from == to {
-                        continue;
-                    }
-                    let dss_row = row_mut(dss, j - lo, h);
-                    steps.clear();
-                    for (&i, &e) in rev.nbr[from..to].iter().zip(&eid[from..to]) {
-                        let k = (e as usize - edges.start) * h;
-                        for head in 0..h {
-                            let a = alpha[k + head];
-                            if Self::skips::<MATERIALIZED>(a, self.den[i as usize * h + head]) {
-                                steps.push(Step::Skip);
-                            } else {
-                                dss_row[head] += du[k + head];
-                                steps.push(Step::Add(a));
-                            }
-                        }
-                    }
-                    let dx_row = row_mut(dx, j - lo, hd);
-                    simd::weighted_gather(dx_row, h, self.grad, &rev.nbr[from..to], &steps);
-                }
+            [
+                Output::row_owned(d_x, h * self.blk.head_dim),
+                Output::row_owned(d_s, h),
+            ],
+            move |lo, hi, parts| {
+                let run = (edges.clone(), alpha, du, next);
+                by_heads!(h, |h| self.source_rows(h, lo..hi, parts, run))
             },
         );
     }
+
+    /// [`AttnBackward::push_sources`] over the sources `cols`, whose `d_x`
+    /// and `d_s_src` rows are `parts`, with `h` the block's head count (a
+    /// literal where [`by_heads!`] inlines it).
+    #[inline(always)]
+    // sar-check: deterministic(one-writer-per-row: a source's d_s_src row
+    // folds its entries' du in ascending edge-id order, and its steps list
+    // them in that order for its d_x row)
+    fn source_rows(
+        self,
+        h: usize,
+        cols: Range<usize>,
+        [dx, dss]: [&mut [f32]; 2],
+        (edges, alpha, du, next): (Range<usize>, &[f32], &[f32], &[AtomicUsize]),
+    ) {
+        let hd = h * self.blk.head_dim;
+        let rev = self.blk.g.reverse_adjacency();
+        let eid = rev.eid.expect("the reverse index stores edge ids");
+        let lo = cols.start;
+        let mut steps = Vec::new();
+        for j in cols {
+            let from = next[j].load(Ordering::Relaxed);
+            let ids = &eid[from..rev.ptr[j + 1]];
+            let to = from
+                + ids
+                    .iter()
+                    .take_while(|&&e| (e as usize) < edges.end)
+                    .count();
+            if from == to {
+                continue;
+            }
+            next[j].store(to, Ordering::Relaxed);
+            let dss_row = row_mut(dss, j - lo, h);
+            steps.resize((to - from) * h, Step::Skip);
+            for (st, &e) in steps.chunks_exact_mut(h).zip(&eid[from..to]) {
+                let k = (e as usize - edges.start) * h;
+                let (a, v) = (&alpha[k..k + h], &du[k..k + h]);
+                for c in 0..h {
+                    st[c] = if a[c] == SKIPPED {
+                        Step::Skip
+                    } else {
+                        dss_row[c] += v[c];
+                        Step::Add(a[c])
+                    };
+                }
+            }
+            let dx_row = row_mut(dx, j - lo, hd);
+            simd::weighted_gather(dx_row, h, self.grad, &rev.nbr[from..to], &steps);
+        }
+    }
 }
+
+/// What the destination-major backward pass leaves in place of a skipped
+/// (edge, head)'s coefficient: a negative value, which no pushed one is —
+/// `exp(·)` over a positive denominator, or NaN.
+const SKIPPED: f32 = -1.0;
 
 /// Ascending boundaries `0 = b_0, …, b_m = rows` that cut a CSR block
 /// with pointer array `indptr` into runs of whole destination rows of at

@@ -560,24 +560,23 @@ pub fn head_project_backward(
             }
         },
     );
-    // Pass 2 — column-parallel d_a: each column accumulates over rows in
-    // ascending order with the same `g == 0` skips as the sequential
-    // sweep, so the reduction order is unchanged.
+    // Pass 2 — d_a, a row-major sweep over the column range a chunk owns:
+    // each (row, head) adds `g · x[row]` into the head's columns, one
+    // `axpy`, skipped where `g == 0`. Each column thus accumulates over
+    // rows in ascending order with the same skips as the sequential
+    // column loop, so the reduction order is unchanged.
     split_rows(
         hd,
         [Output::row_owned(d_a.data_mut(), 1)],
         move |lo, hi, [cols]| {
-            for (c, slot) in (lo..hi).zip(cols.iter_mut()) {
-                let h = c / d;
-                let mut acc = 0.0f32;
-                for i in 0..n {
-                    let g = g_data[i * heads + h];
-                    if g == 0.0 {
+            for (x_row, g_row) in x.chunks_exact(hd).zip(g_data.chunks_exact(heads)) {
+                for (h, &g) in g_row.iter().enumerate() {
+                    let (c0, c1) = ((h * d).max(lo), ((h + 1) * d).min(hi));
+                    if g == 0.0 || c0 >= c1 {
                         continue;
                     }
-                    acc += g * x[i * hd + c];
+                    simd::axpy(g, &x_row[c0..c1], &mut cols[c0 - lo..c1 - lo]);
                 }
-                *slot = acc;
             }
         },
     );

@@ -142,6 +142,44 @@ fn head_project_parity() {
 }
 
 #[test]
+fn head_project_d_a_equals_the_naive_column_loop() {
+    // `d_a[c]` is one column sweep: rows ascending, `+= g · x` skipped
+    // where the row's head gradient `g` is 0.0 or −0.0. An infinite `x`
+    // under such a `g` would turn the sum NaN if the skip were dropped;
+    // under a non-zero `g` it makes the column infinite.
+    let mut rng = StdRng::seed_from_u64(17);
+    let (h, d) = (3, 7);
+    let hd = h * d;
+    let mut x = init::randn(&[N, hd], 1.0, &mut rng);
+    let mut grad = init::randn(&[N, h], 1.0, &mut rng);
+    for i in (0..N).step_by(5) {
+        grad.row_mut(i)[i % h] = if i % 2 == 0 { 0.0 } else { -0.0 };
+        x.row_mut(i)[(i % h) * d + i % d] = f32::INFINITY;
+    }
+    x.row_mut(1)[d + 2] = f32::NEG_INFINITY;
+    grad.row_mut(1)[1] = 0.5;
+    let a = init::randn(&[hd], 1.0, &mut rng);
+    let want: Vec<u32> = (0..hd)
+        .map(|c| {
+            let mut acc = 0.0f32;
+            for i in 0..N {
+                let g = grad.row(i)[c / d];
+                if g != 0.0 {
+                    acc += g * x.row(i)[c];
+                }
+            }
+            acc.to_bits()
+        })
+        .collect();
+    assert!(want.iter().any(|&b| f32::from_bits(b).is_infinite()));
+    for threads in [1, 2, 4] {
+        let (_, d_a) = with_threads(threads, || ops::head_project_backward(&x, &a, h, &grad));
+        let got: Vec<u32> = d_a.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "threads={threads}");
+    }
+}
+
+#[test]
 fn gat_edge_scores_parity() {
     let g = test_graph(N, M, 12);
     let mut rng = StdRng::seed_from_u64(13);

@@ -369,7 +369,7 @@ proptest! {
         cols in 2usize..40,
         heads in 1usize..=8,
         w in 0usize..HEAD_DIMS.len(),
-        threads in 1usize..=2,
+        threads in 1usize..=4,
         mapped in 0usize..2,
     ) {
         let (h, d) = (heads, HEAD_DIMS[w]);

@@ -33,7 +33,14 @@
 //!   its vector bodies run them side by side on shared operand loads —
 //!   the 16-lane body two independent 8-lane dots per register, one per
 //!   row of `a` — and fold four at a time with `hadd, hadd, lo128 +
-//!   hi128`, which is that tree.
+//!   hi128`, which is that tree. `head_dots_rows` is one `head_dots` per
+//!   row of a list, the list streaming past one row's segments. Every
+//!   vector dot body adds the ragged tails of four dots at once: four
+//!   masked loads and a 4 × 8 transpose turn the tails into columns, and
+//!   lane `c` takes `+ a_c[j] * b_c[j]` for `j` ascending — the scalar
+//!   tail, four dots side by side. The row walks (`head_dots_rows`,
+//!   `weighted_gather`) ask for the cache lines of the row a few indices
+//!   ahead; a prefetch reads nothing into any sum.
 //! * **Row-panel accumulate** (`panel_axpy`): the vector bodies keep a
 //!   register tile of output rows across a whole k-panel — one row × 64
 //!   columns in AVX2's sixteen registers, four rows × 64 columns in
@@ -359,6 +366,19 @@ pub mod scalar {
         }
     }
 
+    /// One row against many: with `a` cut into `segs` segments and `x`
+    /// rows of `a.len()` floats, `out[k · segs + s]` becomes the [`dot`] of
+    /// segment `s` of `a` and segment `s` of row `idx[k]` of `x` — one
+    /// [`head_dots`] per index.
+    pub fn head_dots_rows(out: &mut [f32], segs: usize, a: &[f32], x: &[f32], idx: &[u32]) {
+        let n = a.len();
+        super::check_head_rows(out.len(), segs, n, x.len(), idx);
+        for (o, &i) in out.chunks_exact_mut(segs).zip(idx) {
+            let i = i as usize;
+            head_dots(o, a, &x[i * n..(i + 1) * n]);
+        }
+    }
+
     /// `dst[i] /= den`.
     pub fn div_scalar(dst: &mut [f32], den: f32) {
         for d in dst.iter_mut() {
@@ -518,6 +538,28 @@ fn check_head_dots(out: usize, a: usize, b: usize) -> usize {
         "head_dots: {a} and {b} floats are not {out} equal segments each"
     );
     a.checked_div(out).unwrap_or(0)
+}
+
+/// Checks a [`head_dots_rows`] call before any body indexes anything:
+/// the `n`-float row is `segs > 0` whole segments, `out` holds one
+/// `segs`-float row per index, and — unless the row is empty, when
+/// nothing is read — `x` and `idx` pass [`check_gather`]. Returns the
+/// segment width.
+fn check_head_rows(out: usize, segs: usize, n: usize, x: usize, idx: &[u32]) -> usize {
+    assert!(
+        segs > 0 && n.is_multiple_of(segs),
+        "head_dots_rows: a row of {n} floats is not {segs} whole segments"
+    );
+    assert_eq!(
+        Some(out),
+        idx.len().checked_mul(segs),
+        "head_dots_rows: {out} outputs for {} indices of {segs} segments",
+        idx.len()
+    );
+    if n > 0 {
+        check_gather("head_dots_rows", n, x, idx);
+    }
+    n / segs
 }
 
 /// Fixed horizontal-reduction tree shared by every dot body.
@@ -936,40 +978,65 @@ mod x86 {
         out
     }
 
-    /// Stores four dots to `out` after adding to each its sequential tail:
-    /// lane `c` of `dots` is dot `c` before columns `main..k`, and takes
-    /// `+ a_c[j] * b_c[j]` for each `j` there — `a_c` and `b_c` the rows
-    /// `a + c·a_step` and `b + c·b_step`.
+    /// Columns `0..t` (`t < 8`) of the four rows `p + c·step`, `c < 4`,
+    /// transposed: entry `j` is `[p₀[j], p₁[j], p₂[j], p₃[j]]` (entries
+    /// `t..` are unspecified; all zeros when `t == 0`). Four masked loads
+    /// and one 4 × 8 transpose; a `step` of 0 puts one row in every lane.
     ///
     /// # Safety
-    /// The CPU must support AVX2; for every `c < 4` the rows `a + c·a_step`
-    /// and `b + c·b_step` must be valid for reads of `k` floats, and `out`
-    /// for writes of 4.
+    /// The CPU must support AVX2; for every `c < 4` the row `p + c·step`
+    /// must be valid for reads of `t` floats.
+    #[inline(always)]
+    unsafe fn tail_cols(p: *const f32, step: usize, t: usize) -> [__m128; 8] {
+        // SAFETY: the caller's contract; the masked loads read lanes
+        // `0..t` of each row only (dead lanes cannot fault).
+        unsafe {
+            if t == 0 {
+                return [_mm_setzero_ps(); 8];
+            }
+            let m = F32x8::mask(t);
+            let r = [0, 1, 2, 3].map(|c| F32x8::load_part(p.add(c * step), m));
+            // Per 128-bit half: t0 = [r0₀ r1₀ r0₁ r1₁], t1 = [r0₂ r1₂ r0₃
+            // r1₃], t2 and t3 the same of rows 2 and 3; then the low
+            // (0x44) and high (0xEE) pairs of t0/t2 and t1/t3 are the
+            // columns — 0..4 in the low halves, 4..8 in the high ones.
+            let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+            let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+            let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+            let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+            let u = [
+                _mm256_shuffle_ps::<0x44>(t0, t2),
+                _mm256_shuffle_ps::<0xEE>(t0, t2),
+                _mm256_shuffle_ps::<0x44>(t1, t3),
+                _mm256_shuffle_ps::<0xEE>(t1, t3),
+            ];
+            let lo = u.map(|v| _mm256_castps256_ps128(v));
+            let hi = u.map(|v| _mm256_extractf128_ps::<1>(v));
+            [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]]
+        }
+    }
+
+    /// Stores four dots to `out` after adding to each its sequential tail:
+    /// lane `c` of `dots` is dot `c` before its last `t` columns, `a_tail`
+    /// holds those columns of the four left rows ([`tail_cols`]), and the
+    /// right rows' ones start at `b + c·b_step` — lane `c` takes `+ a_c[j]
+    /// * b_c[j]` for each `j < t` in turn.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2; for every `c < 4` the row `b + c·b_step`
+    /// must be valid for reads of `t` floats, and `out` for writes of 4.
     #[inline(always)]
     unsafe fn finish4(
         out: *mut f32,
         mut dots: __m128,
-        (a, a_step): (*const f32, usize),
+        a_tail: &[__m128; 8],
         (b, b_step): (*const f32, usize),
-        main: usize,
-        k: usize,
+        t: usize,
     ) {
-        // SAFETY: the caller's contract; j < k stays inside every row.
+        // SAFETY: the caller's contract.
         unsafe {
-            for j in main..k {
-                let at = |p: *const f32, step: usize, c: usize| *p.add(c * step + j);
-                let x = _mm_setr_ps(
-                    at(a, a_step, 0),
-                    at(a, a_step, 1),
-                    at(a, a_step, 2),
-                    at(a, a_step, 3),
-                );
-                let y = _mm_setr_ps(
-                    at(b, b_step, 0),
-                    at(b, b_step, 1),
-                    at(b, b_step, 2),
-                    at(b, b_step, 3),
-                );
+            let b_tail = tail_cols(b, b_step, t);
+            for (&x, &y) in a_tail.iter().zip(&b_tail).take(t) {
                 dots = _mm_add_ps(dots, _mm_mul_ps(x, y));
             }
             _mm_storeu_ps(out, dots);
@@ -1025,7 +1092,8 @@ mod x86 {
                 let dots = L::fold4(acc_p);
                 for (h, &d) in dots.iter().enumerate().take(g) {
                     let r = p * g + h;
-                    finish4(out.add(r * n), d, (a.add(r * k), 0), (b, k), main, k);
+                    let a_tail = tail_cols(a.add(r * k + main), 0, k - main);
+                    finish4(out.add(r * n), d, &a_tail, (b.add(main), k), k - main);
                 }
             }
         }
@@ -1076,11 +1144,36 @@ mod x86 {
         }
     }
 
-    /// One register tile of [`head_dots`]: the four dots of segments
-    /// `0..4` of `a` with segments `0..4` of `b` (`k` floats each,
-    /// consecutive), written to `out[0..4]`. Four independent add chains
-    /// where one segment's `dot` has one, and one horizontal fold for all
-    /// four — `dot_tile`'s.
+    /// How many indices ahead of the one it reads a row walk asks for a
+    /// row's cache lines.
+    const AHEAD: usize = 8;
+
+    /// Asks for the cache lines of the `len` floats at `p` (a hint: it
+    /// reads nothing and cannot fault).
+    ///
+    /// # Safety
+    /// `p + len` must not pass the end of `p`'s allocation.
+    #[inline(always)]
+    unsafe fn prefetch(p: *const f32, len: usize) {
+        // SAFETY: the offsets stay below `len` (the caller's contract);
+        // a prefetch never faults.
+        unsafe {
+            for off in (0..len).step_by(16) {
+                _mm_prefetch::<_MM_HINT_T0>(p.add(off).cast());
+            }
+            if len > 0 {
+                _mm_prefetch::<_MM_HINT_T0>(p.add(len - 1).cast());
+            }
+        }
+    }
+
+    /// One register tile of [`head_dots`] and [`head_dots_rows`]: the four
+    /// dots of segments `0..4` of `a` with segments `0..4` of `b` (`k`
+    /// floats each, consecutive), written to `out[0..4]`. Four independent
+    /// add chains where one segment's `dot` has one, one horizontal fold
+    /// for all four — `dot_tile`'s — and the tails of `a`'s segments
+    /// passed in as `a_tail` ([`tail_cols`]), so that a caller dotting
+    /// one row with many transposes them once.
     ///
     /// # Safety
     /// The CPU must support AVX2. `a` and `b` must be valid for reads of
@@ -1090,7 +1183,13 @@ mod x86 {
     // accumulates its own 8 lanes over ascending i, folds them in the
     // `reduce_lanes` tree, then adds its tail sequentially — the scalar
     // `dot` sequence, four of them side by side)
-    unsafe fn head_dot_tile(out: *mut f32, a: *const f32, b: *const f32, k: usize) {
+    unsafe fn head_dot_tile(
+        out: *mut f32,
+        a: *const f32,
+        b: *const f32,
+        k: usize,
+        a_tail: &[__m128; 8],
+    ) {
         let main = k - k % 8;
         // SAFETY: AVX2 and the `4 · k` floats are the caller's contract;
         // i + 8 <= main <= k keeps every load inside its segment. mul +
@@ -1105,7 +1204,13 @@ mod x86 {
                     *s = F32x8::add(*s, F32x8::mul(x, y));
                 }
             }
-            finish4(out, F32x8::fold4(acc)[0], (a, k), (b, k), main, k);
+            finish4(
+                out,
+                F32x8::fold4(acc)[0],
+                a_tail,
+                (b.add(main), k),
+                k - main,
+            );
         }
     }
 
@@ -1115,17 +1220,69 @@ mod x86 {
     pub(super) unsafe fn head_dots(out: &mut [f32], a: &[f32], b: &[f32]) {
         let d = super::check_head_dots(out.len(), a.len(), b.len());
         let h4 = out.len() - out.len() % 4;
+        let main = d - d % 8;
         let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
         for s in (0..h4).step_by(4) {
             // SAFETY: AVX2 is the caller's contract; `check_head_dots`
             // made `a` and `b` `out.len()` whole `d`-float segments, and
             // segments `s..s + 4` (s + 4 <= h4) are `4 · d` of their
             // floats, `out[s..s + 4]` four of `out`'s.
-            unsafe { head_dot_tile(op.add(s), ap.add(s * d), bp.add(s * d), d) };
+            unsafe {
+                let a_tail = tail_cols(ap.add(s * d + main), d, d - main);
+                head_dot_tile(op.add(s), ap.add(s * d), bp.add(s * d), d, &a_tail);
+            }
         }
         for s in h4..out.len() {
             // SAFETY: AVX2 is the caller's contract.
             out[s] = unsafe { dot(&a[s * d..(s + 1) * d], &b[s * d..(s + 1) * d]) };
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    // sar-check: deterministic(fixed-lane-order: each output is one
+    // `head_dot_tile` lane or one `dot`, the scalar `dot` sequence; the
+    // loops only choose which row and segments a tile reads)
+    pub(super) unsafe fn head_dots_rows(
+        out: &mut [f32],
+        segs: usize,
+        a: &[f32],
+        x: &[f32],
+        idx: &[u32],
+    ) {
+        let n = a.len();
+        let d = super::check_head_rows(out.len(), segs, n, x.len(), idx);
+        let s4 = segs - segs % 4;
+        let main = d - d % 8;
+        let (op, ap, xp) = (out.as_mut_ptr(), a.as_ptr(), x.as_ptr());
+        // Four segments at a time, the list streaming past them: the
+        // segments' tails are transposed once per list.
+        for s in (0..s4).step_by(4) {
+            // SAFETY: AVX2 is the caller's contract; `check_head_rows`
+            // made `a` `segs` whole `d`-float segments, `out` one `segs`
+            // row per index and `x` whole `n`-float rows with every index
+            // naming one, so segments `s..s + 4` (s + 4 <= s4) of `a` and
+            // of row `i` are `4 · d` floats inside them, `out[k · segs +
+            // s..][..4]` four of `out`'s.
+            unsafe {
+                let a_tail = tail_cols(ap.add(s * d + main), d, d - main);
+                for (k, &i) in idx.iter().enumerate() {
+                    if let Some(&ahead) = idx.get(k + AHEAD) {
+                        prefetch(xp.add(ahead as usize * n + s * d), 4 * d);
+                    }
+                    let row = xp.add(i as usize * n + s * d);
+                    head_dot_tile(op.add(k * segs + s), ap.add(s * d), row, d, &a_tail);
+                }
+            }
+        }
+        for s in s4..segs {
+            let a_seg = &a[s * d..(s + 1) * d];
+            for (k, &i) in idx.iter().enumerate() {
+                let row = i as usize * n + s * d;
+                // SAFETY: AVX2 is the caller's contract.
+                out[k * segs + s] = unsafe { dot(a_seg, &x[row..row + d]) };
+            }
         }
     }
 
@@ -1418,7 +1575,11 @@ mod x86 {
                     *t = L::load_part(o.add(L::W * FULL), mask);
                 }
             }
-            for (&i, row_steps) in idx.iter().zip(steps.chunks_exact(segs)) {
+            let span = (G - 1) * seg + L::W * FULL + if TAIL { tail } else { 0 };
+            for (k, (&i, row_steps)) in idx.iter().zip(steps.chunks_exact(segs)).enumerate() {
+                if let Some(&ahead) = idx.get(k + AHEAD) {
+                    prefetch(x.add(ahead as usize * n), span);
+                }
                 let accs = acc.iter_mut().zip(&mut acc_t);
                 for (g, (&step, (a, t))) in row_steps[s0..s0 + G].iter().zip(accs).enumerate() {
                     // mul and add stay separate instructions (no FMA), and
@@ -1623,6 +1784,9 @@ macro_rules! isa_body {
             dot(a: &[f32], b: &[f32]) -> f32 = dot;
             dot_block(out: &mut [f32], n: usize, a: &[f32], b: &[f32]) = dot_block::<L>;
             head_dots(out: &mut [f32], a: &[f32], b: &[f32]) = head_dots;
+            head_dots_rows(
+                out: &mut [f32], segs: usize, a: &[f32], x: &[f32], idx: &[u32]
+            ) = head_dots_rows;
             panel_axpy(
                 out: &mut [f32], n: usize, a: &[f32], strides: (usize, usize), b: &[f32]
             ) = panel_axpy::<L>;
@@ -1817,6 +1981,27 @@ pub fn weighted_gather(out: &mut [f32], segs: usize, x: &[f32], idx: &[u32], ste
 #[inline]
 pub fn head_dots(out: &mut [f32], a: &[f32], b: &[f32]) {
     dispatch!(head_dots, out, a, b)
+}
+
+/// One row's segment-wise dots against a list of rows, the inner kernel
+/// of the attention backward's coefficients: with `a` cut into `segs`
+/// segments and `x` rows of `a.len()` floats, `out[k · segs + s]` becomes
+/// the [`dot`] of segment `s` of `a` and segment `s` of row `idx[k]` of
+/// `x` — `⟨g_i, x_j⟩` per head for every in-edge `j → i` of one row. The
+/// vector bodies run [`head_dots`]' four-segment tile once per index,
+/// with `a`'s segment tails transposed once per list and each row's tails
+/// read by four vector loads and a transpose, so the result is bitwise
+/// identical to one [`scalar::head_dots`] per index on every input.
+///
+/// # Panics
+///
+/// Panics, before anything is read or written, if `segs` is zero or does
+/// not divide `a.len()`, if `out` is not one `segs`-float row per index,
+/// or — for a non-empty `a` — on a `gather_sum` violation: `x` not whole
+/// rows, or an index naming no row of `x`.
+#[inline]
+pub fn head_dots_rows(out: &mut [f32], segs: usize, a: &[f32], x: &[f32], idx: &[u32]) {
+    dispatch!(head_dots_rows, out, segs, a, x, idx)
 }
 
 /// `dst[i] /= den`, vectorized when available.

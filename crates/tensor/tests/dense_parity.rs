@@ -502,6 +502,38 @@ fn head_dots_equal_one_dot_per_segment() {
 }
 
 #[test]
+fn head_dots_rows_equal_one_head_dots_per_index() {
+    // Every segment count from one to two four-segment tiles with 0..=3
+    // single dots after them, widths with and without a tail (and none
+    // but a tail), over an empty list and one that repeats indices and
+    // leaves rows out.
+    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(37);
+    let rows = 6usize;
+    let lists: [&[u32]; 4] = [&[], &[3], &[0, 5, 5, 2, 0, 4, 4, 4, 1], &[5, 4, 3, 2, 1, 0]];
+    for segs in 1usize..=8 {
+        for d in [1usize, 5, 7, 8, 9, 15, 16, 17, 47, 64, 65, 100] {
+            let n = segs * d;
+            let a = left_operand(n, &mut rng);
+            let x = values(rows * n, &mut rng);
+            for idx in lists {
+                let mut want = vec![0.0f32; idx.len() * segs];
+                for (o, &i) in want.chunks_exact_mut(segs).zip(idx) {
+                    let i = i as usize;
+                    simd::scalar::head_dots(o, &a, &x[i * n..(i + 1) * n]);
+                }
+                each_body(|name| {
+                    let mut out = vec![f32::NAN; idx.len() * segs];
+                    simd::head_dots_rows(&mut out, segs, &a, &x, idx);
+                    let what = format!("head_dots_rows segs={segs} d={d} idx={idx:?} simd={name}");
+                    assert_bits(&out, &want, &what);
+                });
+            }
+        }
+    }
+}
+
+#[test]
 fn simd_bodies_exercised() {
     // Names, in the test log (`-- --nocapture`), the bodies every test
     // above compared: a runner without AVX-512F shows up here instead of
