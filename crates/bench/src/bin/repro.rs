@@ -21,24 +21,17 @@
 //!                       real OS processes over TCP loopback (spawned via
 //!                       the sar-worker binary) and are gated on the same
 //!                       invariants, from the same gathered report
-//!   kernelbench | servebench
-//!                       the CI-gated benchmarks. Each runs its fixed
-//!                       workload, prints a table, writes its
+//!   kernelbench         the CI-gated kernel micro-benchmarks over a
+//!                       fixed seeded matrix: prints a table, writes the
 //!                       schema-versioned artifact (--out PATH) and/or
-//!                       gates it against the committed BENCH_*.json
+//!                       gates it against the committed BENCH_kernels.json
 //!                       (--check PATH; exit 1 on any violation): the
-//!                       workload identity, the run set, the pinned
-//!                       ledgers and digests, and the bench's invariants
-//!                       — never timing magnitudes (EXPERIMENTS.md)
-//!     kernelbench       kernel micro-benchmarks over a fixed seeded
-//!                       matrix, gated on roofline ratios:
-//!                       --simd auto|avx2|scalar, --threads N, --quick
-//!     servebench        a real 4-process sar-serve cluster under
-//!                       closed-loop client load (p50/p99 + QPS; every
-//!                       query answered, MFG fetch below the full-graph
-//!                       ceiling)
+//!                       workload identity, the kernel set, and the
+//!                       roofline ratios within their tolerance band
+//!                       (EXPERIMENTS.md). --simd auto|avx2|scalar,
+//!                       --threads N, --quick
 //!   all                 every table, figure and ablation above (not smoke
-//!                       or the gated benchmarks)
+//!                       or kernelbench)
 //!
 //! flags:
 //!   --transport sim|tcp  smoke backend: in-process simulated cluster or
@@ -82,7 +75,6 @@ use sar_bench::experiments::{
 };
 use sar_bench::harness::{run_workload, Transport};
 use sar_bench::kernelbench::KernelBench;
-use sar_bench::servebench::ServeBench;
 use sar_bench::smoke;
 use sar_core::Arch;
 
@@ -308,10 +300,8 @@ fn main() {
         eprintln!("usage: repro <experiment|all> [flags] — see crate docs");
         std::process::exit(2);
     };
-    match experiment.as_str() {
-        "kernelbench" => std::process::exit(gated_bench_cmd::<KernelBench>(args)),
-        "servebench" => std::process::exit(gated_bench_cmd::<ServeBench>(args)),
-        _ => {}
+    if experiment == "kernelbench" {
+        std::process::exit(gated_bench_cmd::<KernelBench>(args));
     }
     let flags = parse_flags(args).unwrap_or_else(|e| {
         eprintln!("{e}");

@@ -784,9 +784,9 @@ impl Default for KernelBenchConfig {
 /// pool's thread count identifies the workload (the calibration is
 /// single-threaded, so ratios at other counts are not comparable); the
 /// SIMD label is recorded but not compared, since a `--simd scalar` run
-/// is normalized against a scalar roofline. Kernels are named by `name`
-/// and nothing is pinned — ratios are compared against the committed
-/// copy with the tolerance band instead ([`GatedBench::compare`]).
+/// is normalized against a scalar roofline. Kernels are named by `name`,
+/// and their ratios are compared against the committed copy with the
+/// tolerance band ([`GatedBench::compare`]).
 #[derive(Debug)]
 pub struct KernelBench;
 
@@ -802,7 +802,6 @@ impl GatedBench for KernelBench {
     const TABLES: &'static [Records] = &[Records {
         table: "kernels",
         key: &["name"],
-        pinned: &[],
     }];
     type Config = KernelBenchConfig;
 

@@ -272,7 +272,10 @@ pub fn sibling_binary(name: &str) -> Result<PathBuf, String> {
     }
 }
 
-/// The running rank processes of one launch.
+/// The running rank processes of one launch. Dropping it before
+/// [`RankChildren::wait`] kills and reaps every rank, so a driver that
+/// panics or returns early mid-run leaves no process behind — a serving
+/// rank would otherwise run until a client sent it Shutdown.
 #[derive(Debug)]
 pub struct RankChildren {
     children: Vec<(usize, Child)>,
@@ -294,7 +297,10 @@ impl RankChildren {
         assert!(world > 0, "cannot launch a zero-rank cluster");
         let rendezvous = temp_rendezvous_path();
         let _ = std::fs::remove_file(&rendezvous);
-        let mut children = Vec::with_capacity(world);
+        let mut launched = RankChildren {
+            children: Vec::with_capacity(world),
+            rendezvous,
+        };
         let mut failures = Vec::new();
         for rank in 0..world {
             let mut cmd = Command::new(exe);
@@ -303,24 +309,19 @@ impl RankChildren {
                 .arg("--world")
                 .arg(world.to_string())
                 .arg("--rendezvous-file")
-                .arg(&rendezvous)
+                .arg(&launched.rendezvous)
                 .args(common_args);
             match cmd.spawn() {
-                Ok(child) => children.push((rank, child)),
+                Ok(child) => launched.children.push((rank, child)),
                 Err(e) => failures.push(format!("rank {rank}: spawn failed: {e}")),
             }
         }
         if failures.is_empty() {
-            return Ok(RankChildren {
-                children,
-                rendezvous,
-            });
+            Ok(launched)
+        } else {
+            // Dropping `launched` kills and reaps the ranks that started.
+            Err(failures.join("; "))
         }
-        for (_, mut child) in children {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        Err(failures.join("; "))
     }
 
     /// Waits for every child and removes the rendezvous file.
@@ -329,21 +330,32 @@ impl RankChildren {
     ///
     /// A message listing every rank that exited non-zero. All children
     /// are always waited on, so no zombies remain even when some fail.
-    pub fn wait(self) -> Result<(), String> {
+    pub fn wait(mut self) -> Result<(), String> {
         let mut failures = Vec::new();
-        for (rank, mut child) in self.children {
+        for (rank, mut child) in std::mem::take(&mut self.children) {
             match child.wait() {
                 Ok(status) if status.success() => {}
                 Ok(status) => failures.push(format!("rank {rank} exited with {status}")),
                 Err(e) => failures.push(format!("rank {rank}: wait failed: {e}")),
             }
         }
-        let _ = std::fs::remove_file(&self.rendezvous);
         if failures.is_empty() {
             Ok(())
         } else {
             Err(failures.join("; "))
         }
+    }
+}
+
+impl Drop for RankChildren {
+    /// Kills and reaps every child not yet waited on, then removes the
+    /// rendezvous file.
+    fn drop(&mut self) {
+        for (_, child) in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        let _ = std::fs::remove_file(&self.rendezvous);
     }
 }
 

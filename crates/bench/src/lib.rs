@@ -26,9 +26,8 @@
 //! per-worker-thread live tensor high-water mark. Default sizes target a
 //! small CI machine; scale up with `--nodes`.
 //!
-//! Beyond the training experiments, two benchmarks gate CI on a
-//! committed `BENCH_*.json` artifact: [`kernelbench`] (the kernel perf
-//! trajectory) and [`servebench`].
+//! Beyond the training experiments, [`kernelbench`] (the kernel perf
+//! trajectory) gates CI on its committed `BENCH_kernels.json` artifact.
 //!
 //! Besides the simulated in-process cluster, the harness can run real
 //! multi-process training over TCP loopback: [`launcher`] owns the rank
@@ -42,19 +41,16 @@
 //!
 //! The serving tier gets the same treatment: [`serverun`] is the
 //! per-rank lifecycle of a resident `sar-serve` cluster (rebuild state →
-//! load checkpoint → rendezvous → front-end/worker loop), and
-//! [`servebench`] drives it with a closed-loop client load, writing the
-//! committed, CI-gated `BENCH_serve.json` latency/throughput artifact
-//! (`repro servebench`).
+//! load checkpoint → rendezvous → front-end/worker loop); the workspace
+//! tests drive a real `sar-serve` cluster under client load.
 //!
-//! Each gated benchmark implements [`cli::GatedBench`]: a `run` that
-//! emits its artifact as [`json::Value`] records, plus a declaration —
-//! the schema tag, the top-level fields that identify the workload, per
-//! record array the key fields and the pinned fields a fresh run must
-//! reproduce, and one `invariants` function applied to the fresh and the
-//! committed document alike. Everything else — schema, identity, run-set
-//! and pin checks, the printed table and the `--out`/`--check` files — is
-//! [`cli::gated_bench_cmd`], once for both.
+//! A gated benchmark implements [`cli::GatedBench`]: a `run` that emits
+//! its artifact as [`json::Value`] records, plus a declaration — the
+//! schema tag, the top-level fields that identify the workload, the key
+//! fields of each record array, one `invariants` function applied to the
+//! fresh and the committed document alike, and a `compare` between them.
+//! Everything else — schema, identity and run-set checks, the printed
+//! table and the `--out`/`--check` files — is [`cli::gated_bench_cmd`].
 
 pub mod cli;
 pub mod distrun;
@@ -64,6 +60,5 @@ pub mod json;
 pub mod kernelbench;
 pub mod launcher;
 pub mod report;
-pub mod servebench;
 pub mod serverun;
 pub mod smoke;

@@ -328,7 +328,7 @@ mod tests {
         // future module move cannot silently drop the coverage.
         assert!(panic_rule_applies("crates/comm/src/wire.rs"));
         assert!(panic_rule_applies("crates/comm/src/transport.rs"));
-        assert!(!panic_rule_applies("crates/bench/src/servebench.rs"));
+        assert!(!panic_rule_applies("crates/bench/src/kernelbench.rs"));
     }
 
     #[test]

@@ -6,14 +6,9 @@
 use sar::bench::cli::{self, GatedBench};
 use sar::bench::json::{self, obj, Value};
 use sar::bench::kernelbench::KernelBench;
-use sar::bench::servebench::ServeBench;
 use sar_check::{reportio, PassReport, Report};
 
-const ARTIFACTS: [(&str, usize); 3] = [
-    ("BENCH_kernels.json", 2),
-    ("BENCH_serve.json", 2),
-    ("PROOF_sarcheck.json", 4),
-];
+const ARTIFACTS: [(&str, usize); 2] = [("BENCH_kernels.json", 2), ("PROOF_sarcheck.json", 4)];
 
 fn read(name: &str) -> String {
     let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -32,8 +27,8 @@ fn committed_artifacts_round_trip_through_the_one_json_module() {
     }
 }
 
-/// The committed artifact carries `B`'s schema, identity fields, unique
-/// record keys and pinned fields and satisfies `B`'s invariants; it gates
+/// The committed artifact carries `B`'s schema, identity fields and unique
+/// record keys and satisfies `B`'s invariants; it gates
 /// clean against itself; and a run of any other workload — one identity
 /// field changed — does not gate against it.
 fn satisfies_its_declaration<B: GatedBench>(name: &str) {
@@ -65,7 +60,6 @@ fn satisfies_its_declaration<B: GatedBench>(name: &str) {
 #[test]
 fn committed_bench_artifacts_satisfy_their_declarations() {
     satisfies_its_declaration::<KernelBench>("BENCH_kernels.json");
-    satisfies_its_declaration::<ServeBench>("BENCH_serve.json");
 }
 
 fn proof_report() -> Report {
